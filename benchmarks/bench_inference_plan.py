@@ -59,7 +59,7 @@ def build_client(model, featurizer, pool, inference: InferenceConfig) -> Serving
             model=model,
             featurizer=featurizer,
             pool=pool,
-            pool_options=PoolConfig(warm=True, use_index=True),
+            pool_options=PoolConfig(warm=True),
             inference=inference,
         )
     )
@@ -99,9 +99,9 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
             InferenceConfig(mode="compiled", slab_dtype="float32", tolerance=F32_TOLERANCE),
         )
 
-        reference_estimates, reference_p50 = serve_timed(reference, requests)
-        f64_estimates, _ = serve_timed(compiled_f64, requests)
-        f32_estimates, f32_p50 = serve_timed(compiled_f32, requests)
+        reference_estimates, reference_p50 = serve_timed(reference.estimate, requests)
+        f64_estimates, _ = serve_timed(compiled_f64.estimate, requests)
+        f32_estimates, f32_p50 = serve_timed(compiled_f32.estimate, requests)
 
         assert f64_estimates == reference_estimates, (
             f"compiled float64 estimates diverged from the reference path "

@@ -6,12 +6,13 @@ exactly the axis the paper's Table 14 pool-size sweep varies.  This benchmark
 sweeps bucket-heavy pools (two FROM signatures, so the bucket size tracks the
 pool size) and serves the same single-request workload two ways:
 
-* **legacy** -- a :class:`repro.serving.ServingClient` with
-  ``PoolConfig(use_index=False)``: warmed featurization/encoding caches, but
+* **legacy** -- an :class:`repro.serving.EstimationService` around a bare
+  :class:`repro.core.Cnt2CrdEstimator` (no pool index, so every slab is
+  row-less) on the indexed client's warmed featurization/encoding caches:
   every request still materializes ``2·E`` Python pair tuples, performs
   ``2·E`` dict-keyed cache lookups, and stacks ``2·E`` encoding rows before
   the pair head runs;
-* **indexed** -- the default config: per-signature contiguous encoding
+* **indexed** -- the client's stack: per-signature contiguous encoding
   matrices (:class:`repro.serving.PoolEncodingIndex`), so a request is
   *encode Qnew once → two strided writes → the fixed-shape slab path*.
 
@@ -32,10 +33,17 @@ import time
 
 import numpy as np
 
-from repro.core import CRNConfig, CRNModel, QueriesPool, QueryFeaturizer
+from repro.core import (
+    Cnt2CrdEstimator,
+    CRNConfig,
+    CRNEstimator,
+    CRNModel,
+    QueriesPool,
+    QueryFeaturizer,
+)
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.evaluation import format_service_stats
-from repro.serving import PoolConfig, ServingClient, ServingConfig
+from repro.serving import EstimationService, ServingClient, ServingConfig
 from repro.sql.builder import QueryBuilder
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -105,28 +113,34 @@ def build_requests(count: int) -> list:
     return requests
 
 
-def serve_timed(client, requests) -> tuple[list[float], float]:
+def serve_timed(estimate, requests) -> tuple[list[float], float]:
     """Serve each request alone; return (estimates, single-request p50 seconds)."""
     estimates: list[float] = []
     latencies: list[float] = []
     for query in requests:
         start = time.perf_counter()
-        served = client.estimate(query)
+        served = estimate(query)
         latencies.append(time.perf_counter() - start)
         estimates.append(served.estimate)
     return estimates, float(np.median(latencies))
 
 
-def build_client(model, featurizer, pool, use_index) -> ServingClient:
+def build_client(model, featurizer, pool) -> ServingClient:
     """An unstarted (synchronous-path) client over ``pool``."""
-    return ServingClient(
-        ServingConfig(
-            model=model,
-            featurizer=featurizer,
-            pool=pool,
-            pool_options=PoolConfig(warm=True, use_index=use_index),
-        )
+    return ServingClient(ServingConfig(model=model, featurizer=featurizer, pool=pool))
+
+
+def build_baseline(client: ServingClient) -> EstimationService:
+    """A service around a bare estimator sharing ``client``'s warmed caches."""
+    stack = client.stack
+    crn = CRNEstimator(
+        client.config.model,
+        stack.featurization_cache,
+        encoding_cache=stack.encoding_cache,
     )
+    service = EstimationService()
+    service.register("crn", Cnt2CrdEstimator(crn, client.config.pool))
+    return service
 
 
 def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):
@@ -139,12 +153,12 @@ def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):
     last_indexed_client = None
     for size in POOL_SIZES:
         pool = build_bucket_heavy_pool(size)
-        legacy = build_client(model, featurizer, pool, use_index=False)
-        indexed = build_client(model, featurizer, pool, use_index=True)
+        indexed = build_client(model, featurizer, pool)
+        legacy = build_baseline(indexed)
         last_indexed_client = indexed
 
-        legacy_estimates, legacy_p50 = serve_timed(legacy, requests)
-        indexed_estimates, indexed_p50 = serve_timed(indexed, requests)
+        legacy_estimates, legacy_p50 = serve_timed(legacy.submit, requests)
+        indexed_estimates, indexed_p50 = serve_timed(indexed.estimate, requests)
         assert indexed_estimates == legacy_estimates, (
             f"indexed estimates diverged from the per-pair path at pool size {size}"
         )
@@ -154,7 +168,7 @@ def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):
         )
         index_stats = indexed.stats()
         assert index_stats["pool_index_served"] >= len(requests), (
-            "the indexed service silently fell back to the legacy path"
+            "the indexed service silently fell back to row-less slabs"
         )
 
         speedup = legacy_p50 / indexed_p50 if indexed_p50 > 0 else float("inf")

@@ -35,7 +35,7 @@ from repro.core.final_functions import (
 from repro.core.improved import ImprovedEstimator, improve
 from repro.core.metrics import ErrorSummary, q_error, q_errors, summarize_by_group
 from repro.core.oracle import OracleCardinalityEstimator, OracleContainmentEstimator
-from repro.core.queries_pool import PoolEntry, QueriesPool
+from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
 from repro.core.training import (
     EpochStats,
     TrainingConfig,
@@ -62,6 +62,7 @@ __all__ = [
     "OracleContainmentEstimator",
     "PoolEntry",
     "PoolEstimate",
+    "PoolSlab",
     "QueriesPool",
     "QueryFeaturizer",
     "TrainingConfig",

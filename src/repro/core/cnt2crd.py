@@ -11,9 +11,10 @@ collapsing the per-pool-query estimates with the final function ``F``
 (median by default, Section 5.3.1).
 
 The estimation pipeline is factored into composable steps —
-:meth:`Cnt2CrdEstimator.eligible_entries` →
-:meth:`Cnt2CrdEstimator.containment_pairs` → (batched containment rates) →
-:meth:`Cnt2CrdEstimator.estimates_from_rates` →
+:meth:`Cnt2CrdEstimator.resolve` (the query's bucket as a
+:class:`repro.core.queries_pool.PoolSlab`) →
+:meth:`repro.core.estimators.ContainmentEstimator.rates_against_pools`
+(batched containment rates) → :meth:`Cnt2CrdEstimator.estimates_from_rates` →
 :meth:`Cnt2CrdEstimator.collapse` — so callers that batch the rate
 computation across *many* concurrent requests (the
 :class:`repro.serving.BatchPlanner`) reuse exactly the per-request logic and
@@ -54,7 +55,7 @@ import numpy as np
 
 from repro.core.estimators import CardinalityEstimator, ContainmentEstimator
 from repro.core.final_functions import FinalFunction, get_final_function
-from repro.core.queries_pool import PoolEntry, QueriesPool
+from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
 from repro.sql.query import Query
 
 
@@ -99,10 +100,10 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             omitted, :class:`NoMatchingPoolQueryError` is raised.
         pool_index: optional :class:`repro.serving.PoolEncodingIndex`.  When
             it can serve a query (CRN containment model, bound owner,
-            matching pool), :meth:`pool_estimates` scores the whole matching
-            bucket through pre-built encoding matrices instead of per-pair
+            matching pool), :meth:`resolve` hands back slabs carrying
+            pre-built encoding matrices, which a CRN scores without per-pair
             dict lookups — bit-for-bit identical, much faster on large
-            pools; otherwise the legacy per-pair path runs unchanged.
+            pools; otherwise the slab is row-less and scored pair by pair.
     """
 
     def __init__(
@@ -135,30 +136,22 @@ class Cnt2CrdEstimator(CardinalityEstimator):
     # ------------------------------------------------------------------ #
     # estimation
 
+    def resolve(self, query: Query) -> PoolSlab:
+        """The scoring slab of ``query``'s FROM-signature bucket — never ``None``.
+
+        From the :attr:`pool_index` when there is one (which itself hands
+        back a row-less slab when it cannot serve this estimator), otherwise
+        a row-less snapshot of the pool bucket.  An unmatched query resolves
+        to a slab without entries.
+        """
+        if self.pool_index is not None:
+            return self.pool_index.resolve(self, query)
+        return self.pool.bucket_slab(query.from_signature())
+
     def eligible_entries(self, query: Query) -> list[PoolEntry]:
-        """Matching pool entries that can contribute an estimate for ``query``.
-
-        A pool query with an empty result cannot contribute: its estimate is
-        always x/y * 0 = 0, and with exact rates the y_rate guard would skip
-        it anyway (Qnew ⊂% Qold = 0 when Qold is empty).
-        """
-        return [
-            entry for entry in self.pool.matching_entries(query) if entry.cardinality > 0
-        ]
-
-    @staticmethod
-    def containment_pairs(query: Query, entries: Sequence[PoolEntry]) -> list[tuple[Query, Query]]:
-        """The ordered query pairs whose rates the technique needs for ``query``.
-
-        For each entry the pair ``(Qold, Qnew)`` (the x_rate) is followed by
-        ``(Qnew, Qold)`` (the y_rate); :meth:`estimates_from_rates` expects
-        rates in exactly this order.
-        """
-        pairs: list[tuple[Query, Query]] = []
-        for entry in entries:
-            pairs.append((entry.query, query))  # x_rate = Qold ⊂% Qnew
-            pairs.append((query, entry.query))  # y_rate = Qnew ⊂% Qold
-        return pairs
+        """Matching pool entries that can contribute an estimate for ``query``
+        (positive cardinality; see :meth:`QueriesPool.bucket_slab`)."""
+        return list(self.pool.bucket_slab(query.from_signature()).entries)
 
     def estimates_from_rates(
         self, query: Query, entries: Sequence[PoolEntry], rates: Sequence[float]
@@ -173,7 +166,8 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         Args:
             query: the incoming query.
             entries: the eligible entries the rates were computed for.
-            rates: the rates of :meth:`containment_pairs`'s pairs, in order.
+            rates: the rates of :func:`~repro.core.estimators.containment_pairs`'s
+                pairs, in order.
         """
         if len(rates) != 2 * len(entries):
             raise ValueError(
@@ -214,11 +208,12 @@ class Cnt2CrdEstimator(CardinalityEstimator):
 
         Args:
             entries: the eligible entries the rates were computed for.
-            rates: the :meth:`containment_pairs`-ordered rates.
+            rates: the :func:`~repro.core.estimators.containment_pairs`-ordered
+                rates.
             cardinalities: optional precomputed ``(len(entries),)`` float64
-                entry cardinalities, row-aligned with ``entries`` (the pool
-                index keeps one per slab so the per-request path performs no
-                Python iteration over the entries at all).
+                entry cardinalities, row-aligned with ``entries`` (every
+                :class:`PoolSlab` carries one, so the per-request path
+                performs no Python iteration over the entries at all).
         """
         values = np.asarray(rates, dtype=np.float64)
         if values.shape[0] != 2 * len(entries):
@@ -237,57 +232,27 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             )
         return x_rates[keep] / y_rates[keep] * cardinalities[keep]
 
-    def _indexed_rates(self, query: Query):
-        """Resolve ``query`` through the pool index and score its slab.
+    def _slab_rates(self, query: Query) -> tuple[PoolSlab, np.ndarray]:
+        """Resolve ``query`` to its slab and score it.
 
-        The single owner of the resolve-or-fall-back contract, shared by the
-        observability path (:meth:`pool_estimates`) and the value-level hot
-        path (:meth:`_estimate_values`) so they cannot drift apart.  Returns
-        ``(slab, rates)`` — rates empty when the bucket has no eligible
-        entries — or ``None`` when the request must take the legacy per-pair
-        path (no index, fenced owner, foreign pool, non-CRN containment).
+        Shared by the observability path (:meth:`pool_estimates`) and the
+        value-level hot path (:meth:`_estimate_values`) so they cannot drift
+        apart.  Rates are empty when the bucket has no eligible entries.
         """
-        if self.pool_index is None:
-            return None
-        resolved = self.pool_index.resolve(self, query)
-        if resolved is None:
-            return None
-        if not resolved.entries:
-            return resolved, np.empty(0, dtype=np.float64)
-        # Prefer the slab-aware scoring call: a float32 inference plan then
-        # consumes the slab's pre-cast mirrors instead of re-downcasting the
-        # float64 rows per request.  Duck-typed for non-CRN containment
-        # estimators (resolve already fenced those out, but stay defensive).
-        against_slab = getattr(self.containment_estimator, "rates_against_slab", None)
-        if against_slab is not None:
-            return resolved, against_slab(query, resolved)
-        rates = self.containment_estimator.rates_against_pool(
-            query, resolved.first, resolved.second
-        )
-        return resolved, rates
+        slab = self.resolve(query)
+        if not slab.entries:
+            return slab, np.empty(0, dtype=np.float64)
+        return slab, self.containment_estimator.rates_against_pools([(query, slab)])[0]
 
     def pool_estimates(self, query: Query) -> list[PoolEstimate]:
         """The per-pool-query estimates for ``query`` (the technique's inner loop).
 
-        With a usable :attr:`pool_index` the whole matching bucket is scored
-        against its pre-built encoding matrices (no per-pair Python work);
-        otherwise containment rates for all matching pool queries are
-        estimated in one batched per-pair call.  Both paths produce
-        bit-for-bit identical estimates.
+        Containment rates for all matching pool queries come from one
+        :meth:`~repro.core.estimators.ContainmentEstimator.rates_against_pools`
+        call over the query's slab.
         """
-        indexed = self._indexed_rates(query)
-        if indexed is not None:
-            slab, rates = indexed
-            if not slab.entries:
-                return []
-            return self.estimates_from_rates(query, slab.entries, rates.tolist())
-        entries = self.eligible_entries(query)
-        if not entries:
-            return []
-        rates = self.containment_estimator.estimate_containments(
-            self.containment_pairs(query, entries)
-        )
-        return self.estimates_from_rates(query, entries, rates)
+        slab, rates = self._slab_rates(query)
+        return self.estimates_from_rates(query, slab.entries, rates.tolist())
 
     def collapse(self, estimates: Sequence[PoolEstimate]) -> float:
         """Collapse per-pool-query estimates with the final function ``F``.
@@ -328,25 +293,13 @@ class Cnt2CrdEstimator(CardinalityEstimator):
     def _estimate_values(self, query: Query) -> np.ndarray:
         """The surviving per-entry estimate values for ``query`` (fast inner loop).
 
-        Value-level twin of :meth:`pool_estimates` — indexed when the pool
-        index can serve, per-pair otherwise, vectorized guard either way —
+        Value-level twin of :meth:`pool_estimates` (vectorized guard),
         producing exactly the values :meth:`pool_estimates` would carry.
         """
-        indexed = self._indexed_rates(query)
-        if indexed is not None:
-            slab, rates = indexed
-            if not slab.entries:
-                return np.empty(0, dtype=np.float64)
-            return self.estimate_values_from_rates(
-                slab.entries, rates, cardinalities=slab.cardinalities
-            )
-        entries = self.eligible_entries(query)
-        if not entries:
-            return np.empty(0, dtype=np.float64)
-        rates = self.containment_estimator.estimate_containments(
-            self.containment_pairs(query, entries)
+        slab, rates = self._slab_rates(query)
+        return self.estimate_values_from_rates(
+            slab.entries, rates, cardinalities=slab.cardinalities
         )
-        return self.estimate_values_from_rates(entries, rates)
 
     def estimate_cardinality(self, query: Query) -> float:
         if not self.pool.has_match(query):

@@ -229,29 +229,28 @@ class CRNModel(Module):
             rates[start : start + count] = out[:count]
         return rates
 
-    def rates_against_pool(
+    def assemble_pool_pairs(
         self,
         query_first_repr: np.ndarray,
         query_second_repr: np.ndarray,
         pool_first_reprs: np.ndarray,
         pool_second_reprs: np.ndarray,
-        slab_size: int = 256,
-    ) -> np.ndarray:
-        """Score one query against a whole pool-side encoding matrix.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(2n, H)`` pair-head input matrices of one query-vs-pool scoring.
 
         The Cnt2Crd technique needs, per eligible pool entry ``Qold``, the
         ordered pairs ``(Qold, Qnew)`` then ``(Qnew, Qold)``
-        (:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.containment_pairs`).
-        Given the pool side pre-encoded as contiguous matrices (one per pair
-        slot), this assembles the ``(2n, H)`` pair-head inputs with two
-        vectorized strided writes — no per-pair Python tuples, dict lookups,
-        or row stacking — and runs the ordinary fixed-shape slab path.
-
-        Bit-for-bit identity with the per-request path is by construction:
-        the assembled rows are exactly the rows ``estimate_containments``
-        would have stacked for the same pairs, in the same interleaved
-        order, and :meth:`rates_from_encodings` makes each row's rate
-        independent of batch composition.
+        (:func:`repro.core.estimators.containment_pairs`).  Given the pool
+        side pre-encoded as contiguous matrices (one per pair slot), this
+        assembles the pair-head inputs with two vectorized strided writes —
+        no per-pair Python tuples, dict lookups, or row stacking.  The
+        assembled rows are exactly the rows ``estimate_containments`` would
+        have stacked for the same pairs, in the same interleaved order, and
+        :meth:`rates_from_encodings` makes each row's rate independent of
+        batch composition — so batched callers (the serving layer scoring
+        many requests at once) can concatenate several requests' assembled
+        blocks and run the pair head over one large fixed-shape slab
+        sequence without changing a bit.
 
         Args:
             query_first_repr: ``(H,)`` encoding of the incoming query from
@@ -262,33 +261,10 @@ class CRNModel(Module):
             pool_first_reprs: ``(n, H)`` position-1 encodings of the eligible
                 pool queries, row ``i`` belonging to entry ``i``.
             pool_second_reprs: ``(n, H)`` position-2 encodings, same order.
-            slab_size: rows per pair-head forward pass.
 
         Returns:
-            A ``(2n,)`` float64 array of rates in ``containment_pairs``
-            order: ``rates[2i]`` is entry ``i``'s x_rate, ``rates[2i + 1]``
-            its y_rate.
-        """
-        first, second = self.assemble_pool_pairs(
-            query_first_repr, query_second_repr, pool_first_reprs, pool_second_reprs
-        )
-        return self.rates_from_encodings(first, second, slab_size=slab_size)
-
-    def assemble_pool_pairs(
-        self,
-        query_first_repr: np.ndarray,
-        query_second_repr: np.ndarray,
-        pool_first_reprs: np.ndarray,
-        pool_second_reprs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(2n, H)`` pair-head input matrices of one query-vs-pool scoring.
-
-        Split out of :meth:`rates_against_pool` so batched callers (the
-        serving layer scoring many requests at once) can concatenate several
-        requests' assembled blocks and run the pair head over one large
-        fixed-shape slab sequence — each row's rate is batch-composition
-        invariant, so the fusion changes no bits while amortizing slab
-        padding across requests.
+            ``(first, second)``: row ``2i`` is entry ``i``'s x_rate pair, row
+            ``2i + 1`` its y_rate pair.
         """
         if pool_first_reprs.shape != pool_second_reprs.shape:
             raise ValueError("pool encoding matrices must have the same shape")
@@ -415,33 +391,6 @@ class CRNEstimator(ContainmentEstimator):
             first_reprs, second_reprs, slab_size=self.batch_size
         )
 
-    def _assemble_pairs_f32(
-        self,
-        query_first: np.ndarray,
-        query_second: np.ndarray,
-        pool_first: np.ndarray,
-        pool_second: np.ndarray,
-        pool_first32: np.ndarray | None = None,
-        pool_second32: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Interleave query-vs-pool pairs directly into float32 matrices.
-
-        The float32 fused path's analogue of
-        :meth:`CRNModel.assemble_pool_pairs`: when the pool index has
-        negotiated float32 mirrors, rows copy with no cast at all; otherwise
-        the strided writes downcast once, here, instead of the plan casting
-        a float64 assembly a second time.
-        """
-        count = pool_first.shape[0]
-        hidden = self.model.hidden_size
-        first = np.empty((2 * count, hidden), dtype=np.float32)
-        second = np.empty((2 * count, hidden), dtype=np.float32)
-        first[0::2] = pool_first32 if pool_first32 is not None else pool_first
-        first[1::2] = query_first
-        second[0::2] = query_second
-        second[1::2] = pool_second32 if pool_second32 is not None else pool_second
-        return first, second
-
     def _encoding_scope(self):
         """The database-snapshot scope baked into encoding-cache keys.
 
@@ -482,166 +431,74 @@ class CRNEstimator(ContainmentEstimator):
             self.encoding_cache.put(query, position, encoding, scope=scope, owner=self.model)
         return encoding
 
-    def rates_against_pool(
-        self, query: Query, pool_first_reprs: np.ndarray, pool_second_reprs: np.ndarray
-    ) -> np.ndarray:
-        """Containment rates of ``query`` against a pre-encoded pool slab.
-
-        Encodes the incoming query once per pair slot (through the encoding
-        cache when attached) and hands the pool-side matrices straight to
-        :meth:`CRNModel.rates_against_pool` — the whole-pool scoring path the
-        :class:`repro.serving.PoolEncodingIndex` feeds.  Returns rates in
-        :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.containment_pairs` order,
-        bit-for-bit identical to :meth:`estimate_containments` over the same
-        pairs.
-        """
-        first_repr = self.encode_query(query, 1)
-        second_repr = self.encode_query(query, 2)
-        plan = self.inference_plan
-        if plan is not None and plan.dtype == np.float32:
-            first, second = self._assemble_pairs_f32(
-                first_repr, second_repr, pool_first_reprs, pool_second_reprs
-            )
-            return plan.rates_from_encodings(first, second)
-        first, second = self.model.assemble_pool_pairs(
-            first_repr, second_repr, pool_first_reprs, pool_second_reprs
-        )
-        return self._head_rates(first, second)
-
-    def rates_against_slab(self, query: Query, slab) -> np.ndarray:
-        """Containment rates of ``query`` against a resolved index slab.
-
-        The slab-aware twin of :meth:`rates_against_pool`: given an
-        :class:`repro.serving.IndexedSlab` (duck-typed — anything with
-        ``first`` / ``second`` and optional ``first_f32`` / ``second_f32``
-        mirrors), a float32 plan consumes the pre-cast mirrors directly so
-        the hot path never touches the float64 rows at all — through the
-        plan's fused slab kernel, which caches the pool-side weight
-        projections under the slab's identity ``token``.
-        """
-        plan = self.inference_plan
-        if plan is not None and plan.dtype == np.float32:
-            first_repr = self.encode_query(query, 1)
-            second_repr = self.encode_query(query, 2)
-            pool_first32 = getattr(slab, "first_f32", None)
-            pool_second32 = getattr(slab, "second_f32", None)
-            if plan.supports_slab_fusion:
-                return plan.rates_against_slab(
-                    first_repr,
-                    second_repr,
-                    pool_first32 if pool_first32 is not None else slab.first,
-                    pool_second32 if pool_second32 is not None else slab.second,
-                    token=getattr(slab, "token", None),
-                )
-            first, second = self._assemble_pairs_f32(
-                first_repr,
-                second_repr,
-                slab.first,
-                slab.second,
-                pool_first32,
-                pool_second32,
-            )
-            return plan.rates_from_encodings(first, second)
-        return self.rates_against_pool(query, slab.first, slab.second)
-
     def rates_against_pools(self, items) -> list[np.ndarray]:
-        """Score many query-vs-pool requests at once.
+        """Score many ``(query, slab)`` Cnt2Crd requests at once.
 
-        Each item is either ``(query, slab)`` — a resolved
-        :class:`repro.serving.IndexedSlab` (or anything slab-shaped) — or
-        the legacy ``(query, pool_first, pool_second)`` matrix triple.  Each
-        item's pair rows are assembled exactly as :meth:`rates_against_pool`
-        would, but all blocks run through *one* pair-head pass: with many
-        concurrent requests over small buckets, per-request slab runs would
-        each pad to a full slab and waste most of the pair-head compute.
-        Because every row's rate is independent of batch composition, the
-        fused run returns bit-for-bit the same rates as one call per item
-        (float32-plan mode: the same rates within the plan's tolerance —
-        there each item runs the plan's fused slab kernel, consuming index
-        mirrors cast-free and reusing the cached pool-side weight projection
-        keyed by the item's slab token).
+        The one place that chooses a scorer, on what the slab carries: a
+        :class:`repro.core.queries_pool.PoolSlab` with resident rows (built
+        by a :class:`repro.serving.PoolEncodingIndex` for this model) runs
+        the resident-row kernels below; a row-less slab is scored pair by
+        pair through the :class:`ContainmentEstimator` default.
+
+        Resident items are assembled with
+        :meth:`CRNModel.assemble_pool_pairs` and all blocks run through *one*
+        pair-head pass: with many concurrent requests over small buckets,
+        per-request slab runs would each pad to a full slab and waste most
+        of the pair-head compute.  Because every row's rate is independent
+        of batch composition, the fused run returns bit-for-bit the rates of
+        the per-pair route (float32-plan mode: the same rates within the
+        plan's tolerance — there each item runs the plan's fused slab
+        kernel, consuming index mirrors cast-free and reusing the cached
+        pool-side weight projection keyed by the item's slab token).
 
         Returns one ``(2 * n_i,)`` rate array per item, in order.
         """
-        normalized = []
-        tokens = []
-        for item in items:
-            if len(item) == 2:
-                query, slab = item
-                normalized.append(
-                    (
-                        query,
-                        slab.first,
-                        slab.second,
-                        getattr(slab, "first_f32", None),
-                        getattr(slab, "second_f32", None),
-                    )
-                )
-                tokens.append(getattr(slab, "token", None))
-            else:
-                query, pool_first, pool_second = item
-                normalized.append((query, pool_first, pool_second, None, None))
-                tokens.append(None)
-        if not normalized:
-            return []
+        items = list(items)
+        results: list[np.ndarray | None] = [None] * len(items)
+        rowless: list[int] = []
+        resident: list[int] = []
+        for index, (_, slab) in enumerate(items):
+            (rowless if slab.first is None else resident).append(index)
+        if rowless:
+            blocks = super().rates_against_pools([items[index] for index in rowless])
+            for index, block in zip(rowless, blocks):
+                results[index] = block
+        if not resident:
+            return results
         plan = self.inference_plan
-        if plan is not None and plan.dtype == np.float32 and plan.supports_slab_fusion:
+        if plan is not None and plan.dtype == np.float32:
             # Per-item fused slab runs: each reuses the cached pool-side
             # projection for its slab token, which beats one giant assembled
             # pass — the assembly recomputes the pool half of the first GEMM
             # for every request, the cache pays it once per slab version.
-            results: list[np.ndarray] = []
-            for (query, pf, ps, pf32, ps32), token in zip(normalized, tokens):
-                results.append(
-                    plan.rates_against_slab(
-                        self.encode_query(query, 1),
-                        self.encode_query(query, 2),
-                        pf32 if pf32 is not None else pf,
-                        ps32 if ps32 is not None else ps,
-                        token=token,
-                    )
+            for index in resident:
+                query, slab = items[index]
+                results[index] = plan.rates_against_slab(
+                    self.encode_query(query, 1),
+                    self.encode_query(query, 2),
+                    slab.first_f32 if slab.first_f32 is not None else slab.first,
+                    slab.second_f32 if slab.second_f32 is not None else slab.second,
+                    token=slab.token,
                 )
             return results
-        if plan is not None and plan.dtype == np.float32:
-            counts = [pool_first.shape[0] for _, pool_first, _, _, _ in normalized]
-            hidden = self.model.hidden_size
-            first = np.empty((2 * sum(counts), hidden), dtype=np.float32)
-            second = np.empty((2 * sum(counts), hidden), dtype=np.float32)
-            offset = 0
-            for (query, pf, ps, pf32, ps32), count in zip(normalized, counts):
-                query_first = self.encode_query(query, 1)
-                query_second = self.encode_query(query, 2)
-                first_block = first[offset : offset + 2 * count]
-                second_block = second[offset : offset + 2 * count]
-                first_block[0::2] = pf32 if pf32 is not None else pf
-                first_block[1::2] = query_first
-                second_block[0::2] = query_second
-                second_block[1::2] = ps32 if ps32 is not None else ps
-                offset += 2 * count
-            rates = plan.rates_from_encodings(first, second)
-            results: list[np.ndarray] = []
-            offset = 0
-            for count in counts:
-                results.append(rates[offset : offset + 2 * count])
-                offset += 2 * count
-            return results
         blocks = []
-        for query, pool_first, pool_second, _, _ in normalized:
-            first_repr = self.encode_query(query, 1)
-            second_repr = self.encode_query(query, 2)
+        for index in resident:
+            query, slab = items[index]
             blocks.append(
                 self.model.assemble_pool_pairs(
-                    first_repr, second_repr, pool_first, pool_second
+                    self.encode_query(query, 1),
+                    self.encode_query(query, 2),
+                    slab.first,
+                    slab.second,
                 )
             )
         stacked_first = np.concatenate([first for first, _ in blocks], axis=0)
         stacked_second = np.concatenate([second for _, second in blocks], axis=0)
         rates = self._head_rates(stacked_first, stacked_second)
-        results = []
         offset = 0
-        for first, _ in blocks:
+        for index, (first, _) in zip(resident, blocks):
             count = first.shape[0]
-            results.append(rates[offset : offset + count])
+            results[index] = rates[offset : offset + count]
             offset += count
         return results
 

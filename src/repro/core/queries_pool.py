@@ -25,6 +25,8 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.datasets.pairs import LabeledQuery
 from repro.db.database import Database
 from repro.db.intersection import TrueCardinalityOracle
@@ -41,6 +43,48 @@ class PoolEntry:
     def __post_init__(self) -> None:
         if self.cardinality < 0:
             raise ValueError("cardinality must be non-negative")
+
+
+@dataclass(frozen=True)
+class PoolSlab:
+    """One FROM-signature bucket at one version: the unit of Cnt2Crd scoring work.
+
+    Every matched request resolves to one of these.  A slab always carries
+    the bucket's eligible entries and their cardinalities; the encoding rows
+    are *resident* only when a :class:`repro.serving.PoolEncodingIndex`
+    built them, and a rate model decides how to score from that alone (a
+    row-less slab is scored pair by pair).
+
+    Attributes:
+        entries: the eligible pool entries (positive cardinality), in bucket
+            insertion order; row ``i`` of every matrix belongs to
+            ``entries[i].query``.
+        cardinalities: ``(len(entries),)`` float64 entry cardinalities, row-
+            aligned with ``entries`` — precomputed so the per-request
+            estimate math needs no Python loop over the entries.
+        token: a hashable identity of this slab state; two slabs with equal
+            tokens carry identical entries (and rows), so batched callers
+            deduplicate rate computation on ``(query, token)``.
+        first: ``None``, or the ``(len(entries), H)`` position-1 encodings
+            (the pool query as the *first* element of its ``(Qold, Qnew)``
+            x-rate pair).  A read-only view into index-owned storage.
+        second: ``None``, or the position-2 encodings (the pool query as the
+            *second* element of its ``(Qnew, Qold)`` y-rate pair).
+        first_f32: ``None``, or a float32 mirror of ``first`` when the index
+            has negotiated a float32 layout with a compiled inference plan
+            (:meth:`repro.serving.PoolEncodingIndex.negotiate_dtype`) — the
+            plan's fused float32 pass reads these rows cast-free.  The
+            float64 matrices stay canonical either way.
+        second_f32: float32 mirror of ``second``, same contract.
+    """
+
+    entries: tuple[PoolEntry, ...]
+    cardinalities: np.ndarray
+    token: tuple
+    first: np.ndarray | None = None
+    second: np.ndarray | None = None
+    first_f32: np.ndarray | None = None
+    second_f32: np.ndarray | None = None
 
 
 class QueriesPool:
@@ -151,6 +195,24 @@ class QueriesPool:
             bucket = self._by_from.get(signature)
             entries = list(bucket.values()) if bucket else []
             return entries, self._bucket_versions.get(signature, 0)
+
+    def bucket_slab(self, signature: tuple[tuple[str, str], ...]) -> PoolSlab:
+        """A row-less :class:`PoolSlab` of one bucket's eligible entries.
+
+        A pool query with an empty result cannot contribute: its estimate is
+        always x/y * 0 = 0, and with exact rates the y_rate guard would skip
+        it anyway (Qnew ⊂% Qold = 0 when Qold is empty).  Entries and version
+        come from one :meth:`bucket_snapshot`, so the token names exactly the
+        returned entries.
+        """
+        entries, version = self.bucket_snapshot(signature)
+        eligible = tuple(entry for entry in entries if entry.cardinality > 0)
+        cardinalities = np.fromiter(
+            (entry.cardinality for entry in eligible),
+            dtype=np.float64,
+            count=len(eligible),
+        )
+        return PoolSlab(eligible, cardinalities, token=(signature, version, len(eligible)))
 
     def from_signatures(self) -> list[tuple[tuple[str, str], ...]]:
         """All distinct FROM-clause signatures present in the pool."""

@@ -11,8 +11,7 @@ shape/dtype mismatches each raise a :class:`ParameterMismatchError` naming
 the offending parameter.  A stale or truncated archive therefore fails
 up front with a readable error instead of half-loading and crashing deep in
 ``load_state_dict`` (or, worse, silently serving a chimera of old and new
-weights).  Archives written before the header existed (format 0) still load
-— the same validation applies, only the header self-description is absent.
+weights).  An archive without the header is rejected the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 #: Bumped when the archive layout changes incompatibly.  Version 1 added the
-#: metadata header; version 0 is the header-less legacy layout.
+#: metadata header; the header-less version 0 is no longer read.
 SERIALIZATION_FORMAT_VERSION = 1
 
 #: Reserved archive entry holding the JSON metadata header.  The name is not
@@ -80,36 +79,21 @@ def save_parameters(module: Module, path: str | os.PathLike) -> None:
 
 
 def read_parameter_metadata(path: str | os.PathLike) -> dict[str, Any]:
-    """The archive's metadata header (synthesized for legacy archives).
-
-    Legacy (pre-header) archives return ``format_version`` 0 with the
-    parameter specs reconstructed from the stored arrays themselves.
+    """The archive's metadata header.
 
     Raises:
         ParameterMismatchError: when the file is not a readable ``.npz``
-            archive (truncated, or not an archive at all).
+            archive (truncated, or not an archive at all), or carries no
+            :data:`METADATA_KEY` header.
     """
     try:
         with np.load(path) as archive:
-            if METADATA_KEY in archive.files:
-                header = json.loads(bytes(archive[METADATA_KEY]).decode("utf-8"))
-            else:
-                header = {
-                    "format_version": 0,
-                    "parameter_count": len(archive.files),
-                    "parameters": {
-                        name: {
-                            "shape": list(archive[name].shape),
-                            "dtype": str(archive[name].dtype),
-                        }
-                        for name in archive.files
-                    },
-                }
+            # A missing header is a KeyError, reported like any unreadable archive.
+            return json.loads(bytes(archive[METADATA_KEY]).decode("utf-8"))
     except (zipfile.BadZipFile, OSError, ValueError, KeyError) as error:
         raise ParameterMismatchError(
             f"cannot read parameter archive {os.fspath(path)!r}: {error}"
         ) from error
-    return header
 
 
 def load_parameters(module: Module, path: str | os.PathLike) -> None:
@@ -124,10 +108,13 @@ def load_parameters(module: Module, path: str | os.PathLike) -> None:
 
     Raises:
         ParameterMismatchError: naming every missing / unexpected /
-            mismatched parameter, or describing an unreadable archive.
+            mismatched parameter, or describing an unreadable (or
+            header-less) archive.
     """
     try:
         with np.load(path) as archive:
+            if METADATA_KEY not in archive.files:
+                raise KeyError(f"no {METADATA_KEY} header")
             names = [name for name in archive.files if name != METADATA_KEY]
             state: Mapping[str, np.ndarray] = {name: archive[name] for name in names}
     except (zipfile.BadZipFile, OSError, ValueError, KeyError) as error:

@@ -289,7 +289,7 @@ class SpanRecorded(Event):
     root span; ``members`` is how many requests a *shared* span served (1 for
     request-owned spans).  ``name`` is the span taxonomy kind (``request``,
     ``queue_wait``, ``dispatcher_batch``, ``service_batch``, ``plan``,
-    ``pair_rates``, ``slab_kernel``, ``collapse``, ``index_build``, ...);
+    ``slab_kernel``, ``collapse``, ``index_build``, ...);
     the event-kind discriminator stays ``span`` so every span lands in the
     store's ``spans`` table.
     """

@@ -10,7 +10,7 @@ into timed stages, and each stage is either
 * a **request-owned span** (``queue_wait`` — time between dispatcher enqueue
   and batch pickup), recorded under the request's own trace, or
 * a **link to a shared span**: one ``dispatcher_batch`` / ``service_batch``
-  / ``plan`` / ``pair_rates`` / ``slab_kernel`` / ``collapse`` /
+  / ``plan`` / ``slab_kernel`` / ``collapse`` /
   ``index_build`` span serves N coalesced requests, so it is recorded
   *once* (under its own batch trace) and every member request records a
   :class:`repro.observability.SpanLinked` pointing at it.

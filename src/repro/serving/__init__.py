@@ -14,10 +14,11 @@ forward passes.  This package amortizes that work across requests:
   maintained incrementally on :meth:`repro.core.queries_pool.QueriesPool.add`
   and owner-fenced like the encoding cache, so a request is scored as one
   vectorized whole-pool slab pass instead of ``2·E`` per-pair lookups.
-* :mod:`repro.serving.planner` -- :class:`BatchPlanner`, which plans
-  index-servable requests as slab references and flattens everything else's
-  ``(Qnew, Qold)`` scoring pairs (both directions) into one deduplicated
-  pair list executed as a few large fixed-shape forward passes.
+* :mod:`repro.serving.planner` -- :class:`BatchPlanner`, which resolves
+  every request of a batch to its bucket's
+  :class:`repro.core.queries_pool.PoolSlab`, so all unique ``(query, slab)``
+  work of the batch is scored in one call — a few large fixed-shape forward
+  passes.
 * :mod:`repro.serving.service` -- :class:`EstimationService`, the engine with
   a named estimator registry (model generations bumped on every
   :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``,
@@ -26,8 +27,7 @@ forward passes.  This package amortizes that work across requests:
   :class:`RequestOptions` (estimator, deadline, fallback policy, tags) and
   provenance-carrying :class:`EstimateResult` responses (resolution path,
   model generation, cache hits), and per-request latency / cache hit-rate
-  statistics.  The deprecated :func:`build_crn_service` constructor lives
-  here as a shim over :class:`ServingConfig`.
+  statistics.
 * :mod:`repro.serving.config` -- :class:`ServingConfig`, the frozen,
   validated, dict/JSON-round-trippable description of a whole deployment
   (estimator, pool/index, caches, dispatcher, feedback, adaptation
@@ -140,14 +140,13 @@ from repro.serving.lifecycle import (
     LifecycleStats,
 )
 from repro.serving.planner import BatchPlan, BatchPlanner, RequestPlan
-from repro.serving.pool_index import IndexedSlab, PoolEncodingIndex, PoolIndexStats
+from repro.serving.pool_index import PoolEncodingIndex, PoolIndexStats
 from repro.serving.service import (
     EstimateResult,
     EstimationService,
     RequestOptions,
     ServedEstimate,
     ServiceStats,
-    build_crn_service,
 )
 
 __all__ = [
@@ -183,7 +182,6 @@ __all__ = [
     "FeedbackConfig",
     "FeedbackObservation",
     "FeedbackSummary",
-    "IndexedSlab",
     "InferenceConfig",
     "InferencePlan",
     "LifecycleStats",
@@ -204,7 +202,6 @@ __all__ = [
     "TracingConfig",
     "UnknownEstimatorError",
     "WorkerUnavailableError",
-    "build_crn_service",
     "build_service_stack",
     "compile_plan",
 ]

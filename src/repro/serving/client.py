@@ -22,11 +22,9 @@ is an :class:`repro.serving.EstimateResult` carrying provenance — the
 resolution path, the answering model generation (bumped on every hot swap),
 and cache-hit counts.
 
-The client changes **no bits**: :func:`build_service_stack` is the single
-wiring routine shared with the deprecated
-:func:`repro.serving.build_crn_service`, so estimates served through the
-client are bit-for-bit identical to the legacy constructor + manual
-dispatcher path (asserted by the hypothesis identity test in
+The client changes **no bits**: estimates served through it are bit-for-bit
+identical to the naive per-pair :class:`repro.core.cnt2crd.Cnt2CrdEstimator`
+(asserted by the hypothesis identity test in
 ``tests/test_property_based.py``).
 
 Start/shutdown ordering: ``__enter__`` (or the :meth:`ServingClient.start`
@@ -78,15 +76,14 @@ class ServiceStack:
 
     What :func:`build_service_stack` hands back: the service plus the shared
     components it was wired from, for callers that need the pieces (the
-    client keeps them; the deprecated ``build_crn_service`` returns only
-    :attr:`service`).
+    client keeps them).
     """
 
     service: EstimationService
     estimator: Cnt2CrdEstimator
     featurization_cache: FeaturizationCache
     encoding_cache: EncodingCache
-    pool_index: PoolEncodingIndex | None
+    pool_index: PoolEncodingIndex
     inference_plan: InferencePlan | None = None
 
 
@@ -97,14 +94,13 @@ def build_service_stack(
 ) -> ServiceStack:
     """Wire an :class:`EstimationService` exactly as ``config`` describes.
 
-    This is the **single** wiring routine behind both the client and the
-    deprecated :func:`repro.serving.build_crn_service` — sharing it is what
-    makes the two paths bit-for-bit identical: the caches, the cache-aware
-    :class:`repro.core.crn.CRNEstimator`, the pool encoding index, the
-    :class:`repro.core.cnt2crd.Cnt2CrdEstimator`, the registry entries, and
-    the warm-up all come from here.  ``recorder`` attaches *before* the
-    warm-up, so the initial pool-index slab builds are on the record too
-    (and ``tracer``, when given, captures them as ``index_build`` spans).
+    This is the **single** wiring routine of the stack: the caches, the
+    cache-aware :class:`repro.core.crn.CRNEstimator`, the pool encoding
+    index, the :class:`repro.core.cnt2crd.Cnt2CrdEstimator`, the registry
+    entries, and the warm-up all come from here.  ``recorder`` attaches
+    *before* the warm-up, so the initial pool-index slab builds are on the
+    record too (and ``tracer``, when given, captures them as ``index_build``
+    spans).
     """
     estimator_config = config.estimator
     featurization_cache = FeaturizationCache(
@@ -119,9 +115,7 @@ def build_service_stack(
         batch_size=estimator_config.batch_size,
         encoding_cache=encoding_cache,
     )
-    pool_index = (
-        PoolEncodingIndex(config.pool) if config.pool_options.use_index else None
-    )
+    pool_index = PoolEncodingIndex(config.pool)
     cnt2crd = Cnt2CrdEstimator(
         crn,
         config.pool,
@@ -141,9 +135,8 @@ def build_service_stack(
         recorder=recorder,
         tracer=tracer,
     )
-    if pool_index is not None:
-        pool_index.recorder = recorder
-        pool_index.tracer = tracer
+    pool_index.recorder = recorder
+    pool_index.tracer = tracer
     service.register(estimator_config.name, cnt2crd, default=True)
     if config.fallback_estimator is not None:
         service.register(estimator_config.fallback_name, config.fallback_estimator)
@@ -165,8 +158,7 @@ def build_service_stack(
             tolerance=config.inference.tolerance,
         )
         crn.attach_plan(plan)
-        if pool_index is not None:
-            pool_index.negotiate_dtype(plan.dtype)
+        pool_index.negotiate_dtype(plan.dtype)
         if recorder is not None:
             recorder.emit(
                 PlanCompiled(
@@ -180,8 +172,7 @@ def build_service_stack(
             )
     if config.pool_options.warm:
         service.warm(entry.query for entry in config.pool)
-        if pool_index is not None:
-            pool_index.warm(cnt2crd)
+        pool_index.warm(cnt2crd)
     return ServiceStack(
         service=service,
         estimator=cnt2crd,
@@ -442,6 +433,11 @@ class ServingClient:
                 f"{bundle.model.vector_size} — wrong database for this bundle"
             )
         mapping = {key: dict(value) for key, value in bundle.config_mapping.items()}
+        # Bundles written before the ``use_index`` pool option was retired
+        # carry the key; the index is always built now and either value
+        # served bit-identical estimates, so drop it instead of failing the
+        # boot on the unknown-field check.
+        mapping.get("pool", {}).pop("use_index", None)
         adaptation_downgraded = False
         if mapping.get("adaptation", {}).get("enabled") and training_result is None:
             # A mapping cannot carry the TrainingResult adaptation fine-tunes
@@ -507,7 +503,6 @@ class ServingClient:
         client = cls(config, _restored_generation=bundle.manifest.generation)
         if (
             client.stack is not None
-            and client.stack.pool_index is not None
             and config.pool_options.warm
             and bundle.index_meta.get("signatures")
         ):
@@ -728,8 +723,7 @@ class ServingClient:
             self.service.warm(queries)
             return
         self.service.warm(entry.query for entry in self.config.pool)
-        if self.stack.pool_index is not None:
-            self.stack.pool_index.warm(self.stack.estimator)
+        self.stack.pool_index.warm(self.stack.estimator)
 
     # ------------------------------------------------------------------ #
     # feedback and adaptation

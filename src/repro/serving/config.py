@@ -2,16 +2,14 @@
 
 :class:`ServingConfig` is the single description of a deployment that
 :class:`repro.serving.ServingClient` turns into a running stack.  It replaces
-the keyword sprawl of the deprecated :func:`repro.serving.build_crn_service`
-(and the hand-wiring of service + dispatcher + feedback + adaptation manager)
-with one frozen object of nested sections:
+the hand-wiring of service + dispatcher + feedback + adaptation manager with
+one frozen object of nested sections:
 
 * :class:`EstimatorConfig` — the Cnt2Crd estimator itself (final function,
   epsilon guard, slab batch size, registry names);
-* :class:`PoolConfig` — pool warming and the pool encoding index;
+* :class:`PoolConfig` — pool (and pool encoding index) warming;
 * :class:`CacheConfig` — the featurization / encoding LRU bounds, with the
-  encoding cache's two-entries-per-query sizing rule made **explicit**
-  (``build_crn_service`` silently doubled its ``max_cache_entries``);
+  encoding cache's two-entries-per-query sizing rule made **explicit**;
 * :class:`DispatcherConfig` — the request-coalescing front-end;
 * :class:`FeedbackConfig` — the rolling feedback window;
 * :class:`AdaptationConfig` — drift policy + background retraining;
@@ -103,9 +101,8 @@ class EstimatorConfig:
             supplied to :class:`ServingConfig`) is registered under.
         final_function: the Cnt2Crd final function ``F`` — a name from
             :mod:`repro.core.final_functions` (``median`` / ``mean`` /
-            ``trimmed_mean``).  A bare callable is accepted for parity with
-            the legacy constructor but cannot be serialized by
-            :meth:`ServingConfig.to_mapping`.
+            ``trimmed_mean``).  A bare callable is accepted but cannot be
+            serialized by :meth:`ServingConfig.to_mapping`.
         epsilon: the Cnt2Crd ``y_rate`` guard threshold.
         batch_size: pair-head slab size for the batched forward passes.
     """
@@ -137,19 +134,19 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Pool warming and the pool encoding index.
+    """Pool warming.
+
+    The stack always keeps per-FROM-signature pool encoding matrices
+    (:class:`repro.serving.PoolEncodingIndex`), so a request is scored as one
+    vectorized whole-pool slab pass.
 
     Attributes:
         warm: pre-featurize/encode all pool queries at build time (and
             pre-build the index's slabs), so steady state is reached before
             the first request.
-        use_index: keep per-FROM-signature pool encoding matrices
-            (:class:`repro.serving.PoolEncodingIndex`) so a request is scored
-            as one vectorized whole-pool slab pass.
     """
 
     warm: bool = True
-    use_index: bool = True
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,9 @@ class CacheConfig:
     The encoding cache holds **two** entries per query (one per pair slot),
     so a deployment bounding both caches for ``N`` queries needs ``2·N``
     encoding entries or warming the pool would immediately evict half of it.
-    The legacy ``build_crn_service(max_cache_entries=N)`` applied that ``2×``
-    silently; here it is the documented default — an unset
-    ``max_encoding_entries`` resolves to ``2 × max_featurization_entries`` —
-    and an explicit value is taken as given.
+    That ``2×`` is the documented default — an unset ``max_encoding_entries``
+    resolves to ``2 × max_featurization_entries`` — and an explicit value is
+    taken as given.
 
     Attributes:
         max_featurization_entries: LRU bound on cached featurizations
@@ -634,8 +630,8 @@ class ServingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "extra_estimators", dict(self.extra_estimators))
         # fallback_name is only reserved when something will actually be
-        # registered under it — the legacy constructor accepted an extra
-        # estimator named "fallback" when no fallback estimator was supplied.
+        # registered under it: an extra estimator may be named "fallback"
+        # when no fallback estimator is supplied.
         reserved = {self.estimator.name}
         if self.fallback_estimator is not None:
             reserved.add(self.estimator.fallback_name)

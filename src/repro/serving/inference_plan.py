@@ -210,7 +210,7 @@ class InferencePlan:
             "mode": "compiled",
             "dtype": self.dtype.name,
             "slab_size": self.slab_size,
-            "fused": self.supports_slab_fusion,
+            "fused": self._pair is not None,
             "nodes": self.num_nodes,
         }
 
@@ -289,11 +289,6 @@ class InferencePlan:
 
     # ------------------------------------------------------------------ #
     # fused slab kernel (float32 only)
-
-    @property
-    def supports_slab_fusion(self) -> bool:
-        """Whether :meth:`rates_against_slab` is available (float32 plans)."""
-        return self._pair is not None
 
     def rates_against_slab(
         self,

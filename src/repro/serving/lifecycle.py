@@ -1087,7 +1087,7 @@ class AdaptationManager:
         if shared and self.service.pool_index is not None:
             # Same fence discipline as the encoding cache: drop the outgoing
             # model's slabs and retarget the refreshed pool atomically, so
-            # in-flight old-model requests degrade to the legacy path instead
+            # in-flight old-model requests degrade to row-less slabs instead
             # of ever reading rows the candidate will own.
             self.service.pool_index.rebind(candidate.model, pool=pool)
             pool_index = self.service.pool_index

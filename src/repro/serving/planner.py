@@ -3,28 +3,33 @@
 One Cnt2Crd request over a pool with ``E`` eligible entries needs ``2 * E``
 containment rates (both directions per entry).  Served naively, each request
 runs its own loop of small forward passes.  The :class:`BatchPlanner` instead
-flattens the scoring pairs of *many* concurrent requests into one deduplicated
-pair list, so the containment estimator sees a few large fixed-shape forward
-passes (:meth:`repro.core.crn.CRNModel.rates_from_encodings`) instead of one
-small batch per request.
+resolves every request of a batch to the
+:class:`repro.core.queries_pool.PoolSlab` of its FROM-signature bucket, so
+the containment estimator scores *many* concurrent requests in one
+:meth:`repro.core.estimators.ContainmentEstimator.rates_against_pools` call —
+a few large fixed-shape forward passes
+(:meth:`repro.core.crn.CRNModel.rates_from_encodings`) instead of one small
+batch per request.
 
-Deduplication matters under real traffic: identical queries arrive repeatedly,
-and every request against the same FROM signature scores the same pool-query
-side of each pair.  The plan keeps, per request, the indices of its pairs into
-the unique pair list, so rates are computed once and fanned back out.
+Deduplication matters under real traffic: identical queries arrive
+repeatedly.  The executor scores each unique ``(query, slab token)`` once and
+fans the rates back out.  (Two *different* requests of one batch share rate
+work only through the encoding cache: a pair list could additionally merge
+the 2 of ``2 * E`` pairs two requests have in common when both are themselves
+pool queries of the same bucket; that is not worth a second path.)
 
-Planning is pure bookkeeping (no model calls): :meth:`BatchPlanner.plan`
-produces a :class:`BatchPlan`, and the :class:`repro.serving.EstimationService`
-executes it with one batched ``estimate_containments`` call followed by the
-estimator's own :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimates_from_rates`
-/ :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse` steps — which is why
-served estimates are bit-for-bit identical to the per-request path.
+Planning is pure bookkeeping (no model calls beyond slab maintenance):
+:meth:`BatchPlanner.plan` produces a :class:`BatchPlan`, and the
+:class:`repro.serving.EstimationService` executes it with one batched
+``rates_against_pools`` call followed by the estimator's own
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates` /
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values` steps — which is
+why served estimates are bit-for-bit identical to the per-request path.
 
 The planner holds no mutable state of its own, so concurrent plans are safe:
-each request's eligible entries are captured in one
-:meth:`repro.core.queries_pool.QueriesPool.matching_entries` snapshot (the
-pool locks internally), so a pool entry added mid-plan is either fully part
-of a request's scoring work or not part of it at all.
+each request's eligible entries are captured in one slab snapshot (the pool
+and the index lock internally), so a pool entry added mid-plan is either
+fully part of a request's scoring work or not part of it at all.
 """
 
 from __future__ import annotations
@@ -33,15 +38,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.cnt2crd import Cnt2CrdEstimator
-from repro.core.queries_pool import PoolEntry
-from repro.serving.pool_index import IndexedSlab
+from repro.core.queries_pool import PoolEntry, PoolSlab
 from repro.sql.query import Query
 
 #: Resolution stamp: the request was scored from the pool encoding index's
-#: whole-pool slab matrices (:attr:`RequestPlan.slab`).
+#: whole-pool slab matrices (a :attr:`RequestPlan.slab` with resident rows).
 RESOLUTION_INDEXED_SLAB = "indexed_slab"
-#: Resolution stamp: the request was scored through the deduplicated
-#: cross-request pair list (:attr:`BatchPlan.pairs`).
+#: Resolution stamp: the request's slab carried no resident rows and was
+#: scored pair by pair.
 RESOLUTION_PAIR_BATCH = "pair_batch"
 
 
@@ -54,68 +58,46 @@ class RequestPlan:
         query: the incoming query.
         has_match: whether the pool has entries sharing the query's FROM
             clause (False routes the request to the fallback path).
-        entries: the eligible pool entries (positive cardinality).  For an
-            indexed request these come from the slab snapshot, so entry ``i``
-            is exactly the query encoded in the slab's row ``i``.
-        pair_indices: for each of the ``2 * len(entries)`` containment pairs
-            (in :meth:`Cnt2CrdEstimator.containment_pairs` order), its index
-            into :attr:`BatchPlan.pairs`.  Empty for indexed requests.
-        slab: the resolved :class:`repro.serving.IndexedSlab` when the
-            estimator's pool encoding index can serve this request; its
-            rates then come from one whole-pool slab scoring call instead of
-            the shared pair list.
+        entries: the eligible pool entries (positive cardinality), from the
+            slab snapshot — entry ``i`` is exactly the query encoded in a
+            resident slab's row ``i``.
+        slab: the resolved :class:`repro.core.queries_pool.PoolSlab` of a
+            matched request (``None`` only without a match); its rates come
+            from one whole-slab scoring call.
     """
 
     index: int
     query: Query
     has_match: bool
     entries: tuple[PoolEntry, ...]
-    pair_indices: tuple[int, ...]
-    slab: IndexedSlab | None = None
+    slab: PoolSlab | None = None
 
     @property
     def resolution(self) -> str:
-        """The scoring path this plan takes — the provenance stamp the
+        """How this plan's slab is scored — the provenance stamp the
         executor threads into :attr:`repro.serving.EstimateResult.resolution`
         (fallback answers override it there)."""
-        return RESOLUTION_INDEXED_SLAB if self.slab is not None else RESOLUTION_PAIR_BATCH
+        if self.slab is not None and self.slab.first is not None:
+            return RESOLUTION_INDEXED_SLAB
+        return RESOLUTION_PAIR_BATCH
 
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """A deduplicated scoring plan for a batch of concurrent requests.
+    """A scoring plan for a batch of concurrent requests.
 
     Attributes:
-        pairs: the unique ordered query pairs to score, in first-seen order
-            (indexed requests contribute nothing here — their pool side
-            lives in the encoding index's matrices).
         requests: one :class:`RequestPlan` per submitted query, in order.
-        planned_pairs: total pair slots before deduplication, including the
-            ``2 * len(entries)`` slots of every indexed request.
-        indexed_pairs: the subset of :attr:`planned_pairs` served from the
-            pool encoding index (before the executor's per-query
-            deduplication of identical indexed requests).
+        planned_pairs: total pair slots before deduplication — the
+            ``2 * len(entries)`` slots of every request.
+        indexed_pairs: the subset of :attr:`planned_pairs` whose slab carries
+            resident rows (before the executor's deduplication of identical
+            requests).
     """
 
-    pairs: tuple[tuple[Query, Query], ...]
     requests: tuple[RequestPlan, ...]
     planned_pairs: int
     indexed_pairs: int = 0
-
-    @property
-    def unique_pairs(self) -> int:
-        """Number of pairs actually sent to the containment estimator."""
-        return len(self.pairs)
-
-    @property
-    def deduplicated_pairs(self) -> int:
-        """Pair-list slots saved by cross-request deduplication.
-
-        Indexed pair slots are excluded: they never enter the pair list, and
-        how many of them are actually computed is decided by the executor
-        (identical indexed requests share one slab scoring call).
-        """
-        return self.planned_pairs - self.indexed_pairs - self.unique_pairs
 
 
 class BatchPlanner:
@@ -130,60 +112,29 @@ class BatchPlanner:
         self.estimator = estimator
 
     def plan(self, queries: Sequence[Query]) -> BatchPlan:
-        """Flatten the scoring pairs of ``queries`` into one deduplicated plan.
+        """Resolve every matched query of ``queries`` to its scoring slab.
 
-        Requests the estimator's pool encoding index can serve are planned
-        as slab references — their pool side is already a contiguous
-        encoding matrix, so no pairs are materialized for them at all; the
-        executor scores each unique ``(query, slab)`` with one whole-pool
-        call.  Everything else takes the legacy deduplicated pair list.
+        No pairs are materialized here: the executor scores each unique
+        ``(query, slab)`` with one whole-slab call, and how that call runs
+        (resident rows or pair by pair) is the rate model's business.
         """
-        pool_index = getattr(self.estimator, "pool_index", None)
-        pair_index: dict[tuple[Query, Query], int] = {}
-        pairs: list[tuple[Query, Query]] = []
         requests: list[RequestPlan] = []
         planned = 0
         indexed = 0
         for position_in_batch, query in enumerate(queries):
             has_match = self.estimator.pool.has_match(query)
-            if has_match and pool_index is not None:
-                slab = pool_index.resolve(self.estimator, query)
-                if slab is not None:
-                    planned += 2 * len(slab.entries)
-                    indexed += 2 * len(slab.entries)
-                    requests.append(
-                        RequestPlan(
-                            index=position_in_batch,
-                            query=query,
-                            has_match=True,
-                            entries=slab.entries,
-                            pair_indices=(),
-                            slab=slab,
-                        )
-                    )
-                    continue
-            entries = tuple(self.estimator.eligible_entries(query)) if has_match else ()
-            indices: list[int] = []
-            for pair in self.estimator.containment_pairs(query, entries):
-                planned += 1
-                position = pair_index.get(pair)
-                if position is None:
-                    position = len(pairs)
-                    pair_index[pair] = position
-                    pairs.append(pair)
-                indices.append(position)
-            requests.append(
-                RequestPlan(
-                    index=position_in_batch,
-                    query=query,
-                    has_match=has_match,
-                    entries=entries,
-                    pair_indices=tuple(indices),
-                )
+            slab = self.estimator.resolve(query) if has_match else None
+            request = RequestPlan(
+                index=position_in_batch,
+                query=query,
+                has_match=has_match,
+                entries=slab.entries if has_match else (),
+                slab=slab,
             )
+            planned += 2 * len(request.entries)
+            if request.resolution == RESOLUTION_INDEXED_SLAB:
+                indexed += 2 * len(request.entries)
+            requests.append(request)
         return BatchPlan(
-            pairs=tuple(pairs),
-            requests=tuple(requests),
-            planned_pairs=planned,
-            indexed_pairs=indexed,
+            requests=tuple(requests), planned_pairs=planned, indexed_pairs=indexed
         )

@@ -23,78 +23,39 @@ row ``i`` belonging to eligible entry ``i`` — maintained incrementally:
   matching (exactly the :class:`~repro.serving.EncodingCache` keying rule).
 
 A request is then served as *encode Qnew once → two strided writes → the
-fixed-shape slab path* (:meth:`repro.core.crn.CRNModel.rates_against_pool`):
+fixed-shape slab path* (:meth:`repro.core.crn.CRNEstimator.rates_against_pools`):
 no per-pair Python work at all, and — because the assembled rows are exactly
-the rows the per-request path would have stacked, in the same order —
+the rows the per-pair route would have stacked, in the same order —
 **bit-for-bit identical** estimates.
 
 Owner fencing mirrors :class:`~repro.serving.EncodingCache`: the index is
 bound to the model whose weights produced its rows, :meth:`rebind`
 atomically drops every slab and re-ties it (optionally retargeting a
-refreshed pool), and :meth:`resolve` returns ``None`` — never stale rows —
-for an estimator whose model is not the bound owner.  Callers treat ``None``
-as "use the legacy per-pair path", so a lifecycle hot swap mid-traffic
-degrades in-flight old-model requests to the slow path instead of ever
-mixing two models' encodings.  The :class:`repro.serving.AdaptationManager`
+refreshed pool), and :meth:`resolve` returns a row-less slab — never stale
+rows — for an estimator whose model is not the bound owner.  A row-less slab
+is scored per pair, so a lifecycle hot swap mid-traffic degrades in-flight
+old-model requests to the slow route instead of ever mixing two models'
+encodings.  The :class:`repro.serving.AdaptationManager`
 rebinds and re-warms the index with the candidate model *before* the
 registry swap, so the first post-swap request pays no re-encoding stall.
 
 Thread safety: one index lock guards the owner fence *and* the slab store as
 a unit (see the constructor comment for why they cannot be split), and long
-holders release it between signatures.  Returned :class:`IndexedSlab` views
-are snapshots — appends write past the snapshot's row count and rebuilds
-allocate fresh matrices, so rows handed to an in-flight request are never
+holders release it between signatures.  Returned
+:class:`repro.core.queries_pool.PoolSlab` views are snapshots — appends
+write past the snapshot's row count and rebuilds allocate fresh matrices, so rows handed to an in-flight request are never
 mutated under it.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.crn import CRNEstimator
-from repro.core.queries_pool import PoolEntry, QueriesPool
+from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
 from repro.sql.query import Query
-
-
-@dataclass(frozen=True)
-class IndexedSlab:
-    """One resolved per-signature scoring slab, handed to the serving path.
-
-    Attributes:
-        entries: the eligible pool entries, in bucket insertion order; row
-            ``i`` of both matrices encodes ``entries[i].query``.
-        first: ``(len(entries), H)`` position-1 encodings (the pool query as
-            the *first* element of its ``(Qold, Qnew)`` x-rate pair).  A
-            read-only view into index-owned storage — do not mutate.
-        second: ``(len(entries), H)`` position-2 encodings (the pool query as
-            the *second* element of its ``(Qnew, Qold)`` y-rate pair).
-        cardinalities: ``(len(entries),)`` float64 entry cardinalities, row-
-            aligned with the matrices — precomputed so the per-request
-            estimate math needs no Python loop over the entries at all.
-        token: a hashable identity of this slab state (scope, signature,
-            version, row count); two resolves with equal tokens carry
-            identical rows, so batched callers deduplicate rate computation
-            on ``(query, token)``.
-        first_f32: ``None``, or a float32 mirror of ``first`` when the index
-            has negotiated a float32 layout with a compiled inference plan
-            (:meth:`PoolEncodingIndex.negotiate_dtype`) — the plan's fused
-            float32 pass reads these rows cast-free.  The float64 matrices
-            above stay canonical either way: reference-mode estimators and
-            bit-exact float64 plans resolved against the same index are
-            unaffected by the negotiation.
-        second_f32: float32 mirror of ``second``, same contract.
-    """
-
-    entries: tuple[PoolEntry, ...]
-    first: np.ndarray
-    second: np.ndarray
-    cardinalities: np.ndarray
-    token: tuple
-    first_f32: np.ndarray | None = None
-    second_f32: np.ndarray | None = None
 
 
 class _Slab:
@@ -270,8 +231,8 @@ class PoolEncodingIndex:
         outgoing model's rows and the first post-swap request hits warm
         slabs.  Stale readers are fenced exactly like
         :meth:`repro.serving.EncodingCache.rebind` fences writers: an
-        in-flight request on the old model resolves ``None`` and takes the
-        legacy path instead of observing the swap partially.
+        in-flight request on the old model resolves a row-less slab and is
+        scored per pair instead of observing the swap partially.
         """
         with self._lock:
             self._slabs.clear()
@@ -308,56 +269,50 @@ class PoolEncodingIndex:
     # ------------------------------------------------------------------ #
     # resolution
 
-    def resolve(self, estimator, query: Query) -> IndexedSlab | None:
-        """The scoring slab for ``query``'s FROM signature, or ``None``.
+    def resolve(self, estimator, query: Query) -> PoolSlab:
+        """The scoring slab for ``query``'s FROM signature — never ``None``.
 
-        ``None`` means "this request cannot be served from the index" — the
-        estimator's containment model is not the bound owner (a hot swap is
-        in flight), its pool is not the indexed pool, or it is not a CRN at
-        all.  Callers fall back to the legacy per-pair path, which is always
-        correct.  A usable resolve returns a snapshot: concurrent pool adds
-        or rebinds never mutate the returned rows.
+        A slab with resident rows when the index can serve the request; a
+        row-less snapshot of the estimator's own pool bucket (counted as a
+        fallback, never stored) when it cannot — the estimator's containment
+        model is not the bound owner (a hot swap is in flight), its pool is
+        not the indexed pool, or it is not a CRN at all.  Either is a
+        snapshot: concurrent pool adds or rebinds never mutate the returned
+        entries or rows.
         """
-        containment = getattr(estimator, "containment_estimator", None)
-        if not isinstance(containment, CRNEstimator):
-            self.stats.record_fallback()
-            return None
-        if getattr(estimator, "pool", None) is not self.pool:
-            self.stats.record_fallback()
-            return None
-        scope = containment._encoding_scope()
+        containment = estimator.containment_estimator
         signature = query.from_signature()
-        key = (scope, signature)
-        # Reading the bucket version outside the index lock is safe: a
-        # concurrent add is either reflected by the version (and the slab
-        # syncs) or lands after — the same either-in-or-out snapshot
-        # semantics matching_entries gives the legacy path.
-        version = self.pool.bucket_version(signature)
-        with self._lock:
-            if self._owner is not containment.model:
-                # Fenced: a hot swap rebound the index to another model.
-                fenced = True
-            else:
-                fenced = False
-                slab = self._slabs.get(key)
-                if slab is None or slab.version != version:
-                    slab = self._sync_locked(containment, scope, signature)
-                view = IndexedSlab(
-                    entries=slab.entries,
-                    first=slab.first[: slab.count],
-                    second=slab.second[: slab.count],
-                    cardinalities=slab.cardinalities[: slab.count],
-                    token=(scope, signature, slab.version, slab.count),
-                    first_f32=(
-                        slab.first_f32[: slab.count] if slab.first_f32 is not None else None
-                    ),
-                    second_f32=(
-                        slab.second_f32[: slab.count] if slab.second_f32 is not None else None
-                    ),
-                )
-        if fenced:
+        view = None
+        if isinstance(containment, CRNEstimator) and estimator.pool is self.pool:
+            scope = containment._encoding_scope()
+            key = (scope, signature)
+            # Reading the bucket version outside the index lock is safe: a
+            # concurrent add is either reflected by the version (and the slab
+            # syncs) or lands after — the same either-in-or-out snapshot
+            # semantics bucket_slab gives a row-less resolve.
+            version = self.pool.bucket_version(signature)
+            with self._lock:
+                # Fenced when a hot swap rebound the index to another model.
+                if self._owner is containment.model:
+                    slab = self._slabs.get(key)
+                    if slab is None or slab.version != version:
+                        slab = self._sync_locked(containment, scope, signature)
+                    view = PoolSlab(
+                        entries=slab.entries,
+                        cardinalities=slab.cardinalities[: slab.count],
+                        token=(scope, signature, slab.version, slab.count),
+                        first=slab.first[: slab.count],
+                        second=slab.second[: slab.count],
+                        first_f32=(
+                            slab.first_f32[: slab.count] if slab.first_f32 is not None else None
+                        ),
+                        second_f32=(
+                            slab.second_f32[: slab.count] if slab.second_f32 is not None else None
+                        ),
+                    )
+        if view is None:
             self.stats.record_fallback()
-            return None
+            return estimator.pool.bucket_slab(signature)
         self.stats.record_served()
         return view
 

@@ -10,10 +10,11 @@ hit-rate statistics (rendered by
 :func:`repro.evaluation.reporting.format_service_stats` and timed by
 :func:`repro.evaluation.timing.time_service`).
 
-The batched path is exact, not approximate: planning only deduplicates which
-ordered pairs are scored (and routes index-servable requests through the
-:class:`repro.serving.PoolEncodingIndex`'s whole-pool slabs), and the rates
-flow back through the estimator's own
+The batched path is exact, not approximate: planning only resolves each
+request to its bucket slab (with resident rows when the
+:class:`repro.serving.PoolEncodingIndex` can serve it) and deduplicates
+identical ``(query, slab)`` work, and the rates flow back through the
+estimator's own
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates` and
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values` — the vectorized
 bit-equal twins of ``estimates_from_rates`` / ``collapse`` — so a served
@@ -25,16 +26,14 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
-from repro.core.crn import CRNEstimator, CRNModel
+from repro.core.crn import CRNEstimator
 from repro.core.estimators import CardinalityEstimator
-from repro.core.featurization import QueryFeaturizer
-from repro.core.final_functions import FinalFunction
-from repro.core.queries_pool import QueriesPool
 from repro.observability.events import BatchServed, RequestServed, StatsDrained
 from repro.observability.histogram import LatencyHistogram
 from repro.serving.cache import EncodingCache, FeaturizationCache
@@ -145,6 +144,9 @@ class RequestOptions:
 #: The options applied when a caller passes none.
 _DEFAULT_OPTIONS = RequestOptions()
 
+#: The rates of a request with no eligible entries.
+_NO_RATES = np.empty(0, dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class EstimateResult(ServedEstimate):
@@ -159,8 +161,9 @@ class EstimateResult(ServedEstimate):
 
     Attributes:
         resolution: ``"indexed_slab"`` (whole-pool slab scoring through the
-            :class:`repro.serving.PoolEncodingIndex`), ``"pair_batch"`` (the
-            deduplicated pair list), ``"estimator_fallback"`` (the
+            :class:`repro.serving.PoolEncodingIndex`), ``"pair_batch"`` (a
+            slab without resident rows, scored pair by pair),
+            ``"estimator_fallback"`` (the
             estimator's built-in fallback), ``"registry_fallback"`` (the
             registry fallback entry), or ``"direct"`` (a non-Cnt2Crd
             estimator's own per-query interface).
@@ -271,7 +274,7 @@ class EstimationService:
             one attribute test per batch.
         tracer: an optional :class:`repro.observability.Tracer`.  When set,
             every batch records a ``service_batch`` span with nested stage
-            spans (``plan`` / ``pair_rates`` / ``slab_kernel`` /
+            spans (``plan`` / ``slab_kernel`` /
             ``collapse``), and every request's trace links to the shared
             spans with its explicit amortized share — the fan-in attribution
             that makes a coalesced request's latency decomposable.  ``None``
@@ -845,37 +848,17 @@ class EstimationService:
                 planned_pairs=plan.planned_pairs,
                 indexed_pairs=plan.indexed_pairs,
             )
-        if plan.pairs:
-            span = (
-                tracer.begin("pair_rates", members=len(queries), estimator_name=name)
-                if tracer is not None
-                else None
-            )
-            rates = estimator.containment_estimator.estimate_containments(
-                list(plan.pairs)
-            )
-            if span is not None:
-                tracer.end(span, pairs=len(rates))
-        else:
-            rates = []
-        # Indexed requests are scored once per unique (query, slab state) —
-        # identical queries in a batch share one set of rates, mirroring the
-        # pair list's cross-request deduplication — and all unique requests
-        # run through ONE fused slab sequence (rates_against_pools): small
+        # Requests are scored once per unique (query, slab state) —
+        # identical queries in a batch share one set of rates — and all
+        # unique requests run through ONE rates_against_pools call: small
         # buckets would otherwise each pad out a full slab per request.
-        indexed_rates: dict[tuple[Query, tuple], Sequence[float]] = {}
-        scored = plan.unique_pairs
-        containment = estimator.containment_estimator
-        pending: list[tuple[tuple[Query, tuple], RequestPlan]] = []
+        pending: dict[tuple[Query, tuple], RequestPlan] = {}
         for request in plan.requests:
-            if request.slab is None or not request.entries:
-                continue
-            key = (request.query, request.slab.token)
-            if key in indexed_rates:
-                continue
-            indexed_rates[key] = ()  # claimed; filled from the fused run below
-            pending.append((key, request))
-            scored += 2 * len(request.entries)
+            if request.entries:
+                pending.setdefault((request.query, request.slab.token), request)
+        scored = sum(2 * len(request.entries) for request in pending.values())
+        containment = estimator.containment_estimator
+        rates: dict[tuple[Query, tuple], np.ndarray] = {}
         if pending:
             span = None
             if tracer is not None:
@@ -890,10 +873,9 @@ class EstimationService:
                     **attributes,
                 )
             blocks = containment.rates_against_pools(
-                [(request.query, request.slab) for _, request in pending]
+                [(request.query, request.slab) for request in pending.values()]
             )
-            for (key, _), block in zip(pending, blocks):
-                indexed_rates[key] = block
+            rates = dict(zip(pending, blocks))
             if span is not None:
                 tracer.end(span)
         span = (
@@ -902,9 +884,7 @@ class EstimationService:
             else None
         )
         served = [
-            self._answer_request(
-                request, name, generation, estimator, rates, indexed_rates, options
-            )
+            self._answer_request(request, name, generation, estimator, rates, options)
             for request in plan.requests
         ]
         if span is not None:
@@ -921,8 +901,7 @@ class EstimationService:
         name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
-        rates: Sequence[float],
-        indexed_rates: Mapping[tuple[Query, tuple], Sequence[float]],
+        rates: Mapping[tuple[Query, tuple], np.ndarray],
         options: RequestOptions,
     ) -> EstimateResult:
         allow_builtin = options.fallback_policy != "none"
@@ -953,23 +932,16 @@ class EstimationService:
                 f"{request.query.from_signature()} and the request's fallback "
                 f"policy ({options.fallback_policy!r}) permits no re-route"
             )
-        if request.slab is not None:
-            request_rates = (
-                indexed_rates[(request.query, request.slab.token)]
-                if request.entries
-                else []
-            )
-        else:
-            request_rates = [rates[index] for index in request.pair_indices]
+        request_rates = (
+            rates[(request.query, request.slab.token)] if request.entries else _NO_RATES
+        )
         # The vectorized values path is bit-for-bit equal to
         # estimates_from_rates + collapse and skips the per-entry Python
         # loop, which on large buckets costs as much as the forward passes
-        # (indexed requests reuse the slab's precomputed cardinality vector,
-        # so nothing iterates the entries at all).
+        # (the slab's precomputed cardinality vector means nothing iterates
+        # the entries at all).
         values = estimator.estimate_values_from_rates(
-            request.entries,
-            request_rates,
-            cardinalities=request.slab.cardinalities if request.slab is not None else None,
+            request.entries, request_rates, cardinalities=request.slab.cardinalities
         )
         if values.size == 0:
             # Matched, but every eligible entry was filtered by the epsilon
@@ -1086,79 +1058,3 @@ class EstimationService:
                 fallback_generation if fallback_name is not None else generation
             ),
         )
-
-
-def build_crn_service(
-    model: CRNModel,
-    featurizer: QueryFeaturizer,
-    pool: QueriesPool,
-    final_function: str | FinalFunction = "median",
-    epsilon: float = 1e-3,
-    batch_size: int = 256,
-    fallback_estimator: CardinalityEstimator | None = None,
-    extra_estimators: Mapping[str, CardinalityEstimator] | None = None,
-    max_cache_entries: int | None = None,
-    warm_pool: bool = True,
-    use_pool_index: bool = True,
-) -> EstimationService:
-    """Wire a ready-to-serve CRN-backed estimation service.
-
-    .. deprecated::
-        ``build_crn_service`` is a thin shim over the declarative
-        :class:`repro.serving.ServingConfig` — describe the deployment there
-        and run it with :class:`repro.serving.ServingClient` (which adds the
-        dispatcher, feedback, and adaptation wiring this constructor never
-        had).  The keyword surface below maps 1:1 onto config fields; see the
-        migration table in ``docs/architecture.md``.  The wiring is shared
-        with the client, so the service built here is bit-for-bit identical
-        to the one a :class:`~repro.serving.ServingClient` serves from.
-
-    Args:
-        model: a (trained) CRN network.
-        featurizer: the featurizer bound to the serving database snapshot.
-        pool: the queries pool backing the Cnt2Crd technique.
-        final_function: the Cnt2Crd final function ``F``.
-        epsilon: the Cnt2Crd ``y_rate`` guard threshold.
-        batch_size: pair-head slab size for the batched forward passes.
-        fallback_estimator: answers requests with no matching pool query.
-        extra_estimators: additional registry entries (e.g. improved models).
-        max_cache_entries: optional LRU bound for both caches (the encoding
-            cache admits ``2×`` — two entries per query, one per pair slot;
-            :class:`repro.serving.CacheConfig` documents the rule).
-        warm_pool: pre-featurize/encode all pool queries up front (and
-            pre-build the pool index's encoding matrices).
-        use_pool_index: keep per-FROM-signature pool encoding matrices so a
-            request is scored as one vectorized whole-pool slab pass instead
-            of ``2·E`` per-pair cache lookups (bit-for-bit identical; see
-            ``benchmarks/bench_pool_index.py`` for the win).
-    """
-    warnings.warn(
-        "build_crn_service is deprecated: describe the deployment with "
-        "repro.serving.ServingConfig and serve it through "
-        "repro.serving.ServingClient",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.serving.client import build_service_stack
-    from repro.serving.config import (
-        CacheConfig,
-        DispatcherConfig,
-        EstimatorConfig,
-        PoolConfig,
-        ServingConfig,
-    )
-
-    config = ServingConfig(
-        model=model,
-        featurizer=featurizer,
-        pool=pool,
-        fallback_estimator=fallback_estimator,
-        extra_estimators=extra_estimators or {},
-        estimator=EstimatorConfig(
-            final_function=final_function, epsilon=epsilon, batch_size=batch_size
-        ),
-        pool_options=PoolConfig(warm=warm_pool, use_index=use_pool_index),
-        caches=CacheConfig(max_featurization_entries=max_cache_entries),
-        dispatcher=DispatcherConfig(enabled=False),
-    )
-    return build_service_stack(config).service

@@ -12,6 +12,7 @@ from repro.db.database import Database
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
 from repro.db.schema import Column, ColumnRole, ColumnType, DatabaseSchema, ForeignKey, TableSchema
+from repro.serving import EstimationService, ServingConfig, build_service_stack
 
 #: A two-table schema small enough to verify every number by hand.
 TOY_SCHEMA = DatabaseSchema(
@@ -78,6 +79,20 @@ class ZeroRatesContainment(ContainmentEstimator):
 
     def estimate_containment(self, first, second) -> float:
         return 0.0
+
+
+def build_service(
+    model, featurizer, pool, fallback_estimator=None, **sections
+) -> EstimationService:
+    """The service of a client-wired stack, for tests that drive it directly."""
+    config = ServingConfig(
+        model=model,
+        featurizer=featurizer,
+        pool=pool,
+        fallback_estimator=fallback_estimator,
+        **sections,
+    )
+    return build_service_stack(config).service
 
 
 @pytest.fixture(scope="session")

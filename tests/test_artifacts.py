@@ -291,7 +291,7 @@ class TestConfigRoundTrip:
             database=imdb_small,
             oracle=imdb_oracle,
             estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
-            pool_options=PoolConfig(warm=True, use_index=True),
+            pool_options=PoolConfig(warm=True),
             caches=CacheConfig(max_featurization_entries=64),
             dispatcher=DispatcherConfig(enabled=False, max_batch=8, max_wait_ms=0.5),
             feedback=FeedbackConfig(enabled=True, max_observations=48),
@@ -374,6 +374,28 @@ class TestColdBoot:
         assert [r.resolution for r in restored] == [e.resolution for e in expected]
         assert booted.artifact_store is not None  # the booted store is wired
         assert booted.artifact_store.root == root
+        booted.shutdown()
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_bundle_from_before_use_index_was_retired_still_boots(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload, use_index
+    ):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        config = make_config(model, imdb_small, imdb_featurizer, pool)
+        client = ServingClient(config)
+        expected = [client.estimate(item.query).estimate for item in workload]
+        client.shutdown()
+        save_generation(store, model, pool, config, promote=True)
+        # Earlier builds always wrote pool.use_index into config.json.
+        config_path = store.path(1) / "config.json"
+        parent_format = json.loads(config_path.read_text())
+        parent_format["pool"]["use_index"] = use_index
+        config_path.write_text(json.dumps(parent_format))
+        rehash(store.path(1), "config.json")
+        booted = ServingClient.from_artifact(root, database=imdb_small)
+        assert [booted.estimate(item.query).estimate for item in workload] == expected
+        assert "use_index" not in booted.config.to_mapping()["pool"]
         booted.shutdown()
 
     def test_wrong_database_is_rejected(self, tmp_path, model, toy_database,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Module, ReLU, Sequential, Sigmoid
-from repro.nn.serialization import load_parameters, save_parameters
+from repro.nn.serialization import (
+    ParameterMismatchError,
+    load_parameters,
+    read_parameter_metadata,
+    save_parameters,
+)
 from repro.nn.tensor import Tensor
 
 
@@ -105,6 +110,19 @@ class TestStateDict:
         load_parameters(clone, path)
         inputs = Tensor(np.ones((2, 3)))
         np.testing.assert_allclose(model(inputs).numpy(), clone(inputs).numpy())
+
+    def test_header_less_archive_rejected(self, tmp_path):
+        # The v0 layout: one array per parameter, no metadata header.
+        model = Sequential(Linear(3, 2, rng=np.random.default_rng(3)))
+        path = tmp_path / "v0.npz"
+        np.savez_compressed(path, **model.state_dict())
+        before = model.state_dict()
+        with pytest.raises(ParameterMismatchError):
+            read_parameter_metadata(path)
+        with pytest.raises(ParameterMismatchError):
+            load_parameters(model, path)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
 
 def test_base_module_forward_is_abstract():

@@ -97,11 +97,18 @@ def traced_episode(trained, imdb_small, pool, workload, tmp_path_factory):
     results_lock = threading.Lock()
     errors = []
 
+    rounds = 3
+    swapped = threading.Event()
+
     with ServingClient(config) as client:
 
         def traffic():
             try:
-                for _ in range(3):
+                for round_index in range(rounds):
+                    if round_index == rounds - 1:
+                        # The last round runs only after the swap has landed,
+                        # so post-swap generations are always observed.
+                        assert swapped.wait(timeout=180.0), "the swap never landed"
                     futures = [client.estimate_future(q) for q in workload]
                     batch = [f.result(timeout=60.0) for f in futures]
                     with results_lock:
@@ -113,9 +120,13 @@ def traced_episode(trained, imdb_small, pool, workload, tmp_path_factory):
         for thread in threads:
             thread.start()
         # A live hot swap while the coalesced load is in flight.
-        outcome = client.trigger_adaptation(wait=True, timeout=120.0)
+        try:
+            outcome = client.trigger_adaptation(wait=True, timeout=120.0)
+        finally:
+            swapped.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=180.0)
+        assert not any(thread.is_alive() for thread in threads)
         stats = client.stats()
     client.event_store.close()
     assert not errors, f"traffic raised: {errors[0]!r}"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import warnings
 
 import numpy as np
 import pytest
@@ -181,23 +180,19 @@ class TestMetricProperties:
 
 @functools.lru_cache(maxsize=1)
 def serving_identity_stack():
-    """One shared deployment over the toy database, built both ways.
+    """One shared deployment over the toy database, plus its reference.
 
-    Returns ``(client, legacy service, legacy dispatcher)``: the new
-    :class:`repro.serving.ServingClient` path and the deprecated
-    ``build_crn_service`` + manual ``ServingDispatcher`` path, wired from the
-    same model, featurizer, pool, and fallback.  The pool carries the frame
-    queries of both toy FROM shapes, so every generated query has a match.
+    Returns ``(client, naive estimator)``: the
+    :class:`repro.serving.ServingClient` path and the naive per-pair core
+    :class:`repro.core.Cnt2CrdEstimator` (no caches, no index, one request at
+    a time), wired from the same model, featurizer, pool, and fallback.  The
+    pool carries the frame queries of both toy FROM shapes, so every
+    generated query has a match.
     """
     from repro.baselines import PostgresCardinalityEstimator
-    from repro.core import CRNConfig, CRNModel, QueriesPool
+    from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
     from repro.core.featurization import QueryFeaturizer
-    from repro.serving import (
-        ServingClient,
-        ServingConfig,
-        ServingDispatcher,
-        build_crn_service,
-    )
+    from repro.serving import ServingClient, ServingConfig
 
     featurizer = QueryFeaturizer(TOY_DATABASE)
     model = CRNModel(featurizer.vector_size, CRNConfig(hidden_size=8, seed=7))
@@ -225,26 +220,19 @@ def serving_identity_stack():
             model=model, featurizer=featurizer, pool=pool, fallback_estimator=fallback
         )
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = build_crn_service(model, featurizer, pool, fallback_estimator=fallback)
-    legacy_dispatcher = ServingDispatcher(legacy, max_batch=16, max_wait_ms=1.0).start()
-    return client, legacy, legacy_dispatcher
+    naive = Cnt2CrdEstimator(CRNEstimator(model, featurizer), pool, fallback=fallback)
+    return client, naive
 
 
 class TestServingIdentityProperties:
-    """The new ServingClient path is bit-for-bit the legacy serving path."""
+    """The ServingClient path is bit-for-bit the naive per-pair estimator."""
 
     @_COMMON_SETTINGS
     @given(queries=st.lists(toy_queries(), min_size=1, max_size=6))
-    def test_client_paths_identical_to_legacy_paths(self, queries):
-        client, legacy, legacy_dispatcher = serving_identity_stack()
-        # Legacy reference: build_crn_service + one caller-side batch, and
-        # the same traffic coalesced through a manual dispatcher.
-        legacy_batched = [item.estimate for item in legacy.submit_batch(queries)]
-        legacy_futures = [legacy_dispatcher.submit(query) for query in queries]
-        legacy_dispatched = [f.result(timeout=30).estimate for f in legacy_futures]
-        # New client: estimate_many (planned batch), estimate (coalesced),
+    def test_client_paths_identical_to_naive_estimator(self, queries):
+        client, naive = serving_identity_stack()
+        legacy_batched = [naive.estimate_cardinality(query) for query in queries]
+        # The client: estimate_many (planned batch), estimate (coalesced),
         # and estimate_future (explicit dispatcher-backed futures).
         batched = [item.estimate for item in client.estimate_many(queries)]
         singles = [client.estimate(query).estimate for query in queries]
@@ -253,12 +241,11 @@ class TestServingIdentityProperties:
         assert batched == legacy_batched
         assert singles == legacy_batched
         assert dispatched == legacy_batched
-        assert legacy_dispatched == legacy_batched
 
     @_COMMON_SETTINGS
     @given(queries=st.lists(toy_queries(), min_size=1, max_size=4))
     def test_provenance_is_stamped_on_every_result(self, queries):
-        client, _, _ = serving_identity_stack()
+        client, _ = serving_identity_stack()
         for item in client.estimate_many(queries):
             assert item.resolution in {
                 "indexed_slab",

@@ -61,7 +61,6 @@ EXPECTED_SERVING_ALL = [
     "FeedbackConfig",
     "FeedbackObservation",
     "FeedbackSummary",
-    "IndexedSlab",
     "InferenceConfig",
     "InferencePlan",
     "LifecycleStats",
@@ -82,7 +81,6 @@ EXPECTED_SERVING_ALL = [
     "TracingConfig",
     "UnknownEstimatorError",
     "WorkerUnavailableError",
-    "build_crn_service",
     "build_service_stack",
     "compile_plan",
 ]
@@ -136,7 +134,7 @@ EXPECTED_CONFIG_FIELDS = {
         "cluster",
     ],
     EstimatorConfig: ["name", "fallback_name", "final_function", "epsilon", "batch_size"],
-    PoolConfig: ["warm", "use_index"],
+    PoolConfig: ["warm"],
     CacheConfig: ["max_featurization_entries", "max_encoding_entries"],
     DispatcherConfig: ["enabled", "max_batch", "max_wait_ms"],
     FeedbackConfig: ["enabled", "max_observations", "epsilon"],

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 from repro.baselines import PostgresCardinalityEstimator
-from repro.core import CRNConfig, CRNModel, QueriesPool
+from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
 from repro.core.final_functions import FINAL_FUNCTIONS
 from repro.datasets import build_queries_pool_queries
 from repro.serving import (
@@ -19,6 +18,7 @@ from repro.serving import (
     EstimateResult,
     EstimatorConfig,
     FeedbackConfig,
+    InferenceConfig,
     NoMatchingPoolQueryError,
     PoolConfig,
     RequestOptions,
@@ -27,7 +27,6 @@ from repro.serving import (
     ServingConfig,
     ServingError,
     UnknownEstimatorError,
-    build_crn_service,
 )
 from repro.serving.config import AdaptationConfig
 from repro.sql.builder import QueryBuilder
@@ -82,11 +81,6 @@ class TestConfigValidation:
         assert CacheConfig().resolved_encoding_entries() is None
         explicit = CacheConfig(max_featurization_entries=10, max_encoding_entries=5)
         assert explicit.resolved_encoding_entries() == 5
-
-    def test_legacy_shim_validates_cache_bound(self, model, imdb_small, imdb_featurizer, pool):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="max_featurization_entries"):
-                build_crn_service(model, imdb_featurizer, pool, max_cache_entries=0)
 
     def test_estimator_section_bounds(self):
         with pytest.raises(ValueError, match="final function"):
@@ -191,7 +185,7 @@ class TestConfigRoundTrip:
             pool,
             estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
             caches=CacheConfig(max_featurization_entries=64),
-            pool_options=PoolConfig(warm=False, use_index=False),
+            pool_options=PoolConfig(warm=False),
             dispatcher=DispatcherConfig(enabled=False, max_batch=8, max_wait_ms=0.5),
         )
         mapping = json.loads(json.dumps(config.to_mapping()))  # JSON-clean
@@ -242,17 +236,15 @@ class TestConfigRoundTrip:
 
 
 class TestClientFacade:
-    def test_client_matches_deprecated_constructor_bit_for_bit(
+    def test_client_surfaces_match_naive_estimator_bit_for_bit(
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
-        with pytest.warns(DeprecationWarning, match="build_crn_service is deprecated"):
-            legacy = build_crn_service(
-                model,
-                imdb_featurizer,
-                pool,
-                fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-            )
-        legacy_estimates = [item.estimate for item in legacy.submit_batch(workload)]
+        naive = Cnt2CrdEstimator(
+            CRNEstimator(model, imdb_featurizer),
+            pool,
+            fallback=PostgresCardinalityEstimator(imdb_small),
+        )
+        legacy_estimates = [naive.estimate_cardinality(query) for query in workload]
         config = make_config(model, imdb_small, imdb_featurizer, pool)
         with ServingClient(config) as client:
             batched = client.estimate_many(workload)
@@ -352,7 +344,7 @@ class TestClientFacade:
             imdb_small,
             imdb_featurizer,
             pool,
-            pool_options=PoolConfig(warm=False, use_index=True),
+            pool_options=PoolConfig(warm=False),
         )
         client = ServingClient(config)
         assert len(client.stack.featurization_cache) == 0
@@ -366,18 +358,17 @@ class TestProvenance:
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         matched = next(q for q in workload if pool.has_match(q))
-        indexed_client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        served = indexed_client.estimate(matched)
+        # A bare estimator (no pool index) resolves row-less slabs.
+        bare = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
+        client = ServingClient(
+            make_config(
+                model, imdb_small, imdb_featurizer, pool, extra_estimators={"bare": bare}
+            )
+        )
+        served = client.estimate(matched)
         assert served.resolution == "indexed_slab"
         assert served.model_generation == 1
-        legacy_config = make_config(
-            model,
-            imdb_small,
-            imdb_featurizer,
-            pool,
-            pool_options=PoolConfig(warm=True, use_index=False),
-        )
-        pair_served = ServingClient(legacy_config).estimate(matched)
+        pair_served = client.estimate(matched, RequestOptions(estimator="bare"))
         assert pair_served.resolution == "pair_batch"
         assert pair_served.estimate == served.estimate  # identical bits either way
 
@@ -407,6 +398,48 @@ class TestProvenance:
             client.estimate(query, RequestOptions(fallback_policy="estimator"))
         # The default policy still re-routes.
         assert client.estimate(query).used_fallback
+
+    @pytest.mark.parametrize(
+        "inference",
+        [InferenceConfig(), InferenceConfig(mode="compiled", slab_dtype="float32")],
+        ids=["reference", "compiled-f32"],
+    )
+    def test_all_filtered_recovery_chain_on_a_resident_slab(
+        self, inference, imdb_small, imdb_featurizer, pool, workload
+    ):
+        # A CRN whose output bias is saturated negative rates every pair ~0,
+        # so every y_rate falls under the epsilon guard — on slabs whose rows
+        # ARE resident (the ZeroRatesContainment pins cover the row-less route).
+        saturated = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+        saturated.out_final.bias.data[:] = -1e3
+        postgres = PostgresCardinalityEstimator(imdb_small)
+        client = ServingClient(
+            make_config(saturated, imdb_small, imdb_featurizer, pool, inference=inference)
+        )
+        query = next(q for q in workload if pool.has_match(q))
+        # 1. The estimator's own fallback answers first, unflagged.
+        client.stack.estimator.fallback = postgres
+        builtin = client.estimate(query)
+        assert builtin.resolution == "estimator_fallback"
+        assert not builtin.used_fallback and builtin.estimator_name == "crn"
+        assert builtin.estimate == postgres.estimate_cardinality(query)
+        # 2. Without one, the registry fallback answers, flagged.
+        client.stack.estimator.fallback = None
+        rerouted = client.estimate(query)
+        assert rerouted.resolution == "registry_fallback"
+        assert rerouted.used_fallback and rerouted.estimator_name == "fallback"
+        assert rerouted.estimate == postgres.estimate_cardinality(query)
+        # 3. With neither permitted, the zero collapse stands.
+        collapsed = client.estimate(query, RequestOptions(fallback_policy="none"))
+        assert collapsed.resolution == "indexed_slab"
+        assert collapsed.estimate == 0.0 and not collapsed.used_fallback
+        for served in (builtin, rerouted, collapsed):
+            assert served.pool_matches > 0  # the pool DID match; scoring happened
+            assert served.pairs_scored == 2 * served.pool_matches
+        stats = client.stats()
+        assert stats["pool_index_served"] == 3.0
+        assert stats["pool_index_fallbacks"] == 0.0
+        assert stats["fallbacks"] == 1.0
 
     def test_tags_and_cache_hit_counts_are_stamped(
         self, model, imdb_small, imdb_featurizer, pool, workload
@@ -464,26 +497,3 @@ class TestErrorTaxonomy:
             except ServingError as error:
                 caught.append(error)
         assert len(caught) == 1  # the default-path estimate succeeded
-
-
-class TestDeprecatedEntrypoint:
-    def test_build_crn_service_warns_and_still_serves(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        with pytest.warns(DeprecationWarning, match="ServingConfig"):
-            service = build_crn_service(
-                model,
-                imdb_featurizer,
-                pool,
-                fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-            )
-        served = service.submit(workload[0])
-        assert isinstance(served, EstimateResult)  # shim rides the new path
-        assert served.model_generation == 1
-
-    def test_client_construction_emits_no_deprecation_warning(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))

@@ -29,9 +29,9 @@ from repro.serving import (
     DispatcherShutdownError,
     EstimationService,
     ServingDispatcher,
-    build_crn_service,
 )
 from repro.sql.builder import QueryBuilder
+from tests import conftest
 
 THREADS = 8
 
@@ -53,13 +53,12 @@ def model(imdb_featurizer):
     return CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
 
 
-def build_service(model, imdb_small, imdb_featurizer, pool, **kwargs):
-    return build_crn_service(
+def build_service(model, imdb_small, imdb_featurizer, pool):
+    return conftest.build_service(
         model,
         imdb_featurizer,
         pool,
         fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-        **kwargs,
     )
 
 

@@ -27,11 +27,14 @@ from repro.serving import (
     CRNRetrainer,
     DriftMonitor,
     DriftPolicy,
+    EncodingCache,
+    EstimationService,
+    FeaturizationCache,
     FeedbackCollector,
     ServingDispatcher,
-    build_crn_service,
     compile_plan,
 )
+from tests.conftest import build_service
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +63,7 @@ def workload(imdb_small, imdb_oracle):
 
 
 def make_service(trained, imdb_small, pool):
-    return build_crn_service(
+    return build_service(
         trained.model,
         trained.featurizer,
         pool,
@@ -449,6 +452,79 @@ class TestAdaptationManager:
         )
         assert swapped.pool_estimates(query) == reference.pool_estimates(query)
 
+    def build_hand_wired(self, trained, imdb_small, pool):
+        """A service wired by hand around a bare estimator: no pool index."""
+        encoding_cache = EncodingCache()
+        featurization_cache = FeaturizationCache(trained.featurizer)
+        service = EstimationService(
+            featurization_cache=featurization_cache, encoding_cache=encoding_cache
+        )
+        crn = CRNEstimator(
+            trained.model, featurization_cache, encoding_cache=encoding_cache
+        )
+        service.register("crn", Cnt2CrdEstimator(crn, pool))
+        retrainer = CRNRetrainer(
+            trained,
+            imdb_small,
+            pool,
+            training_pairs=20,
+            incremental_epochs=1,
+            full_epochs=1,
+            training_config=TrainingConfig(epochs=1, batch_size=32),
+            seed=7,
+        )
+        manager = AdaptationManager(
+            service,
+            FeedbackCollector(),
+            retrainer,
+            policy=DriftPolicy(cooldown_seconds=0.0),
+            holdout_size=8,
+        )
+        return service, manager
+
+    def test_index_less_service_swaps_and_keeps_serving_row_less_slabs(
+        self, trained, imdb_small, pool, workload
+    ):
+        service, manager = self.build_hand_wired(trained, imdb_small, pool)
+        assert service.pool_index is None
+        outcome = manager.trigger()
+        assert outcome.swapped
+        swapped = service.get("crn")
+        assert swapped.pool_index is None
+        assert service.generation("crn") == 2
+        query = next(l.query for l in workload if swapped.pool.has_match(l.query))
+        (served,) = service.submit_batch([query])
+        assert served.resolution == "pair_batch"
+        reference = Cnt2CrdEstimator(
+            CRNEstimator(
+                manager.retrainer.result.model, manager.retrainer.result.featurizer
+            ),
+            swapped.pool,
+        )
+        assert served.estimate == reference.estimate_cardinality(query)
+
+    def test_index_less_promote_failure_is_recovered_and_counted(
+        self, trained, imdb_small, pool, workload, monkeypatch
+    ):
+        service, manager = self.build_hand_wired(trained, imdb_small, pool)
+        incumbent = service.get("crn")
+
+        def refuse(name, estimator):
+            raise RuntimeError("registry refused the swap")
+
+        monkeypatch.setattr(service, "replace", refuse)
+        outcome = manager.trigger()
+        assert outcome.action == "promote-failed"
+        assert manager.stats.snapshot()["promote_failures"] == 1.0
+        assert manager._consecutive_failures == 1
+        assert isinstance(manager.last_error, RuntimeError)
+        # The recovery handler re-bound the shared cache to the incumbent,
+        # which is still registered and still answers bit-identically.
+        assert service.get("crn") is incumbent
+        query = next(l.query for l in workload if pool.has_match(l.query))
+        (served,) = service.submit_batch([query])
+        assert served.estimate == incumbent.estimate_cardinality(query)
+
     def test_escalates_to_full_after_repeated_failures(
         self, trained, imdb_small, pool
     ):
@@ -507,7 +583,7 @@ class TestHotSwapUnderTraffic:
         model_b = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
         references = {}
         for key, model in (("a", model_a), ("b", model_b)):
-            reference_service = build_crn_service(
+            reference_service = build_service(
                 model, imdb_featurizer, pool, fallback_estimator=fallback
             )
             references[key] = {
@@ -515,7 +591,7 @@ class TestHotSwapUnderTraffic:
                 for query, item in zip(queries, reference_service.submit_batch(queries))
             }
 
-        service = build_crn_service(
+        service = build_service(
             model_a, imdb_featurizer, pool, fallback_estimator=fallback
         )
         encoding_cache = service.encoding_cache

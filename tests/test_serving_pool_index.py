@@ -22,14 +22,15 @@ from repro.core import (
     CRNModel,
     QueriesPool,
 )
-from repro.core.queries_pool import PoolEntry
+from repro.core.estimators import ContainmentEstimator
+from repro.core.queries_pool import PoolEntry, PoolSlab
 from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     EncodingCache,
+    EstimationService,
     PoolEncodingIndex,
-    build_crn_service,
 )
-from repro.sql.builder import QueryBuilder
+from tests.conftest import build_service
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def other_model(imdb_featurizer):
     return CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
 
 
-class TestCRNModelRatesAgainstPool:
+class TestResidentSlabScoring:
     def test_matches_interleaved_per_pair_path_bit_for_bit(
         self, model, imdb_featurizer, pool, workload
     ):
@@ -76,21 +77,39 @@ class TestCRNModelRatesAgainstPool:
         second = np.stack(
             [model.encode_set(imdb_featurizer.featurize(e.query), 2) for e in entries]
         )
-        indexed = estimator.rates_against_pool(query, first, second)
+        slab = PoolSlab(
+            entries=tuple(entries),
+            cardinalities=np.array([float(e.cardinality) for e in entries]),
+            token=("test",),
+            first=first,
+            second=second,
+        )
+        (indexed,) = estimator.rates_against_pools([(query, slab)])
         assert indexed.tolist() == legacy
+        # A row-less slab of the same entries takes the per-pair route; mixed
+        # batches keep their item order.
+        rowless = PoolSlab(slab.entries, slab.cardinalities, token=("rowless",))
+        mixed = estimator.rates_against_pools([(query, rowless), (query, slab)])
+        assert [block.tolist() for block in mixed] == [legacy, legacy]
+        # The ContainmentEstimator default (what a non-CRN rate model runs)
+        # accepts a one-shot iterable too, not just a sequence.
+        lazy = ContainmentEstimator.rates_against_pools(
+            estimator, iter([(query, rowless), (query, rowless)])
+        )
+        assert [block.tolist() for block in lazy] == [legacy, legacy]
 
     def test_empty_pool_matrix_yields_empty_rates(self, model):
         hidden = model.hidden_size
         empty = np.empty((0, hidden))
-        rates = model.rates_against_pool(
+        first, second = model.assemble_pool_pairs(
             np.zeros(hidden), np.zeros(hidden), empty, empty
         )
-        assert rates.shape == (0,)
+        assert model.rates_from_encodings(first, second).shape == (0,)
 
     def test_mismatched_pool_matrices_raise(self, model):
         hidden = model.hidden_size
         with pytest.raises(ValueError, match="same shape"):
-            model.rates_against_pool(
+            model.assemble_pool_pairs(
                 np.zeros(hidden),
                 np.zeros(hidden),
                 np.zeros((3, hidden)),
@@ -108,7 +127,7 @@ class TestPoolEncodingIndex:
         )
         query = next(q for q in workload if pool.has_match(q))
         slab = index.resolve(estimator, query)
-        assert slab is not None
+        assert slab.first is not None
         assert slab.entries == tuple(estimator.eligible_entries(query))
         for offset, entry in enumerate(slab.entries):
             vectors = imdb_featurizer.featurize(entry.query)
@@ -129,7 +148,7 @@ class TestPoolEncodingIndex:
             pool.add(item.query, item.cardinality)
         for item in labeled:
             slab = index.resolve(estimator, item.query)
-            assert slab is not None
+            assert slab.first is not None
             assert slab.entries == tuple(estimator.eligible_entries(item.query))
         assert len(index) > rows_before
         assert index.stats.appended_rows > 0
@@ -147,10 +166,10 @@ class TestPoolEncodingIndex:
             CRNEstimator(model, imdb_featurizer), pool, pool_index=index
         )
         target = labeled[0]
-        assert index.resolve(estimator, target.query) is not None
+        assert index.resolve(estimator, target.query).first is not None
         pool.add(target.query, target.cardinality + 1)  # in-place update
         slab = index.resolve(estimator, target.query)
-        assert slab is not None
+        assert slab.first is not None
         assert index.stats.rebuilds >= 1
         updated = {e.query: e for e in slab.entries}[target.query]
         assert updated.cardinality == target.cardinality + 1
@@ -168,10 +187,10 @@ class TestPoolEncodingIndex:
             if not pool.has_match(item.query):
                 continue
             slab = index.resolve(estimator, item.query)
-            assert slab is not None
+            assert slab.first is not None
             assert all(entry.cardinality > 0 for entry in slab.entries)
 
-    def test_rebind_fences_the_old_model_to_the_legacy_path(
+    def test_rebind_fences_the_old_model_to_row_less_slabs(
         self, model, other_model, imdb_featurizer, pool, workload
     ):
         index = PoolEncodingIndex(pool)
@@ -179,20 +198,31 @@ class TestPoolEncodingIndex:
             CRNEstimator(model, imdb_featurizer), pool, pool_index=index
         )
         query = next(q for q in workload if pool.has_match(q))
-        assert index.resolve(old, query) is not None
+        assert index.resolve(old, query).first is not None
         index.rebind(other_model)
-        # The old model's in-flight requests miss the index...
-        assert index.resolve(old, query) is None
-        assert index.stats.fallbacks >= 1
-        # ...but pool_estimates still answers correctly via the legacy path,
-        # identical to an index-less estimator.
+        # The old model's in-flight requests get a row-less slab: never None,
+        # never stored, never the new owner's rows — and each is counted.
+        fallbacks_before = index.stats.fallbacks
+        for _ in range(3):
+            fenced = old.resolve(query)
+            assert fenced is not None
+            assert fenced.first is None and fenced.second is None
+            assert fenced.first_f32 is None and fenced.second_f32 is None
+            assert fenced.entries == tuple(old.eligible_entries(query))
+        assert index.stats.fallbacks == fallbacks_before + 3
+        assert len(index) == 0
+        # Its estimates stay bit-identical to a naive old-model estimator.
         plain = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         assert old.pool_estimates(query) == plain.pool_estimates(query)
-        # The new model resolves (and its estimates are its own).
+        assert old.estimate_cardinality(query) == plain.estimate_cardinality(query)
+        # The new model resolves resident rows (and its estimates are its own).
         fresh = Cnt2CrdEstimator(
             CRNEstimator(other_model, imdb_featurizer), pool, pool_index=index
         )
-        assert index.resolve(fresh, query) is not None
+        owned = index.resolve(fresh, query)
+        assert owned.first is not None
+        assert old.resolve(query).token != owned.token
+        assert len(index) == len(owned.entries)
 
     def test_bind_rejects_a_second_model(self, model, other_model, imdb_featurizer, pool):
         index = PoolEncodingIndex(pool)
@@ -211,11 +241,17 @@ class TestPoolEncodingIndex:
             CRNEstimator(model, imdb_featurizer), other_pool, pool_index=index
         )
         query = workload[0]
-        assert index.resolve(foreign, query) is None
+        # A foreign estimator is scored against its OWN pool's entries.
+        slab = index.resolve(foreign, query)
+        assert slab.first is None
+        assert slab.entries == tuple(foreign.eligible_entries(query))
         from repro.core.oracle import OracleContainmentEstimator
 
         non_crn = Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), pool)
-        assert index.resolve(non_crn, query) is None
+        slab = index.resolve(non_crn, query)
+        assert slab.first is None
+        assert slab.entries == tuple(non_crn.eligible_entries(query))
+        assert index.stats.fallbacks == 2 and index.stats.served == 0
 
     def test_warm_builds_every_signature(self, model, imdb_featurizer, pool):
         index = PoolEncodingIndex(pool)
@@ -240,15 +276,19 @@ class TestServiceIntegration:
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         fallback = PostgresCardinalityEstimator(imdb_small)
-        legacy = build_crn_service(
-            model, imdb_featurizer, pool, fallback_estimator=fallback,
-            use_pool_index=False,
+        legacy = EstimationService(fallback="fallback")
+        legacy.register(
+            "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         )
-        indexed = build_crn_service(
+        legacy.register("fallback", fallback)
+        indexed = build_service(
             model, imdb_featurizer, pool, fallback_estimator=fallback,
         )
-        assert indexed.pool_index is not None
-        legacy_estimates = [item.estimate for item in legacy.submit_batch(workload)]
+        legacy_served = legacy.submit_batch(workload)
+        assert {item.resolution for item in legacy_served} <= {
+            "pair_batch", "registry_fallback"
+        }
+        legacy_estimates = [item.estimate for item in legacy_served]
         indexed_estimates = [item.estimate for item in indexed.submit_batch(workload)]
         assert indexed_estimates == legacy_estimates
         # The index actually served (no silent wholesale fallback).
@@ -259,7 +299,7 @@ class TestServiceIntegration:
     def test_duplicate_requests_share_one_slab_scoring_call(
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
-        service = build_crn_service(
+        service = build_service(
             model,
             imdb_featurizer,
             pool,
@@ -280,7 +320,7 @@ class TestServiceIntegration:
         fallback = PostgresCardinalityEstimator(imdb_small)
         serving_pool = QueriesPool.from_labeled_queries(labeled[:50])
         reference_pool = QueriesPool.from_labeled_queries(labeled[:50])
-        service = build_crn_service(
+        service = build_service(
             model, imdb_featurizer, serving_pool, fallback_estimator=fallback
         )
         reference = Cnt2CrdEstimator(
@@ -357,5 +397,5 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
         assert swapped.pool_estimates(query) == plain_swapped.pool_estimates(query)
 
     # The index genuinely served the indexed estimators (identity would be
-    # vacuous if every resolve silently fell back to the legacy path).
+    # vacuous if every resolve silently handed back row-less slabs).
     assert index.stats.served > 0

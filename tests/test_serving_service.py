@@ -19,12 +19,13 @@ from repro.core import (
 from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     BatchPlanner,
+    CacheConfig,
     EncodingCache,
     EstimationService,
     FeaturizationCache,
-    build_crn_service,
 )
 from repro.sql.builder import QueryBuilder
+from tests import conftest
 from tests.conftest import ZeroRatesContainment
 
 
@@ -45,13 +46,13 @@ def model(imdb_featurizer):
     return CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
 
 
-def build_service(model, imdb_small, imdb_featurizer, pool, **kwargs):
-    return build_crn_service(
+def build_service(model, imdb_small, imdb_featurizer, pool, max_cache_entries=None):
+    return conftest.build_service(
         model,
         imdb_featurizer,
         pool,
         fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-        **kwargs,
+        caches=CacheConfig(max_featurization_entries=max_cache_entries),
     )
 
 
@@ -192,26 +193,41 @@ class TestEncodingCache:
 
 
 class TestBatchPlanner:
-    def test_plan_deduplicates_across_requests(self, model, imdb_featurizer, pool, workload):
+    def test_identical_requests_share_one_slab_token(
+        self, model, imdb_featurizer, pool, workload
+    ):
         estimator = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         planner = BatchPlanner(estimator)
         single = planner.plan([workload[0]])
         doubled = planner.plan([workload[0], workload[0]])
         assert doubled.planned_pairs == 2 * single.planned_pairs
-        assert doubled.unique_pairs == single.unique_pairs
-        # The second copy's pairs are all duplicates of the first's.
-        assert doubled.deduplicated_pairs == single.deduplicated_pairs + single.planned_pairs
+        # The executor deduplicates on (query, slab token).
+        first, second = doubled.requests
+        assert first.slab.token == second.slab.token
+        service = EstimationService()
+        service.register("crn", estimator)
+        service.submit_batch([workload[0], workload[0]])
+        assert service.stats.planned_pairs == doubled.planned_pairs
+        assert service.stats.scored_pairs == single.planned_pairs
+        assert service.stats.deduplicated_pairs == single.planned_pairs
 
-    def test_plan_covers_every_eligible_entry_twice(self, model, imdb_featurizer, pool, workload):
+    def test_every_matched_request_resolves_to_a_slab(
+        self, model, imdb_featurizer, pool, workload
+    ):
+        # A bare estimator (no index) resolves row-less slabs — never None —
+        # covering exactly the eligible entries, with aligned cardinalities.
         estimator = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         plan = BatchPlanner(estimator).plan(workload[:5])
         for request in plan.requests:
-            assert len(request.pair_indices) == 2 * len(request.entries)
-            for offset, entry in enumerate(request.entries):
-                x_pair = plan.pairs[request.pair_indices[2 * offset]]
-                y_pair = plan.pairs[request.pair_indices[2 * offset + 1]]
-                assert x_pair == (entry.query, request.query)
-                assert y_pair == (request.query, entry.query)
+            assert request.has_match
+            assert request.slab is not None and request.slab.first is None
+            assert request.resolution == "pair_batch"
+            assert request.entries == request.slab.entries
+            assert list(request.entries) == estimator.eligible_entries(request.query)
+            assert request.slab.cardinalities.tolist() == [
+                float(entry.cardinality) for entry in request.entries
+            ]
+        assert plan.planned_pairs == sum(2 * len(r.entries) for r in plan.requests)
 
     def test_served_estimates_match_naive_path_bit_for_bit(
         self, model, imdb_small, imdb_featurizer, pool, workload
