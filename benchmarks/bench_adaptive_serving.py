@@ -105,7 +105,7 @@ def test_adaptive_serving(results_dir, bench_record):
         fallback_estimator=PostgresCardinalityEstimator(database),
         training_result=trained,
         database=database,
-        dispatcher=DispatcherConfig(enabled=True, max_batch=32, max_wait_ms=1.0),
+        dispatcher=DispatcherConfig(enabled=True, max_batch=32),
         feedback=FeedbackConfig(enabled=True, max_observations=4 * WORKLOAD_SIZE),
         observability=ObservabilityConfig(
             enabled=True, capacity=1 << 15, sqlite_path=str(event_db)

@@ -115,7 +115,7 @@ def test_concurrent_serving(results_dir, bench_record):
             featurizer=featurizer,
             pool=pool,
             fallback_estimator=fallback,
-            dispatcher=DispatcherConfig(enabled=True, max_batch=64, max_wait_ms=2.0),
+            dispatcher=DispatcherConfig(enabled=True, max_batch=64),
         )
     ) as client:
 

@@ -12,10 +12,16 @@ stale memory image.  Per-shard restarts are bounded by
 ``ClusterConfig.max_restarts``; past that the shard is marked failed and the
 router's retries surface :class:`repro.serving.WorkerUnavailableError`.
 
-Graceful drain sends the wire protocol's ``drain`` frame: the worker stops
-accepting, finishes in-flight requests, acks, flushes its recorder, and
-exits; the supervisor joins the process and marks the shard drained (a
-drained shard is intentionally *not* restarted).
+Graceful drain sends the wire protocol's ``drain`` frame: the worker shuts
+its listener down (waking its acceptor), finishes in-flight requests, acks,
+then leaves its serving loop, flushes its recorder and exits with code 0 on
+its own.  The supervisor joins the process — which returns as soon as the
+worker is gone, well inside ``drain_timeout_seconds`` — and marks the shard
+drained (a drained shard is intentionally *not* restarted).  ``terminate()``
+is the fallback for a worker that did not answer the drain or did not exit
+in time; every use of it is counted in ``cluster_drain_timeouts``
+(:meth:`ClusterSupervisor.stats_snapshot`), and a non-zero count in a normal
+run is a bug.
 
 For operators, the supervisor also runs a tiny control server speaking the
 same framed protocol (``control`` messages: ``status`` / ``drain`` /
@@ -99,6 +105,8 @@ class ClusterSupervisor:
         }
         self._lock = threading.RLock()
         self._stop = threading.Event()
+        #: Times stop/drain had to fall through to ``terminate()``.
+        self._drain_timeouts = 0
         self._monitor: threading.Thread | None = None
         self._control: socket.socket | None = None
         self._control_thread: threading.Thread | None = None
@@ -144,9 +152,12 @@ class ClusterSupervisor:
             self._shutdown_worker(handle)
         if self._control is not None:
             try:
-                self._control.close()
+                # As in the worker: shutdown wakes the control thread out of
+                # accept(); close alone would leave it (and the port) behind.
+                self._control.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._control.close()
             self._control = None
         self._write_runtime()
 
@@ -155,6 +166,7 @@ class ClusterSupervisor:
             process, address, state = handle.process, handle.address, handle.state
         if process is None or not process.is_alive():
             return
+        acked = False
         if state == STATE_READY and address is not None:
             try:
                 protocol.roundtrip(
@@ -162,15 +174,24 @@ class ClusterSupervisor:
                     protocol.drain_request(0),
                     timeout=self.cluster.drain_timeout_seconds,
                 )
+                acked = True
             except (OSError, ClusterError):
                 pass
-        process.join(timeout=self.cluster.drain_timeout_seconds)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.cluster.drain_timeout_seconds)
+        self._reap(process, acked)
         with self._lock:
             handle.state = STATE_DRAINED
             handle.address = None
+
+    def _reap(self, process, acked: bool) -> None:
+        """Join a worker that acked its drain; terminate one that did not
+        (or that outlives ``drain_timeout_seconds``) and count the fallback."""
+        if acked:
+            process.join(timeout=self.cluster.drain_timeout_seconds)
+        if process.is_alive():
+            with self._lock:
+                self._drain_timeouts += 1
+            process.terminate()
+            process.join(timeout=self.cluster.drain_timeout_seconds)
 
     # ------------------------------------------------------------------ #
     # spawn / handshake
@@ -315,6 +336,7 @@ class ClusterSupervisor:
                 "state": state,
                 "pid": process.pid if process is not None else None,
                 "alive": bool(process is not None and process.is_alive()),
+                "exitcode": process.exitcode if process is not None else None,
                 "address": list(address) if address is not None else None,
                 "generation": generation,
                 "restarts": restarts,
@@ -373,10 +395,7 @@ class ClusterSupervisor:
                 handle.address = None
             self._write_runtime()
             raise ClusterError(f"drain of shard {shard} failed: {error}") from error
-        process.join(timeout=self.cluster.drain_timeout_seconds)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.cluster.drain_timeout_seconds)
+        self._reap(process, acked=True)
         with self._lock:
             handle.state = STATE_DRAINED
             handle.address = None
@@ -417,11 +436,13 @@ class ClusterSupervisor:
         with self._lock:
             states = [handle.state for handle in self._handles.values()]
             restarts = sum(handle.restarts for handle in self._handles.values())
+            drain_timeouts = self._drain_timeouts
         return {
             "cluster_workers": float(len(states)),
             "cluster_workers_ready": float(states.count(STATE_READY)),
             "cluster_workers_failed": float(states.count(STATE_FAILED)),
             "cluster_worker_restarts": float(restarts),
+            "cluster_drain_timeouts": float(drain_timeouts),
             "cluster_signatures": float(len(self.assignment)),
         }
 
@@ -442,11 +463,12 @@ class ClusterSupervisor:
         return (self.cluster.host, self._control.getsockname()[1])
 
     def _control_loop(self) -> None:
-        while not self._stop.is_set():
+        listener = self._control
+        while True:
             try:
-                connection, _ = self._control.accept()
+                connection, _ = listener.accept()
             except OSError:
-                return
+                return  # listener shut down by stop()
             threading.Thread(
                 target=self._serve_control_connection,
                 args=(connection,),

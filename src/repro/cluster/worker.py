@@ -26,8 +26,10 @@ The serving loop (:class:`WorkerServer`) accepts connections on an ephemeral
 loopback port, reads length-prefixed frames, and executes requests on a
 small thread pool — responses are written under a per-connection lock and
 matched by request id, so one connection multiplexes many in-flight
-requests.  ``drain`` stops the listener, waits for in-flight work, acks,
-and exits the loop.  The process entry (:func:`run_worker`) announces
+requests.  ``drain`` shuts the listener down (which wakes the acceptor out
+of ``accept()``), waits for in-flight work and acks; the serving loop
+returns once the ack is written, so a drained worker exits by itself with
+code 0.  The process entry (:func:`run_worker`) announces
 ``("ready", port, generation)`` over the spawn pipe and finishes with
 ``os._exit`` — a forked child must not run teardown of inherited state
 (parent sockets, SQLite handles) it does not own.
@@ -225,6 +227,7 @@ class WorkerServer:
         self._idle = threading.Condition(self._active_lock)
         self._active = 0
         self._draining = threading.Event()
+        self._drain_acked = threading.Event()
 
     @property
     def port(self) -> int:
@@ -240,11 +243,11 @@ class WorkerServer:
         )
         flusher.start()
         try:
-            while not self._draining.is_set():
+            while True:
                 try:
                     connection, _ = self._listener.accept()
                 except OSError:
-                    break  # listener closed by _begin_drain
+                    break  # listener shut down by _begin_drain
                 threading.Thread(
                     target=self._serve_connection,
                     args=(connection,),
@@ -252,6 +255,12 @@ class WorkerServer:
                     daemon=True,
                 ).start()
         finally:
+            self._listener.close()
+            if self._draining.is_set():
+                # A drain woke the acceptor.  The caller's next stop is
+                # os._exit, so hold here until the drain_ack frame is on
+                # the wire (bounded: _begin_drain's own wait is).
+                self._drain_acked.wait()
             self._draining.set()
             self._executor.shutdown(wait=True)
             flusher.join(timeout=FLUSH_INTERVAL_SECONDS * 4)
@@ -299,10 +308,15 @@ class WorkerServer:
             )
             return True
         if message_type == "drain":
-            self._begin_drain()
-            self._send(
-                connection, write_lock, protocol.drain_response(request_id, self._shard)
-            )
+            try:
+                self._begin_drain()
+                self._send(
+                    connection,
+                    write_lock,
+                    protocol.drain_response(request_id, self._shard),
+                )
+            finally:
+                self._drain_acked.set()  # releases serve_forever's exit
             return False
         if message_type in ("estimate", "estimate_batch"):
             if self._draining.is_set():
@@ -381,9 +395,13 @@ class WorkerServer:
         """Stop accepting, wait for in-flight requests (bounded)."""
         self._draining.set()
         try:
-            self._listener.close()
+            # shutdown(), not close(): on Linux closing a listener from
+            # another thread leaves the acceptor blocked in accept() forever,
+            # while shutdown wakes it with an OSError.  serve_forever closes
+            # the socket itself once it is out of accept().
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # a second drain: the listener is already down
         with self._idle:
             self._idle.wait_for(
                 lambda: self._active == 0, timeout=self._drain_timeout

@@ -52,7 +52,8 @@ forward passes.  This package amortizes that work across requests:
 * :mod:`repro.serving.dispatcher` -- :class:`ServingDispatcher`, the
   thread-safe micro-batching front-end: concurrent callers submit from many
   threads and get futures; one dispatcher thread coalesces their requests
-  (``max_batch`` / ``max_wait_ms``) into shared service batches.
+  into shared service batches under the one policy stated in that module's
+  docstring (a batch is the backlog at pickup, capped by ``max_batch``).
 * :mod:`repro.serving.feedback` -- :class:`FeedbackCollector`, the bounded
   rolling window of ``(query, estimate, true cardinality)`` observations
   with per-estimator q-error quantiles — the signal the adaptation

@@ -69,6 +69,16 @@ from repro.sql.query import Query
 
 __all__ = ["ServiceStack", "ServingClient", "build_service_stack"]
 
+#: ``(section, key)`` config fields that no longer exist but that bundles
+#: saved before their retirement still carry.  ``from_artifact`` drops them
+#: instead of failing the boot on the unknown-field check; every one was
+#: retired because no value of it changed an estimate (the pool index is
+#: always built; the dispatcher coalesces by backlog, not by a wait window).
+_RETIRED_CONFIG_KEYS = (
+    ("pool", "use_index"),
+    ("dispatcher", "max_wait_ms"),
+)
+
 
 @dataclass(frozen=True)
 class ServiceStack:
@@ -283,9 +293,7 @@ class ServingClient:
             )
         if config.dispatcher.enabled:
             self.dispatcher = ServingDispatcher(
-                self.service,
-                max_batch=config.dispatcher.max_batch,
-                max_wait_ms=config.dispatcher.max_wait_ms,
+                self.service, max_batch=config.dispatcher.max_batch
             )
         if config.artifacts.enabled:
             # Imported lazily: repro.artifacts depends on the serving error
@@ -433,11 +441,8 @@ class ServingClient:
                 f"{bundle.model.vector_size} — wrong database for this bundle"
             )
         mapping = {key: dict(value) for key, value in bundle.config_mapping.items()}
-        # Bundles written before the ``use_index`` pool option was retired
-        # carry the key; the index is always built now and either value
-        # served bit-identical estimates, so drop it instead of failing the
-        # boot on the unknown-field check.
-        mapping.get("pool", {}).pop("use_index", None)
+        for section, key in _RETIRED_CONFIG_KEYS:
+            mapping.get(section, {}).pop(key, None)
         adaptation_downgraded = False
         if mapping.get("adaptation", {}).get("enabled") and training_result is None:
             # A mapping cannot carry the TrainingResult adaptation fine-tunes

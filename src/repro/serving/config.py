@@ -192,19 +192,16 @@ class DispatcherConfig:
         enabled: run a :class:`repro.serving.ServingDispatcher` inside the
             client (required for ``estimate_future`` and per-request
             deadlines).
-        max_batch: most requests coalesced into one service submission.
-        max_wait_ms: how long the dispatcher waits for stragglers after the
-            first request of a batch arrives.
+        max_batch: most requests coalesced into one service submission — the
+            cap on the dispatcher's one policy, "a batch is the backlog at
+            pickup" (:mod:`repro.serving.dispatcher`).
     """
 
     enabled: bool = True
     max_batch: int = 64
-    max_wait_ms: float = 2.0
 
     def __post_init__(self) -> None:
         _positive("max_batch", self.max_batch)
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be non-negative, got {self.max_wait_ms!r}")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,22 @@ concurrent traffic every caller arrives with a batch of one, and per-request
 inference throws that advantage away.  :class:`ServingDispatcher` closes the
 gap with micro-batching: callers :meth:`~ServingDispatcher.submit` from any
 number of threads and immediately get a future; a single dispatcher thread
-drains the shared request queue under a ``max_batch`` / ``max_wait_ms``
-policy, funnels the coalesced queries through the service's
-:class:`repro.serving.BatchPlanner` path, and resolves each caller's future
-with its :class:`repro.serving.EstimateResult`.  Per-request
-:class:`repro.serving.RequestOptions` ride along (estimator, fallback
-policy, deadline, tags); a caller whose deadline expires abandons its
-request — cancelled before execution when possible and counted under the
+drains the shared request queue, funnels the coalesced queries through the
+service's :class:`repro.serving.BatchPlanner` path, and resolves each
+caller's future with its :class:`repro.serving.EstimateResult`.
+
+Coalescing policy (stated here once; every other doc refers to it): **a
+batch is the backlog at pickup, capped by ``max_batch``; an idle dispatcher
+adds no wait.**  The thread blocks for the head request, sweeps up whatever
+else is already queued without blocking, and serves.  There is no straggler
+window and no clock: requests that arrive while batch *k* is being served
+*are* batch *k+1*, so batches grow with load by themselves, and a lone
+request on an idle dispatcher (a closed-loop caller, a cluster worker
+serving one routed request) is served the moment it is picked up.
+
+Per-request :class:`repro.serving.RequestOptions` ride along (estimator,
+fallback policy, deadline, tags); a caller whose deadline expires abandons
+its request — cancelled before execution when possible and counted under the
 ``timed_out`` stat.
 
 Coalescing does not change a single bit of any estimate: the CRN inference
@@ -205,31 +214,21 @@ class ServingDispatcher:
 
     Args:
         service: the (thread-safe) estimation service executing the batches.
-        max_batch: most requests coalesced into one service submission.
-        max_wait_ms: how long the dispatcher waits for stragglers after the
-            first request of a batch arrives.  ``0`` coalesces only requests
-            that are already queued — minimum latency, less coalescing.
+        max_batch: most requests coalesced into one service submission (the
+            cap on the backlog-at-pickup policy in the module docstring).
 
     Usage::
 
-        with ServingDispatcher(service, max_batch=64, max_wait_ms=2.0) as d:
+        with ServingDispatcher(service, max_batch=64) as d:
             futures = [d.submit(query) for query in burst]   # any thread(s)
             estimates = [f.result() for f in futures]
     """
 
-    def __init__(
-        self,
-        service: EstimationService,
-        max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-    ) -> None:
+    def __init__(self, service: EstimationService, max_batch: int = 64) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.service = service
         self.max_batch = max_batch
-        self.max_wait_seconds = max_wait_ms / 1000.0
         self.stats = DispatcherStats()
         #: The exception that killed the dispatcher thread, if one ever did
         #: (a dispatcher bug outside the per-batch isolation).  The thread
@@ -451,22 +450,17 @@ class ServingDispatcher:
             self.stats.record_failed(failed)
 
     def _coalesce(self, batch: list[_PendingRequest]) -> bool:
-        """Gather up to ``max_batch`` requests within the ``max_wait`` window.
+        """Sweep the backlog already queued behind the head, up to ``max_batch``.
 
-        Appends onto the caller's ``batch`` (seeded with the first request)
-        so the requests stay reachable for cleanup even if this method
-        raises; returns whether the shutdown sentinel was consumed.
+        Never blocks: the only blocking queue call is ``_run``'s ``get()``
+        for the head request.  Appends onto the caller's ``batch`` (seeded
+        with the head) so the requests stay reachable for cleanup even if
+        this method raises; returns whether the shutdown sentinel was
+        consumed.
         """
-        deadline = time.monotonic() + self.max_wait_seconds
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    # The window closed: still sweep up whatever is already
-                    # queued, but do not wait for more.
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SENTINEL:

@@ -95,6 +95,22 @@ def build_service(
     return build_service_stack(config).service
 
 
+def assert_cluster_drained_cleanly(client, crashed_shards=()) -> None:
+    """After a cluster client's shutdown: every worker exited by itself.
+
+    A drained worker leaves its serving loop and exits 0 on its own; the
+    supervisor reaching ``terminate()`` (counted in ``cluster_drain_timeouts``)
+    means a drain timeout fired in a normal run, which is a bug.  Shards a
+    test killed on purpose and left dead are named in ``crashed_shards``.
+    """
+    supervisor = client.supervisor
+    assert supervisor.stats_snapshot()["cluster_drain_timeouts"] == 0.0
+    for worker in supervisor.status()["workers"]:
+        assert not worker["alive"], worker
+        if worker["shard"] not in crashed_shards:
+            assert worker["exitcode"] == 0, worker
+
+
 @pytest.fixture(scope="session")
 def imdb_small() -> Database:
     """A small (fast to build) synthetic IMDb snapshot shared by the test session."""

@@ -293,7 +293,7 @@ class TestConfigRoundTrip:
             estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
             pool_options=PoolConfig(warm=True),
             caches=CacheConfig(max_featurization_entries=64),
-            dispatcher=DispatcherConfig(enabled=False, max_batch=8, max_wait_ms=0.5),
+            dispatcher=DispatcherConfig(enabled=False, max_batch=8),
             feedback=FeedbackConfig(enabled=True, max_observations=48),
             adaptation=AdaptationConfig(
                 enabled=True, quantile=0.75, min_observations=8, seed=11
@@ -387,15 +387,21 @@ class TestColdBoot:
         expected = [client.estimate(item.query).estimate for item in workload]
         client.shutdown()
         save_generation(store, model, pool, config, promote=True)
-        # Earlier builds always wrote pool.use_index into config.json.
+        # Earlier builds always wrote pool.use_index and the dispatcher's
+        # straggler window (dispatcher.max_wait_ms) into config.json.
         config_path = store.path(1) / "config.json"
         parent_format = json.loads(config_path.read_text())
         parent_format["pool"]["use_index"] = use_index
+        parent_format["dispatcher"]["max_wait_ms"] = 1.0
         config_path.write_text(json.dumps(parent_format))
         rehash(store.path(1), "config.json")
         booted = ServingClient.from_artifact(root, database=imdb_small)
         assert [booted.estimate(item.query).estimate for item in workload] == expected
         assert "use_index" not in booted.config.to_mapping()["pool"]
+        assert booted.config.to_mapping()["dispatcher"] == {
+            "enabled": True,
+            "max_batch": 64,
+        }
         booted.shutdown()
 
     def test_wrong_database_is_rejected(self, tmp_path, model, toy_database,

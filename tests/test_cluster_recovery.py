@@ -39,6 +39,7 @@ from repro.serving import (
     WorkerUnavailableError,
 )
 from repro.serving.config import ArtifactConfig, ObservabilityConfig
+from tests.conftest import assert_cluster_drained_cleanly
 
 #: Generous bound for one worker to cold-boot from the artifact store on a
 #: loaded single-core CI box.
@@ -102,6 +103,7 @@ def recovery_cluster(model, imdb_small, imdb_featurizer, pool, tmp_path_factory)
     )
     with ServingClient(config) as client:
         yield client
+    assert_cluster_drained_cleanly(client)
 
 
 def shard_worker(client, shard):
@@ -228,3 +230,5 @@ def test_restarts_are_bounded_and_exhaustion_is_typed(
         # The other shard is untouched by its neighbour's crash loop.
         other_query = next(q for q in workload if client.router.shard_for(q) == 1)
         assert client.estimate(other_query) is not None
+    # Shard 0 stayed dead by design; shard 1 still drained and exited cleanly.
+    assert_cluster_drained_cleanly(client, crashed_shards=(0,))

@@ -14,6 +14,7 @@ they can break workers without poisoning the shared one.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -45,6 +46,7 @@ from repro.serving import (
 from repro.serving.config import AdaptationConfig, FeedbackConfig
 from repro.serving.errors import ArtifactChecksumError
 from repro.sql.builder import QueryBuilder
+from tests.conftest import assert_cluster_drained_cleanly
 
 
 class ChecksumRaisingEstimator(CardinalityEstimator):
@@ -66,12 +68,21 @@ class DeadlineRaisingEstimator(CardinalityEstimator):
 
 
 class SleepyEstimator(CardinalityEstimator):
-    """A stub slower than any test deadline — forces the router's budget."""
+    """A stub slower than any test deadline — forces the router's budget.
+
+    It holds the request on a gate the test opens once the deadline error
+    is in hand.  The gate is a ``multiprocessing.Event`` so the worker
+    processes (forked from this one) share it; the 30 s bound only keeps a
+    test bug from hanging the drain, which waits for in-flight requests.
+    """
 
     name = "sleepy"
 
+    def __init__(self) -> None:
+        self.release = multiprocessing.get_context("fork").Event()
+
     def estimate_cardinality(self, query) -> float:
-        time.sleep(5.0)
+        self.release.wait(30.0)
         return 1.0
 
 
@@ -133,6 +144,7 @@ def cluster_client(model, imdb_small, imdb_featurizer, pool):
     )
     with ServingClient(config) as client:
         yield client
+    assert_cluster_drained_cleanly(client)
 
 
 class TestClusterConfigValidation:
@@ -364,14 +376,19 @@ class TestErrorFidelity:
     def test_slow_worker_fails_typed_within_the_deadline_budget(
         self, cluster_client, workload
     ):
+        sleepy = cluster_client.config.extra_estimators["sleepy"]
         started = time.monotonic()
-        with pytest.raises(DeadlineExceededError):
-            cluster_client.estimate(
-                workload[0],
-                options=RequestOptions(estimator="sleepy", timeout_seconds=0.2),
-            )
-        # 0.2s deadline + grace, never the stub's 5s sleep (and never a hang).
-        assert time.monotonic() - started < 4.0
+        try:
+            with pytest.raises(DeadlineExceededError):
+                cluster_client.estimate(
+                    workload[0],
+                    options=RequestOptions(estimator="sleepy", timeout_seconds=0.2),
+                )
+            # 0.2s deadline + grace while the worker still holds the request:
+            # the budget answered, not the stub (and never a hang).
+            assert time.monotonic() - started < 4.0
+        finally:
+            sleepy.release.set()  # let the held request finish; drain waits on it
 
 
 class TestClientSurface:
@@ -405,6 +422,7 @@ class TestDrainRestartStatus:
         )
         with ServingClient(config) as client:
             yield client
+        assert_cluster_drained_cleanly(client)
 
     def test_status_reports_every_shard(self, small_cluster):
         status = small_cluster.supervisor.status(probe=True)
@@ -446,3 +464,35 @@ class TestDrainRestartStatus:
         assert restarted["state"] == "ready"
         after = small_cluster.estimate(query)
         assert after.estimate.hex() == before.estimate.hex()
+
+    def test_idle_cluster_shutdown_joins_workers_without_terminating(
+        self, model, imdb_small, imdb_featurizer, pool, workload, monkeypatch
+    ):
+        # Graceful drain must actually work: each worker leaves accept(),
+        # acks, and exits 0 by itself, so the supervisor's join returns on
+        # the worker's exit and the terminate() fallback is never reached.
+        terminated: list[str] = []
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess,
+            "terminate",
+            lambda process: terminated.append(process.name),
+        )
+        config = make_config(
+            model, imdb_small, imdb_featurizer, pool,
+            cluster=ClusterConfig(mode="cluster", num_workers=2),
+        )
+        client = ServingClient.start(config)
+        assert client.estimate(workload[0]) is not None
+        control_thread = client.supervisor._control_thread
+        started = time.monotonic()
+        client.shutdown()
+        elapsed = time.monotonic() - started
+        assert terminated == []
+        # The supervisor's own control acceptor is woken the same way.
+        control_thread.join(timeout=5)
+        assert not control_thread.is_alive()
+        assert_cluster_drained_cleanly(client)
+        assert client.stats()["cluster_drain_timeouts"] == 0.0
+        # Two joins that each had to sit out the drain timeout would take
+        # 2 x drain_timeout_seconds; a real drain is far inside one.
+        assert elapsed < config.cluster.drain_timeout_seconds

@@ -113,7 +113,7 @@ class TestClientWiring:
                 imdb_small,
                 imdb_featurizer,
                 pool,
-                dispatcher=DispatcherConfig(enabled=True, max_batch=8, max_wait_ms=1.0),
+                dispatcher=DispatcherConfig(enabled=True, max_batch=8),
             )
         ) as client:
             futures = [client.estimate_future(query) for query in workload]

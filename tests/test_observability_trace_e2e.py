@@ -77,7 +77,7 @@ def traced_episode(trained, imdb_small, pool, workload, tmp_path_factory):
         fallback_estimator=PostgresCardinalityEstimator(imdb_small),
         training_result=trained,
         database=imdb_small,
-        dispatcher=DispatcherConfig(enabled=True, max_batch=8, max_wait_ms=2.0),
+        dispatcher=DispatcherConfig(enabled=True, max_batch=8),
         feedback=FeedbackConfig(enabled=True, max_observations=64),
         observability=ObservabilityConfig(
             enabled=True, capacity=1 << 15, sqlite_path=str(event_db)

@@ -136,7 +136,7 @@ EXPECTED_CONFIG_FIELDS = {
     EstimatorConfig: ["name", "fallback_name", "final_function", "epsilon", "batch_size"],
     PoolConfig: ["warm"],
     CacheConfig: ["max_featurization_entries", "max_encoding_entries"],
-    DispatcherConfig: ["enabled", "max_batch", "max_wait_ms"],
+    DispatcherConfig: ["enabled", "max_batch"],
     FeedbackConfig: ["enabled", "max_observations", "epsilon"],
     AdaptationConfig: [
         "enabled",

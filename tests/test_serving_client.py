@@ -95,8 +95,10 @@ class TestConfigValidation:
     def test_dispatcher_section_bounds(self):
         with pytest.raises(ValueError, match="max_batch"):
             DispatcherConfig(max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            DispatcherConfig(max_wait_ms=-1.0)
+        # max_batch is the dispatcher's only knob: there is no wait window
+        # to configure (only from_artifact forgives the key, in saved bundles).
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            DispatcherConfig(max_wait_ms=1.0)
 
     def test_adaptation_requires_feedback_and_training_state(
         self, model, imdb_small, imdb_featurizer, pool
@@ -186,7 +188,7 @@ class TestConfigRoundTrip:
             estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
             caches=CacheConfig(max_featurization_entries=64),
             pool_options=PoolConfig(warm=False),
-            dispatcher=DispatcherConfig(enabled=False, max_batch=8, max_wait_ms=0.5),
+            dispatcher=DispatcherConfig(enabled=False, max_batch=8),
         )
         mapping = json.loads(json.dumps(config.to_mapping()))  # JSON-clean
         rebuilt = ServingConfig.from_mapping(

@@ -105,7 +105,7 @@ class TestConcurrentServing:
             futures = [(query, dispatcher.submit(query)) for query in ordered]
             results[thread_index] = [(query, future.result()) for query, future in futures]
 
-        with ServingDispatcher(service, max_batch=32, max_wait_ms=5.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=32) as dispatcher:
             threads = [
                 threading.Thread(target=worker, args=(index,)) for index in range(THREADS)
             ]
@@ -138,7 +138,7 @@ class TestConcurrentServing:
             for future in [dispatcher.submit(query) for query in workload]:
                 future.result()
 
-        with ServingDispatcher(service, max_batch=16, max_wait_ms=2.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=16) as dispatcher:
             threads = [threading.Thread(target=worker) for _ in range(THREADS)]
             for thread in threads:
                 thread.start()
@@ -167,7 +167,7 @@ class TestConcurrentServing:
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=64, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=64)
         futures = [dispatcher.submit(query) for query in workload]
         assert dispatcher.queue_depth() == len(workload)
         dispatcher.start()
@@ -186,7 +186,7 @@ class TestConcurrentServing:
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=10, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=10)
         futures = [dispatcher.submit(query) for query in workload]
         dispatcher.start()
         for future in futures:
@@ -194,6 +194,99 @@ class TestConcurrentServing:
         dispatcher.shutdown()
         assert dispatcher.stats.batches >= len(workload) // 10
         assert dispatcher.stats.mean_batch_size <= 10
+
+
+class TestBacklogCoalescing:
+    """The one policy: a batch is the backlog at pickup, capped by ``max_batch``."""
+
+    @pytest.mark.parametrize("backlog", [1, 5, 8, 20])
+    def test_backlog_built_during_batch_k_is_batch_k_plus_one(
+        self,
+        model,
+        imdb_small,
+        imdb_featurizer,
+        pool,
+        workload,
+        sequential_estimates,
+        backlog,
+    ):
+        max_batch = 8
+        gated = GatedEstimator()
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        service.register("gated", gated)
+        dispatcher = ServingDispatcher(service, max_batch=max_batch)
+        sizes: list[int] = []
+        serve = dispatcher._serve
+
+        def recording_serve(batch):
+            sizes.append(len(batch))
+            serve(batch)
+
+        dispatcher._serve = recording_serve
+        dispatcher.start()
+        try:
+            held = dispatcher.submit(workload[0], estimator="gated")
+            assert gated.entered.wait(30)  # the dispatcher is inside batch 1
+            queries = workload[:backlog]
+            futures = [dispatcher.submit(query) for query in queries]
+            gated.release.set()
+            estimates = [future.result(timeout=30).estimate for future in futures]
+            assert held.result(timeout=30).estimate == 7.0
+        finally:
+            gated.release.set()
+            dispatcher.shutdown()
+        # Batch 2 is exactly what queued up behind batch 1, capped; the rest
+        # of the backlog follows in max_batch-sized batches, no request waits
+        # for a window, and not one bit of any estimate moves.
+        assert sizes[0] == 1
+        assert sizes[1] == min(backlog, max_batch)
+        chunks = [
+            min(max_batch, backlog - start) for start in range(0, backlog, max_batch)
+        ]
+        assert sizes == [1] + chunks
+        assert estimates == [sequential_estimates[query] for query in queries]
+
+    def test_lone_request_on_an_idle_dispatcher_is_served_without_a_wait(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
+    ):
+        # No timing: spy on the queue instead.  The only queue call allowed
+        # to block is the head get() in the run loop; _coalesce may only
+        # sweep (block=False), and nothing anywhere may pass a timeout.
+        import queue
+
+        calls: list[tuple[bool, bool, object]] = []  # (in _coalesce, block, timeout)
+        coalescing = threading.local()
+
+        class SpyQueue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                calls.append((getattr(coalescing, "active", False), block, timeout))
+                return super().get(block, timeout)
+
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        dispatcher = ServingDispatcher(service)
+        dispatcher._queue = SpyQueue()
+        coalesce = dispatcher._coalesce
+
+        def marked_coalesce(batch):
+            coalescing.active = True
+            try:
+                return coalesce(batch)
+            finally:
+                coalescing.active = False
+
+        dispatcher._coalesce = marked_coalesce
+        with dispatcher:
+            served = dispatcher.submit(workload[0]).result(timeout=30)
+        assert served.estimate == sequential_estimates[workload[0]]
+        assert dispatcher.stats.batches == 1
+        assert all(timeout is None for _, _, timeout in calls)
+        # One sweep attempt found the queue empty and the batch went out.
+        assert [(block, timeout) for inside, block, timeout in calls if inside] == [
+            (False, None)
+        ]
+        # Every blocking call is a head get(), outside _coalesce.
+        assert all(not inside for inside, block, _ in calls if block)
+        assert any(block for _, block, _ in calls)
 
 
 class TestConcurrencyMetrics:
@@ -210,7 +303,7 @@ class TestConcurrencyMetrics:
             imdb_small, count=16, seed=31, oracle=imdb_oracle
         )
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        with ServingDispatcher(service, max_batch=16, max_wait_ms=2.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=16) as dispatcher:
             timed = time_concurrent_service(dispatcher, labeled, threads=4)
         assert timed.name == "crn"
         assert timed.requests == len(labeled)
@@ -243,7 +336,7 @@ class TestLifecycle:
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=4, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=4)
         futures = [dispatcher.submit(query) for query in workload * 2]
         dispatcher.start()
         # Shut down immediately: everything already queued must still be served.
@@ -258,7 +351,7 @@ class TestLifecycle:
         # Regression: requests may be enqueued before start(); shutting down
         # a never-started dispatcher used to abandon them (futures hung).
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=8, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=8)
         futures = [dispatcher.submit(query) for query in workload[:5]]
         dispatcher.shutdown(wait=True)
         assert all(future.done() for future in futures)
@@ -274,7 +367,7 @@ class TestLifecycle:
         # is ever left hanging, none is dropped, and threads racing past the
         # close see DispatcherShutdownError rather than a silent swallow.
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=4, max_wait_ms=0.5).start()
+        dispatcher = ServingDispatcher(service, max_batch=4).start()
         accepted: list[tuple[object, object]] = []  # (query, future); GIL-safe appends
         started = threading.Barrier(THREADS + 1)
 
@@ -310,7 +403,7 @@ class TestLifecycle:
         # dispatcher kept accepting new requests into a queue nobody drains.
         # The thread must fail everything pending and close the dispatcher.
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_wait_ms=50.0)
+        dispatcher = ServingDispatcher(service)
         boom = RuntimeError("injected coalescing bug")
 
         def broken_coalesce(batch):
@@ -344,7 +437,7 @@ class TestLifecycle:
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        with ServingDispatcher(service, max_wait_ms=1.0) as dispatcher:
+        with ServingDispatcher(service) as dispatcher:
             futures = [dispatcher.submit(query) for query in workload]
         assert all(future.done() for future in futures)
         assert [f.result().estimate for f in futures] == [
@@ -363,7 +456,7 @@ class TestFailureIsolation:
             "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         )
         reference = {query: service.submit(query).estimate for query in workload[:6]}
-        dispatcher = ServingDispatcher(service, max_batch=16, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=16)
         good = [dispatcher.submit(query) for query in workload[:3]]
         poison = dispatcher.submit(unmatched_query())
         more_good = [dispatcher.submit(query) for query in workload[3:6]]
@@ -377,19 +470,35 @@ class TestFailureIsolation:
         assert dispatcher.stats.completed == 6
 
 
-class SlowEstimator(CardinalityEstimator):
-    """An estimator whose every request takes ``delay`` seconds."""
+class GatedEstimator(CardinalityEstimator):
+    """An estimator the test holds shut: every call blocks until ``release``.
 
-    name = "slow"
+    ``entered`` is set on the first call, so a test knows — without
+    sleeping — that the dispatcher thread is inside a batch and will stay
+    there until the gate opens.  (The 30 s bound only turns a test bug into
+    a failure instead of a hang.)
+    """
 
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
+    name = "gated"
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
         self.calls: list = []  # GIL-safe appends
 
     def estimate_cardinality(self, query) -> float:
         self.calls.append(query)
-        time.sleep(self.delay)
+        self.entered.set()
+        assert self.release.wait(30), "the test never opened the gate"
         return 7.0
+
+
+def gated_dispatcher(max_batch: int = 1):
+    """A started dispatcher whose only estimator is a shut :class:`GatedEstimator`."""
+    gated = GatedEstimator()
+    service = EstimationService()
+    service.register("gated", gated)
+    return gated, ServingDispatcher(service, max_batch=max_batch).start()
 
 
 class TestDeadlines:
@@ -399,20 +508,19 @@ class TestDeadlines:
         # served.  Now the deadline cancels the future; pickup skips it.
         from repro.serving import DeadlineExceededError
 
-        slow = SlowEstimator(delay=0.5)
-        service = EstimationService()
-        service.register("slow", slow)
-        dispatcher = ServingDispatcher(service, max_batch=1, max_wait_ms=0.0).start()
+        gated, dispatcher = gated_dispatcher()
         try:
             first = dispatcher.submit(workload[0])
-            time.sleep(0.1)  # let the dispatcher start executing the first batch
+            assert gated.entered.wait(30)  # the dispatcher is inside batch 1
             with pytest.raises(DeadlineExceededError):
-                dispatcher.estimate(workload[1], timeout=0.05)
-            assert first.result(timeout=10).estimate == 7.0
+                dispatcher.estimate(workload[1], timeout=0.01)
+            gated.release.set()
+            assert first.result(timeout=30).estimate == 7.0
         finally:
+            gated.release.set()
             dispatcher.shutdown()
         # The abandoned request never executed: only the first query ran.
-        assert slow.calls == [workload[0]]
+        assert gated.calls == [workload[0]]
         assert dispatcher.stats.timed_out == 1
         assert dispatcher.stats.completed == 1
         assert dispatcher.stats.failed == 0
@@ -423,16 +531,15 @@ class TestDeadlines:
         # typed deadline error must still satisfy them.
         from repro.serving import DeadlineExceededError
 
-        service = EstimationService()
-        service.register("slow", SlowEstimator(delay=0.5))
-        dispatcher = ServingDispatcher(service, max_batch=1, max_wait_ms=0.0).start()
+        gated, dispatcher = gated_dispatcher()
         try:
             dispatcher.submit(workload[0])
-            time.sleep(0.1)
+            assert gated.entered.wait(30)
             with pytest.raises(TimeoutError):
-                dispatcher.estimate(workload[1], timeout=0.05)
+                dispatcher.estimate(workload[1], timeout=0.01)
             assert issubclass(DeadlineExceededError, TimeoutError)
         finally:
+            gated.release.set()
             dispatcher.shutdown()
 
     def test_request_raising_timeout_error_is_not_a_deadline_expiry(self, workload):
@@ -449,7 +556,7 @@ class TestDeadlines:
 
         service = EstimationService()
         service.register("timeouting", TimeoutingEstimator())
-        dispatcher = ServingDispatcher(service, max_wait_ms=0.0).start()
+        dispatcher = ServingDispatcher(service).start()
         try:
             with pytest.raises(TimeoutError, match="statement timeout") as excinfo:
                 dispatcher.estimate(workload[0])  # no deadline requested at all
@@ -464,15 +571,7 @@ class TestDeadlines:
         # when ITS (estimator, policy) group executes — so a deadline
         # expiring while an earlier group is still running can still cancel
         # the request instead of letting it execute anyway.
-        release = threading.Event()
-
-        class BlockingEstimator(CardinalityEstimator):
-            name = "blocking"
-
-            def estimate_cardinality(self, query) -> float:
-                release.wait(10)
-                return 1.0
-
+        blocking = GatedEstimator()
         fast_calls: list = []
 
         class FastEstimator(CardinalityEstimator):
@@ -483,33 +582,32 @@ class TestDeadlines:
                 return 2.0
 
         service = EstimationService()
-        service.register("blocking", BlockingEstimator())
+        service.register("blocking", blocking)
         service.register("fast", FastEstimator())
-        dispatcher = ServingDispatcher(service, max_batch=4, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=4)
         blocked = dispatcher.submit(workload[0], estimator="blocking")
         fast = dispatcher.submit(workload[1], estimator="fast")
         dispatcher.start()  # both coalesce into one batch of two groups
-        time.sleep(0.1)  # the dispatcher is now inside the blocking group
+        assert blocking.entered.wait(30)  # now inside the blocking group
         assert fast.cancel()  # not yet RUNNING: still cancellable
-        release.set()
+        blocking.release.set()
         dispatcher.shutdown()
-        assert blocked.result().estimate == 1.0
+        assert blocked.result().estimate == 7.0
         assert fast_calls == []  # the cancelled request never executed
 
     def test_options_timeout_is_the_default_deadline(self, workload):
         from repro.serving import DeadlineExceededError, RequestOptions
 
-        service = EstimationService()
-        service.register("slow", SlowEstimator(delay=0.5))
-        dispatcher = ServingDispatcher(service, max_batch=1, max_wait_ms=0.0).start()
+        gated, dispatcher = gated_dispatcher()
         try:
             dispatcher.submit(workload[0])
-            time.sleep(0.1)
+            assert gated.entered.wait(30)
             with pytest.raises(DeadlineExceededError):
                 dispatcher.estimate(
-                    workload[1], options=RequestOptions(timeout_seconds=0.05)
+                    workload[1], options=RequestOptions(timeout_seconds=0.01)
                 )
         finally:
+            gated.release.set()
             dispatcher.shutdown()
 
 
@@ -520,7 +618,7 @@ class TestPerRequestOptions:
         from repro.serving import RequestOptions
 
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        dispatcher = ServingDispatcher(service, max_batch=16, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=16)
         tagged = dispatcher.submit(
             workload[0], options=RequestOptions(tags={"caller": "a"})
         )
@@ -543,7 +641,7 @@ class TestPerRequestOptions:
 
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         matched = next(q for q in workload if pool.has_match(q))
-        dispatcher = ServingDispatcher(service, max_batch=16, max_wait_ms=0.0)
+        dispatcher = ServingDispatcher(service, max_batch=16)
         default = dispatcher.submit(matched)
         strict = dispatcher.submit(matched, options=RequestOptions(fallback_policy="none"))
         poison = dispatcher.submit(
@@ -588,7 +686,7 @@ class TestHotSwap:
                         stop.set()
                         return
 
-        with ServingDispatcher(service, max_batch=8, max_wait_ms=1.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=8) as dispatcher:
             clients = [threading.Thread(target=client) for _ in range(4)]
             for thread in clients:
                 thread.start()
@@ -634,7 +732,7 @@ class TestHotSwap:
                         return
                     assert served.estimate >= 0.0
 
-        with ServingDispatcher(service, max_batch=8, max_wait_ms=1.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=8) as dispatcher:
             threads = [threading.Thread(target=adder)] + [
                 threading.Thread(target=client) for _ in range(3)
             ]

@@ -612,7 +612,7 @@ class TestHotSwapUnderTraffic:
             except BaseException as error:  # noqa: BLE001 - re-raised below
                 errors.append(error)
 
-        with ServingDispatcher(service, max_batch=16, max_wait_ms=1.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=16) as dispatcher:
             threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
             for thread in threads:
                 thread.start()
@@ -712,7 +712,7 @@ class TestEndToEndAdaptation:
                         failures.append(error)
                         return
 
-        with ServingDispatcher(service, max_batch=32, max_wait_ms=1.0) as dispatcher:
+        with ServingDispatcher(service, max_batch=32) as dispatcher:
             with manager:
                 # Phase 1 — healthy traffic against the original snapshot.
                 for labeled in workload:
