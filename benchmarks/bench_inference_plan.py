@@ -175,7 +175,7 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
 
 def test_plan_compile_cost(results_dir, bench_record):
     """Compilation is a build/promote-time cost; record it so a regression
-    in trace-and-lower time shows up in the trajectory."""
+    in freeze-and-check time shows up in the trajectory."""
     database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=300, seed=11))
     featurizer = QueryFeaturizer(database)
     model = CRNModel(featurizer.vector_size, CRNConfig(hidden_size=HIDDEN_SIZE, seed=5))

@@ -57,6 +57,21 @@ class CRNConfig:
             raise ValueError(f"pooling must be one of {POOLING_STRATEGIES}, got {self.pooling!r}")
 
 
+def encode_set(
+    vectors: np.ndarray, weight: np.ndarray, bias: np.ndarray, pooling: str
+) -> np.ndarray:
+    """One set encoder (``MLP1`` / ``MLP2``) over one query's vectors.
+
+    The arithmetic behind :meth:`CRNModel.encode_set` (live weights) and
+    :meth:`repro.serving.InferencePlan.encode_set` (frozen copies).
+    """
+    transformed = np.maximum(vectors @ weight + bias, 0.0)
+    pooled = transformed.sum(axis=0)
+    if pooling == "average":
+        pooled = pooled / max(vectors.shape[0], 1)
+    return pooled
+
+
 class CRNModel(Module):
     """The containment rate network.
 
@@ -176,11 +191,9 @@ class CRNModel(Module):
         if position not in (1, 2):
             raise ValueError(f"position must be 1 or 2, got {position}")
         encoder = self.set_encoder1 if position == 1 else self.set_encoder2
-        transformed = np.maximum(vectors @ encoder.weight.data + encoder.bias.data, 0.0)
-        pooled = transformed.sum(axis=0)
-        if self.config.pooling == "average":
-            pooled = pooled / max(vectors.shape[0], 1)
-        return pooled
+        return encode_set(
+            vectors, encoder.weight.data, encoder.bias.data, self.config.pooling
+        )
 
     def rates_from_encodings(
         self,
@@ -378,10 +391,6 @@ class CRNEstimator(ContainmentEstimator):
             )
         self.inference_plan = plan
 
-    def detach_plan(self) -> None:
-        """Return to the reference Tensor inference path."""
-        self.inference_plan = None
-
     def _head_rates(self, first_reprs: np.ndarray, second_reprs: np.ndarray) -> np.ndarray:
         """Run the pair head: compiled plan when attached, Tensor path otherwise."""
         plan = self.inference_plan
@@ -413,6 +422,10 @@ class CRNEstimator(ContainmentEstimator):
 
     def encode_query(self, query: Query, position: int) -> np.ndarray:
         """The ``Qvec`` of ``query`` in pair slot ``position`` (cached if possible)."""
+        return self._encode(query, position, self.featurizer.featurize)
+
+    def _encode(self, query: Query, position: int, featurize) -> np.ndarray:
+        """The one encode step: cache get, ``featurize`` (on a miss), encode, cache put."""
         scope = self._encoding_scope()
         if self.encoding_cache is not None:
             cached = self.encoding_cache.get(query, position, scope=scope, owner=self.model)
@@ -421,12 +434,8 @@ class CRNEstimator(ContainmentEstimator):
         # A compiled plan carries frozen copies of the encoder weights, so
         # plan-mode encodings stay consistent with the frozen head even if
         # the live model is mutated after compilation.
-        encode = (
-            self.model.encode_set
-            if self.inference_plan is None
-            else self.inference_plan.encode_set
-        )
-        encoding = encode(self.featurizer.featurize(query), position)
+        encoder = self.model if self.inference_plan is None else self.inference_plan
+        encoding = encoder.encode_set(featurize(query), position)
         if self.encoding_cache is not None:
             self.encoding_cache.put(query, position, encoding, scope=scope, owner=self.model)
         return encoding
@@ -519,27 +528,16 @@ class CRNEstimator(ContainmentEstimator):
         Featurization is also deduplicated *across* the two slots: a query
         appearing in both pair positions is featurized once and encoded twice.
         """
-        scope = self._encoding_scope()
         encodings: dict[tuple[Query, int], np.ndarray] = {}
         features: dict[Query, np.ndarray] = {}
+
+        def featurize(query: Query) -> np.ndarray:
+            if query not in features:
+                features[query] = self.featurizer.featurize(query)
+            return features[query]
+
         for first, second in pairs:
-            for query, position in ((first, 1), (second, 2)):
-                key = (query, position)
-                if key in encodings:
-                    continue
-                if self.encoding_cache is not None:
-                    cached = self.encoding_cache.get(
-                        query, position, scope=scope, owner=self.model
-                    )
-                    if cached is not None:
-                        encodings[key] = cached
-                        continue
-                if query not in features:
-                    features[query] = self.featurizer.featurize(query)
-                encoding = self.model.encode_set(features[query], position)
-                if self.encoding_cache is not None:
-                    self.encoding_cache.put(
-                        query, position, encoding, scope=scope, owner=self.model
-                    )
-                encodings[key] = encoding
+            for key in ((first, 1), (second, 2)):
+                if key not in encodings:
+                    encodings[key] = self._encode(*key, featurize)
         return encodings

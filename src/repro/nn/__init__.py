@@ -11,9 +11,11 @@ package substitutes a small, dependency-free stack:
 * :mod:`repro.nn.loss` -- the paper's mean q-error loss plus MSE and MAE.
 * :mod:`repro.nn.data` -- train/validation splitting and mini-batch iteration.
 * :mod:`repro.nn.serialization` -- saving/loading parameters as ``.npz``.
-* :mod:`repro.nn.trace` -- the tracing shim (:class:`Tape` / :func:`trace`)
-  that records the primitive-op sequence of a forward pass, so the serving
-  layer can compile it into a Tensor-free inference plan.
+
+The ``Tensor`` forward pass is the training path and the inference
+reference; serving's Tensor-free pair head
+(:mod:`repro.serving.inference_plan`) is written by hand against
+``CRNModel.head`` and checked against it at compile time.
 """
 
 from repro.nn.data import BatchIterator, train_validation_split
@@ -23,7 +25,6 @@ from repro.nn.loss import mae_loss, mse_loss, q_error_loss
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialization import load_parameters, save_parameters
 from repro.nn.tensor import Tensor, concatenate, no_grad
-from repro.nn.trace import Tape, TraceNode, trace
 
 __all__ = [
     "Adam",
@@ -35,9 +36,7 @@ __all__ = [
     "SGD",
     "Sequential",
     "Sigmoid",
-    "Tape",
     "Tensor",
-    "TraceNode",
     "concatenate",
     "he_init",
     "load_parameters",
@@ -46,7 +45,6 @@ __all__ = [
     "no_grad",
     "q_error_loss",
     "save_parameters",
-    "trace",
     "train_validation_split",
     "xavier_init",
 ]

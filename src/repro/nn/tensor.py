@@ -30,30 +30,10 @@ import numpy as np
 #: independent, matching how PyTorch scopes its grad mode.
 _GRAD_STATE = threading.local()
 
-#: Trace mode is per thread for the same reason: a serving thread compiling
-#: an inference plan (:mod:`repro.nn.trace`) must not capture the ops of a
-#: concurrent training thread's forward pass into its tape.
-_TRACE_STATE = threading.local()
-
 
 def _grad_enabled() -> bool:
     """Whether the *current thread* is building autodiff graphs."""
     return getattr(_GRAD_STATE, "enabled", True)
-
-
-def _record(op: str, inputs: tuple, output: "Tensor", **attrs) -> None:
-    """Report one executed op to the current thread's trace tape, if any.
-
-    This is the whole tracing shim: each Tensor op calls it after computing
-    its result, and when no tape is active (the overwhelmingly common case —
-    training, reference-mode inference) the cost is one ``getattr`` against a
-    thread-local.  :func:`repro.nn.trace.trace` installs a tape; composite
-    ops (``a - b`` = ``a + (-b)``, ``mean`` = ``sum / n``) decompose into
-    primitive records automatically because only primitives call here.
-    """
-    tape = getattr(_TRACE_STATE, "tape", None)
-    if tape is not None:
-        tape.record(op, inputs, output, attrs)
 
 
 @contextlib.contextmanager
@@ -169,9 +149,7 @@ class Tensor:
             self._accumulate(_unbroadcast(gradient, self.shape))
             other._accumulate(_unbroadcast(gradient, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        _record("add", (self, other), out)
-        return out
+        return self._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -179,9 +157,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(-gradient)
 
-        out = self._make(-self.data, (self,), backward)
-        _record("neg", (self,), out)
-        return out
+        return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other: "Tensor | float") -> "Tensor":
         return self + (-self._coerce(other))
@@ -197,9 +173,7 @@ class Tensor:
             self._accumulate(_unbroadcast(gradient * other.data, self.shape))
             other._accumulate(_unbroadcast(gradient * self.data, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        _record("mul", (self, other), out)
-        return out
+        return self._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -213,9 +187,7 @@ class Tensor:
                 _unbroadcast(-gradient * self.data / (other.data**2), other.shape)
             )
 
-        out = self._make(out_data, (self, other), backward)
-        _record("div", (self, other), out)
-        return out
+        return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: "Tensor | float") -> "Tensor":
         return self._coerce(other) / self
@@ -230,9 +202,7 @@ class Tensor:
             self._accumulate(gradient @ other.data.T)
             other._accumulate(self.data.T @ gradient)
 
-        out = self._make(out_data, (self, other), backward)
-        _record("matmul", (self, other), out)
-        return out
+        return self._make(out_data, (self, other), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         out_data = self.data**exponent
@@ -240,9 +210,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * exponent * self.data ** (exponent - 1))
 
-        out = self._make(out_data, (self,), backward)
-        _record("pow", (self,), out, exponent=exponent)
-        return out
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # elementwise functions
@@ -254,9 +222,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * np.sign(self.data))
 
-        out = self._make(out_data, (self,), backward)
-        _record("abs", (self,), out)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def maximum(self, other: "Tensor | float") -> "Tensor":
         """Elementwise maximum; ties route the gradient to ``self``."""
@@ -269,9 +235,7 @@ class Tensor:
             self._accumulate(_unbroadcast(gradient * self_mask, self.shape))
             other._accumulate(_unbroadcast(gradient * other_mask, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        _record("maximum", (self, other), out)
-        return out
+        return self._make(out_data, (self, other), backward)
 
     def relu(self) -> "Tensor":
         """Rectified linear unit."""
@@ -280,9 +244,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * (self.data > 0.0))
 
-        out = self._make(out_data, (self,), backward)
-        _record("relu", (self,), out)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         """Numerically stable logistic sigmoid."""
@@ -296,9 +258,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * out_data * (1.0 - out_data))
 
-        out = self._make(out_data, (self,), backward)
-        _record("sigmoid", (self,), out)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
@@ -307,9 +267,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * out_data)
 
-        out = self._make(out_data, (self,), backward)
-        _record("exp", (self,), out)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
@@ -318,9 +276,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient / self.data)
 
-        out = self._make(out_data, (self,), backward)
-        _record("log", (self,), out)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def clip_min(self, minimum: float) -> "Tensor":
         """Clamp values from below; gradient flows only through unclamped entries."""
@@ -329,9 +285,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * (self.data > minimum))
 
-        out = self._make(out_data, (self,), backward)
-        _record("clip_min", (self,), out, minimum=minimum)
-        return out
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # shape manipulation
@@ -344,9 +298,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient.reshape(original_shape))
 
-        out = self._make(out_data, (self,), backward)
-        _record("reshape", (self,), out, shape=out_data.shape)
-        return out
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -361,9 +313,7 @@ class Tensor:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(np.broadcast_to(grad, self.shape).copy())
 
-        out = self._make(out_data, (self,), backward)
-        _record("sum", (self,), out, axis=axis, keepdims=keepdims)
-        return out
+        return self._make(out_data, (self,), backward)
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Mean of elements, optionally over a single axis."""
@@ -430,9 +380,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for tensor, piece in zip(tensors, pieces):
             tensor._accumulate(piece)
 
-    out = Tensor(out_data, requires_grad=requires_grad, parents=tuple(tensors), backward=backward)
-    _record("concat", tuple(tensors), out, axis=axis)
-    return out
+    return Tensor(out_data, requires_grad=requires_grad, parents=tuple(tensors), backward=backward)
 
 
 def stack_rows(rows: Iterable[np.ndarray]) -> np.ndarray:

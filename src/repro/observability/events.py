@@ -250,8 +250,6 @@ class PlanCompiled(Event):
     estimator_name: str
     generation: int
     dtype: str
-    nodes: int
-    constants: int
     compile_seconds: float
 
     def value(self) -> float:

@@ -20,7 +20,10 @@ columns, so the aggregate views are plain SQL over indexed data:
   attribute to the same model;
 * ``view_plan_history`` — every compiled-inference-plan lifecycle event
   (``plan_compile`` / ``plan_swap``), keyed by ``model_generation`` so plan
-  compiles and handovers line up next to the swap history they belong to;
+  compiles and handovers line up next to the swap history they belong to
+  (a store file created by an older build keeps its old view — ``CREATE
+  VIEW IF NOT EXISTS`` — and reads NULL in its ``nodes`` column for new
+  events);
 * ``view_artifact_history`` — every artifact lifecycle event (saved /
   loaded / promoted / rolled back), keyed by ``model_generation`` so the
   on-disk snapshot record lines up against the swap and plan history;
@@ -135,7 +138,6 @@ CREATE VIEW IF NOT EXISTS view_plan_history AS
            ts,
            kind,
            json_extract(payload, '$.dtype')   AS dtype,
-           json_extract(payload, '$.nodes')   AS nodes,
            json_extract(payload, '$.outcome') AS outcome
     FROM events
     WHERE kind IN ('plan_compile', 'plan_swap')

@@ -34,8 +34,8 @@ forward passes.  This package amortizes that work across requests:
   sections).
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
   :func:`compile_plan`, the frozen-model inference engine: a trained CRN's
-  pair-head forward pass traced once into a flat sequence of fused
-  NumPy/BLAS calls over preallocated scratch buffers (no ``Tensor``
+  pair head as one hand-written kernel of fused NumPy/BLAS calls over
+  frozen weight copies and preallocated scratch buffers (no ``Tensor``
   objects, no grad-mode checks), with an optional float32 slab layout
   negotiated with :class:`PoolEncodingIndex` under a documented q-error
   bound — enabled through :class:`InferenceConfig` (``mode: compiled``).

@@ -43,12 +43,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.cnt2crd import Cnt2CrdEstimator
 from repro.core.crn import CRNEstimator
 from repro.core.featurization import QueryFeaturizer
-from repro.observability.events import ArtifactLoaded, PlanCompiled
+from repro.observability.events import ArtifactLoaded
 from repro.observability.recorder import EventRecorder
 from repro.observability.store import EventStore
 from repro.observability.tracing import Tracer
@@ -57,7 +55,7 @@ from repro.serving.config import ServingConfig
 from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import ArtifactSchemaError, ServingError
 from repro.serving.feedback import FeedbackCollector, FeedbackObservation
-from repro.serving.inference_plan import InferencePlan, compile_plan
+from repro.serving.inference_plan import InferencePlan, compile_and_attach
 from repro.serving.lifecycle import AdaptationManager, AdaptationOutcome, CRNRetrainer
 from repro.serving.pool_index import PoolEncodingIndex
 from repro.serving.service import (
@@ -157,29 +155,15 @@ def build_service_stack(
         # Compile before warming: warm-time encodings then flow through the
         # plan's frozen encoder weights, and the index builds its slabs in
         # the negotiated layout instead of rebuilding on the first request.
-        plan = compile_plan(
-            config.model,
-            dtype=(
-                np.float32
-                if config.inference.slab_dtype == "float32"
-                else np.float64
-            ),
-            slab_size=estimator_config.batch_size,
+        plan = compile_and_attach(
+            crn,
+            dtype=config.inference.slab_dtype,
             tolerance=config.inference.tolerance,
+            recorder=recorder,
+            estimator_name=estimator_config.name,
+            generation=service.generation(estimator_config.name),
         )
-        crn.attach_plan(plan)
         pool_index.negotiate_dtype(plan.dtype)
-        if recorder is not None:
-            recorder.emit(
-                PlanCompiled(
-                    estimator_name=estimator_config.name,
-                    generation=service.generation(estimator_config.name),
-                    dtype=plan.dtype.name,
-                    nodes=plan.num_nodes,
-                    constants=plan.num_constants,
-                    compile_seconds=plan.compile_seconds,
-                )
-            )
     if config.pool_options.warm:
         service.warm(entry.query for entry in config.pool)
         pool_index.warm(cnt2crd)

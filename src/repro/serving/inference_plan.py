@@ -4,12 +4,14 @@ Serving never needs gradients, yet the reference inference path still pays,
 per pair-head slab, Python-level ``Module.__call__`` dispatch, autodiff graph
 construction (parents/backward closures per op), thread-local grad-mode
 checks, and a fresh allocation for every intermediate.  An
-:class:`InferencePlan` removes all of it: :func:`compile_plan` runs one
-traced forward pass of ``CRNModel.head`` (via :mod:`repro.nn.trace`),
-freezes the weights it touched as dtype-cast constant copies, and lowers the
-tape into a flat program of NumPy/BLAS calls that execute into preallocated,
-geometrically-grown scratch buffers — no ``Tensor`` objects anywhere on the
-hot path.
+:class:`InferencePlan` removes all of it: it freezes the head and encoder
+weights as dtype-cast constant copies and runs the head as one hand-written
+kernel (:meth:`InferencePlan._head_pass`) of NumPy/BLAS calls into
+preallocated, geometrically-grown scratch buffers — no ``Tensor`` objects
+anywhere on the hot path.  The kernel's contract is the op order of
+:meth:`repro.core.crn.CRNModel.head` (same primitives, same order), and
+:func:`compile_plan` checks it against one ``model.head`` forward pass: a
+model whose head computes something else does not compile.
 
 Two dtype modes:
 
@@ -57,147 +59,79 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.crn import CRNModel
+from repro.core.crn import CRNEstimator, CRNModel, encode_set
 from repro.nn.tensor import Tensor, no_grad
-from repro.nn.trace import trace
+from repro.observability.events import PlanCompiled
 
 __all__ = ["InferencePlan", "compile_plan"]
 
-#: Ops the plan lowerer understands.  The head only uses a subset; the rest
-#: are implemented so tracing-based compilation keeps working if the model
-#: grows (e.g. a pooling ``sum`` showing up in a future traced stage).
-_SUPPORTED_OPS = frozenset(
-    {
-        "add",
-        "neg",
-        "mul",
-        "div",
-        "matmul",
-        "pow",
-        "abs",
-        "maximum",
-        "relu",
-        "sigmoid",
-        "exp",
-        "log",
-        "clip_min",
-        "reshape",
-        "sum",
-        "concat",
-    }
-)
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One lowered op: ``slots[output] = op(*slots[inputs], **attrs)``."""
-
-    op: str
-    inputs: tuple[int, ...]
-    output: int
-    attrs: dict[str, Any]
-
 
 class InferencePlan:
-    """A frozen CRN pair head lowered to fused NumPy kernels.
+    """A frozen CRN pair head run as fused NumPy kernels.
 
     Built by :func:`compile_plan`; not constructed directly.  The plan holds
-    dtype-cast **copies** of every weight the traced forward pass touched:
-    mutating the source model after compilation (an optimizer step, a manual
-    weight poke) does not change what the plan computes — recompile instead,
-    which is exactly what the adaptation lifecycle does on promote.
+    dtype-cast **copies** of the head and encoder weights: mutating the
+    source model after compilation (an optimizer step, a manual weight poke)
+    does not change what the plan computes — recompile instead, which is
+    exactly what the adaptation lifecycle does on promote.
     """
 
     def __init__(
-        self,
-        *,
-        model: CRNModel,
-        dtype: np.dtype,
-        slab_size: int,
-        tolerance: float,
-        steps: tuple[_Step, ...],
-        constants: dict[int, np.ndarray],
-        first_slot: int,
-        second_slot: int,
-        output_slot: int,
-        templates: dict[int, tuple[int, ...]],
-        alias_slots: frozenset[int],
-        num_slots: int,
-        encoder_weights: dict[str, np.ndarray],
-        pooling: str,
-        compile_seconds: float,
-        pair_kernel: dict[str, Any] | None = None,
+        self, model: CRNModel, *, dtype: np.dtype, slab_size: int, tolerance: float
     ) -> None:
         self.model = model
         self.dtype = np.dtype(dtype)
         self.slab_size = slab_size
         self.tolerance = tolerance
-        self.hidden_size = model.hidden_size
-        self.compile_seconds = compile_seconds
-        self._steps = steps
-        self._constants = constants
-        self._first_slot = first_slot
-        self._second_slot = second_slot
-        self._output_slot = output_slot
-        self._alias_slots = alias_slots
-        self._num_slots = num_slots
-        self._encoder = encoder_weights
-        self._pooling = pooling
-        self._pair = pair_kernel
+        self.hidden_size = hidden = model.hidden_size
+        self.compile_seconds = 0.0
+
+        def frozen(parameter: Tensor, dtype: np.dtype = self.dtype) -> np.ndarray:
+            # Freeze: an explicit copy, cast to the plan dtype.
+            return np.array(parameter.data, dtype=dtype, order="C", copy=True)
+
+        self._use_expand = bool(model.config.use_expand)
+        self._w_hidden = frozen(model.out_hidden.weight)
+        self._b_hidden = frozen(model.out_hidden.bias)
+        self._w_out = frozen(model.out_final.weight)
+        self._b_out = frozen(model.out_final.bias)
+        self._encoder = {
+            position: (frozen(encoder.weight, np.float64), frozen(encoder.bias, np.float64))
+            for position, encoder in ((1, model.set_encoder1), (2, model.set_encoder2))
+        }
+        self._pooling = model.config.pooling
+        self._pair: dict[str, Any] | None = None
+        if self.dtype == np.float32:
+            # Split the first head matmul by Expand section so the pool
+            # halves of the pair GEMM can be cached per slab.  Float64 mode
+            # stays on the generic pass: the split reorders the accumulation,
+            # which is fine within float32 rounding but breaks the
+            # bit-exactness contract.
+            head_weight = self._w_hidden
+            self._pair = {
+                "use_expand": self._use_expand,
+                "w_first": head_weight[:hidden],
+                "w_second": head_weight[hidden : 2 * hidden],
+                "bias": self._b_hidden,
+                "w_out": self._w_out,
+                "b_out": self._b_out,
+            }
+            if self._use_expand:
+                self._pair["w_diff"] = head_weight[2 * hidden : 3 * hidden]
+                self._pair["w_prod"] = head_weight[3 * hidden :]
         # Per-(scope, signature) cache of pool-side weight projections for
         # the fused slab kernel; entries are keyed by the full slab token,
         # so a pool append (version bump) or rebind recomputes lazily.
         self._projection_lock = threading.Lock()
         self._projections: dict[Any, tuple[Any, np.ndarray, np.ndarray]] = {}
-        # Buffer templates: -1 marks the batch (rows) dimension.  Dynamic
-        # slots get capacity-sized scratch reused across calls; static slots
-        # (no batch dim — reductions to scalars etc.) are allocated once.
-        self._dynamic_templates = {
-            slot: tpl for slot, tpl in templates.items() if tpl and tpl[0] == -1
-        }
-        self._static_templates = {
-            slot: tpl for slot, tpl in templates.items() if not tpl or tpl[0] != -1
-        }
-        # Sigmoid needs elementwise temporaries (three value buffers and one
-        # bool mask, shaped like its input) so the stable two-branch formula
-        # can run allocation-free.
-        self._aux_specs: dict[tuple[int, int], tuple[tuple[int, ...], np.dtype]] = {}
-        for index, step in enumerate(steps):
-            if step.op == "sigmoid":
-                tpl = templates[step.inputs[0]]
-                for j in range(3):
-                    self._aux_specs[(index, j)] = (tpl, self.dtype)
-                self._aux_specs[(index, 3)] = (tpl, np.dtype(bool))
         self._local = threading.local()
 
     # ------------------------------------------------------------------ #
     # reporting
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of lowered primitive ops."""
-        return len(self._steps)
-
-    @property
-    def num_constants(self) -> int:
-        """Number of frozen constant arrays (weights, biases, scalars)."""
-        return len(self._constants)
-
-    def describe(self) -> dict[str, Any]:
-        """A plain-dict summary (feeds ``plan_compile`` events and stats)."""
-        return {
-            "dtype": self.dtype.name,
-            "slab_size": self.slab_size,
-            "tolerance": self.tolerance,
-            "nodes": self.num_nodes,
-            "constants": self.num_constants,
-            "compile_seconds": self.compile_seconds,
-        }
 
     def kernel_info(self) -> dict[str, Any]:
         """How this plan executes a slab pass, as span/report attributes.
@@ -211,7 +145,6 @@ class InferencePlan:
             "dtype": self.dtype.name,
             "slab_size": self.slab_size,
             "fused": self._pair is not None,
-            "nodes": self.num_nodes,
         }
 
     def scratch_stats(self) -> dict[str, int]:
@@ -232,16 +165,10 @@ class InferencePlan:
         mutated since compilation — and deliberately *not* identical after,
         which is the freeze guarantee.
         """
-        if position not in (1, 2):
+        if position not in self._encoder:
             raise ValueError(f"position must be 1 or 2, got {position}")
-        suffix = "1" if position == 1 else "2"
-        weight = self._encoder[f"w{suffix}"]
-        bias = self._encoder[f"b{suffix}"]
-        transformed = np.maximum(vectors @ weight + bias, 0.0)
-        pooled = transformed.sum(axis=0)
-        if self._pooling == "average":
-            pooled = pooled / max(vectors.shape[0], 1)
-        return pooled
+        weight, bias = self._encoder[position]
+        return encode_set(vectors, weight, bias, self._pooling)
 
     # ------------------------------------------------------------------ #
     # pair head
@@ -265,27 +192,59 @@ class InferencePlan:
         rates = np.empty(total, dtype=np.float64)
         if total == 0:
             return rates
-        state = self._state()
-        if self.dtype == np.float64:
-            slab = self.slab_size
-            self._ensure(state, slab)
-            first_buf = state.views[self._first_slot]
-            second_buf = state.views[self._second_slot]
-            for start in range(0, total, slab):
-                count = min(slab, total - start)
-                np.copyto(first_buf[:count], first[start : start + count])
-                np.copyto(second_buf[:count], second[start : start + count])
-                if count < slab:
-                    first_buf[count:] = 0.0
-                    second_buf[count:] = 0.0
-                out = self._execute(state)
-                rates[start : start + count] = out[:count]
-            return rates
-        self._ensure(state, total)
-        np.copyto(state.views[self._first_slot], first)
-        np.copyto(state.views[self._second_slot], second)
-        np.copyto(rates, self._execute(state))
+        rows = self.slab_size if self.dtype == np.float64 else total
+        for start in range(0, total, rows):
+            stop = min(start + rows, total)
+            rates[start:stop] = self._head_pass(first[start:stop], second[start:stop], rows)
         return rates
+
+    def _head_pass(self, first: np.ndarray, second: np.ndarray, rows: int) -> np.ndarray:
+        """``CRNModel.head`` over one ``rows``-row pass, into this thread's scratch.
+
+        The ``count <= rows`` input rows are cast on load and zero-padded up
+        to ``rows``; the returned ``(count,)`` rates are a view of scratch,
+        valid until this thread's next pass.  Same primitives, same order as
+        the ``Tensor`` head (``a - b`` as ``a + (-b)``), with Expand written
+        straight into its sections of the pair buffer.
+        """
+        count = first.shape[0]
+        size = self.hidden_size
+        state = self._local
+        if getattr(state, "capacity", 0) < rows:
+            # Geometric growth: a stream of slowly-increasing batch sizes
+            # costs O(log) reallocations, not one per new high-water mark.
+            capacity = max(rows, 2 * getattr(state, "capacity", 0))
+            state.pair = np.empty((capacity, self._w_hidden.shape[0]), dtype=self.dtype)
+            state.hidden = np.empty((capacity, self._w_hidden.shape[1]), dtype=self.dtype)
+            # The output column, three sigmoid temporaries and its sign mask.
+            state.columns = tuple(
+                np.empty((capacity, 1), dtype=self.dtype) for _ in range(4)
+            )
+            state.mask = np.empty((capacity, 1), dtype=bool)
+            state.capacity = capacity
+            state.allocations = getattr(state, "allocations", 0) + 1
+        pair = state.pair[:rows]
+        first_section = pair[:, :size]
+        second_section = pair[:, size : 2 * size]
+        np.copyto(first_section[:count], first)
+        np.copyto(second_section[:count], second)
+        if count < rows:
+            pair[count:, : 2 * size] = 0.0
+        if self._use_expand:
+            diff = pair[:, 2 * size : 3 * size]
+            np.negative(second_section, out=diff)
+            np.add(first_section, diff, out=diff)
+            np.absolute(diff, out=diff)
+            np.multiply(first_section, second_section, out=pair[:, 3 * size :])
+        hidden = state.hidden[:rows]
+        np.matmul(pair, self._w_hidden, out=hidden)
+        np.add(hidden, self._b_hidden, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        z, aux0, aux1, aux2 = (column[:rows] for column in state.columns)
+        np.matmul(hidden, self._w_out, out=z)
+        np.add(z, self._b_out, out=z)
+        self._sigmoid(z, z, aux0, aux1, aux2, state.mask[:rows])
+        return z[:count, 0]
 
     # ------------------------------------------------------------------ #
     # fused slab kernel (float32 only)
@@ -424,116 +383,6 @@ class InferencePlan:
         self._sigmoid(z, z, aux0, aux1, aux2, state.fused_mask[:rows])
         out_view[:] = z[:, 0]
 
-    # ------------------------------------------------------------------ #
-    # scratch management
-
-    def _state(self):
-        state = self._local
-        if getattr(state, "views", None) is None:
-            state.views = [None] * self._num_slots
-            for slot, value in self._constants.items():
-                state.views[slot] = value
-            state.buffers = {}
-            state.aux = {}
-            state.aux_views = {}
-            state.capacity = 0
-            state.rows = 0
-            state.allocations = 0
-            for slot, tpl in self._static_templates.items():
-                state.buffers[slot] = np.empty(tpl, dtype=self.dtype)
-                state.views[slot] = state.buffers[slot]
-        return state
-
-    def _ensure(self, state, rows: int) -> None:
-        """Size this thread's scratch for ``rows`` and refresh slot views."""
-        if rows > state.capacity:
-            # Geometric growth: a stream of slowly-increasing batch sizes
-            # costs O(log) reallocations, not one per new high-water mark.
-            capacity = max(rows, 2 * state.capacity)
-            for slot, tpl in self._dynamic_templates.items():
-                state.buffers[slot] = np.empty((capacity, *tpl[1:]), dtype=self.dtype)
-            for key, (tpl, aux_dtype) in self._aux_specs.items():
-                state.aux[key] = np.empty((capacity, *tpl[1:]), dtype=aux_dtype)
-            state.capacity = capacity
-            state.allocations += 1
-            state.rows = 0
-        if rows != state.rows:
-            for slot in self._dynamic_templates:
-                state.views[slot] = state.buffers[slot][:rows]
-            state.aux_views = {key: buf[:rows] for key, buf in state.aux.items()}
-            state.rows = rows
-
-    # ------------------------------------------------------------------ #
-    # interpreter
-
-    def _execute(self, state) -> np.ndarray:
-        """Run the lowered program over this thread's current views."""
-        views = state.views
-        rows = state.rows
-        for index, step in enumerate(self._steps):
-            op = step.op
-            inputs = step.inputs
-            if op == "matmul":
-                np.matmul(views[inputs[0]], views[inputs[1]], out=views[step.output])
-            elif op == "add":
-                np.add(views[inputs[0]], views[inputs[1]], out=views[step.output])
-            elif op == "relu":
-                np.maximum(views[inputs[0]], 0.0, out=views[step.output])
-            elif op == "neg":
-                np.negative(views[inputs[0]], out=views[step.output])
-            elif op == "abs":
-                np.absolute(views[inputs[0]], out=views[step.output])
-            elif op == "mul":
-                np.multiply(views[inputs[0]], views[inputs[1]], out=views[step.output])
-            elif op == "concat":
-                np.concatenate(
-                    [views[slot] for slot in inputs],
-                    axis=step.attrs["axis"],
-                    out=views[step.output],
-                )
-            elif op == "sigmoid":
-                self._sigmoid(
-                    views[inputs[0]],
-                    views[step.output],
-                    state.aux_views[(index, 0)],
-                    state.aux_views[(index, 1)],
-                    state.aux_views[(index, 2)],
-                    state.aux_views[(index, 3)],
-                )
-            elif op == "reshape":
-                shape = tuple(
-                    rows if dim == -1 else dim for dim in step.attrs["shape"]
-                )
-                views[step.output] = views[inputs[0]].reshape(shape)
-            elif op == "div":
-                np.divide(views[inputs[0]], views[inputs[1]], out=views[step.output])
-            elif op == "maximum":
-                np.maximum(views[inputs[0]], views[inputs[1]], out=views[step.output])
-            elif op == "clip_min":
-                np.maximum(
-                    views[inputs[0]], step.attrs["minimum"], out=views[step.output]
-                )
-            elif op == "pow":
-                np.power(
-                    views[inputs[0]], step.attrs["exponent"], out=views[step.output]
-                )
-            elif op == "exp":
-                out = views[step.output]
-                np.clip(views[inputs[0]], -700.0, 700.0, out=out)
-                np.exp(out, out=out)
-            elif op == "log":
-                np.log(views[inputs[0]], out=views[step.output])
-            elif op == "sum":
-                np.sum(
-                    views[inputs[0]],
-                    axis=step.attrs["axis"],
-                    keepdims=step.attrs["keepdims"],
-                    out=views[step.output],
-                )
-            else:  # pragma: no cover - compile_plan rejects unknown ops
-                raise RuntimeError(f"unlowerable op {op!r}")
-        return views[self._output_slot]
-
     @staticmethod
     def _sigmoid(a, out, t0, t1, t2, mask) -> None:
         """The stable two-branch sigmoid, allocation-free and bit-identical.
@@ -562,7 +411,7 @@ def compile_plan(
     slab_size: int = 256,
     tolerance: float = 1e-3,
 ) -> InferencePlan:
-    """Trace ``model.head`` and lower it into an :class:`InferencePlan`.
+    """Freeze ``model`` into an :class:`InferencePlan` and check it.
 
     Args:
         model: the trained CRN.  Its weights are **copied** (dtype-cast) into
@@ -577,8 +426,9 @@ def compile_plan(
             carried on the plan so serving stats and events can report it.
 
     Returns:
-        A ready-to-run plan.  Compilation self-checks by replaying the
-        traced forward pass through the lowered program.
+        A ready-to-run plan.  Compilation self-checks the kernel against one
+        ``model.head`` forward pass and raises ``RuntimeError`` when they
+        disagree (a subclass that overrides ``head``, say).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
@@ -590,129 +440,51 @@ def compile_plan(
         raise ValueError("slab_size must be positive")
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    hidden = model.hidden_size
-    # The marker batch size must differ from every static dimension in the
-    # head, so "this dim == marker" unambiguously means "the batch dim".
-    marker = 13
-    forbidden = {1, hidden, 2 * hidden, 4 * hidden}
-    while marker in forbidden:
-        marker += 2
+    plan = InferencePlan(model, dtype=dtype, slab_size=slab_size, tolerance=tolerance)
+
+    # Self-check: the kernel must reproduce the Tensor head on the same rows
+    # — exactly in float64, within rounding in float32.
     rng = np.random.default_rng(7)
-    first = Tensor(rng.standard_normal((marker, hidden)))
-    second = Tensor(rng.standard_normal((marker, hidden)))
-    with no_grad(), trace() as tape:
-        traced = model.head(first, second)
-    if not tape.nodes:
-        raise ValueError("tracing model.head produced no ops")
-    first_slot = tape.slot_of(first)
-    second_slot = tape.slot_of(second)
-    output_slot = tape.slot_of(traced)
-    if first_slot is None or second_slot is None or output_slot is None:
-        raise ValueError("traced head does not connect both inputs to the output")
-
-    produced: set[int] = set()
-    constants: dict[int, np.ndarray] = {}
-    steps: list[_Step] = []
-    alias_slots: set[int] = set()
-    for node in tape.nodes:
-        if node.op not in _SUPPORTED_OPS:
-            raise ValueError(f"traced op {node.op!r} has no fused lowering")
-        for slot in node.inputs:
-            if slot in produced or slot in (first_slot, second_slot) or slot in constants:
-                continue
-            tensor = tape.tensor_for_slot(slot)
-            if marker in tensor.shape:
-                raise ValueError(
-                    "a weight dimension collides with the trace marker batch "
-                    f"size {marker}; cannot distinguish batch from static dims"
-                )
-            # Freeze: an explicit copy, cast to the plan dtype.
-            constants[slot] = np.array(tensor.data, dtype=dtype, order="C", copy=True)
-        attrs = dict(node.attrs)
-        if node.op == "reshape":
-            shape = tuple(-1 if dim == marker else dim for dim in attrs["shape"])
-            if shape.count(-1) > 1:
-                raise ValueError(f"ambiguous batch dimension in reshape to {shape}")
-            attrs["shape"] = shape
-            alias_slots.add(node.output)
-        produced.add(node.output)
-        steps.append(_Step(node.op, node.inputs, node.output, attrs))
-
-    templates: dict[int, tuple[int, ...]] = {}
-    for slot in {first_slot, second_slot, *produced}:
-        if slot in alias_slots:
-            continue  # reshape outputs are views, not buffers
-        shape = tape.tensor_for_slot(slot).shape
-        template = tuple(-1 if dim == marker else dim for dim in shape)
-        if -1 in template[1:]:
-            raise ValueError(
-                f"batch dimension in non-leading position of shape {shape}; "
-                "the buffer planner only supports leading-batch layouts"
-            )
-        templates[slot] = template
-
-    encoder_weights = {
-        "w1": np.array(model.set_encoder1.weight.data, dtype=np.float64, copy=True),
-        "b1": np.array(model.set_encoder1.bias.data, dtype=np.float64, copy=True),
-        "w2": np.array(model.set_encoder2.weight.data, dtype=np.float64, copy=True),
-        "b2": np.array(model.set_encoder2.bias.data, dtype=np.float64, copy=True),
-    }
-
-    pair_kernel: dict[str, Any] | None = None
-    if dtype == np.float32:
-        # Split the first head matmul by Expand section so the pool halves of
-        # the pair GEMM can be cached per slab.  Float64 mode stays on the
-        # generic pass: the split reorders the accumulation, which is fine
-        # within float32 rounding but breaks the bit-exactness contract.
-        def _frozen(value: np.ndarray) -> np.ndarray:
-            return np.array(value, dtype=np.float32, order="C", copy=True)
-
-        head_weight = model.out_hidden.weight.data
-        use_expand = bool(model.config.use_expand)
-        pair_kernel = {
-            "use_expand": use_expand,
-            "w_first": _frozen(head_weight[:hidden]),
-            "w_second": _frozen(head_weight[hidden : 2 * hidden]),
-            "bias": _frozen(model.out_hidden.bias.data),
-            "w_out": _frozen(model.out_final.weight.data),
-            "b_out": _frozen(model.out_final.bias.data),
-        }
-        if use_expand:
-            pair_kernel["w_diff"] = _frozen(head_weight[2 * hidden : 3 * hidden])
-            pair_kernel["w_prod"] = _frozen(head_weight[3 * hidden :])
-
-    plan = InferencePlan(
-        model=model,
-        dtype=dtype,
-        slab_size=slab_size,
-        tolerance=tolerance,
-        steps=tuple(steps),
-        constants=constants,
-        first_slot=first_slot,
-        second_slot=second_slot,
-        output_slot=output_slot,
-        templates=templates,
-        alias_slots=frozenset(alias_slots),
-        num_slots=tape.num_slots,
-        encoder_weights=encoder_weights,
-        pooling=model.config.pooling,
-        compile_seconds=0.0,
-        pair_kernel=pair_kernel,
-    )
-
-    # Self-check: the lowered program must reproduce the traced forward pass
-    # on the marker inputs — exactly in float64, within rounding in float32.
-    state = plan._state()
-    plan._ensure(state, marker)
-    np.copyto(state.views[first_slot], first.data)
-    np.copyto(state.views[second_slot], second.data)
-    replayed = np.asarray(plan._execute(state), dtype=np.float64)
-    expected = traced.numpy()
+    first = rng.standard_normal((13, model.hidden_size))
+    second = rng.standard_normal((13, model.hidden_size))
+    with no_grad():
+        expected = model.head(Tensor(first), Tensor(second)).numpy()
+    actual = plan._head_pass(first, second, first.shape[0])
     if dtype == np.float64:
-        if not np.array_equal(replayed, expected):
-            raise RuntimeError("compiled float64 plan diverged from the traced pass")
-    elif not np.allclose(replayed, expected, rtol=1e-3, atol=1e-5):
+        if not np.array_equal(actual, expected):
+            raise RuntimeError("compiled float64 plan diverged from model.head")
+    elif not np.allclose(actual, expected, rtol=1e-3, atol=1e-5):
         raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
 
     plan.compile_seconds = time.perf_counter() - started
+    return plan
+
+
+def compile_and_attach(
+    crn: CRNEstimator,
+    *,
+    dtype: np.dtype | str,
+    tolerance: float,
+    recorder,
+    estimator_name: str,
+    generation: int,
+) -> InferencePlan:
+    """The plan hand-over: compile for ``crn``'s model, attach, emit the event.
+
+    Build-time wiring and the lifecycle's pre-swap recompile both go through
+    here; they differ only in the ``generation`` the plan will serve.
+    """
+    plan = compile_plan(
+        crn.model, dtype=dtype, slab_size=crn.batch_size, tolerance=tolerance
+    )
+    crn.attach_plan(plan)
+    if recorder is not None:
+        recorder.emit(
+            PlanCompiled(
+                estimator_name=estimator_name,
+                generation=generation,
+                dtype=plan.dtype.name,
+                compile_seconds=plan.compile_seconds,
+            )
+        )
     return plan

@@ -63,12 +63,11 @@ from repro.observability.events import (
     AcceptGateDecision,
     DriftTrip,
     ModelSwap,
-    PlanCompiled,
     PlanSwap,
 )
 from repro.serving.cache import FeaturizationCache
 from repro.serving.feedback import FeedbackCollector
-from repro.serving.inference_plan import compile_plan
+from repro.serving.inference_plan import compile_and_attach
 from repro.serving.service import EstimationService
 
 
@@ -1106,27 +1105,16 @@ class AdaptationManager:
             # request must already run the compiled path.  Shadow builds
             # (shared=False) stay on the reference path: a rejected candidate
             # should not pay for a compile.
-            plan = compile_plan(
-                candidate.model,
+            compile_and_attach(
+                crn,
                 dtype=incumbent_plan.dtype,
-                slab_size=batch_size,
                 tolerance=incumbent_plan.tolerance,
+                recorder=self.service.recorder,
+                estimator_name=self.estimator_name,
+                # replace() bumps the generation; this plan serves the
+                # candidate's generation, not the incumbent's.
+                generation=self.service.generation(self.estimator_name) + 1,
             )
-            crn.attach_plan(plan)
-            recorder = self.service.recorder
-            if recorder is not None:
-                recorder.emit(
-                    PlanCompiled(
-                        estimator_name=self.estimator_name,
-                        # replace() bumps the generation; this plan serves
-                        # the candidate's generation, not the incumbent's.
-                        generation=self.service.generation(self.estimator_name) + 1,
-                        dtype=plan.dtype.name,
-                        nodes=plan.num_nodes,
-                        constants=plan.num_constants,
-                        compile_seconds=plan.compile_seconds,
-                    )
-                )
         return Cnt2CrdEstimator(
             crn,
             pool,

@@ -1,11 +1,12 @@
-"""Tests for the frozen-model inference engine (tracing, plans, serving).
+"""Tests for the frozen-model inference engine (plans, serving).
 
-Covers the whole compiled-inference stack: the ``repro.nn.trace`` tape, plan
-compilation and its freeze guarantee, float64 bit-identity with the reference
-``Tensor`` path, the float32 tolerance mode, the pool index's negotiated
-float32 slab layout, the ``InferenceConfig`` section, the client end-to-end
-paths (including mid-serving pool adds), the lifecycle's pre-swap recompile,
-and the ``plan_compile`` / ``plan_swap`` observability trail.
+Covers the whole compiled-inference stack: plan compilation, its freeze
+guarantee and its self-check against ``CRNModel.head``, float64 bit-identity
+with the reference ``Tensor`` path, the float32 tolerance mode, the pool
+index's negotiated float32 slab layout, the ``InferenceConfig`` section, the
+client end-to-end paths (including mid-serving pool adds), the lifecycle's
+pre-swap recompile, and the ``plan_compile`` / ``plan_swap`` observability
+trail.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
 from repro.datasets import build_queries_pool_queries
-from repro.nn import Tensor, no_grad, trace
 from repro.serving import (
     InferenceConfig,
     InferencePlan,
@@ -61,38 +61,6 @@ def encodings(hidden: int, rows: int, seed: int = 0) -> tuple[np.ndarray, np.nda
 
 
 # --------------------------------------------------------------------------- #
-# tracing
-
-
-class TestTracing:
-    def test_tape_records_the_head_ops(self):
-        crn = make_model()
-        first = Tensor(np.ones((3, crn.hidden_size)))
-        second = Tensor(np.ones((3, crn.hidden_size)))
-        with no_grad(), trace() as tape:
-            out = crn.head(first, second)
-        ops = [node.op for node in tape.nodes]
-        # The expand path: concat -> two linear layers -> relu -> sigmoid.
-        assert "concat" in ops and "matmul" in ops and "sigmoid" in ops
-        assert tape.slot_of(first) is not None
-        assert tape.slot_of(out) is not None
-        # Every node's output slot resolves back to a live tensor.
-        for node in tape.nodes:
-            assert tape.tensor_for_slot(node.output) is not None
-
-    def test_tracing_is_scoped(self):
-        crn = make_model()
-        first = Tensor(np.ones((2, crn.hidden_size)))
-        second = Tensor(np.ones((2, crn.hidden_size)))
-        with no_grad(), trace() as tape:
-            crn.head(first, second)
-        recorded = len(tape.nodes)
-        with no_grad():
-            crn.head(first, second)  # outside any trace: must not record
-        assert len(tape.nodes) == recorded
-
-
-# --------------------------------------------------------------------------- #
 # compilation
 
 
@@ -108,15 +76,15 @@ class TestCompilePlan:
         with pytest.raises(ValueError, match="tolerance"):
             compile_plan(crn, tolerance=0.0)
 
-    def test_describe_and_counters(self):
-        plan = compile_plan(make_model(), dtype="float32", slab_size=64, tolerance=1e-4)
-        described = plan.describe()
-        assert described["dtype"] == "float32"
-        assert described["slab_size"] == 64
-        assert described["tolerance"] == 1e-4
-        assert described["nodes"] == plan.num_nodes > 0
-        assert described["constants"] == plan.num_constants > 0
-        assert described["compile_seconds"] > 0.0
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_compile_rejects_a_model_whose_head_is_not_the_kernel(self, dtype):
+        class HalvedHead(CRNModel):
+            def head(self, first_repr, second_repr):
+                return super().head(first_repr, second_repr) * 0.5
+
+        crn = HalvedHead(8, CRNConfig(hidden_size=16, seed=5))
+        with pytest.raises(RuntimeError, match="diverged"):
+            compile_plan(crn, dtype=dtype)
 
     def test_weights_are_frozen_at_compile_time(self):
         crn = make_model()
@@ -149,10 +117,11 @@ class TestCompilePlan:
 
 
 class TestPlanExecution:
+    @pytest.mark.parametrize("pooling", ["average", "sum"])
     @pytest.mark.parametrize("use_expand", [True, False])
     @pytest.mark.parametrize("rows", [0, 1, 7, 256, 300])
-    def test_float64_is_bit_identical_to_the_tensor_path(self, use_expand, rows):
-        crn = make_model(use_expand=use_expand)
+    def test_float64_is_bit_identical_to_the_tensor_path(self, use_expand, rows, pooling):
+        crn = make_model(use_expand=use_expand, pooling=pooling)
         plan = compile_plan(crn, slab_size=256)
         first, second = encodings(crn.hidden_size, rows, seed=rows)
         expected = crn.rates_from_encodings(first, second, slab_size=256)
@@ -174,7 +143,7 @@ class TestPlanExecution:
         plan = compile_plan(crn, dtype=np.float32)
         hidden = crn.hidden_size
         # The compile-time self-check already allocated this thread's
-        # scratch (13 marker rows); growth counts start from there.
+        # scratch (13 check rows); growth counts start from there.
         base = plan.scratch_stats()
         for rows in (20, 21, 39, 40):
             plan.rates_from_encodings(*encodings(hidden, rows))
@@ -243,8 +212,9 @@ class TestEstimatorPlanAttachment:
         plan = compile_plan(model, slab_size=128)
         estimator.attach_plan(plan)
         assert estimator.inference_plan is plan
-        estimator.detach_plan()
-        assert estimator.inference_plan is None
+        # Attaching is per estimator: a second one over the same model stays
+        # on the reference path.
+        assert CRNEstimator(model, imdb_featurizer, batch_size=128).inference_plan is None
 
     def test_attached_plan_serves_identical_rates(self, model, imdb_featurizer):
         estimator = CRNEstimator(model, imdb_featurizer, batch_size=256)
@@ -252,6 +222,21 @@ class TestEstimatorPlanAttachment:
         reference = estimator._head_rates(first, second)
         estimator.attach_plan(compile_plan(model, slab_size=256))
         assert estimator._head_rates(first, second).tobytes() == reference.tobytes()
+
+    def test_attached_plan_freezes_both_encode_routes(self, model, imdb_featurizer, workload):
+        # The pair-list route (estimate_containments) must read the plan's
+        # frozen encoder exactly as encode_query does: a post-compile weight
+        # change reaches neither.
+        crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+        estimator = CRNEstimator(crn, imdb_featurizer, batch_size=256)
+        estimator.attach_plan(compile_plan(crn, slab_size=256))
+        pairs = list(zip(workload[:6], workload[6:12]))
+        rates = estimator.estimate_containments(pairs)
+        encoding = estimator.encode_query(workload[0], 1)
+        for parameter in crn.parameters():
+            parameter.data = parameter.data + 0.5
+        assert estimator.estimate_containments(pairs) == rates
+        np.testing.assert_array_equal(estimator.encode_query(workload[0], 1), encoding)
 
 
 # --------------------------------------------------------------------------- #
@@ -420,6 +405,5 @@ class TestCompiledServing:
             row = history[0]
             assert row["kind"] == "plan_compile"
             assert row["dtype"] == "float32"
-            assert row["nodes"] == client.stack.inference_plan.num_nodes
         finally:
             client.shutdown()
