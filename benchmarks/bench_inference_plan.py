@@ -1,30 +1,36 @@
-"""Compiled inference plans: frozen fused kernels vs the reference path.
+"""Compiled inference plans: frozen weights and the float32 slab kernel.
 
-The pool encoding index already removed the per-pair Python bookkeeping from
-serving (see ``bench_pool_index.py``); what remains per request is the pair
-head itself — autodiff ``Tensor`` objects, gradient plumbing, fresh
-allocations for every intermediate, and a float64-only execution dtype.  The
-inference-plan PR freezes the trained model into an
-:class:`repro.serving.InferencePlan`: a flat sequence of NumPy/BLAS calls
-over preallocated scratch, with an optional float32 slab layout negotiated
-with the index and a fused slab kernel that caches the pool side of the
-first pair-head GEMM per slab version.
+Every inference mode runs the pair head through one array kernel
+(:func:`repro.core.crn.pair_head`: NumPy/BLAS calls over preallocated
+scratch, rows in fixed 16-row tiles) — no ``Tensor`` objects on any serving
+path.  ``reference`` mode runs it on the model's live weights; an
+:class:`repro.serving.InferencePlan` runs it on frozen copies, with an
+optional float32 slab layout negotiated with the index and a fused slab
+kernel that caches the pool side of the first pair-head GEMM per slab
+version.
 
 This benchmark serves the identical bucket-heavy single-request workload as
 ``bench_pool_index.py`` through three otherwise-identical indexed clients:
 
-* **reference** -- ``InferenceConfig(mode="reference")``: the indexed float64
-  ``Tensor`` path, today's default and the baseline the acceptance bar is
+* **reference** -- ``InferenceConfig(mode="reference")``: the float64 kernel
+  on live weights, the default and the baseline the acceptance bar is
   measured against;
-* **compiled f64** -- ``mode="compiled", slab_dtype="float64"``: the plan's
-  generic pass, which must be **bit-for-bit identical** to the reference
-  (asserted per request) — it removes overhead, never changes a number;
+* **compiled f64** -- ``mode="compiled", slab_dtype="float64"``: the same
+  kernel on frozen copies, which must be **bit-for-bit identical** to the
+  reference (asserted per request) — it adds the freeze, never changes a
+  number, and costs what the reference costs;
 * **compiled f32** -- ``mode="compiled", slab_dtype="float32"``: float32
   mirror slabs plus the fused slab kernel, within the configured tolerance
   of the reference estimates (asserted per request).
 
 The acceptance bar: the compiled float32 client's single-request p50 must be
-**>= 3x** faster than the reference indexed client at pool sizes >= 2048.
+**>= 2.5x** faster than the reference client at pool sizes >= 2048.  The bar
+was 3x against the ``Tensor``-path reference; that reference is gone, and a
+full-profile run on 2 cores measures 3.1-4.2x against the kernel reference
+(six runs; the float32 side did not move), so the bar is restated below the
+measured floor.  The speedup series is recorded as
+``compiled_p50_speedup_vs_kernel_pool_<N>`` — a new name, because its
+denominator changed meaning — beside both sides' absolute p50.
 
 Smoke mode (``REPRO_SMOKE=1``, used by CI) shrinks the sweep and skips the
 timing requirement — the identity/tolerance assertions and the whole
@@ -47,7 +53,7 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 POOL_SIZES = (64, 256) if SMOKE else (256, 1024, 2048, 4096)
 REQUESTS = 10 if SMOKE else 25
 HIDDEN_SIZE = 64  # closer to the paper's H=512 than the index bench's 32
-REQUIRED_SPEEDUP = 3.0
+REQUIRED_SPEEDUP = 2.5
 SPEEDUP_AT_OR_ABOVE = 2048  # the acceptance bar applies to big pools
 F32_TOLERANCE = 1e-3
 
@@ -100,7 +106,7 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
         )
 
         reference_estimates, reference_p50 = serve_timed(reference.estimate, requests)
-        f64_estimates, _ = serve_timed(compiled_f64.estimate, requests)
+        f64_estimates, f64_p50 = serve_timed(compiled_f64.estimate, requests)
         f32_estimates, f32_p50 = serve_timed(compiled_f32.estimate, requests)
 
         assert f64_estimates == reference_estimates, (
@@ -118,11 +124,11 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
         )
 
         speedup = reference_p50 / f32_p50 if f32_p50 > 0 else float("inf")
-        rows.append((size, reference_p50, f32_p50, speedup, worst))
+        rows.append((size, reference_p50, f32_p50, speedup, worst, f64_p50))
         if not SMOKE and size >= SPEEDUP_AT_OR_ABOVE:
             assert speedup >= REQUIRED_SPEEDUP, (
                 f"expected the compiled float32 plan to be >= "
-                f"{REQUIRED_SPEEDUP:.0f}x faster than the reference indexed "
+                f"{REQUIRED_SPEEDUP}x faster than the reference indexed "
                 f"path at pool size {size}, measured {speedup:.1f}x "
                 f"({reference_p50 * 1000:.2f}ms vs {f32_p50 * 1000:.2f}ms)"
             )
@@ -133,7 +139,9 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
     bench_record(
         "serving",
         "bench_inference_plan",
-        f"compiled_p50_speedup_pool_{largest[0]}",
+        # Named for its denominator: "compiled_p50_speedup_pool_N" rows
+        # were taken against the Tensor-path reference.
+        f"compiled_p50_speedup_vs_kernel_pool_{largest[0]}",
         largest[3],
         "x",
         True,
@@ -146,15 +154,26 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
         "ms",
         False,
     )
+    # The ratio's other side and the float64 plan, so a moved ratio says
+    # which side moved and float64 at scale has its own trajectory.
+    for metric, seconds in (("reference", largest[1]), ("compiled_f64", largest[5])):
+        bench_record(
+            "serving",
+            "bench_inference_plan",
+            f"{metric}_p50_ms_pool_{largest[0]}",
+            seconds * 1000.0,
+            "ms",
+            False,
+        )
 
     header = (
-        f"{'pool size':>10}{'reference p50':>16}{'compiled f32 p50':>18}"
-        f"{'speedup':>10}{'worst q-error':>15}"
+        f"{'pool size':>10}{'reference p50':>16}{'compiled f64 p50':>18}"
+        f"{'compiled f32 p50':>18}{'speedup':>10}{'worst q-error':>15}"
     )
     table = [header] + [
-        f"{size:>10}{ref * 1000:>14.2f}ms{f32 * 1000:>16.2f}ms"
+        f"{size:>10}{ref * 1000:>14.2f}ms{f64 * 1000:>16.2f}ms{f32 * 1000:>16.2f}ms"
         f"{speedup:>9.1f}x{worst:>15.8f}"
-        for size, ref, f32, speedup, worst in rows
+        for size, ref, f32, speedup, worst, f64 in rows
     ]
     report = "\n".join(
         [
@@ -165,7 +184,7 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
             "",
             "compiled float64 is bit-for-bit identical to the reference at "
             "every size; requirement: compiled float32 >= "
-            f"{REQUIRED_SPEEDUP:.0f}x at pool size >= {SPEEDUP_AT_OR_ABOVE}"
+            f"{REQUIRED_SPEEDUP}x at pool size >= {SPEEDUP_AT_OR_ABOVE}"
             + (" (timing not enforced in smoke mode)" if SMOKE else ""),
         ]
     )
@@ -188,7 +207,9 @@ def test_plan_compile_cost(results_dir, bench_record):
     bench_record(
         "serving",
         "bench_inference_plan",
-        "plan_compile_ms",
+        # Was "plan_compile_ms" while the self-check probed 13 rows; it now
+        # runs model.head on a full tile and, in float64, a 3-tile stack.
+        "plan_compile_checked_ms",
         plan.compile_seconds * 1000.0,
         "ms",
         False,

@@ -63,7 +63,11 @@ from repro.serving import (
 
 POOL_SIZE = 500
 WORKLOAD_SIZE = 200
-REQUIRED_SPEEDUP = 3.0
+# 3x while the naive loop padded every request's pair head to a 256-row
+# Tensor slab; the loop now runs the 16-row-tile array kernel and is 1.7x
+# faster (486 -> 824 qps on 2 cores) while the served side is where it was
+# (2738 -> 2747 qps), so the same stack measures 3.1-3.5x.
+REQUIRED_SPEEDUP = 2.5
 MAX_OBSERVABILITY_OVERHEAD = 1.05  # event log must cost < 5% on the hot path
 MAX_TRACING_OVERHEAD = 1.05  # sampled tracing must cost < 5% over observed
 OVERHEAD_ROUNDS = 15  # min-of-N over interleaved rounds; N rides out CI noise
@@ -223,8 +227,15 @@ def test_serving_throughput(results_dir, bench_record):
         f"{min(detached_timings) * 1000:.2f}ms)"
     )
 
+    # Named for its denominator: "served_speedup" rows had the naive loop on
+    # 256-row Tensor slabs and are not comparable.
     bench_record(
-        "serving", "bench_serving_throughput", "served_speedup", speedup, "x", True
+        "serving",
+        "bench_serving_throughput",
+        "served_speedup_vs_kernel_naive",
+        speedup,
+        "x",
+        True,
     )
     bench_record(
         "serving",
@@ -271,7 +282,7 @@ def test_serving_throughput(results_dir, bench_record):
             f"{served_seconds / WORKLOAD_SIZE * 1000:>12.2f}ms"
             f"{WORKLOAD_SIZE / served_seconds:>10.0f} qps",
             "",
-            f"speedup: {speedup:.1f}x (required: >= {REQUIRED_SPEEDUP:.0f}x), "
+            f"speedup: {speedup:.1f}x (required: >= {REQUIRED_SPEEDUP}x), "
             "served estimates bit-for-bit identical",
             f"observability overhead: {overhead:.3f}x on the warmed served path "
             f"(required < {MAX_OBSERVABILITY_OVERHEAD}x)",

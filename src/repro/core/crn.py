@@ -14,6 +14,7 @@ The model runs in three stages:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,21 @@ import numpy as np
 from repro.core.estimators import ContainmentEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate
 from repro.sql.query import Query
 
 #: Pooling strategies supported by the set encoders.  The paper uses the
 #: average "to ease generalization to different numbers of elements in the
 #: sets"; sum pooling is kept for the ablation benchmark.
 POOLING_STRATEGIES = ("average", "sum")
+
+#: Rows per fixed-shape pair-head pass: the one default behind every
+#: ``batch_size`` / ``slab_size``.  A rate's bits depend on this height alone,
+#: so a request pays for its own rows rounded up to it, not for a 256-row slab.
+PASS_ROWS = 16
+#: Most rows one stacked :func:`pair_head` pass covers: its buffers stay
+#: cache-resident however many rows a batch brings.
+_STACK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,84 @@ def encode_set(
     return pooled
 
 
+def sigmoid_into(a, out, t0, t1, t2, mask) -> None:
+    """``Tensor.sigmoid`` bit for bit, allocation-free: both branches over the
+    full array, then selected by the sign mask — the values ``np.where``
+    would pick, without its output allocation."""
+    np.clip(a, -60.0, 60.0, out=t0)  # c
+    np.negative(t0, out=t1)
+    np.exp(t1, out=t1)  # exp(-c)
+    np.add(t1, 1.0, out=t1)
+    np.divide(1.0, t1, out=t1)  # positive branch: 1 / (1 + exp(-c))
+    np.exp(t0, out=t2)  # exp(c)
+    np.add(t2, 1.0, out=t0)
+    np.divide(t2, t0, out=t0)  # negative branch: exp(c) / (1 + exp(c))
+    np.greater_equal(a, 0.0, out=mask)
+    np.copyto(out, t0)
+    np.copyto(out, t1, where=mask)
+
+
+def pair_head(first, second, w_hidden, b_hidden, w_out, b_out, rows: int, scratch) -> np.ndarray:
+    """``MLPout`` over ``(n, H)`` encoded pairs in fixed ``rows``-row tiles.
+
+    The arithmetic behind :meth:`CRNModel.rates_from_encodings` (live weights)
+    and :meth:`repro.serving.InferencePlan.rates_from_encodings` (frozen
+    copies): the primitives of :meth:`CRNModel.head` in its order (its
+    ``a + (-b)`` as the bit-equal ``a - b``, Expand written straight into the
+    pair buffer) through ``out=`` ufuncs into ``scratch``, a per-thread
+    attribute bag.  Rows are cast to the weights' dtype on load and
+    zero-padded to the next multiple of ``rows``; the buffers are then viewed
+    as ``(tiles, rows, width)``, on which ``np.matmul`` runs one
+    identically-shaped GEMM per tile — a row's bits depend on ``rows`` alone,
+    never on how many other rows share the call.  Returns fresh float64 rates.
+    """
+    if rows <= 0:
+        raise ValueError("slab_size must be positive")
+    if first.shape != second.shape:
+        raise ValueError("first and second encodings must have the same shape")
+    if first.ndim != 2 or w_hidden.shape[0] not in (2 * first.shape[1], 4 * first.shape[1]):
+        raise ValueError(f"expected (n, H) encodings for this head, got {first.shape}")
+    total, size = first.shape
+    dtype = w_hidden.dtype
+    rates = np.empty(total, dtype=np.float64)
+    step = rows * max(1, _STACK_ROWS // rows)
+    for start in range(0, total, step):
+        count = min(step, total - start)
+        tiles = -(-count // rows)
+        padded = tiles * rows
+        if getattr(scratch, "capacity", 0) < padded:
+            # Geometric growth: slowly-increasing batches cost O(log) reallocations.
+            capacity = max(padded, 2 * getattr(scratch, "capacity", 0))
+            scratch.pair = np.empty((capacity, w_hidden.shape[0]), dtype=dtype)
+            scratch.hidden = np.empty((capacity, w_hidden.shape[1]), dtype=dtype)
+            # The output column, three sigmoid temporaries and its sign mask.
+            scratch.columns = tuple(np.empty((capacity, 1), dtype=dtype) for _ in range(4))
+            scratch.mask = np.empty((capacity, 1), dtype=bool)
+            scratch.capacity = capacity
+            scratch.allocations = getattr(scratch, "allocations", 0) + 1
+        pair = scratch.pair[:padded]
+        first_section = pair[:, :size]
+        second_section = pair[:, size : 2 * size]
+        np.copyto(first_section[:count], first[start : start + count])
+        np.copyto(second_section[:count], second[start : start + count])
+        pair[count:, : 2 * size] = 0.0
+        if pair.shape[1] == 4 * size:
+            diff = pair[:, 2 * size : 3 * size]
+            np.subtract(first_section, second_section, out=diff)
+            np.absolute(diff, out=diff)
+            np.multiply(first_section, second_section, out=pair[:, 3 * size :])
+        hidden = scratch.hidden[:padded]
+        np.matmul(pair.reshape(tiles, rows, -1), w_hidden, out=hidden.reshape(tiles, rows, -1))
+        np.add(hidden, b_hidden, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        z, aux0, aux1, aux2 = (column[:padded] for column in scratch.columns)
+        np.matmul(hidden.reshape(tiles, rows, -1), w_out, out=z.reshape(tiles, rows, 1))
+        np.add(z, b_out, out=z)
+        sigmoid_into(z, z, aux0, aux1, aux2, scratch.mask[:padded])
+        rates[start : start + count] = z[:count, 0]
+    return rates
+
+
 class CRNModel(Module):
     """The containment rate network.
 
@@ -94,6 +181,7 @@ class CRNModel(Module):
         out_input = 4 * hidden if self.config.use_expand else 2 * hidden
         self.out_hidden = Linear(out_input, 2 * hidden, rng=rng)
         self.out_final = Linear(2 * hidden, 1, rng=rng)
+        self._scratch = threading.local()  # pair_head buffers, per thread
 
     @property
     def hidden_size(self) -> int:
@@ -199,48 +287,28 @@ class CRNModel(Module):
         self,
         first_reprs: np.ndarray,
         second_reprs: np.ndarray,
-        slab_size: int = 256,
+        slab_size: int = PASS_ROWS,
     ) -> np.ndarray:
-        """Run ``MLPout`` over pre-encoded pairs in fixed-shape slabs.
+        """Run ``MLPout`` over pre-encoded pairs in fixed-shape tiles.
 
-        Every forward pass sees exactly ``slab_size`` rows (the final partial
-        slab is padded with zero rows that are discarded), so the BLAS kernels
-        behind the matmuls always run with the same shape and each pair's rate
-        is bit-for-bit independent of how pairs were grouped into batches.
-        This is the invariant the serving layer's cross-request batching
-        relies on (its results must match the per-request path exactly).
+        :func:`pair_head` on the live weights: every GEMM sees exactly
+        ``slab_size`` rows, so each pair's rate is bit-for-bit independent of
+        how pairs were grouped into batches — the invariant the serving
+        layer's cross-request batching relies on.  No autodiff graph is
+        built; the Tensor :meth:`head` is for training.
 
         Args:
             first_reprs: ``(n, H)`` encodings from :meth:`encode_set` (pos 1).
             second_reprs: ``(n, H)`` encodings from :meth:`encode_set` (pos 2).
-            slab_size: rows per forward pass; must be positive.
-
-        Returns:
-            A ``(n,)`` float64 array of containment rates.
+            slab_size: rows per fixed-shape pass; must be positive.
         """
-        if slab_size <= 0:
-            raise ValueError("slab_size must be positive")
-        if first_reprs.shape != second_reprs.shape:
-            raise ValueError("first and second encodings must have the same shape")
-        total = first_reprs.shape[0]
-        rates = np.empty(total, dtype=np.float64)
-        for start in range(0, total, slab_size):
-            first_slab = first_reprs[start : start + slab_size]
-            second_slab = second_reprs[start : start + slab_size]
-            count = first_slab.shape[0]
-            # Freshly allocate every slab (copy / zero-pad) so data alignment
-            # cannot vary with the slab's offset into the stacked batch.
-            if count < slab_size:
-                padding = np.zeros((slab_size - count, self.hidden_size))
-                first_slab = np.concatenate([first_slab, padding], axis=0)
-                second_slab = np.concatenate([second_slab, padding], axis=0)
-            else:
-                first_slab = first_slab.copy()
-                second_slab = second_slab.copy()
-            with no_grad():
-                out = self.head(Tensor(first_slab), Tensor(second_slab)).numpy()
-            rates[start : start + count] = out[:count]
-        return rates
+        weights = (
+            self.out_hidden.weight.data,
+            self.out_hidden.bias.data,
+            self.out_final.weight.data,
+            self.out_final.bias.data,
+        )
+        return pair_head(first_reprs, second_reprs, *weights, slab_size, self._scratch)
 
     def assemble_pool_pairs(
         self,
@@ -256,14 +324,12 @@ class CRNModel(Module):
         (:func:`repro.core.estimators.containment_pairs`).  Given the pool
         side pre-encoded as contiguous matrices (one per pair slot), this
         assembles the pair-head inputs with two vectorized strided writes —
-        no per-pair Python tuples, dict lookups, or row stacking.  The
-        assembled rows are exactly the rows ``estimate_containments`` would
-        have stacked for the same pairs, in the same interleaved order, and
+        no per-pair Python tuples, dict lookups, or row stacking.  The rows
+        are exactly those ``estimate_containments`` would have stacked for
+        the same pairs, in the same interleaved order, and
         :meth:`rates_from_encodings` makes each row's rate independent of
-        batch composition — so batched callers (the serving layer scoring
-        many requests at once) can concatenate several requests' assembled
-        blocks and run the pair head over one large fixed-shape slab
-        sequence without changing a bit.
+        batch composition — so the serving layer can concatenate several
+        requests' blocks into one kernel run without changing a bit.
 
         Args:
             query_first_repr: ``(H,)`` encoding of the incoming query from
@@ -318,7 +384,7 @@ class CRNEstimator(ContainmentEstimator):
        per pair slot with :meth:`CRNModel.encode_set` (a query appearing in
        hundreds of pairs — e.g. a pool query scored against many incoming
        queries — costs one featurization and at most two encodings per call);
-    2. the pair head runs over the gathered encodings in fixed-shape slabs
+    2. the pair head runs over the gathered encodings in fixed-shape tiles
        (:meth:`CRNModel.rates_from_encodings`), so estimates are bit-for-bit
        identical no matter how pairs are batched together.
 
@@ -327,7 +393,7 @@ class CRNEstimator(ContainmentEstimator):
         featurizer: the featurizer bound to the evaluation database.  Any
             object with ``featurize`` / ``vector_size`` works, so a
             :class:`repro.serving.FeaturizationCache` can be dropped in.
-        batch_size: pair-head slab size (rows per forward pass).
+        batch_size: rows per fixed-shape pair-head pass.
         encoding_cache: optional cross-call ``(query, position) -> Qvec``
             cache (:class:`repro.serving.EncodingCache`); when omitted,
             encodings are still deduplicated within each call.
@@ -339,7 +405,7 @@ class CRNEstimator(ContainmentEstimator):
         self,
         model: CRNModel,
         featurizer: QueryFeaturizer,
-        batch_size: int = 256,
+        batch_size: int = PASS_ROWS,
         encoding_cache=None,
     ) -> None:
         if model.vector_size != featurizer.vector_size:
@@ -355,8 +421,8 @@ class CRNEstimator(ContainmentEstimator):
         self.encoding_cache = encoding_cache
         #: Optional compiled inference plan
         #: (:class:`repro.serving.InferencePlan`).  When attached, the pair
-        #: head runs through the plan's fused kernels instead of the Tensor
-        #: path — bit-identical in float64 mode, within the plan's documented
+        #: head runs on the plan's frozen weights instead of the live ones —
+        #: bit-identical in float64 mode, within the plan's documented
         #: tolerance in float32 mode.  Duck-typed so core never imports the
         #: serving layer.
         self.inference_plan = None
@@ -376,8 +442,8 @@ class CRNEstimator(ContainmentEstimator):
         """Route pair-head inference through a compiled plan.
 
         The plan must have been compiled from *this* estimator's model with
-        the same slab size — the float64 mode's bit-identity guarantee is
-        defined against this estimator's ``batch_size`` slab discipline.
+        the same pass height — the float64 mode's bit-identity guarantee is
+        defined against this estimator's ``batch_size``.
         """
         if plan.model is not self.model:
             raise ValueError(
@@ -392,7 +458,7 @@ class CRNEstimator(ContainmentEstimator):
         self.inference_plan = plan
 
     def _head_rates(self, first_reprs: np.ndarray, second_reprs: np.ndarray) -> np.ndarray:
-        """Run the pair head: compiled plan when attached, Tensor path otherwise."""
+        """Run the pair head: the attached plan's frozen weights, else the live ones."""
         plan = self.inference_plan
         if plan is not None:
             return plan.rates_from_encodings(first_reprs, second_reprs)
@@ -452,8 +518,8 @@ class CRNEstimator(ContainmentEstimator):
         Resident items are assembled with
         :meth:`CRNModel.assemble_pool_pairs` and all blocks run through *one*
         pair-head pass: with many concurrent requests over small buckets,
-        per-request slab runs would each pad to a full slab and waste most
-        of the pair-head compute.  Because every row's rate is independent
+        per-request runs would each pad their last tile and pay the kernel's
+        fixed cost again.  Because every row's rate is independent
         of batch composition, the fused run returns bit-for-bit the rates of
         the per-pair route (float32-plan mode: the same rates within the
         plan's tolerance — there each item runs the plan's fused slab
@@ -501,8 +567,11 @@ class CRNEstimator(ContainmentEstimator):
                     slab.second,
                 )
             )
-        stacked_first = np.concatenate([first for first, _ in blocks], axis=0)
-        stacked_second = np.concatenate([second for _, second in blocks], axis=0)
+        if len(blocks) == 1:  # nothing to stack: skip two whole-batch copies
+            stacked_first, stacked_second = blocks[0]
+        else:
+            stacked_first = np.concatenate([first for first, _ in blocks], axis=0)
+            stacked_second = np.concatenate([second for _, second in blocks], axis=0)
         rates = self._head_rates(stacked_first, stacked_second)
         offset = 0
         for index, (first, _) in zip(resident, blocks):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
+from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel
 from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import QueryPair
@@ -83,7 +83,7 @@ class TrainingResult:
     best_validation_q_error: float = float("inf")
     stopped_early: bool = False
 
-    def estimator(self, batch_size: int = 256) -> CRNEstimator:
+    def estimator(self, batch_size: int = PASS_ROWS) -> CRNEstimator:
         """Wrap the trained model as a :class:`~repro.core.estimators.ContainmentEstimator`."""
         return CRNEstimator(self.model, self.featurizer, batch_size=batch_size)
 

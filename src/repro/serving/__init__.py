@@ -33,10 +33,10 @@ forward passes.  This package amortizes that work across requests:
   (estimator, pool/index, caches, dispatcher, feedback, adaptation
   sections).
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
-  :func:`compile_plan`, the frozen-model inference engine: a trained CRN's
-  pair head as one hand-written kernel of fused NumPy/BLAS calls over
-  frozen weight copies and preallocated scratch buffers (no ``Tensor``
-  objects, no grad-mode checks), with an optional float32 slab layout
+  :func:`compile_plan`, the frozen-model inference engine: the pair-head
+  array kernel every mode serves through
+  (:func:`repro.core.crn.pair_head`) run on frozen weight copies instead
+  of the live weights, with an optional float32 slab layout
   negotiated with :class:`PoolEncodingIndex` under a documented q-error
   bound — enabled through :class:`InferenceConfig` (``mode: compiled``).
 * :mod:`repro.serving.client` -- :class:`ServingClient`, the one-handle
@@ -87,7 +87,7 @@ estimator registry (with :meth:`EstimationService.replace` for zero-downtime
 hot swaps) and the queries pool all take fine-grained locks.
 
 Batched serving is exact: the CRN inference path encodes each query in
-isolation and runs the pair head in fixed-shape slabs
+isolation and runs the pair head in fixed-shape ``batch_size``-row tiles
 (:meth:`repro.core.crn.CRNModel.rates_from_encodings`), so served estimates
 are bit-for-bit identical to the naive per-request loop — whether batched by
 one caller or coalesced across threads by the dispatcher.  See

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
-from repro.core.crn import CRNModel
+from repro.core.crn import PASS_ROWS, CRNModel
 from repro.core.featurization import QueryFeaturizer
 from repro.core.final_functions import FINAL_FUNCTIONS, FinalFunction
 from repro.core.queries_pool import QueriesPool
@@ -104,14 +104,15 @@ class EstimatorConfig:
             ``trimmed_mean``).  A bare callable is accepted but cannot be
             serialized by :meth:`ServingConfig.to_mapping`.
         epsilon: the Cnt2Crd ``y_rate`` guard threshold.
-        batch_size: pair-head slab size for the batched forward passes.
+        batch_size: rows per fixed-shape pair-head pass (a rate's bits depend
+            on it alone; a saved ``256`` keeps serving the bits it was saved with).
     """
 
     name: str = "crn"
     fallback_name: str = "fallback"
     final_function: str | FinalFunction = "median"
     epsilon: float = 1e-3
-    batch_size: int = 256
+    batch_size: int = PASS_ROWS
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -311,12 +312,13 @@ class InferenceConfig:
     """How the stack runs pair-head inference.
 
     Attributes:
-        mode: ``"reference"`` runs the autodiff ``Tensor`` path (bit-exact
-            baseline, always float64); ``"compiled"`` freezes the model into
-            an :class:`repro.serving.InferencePlan` of fused NumPy kernels
-            at build time and recompiles it on every adaptation promote.
+        mode: both modes run one array kernel (:func:`repro.core.crn.pair_head`).
+            ``"reference"`` runs it on the model's live weights (always
+            float64); ``"compiled"`` freezes copies of them into an
+            :class:`repro.serving.InferencePlan` at build time, recompiled
+            on every adaptation promote, optionally in float32.
         slab_dtype: the compiled plan's execution dtype.  ``"float64"`` is
-            bit-identical to the reference path (pure overhead removal);
+            bit-identical to the reference path (it adds only the freeze);
             ``"float32"`` additionally negotiates float32 mirror slabs with
             the pool encoding index and runs fused variable-row passes —
             fastest, with estimates within ``tolerance`` of the reference.

@@ -26,7 +26,7 @@ its request — cancelled before execution when possible and counted under the
 
 Coalescing does not change a single bit of any estimate: the CRN inference
 path encodes each query in isolation and runs the pair head in fixed-shape
-slabs (:meth:`repro.core.crn.CRNModel.rates_from_encodings`), so an estimate
+tiles (:meth:`repro.core.crn.CRNModel.rates_from_encodings`), so an estimate
 is identical whether a query was served alone, inside one caller's batch, or
 coalesced with strangers' requests from other threads.  PR 1 proved that
 invariance across batch compositions; the dispatcher extends it across

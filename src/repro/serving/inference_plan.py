@@ -1,28 +1,25 @@
-"""Compiled inference plans: the CRN pair head as fused NumPy kernels.
+"""Compiled inference plans: the CRN pair head on frozen weights.
 
-Serving never needs gradients, yet the reference inference path still pays,
-per pair-head slab, Python-level ``Module.__call__`` dispatch, autodiff graph
-construction (parents/backward closures per op), thread-local grad-mode
-checks, and a fresh allocation for every intermediate.  An
-:class:`InferencePlan` removes all of it: it freezes the head and encoder
-weights as dtype-cast constant copies and runs the head as one hand-written
-kernel (:meth:`InferencePlan._head_pass`) of NumPy/BLAS calls into
-preallocated, geometrically-grown scratch buffers — no ``Tensor`` objects
-anywhere on the hot path.  The kernel's contract is the op order of
-:meth:`repro.core.crn.CRNModel.head` (same primitives, same order), and
-:func:`compile_plan` checks it against one ``model.head`` forward pass: a
-model whose head computes something else does not compile.
+Serving never needs gradients, and no serving path builds an autodiff graph:
+the pair head is one array kernel, :func:`repro.core.crn.pair_head`, which
+``reference`` mode runs on the model's live weights.  An
+:class:`InferencePlan` runs that same kernel on dtype-cast constant **copies**
+of the head and encoder weights, so a later optimizer step cannot reach what
+is being served.  The kernel's contract is the op order of
+:meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan` checks it
+against a ``model.head`` forward pass: a model whose head computes something
+else does not compile.
 
 Two dtype modes:
 
-* **float64** — the bit-exact mode.  The plan replays the reference slab
-  discipline of :meth:`repro.core.crn.CRNModel.rates_from_encodings`
-  (fixed ``slab_size``-row passes, zero-padded final slab) with the exact
-  same primitive ops in the exact same order, so its rates are bit-for-bit
-  identical to the ``Tensor`` path.  The win is pure overhead removal.
+* **float64** — the bit-exact mode.  Rows run in fixed ``slab_size``-row
+  tiles (zero-padded last tile), stacked so ``np.matmul`` issues one
+  identically-shaped GEMM per tile: rates are bit-for-bit those of the live
+  weights at the same ``batch_size``, and of the ``Tensor`` head run tile by
+  tile.  What the plan adds over ``reference`` mode is the freeze.
 * **float32** — the tolerance mode.  Constants and scratch are float32 and
-  the whole batch runs as **one** fused variable-row pass (no slab padding
-  waste).  Rates differ from the reference by float32 rounding; the
+  the whole batch runs as **one** variable-row pass (no padding at all).
+  Rates differ from the reference by float32 rounding; the
   documented bound (see ``docs/architecture.md``) is that per-rate relative
   error stays ~1e-5..1e-4, which the serving config exposes as
   ``inference.tolerance`` and the property tests check end to end as a
@@ -42,17 +39,12 @@ request only the genuinely pair-dependent work remains: the ``|f-s|`` /
 ``f*s`` elementwise maps and one ``(E, 2H+1)`` GEMM per direction — about
 half the FLOPs and none of the assembly copies of the generic pass.
 
-The encoder stage (``encode_set``) is already Tensor-free in the model; the
-plan carries frozen float64 copies of the encoder weights so
+The plan also carries frozen float64 copies of the encoder weights, so
 :meth:`InferencePlan.encode_set` is a pure function of the weights *at
-compile time* — a later optimizer step cannot leak into a compiled plan.
-Encodings stay canonical float64 regardless of plan dtype (they feed the
-shared :class:`repro.serving.EncodingCache`); the head casts on input load.
-
-Scratch buffers are per-thread (a serving dispatcher thread and client
-threads never share arrays) and grow geometrically: a plan serving mixed
-batch sizes reuses one high-water-mark allocation instead of allocating per
-request.
+compile time*.  Encodings stay canonical float64 regardless of plan dtype
+(they feed the shared :class:`repro.serving.EncodingCache`); the head casts
+on input load.  Scratch buffers are per-thread (a dispatcher thread and
+client threads never share arrays) and grow geometrically.
 """
 
 from __future__ import annotations
@@ -63,7 +55,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.crn import CRNEstimator, CRNModel, encode_set
+from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, encode_set, pair_head, sigmoid_into
 from repro.nn.tensor import Tensor, no_grad
 from repro.observability.events import PlanCompiled
 
@@ -94,7 +86,6 @@ class InferencePlan:
             # Freeze: an explicit copy, cast to the plan dtype.
             return np.array(parameter.data, dtype=dtype, order="C", copy=True)
 
-        self._use_expand = bool(model.config.use_expand)
         self._w_hidden = frozen(model.out_hidden.weight)
         self._b_hidden = frozen(model.out_hidden.bias)
         self._w_out = frozen(model.out_final.weight)
@@ -113,14 +104,14 @@ class InferencePlan:
             # bit-exactness contract.
             head_weight = self._w_hidden
             self._pair = {
-                "use_expand": self._use_expand,
+                "use_expand": bool(model.config.use_expand),
                 "w_first": head_weight[:hidden],
                 "w_second": head_weight[hidden : 2 * hidden],
                 "bias": self._b_hidden,
                 "w_out": self._w_out,
                 "b_out": self._b_out,
             }
-            if self._use_expand:
+            if self._pair["use_expand"]:
                 self._pair["w_diff"] = head_weight[2 * hidden : 3 * hidden]
                 self._pair["w_prod"] = head_weight[3 * hidden :]
         # Per-(scope, signature) cache of pool-side weight projections for
@@ -137,7 +128,7 @@ class InferencePlan:
         """How this plan executes a slab pass, as span/report attributes.
 
         What the tracer stamps onto ``slab_kernel`` spans, so a stored trace
-        says which execution mode (fused float32 variable-row vs fixed-slab
+        says which execution mode (fused float32 variable-row vs fixed-tile
         float64) produced the batch it amortizes over.
         """
         return {
@@ -176,75 +167,15 @@ class InferencePlan:
     def rates_from_encodings(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Containment rates for ``(n, H)`` pre-encoded pair matrices.
 
-        float64 mode replays the reference fixed-shape slab loop (bit-exact);
-        float32 mode runs one fused variable-row pass.  Always returns a
-        fresh float64 ``(n,)`` array (downstream estimate math is float64).
+        :func:`repro.core.crn.pair_head` on the frozen weights: float64 mode
+        in fixed ``slab_size``-row tiles (bit-exact), float32 mode as one
+        variable-row pass.  Always a fresh float64 ``(n,)`` array.
         """
         first = np.asarray(first)
         second = np.asarray(second)
-        if first.shape != second.shape:
-            raise ValueError("first and second encodings must have the same shape")
-        if first.ndim != 2 or first.shape[1] != self.hidden_size:
-            raise ValueError(
-                f"expected (n, {self.hidden_size}) encodings, got {first.shape}"
-            )
-        total = first.shape[0]
-        rates = np.empty(total, dtype=np.float64)
-        if total == 0:
-            return rates
-        rows = self.slab_size if self.dtype == np.float64 else total
-        for start in range(0, total, rows):
-            stop = min(start + rows, total)
-            rates[start:stop] = self._head_pass(first[start:stop], second[start:stop], rows)
-        return rates
-
-    def _head_pass(self, first: np.ndarray, second: np.ndarray, rows: int) -> np.ndarray:
-        """``CRNModel.head`` over one ``rows``-row pass, into this thread's scratch.
-
-        The ``count <= rows`` input rows are cast on load and zero-padded up
-        to ``rows``; the returned ``(count,)`` rates are a view of scratch,
-        valid until this thread's next pass.  Same primitives, same order as
-        the ``Tensor`` head (``a - b`` as ``a + (-b)``), with Expand written
-        straight into its sections of the pair buffer.
-        """
-        count = first.shape[0]
-        size = self.hidden_size
-        state = self._local
-        if getattr(state, "capacity", 0) < rows:
-            # Geometric growth: a stream of slowly-increasing batch sizes
-            # costs O(log) reallocations, not one per new high-water mark.
-            capacity = max(rows, 2 * getattr(state, "capacity", 0))
-            state.pair = np.empty((capacity, self._w_hidden.shape[0]), dtype=self.dtype)
-            state.hidden = np.empty((capacity, self._w_hidden.shape[1]), dtype=self.dtype)
-            # The output column, three sigmoid temporaries and its sign mask.
-            state.columns = tuple(
-                np.empty((capacity, 1), dtype=self.dtype) for _ in range(4)
-            )
-            state.mask = np.empty((capacity, 1), dtype=bool)
-            state.capacity = capacity
-            state.allocations = getattr(state, "allocations", 0) + 1
-        pair = state.pair[:rows]
-        first_section = pair[:, :size]
-        second_section = pair[:, size : 2 * size]
-        np.copyto(first_section[:count], first)
-        np.copyto(second_section[:count], second)
-        if count < rows:
-            pair[count:, : 2 * size] = 0.0
-        if self._use_expand:
-            diff = pair[:, 2 * size : 3 * size]
-            np.negative(second_section, out=diff)
-            np.add(first_section, diff, out=diff)
-            np.absolute(diff, out=diff)
-            np.multiply(first_section, second_section, out=pair[:, 3 * size :])
-        hidden = state.hidden[:rows]
-        np.matmul(pair, self._w_hidden, out=hidden)
-        np.add(hidden, self._b_hidden, out=hidden)
-        np.maximum(hidden, 0.0, out=hidden)
-        z, aux0, aux1, aux2 = (column[:rows] for column in state.columns)
-        np.matmul(hidden, self._w_out, out=z)
-        np.add(z, self._b_out, out=z)
-        self._sigmoid(z, z, aux0, aux1, aux2, state.mask[:rows])
-        return z[:count, 0]
+        rows = self.slab_size if self.dtype == np.float64 else max(first.shape[0], 1)
+        weights = (self._w_hidden, self._b_hidden, self._w_out, self._b_out)
+        return pair_head(first, second, *weights, rows, self._local)
 
     # ------------------------------------------------------------------ #
     # fused slab kernel (float32 only)
@@ -380,35 +311,15 @@ class InferencePlan:
         np.matmul(hidden, pair["w_out"], out=z)
         np.add(z, pair["b_out"], out=z)
         aux0, aux1, aux2 = (buf[:rows] for buf in state.fused_aux)
-        self._sigmoid(z, z, aux0, aux1, aux2, state.fused_mask[:rows])
+        sigmoid_into(z, z, aux0, aux1, aux2, state.fused_mask[:rows])
         out_view[:] = z[:, 0]
-
-    @staticmethod
-    def _sigmoid(a, out, t0, t1, t2, mask) -> None:
-        """The stable two-branch sigmoid, allocation-free and bit-identical.
-
-        Mirrors ``Tensor.sigmoid``: both branches are computed over the full
-        array, then selected by the sign mask — the exact elementwise values
-        ``np.where`` would pick, without its output allocation.
-        """
-        np.clip(a, -60.0, 60.0, out=t0)  # c
-        np.negative(t0, out=t1)
-        np.exp(t1, out=t1)  # exp(-c)
-        np.add(t1, 1.0, out=t1)
-        np.divide(1.0, t1, out=t1)  # positive branch: 1 / (1 + exp(-c))
-        np.exp(t0, out=t2)  # exp(c)
-        np.add(t2, 1.0, out=t0)
-        np.divide(t2, t0, out=t0)  # negative branch: exp(c) / (1 + exp(c))
-        np.greater_equal(a, 0.0, out=mask)
-        np.copyto(out, t0)
-        np.copyto(out, t1, where=mask)
 
 
 def compile_plan(
     model: CRNModel,
     *,
     dtype: np.dtype | str = np.float64,
-    slab_size: int = 256,
+    slab_size: int = PASS_ROWS,
     tolerance: float = 1e-3,
 ) -> InferencePlan:
     """Freeze ``model`` into an :class:`InferencePlan` and check it.
@@ -418,17 +329,18 @@ def compile_plan(
             the plan; later mutation of the model does not affect the plan.
         dtype: ``np.float64`` for the bit-exact mode, ``np.float32`` for the
             fused tolerance mode.
-        slab_size: rows per pair-head pass in float64 mode — must match the
-            estimator's ``batch_size`` for bit-identity with the reference
-            path (float32 mode ignores it for execution but keeps it for
+        slab_size: rows per fixed-shape pass in float64 mode — must match
+            the estimator's ``batch_size`` for bit-identity with the live
+            weights (float32 mode ignores it for execution but keeps it for
             bookkeeping).
         tolerance: the documented end-to-end q-error bound of float32 mode;
             carried on the plan so serving stats and events can report it.
 
     Returns:
-        A ready-to-run plan.  Compilation self-checks the kernel against one
-        ``model.head`` forward pass and raises ``RuntimeError`` when they
-        disagree (a subclass that overrides ``head``, say).
+        A ready-to-run plan.  Compilation self-checks the kernel against a
+        ``model.head`` forward pass, and tile stacking against a single tile,
+        and raises ``RuntimeError`` when either disagrees (a subclass that
+        overrides ``head``; a BLAS whose stacked matmul depends on the stack).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
@@ -442,17 +354,27 @@ def compile_plan(
         raise ValueError("tolerance must be positive")
     plan = InferencePlan(model, dtype=dtype, slab_size=slab_size, tolerance=tolerance)
 
-    # Self-check: the kernel must reproduce the Tensor head on the same rows
-    # — exactly in float64, within rounding in float32.
+    # Self-check of what batch invariance rests on: (a) the kernel on one
+    # zero-padded tile is the Tensor head on the same ``slab_size`` rows —
+    # exactly in float64, within rounding in float32 — and (b) those rows
+    # scored as the last tile of a 3-tile stack keep their single-tile bits.
     rng = np.random.default_rng(7)
-    first = rng.standard_normal((13, model.hidden_size))
-    second = rng.standard_normal((13, model.hidden_size))
+    count = max(slab_size - 3, 1)
+    first, second = rng.standard_normal((2, 2 * slab_size + count, model.hidden_size))
+    probe = slice(2 * slab_size, None)
+    tile = np.zeros((2, slab_size, model.hidden_size))
+    tile[0, :count], tile[1, :count] = first[probe], second[probe]
     with no_grad():
-        expected = model.head(Tensor(first), Tensor(second)).numpy()
-    actual = plan._head_pass(first, second, first.shape[0])
+        expected = model.head(Tensor(tile[0]), Tensor(tile[1])).numpy()[:count]
+    actual = plan.rates_from_encodings(first[probe], second[probe])
     if dtype == np.float64:
         if not np.array_equal(actual, expected):
             raise RuntimeError("compiled float64 plan diverged from model.head")
+        if not np.array_equal(plan.rates_from_encodings(first, second)[probe], actual):
+            raise RuntimeError(
+                "stacked matmul is not per-tile identical on this NumPy/BLAS "
+                "build: float64 rates would depend on the batch"
+            )
     elif not np.allclose(actual, expected, rtol=1e-3, atol=1e-5):
         raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
 

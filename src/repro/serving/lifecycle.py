@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cnt2crd import Cnt2CrdEstimator
-from repro.core.crn import CRNEstimator
+from repro.core.crn import PASS_ROWS, CRNEstimator
 from repro.core.metrics import q_errors
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingConfig, TrainingResult
@@ -1069,7 +1069,7 @@ class AdaptationManager:
                 f"{self.estimator_name!r} is {type(incumbent).__name__}"
             )
         containment = incumbent.containment_estimator
-        batch_size = containment.batch_size if isinstance(containment, CRNEstimator) else 256
+        batch_size = containment.batch_size if isinstance(containment, CRNEstimator) else PASS_ROWS
         # Carry the incumbent cache's LRU bound forward: a swap must not
         # silently turn an operator-bounded cache into an unbounded one.
         featurization_cache = FeaturizationCache(

@@ -7,9 +7,9 @@ resolves every request of a batch to the
 :class:`repro.core.queries_pool.PoolSlab` of its FROM-signature bucket, so
 the containment estimator scores *many* concurrent requests in one
 :meth:`repro.core.estimators.ContainmentEstimator.rates_against_pools` call —
-a few large fixed-shape forward passes
+one stacked run of fixed-shape tiles
 (:meth:`repro.core.crn.CRNModel.rates_from_encodings`) instead of one small
-batch per request.
+kernel call per request.
 
 Deduplication matters under real traffic: identical queries arrive
 repeatedly.  The executor scores each unique ``(query, slab token)`` once and

@@ -1,8 +1,10 @@
 """Tests for the frozen-model inference engine (plans, serving).
 
 Covers the whole compiled-inference stack: plan compilation, its freeze
-guarantee and its self-check against ``CRNModel.head``, float64 bit-identity
-with the reference ``Tensor`` path, the float32 tolerance mode, the pool
+guarantee and its self-checks (against ``CRNModel.head`` and against tile
+stacking), tile invariance of the one pair-head kernel on live and frozen
+weights (per-tile ``Tensor`` head and the 256-row golden included), float64
+bit-identity with the reference path, the float32 tolerance mode, the pool
 index's negotiated float32 slab layout, the ``InferenceConfig`` section, the
 client end-to-end paths (including mid-serving pool adds), the lifecycle's
 pre-swap recompile, and the ``plan_compile`` / ``plan_swap`` observability
@@ -12,6 +14,7 @@ trail.
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
+from repro.core.crn import PASS_ROWS
+from repro.core.training import TrainingResult
 from repro.datasets import build_queries_pool_queries
+from repro.nn.tensor import Tensor, no_grad
 from repro.serving import (
     InferenceConfig,
     InferencePlan,
@@ -27,7 +33,8 @@ from repro.serving import (
     ServingConfig,
     compile_plan,
 )
-from repro.serving.config import ObservabilityConfig
+from repro.serving import inference_plan as plan_module
+from repro.serving.config import EstimatorConfig, ObservabilityConfig
 from repro.serving.pool_index import PoolEncodingIndex
 
 
@@ -58,6 +65,23 @@ def encodings(hidden: int, rows: int, seed: int = 0) -> tuple[np.ndarray, np.nda
         rng.standard_normal((rows, hidden)),
         rng.standard_normal((rows, hidden)),
     )
+
+
+def tensor_head_by_passes(crn: CRNModel, first, second, rows: int) -> np.ndarray:
+    """The algorithm serving ran before the array kernel, written out: the
+    Tensor ``head`` under ``no_grad`` on freshly zero-padded ``rows``-row
+    passes, one pass at a time."""
+    total = first.shape[0]
+    rates = np.empty(total)
+    for start in range(0, total, rows):
+        count = min(rows, total - start)
+        padded = np.zeros((2, rows, crn.hidden_size))
+        padded[0, :count] = first[start : start + count]
+        padded[1, :count] = second[start : start + count]
+        with no_grad():
+            out = crn.head(Tensor(padded[0]), Tensor(padded[1])).numpy()
+        rates[start : start + count] = out[:count]
+    return rates
 
 
 # --------------------------------------------------------------------------- #
@@ -101,6 +125,35 @@ class TestCompilePlan:
         # The live model, by contrast, moved.
         assert not np.array_equal(
             crn.rates_from_encodings(first, second, slab_size=256), before
+        )
+
+    def test_compile_rejects_a_stack_dependent_matmul(self, monkeypatch):
+        # A NumPy/BLAS build whose stacked matmul is not one identical GEMM
+        # per tile would serve batch-dependent bits: emulate one (rows that
+        # share a call with more than a tile of others come out different).
+        real = plan_module.pair_head
+
+        def stack_dependent(first, second, *rest):
+            rates = real(first, second, *rest)
+            rows = rest[-2]
+            return np.nextafter(rates, 2.0) if first.shape[0] > rows else rates
+
+        monkeypatch.setattr(plan_module, "pair_head", stack_dependent)
+        with pytest.raises(RuntimeError, match="per-tile identical"):
+            compile_plan(make_model())
+        # float32 plans never stack tiles, so nothing rests on it there.
+        compile_plan(make_model(), dtype=np.float32)
+
+    def test_one_constant_sets_every_default_pass_height(self, imdb_featurizer):
+        crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+        assert EstimatorConfig().batch_size == PASS_ROWS
+        assert CRNEstimator(crn, imdb_featurizer).batch_size == PASS_ROWS
+        assert TrainingResult(crn, imdb_featurizer).estimator().batch_size == PASS_ROWS
+        assert compile_plan(crn).slab_size == PASS_ROWS
+        first, second = encodings(16, 3 * PASS_ROWS + 1)
+        np.testing.assert_array_equal(
+            crn.rates_from_encodings(first, second),
+            crn.rates_from_encodings(first, second, slab_size=PASS_ROWS),
         )
 
     def test_sum_pooling_models_compile_too(self):
@@ -157,6 +210,28 @@ class TestPlanExecution:
         plan.rates_from_encodings(*encodings(hidden, 40))
         assert plan.scratch_stats()["allocations"] == stats["allocations"]
 
+    def test_float64_scratch_grows_by_whole_tiles_up_to_one_stack(self):
+        crn = make_model()
+        plan = compile_plan(crn)
+        hidden = crn.hidden_size
+        # The self-check's 3-tile stack is this thread's high-water mark.
+        base = plan.scratch_stats()
+        assert base["capacity_rows"] == 3 * PASS_ROWS
+        plan.rates_from_encodings(*encodings(hidden, 3 * PASS_ROWS + 2))
+        grown = plan.scratch_stats()
+        # 4 tiles needed: the capacity doubles, and stays a whole number of tiles.
+        assert grown["capacity_rows"] == 6 * PASS_ROWS
+        assert grown["allocations"] == base["allocations"] + 1
+        plan.rates_from_encodings(*encodings(hidden, 6 * PASS_ROWS))
+        assert plan.scratch_stats() == grown
+        # However many rows a batch brings, a pass stacks at most 256 of
+        # them: scratch stops growing with the batch.
+        plan.rates_from_encodings(*encodings(hidden, 1000))
+        capped = plan.scratch_stats()
+        assert capped["capacity_rows"] == 256
+        plan.rates_from_encodings(*encodings(hidden, 5000))
+        assert plan.scratch_stats() == capped
+
     def test_shape_validation(self):
         plan = compile_plan(make_model())
         with pytest.raises(ValueError, match="same shape"):
@@ -195,6 +270,83 @@ class TestPlanExecution:
             rtol=fused.tolerance,
             atol=1e-6,
         )
+
+
+# --------------------------------------------------------------------------- #
+# tile invariance: a rate's bits depend on the pass height alone
+
+
+class TestTileInvariance:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.sampled_from(
+            [1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1, 2 * PASS_ROWS + 3, 1000]
+        ),
+        hidden=st.sampled_from([8, 16, 64]),
+        use_expand=st.booleans(),
+        data=st.data(),
+    )
+    def test_property_any_subset_in_any_order_keeps_each_rows_bits(
+        self, rows, hidden, use_expand, data
+    ):
+        """Scored alone, in a random subset, or permuted across tile
+        boundaries — live weights or frozen — a pair gets the same bits."""
+        seed = data.draw(st.integers(min_value=0, max_value=2**16))
+        crn = CRNModel(8, CRNConfig(hidden_size=hidden, seed=seed, use_expand=use_expand))
+        plan = compile_plan(crn)
+        first, second = encodings(hidden, rows, seed=seed)
+        scored = crn.rates_from_encodings(first, second)
+        assert plan.rates_from_encodings(first, second).tobytes() == scored.tobytes()
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            size = int(rng.integers(1, rows + 1))
+            chosen = rng.permutation(rows)[:size]
+            for head in (crn, plan):
+                subset = head.rates_from_encodings(first[chosen], second[chosen])
+                assert subset.tobytes() == scored[chosen].tobytes()
+
+    @pytest.mark.parametrize("use_expand", [True, False])
+    @pytest.mark.parametrize("rows", [0, 1, PASS_ROWS, 2 * PASS_ROWS + 3, 700])
+    def test_live_weights_equal_the_plan_and_the_per_tile_tensor_head(self, rows, use_expand):
+        crn = make_model(hidden=64, use_expand=use_expand)
+        first, second = encodings(64, rows, seed=rows)
+        live = crn.rates_from_encodings(first, second)
+        assert live.dtype == np.float64 and live.shape == (rows,)
+        assert compile_plan(crn).rates_from_encodings(first, second).tobytes() == live.tobytes()
+        assert tensor_head_by_passes(crn, first, second, PASS_ROWS).tobytes() == live.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 300, 700])
+    def test_golden_batch_size_256_serves_the_bits_of_the_old_slab_path(
+        self, rows, imdb_featurizer
+    ):
+        # An artifact saved with batch_size=256 in its config must boot to
+        # the numbers it was saved with: the 256-row Tensor slab algorithm.
+        crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=64, seed=5))
+        first, second = encodings(64, rows, seed=rows)
+        golden = tensor_head_by_passes(crn, first, second, 256)
+        estimator = CRNEstimator(crn, imdb_featurizer, batch_size=256)
+        assert estimator._head_rates(first, second).tobytes() == golden.tobytes()
+        estimator.attach_plan(compile_plan(crn, slab_size=256))
+        assert estimator._head_rates(first, second).tobytes() == golden.tobytes()
+
+    def test_threads_score_through_their_own_scratch(self):
+        # The live model's kernel buffers are per thread, as the plan's are.
+        crn = make_model(hidden=64)
+        first, second = encodings(64, 500, seed=3)
+        expected = crn.rates_from_encodings(first, second).tobytes()
+        results: list[bool] = []
+
+        def worker(offset: int) -> None:
+            for size in range(offset + 1, 500, 37):
+                got = crn.rates_from_encodings(first[:size], second[:size])
+                results.append(got.tobytes() == expected[: 8 * size])
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results and all(results)
 
 
 # --------------------------------------------------------------------------- #
