@@ -5,9 +5,9 @@ Every inference mode runs the pair head through one array kernel
 scratch, rows in fixed 16-row tiles) — no ``Tensor`` objects on any serving
 path.  ``reference`` mode runs it on the model's live weights; an
 :class:`repro.serving.InferencePlan` runs it on frozen copies, with an
-optional float32 slab layout negotiated with the index and a fused slab
-kernel that caches the pool side of the first pair-head GEMM per slab
-version.
+optional float32 slab layout negotiated with the index (feature-major
+mirrors) and a fused slab kernel that folds the request's query into its
+first-layer weight: one GEMM per direction, nothing cached per slab.
 
 This benchmark serves the identical bucket-heavy single-request workload as
 ``bench_pool_index.py`` through three otherwise-identical indexed clients:

@@ -272,12 +272,13 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         """:meth:`collapse` over plain estimate values (the vectorized path).
 
         Bit-for-bit equal to ``collapse(estimates_from_rates(...))`` for the
-        matching values: the final function sees the identical list of
-        floats either way.
+        matching values: the final function sees the same float64 values
+        either way, here as the array itself (every built-in final function
+        starts with ``np.asarray``, so a list round trip only cost time).
         """
         if values.size == 0:
             return 0.0
-        return float(self.final_function(values.tolist()))
+        return float(self.final_function(values))
 
     def fallback_estimate(self, query: Query) -> float:
         """Estimate a query with no matching pool entry (or raise).

@@ -523,8 +523,8 @@ class CRNEstimator(ContainmentEstimator):
         of batch composition, the fused run returns bit-for-bit the rates of
         the per-pair route (float32-plan mode: the same rates within the
         plan's tolerance — there each item runs the plan's fused slab
-        kernel, consuming index mirrors cast-free and reusing the cached
-        pool-side weight projection keyed by the item's slab token).
+        kernel on the slab's feature-major float32 mirrors, or on the
+        transposed canonical rows when the index keeps no mirrors).
 
         Returns one ``(2 * n_i,)`` rate array per item, in order.
         """
@@ -542,18 +542,17 @@ class CRNEstimator(ContainmentEstimator):
             return results
         plan = self.inference_plan
         if plan is not None and plan.dtype == np.float32:
-            # Per-item fused slab runs: each reuses the cached pool-side
-            # projection for its slab token, which beats one giant assembled
-            # pass — the assembly recomputes the pool half of the first GEMM
-            # for every request, the cache pays it once per slab version.
+            # Per-item fused slab runs: the kernel folds the item's query into
+            # its first-layer weight, so there is nothing to share across
+            # items — and it never assembles the (2E, 4H) pair matrix that one
+            # stacked pass would need.
             for index in resident:
                 query, slab = items[index]
                 results[index] = plan.rates_against_slab(
                     self.encode_query(query, 1),
                     self.encode_query(query, 2),
-                    slab.first_f32 if slab.first_f32 is not None else slab.first,
-                    slab.second_f32 if slab.second_f32 is not None else slab.second,
-                    token=slab.token,
+                    slab.first_f32 if slab.first_f32 is not None else slab.first.T,
+                    slab.second_f32 if slab.second_f32 is not None else slab.second.T,
                 )
             return results
         blocks = []

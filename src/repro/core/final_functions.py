@@ -12,8 +12,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: Signature of a final function: a non-empty list of estimates -> one estimate.
-FinalFunction = Callable[[Sequence[float]], float]
+#: Signature of a final function: a non-empty 1-D float64 array or sequence of
+#: estimates -> one estimate.  :meth:`Cnt2CrdEstimator.collapse` passes a list,
+#: :meth:`Cnt2CrdEstimator.collapse_values` (the serving path) the array.
+FinalFunction = Callable[[Sequence[float] | np.ndarray], float]
 
 
 def median_final(results: Sequence[float]) -> float:

@@ -70,12 +70,14 @@ class PoolSlab:
             x-rate pair).  A read-only view into index-owned storage.
         second: ``None``, or the position-2 encodings (the pool query as the
             *second* element of its ``(Qnew, Qold)`` y-rate pair).
-        first_f32: ``None``, or a float32 mirror of ``first`` when the index
+        first_f32: ``None``, or the float32 mirror of ``first`` when the index
             has negotiated a float32 layout with a compiled inference plan
-            (:meth:`repro.serving.PoolEncodingIndex.negotiate_dtype`) — the
-            plan's fused float32 pass reads these rows cast-free.  The
-            float64 matrices stay canonical either way.
-        second_f32: float32 mirror of ``second``, same contract.
+            (:meth:`repro.serving.PoolEncodingIndex.negotiate_dtype`).  Mirrors
+            are **feature-major**, ``(H, len(entries))`` with entry ``i`` in
+            column ``i`` (``first.T`` cast to float32), which is what the
+            plan's fused slab kernel reads in place.  The float64 matrices
+            stay canonical either way.
+        second_f32: float32 mirror of ``second``, same layout and contract.
     """
 
     entries: tuple[PoolEntry, ...]

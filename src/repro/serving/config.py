@@ -101,8 +101,9 @@ class EstimatorConfig:
             supplied to :class:`ServingConfig`) is registered under.
         final_function: the Cnt2Crd final function ``F`` — a name from
             :mod:`repro.core.final_functions` (``median`` / ``mean`` /
-            ``trimmed_mean``).  A bare callable is accepted but cannot be
-            serialized by :meth:`ServingConfig.to_mapping`.
+            ``trimmed_mean``).  A bare callable is accepted (serving hands
+            it a non-empty 1-D float64 array) but cannot be serialized by
+            :meth:`ServingConfig.to_mapping`.
         epsilon: the Cnt2Crd ``y_rate`` guard threshold.
         batch_size: rows per fixed-shape pair-head pass (a rate's bits depend
             on it alone; a saved ``256`` keeps serving the bits it was saved with).

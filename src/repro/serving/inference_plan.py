@@ -27,17 +27,23 @@ Two dtype modes:
 
 float32 plans additionally carry a **fused slab kernel**
 (:meth:`InferencePlan.rates_against_slab`) for the Cnt2Crd access pattern,
-where every pair couples one query vector with one pool row.  Instead of
-materializing the ``(2E, H)`` interleaved pair matrices and the ``(2E, 4H)``
-Expand concatenation, it exploits two algebraic facts: the first head matmul
-splits by Expand section (``concat([f, s, |f-s|, f*s]) @ W  ==  f@W_f +
-s@W_s + |f-s|@W_d + (f*s)@W_p``), and per slab half the sections are either
-a pure function of the pool rows (``pool @ W_f`` / ``pool @ W_s`` — cached
-per slab version, invalidated by the slab token) or one broadcast row
-(``q @ W_s + b``, folded into the per-request GEMM as a ones-column).  Per
-request only the genuinely pair-dependent work remains: the ``|f-s|`` /
-``f*s`` elementwise maps and one ``(E, 2H+1)`` GEMM per direction — about
-half the FLOPs and none of the assembly copies of the generic pass.
+where every pair couples one query vector ``q`` with one pool row.  Instead
+of materializing the ``(2E, H)`` interleaved pair matrices and the
+``(2E, 4H)`` Expand concatenation, it uses three facts.  The first head
+matmul splits by Expand section (``concat([f, s, |f-s|, f*s]) @ W  ==  f@W_f
++ s@W_s + |f-s|@W_d + (f*s)@W_p``).  With the pool rows ``P`` in one slot and
+``q`` in the other, both pool-side sections fold into one small per-request
+weight applied to ``P`` itself (``(P*q)@W_p + P@W_f  ==  P@(diag(q)·W_p +
+W_f)``), and the query-side section is one broadcast row (``q@W_s + b``)
+carried by a ones row.  And the pool side arrives **feature-major** —
+``(H, E)``, the layout the pool index keeps its float32 mirrors in — so per
+direction the kernel is ``hiddenᵀ (2H×E) = Wᵀ (2H×(2H+1)) @ [|P−q| ; P ; 1]
+((2H+1)×E)``: one copy, one ``|P−q|`` and one ReLU pass, each over
+contiguous ``E``-long rows, around one GEMM.  Nothing is kept between
+requests, so a pool append has nothing to invalidate.  The per-request weight
+costs two passes over ``H×2H`` floats: nothing at ``H=64``, but at the
+paper's ``H=512`` it is comparable to the GEMM itself for a slab of fewer
+than ~30 rows (numbers in ``docs/architecture.md``).
 
 The plan also carries frozen float64 copies of the encoder weights, so
 :meth:`InferencePlan.encode_set` is a pure function of the weights *at
@@ -95,30 +101,14 @@ class InferencePlan:
             for position, encoder in ((1, model.set_encoder1), (2, model.set_encoder2))
         }
         self._pooling = model.config.pooling
-        self._pair: dict[str, Any] | None = None
+        # The first head matmul split by Expand section, for the fused slab
+        # kernel: sections [W_f, W_s] or [W_f, W_s, W_d, W_p].  Float64 mode
+        # stays on the generic pass: the split reorders the accumulation,
+        # which is fine within float32 rounding but breaks the bit-exactness
+        # contract.
+        self._sections: np.ndarray | None = None
         if self.dtype == np.float32:
-            # Split the first head matmul by Expand section so the pool
-            # halves of the pair GEMM can be cached per slab.  Float64 mode
-            # stays on the generic pass: the split reorders the accumulation,
-            # which is fine within float32 rounding but breaks the
-            # bit-exactness contract.
-            head_weight = self._w_hidden
-            self._pair = {
-                "use_expand": bool(model.config.use_expand),
-                "w_first": head_weight[:hidden],
-                "w_second": head_weight[hidden : 2 * hidden],
-                "bias": self._b_hidden,
-                "w_out": self._w_out,
-                "b_out": self._b_out,
-            }
-            if self._pair["use_expand"]:
-                self._pair["w_diff"] = head_weight[2 * hidden : 3 * hidden]
-                self._pair["w_prod"] = head_weight[3 * hidden :]
-        # Per-(scope, signature) cache of pool-side weight projections for
-        # the fused slab kernel; entries are keyed by the full slab token,
-        # so a pool append (version bump) or rebind recomputes lazily.
-        self._projection_lock = threading.Lock()
-        self._projections: dict[Any, tuple[Any, np.ndarray, np.ndarray]] = {}
+            self._sections = self._w_hidden.reshape(-1, hidden, self._w_hidden.shape[1])
         self._local = threading.local()
 
     # ------------------------------------------------------------------ #
@@ -135,7 +125,7 @@ class InferencePlan:
             "mode": "compiled",
             "dtype": self.dtype.name,
             "slab_size": self.slab_size,
-            "fused": self._pair is not None,
+            "fused": self._sections is not None,
         }
 
     def scratch_stats(self) -> dict[str, int]:
@@ -186,133 +176,110 @@ class InferencePlan:
         query_second: np.ndarray,
         pool_first: np.ndarray,
         pool_second: np.ndarray,
-        token: Any = None,
     ) -> np.ndarray:
         """Fused query-vs-slab scoring in ``containment_pairs`` order.
 
-        Scores one query against ``E`` pool rows and returns the ``(2E,)``
+        Scores one query against ``E`` pool entries and returns the ``(2E,)``
         float64 rates the interleaved pair assembly would produce: even rows
         are the ``(Qold, Qnew)`` direction, odd rows ``(Qnew, Qold)`` —
         exactly :meth:`repro.core.crn.CRNModel.assemble_pool_pairs` order,
-        without ever materializing the pair matrices.
+        without ever materializing the pair matrices.  A pure function of its
+        arguments: no per-slab state survives the call.
 
         Args:
             query_first: the query's ``(H,)`` slot-1 encoding.
             query_second: the query's ``(H,)`` slot-2 encoding.
-            pool_first: ``(E, H)`` slot-1 pool rows (float32 mirrors when the
-                index negotiated them; float64 rows are cast here once).
-            pool_second: ``(E, H)`` slot-2 pool rows.
-            token: the slab's identity token.  When given, the pool-side
-                weight projections are cached under it and reused until the
-                slab changes (append, rebuild, rebind); ``None`` recomputes
-                them on every call.
+            pool_first: ``(H, E)`` feature-major slot-1 pool encodings, column
+                ``i`` belonging to entry ``i`` — the index's float32 mirror,
+                read in place whatever its column stride, or any ``(H, E)``
+                array (``slab.first.T``), cast once on load.
+            pool_second: ``(H, E)`` slot-2 pool encodings, same layout.
         """
-        pair = self._pair
-        if pair is None:
+        sections = self._sections
+        if sections is None:
             raise RuntimeError(
                 "the fused slab kernel needs a float32 plan; float64 mode "
                 "serves through the bit-exact generic pass"
             )
-        count = pool_first.shape[0]
+        size = self.hidden_size
+        if pool_first.shape != pool_second.shape or pool_first.shape[:-1] != (size,):
+            raise ValueError(
+                f"expected two (H={size}, E) feature-major pool matrices, got "
+                f"{pool_first.shape} and {pool_second.shape}"
+            )
+        count = pool_first.shape[1]
         rates = np.empty(2 * count, dtype=np.float64)
         if count == 0:
             return rates
-        pool_first = np.ascontiguousarray(pool_first, dtype=self.dtype)
-        pool_second = np.ascontiguousarray(pool_second, dtype=self.dtype)
-        q_first = np.asarray(query_first, dtype=self.dtype)
-        q_second = np.asarray(query_second, dtype=self.dtype)
-        proj_first, proj_second = self._slab_projections(pool_first, pool_second, token)
+        # Cast on load: free for a float32 mirror, one copy for anything else.
+        pools = [np.asarray(rows, dtype=self.dtype) for rows in (pool_first, pool_second)]
         state = self._fused_state(count)
-        # (Qold, Qnew): pool rows fill the first slot, the query the second.
-        self._fused_half(state, count, pool_first, q_second, proj_first, pair["w_second"], rates[0::2])
-        # (Qnew, Qold): the query fills the first slot, pool rows the second.
-        self._fused_half(state, count, pool_second, q_first, proj_second, pair["w_first"], rates[1::2])
+        # Direction 0 scores (Qold, Qnew): pool rows fill the first slot and
+        # the query the second; direction 1, (Qnew, Qold), is the reverse.
+        # The Expand cross terms are symmetric in the slot order, so the two
+        # differ only in which query vector and which head sections they use.
+        queries, weight = state.fused_queries, state.fused_weight
+        queries[0], queries[1] = query_second, query_first
+        columns = queries[:, :, None]
+        use_expand = len(sections) == 4
+        w_pool = sections[:2]  # meets the pool slot: W_f, then W_s
+        if use_expand:
+            folded = weight[:, size : 2 * size]
+            np.multiply(sections[3], columns, out=folded)
+            np.add(folded, w_pool, out=folded)  # (P*q)@W_p + P@W == P@folded
+        np.matmul(queries[:, None], w_pool[::-1], out=weight[:, -1:])
+        np.add(weight[:, -1], self._b_hidden, out=weight[:, -1])
+        width, out_dim = weight.shape[1:]
+        stack = state.fused_stack[: width * count].reshape(width, count)
+        hidden = state.fused_hidden[: out_dim * count].reshape(out_dim, count)
+        z = state.fused_z[: 2 * count]
+        z_rows = z.reshape(2, 1, count)
+        stack[-1] = 1.0
+        for direction, pool_rows in enumerate(pools):
+            np.copyto(stack[-1 - size : -1], pool_rows)
+            if use_expand:
+                np.subtract(pool_rows, columns[direction], out=stack[:size])
+                np.absolute(stack[:size], out=stack[:size])
+            np.matmul(weight[direction].T, stack, out=hidden)
+            np.maximum(hidden, 0.0, out=hidden)
+            np.matmul(self._w_out.T, hidden, out=z_rows[direction])
+        np.add(z, self._b_out, out=z)
+        aux0, aux1, aux2 = (buffer[: 2 * count] for buffer in state.fused_aux)
+        sigmoid_into(z, z, aux0, aux1, aux2, state.fused_mask[: 2 * count])
+        rates[0::2] = z[:count]
+        rates[1::2] = z[count:]
         return rates
 
-    def _slab_projections(
-        self, pool_first: np.ndarray, pool_second: np.ndarray, token: Any
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The cached ``pool @ W`` projections for one slab version."""
-        pair = self._pair
-        key = token[:2] if token is not None else None
-        if key is not None:
-            with self._projection_lock:
-                cached = self._projections.get(key)
-            if cached is not None and cached[0] == token:
-                return cached[1], cached[2]
-        proj_first = pool_first @ pair["w_first"]
-        proj_second = pool_second @ pair["w_second"]
-        if key is not None:
-            with self._projection_lock:
-                self._projections[key] = (token, proj_first, proj_second)
-        return proj_first, proj_second
+    def _fused_state(self, entries: int):
+        """Per-thread scratch for the fused slab kernel (geometric growth).
 
-    def _fused_state(self, rows: int):
-        """Per-thread scratch for the fused slab kernel (geometric growth)."""
-        pair = self._pair
+        The stack and hidden buffers are **flat**: each call reshapes a
+        prefix to ``(width, E)``, so every row the kernel touches is
+        contiguous whatever ``E`` is.
+        """
         state = self._local
-        if getattr(state, "fused_capacity", 0) < rows:
-            capacity = max(rows, 2 * getattr(state, "fused_capacity", 0))
-            hidden = self.hidden_size
-            out_dim = pair["w_out"].shape[0]
-            if pair["use_expand"]:
-                # [ |f-s| | f*s | 1 ] — the ones column folds the per-request
-                # broadcast row (q @ W + b) into the single GEMM below.
-                state.fused_stack = np.empty((capacity, 2 * hidden + 1), dtype=self.dtype)
-                state.fused_stack[:, -1] = 1.0
-                weight = np.empty((2 * hidden + 1, out_dim), dtype=self.dtype)
-                weight[:hidden] = pair["w_diff"]
-                weight[hidden : 2 * hidden] = pair["w_prod"]
-                state.fused_weight = weight
-            state.fused_hidden = np.empty((capacity, out_dim), dtype=self.dtype)
-            state.fused_z = np.empty((capacity, 1), dtype=self.dtype)
-            state.fused_aux = tuple(
-                np.empty((capacity, 1), dtype=self.dtype) for _ in range(3)
+        if getattr(state, "fused_capacity", 0) < entries:
+            capacity = max(entries, 2 * getattr(state, "fused_capacity", 0))
+            sections, hidden, out_dim = self._sections.shape
+            # Per direction, weight rows [ W_d ; diag(q)·W_p + W_pool ;
+            # q@W_query + b ] meet stack rows [ |P-q| ; P ; 1 ]; only W_d
+            # outlives a request.  Without Expand there is no first block
+            # and nothing to fold: rows [ W_pool ; q@W_query + b ].
+            width = sections // 2 * hidden + 1
+            state.fused_weight = np.empty((2, width, out_dim), dtype=self.dtype)
+            state.fused_weight[:, :hidden] = (
+                self._sections[2] if sections == 4 else self._sections[:2]
             )
-            state.fused_mask = np.empty((capacity, 1), dtype=bool)
+            state.fused_queries = np.empty((2, hidden), dtype=self.dtype)
+            state.fused_stack = np.empty(capacity * width, dtype=self.dtype)
+            state.fused_hidden = np.empty(capacity * out_dim, dtype=self.dtype)
+            # Both directions' output rows, three sigmoid temporaries, its mask.
+            state.fused_z = np.empty(2 * capacity, dtype=self.dtype)
+            state.fused_aux = tuple(np.empty(2 * capacity, dtype=self.dtype) for _ in range(3))
+            state.fused_mask = np.empty(2 * capacity, dtype=bool)
             state.fused_capacity = capacity
             state.allocations = getattr(state, "allocations", 0) + 1
         return state
-
-    def _fused_half(
-        self,
-        state,
-        rows: int,
-        pool_rows: np.ndarray,
-        query_vec: np.ndarray,
-        projection: np.ndarray,
-        w_query: np.ndarray,
-        out_view: np.ndarray,
-    ) -> None:
-        """One scoring direction: ``pool_rows`` in one slot, the query in the
-        other.  The Expand cross terms (``|f-s|``, ``f*s``) are symmetric in
-        the slot order, so both directions share this exact routine — only
-        the projection (pool slot) and ``w_query`` (query slot) differ."""
-        pair = self._pair
-        qrow = query_vec @ w_query
-        qrow += pair["bias"]
-        hidden = state.fused_hidden[:rows]
-        if pair["use_expand"]:
-            size = self.hidden_size
-            stack = state.fused_stack[:rows]
-            diff = stack[:, :size]
-            prod = stack[:, size : 2 * size]
-            np.subtract(pool_rows, query_vec, out=diff)
-            np.absolute(diff, out=diff)
-            np.multiply(pool_rows, query_vec, out=prod)
-            weight = state.fused_weight
-            weight[-1] = qrow
-            np.matmul(stack, weight, out=hidden)  # |f-s|@Wd + (f*s)@Wp + qrow
-            np.add(hidden, projection, out=hidden)
-        else:
-            np.add(projection, qrow, out=hidden)
-        np.maximum(hidden, 0.0, out=hidden)
-        z = state.fused_z[:rows]
-        np.matmul(hidden, pair["w_out"], out=z)
-        np.add(z, pair["b_out"], out=z)
-        aux0, aux1, aux2 = (buf[:rows] for buf in state.fused_aux)
-        sigmoid_into(z, z, aux0, aux1, aux2, state.fused_mask[:rows])
-        out_view[:] = z[:, 0]
 
 
 def compile_plan(
@@ -337,10 +304,11 @@ def compile_plan(
             carried on the plan so serving stats and events can report it.
 
     Returns:
-        A ready-to-run plan.  Compilation self-checks the kernel against a
-        ``model.head`` forward pass, and tile stacking against a single tile,
-        and raises ``RuntimeError`` when either disagrees (a subclass that
-        overrides ``head``; a BLAS whose stacked matmul depends on the stack).
+        A ready-to-run plan.  Compilation self-checks the kernel (float32:
+        the fused slab kernel as well) against a ``model.head`` forward pass,
+        and tile stacking against a single tile, and raises ``RuntimeError``
+        when either disagrees (a subclass that overrides ``head``; a BLAS
+        whose stacked matmul depends on the stack).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
@@ -356,8 +324,8 @@ def compile_plan(
 
     # Self-check of what batch invariance rests on: (a) the kernel on one
     # zero-padded tile is the Tensor head on the same ``slab_size`` rows —
-    # exactly in float64, within rounding in float32 — and (b) those rows
-    # scored as the last tile of a 3-tile stack keep their single-tile bits.
+    # exactly in float64, within rounding in float32 — and (b, float64) those
+    # rows scored as the last tile of a 3-tile stack keep their single-tile bits.
     rng = np.random.default_rng(7)
     count = max(slab_size - 3, 1)
     first, second = rng.standard_normal((2, 2 * slab_size + count, model.hidden_size))
@@ -375,8 +343,18 @@ def compile_plan(
                 "stacked matmul is not per-tile identical on this NumPy/BLAS "
                 "build: float64 rates would depend on the batch"
             )
-    elif not np.allclose(actual, expected, rtol=1e-3, atol=1e-5):
-        raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
+    else:
+        # (c) float32 serving scores slabs through the fused kernel, so probe
+        # it as well: up to 16 probe rows as the pool side, one as the query.
+        pool_first, pool_second = first[probe][:16], second[probe][:16]
+        query = pool_first[0], pool_second[0]
+        pairs = model.assemble_pool_pairs(*query, pool_first, pool_second)
+        with no_grad():
+            fused_expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
+        fused = plan.rates_against_slab(*query, pool_first.T, pool_second.T)
+        for rates, reference in ((actual, expected), (fused, fused_expected)):
+            if not np.allclose(rates, reference, rtol=1e-3, atol=1e-5):
+                raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
 
     plan.compile_seconds = time.perf_counter() - started
     return plan

@@ -43,8 +43,9 @@ Thread safety: one index lock guards the owner fence *and* the slab store as
 a unit (see the constructor comment for why they cannot be split), and long
 holders release it between signatures.  Returned
 :class:`repro.core.queries_pool.PoolSlab` views are snapshots — appends
-write past the snapshot's row count and rebuilds allocate fresh matrices, so rows handed to an in-flight request are never
-mutated under it.
+write past the snapshot's entry count (rows of the canonical matrices,
+columns of the float32 mirrors) and growth or a rebuild allocates fresh
+matrices, so what an in-flight request was handed is never mutated under it.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ from repro.sql.query import Query
 class _Slab:
     """Mutable per-(scope, signature) storage with geometric growth.
 
-    The float64 matrices are canonical.  When ``mirror`` is set the slab also
-    keeps float32 copies of both matrices, maintained row-for-row alongside
-    the canonical writes, so a float32 inference plan reads pre-cast rows.
+    The float64 ``(capacity, H)`` matrices are canonical.  When ``mirror`` is
+    set the slab also keeps float32 copies, maintained entry-for-entry
+    alongside the canonical writes in the feature-major ``(H, capacity)``
+    layout :attr:`repro.core.queries_pool.PoolSlab.first_f32` documents.
     """
 
     __slots__ = ("entries", "first", "second", "first_f32", "second_f32", "cardinalities", "version")
@@ -72,8 +74,8 @@ class _Slab:
         self.entries: tuple[PoolEntry, ...] = ()
         self.first = np.empty((capacity, hidden), dtype=np.float64)
         self.second = np.empty((capacity, hidden), dtype=np.float64)
-        self.first_f32 = np.empty((capacity, hidden), dtype=np.float32) if mirror else None
-        self.second_f32 = np.empty((capacity, hidden), dtype=np.float32) if mirror else None
+        self.first_f32 = np.empty((hidden, capacity), dtype=np.float32) if mirror else None
+        self.second_f32 = np.empty((hidden, capacity), dtype=np.float32) if mirror else None
         self.cardinalities = np.empty(capacity, dtype=np.float64)
         self.version = -1
 
@@ -82,41 +84,39 @@ class _Slab:
         return len(self.entries)
 
     def set_row(self, offset: int, first_row: np.ndarray, second_row: np.ndarray) -> None:
-        """Write one entry's encodings (and their mirrors, when negotiated)."""
+        """Write one entry's encodings (and their mirror columns, when negotiated)."""
         self.first[offset] = first_row
         self.second[offset] = second_row
         if self.first_f32 is not None:
-            self.first_f32[offset] = first_row
-            self.second_f32[offset] = second_row
+            self.first_f32[:, offset] = first_row
+            self.second_f32[:, offset] = second_row
 
     def ensure_capacity(self, rows: int) -> None:
-        """Grow the matrices to hold ``rows`` rows (doubling, amortized O(1)).
+        """Grow the matrices to hold ``rows`` entries (doubling, amortized O(1)).
 
         Growth reallocates instead of resizing in place: an in-flight request
-        may still hold views into the old matrices, and those rows must stay
-        exactly what its resolve returned.
+        may still hold views into the old matrices, and those entries must
+        stay exactly what its resolve returned.
         """
         capacity = self.first.shape[0]
         if rows <= capacity:
             return
         while capacity < rows:
             capacity *= 2
-        grown_first = np.empty((capacity, self.first.shape[1]), dtype=np.float64)
-        grown_second = np.empty((capacity, self.second.shape[1]), dtype=np.float64)
-        grown_cardinalities = np.empty(capacity, dtype=np.float64)
-        grown_first[: self.count] = self.first[: self.count]
-        grown_second[: self.count] = self.second[: self.count]
-        grown_cardinalities[: self.count] = self.cardinalities[: self.count]
+        count = self.count
+
+        def grown(matrix: np.ndarray, axis: int = 0) -> np.ndarray:
+            shape = list(matrix.shape)
+            shape[axis] = capacity
+            fresh = np.empty(shape, dtype=matrix.dtype)
+            kept = (slice(None),) * axis + (slice(count),)
+            fresh[kept] = matrix[kept]
+            return fresh
+
+        self.first, self.second = grown(self.first), grown(self.second)
+        self.cardinalities = grown(self.cardinalities)
         if self.first_f32 is not None:
-            grown_first32 = np.empty((capacity, self.first.shape[1]), dtype=np.float32)
-            grown_second32 = np.empty((capacity, self.second.shape[1]), dtype=np.float32)
-            grown_first32[: self.count] = self.first_f32[: self.count]
-            grown_second32[: self.count] = self.second_f32[: self.count]
-            self.first_f32 = grown_first32
-            self.second_f32 = grown_second32
-        self.first = grown_first
-        self.second = grown_second
-        self.cardinalities = grown_cardinalities
+            self.first_f32, self.second_f32 = grown(self.first_f32, 1), grown(self.second_f32, 1)
 
 
 class PoolIndexStats:
@@ -304,10 +304,10 @@ class PoolEncodingIndex:
                         first=slab.first[: slab.count],
                         second=slab.second[: slab.count],
                         first_f32=(
-                            slab.first_f32[: slab.count] if slab.first_f32 is not None else None
+                            slab.first_f32[:, : slab.count] if slab.first_f32 is not None else None
                         ),
                         second_f32=(
-                            slab.second_f32[: slab.count] if slab.second_f32 is not None else None
+                            slab.second_f32[:, : slab.count] if slab.second_f32 is not None else None
                         ),
                     )
         if view is None:

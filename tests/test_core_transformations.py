@@ -5,6 +5,7 @@ feeding either of them *exact* information reproduces exact answers, which is
 verified against the toy and synthetic databases.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, cnt2crd
@@ -200,6 +201,37 @@ class TestCnt2Crd:
         assert median_estimate.estimate_cardinality(query) == pytest.approx(
             mean_estimate.estimate_cardinality(query)
         )
+
+    @pytest.mark.parametrize(
+        "final_function",
+        ["median", "mean", "trimmed_mean", lambda values: sorted(values)[len(values) // 2]],
+        ids=["median", "mean", "trimmed_mean", "plain_callable"],
+    )
+    def test_collapse_values_equals_collapse_bit_for_bit(
+        self, imdb_small, oracle_pool, final_function
+    ):
+        # The serving path hands the final function the float64 array, the
+        # observability path a list of the same floats: one answer, and a
+        # plain-Python callable works on both.
+        estimator = Cnt2CrdEstimator(
+            OracleContainmentEstimator(imdb_small), oracle_pool, final_function=final_function
+        )
+        signature = max(
+            oracle_pool.from_signatures(),
+            key=lambda signature: len(oracle_pool.bucket_slab(signature).entries),
+        )
+        entries = oracle_pool.bucket_slab(signature).entries
+        assert len(entries) >= 4
+        rates = np.random.default_rng(5).uniform(0.01, 1.0, size=2 * len(entries))
+        rates[1] = 0.0  # the epsilon guard drops entry 0 on both routes
+        values = estimator.estimate_values_from_rates(entries, rates)
+        assert isinstance(values, np.ndarray) and values.shape == (len(entries) - 1,)
+        by_values = estimator.collapse_values(values)
+        by_estimates = estimator.collapse(
+            estimator.estimates_from_rates(entries[0].query, entries, rates.tolist())
+        )
+        assert isinstance(by_values, float) and isinstance(by_estimates, float)
+        assert np.float64(by_values).tobytes() == np.float64(by_estimates).tobytes()
 
 
 class TestImprovedModels:

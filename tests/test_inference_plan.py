@@ -144,6 +144,25 @@ class TestCompilePlan:
         # float32 plans never stack tiles, so nothing rests on it there.
         compile_plan(make_model(), dtype=np.float32)
 
+    def test_float32_compile_probes_the_fused_slab_kernel(self, monkeypatch):
+        # The generic pass is not what float32 serving runs: a fused kernel
+        # that disagrees with model.head must fail compilation too.
+        real = InferencePlan.rates_against_slab
+        probed: list[int] = []
+
+        def skewed(plan, *args):
+            rates = real(plan, *args)
+            probed.append(rates.shape[0])
+            return rates * 0.5
+
+        monkeypatch.setattr(InferencePlan, "rates_against_slab", skewed)
+        for use_expand in (True, False):
+            with pytest.raises(RuntimeError, match="diverged"):
+                compile_plan(make_model(use_expand=use_expand), dtype=np.float32, slab_size=256)
+        assert probed == [32, 32]  # 16 probe rows, both directions, whatever the slab
+        compile_plan(make_model())  # float64 plans have no fused kernel to probe
+        assert len(probed) == 2
+
     def test_one_constant_sets_every_default_pass_height(self, imdb_featurizer):
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
         assert EstimatorConfig().batch_size == PASS_ROWS
@@ -350,6 +369,192 @@ class TestTileInvariance:
 
 
 # --------------------------------------------------------------------------- #
+# the float32 fused slab kernel
+
+
+def slab_inputs(hidden: int, entries: int, seed: int = 0):
+    """A query's two encodings and an ``entries``-row pool side, float64."""
+    rng = np.random.default_rng(seed)
+    query_first, query_second = rng.standard_normal((2, hidden))
+    pool_first, pool_second = rng.standard_normal((2, entries, hidden))
+    return query_first, query_second, pool_first, pool_second
+
+
+def feature_major(rows: np.ndarray) -> np.ndarray:
+    """``(E, H)`` float64 rows as the contiguous ``(H, E)`` float32 mirror."""
+    return np.ascontiguousarray(rows.T, dtype=np.float32)
+
+
+class TestFusedSlabKernel:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        hidden=st.sampled_from([8, 64]),
+        entries=st.sampled_from([0, 1, 17, 300]),
+        use_expand=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_property_matches_the_pair_head_on_assembled_pairs(
+        self, hidden, entries, use_expand, seed
+    ):
+        crn = make_model(hidden=hidden, seed=seed, use_expand=use_expand)
+        plan = compile_plan(crn, dtype=np.float32)
+        q_first, q_second, pool_first, pool_second = slab_inputs(hidden, entries, seed)
+        fused = plan.rates_against_slab(
+            q_first, q_second, feature_major(pool_first), feature_major(pool_second)
+        )
+        assert fused.dtype == np.float64 and fused.shape == (2 * entries,)
+        pairs = crn.assemble_pool_pairs(q_first, q_second, pool_first, pool_second)
+        # Against the float32 pair head on the same weights: rounding only.
+        np.testing.assert_allclose(
+            fused, plan.rates_from_encodings(*pairs), rtol=1e-4, atol=1e-6
+        )
+        # Against the float64 reference: the plan's documented tolerance.
+        np.testing.assert_allclose(
+            fused, crn.rates_from_encodings(*pairs), rtol=plan.tolerance, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("use_expand", [True, False])
+    def test_mirror_views_and_the_float64_fallback_score_like_contiguous_float32(
+        self, use_expand
+    ):
+        crn = make_model(hidden=16, use_expand=use_expand)
+        plan = compile_plan(crn, dtype=np.float32)
+        q_first, q_second, pool_first, pool_second = slab_inputs(16, 37, seed=9)
+        expected = plan.rates_against_slab(
+            q_first, q_second, feature_major(pool_first), feature_major(pool_second)
+        ).tobytes()
+        # What the index hands out: the first `count` columns of a mirror
+        # with spare capacity (rows strided by the capacity, not by E).
+        mirrors = np.full((2, 16, 64), np.nan, dtype=np.float32)
+        mirrors[0, :, :37], mirrors[1, :, :37] = pool_first.T, pool_second.T
+        views = plan.rates_against_slab(q_first, q_second, mirrors[0, :, :37], mirrors[1, :, :37])
+        assert views.tobytes() == expected
+        # A mirror-less slab: the canonical float64 rows, transposed.
+        fallback = plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T)
+        assert fallback.tobytes() == expected
+
+    def test_rejects_row_major_input_and_float64_plans(self):
+        crn = make_model(hidden=16)
+        q_first, q_second, pool_first, pool_second = slab_inputs(16, 5)
+        plan = compile_plan(crn, dtype=np.float32)
+        with pytest.raises(ValueError, match="feature-major"):
+            plan.rates_against_slab(q_first, q_second, pool_first, pool_second)
+        with pytest.raises(ValueError, match="feature-major"):
+            plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T[:, :4])
+        with pytest.raises(RuntimeError, match="float32 plan"):
+            compile_plan(crn).rates_against_slab(
+                q_first, q_second, pool_first.T, pool_second.T
+            )
+
+    def test_a_resolved_slab_scores_identically_after_appends_and_growth(
+        self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle
+    ):
+        # The snapshot contract for column appends: what a request resolved
+        # stays what it scores, whether a later add writes the next column of
+        # the same mirror or outgrows it (ensure_capacity reallocates).
+        own_pool = QueriesPool(pool)
+        containment = CRNEstimator(model, imdb_featurizer)
+        containment.attach_plan(compile_plan(model, dtype=np.float32))
+        index = PoolEncodingIndex(own_pool, initial_capacity=1)
+        index.negotiate_dtype(np.float32)
+        estimator = Cnt2CrdEstimator(containment, own_pool, pool_index=index)
+        # Unseen queries over one FROM signature the pool knows: one to
+        # score, two to add.
+        known = {entry.query for entry in own_pool}
+        by_signature: dict[tuple, list] = {}
+        for item in build_queries_pool_queries(
+            imdb_small, count=60, seed=41, oracle=imdb_oracle
+        ):
+            if item.cardinality > 0 and item.query not in known:
+                by_signature.setdefault(item.query.from_signature(), []).append(item)
+        scored_item, *extra = next(
+            items
+            for items in by_signature.values()
+            if len(items) >= 3 and own_pool.has_match(items[0].query)
+        )
+        query = scored_item.query
+        slabs = [index.resolve(estimator, query)]
+        scored = [containment.rates_against_pools([(query, slabs[0])])[0].tobytes()]
+        for item in extra[:2]:
+            own_pool.add(item.query, item.cardinality)
+            slabs.append(index.resolve(estimator, query))
+            scored.append(containment.rates_against_pools([(query, slabs[-1])])[0].tobytes())
+        count = len(slabs[0].entries)
+        assert [slab.first_f32.shape for slab in slabs] == [
+            (model.hidden_size, count + grown) for grown in range(3)
+        ]
+        # A full mirror (capacity == count) grew into fresh storage; the next
+        # append fit the doubled capacity and wrote a column in place.
+        assert slabs[1].first_f32.base is not slabs[0].first_f32.base
+        assert slabs[2].first_f32.base is slabs[1].first_f32.base
+        for slab, expected in zip(slabs, scored):
+            np.testing.assert_array_equal(slab.first_f32, slab.first.T.astype(np.float32))
+            np.testing.assert_array_equal(slab.second_f32, slab.second.T.astype(np.float32))
+            assert containment.rates_against_pools([(query, slab)])[0].tobytes() == expected
+
+    def test_threads_score_different_slabs_through_one_plan(self):
+        crn = make_model(hidden=64)
+        plan = compile_plan(crn, dtype=np.float32)
+        cases = []
+        for index, entries in enumerate((300, 17, 1, 90)):
+            q_first, q_second, pool_first, pool_second = slab_inputs(64, entries, seed=index)
+            cases.append(
+                (q_first, q_second, feature_major(pool_first), feature_major(pool_second))
+            )
+        expected = [plan.rates_against_slab(*case).tobytes() for case in cases]
+        results: list[bool] = []
+
+        def worker(offset: int) -> None:
+            for step in range(40):
+                which = (offset + step) % len(cases)
+                got = plan.rates_against_slab(*cases[which])
+                results.append(got.tobytes() == expected[which])
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 160 and all(results)
+
+    def test_a_read_straight_after_an_add_equals_a_fresh_clients(
+        self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle
+    ):
+        # The kernel keeps nothing per slab, so there is no stale state an
+        # add could leave behind: the serving client that saw the add and a
+        # client built afterwards answer with the same bits.
+        own_pool = QueriesPool(pool)
+
+        def start():
+            return ServingClient.start(
+                ServingConfig(
+                    model=model,
+                    featurizer=imdb_featurizer,
+                    pool=own_pool,
+                    inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
+                )
+            )
+
+        queries = [q for q in workload if own_pool.has_match(q)]
+        serving = start()
+        try:
+            serving.estimate_many(queries)
+            for item in build_queries_pool_queries(
+                imdb_small, count=8, seed=41, oracle=imdb_oracle
+            ):
+                own_pool.add(item.query, item.cardinality)
+                after_add = [result.estimate for result in serving.estimate_many(queries)]
+                fresh = start()
+                try:
+                    assert after_add == [r.estimate for r in fresh.estimate_many(queries)]
+                finally:
+                    fresh.shutdown()
+        finally:
+            serving.shutdown()
+
+
+# --------------------------------------------------------------------------- #
 # estimator integration
 
 
@@ -417,7 +622,9 @@ class TestIndexDtypeNegotiation:
         assert slab.first.dtype == np.float64  # canonical rows stay float64
         assert slab.first_f32 is not None and slab.first_f32.dtype == np.float32
         assert slab.second_f32 is not None and slab.second_f32.dtype == np.float32
-        np.testing.assert_allclose(slab.first_f32, slab.first.astype(np.float32))
+        # Mirrors are feature-major: entry i is column i.
+        np.testing.assert_array_equal(slab.first_f32, slab.first.T.astype(np.float32))
+        np.testing.assert_array_equal(slab.second_f32, slab.second.T.astype(np.float32))
         # Negotiating back to float64 drops the mirrors.
         index.negotiate_dtype(np.float64)
         slab = index.resolve(estimator, query)
