@@ -1,10 +1,11 @@
-"""Sharded cluster serving: workers, the asyncio router, and one client API.
+"""Sharded cluster serving: workers, the blocking router, and one client API.
 
 Builds on the serving workflow (``examples/serving_workflow.py``) and moves
 it across process boundaries.  A :class:`repro.serving.ServingConfig` with a
 ``cluster`` section describes a whole serving *cluster*: N forked worker
-processes, each owning the pool slice for its FROM-signatures, behind an
-asyncio front-end that routes every request to the shard that can answer it.
+processes, each owning the pool slice for its FROM-signatures, behind a
+router that sends every request to the shard that can answer it as one
+blocking socket exchange on the calling thread.
 Because Cnt2Crd only ever scores a query against same-FROM-signature pool
 entries, the split is exact — the cluster's estimates are **bit-identical**
 to a single process serving the same model.

@@ -17,12 +17,13 @@ bit-identical to local mode in reference (float64) inference.
   its shard from the promoted artifact generation
   (:meth:`repro.serving.ServingClient.from_artifact`) or from the forked
   config, owns the pool slice of its assigned signatures, serves the wire
-  protocol with its own dispatcher/caches/recorder
-  (``worker-<shard>@gen<N>`` event source).
-* :mod:`repro.cluster.router` — the asyncio front-end: routes each request
-  to the shard owning its FROM-signature, fans ``estimate_many`` out across
-  shards and reassembles in order, enforces per-request deadlines, and
-  turns worker death into bounded retries +
+  protocol (a thread per connection, one request at a time on each) with its
+  own dispatcher/caches/recorder (``worker-<shard>@gen<N>`` event source).
+* :mod:`repro.cluster.router` — the blocking front-end (a round trip is one
+  socket exchange on the caller's thread over a pooled connection): routes
+  each request to the shard owning its FROM-signature, fans
+  ``estimate_many`` out across shards and reassembles in order, enforces
+  per-request deadlines, and turns worker death into bounded retries +
   :class:`repro.serving.WorkerUnavailableError`.
 * :mod:`repro.cluster.supervisor` — spawns/monitors/restarts workers
   (restarts re-boot from the *promoted* artifact generation), graceful

@@ -3,8 +3,8 @@
 One frame is a 4-byte big-endian payload length followed by that many bytes
 of UTF-8 JSON — the smallest framing that survives TCP's stream semantics.
 Every message is a JSON object carrying the protocol version (``"v"``), a
-caller-chosen request id (``"id"``, echoed on the response so one connection
-can multiplex concurrent requests), and a ``"type"`` from the table below:
+caller-chosen request id (``"id"``, echoed on the response so the caller can
+check the reply answers *its* request), and a ``"type"`` from the table below:
 
 ==================  =============================================  =========
 type                meaning                                        direction
@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import time
 from typing import Any, BinaryIO, Mapping, Sequence
 
 from repro.artifacts.bundle import query_from_mapping, query_to_mapping
@@ -79,7 +80,6 @@ __all__ = [
     "options_from_payload",
     "options_to_payload",
     "read_frame",
-    "read_frame_async",
     "result_from_payload",
     "result_to_payload",
     "roundtrip",
@@ -177,47 +177,62 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
     return decode_frame(payload)
 
 
-async def read_frame_async(reader) -> dict[str, Any] | None:
-    """Asyncio twin of :func:`read_frame` over a ``StreamReader``."""
-    import asyncio
+class Connection:
+    """The cluster's one blocking send-frame / read-frame helper.
 
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ClusterProtocolError(
-            "stream ended inside a frame length prefix"
-        ) from error
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ClusterProtocolError(
-            f"incoming frame claims {length} bytes, over the "
-            f"{MAX_FRAME_BYTES}-byte cap — desynced or foreign stream"
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ClusterProtocolError(
-            f"stream ended inside a frame: wanted {length} bytes, "
-            f"got {len(error.partial)}"
-        ) from error
-    return decode_frame(payload)
+    The router pools these per shard; :func:`roundtrip` opens one per call.
+    ``send`` and ``receive`` arm the socket with what is left of the
+    caller's *monotonic deadline*, so a sequence of operations shares one
+    budget; running out raises ``TimeoutError``.  After a failed or timed-out
+    exchange close it, never reuse it: a late reply would answer the next
+    request written on it.
+    """
+
+    def __init__(self, address: tuple[str, int], timeout: float) -> None:
+        self._socket = socket.create_connection(address, timeout=timeout)
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._stream = self._socket.makefile("rb")
+
+    def send(self, message: Mapping[str, Any], deadline: float) -> None:
+        frame = encode_frame(message)
+        self._arm(deadline)
+        self._socket.sendall(frame)
+
+    def receive(self, deadline: float) -> dict[str, Any] | None:
+        """The next frame, or ``None`` when the peer closed between frames."""
+        self._arm(deadline)
+        return read_frame(self._stream)
+
+    def _arm(self, deadline: float) -> None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("deadline passed before the socket operation")
+        self._socket.settimeout(remaining)
+
+    def close(self) -> None:
+        for part in (self._stream, self._socket):
+            try:
+                part.close()
+            except OSError:
+                pass  # closing a connection the peer already reset
 
 
 def roundtrip(
     address: tuple[str, int], message: Mapping[str, Any], timeout: float
 ) -> dict[str, Any]:
-    """One synchronous connect → send → receive exchange (tooling path).
+    """One connect → send → receive exchange within ``timeout`` seconds.
 
-    The supervisor's drain path and ``scripts/cluster_tool.py`` use this;
-    request traffic goes through the router's persistent async channels.
+    The supervisor's drain and health probes and ``scripts/cluster_tool.py``
+    use this; request traffic reuses :class:`Connection` objects from the
+    router's per-shard pool.
     """
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        sock.sendall(encode_frame(message))
-        with sock.makefile("rb") as stream:
-            reply = read_frame(stream)
+    deadline = time.monotonic() + timeout
+    connection = Connection(address, timeout)
+    try:
+        connection.send(message, deadline)
+        reply = connection.receive(deadline)
+    finally:
+        connection.close()
     if reply is None:
         raise WorkerUnavailableError(
             f"peer at {address[0]}:{address[1]} closed the connection "

@@ -1,47 +1,65 @@
-"""The asyncio front-end: route by FROM-signature, fan out, retry, deadline.
+"""The blocking front-end: route by FROM-signature, fan out, retry, deadline.
 
 The router is the cluster-mode request path of
-:class:`repro.serving.ServingClient`.  One event loop on a dedicated thread
-holds a persistent connection per shard (:class:`_ShardChannel`); callers on
-any thread submit through ``asyncio.run_coroutine_threadsafe``, and each
-channel multiplexes concurrent requests over its one connection by request
-id — the worker answers out of order, the channel's read loop resolves the
-matching future.
+:class:`repro.serving.ServingClient`, and a round trip is one blocking
+socket exchange **on the caller's thread**: ``estimate`` checks an idle
+connection to the query's shard out of a per-shard pool (opening one when
+none is idle), writes the request frame, reads the reply, and checks the
+connection back in.  There is no router thread and no hand-off.  Concurrent
+callers each hold their own connection — a pool never holds more than the
+most callers that were in flight at once — and the worker serves each
+connection on its own thread, up to ``ClusterConfig.worker_threads`` at a
+time.  ``estimate_future`` runs the same blocking ``estimate`` on an
+executor the router owns (``num_workers * worker_threads`` threads).
 
 Routing is the same FROM-signature key the pool buckets on: a query whose
 signature is in the assignment map goes to the worker that owns that
 bucket; an unknown signature routes by a content hash
 (:func:`repro.cluster.worker.stable_shard`) so fallback behaviour is still
-deterministic.  ``estimate_many`` splits the batch by shard, fans the
-sub-batches out concurrently, and reassembles results in caller order (a
-failure in any sub-batch fails the whole call, matching local-mode
-``estimate_many`` semantics).
+deterministic.  ``estimate_many`` splits the batch by shard, writes every
+shard's sub-batch frame before it reads any reply — the shards work
+concurrently with no thread but the caller's — and reassembles results in
+caller order; any failing sub-batch fails the whole call (local-mode
+``estimate_many`` semantics) with the *lowest* failing shard's error,
+whichever shard failed first on the clock.
 
-Failure semantics: a lost connection fails every pending request on that
-channel, and the router retries each — estimates are pure reads, so a
-retry can never double-apply anything — with linear backoff, re-resolving
-the worker's address from the supervisor each time (a restarted worker
-listens on a new port).  When the bounded budget is spent, the caller gets
-:class:`repro.serving.WorkerUnavailableError`.  Every roundtrip runs under
-a deadline — the caller's ``timeout_seconds`` plus a grace (so the worker's
-own :class:`repro.serving.DeadlineExceededError` usually wins the race and
-carries its message), or ``ClusterConfig.request_timeout_seconds`` when the
-caller set none — so a dead cluster fails typed instead of hanging.
+Guarantees, per call:
+
+* **One deadline.**  The budget — the caller's ``timeout_seconds`` plus
+  ``deadline_grace_seconds`` (so the worker's own
+  :class:`repro.serving.DeadlineExceededError` usually wins the race and
+  carries its message), else ``request_timeout_seconds`` — is one monotonic
+  deadline covering the connect, every attempt and every backoff sleep; each
+  socket operation is armed with what is left of it.  Running out raises
+  :class:`repro.serving.DeadlineExceededError`: a dead cluster fails typed
+  instead of hanging.
+* **Bounded retries.**  A lost connection (``OSError``, EOF at or inside a
+  frame, a reply carrying another request's id) is retried up to
+  ``retry_attempts`` times with linear backoff — estimates are pure reads,
+  so a retry can never double-apply anything — re-resolving the worker's
+  address from the supervisor each time (a restarted worker listens on a new
+  port), then surfaces :class:`repro.serving.WorkerUnavailableError`.
+* **No stale answers.**  A connection whose exchange failed or timed out is
+  closed, never pooled (a late reply would answer the next caller), and a
+  lost connection drops every idle connection of its shard, so stale sockets
+  to a dead worker cannot burn the retry budget one by one.
+* **Typed errors.**  A worker-side exception crosses as its own class.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
-from concurrent.futures import Future
-from typing import Any, Callable, Sequence
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Mapping, Sequence
 
 from repro.artifacts.bundle import query_to_mapping
 from repro.cluster import protocol
 from repro.cluster.worker import stable_shard
 from repro.serving.config import ServingConfig
 from repro.serving.errors import (
+    ClusterProtocolError,
     DeadlineExceededError,
     ServingError,
     WorkerUnavailableError,
@@ -52,23 +70,21 @@ from repro.sql.query import Query
 __all__ = ["ClusterRouter"]
 
 
-class _ChannelLost(ConnectionError):
-    """Internal: a roundtrip died with the connection; retry may help."""
-
-
 class ClusterRouter:
-    """Routes requests to shard workers over persistent async channels."""
+    """Routes requests to shard workers over pooled blocking connections."""
 
     def __init__(self, supervisor, config: ServingConfig) -> None:
         self._supervisor = supervisor
         self._cluster = config.cluster
         self._assignment = dict(supervisor.assignment)
         self._num_workers = config.cluster.num_workers
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._channels: dict[int, _ShardChannel] = {}
         self._ids = itertools.count(1)
-        self._stats_lock = threading.Lock()
+        #: Guards the idle pools, the executor slot and the counters.
+        self._lock = threading.Lock()
+        self._idle: dict[int, list[protocol.Connection]] = {
+            shard: [] for shard in range(self._num_workers)
+        }
+        self._executor: ThreadPoolExecutor | None = None
         self._routed = 0
         self._retries = 0
         self._unavailable = 0
@@ -77,32 +93,26 @@ class ClusterRouter:
     # lifecycle
 
     def start(self) -> None:
-        if self._loop is not None:
-            return
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        self._thread = threading.Thread(
-            target=loop.run_forever, name="cluster-router", daemon=True
-        )
-        self._thread.start()
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self._num_workers * self._cluster.worker_threads,
+                    thread_name_prefix="cluster-router",
+                )
 
     def stop(self) -> None:
-        loop, self._loop = self._loop, None
-        if loop is None:
-            return
-        asyncio.run_coroutine_threadsafe(self._close_channels(), loop).result(
-            timeout=self._cluster.drain_timeout_seconds
-        )
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=self._cluster.drain_timeout_seconds)
-            self._thread = None
-        loop.close()
+        """Resolve every accepted future, then close every pooled connection.
 
-    async def _close_channels(self) -> None:
-        for channel in self._channels.values():
-            channel.teardown(ConnectionError("router shut down"))
-        self._channels.clear()
+        An in-flight request finishes inside its own deadline; one still
+        queued fails with the not-running :class:`ServingError`.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        executor.shutdown(wait=True)
+        for shard in self._idle:
+            self._drop_idle(shard)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -115,34 +125,80 @@ class ClusterRouter:
         return stable_shard(signature, self._num_workers)
 
     # ------------------------------------------------------------------ #
-    # sync surface (called from any thread)
+    # request surface (called from any thread)
 
     def estimate(
         self, query: Query, options: RequestOptions | None = None
     ) -> EstimateResult:
-        return self._submit(self._estimate_async(query, options)).result()
+        self._require_running()
+        shard = self.shard_for(query)
+        budget = (
+            options.timeout_seconds + self._cluster.deadline_grace_seconds
+            if options is not None and options.timeout_seconds is not None
+            else self._cluster.request_timeout_seconds
+        )
+        reply = self._roundtrips(
+            {shard: protocol.estimate_request(0, query, options)}, budget, "request"
+        )[shard]
+        if isinstance(reply, BaseException):
+            raise reply
+        with self._lock:
+            self._routed += 1
+        if reply["type"] == "error":
+            raise protocol.error_from_payload(reply["error"])
+        return protocol.result_from_payload(reply["result"], query)
 
     def estimate_many(
         self, queries: Sequence[Query], options: RequestOptions | None = None
     ) -> list[EstimateResult]:
-        return self._submit(self._estimate_many_async(list(queries), options)).result()
+        self._require_running()
+        by_shard: dict[int, list[int]] = {}
+        for index, query in enumerate(queries):
+            by_shard.setdefault(self.shard_for(query), []).append(index)
+        replies = self._roundtrips(
+            {
+                shard: protocol.batch_request(
+                    0, [query_to_mapping(queries[index]) for index in indices], options
+                )
+                for shard, indices in by_shard.items()
+            },
+            self._cluster.request_timeout_seconds,
+            "batch",
+        )
+        # Local-mode estimate_many fails the whole batch on any request
+        # failure; raise deterministically (lowest failing shard).
+        results: list[EstimateResult | None] = [None] * len(queries)
+        for shard in sorted(by_shard):
+            reply = replies[shard]
+            if isinstance(reply, BaseException):
+                raise reply
+            if reply["type"] == "error":
+                raise protocol.error_from_payload(reply["error"])
+            for item, index in zip(reply["results"], by_shard[shard], strict=True):
+                results[index] = protocol.result_from_payload(item, queries[index])
+        with self._lock:
+            self._routed += len(queries)
+        return results  # type: ignore[return-value]
 
     def estimate_future(
         self, query: Query, options: RequestOptions | None = None
     ) -> Future:
-        return self._submit(self._estimate_async(query, options))
+        # Submitted under the lock, so stop() cannot shut the executor down
+        # between the check and the submit.
+        with self._lock:
+            return self._require_running().submit(self.estimate, query, options)
 
-    def _submit(self, coroutine) -> Future:
-        loop = self._loop
-        if loop is None:
+    def _require_running(self) -> ThreadPoolExecutor:
+        executor = self._executor
+        if executor is None:
             raise ServingError(
                 "cluster router is not running; start the client first "
                 "(use the context manager or ServingClient.start)"
             )
-        return asyncio.run_coroutine_threadsafe(coroutine, loop)
+        return executor
 
     def stats_snapshot(self) -> dict[str, float]:
-        with self._stats_lock:
+        with self._lock:
             return {
                 "cluster_requests_routed": float(self._routed),
                 "cluster_retries": float(self._retries),
@@ -150,198 +206,136 @@ class ClusterRouter:
             }
 
     # ------------------------------------------------------------------ #
-    # async internals (all on the router loop)
+    # the exchange (on the caller's thread)
 
-    def _budget(self, options: RequestOptions | None) -> float:
-        if options is not None and options.timeout_seconds is not None:
-            return options.timeout_seconds + self._cluster.deadline_grace_seconds
-        return self._cluster.request_timeout_seconds
+    def _roundtrips(
+        self, messages: Mapping[int, dict[str, Any]], budget: float, what: str
+    ) -> dict[int, dict[str, Any] | BaseException]:
+        """One request per shard; each shard's reply, or the error it ends in.
 
-    async def _estimate_async(
-        self, query: Query, options: RequestOptions | None
-    ) -> EstimateResult:
-        shard = self.shard_for(query)
-        payload = query_to_mapping(query)
-        budget = self._budget(options)
-        try:
-            reply = await asyncio.wait_for(
-                self._roundtrip_with_retry(
-                    shard,
-                    lambda rid: protocol.estimate_request(rid, payload, options),
-                ),
-                timeout=budget,
-            )
-        except asyncio.TimeoutError:
-            raise DeadlineExceededError(
-                f"cluster request to shard {shard} was not answered within "
-                f"{budget:.3f}s"
-            ) from None
-        with self._stats_lock:
-            self._routed += 1
-        if reply["type"] == "error":
-            raise protocol.error_from_payload(reply["error"])
-        return protocol.result_from_payload(reply["result"], query)
-
-    async def _estimate_many_async(
-        self, queries: list[Query], options: RequestOptions | None
-    ) -> list[EstimateResult]:
-        if not queries:
-            return []
-        by_shard: dict[int, list[int]] = {}
-        for index, query in enumerate(queries):
-            by_shard.setdefault(self.shard_for(query), []).append(index)
-
-        async def run_shard(shard: int, indices: list[int]) -> list[EstimateResult]:
-            payload = [query_to_mapping(queries[index]) for index in indices]
-            budget = self._cluster.request_timeout_seconds
-            try:
-                reply = await asyncio.wait_for(
-                    self._roundtrip_with_retry(
-                        shard,
-                        lambda rid: protocol.batch_request(rid, payload, options),
-                    ),
-                    timeout=budget,
-                )
-            except asyncio.TimeoutError:
-                raise DeadlineExceededError(
-                    f"cluster batch to shard {shard} was not answered within "
-                    f"{budget:.3f}s"
-                ) from None
-            if reply["type"] == "error":
-                raise protocol.error_from_payload(reply["error"])
-            return [
-                protocol.result_from_payload(item, queries[index])
-                for item, index in zip(reply["results"], indices, strict=True)
-            ]
-
-        shards = sorted(by_shard)
-        outcomes = await asyncio.gather(
-            *(run_shard(shard, by_shard[shard]) for shard in shards),
-            return_exceptions=True,
-        )
-        # Local-mode estimate_many fails the whole batch on any request
-        # failure; raise deterministically (lowest failing shard).
-        results: list[EstimateResult | None] = [None] * len(queries)
-        for shard, outcome in zip(shards, outcomes, strict=True):
-            if isinstance(outcome, BaseException):
-                raise outcome
-            for index, result in zip(by_shard[shard], outcome, strict=True):
-                results[index] = result
-        with self._stats_lock:
-            self._routed += len(queries)
-        return results  # type: ignore[return-value]
-
-    async def _roundtrip_with_retry(
-        self, shard: int, build: Callable[[int], dict[str, Any]]
-    ) -> dict[str, Any]:
+        An attempt writes the frame of every shard still unanswered before
+        it reads any reply, so the shards overlap on the caller's thread.
+        Every attempt stamps a fresh request id into its message.
+        """
+        deadline = time.monotonic() + budget
         attempts = self._cluster.retry_attempts + 1
-        last: BaseException | None = None
-        for attempt in range(attempts):
-            if attempt:
-                with self._stats_lock:
-                    self._retries += 1
-                await asyncio.sleep(self._cluster.retry_backoff_seconds * attempt)
-            channel = self._channels.get(shard)
-            if channel is None:
-                channel = _ShardChannel(self, shard)
-                self._channels[shard] = channel
-            try:
-                return await channel.roundtrip(build(next(self._ids)))
-            except (_ChannelLost, WorkerUnavailableError) as error:
-                last = error
-                continue
-        with self._stats_lock:
-            self._unavailable += 1
-        if isinstance(last, WorkerUnavailableError):
-            raise last
-        raise WorkerUnavailableError(
-            f"shard {shard} unavailable after {attempts} attempt(s): {last}"
-        )
+        outcomes: dict[int, dict[str, Any] | BaseException] = {}
 
-
-class _ShardChannel:
-    """One persistent connection to one shard, multiplexed by request id."""
-
-    def __init__(self, router: ClusterRouter, shard: int) -> None:
-        self._router = router
-        self._shard = shard
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
-        self._pending: dict[int, asyncio.Future] = {}
-        self._connect_lock = asyncio.Lock()
-
-    async def roundtrip(self, message: dict[str, Any]) -> dict[str, Any]:
-        await self._ensure_connected()
-        request_id = message["id"]
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        try:
-            assert self._writer is not None
-            self._writer.write(protocol.encode_frame(message))
-            await self._writer.drain()
-            return await future
-        except (ConnectionError, OSError) as error:
-            if not isinstance(error, _ChannelLost):
-                self.teardown(error)
-                raise _ChannelLost(str(error)) from error
-            raise
-        finally:
-            self._pending.pop(request_id, None)
-
-    async def _ensure_connected(self) -> None:
-        async with self._connect_lock:
-            if self._writer is not None:
+        def failed(shard: int, error: BaseException, attempt: int) -> None:
+            """A timeout is final; a lost channel is retried while attempts last."""
+            if isinstance(error, TimeoutError):
+                outcomes[shard] = DeadlineExceededError(
+                    f"cluster {what} to shard {shard} was not answered "
+                    f"within {budget:.3f}s"
+                )
                 return
-            # Re-resolve every time: a restarted worker has a new port, and
-            # a drained/failed shard raises WorkerUnavailableError here.
-            address = self._router._supervisor.address(self._shard)
-            if address is None:
-                raise _ChannelLost(
-                    f"shard {self._shard} is restarting; no address yet"
-                )
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(*address),
-                    timeout=self._router._cluster.connect_timeout_seconds,
-                )
-            except (OSError, asyncio.TimeoutError) as error:
-                raise _ChannelLost(
-                    f"cannot connect to shard {self._shard} at "
-                    f"{address[0]}:{address[1]}: {error}"
-                ) from error
-            self._reader = reader
-            self._writer = writer
-            self._read_task = asyncio.get_running_loop().create_task(
-                self._read_loop(reader)
-            )
+            self._drop_idle(shard)
+            if attempt + 1 == attempts:
+                with self._lock:
+                    self._unavailable += 1
+                if not isinstance(error, WorkerUnavailableError):
+                    error = WorkerUnavailableError(
+                        f"shard {shard} unavailable after {attempts} "
+                        f"attempt(s): {error}"
+                    )
+                outcomes[shard] = error
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        for attempt in range(attempts):
+            pending = [shard for shard in messages if shard not in outcomes]
+            if not pending:
+                break
+            if attempt:
+                with self._lock:
+                    self._retries += len(pending)
+                pause = self._cluster.retry_backoff_seconds * attempt
+                time.sleep(max(0.0, min(pause, deadline - time.monotonic())))
+            sent: dict[int, tuple[protocol.Connection, int]] = {}
+            for shard in pending:
+                try:
+                    sent[shard] = self._send(shard, messages[shard], deadline)
+                except OSError as error:
+                    failed(shard, error, attempt)
+                except ClusterProtocolError as error:
+                    outcomes[shard] = error  # unencodable: no retry can help
+            for shard, (connection, request_id) in sent.items():
+                try:
+                    outcomes[shard] = self._receive(
+                        shard, connection, request_id, deadline
+                    )
+                except (OSError, ClusterProtocolError) as error:
+                    failed(shard, error, attempt)
+        return outcomes
+
+    def _send(
+        self, shard: int, message: dict[str, Any], deadline: float
+    ) -> tuple[protocol.Connection, int]:
+        """Write one request on a pooled connection (opened when none is idle)."""
+        connection = self._checkout(shard, deadline)
+        message["id"] = request_id = next(self._ids)
         try:
-            while True:
-                message = await protocol.read_frame_async(reader)
-                if message is None:
-                    break
-                future = self._pending.pop(message.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(message)
-        except Exception:  # noqa: BLE001 — any read failure means channel loss
-            pass
-        self.teardown(ConnectionError(f"connection to shard {self._shard} lost"))
+            connection.send(message, deadline)
+        except BaseException:
+            connection.close()
+            raise
+        return connection, request_id
 
-    def teardown(self, error: BaseException) -> None:
-        """Fail every pending request and drop the connection."""
-        writer, self._writer = self._writer, None
-        self._reader = None
-        if writer is not None:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 — closing a broken transport
-                pass
-        if self._read_task is not None and not self._read_task.done():
-            self._read_task.cancel()
-        self._read_task = None
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(_ChannelLost(str(error)))
+    def _receive(
+        self,
+        shard: int,
+        connection: protocol.Connection,
+        request_id: int,
+        deadline: float,
+    ) -> dict[str, Any]:
+        """Read the reply and pool the connection; any failure closes it."""
+        try:
+            reply = connection.receive(deadline)
+            if reply is None:
+                raise ConnectionError(
+                    f"shard {shard} closed the connection without answering"
+                )
+            if reply.get("id") != request_id:
+                raise ConnectionError(
+                    f"shard {shard} answered request {reply.get('id')!r} on the "
+                    f"connection that asked {request_id}"
+                )
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            running = self._executor is not None
+            if running:
+                self._idle[shard].append(connection)
+        if not running:
+            connection.close()  # the router stopped while this request ran
+        return reply
+
+    def _checkout(self, shard: int, deadline: float) -> protocol.Connection:
+        with self._lock:
+            idle = self._idle[shard]
+            if idle:
+                return idle.pop()
+        # Re-resolve every time: a restarted worker has a new port, and a
+        # drained/failed shard raises WorkerUnavailableError here.
+        address = self._supervisor.address(shard)
+        if address is None:
+            raise ConnectionError(f"shard {shard} is restarting; no address yet")
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("deadline passed before the connect")
+        try:
+            return protocol.Connection(
+                address, min(self._cluster.connect_timeout_seconds, remaining)
+            )
+        except OSError as error:
+            if isinstance(error, TimeoutError) and time.monotonic() >= deadline:
+                raise
+            raise ConnectionError(
+                f"cannot connect to shard {shard} at "
+                f"{address[0]}:{address[1]}: {error}"
+            ) from error
+
+    def _drop_idle(self, shard: int) -> None:
+        with self._lock:
+            idle, self._idle[shard] = self._idle[shard], []
+        for connection in idle:
+            connection.close()

@@ -23,13 +23,15 @@ EventStore's ``(source, sequence)`` dedup merges every worker lifetime into
 one queryable history instead of silently dropping the restart's events.
 
 The serving loop (:class:`WorkerServer`) accepts connections on an ephemeral
-loopback port, reads length-prefixed frames, and executes requests on a
-small thread pool — responses are written under a per-connection lock and
-matched by request id, so one connection multiplexes many in-flight
-requests.  ``drain`` shuts the listener down (which wakes the acceptor out
-of ``accept()``), waits for in-flight work and acks; the serving loop
-returns once the ack is written, so a drained worker exits by itself with
-code 0.  The process entry (:func:`run_worker`) announces
+loopback port and gives each its own thread, which reads a length-prefixed
+frame, handles the request itself and writes the reply before it reads the
+next frame — one request at a time per connection, no hand-off to a pool.
+Callers that want to overlap open several connections (the router pools
+them); a semaphore of ``ClusterConfig.worker_threads`` bounds how many
+handlers run at once.  ``drain`` shuts the listener down (which wakes the
+acceptor out of ``accept()``), waits for in-flight work and acks; the
+serving loop returns once the ack is written, so a drained worker exits by
+itself with code 0.  The process entry (:func:`run_worker`) announces
 ``("ready", port, generation)`` over the spawn pipe and finishes with
 ``os._exit`` — a forked child must not run teardown of inherited state
 (parent sockets, SQLite handles) it does not own.
@@ -42,7 +44,6 @@ import json
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -220,9 +221,9 @@ class WorkerServer:
         self._generation = generation
         self._drain_timeout = drain_timeout_seconds
         self._listener = socket.create_server((host, 0))
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_handlers, thread_name_prefix=f"shard{shard}-handler"
-        )
+        #: At most ``worker_threads`` connection threads handle a request at
+        #: once; the rest wait here with their frame already read.
+        self._handlers = threading.BoundedSemaphore(max_handlers)
         self._active_lock = threading.Lock()
         self._idle = threading.Condition(self._active_lock)
         self._active = 0
@@ -262,7 +263,6 @@ class WorkerServer:
                 # the wire (bounded: _begin_drain's own wait is).
                 self._drain_acked.wait()
             self._draining.set()
-            self._executor.shutdown(wait=True)
             flusher.join(timeout=FLUSH_INTERVAL_SECONDS * 4)
 
     def _flush_loop(self) -> None:
@@ -278,7 +278,6 @@ class WorkerServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        write_lock = threading.Lock()
         try:
             with connection, connection.makefile("rb") as stream:
                 while True:
@@ -286,81 +285,67 @@ class WorkerServer:
                         message = protocol.read_frame(stream)
                     except ClusterProtocolError as error:
                         # The stream may be desynced; answer and hang up.
-                        self._send(connection, write_lock,
-                                   protocol.error_response(-1, error))
+                        self._send(connection, protocol.error_response(-1, error))
                         return
                     if message is None:
                         return
-                    if not self._dispatch(connection, write_lock, message):
+                    if not self._dispatch(connection, message):
                         return
         except OSError:
             return
 
-    def _dispatch(self, connection, write_lock, message: dict[str, Any]) -> bool:
-        """Handle one frame; returns False when the connection should close."""
+    def _dispatch(self, connection, message: dict[str, Any]) -> bool:
+        """Answer one frame; returns False when the connection should close."""
         request_id = message.get("id", -1)
         message_type = message.get("type")
-        if message_type == "health":
-            self._send(
-                connection,
-                write_lock,
-                protocol.health_response(request_id, self._health_payload()),
-            )
-            return True
         if message_type == "drain":
             try:
                 self._begin_drain()
                 self._send(
-                    connection,
-                    write_lock,
-                    protocol.drain_response(request_id, self._shard),
+                    connection, protocol.drain_response(request_id, self._shard)
                 )
             finally:
                 self._drain_acked.set()  # releases serve_forever's exit
             return False
-        if message_type in ("estimate", "estimate_batch"):
-            if self._draining.is_set():
-                self._send(
-                    connection,
-                    write_lock,
-                    protocol.error_response(
-                        request_id,
-                        ClusterError(f"shard {self._shard} is draining"),
-                    ),
-                )
-                return True
-            with self._active_lock:
-                self._active += 1
-            self._executor.submit(
-                self._handle_request, connection, write_lock, message
-            )
-            return True
-        self._send(
-            connection,
-            write_lock,
-            protocol.error_response(
+        if message_type == "health":
+            response = protocol.health_response(request_id, self._health_payload())
+        elif message_type not in ("estimate", "estimate_batch"):
+            response = protocol.error_response(
                 request_id,
                 ClusterProtocolError(f"unknown message type {message_type!r}"),
-            ),
-        )
+            )
+        elif self._draining.is_set():
+            response = protocol.error_response(
+                request_id, ClusterError(f"shard {self._shard} is draining")
+            )
+        else:
+            with self._active_lock:
+                self._active += 1
+            self._handle_request(connection, message)
+            return True
+        self._send(connection, response)
         return True
 
-    def _handle_request(self, connection, write_lock, message: dict[str, Any]) -> None:
+    def _handle_request(self, connection, message: dict[str, Any]) -> None:
+        """Serve one estimate frame on the connection thread that read it."""
         request_id = message.get("id", -1)
         try:
-            options = protocol.options_from_payload(message.get("options"))
-            if message["type"] == "estimate":
-                query = protocol.decode_query(message["query"])
-                result = self._client.estimate(query, options=options)
-                response = protocol.result_response(request_id, result)
-            else:
-                queries = [protocol.decode_query(item) for item in message["queries"]]
-                results = self._client.estimate_many(queries, options=options)
-                response = protocol.batch_response(request_id, results)
+            with self._handlers:
+                options = protocol.options_from_payload(message.get("options"))
+                if message["type"] == "estimate":
+                    query = protocol.decode_query(message["query"])
+                    result = self._client.estimate(query, options=options)
+                    response = protocol.result_response(request_id, result)
+                else:
+                    queries = [
+                        protocol.decode_query(item) for item in message["queries"]
+                    ]
+                    results = self._client.estimate_many(queries, options=options)
+                    response = protocol.batch_response(request_id, results)
         except BaseException as error:  # noqa: BLE001 — everything must answer typed
             response = protocol.error_response(request_id, error)
         try:
-            self._send(connection, write_lock, response)
+            self._send(connection, response)
         except OSError:
             pass  # caller hung up; the retry on its side re-asks elsewhere
         finally:
@@ -369,10 +354,8 @@ class WorkerServer:
                 self._idle.notify_all()
 
     @staticmethod
-    def _send(connection, write_lock, message: dict[str, Any]) -> None:
-        frame = protocol.encode_frame(message)
-        with write_lock:
-            connection.sendall(frame)
+    def _send(connection, message: dict[str, Any]) -> None:
+        connection.sendall(protocol.encode_frame(message))
 
     # ------------------------------------------------------------------ #
     # health / drain

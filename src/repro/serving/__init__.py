@@ -75,10 +75,10 @@ forward passes.  This package amortizes that work across requests:
   serving cluster wired in through :class:`ClusterConfig`
   (``mode="cluster"``): worker processes each own the pool slice of their
   assigned FROM-signatures and serve a length-prefixed JSON wire protocol;
-  an asyncio router routes by FROM-signature, fans out ``estimate_many``
-  across shards, and turns worker death into bounded retries +
-  :class:`WorkerUnavailableError`; a supervisor restarts dead workers from
-  the promoted artifact generation (operator CLI:
+  a blocking router (one socket exchange on the caller's thread) routes by
+  FROM-signature, fans out ``estimate_many`` across shards, and turns worker
+  death into bounded retries + :class:`WorkerUnavailableError`; a supervisor
+  restarts dead workers from the promoted artifact generation (operator CLI:
   ``scripts/cluster_tool.py``).  Reference-mode estimates are bit-identical
   between the local and cluster paths.
 

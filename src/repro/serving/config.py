@@ -26,8 +26,8 @@ one frozen object of nested sections:
 * :class:`ClusterConfig` — the sharded multi-process serving cluster
   (:mod:`repro.cluster`): ``mode="cluster"`` makes the same
   :class:`~repro.serving.ServingClient` spawn worker processes (one pool
-  slice per FROM-signature shard) behind an asyncio router instead of
-  building the in-process stack.
+  slice per FROM-signature shard) behind a blocking router — one socket
+  exchange on the caller's thread — instead of building the in-process stack.
 
 Every section validates its bounds at construction (``max_batch=0``,
 ``max_cache_entries=-1`` and friends raise a ``ValueError`` here, not
@@ -464,10 +464,10 @@ class ClusterConfig:
     With ``mode="cluster"``, :class:`repro.serving.ServingClient` builds no
     in-process stack: it spawns ``num_workers`` worker processes — each
     owning the pool slice of its assigned FROM-signatures and serving the
-    length-prefixed JSON wire protocol over loopback TCP — plus an asyncio
-    router and a supervisor that restarts dead workers from the promoted
-    artifact generation.  ``mode="local"`` (the default) leaves everything
-    exactly as before; the section is inert.
+    length-prefixed JSON wire protocol over loopback TCP — plus a blocking
+    router (a round trip runs on the caller's thread) and a supervisor that
+    restarts dead workers from the promoted artifact generation.
+    ``mode="local"`` (the default) leaves everything as before; it is inert.
 
     Attributes:
         mode: ``"local"`` (in-process stack) or ``"cluster"`` (sharded
@@ -477,9 +477,9 @@ class ClusterConfig:
         host: interface the workers and the control server bind (loopback by
             default; the cluster is a single-machine scale-out, not a
             distributed system).
-        worker_threads: concurrent request-handler threads per worker —
-            requests received concurrently coalesce in the worker's own
-            dispatcher.
+        worker_threads: requests a worker handles at once, each on its
+            connection's thread (they coalesce in the worker's dispatcher);
+            times ``num_workers``, the router's ``estimate_future`` threads.
         request_timeout_seconds: router-side cap on any single roundtrip
             that carries no caller deadline (a dead cluster must fail
             typed, never hang).

@@ -261,3 +261,45 @@ class TestRoundtripHelper:
             protocol.roundtrip(address, protocol.health_request(1), timeout=5.0)
         thread.join(timeout=5.0)
         server.close()
+
+    def test_connection_operations_share_one_deadline(self):
+        import socket
+        import threading
+        import time
+
+        server = socket.create_server(("127.0.0.1", 0))
+        answer = threading.Event()
+
+        def answer_late():
+            connection, _ = server.accept()
+            with connection, connection.makefile("rb") as stream:
+                message = protocol.read_frame(stream)
+                answer.wait(10.0)  # long past the caller's deadline
+                connection.sendall(
+                    protocol.encode_frame(protocol.drain_response(message["id"], 0))
+                )
+
+        thread = threading.Thread(target=answer_late, daemon=True)
+        thread.start()
+        connection = protocol.Connection(
+            ("127.0.0.1", server.getsockname()[1]), timeout=5.0
+        )
+        try:
+            deadline = time.monotonic() + 0.2
+            connection.send(protocol.drain_request(3), deadline)
+            with pytest.raises(TimeoutError):
+                connection.receive(deadline)
+            # The 5 s connect timeout does not linger on the socket: the
+            # read was armed with what was left of the 0.2 s.
+            assert time.monotonic() - deadline < 2.0
+            # Past the deadline nothing touches the socket any more.
+            with pytest.raises(TimeoutError, match="deadline passed"):
+                connection.send(protocol.drain_request(4), deadline)
+            with pytest.raises(TimeoutError, match="deadline passed"):
+                connection.receive(deadline)
+        finally:
+            connection.close()
+            answer.set()
+            thread.join(timeout=5.0)
+            server.close()
+        assert not thread.is_alive()

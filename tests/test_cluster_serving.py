@@ -15,7 +15,12 @@ they can break workers without poisoning the shared one.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +30,7 @@ from repro.baselines import PostgresCardinalityEstimator
 from repro.core import CRNConfig, CRNModel, QueriesPool
 from repro.core.estimators import CardinalityEstimator
 from repro.core.queries_pool import PoolEntry
+from repro.cluster import protocol
 from repro.cluster.worker import (
     assign_shards,
     slice_pool,
@@ -43,7 +49,7 @@ from repro.serving import (
     UnknownEstimatorError,
     WorkerUnavailableError,
 )
-from repro.serving.config import AdaptationConfig, FeedbackConfig
+from repro.serving.config import AdaptationConfig, DispatcherConfig, FeedbackConfig
 from repro.serving.errors import ArtifactChecksumError
 from repro.sql.builder import QueryBuilder
 from tests.conftest import assert_cluster_drained_cleanly
@@ -496,3 +502,290 @@ class TestDrainRestartStatus:
         # Two joins that each had to sit out the drain timeout would take
         # 2 x drain_timeout_seconds; a real drain is far inside one.
         assert elapsed < config.cluster.drain_timeout_seconds
+
+
+# ---------------------------------------------------------------------- #
+# the blocking router: pooled connections on the caller's thread
+
+
+class GateEstimator(CardinalityEstimator):
+    """Holds callers on a gate and counts them, in every worker of the fork.
+
+    The answer is the wrapped estimator's, so a gated request still has
+    local-mode bits to compare against.  All state is shared memory: the
+    test process reads what the worker processes counted.
+    """
+
+    name = "gated"
+
+    def __init__(self, delegate: CardinalityEstimator, hold: bool = True) -> None:
+        context = multiprocessing.get_context("fork")
+        self.delegate = delegate
+        self.release = context.Event()
+        if not hold:
+            self.release.set()
+        self.inside = context.Value("i", 0)
+        self.peak = context.Value("i", 0)
+
+    def estimate_cardinality(self, query) -> float:
+        with self.inside.get_lock():  # also guards ``peak``
+            self.inside.value += 1
+            self.peak.value = max(self.peak.value, self.inside.value)
+        try:
+            self.release.wait(30.0)  # bounds a test bug, as in SleepyEstimator
+            return self.delegate.estimate_cardinality(query)
+        finally:
+            with self.inside.get_lock():
+                self.inside.value -= 1
+
+
+class OrderedFailureEstimator(CardinalityEstimator):
+    """Fails on every shard, the higher shard strictly first on the clock.
+
+    A worker serving one of ``lower_signatures`` waits until the other
+    worker has raised before it raises itself (the event is shared across
+    the fork; the 10 s bound only keeps a sequential router from hanging).
+    """
+
+    name = "ordered-failure"
+
+    def __init__(self, lower_signatures) -> None:
+        self.lower_signatures = frozenset(lower_signatures)
+        self.higher_failed = multiprocessing.get_context("fork").Event()
+
+    def estimate_cardinality(self, query) -> float:
+        if query.from_signature() in self.lower_signatures:
+            self.higher_failed.wait(10.0)
+            raise ServingError("the lower shard failed last")
+        self.higher_failed.set()
+        raise ServingError("the higher shard failed first")
+
+
+def wait_until(condition, what, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def queries_on_shard(client, workload, shard):
+    return [q for q in workload if client.router.shard_for(q) == shard]
+
+
+class TestBlockingRouter:
+    @pytest.fixture()
+    def start_cluster(self, model, imdb_small, imdb_featurizer, pool):
+        """Boot clusters on demand; shut each down and check its drain."""
+        clients = []
+
+        def start(*, extra_estimators, dispatcher=True, **cluster):
+            config = make_config(
+                model, imdb_small, imdb_featurizer, pool,
+                extra_estimators=extra_estimators,
+                dispatcher=DispatcherConfig(enabled=dispatcher),
+                cluster=ClusterConfig(mode="cluster", num_workers=2, **cluster),
+            )
+            clients.append(ServingClient.start(config))
+            return clients[-1]
+
+        yield start
+        for client in clients:
+            for estimator in client.config.extra_estimators.values():
+                if hasattr(estimator, "release"):
+                    estimator.release.set()  # a drain waits on held requests
+            client.shutdown()
+            assert_cluster_drained_cleanly(client)
+
+    @pytest.fixture()
+    def connections(self, monkeypatch):
+        """Every ``protocol.Connection`` opened during the test, in order: the
+        router's, and the supervisor's probe and drain round trips."""
+        opened = []
+
+        class Recorded(protocol.Connection):
+            closed = False
+
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                opened.append(self)
+
+            def close(self) -> None:
+                super().close()
+                self.closed = True
+
+        monkeypatch.setattr(protocol, "Connection", Recorded)
+        return opened
+
+    def test_timed_out_connection_is_closed_not_pooled(
+        self, start_cluster, connections, local_client, workload
+    ):
+        # A late reply left on a pooled connection would answer the next
+        # caller.  The first request runs out of the *router's* budget (it
+        # carries no caller deadline for the worker to enforce) while the
+        # worker still holds it; the worker then finishes and replies late.
+        sleepy = SleepyEstimator()
+        client = start_cluster(
+            extra_estimators={"sleepy": sleepy}, request_timeout_seconds=0.3
+        )
+        held, other = queries_on_shard(client, workload, 0)[:2]
+        assert held != other
+
+        def served(shard=0):
+            status = client.supervisor.status(probe=True)
+            return status["workers"][shard]["health_requests"]
+
+        before = served()
+        connections.clear()  # the health probes connect too
+        with pytest.raises(DeadlineExceededError, match="not answered within 0.300s"):
+            client.estimate(held, RequestOptions(estimator="sleepy"))
+        (timed_out,) = connections
+        assert timed_out.closed
+        sleepy.release.set()
+        wait_until(lambda: served() > before, "the held request to finish")
+        connections.clear()
+        # Its own deadline keeps the follow-up off the 0.3 s router budget.
+        answer = client.estimate(other, RequestOptions(timeout_seconds=20.0))
+        assert answer.query is other
+        assert answer.estimate.hex() == local_client.estimate(other).estimate.hex()
+        (fresh,) = connections  # opened for this request: nothing was pooled
+        assert not fresh.closed
+
+    def test_lost_connection_drops_every_idle_connection_of_its_shard(
+        self, start_cluster, connections, imdb_small, workload
+    ):
+        # Three stale sockets to a restarted worker must cost one retry, not
+        # the whole retry budget one socket at a time.
+        gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
+        client = start_cluster(
+            extra_estimators={"gated": gated}, dispatcher=False, worker_threads=4
+        )
+        query = queries_on_shard(client, workload, 1)[0]
+        futures = [
+            client.estimate_future(query, RequestOptions(estimator="gated"))
+            for _ in range(3)
+        ]
+        wait_until(lambda: gated.inside.value == 3, "three requests in flight")
+        gated.release.set()
+        assert len({future.result(timeout=30).estimate for future in futures}) == 1
+        assert len(connections) == 3 and not any(c.closed for c in connections)
+
+        before = client.estimate(query)
+        retries = client.stats()["cluster_retries"]
+        client.supervisor.restart(1)
+        after = client.estimate(query)
+        assert after.estimate.hex() == before.estimate.hex()
+        assert client.stats()["cluster_retries"] == retries + 1
+        assert all(connection.closed for connection in connections[:3])
+        assert not connections[-1].closed  # the retry's fresh connection, pooled
+
+    def test_estimate_many_raises_the_lowest_failing_shards_error(
+        self, start_cluster, pool, workload
+    ):
+        assignment = assign_shards(pool.from_signatures(), 2)
+        failing = OrderedFailureEstimator(
+            signature for signature, shard in assignment.items() if shard == 0
+        )
+        client = start_cluster(extra_estimators={"ordered-failure": failing})
+        batch = [
+            queries_on_shard(client, workload, 1)[0],
+            queries_on_shard(client, workload, 0)[0],
+        ]
+        started = time.monotonic()
+        with pytest.raises(ServingError, match="the lower shard failed last"):
+            client.estimate_many(
+                batch, options=RequestOptions(estimator="ordered-failure")
+            )
+        # Both frames were written before either reply was read: shard 0 saw
+        # shard 1 fail instead of sitting out its 10 s bound.
+        assert failing.higher_failed.is_set()
+        assert time.monotonic() - started < 5.0
+
+    def test_stop_resolves_an_in_flight_future_and_closes_every_socket(
+        self, start_cluster, connections, imdb_small, workload
+    ):
+        gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
+        client = start_cluster(extra_estimators={"gated": gated})
+        warm = client.estimate(workload[0])  # leaves one idle pooled connection
+        assert warm is not None
+        future = client.estimate_future(
+            workload[1], RequestOptions(estimator="gated", timeout_seconds=0.3)
+        )
+        wait_until(lambda: gated.inside.value == 1, "the request to be in flight")
+        started = time.monotonic()
+        client.router.stop()
+        # The held request's budget is 0.3 s + grace; the gate holds for 30 s.
+        assert time.monotonic() - started < 5.0
+        assert future.done()
+        assert isinstance(future.exception(), DeadlineExceededError)
+        assert connections and all(connection.closed for connection in connections)
+        with pytest.raises(ServingError, match="not running"):
+            client.router.estimate(workload[0])
+
+    def test_concurrent_callers_get_local_bits_within_the_handler_bound(
+        self, start_cluster, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        delegate = PostgresCardinalityEstimator(imdb_small)
+        gated = GateEstimator(delegate)
+        client = start_cluster(
+            extra_estimators={"gated": gated}, dispatcher=False, worker_threads=2
+        )
+        reference = ServingClient(
+            make_config(
+                model, imdb_small, imdb_featurizer, pool,
+                extra_estimators={"gated": GateEstimator(delegate, hold=False)},
+            )
+        )
+        options = RequestOptions(estimator="gated")
+        shard_queries = queries_on_shard(client, workload, 0)
+        queries = [shard_queries[k % len(shard_queries)] for k in range(8)]
+        answers: list = [None] * len(queries)
+        follow_ups = 5
+
+        def call(position):
+            answers[position] = client.estimate(queries[position], options)
+            for _ in range(follow_ups):  # plain requests, through the pool
+                client.estimate(queries[position])
+
+        routed = client.stats()["cluster_requests_routed"]
+        threads = [
+            threading.Thread(target=call, args=(position,), daemon=True)
+            for position in range(len(queries))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            # Two handlers fill the worker; the other six callers wait.
+            wait_until(lambda: gated.inside.value == 2, "the handlers to fill")
+            gated.release.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gated.peak.value == 2  # worker_threads, never more
+        for query, answer in zip(queries, answers, strict=True):
+            expected = reference.estimate(query, options)
+            assert answer.estimate.hex() == expected.estimate.hex()
+        # A lost counter update would show here.
+        served = len(queries) * (1 + follow_ups)
+        assert client.stats()["cluster_requests_routed"] == routed + served
+
+
+def test_cluster_package_never_imports_asyncio():
+    # In a subprocess: pytest and hypothesis may have imported it here.
+    code = (
+        "import repro.cluster.router, repro.cluster.worker, "
+        "repro.cluster.supervisor, sys; "
+        "assert 'asyncio' not in sys.modules"
+    )
+    source = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
