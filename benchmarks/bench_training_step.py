@@ -1,0 +1,128 @@
+"""The set-up path the paper's deployment starts with: label, train (Section 3.3).
+
+``setup_s`` of the repo benchmark is ``build_training_pairs`` → ``train_crn``
+→ ``build_queries_pool_queries``.  This benchmark records those costs at the
+bench world's size (``bench/world.py``: 1000 titles, 1500 pairs, H=64, 15
+epochs) as ``repro`` trajectory rows:
+
+* ``training_step_speedup`` — seconds of one reference optimisation step
+  (``CRNModel.forward`` on the padded batch, the ``repro.nn`` loss,
+  ``Tensor.backward``, ``nn.optim.Adam.step``: the loop ``train_crn`` ran
+  before the fused step) over seconds of one :meth:`CRNTrainer.step` on the
+  same 64-pair batch from the same weights.  A ratio, so
+  ``bench_report.py check --only speedup`` gates it.  The reference side is
+  given its padded ``Tensor`` batch ready-made; the old loop also gathered it.
+* ``train_crn_seconds`` — one whole ``train_crn``.
+* ``label_seconds`` — the three oracle-labelled draws of ``paper_pool``
+  (1500 training pairs, a 300-query pool, 1000 requests) on a fresh oracle;
+  query generation is part of it.
+
+Both sides of the ratio are medians of alternating repetitions (small GEMMs
+are bimodal on a shared box).  Smoke mode (``REPRO_SMOKE=1``, used by CI)
+shrinks the world and only requires the fused step not to be slower.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import time
+
+import numpy as np
+
+from repro.core import CRNConfig, CRNModel, QueryFeaturizer, TrainingConfig, train_crn
+from repro.core.training import CRNTrainer, RaggedPairs
+from repro.datasets import (
+    SyntheticIMDbConfig,
+    build_queries_pool_queries,
+    build_synthetic_imdb,
+    build_training_pairs,
+)
+from repro.db import TrueCardinalityOracle
+from repro.nn.loss import log_q_error_loss
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor
+
+SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
+SEED = 11  # bench/world.py's default seed
+TITLES, PAIRS, EPOCHS = (300, 300, 3) if SMOKE else (1000, 1500, 15)
+POOL, REQUESTS = (60, 200) if SMOKE else (300, 1000)
+HIDDEN_SIZE, BATCH = 64, 64
+REPETITIONS = 15 if SMOKE else 60
+REQUIRED_SPEEDUP = 1.0 if SMOKE else 1.5
+
+
+def test_training_step_and_setup_costs(results_dir, bench_record):
+    database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=TITLES, seed=SEED))
+    featurizer = QueryFeaturizer(database)
+    oracle = TrueCardinalityOracle(database)
+
+    started = time.perf_counter()
+    pairs = build_training_pairs(database, PAIRS, seed=SEED + 1, oracle=oracle)
+    build_queries_pool_queries(database, count=POOL, seed=SEED * 1000 + 1, oracle=oracle)
+    build_queries_pool_queries(
+        database, count=REQUESTS, seed=SEED * 1000 + 2, oracle=oracle, include_frames=False
+    )
+    label_seconds = time.perf_counter() - started
+
+    crn_config = CRNConfig(hidden_size=HIDDEN_SIZE, seed=SEED)
+    config = TrainingConfig(epochs=EPOCHS, batch_size=BATCH, seed=SEED)
+    started = time.perf_counter()
+    result = train_crn(featurizer, pairs, crn_config, config)
+    train_seconds = time.perf_counter() - started
+    assert result.epochs_run == EPOCHS
+
+    # One batch, the same starting weights, two ways to take a step.
+    batch = pairs[:BATCH]
+    targets = Tensor(np.asarray([pair.containment_rate for pair in batch]))
+    padded = (
+        *map(Tensor, featurizer.pad_sets([featurizer.featurize(pair.first) for pair in batch])),
+        *map(Tensor, featurizer.pad_sets([featurizer.featurize(pair.second) for pair in batch])),
+    )
+    reference_model = CRNModel(featurizer.vector_size, crn_config)
+    optimizer = Adam(reference_model.parameters(), learning_rate=config.learning_rate)
+
+    def reference_step() -> float:
+        predictions = reference_model(*padded)
+        loss = log_q_error_loss(predictions, targets, epsilon=config.loss_epsilon)
+        reference_model.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
+    trainer = CRNTrainer(CRNModel(featurizer.vector_size, crn_config), config)
+    data = RaggedPairs.featurize(featurizer, batch)
+
+    def fused_step() -> float:
+        return trainer.step(data, 0, BATCH)
+
+    assert abs(reference_step() - fused_step()) < 1e-12  # same loss: same batch, same weights
+    timings: dict[str, list[float]] = {"reference": [], "fused": []}
+    for _ in range(REPETITIONS):
+        for name, step in (("reference", reference_step), ("fused", fused_step)):
+            started = time.perf_counter()
+            step()
+            timings[name].append(time.perf_counter() - started)
+    reference_seconds = statistics.median(timings["reference"])
+    fused_seconds = statistics.median(timings["fused"])
+    speedup = reference_seconds / fused_seconds
+
+    bench_record("repro", "bench_training_step", "training_step_speedup", speedup, "x", True)
+    bench_record("repro", "bench_training_step", "train_crn_seconds", train_seconds, "s", False)
+    bench_record("repro", "bench_training_step", "label_seconds", label_seconds, "s", False)
+    report = "\n".join(
+        [
+            f"training step (H={HIDDEN_SIZE}, batch {BATCH}, median of {REPETITIONS} alternating)"
+            + (" (smoke)" if SMOKE else ""),
+            f"  reference autodiff step  {reference_seconds * 1000:8.3f} ms",
+            f"  fused step               {fused_seconds * 1000:8.3f} ms   {speedup:.2f}x",
+            f"train_crn ({PAIRS} pairs, {EPOCHS} epochs)      {train_seconds:8.3f} s",
+            f"labelling ({PAIRS} pairs + {POOL} + {REQUESTS} queries) {label_seconds:8.3f} s",
+        ]
+    )
+    (results_dir / "training_step.txt").write_text(report + "\n")
+    print(f"\n{report}\n")
+    assert speedup >= REQUIRED_SPEEDUP, (
+        f"expected the fused step to be >= {REQUIRED_SPEEDUP}x the autodiff step, measured "
+        f"{speedup:.2f}x ({reference_seconds * 1000:.3f} ms vs {fused_seconds * 1000:.3f} ms)"
+    )

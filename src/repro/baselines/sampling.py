@@ -71,7 +71,7 @@ class IndexBasedJoinSamplingEstimator(CardinalityEstimator):
         self.sample_size = sample_size
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._restricted_cache: dict[str, Database] = {}
+        self._restricted_cache: dict[str, QueryExecutor] = {}
 
     def estimate_cardinality(self, query: Query) -> float:
         alias_to_table = query.alias_to_table()
@@ -82,13 +82,17 @@ class IndexBasedJoinSamplingEstimator(CardinalityEstimator):
         driver_table = self.database.table(driver_name)
         if driver_table.num_rows == 0:
             return 1.0
-        restricted = self._restricted_database(driver_name)
+        restricted = self._restricted_executor(driver_name)
         sampling_fraction = min(self.sample_size, driver_table.num_rows) / driver_table.num_rows
-        sampled_count = QueryExecutor(restricted).cardinality(query)
+        sampled_count = restricted.cardinality(query, use_cache=False)
         return max(sampled_count / max(sampling_fraction, 1e-12), 1.0)
 
-    def _restricted_database(self, driver_name: str) -> Database:
-        """A database identical to the original except ``driver_name`` is sampled."""
+    def _restricted_executor(self, driver_name: str) -> QueryExecutor:
+        """An executor over the original database with ``driver_name`` sampled.
+
+        One per driver table, kept: the executor's join-edge index is built
+        from whole columns, which is worth paying once, not per estimate.
+        """
         if driver_name in self._restricted_cache:
             return self._restricted_cache[driver_name]
         from repro.db.table import Table
@@ -104,6 +108,6 @@ class IndexBasedJoinSamplingEstimator(CardinalityEstimator):
                 for column in schema.table(driver_name).columns
             },
         )
-        restricted = Database(schema, tables)
+        restricted = QueryExecutor(Database(schema, tables))
         self._restricted_cache[driver_name] = restricted
         return restricted

@@ -295,7 +295,7 @@ class CRNModel(Module):
         ``slab_size`` rows, so each pair's rate is bit-for-bit independent of
         how pairs were grouped into batches — the invariant the serving
         layer's cross-request batching relies on.  No autodiff graph is
-        built; the Tensor :meth:`head` is for training.
+        built; the Tensor :meth:`head` is the autodiff reference.
 
         Args:
             first_reprs: ``(n, H)`` encodings from :meth:`encode_set` (pos 1).

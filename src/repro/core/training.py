@@ -5,24 +5,27 @@ the predicted containment rates, and stops early once the validation q-error
 converges (early stopping, Section 3.3).  :func:`train_crn` reproduces that
 recipe on the NumPy substrate and records the per-epoch convergence history
 used by the Figure 3 / Figure 4 benchmarks.
+
+The architecture is fixed, so the step is hand-written, not taped
+(:class:`CRNTrainer`); ``repro.nn`` autodiff through :meth:`CRNModel.forward`
+stays as the gradient oracle of ``tests/test_core_training.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel
+from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel, sigmoid_into
 from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import QueryPair
 from repro.nn.data import BatchIterator, train_validation_split
-from repro.nn.loss import get_loss
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.loss import loss_and_gradient
+from repro.nn.optim import adam_update
 
 
 @dataclass(frozen=True)
@@ -93,27 +96,287 @@ class TrainingResult:
         return len(self.history)
 
 
-class _FeaturizedPairs:
-    """Pairs pre-featurized into padded batches for fast epoch iteration."""
+#: Pairs per validation forward pass (bounds the trainer's buffers).
+_EVAL_PAIRS = 512
 
-    def __init__(self, featurizer: QueryFeaturizer, pairs: Sequence[QueryPair]) -> None:
-        first_sets = [featurizer.featurize(pair.first) for pair in pairs]
-        second_sets = [featurizer.featurize(pair.second) for pair in pairs]
-        self.first, self.first_mask = featurizer.pad_sets(first_sets)
-        self.second, self.second_mask = featurizer.pad_sets(second_sets)
-        self.targets = np.asarray([pair.containment_rate for pair in pairs], dtype=np.float64)
+
+class RaggedPairs:
+    """Labelled pairs as ragged feature rows: no padding, no mask.
+
+    Each side (the first and the second queries) comes as ``(rows, counts)``:
+    the vector sets of all pairs concatenated into one ``(R, L)`` matrix, and
+    every pair's set size.  ``sides`` holds ``(rows, offsets)``, pair ``i``
+    owning ``rows[offsets[i]:offsets[i + 1]]``.  No set may be empty:
+    ``np.add.reduceat`` would mis-pool an empty segment.
+    """
+
+    def __init__(self, first, second, targets) -> None:
+        self.targets = np.asarray(targets, dtype=np.float64)
+        self.sides = []
+        for rows, counts in (first, second):
+            counts = np.asarray(counts)
+            if len(counts) != len(self.targets) or (counts <= 0).any():
+                raise ValueError("every pair needs a non-empty vector set on both sides")
+            self.sides.append((rows, np.concatenate(([0], np.cumsum(counts)))))
+
+    @classmethod
+    def from_sets(cls, first_sets, second_sets, targets) -> "RaggedPairs":
+        """From one ``(set size, L)`` matrix per pair and side."""
+        first, second = (
+            (np.concatenate(sets), [len(vectors) for vectors in sets])
+            for sets in (first_sets, second_sets)
+        )
+        return cls(first, second, targets)
+
+    @classmethod
+    def featurize(cls, featurizer: QueryFeaturizer, pairs: Sequence[QueryPair]) -> "RaggedPairs":
+        """Featurize every *distinct* query of ``pairs`` once."""
+        features = {
+            query: featurizer.featurize(query)
+            for query in {query for pair in pairs for query in (pair.first, pair.second)}
+        }
+        return cls.from_sets(
+            [features[pair.first] for pair in pairs],
+            [features[pair.second] for pair in pairs],
+            [pair.containment_rate for pair in pairs],
+        )
 
     def __len__(self) -> int:
         return len(self.targets)
 
-    def batch(self, indices: np.ndarray) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-        return (
-            Tensor(self.first[indices]),
-            Tensor(self.first_mask[indices]),
-            Tensor(self.second[indices]),
-            Tensor(self.second_mask[indices]),
-            Tensor(self.targets[indices]),
+    def take(self, order) -> "RaggedPairs":
+        """The pairs at ``order``, laid out in that order by one row gather per
+        side: an epoch lays out its permutation once, after which every
+        mini-batch is a slice."""
+        order, sides = np.asarray(order), []
+        for rows, offsets in self.sides:
+            counts = np.diff(offsets)[order]
+            # A taken row sits as far behind its pair's old start as behind its new one.
+            shift = offsets[order] - (np.cumsum(counts) - counts)
+            sides.append((rows[np.arange(counts.sum()) + np.repeat(shift, counts)], counts))
+        return RaggedPairs(*sides, self.targets[order])
+
+
+class CRNTrainer:
+    """Fused forward + backward + Adam step for the fixed CRN architecture,
+    and the one epoch loop (docs/architecture.md, "Training path").
+
+    **Ownership.**  The trainer optimises a private flat copy of the weights
+    and owns every buffer a step touches, so trainers on different threads
+    (the lifecycle retrains beside serving) share nothing; one trainer is not
+    thread-safe.  The model only ever receives fresh copies (:meth:`publish`,
+    after every epoch): its ``parameter.data`` never aliases trainer memory.
+
+    **What the callers of** :meth:`fit` **switch off.**  :func:`train_crn`:
+    nothing — validation split, early stopping and best-state restore are on.
+    :func:`repro.extensions.updates.incremental_update` and
+    :class:`~repro.extensions.updates.RetrainSession`: all three.  They pass
+    no validation set (the reported q-error is measured on the few fresh
+    training pairs; whether the candidate ships is the lifecycle accept gate's
+    call, on feedback the model never trained on), set patience 0 (the epoch
+    budget is the caller's, and small) and ``restore_best=False``: a best
+    epoch picked on training data is no generalisation signal, and a cancelled
+    or resumed session must hold its last completed epoch's weights.
+    """
+
+    def __init__(self, model: CRNModel, config: TrainingConfig) -> None:
+        self.model, self.config = model, config
+        # MLP1, MLP2, MLPout hidden, MLPout final: a (weight, bias) pair each.
+        self._parameters = model.parameters()
+        shapes = [parameter.data.shape for parameter in self._parameters]
+        bounds = np.concatenate(([0], np.cumsum([int(np.prod(shape)) for shape in shapes])))
+        # Rows: weights, gradients, Adam's two moments, its two temporaries.
+        self._flat = np.zeros((6, bounds[-1]))
+        self._flat[0] = np.concatenate([parameter.data.ravel() for parameter in self._parameters])
+        self.weights, self.gradients = (
+            [row[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+            for row in self._flat[:2]
         )
+        self._adam_steps = 0
+        self._capacity = (0, 0)
+
+    def _reserve(self, pairs: int, rows: int) -> None:
+        """Make every buffer hold ``pairs`` pairs and ``rows`` set rows per side."""
+        if pairs <= self._capacity[0] and rows <= self._capacity[1]:
+            return
+        pairs, rows = max(pairs, self._capacity[0]), max(rows, self._capacity[1])
+        self._capacity, size = (pairs, rows), self.model.hidden_size
+        # relu(rows @ W + b) per side, and the un-pooled encoding gradient.
+        self._relu, self._unpooled = np.empty((2, rows, size)), np.empty((rows, size))
+        self._pair, self._pair_gradient = np.empty((2, pairs, self.weights[4].shape[0]))
+        self._hidden = np.empty((pairs, 2 * size))
+        # The rate column and three sigmoid temporaries; the sigmoid's sign mask.
+        self._columns, self._mask = np.empty((4, pairs, 1)), np.empty((pairs, 1), bool)
+
+    def forward(self, data: RaggedPairs, start: int, stop: int) -> np.ndarray:
+        """Rates of pairs ``start:stop``: a ``(count, 1)`` view, valid until the next pass."""
+        count, size = stop - start, self.model.hidden_size
+        self._reserve(count, max(offsets[stop] - offsets[start] for _, offsets in data.sides))
+        pair = self._pair[:count]
+        for side, (rows, offsets) in enumerate(data.sides):
+            low, high = offsets[start], offsets[stop]
+            activation = self._relu[side, : high - low]
+            np.matmul(rows[low:high], self.weights[2 * side], out=activation)
+            np.add(activation, self.weights[2 * side + 1], out=activation)
+            np.maximum(activation, 0.0, out=activation)
+            encoding = pair[:, side * size : (side + 1) * size]
+            np.add.reduceat(activation, offsets[start:stop] - low, axis=0, out=encoding)
+            if self.model.config.pooling == "average":
+                encoding /= np.diff(offsets[start : stop + 1])[:, None]
+        if self.model.config.use_expand:
+            first, second = pair[:, :size], pair[:, size : 2 * size]
+            distance = np.subtract(first, second, out=pair[:, 2 * size : 3 * size])
+            np.absolute(distance, out=distance)
+            np.multiply(first, second, out=pair[:, 3 * size :])
+        hidden = self._hidden[:count]
+        np.matmul(pair, self.weights[4], out=hidden)
+        np.add(hidden, self.weights[5], out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        rates, *temporaries = (column[:count] for column in self._columns)
+        np.matmul(hidden, self.weights[6], out=rates)
+        np.add(rates, self.weights[7], out=rates)
+        sigmoid_into(rates, rates, *temporaries, self._mask[:count])
+        return rates
+
+    def loss_and_gradients(self, data: RaggedPairs, start: int, stop: int) -> float:
+        """Forward + backward over pairs ``start:stop``: fills ``gradients``, returns the loss."""
+        rates = self.forward(data, start, stop)
+        loss, rate_gradient = loss_and_gradient(
+            self.config.loss, rates[:, 0], data.targets[start:stop], self.config.loss_epsilon
+        )
+        count, size = stop - start, self.model.hidden_size
+        pair, hidden = self._pair[:count], self._hidden[:count]
+        output_gradient = self._columns[1, :count]
+        np.subtract(1.0, rates, out=output_gradient)  # sigmoid: dz = dp * p * (1 - p)
+        output_gradient *= rates
+        output_gradient *= rate_gradient[:, None]
+        np.matmul(hidden.T, output_gradient, out=self.gradients[6])
+        np.sum(output_gradient, axis=0, out=self.gradients[7])
+        # ``hidden`` becomes its own pre-activation gradient: a ReLU output's
+        # sign is the ReLU mask, and (count, 1) @ (1, 2H) is a broadcast.
+        np.sign(hidden, out=hidden)
+        hidden *= self.weights[6].T
+        hidden *= output_gradient
+        np.matmul(pair.T, hidden, out=self.gradients[4])
+        np.sum(hidden, axis=0, out=self.gradients[5])
+        pair_gradient = self._pair_gradient[:count]
+        np.matmul(hidden, self.weights[4].T, out=pair_gradient)
+        if self.model.config.use_expand:
+            first, second = pair[:, :size], pair[:, size : 2 * size]
+            distance = np.sign(first - second) * pair_gradient[:, 2 * size : 3 * size]
+            product = pair_gradient[:, 3 * size :]
+            pair_gradient[:, :size] += distance + product * second
+            pair_gradient[:, size : 2 * size] += product * first - distance
+        for side, (rows, offsets) in enumerate(data.sides):
+            low, high = offsets[start], offsets[stop]
+            sizes = np.diff(offsets[start : stop + 1])
+            encoding_gradient = pair_gradient[:, side * size : (side + 1) * size]
+            if self.model.config.pooling == "average":
+                encoding_gradient /= sizes[:, None]
+            activation, unpooled = self._relu[side, : high - low], self._unpooled[: high - low]
+            # Un-pool: every set row receives its pair's encoding gradient.
+            owners = np.repeat(np.arange(count), sizes)
+            np.take(encoding_gradient, owners, axis=0, out=unpooled, mode="clip")
+            np.sign(activation, out=activation)
+            activation *= unpooled
+            np.matmul(rows[low:high].T, activation, out=self.gradients[2 * side])
+            np.sum(activation, axis=0, out=self.gradients[2 * side + 1])
+        return loss
+
+    def step(self, data: RaggedPairs, start: int, stop: int) -> float:
+        """One optimisation step on pairs ``start:stop``; returns the batch loss."""
+        loss = self.loss_and_gradients(data, start, stop)
+        weights, gradient, first, second, update, scratch = self._flat
+        self._adam_steps += 1
+        weights -= adam_update(
+            gradient, first, second, self._adam_steps, self.config.learning_rate, update, scratch
+        )
+        return loss
+
+    def publish(self) -> None:
+        """Hand the model fresh copies of the trainer's current weights."""
+        for parameter, weight in zip(self._parameters, self.weights):
+            parameter.data = weight.copy()
+
+    def mean_q_error(self, data: RaggedPairs) -> float:
+        """Geometric-mean q-error of the trainer's current weights over ``data``.
+
+        The geometric mean (``exp`` of the mean absolute log ratio) is the
+        early-stopping metric: unlike the arithmetic mean it is not dominated
+        by the handful of clamped zero-rate pairs, so it tracks the objective
+        (the evaluation tables still report the paper's arithmetic mean and
+        percentiles via :mod:`repro.core.metrics`).  Rates are floored at
+        ``loss_epsilon`` as in the loss; :func:`evaluate_pairs_q_error` says why.
+        """
+        rates = np.empty(len(data))
+        for start in range(0, len(data), _EVAL_PAIRS):
+            stop = min(start + _EVAL_PAIRS, len(data))
+            rates[start:stop] = self.forward(data, start, stop)[:, 0]
+        errors = q_errors(rates, data.targets, epsilon=self.config.loss_epsilon)
+        return float(np.exp(np.mean(np.log(errors))))
+
+    def fit(
+        self,
+        result: TrainingResult,
+        train: RaggedPairs,
+        validation: RaggedPairs | None = None,
+        *,
+        restore_best: bool,
+        on_epoch: Callable[[EpochStats], None] | None = None,
+        should_stop: Callable[[], bool] | None = None,
+        verbose: bool = False,
+    ) -> TrainingResult:
+        """Run ``config.epochs`` more epochs, appending to ``result.history``.
+
+        ``validation`` defaults to ``train``.  After every epoch the model
+        holds that epoch's weights, ``on_epoch`` receives its stats and
+        ``should_stop`` is polled; with ``restore_best`` the model ends at the
+        weights of this call's best validation epoch.
+        """
+        config = self.config
+        validation = train if validation is None else validation
+        iterator = BatchIterator(len(train), config.batch_size, seed=config.seed)
+        best_weights = self._flat[0].copy()
+        epochs_without_improvement = 0
+        first_epoch = result.epochs_run + 1
+        for epoch in range(first_epoch, first_epoch + config.epochs):
+            start = time.perf_counter()
+            shuffled = train.take(iterator.permutation())
+            losses = [
+                self.step(shuffled, low, min(low + config.batch_size, len(shuffled)))
+                for low in range(0, len(shuffled), config.batch_size)
+            ]
+            self.publish()
+            stats = EpochStats(
+                epoch=epoch,
+                train_loss=float(np.mean(losses)),
+                validation_mean_q_error=self.mean_q_error(validation),
+                seconds=time.perf_counter() - start,
+            )
+            result.history.append(stats)
+            if verbose:  # pragma: no cover - console output only
+                print(
+                    f"epoch {epoch:3d}  train loss {stats.train_loss:8.4f}  "
+                    f"validation q-error {stats.validation_mean_q_error:8.4f}"
+                )
+            if stats.validation_mean_q_error < result.best_validation_q_error:
+                result.best_validation_q_error = stats.validation_mean_q_error
+                result.best_epoch = epoch
+                epochs_without_improvement = 0
+                np.copyto(best_weights, self._flat[0])
+            else:
+                epochs_without_improvement += 1
+            if on_epoch is not None:
+                on_epoch(stats)
+            if 0 < config.early_stopping_patience <= epochs_without_improvement:
+                result.stopped_early = True
+                break
+            if should_stop is not None and should_stop():
+                break
+        if restore_best:
+            np.copyto(self._flat[0], best_weights)
+            self.publish()
+        return result
 
 
 def train_crn(
@@ -138,103 +401,21 @@ def train_crn(
     """
     if not pairs:
         raise ValueError("cannot train on an empty pair set")
-    crn_config = crn_config or CRNConfig()
     training_config = training_config or TrainingConfig()
-
-    train_pairs, validation_pairs = train_validation_split(
-        list(pairs),
+    train_indices, validation_indices = train_validation_split(
+        range(len(pairs)),
         validation_fraction=training_config.validation_fraction,
         seed=training_config.seed,
     )
-    if not validation_pairs:
-        validation_pairs = train_pairs
-
-    train_data = _FeaturizedPairs(database_featurizer, train_pairs)
-    validation_data = _FeaturizedPairs(database_featurizer, validation_pairs)
-
-    model = CRNModel(database_featurizer.vector_size, crn_config)
-    optimizer = Adam(model.parameters(), learning_rate=training_config.learning_rate)
-    base_loss = get_loss(training_config.loss)
-    if training_config.loss in ("q_error", "log_q_error"):
-        def loss_function(predictions: Tensor, targets: Tensor) -> Tensor:
-            return base_loss(predictions, targets, epsilon=training_config.loss_epsilon)
-    else:
-        loss_function = base_loss
-    iterator = BatchIterator(len(train_data), training_config.batch_size, seed=training_config.seed)
-
-    result = TrainingResult(model=model, featurizer=database_featurizer)
-    best_state = model.state_dict()
-    epochs_without_improvement = 0
-
-    for epoch in range(1, training_config.epochs + 1):
-        start = time.perf_counter()
-        epoch_losses: list[float] = []
-        for indices in iterator.epoch():
-            first, first_mask, second, second_mask, targets = train_data.batch(indices)
-            predictions = model(first, first_mask, second, second_mask)
-            loss = loss_function(predictions, targets)
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
-
-        validation_q_error = evaluate_mean_q_error(
-            model, validation_data, epsilon=training_config.loss_epsilon
-        )
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=float(np.mean(epoch_losses)),
-            validation_mean_q_error=validation_q_error,
-            seconds=time.perf_counter() - start,
-        )
-        result.history.append(stats)
-        if verbose:  # pragma: no cover - console output only
-            print(
-                f"epoch {epoch:3d}  train loss {stats.train_loss:8.4f}  "
-                f"validation q-error {stats.validation_mean_q_error:8.4f}"
-            )
-
-        if validation_q_error < result.best_validation_q_error:
-            result.best_validation_q_error = validation_q_error
-            result.best_epoch = epoch
-            best_state = model.state_dict()
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if (
-                training_config.early_stopping_patience
-                and epochs_without_improvement >= training_config.early_stopping_patience
-            ):
-                result.stopped_early = True
-                break
-
-    model.load_state_dict(best_state)
-    return result
-
-
-def evaluate_mean_q_error(
-    model: CRNModel, data: _FeaturizedPairs, epsilon: float | None = None
-) -> float:
-    """Geometric-mean q-error of ``model`` over a featurized pair set.
-
-    The geometric mean (``exp`` of the mean absolute log ratio) is the
-    validation metric used for early stopping: unlike the arithmetic mean it
-    is not dominated by the handful of clamped zero-rate pairs, so it tracks
-    the optimisation objective.  The evaluation tables still report the
-    paper's arithmetic mean / percentiles via :mod:`repro.core.metrics`.
-
-    ``epsilon`` defaults to :attr:`TrainingConfig.loss_epsilon` so that
-    evaluation agrees with the train-time metric on zero-rate pairs (see
-    :func:`evaluate_pairs_q_error` for why the two must share one floor).
-    """
-    if epsilon is None:
-        epsilon = TrainingConfig.loss_epsilon
-    with no_grad():
-        predictions = model(
-            Tensor(data.first), Tensor(data.first_mask), Tensor(data.second), Tensor(data.second_mask)
-        ).numpy()
-    errors = q_errors(predictions, data.targets, epsilon=epsilon)
-    return float(np.exp(np.mean(np.log(errors))))
+    data = RaggedPairs.featurize(database_featurizer, pairs)
+    model = CRNModel(database_featurizer.vector_size, crn_config or CRNConfig())
+    return CRNTrainer(model, training_config).fit(
+        TrainingResult(model=model, featurizer=database_featurizer),
+        data.take(train_indices),
+        data.take(validation_indices) if validation_indices else None,
+        restore_best=True,
+        verbose=verbose,
+    )
 
 
 def evaluate_pairs_q_error(

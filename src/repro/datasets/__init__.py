@@ -3,8 +3,8 @@
 The paper trains and evaluates on the real IMDb database (Section 3.1.1),
 which is not redistributable here; :mod:`repro.datasets.imdb` builds a
 synthetic substitute on the JOB join schema with deliberately injected
-join-crossing correlations and skew (see DESIGN.md for the substitution
-rationale).  The remaining modules implement the paper's query generator
+join-crossing correlations and skew (that module's docstring gives the
+substitution rationale).  The remaining modules implement the paper's query generator
 (Section 3.1.2), pair labelling, and the evaluation workloads (Sections 4.2
 and 6.1).
 """

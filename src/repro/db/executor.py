@@ -62,6 +62,10 @@ class QueryExecutor:
         self.database = database
         self.max_intermediate_rows = max_intermediate_rows
         self._cardinality_cache: dict[Query, int] = {}
+        #: ``(parent table, column, child table, column)`` -> ``(slots,
+        #: child_codes, parent_codes)``, see :meth:`_join_edge`.  Built from
+        #: this executor's immutable database and never invalidated.
+        self._join_edges: dict[tuple[str, str, str, str], tuple[int, np.ndarray, np.ndarray]] = {}
 
     def execute(self, query: Query) -> ExecutionResult:
         """Execute ``query`` and return the full result (row-id tuples)."""
@@ -95,8 +99,37 @@ class QueryExecutor:
         return cardinality
 
     def clear_cache(self) -> None:
-        """Drop all memoized cardinalities."""
+        """Drop all memoized cardinalities.
+
+        Only the per-query memo: the join-edge index is a function of the
+        database's immutable columns, not of any query, and stays.
+        """
         self._cardinality_cache.clear()
+
+    def _join_edge(
+        self, parent_table: str, parent_column: str, child_table: str, child_column: str
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """The key codes of one join edge, built on first use.
+
+        Returns ``(slots, child_codes, parent_codes)``: ``child_codes[r]`` is
+        the dense code (``< slots - 1``) of child row ``r``'s join key, and
+        ``parent_codes[r]`` the code of parent row ``r``'s key among the
+        child's keys, or the trailing slot ``slots - 1`` — which no child row
+        maps to — when the child has no such key.
+        """
+        edge = (parent_table, parent_column, child_table, child_column)
+        if edge not in self._join_edges:
+            keys, child_codes = np.unique(
+                self.database.table(child_table).column(child_column), return_inverse=True
+            )
+            parent_keys = self.database.table(parent_table).column(parent_column)
+            parent_codes = np.full(len(parent_keys), len(keys), dtype=np.intp)
+            if len(keys):
+                positions = np.minimum(np.searchsorted(keys, parent_keys), len(keys) - 1)
+                matched = keys[positions] == parent_keys
+                parent_codes[matched] = positions[matched]
+            self._join_edges[edge] = (len(keys) + 1, child_codes, parent_codes)
+        return self._join_edges[edge]
 
     # ------------------------------------------------------------------ #
     # count-only fast path for acyclic join graphs
@@ -131,49 +164,41 @@ class QueryExecutor:
         root = aliases[0]
         visited: set[str] = set()
 
-        def subtree_weights(alias: str, parent_join: JoinClause | None) -> tuple[np.ndarray, np.ndarray] | int:
-            """Per-link-key tuple counts of the subtree rooted at ``alias``.
+        def subtree_weights(alias: str, parent: str | None) -> tuple[np.ndarray, np.ndarray]:
+            """``(row_ids, weights)`` of the subtree rooted at ``alias``.
 
-            Returns the total count (int) at the root, or ``(keys, weights)``
-            aggregated over this alias's link column to its parent otherwise.
+            One weight per row of ``alias`` that passes its predicates: the
+            number of result tuples of the subtree below it that the row
+            takes part in.  A child's weights reach its parent through the
+            edge's key codes (:meth:`_join_edge`): one ``bincount`` sums them
+            per key, one gather hands each parent row its key's sum.
             """
             visited.add(alias)
-            table = self.database.table(alias_to_table[alias])
-            row_ids = table.filter_rows(query.predicates_for(alias))
+            table = alias_to_table[alias]
+            row_ids = self.database.table(table).filter_rows(query.predicates_for(alias))
             weights = np.ones(len(row_ids), dtype=np.float64)
             for join in adjacency[alias]:
-                if join is parent_join:
-                    continue
                 child = join.right_alias if join.left_alias == alias else join.left_alias
-                if child in visited:
+                if child == parent or child in visited:
                     continue
-                child_result = subtree_weights(child, join)
-                child_keys, child_weights = child_result
-                own_column = join.left_column if join.left_alias == alias else join.right_column
-                own_keys = table.column(own_column)[row_ids]
-                positions = np.searchsorted(child_keys, own_keys)
-                positions = np.clip(positions, 0, max(len(child_keys) - 1, 0))
-                matched = (
-                    child_keys[positions] == own_keys if len(child_keys) else np.zeros(len(own_keys), bool)
+                own_column, child_column = (
+                    (join.left_column, join.right_column)
+                    if join.left_alias == alias
+                    else (join.right_column, join.left_column)
                 )
-                factors = np.where(matched, child_weights[positions] if len(child_keys) else 0.0, 0.0)
-                weights *= factors
-            if parent_join is None:
-                return int(round(float(weights.sum())))
-            link_column = (
-                parent_join.left_column if parent_join.left_alias == alias else parent_join.right_column
-            )
-            link_keys = table.column(link_column)[row_ids]
-            unique_keys, inverse = np.unique(link_keys, return_inverse=True)
-            summed = np.zeros(len(unique_keys), dtype=np.float64)
-            np.add.at(summed, inverse, weights)
-            return unique_keys, summed
+                slots, child_codes, parent_codes = self._join_edge(
+                    table, own_column, alias_to_table[child], child_column
+                )
+                child_rows, child_weights = subtree_weights(child, alias)
+                per_key = np.bincount(child_codes[child_rows], child_weights, minlength=slots)
+                weights *= per_key[parent_codes[row_ids]]
+            return row_ids, weights
 
-        total = subtree_weights(root, None)
+        total = int(round(float(subtree_weights(root, None)[1].sum())))
         if visited != set(aliases):
             # Disconnected graph (should not happen for generated queries).
             return None
-        return int(total)
+        return total
 
     # ------------------------------------------------------------------ #
     # internals

@@ -16,7 +16,11 @@ from repro.sql.query import Query
 
 
 def true_cardinality(database: Database, query: Query) -> int:
-    """Exact result cardinality of ``query`` on ``database``."""
+    """Exact result cardinality of ``query`` on ``database``.
+
+    One-shot: a fresh executor (and its join-edge index) per call.  Label many
+    queries through one :class:`TrueCardinalityOracle`.
+    """
     return QueryExecutor(database).cardinality(query)
 
 

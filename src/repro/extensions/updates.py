@@ -11,30 +11,24 @@ updated snapshot.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.core.crn import CRNConfig, CRNModel
 from repro.core.featurization import QueryFeaturizer
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import (
+    CRNTrainer,
     EpochStats,
+    RaggedPairs,
     TrainingConfig,
     TrainingResult,
-    _FeaturizedPairs,
-    evaluate_mean_q_error,
     train_crn,
 )
 from repro.datasets.pairs import QueryPair, label_pairs
 from repro.datasets.workloads import build_training_pairs
 from repro.db.database import Database
 from repro.db.intersection import TrueCardinalityOracle
-from repro.nn.data import BatchIterator
-from repro.nn.loss import get_loss
-from repro.nn.optim import Adam
 
 
 def retrain_from_scratch(
@@ -99,67 +93,36 @@ def incremental_update(
         oracle = TrueCardinalityOracle(updated_database)
         new_pairs = label_pairs(updated_database, list(new_pairs), oracle=oracle)
 
-    config = replace(
-        training_config or TrainingConfig(), epochs=epochs, early_stopping_patience=0
-    )
     model = CRNModel(new_featurizer.vector_size, result.model.config)
     model.load_state_dict(result.model.state_dict())
-    warm = TrainingResult(model=model, featurizer=new_featurizer)
-    return _continue_training(
-        warm,
-        new_featurizer,
-        list(new_pairs),
-        config,
+    return _fit_more_epochs(
+        TrainingResult(model=model, featurizer=new_featurizer),
+        RaggedPairs.featurize(new_featurizer, list(new_pairs)),
+        training_config or TrainingConfig(),
+        epochs,
         on_epoch=on_epoch,
         should_stop=should_stop,
     )
 
 
-def _continue_training(
+def _fit_more_epochs(
     warm_result: TrainingResult,
-    featurizer: QueryFeaturizer,
-    pairs: list[QueryPair],
+    data: RaggedPairs,
     config: TrainingConfig,
+    epochs: int,
     on_epoch=None,
     should_stop=None,
 ) -> TrainingResult:
-    """Run the optimisation loop starting from ``warm_result``'s current weights."""
-    model = warm_result.model
-    data = _FeaturizedPairs(featurizer, pairs)
-    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
-    loss_function = get_loss(config.loss)
-    iterator = BatchIterator(len(data), config.batch_size, seed=config.seed)
-    first_epoch = warm_result.epochs_run + 1
-    for epoch in range(first_epoch, first_epoch + config.epochs):
-        start = time.perf_counter()
-        losses: list[float] = []
-        for indices in iterator.epoch():
-            first, first_mask, second, second_mask, targets = data.batch(indices)
-            predictions = model(first, first_mask, second, second_mask)
-            if config.loss in ("q_error", "log_q_error"):
-                loss = loss_function(predictions, targets, epsilon=config.loss_epsilon)
-            else:
-                loss = loss_function(predictions, targets)
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        validation = evaluate_mean_q_error(model, data, epsilon=config.loss_epsilon)
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            validation_mean_q_error=validation,
-            seconds=time.perf_counter() - start,
-        )
-        warm_result.history.append(stats)
-        if validation < warm_result.best_validation_q_error:
-            warm_result.best_validation_q_error = validation
-            warm_result.best_epoch = epoch
-        if on_epoch is not None:
-            on_epoch(stats)
-        if should_stop is not None and should_stop():
-            break
-    return warm_result
+    """``epochs`` more epochs from ``warm_result``'s current weights.
+
+    The same epoch loop as :func:`train_crn`, :meth:`CRNTrainer.fit`, whose
+    docstring says why this path validates on the training pairs, never stops
+    early and keeps the last epoch's weights instead of the best epoch's.
+    """
+    config = replace(config, epochs=epochs, early_stopping_patience=0)
+    return CRNTrainer(warm_result.model, config).fit(
+        warm_result, data, restore_best=False, on_epoch=on_epoch, should_stop=should_stop
+    )
 
 
 @dataclass(frozen=True)
@@ -259,7 +222,7 @@ class RetrainSession:
         self._last_run_cancelled = False
         self._target_epochs = 0
         self._result: TrainingResult | None = None
-        self._data: tuple[QueryFeaturizer, list[QueryPair]] | None = None
+        self._data: RaggedPairs | None = None
 
     # ------------------------------------------------------------------ #
     # state
@@ -310,16 +273,13 @@ class RetrainSession:
             self._materialize()
             return self._result
         self._last_run_cancelled = False
-        featurizer, pairs = self._materialize()
+        data = self._materialize()
         self._target_epochs = self.epochs_completed + epochs
-        config = replace(
-            self._training_config, epochs=epochs, early_stopping_patience=0
-        )
-        result = _continue_training(
+        result = _fit_more_epochs(
             self._result,
-            featurizer,
-            pairs,
-            config,
+            data,
+            self._training_config,
+            epochs,
             on_epoch=self._report,
             should_stop=self._cancel.is_set,
         )
@@ -329,8 +289,8 @@ class RetrainSession:
             self._last_run_cancelled = True
         return result
 
-    def _materialize(self) -> tuple[QueryFeaturizer, list[QueryPair]]:
-        """Build the featurizer, labelled pairs, and starting weights once."""
+    def _materialize(self) -> RaggedPairs:
+        """Build the featurizer, featurized labelled pairs, and starting weights once."""
         if self._data is not None:
             return self._data
         featurizer = QueryFeaturizer(self.database)
@@ -357,7 +317,7 @@ class RetrainSession:
         else:
             model = CRNModel(featurizer.vector_size, self._crn_config or CRNConfig())
         self._result = TrainingResult(model=model, featurizer=featurizer)
-        self._data = (featurizer, pairs)
+        self._data = RaggedPairs.featurize(featurizer, pairs)
         return self._data
 
     def _report(self, stats: EpochStats) -> None:

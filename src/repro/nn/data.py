@@ -49,9 +49,13 @@ class BatchIterator:
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
 
+    def permutation(self) -> np.ndarray:
+        """The next epoch's shuffled order, whole: what :meth:`epoch` slices."""
+        return self._rng.permutation(self.num_items)
+
     def epoch(self) -> Iterator[np.ndarray]:
         """Yield index arrays covering the dataset once, in shuffled order."""
-        order = self._rng.permutation(self.num_items)
+        order = self.permutation()
         for start in range(0, self.num_items, self.batch_size):
             yield order[start : start + self.batch_size]
 

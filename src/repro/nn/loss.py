@@ -11,12 +11,19 @@ and symmetric, which matters on the synthetic training corpus where a large
 share of pairs has a (clamped) zero containment rate: with the raw ratio loss
 those pairs contribute enormous one-sided gradients that push every prediction
 toward a low hedge value and prevent the model from discriminating at all.
-The training loop therefore uses ``log_q_error`` by default (a documented
-deviation from the paper; see DESIGN.md), while the raw ``q_error`` remains
-available and is still the *evaluation* metric everywhere.
+The training loop therefore uses ``log_q_error`` by default (a deviation from
+the paper, measured by ``benchmarks/bench_ablation_loss.py``), while the raw
+``q_error`` remains available and is still the *evaluation* metric everywhere.
+
+Every loss has a closed-form twin on plain arrays, :func:`loss_and_gradient`,
+returning the value and ``dL/dprediction`` the Tensor version would
+backpropagate; the fused CRN training step (:mod:`repro.core.training`) uses
+it and ``tests/test_core_training.py`` holds the two together.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.nn.tensor import Tensor
 
@@ -59,6 +66,36 @@ LOSS_FUNCTIONS = {
     "mse": mse_loss,
     "mae": mae_loss,
 }
+
+
+def loss_and_gradient(
+    name: str, predictions: np.ndarray, targets: np.ndarray, epsilon: float = 1e-6
+) -> tuple[float, np.ndarray]:
+    """``LOSS_FUNCTIONS[name]`` and its gradient w.r.t. ``predictions``, in closed form.
+
+    ``epsilon`` is the clamp of the two q-error losses (ignored by ``mse`` /
+    ``mae``); a clamped prediction gets no gradient, and a ``q_error`` tie
+    between the ratio and its inverse goes to the ratio, as in
+    :meth:`Tensor.clip_min` and :meth:`Tensor.maximum`.
+    """
+    scale = 1.0 / predictions.size
+    if name in ("mse", "mae"):
+        difference = predictions - targets
+        if name == "mse":
+            return float((difference * difference).mean()), 2.0 * scale * difference
+        return float(np.abs(difference).mean()), scale * np.sign(difference)
+    safe_predictions = np.maximum(predictions, epsilon)
+    safe_targets = np.maximum(targets, epsilon)
+    unclamped = scale * (predictions > epsilon)
+    if name == "log_q_error":
+        difference = np.log(safe_predictions) - np.log(safe_targets)
+        return float(np.abs(difference).mean()), unclamped * np.sign(difference) / safe_predictions
+    if name != "q_error":
+        raise KeyError(f"unknown loss {name!r}; available: {sorted(LOSS_FUNCTIONS)}")
+    ratio = safe_predictions / safe_targets
+    inverse = safe_targets / safe_predictions
+    slope = np.where(ratio >= inverse, 1.0 / safe_targets, -inverse / safe_predictions)
+    return float(np.maximum(ratio, inverse).mean()), unclamped * slope
 
 
 def get_loss(name: str):

@@ -45,6 +45,42 @@ class SGD(Optimizer):
             parameter.data = parameter.data + velocity
 
 
+def adam_update(
+    gradient: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    step: int,
+    learning_rate: float,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    epsilon: float = 1e-8,
+) -> np.ndarray:
+    """One Adam step's arithmetic, allocation-free.
+
+    Advances the moment estimates ``first`` / ``second`` in place by
+    ``gradient`` (``step`` counts from 1) and returns ``out`` holding the
+    amount to subtract from the parameters.  :class:`Adam` applies it per
+    parameter; the fused CRN trainer (:mod:`repro.core.training`) once over
+    its flat parameter vector, so the two optimise with the same bits.
+    """
+    first *= beta1
+    np.multiply(gradient, 1.0 - beta1, out=out)
+    first += out
+    second *= beta2
+    np.multiply(gradient, gradient, out=out)
+    out *= 1.0 - beta2
+    second += out
+    np.divide(first, 1.0 - beta1**step, out=out)
+    out *= learning_rate
+    np.divide(second, 1.0 - beta2**step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += epsilon
+    out /= scratch
+    return out
+
+
 class Adam(Optimizer):
     """The Adam optimizer (Kingma & Ba, 2015)."""
 
@@ -72,18 +108,19 @@ class Adam(Optimizer):
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients."""
         self._step_count += 1
-        bias_correction1 = 1.0 - self.beta1**self._step_count
-        bias_correction2 = 1.0 - self.beta2**self._step_count
         for parameter, first, second in zip(self.parameters, self._first_moment, self._second_moment):
             if parameter.grad is None:
                 continue
-            gradient = parameter.grad
-            first *= self.beta1
-            first += (1.0 - self.beta1) * gradient
-            second *= self.beta2
-            second += (1.0 - self.beta2) * gradient**2
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            parameter.data = parameter.data - self.learning_rate * corrected_first / (
-                np.sqrt(corrected_second) + self.epsilon
+            update = adam_update(
+                parameter.grad,
+                first,
+                second,
+                self._step_count,
+                self.learning_rate,
+                np.empty_like(first),
+                np.empty_like(first),
+                self.beta1,
+                self.beta2,
+                self.epsilon,
             )
+            parameter.data = parameter.data - update

@@ -59,6 +59,15 @@ class TestIndexBasedJoinSampling:
         estimate = estimator.estimate_cardinality(query)
         assert estimate == pytest.approx(truth, rel=1.0)
 
+    def test_one_executor_per_driver_table_is_kept_and_memoizes_nothing(self, toy_database):
+        estimator = IndexBasedJoinSamplingEstimator(toy_database, sample_size=100)
+        queries = (_join(), _join(("m.kind", "=", 2)))
+        first = [estimator.estimate_cardinality(query) for query in queries]
+        (executor,) = estimator._restricted_cache.values()
+        assert [estimator.estimate_cardinality(query) for query in queries] == first
+        assert list(estimator._restricted_cache.values()) == [executor]
+        assert len(executor._join_edges) == 1 and not executor._cardinality_cache
+
     def test_estimates_are_at_least_one(self, imdb_small):
         estimator = IndexBasedJoinSamplingEstimator(imdb_small, sample_size=50, seed=2)
         query = _example_empty(imdb_small)

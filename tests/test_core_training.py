@@ -2,10 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.crn import CRNConfig
-from repro.core.training import TrainingConfig, evaluate_pairs_q_error, train_crn
+from repro.core.crn import CRNConfig, CRNModel
+from repro.core.metrics import q_errors
+from repro.core.training import (
+    CRNTrainer,
+    RaggedPairs,
+    TrainingConfig,
+    evaluate_pairs_q_error,
+    train_crn,
+)
 from repro.datasets.workloads import build_training_pairs
+from repro.nn.data import BatchIterator, train_validation_split
+from repro.nn.loss import LOSS_FUNCTIONS
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +130,158 @@ class TestTrainCRN:
             training_config=TrainingConfig(epochs=3, batch_size=16, loss="mse"),
         )
         assert result.epochs_run == 3
+
+
+# --------------------------------------------------------------------------- #
+# the fused step against the autodiff oracle
+
+
+def _pad(sets):
+    """``QueryFeaturizer.pad_sets`` for raw matrices: padded batch + validity mask."""
+    longest = max(len(vectors) for vectors in sets)
+    batch = np.zeros((len(sets), longest, sets[0].shape[1]))
+    mask = np.zeros((len(sets), longest, 1))
+    for index, vectors in enumerate(sets):
+        batch[index, : len(vectors)] = vectors
+        mask[index, : len(vectors), 0] = 1.0
+    return Tensor(batch), Tensor(mask)
+
+
+def _reference_loss(model, config, first_sets, second_sets, targets) -> Tensor:
+    """The training loss through ``CRNModel.forward`` and ``repro.nn`` autodiff."""
+    predictions = model(*_pad(first_sets), *_pad(second_sets))
+    loss = LOSS_FUNCTIONS[config.loss]
+    if config.loss in ("q_error", "log_q_error"):
+        return loss(predictions, Tensor(targets), epsilon=config.loss_epsilon)
+    return loss(predictions, Tensor(targets))
+
+
+@st.composite
+def ragged_batches(draw):
+    """Model, config and one ragged batch: 1-9 pairs, sets of 1-6 vectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 9))
+    largest_set = draw(st.integers(1, 6))  # 1: every set is a single vector
+    vector_size = draw(st.integers(2, 5))
+    sides = [
+        [rng.normal(size=(rng.integers(1, largest_set + 1), vector_size)) for _ in range(batch)]
+        for _ in range(2)
+    ]
+    # Exact 0 and 1 exercise the target clamp; a large epsilon, the prediction clamp.
+    targets = np.asarray(
+        draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.6, 1e-4]), min_size=batch, max_size=batch))
+    )
+    model = CRNModel(
+        vector_size,
+        CRNConfig(
+            hidden_size=draw(st.sampled_from([4, 8])),
+            pooling=draw(st.sampled_from(["average", "sum"])),
+            use_expand=draw(st.booleans()),
+            seed=draw(st.integers(0, 50)),
+        ),
+    )
+    for parameter in model.parameters():  # zero-initialised biases would hide their paths
+        parameter.data = parameter.data + rng.normal(scale=0.3, size=parameter.data.shape)
+    config = TrainingConfig(
+        loss=draw(st.sampled_from(sorted(LOSS_FUNCTIONS))),
+        loss_epsilon=draw(st.sampled_from([1e-3, 0.3, 0.55])),
+    )
+    return model, config, sides, targets
+
+
+class TestFusedStepAgainstAutodiff:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=ragged_batches())
+    def test_gradients_match_tensor_backward(self, case):
+        model, config, (first_sets, second_sets), targets = case
+        trainer = CRNTrainer(model, config)
+        data = RaggedPairs.from_sets(first_sets, second_sets, targets)
+        loss = trainer.loss_and_gradients(data, 0, len(data))
+
+        reference = _reference_loss(model, config, first_sets, second_sets, targets)
+        model.zero_grad()
+        reference.backward()
+        assert loss == pytest.approx(reference.item(), rel=1e-12, abs=1e-15)
+        for (name, parameter), fused in zip(model.named_parameters(), trainer.gradients):
+            expected = parameter.grad if parameter.grad is not None else np.zeros_like(fused)
+            scale = max(np.abs(expected).max(), np.abs(fused).max())
+            assert np.abs(fused - expected).max() <= 1e-12 * scale, name
+
+    def test_empty_set_is_rejected(self):
+        vectors = np.ones((2, 3))
+        with pytest.raises(ValueError, match="non-empty"):
+            RaggedPairs.from_sets([vectors, np.empty((0, 3))], [vectors, vectors], [0.5, 0.5])
+
+    def test_take_lays_pairs_out_in_the_requested_order(self):
+        sets = [np.full((size, 2), float(size)) for size in (1, 3, 2)]
+        data = RaggedPairs.from_sets(sets, sets[::-1], [0.1, 0.2, 0.3]).take([2, 0])
+        rows, offsets = data.sides[0]
+        assert offsets.tolist() == [0, 2, 3] and rows[:, 0].tolist() == [2.0, 2.0, 1.0]
+        assert data.sides[1][0][:, 0].tolist() == [1.0, 2.0, 2.0]
+        assert data.targets.tolist() == [0.3, 0.1]
+
+    def test_take_equals_building_from_the_reordered_sets(self):
+        rng = np.random.default_rng(4)
+        first, second = (
+            [rng.random((size, 3)) for size in rng.integers(1, 7, size=15)] for _ in range(2)
+        )
+        targets, order = rng.random(15), rng.permutation(15)[:11]
+        taken = RaggedPairs.from_sets(first, second, targets).take(order)
+        rebuilt = RaggedPairs.from_sets(
+            [first[i] for i in order], [second[i] for i in order], targets[order]
+        )
+        assert taken.targets.tolist() == rebuilt.targets.tolist()
+        for (rows, offsets), (expected_rows, expected_offsets) in zip(taken.sides, rebuilt.sides):
+            assert offsets.tolist() == expected_offsets.tolist()
+            np.testing.assert_array_equal(rows, expected_rows)
+
+    def test_three_epoch_trajectory_matches_a_reference_loop(
+        self, imdb_small, imdb_featurizer, imdb_oracle
+    ):
+        """``train_crn`` against the loop it replaced, rebuilt here from
+        ``CRNModel.forward`` + ``nn.optim.Adam`` with the same seeds."""
+        pairs = build_training_pairs(imdb_small, count=90, seed=9, oracle=imdb_oracle)
+        crn_config = CRNConfig(hidden_size=8, seed=3)
+        config = TrainingConfig(epochs=3, batch_size=16, seed=5)
+        result = train_crn(imdb_featurizer, pairs, crn_config, config)
+
+        def featurized(chosen):
+            return (
+                [imdb_featurizer.featurize(pair.first) for pair in chosen],
+                [imdb_featurizer.featurize(pair.second) for pair in chosen],
+                np.asarray([pair.containment_rate for pair in chosen]),
+            )
+
+        train_pairs, validation_pairs = train_validation_split(
+            list(pairs), config.validation_fraction, seed=config.seed
+        )
+        train, validation = featurized(train_pairs), featurized(validation_pairs)
+        model = CRNModel(imdb_featurizer.vector_size, crn_config)
+        optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
+        iterator = BatchIterator(len(train_pairs), config.batch_size, seed=config.seed)
+        for stats in result.history:
+            losses = []
+            for indices in iterator.epoch():
+                loss = _reference_loss(
+                    model,
+                    config,
+                    [train[0][i] for i in indices],
+                    [train[1][i] for i in indices],
+                    train[2][indices],
+                )
+                model.zero_grad()
+                loss.backward()
+                optimizer.step()
+                losses.append(loss.item())
+            with no_grad():
+                predictions = model(*_pad(validation[0]), *_pad(validation[1])).numpy()
+            errors = q_errors(predictions, validation[2], epsilon=config.loss_epsilon)
+            assert stats.train_loss == pytest.approx(float(np.mean(losses)), rel=1e-9)
+            assert stats.validation_mean_q_error == pytest.approx(
+                float(np.exp(np.mean(np.log(errors)))), rel=1e-9
+            )
+        assert result.epochs_run == 3
+
+    def test_trained_model_owns_its_weights(self, tiny_training_run):
+        _, result = tiny_training_run
+        assert all(parameter.data.flags.owndata for parameter in result.model.parameters())

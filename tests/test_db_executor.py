@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.datasets.generator import GeneratorConfig, QueryGenerator
+from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
+from repro.db.database import Database
 from repro.db.executor import DisconnectedJoinGraphError, QueryExecutor
 from repro.sql.builder import QueryBuilder
+from tests.conftest import TOY_SCHEMA
 
 
 def _movies(*conditions):
@@ -89,6 +93,75 @@ class TestCountFastPath:
         assert executor.cardinality(query) == first
         executor.clear_cache()
         assert executor.cardinality(query) == first
+
+
+class TestJoinEdgeIndex:
+    """The count-only path against full execution (ROADMAP item 1d, first slice)."""
+
+    def test_generated_queries_match_execution_at_every_join_count(self):
+        database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=40, seed=5))
+        executor = QueryExecutor(database)
+        generator = QueryGenerator(database, GeneratorConfig(max_joins=5, seed=7))
+        widest_unfiltered = 0
+        for num_joins in range(6):
+            for query in generator.generate_queries(8, num_joins=num_joins):
+                counted = executor.cardinality(query, use_cache=False)
+                assert counted == executor.execute(query).cardinality, str(query)
+                unfiltered = query.without_predicates()
+                counted = executor.cardinality(unfiltered, use_cache=False)
+                if counted <= 300_000:  # keep the materialised join small
+                    assert counted == executor.execute(unfiltered).cardinality, str(unfiltered)
+                    widest_unfiltered = max(widest_unfiltered, num_joins)
+        assert widest_unfiltered >= 3  # a predicate-free many-way join was compared
+
+    def test_child_whose_predicates_select_nothing(self, toy_executor):
+        query = _join(("r.score", ">", 1000))
+        assert toy_executor.cardinality(query, use_cache=False) == 0
+        assert toy_executor.execute(query).cardinality == 0
+
+    def test_parent_key_absent_from_child_and_dangling_child_key(self):
+        # Movie 1 has no rating; rating 2 points at a movie that does not exist.
+        database = Database.from_arrays(
+            TOY_SCHEMA,
+            {
+                "movies": {"id": [0, 1, 2], "year": [1990, 1995, 2000], "kind": [1, 1, 2]},
+                "ratings": {
+                    "id": [0, 1, 2, 3],
+                    "movie_id": [0, 0, 5, 2],
+                    "score": [50, 60, 70, 80],
+                },
+            },
+        )
+        executor = QueryExecutor(database)
+        for query in (_join(), _join(("m.year", "<", 1999)), _join(("r.score", ">", 55))):
+            counted = executor.cardinality(query, use_cache=False)
+            assert counted == executor.execute(query).cardinality
+        assert executor.cardinality(_join(), use_cache=False) == 3
+
+    def test_edge_index_belongs_to_one_executor_and_survives_clear_cache(self, toy_database):
+        first = QueryExecutor(toy_database)
+        assert first.cardinality(_join()) == 7
+        edges = dict(first._join_edges)
+        assert edges  # built on first use
+        first.clear_cache()  # the per-query memo only
+        assert first._cardinality_cache == {}
+        assert all(first._join_edges[edge] is built for edge, built in edges.items())
+        assert first.cardinality(_join()) == 7
+
+        updated = Database.from_arrays(
+            TOY_SCHEMA,
+            {
+                "movies": {"id": [0, 1], "year": [1990, 1995], "kind": [1, 1]},
+                "ratings": {"id": [0, 1, 2], "movie_id": [1, 1, 1], "score": [50, 60, 70]},
+            },
+        )
+        second = QueryExecutor(updated)
+        assert second.cardinality(_join()) == 3
+        assert second._join_edges is not first._join_edges
+        for edge, (_, child_codes, parent_codes) in second._join_edges.items():
+            assert not np.shares_memory(child_codes, edges[edge][1])
+            assert not np.shares_memory(parent_codes, edges[edge][2])
+        assert first.cardinality(_join(), use_cache=False) == 7  # untouched by the update
 
 
 class TestErrorHandling:

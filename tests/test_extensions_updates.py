@@ -1,7 +1,9 @@
 """Unit tests for the database-update extension."""
 
+import numpy as np
 import pytest
 
+import repro.extensions.updates as updates
 from repro.core.crn import CRNConfig
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingConfig, train_crn
@@ -122,6 +124,50 @@ class TestRetrainSession:
         session.run(epochs=2)  # resumes from the completed weights
         assert session.epochs_completed == 3
         assert not session.cancelled
+
+    def test_cancelled_session_holds_the_last_completed_epoch_in_its_own_memory(
+        self, base_training, updated_database, monkeypatch
+    ):
+        trainers = []
+
+        class RecordingTrainer(updates.CRNTrainer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                trainers.append(self)
+
+        monkeypatch.setattr(updates, "CRNTrainer", RecordingTrainer)
+        session = RetrainSession(
+            updated_database, base_result=base_training, training_pairs=20, seed=26
+        )
+        after_epoch = {}
+
+        def cancel_after_second_epoch(progress):
+            after_epoch[progress.epochs_completed] = session.result.model.state_dict()
+            if progress.epochs_completed == 2:
+                session.cancel()
+
+        session.on_progress = cancel_after_second_epoch
+        model = session.run(epochs=5).model
+        assert session.cancelled and session.epochs_completed == 2
+        # No best-state restore on this path: the weights are epoch 2's, not
+        # epoch 1's even where epoch 1 validated better ...
+        state = model.state_dict()
+        assert state.keys() == after_epoch[2].keys()
+        assert all(np.array_equal(state[name], after_epoch[2][name]) for name in state)
+        assert any(not np.array_equal(state[name], after_epoch[1][name]) for name in state)
+        # ... exactly what an uninterrupted two-epoch run ends with ...
+        uninterrupted = RetrainSession(
+            updated_database, base_result=base_training, training_pairs=20, seed=26
+        ).run(epochs=2)
+        assert all(
+            np.array_equal(state[name], value)
+            for name, value in uninterrupted.model.state_dict().items()
+        )
+        # ... and held in arrays the model owns, apart from all trainer scratch.
+        trainer = trainers[0]  # the cancelled session's; the second is the reference run's
+        for parameter in model.parameters():
+            assert parameter.data.flags.owndata
+            assert not np.shares_memory(parameter.data, trainer._flat)
 
     def test_cancel_between_runs_skips_exactly_one_run(
         self, base_training, updated_database
