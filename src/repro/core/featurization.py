@@ -153,26 +153,24 @@ class QueryFeaturizer:
         least one table), so the average pooling of the set encoder is well
         defined.
         """
-        rows: list[np.ndarray] = []
         layout = self.layout
-        for table in query.tables:
-            vector = np.zeros(layout.vector_size)
-            vector[layout.table_offset + self._table_of(table.alias)] = 1.0
-            rows.append(vector)
-        for join in query.joins:
-            vector = np.zeros(layout.vector_size)
-            vector[layout.join_left_offset + self._column_of(join.left)] = 1.0
-            vector[layout.join_right_offset + self._column_of(join.right)] = 1.0
-            rows.append(vector)
-        for predicate in query.predicates:
-            vector = np.zeros(layout.vector_size)
-            vector[layout.predicate_column_offset + self._column_of(predicate.qualified_column)] = 1.0
-            vector[layout.operator_offset + self._operator_index[predicate.operator]] = 1.0
-            vector[layout.value_offset] = self.normalize_value(
-                predicate.qualified_column, predicate.value
-            )
-            rows.append(vector)
-        return np.stack(rows, axis=0)
+        tables, joins, predicates = query.tables, query.joins, query.predicates
+        matrix = np.zeros((len(tables) + len(joins) + len(predicates), layout.vector_size))
+        table_offset = layout.table_offset
+        for row, table in enumerate(tables):
+            matrix[row, table_offset + self._table_of(table.alias)] = 1.0
+        left_offset, right_offset = layout.join_left_offset, layout.join_right_offset
+        for row, join in enumerate(joins, start=len(tables)):
+            matrix[row, left_offset + self._column_of(join.left)] = 1.0
+            matrix[row, right_offset + self._column_of(join.right)] = 1.0
+        column_offset, operator_offset = layout.predicate_column_offset, layout.operator_offset
+        value_offset = layout.value_offset
+        for row, predicate in enumerate(predicates, start=len(tables) + len(joins)):
+            qualified = predicate.qualified_column
+            matrix[row, column_offset + self._column_of(qualified)] = 1.0
+            matrix[row, operator_offset + self._operator_index[predicate.operator]] = 1.0
+            matrix[row, value_offset] = self.normalize_value(qualified, predicate.value)
+        return matrix
 
     def featurize_pair(self, first: Query, second: Query) -> tuple[np.ndarray, np.ndarray]:
         """Featurize an ordered query pair into two vector sets."""
@@ -183,7 +181,7 @@ class QueryFeaturizer:
         low, high = self._value_ranges[qualified_column]
         if high == low:
             return 0.5
-        return float(np.clip((value - low) / (high - low), 0.0, 1.0))
+        return min(max((value - low) / (high - low), 0.0), 1.0)
 
     # ------------------------------------------------------------------ #
     # batching

@@ -19,9 +19,25 @@ FinalFunction = Callable[[Sequence[float] | np.ndarray], float]
 
 
 def median_final(results: Sequence[float]) -> float:
-    """The median of the per-pool-query estimates (the paper's choice)."""
+    """The median of the per-pool-query estimates (the paper's choice).
+
+    ``np.median`` of the flattened input, bit for bit, without its wrappers:
+    the same partition at the middle index (or indices) **and at -1**, which
+    moves a NaN, if there is one, to the end, where one look finds it.  The
+    ``0.0 +`` is ``np.mean``'s sum identity (a ``-0.0`` median reads ``0.0``).
+    """
     _require_non_empty(results)
-    return float(np.median(np.asarray(results, dtype=np.float64)))
+    values = np.array(results, dtype=np.float64).reshape(-1)  # a copy: partitioned in place
+    size = values.shape[0]
+    middle = size // 2
+    if size % 2:
+        values.partition((middle, -1))
+        median = 0.0 + float(values[middle])
+    else:
+        values.partition((middle - 1, middle, -1))
+        median = (0.0 + float(values[middle - 1]) + float(values[middle])) / 2.0
+    last = float(values[-1])
+    return last if last != last else median
 
 
 def mean_final(results: Sequence[float]) -> float:

@@ -96,6 +96,12 @@ class QueryGenerator:
         self.database = database
         self.config = config or GeneratorConfig()
         self._rng = np.random.default_rng(self.config.seed)
+        # The database is an immutable snapshot: reduce every column once
+        # instead of once per drawn predicate.
+        self._value_ranges = {
+            (table.alias, column.name): database.column_range(table.alias, column.name)
+            for table, column in database.schema.iter_columns()
+        }
         self._join_subsets = _enumerate_join_subsets(database, self.config.max_joins)
         if not self._join_subsets:
             raise ValueError("the database schema exposes no joinable table subsets")
@@ -308,7 +314,7 @@ class QueryGenerator:
         return self._draw_predicate_for_column(alias, column.name)
 
     def _draw_predicate_for_column(self, alias: str, column: str) -> Predicate | None:
-        low, high = self.database.column_range(alias, column)
+        low, high = self._value_ranges[alias, column]
         if low == high:
             operator = ComparisonOperator.EQ
             value = low
@@ -334,7 +340,7 @@ class QueryGenerator:
         is_equality = predicate.operator is ComparisonOperator.EQ
         mutate_value = force_value or self._rng.random() < (0.35 if is_equality else 0.6)
         if mutate_value:
-            low, high = self.database.column_range(predicate.alias, predicate.column)
+            low, high = self._value_ranges[predicate.alias, predicate.column]
             span = max(high - low, 1.0)
             shift = self._rng.uniform(
                 -self.config.value_perturbation_fraction, self.config.value_perturbation_fraction

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -87,12 +88,12 @@ class TableSchema:
         """Names of all columns, in definition order."""
         return tuple(column.name for column in self.columns)
 
-    @property
+    @cached_property
     def non_key_columns(self) -> tuple[Column, ...]:
         """Columns eligible for generated predicates (non-key attribute columns)."""
         return tuple(column for column in self.columns if not column.is_key)
 
-    @property
+    @cached_property
     def key_columns(self) -> tuple[Column, ...]:
         """Primary / foreign key columns (used only in join clauses)."""
         return tuple(column for column in self.columns if column.is_key)

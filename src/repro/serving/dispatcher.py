@@ -59,7 +59,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.observability.histogram import LatencyHistogram
@@ -487,29 +487,18 @@ class ServingDispatcher:
         return name, policy
 
     @staticmethod
-    def _finalize(request: _PendingRequest, item: EstimateResult) -> EstimateResult:
-        """Re-stamp a caller's own tags and measured queue wait onto its result.
+    def _stamp(request: _PendingRequest) -> tuple[tuple[tuple[str, str], ...], float]:
+        """A caller's own tags and measured queue wait, for its result.
 
-        The batch-level submission carried the group's (tag-less) options,
+        The batch-level submission carries the group's (tag-less) options,
         so per-caller provenance — tags, and the enqueue→pickup wait measured
-        at batch pickup — is applied here, on the way back out.
+        at batch pickup — rides beside it as ``submit_batch``'s ``stamps``.
         """
-        tags = (
-            request.options.tags
-            if request.options is not None and request.options.tags
-            else None
-        )
-        if tags is None and not request.queue_wait_seconds:
-            return item
-        return replace(
-            item,
-            queue_wait_seconds=request.queue_wait_seconds,
-            **({"tags": tags} if tags is not None else {}),
-        )
+        tags = request.options.tags if request.options is not None else ()
+        return tags, request.queue_wait_seconds
 
     def _resolve(self, request: _PendingRequest, item: EstimateResult) -> None:
         """Resolve one caller's future and finish its trace (if any)."""
-        item = self._finalize(request, item)
         request.future.set_result(item)
         if request.trace is not None:
             request.trace.finish(
@@ -589,6 +578,7 @@ class ServingDispatcher:
                         [request.query for request in runnable],
                         options=group_options,
                         traces=traces,
+                        stamps=[self._stamp(request) for request in runnable],
                     )
                 except Exception:
                     self._serve_individually(runnable, group_options)
@@ -619,7 +609,10 @@ class ServingDispatcher:
             traces = [request.trace] if request.trace is not None else None
             try:
                 served = self.service.submit_batch(
-                    [request.query], options=options, traces=traces
+                    [request.query],
+                    options=options,
+                    traces=traces,
+                    stamps=[self._stamp(request)],
                 )[0]
             except Exception as error:
                 request.future.set_exception(error)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,6 +190,23 @@ class EstimateResult(ServedEstimate):
     encoding_cache_hits: int = 0
     tags: tuple[tuple[str, str], ...] = ()
     queue_wait_seconds: float = 0.0
+
+
+class _Answer(NamedTuple):
+    """What answering one request settles of its :class:`EstimateResult`.
+
+    The rest -- latency, cache-hit deltas, tags, queue wait -- is known only
+    when the batch is over, which is where :meth:`EstimationService.submit_batch`
+    builds each result, once.
+    """
+
+    estimate: float
+    estimator_name: str
+    model_generation: int
+    used_fallback: bool
+    resolution: str
+    pool_matches: int = 0
+    pairs_scored: int = 0
 
 
 @dataclass
@@ -489,6 +506,7 @@ class EstimationService:
         estimator: str | None = None,
         options: RequestOptions | None = None,
         traces: Sequence | None = None,
+        stamps: Sequence[tuple[tuple[tuple[str, str], ...], float]] | None = None,
     ) -> list[EstimateResult]:
         """Estimate many concurrent requests with cross-request batching.
 
@@ -515,6 +533,11 @@ class EstimationService:
         tracer attached and no ``traces`` given, the service samples the
         batch's member traces in bulk (:meth:`Tracer.sample_owned_batch`)
         and materializes only the kept ones.
+
+        ``stamps`` (dispatcher-internal) carries one ``(tags, queue wait
+        seconds)`` per query: what a coalesced request's own caller asked for
+        and waited, which the group's batch-wide ``options`` cannot say.
+        Without it every result takes ``options.tags`` and a wait of 0.0.
         """
         if not queries:
             return []
@@ -575,18 +598,13 @@ class EstimationService:
         start = time.perf_counter()
         try:
             if isinstance(chosen, Cnt2CrdEstimator):
-                served, planned_pairs, scored_pairs = self._submit_cnt2crd(
+                answers, planned_pairs, scored_pairs = self._submit_cnt2crd(
                     queries, name, generation, chosen, options
                 )
             else:
                 planned_pairs = scored_pairs = 0
-                served = [
-                    self._served(
-                        query,
-                        name,
-                        generation,
-                        *self._guarded_estimate(query, name, chosen, options),
-                    )
+                answers = [
+                    self._guarded_estimate(query, name, generation, chosen, options)
                     for query in queries
                 ]
         except BaseException as error:
@@ -632,15 +650,25 @@ class EstimationService:
             if self.encoding_cache is not None
             else 0
         )
+        if stamps is None:
+            stamps = [(options.tags, 0.0)] * len(queries)
         served = [
-            replace(
-                item,
+            EstimateResult(
+                query=query,
+                estimate=answer.estimate,
+                estimator_name=answer.estimator_name,
                 latency_seconds=latency,
+                pool_matches=answer.pool_matches,
+                pairs_scored=answer.pairs_scored,
+                used_fallback=answer.used_fallback,
+                resolution=answer.resolution,
+                model_generation=answer.model_generation,
                 featurization_cache_hits=feat_hits,
                 encoding_cache_hits=enc_hits,
-                tags=options.tags,
+                tags=tags,
+                queue_wait_seconds=queue_wait,
             )
-            for item in served
+            for query, answer, (tags, queue_wait) in zip(queries, answers, stamps, strict=True)
         ]
         if batch_span is not None:
             # The fan-in attribution contract: each member's amortized share
@@ -833,7 +861,7 @@ class EstimationService:
         generation: int,
         estimator: Cnt2CrdEstimator,
         options: RequestOptions,
-    ) -> tuple[list[EstimateResult], int, int]:
+    ) -> tuple[list[_Answer], int, int]:
         tracer = self.tracer
         span = (
             tracer.begin("plan", members=len(queries), estimator_name=name)
@@ -883,7 +911,7 @@ class EstimationService:
             if tracer is not None
             else None
         )
-        served = [
+        answers = [
             self._answer_request(request, name, generation, estimator, rates, options)
             for request in plan.requests
         ]
@@ -893,7 +921,7 @@ class EstimationService:
         # them atomically with requests/batches — and only for completed
         # batches: when a request with no fallback raises above, no counter
         # moves at all.
-        return served, plan.planned_pairs, scored
+        return answers, plan.planned_pairs, scored
 
     def _answer_request(
         self,
@@ -903,30 +931,20 @@ class EstimationService:
         estimator: Cnt2CrdEstimator,
         rates: Mapping[tuple[Query, tuple], np.ndarray],
         options: RequestOptions,
-    ) -> EstimateResult:
+    ) -> _Answer:
         allow_builtin = options.fallback_policy != "none"
         allow_registry = options.fallback_policy == "registry"
         if not request.has_match:
             if allow_builtin:
                 try:
                     value = estimator.fallback_estimate(request.query)
-                    return self._served(
-                        request.query,
-                        name,
-                        generation,
-                        (value, None, 0),
-                        RESOLUTION_ESTIMATOR_FALLBACK,
+                    return _Answer(
+                        value, name, generation, False, RESOLUTION_ESTIMATOR_FALLBACK
                     )
                 except NoMatchingPoolQueryError:
                     pass
             if allow_registry:
-                return self._served(
-                    request.query,
-                    name,
-                    generation,
-                    self._registry_fallback(request.query, name),
-                    RESOLUTION_REGISTRY_FALLBACK,
-                )
+                return self._registry_fallback(request.query, name)
             raise NoMatchingPoolQueryError(
                 f"estimator {name!r} has no matching pool query for "
                 f"{request.query.from_signature()} and the request's fallback "
@@ -943,6 +961,7 @@ class EstimationService:
         values = estimator.estimate_values_from_rates(
             request.entries, request_rates, cardinalities=request.slab.cardinalities
         )
+        pool_matches, pairs_scored = len(request.entries), len(request_rates)
         if values.size == 0:
             # Matched, but every eligible entry was filtered by the epsilon
             # guard (or every match had an empty result): with a learned rate
@@ -952,67 +971,60 @@ class EstimationService:
             # re-route; only when neither exists (or the request's policy
             # forbids them) does the legacy collapse-to-0 stand (exactly
             # right for exact rates and framed pools).
-            outcome: tuple[float, str | None, int] | None = None
-            resolution = request.resolution
             if allow_builtin:
                 try:
-                    outcome = (estimator.fallback_estimate(request.query), None, 0)
-                    resolution = RESOLUTION_ESTIMATOR_FALLBACK
+                    value = estimator.fallback_estimate(request.query)
+                    return _Answer(
+                        value,
+                        name,
+                        generation,
+                        False,
+                        RESOLUTION_ESTIMATOR_FALLBACK,
+                        pool_matches,
+                        pairs_scored,
+                    )
                 except NoMatchingPoolQueryError:
-                    outcome = None
-            if outcome is None and allow_registry:
+                    pass
+            if allow_registry:
                 try:
-                    outcome = self._registry_fallback(request.query, name)
-                    resolution = RESOLUTION_REGISTRY_FALLBACK
+                    return self._registry_fallback(
+                        request.query, name, pool_matches, pairs_scored
+                    )
                 except NoMatchingPoolQueryError:
-                    outcome = None
-            if outcome is None:
-                outcome = (estimator.collapse_values(values), None, 0)
-                resolution = request.resolution
-            return self._served(
-                request.query,
-                name,
-                generation,
-                outcome,
-                resolution,
-                pool_matches=len(request.entries),
-                pairs_scored=len(request_rates),
-            )
-        value = estimator.collapse_values(values)
-        return EstimateResult(
-            query=request.query,
-            estimate=value,
-            estimator_name=name,
-            latency_seconds=0.0,
-            pool_matches=len(request.entries),
-            pairs_scored=len(request_rates),
-            used_fallback=False,
-            resolution=request.resolution,
-            model_generation=generation,
+                    pass
+        return _Answer(
+            estimator.collapse_values(values),
+            name,
+            generation,
+            False,
+            request.resolution,
+            pool_matches,
+            pairs_scored,
         )
 
     def _guarded_estimate(
         self,
         query: Query,
         name: str,
+        generation: int,
         estimator: CardinalityEstimator,
         options: RequestOptions,
-    ) -> tuple[tuple[float, str | None, int], str]:
-        """One non-Cnt2Crd estimate: ``(outcome, resolution)`` for :meth:`_served`."""
+    ) -> _Answer:
+        """One non-Cnt2Crd estimate."""
         try:
-            return (estimator.estimate_cardinality(query), None, 0), RESOLUTION_DIRECT
+            value = estimator.estimate_cardinality(query)
         except NoMatchingPoolQueryError:
             if options.fallback_policy != "registry":
                 raise
-            return (
-                self._registry_fallback(query, name),
-                RESOLUTION_REGISTRY_FALLBACK,
-            )
+            return self._registry_fallback(query, name)
+        return _Answer(value, name, generation, False, RESOLUTION_DIRECT)
 
-    def _registry_fallback(self, query: Query, failed: str) -> tuple[float, str, int]:
+    def _registry_fallback(
+        self, query: Query, failed: str, pool_matches: int = 0, pairs_scored: int = 0
+    ) -> _Answer:
         """Route a request the primary could not answer to the registry fallback.
 
-        Returns ``(estimate, fallback name, fallback generation)``.  Name,
+        The answer carries the fallback's name and generation.  Name,
         estimator, and generation resolve under one registry-lock acquisition
         (and travel with the result): a concurrent :meth:`unregister` of the
         fallback entry must make this request raise cleanly or finish on the
@@ -1032,29 +1044,12 @@ class EstimationService:
                 f"estimator {failed!r} has no matching pool query for "
                 f"{query.from_signature()} and the service has no fallback estimator"
             )
-        return estimator.estimate_cardinality(query), fallback, generation
-
-    def _served(
-        self,
-        query: Query,
-        name: str,
-        generation: int,
-        outcome: tuple[float, str | None, int],
-        resolution: str,
-        pool_matches: int = 0,
-        pairs_scored: int = 0,
-    ) -> EstimateResult:
-        value, fallback_name, fallback_generation = outcome
-        return EstimateResult(
-            query=query,
-            estimate=value,
-            estimator_name=fallback_name if fallback_name is not None else name,
-            latency_seconds=0.0,
-            pool_matches=pool_matches,
-            pairs_scored=pairs_scored,
-            used_fallback=fallback_name is not None,
-            resolution=resolution,
-            model_generation=(
-                fallback_generation if fallback_name is not None else generation
-            ),
+        return _Answer(
+            estimator.estimate_cardinality(query),
+            fallback,
+            generation,
+            True,
+            RESOLUTION_REGISTRY_FALLBACK,
+            pool_matches,
+            pairs_scored,
         )

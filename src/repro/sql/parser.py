@@ -19,13 +19,26 @@ import re
 
 from repro.sql.query import ComparisonOperator, JoinClause, Predicate, Query, TableRef
 
-_CONDITION_RE = re.compile(
-    r"^\s*(?P<left>[A-Za-z_][\w]*\.[A-Za-z_][\w]*)\s*"
-    r"(?P<op><|=|>)\s*"
-    r"(?P<right>[A-Za-z_][\w]*\.[A-Za-z_][\w]*|[-+]?\d+(?:\.\d+)?)\s*$"
+_STATEMENT_RE = re.compile(
+    r"^select\s+\*\s+from\s+(?P<from>.+?)(?:\s+where\s+(?P<where>.+))?$",
+    re.IGNORECASE | re.DOTALL,
 )
 
-_QUALIFIED_RE = re.compile(r"^[A-Za-z_][\w]*\.[A-Za-z_][\w]*$")
+_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
+
+_NAME = r"[A-Za-z_]\w*"
+
+#: One WHERE condition -- or a literal ``TRUE`` -- together with the ``AND``
+#: (or the end of the clause) that follows it, so the clause is scanned left
+#: to right without being split first.  No condition of the grammar contains
+#: whitespace-delimited ``and``, so the scan stops at exactly the separators
+#: ``_AND_RE.split`` would find.  Groups: left alias, left column, operator,
+#: then either right alias and right column (a join) or the literal.
+_CONDITION_RE = re.compile(
+    rf"(?:({_NAME})\.({_NAME})\s*(<|=|>)\s*"
+    rf"(?:({_NAME})\.({_NAME})|([-+]?\d+(?:\.\d+)?))|(?i:true))"
+    r"(?:(?i:\s+and\s+)|\Z)"
+)
 
 
 class SQLParseError(ValueError):
@@ -45,35 +58,19 @@ def parse_query(sql: str) -> Query:
     Raises:
         SQLParseError: if the statement is not in the supported subset.
     """
-    text = sql.strip().rstrip(";").strip()
-    match = re.match(
-        r"^select\s+\*\s+from\s+(?P<from>.+?)(?:\s+where\s+(?P<where>.+))?$",
-        text,
-        flags=re.IGNORECASE | re.DOTALL,
-    )
+    match = _STATEMENT_RE.match(sql.strip().rstrip(";").strip())
     if match is None:
         raise SQLParseError(f"not a supported SELECT * query: {sql!r}")
-
-    tables = _parse_from_clause(match.group("from"))
-    joins: list[JoinClause] = []
-    predicates: list[Predicate] = []
-    where = match.group("where")
-    if where is not None and where.strip():
-        for condition in re.split(r"\s+and\s+", where.strip(), flags=re.IGNORECASE):
-            if condition.strip().lower() == "true":
-                continue
-            join, predicate = _parse_condition(condition)
-            if join is not None:
-                joins.append(join)
-            if predicate is not None:
-                predicates.append(predicate)
+    from_clause, where = match.groups()
+    tables = _parse_from_clause(from_clause)
+    joins, predicates = _parse_where_clause(where.strip()) if where is not None else ((), ())
     try:
-        return Query.create(tables, joins, predicates)
+        return Query(tables, joins, predicates)
     except ValueError as exc:
         raise SQLParseError(str(exc)) from exc
 
 
-def _parse_from_clause(from_clause: str) -> list[TableRef]:
+def _parse_from_clause(from_clause: str) -> tuple[TableRef, ...]:
     tables: list[TableRef] = []
     for item in from_clause.split(","):
         parts = item.split()
@@ -85,23 +82,37 @@ def _parse_from_clause(from_clause: str) -> list[TableRef]:
             tables.append(TableRef(parts[0], parts[2]))
         else:
             raise SQLParseError(f"unsupported FROM item: {item.strip()!r}")
-    return tables
+    return tuple(tables)
 
 
-def _parse_condition(condition: str) -> tuple[JoinClause | None, Predicate | None]:
-    match = _CONDITION_RE.match(condition)
-    if match is None:
-        raise SQLParseError(f"unsupported WHERE condition: {condition.strip()!r}")
-    left = match.group("left")
-    operator = ComparisonOperator.from_symbol(match.group("op"))
-    right = match.group("right")
-    left_alias, left_column = left.split(".")
-    if _QUALIFIED_RE.match(right):
-        if operator is not ComparisonOperator.EQ:
-            raise SQLParseError(f"only equi-joins are supported, got: {condition.strip()!r}")
-        right_alias, right_column = right.split(".")
-        return JoinClause(left_alias, left_column, right_alias, right_column), None
-    return None, Predicate(left_alias, left_column, operator, float(right))
+def _parse_where_clause(where: str) -> tuple[tuple[JoinClause, ...], tuple[Predicate, ...]]:
+    joins: list[JoinClause] = []
+    predicates: list[Predicate] = []
+    position = 0
+    while position < len(where):
+        match = _CONDITION_RE.match(where, position)
+        if match is None:
+            raise SQLParseError(
+                f"unsupported WHERE condition: {_condition_at(where, position)!r}"
+            )
+        left_alias, left_column, symbol, right_alias, right_column, literal = match.groups()
+        if right_alias is not None:
+            if symbol != "=":
+                raise SQLParseError(
+                    f"only equi-joins are supported, got: {_condition_at(where, position)!r}"
+                )
+            joins.append(JoinClause(left_alias, left_column, right_alias, right_column))
+        elif literal is not None:
+            operator = ComparisonOperator.from_symbol(symbol)
+            predicates.append(Predicate(left_alias, left_column, operator, float(literal)))
+        # else: a literal TRUE, which constrains nothing
+        position = match.end()
+    return tuple(joins), tuple(predicates)
+
+
+def _condition_at(where: str, position: int) -> str:
+    """The ``AND``-delimited condition starting at ``position``, for error messages."""
+    return _AND_RE.split(where[position:], maxsplit=1)[0].strip()
 
 
 def format_query(query: Query) -> str:

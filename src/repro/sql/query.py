@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Iterable, Sequence
 
 
@@ -35,10 +36,10 @@ class ComparisonOperator(enum.Enum):
     @classmethod
     def from_symbol(cls, symbol: str) -> "ComparisonOperator":
         """Return the operator for ``symbol`` (one of ``<``, ``=``, ``>``)."""
-        for op in cls:
-            if op.value == symbol:
-                return op
-        raise ValueError(f"unsupported comparison operator: {symbol!r}")
+        try:
+            return _OPERATOR_BY_SYMBOL[symbol]
+        except (KeyError, TypeError):
+            raise ValueError(f"unsupported comparison operator: {symbol!r}") from None
 
     def evaluate(self, left: float, right: float) -> bool:
         """Evaluate ``left <op> right`` for scalar operands."""
@@ -56,6 +57,8 @@ class ComparisonOperator(enum.Enum):
             return ComparisonOperator.LT
         return ComparisonOperator.EQ
 
+
+_OPERATOR_BY_SYMBOL = {member.value: member for member in ComparisonOperator}
 
 #: All operators, in the canonical order used by the featurizer's one-hot layout.
 OPERATORS: tuple[ComparisonOperator, ...] = (
@@ -149,7 +152,8 @@ class Predicate:
     def __post_init__(self) -> None:
         if not self.alias or not self.column:
             raise ValueError("predicate alias and column must be non-empty")
-        object.__setattr__(self, "value", float(self.value))
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", float(self.value))
 
     @property
     def qualified_column(self) -> str:
@@ -176,23 +180,26 @@ class Query:
     predicates: tuple[Predicate, ...] = ()
 
     def __post_init__(self) -> None:
-        tables = tuple(sorted(set(self.tables)))
-        joins = tuple(sorted(set(self.joins)))
-        predicates = tuple(sorted(set(self.predicates)))
+        tables = _canonical(self.tables)
+        joins = _canonical(self.joins)
+        predicates = _canonical(self.predicates)
         if not tables:
             raise ValueError("a query must reference at least one table")
         aliases = [table.alias for table in tables]
-        if len(aliases) != len(set(aliases)):
+        known_aliases = set(aliases)
+        if len(aliases) != len(known_aliases):
             raise ValueError(f"duplicate table aliases in FROM clause: {aliases}")
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "joins", joins)
-        object.__setattr__(self, "predicates", predicates)
+        if tables is not self.tables:
+            object.__setattr__(self, "tables", tables)
+        if joins is not self.joins:
+            object.__setattr__(self, "joins", joins)
+        if predicates is not self.predicates:
+            object.__setattr__(self, "predicates", predicates)
         # Queries are used as dictionary keys on hot paths (featurization /
         # encoding caches, batch planning), where recomputing the recursive
         # clause-tuple hash on every lookup dominates; hash once at
         # construction -- all fields are immutable.
         object.__setattr__(self, "_hash", hash((tables, joins, predicates)))
-        known_aliases = set(aliases)
         for join in joins:
             if join.left_alias not in known_aliases or join.right_alias not in known_aliases:
                 raise ValueError(f"join {join} references an alias outside the FROM clause")
@@ -271,6 +278,19 @@ class Query:
         from repro.sql.parser import format_query
 
         return format_query(self)
+
+
+def _canonical(clauses: Iterable) -> tuple:
+    """``clauses`` as a sorted, duplicate-free tuple.
+
+    A strictly ascending tuple -- every tuple of fewer than two clauses, and
+    the fields of a query that is already canonical -- is returned as it is.
+    """
+    if type(clauses) is not tuple:
+        clauses = tuple(clauses)
+    if len(clauses) < 2 or all(map(lt, clauses, clauses[1:])):
+        return clauses
+    return tuple(sorted(set(clauses)))
 
 
 def queries_with_same_from(queries: Sequence[Query]) -> dict[tuple[tuple[str, str], ...], list[Query]]:

@@ -92,6 +92,49 @@ class TestFeaturize:
         assert featurizer.normalize_value("t.production_year", 1e9) == 1.0
         assert featurizer.normalize_value("t.production_year", -1e9) == 0.0
 
+    def test_normalization_equals_the_numpy_clip_it_replaced(self, featurizer, imdb_small):
+        low, high = imdb_small.column_range("t", "production_year")
+        values = [low, high, (low + high) / 2, low - 1, high + 1, low + 1e-9, -0.0, 0.0,
+                  float("inf"), float("-inf"), 1e300, -1e300, 1999.5]
+        for value in values:
+            want = float(np.clip((value - low) / (high - low), 0.0, 1.0))
+            got = featurizer.normalize_value("t.production_year", value)
+            assert got == want and np.signbit(got) == np.signbit(want), value
+        assert np.isnan(featurizer.normalize_value("t.production_year", float("nan")))
+
+    def test_featurize_equals_row_by_row_construction(self, featurizer, imdb_small):
+        from repro.datasets.generator import GeneratorConfig, QueryGenerator
+
+        layout = featurizer.layout
+        generator = QueryGenerator(imdb_small, GeneratorConfig(max_joins=4, seed=13))
+        for query in generator.generate_queries(120):
+            rows = []
+            for table in query.tables:
+                vector = np.zeros(layout.vector_size)
+                vector[layout.table_offset + featurizer._table_of(table.alias)] = 1.0
+                rows.append(vector)
+            for join in query.joins:
+                vector = np.zeros(layout.vector_size)
+                vector[layout.join_left_offset + featurizer._column_of(join.left)] = 1.0
+                vector[layout.join_right_offset + featurizer._column_of(join.right)] = 1.0
+                rows.append(vector)
+            for predicate in query.predicates:
+                vector = np.zeros(layout.vector_size)
+                column = featurizer._column_of(predicate.qualified_column)
+                vector[layout.predicate_column_offset + column] = 1.0
+                vector[layout.operator_offset + OPERATORS.index(predicate.operator)] = 1.0
+                low, high = imdb_small.column_range(predicate.alias, predicate.column)
+                vector[layout.value_offset] = (
+                    0.5 if high == low
+                    else float(np.clip((predicate.value - low) / (high - low), 0.0, 1.0))
+                )
+                rows.append(vector)
+            want = np.stack(rows, axis=0)
+            got = featurizer.featurize(query)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+
     def test_unknown_alias_raises(self, featurizer):
         query = QueryBuilder().table("title", "zz").build()
         with pytest.raises(KeyError):

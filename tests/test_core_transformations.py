@@ -5,8 +5,12 @@ feeding either of them *exact* information reproduces exact answers, which is
 verified against the toy and synthetic databases.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, cnt2crd
 from repro.core.crd2cnt import Crd2CntEstimator, crd2cnt
@@ -50,6 +54,57 @@ class TestFinalFunctions:
         for function in (median_final, mean_final, trimmed_mean_final):
             with pytest.raises(ValueError):
                 function([])
+
+    @staticmethod
+    def _same_float(got: float, want: float) -> bool:
+        if np.isnan(want):
+            return bool(np.isnan(got))
+        return got == want and np.signbit(got) == np.signbit(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan, 1e308]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        st.booleans(),
+    )
+    def test_median_equals_numpy_median(self, values, as_array):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in np.median's mean
+            want = float(np.median(np.asarray(values, dtype=np.float64)))
+        got = median_final(np.asarray(values, dtype=np.float64) if as_array else values)
+        assert isinstance(got, float)
+        assert self._same_float(got, want), (values, got, want)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 15, 16, 4095, 4096])
+    def test_median_equals_numpy_median_at_bucket_sizes(self, size):
+        rng = np.random.default_rng(size)
+        values = np.round(rng.lognormal(3.0, 2.0, size), 1)  # rounding makes duplicates
+        before = values.copy()
+        assert median_final(values) == float(np.median(values))
+        assert median_final(values.tolist()) == float(np.median(values))
+        np.testing.assert_array_equal(values, before)  # the caller's array is not partitioned
+        values[size // 3] = np.nan
+        assert np.isnan(median_final(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [-1.0, -0.0, -0.0, 5.0], np.arange(12.0).reshape(3, 4)],
+        ids=["one_negative_zero", "two", "three", "middle_pair", "two_dimensional"],
+    )
+    def test_median_keeps_numpy_sign_of_zero_and_flattens(self, values):
+        assert self._same_float(median_final(values), float(np.median(values)))
+
+    def test_mean_and_trimmed_mean_are_numpy_reductions(self):
+        values = np.random.default_rng(4).lognormal(2.0, 1.5, 37)
+        assert mean_final(values) == float(np.mean(values))
+        trimmed = np.sort(values)[9:-9]
+        assert trimmed_mean_final(values) == float(trimmed.mean())
 
     def test_registry_lookup(self):
         assert get_final_function("median") is median_final

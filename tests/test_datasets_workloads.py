@@ -1,5 +1,7 @@
 """Unit tests for workload builders, pair labelling and the queries-pool contents."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets.pairs import label_pairs, label_queries, mscn_training_set
@@ -15,6 +17,7 @@ from repro.datasets.workloads import (
     join_distribution,
 )
 from repro.sql.intersection import intersect_queries
+from repro.sql.parser import format_query
 
 
 class TestWorkloadSpec:
@@ -105,3 +108,29 @@ class TestQueriesPoolContents:
             imdb_small, count=30, oracle=imdb_oracle, include_frames=False
         )
         assert len(pool_queries) >= 30
+
+
+#: sha256 over the SQL text of every generated query, per seed, computed at
+#: commit b28878f (before the generator read its value ranges from a map
+#: built once).  A change that adds, drops or reorders a single RNG draw, or
+#: canonicalizes a query differently, moves these.
+PINNED_WORKLOAD_DIGESTS = {
+    5: "7dab719db49e2c09c71ab53ad36f7fac0a3fb4e65d87aaf027d289865628f8e1",
+    41: "293c4d6a77f1e9a7ff2577114f2517b0721b1ef6d73483c9c4f730a57c645f85",
+}
+
+
+class TestWorkloadIdentity:
+    @pytest.mark.parametrize("seed", sorted(PINNED_WORKLOAD_DIGESTS))
+    def test_generated_workloads_match_the_pinned_digest(self, imdb_small, imdb_oracle, seed):
+        pairs = build_training_pairs(imdb_small, count=300, seed=seed, oracle=imdb_oracle)
+        pool = build_queries_pool_queries(imdb_small, count=150, seed=seed, oracle=imdb_oracle)
+        test = build_crd_test2(imdb_small, scale=0.3, seed=seed, oracle=imdb_oracle)
+        lines = [f"{format_query(pair.first)} | {format_query(pair.second)}" for pair in pairs]
+        lines += [format_query(item.query) for item in pool]
+        lines += [format_query(item.query) for item in test.queries]
+        digest = hashlib.sha256()
+        for line in lines:
+            digest.update(line.encode() + b"\n")
+        assert len(lines) == 583
+        assert digest.hexdigest() == PINNED_WORKLOAD_DIGESTS[seed]

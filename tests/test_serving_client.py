@@ -470,6 +470,104 @@ class TestProvenance:
         assert after.estimate == before.estimate  # same model object, same bits
 
 
+class TestEveryResultField:
+    """A result is built once, when its batch is over: every field against
+    its own source, on the three paths that used to rebuild it."""
+
+    TAGS = {"tier": "gold", "tenant": "acme"}
+
+    def expected(self, client, query, served, batch_size, queue_wait=0.0):
+        estimator = client.stack.estimator
+        entries = estimator.resolve(query).entries
+        return EstimateResult(
+            query=query,
+            estimate=estimator.estimate_cardinality(query),
+            estimator_name="crn",
+            # One batch since the counters were reset: its elapsed time is the total.
+            latency_seconds=client.service.stats.total_seconds / batch_size,
+            pool_matches=len(entries),
+            pairs_scored=2 * len(entries),
+            used_fallback=False,
+            resolution="indexed_slab",
+            model_generation=1,
+            featurization_cache_hits=served.featurization_cache_hits,
+            encoding_cache_hits=served.encoding_cache_hits,
+            tags=(("tenant", "acme"), ("tier", "gold")),
+            queue_wait_seconds=queue_wait,
+        )
+
+    def cache_hits(self, client):
+        return (
+            client.service.featurization_cache.stats.hits,
+            client.service.encoding_cache.stats.hits,
+        )
+
+    def test_synchronous_estimate_and_estimate_many(
+        self, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        matched = [q for q in workload if pool.has_match(q)][:4]
+        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
+        options = RequestOptions(tags=self.TAGS)
+
+        before = self.cache_hits(client)
+        served = client.estimate(matched[0], options)
+        after = self.cache_hits(client)
+        assert served.latency_seconds > 0.0
+        assert (served.featurization_cache_hits, served.encoding_cache_hits) == (
+            after[0] - before[0],
+            after[1] - before[1],
+        )
+        assert served == self.expected(client, matched[0], served, batch_size=1)
+
+        client.service.reset_stats()
+        before = self.cache_hits(client)
+        batch = client.estimate_many(matched, options)
+        after = self.cache_hits(client)
+        deltas = (after[0] - before[0], after[1] - before[1])
+        # estimate_cardinality below warms the caches further: read the deltas first.
+        for query, item in zip(matched, batch):
+            assert (item.featurization_cache_hits, item.encoding_cache_hits) == deltas
+            assert item == self.expected(client, query, item, batch_size=len(matched))
+
+    def test_started_dispatcher_with_tags_and_queue_wait(
+        self, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        import time
+
+        matched = [q for q in workload if pool.has_match(q)][:3]
+        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
+        dispatcher = client.dispatcher
+        # Enqueued before the thread runs: the wait is real, and one batch serves all.
+        tagged = [
+            dispatcher.submit(query, options=RequestOptions(tags=self.TAGS))
+            for query in matched
+        ]
+        untagged = dispatcher.submit(matched[0])
+        time.sleep(0.01)
+        with client:
+            results = [future.result(30) for future in tagged]
+            plain = untagged.result(30)
+        assert dispatcher.stats.batches == 1
+        waits = [item.queue_wait_seconds for item in results] + [plain.queue_wait_seconds]
+        assert all(wait >= 0.01 for wait in waits)
+        assert max(waits) == dispatcher.stats.queue_wait.snapshot().max_seen
+        assert waits == sorted(waits, reverse=True)  # one pickup instant, FIFO enqueue
+        for query, item in zip(matched, results):
+            assert item == self.expected(
+                client, query, item, batch_size=4, queue_wait=item.queue_wait_seconds
+            )
+        assert plain.tags == () and plain.estimate == results[0].estimate
+        assert plain.latency_seconds == results[0].latency_seconds
+
+    def test_one_stamp_per_query_or_none(
+        self, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
+        matched = [q for q in workload if pool.has_match(q)][:2]
+        with pytest.raises(ValueError):
+            client.service.submit_batch(matched, stamps=[((), 0.0)])
+
+
 class TestErrorTaxonomy:
     def test_unknown_estimator_is_serving_error_and_key_error(
         self, model, imdb_small, imdb_featurizer, pool, workload

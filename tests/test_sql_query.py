@@ -1,5 +1,7 @@
 """Unit tests for the conjunctive query dataclasses."""
 
+import itertools
+
 import pytest
 
 from repro.sql.query import (
@@ -135,6 +137,41 @@ class TestQuery:
                 tables=[TableRef("title", "t")],
                 predicates=[Predicate("mc", "company_id", ComparisonOperator.EQ, 1)],
             )
+
+    def test_unsorted_and_duplicated_clauses_equal_the_sorted_query(self):
+        tables = [TableRef("cast_info", "ci"), TableRef("movie_companies", "mc"), TableRef("title", "t")]
+        joins = [JoinClause("ci", "movie_id", "t", "id"), JoinClause("mc", "movie_id", "t", "id")]
+        predicates = [
+            Predicate("ci", "role_id", ComparisonOperator.LT, 3),
+            Predicate("t", "year", ComparisonOperator.EQ, 2000),
+            Predicate("t", "year", ComparisonOperator.GT, 1990),
+        ]
+        canonical = Query(tuple(tables), tuple(joins), tuple(predicates))
+        assert (canonical.tables, canonical.joins, canonical.predicates) == (
+            tuple(tables),
+            tuple(joins),
+            tuple(predicates),
+        )
+        for clauses in itertools.permutations(range(3)):
+            shuffled = Query(
+                tuple(tables[i] for i in clauses) + (tables[clauses[0]],),
+                tuple(reversed(joins)) + tuple(joins),
+                [predicates[i] for i in clauses] * 2,
+            )
+            assert shuffled == canonical
+            assert hash(shuffled) == hash(canonical)
+            assert shuffled.tables == canonical.tables
+            assert shuffled.joins == canonical.joins
+            assert shuffled.predicates == canonical.predicates
+
+    def test_clauses_of_any_iterable_type_become_tuples(self):
+        table = TableRef("title", "t")
+        predicate = Predicate("t", "year", ComparisonOperator.GT, 2000)
+        from_lists = Query([table], [], [predicate])
+        from_iterators = Query.create(iter([table]), iter(()), iter([predicate]))
+        assert from_lists == from_iterators == Query((table,), (), (predicate,))
+        for query in (from_lists, from_iterators):
+            assert (query.tables, query.joins, query.predicates) == ((table,), (), (predicate,))
 
     def test_from_signature_ignores_predicates(self):
         query = self.make_query()
