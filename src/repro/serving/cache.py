@@ -40,6 +40,8 @@ import numpy as np
 from repro.core.featurization import QueryFeaturizer
 from repro.sql.query import Query
 
+_MISSING = object()  # what _LRUStore.get reads for an absent key
+
 
 @dataclass
 class CacheStats:
@@ -112,10 +114,11 @@ class _LRUStore:
 
     def get(self, key):
         with self._lock:
-            if key in self._store:
+            value = self._store.get(key, _MISSING)
+            if value is not _MISSING:
                 self._stats.record_hit()
                 self._store.move_to_end(key)
-                return self._store[key]
+                return value
         self._stats.record_miss()
         return None
 

@@ -607,10 +607,12 @@ class ServingClient:
     ) -> EstimateResult:
         """Estimate one query.
 
-        On a started client with a dispatcher, the request coalesces with
+        On a started client with a dispatcher this is
+        :meth:`ServingDispatcher.estimate`: served on the calling thread when
+        the dispatcher is idle and there is no deadline, else coalesced with
         concurrent callers' (honoring ``options.timeout_seconds`` — a
-        :class:`repro.serving.DeadlineExceededError` abandons it); otherwise
-        it is served synchronously on the calling thread.  Either path is
+        :class:`repro.serving.DeadlineExceededError` abandons it).  Otherwise
+        it is served synchronously on the calling thread.  Every path is
         bit-for-bit identical.
         """
         # The closed check and the routing decision are one lock acquisition:

@@ -15,9 +15,11 @@ batch is the backlog at pickup, capped by ``max_batch``; an idle dispatcher
 adds no wait.**  The thread blocks for the head request, sweeps up whatever
 else is already queued without blocking, and serves.  There is no straggler
 window and no clock: requests that arrive while batch *k* is being served
-*are* batch *k+1*, so batches grow with load by themselves, and a lone
-request on an idle dispatcher (a closed-loop caller, a cluster worker
-serving one routed request) is served the moment it is picked up.
+*are* batch *k+1*, so batches grow with load by themselves.  One batch is
+in service at a time, and a blocking :meth:`~ServingDispatcher.estimate`
+with no deadline that finds the dispatcher idle is that batch, served on
+the caller's own thread: a lone request (a closed-loop caller, a cluster
+worker serving one routed request) costs no thread hand-off.
 
 Per-request :class:`repro.serving.RequestOptions` ride along (estimator,
 fallback policy, deadline, tags); a caller whose deadline expires abandons
@@ -27,10 +29,9 @@ its request — cancelled before execution when possible and counted under the
 Coalescing does not change a single bit of any estimate: the CRN inference
 path encodes each query in isolation and runs the pair head in fixed-shape
 tiles (:meth:`repro.core.crn.CRNModel.rates_from_encodings`), so an estimate
-is identical whether a query was served alone, inside one caller's batch, or
-coalesced with strangers' requests from other threads.  PR 1 proved that
-invariance across batch compositions; the dispatcher extends it across
-*threads* (asserted by ``tests/test_serving_dispatcher.py`` and
+is identical whether a query was served alone, inline, inside one caller's
+batch, or coalesced with strangers' requests from other threads (asserted by
+``tests/test_serving_dispatcher.py`` and
 ``benchmarks/bench_concurrent_serving.py``).
 
 Failure isolation: when a coalesced batch fails as a whole (for example one
@@ -85,8 +86,8 @@ class _PendingRequest:
     estimator: str | None
     future: Future
     options: RequestOptions | None = None
-    #: ``time.perf_counter()`` at enqueue; queue wait = pickup - enqueued_at.
-    enqueued_at: float = 0.0
+    #: ``time.perf_counter()`` at enqueue (None: served inline, never queued).
+    enqueued_at: float | None = None
     #: Measured at batch pickup, stamped onto the result's provenance.
     queue_wait_seconds: float = 0.0
     #: The request's open :class:`repro.observability.RequestTrace` (None
@@ -98,7 +99,7 @@ class DispatcherStats:
     """Thread-safe counters describing the dispatcher's coalescing behaviour.
 
     Attributes (all monotonic unless :meth:`reset`):
-        submitted: requests accepted by :meth:`ServingDispatcher.submit`.
+        submitted: requests accepted (queued by ``submit``, or served inline).
         completed: futures resolved with an :class:`EstimateResult`.
         failed: futures resolved with an exception.
         timed_out: requests abandoned by their caller — the deadline of
@@ -106,7 +107,7 @@ class DispatcherStats:
             cancelled.  A request cancelled before batch pickup is skipped
             (never executed, not counted as completed); one already running
             finishes but its caller is gone either way.
-        batches: coalesced batches drained from the queue.
+        batches: batches served (an inline request is a batch of one).
         coalesced_requests: requests that shared a batch with at least one
             other request (the work the dispatcher amortized).
         max_queue_depth: deepest the request queue ever got.
@@ -238,6 +239,9 @@ class ServingDispatcher:
         self._queue: queue.Queue = queue.Queue()
         self._state_lock = threading.Lock()
         self._closed = False
+        #: Queued requests not yet served, and whether one is served inline.
+        self._backlog, self._inline = 0, False
+        self._inline_done = threading.Condition(self._state_lock)
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ #
@@ -267,9 +271,9 @@ class ServingDispatcher:
         spawned here if :meth:`start` was never called, so requests enqueued
         before start are not abandoned either), and a clean shutdown never
         leaves a future unresolved.  With ``wait=True`` (the default) the
-        call returns only after the drain completes; with ``wait=False`` it
-        returns immediately while the thread finishes in the background.
-        Idempotent.
+        call returns only after the drain and any inline request complete;
+        with ``wait=False`` it returns immediately while the thread finishes
+        in the background.  Idempotent.
         """
         with self._state_lock:
             if not self._closed:
@@ -279,8 +283,10 @@ class ServingDispatcher:
                 # spawn the thread so their futures resolve before the join.
                 self._spawn_locked()
             thread = self._thread
-        if wait and thread is not None:
+        if wait:
             thread.join()
+            with self._state_lock:
+                self._inline_done.wait_for(lambda: not self._inline)
 
     def __enter__(self) -> "ServingDispatcher":
         return self.start()
@@ -326,6 +332,7 @@ class ServingDispatcher:
                     "dispatcher has been shut down; no new requests accepted"
                 )
             self._queue.put(request)
+            self._backlog += 1
         self.stats.record_submit(self._queue.qsize())
         return future
 
@@ -336,7 +343,11 @@ class ServingDispatcher:
         timeout: float | None = None,
         options: RequestOptions | None = None,
     ) -> EstimateResult:
-        """Blocking convenience wrapper: ``submit(...).result(timeout)``.
+        """Serve one request and wait for its result.
+
+        With no deadline on an idle dispatcher (nothing queued, no batch in
+        service) this is a batch of one served on the calling thread, with
+        queue wait 0; otherwise it is ``submit(...).result(timeout)``.
 
         ``timeout`` defaults to ``options.timeout_seconds``.  When the
         deadline expires the request is **abandoned**: the future is
@@ -347,6 +358,8 @@ class ServingDispatcher:
         """
         if timeout is None and options is not None:
             timeout = options.timeout_seconds
+        if timeout is None and (served := self._serve_inline(query, estimator, options)):
+            return served
         future = self.submit(query, estimator=estimator, options=options)
         try:
             return future.result(timeout)
@@ -364,6 +377,26 @@ class ServingDispatcher:
                 f"request was not served within {timeout}s; it has been "
                 f"abandoned (cancelled before execution when possible)"
             ) from None
+
+    def _serve_inline(
+        self, query: Query, estimator: str | None, options: RequestOptions | None
+    ) -> EstimateResult | None:
+        """The request served on the calling thread, or None if busy or closed."""
+        with self._state_lock:
+            if self._closed or self._backlog or self._inline:
+                return None
+            self._inline = True
+        tracer = self.service.tracer
+        trace = tracer.start_request() if tracer is not None else None
+        request = _PendingRequest(query, estimator, Future(), options, trace=trace)
+        self.stats.record_submit(0)
+        try:
+            self._serve([request])
+        finally:
+            with self._state_lock:
+                self._inline = False
+                self._inline_done.notify_all()
+        return request.future.result()
 
     def queue_depth(self) -> int:
         """Requests currently waiting to be coalesced (approximate)."""
@@ -387,6 +420,8 @@ class ServingDispatcher:
                 if item is _SENTINEL:
                     return
                 batch = [item]
+                with self._state_lock:  # one batch in service at a time
+                    self._inline_done.wait_for(lambda: not self._inline)
                 saw_sentinel = self._coalesce(batch)
                 try:
                     self._serve(batch)
@@ -399,6 +434,8 @@ class ServingDispatcher:
                         if not request.future.done():
                             request.future.set_exception(serve_error)
                     self.stats.record_failed(len(batch))
+                with self._state_lock:
+                    self._backlog -= len(batch)
                 batch = []
                 if saw_sentinel:
                     return
@@ -556,7 +593,7 @@ class ServingDispatcher:
                         if request.trace is not None:
                             request.trace.abandon()
                         continue
-                    wait = max(pickup - request.enqueued_at, 0.0)
+                    wait = max(pickup - (request.enqueued_at or pickup), 0.0)
                     request.queue_wait_seconds = wait
                     self.stats.record_queue_wait(wait)
                     if request.trace is not None:

@@ -4,8 +4,8 @@ This package models the query class the paper works with: ``SELECT * FROM
 <tables> WHERE <equi-joins> AND <column predicates>`` conjunctive queries.
 It provides:
 
-* :mod:`repro.sql.query` -- immutable dataclasses (:class:`Query`,
-  :class:`TableRef`, :class:`JoinClause`, :class:`Predicate`).
+* :mod:`repro.sql.query` -- immutable value types (:class:`Query`, and the
+  named-tuple clauses :class:`TableRef`, :class:`JoinClause`, :class:`Predicate`).
 * :mod:`repro.sql.builder` -- a fluent :class:`QueryBuilder`.
 * :mod:`repro.sql.parser` -- a small SQL parser/serializer for the subset.
 * :mod:`repro.sql.intersection` -- the ``Q1 ∩ Q2`` intersection query used by

@@ -1,4 +1,4 @@
-"""Immutable dataclasses describing the paper's conjunctive query class.
+"""Immutable value types describing the paper's conjunctive query class.
 
 The paper (Section 2) restricts attention to ``SELECT * FROM ... WHERE ...``
 queries whose WHERE clause is a conjunction of equi-join clauses
@@ -7,14 +7,18 @@ queries whose WHERE clause is a conjunction of equi-join clauses
 order-insensitive where SQL is order-insensitive (FROM and WHERE are sets),
 so that queries can be used as dictionary keys, deduplicated, and compared
 structurally.
+
+The clause types are named tuples validated in ``__new__``, so building,
+hashing, comparing and sorting them run in C; :class:`Query` stays a frozen
+dataclass and never equals a tuple.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ComparisonOperator(enum.Enum):
@@ -68,8 +72,7 @@ OPERATORS: tuple[ComparisonOperator, ...] = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class TableRef:
+class TableRef(NamedTuple("TableRef", [("name", str), ("alias", str)])):
     """A table referenced in a query's FROM clause.
 
     Attributes:
@@ -78,16 +81,16 @@ class TableRef:
             The paper's workloads always use the table's conventional short
             alias (e.g. ``t`` for ``title``); when omitted the table name
             itself is the alias.
+
+    Being a tuple, it equals the plain ``(name, alias)`` pair.
     """
 
-    name: str
-    alias: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, alias: str = "") -> "TableRef":
+        if not name:
             raise ValueError("table name must be non-empty")
-        if not self.alias:
-            object.__setattr__(self, "alias", self.name)
+        return tuple.__new__(cls, (name, alias or name))
 
     def __str__(self) -> str:
         if self.alias == self.name:
@@ -95,8 +98,8 @@ class TableRef:
         return f"{self.name} {self.alias}"
 
 
-@dataclass(frozen=True, order=True)
-class JoinClause:
+class JoinClause(NamedTuple("JoinClause", [("left_alias", str), ("left_column", str),
+                                           ("right_alias", str), ("right_column", str)])):
     """An equi-join clause ``left_alias.left_column = right_alias.right_column``.
 
     Join clauses are stored in a canonical orientation (lexicographically
@@ -104,21 +107,16 @@ class JoinClause:
     regardless of how they were written.
     """
 
-    left_alias: str
-    left_column: str
-    right_alias: str
-    right_column: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all((self.left_alias, self.left_column, self.right_alias, self.right_column)):
+    def __new__(
+        cls, left_alias: str, left_column: str, right_alias: str, right_column: str
+    ) -> "JoinClause":
+        if not (left_alias and left_column and right_alias and right_column):
             raise ValueError("join clause components must be non-empty")
-        left = (self.left_alias, self.left_column)
-        right = (self.right_alias, self.right_column)
-        if left > right:
-            object.__setattr__(self, "left_alias", right[0])
-            object.__setattr__(self, "left_column", right[1])
-            object.__setattr__(self, "right_alias", left[0])
-            object.__setattr__(self, "right_column", left[1])
+        if (left_alias, left_column) > (right_alias, right_column):
+            return tuple.__new__(cls, (right_alias, right_column, left_alias, left_column))
+        return tuple.__new__(cls, (left_alias, left_column, right_alias, right_column))
 
     @property
     def left(self) -> str:
@@ -134,8 +132,8 @@ class JoinClause:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True, order=True)
-class Predicate:
+class Predicate(NamedTuple("Predicate", [("alias", str), ("column", str),
+                                         ("operator", ComparisonOperator), ("value", float)])):
     """A column predicate ``alias.column <op> value``.
 
     Values are stored as floats; integer columns simply use integral floats.
@@ -144,16 +142,16 @@ class Predicate:
     domain before constructing the predicate.
     """
 
-    alias: str
-    column: str
-    operator: ComparisonOperator
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.alias or not self.column:
+    def __new__(
+        cls, alias: str, column: str, operator: ComparisonOperator, value: float
+    ) -> "Predicate":
+        if not alias or not column:
             raise ValueError("predicate alias and column must be non-empty")
-        if type(self.value) is not float:
-            object.__setattr__(self, "value", float(self.value))
+        if type(value) is not float:
+            value = float(value)
+        return tuple.__new__(cls, (alias, column, operator, value))
 
     @property
     def qualified_column(self) -> str:

@@ -170,6 +170,31 @@ class TestManifestSchema:
         with pytest.raises(ArtifactSchemaError, match="invalid pool query record"):
             query_from_mapping({"joins": []})
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"joins": []},
+            {"tables": None},
+            {"tables": []},
+            {"tables": [["title"]]},
+            {"tables": [["", "t"]]},
+            {"tables": [["title", "t"], ["movie_companies", "t"]]},
+            {"tables": [["title", "t"]], "joins": [["t", "id", "mc"]]},
+            {"tables": [["title", "t"]], "joins": [["t", "id", "t", ""]]},
+            {"tables": [["title", "t"]], "joins": [[1, "id", "t", "kind_id"]]},
+            {"tables": [["title", "t"]], "joins": [["t", "id", "mc", "movie_id"]]},
+            {"tables": [["title", "t"]], "predicates": [["t", "year", ">=", 1]]},
+            {"tables": [["title", "t"]], "predicates": [["t", "year", ">", "x"]]},
+            {"tables": [["title", "t"]], "predicates": [["t", "year", ">", None]]},
+            {"tables": [["title", "t"]], "predicates": [["", "year", ">", 1]]},
+            {"tables": [["title", "t"]], "predicates": [["mc", "id", "=", 1]]},
+            {"tables": [["title", "t"]], "predicates": [["t", "year", ">"]]},
+        ],
+    )
+    def test_malformed_query_record_is_a_schema_error(self, record):
+        with pytest.raises(ArtifactSchemaError, match="invalid pool query record"):
+            query_from_mapping(record)
+
 
 class TestStoreSemantics:
     def test_save_load_round_trip(self, tmp_path, model, imdb_small, imdb_featurizer, pool):

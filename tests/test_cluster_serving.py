@@ -721,6 +721,45 @@ class TestBlockingRouter:
         with pytest.raises(ServingError, match="not running"):
             client.router.estimate(workload[0])
 
+    def test_worker_serves_a_lone_request_on_its_connection_thread(
+        self, start_cluster, monkeypatch, imdb_small, local_client, workload
+    ):
+        # An idle worker dispatcher serves a routed estimate inline: a batch
+        # of one on the connection thread, so its queue wait is exactly 0.
+        # A request arriving while one is held there enqueues (counted in
+        # shared memory: the forked workers inherit the patch) and is served
+        # after it, never beside it.
+        from repro.serving import ServingDispatcher
+
+        enqueued = multiprocessing.get_context("fork").Value("i", 0)
+        submit = ServingDispatcher.submit
+
+        def counting_submit(self, *args, **kwargs):
+            future = submit(self, *args, **kwargs)
+            with enqueued.get_lock():
+                enqueued.value += 1
+            return future
+
+        monkeypatch.setattr(ServingDispatcher, "submit", counting_submit)
+        gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
+        client = start_cluster(extra_estimators={"gated": gated})
+        first, second = queries_on_shard(client, workload, 0)[:2]
+        for query in (first, second):
+            answer = client.estimate(query)
+            assert answer.queue_wait_seconds == 0.0
+            assert answer.estimate.hex() == local_client.estimate(query).estimate.hex()
+        assert enqueued.value == 0
+
+        options = RequestOptions(estimator="gated")
+        held = client.estimate_future(first, options)
+        wait_until(lambda: gated.inside.value == 1, "the held request to be in flight")
+        behind = client.estimate_future(second, options)
+        wait_until(lambda: enqueued.value == 1, "the second request to enqueue")
+        gated.release.set()
+        assert held.result(timeout=30).queue_wait_seconds == 0.0
+        assert behind.result(timeout=30).queue_wait_seconds > 0.0
+        assert gated.peak.value == 1
+
     def test_concurrent_callers_get_local_bits_within_the_handler_bound(
         self, start_cluster, model, imdb_small, imdb_featurizer, pool, workload
     ):

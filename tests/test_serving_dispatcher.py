@@ -9,6 +9,7 @@ queries pool) mid-traffic.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -287,6 +288,225 @@ class TestBacklogCoalescing:
         # Every blocking call is a head get(), outside _coalesce.
         assert all(not inside for inside, block, _ in calls if block)
         assert any(block for _, block, _ in calls)
+
+
+def record_submit_batch_threads(service) -> list[int]:
+    """Wrap ``service.submit_batch`` to record the identity of each calling thread."""
+    threads: list[int] = []
+    submit_batch = service.submit_batch
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return submit_batch(*args, **kwargs)
+
+    service.submit_batch = recording
+    return threads
+
+
+class TestInlineServing:
+    """``estimate`` on an idle dispatcher is a batch of one on the caller's thread."""
+
+    def test_idle_dispatcher_serves_on_the_calling_thread(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
+    ):
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        threads = record_submit_batch_threads(service)
+        with ServingDispatcher(service) as dispatcher:
+            results = [dispatcher.estimate(query) for query in workload]
+            snapshot = dispatcher.stats.snapshot()
+        assert threads == [threading.get_ident()] * len(workload)
+        assert [r.estimate for r in results] == [sequential_estimates[q] for q in workload]
+        assert all(r.queue_wait_seconds == 0.0 for r in results)
+        assert snapshot["submitted"] == snapshot["completed"] == len(workload)
+        assert snapshot["coalesced_batches"] == len(workload)
+        assert snapshot["mean_batch_size"] == 1.0
+        assert snapshot["coalesced_requests"] == 0.0
+        assert snapshot["queue_wait_max_ms"] == 0.0
+
+    def test_estimate_behind_an_inline_request_queues_and_coalesces(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
+    ):
+        gated = GatedEstimator()
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        service.register("gated", gated)
+        threads = record_submit_batch_threads(service)
+        dispatcher = ServingDispatcher(service, max_batch=8).start()
+        sizes: list[int] = []
+        serve = dispatcher._serve
+
+        def recording_serve(batch):
+            sizes.append(len(batch))
+            serve(batch)
+
+        dispatcher._serve = recording_serve
+        answers: dict[int, object] = {}
+
+        def call(position, estimator=None):
+            answers[position] = dispatcher.estimate(workload[position], estimator)
+
+        held = threading.Thread(target=call, args=(0, "gated"))
+        behind = [threading.Thread(target=call, args=(k,)) for k in (1, 2, 3)]
+        try:
+            held.start()
+            assert gated.entered.wait(30)  # served inline, inside the gate
+            for thread in behind:
+                thread.start()
+            # Every caller behind it enqueued: submitted counts after the put.
+            deadline = time.monotonic() + 30
+            while dispatcher.stats.submitted < 4:
+                assert time.monotonic() < deadline, "callers never enqueued"
+                time.sleep(0.001)
+            gated.release.set()
+            for thread in [held, *behind]:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            gated.release.set()
+            dispatcher.shutdown()
+        # The held request ran on its caller's thread; the three behind it
+        # waited for it (one batch in service at a time) and then went out as
+        # one batch on the dispatcher thread.
+        assert sizes == [1, 3]
+        assert threads[0] == held.ident
+        assert threads[1] == dispatcher._thread.ident
+        assert gated.calls == [workload[0]]
+        assert answers[0].estimate == 7.0 and answers[0].queue_wait_seconds == 0.0
+        for position in (1, 2, 3):
+            assert answers[position].estimate == sequential_estimates[workload[position]]
+            assert answers[position].queue_wait_seconds > 0.0
+        assert dispatcher.stats.coalesced_requests == 3
+
+    def test_concurrent_estimates_serve_one_batch_at_a_time(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
+    ):
+        # More callers than cores, a short switch interval: callers race for
+        # the inline claim while others queue.  A lost update to the backlog
+        # or inline state would leave the dispatcher busy (or let two batches
+        # overlap) forever after.
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        lock = threading.Lock()
+        active, peak = [0], [0]
+        submit_batch = service.submit_batch
+
+        def counting(*args, **kwargs):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                return submit_batch(*args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        service.submit_batch = counting
+        dispatcher = ServingDispatcher(service, max_batch=8).start()
+        answers: dict[int, list] = {}
+
+        def caller(index):
+            answers[index] = [dispatcher.estimate(query) for query in workload]
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            dispatcher.shutdown()
+        expected = [sequential_estimates[query] for query in workload]
+        assert all([r.estimate for r in answers[k]] == expected for k in range(THREADS))
+        assert peak[0] == 1
+        assert dispatcher.stats.completed == THREADS * len(workload)
+        assert (dispatcher._backlog, dispatcher._inline) == (0, False)
+
+    @pytest.mark.parametrize("deadline", ["timeout", "options"])
+    def test_a_deadline_always_takes_the_queue(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates, deadline
+    ):
+        from repro.serving import RequestOptions
+
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        threads = record_submit_batch_threads(service)
+        with ServingDispatcher(service) as dispatcher:
+            if deadline == "timeout":
+                result = dispatcher.estimate(workload[0], timeout=30.0)
+            else:
+                result = dispatcher.estimate(
+                    workload[0], options=RequestOptions(timeout_seconds=30.0)
+                )
+            dispatcher_thread = dispatcher._thread.ident
+        assert threads == [dispatcher_thread]
+        assert dispatcher_thread != threading.get_ident()
+        assert result.estimate == sequential_estimates[workload[0]]
+        assert result.queue_wait_seconds > 0.0
+
+    def test_shutdown_waits_for_an_inline_request(self, workload):
+        gated, dispatcher = gated_dispatcher()
+        answers: list = []
+        completed_at_return: list[int] = []
+
+        def stop():
+            dispatcher.shutdown(wait=True)
+            completed_at_return.append(dispatcher.stats.completed)
+
+        held = threading.Thread(target=lambda: answers.append(dispatcher.estimate(workload[0])))
+        stopper = threading.Thread(target=stop)
+        try:
+            held.start()
+            assert gated.entered.wait(30)  # served inline, inside the gate
+            stopper.start()
+            stopper.join(0.05)
+            assert stopper.is_alive()  # a shut gate holds shutdown, however long
+            gated.release.set()
+            stopper.join(30)
+            assert not stopper.is_alive()
+        finally:
+            gated.release.set()
+            held.join(30)
+            stopper.join(30)
+        assert not held.is_alive()
+        # shutdown returned only after the inline request was served.
+        assert completed_at_return == [1]
+        assert answers[0].estimate == 7.0
+        with pytest.raises(DispatcherShutdownError):
+            dispatcher.estimate(workload[1])
+
+    def test_traced_inline_request_accounts_for_its_latency(
+        self, model, imdb_featurizer, pool, workload
+    ):
+        from repro.serving import (
+            DispatcherConfig,
+            ObservabilityConfig,
+            ServingClient,
+            ServingConfig,
+            TracingConfig,
+        )
+
+        config = ServingConfig(
+            model=model,
+            featurizer=imdb_featurizer,
+            pool=pool,
+            dispatcher=DispatcherConfig(enabled=True),
+            observability=ObservabilityConfig(enabled=True),
+            tracing=TracingConfig(enabled=True, sample_every=1),
+        )
+        with ServingClient(config) as client:
+            threads = record_submit_batch_threads(client.service)
+            results = [client.estimate(query) for query in workload[:6]]
+            client.recorder.flush()
+            rows = client.event_store.trace_accounting()
+        assert threads == [threading.get_ident()] * 6
+        assert all(result.queue_wait_seconds == 0.0 for result in results)
+        assert len(rows) == 6
+        latencies = sorted(result.latency_seconds for result in results)
+        assert sorted(row["latency_seconds"] for row in rows) == latencies
+        for row in rows:
+            # The fan-in identity holds for a batch of one served inline.
+            assert row["amortized_seconds"] == row["latency_seconds"]
 
 
 class TestConcurrencyMetrics:

@@ -1,6 +1,8 @@
-"""Unit tests for the conjunctive query dataclasses."""
+"""Unit tests for the conjunctive query types."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -195,6 +197,89 @@ class TestQuery:
 
     def test_str_is_sql(self):
         assert str(self.make_query()).startswith("SELECT * FROM")
+
+
+class TestClauseTuples:
+    """The clause types are named tuples; these pin what that keeps and changes."""
+
+    TABLE = TableRef("title", "t")
+    JOIN = JoinClause("t", "id", "mc", "movie_id")
+    PREDICATE = Predicate("t", "year", ComparisonOperator.GT, 2000)
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        # A frozen dataclass hashed the tuple of its fields too, so set and
+        # dict orders (and the pinned workload digests) do not move.
+        assert hash(TableRef("title", "t")) == hash(("title", "t"))
+        assert hash(TableRef("title")) == hash(("title", "title"))
+        assert hash(self.JOIN) == hash(("mc", "movie_id", "t", "id"))
+        assert hash(self.PREDICATE) == hash(("t", "year", ComparisonOperator.GT, 2000.0))
+
+    def test_join_orientation_is_canonical(self):
+        backward = JoinClause("t", "id", "mc", "movie_id")
+        forward = JoinClause("mc", "movie_id", "t", "id")
+        for join in (backward, forward):
+            assert tuple(join) == ("mc", "movie_id", "t", "id")
+            assert (join.left, join.right) == ("mc.movie_id", "t.id")
+        # Equal sides, or equal aliases ordered by column, stay as written.
+        assert tuple(JoinClause("t", "id", "t", "id")) == ("t", "id", "t", "id")
+        assert tuple(JoinClause("t", "kind_id", "t", "id")) == ("t", "id", "t", "kind_id")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TableRef(""), "table name must be non-empty"),
+            (lambda: TableRef("", "t"), "table name must be non-empty"),
+            (lambda: JoinClause("", "id", "mc", "movie_id"), "join clause components must be non-empty"),
+            (lambda: JoinClause("t", "", "mc", "movie_id"), "join clause components must be non-empty"),
+            (lambda: JoinClause("t", "id", "", "movie_id"), "join clause components must be non-empty"),
+            (lambda: JoinClause("t", "id", "mc", ""), "join clause components must be non-empty"),
+            (lambda: Predicate("", "year", ComparisonOperator.EQ, 1), "predicate alias and column must be non-empty"),
+            (lambda: Predicate("t", "", ComparisonOperator.EQ, 1), "predicate alias and column must be non-empty"),
+            (lambda: Predicate("t", "year", ComparisonOperator.EQ, "x"), "could not convert string to float: 'x'"),
+        ],
+    )
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_fields_coercion_and_defaults(self):
+        assert TableRef("title") == TableRef("title", "") == TableRef(name="title", alias="title")
+        value = Predicate("t", "year", ComparisonOperator.LT, 7).value
+        assert type(value) is float and value == 7.0
+        assert not hasattr(self.TABLE, "__dict__")  # __slots__ = () on every class
+        assert repr(self.TABLE) == "TableRef(name='title', alias='t')"
+
+    def test_pickle_and_copy_round_trip(self):
+        for clause in (self.TABLE, self.JOIN, self.PREDICATE):
+            for restored in (
+                pickle.loads(pickle.dumps(clause)),
+                copy.copy(clause),
+                copy.deepcopy(clause),
+            ):
+                assert type(restored) is type(clause)
+                assert restored == clause and hash(restored) == hash(clause)
+        query = Query((self.TABLE,), (), (self.PREDICATE,))
+        assert pickle.loads(pickle.dumps(query)) == query
+
+    def test_clause_kinds_never_equal_each_other(self):
+        # Same arity, different kinds: a predicate's operator is an enum.
+        assert JoinClause("t", "year", "t", "id") != Predicate(
+            "t", "year", ComparisonOperator.EQ, 1
+        )
+        assert self.TABLE != self.JOIN != self.PREDICATE != self.TABLE
+
+    def test_query_never_equals_a_tuple(self):
+        query = Query((self.TABLE,), (), (self.PREDICATE,))
+        assert query != (query.tables, query.joins, query.predicates)
+        assert query != query.tables
+
+    def test_table_ref_equals_its_signature_pair(self):
+        # The one semantic change from the dataclass: a TableRef is the
+        # plain (name, alias) tuple, so a query's tables equal its signature.
+        query = Query((self.TABLE, TableRef("movie_companies", "mc")), (self.JOIN,))
+        assert self.TABLE == ("title", "t")
+        assert query.tables == query.from_signature()
 
 
 def test_queries_with_same_from_groups_by_signature():
