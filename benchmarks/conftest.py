@@ -7,7 +7,7 @@ shared through :func:`repro.evaluation.get_harness`.
 
 The experiment scale is selected with the ``REPRO_BENCH_PROFILE`` environment
 variable (``smoke`` by default so the suite completes in a few minutes;
-``default`` reproduces the numbers recorded in EXPERIMENTS.md; ``paper`` is the
+``default`` is the laptop-scale reproduction of every table; ``paper`` is the
 paper-scale configuration and is not intended for CI).
 
 Each benchmark stores the rendered report under ``benchmarks/results/`` so the

@@ -38,7 +38,7 @@ from repro.sql import parse_query
 
 
 def main() -> None:
-    # 1. The database snapshot (a synthetic stand-in for IMDb, see DESIGN.md).
+    # 1. The database snapshot (a synthetic stand-in for IMDb, see repro.datasets.imdb).
     database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=1000))
     oracle = TrueCardinalityOracle(database)
     print(database.describe())

@@ -362,7 +362,7 @@ def train_mscn(
     cardinality estimate and the true cardinality -- the q-error in log space.
     Kipf et al. train on the raw q-error; the log-space variant ranks models
     identically while keeping gradients bounded on the synthetic corpus, whose
-    cardinalities span eight orders of magnitude (see DESIGN.md).
+    cardinalities span eight orders of magnitude.
     """
     if not labeled_queries:
         raise ValueError("cannot train on an empty query set")

@@ -102,6 +102,17 @@ class QueryGenerator:
             (table.alias, column.name): database.column_range(table.alias, column.name)
             for table, column in database.schema.iter_columns()
         }
+        self._column_values = {
+            (table.alias, column.name): database.table_by_alias(table.alias).column(column.name)
+            for table, column in database.schema.iter_columns()
+        }
+        self._table_refs = {
+            table.alias: TableRef(table.name, table.alias) for table in database.schema.tables
+        }
+        self._non_key_columns = {
+            table.alias: tuple(column.name for column in table.non_key_columns)
+            for table in database.schema.tables
+        }
         self._join_subsets = _enumerate_join_subsets(database, self.config.max_joins)
         if not self._join_subsets:
             raise ValueError("the database schema exposes no joinable table subsets")
@@ -162,7 +173,8 @@ class QueryGenerator:
         draw = self._rng.random()
         add_probability = self.config.mutation_add_predicate_probability
         if not predicates or draw < add_probability:
-            new_predicate = self._draw_single_predicate(self._rng.choice(query.aliases))
+            alias = query.aliases[int(self._rng.integers(len(query.aliases)))]
+            new_predicate = self._draw_single_predicate(alias)
             if new_predicate is not None:
                 predicates.append(new_predicate)
         elif draw < add_probability + 0.2 and len(predicates) > 1:
@@ -274,20 +286,15 @@ class QueryGenerator:
             subsets = self._join_subsets[fallback]
         index = int(self._rng.integers(len(subsets)))
         aliases, joins = subsets[index]
-        tables = [
-            TableRef(self.database.schema.table_by_alias(alias).name, alias) for alias in aliases
-        ]
-        return tables, list(joins)
+        return [self._table_refs[alias] for alias in aliases], list(joins)
 
     def _draw_predicates(self, tables: list[TableRef]) -> list[Predicate]:
         predicates: list[Predicate] = []
         # Visit tables in random order so the per-query cap does not always
         # starve the same tables.
-        order = self._rng.permutation(len(tables))
-        for table_index in order:
-            table_ref = tables[int(table_index)]
-            table_schema = self.database.schema.table(table_ref.name)
-            non_key = table_schema.non_key_columns
+        for table_index in self._rng.permutation(len(tables)).tolist():
+            alias = tables[table_index].alias
+            non_key = self._non_key_columns[alias]
             if not non_key:
                 continue
             remaining = self.config.max_predicates_per_query - len(predicates)
@@ -298,20 +305,18 @@ class QueryGenerator:
             if num_predicates == 0:
                 continue
             column_indices = self._rng.choice(len(non_key), size=num_predicates, replace=False)
-            for column_index in np.atleast_1d(column_indices):
-                column = non_key[int(column_index)]
-                predicate = self._draw_predicate_for_column(table_ref.alias, column.name)
+            for column_index in column_indices.tolist():
+                predicate = self._draw_predicate_for_column(alias, non_key[column_index])
                 if predicate is not None:
                     predicates.append(predicate)
         return predicates
 
     def _draw_single_predicate(self, alias: str) -> Predicate | None:
-        table_schema = self.database.schema.table_by_alias(alias)
-        non_key = table_schema.non_key_columns
+        non_key = self._non_key_columns[alias]
         if not non_key:
             return None
         column = non_key[int(self._rng.integers(len(non_key)))]
-        return self._draw_predicate_for_column(alias, column.name)
+        return self._draw_predicate_for_column(alias, column)
 
     def _draw_predicate_for_column(self, alias: str, column: str) -> Predicate | None:
         low, high = self._value_ranges[alias, column]
@@ -322,10 +327,10 @@ class QueryGenerator:
             operator = _GENERATOR_OPERATORS[int(self._rng.integers(len(_GENERATOR_OPERATORS)))]
             if operator is ComparisonOperator.EQ:
                 # Draw an actual value so equality predicates are satisfiable.
-                values = self.database.table_by_alias(alias).column(column)
+                values = self._column_values[alias, column]
                 value = float(values[int(self._rng.integers(len(values)))])
             else:
-                value = float(np.round(self._rng.uniform(low, high)))
+                value = float(np.rint(self._rng.uniform(low, high)))
         return Predicate(alias, column, operator, value)
 
     def _mutate_predicate(self, predicate: Predicate, force_value: bool = False) -> Predicate:
@@ -345,7 +350,7 @@ class QueryGenerator:
             shift = self._rng.uniform(
                 -self.config.value_perturbation_fraction, self.config.value_perturbation_fraction
             )
-            new_value = float(np.clip(np.round(predicate.value + shift * span), low, high))
+            new_value = float(np.clip(np.rint(predicate.value + shift * span), low, high))
             if new_value == predicate.value:
                 new_value = float(np.clip(predicate.value + 1, low, high))
             return Predicate(predicate.alias, predicate.column, predicate.operator, new_value)

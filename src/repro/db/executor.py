@@ -63,9 +63,11 @@ class QueryExecutor:
         self.max_intermediate_rows = max_intermediate_rows
         self._cardinality_cache: dict[Query, int] = {}
         #: ``(parent table, column, child table, column)`` -> ``(slots,
-        #: child_codes, parent_codes)``, see :meth:`_join_edge`.  Built from
-        #: this executor's immutable database and never invalidated.
-        self._join_edges: dict[tuple[str, str, str, str], tuple[int, np.ndarray, np.ndarray]] = {}
+        #: child_codes, parent_codes, leaf_counts)``, see :meth:`_join_edge`.
+        #: Built from this executor's immutable database and never invalidated.
+        self._join_edges: dict[
+            tuple[str, str, str, str], tuple[int, np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     def execute(self, query: Query) -> ExecutionResult:
         """Execute ``query`` and return the full result (row-id tuples)."""
@@ -108,14 +110,16 @@ class QueryExecutor:
 
     def _join_edge(
         self, parent_table: str, parent_column: str, child_table: str, child_column: str
-    ) -> tuple[int, np.ndarray, np.ndarray]:
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """The key codes of one join edge, built on first use.
 
-        Returns ``(slots, child_codes, parent_codes)``: ``child_codes[r]`` is
-        the dense code (``< slots - 1``) of child row ``r``'s join key, and
-        ``parent_codes[r]`` the code of parent row ``r``'s key among the
-        child's keys, or the trailing slot ``slots - 1`` — which no child row
-        maps to — when the child has no such key.
+        Returns ``(slots, child_codes, parent_codes, leaf_counts)``:
+        ``child_codes[r]`` is the dense code (``< slots - 1``) of child row
+        ``r``'s join key, and ``parent_codes[r]`` the code of parent row
+        ``r``'s key among the child's keys, or the trailing slot
+        ``slots - 1`` — which no child row maps to — when the child has no
+        such key.  ``leaf_counts`` is the float64 number of child rows per
+        code: the per-key weights of a child without predicates or children.
         """
         edge = (parent_table, parent_column, child_table, child_column)
         if edge not in self._join_edges:
@@ -128,7 +132,9 @@ class QueryExecutor:
                 positions = np.minimum(np.searchsorted(keys, parent_keys), len(keys) - 1)
                 matched = keys[positions] == parent_keys
                 parent_codes[matched] = positions[matched]
-            self._join_edges[edge] = (len(keys) + 1, child_codes, parent_codes)
+            slots = len(keys) + 1
+            leaf_counts = np.bincount(child_codes, minlength=slots).astype(np.float64)
+            self._join_edges[edge] = (slots, child_codes, parent_codes, leaf_counts)
         return self._join_edges[edge]
 
     # ------------------------------------------------------------------ #
@@ -142,12 +148,13 @@ class QueryExecutor:
         per alias pair).  The count is computed recursively: each subtree
         reports, per value of its link column to the parent, how many result
         tuples it contributes; the parent multiplies those contributions into
-        its own (predicate-filtered) rows.
+        its own rows and zeroes the rows its predicates reject.
         """
         aliases = query.aliases
         if len(aliases) == 1:
             table = self.database.table(query.alias_to_table()[aliases[0]])
-            return int(len(table.filter_rows(query.predicates_for(aliases[0]))))
+            mask = table.predicate_mask(query.predicates_for(aliases[0]))
+            return len(table) if mask is None else int(np.count_nonzero(mask))
         if len(query.joins) != len(aliases) - 1:
             return None
         adjacency: dict[str, list[JoinClause]] = {alias: [] for alias in aliases}
@@ -164,19 +171,20 @@ class QueryExecutor:
         root = aliases[0]
         visited: set[str] = set()
 
-        def subtree_weights(alias: str, parent: str | None) -> tuple[np.ndarray, np.ndarray]:
-            """``(row_ids, weights)`` of the subtree rooted at ``alias``.
+        def subtree_weights(alias: str, parent: str | None) -> np.ndarray | None:
+            """The weights of the subtree rooted at ``alias``.
 
-            One weight per row of ``alias`` that passes its predicates: the
-            number of result tuples of the subtree below it that the row
-            takes part in.  A child's weights reach its parent through the
-            edge's key codes (:meth:`_join_edge`): one ``bincount`` sums them
-            per key, one gather hands each parent row its key's sum.
+            One weight per row of ``alias``: the number of result tuples of
+            the subtree below it that the row takes part in, 0 when the row
+            fails its predicates.  ``None`` for a leaf without predicates,
+            whose parent reads the edge's ``leaf_counts`` instead.  A child's
+            weights reach its parent through the edge's key codes
+            (:meth:`_join_edge`): one ``bincount`` sums them per key, one
+            gather hands each parent row its key's sum.
             """
             visited.add(alias)
             table = alias_to_table[alias]
-            row_ids = self.database.table(table).filter_rows(query.predicates_for(alias))
-            weights = np.ones(len(row_ids), dtype=np.float64)
+            weights = None
             for join in adjacency[alias]:
                 child = join.right_alias if join.left_alias == alias else join.left_alias
                 if child == parent or child in visited:
@@ -186,19 +194,31 @@ class QueryExecutor:
                     if join.left_alias == alias
                     else (join.right_column, join.left_column)
                 )
-                slots, child_codes, parent_codes = self._join_edge(
+                slots, child_codes, parent_codes, leaf_counts = self._join_edge(
                     table, own_column, alias_to_table[child], child_column
                 )
-                child_rows, child_weights = subtree_weights(child, alias)
-                per_key = np.bincount(child_codes[child_rows], child_weights, minlength=slots)
-                weights *= per_key[parent_codes[row_ids]]
-            return row_ids, weights
+                child_weights = subtree_weights(child, alias)
+                if child_weights is None:
+                    per_key = leaf_counts
+                else:
+                    per_key = np.bincount(child_codes, child_weights, minlength=slots)
+                if weights is None:
+                    weights = per_key[parent_codes]
+                else:
+                    weights *= per_key[parent_codes]
+            mask = self.database.table(table).predicate_mask(query.predicates_for(alias))
+            if mask is None:
+                return weights
+            if weights is None:
+                return mask.astype(np.float64)
+            weights *= mask
+            return weights
 
-        total = int(round(float(subtree_weights(root, None)[1].sum())))
+        weights = subtree_weights(root, None)
         if visited != set(aliases):
             # Disconnected graph (should not happen for generated queries).
             return None
-        return total
+        return int(round(float(weights.sum())))
 
     # ------------------------------------------------------------------ #
     # internals

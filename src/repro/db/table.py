@@ -89,12 +89,25 @@ class Table:
             return values > predicate.value
         return values == predicate.value
 
+    def predicate_mask(self, predicates: Iterable[Predicate]) -> np.ndarray | None:
+        """Return the boolean mask of rows satisfying all ``predicates``.
+
+        ``None`` stands for "every row" when there are no predicates, so
+        callers can skip a mask that would select everything.
+        """
+        mask = None
+        for predicate in predicates:
+            matched = self.evaluate_predicate(predicate)
+            if mask is None:
+                mask = matched
+            else:
+                mask &= matched
+        return mask
+
     def filter_rows(self, predicates: Iterable[Predicate]) -> np.ndarray:
         """Return the row ids satisfying all ``predicates`` (empty iterable → all rows)."""
-        mask = np.ones(self._length, dtype=bool)
-        for predicate in predicates:
-            mask &= self.evaluate_predicate(predicate)
-        return np.flatnonzero(mask)
+        mask = self.predicate_mask(predicates)
+        return np.arange(self._length) if mask is None else np.flatnonzero(mask)
 
     def value_range(self, name: str) -> tuple[float, float]:
         """Return ``(min, max)`` of a column (0, 0 for an empty table)."""

@@ -4,7 +4,7 @@ Every experiment takes an :class:`~repro.evaluation.harness.ExperimentHarness`
 and returns an :class:`ExperimentReport` whose ``text`` reproduces the paper's
 table (or the data series behind the figure) and whose ``data`` holds the raw
 numbers for programmatic checks.  The benchmark suite contains one benchmark
-per registry entry; EXPERIMENTS.md records paper-vs-measured numbers.
+per registry entry; each writes its report under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ def table15_prediction_time(harness: ExperimentHarness) -> ExperimentReport:
 
 
 # --------------------------------------------------------------------------- #
-# ablations (design choices called out in DESIGN.md)
+# ablations (the design choices of Sections 3.2 and 5.3)
 
 
 @experiment("ablation_final_function")

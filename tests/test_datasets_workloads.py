@@ -119,18 +119,71 @@ PINNED_WORKLOAD_DIGESTS = {
     41: "293c4d6a77f1e9a7ff2577114f2517b0721b1ef6d73483c9c4f730a57c645f85",
 }
 
+#: sha256 over the labels of the same workloads -- ``repr`` of every pair's
+#: containment rate, then every pool and test query's cardinality -- computed
+#: at commit f801b18 (before the oracle counted over whole-column masks).
+PINNED_LABEL_DIGESTS = {
+    5: "6686c618dca59f0d14b4947a2189eba1d8d629c56bc851032b7becdb0c6b340c",
+    41: "4cc172381d88fcb75f6d1fd3f52c9b42ad6015ddb2287a1ee3736ec2b0a6f1d8",
+}
+
+#: sha256 over ``repr`` of every query of the same workloads (pair firsts and
+#: seconds, pool, test): unlike the SQL text it pins every float value and the
+#: sign of zero.  Computed at commit f801b18, with the ``np.str_`` aliases
+#: its generator left on some predicates turned into ``str``.
+PINNED_REPR_DIGESTS = {
+    5: "f2b68b93ce53cc3c3e7fcb04b0b93afa7b9bdd238bcac7d2ef0323a435567d8c",
+    41: "6bb676523ce8401754e33712d1315859ebc88e65116d88ad661e69f6df85652a",
+}
+
+
+def _sha256(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_WORKLOAD_DIGESTS))
+def pinned_workloads(request, imdb_small, imdb_oracle):
+    """``(seed, pairs, pool, test)`` drawn and labelled at one pinned seed."""
+    seed = request.param
+    pairs = build_training_pairs(imdb_small, count=300, seed=seed, oracle=imdb_oracle)
+    pool = build_queries_pool_queries(imdb_small, count=150, seed=seed, oracle=imdb_oracle)
+    test = build_crd_test2(imdb_small, scale=0.3, seed=seed, oracle=imdb_oracle)
+    return seed, pairs, pool, test.queries
+
+
+def _all_queries(pairs, pool, test):
+    queries = [query for pair in pairs for query in (pair.first, pair.second)]
+    return queries + [item.query for item in pool] + [item.query for item in test]
+
 
 class TestWorkloadIdentity:
-    @pytest.mark.parametrize("seed", sorted(PINNED_WORKLOAD_DIGESTS))
-    def test_generated_workloads_match_the_pinned_digest(self, imdb_small, imdb_oracle, seed):
-        pairs = build_training_pairs(imdb_small, count=300, seed=seed, oracle=imdb_oracle)
-        pool = build_queries_pool_queries(imdb_small, count=150, seed=seed, oracle=imdb_oracle)
-        test = build_crd_test2(imdb_small, scale=0.3, seed=seed, oracle=imdb_oracle)
+    def test_generated_workloads_match_the_pinned_digest(self, pinned_workloads):
+        seed, pairs, pool, test = pinned_workloads
         lines = [f"{format_query(pair.first)} | {format_query(pair.second)}" for pair in pairs]
         lines += [format_query(item.query) for item in pool]
-        lines += [format_query(item.query) for item in test.queries]
-        digest = hashlib.sha256()
-        for line in lines:
-            digest.update(line.encode() + b"\n")
+        lines += [format_query(item.query) for item in test]
         assert len(lines) == 583
-        assert digest.hexdigest() == PINNED_WORKLOAD_DIGESTS[seed]
+        assert _sha256(lines) == PINNED_WORKLOAD_DIGESTS[seed]
+
+    def test_labels_match_the_pinned_digest(self, pinned_workloads):
+        seed, pairs, pool, test = pinned_workloads
+        lines = [repr(pair.containment_rate) for pair in pairs]
+        lines += [str(item.cardinality) for item in pool]
+        lines += [str(item.cardinality) for item in test]
+        assert _sha256(lines) == PINNED_LABEL_DIGESTS[seed]
+
+    def test_query_reprs_match_the_pinned_digest(self, pinned_workloads):
+        seed, pairs, pool, test = pinned_workloads
+        lines = [repr(query) for query in _all_queries(pairs, pool, test)]
+        assert _sha256(lines) == PINNED_REPR_DIGESTS[seed]
+
+    def test_every_clause_field_is_a_plain_str_or_float(self, pinned_workloads):
+        _, pairs, pool, test = pinned_workloads
+        for query in _all_queries(pairs, pool, test):
+            fields = [field for clause in query.tables + query.joins for field in clause]
+            fields += [field for predicate in query.predicates for field in predicate[:2]]
+            assert all(type(field) is str for field in fields), repr(query)
+            assert all(type(predicate.value) is float for predicate in query.predicates)

@@ -7,6 +7,7 @@ from repro.datasets.generator import GeneratorConfig, QueryGenerator
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db.database import Database
 from repro.db.executor import DisconnectedJoinGraphError, QueryExecutor
+from repro.db.schema import Column, ColumnRole, ColumnType, DatabaseSchema, ForeignKey, TableSchema
 from repro.sql.builder import QueryBuilder
 from tests.conftest import TOY_SCHEMA
 
@@ -158,10 +159,87 @@ class TestJoinEdgeIndex:
         second = QueryExecutor(updated)
         assert second.cardinality(_join()) == 3
         assert second._join_edges is not first._join_edges
-        for edge, (_, child_codes, parent_codes) in second._join_edges.items():
+        for edge, (_, child_codes, parent_codes, leaf_counts) in second._join_edges.items():
             assert not np.shares_memory(child_codes, edges[edge][1])
             assert not np.shares_memory(parent_codes, edges[edge][2])
+            assert not np.shares_memory(leaf_counts, edges[edge][3])
         assert first.cardinality(_join(), use_cache=False) == 7  # untouched by the update
+
+
+#: ``movies`` with a second fact table, so one root carries two leaves.
+STAR_SCHEMA = DatabaseSchema(
+    tables=(
+        *TOY_SCHEMA.tables,
+        TableSchema(
+            name="tags",
+            alias="tg",
+            columns=(
+                Column("id", ColumnType.INTEGER, ColumnRole.PRIMARY_KEY),
+                Column("movie_id", ColumnType.INTEGER, ColumnRole.FOREIGN_KEY),
+                Column("weight", ColumnType.INTEGER),
+            ),
+        ),
+    ),
+    foreign_keys=(*TOY_SCHEMA.foreign_keys, ForeignKey("tags", "movie_id", "movies", "id")),
+)
+
+
+def _star(*conditions):
+    builder = (
+        QueryBuilder()
+        .table("movies", "m")
+        .table("ratings", "r")
+        .table("tags", "tg")
+        .join("m.id", "r.movie_id")
+        .join("m.id", "tg.movie_id")
+    )
+    for column, operator, value in conditions:
+        builder = builder.where(column, operator, value)
+    return builder.build()
+
+
+class TestMaskWeights:
+    """Counting over whole-column weights, where a rejected row weighs 0."""
+
+    @pytest.fixture(scope="class")
+    def star_executor(self):
+        # Rating 3 and tag 3 point at movies that do not exist; movie 1 has
+        # neither ratings nor tags.
+        database = Database.from_arrays(
+            STAR_SCHEMA,
+            {
+                "movies": {"id": [0, 1, 2, 3], "year": [1990, 1995, 2000, 2005], "kind": [1] * 4},
+                "ratings": {"id": [0, 1, 2, 3], "movie_id": [0, 0, 2, 7], "score": [50, 60, 70, 80]},
+                "tags": {"id": [0, 1, 2, 3, 4], "movie_id": [0, 2, 2, 9, 3], "weight": [1, 2, 3, 4, 5]},
+            },
+        )
+        return QueryExecutor(database)
+
+    @pytest.mark.parametrize(
+        "conditions, expected",
+        [
+            ((), 4),  # movie 0: 2 ratings x 1 tag, movie 2: 1 x 2
+            ((("m.year", ">", 1990),), 2),  # root with predicates over predicate-free leaves
+            ((("r.score", ">", 1000),), 0),  # a leaf selecting nothing
+            ((("r.score", ">", 1000), ("m.year", "<", 2001)), 0),
+            ((("tg.weight", ">", 1),), 2),  # one leaf filtered, the other read from leaf_counts
+            ((("tg.weight", ">", 3), ("r.score", "<", 75)), 0),
+            ((("m.kind", "=", 1), ("r.score", "<", 55), ("tg.weight", "<", 2)), 1),
+        ],
+    )
+    def test_count_matches_execution(self, star_executor, conditions, expected):
+        query = _star(*conditions)
+        assert star_executor.cardinality(query, use_cache=False) == expected
+        assert star_executor.execute(query).cardinality == expected
+
+    def test_leaf_counts_count_dangling_keys_once_per_child_row(self, star_executor):
+        star_executor.cardinality(_star(), use_cache=False)
+        edge = ("movies", "id", "tags", "movie_id")
+        slots, child_codes, parent_codes, leaf_counts = star_executor._join_edges[edge]
+        # Keys 0, 2, 3, 9 plus the trailing no-match slot.
+        assert slots == 5 and leaf_counts.dtype == np.float64
+        assert leaf_counts.tolist() == [1.0, 2.0, 1.0, 1.0, 0.0]
+        assert parent_codes.tolist() == [0, 4, 1, 2]  # movie 1 has no tag
 
 
 class TestErrorHandling:

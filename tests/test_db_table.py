@@ -85,6 +85,36 @@ class TestPredicates:
     def test_filter_rows_empty_predicates_returns_all(self):
         assert make_table().filter_rows([]).tolist() == [0, 1, 2, 3]
 
+    def test_predicate_mask_is_none_without_predicates(self):
+        assert make_table().predicate_mask([]) is None
+        assert make_table().predicate_mask(iter(())) is None
+
+    def test_predicate_mask_matches_a_per_row_reference(self):
+        table = make_table()
+        compare = {
+            ComparisonOperator.LT: lambda left, right: left < right,
+            ComparisonOperator.GT: lambda left, right: left > right,
+            ComparisonOperator.EQ: lambda left, right: left == right,
+        }
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            predicates = [
+                Predicate(
+                    "m",
+                    str(rng.choice(["year", "score"])),
+                    list(compare)[int(rng.integers(3))],
+                    float(rng.choice([1989, 1995, 2000, 2006, 1.5, 3.0, 3.5, 5.0])),
+                )
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            expected = [
+                all(compare[p.operator](table.column(p.column)[row], p.value) for p in predicates)
+                for row in range(table.num_rows)
+            ]
+            mask = table.predicate_mask(predicates)
+            assert mask.dtype == bool and mask.tolist() == expected
+            assert table.filter_rows(predicates).tolist() == np.flatnonzero(expected).tolist()
+
     def test_unknown_column_raises(self):
         with pytest.raises(KeyError):
             make_table().column("budget")
