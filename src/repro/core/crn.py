@@ -66,19 +66,50 @@ class CRNConfig:
             raise ValueError(f"pooling must be one of {POOLING_STRATEGIES}, got {self.pooling!r}")
 
 
-def encode_set(
-    vectors: np.ndarray, weight: np.ndarray, bias: np.ndarray, pooling: str
+def encode_sets(
+    rows: np.ndarray, counts, weight: np.ndarray, bias: np.ndarray, pooling: str
 ) -> np.ndarray:
-    """One set encoder (``MLP1`` / ``MLP2``) over one query's vectors.
+    """The set encoder (``MLP1`` / ``MLP2``) of one query or a whole bucket alike.
 
-    The arithmetic behind :meth:`CRNModel.encode_set` (live weights) and
-    :meth:`repro.serving.InferencePlan.encode_set` (frozen copies).
+    ``rows`` stacks every set's ``(counts[i], L)`` vectors; returns ``(n, H)``
+    float64, row ``i`` for set ``i``.  Per chunk of sets, the rows run in
+    zero-padded ``PASS_ROWS``-row tiles — the :func:`pair_head` idiom: one
+    identically-shaped GEMM per tile, so a row's bits never depend on how many
+    rows share the call, and a lone row is never sent to GEMV — then the sets
+    are zero-padded and summed along the row axis, row after row from +0.0: a
+    set's ``sum(axis=0)`` bit for bit (see ``docs/architecture.md``).
     """
-    transformed = np.maximum(vectors @ weight + bias, 0.0)
-    pooled = transformed.sum(axis=0)
+    counts = np.asarray(counts, dtype=np.intp)
+    hidden = weight.shape[1]
+    pooled = np.empty((len(counts), hidden), dtype=np.float64)
+    ends = np.cumsum(counts)
+    for first in range(0, len(counts), _CHUNK_SETS):
+        chunk = counts[first : first + _CHUNK_SETS]
+        sets = len(chunk)
+        block = rows[ends[first] - chunk[0] : ends[first + sets - 1]]
+        tiles = -(-len(block) // PASS_ROWS)
+        stacked = np.zeros((tiles * PASS_ROWS, weight.shape[0]))
+        stacked[: len(block)] = block
+        transformed = np.matmul(stacked.reshape(tiles, PASS_ROWS, weight.shape[0]), weight)
+        transformed = transformed.reshape(-1, hidden)[: len(block)]
+        np.add(transformed, bias, out=transformed)
+        np.maximum(transformed, 0.0, out=transformed)
+        width = int(chunk.max())
+        if chunk.min() == width:  # equal sizes, e.g. one set: no padding
+            padded = transformed.reshape(sets, width, hidden)
+        else:
+            padded = np.zeros((sets, width, hidden))
+            # Set j's rows go to padded rows j * width + 0, 1, ...
+            shift = np.repeat(np.arange(sets) * width - (np.cumsum(chunk) - chunk), chunk)
+            padded.reshape(-1, hidden)[np.arange(len(transformed)) + shift] = transformed
+        padded.sum(axis=1, out=pooled[first : first + sets])
     if pooling == "average":
-        pooled = pooled / max(vectors.shape[0], 1)
+        pooled /= np.maximum(counts, 1)[:, None]
     return pooled
+
+
+#: Sets :func:`encode_sets` pools at once: ~1 100 feature rows, cache-resident.
+_CHUNK_SETS = 256
 
 
 def sigmoid_into(a, out, t0, t1, t2, mask) -> None:
@@ -257,30 +288,23 @@ class CRNModel(Module):
     # deterministic inference path
 
     def encode_set(self, vectors: np.ndarray, position: int) -> np.ndarray:
-        """Encode one featurized query in isolation (no padding, no batch).
+        """The ``(H,)`` float64 ``Qvec`` of one query's ``(set size, L)`` vectors.
 
-        The result is a pure function of ``vectors``: the query's set is
-        encoded alone, so the bits of the returned ``Qvec`` never depend on
-        which other queries happen to share a forward pass.  This is what
-        makes per-query encoding cacheable across requests (see
-        :mod:`repro.serving`).  The computation runs on plain arrays (no
-        autodiff graph): inference encodes each query thousands of times
-        across requests, and the Tensor bookkeeping would dominate the
-        two small matmuls.
-
-        Args:
-            vectors: ``(set size, L)`` feature vectors of one query.
-            position: 1 to encode with ``MLP1`` (first pair slot), 2 for
-                ``MLP2`` (second pair slot).
-
-        Returns:
-            A ``(H,)`` float64 representation ``Qvec``.
+        A pure function of ``vectors`` — the same bits whether the set is
+        encoded alone or in bulk by :meth:`encode_sets` — which is what makes
+        per-query encoding cacheable across requests (see
+        :mod:`repro.serving`).  Plain arrays, no autodiff graph.  ``position``
+        1 encodes with ``MLP1`` (first pair slot), 2 with ``MLP2``.
         """
+        return self.encode_sets(vectors, (vectors.shape[0],), position)[0]
+
+    def encode_sets(self, rows: np.ndarray, counts, position: int) -> np.ndarray:
+        """:func:`encode_sets` on the live weights: ``(n, H)``, row ``i`` for set ``i``."""
         if position not in (1, 2):
             raise ValueError(f"position must be 1 or 2, got {position}")
         encoder = self.set_encoder1 if position == 1 else self.set_encoder2
-        return encode_set(
-            vectors, encoder.weight.data, encoder.bias.data, self.config.pooling
+        return encode_sets(
+            rows, counts, encoder.weight.data, encoder.bias.data, self.config.pooling
         )
 
     def rates_from_encodings(
@@ -579,16 +603,36 @@ class CRNEstimator(ContainmentEstimator):
             offset += count
         return results
 
-    def warm(self, queries) -> None:
-        """Pre-featurize and pre-encode ``queries`` for both pair slots.
+    def encode_queries(self, queries, position: int) -> np.ndarray:
+        """``(n, H)`` encodings of ``queries`` in pair slot ``position``, in order.
 
-        With an :attr:`encoding_cache` attached this makes later requests pay
-        nothing for these queries (the serving layer warms the queries pool
-        this way); without one it is a no-op beyond validating the queries.
+        The bulk :meth:`encode_query`: cache hits are read back, the misses
+        are featurized once each and encoded by one ``encode_sets`` call (bit
+        for bit what :meth:`encode_query` computes alone), then cached.  The
+        result is a fresh array, never one the cache holds rows of.
         """
-        for query in queries:
-            self.encode_query(query, 1)
-            self.encode_query(query, 2)
+        queries = list(queries)
+        scope, cache, owner = self._encoding_scope(), self.encoding_cache, self.model
+        rows = [
+            None if cache is None else cache.get(query, position, scope=scope, owner=owner)
+            for query in queries
+        ]
+        missing = [index for index, row in enumerate(rows) if row is None]
+        if missing:
+            sets = [self.featurizer.featurize(queries[index]) for index in missing]
+            encoder = self.model if self.inference_plan is None else self.inference_plan
+            fresh = encoder.encode_sets(np.concatenate(sets), [len(s) for s in sets], position)
+            for index, encoding in zip(missing, fresh):
+                rows[index] = encoding
+                if cache is not None:
+                    cache.put(queries[index], position, encoding, scope=scope, owner=owner)
+        return np.array(rows).reshape(len(queries), self.model.hidden_size)
+
+    def warm(self, queries) -> None:
+        """Pre-featurize and pre-encode ``queries`` for both pair slots (into the cache)."""
+        queries = list(queries)
+        self.encode_queries(queries, 1)
+        self.encode_queries(queries, 2)
 
     def _encode_unique(self, pairs) -> dict[tuple[Query, int], np.ndarray]:
         """Encode every unique (query, slot) of ``pairs`` exactly once.

@@ -69,13 +69,6 @@ class ErrorSummary:
             median=float(np.median(values)),
         )
 
-    @classmethod
-    def from_estimates(
-        cls, name: str, estimates: Sequence[float], truths: Sequence[float]
-    ) -> "ErrorSummary":
-        """Summarize the q-errors of aligned estimate/truth sequences."""
-        return cls.from_errors(name, q_errors(estimates, truths))
-
     def row(self) -> dict[str, float]:
         """The summary as a flat dict matching the paper's column layout."""
         row: dict[str, float] = {f"{p}th": self.percentiles[p] for p in REPORTED_PERCENTILES}

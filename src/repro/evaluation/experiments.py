@@ -458,7 +458,8 @@ def ablation_final_function(harness: ExperimentHarness) -> ExperimentReport:
     for name in ("median", "mean", "trimmed_mean"):
         estimator = Cnt2CrdEstimator(crn, harness.pool, final_function=name)
         estimates = estimator.estimate_cardinalities(queries)
-        summaries[name] = ErrorSummary.from_estimates(name, estimates, truths)
+        errors = q_errors(estimates, truths, epsilon=CARDINALITY_EPSILON)
+        summaries[name] = ErrorSummary.from_errors(name, errors)
     return ExperimentReport(
         experiment_id="ablation_final_function",
         title="Final-function ablation for Cnt2Crd(CRN) on crd_test2 (Section 5.3.1)",

@@ -176,11 +176,6 @@ class FeaturizationCache:
         """Featurize (through the cache) and pad a batch of queries."""
         return self.pad_sets([self.featurize(query) for query in queries])
 
-    def warm(self, queries) -> None:
-        """Featurize ``queries`` ahead of time (e.g. the whole queries pool)."""
-        for query in queries:
-            self.featurize(query)
-
     def __len__(self) -> int:
         return len(self._store)
 

@@ -165,8 +165,7 @@ def build_service_stack(
         )
         pool_index.negotiate_dtype(plan.dtype)
     if config.pool_options.warm:
-        service.warm(entry.query for entry in config.pool)
-        pool_index.warm(cnt2crd)
+        pool_index.warm(cnt2crd)  # fills the caches and the slabs in one pass
     return ServiceStack(
         service=service,
         estimator=cnt2crd,
@@ -712,9 +711,8 @@ class ServingClient:
             return
         if queries is not None:
             self.service.warm(queries)
-            return
-        self.service.warm(entry.query for entry in self.config.pool)
-        self.stack.pool_index.warm(self.stack.estimator)
+        else:
+            self.stack.pool_index.warm(self.stack.estimator)
 
     # ------------------------------------------------------------------ #
     # feedback and adaptation

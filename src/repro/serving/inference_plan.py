@@ -61,7 +61,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, encode_set, pair_head, sigmoid_into
+from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, encode_sets, pair_head, sigmoid_into
 from repro.nn.tensor import Tensor, no_grad
 from repro.observability.events import PlanCompiled
 
@@ -146,10 +146,14 @@ class InferencePlan:
         mutated since compilation — and deliberately *not* identical after,
         which is the freeze guarantee.
         """
+        return self.encode_sets(vectors, (vectors.shape[0],), position)[0]
+
+    def encode_sets(self, rows: np.ndarray, counts, position: int) -> np.ndarray:
+        """``CRNModel.encode_sets`` against the weights frozen at compile time."""
         if position not in self._encoder:
             raise ValueError(f"position must be 1 or 2, got {position}")
         weight, bias = self._encoder[position]
-        return encode_set(vectors, weight, bias, self._pooling)
+        return encode_sets(rows, counts, weight, bias, self._pooling)
 
     # ------------------------------------------------------------------ #
     # pair head

@@ -1148,15 +1148,14 @@ class AdaptationManager:
         try:
             estimator = self._build_estimator(candidate, pool, incumbent, shared=True)
             containment = estimator.containment_estimator
-            if self.warm_on_swap:
+            if self.warm_on_swap and estimator.pool_index is not None:
+                # Rebuild the whole-pool encoding matrices (and the caches)
+                # with the candidate model *before* the registry swap: the
+                # first post-swap request then scores against warm slabs
+                # instead of paying a full per-signature re-encoding stall.
+                estimator.pool_index.warm(estimator)
+            elif self.warm_on_swap:
                 containment.warm(entry.query for entry in pool)
-                if estimator.pool_index is not None:
-                    # Rebuild the whole-pool encoding matrices with the
-                    # candidate model *before* the registry swap: the first
-                    # post-swap request then scores against warm slabs
-                    # instead of paying a full per-signature re-encoding
-                    # stall.
-                    estimator.pool_index.warm(estimator)
             self.service.replace(self.estimator_name, estimator)
         finally:
             if span is not None:

@@ -83,13 +83,28 @@ class _Slab:
     def count(self) -> int:
         return len(self.entries)
 
-    def set_row(self, offset: int, first_row: np.ndarray, second_row: np.ndarray) -> None:
-        """Write one entry's encodings (and their mirror columns, when negotiated)."""
-        self.first[offset] = first_row
-        self.second[offset] = second_row
+    def fill(self, entries: tuple[PoolEntry, ...], first: np.ndarray, second: np.ndarray) -> None:
+        """Extend to ``entries``: rows ``count:`` (and mirror columns) from ``(n, H)`` blocks."""
+        start, stop = self.count, len(entries)
+        self.ensure_capacity(stop)
+        self.first[start:stop], self.second[start:stop] = first, second
+        self.cardinalities[start:stop] = [entry.cardinality for entry in entries[start:]]
         if self.first_f32 is not None:
-            self.first_f32[:, offset] = first_row
-            self.second_f32[:, offset] = second_row
+            self.first_f32[:, start:stop], self.second_f32[:, start:stop] = first.T, second.T
+        self.entries = entries
+
+    def view(self, key: tuple) -> PoolSlab:
+        """A snapshot of the first :attr:`count` entries (see the module docstring)."""
+        count, mirrored = self.count, self.first_f32 is not None
+        return PoolSlab(
+            entries=self.entries,
+            cardinalities=self.cardinalities[:count],
+            token=(*key, self.version, count),
+            first=self.first[:count],
+            second=self.second[:count],
+            first_f32=self.first_f32[:, :count] if mirrored else None,
+            second_f32=self.second_f32[:, :count] if mirrored else None,
+        )
 
     def ensure_capacity(self, rows: int) -> None:
         """Grow the matrices to hold ``rows`` entries (doubling, amortized O(1)).
@@ -140,8 +155,8 @@ class PoolIndexStats:
         with self._lock:
             self.fallbacks += 1
 
-    def record_build(self, rows: int, rebuild: bool) -> None:
-        """Count one slab (re)build of ``rows`` encoded rows."""
+    def record_build(self, rebuild: bool) -> None:
+        """Count one slab build, or rebuild."""
         with self._lock:
             if rebuild:
                 self.rebuilds += 1
@@ -198,12 +213,12 @@ class PoolEncodingIndex:
         # stack runs inference, not of which model owns the rows.
         self._mirror_dtype: np.dtype | None = None
         # One lock guards the owner fence AND the slab store: the fence
-        # check and the slab read/build must be a single unit, or a reader
-        # could pass the fence, lose the CPU to a rebind, and then rebuild a
+        # check and the slab install must be a single unit, or a reader
+        # could pass the fence, lose the CPU to a rebind, and then install a
         # slab with the *old* model's rows under a key the new model would
-        # read (two models over the same snapshot share the scope).  Long
-        # holders (:meth:`warm`) release between signatures, so a fenced-out
-        # reader waits at most one bucket's sync, never a whole-pool build.
+        # read (two models over the same snapshot share the scope).  Encoding
+        # runs outside it (see _sync), so the lock is only ever held for
+        # array writes and dict reads.
         self._owner: object | None = None
         self._lock = threading.Lock()
 
@@ -284,32 +299,7 @@ class PoolEncodingIndex:
         signature = query.from_signature()
         view = None
         if isinstance(containment, CRNEstimator) and estimator.pool is self.pool:
-            scope = containment._encoding_scope()
-            key = (scope, signature)
-            # Reading the bucket version outside the index lock is safe: a
-            # concurrent add is either reflected by the version (and the slab
-            # syncs) or lands after — the same either-in-or-out snapshot
-            # semantics bucket_slab gives a row-less resolve.
-            version = self.pool.bucket_version(signature)
-            with self._lock:
-                # Fenced when a hot swap rebound the index to another model.
-                if self._owner is containment.model:
-                    slab = self._slabs.get(key)
-                    if slab is None or slab.version != version:
-                        slab = self._sync_locked(containment, scope, signature)
-                    view = PoolSlab(
-                        entries=slab.entries,
-                        cardinalities=slab.cardinalities[: slab.count],
-                        token=(scope, signature, slab.version, slab.count),
-                        first=slab.first[: slab.count],
-                        second=slab.second[: slab.count],
-                        first_f32=(
-                            slab.first_f32[:, : slab.count] if slab.first_f32 is not None else None
-                        ),
-                        second_f32=(
-                            slab.second_f32[:, : slab.count] if slab.second_f32 is not None else None
-                        ),
-                    )
+            view = self._sync(containment, containment._encoding_scope(), signature)
         if view is None:
             self.stats.record_fallback()
             return estimator.pool.bucket_slab(signature)
@@ -332,14 +322,9 @@ class PoolEncodingIndex:
             )
         self.bind(containment.model)
         scope = containment._encoding_scope()
-        # One lock acquisition per signature (not one for the whole pool):
-        # concurrent resolves — including fenced-out old-model requests
-        # during a hot swap — wait at most one bucket's sync.
         for signature in self.pool.from_signatures():
-            with self._lock:
-                if self._owner is not containment.model:
-                    return  # rebound mid-warm; the new owner re-warms
-                self._sync_locked(containment, scope, signature)
+            if self._sync(containment, scope, signature) is None:
+                return  # rebound mid-warm; the new owner re-warms
 
     def clear(self) -> None:
         """Drop every slab (keeps the binding and the stats)."""
@@ -352,85 +337,68 @@ class PoolEncodingIndex:
             return sum(slab.count for slab in self._slabs.values())
 
     # ------------------------------------------------------------------ #
-    # maintenance (caller holds the index lock)
+    # maintenance
 
-    def _sync_locked(self, containment: CRNEstimator, scope, signature) -> _Slab:
-        """Bring one signature's slab up to date with the pool bucket."""
-        entries, version = self.pool.bucket_snapshot(signature)
-        eligible = tuple(entry for entry in entries if entry.cardinality > 0)
+    def _sync(self, containment: CRNEstimator, scope, signature) -> PoolSlab | None:
+        """One signature's up-to-date slab view, or None when the fence turns it away.
+
+        A stale slab gets one bulk pass per slot over the rows it lacks — the
+        appended tail on pure growth, every eligible entry for a new slab or
+        after an in-place cardinality update — through
+        :meth:`CRNEstimator.encode_queries`, so a rebuild re-encodes only
+        encoding-cache misses.  Encoding runs outside the index lock; the
+        array writes run under it after the owner fence is re-checked, and a
+        sync that finds the slab changed by another writer meanwhile starts
+        over.  Reading the bucket version outside the lock is safe: a
+        concurrent add is either reflected by it (and the slab syncs) or
+        lands after — the either-in-or-out snapshot ``bucket_slab`` gives.
+        """
         key = (scope, signature)
-        slab = self._slabs.get(key)
-        if slab is not None and slab.version == version:
-            return slab
-        if slab is not None and eligible[: slab.count] == slab.entries:
-            # Pure growth: encode only the appended tail.
-            tail = eligible[slab.count :]
-            span = (
-                self.tracer.begin("index_build")
-                if self.tracer is not None and tail
-                else None
-            )
+        while True:
+            version = self.pool.bucket_version(signature)
+            with self._lock:
+                if self._owner is not containment.model:
+                    return None  # a hot swap rebound the index to another model
+                slab = self._slabs.get(key)
+                if slab is not None and slab.version == version:
+                    return slab.view(key)
+                held = None if slab is None else slab.entries
+            entries, version = self.pool.bucket_snapshot(signature)
+            eligible = tuple(entry for entry in entries if entry.cardinality > 0)
+            append = held is not None and eligible[: len(held)] == held
+            fresh = eligible[len(held) :] if append else eligible
+            mode = "append" if append else "rebuild" if slab is not None else "build"
+            work = bool(fresh) or not append
+            span = self.tracer.begin("index_build") if self.tracer is not None and work else None
             try:
-                slab.ensure_capacity(len(eligible))
-                for offset, entry in enumerate(tail, start=slab.count):
-                    slab.set_row(
-                        offset,
-                        containment.encode_query(entry.query, 1),
-                        containment.encode_query(entry.query, 2),
-                    )
-                    slab.cardinalities[offset] = entry.cardinality
+                queries = [entry.query for entry in fresh]
+                first = containment.encode_queries(queries, 1)
+                second = containment.encode_queries(queries, 2)
+                with self._lock:
+                    if self._owner is not containment.model:
+                        return None
+                    if self._slabs.get(key) is not slab or getattr(slab, "entries", None) is not held:
+                        continue  # another writer synced this slab meanwhile
+                    if not append:
+                        mirror = self._mirror_dtype is not None
+                        slab = _Slab(first.shape[1], max(self._initial_capacity, len(eligible)), mirror)
+                        self._slabs[key] = slab
+                    slab.fill(eligible, first, second)
+                    slab.version = version
+                    if append:
+                        self.stats.record_appended(len(fresh))
+                    else:
+                        self.stats.record_build(rebuild=mode == "rebuild")
+                    if self.recorder is not None and work:
+                        from repro.observability.events import IndexBuild
+
+                        self.recorder.emit(
+                            IndexBuild(signature=str(signature), rows=len(fresh), mode=mode)
+                        )
+                    return slab.view(key)
             finally:
                 if span is not None:
-                    self.tracer.end(
-                        span,
-                        signature=str(signature),
-                        rows=len(tail),
-                        mode="append",
-                    )
-            slab.entries = eligible
-            slab.version = version
-            self.stats.record_appended(len(tail))
-            if self.recorder is not None and tail:
-                from repro.observability.events import IndexBuild
-
-                self.recorder.emit(
-                    IndexBuild(signature=str(signature), rows=len(tail), mode="append")
-                )
-            return slab
-        # An entry changed in place (cardinality update) or the slab is new:
-        # rebuild wholesale.  Encodings come back out of the shared
-        # EncodingCache, so a rebuild costs dict lookups, not matmuls.
-        mode = "rebuild" if slab is not None else "build"
-        span = self.tracer.begin("index_build") if self.tracer is not None else None
-        try:
-            rebuilt = _Slab(
-                containment.model.hidden_size,
-                max(self._initial_capacity, len(eligible)),
-                mirror=self._mirror_dtype is not None,
-            )
-            for offset, entry in enumerate(eligible):
-                rebuilt.set_row(
-                    offset,
-                    containment.encode_query(entry.query, 1),
-                    containment.encode_query(entry.query, 2),
-                )
-                rebuilt.cardinalities[offset] = entry.cardinality
-        finally:
-            if span is not None:
-                self.tracer.end(
-                    span, signature=str(signature), rows=len(eligible), mode=mode
-                )
-        rebuilt.entries = eligible
-        rebuilt.version = version
-        self.stats.record_build(len(eligible), rebuild=slab is not None)
-        if self.recorder is not None:
-            from repro.observability.events import IndexBuild
-
-            self.recorder.emit(
-                IndexBuild(signature=str(signature), rows=len(eligible), mode=mode)
-            )
-        self._slabs[key] = rebuilt
-        return rebuilt
+                    self.tracer.end(span, signature=str(signature), rows=len(fresh), mode=mode)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -742,16 +742,14 @@ class EstimationService:
         return served
 
     def warm(self, queries: Iterable[Query]) -> None:
-        """Pre-featurize and pre-encode ``queries`` (typically the whole pool).
+        """Pre-featurize and pre-encode ``queries`` ahead of their requests.
 
-        Warming runs through the registered Cnt2Crd estimators' CRN-style
-        containment models (and the featurization cache directly), so steady
-        state — pool queries featurized once, ever — is reached before the
-        first request instead of during it.
+        Runs through the registered Cnt2Crd estimators' CRN containment
+        models (:meth:`CRNEstimator.warm`: one bulk pass per slot).  The
+        pool itself is warmed by :meth:`PoolEncodingIndex.warm`, which fills
+        the caches and the slabs in the same pass.
         """
         queries = list(queries)
-        if self.featurization_cache is not None:
-            self.featurization_cache.warm(queries)
         warmed: set[int] = set()
         with self._registry_lock:
             estimators = list(self._registry.values())

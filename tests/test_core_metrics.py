@@ -46,8 +46,8 @@ class TestErrorSummary:
         assert summary.percentiles[50] == pytest.approx(np.percentile(errors, 50))
         assert summary.percentiles[99] == pytest.approx(np.percentile(errors, 99))
 
-    def test_from_estimates(self):
-        summary = ErrorSummary.from_estimates("model", [10.0, 20.0], [10.0, 10.0])
+    def test_from_errors_of_q_errors(self):
+        summary = ErrorSummary.from_errors("model", q_errors([10.0, 20.0], [10.0, 10.0]))
         assert summary.max == pytest.approx(2.0)
 
     def test_empty_errors_rejected(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cnt2crd import Cnt2CrdEstimator
 from repro.evaluation.experiments import EXPERIMENTS, ExperimentReport, list_experiments, run_experiment
 from tests.test_evaluation_harness import TINY_PROFILE
 from repro.evaluation.harness import ExperimentHarness
@@ -78,6 +79,15 @@ class TestSelectedExperimentsEndToEnd:
     def test_improved_model_experiment_report(self, harness):
         report = run_experiment("table11_improved_postgres", harness)
         assert "Improved PostgreSQL" in report.text
+
+    def test_final_function_ablation_floors_truth_like_the_cardinality_tables(self, harness):
+        # An empty true result counts as one row in every cardinality table;
+        # the ablation's median row must be Table 7's row for that estimator.
+        report = run_experiment("ablation_final_function", harness)
+        median = Cnt2CrdEstimator(harness.crn_estimator(), harness.pool, final_function="median")
+        expected = harness.evaluate_cardinality("crd_test2", {"median": median})["median"]
+        assert any(item.cardinality == 0 for item in harness.workload("crd_test2").queries)
+        assert report.data["summaries"]["median"] == expected
 
     def test_pool_size_experiment_report(self, harness):
         report = run_experiment("table14_pool_size", harness)

@@ -369,6 +369,89 @@ class TestTileInvariance:
 
 
 # --------------------------------------------------------------------------- #
+# bulk encoding: a set's bits do not depend on the sets encoded with it
+
+
+def random_sets(width: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random sets of 1-20 dense rows, stacked, and their sizes."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 21, size=count)
+    return rng.standard_normal((int(counts.sum()), width)), counts
+
+
+def one_by_one(encoder, rows, counts, position) -> np.ndarray:
+    ends = np.cumsum(counts)
+    return np.stack(
+        [encoder.encode_set(rows[end - size : end], position) for size, end in zip(counts, ends)]
+    )
+
+
+class TestBulkEncoding:
+    # 600 sets: three 256-set chunks, so sets on both sides of two chunk
+    # boundaries, and sets straddling 16-row GEMM tiles; 1-row sets among them.
+    @pytest.mark.parametrize("pooling", ["average", "sum"])
+    def test_encode_sets_is_encode_set_per_set_live_and_frozen(self, pooling):
+        crn = CRNModel(24, CRNConfig(hidden_size=32, seed=9, pooling=pooling))
+        rows, counts = random_sets(24, 600, seed=4)
+        assert (counts == 1).any()
+        for position in (1, 2):
+            live = crn.encode_sets(rows, counts, position)
+            assert live.shape == (600, 32) and live.dtype == np.float64
+            assert live.tobytes() == one_by_one(crn, rows, counts, position).tobytes()
+            for dtype in (np.float64, np.float32):
+                # Both plan dtypes freeze float64 encoders: the same bits.
+                plan = compile_plan(crn, dtype=dtype)
+                assert plan.encode_sets(rows, counts, position).tobytes() == live.tobytes()
+                assert one_by_one(plan, rows, counts, position).tobytes() == live.tobytes()
+
+    def test_multi_row_sets_keep_the_per_set_formula_bits(self):
+        # The arithmetic encode_set had before bulk encoding existed; a one-row
+        # set matches it too when its row is one-hot, as a featurized one is.
+        crn = CRNModel(24, CRNConfig(hidden_size=32, seed=9))
+        rows, counts = random_sets(24, 300, seed=6)
+        rows[np.cumsum(counts)[counts == 1] - 1] = np.eye(24)[3]
+        weight, bias = crn.set_encoder1.weight.data, crn.set_encoder1.bias.data
+        ends = np.cumsum(counts)
+        expected = np.stack(
+            [
+                np.maximum(rows[end - size : end] @ weight + bias, 0.0).sum(axis=0) / size
+                for size, end in zip(counts, ends)
+            ]
+        )
+        assert crn.encode_sets(rows, counts, 1).tobytes() == expected.tobytes()
+
+    def test_empty_input_and_zero_row_sets(self):
+        crn = CRNModel(8, CRNConfig(hidden_size=16, seed=5))
+        assert crn.encode_sets(np.empty((0, 8)), [], 1).shape == (0, 16)
+        rows, counts = random_sets(8, 5, seed=2)
+        with_empty = crn.encode_sets(rows, [*counts, 0], 2)
+        assert not with_empty[-1].any()
+        assert with_empty[:-1].tobytes() == crn.encode_sets(rows, counts, 2).tobytes()
+        assert not crn.encode_sets(np.empty((0, 8)), [0, 0], 1).any()
+
+    def test_any_order_and_any_neighbours_keep_each_sets_bits(self):
+        # Shuffled, a set lands at another offset in another tile and chunk.
+        crn = CRNModel(24, CRNConfig(hidden_size=32, seed=9))
+        rows, counts = random_sets(24, 400, seed=8)
+        scored = crn.encode_sets(rows, counts, 1)
+        ends = np.cumsum(counts)
+        order = np.random.default_rng(8).permutation(400)
+        shuffled = np.concatenate([rows[ends[i] - counts[i] : ends[i]] for i in order])
+        assert crn.encode_sets(shuffled, counts[order], 1).tobytes() == scored[order].tobytes()
+
+    def test_the_estimators_bulk_encode_is_its_encode_query(self, model, imdb_featurizer, pool):
+        queries = [entry.query for entry in pool]
+        for plan in (None, compile_plan(model, dtype=np.float32)):
+            estimator = CRNEstimator(model, imdb_featurizer)
+            if plan is not None:
+                estimator.attach_plan(plan)
+            for position in (1, 2):
+                bulk = estimator.encode_queries(queries, position)
+                alone = np.stack([estimator.encode_query(query, position) for query in queries])
+                assert bulk.tobytes() == alone.tobytes()
+
+
+# --------------------------------------------------------------------------- #
 # the float32 fused slab kernel
 
 

@@ -351,8 +351,10 @@ class TestClientFacade:
         client = ServingClient(config)
         assert len(client.stack.featurization_cache) == 0
         client.warm()
-        assert len(client.stack.featurization_cache) >= len(pool)
-        assert len(client.stack.pool_index) > 0
+        # Every scored pool query (cardinality > 0) is featurized and indexed.
+        eligible = sum(1 for entry in pool if entry.cardinality > 0)
+        assert len(client.stack.featurization_cache) == eligible
+        assert len(client.stack.pool_index) == eligible
 
 
 class TestProvenance:

@@ -9,6 +9,8 @@ covers all three axes in one run.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,12 @@ from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     EncodingCache,
     EstimationService,
+    InferenceConfig,
     PoolEncodingIndex,
+    ServingConfig,
+    build_service_stack,
 )
+from repro.sql.builder import QueryBuilder
 from tests.conftest import build_service
 
 
@@ -333,6 +339,144 @@ class TestServiceIntegration:
         served = [item.estimate for item in service.submit_batch(workload)]
         expected = [reference.estimate_cardinality(query) for query in workload]
         assert served == expected
+
+
+# --------------------------------------------------------------------------- #
+# warmed slab rows: the bulk warm writes exactly the per-query encodings
+
+
+def bucket_pool(size: int) -> QueriesPool:
+    """``size`` range queries over two FROM signatures (the Table 14 regime)."""
+    pool = QueriesPool()
+    for index in range(size):
+        low, high = 1900 + index % 90, 1901 + index % 90 + index // 90
+        builder = QueryBuilder().table("title", "t")
+        if index % 2:
+            builder = builder.table("movie_companies", "mc").join("t.id", "mc.movie_id")
+        builder = builder.where("t.production_year", ">", low - 0.5)
+        pool.add(builder.where("t.production_year", "<", high + 0.5).build(), index % 997 + 1)
+    return pool
+
+
+def resolved_slabs(stack) -> list[PoolSlab]:
+    """Every signature's slab, in ``repr`` order of the signatures."""
+    pool = stack.pool_index.pool
+    return [
+        stack.pool_index.resolve(stack.estimator, pool.bucket_snapshot(signature)[0][0].query)
+        for signature in sorted(pool.from_signatures(), key=repr)
+    ]
+
+
+def formula_encoding(model, featurizer, query, position) -> np.ndarray:
+    """The per-query set-encoder arithmetic, written out."""
+    encoder = model.set_encoder1 if position == 1 else model.set_encoder2
+    vectors = featurizer.featurize(query)
+    transformed = np.maximum(vectors @ encoder.weight.data + encoder.bias.data, 0.0)
+    return transformed.sum(axis=0) / vectors.shape[0]
+
+
+FLOAT32 = InferenceConfig(mode="compiled", slab_dtype="float32")
+
+
+@pytest.fixture(scope="module")
+def buckets():
+    return bucket_pool(600)  # 300 entries a bucket: both sides of a chunk boundary
+
+
+class TestWarmedSlabRows:
+    @pytest.mark.parametrize("inference", [InferenceConfig(), FLOAT32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("kind", ["generated", "bucket"])
+    def test_every_row_is_its_entrys_encoding_and_mirrors_are_casts(
+        self, model, imdb_featurizer, pool, buckets, kind, inference
+    ):
+        served = pool if kind == "generated" else buckets
+        stack = build_service_stack(
+            ServingConfig(model=model, featurizer=imdb_featurizer, pool=served, inference=inference)
+        )
+        slabs = resolved_slabs(stack)
+        assert sum(len(slab.entries) for slab in slabs) == sum(1 for e in served if e.cardinality > 0)
+        for slab in slabs:
+            for offset, entry in enumerate(slab.entries):
+                vectors = imdb_featurizer.featurize(entry.query)
+                for position, rows in ((1, slab.first), (2, slab.second)):
+                    expected = model.encode_set(vectors, position)
+                    assert rows[offset].tobytes() == expected.tobytes()
+                    formula = formula_encoding(model, imdb_featurizer, entry.query, position)
+                    assert expected.tobytes() == formula.tobytes()
+            if inference is FLOAT32:
+                assert slab.first_f32.tobytes() == slab.first.T.astype(np.float32).tobytes()
+                assert slab.second_f32.tobytes() == slab.second.T.astype(np.float32).tobytes()
+            else:
+                assert slab.first_f32 is None and slab.second_f32 is None
+
+    @pytest.mark.parametrize("inference", [InferenceConfig(), FLOAT32], ids=["f64", "f32"])
+    def test_append_and_rebuild_rows_equal_a_fresh_warm(
+        self, model, imdb_featurizer, labeled, inference
+    ):
+        def rows(stack):
+            return [
+                (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(),
+                 slab.second.tobytes(), None if slab.first_f32 is None else
+                 slab.first_f32.tobytes() + slab.second_f32.tobytes())
+                for slab in resolved_slabs(stack)
+            ]
+
+        def stack_over(pool):
+            return build_service_stack(
+                ServingConfig(model=model, featurizer=imdb_featurizer, pool=pool, inference=inference)
+            )
+
+        growing = QueriesPool.from_labeled_queries(labeled[:40])
+        stack = stack_over(growing)
+        for item in labeled[40:]:
+            growing.add(item.query, item.cardinality)
+        appended = rows(stack)
+        assert stack.pool_index.stats.appended_rows > 0 and stack.pool_index.stats.rebuilds == 0
+        assert appended == rows(stack_over(QueriesPool.from_labeled_queries(labeled)))
+
+        bumped = next(item for item in labeled if item.cardinality > 0)
+        growing.add(bumped.query, bumped.cardinality + 1)
+        misses = stack.encoding_cache.stats.misses
+        rebuilt = rows(stack)
+        assert stack.pool_index.stats.rebuilds == 1
+        # The rebuild read every encoding back out of the cache.
+        assert stack.encoding_cache.stats.misses == misses
+        fresh = QueriesPool.from_labeled_queries(labeled)
+        fresh.add(bumped.query, bumped.cardinality + 1)
+        assert rebuilt == rows(stack_over(fresh))
+        assert rebuilt != appended  # the bumped cardinality is in it
+
+
+#: sha256 over the bytes of every warmed slab row -- slot 1 then slot 2 per
+#: signature, signatures in ``repr`` order -- of a 150-query generated pool
+#: at each seed, hidden size 16, reference mode.  Computed at commit 5350123,
+#: whose warm encoded the pool one query at a time.
+PINNED_SLAB_DIGESTS = {
+    5: "ca32284777779b8311e881245203db6020a0311784b2ee0396525218ab14ba72",
+    41: "6d9b46c05df06da5a5eb1e6236c46032feb1963c4fc86d400d7df8b3749ea6f2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SLAB_DIGESTS))
+def test_warmed_slab_rows_match_the_pinned_digest(seed, model, imdb_small, imdb_oracle, imdb_featurizer):
+    labeled = build_queries_pool_queries(imdb_small, count=150, seed=seed, oracle=imdb_oracle)
+    stack = build_service_stack(
+        ServingConfig(
+            model=model, featurizer=imdb_featurizer, pool=QueriesPool.from_labeled_queries(labeled)
+        )
+    )
+    slabs = resolved_slabs(stack)
+    formula = hashlib.sha256()
+    for slab in slabs:
+        for position in (1, 2):
+            for entry in slab.entries:
+                formula.update(formula_encoding(model, imdb_featurizer, entry.query, position).tobytes())
+    if formula.hexdigest() != PINNED_SLAB_DIGESTS[seed]:
+        pytest.skip("this BLAS rounds the set encoders differently from where the digest was pinned")
+    warmed = hashlib.sha256()
+    for slab in slabs:
+        warmed.update(slab.first.tobytes() + slab.second.tobytes())
+    assert warmed.hexdigest() == PINNED_SLAB_DIGESTS[seed]
 
 
 # --------------------------------------------------------------------------- #

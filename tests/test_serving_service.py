@@ -372,9 +372,12 @@ class TestEstimationService:
         service = build_service(
             model, imdb_small, imdb_featurizer, pool, max_cache_entries=len(pool)
         )
-        # Warming inserts one encoding per pair slot per pool query; a bound
-        # sized to the pool must not evict half of what it just warmed.
-        assert len(service.encoding_cache) == 2 * len(pool)
+        # Warming inserts one encoding per pair slot per scored (non-empty)
+        # pool query; a bound sized to the pool must not evict half of what
+        # it just warmed.
+        eligible = sum(1 for entry in pool if entry.cardinality > 0)
+        assert 0 < eligible < len(pool)
+        assert len(service.encoding_cache) == 2 * eligible
         assert service.encoding_cache.stats.evictions == 0
 
     def test_non_cnt2crd_estimators_are_served_per_query(
@@ -398,7 +401,8 @@ class TestEstimationService:
         assert snapshot["scored_pairs"] <= snapshot["planned_pairs"]
         # The pool was warmed at build time, so every pool-side encoding hits.
         assert snapshot["encoding_hit_rate"] > 0.0
-        assert snapshot["featurization_entries"] >= len(pool)
+        # The warm featurized every scored pool query (cardinality > 0).
+        assert snapshot["featurization_entries"] >= sum(1 for e in pool if e.cardinality > 0)
         served_again = service.submit_batch(workload)
         assert service.stats.batches == 2
         assert served_again[0].latency_seconds > 0.0
