@@ -9,7 +9,11 @@ epochs) as ``repro`` trajectory rows:
   (``CRNModel.forward`` on the padded batch, the ``repro.nn`` loss,
   ``Tensor.backward``, ``nn.optim.Adam.step``: the loop ``train_crn`` ran
   before the fused step) over seconds of one :meth:`CRNTrainer.step` on the
-  same 64-pair batch from the same weights.  A ratio, so
+  same 64-pair batch from the same weights.  The fused step runs the two set
+  encoders on the batch's distinct feature rows (a :class:`RaggedPairs` side
+  is ids into a vocabulary of distinct rows), pools through one
+  ``(pairs, distinct rows)`` multiplicity matrix and un-pools through its
+  transpose; the reference encodes every padded row.  A ratio, so
   ``bench_report.py check --only speedup`` gates it.  The reference side is
   given its padded ``Tensor`` batch ready-made; the old loop also gathered it.
 * ``train_crn_seconds`` — one whole ``train_crn``.

@@ -24,7 +24,7 @@ from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import QueryPair
 from repro.nn.data import BatchIterator, train_validation_split
-from repro.nn.loss import loss_and_gradient
+from repro.nn.loss import LOSS_FUNCTIONS, loss_and_gradient
 from repro.nn.optim import adam_update
 
 
@@ -57,6 +57,10 @@ class TrainingConfig:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):  # also rejects NaN
+            raise ValueError("learning_rate must be positive and finite")
+        if self.loss not in LOSS_FUNCTIONS:
+            raise ValueError(f"unknown loss {self.loss!r}; available: {sorted(LOSS_FUNCTIONS)}")
         if self.loss_epsilon <= 0:
             raise ValueError("loss_epsilon must be positive")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -100,24 +104,45 @@ class TrainingResult:
 _EVAL_PAIRS = 512
 
 
+def _vocabulary(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(vocabulary, ids)``, ``vocabulary[ids] == rows``: distinct rows by exact bytes."""
+    rows, index = np.ascontiguousarray(rows, dtype=np.float64), {}
+    ids = np.array([index.setdefault(row.tobytes(), len(index)) for row in rows], np.intp)
+    return np.frombuffer(b"".join(index)).reshape(len(index), rows.shape[1]), ids
+
+
+def _take(vocabulary, ids, offsets, order) -> tuple:
+    """Sets ``order`` of a ``(vocabulary, ids, offsets)`` side, as ``(vocabulary, ids, counts)``."""
+    counts = np.diff(offsets)[order]
+    # A taken row sits as far behind its set's old start as behind its new one.
+    shift = offsets[order] - (np.cumsum(counts) - counts)
+    return vocabulary, ids[np.arange(counts.sum()) + np.repeat(shift, counts)], counts
+
+
 class RaggedPairs:
-    """Labelled pairs as ragged feature rows: no padding, no mask.
+    """Labelled pairs as ids into a vocabulary of distinct feature rows.
 
     Each side (the first and the second queries) comes as ``(rows, counts)``:
     the vector sets of all pairs concatenated into one ``(R, L)`` matrix, and
-    every pair's set size.  ``sides`` holds ``(rows, offsets)``, pair ``i``
-    owning ``rows[offsets[i]:offsets[i + 1]]``.  No set may be empty:
-    ``np.add.reduceat`` would mis-pool an empty segment.
+    every pair's set size.  ``sides`` holds ``(vocabulary, ids, offsets)``,
+    each distinct row once (exact bytes), pair ``i``'s set being
+    ``vocabulary[ids[offsets[i]:offsets[i + 1]]]``; a side given as
+    ``(vocabulary, ids, counts)`` is already laid out (two sides may share a
+    vocabulary).  No set may be empty: average pooling divides by its size.
     """
 
     def __init__(self, first, second, targets) -> None:
         self.targets = np.asarray(targets, dtype=np.float64)
         self.sides = []
-        for rows, counts in (first, second):
+        for side in (first, second):
+            vocabulary, ids, counts = side if len(side) == 3 else (*_vocabulary(side[0]), side[1])
             counts = np.asarray(counts)
             if len(counts) != len(self.targets) or (counts <= 0).any():
                 raise ValueError("every pair needs a non-empty vector set on both sides")
-            self.sides.append((rows, np.concatenate(([0], np.cumsum(counts)))))
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            if offsets[-1] != len(ids):
+                raise ValueError(f"{len(ids)} rows for set sizes summing to {offsets[-1]}")
+            self.sides.append((vocabulary, ids, offsets))
 
     @classmethod
     def from_sets(cls, first_sets, second_sets, targets) -> "RaggedPairs":
@@ -130,31 +155,25 @@ class RaggedPairs:
 
     @classmethod
     def featurize(cls, featurizer: QueryFeaturizer, pairs: Sequence[QueryPair]) -> "RaggedPairs":
-        """Featurize every *distinct* query of ``pairs`` once."""
-        features = {
-            query: featurizer.featurize(query)
-            for query in {query for pair in pairs for query in (pair.first, pair.second)}
-        }
-        return cls.from_sets(
-            [features[pair.first] for pair in pairs],
-            [features[pair.second] for pair in pairs],
-            [pair.containment_rate for pair in pairs],
-        )
+        """Featurize every *distinct* query of ``pairs`` once; their rows make
+        the vocabulary both sides share."""
+        queries = dict.fromkeys(query for pair in pairs for query in (pair.first, pair.second))
+        position = {query: index for index, query in enumerate(queries)}
+        sets = [featurizer.featurize(query) for query in queries]
+        distinct = (*_vocabulary(np.concatenate(sets)), np.cumsum([0, *map(len, sets)]))
+        order = np.array([(position[pair.first], position[pair.second]) for pair in pairs])
+        targets = [pair.containment_rate for pair in pairs]
+        return cls(_take(*distinct, order[:, 0]), _take(*distinct, order[:, 1]), targets)
 
     def __len__(self) -> int:
         return len(self.targets)
 
     def take(self, order) -> "RaggedPairs":
-        """The pairs at ``order``, laid out in that order by one row gather per
+        """The pairs at ``order``, laid out in that order by one id gather per
         side: an epoch lays out its permutation once, after which every
         mini-batch is a slice."""
-        order, sides = np.asarray(order), []
-        for rows, offsets in self.sides:
-            counts = np.diff(offsets)[order]
-            # A taken row sits as far behind its pair's old start as behind its new one.
-            shift = offsets[order] - (np.cumsum(counts) - counts)
-            sides.append((rows[np.arange(counts.sum()) + np.repeat(shift, counts)], counts))
-        return RaggedPairs(*sides, self.targets[order])
+        order = np.asarray(order)
+        return RaggedPairs(*(_take(*side, order) for side in self.sides), self.targets[order])
 
 
 class CRNTrainer:
@@ -193,16 +212,13 @@ class CRNTrainer:
             for row in self._flat[:2]
         )
         self._adam_steps = 0
-        self._capacity = (0, 0)
+        self._capacity = 0
 
-    def _reserve(self, pairs: int, rows: int) -> None:
-        """Make every buffer hold ``pairs`` pairs and ``rows`` set rows per side."""
-        if pairs <= self._capacity[0] and rows <= self._capacity[1]:
+    def _reserve(self, pairs: int) -> None:
+        """Make every buffer hold ``pairs`` pairs."""
+        if pairs <= self._capacity:
             return
-        pairs, rows = max(pairs, self._capacity[0]), max(rows, self._capacity[1])
-        self._capacity, size = (pairs, rows), self.model.hidden_size
-        # relu(rows @ W + b) per side, and the un-pooled encoding gradient.
-        self._relu, self._unpooled = np.empty((2, rows, size)), np.empty((rows, size))
+        self._capacity, size = pairs, self.model.hidden_size
         self._pair, self._pair_gradient = np.empty((2, pairs, self.weights[4].shape[0]))
         self._hidden = np.empty((pairs, 2 * size))
         # The rate column and three sigmoid temporaries; the sigmoid's sign mask.
@@ -211,18 +227,23 @@ class CRNTrainer:
     def forward(self, data: RaggedPairs, start: int, stop: int) -> np.ndarray:
         """Rates of pairs ``start:stop``: a ``(count, 1)`` view, valid until the next pass."""
         count, size = stop - start, self.model.hidden_size
-        self._reserve(count, max(offsets[stop] - offsets[start] for _, offsets in data.sides))
+        self._reserve(count)
         pair = self._pair[:count]
-        for side, (rows, offsets) in enumerate(data.sides):
-            low, high = offsets[start], offsets[stop]
-            activation = self._relu[side, : high - low]
-            np.matmul(rows[low:high], self.weights[2 * side], out=activation)
-            np.add(activation, self.weights[2 * side + 1], out=activation)
-            np.maximum(activation, 0.0, out=activation)
-            encoding = pair[:, side * size : (side + 1) * size]
-            np.add.reduceat(activation, offsets[start:stop] - low, axis=0, out=encoding)
+        self._encoded = []  # per side, what the backward pass reads
+        for side, (vocabulary, ids, offsets) in enumerate(data.sides):
+            distinct, inverse = np.unique(ids[offsets[start] : offsets[stop]], return_inverse=True)
+            sizes, width = np.diff(offsets[start : stop + 1]), len(distinct)
+            # pooling[i, j]: how often distinct row j occurs in pair i's set,
+            # over the set's size under average pooling.
+            owners = np.repeat(np.arange(0, count * width, width), sizes)
+            pooling = np.bincount(owners + inverse, minlength=count * width)
+            pooling = pooling.reshape(count, width).astype(np.float64)
             if self.model.config.pooling == "average":
-                encoding /= np.diff(offsets[start : stop + 1])[:, None]
+                pooling /= sizes[:, None]
+            rows = vocabulary[distinct]
+            activation = np.maximum(rows @ self.weights[2 * side] + self.weights[2 * side + 1], 0.0)
+            np.matmul(pooling, activation, out=pair[:, side * size : (side + 1) * size])
+            self._encoded.append((pooling, rows, activation))
         if self.model.config.use_expand:
             first, second = pair[:, :size], pair[:, size : 2 * size]
             distance = np.subtract(first, second, out=pair[:, 2 * size : 3 * size])
@@ -267,20 +288,12 @@ class CRNTrainer:
             product = pair_gradient[:, 3 * size :]
             pair_gradient[:, :size] += distance + product * second
             pair_gradient[:, size : 2 * size] += product * first - distance
-        for side, (rows, offsets) in enumerate(data.sides):
-            low, high = offsets[start], offsets[stop]
-            sizes = np.diff(offsets[start : stop + 1])
+        for side, (pooling, rows, activation) in enumerate(self._encoded):
             encoding_gradient = pair_gradient[:, side * size : (side + 1) * size]
-            if self.model.config.pooling == "average":
-                encoding_gradient /= sizes[:, None]
-            activation, unpooled = self._relu[side, : high - low], self._unpooled[: high - low]
-            # Un-pool: every set row receives its pair's encoding gradient.
-            owners = np.repeat(np.arange(count), sizes)
-            np.take(encoding_gradient, owners, axis=0, out=unpooled, mode="clip")
-            np.sign(activation, out=activation)
-            activation *= unpooled
-            np.matmul(rows[low:high].T, activation, out=self.gradients[2 * side])
-            np.sum(activation, axis=0, out=self.gradients[2 * side + 1])
+            # Un-pool through the same weights, then each distinct row's ReLU mask.
+            activation_gradient = (pooling.T @ encoding_gradient) * np.sign(activation)
+            np.matmul(rows.T, activation_gradient, out=self.gradients[2 * side])
+            np.sum(activation_gradient, axis=0, out=self.gradients[2 * side + 1])
         return loss
 
     def step(self, data: RaggedPairs, start: int, stop: int) -> float:

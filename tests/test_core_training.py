@@ -49,6 +49,13 @@ class TestTrainingConfig:
             TrainingConfig(early_stopping_patience=-1)
         with pytest.raises(ValueError):
             TrainingConfig(loss_epsilon=0.0)
+        # The fused trainer calls adam_update directly, and a bad loss would
+        # only fail at the first step (on the lifecycle's retrain thread).
+        for learning_rate in (-0.5, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainingConfig(learning_rate=learning_rate)
+        with pytest.raises(ValueError, match="nope"):
+            TrainingConfig(loss="nope")
 
 
 class TestTrainCRN:
@@ -158,15 +165,32 @@ def _reference_loss(model, config, first_sets, second_sets, targets) -> Tensor:
 
 @st.composite
 def ragged_batches(draw):
-    """Model, config and one ragged batch: 1-9 pairs, sets of 1-6 vectors."""
+    """Model, config and one ragged batch: 1-9 pairs, sets of 1-6 vectors.
+
+    Rows repeat as featurized rows do: part of every set comes from a small
+    palette of one-hot and dense rows, so a row recurs across sets and within
+    one.  Several pairs may share one first-side set, and one second-side set
+    may hold a row twice (7 vectors at most).
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = draw(st.integers(1, 9))
     largest_set = draw(st.integers(1, 6))  # 1: every set is a single vector
     vector_size = draw(st.integers(2, 5))
-    sides = [
-        [rng.normal(size=(rng.integers(1, largest_set + 1), vector_size)) for _ in range(batch)]
-        for _ in range(2)
-    ]
+    palette = np.concatenate((np.eye(vector_size), rng.normal(size=(2, vector_size))))
+    palette_share = draw(st.sampled_from([0.0, 0.5, 0.9]))  # 0: no row repeats by chance
+
+    def vector_set():
+        vectors = rng.normal(size=(rng.integers(1, largest_set + 1), vector_size))
+        picked = rng.random(len(vectors)) < palette_share
+        vectors[picked] = palette[rng.integers(len(palette), size=picked.sum())]
+        return vectors
+
+    sides = [[vector_set() for _ in range(batch)] for _ in range(2)]
+    shared = vector_set()
+    for index in rng.choice(batch, size=draw(st.integers(0, batch)), replace=False):
+        sides[0][index] = shared
+    if draw(st.booleans()):
+        sides[1][0] = np.concatenate((sides[1][0], sides[1][0][:1]))
     # Exact 0 and 1 exercise the target clamp; a large epsilon, the prediction clamp.
     targets = np.asarray(
         draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.6, 1e-4]), min_size=batch, max_size=batch))
@@ -212,18 +236,60 @@ class TestFusedStepAgainstAutodiff:
         with pytest.raises(ValueError, match="non-empty"):
             RaggedPairs.from_sets([vectors, np.empty((0, 3))], [vectors, vectors], [0.5, 0.5])
 
+    def test_vocabulary_holds_each_given_row_once(self):
+        rng = np.random.default_rng(8)
+        # One-hot rows, a predicate-like row, and 0.0 / -0.0 rows, which are
+        # equal but not the same bytes: both must come back as given.
+        palette = np.concatenate(
+            (np.eye(4), [[0.0, 0.0, 1.0, 0.37]], np.zeros((1, 4)), np.full((1, 4), -0.0))
+        )
+        first, second = (
+            [palette[rng.integers(len(palette), size=size)] for size in rng.integers(1, 6, size=12)]
+            for _ in range(2)
+        )
+        data = RaggedPairs.from_sets(first, second, rng.random(12))
+        for sets, (vocabulary, ids, offsets) in zip((first, second), data.sides):
+            assert vocabulary[ids].tobytes() == np.concatenate(sets).tobytes()
+            assert len({row.tobytes() for row in vocabulary}) == len(vocabulary) < len(ids)
+            assert offsets.tolist() == [0, *np.cumsum([len(vectors) for vectors in sets])]
+
+    def test_featurize_shares_one_vocabulary_of_the_featurized_rows(
+        self, imdb_small, imdb_featurizer, imdb_oracle
+    ):
+        pairs = build_training_pairs(imdb_small, count=80, seed=9, oracle=imdb_oracle)
+        data = RaggedPairs.featurize(imdb_featurizer, pairs)
+        assert data.sides[0][0] is data.sides[1][0]
+        vocabulary = data.sides[0][0]
+        assert len({row.tobytes() for row in vocabulary}) == len(vocabulary)
+        for side, (_, ids, offsets) in zip(("first", "second"), data.sides):
+            sets = [imdb_featurizer.featurize(getattr(pair, side)) for pair in pairs]
+            assert vocabulary[ids].tobytes() == np.concatenate(sets).tobytes()
+            assert np.diff(offsets).tolist() == [len(vectors) for vectors in sets]
+            assert len(vocabulary) < len(ids)
+
+    def test_row_count_must_match_the_set_sizes(self):
+        vectors = np.ones((3, 2))
+        for rows in (np.ones((4, 2)), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="rows for set sizes summing to 3"):
+                RaggedPairs((rows, [1, 2]), (vectors, [2, 1]), [0.5, 0.5])
+
     def test_take_lays_pairs_out_in_the_requested_order(self):
         sets = [np.full((size, 2), float(size)) for size in (1, 3, 2)]
-        data = RaggedPairs.from_sets(sets, sets[::-1], [0.1, 0.2, 0.3]).take([2, 0])
-        rows, offsets = data.sides[0]
-        assert offsets.tolist() == [0, 2, 3] and rows[:, 0].tolist() == [2.0, 2.0, 1.0]
-        assert data.sides[1][0][:, 0].tolist() == [1.0, 2.0, 2.0]
-        assert data.targets.tolist() == [0.3, 0.1]
+        data = RaggedPairs.from_sets(sets, sets[::-1], [0.1, 0.2, 0.3])
+        taken = data.take([2, 0])
+        vocabulary, ids, offsets = taken.sides[0]
+        assert vocabulary is data.sides[0][0]  # ids are gathered, rows are not
+        assert vocabulary.tolist() == [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]
+        assert offsets.tolist() == [0, 2, 3] and ids.tolist() == [2, 2, 0]
+        vocabulary, ids, _ = taken.sides[1]
+        assert vocabulary[ids][:, 0].tolist() == [1.0, 2.0, 2.0]
+        assert taken.targets.tolist() == [0.3, 0.1]
 
     def test_take_equals_building_from_the_reordered_sets(self):
         rng = np.random.default_rng(4)
         first, second = (
-            [rng.random((size, 3)) for size in rng.integers(1, 7, size=15)] for _ in range(2)
+            [rng.integers(0, 2, (size, 3)).astype(float) for size in rng.integers(1, 7, size=15)]
+            for _ in range(2)
         )
         targets, order = rng.random(15), rng.permutation(15)[:11]
         taken = RaggedPairs.from_sets(first, second, targets).take(order)
@@ -231,9 +297,11 @@ class TestFusedStepAgainstAutodiff:
             [first[i] for i in order], [second[i] for i in order], targets[order]
         )
         assert taken.targets.tolist() == rebuilt.targets.tolist()
-        for (rows, offsets), (expected_rows, expected_offsets) in zip(taken.sides, rebuilt.sides):
+        for (vocabulary, ids, offsets), (expected, expected_ids, expected_offsets) in zip(
+            taken.sides, rebuilt.sides
+        ):
             assert offsets.tolist() == expected_offsets.tolist()
-            np.testing.assert_array_equal(rows, expected_rows)
+            np.testing.assert_array_equal(vocabulary[ids], expected[expected_ids])
 
     def test_three_epoch_trajectory_matches_a_reference_loop(
         self, imdb_small, imdb_featurizer, imdb_oracle
