@@ -17,7 +17,7 @@ the two promises the store makes:
    ``train_crn`` + stack build) that a restart would otherwise pay.
 
 Both runs build the *full* stack: warmed pool index and a compiled
-float64 inference plan (recompiled from the restored weights on boot).
+float32 inference plan (recompiled from the restored weights on boot).
 The headline ``cold_start_speedup`` row lands in ``BENCH_serving.json``
 and is gated by ``scripts/bench_report.py check --only speedup`` in CI;
 wall-clock rows ride along ungated (absolute timings are not comparable
@@ -59,7 +59,7 @@ def _build_config(trained, featurizer, pool, database, root=None):
         featurizer=featurizer,
         pool=pool,
         fallback_estimator=PostgresCardinalityEstimator(database),
-        inference=InferenceConfig(mode="compiled", slab_dtype="float64"),
+        inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
         artifacts=ArtifactConfig(root=str(root)) if root is not None else ArtifactConfig(),
     )
 

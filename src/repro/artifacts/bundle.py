@@ -16,8 +16,9 @@ describes and checksums them (:mod:`repro.artifacts.schema`):
   snapshot: every section survives the round trip with the config layer's
   unknown-field rejection intact.
 * ``index.json`` — prebuilt index slab metadata: the per-FROM-signature
-  eligible row counts the warmed index is expected to hold, plus whether a
-  float32 mirror layout was negotiated.  The slab *matrices* are
+  eligible row counts the warmed index is expected to hold, plus whether
+  its slabs were float32 (``f32_mirrors``, a name kept from when float32
+  slabs were mirrors of float64 ones).  The slab *matrices* are
   deliberately not serialized — they are a pure function of (weights, pool)
   and rebuild bit-identically from the encoding cache at boot; the metadata
   lets the loader verify the rebuild landed where the saver stood.
@@ -125,7 +126,7 @@ def _index_metadata(pool: QueriesPool, pool_index=None) -> dict[str, Any]:
 
     Slab rows are the bucket's positive-cardinality entries in insertion
     order, so the expected row counts are a pure pool property; the live
-    index only contributes its negotiated layout flag.
+    index only contributes whether its slabs are float32.
     """
     signatures = []
     for signature in pool.from_signatures():

@@ -445,10 +445,9 @@ class CRNEstimator(ContainmentEstimator):
         self.encoding_cache = encoding_cache
         #: Optional compiled inference plan
         #: (:class:`repro.serving.InferencePlan`).  When attached, the pair
-        #: head runs on the plan's frozen weights instead of the live ones —
-        #: bit-identical in float64 mode, within the plan's documented
-        #: tolerance in float32 mode.  Duck-typed so core never imports the
-        #: serving layer.
+        #: head runs on the plan's frozen float32 weights instead of the live
+        #: ones, within the plan's documented tolerance.  Duck-typed so core
+        #: never imports the serving layer.
         self.inference_plan = None
         if encoding_cache is not None:
             # Cached encodings are only valid for this model's weights.
@@ -465,19 +464,12 @@ class CRNEstimator(ContainmentEstimator):
     def attach_plan(self, plan) -> None:
         """Route pair-head inference through a compiled plan.
 
-        The plan must have been compiled from *this* estimator's model with
-        the same pass height — the float64 mode's bit-identity guarantee is
-        defined against this estimator's ``batch_size``.
+        The plan must have been compiled from *this* estimator's model.
         """
         if plan.model is not self.model:
             raise ValueError(
                 "inference plan was compiled from a different model; "
                 "recompile against this estimator's model"
-            )
-        if plan.slab_size != self.batch_size:
-            raise ValueError(
-                f"inference plan slab_size {plan.slab_size} does not match "
-                f"estimator batch_size {self.batch_size}"
             )
         self.inference_plan = plan
 
@@ -539,16 +531,16 @@ class CRNEstimator(ContainmentEstimator):
         the resident-row kernels below; a row-less slab is scored pair by
         pair through the :class:`ContainmentEstimator` default.
 
-        Resident items are assembled with
-        :meth:`CRNModel.assemble_pool_pairs` and all blocks run through *one*
+        With a plan attached, each resident item runs the plan's fused slab
+        kernel on the slab's feature-major float32 rows.  Without one,
+        resident items are assembled with :meth:`CRNModel.assemble_pool_pairs`
+        from the transposed float64 rows and all blocks run through *one*
         pair-head pass: with many concurrent requests over small buckets,
         per-request runs would each pad their last tile and pay the kernel's
-        fixed cost again.  Because every row's rate is independent
-        of batch composition, the fused run returns bit-for-bit the rates of
-        the per-pair route (float32-plan mode: the same rates within the
-        plan's tolerance — there each item runs the plan's fused slab
-        kernel on the slab's feature-major float32 mirrors, or on the
-        transposed canonical rows when the index keeps no mirrors).
+        fixed cost again.  Because every row's rate is independent of batch
+        composition, the fused run returns bit-for-bit the rates of the
+        per-pair route (with a plan: the same rates within the plan's
+        tolerance).
 
         Returns one ``(2 * n_i,)`` rate array per item, in order.
         """
@@ -565,7 +557,7 @@ class CRNEstimator(ContainmentEstimator):
         if not resident:
             return results
         plan = self.inference_plan
-        if plan is not None and plan.dtype == np.float32:
+        if plan is not None:
             # Per-item fused slab runs: the kernel folds the item's query into
             # its first-layer weight, so there is nothing to share across
             # items — and it never assembles the (2E, 4H) pair matrix that one
@@ -575,8 +567,8 @@ class CRNEstimator(ContainmentEstimator):
                 results[index] = plan.rates_against_slab(
                     self.encode_query(query, 1),
                     self.encode_query(query, 2),
-                    slab.first_f32 if slab.first_f32 is not None else slab.first.T,
-                    slab.second_f32 if slab.second_f32 is not None else slab.second.T,
+                    slab.first,
+                    slab.second,
                 )
             return results
         blocks = []
@@ -586,8 +578,8 @@ class CRNEstimator(ContainmentEstimator):
                 self.model.assemble_pool_pairs(
                     self.encode_query(query, 1),
                     self.encode_query(query, 2),
-                    slab.first,
-                    slab.second,
+                    slab.first.T,
+                    slab.second.T,
                 )
             )
         if len(blocks) == 1:  # nothing to stack: skip two whole-batch copies
@@ -595,7 +587,9 @@ class CRNEstimator(ContainmentEstimator):
         else:
             stacked_first = np.concatenate([first for first, _ in blocks], axis=0)
             stacked_second = np.concatenate([second for _, second in blocks], axis=0)
-        rates = self._head_rates(stacked_first, stacked_second)
+        rates = self.model.rates_from_encodings(
+            stacked_first, stacked_second, slab_size=self.batch_size
+        )
         offset = 0
         for index, (first, _) in zip(resident, blocks):
             count = first.shape[0]

@@ -57,27 +57,23 @@ class PoolSlab:
 
     Attributes:
         entries: the eligible pool entries (positive cardinality), in bucket
-            insertion order; row ``i`` of every matrix belongs to
+            insertion order; column ``i`` of every matrix belongs to
             ``entries[i].query``.
-        cardinalities: ``(len(entries),)`` float64 entry cardinalities, row-
+        cardinalities: ``(len(entries),)`` float64 entry cardinalities,
             aligned with ``entries`` — precomputed so the per-request
             estimate math needs no Python loop over the entries.
         token: a hashable identity of this slab state; two slabs with equal
             tokens carry identical entries (and rows), so batched callers
             deduplicate rate computation on ``(query, token)``.
-        first: ``None``, or the ``(len(entries), H)`` position-1 encodings
+        first: ``None``, or the ``(H, len(entries))`` position-1 encodings
             (the pool query as the *first* element of its ``(Qold, Qnew)``
-            x-rate pair).  A read-only view into index-owned storage.
+            x-rate pair), **feature-major**: entry ``i`` is column ``i``.
+            float32 when the resolving estimator has a compiled inference
+            plan (whose fused slab kernel reads it in place), float64
+            otherwise.  A read-only view into index-owned storage.
         second: ``None``, or the position-2 encodings (the pool query as the
-            *second* element of its ``(Qnew, Qold)`` y-rate pair).
-        first_f32: ``None``, or the float32 mirror of ``first`` when the index
-            has negotiated a float32 layout with a compiled inference plan
-            (:meth:`repro.serving.PoolEncodingIndex.negotiate_dtype`).  Mirrors
-            are **feature-major**, ``(H, len(entries))`` with entry ``i`` in
-            column ``i`` (``first.T`` cast to float32), which is what the
-            plan's fused slab kernel reads in place.  The float64 matrices
-            stay canonical either way.
-        second_f32: float32 mirror of ``second``, same layout and contract.
+            *second* element of its ``(Qnew, Qold)`` y-rate pair), same
+            layout and dtype.
     """
 
     entries: tuple[PoolEntry, ...]
@@ -85,8 +81,6 @@ class PoolSlab:
     token: tuple
     first: np.ndarray | None = None
     second: np.ndarray | None = None
-    first_f32: np.ndarray | None = None
-    second_f32: np.ndarray | None = None
 
 
 class QueriesPool:

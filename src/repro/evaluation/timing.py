@@ -13,19 +13,15 @@ batching, rendered by :func:`format_serving_table`.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-import numpy as np
 
 from repro.core.estimators import CardinalityEstimator
 from repro.core.metrics import ErrorSummary, q_errors
 from repro.datasets.pairs import LabeledQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.dispatcher import ServingDispatcher
     from repro.serving.feedback import FeedbackSummary
     from repro.serving.lifecycle import AdaptationManager
     from repro.serving.service import EstimationService
@@ -175,118 +171,6 @@ def time_service(
 
 
 @dataclass(frozen=True)
-class ConcurrentServingEvaluation:
-    """Accuracy plus concurrency metrics of one dispatcher run.
-
-    Attributes:
-        name: the estimator registry name that served the workload (the
-            service default when the run did not pick one).
-        summary: the q-error summary of the served estimates.
-        threads: number of submitting threads.
-        requests: total requests served across all threads.
-        total_seconds: wall-clock time from first submission to last result.
-        throughput_qps: requests per second of wall-clock time.
-        coalesced_batches: dispatcher batches executed during the run.
-        mean_batch_size: average requests coalesced per batch.
-        max_queue_depth: the dispatcher's queue high-water mark as of the
-            end of the run.  This is a lifetime maximum, not a per-run
-            value: a deeper earlier run on the same dispatcher carries over
-            (call ``dispatcher.stats.reset()`` between runs for a per-run
-            reading).
-        failed: requests whose future resolved with an exception.
-    """
-
-    name: str
-    summary: ErrorSummary
-    threads: int
-    requests: int
-    total_seconds: float
-    throughput_qps: float
-    coalesced_batches: int
-    mean_batch_size: float
-    max_queue_depth: int
-    failed: int
-
-
-def time_concurrent_service(
-    dispatcher: "ServingDispatcher",
-    labeled_queries: Sequence[LabeledQuery],
-    threads: int = 4,
-    estimator: str | None = None,
-    epsilon: float = 1.0,
-) -> ConcurrentServingEvaluation:
-    """Drive a dispatcher from ``threads`` concurrent threads and measure it.
-
-    The workload is split round-robin across the threads; every thread
-    submits its share through :meth:`ServingDispatcher.submit` and resolves
-    its futures, modelling independent clients hitting the service at once.
-    The dispatcher's monotonic counters (batches, completions, failures) are
-    reported as deltas over the run, so back-to-back measurements do not
-    bleed into each other; ``max_queue_depth`` is the exception — it is the
-    dispatcher's lifetime high-water mark (reset the stats between runs for
-    a per-run value).
-
-    The dispatcher must already be started (or be used as a context
-    manager around this call); it is left running afterwards.
-    """
-    if not labeled_queries:
-        raise ValueError("cannot time a dispatcher on an empty workload")
-    if threads <= 0:
-        raise ValueError("threads must be positive")
-    before = dispatcher.stats.snapshot()
-    shares: list[list[tuple[int, LabeledQuery]]] = [[] for _ in range(threads)]
-    for index, labeled in enumerate(labeled_queries):
-        shares[index % threads].append((index, labeled))
-    estimates: list[float | None] = [None] * len(labeled_queries)
-    errors: list[BaseException] = []
-    errors_lock = threading.Lock()
-
-    def worker(share: list[tuple[int, LabeledQuery]]) -> None:
-        futures = [
-            (index, dispatcher.submit(labeled.query, estimator=estimator))
-            for index, labeled in share
-        ]
-        for index, future in futures:
-            try:
-                estimates[index] = future.result().estimate
-            except BaseException as error:  # noqa: BLE001 - reported below
-                with errors_lock:
-                    errors.append(error)
-
-    pool = [
-        threading.Thread(target=worker, args=(share,), name=f"serving-client-{i}")
-        for i, share in enumerate(shares)
-        if share
-    ]
-    start = time.perf_counter()
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    after = dispatcher.stats.snapshot()
-    batches = int(after["coalesced_batches"] - before["coalesced_batches"])
-    served = int(after["completed"] - before["completed"])
-    truths = [labeled.cardinality for labeled in labeled_queries]
-    name = estimator if estimator is not None else dispatcher.service.default_estimator
-    q = q_errors([value for value in estimates], truths, epsilon=epsilon)
-    return ConcurrentServingEvaluation(
-        name=name,
-        summary=ErrorSummary.from_errors(name, q),
-        threads=len(pool),
-        requests=len(labeled_queries),
-        total_seconds=elapsed,
-        throughput_qps=len(labeled_queries) / elapsed if elapsed > 0 else 0.0,
-        coalesced_batches=batches,
-        mean_batch_size=served / batches if batches else 0.0,
-        max_queue_depth=int(after["max_queue_depth"]),
-        failed=int(after["failed"] - before["failed"]),
-    )
-
-
-@dataclass(frozen=True)
 class AdaptationEvaluation:
     """Accuracy recovery around the adaptation subsystem's hot swap(s).
 
@@ -400,28 +284,6 @@ def format_serving_table(
             str(evaluation.fallbacks),
         ]
         lines.append(name.ljust(name_width) + "".join(cell.rjust(12) for cell in cells))
-    return "\n".join(lines)
-
-
-def format_concurrent_table(
-    evaluations: Mapping[str, ConcurrentServingEvaluation], title: str = ""
-) -> str:
-    """Render concurrent-serving measurements as a fixed-width text table."""
-    name_width = max([len(name) for name in evaluations] + [len("serving path")]) + 2
-    headers = ["threads", "qps", "batches", "batch size", "queue depth"]
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    lines.append("serving path".ljust(name_width) + "".join(h.rjust(13) for h in headers))
-    for name, evaluation in evaluations.items():
-        cells = [
-            str(evaluation.threads),
-            f"{evaluation.throughput_qps:.0f}",
-            str(evaluation.coalesced_batches),
-            f"{evaluation.mean_batch_size:.1f}",
-            str(evaluation.max_queue_depth),
-        ]
-        lines.append(name.ljust(name_width) + "".join(cell.rjust(13) for cell in cells))
     return "\n".join(lines)
 
 

@@ -33,11 +33,10 @@ forward passes.  This package amortizes that work across requests:
   (estimator, pool/index, caches, dispatcher, feedback, adaptation
   sections).
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
-  :func:`compile_plan`, the frozen-model inference engine: the pair-head
-  array kernel every mode serves through
-  (:func:`repro.core.crn.pair_head`) run on frozen weight copies instead
-  of the live weights, with an optional float32 slab layout
-  negotiated with :class:`PoolEncodingIndex` under a documented q-error
+  :func:`compile_plan`, the frozen-model float32 inference engine: the
+  pair-head array kernel (:func:`repro.core.crn.pair_head`) on frozen
+  float32 weight copies, plus a fused kernel over the float32 slabs
+  :class:`PoolEncodingIndex` keeps for it, under a documented q-error
   bound — enabled through :class:`InferenceConfig` (``mode: compiled``).
 * :mod:`repro.serving.client` -- :class:`ServingClient`, the one-handle
   façade: builds everything a :class:`ServingConfig` enables, owns start and

@@ -153,17 +153,15 @@ def build_service_stack(
     plan: InferencePlan | None = None
     if config.inference.mode == "compiled":
         # Compile before warming: warm-time encodings then flow through the
-        # plan's frozen encoder weights, and the index builds its slabs in
-        # the negotiated layout instead of rebuilding on the first request.
+        # plan's frozen encoder weights, and the index builds the float32
+        # slabs the plan reads instead of building on the first request.
         plan = compile_and_attach(
             crn,
-            dtype=config.inference.slab_dtype,
             tolerance=config.inference.tolerance,
             recorder=recorder,
             estimator_name=estimator_config.name,
             generation=service.generation(estimator_config.name),
         )
-        pool_index.negotiate_dtype(plan.dtype)
     if config.pool_options.warm:
         pool_index.warm(cnt2crd)  # fills the caches and the slabs in one pass
     return ServiceStack(
@@ -426,6 +424,12 @@ class ServingClient:
         mapping = {key: dict(value) for key, value in bundle.config_mapping.items()}
         for section, key in _RETIRED_CONFIG_KEYS:
             mapping.get(section, {}).pop(key, None)
+        inference = mapping.get("inference", {})
+        precision = inference.get("mode"), inference.get("slab_dtype", "float64")
+        if precision == ("compiled", "float64"):
+            # The retired compiled-float64 plan was bit-identical to the
+            # reference path, which now serves such a bundle unchanged.
+            inference["mode"] = "reference"
         adaptation_downgraded = False
         if mapping.get("adaptation", {}).get("enabled") and training_result is None:
             # A mapping cannot carry the TrainingResult adaptation fine-tunes

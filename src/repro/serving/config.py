@@ -75,7 +75,7 @@ _SECTIONS: tuple[str, ...] = ()
 
 
 def _positive(name: str, value: float) -> None:
-    if value <= 0:
+    if not value > 0:  # NaN fails too
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
@@ -304,7 +304,7 @@ class TracingConfig:
 
 #: Inference execution modes.
 INFERENCE_MODES = ("reference", "compiled")
-#: Slab dtypes the compiled mode can negotiate with the pool index.
+#: Slab dtypes: the reference mode's, then the compiled plan's.
 SLAB_DTYPES = ("float64", "float32")
 
 
@@ -312,21 +312,23 @@ SLAB_DTYPES = ("float64", "float32")
 class InferenceConfig:
     """How the stack runs pair-head inference.
 
+    Two configurations are valid: ``("reference", "float64")``, the default,
+    and ``("compiled", "float32")``.
+
     Attributes:
-        mode: both modes run one array kernel (:func:`repro.core.crn.pair_head`).
-            ``"reference"`` runs it on the model's live weights (always
-            float64); ``"compiled"`` freezes copies of them into an
-            :class:`repro.serving.InferencePlan` at build time, recompiled
-            on every adaptation promote, optionally in float32.
-        slab_dtype: the compiled plan's execution dtype.  ``"float64"`` is
-            bit-identical to the reference path (it adds only the freeze);
-            ``"float32"`` additionally negotiates float32 mirror slabs with
-            the pool encoding index and runs fused variable-row passes —
+        mode: ``"reference"`` runs the pair head
+            (:func:`repro.core.crn.pair_head`) on the model's live float64
+            weights; ``"compiled"`` freezes float32 copies of them into an
+            :class:`repro.serving.InferencePlan` at build time, recompiled on
+            every adaptation promote.
+        slab_dtype: the pool index's slab dtype, which follows the mode:
+            ``"float64"`` for reference, ``"float32"`` for compiled — the
+            plan's fused variable-row kernel reads float32 slabs in place:
             fastest, with estimates within ``tolerance`` of the reference.
         tolerance: the documented q-error bound of ``float32`` estimates
             relative to the reference path (see ``docs/architecture.md``);
             carried on the plan for events/stats and checked by the property
-            tests.  Ignored in ``float64`` modes.
+            tests.  Ignored in reference mode.
     """
 
     mode: str = "reference"
@@ -347,6 +349,11 @@ class InferenceConfig:
             raise ValueError(
                 "reference mode always runs float64; set mode='compiled' to "
                 "use float32 slabs"
+            )
+        if self.mode == "compiled" and self.slab_dtype != "float32":
+            raise ValueError(
+                "compiled mode runs float32 only; mode='reference' serves "
+                "float64 with the bits the compiled float64 plan had"
             )
 
 
@@ -538,12 +545,12 @@ class ClusterConfig:
             raise ValueError(
                 f"retry_attempts must be non-negative, got {self.retry_attempts!r}"
             )
-        if self.retry_backoff_seconds < 0:
+        if not self.retry_backoff_seconds >= 0:  # NaN fails too
             raise ValueError(
                 f"retry_backoff_seconds must be non-negative, "
                 f"got {self.retry_backoff_seconds!r}"
             )
-        if self.deadline_grace_seconds < 0:
+        if not self.deadline_grace_seconds >= 0:  # NaN fails too
             raise ValueError(
                 f"deadline_grace_seconds must be non-negative, "
                 f"got {self.deadline_grace_seconds!r}"

@@ -1,31 +1,21 @@
-"""Compiled inference plans: the CRN pair head on frozen weights.
+"""Compiled inference plans: the CRN pair head on frozen float32 weights.
 
 Serving never needs gradients, and no serving path builds an autodiff graph:
 the pair head is one array kernel, :func:`repro.core.crn.pair_head`, which
-``reference`` mode runs on the model's live weights.  An
-:class:`InferencePlan` runs that same kernel on dtype-cast constant **copies**
-of the head and encoder weights, so a later optimizer step cannot reach what
-is being served.  The kernel's contract is the op order of
-:meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan` checks it
-against a ``model.head`` forward pass: a model whose head computes something
-else does not compile.
+``reference`` mode runs on the model's live float64 weights.  An
+:class:`InferencePlan` is the float32 tolerance mode: it runs the same kernel
+on float32 constant **copies** of the head weights, the whole batch as
+**one** variable-row pass (no padding at all), so a later optimizer step
+cannot reach what is being served.  Rates differ from the reference by
+float32 rounding; the documented bound (see ``docs/architecture.md``) is
+that per-rate relative error stays ~1e-5..1e-4, which the serving config
+exposes as ``inference.tolerance`` and the property tests check end to end
+as a q-error bound on final estimates.  The kernel's contract is the op
+order of :meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan`
+checks it against a ``model.head`` forward pass: a model whose head computes
+something else does not compile.
 
-Two dtype modes:
-
-* **float64** — the bit-exact mode.  Rows run in fixed ``slab_size``-row
-  tiles (zero-padded last tile), stacked so ``np.matmul`` issues one
-  identically-shaped GEMM per tile: rates are bit-for-bit those of the live
-  weights at the same ``batch_size``, and of the ``Tensor`` head run tile by
-  tile.  What the plan adds over ``reference`` mode is the freeze.
-* **float32** — the tolerance mode.  Constants and scratch are float32 and
-  the whole batch runs as **one** variable-row pass (no padding at all).
-  Rates differ from the reference by float32 rounding; the
-  documented bound (see ``docs/architecture.md``) is that per-rate relative
-  error stays ~1e-5..1e-4, which the serving config exposes as
-  ``inference.tolerance`` and the property tests check end to end as a
-  q-error bound on final estimates.
-
-float32 plans additionally carry a **fused slab kernel**
+A plan also carries a **fused slab kernel**
 (:meth:`InferencePlan.rates_against_slab`) for the Cnt2Crd access pattern,
 where every pair couples one query vector ``q`` with one pool row.  Instead
 of materializing the ``(2E, H)`` interleaved pair matrices and the
@@ -36,7 +26,7 @@ matmul splits by Expand section (``concat([f, s, |f-s|, f*s]) @ W  ==  f@W_f
 weight applied to ``P`` itself (``(P*q)@W_p + P@W_f  ==  P@(diag(q)·W_p +
 W_f)``), and the query-side section is one broadcast row (``q@W_s + b``)
 carried by a ones row.  And the pool side arrives **feature-major** —
-``(H, E)``, the layout the pool index keeps its float32 mirrors in — so per
+``(H, E)``, the layout the pool index keeps its float32 slabs in — so per
 direction the kernel is ``hiddenᵀ (2H×E) = Wᵀ (2H×(2H+1)) @ [|P−q| ; P ; 1]
 ((2H+1)×E)``: one copy, one ``|P−q|`` and one ReLU pass, each over
 contiguous ``E``-long rows, around one GEMM.  Nothing is kept between
@@ -47,10 +37,10 @@ than ~30 rows (numbers in ``docs/architecture.md``).
 
 The plan also carries frozen float64 copies of the encoder weights, so
 :meth:`InferencePlan.encode_set` is a pure function of the weights *at
-compile time*.  Encodings stay canonical float64 regardless of plan dtype
-(they feed the shared :class:`repro.serving.EncodingCache`); the head casts
-on input load.  Scratch buffers are per-thread (a dispatcher thread and
-client threads never share arrays) and grow geometrically.
+compile time*.  Encodings stay canonical float64 (they feed the shared
+:class:`repro.serving.EncodingCache`); the head casts on input load.
+Scratch buffers are per-thread (a dispatcher thread and client threads never
+share arrays) and grow geometrically.
 """
 
 from __future__ import annotations
@@ -69,21 +59,21 @@ __all__ = ["InferencePlan", "compile_plan"]
 
 
 class InferencePlan:
-    """A frozen CRN pair head run as fused NumPy kernels.
+    """A frozen float32 CRN pair head run as fused NumPy kernels.
 
     Built by :func:`compile_plan`; not constructed directly.  The plan holds
-    dtype-cast **copies** of the head and encoder weights: mutating the
-    source model after compilation (an optimizer step, a manual weight poke)
-    does not change what the plan computes — recompile instead, which is
-    exactly what the adaptation lifecycle does on promote.
+    float32 **copies** of the head weights and float64 copies of the encoder
+    weights: mutating the source model after compilation (an optimizer
+    step, a manual weight poke) does not change what the plan computes —
+    recompile instead, which is exactly what the adaptation lifecycle does
+    on promote.
     """
 
-    def __init__(
-        self, model: CRNModel, *, dtype: np.dtype, slab_size: int, tolerance: float
-    ) -> None:
+    #: The execution dtype of every plan, and of the index slabs it reads.
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, model: CRNModel, *, tolerance: float) -> None:
         self.model = model
-        self.dtype = np.dtype(dtype)
-        self.slab_size = slab_size
         self.tolerance = tolerance
         self.hidden_size = hidden = model.hidden_size
         self.compile_seconds = 0.0
@@ -102,13 +92,8 @@ class InferencePlan:
         }
         self._pooling = model.config.pooling
         # The first head matmul split by Expand section, for the fused slab
-        # kernel: sections [W_f, W_s] or [W_f, W_s, W_d, W_p].  Float64 mode
-        # stays on the generic pass: the split reorders the accumulation,
-        # which is fine within float32 rounding but breaks the bit-exactness
-        # contract.
-        self._sections: np.ndarray | None = None
-        if self.dtype == np.float32:
-            self._sections = self._w_hidden.reshape(-1, hidden, self._w_hidden.shape[1])
+        # kernel: sections [W_f, W_s] or [W_f, W_s, W_d, W_p].
+        self._sections = self._w_hidden.reshape(-1, hidden, self._w_hidden.shape[1])
         self._local = threading.local()
 
     # ------------------------------------------------------------------ #
@@ -118,15 +103,9 @@ class InferencePlan:
         """How this plan executes a slab pass, as span/report attributes.
 
         What the tracer stamps onto ``slab_kernel`` spans, so a stored trace
-        says which execution mode (fused float32 variable-row vs fixed-tile
-        float64) produced the batch it amortizes over.
+        says which execution mode produced the batch it amortizes over.
         """
-        return {
-            "mode": "compiled",
-            "dtype": self.dtype.name,
-            "slab_size": self.slab_size,
-            "fused": self._sections is not None,
-        }
+        return {"mode": "compiled", "dtype": self.dtype.name}
 
     def scratch_stats(self) -> dict[str, int]:
         """This thread's scratch state (capacity rows and realloc count)."""
@@ -161,18 +140,16 @@ class InferencePlan:
     def rates_from_encodings(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Containment rates for ``(n, H)`` pre-encoded pair matrices.
 
-        :func:`repro.core.crn.pair_head` on the frozen weights: float64 mode
-        in fixed ``slab_size``-row tiles (bit-exact), float32 mode as one
+        :func:`repro.core.crn.pair_head` on the frozen weights as one
         variable-row pass.  Always a fresh float64 ``(n,)`` array.
         """
         first = np.asarray(first)
         second = np.asarray(second)
-        rows = self.slab_size if self.dtype == np.float64 else max(first.shape[0], 1)
         weights = (self._w_hidden, self._b_hidden, self._w_out, self._b_out)
-        return pair_head(first, second, *weights, rows, self._local)
+        return pair_head(first, second, *weights, max(first.shape[0], 1), self._local)
 
     # ------------------------------------------------------------------ #
-    # fused slab kernel (float32 only)
+    # fused slab kernel
 
     def rates_against_slab(
         self,
@@ -194,17 +171,12 @@ class InferencePlan:
             query_first: the query's ``(H,)`` slot-1 encoding.
             query_second: the query's ``(H,)`` slot-2 encoding.
             pool_first: ``(H, E)`` feature-major slot-1 pool encodings, column
-                ``i`` belonging to entry ``i`` — the index's float32 mirror,
+                ``i`` belonging to entry ``i`` — the index's float32 slab,
                 read in place whatever its column stride, or any ``(H, E)``
-                array (``slab.first.T``), cast once on load.
+                array, cast once on load.
             pool_second: ``(H, E)`` slot-2 pool encodings, same layout.
         """
         sections = self._sections
-        if sections is None:
-            raise RuntimeError(
-                "the fused slab kernel needs a float32 plan; float64 mode "
-                "serves through the bit-exact generic pass"
-            )
         size = self.hidden_size
         if pool_first.shape != pool_second.shape or pool_first.shape[:-1] != (size,):
             raise ValueError(
@@ -215,7 +187,7 @@ class InferencePlan:
         rates = np.empty(2 * count, dtype=np.float64)
         if count == 0:
             return rates
-        # Cast on load: free for a float32 mirror, one copy for anything else.
+        # Cast on load: free for a float32 slab, one copy for anything else.
         pools = [np.asarray(rows, dtype=self.dtype) for rows in (pool_first, pool_second)]
         state = self._fused_state(count)
         # Direction 0 scores (Qold, Qnew): pool rows fill the first slot and
@@ -286,79 +258,47 @@ class InferencePlan:
         return state
 
 
-def compile_plan(
-    model: CRNModel,
-    *,
-    dtype: np.dtype | str = np.float64,
-    slab_size: int = PASS_ROWS,
-    tolerance: float = 1e-3,
-) -> InferencePlan:
-    """Freeze ``model`` into an :class:`InferencePlan` and check it.
+def compile_plan(model: CRNModel, *, tolerance: float = 1e-3) -> InferencePlan:
+    """Freeze ``model`` into a float32 :class:`InferencePlan` and check it.
 
     Args:
-        model: the trained CRN.  Its weights are **copied** (dtype-cast) into
-            the plan; later mutation of the model does not affect the plan.
-        dtype: ``np.float64`` for the bit-exact mode, ``np.float32`` for the
-            fused tolerance mode.
-        slab_size: rows per fixed-shape pass in float64 mode — must match
-            the estimator's ``batch_size`` for bit-identity with the live
-            weights (float32 mode ignores it for execution but keeps it for
-            bookkeeping).
-        tolerance: the documented end-to-end q-error bound of float32 mode;
-            carried on the plan so serving stats and events can report it.
+        model: the trained CRN.  Its weights are **copied** into the plan;
+            later mutation of the model does not affect the plan.
+        tolerance: the documented end-to-end q-error bound of the plan's
+            estimates; carried on the plan so serving stats and events can
+            report it.
 
     Returns:
-        A ready-to-run plan.  Compilation self-checks the kernel (float32:
-        the fused slab kernel as well) against a ``model.head`` forward pass,
-        and tile stacking against a single tile, and raises ``RuntimeError``
-        when either disagrees (a subclass that overrides ``head``; a BLAS
-        whose stacked matmul depends on the stack).
+        A ready-to-run plan.  Compilation self-checks the generic pass and
+        the fused slab kernel against a ``model.head`` forward pass, and
+        raises ``RuntimeError`` when either disagrees beyond float32
+        rounding (a subclass that overrides ``head``, say).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
         raise TypeError(f"compile_plan needs a CRNModel, got {type(model).__name__}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"plan dtype must be float64 or float32, got {dtype}")
-    if slab_size <= 0:
-        raise ValueError("slab_size must be positive")
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    plan = InferencePlan(model, dtype=dtype, slab_size=slab_size, tolerance=tolerance)
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    plan = InferencePlan(model, tolerance=tolerance)
 
-    # Self-check of what batch invariance rests on: (a) the kernel on one
-    # zero-padded tile is the Tensor head on the same ``slab_size`` rows —
-    # exactly in float64, within rounding in float32 — and (b, float64) those
-    # rows scored as the last tile of a 3-tile stack keep their single-tile bits.
+    # Self-check: the generic pass on random probe rows, and the fused slab
+    # kernel (what float32 serving scores slabs through) with those rows as
+    # the pool side and the first of them as the query.  13 rows keep the
+    # Tensor head's GEMMs under OpenBLAS's threading cutoff: at 32 fused
+    # pairs a woken BLAS thread cost ~16 ms per compile on a busy 2-core box.
     rng = np.random.default_rng(7)
-    count = max(slab_size - 3, 1)
-    first, second = rng.standard_normal((2, 2 * slab_size + count, model.hidden_size))
-    probe = slice(2 * slab_size, None)
-    tile = np.zeros((2, slab_size, model.hidden_size))
-    tile[0, :count], tile[1, :count] = first[probe], second[probe]
+    first, second = rng.standard_normal((2, PASS_ROWS - 3, model.hidden_size))
     with no_grad():
-        expected = model.head(Tensor(tile[0]), Tensor(tile[1])).numpy()[:count]
-    actual = plan.rates_from_encodings(first[probe], second[probe])
-    if dtype == np.float64:
-        if not np.array_equal(actual, expected):
-            raise RuntimeError("compiled float64 plan diverged from model.head")
-        if not np.array_equal(plan.rates_from_encodings(first, second)[probe], actual):
-            raise RuntimeError(
-                "stacked matmul is not per-tile identical on this NumPy/BLAS "
-                "build: float64 rates would depend on the batch"
-            )
-    else:
-        # (c) float32 serving scores slabs through the fused kernel, so probe
-        # it as well: up to 16 probe rows as the pool side, one as the query.
-        pool_first, pool_second = first[probe][:16], second[probe][:16]
-        query = pool_first[0], pool_second[0]
-        pairs = model.assemble_pool_pairs(*query, pool_first, pool_second)
-        with no_grad():
-            fused_expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
-        fused = plan.rates_against_slab(*query, pool_first.T, pool_second.T)
-        for rates, reference in ((actual, expected), (fused, fused_expected)):
-            if not np.allclose(rates, reference, rtol=1e-3, atol=1e-5):
-                raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
+        expected = model.head(Tensor(first), Tensor(second)).numpy()
+    actual = plan.rates_from_encodings(first, second)
+    query = first[0], second[0]
+    pairs = model.assemble_pool_pairs(*query, first, second)
+    with no_grad():
+        fused_expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
+    fused = plan.rates_against_slab(*query, first.T, second.T)
+    for rates, reference in ((actual, expected), (fused, fused_expected)):
+        if not np.allclose(rates, reference, rtol=1e-3, atol=1e-5):
+            raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
 
     plan.compile_seconds = time.perf_counter() - started
     return plan
@@ -367,7 +307,6 @@ def compile_plan(
 def compile_and_attach(
     crn: CRNEstimator,
     *,
-    dtype: np.dtype | str,
     tolerance: float,
     recorder,
     estimator_name: str,
@@ -378,9 +317,7 @@ def compile_and_attach(
     Build-time wiring and the lifecycle's pre-swap recompile both go through
     here; they differ only in the ``generation`` the plan will serve.
     """
-    plan = compile_plan(
-        crn.model, dtype=dtype, slab_size=crn.batch_size, tolerance=tolerance
-    )
+    plan = compile_plan(crn.model, tolerance=tolerance)
     crn.attach_plan(plan)
     if recorder is not None:
         recorder.emit(

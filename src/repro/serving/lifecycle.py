@@ -1100,14 +1100,13 @@ class AdaptationManager:
         if shared and incumbent_plan is not None:
             # Plans freeze their weights at compile time, so the incumbent's
             # plan cannot serve the candidate model: recompile with the same
-            # dtype/slab/tolerance contract and attach *before* the registry
-            # swap ever exposes the new estimator — the first post-swap
+            # tolerance and attach *before* the registry swap ever exposes
+            # the new estimator — the first post-swap
             # request must already run the compiled path.  Shadow builds
             # (shared=False) stay on the reference path: a rejected candidate
             # should not pay for a compile.
             compile_and_attach(
                 crn,
-                dtype=incumbent_plan.dtype,
                 tolerance=incumbent_plan.tolerance,
                 recorder=self.service.recorder,
                 estimator_name=self.estimator_name,

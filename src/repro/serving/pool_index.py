@@ -9,24 +9,30 @@ side of every pair is *identical* across all requests sharing a FROM
 signature.
 
 :class:`PoolEncodingIndex` hoists that invariant work out of the request
-path.  Per ``(featurizer-snapshot scope, FROM signature)`` it keeps two
-contiguous ``(E, H)`` matrices of pool-query encodings — one per pair slot,
-row ``i`` belonging to eligible entry ``i`` — maintained incrementally:
+path.  Per ``(featurizer-snapshot scope, FROM signature, dtype)`` it keeps
+two feature-major ``(H, E)`` matrices of pool-query encodings — one per pair
+slot, column ``i`` belonging to eligible entry ``i`` — maintained
+incrementally.  The dtype is the resolving estimator's: float32 when it has
+a compiled inference plan (whose fused slab kernel reads the slab in place),
+float64 otherwise, so each bucket is stored once, in the precision its
+scorer reads, and a plan-less and a compiled estimator over one index never
+read each other's slabs.
 
 * a :meth:`repro.core.queries_pool.QueriesPool.add` bumps the bucket's
-  version; the next request appends only the new tail rows (the matrices
-  grow geometrically, so appends are amortized O(1));
+  version; the next request appends only the new tail columns (the
+  matrices grow geometrically, so appends are amortized O(1));
 * a cardinality *update* (re-adding an existing query) rebuilds the bucket's
   slab — cheap, because the per-query encodings come straight back out of
   the shared :class:`repro.serving.EncodingCache`;
 * a featurizer rebind changes the scope, so stale-snapshot slabs simply stop
   matching (exactly the :class:`~repro.serving.EncodingCache` keying rule).
 
-A request is then served as *encode Qnew once → two strided writes → the
-fixed-shape slab path* (:meth:`repro.core.crn.CRNEstimator.rates_against_pools`):
-no per-pair Python work at all, and — because the assembled rows are exactly
-the rows the per-pair route would have stacked, in the same order —
-**bit-for-bit identical** estimates.
+A request is then served as *encode Qnew once → the slab kernel*
+(:meth:`repro.core.crn.CRNEstimator.rates_against_pools`): no per-pair
+Python work at all.  On float64 slabs the kernel is two strided writes from
+the transposed slab and the fixed-shape pair head, and — because the
+assembled rows are exactly the rows the per-pair route would have stacked,
+in the same order — estimates are **bit-for-bit identical**.
 
 Owner fencing mirrors :class:`~repro.serving.EncodingCache`: the index is
 bound to the model whose weights produced its rows, :meth:`rebind`
@@ -43,9 +49,9 @@ Thread safety: one index lock guards the owner fence *and* the slab store as
 a unit (see the constructor comment for why they cannot be split), and long
 holders release it between signatures.  Returned
 :class:`repro.core.queries_pool.PoolSlab` views are snapshots — appends
-write past the snapshot's entry count (rows of the canonical matrices,
-columns of the float32 mirrors) and growth or a rebuild allocates fresh
-matrices, so what an in-flight request was handed is never mutated under it.
+write columns past the snapshot's entry count and growth or a rebuild
+allocates fresh matrices, so what an in-flight request was handed is never
+mutated under it.
 """
 
 from __future__ import annotations
@@ -60,22 +66,19 @@ from repro.sql.query import Query
 
 
 class _Slab:
-    """Mutable per-(scope, signature) storage with geometric growth.
+    """Mutable per-(scope, signature, dtype) storage with geometric growth.
 
-    The float64 ``(capacity, H)`` matrices are canonical.  When ``mirror`` is
-    set the slab also keeps float32 copies, maintained entry-for-entry
-    alongside the canonical writes in the feature-major ``(H, capacity)``
-    layout :attr:`repro.core.queries_pool.PoolSlab.first_f32` documents.
+    Two ``(H, capacity)`` matrices in the slab's dtype, entry ``i`` in
+    column ``i`` — the feature-major layout
+    :attr:`repro.core.queries_pool.PoolSlab.first` documents.
     """
 
-    __slots__ = ("entries", "first", "second", "first_f32", "second_f32", "cardinalities", "version")
+    __slots__ = ("entries", "first", "second", "cardinalities", "version")
 
-    def __init__(self, hidden: int, capacity: int, mirror: bool = False) -> None:
+    def __init__(self, hidden: int, capacity: int, dtype) -> None:
         self.entries: tuple[PoolEntry, ...] = ()
-        self.first = np.empty((capacity, hidden), dtype=np.float64)
-        self.second = np.empty((capacity, hidden), dtype=np.float64)
-        self.first_f32 = np.empty((hidden, capacity), dtype=np.float32) if mirror else None
-        self.second_f32 = np.empty((hidden, capacity), dtype=np.float32) if mirror else None
+        self.first = np.empty((hidden, capacity), dtype=dtype)
+        self.second = np.empty((hidden, capacity), dtype=dtype)
         self.cardinalities = np.empty(capacity, dtype=np.float64)
         self.version = -1
 
@@ -84,54 +87,45 @@ class _Slab:
         return len(self.entries)
 
     def fill(self, entries: tuple[PoolEntry, ...], first: np.ndarray, second: np.ndarray) -> None:
-        """Extend to ``entries``: rows ``count:`` (and mirror columns) from ``(n, H)`` blocks."""
+        """Extend to ``entries``: columns ``count:`` from ``(n, H)`` float64 blocks."""
         start, stop = self.count, len(entries)
         self.ensure_capacity(stop)
-        self.first[start:stop], self.second[start:stop] = first, second
+        self.first[:, start:stop], self.second[:, start:stop] = first.T, second.T
         self.cardinalities[start:stop] = [entry.cardinality for entry in entries[start:]]
-        if self.first_f32 is not None:
-            self.first_f32[:, start:stop], self.second_f32[:, start:stop] = first.T, second.T
         self.entries = entries
 
     def view(self, key: tuple) -> PoolSlab:
         """A snapshot of the first :attr:`count` entries (see the module docstring)."""
-        count, mirrored = self.count, self.first_f32 is not None
+        count = self.count
         return PoolSlab(
             entries=self.entries,
             cardinalities=self.cardinalities[:count],
             token=(*key, self.version, count),
-            first=self.first[:count],
-            second=self.second[:count],
-            first_f32=self.first_f32[:, :count] if mirrored else None,
-            second_f32=self.second_f32[:, :count] if mirrored else None,
+            first=self.first[:, :count],
+            second=self.second[:, :count],
         )
 
-    def ensure_capacity(self, rows: int) -> None:
-        """Grow the matrices to hold ``rows`` entries (doubling, amortized O(1)).
+    def ensure_capacity(self, entries: int) -> None:
+        """Grow the storage to hold ``entries`` columns (doubling, amortized O(1)).
 
         Growth reallocates instead of resizing in place: an in-flight request
         may still hold views into the old matrices, and those entries must
         stay exactly what its resolve returned.
         """
-        capacity = self.first.shape[0]
-        if rows <= capacity:
+        capacity = self.cardinalities.shape[0]
+        if entries <= capacity:
             return
-        while capacity < rows:
+        while capacity < entries:
             capacity *= 2
         count = self.count
 
-        def grown(matrix: np.ndarray, axis: int = 0) -> np.ndarray:
-            shape = list(matrix.shape)
-            shape[axis] = capacity
-            fresh = np.empty(shape, dtype=matrix.dtype)
-            kept = (slice(None),) * axis + (slice(count),)
-            fresh[kept] = matrix[kept]
+        def grown(matrix: np.ndarray) -> np.ndarray:
+            fresh = np.empty((*matrix.shape[:-1], capacity), dtype=matrix.dtype)
+            fresh[..., :count] = matrix[..., :count]
             return fresh
 
         self.first, self.second = grown(self.first), grown(self.second)
         self.cardinalities = grown(self.cardinalities)
-        if self.first_f32 is not None:
-            self.first_f32, self.second_f32 = grown(self.first_f32, 1), grown(self.second_f32, 1)
 
 
 class PoolIndexStats:
@@ -207,11 +201,6 @@ class PoolEncodingIndex:
         self.tracer = None
         self._initial_capacity = initial_capacity
         self._slabs: dict[tuple, _Slab] = {}
-        # Negotiated slab layout (see negotiate_dtype): None keeps the
-        # canonical float64-only slabs; float32 adds mirror matrices.  The
-        # negotiation survives rebind — it is a property of how the serving
-        # stack runs inference, not of which model owns the rows.
-        self._mirror_dtype: np.dtype | None = None
         # One lock guards the owner fence AND the slab store: the fence
         # check and the slab install must be a single unit, or a reader
         # could pass the fence, lose the CPU to a rebind, and then install a
@@ -254,32 +243,6 @@ class PoolEncodingIndex:
             if pool is not None:
                 self.pool = pool
             self._owner = owner
-
-    def negotiate_dtype(self, dtype) -> None:
-        """Negotiate the slab layout with a compiled inference plan.
-
-        ``float64`` (the default) keeps the canonical slabs only; ``float32``
-        makes every slab additionally maintain float32 mirror matrices that
-        a float32 :class:`repro.serving.InferencePlan` reads cast-free.  The
-        canonical float64 rows are kept either way, so reference-mode and
-        bit-exact float64 consumers of the same index are unaffected.
-
-        Changing the layout drops existing slabs (they rebuild lazily, out
-        of the encoding cache, on the next resolve).  The negotiated layout
-        deliberately survives :meth:`rebind`: a lifecycle hot swap replaces
-        the model, not the serving stack's inference mode.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == np.dtype(np.float64):
-            target = None
-        elif dtype == np.dtype(np.float32):
-            target = dtype
-        else:
-            raise ValueError(f"slab dtype must be float64 or float32, got {dtype}")
-        with self._lock:
-            if target != self._mirror_dtype:
-                self._mirror_dtype = target
-                self._slabs.clear()
 
     # ------------------------------------------------------------------ #
     # resolution
@@ -353,7 +316,10 @@ class PoolEncodingIndex:
         concurrent add is either reflected by it (and the slab syncs) or
         lands after — the either-in-or-out snapshot ``bucket_slab`` gives.
         """
-        key = (scope, signature)
+        # The slab's dtype is its scorer's: float32 for the fused kernel of a
+        # compiled plan, float64 for the live pair head.
+        dtype = np.float64 if containment.inference_plan is None else np.float32
+        key = (scope, signature, dtype)
         while True:
             version = self.pool.bucket_version(signature)
             with self._lock:
@@ -380,8 +346,8 @@ class PoolEncodingIndex:
                     if self._slabs.get(key) is not slab or getattr(slab, "entries", None) is not held:
                         continue  # another writer synced this slab meanwhile
                     if not append:
-                        mirror = self._mirror_dtype is not None
-                        slab = _Slab(first.shape[1], max(self._initial_capacity, len(eligible)), mirror)
+                        capacity = max(self._initial_capacity, len(eligible))
+                        slab = _Slab(first.shape[1], capacity, dtype)
                         self._slabs[key] = slab
                     slab.fill(eligible, first, second)
                     slab.version = version
@@ -408,8 +374,10 @@ class PoolEncodingIndex:
         with self._lock:
             signatures = len(self._slabs)
             rows = sum(slab.count for slab in self._slabs.values())
+            float32 = any(key[-1] is np.float32 for key in self._slabs)
         snapshot = self.stats.snapshot()
         snapshot["pool_index_signatures"] = float(signatures)
         snapshot["pool_index_rows"] = float(rows)
-        snapshot["pool_index_f32_mirrors"] = float(self._mirror_dtype is not None)
+        # "Slabs are float32"; the name stays for saved bundles' index.json.
+        snapshot["pool_index_f32_mirrors"] = float(float32)
         return snapshot

@@ -378,7 +378,7 @@ class TestColdBoot:
             imdb_small,
             imdb_featurizer,
             pool,
-            inference=InferenceConfig(mode="compiled", slab_dtype="float64"),
+            inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
             artifacts=ArtifactConfig(root=str(root)),
         )
         client = ServingClient(config)
@@ -397,6 +397,7 @@ class TestColdBoot:
             e.model_generation for e in expected
         ]
         assert [r.resolution for r in restored] == [e.resolution for e in expected]
+        assert booted.stack.inference_plan is not None  # recompiled on boot
         assert booted.artifact_store is not None  # the booted store is wired
         assert booted.artifact_store.root == root
         booted.shutdown()
@@ -427,6 +428,29 @@ class TestColdBoot:
             "enabled": True,
             "max_batch": 64,
         }
+        booted.shutdown()
+
+    def test_bundle_from_before_compiled_float64_was_retired_boots_as_reference(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        config = make_config(model, imdb_small, imdb_featurizer, pool)
+        client = ServingClient(config)
+        expected = [client.estimate(item.query).estimate for item in workload]
+        client.shutdown()
+        save_generation(store, model, pool, config, promote=True)
+        # Earlier builds could save the compiled float64 plan, which was
+        # bit-identical to the reference path.
+        config_path = store.path(1) / "config.json"
+        parent_format = json.loads(config_path.read_text())
+        parent_format["inference"].update(mode="compiled", slab_dtype="float64")
+        config_path.write_text(json.dumps(parent_format))
+        rehash(store.path(1), "config.json")
+        booted = ServingClient.from_artifact(root, database=imdb_small)
+        assert [booted.estimate(item.query).estimate for item in workload] == expected
+        assert booted.config.inference == InferenceConfig()
+        assert booted.stack.inference_plan is None
         booted.shutdown()
 
     def test_wrong_database_is_rejected(self, tmp_path, model, toy_database,

@@ -1,14 +1,12 @@
 """Tests for the frozen-model inference engine (plans, serving).
 
 Covers the whole compiled-inference stack: plan compilation, its freeze
-guarantee and its self-checks (against ``CRNModel.head`` and against tile
-stacking), tile invariance of the one pair-head kernel on live and frozen
-weights (per-tile ``Tensor`` head and the 256-row golden included), float64
-bit-identity with the reference path, the float32 tolerance mode, the pool
-index's negotiated float32 slab layout, the ``InferenceConfig`` section, the
-client end-to-end paths (including mid-serving pool adds), the lifecycle's
-pre-swap recompile, and the ``plan_compile`` / ``plan_swap`` observability
-trail.
+guarantee and its self-check against ``CRNModel.head``, tile invariance of
+the one pair-head kernel on the live weights (per-tile ``Tensor`` head and
+the 256-row golden included), the float32 tolerance mode, the pool index's
+per-dtype slabs, the ``InferenceConfig`` section, the client end-to-end
+paths (including mid-serving pool adds), the lifecycle's pre-swap
+recompile, and the ``plan_compile`` / ``plan_swap`` observability trail.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
 from repro.core.crn import PASS_ROWS
+from repro.core.estimators import containment_pairs
 from repro.core.training import TrainingResult
 from repro.datasets import build_queries_pool_queries
 from repro.nn.tensor import Tensor, no_grad
@@ -33,7 +32,6 @@ from repro.serving import (
     ServingConfig,
     compile_plan,
 )
-from repro.serving import inference_plan as plan_module
 from repro.serving.config import EstimatorConfig, ObservabilityConfig
 from repro.serving.pool_index import PoolEncodingIndex
 
@@ -93,22 +91,18 @@ class TestCompilePlan:
         crn = make_model()
         with pytest.raises(TypeError, match="CRNModel"):
             compile_plan(object())
-        with pytest.raises(ValueError, match="dtype"):
-            compile_plan(crn, dtype=np.int32)
-        with pytest.raises(ValueError, match="slab_size"):
-            compile_plan(crn, slab_size=0)
-        with pytest.raises(ValueError, match="tolerance"):
-            compile_plan(crn, tolerance=0.0)
+        for tolerance in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                compile_plan(crn, tolerance=tolerance)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_compile_rejects_a_model_whose_head_is_not_the_kernel(self, dtype):
+    def test_compile_rejects_a_model_whose_head_is_not_the_kernel(self):
         class HalvedHead(CRNModel):
             def head(self, first_repr, second_repr):
                 return super().head(first_repr, second_repr) * 0.5
 
         crn = HalvedHead(8, CRNConfig(hidden_size=16, seed=5))
         with pytest.raises(RuntimeError, match="diverged"):
-            compile_plan(crn, dtype=dtype)
+            compile_plan(crn)
 
     def test_weights_are_frozen_at_compile_time(self):
         crn = make_model()
@@ -127,23 +121,6 @@ class TestCompilePlan:
             crn.rates_from_encodings(first, second, slab_size=256), before
         )
 
-    def test_compile_rejects_a_stack_dependent_matmul(self, monkeypatch):
-        # A NumPy/BLAS build whose stacked matmul is not one identical GEMM
-        # per tile would serve batch-dependent bits: emulate one (rows that
-        # share a call with more than a tile of others come out different).
-        real = plan_module.pair_head
-
-        def stack_dependent(first, second, *rest):
-            rates = real(first, second, *rest)
-            rows = rest[-2]
-            return np.nextafter(rates, 2.0) if first.shape[0] > rows else rates
-
-        monkeypatch.setattr(plan_module, "pair_head", stack_dependent)
-        with pytest.raises(RuntimeError, match="per-tile identical"):
-            compile_plan(make_model())
-        # float32 plans never stack tiles, so nothing rests on it there.
-        compile_plan(make_model(), dtype=np.float32)
-
     def test_float32_compile_probes_the_fused_slab_kernel(self, monkeypatch):
         # The generic pass is not what float32 serving runs: a fused kernel
         # that disagrees with model.head must fail compilation too.
@@ -158,17 +135,14 @@ class TestCompilePlan:
         monkeypatch.setattr(InferencePlan, "rates_against_slab", skewed)
         for use_expand in (True, False):
             with pytest.raises(RuntimeError, match="diverged"):
-                compile_plan(make_model(use_expand=use_expand), dtype=np.float32, slab_size=256)
-        assert probed == [32, 32]  # 16 probe rows, both directions, whatever the slab
-        compile_plan(make_model())  # float64 plans have no fused kernel to probe
-        assert len(probed) == 2
+                compile_plan(make_model(use_expand=use_expand))
+        assert probed == [26, 26]  # 13 probe rows, both directions
 
     def test_one_constant_sets_every_default_pass_height(self, imdb_featurizer):
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
         assert EstimatorConfig().batch_size == PASS_ROWS
         assert CRNEstimator(crn, imdb_featurizer).batch_size == PASS_ROWS
         assert TrainingResult(crn, imdb_featurizer).estimator().batch_size == PASS_ROWS
-        assert compile_plan(crn).slab_size == PASS_ROWS
         first, second = encodings(16, 3 * PASS_ROWS + 1)
         np.testing.assert_array_equal(
             crn.rates_from_encodings(first, second),
@@ -191,28 +165,21 @@ class TestCompilePlan:
 class TestPlanExecution:
     @pytest.mark.parametrize("pooling", ["average", "sum"])
     @pytest.mark.parametrize("use_expand", [True, False])
-    @pytest.mark.parametrize("rows", [0, 1, 7, 256, 300])
-    def test_float64_is_bit_identical_to_the_tensor_path(self, use_expand, rows, pooling):
+    @pytest.mark.parametrize("rows", [0, 1, 7, 256, 400])
+    def test_float32_stays_within_the_documented_bound(self, use_expand, rows, pooling):
         crn = make_model(use_expand=use_expand, pooling=pooling)
-        plan = compile_plan(crn, slab_size=256)
+        plan = compile_plan(crn, tolerance=1e-3)
+        assert plan.dtype == np.float32
         first, second = encodings(crn.hidden_size, rows, seed=rows)
         expected = crn.rates_from_encodings(first, second, slab_size=256)
         actual = plan.rates_from_encodings(first, second)
-        assert actual.dtype == np.float64
-        assert actual.tobytes() == expected.tobytes()
-
-    def test_float32_stays_within_the_documented_bound(self):
-        crn = make_model()
-        plan = compile_plan(crn, dtype=np.float32, tolerance=1e-3)
-        first, second = encodings(crn.hidden_size, 400, seed=11)
-        expected = crn.rates_from_encodings(first, second, slab_size=256)
-        actual = plan.rates_from_encodings(first, second)
         assert actual.dtype == np.float64  # rates are always canonical float64
+        assert actual.shape == (rows,)
         np.testing.assert_allclose(actual, expected, rtol=plan.tolerance, atol=1e-6)
 
     def test_scratch_grows_geometrically_and_is_reused(self):
         crn = make_model()
-        plan = compile_plan(crn, dtype=np.float32)
+        plan = compile_plan(crn)
         hidden = crn.hidden_size
         # The compile-time self-check already allocated this thread's
         # scratch (13 check rows); growth counts start from there.
@@ -229,27 +196,30 @@ class TestPlanExecution:
         plan.rates_from_encodings(*encodings(hidden, 40))
         assert plan.scratch_stats()["allocations"] == stats["allocations"]
 
-    def test_float64_scratch_grows_by_whole_tiles_up_to_one_stack(self):
+    def test_live_scratch_grows_by_whole_tiles_up_to_one_stack(self):
         crn = make_model()
-        plan = compile_plan(crn)
         hidden = crn.hidden_size
-        # The self-check's 3-tile stack is this thread's high-water mark.
-        base = plan.scratch_stats()
-        assert base["capacity_rows"] == 3 * PASS_ROWS
-        plan.rates_from_encodings(*encodings(hidden, 3 * PASS_ROWS + 2))
-        grown = plan.scratch_stats()
+
+        def scratch() -> tuple[int, int]:
+            state = crn._scratch
+            return getattr(state, "capacity", 0), getattr(state, "allocations", 0)
+
+        crn.rates_from_encodings(*encodings(hidden, 3 * PASS_ROWS))
+        base = scratch()
+        assert base[0] == 3 * PASS_ROWS
+        crn.rates_from_encodings(*encodings(hidden, 3 * PASS_ROWS + 2))
+        grown = scratch()
         # 4 tiles needed: the capacity doubles, and stays a whole number of tiles.
-        assert grown["capacity_rows"] == 6 * PASS_ROWS
-        assert grown["allocations"] == base["allocations"] + 1
-        plan.rates_from_encodings(*encodings(hidden, 6 * PASS_ROWS))
-        assert plan.scratch_stats() == grown
+        assert grown == (6 * PASS_ROWS, base[1] + 1)
+        crn.rates_from_encodings(*encodings(hidden, 6 * PASS_ROWS))
+        assert scratch() == grown
         # However many rows a batch brings, a pass stacks at most 256 of
         # them: scratch stops growing with the batch.
-        plan.rates_from_encodings(*encodings(hidden, 1000))
-        capped = plan.scratch_stats()
-        assert capped["capacity_rows"] == 256
-        plan.rates_from_encodings(*encodings(hidden, 5000))
-        assert plan.scratch_stats() == capped
+        crn.rates_from_encodings(*encodings(hidden, 1000))
+        capped = scratch()
+        assert capped[0] == 256
+        crn.rates_from_encodings(*encodings(hidden, 5000))
+        assert scratch() == capped
 
     def test_shape_validation(self):
         plan = compile_plan(make_model())
@@ -271,18 +241,15 @@ class TestPlanExecution:
         use_expand=st.booleans(),
     )
     def test_property_compiled_matches_reference(self, hidden, rows, slab, seed, use_expand):
-        """Across random CRN configs and batch sizes: float64 is bit-exact,
-        float32 is inside the plan's documented tolerance."""
+        """Across random CRN configs and reference pass heights, the plan is
+        inside its documented tolerance."""
         crn = CRNModel(8, CRNConfig(hidden_size=hidden, seed=seed, use_expand=use_expand))
         rng = np.random.default_rng(seed)
         first = rng.standard_normal((rows, hidden))
         second = rng.standard_normal((rows, hidden))
         expected = crn.rates_from_encodings(first, second, slab_size=slab)
 
-        exact = compile_plan(crn, dtype=np.float64, slab_size=slab)
-        assert exact.rates_from_encodings(first, second).tobytes() == expected.tobytes()
-
-        fused = compile_plan(crn, dtype=np.float32, slab_size=slab, tolerance=1e-3)
+        fused = compile_plan(crn, tolerance=1e-3)
         np.testing.assert_allclose(
             fused.rates_from_encodings(first, second),
             expected,
@@ -309,29 +276,25 @@ class TestTileInvariance:
         self, rows, hidden, use_expand, data
     ):
         """Scored alone, in a random subset, or permuted across tile
-        boundaries — live weights or frozen — a pair gets the same bits."""
+        boundaries, a pair gets the same bits from the live weights."""
         seed = data.draw(st.integers(min_value=0, max_value=2**16))
         crn = CRNModel(8, CRNConfig(hidden_size=hidden, seed=seed, use_expand=use_expand))
-        plan = compile_plan(crn)
         first, second = encodings(hidden, rows, seed=seed)
         scored = crn.rates_from_encodings(first, second)
-        assert plan.rates_from_encodings(first, second).tobytes() == scored.tobytes()
         rng = np.random.default_rng(seed)
         for _ in range(3):
             size = int(rng.integers(1, rows + 1))
             chosen = rng.permutation(rows)[:size]
-            for head in (crn, plan):
-                subset = head.rates_from_encodings(first[chosen], second[chosen])
-                assert subset.tobytes() == scored[chosen].tobytes()
+            subset = crn.rates_from_encodings(first[chosen], second[chosen])
+            assert subset.tobytes() == scored[chosen].tobytes()
 
     @pytest.mark.parametrize("use_expand", [True, False])
     @pytest.mark.parametrize("rows", [0, 1, PASS_ROWS, 2 * PASS_ROWS + 3, 700])
-    def test_live_weights_equal_the_plan_and_the_per_tile_tensor_head(self, rows, use_expand):
+    def test_live_weights_equal_the_per_tile_tensor_head(self, rows, use_expand):
         crn = make_model(hidden=64, use_expand=use_expand)
         first, second = encodings(64, rows, seed=rows)
         live = crn.rates_from_encodings(first, second)
         assert live.dtype == np.float64 and live.shape == (rows,)
-        assert compile_plan(crn).rates_from_encodings(first, second).tobytes() == live.tobytes()
         assert tensor_head_by_passes(crn, first, second, PASS_ROWS).tobytes() == live.tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 300, 700])
@@ -344,8 +307,6 @@ class TestTileInvariance:
         first, second = encodings(64, rows, seed=rows)
         golden = tensor_head_by_passes(crn, first, second, 256)
         estimator = CRNEstimator(crn, imdb_featurizer, batch_size=256)
-        assert estimator._head_rates(first, second).tobytes() == golden.tobytes()
-        estimator.attach_plan(compile_plan(crn, slab_size=256))
         assert estimator._head_rates(first, second).tobytes() == golden.tobytes()
 
     def test_threads_score_through_their_own_scratch(self):
@@ -398,11 +359,10 @@ class TestBulkEncoding:
             live = crn.encode_sets(rows, counts, position)
             assert live.shape == (600, 32) and live.dtype == np.float64
             assert live.tobytes() == one_by_one(crn, rows, counts, position).tobytes()
-            for dtype in (np.float64, np.float32):
-                # Both plan dtypes freeze float64 encoders: the same bits.
-                plan = compile_plan(crn, dtype=dtype)
-                assert plan.encode_sets(rows, counts, position).tobytes() == live.tobytes()
-                assert one_by_one(plan, rows, counts, position).tobytes() == live.tobytes()
+            # The plan freezes float64 encoders: the same bits.
+            plan = compile_plan(crn)
+            assert plan.encode_sets(rows, counts, position).tobytes() == live.tobytes()
+            assert one_by_one(plan, rows, counts, position).tobytes() == live.tobytes()
 
     def test_multi_row_sets_keep_the_per_set_formula_bits(self):
         # The arithmetic encode_set had before bulk encoding existed; a one-row
@@ -441,7 +401,7 @@ class TestBulkEncoding:
 
     def test_the_estimators_bulk_encode_is_its_encode_query(self, model, imdb_featurizer, pool):
         queries = [entry.query for entry in pool]
-        for plan in (None, compile_plan(model, dtype=np.float32)):
+        for plan in (None, compile_plan(model)):
             estimator = CRNEstimator(model, imdb_featurizer)
             if plan is not None:
                 estimator.attach_plan(plan)
@@ -464,7 +424,7 @@ def slab_inputs(hidden: int, entries: int, seed: int = 0):
 
 
 def feature_major(rows: np.ndarray) -> np.ndarray:
-    """``(E, H)`` float64 rows as the contiguous ``(H, E)`` float32 mirror."""
+    """``(E, H)`` float64 rows as a contiguous ``(H, E)`` float32 slab."""
     return np.ascontiguousarray(rows.T, dtype=np.float32)
 
 
@@ -480,7 +440,7 @@ class TestFusedSlabKernel:
         self, hidden, entries, use_expand, seed
     ):
         crn = make_model(hidden=hidden, seed=seed, use_expand=use_expand)
-        plan = compile_plan(crn, dtype=np.float32)
+        plan = compile_plan(crn)
         q_first, q_second, pool_first, pool_second = slab_inputs(hidden, entries, seed)
         fused = plan.rates_against_slab(
             q_first, q_second, feature_major(pool_first), feature_major(pool_second)
@@ -497,49 +457,43 @@ class TestFusedSlabKernel:
         )
 
     @pytest.mark.parametrize("use_expand", [True, False])
-    def test_mirror_views_and_the_float64_fallback_score_like_contiguous_float32(
-        self, use_expand
-    ):
+    def test_slab_views_and_float64_input_score_like_contiguous_float32(self, use_expand):
         crn = make_model(hidden=16, use_expand=use_expand)
-        plan = compile_plan(crn, dtype=np.float32)
+        plan = compile_plan(crn)
         q_first, q_second, pool_first, pool_second = slab_inputs(16, 37, seed=9)
         expected = plan.rates_against_slab(
             q_first, q_second, feature_major(pool_first), feature_major(pool_second)
         ).tobytes()
-        # What the index hands out: the first `count` columns of a mirror
+        # What the index hands out: the first `count` columns of a slab
         # with spare capacity (rows strided by the capacity, not by E).
-        mirrors = np.full((2, 16, 64), np.nan, dtype=np.float32)
-        mirrors[0, :, :37], mirrors[1, :, :37] = pool_first.T, pool_second.T
-        views = plan.rates_against_slab(q_first, q_second, mirrors[0, :, :37], mirrors[1, :, :37])
+        slabs = np.full((2, 16, 64), np.nan, dtype=np.float32)
+        slabs[0, :, :37], slabs[1, :, :37] = pool_first.T, pool_second.T
+        views = plan.rates_against_slab(q_first, q_second, slabs[0, :, :37], slabs[1, :, :37])
         assert views.tobytes() == expected
-        # A mirror-less slab: the canonical float64 rows, transposed.
-        fallback = plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T)
-        assert fallback.tobytes() == expected
+        # Any (H, E) array is cast on load: float64 rows, transposed.
+        cast = plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T)
+        assert cast.tobytes() == expected
 
-    def test_rejects_row_major_input_and_float64_plans(self):
+    def test_rejects_row_major_input(self):
         crn = make_model(hidden=16)
         q_first, q_second, pool_first, pool_second = slab_inputs(16, 5)
-        plan = compile_plan(crn, dtype=np.float32)
+        plan = compile_plan(crn)
         with pytest.raises(ValueError, match="feature-major"):
             plan.rates_against_slab(q_first, q_second, pool_first, pool_second)
         with pytest.raises(ValueError, match="feature-major"):
             plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T[:, :4])
-        with pytest.raises(RuntimeError, match="float32 plan"):
-            compile_plan(crn).rates_against_slab(
-                q_first, q_second, pool_first.T, pool_second.T
-            )
 
     def test_a_resolved_slab_scores_identically_after_appends_and_growth(
         self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle
     ):
         # The snapshot contract for column appends: what a request resolved
-        # stays what it scores, whether a later add writes the next column of
-        # the same mirror or outgrows it (ensure_capacity reallocates).
+        # keeps its bytes and stays what it scores, whether a later add
+        # writes the next column of the same slab or outgrows it
+        # (ensure_capacity reallocates).
         own_pool = QueriesPool(pool)
         containment = CRNEstimator(model, imdb_featurizer)
-        containment.attach_plan(compile_plan(model, dtype=np.float32))
+        containment.attach_plan(compile_plan(model))
         index = PoolEncodingIndex(own_pool, initial_capacity=1)
-        index.negotiate_dtype(np.float32)
         estimator = Cnt2CrdEstimator(containment, own_pool, pool_index=index)
         # Unseen queries over one FROM signature the pool knows: one to
         # score, two to add.
@@ -556,28 +510,38 @@ class TestFusedSlabKernel:
             if len(items) >= 3 and own_pool.has_match(items[0].query)
         )
         query = scored_item.query
-        slabs = [index.resolve(estimator, query)]
-        scored = [containment.rates_against_pools([(query, slabs[0])])[0].tobytes()]
+
+        def resolve():
+            slab = index.resolve(estimator, query)
+            rates = containment.rates_against_pools([(query, slab)])[0].tobytes()
+            return slab, slab.first.tobytes() + slab.second.tobytes(), rates
+
+        resolved = [resolve()]
         for item in extra[:2]:
             own_pool.add(item.query, item.cardinality)
-            slabs.append(index.resolve(estimator, query))
-            scored.append(containment.rates_against_pools([(query, slabs[-1])])[0].tobytes())
+            resolved.append(resolve())
+        slabs = [slab for slab, _, _ in resolved]
         count = len(slabs[0].entries)
-        assert [slab.first_f32.shape for slab in slabs] == [
+        assert [slab.first.shape for slab in slabs] == [
             (model.hidden_size, count + grown) for grown in range(3)
         ]
-        # A full mirror (capacity == count) grew into fresh storage; the next
+        assert {slab.first.dtype for slab in slabs} == {np.dtype(np.float32)}
+        assert {slab.second.dtype for slab in slabs} == {np.dtype(np.float32)}
+        # A full slab (capacity == count) grew into fresh storage; the next
         # append fit the doubled capacity and wrote a column in place.
-        assert slabs[1].first_f32.base is not slabs[0].first_f32.base
-        assert slabs[2].first_f32.base is slabs[1].first_f32.base
-        for slab, expected in zip(slabs, scored):
-            np.testing.assert_array_equal(slab.first_f32, slab.first.T.astype(np.float32))
-            np.testing.assert_array_equal(slab.second_f32, slab.second.T.astype(np.float32))
-            assert containment.rates_against_pools([(query, slab)])[0].tobytes() == expected
+        assert slabs[1].first.base is not slabs[0].first.base
+        assert slabs[2].first.base is slabs[1].first.base
+        for slab, stored, rates in resolved:
+            assert slab.first.tobytes() + slab.second.tobytes() == stored
+            for offset, entry in enumerate(slab.entries):
+                for position, columns in ((1, slab.first), (2, slab.second)):
+                    encoding = containment.encode_query(entry.query, position)
+                    assert columns[:, offset].tobytes() == encoding.astype(np.float32).tobytes()
+            assert containment.rates_against_pools([(query, slab)])[0].tobytes() == rates
 
     def test_threads_score_different_slabs_through_one_plan(self):
         crn = make_model(hidden=64)
-        plan = compile_plan(crn, dtype=np.float32)
+        plan = compile_plan(crn)
         cases = []
         for index, entries in enumerate((300, 17, 1, 90)):
             q_first, q_second, pool_first, pool_second = slab_inputs(64, entries, seed=index)
@@ -642,26 +606,27 @@ class TestFusedSlabKernel:
 
 
 class TestEstimatorPlanAttachment:
-    def test_attach_validates_model_and_slab(self, model, imdb_featurizer):
+    def test_attach_validates_model(self, model, imdb_featurizer):
         estimator = CRNEstimator(model, imdb_featurizer, batch_size=128)
         other = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
         with pytest.raises(ValueError, match="different model"):
-            estimator.attach_plan(compile_plan(other, slab_size=128))
-        with pytest.raises(ValueError, match="slab"):
-            estimator.attach_plan(compile_plan(model, slab_size=64))
-        plan = compile_plan(model, slab_size=128)
+            estimator.attach_plan(compile_plan(other))
+        plan = compile_plan(model)
         estimator.attach_plan(plan)
         assert estimator.inference_plan is plan
         # Attaching is per estimator: a second one over the same model stays
         # on the reference path.
         assert CRNEstimator(model, imdb_featurizer, batch_size=128).inference_plan is None
 
-    def test_attached_plan_serves_identical_rates(self, model, imdb_featurizer):
+    def test_attached_plan_serves_rates_within_tolerance(self, model, imdb_featurizer):
         estimator = CRNEstimator(model, imdb_featurizer, batch_size=256)
         first, second = encodings(model.hidden_size, 40)
         reference = estimator._head_rates(first, second)
-        estimator.attach_plan(compile_plan(model, slab_size=256))
-        assert estimator._head_rates(first, second).tobytes() == reference.tobytes()
+        plan = compile_plan(model)
+        estimator.attach_plan(plan)
+        np.testing.assert_allclose(
+            estimator._head_rates(first, second), reference, rtol=plan.tolerance, atol=1e-6
+        )
 
     def test_attached_plan_freezes_both_encode_routes(self, model, imdb_featurizer, workload):
         # The pair-list route (estimate_containments) must read the plan's
@@ -669,7 +634,7 @@ class TestEstimatorPlanAttachment:
         # change reaches neither.
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
         estimator = CRNEstimator(crn, imdb_featurizer, batch_size=256)
-        estimator.attach_plan(compile_plan(crn, slab_size=256))
+        estimator.attach_plan(compile_plan(crn))
         pairs = list(zip(workload[:6], workload[6:12]))
         rates = estimator.estimate_containments(pairs)
         encoding = estimator.encode_query(workload[0], 1)
@@ -680,56 +645,56 @@ class TestEstimatorPlanAttachment:
 
 
 # --------------------------------------------------------------------------- #
-# the pool index's negotiated float32 layout
+# the pool index's per-dtype slabs
 
 
-class TestIndexDtypeNegotiation:
-    def test_rejects_unsupported_dtypes(self, pool):
-        index = PoolEncodingIndex(pool)
-        with pytest.raises(ValueError, match="slab dtype"):
-            index.negotiate_dtype(np.int16)
-
-    def test_float32_layout_adds_mirrors_and_keeps_canonical_rows(
+class TestIndexSlabDtype:
+    def test_plan_less_and_compiled_estimators_resolve_their_own_slabs(
         self, model, imdb_featurizer, pool, workload
     ):
         index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer, batch_size=256),
-            pool,
-            pool_index=index,
-        )
-        index.negotiate_dtype(np.float32)
+        live = CRNEstimator(model, imdb_featurizer)
+        compiled = CRNEstimator(model, imdb_featurizer)
+        compiled.attach_plan(compile_plan(model))
+        reference = Cnt2CrdEstimator(live, pool, pool_index=index)
+        fast = Cnt2CrdEstimator(compiled, pool, pool_index=index)
         query = next(q for q in workload if pool.has_match(q))
-        slab = index.resolve(estimator, query)
-        assert slab is not None
-        assert slab.first.dtype == np.float64  # canonical rows stay float64
-        assert slab.first_f32 is not None and slab.first_f32.dtype == np.float32
-        assert slab.second_f32 is not None and slab.second_f32.dtype == np.float32
-        # Mirrors are feature-major: entry i is column i.
-        np.testing.assert_array_equal(slab.first_f32, slab.first.T.astype(np.float32))
-        np.testing.assert_array_equal(slab.second_f32, slab.second.T.astype(np.float32))
-        # Negotiating back to float64 drops the mirrors.
-        index.negotiate_dtype(np.float64)
-        slab = index.resolve(estimator, query)
-        assert slab.first_f32 is None and slab.second_f32 is None
+        wide, narrow = index.resolve(reference, query), index.resolve(fast, query)
+        shape = (model.hidden_size, len(wide.entries))
+        assert wide.first.shape == wide.second.shape == narrow.first.shape == shape
+        assert wide.first.dtype == wide.second.dtype == np.float64
+        assert narrow.first.dtype == narrow.second.dtype == np.float32
+        assert wide.token != narrow.token
+        np.testing.assert_array_equal(narrow.first, wide.first.astype(np.float32))
+        np.testing.assert_array_equal(narrow.second, wide.second.astype(np.float32))
+        pairs = containment_pairs(query, wide.entries)
+        exact = live.rates_against_pools([(query, wide)])[0]
+        assert exact.tolist() == live.estimate_containments(pairs)
+        close = compiled.rates_against_pools([(query, narrow)])[0]
+        np.testing.assert_allclose(close, compiled.estimate_containments(pairs), rtol=1e-3)
 
-    def test_negotiated_layout_survives_rebind(
+    def test_rebind_and_rewarm_with_a_recompiled_candidate_builds_float32_slabs(
         self, model, imdb_featurizer, pool, workload
     ):
-        # A lifecycle hot swap replaces the model, not the inference mode:
-        # the rebound index must keep building float32 mirrors.
+        # The lifecycle's promote order: rebind to the candidate model, then
+        # re-warm through the candidate's freshly compiled plan.
         index = PoolEncodingIndex(pool)
-        index.negotiate_dtype(np.float32)
+        incumbent_crn = CRNEstimator(model, imdb_featurizer)
+        incumbent_crn.attach_plan(compile_plan(model))
+        incumbent = Cnt2CrdEstimator(incumbent_crn, pool, pool_index=index)
+        index.warm(incumbent)
         replacement = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=77))
         index.rebind(replacement, pool=pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(replacement, imdb_featurizer, batch_size=256),
-            pool,
-            pool_index=index,
-        )
+        assert len(index) == 0
+        candidate_crn = CRNEstimator(replacement, imdb_featurizer)
+        candidate_crn.attach_plan(compile_plan(replacement))
+        candidate = Cnt2CrdEstimator(candidate_crn, pool, pool_index=index)
+        index.warm(candidate)
+        assert index.stats_snapshot()["pool_index_f32_mirrors"] == 1.0
         query = next(q for q in workload if pool.has_match(q))
-        slab = index.resolve(estimator, query)
-        assert slab is not None and slab.first_f32 is not None
+        slab = index.resolve(candidate, query)
+        assert slab.first.dtype == slab.second.dtype == np.float32
+        assert index.resolve(incumbent, query).first is None  # fenced
 
 
 # --------------------------------------------------------------------------- #
@@ -752,6 +717,12 @@ class TestInferenceConfig:
             InferenceConfig(tolerance=-1.0)
         with pytest.raises(ValueError, match="reference"):
             InferenceConfig(mode="reference", slab_dtype="float32")
+        # The retired compiled-float64 plan: the message names its
+        # bit-identical replacement.
+        with pytest.raises(ValueError, match="mode='reference'"):
+            InferenceConfig(mode="compiled", slab_dtype="float64")
+        with pytest.raises(ValueError, match="mode='reference'"):
+            InferenceConfig(mode="compiled")
 
     def test_mapping_round_trip(self, model, imdb_featurizer, pool):
         config = ServingConfig(
@@ -777,7 +748,8 @@ class TestInferenceConfig:
 
 
 class TestCompiledServing:
-    def start_client(self, model, imdb_featurizer, pool, mode, dtype="float64", **overrides):
+    def start_client(self, model, imdb_featurizer, pool, mode, **overrides):
+        dtype = "float32" if mode == "compiled" else "float64"
         config = ServingConfig(
             model=model,
             featurizer=imdb_featurizer,
@@ -787,26 +759,11 @@ class TestCompiledServing:
         )
         return ServingClient.start(config)
 
-    def test_compiled_float64_serves_bit_identical_estimates(
-        self, model, imdb_featurizer, pool, workload
-    ):
-        reference = self.start_client(model, imdb_featurizer, pool, "reference")
-        compiled = self.start_client(model, imdb_featurizer, pool, "compiled")
-        try:
-            assert compiled.stack.inference_plan is not None
-            for ref, fast in zip(
-                reference.estimate_many(workload), compiled.estimate_many(workload)
-            ):
-                assert np.float64(ref.estimate).tobytes() == np.float64(fast.estimate).tobytes()
-        finally:
-            reference.shutdown()
-            compiled.shutdown()
-
     def test_compiled_float32_stays_within_tolerance_across_pool_adds(
         self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle
     ):
         reference = self.start_client(model, imdb_featurizer, pool, "reference")
-        compiled = self.start_client(model, imdb_featurizer, pool, "compiled", dtype="float32")
+        compiled = self.start_client(model, imdb_featurizer, pool, "compiled")
         try:
             plan = compiled.stack.inference_plan
             assert plan is not None and plan.dtype == np.float32
@@ -822,7 +779,7 @@ class TestCompiledServing:
                     assert abs(fast.estimate - ref.estimate) <= plan.tolerance * scale
 
             check(workload)
-            # Mid-serving pool adds: the index appends mirrored rows and the
+            # Mid-serving pool adds: the index appends float32 columns and the
             # compiled path keeps tracking the reference estimates.
             for labeled in extra:
                 pool.add(labeled.query, labeled.cardinality)
@@ -837,7 +794,6 @@ class TestCompiledServing:
             imdb_featurizer,
             pool,
             "compiled",
-            dtype="float32",
             observability=ObservabilityConfig(enabled=True),
         )
         try:

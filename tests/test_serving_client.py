@@ -28,7 +28,7 @@ from repro.serving import (
     ServingError,
     UnknownEstimatorError,
 )
-from repro.serving.config import AdaptationConfig
+from repro.serving.config import AdaptationConfig, ClusterConfig
 from repro.sql.builder import QueryBuilder
 
 
@@ -91,6 +91,26 @@ class TestConfigValidation:
             EstimatorConfig(batch_size=0)
         with pytest.raises(ValueError, match="distinct"):
             EstimatorConfig(name="crn", fallback_name="crn")
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (EstimatorConfig, "epsilon"),
+            (FeedbackConfig, "epsilon"),
+            (InferenceConfig, "tolerance"),
+            (AdaptationConfig, "poll_interval_seconds"),
+            (AdaptationConfig, "accept_ratio"),
+            (ClusterConfig, "request_timeout_seconds"),
+            (ClusterConfig, "connect_timeout_seconds"),
+            (ClusterConfig, "retry_backoff_seconds"),
+            (ClusterConfig, "deadline_grace_seconds"),
+        ],
+    )
+    def test_nan_float_fields_are_rejected(self, section, field):
+        # NaN compares false both ways: a NaN epsilon would silently turn
+        # off the Cnt2Crd zero-rate guard (~(y <= nan) keeps every entry).
+        with pytest.raises(ValueError, match=field):
+            section(**{field: float("nan")})
 
     def test_dispatcher_section_bounds(self):
         with pytest.raises(ValueError, match="max_batch"):

@@ -510,45 +510,19 @@ class TestInlineServing:
 
 
 class TestConcurrencyMetrics:
-    def test_time_concurrent_service_and_table(
-        self, model, imdb_small, imdb_featurizer, imdb_oracle, pool
+    def test_service_stats_report_coalescing(
+        self, model, imdb_small, imdb_featurizer, pool, workload
     ):
-        from repro.evaluation import (
-            format_concurrent_table,
-            format_service_stats,
-            time_concurrent_service,
-        )
+        from repro.evaluation import format_service_stats
 
-        labeled = build_queries_pool_queries(
-            imdb_small, count=16, seed=31, oracle=imdb_oracle
-        )
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         with ServingDispatcher(service, max_batch=16) as dispatcher:
-            timed = time_concurrent_service(dispatcher, labeled, threads=4)
-        assert timed.name == "crn"
-        assert timed.requests == len(labeled)
-        assert timed.threads == 4
-        assert timed.failed == 0
-        assert timed.throughput_qps > 0.0
-        assert timed.coalesced_batches >= 1
-        assert timed.mean_batch_size > 0.0
-        table = format_concurrent_table({"dispatcher": timed}, title="concurrent")
-        assert "dispatcher" in table and "queue depth" in table
-        merged = {**service.stats_snapshot(), **dispatcher.stats.snapshot()}
+            for future in [dispatcher.submit(query) for query in workload]:
+                future.result()
+            merged = {**service.stats_snapshot(), **dispatcher.stats.snapshot()}
+        assert merged["coalesced_batches"] >= 1
         text = format_service_stats(merged, title="stats")
         assert "coalesced batches" in text and "max queue depth" in text
-
-    def test_time_concurrent_service_validates_input(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        from repro.evaluation import time_concurrent_service
-
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        with ServingDispatcher(service) as dispatcher:
-            with pytest.raises(ValueError, match="empty workload"):
-                time_concurrent_service(dispatcher, [])
-            with pytest.raises(ValueError, match="threads"):
-                time_concurrent_service(dispatcher, [object()], threads=0)
 
 
 class TestLifecycle:

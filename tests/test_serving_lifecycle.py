@@ -5,7 +5,6 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.baselines import PostgresCardinalityEstimator
@@ -380,21 +379,14 @@ class TestAdaptationManager:
     def test_promote_recompiles_the_inference_plan(self, trained, imdb_small, pool):
         # A compiled-mode deployment must come out of a hot swap still
         # compiled: the candidate gets its own freshly compiled plan (same
-        # dtype/slab/tolerance contract) before the registry swap, and the
+        # tolerance) before the registry swap, and the
         # plan lifecycle lands in the event store as plan_compile+plan_swap.
         service, _, _, manager = self.build(trained, imdb_small, pool)
         store = EventStore()
         service.recorder = EventRecorder(store=store)
         incumbent = service.get("crn").containment_estimator
-        plan = compile_plan(
-            trained.model,
-            dtype=np.float32,
-            slab_size=incumbent.batch_size,
-            tolerance=5e-4,
-        )
+        plan = compile_plan(trained.model, tolerance=5e-4)
         incumbent.attach_plan(plan)
-        if service.pool_index is not None:
-            service.pool_index.negotiate_dtype(np.float32)
         outcome = manager.trigger()
         assert outcome.swapped
         swapped = service.get("crn").containment_estimator
@@ -402,7 +394,6 @@ class TestAdaptationManager:
         assert recompiled is not None and recompiled is not plan
         assert recompiled.model is swapped.model
         assert recompiled.dtype == plan.dtype
-        assert recompiled.slab_size == plan.slab_size
         assert recompiled.tolerance == plan.tolerance
         # The incumbent keeps its own plan (rollback never needs a re-attach).
         assert incumbent.inference_plan is plan

@@ -87,8 +87,8 @@ class TestResidentSlabScoring:
             entries=tuple(entries),
             cardinalities=np.array([float(e.cardinality) for e in entries]),
             token=("test",),
-            first=first,
-            second=second,
+            first=first.T,  # feature-major, as the index stores it
+            second=second.T,
         )
         (indexed,) = estimator.rates_against_pools([(query, slab)])
         assert indexed.tolist() == legacy
@@ -137,8 +137,8 @@ class TestPoolEncodingIndex:
         assert slab.entries == tuple(estimator.eligible_entries(query))
         for offset, entry in enumerate(slab.entries):
             vectors = imdb_featurizer.featurize(entry.query)
-            np.testing.assert_array_equal(slab.first[offset], model.encode_set(vectors, 1))
-            np.testing.assert_array_equal(slab.second[offset], model.encode_set(vectors, 2))
+            np.testing.assert_array_equal(slab.first[:, offset], model.encode_set(vectors, 1))
+            np.testing.assert_array_equal(slab.second[:, offset], model.encode_set(vectors, 2))
 
     def test_incremental_add_appends_rows(self, model, imdb_featurizer, labeled):
         pool = QueriesPool.from_labeled_queries(labeled[:40])
@@ -213,7 +213,6 @@ class TestPoolEncodingIndex:
             fenced = old.resolve(query)
             assert fenced is not None
             assert fenced.first is None and fenced.second is None
-            assert fenced.first_f32 is None and fenced.second_f32 is None
             assert fenced.entries == tuple(old.eligible_entries(query))
         assert index.stats.fallbacks == fallbacks_before + 3
         assert len(index) == 0
@@ -386,7 +385,7 @@ def buckets():
 class TestWarmedSlabRows:
     @pytest.mark.parametrize("inference", [InferenceConfig(), FLOAT32], ids=["f64", "f32"])
     @pytest.mark.parametrize("kind", ["generated", "bucket"])
-    def test_every_row_is_its_entrys_encoding_and_mirrors_are_casts(
+    def test_every_column_is_its_entrys_encoding_in_the_slab_dtype(
         self, model, imdb_featurizer, pool, buckets, kind, inference
     ):
         served = pool if kind == "generated" else buckets
@@ -395,19 +394,16 @@ class TestWarmedSlabRows:
         )
         slabs = resolved_slabs(stack)
         assert sum(len(slab.entries) for slab in slabs) == sum(1 for e in served if e.cardinality > 0)
+        dtype = np.dtype(inference.slab_dtype)
         for slab in slabs:
+            assert slab.first.dtype == slab.second.dtype == dtype
             for offset, entry in enumerate(slab.entries):
                 vectors = imdb_featurizer.featurize(entry.query)
-                for position, rows in ((1, slab.first), (2, slab.second)):
+                for position, columns in ((1, slab.first), (2, slab.second)):
                     expected = model.encode_set(vectors, position)
-                    assert rows[offset].tobytes() == expected.tobytes()
+                    assert columns[:, offset].tobytes() == expected.astype(dtype).tobytes()
                     formula = formula_encoding(model, imdb_featurizer, entry.query, position)
                     assert expected.tobytes() == formula.tobytes()
-            if inference is FLOAT32:
-                assert slab.first_f32.tobytes() == slab.first.T.astype(np.float32).tobytes()
-                assert slab.second_f32.tobytes() == slab.second.T.astype(np.float32).tobytes()
-            else:
-                assert slab.first_f32 is None and slab.second_f32 is None
 
     @pytest.mark.parametrize("inference", [InferenceConfig(), FLOAT32], ids=["f64", "f32"])
     def test_append_and_rebuild_rows_equal_a_fresh_warm(
@@ -416,8 +412,7 @@ class TestWarmedSlabRows:
         def rows(stack):
             return [
                 (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(),
-                 slab.second.tobytes(), None if slab.first_f32 is None else
-                 slab.first_f32.tobytes() + slab.second_f32.tobytes())
+                 slab.second.tobytes())
                 for slab in resolved_slabs(stack)
             ]
 
@@ -474,8 +469,8 @@ def test_warmed_slab_rows_match_the_pinned_digest(seed, model, imdb_small, imdb_
     if formula.hexdigest() != PINNED_SLAB_DIGESTS[seed]:
         pytest.skip("this BLAS rounds the set encoders differently from where the digest was pinned")
     warmed = hashlib.sha256()
-    for slab in slabs:
-        warmed.update(slab.first.tobytes() + slab.second.tobytes())
+    for slab in slabs:  # entry-major bytes, as the digest was pinned
+        warmed.update(slab.first.T.tobytes() + slab.second.T.tobytes())
     assert warmed.hexdigest() == PINNED_SLAB_DIGESTS[seed]
 
 
