@@ -7,7 +7,8 @@ scratch, rows in fixed 16-row tiles) on the model's live float64 weights
 over float64 index slabs; an :class:`repro.serving.InferencePlan` runs on
 frozen float32 copies, reading the index's feature-major float32 slabs
 through a fused slab kernel that folds the request's query into its
-first-layer weight: one GEMM per direction, nothing cached per slab.
+first-layer weight: one GEMM per direction, nothing cached per slab.  Both
+modes encode queries on the live model.
 
 This benchmark serves the identical bucket-heavy single-request workload as
 ``bench_pool_index.py`` through two otherwise-identical indexed clients:
@@ -16,7 +17,7 @@ This benchmark serves the identical bucket-heavy single-request workload as
   on live weights, the default and the baseline the acceptance bar is
   measured against;
 * **compiled f32** -- ``mode="compiled", slab_dtype="float32"``: float32
-  slabs plus the fused slab kernel, within the configured tolerance of the
+  slabs plus the fused slab kernel, within ``F32_TOLERANCE`` of the
   reference estimates (asserted per request).
 
 The acceptance bar: the compiled float32 client's single-request p50 must be
@@ -90,7 +91,7 @@ def test_inference_plan_speedup_and_identity(results_dir, bench_record):
             model,
             featurizer,
             pool,
-            InferenceConfig(mode="compiled", slab_dtype="float32", tolerance=F32_TOLERANCE),
+            InferenceConfig(mode="compiled", slab_dtype="float32"),
         )
 
         reference_estimates, reference_p50 = serve_timed(reference.estimate, requests)
@@ -181,14 +182,14 @@ def test_plan_compile_cost(results_dir, bench_record):
     from repro.serving import compile_plan
 
     start = time.perf_counter()
-    plan = compile_plan(model, tolerance=F32_TOLERANCE)
+    plan = compile_plan(model)
     elapsed = time.perf_counter() - start
     assert plan.compile_seconds <= elapsed
     bench_record(
         "serving",
         "bench_inference_plan",
-        # Includes the self-check: model.head on 13 probe rows and on their
-        # 26 fused pairs.
+        # Includes the self-check: model.head on the 26 fused pairs of 13
+        # probe rows.
         "plan_compile_checked_ms",
         plan.compile_seconds * 1000.0,
         "ms",

@@ -271,13 +271,15 @@ def load_bundle(directory: Path) -> LoadedBundle:
     entries = []
     for record in records:
         try:
-            cardinality = int(record["cardinality"])
-            query_mapping = record["query"]
-        except (TypeError, KeyError) as error:
+            entries.append(
+                PoolEntry(query_from_mapping(record["query"]), int(record["cardinality"]))
+            )
+        except ArtifactSchemaError:
+            raise
+        except (TypeError, KeyError, ValueError, OverflowError) as error:
             raise ArtifactSchemaError(
                 f"invalid pool entry record {record!r}: {error}"
             ) from error
-        entries.append(PoolEntry(query_from_mapping(query_mapping), cardinality))
     pool = QueriesPool(entries)
 
     spec = manifest.model

@@ -132,12 +132,10 @@ def sigmoid_into(a, out, t0, t1, t2, mask) -> None:
 def pair_head(first, second, w_hidden, b_hidden, w_out, b_out, rows: int, scratch) -> np.ndarray:
     """``MLPout`` over ``(n, H)`` encoded pairs in fixed ``rows``-row tiles.
 
-    The arithmetic behind :meth:`CRNModel.rates_from_encodings` (live weights)
-    and :meth:`repro.serving.InferencePlan.rates_from_encodings` (frozen
-    copies): the primitives of :meth:`CRNModel.head` in its order (its
-    ``a + (-b)`` as the bit-equal ``a - b``, Expand written straight into the
-    pair buffer) through ``out=`` ufuncs into ``scratch``, a per-thread
-    attribute bag.  Rows are cast to the weights' dtype on load and
+    The arithmetic behind :meth:`CRNModel.rates_from_encodings`: the
+    primitives of :meth:`CRNModel.head` in its order (its ``a + (-b)`` as the
+    bit-equal ``a - b``, Expand written straight into the pair buffer) through
+    ``out=`` ufuncs into ``scratch``, a per-thread attribute bag.  Rows are
     zero-padded to the next multiple of ``rows``; the buffers are then viewed
     as ``(tiles, rows, width)``, on which ``np.matmul`` runs one
     identically-shaped GEMM per tile — a row's bits depend on ``rows`` alone,
@@ -150,7 +148,6 @@ def pair_head(first, second, w_hidden, b_hidden, w_out, b_out, rows: int, scratc
     if first.ndim != 2 or w_hidden.shape[0] not in (2 * first.shape[1], 4 * first.shape[1]):
         raise ValueError(f"expected (n, H) encodings for this head, got {first.shape}")
     total, size = first.shape
-    dtype = w_hidden.dtype
     rates = np.empty(total, dtype=np.float64)
     step = rows * max(1, _STACK_ROWS // rows)
     for start in range(0, total, step):
@@ -160,10 +157,10 @@ def pair_head(first, second, w_hidden, b_hidden, w_out, b_out, rows: int, scratc
         if getattr(scratch, "capacity", 0) < padded:
             # Geometric growth: slowly-increasing batches cost O(log) reallocations.
             capacity = max(padded, 2 * getattr(scratch, "capacity", 0))
-            scratch.pair = np.empty((capacity, w_hidden.shape[0]), dtype=dtype)
-            scratch.hidden = np.empty((capacity, w_hidden.shape[1]), dtype=dtype)
+            scratch.pair = np.empty((capacity, w_hidden.shape[0]))
+            scratch.hidden = np.empty((capacity, w_hidden.shape[1]))
             # The output column, three sigmoid temporaries and its sign mask.
-            scratch.columns = tuple(np.empty((capacity, 1), dtype=dtype) for _ in range(4))
+            scratch.columns = tuple(np.empty((capacity, 1)) for _ in range(4))
             scratch.mask = np.empty((capacity, 1), dtype=bool)
             scratch.capacity = capacity
             scratch.allocations = getattr(scratch, "allocations", 0) + 1
@@ -412,6 +409,9 @@ class CRNEstimator(ContainmentEstimator):
        (:meth:`CRNModel.rates_from_encodings`), so estimates are bit-for-bit
        identical no matter how pairs are batched together.
 
+    Both stages run on the live model in every mode: an attached compiled
+    plan (:meth:`attach_plan`) only scores resident float32 index slabs.
+
     Args:
         model: the (trained) CRN network.
         featurizer: the featurizer bound to the evaluation database.  Any
@@ -444,9 +444,9 @@ class CRNEstimator(ContainmentEstimator):
         self.batch_size = batch_size
         self.encoding_cache = encoding_cache
         #: Optional compiled inference plan
-        #: (:class:`repro.serving.InferencePlan`).  When attached, the pair
-        #: head runs on the plan's frozen float32 weights instead of the live
-        #: ones, within the plan's documented tolerance.  Duck-typed so core
+        #: (:class:`repro.serving.InferencePlan`).  When attached, resident
+        #: index slabs are scored by its fused float32 kernel; encodings and
+        #: per-pair rates still come from the live model.  Duck-typed so core
         #: never imports the serving layer.
         self.inference_plan = None
         if encoding_cache is not None:
@@ -462,7 +462,7 @@ class CRNEstimator(ContainmentEstimator):
     # compiled inference plans
 
     def attach_plan(self, plan) -> None:
-        """Route pair-head inference through a compiled plan.
+        """Score resident index slabs through a compiled plan's fused kernel.
 
         The plan must have been compiled from *this* estimator's model.
         """
@@ -472,15 +472,6 @@ class CRNEstimator(ContainmentEstimator):
                 "recompile against this estimator's model"
             )
         self.inference_plan = plan
-
-    def _head_rates(self, first_reprs: np.ndarray, second_reprs: np.ndarray) -> np.ndarray:
-        """Run the pair head: the attached plan's frozen weights, else the live ones."""
-        plan = self.inference_plan
-        if plan is not None:
-            return plan.rates_from_encodings(first_reprs, second_reprs)
-        return self.model.rates_from_encodings(
-            first_reprs, second_reprs, slab_size=self.batch_size
-        )
 
     def _encoding_scope(self):
         """The database-snapshot scope baked into encoding-cache keys.
@@ -499,7 +490,7 @@ class CRNEstimator(ContainmentEstimator):
         encodings = self._encode_unique(pairs)
         first_reprs = np.stack([encodings[(first, 1)] for first, _ in pairs])
         second_reprs = np.stack([encodings[(second, 2)] for _, second in pairs])
-        rates = self._head_rates(first_reprs, second_reprs)
+        rates = self.model.rates_from_encodings(first_reprs, second_reprs, self.batch_size)
         return [float(rate) for rate in rates]
 
     def encode_query(self, query: Query, position: int) -> np.ndarray:
@@ -513,11 +504,7 @@ class CRNEstimator(ContainmentEstimator):
             cached = self.encoding_cache.get(query, position, scope=scope, owner=self.model)
             if cached is not None:
                 return cached
-        # A compiled plan carries frozen copies of the encoder weights, so
-        # plan-mode encodings stay consistent with the frozen head even if
-        # the live model is mutated after compilation.
-        encoder = self.model if self.inference_plan is None else self.inference_plan
-        encoding = encoder.encode_set(featurize(query), position)
+        encoding = self.model.encode_set(featurize(query), position)
         if self.encoding_cache is not None:
             self.encoding_cache.put(query, position, encoding, scope=scope, owner=self.model)
         return encoding
@@ -539,8 +526,7 @@ class CRNEstimator(ContainmentEstimator):
         per-request runs would each pad their last tile and pay the kernel's
         fixed cost again.  Because every row's rate is independent of batch
         composition, the fused run returns bit-for-bit the rates of the
-        per-pair route (with a plan: the same rates within the plan's
-        tolerance).
+        per-pair route (with a plan: the same rates up to float32 rounding).
 
         Returns one ``(2 * n_i,)`` rate array per item, in order.
         """
@@ -614,8 +600,7 @@ class CRNEstimator(ContainmentEstimator):
         missing = [index for index, row in enumerate(rows) if row is None]
         if missing:
             sets = [self.featurizer.featurize(queries[index]) for index in missing]
-            encoder = self.model if self.inference_plan is None else self.inference_plan
-            fresh = encoder.encode_sets(np.concatenate(sets), [len(s) for s in sets], position)
+            fresh = self.model.encode_sets(np.concatenate(sets), [len(s) for s in sets], position)
             for index, encoding in zip(missing, fresh):
                 rows[index] = encoding
                 if cache is not None:

@@ -21,6 +21,7 @@ serving layer's batch planning (see :mod:`repro.serving`).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -41,8 +42,11 @@ class PoolEntry:
     cardinality: int
 
     def __post_init__(self) -> None:
-        if self.cardinality < 0:
-            raise ValueError("cardinality must be non-negative")
+        # Written as a chained comparison so NaN fails it too.
+        if not 0 <= self.cardinality < math.inf:
+            raise ValueError(
+                f"cardinality must be finite and non-negative, got {self.cardinality!r}"
+            )
 
 
 @dataclass(frozen=True)

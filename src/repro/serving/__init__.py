@@ -33,9 +33,8 @@ forward passes.  This package amortizes that work across requests:
   (estimator, pool/index, caches, dispatcher, feedback, adaptation
   sections).
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
-  :func:`compile_plan`, the frozen-model float32 inference engine: the
-  pair-head array kernel (:func:`repro.core.crn.pair_head`) on frozen
-  float32 weight copies, plus a fused kernel over the float32 slabs
+  :func:`compile_plan`, the float32 slab scorer: a fused pair-head kernel
+  on frozen float32 copies of the head weights, over the float32 slabs
   :class:`PoolEncodingIndex` keeps for it, under a documented q-error
   bound — enabled through :class:`InferenceConfig` (``mode: compiled``).
 * :mod:`repro.serving.client` -- :class:`ServingClient`, the one-handle

@@ -71,10 +71,12 @@ __all__ = ["ServiceStack", "ServingClient", "build_service_stack"]
 #: saved before their retirement still carry.  ``from_artifact`` drops them
 #: instead of failing the boot on the unknown-field check; every one was
 #: retired because no value of it changed an estimate (the pool index is
-#: always built; the dispatcher coalesces by backlog, not by a wait window).
+#: always built; the dispatcher coalesces by backlog, not by a wait window;
+#: no computation read the compiled plan's tolerance).
 _RETIRED_CONFIG_KEYS = (
     ("pool", "use_index"),
     ("dispatcher", "max_wait_ms"),
+    ("inference", "tolerance"),
 )
 
 
@@ -152,12 +154,10 @@ def build_service_stack(
         service.register(name, estimator)
     plan: InferencePlan | None = None
     if config.inference.mode == "compiled":
-        # Compile before warming: warm-time encodings then flow through the
-        # plan's frozen encoder weights, and the index builds the float32
-        # slabs the plan reads instead of building on the first request.
+        # Compile before warming: the index builds the float32 slabs the
+        # plan reads at warm time instead of on the first request.
         plan = compile_and_attach(
             crn,
-            tolerance=config.inference.tolerance,
             recorder=recorder,
             estimator_name=estimator_config.name,
             generation=service.generation(estimator_config.name),

@@ -44,6 +44,7 @@ alongside the mapping, since they have no serial form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -77,6 +78,18 @@ _SECTIONS: tuple[str, ...] = ()
 def _positive(name: str, value: float) -> None:
     if not value > 0:  # NaN fails too
         raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _seconds(name: str, value: float, *, allow_zero: bool = False) -> None:
+    """Validate a duration: finite, and positive (or non-negative).
+
+    ``inf`` is refused because it reaches ``socket.settimeout``,
+    ``Event.wait`` and ``Future.result``, which raise ``OverflowError``.
+    """
+    above = value >= 0 if allow_zero else value > 0
+    if not (above and value < math.inf):  # NaN fails too
+        sign = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def _bound(name: str, value: int | None) -> None:
@@ -323,17 +336,14 @@ class InferenceConfig:
             every adaptation promote.
         slab_dtype: the pool index's slab dtype, which follows the mode:
             ``"float64"`` for reference, ``"float32"`` for compiled — the
-            plan's fused variable-row kernel reads float32 slabs in place:
-            fastest, with estimates within ``tolerance`` of the reference.
-        tolerance: the documented q-error bound of ``float32`` estimates
-            relative to the reference path (see ``docs/architecture.md``);
-            carried on the plan for events/stats and checked by the property
-            tests.  Ignored in reference mode.
+            plan's fused slab kernel reads float32 slabs in place: fastest,
+            with estimates within float32 rounding of the reference (the
+            bound is in ``docs/architecture.md``).  Encodings and per-pair
+            rates come from the live model in both modes.
     """
 
     mode: str = "reference"
     slab_dtype: str = "float64"
-    tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.mode not in INFERENCE_MODES:
@@ -344,7 +354,6 @@ class InferenceConfig:
             raise ValueError(
                 f"slab_dtype must be one of {SLAB_DTYPES}, got {self.slab_dtype!r}"
             )
-        _positive("tolerance", self.tolerance)
         if self.mode == "reference" and self.slab_dtype != "float64":
             raise ValueError(
                 "reference mode always runs float64; set mode='compiled' to "
@@ -391,7 +400,7 @@ class AdaptationConfig:
 
     def __post_init__(self) -> None:
         self.drift_policy()  # DriftPolicy validates the drift fields
-        _positive("poll_interval_seconds", self.poll_interval_seconds)
+        _seconds("poll_interval_seconds", self.poll_interval_seconds)
         _positive("holdout_size", self.holdout_size)
         _positive("accept_ratio", self.accept_ratio)
         if self.max_incremental_failures < 0:
@@ -536,25 +545,17 @@ class ClusterConfig:
             raise ValueError("cluster host must be non-empty")
         _positive("num_workers", self.num_workers)
         _positive("worker_threads", self.worker_threads)
-        _positive("request_timeout_seconds", self.request_timeout_seconds)
-        _positive("connect_timeout_seconds", self.connect_timeout_seconds)
-        _positive("boot_timeout_seconds", self.boot_timeout_seconds)
-        _positive("poll_interval_seconds", self.poll_interval_seconds)
-        _positive("drain_timeout_seconds", self.drain_timeout_seconds)
+        _seconds("request_timeout_seconds", self.request_timeout_seconds)
+        _seconds("connect_timeout_seconds", self.connect_timeout_seconds)
+        _seconds("boot_timeout_seconds", self.boot_timeout_seconds)
+        _seconds("poll_interval_seconds", self.poll_interval_seconds)
+        _seconds("drain_timeout_seconds", self.drain_timeout_seconds)
         if self.retry_attempts < 0:
             raise ValueError(
                 f"retry_attempts must be non-negative, got {self.retry_attempts!r}"
             )
-        if not self.retry_backoff_seconds >= 0:  # NaN fails too
-            raise ValueError(
-                f"retry_backoff_seconds must be non-negative, "
-                f"got {self.retry_backoff_seconds!r}"
-            )
-        if not self.deadline_grace_seconds >= 0:  # NaN fails too
-            raise ValueError(
-                f"deadline_grace_seconds must be non-negative, "
-                f"got {self.deadline_grace_seconds!r}"
-            )
+        _seconds("retry_backoff_seconds", self.retry_backoff_seconds, allow_zero=True)
+        _seconds("deadline_grace_seconds", self.deadline_grace_seconds, allow_zero=True)
         if self.max_restarts < 0:
             raise ValueError(
                 f"max_restarts must be non-negative, got {self.max_restarts!r}"

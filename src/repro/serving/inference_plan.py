@@ -1,46 +1,40 @@
 """Compiled inference plans: the CRN pair head on frozen float32 weights.
 
-Serving never needs gradients, and no serving path builds an autodiff graph:
-the pair head is one array kernel, :func:`repro.core.crn.pair_head`, which
-``reference`` mode runs on the model's live float64 weights.  An
-:class:`InferencePlan` is the float32 tolerance mode: it runs the same kernel
-on float32 constant **copies** of the head weights, the whole batch as
-**one** variable-row pass (no padding at all), so a later optimizer step
-cannot reach what is being served.  Rates differ from the reference by
-float32 rounding; the documented bound (see ``docs/architecture.md``) is
-that per-rate relative error stays ~1e-5..1e-4, which the serving config
-exposes as ``inference.tolerance`` and the property tests check end to end
-as a q-error bound on final estimates.  The kernel's contract is the op
-order of :meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan`
-checks it against a ``model.head`` forward pass: a model whose head computes
-something else does not compile.
+Serving never needs gradients, and no serving path builds an autodiff graph.
+The set encoders and the per-pair head (:func:`repro.core.crn.pair_head`)
+always run on the model's live float64 weights.  An :class:`InferencePlan`
+has one job: score one query against a float32 pool-index slab through a
+**fused slab kernel** (:meth:`InferencePlan.rates_against_slab`) on float32
+constant **copies** of the head weights.  Rates differ from the reference by
+float32 rounding, ~1e-5..1e-4 relative per rate (see
+``docs/architecture.md``), which the property tests check end to end as a
+q-error bound on final estimates.  The kernel's contract is the op order of
+:meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan` checks it
+against a ``model.head`` forward pass: a model whose head computes something
+else does not compile.
 
-A plan also carries a **fused slab kernel**
-(:meth:`InferencePlan.rates_against_slab`) for the Cnt2Crd access pattern,
-where every pair couples one query vector ``q`` with one pool row.  Instead
-of materializing the ``(2E, H)`` interleaved pair matrices and the
-``(2E, 4H)`` Expand concatenation, it uses three facts.  The first head
-matmul splits by Expand section (``concat([f, s, |f-s|, f*s]) @ W  ==  f@W_f
-+ s@W_s + |f-s|@W_d + (f*s)@W_p``).  With the pool rows ``P`` in one slot and
-``q`` in the other, both pool-side sections fold into one small per-request
-weight applied to ``P`` itself (``(P*q)@W_p + P@W_f  ==  P@(diag(q)·W_p +
-W_f)``), and the query-side section is one broadcast row (``q@W_s + b``)
-carried by a ones row.  And the pool side arrives **feature-major** —
-``(H, E)``, the layout the pool index keeps its float32 slabs in — so per
-direction the kernel is ``hiddenᵀ (2H×E) = Wᵀ (2H×(2H+1)) @ [|P−q| ; P ; 1]
-((2H+1)×E)``: one copy, one ``|P−q|`` and one ReLU pass, each over
-contiguous ``E``-long rows, around one GEMM.  Nothing is kept between
-requests, so a pool append has nothing to invalidate.  The per-request weight
-costs two passes over ``H×2H`` floats: nothing at ``H=64``, but at the
-paper's ``H=512`` it is comparable to the GEMM itself for a slab of fewer
-than ~30 rows (numbers in ``docs/architecture.md``).
+In the Cnt2Crd access pattern every pair couples one query vector ``q`` with
+one pool row.  Instead of materializing the ``(2E, H)`` interleaved pair
+matrices and the ``(2E, 4H)`` Expand concatenation, the kernel uses three
+facts.  The first head matmul splits by Expand section (``concat([f, s,
+|f-s|, f*s]) @ W  ==  f@W_f + s@W_s + |f-s|@W_d + (f*s)@W_p``).  With the
+pool rows ``P`` in one slot and ``q`` in the other, both pool-side sections
+fold into one small per-request weight applied to ``P`` itself (``(P*q)@W_p
++ P@W_f  ==  P@(diag(q)·W_p + W_f)``), and the query-side section is one
+broadcast row (``q@W_s + b``) carried by a ones row.  And the pool side
+arrives **feature-major** — ``(H, E)``, the layout the pool index keeps its
+float32 slabs in — so per direction the kernel is ``hiddenᵀ (2H×E) = Wᵀ
+(2H×(2H+1)) @ [|P−q| ; P ; 1] ((2H+1)×E)``: one copy, one ``|P−q|`` and one
+ReLU pass, each over contiguous ``E``-long rows, around one GEMM.  Nothing
+is kept between requests, so a pool append has nothing to invalidate.  The
+per-request weight costs two passes over ``H×2H`` floats: nothing at
+``H=64``, but at the paper's ``H=512`` it is comparable to the GEMM itself
+for a slab of fewer than ~30 rows (numbers in ``docs/architecture.md``).
 
-The plan also carries frozen float64 copies of the encoder weights, so
-:meth:`InferencePlan.encode_set` is a pure function of the weights *at
-compile time*.  Encodings stay canonical float64 (they feed the shared
-:class:`repro.serving.EncodingCache`); the head casts on input load.
-Scratch buffers are per-thread (a dispatcher thread and client threads never
-share arrays) and grow geometrically.
+Only the head is frozen: a model mutated in place after compilation moves
+its encodings but not the plan's head, so recompile after a manual weight
+change (training builds a new model, and a promote recompiles).  Scratch
+buffers are per-thread and grow geometrically.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, encode_sets, pair_head, sigmoid_into
+from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, sigmoid_into
 from repro.nn.tensor import Tensor, no_grad
 from repro.observability.events import PlanCompiled
 
@@ -59,38 +53,31 @@ __all__ = ["InferencePlan", "compile_plan"]
 
 
 class InferencePlan:
-    """A frozen float32 CRN pair head run as fused NumPy kernels.
+    """A frozen float32 CRN pair head run as a fused slab kernel.
 
     Built by :func:`compile_plan`; not constructed directly.  The plan holds
-    float32 **copies** of the head weights and float64 copies of the encoder
-    weights: mutating the source model after compilation (an optimizer
-    step, a manual weight poke) does not change what the plan computes —
-    recompile instead, which is exactly what the adaptation lifecycle does
-    on promote.
+    float32 **copies** of the head weights only: mutating the source model's
+    head after compilation does not change what the plan computes, while its
+    encoders are the model's own — recompile after a weight change, which is
+    exactly what the adaptation lifecycle does on promote.
     """
 
     #: The execution dtype of every plan, and of the index slabs it reads.
     dtype = np.dtype(np.float32)
 
-    def __init__(self, model: CRNModel, *, tolerance: float) -> None:
+    def __init__(self, model: CRNModel) -> None:
         self.model = model
-        self.tolerance = tolerance
         self.hidden_size = hidden = model.hidden_size
         self.compile_seconds = 0.0
 
-        def frozen(parameter: Tensor, dtype: np.dtype = self.dtype) -> np.ndarray:
+        def frozen(parameter: Tensor) -> np.ndarray:
             # Freeze: an explicit copy, cast to the plan dtype.
-            return np.array(parameter.data, dtype=dtype, order="C", copy=True)
+            return np.array(parameter.data, dtype=self.dtype, order="C", copy=True)
 
         self._w_hidden = frozen(model.out_hidden.weight)
         self._b_hidden = frozen(model.out_hidden.bias)
         self._w_out = frozen(model.out_final.weight)
         self._b_out = frozen(model.out_final.bias)
-        self._encoder = {
-            position: (frozen(encoder.weight, np.float64), frozen(encoder.bias, np.float64))
-            for position, encoder in ((1, model.set_encoder1), (2, model.set_encoder2))
-        }
-        self._pooling = model.config.pooling
         # The first head matmul split by Expand section, for the fused slab
         # kernel: sections [W_f, W_s] or [W_f, W_s, W_d, W_p].
         self._sections = self._w_hidden.reshape(-1, hidden, self._w_hidden.shape[1])
@@ -108,45 +95,12 @@ class InferencePlan:
         return {"mode": "compiled", "dtype": self.dtype.name}
 
     def scratch_stats(self) -> dict[str, int]:
-        """This thread's scratch state (capacity rows and realloc count)."""
+        """This thread's fused-kernel scratch (capacity entries and realloc count)."""
         state = self._local
         return {
-            "capacity_rows": int(getattr(state, "capacity", 0)),
+            "capacity_rows": int(getattr(state, "fused_capacity", 0)),
             "allocations": int(getattr(state, "allocations", 0)),
         }
-
-    # ------------------------------------------------------------------ #
-    # encoder stage (frozen weights, canonical float64)
-
-    def encode_set(self, vectors: np.ndarray, position: int) -> np.ndarray:
-        """``CRNModel.encode_set`` against the weights frozen at compile time.
-
-        Bit-identical to the model's method as long as the model has not been
-        mutated since compilation — and deliberately *not* identical after,
-        which is the freeze guarantee.
-        """
-        return self.encode_sets(vectors, (vectors.shape[0],), position)[0]
-
-    def encode_sets(self, rows: np.ndarray, counts, position: int) -> np.ndarray:
-        """``CRNModel.encode_sets`` against the weights frozen at compile time."""
-        if position not in self._encoder:
-            raise ValueError(f"position must be 1 or 2, got {position}")
-        weight, bias = self._encoder[position]
-        return encode_sets(rows, counts, weight, bias, self._pooling)
-
-    # ------------------------------------------------------------------ #
-    # pair head
-
-    def rates_from_encodings(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Containment rates for ``(n, H)`` pre-encoded pair matrices.
-
-        :func:`repro.core.crn.pair_head` on the frozen weights as one
-        variable-row pass.  Always a fresh float64 ``(n,)`` array.
-        """
-        first = np.asarray(first)
-        second = np.asarray(second)
-        weights = (self._w_hidden, self._b_hidden, self._w_out, self._b_out)
-        return pair_head(first, second, *weights, max(first.shape[0], 1), self._local)
 
     # ------------------------------------------------------------------ #
     # fused slab kernel
@@ -258,47 +212,38 @@ class InferencePlan:
         return state
 
 
-def compile_plan(model: CRNModel, *, tolerance: float = 1e-3) -> InferencePlan:
-    """Freeze ``model`` into a float32 :class:`InferencePlan` and check it.
+def compile_plan(model: CRNModel) -> InferencePlan:
+    """Freeze ``model``'s head into a float32 :class:`InferencePlan` and check it.
 
     Args:
-        model: the trained CRN.  Its weights are **copied** into the plan;
-            later mutation of the model does not affect the plan.
-        tolerance: the documented end-to-end q-error bound of the plan's
-            estimates; carried on the plan so serving stats and events can
-            report it.
+        model: the trained CRN.  Its head weights are **copied** into the
+            plan; later mutation of the model's head does not affect the plan.
 
     Returns:
-        A ready-to-run plan.  Compilation self-checks the generic pass and
-        the fused slab kernel against a ``model.head`` forward pass, and
-        raises ``RuntimeError`` when either disagrees beyond float32
-        rounding (a subclass that overrides ``head``, say).
+        A ready-to-run plan.  Compilation self-checks the fused slab kernel
+        against a ``model.head`` forward pass, and raises ``RuntimeError``
+        when they disagree beyond float32 rounding (a subclass that
+        overrides ``head``, say).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
         raise TypeError(f"compile_plan needs a CRNModel, got {type(model).__name__}")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    plan = InferencePlan(model, tolerance=tolerance)
+    plan = InferencePlan(model)
 
-    # Self-check: the generic pass on random probe rows, and the fused slab
-    # kernel (what float32 serving scores slabs through) with those rows as
-    # the pool side and the first of them as the query.  13 rows keep the
-    # Tensor head's GEMMs under OpenBLAS's threading cutoff: at 32 fused
-    # pairs a woken BLAS thread cost ~16 ms per compile on a busy 2-core box.
+    # Self-check: the fused slab kernel (what float32 serving scores slabs
+    # through) on random probe rows as the pool side, with the first of them
+    # as the query.  13 rows keep the Tensor head's GEMMs under OpenBLAS's
+    # threading cutoff: at 32 fused pairs a woken BLAS thread cost ~16 ms per
+    # compile on a busy 2-core box.
     rng = np.random.default_rng(7)
     first, second = rng.standard_normal((2, PASS_ROWS - 3, model.hidden_size))
-    with no_grad():
-        expected = model.head(Tensor(first), Tensor(second)).numpy()
-    actual = plan.rates_from_encodings(first, second)
     query = first[0], second[0]
     pairs = model.assemble_pool_pairs(*query, first, second)
     with no_grad():
-        fused_expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
+        expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
     fused = plan.rates_against_slab(*query, first.T, second.T)
-    for rates, reference in ((actual, expected), (fused, fused_expected)):
-        if not np.allclose(rates, reference, rtol=1e-3, atol=1e-5):
-            raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
+    if not np.allclose(fused, expected, rtol=1e-3, atol=1e-5):
+        raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")
 
     plan.compile_seconds = time.perf_counter() - started
     return plan
@@ -307,7 +252,6 @@ def compile_plan(model: CRNModel, *, tolerance: float = 1e-3) -> InferencePlan:
 def compile_and_attach(
     crn: CRNEstimator,
     *,
-    tolerance: float,
     recorder,
     estimator_name: str,
     generation: int,
@@ -317,7 +261,7 @@ def compile_and_attach(
     Build-time wiring and the lifecycle's pre-swap recompile both go through
     here; they differ only in the ``generation`` the plan will serve.
     """
-    plan = compile_plan(crn.model, tolerance=tolerance)
+    plan = compile_plan(crn.model)
     crn.attach_plan(plan)
     if recorder is not None:
         recorder.emit(

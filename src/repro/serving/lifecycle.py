@@ -1098,16 +1098,15 @@ class AdaptationManager:
         )
         incumbent_plan = getattr(containment, "inference_plan", None)
         if shared and incumbent_plan is not None:
-            # Plans freeze their weights at compile time, so the incumbent's
-            # plan cannot serve the candidate model: recompile with the same
-            # tolerance and attach *before* the registry swap ever exposes
-            # the new estimator — the first post-swap
-            # request must already run the compiled path.  Shadow builds
+            # Plans freeze their head weights at compile time, so the
+            # incumbent's plan cannot serve the candidate model: recompile
+            # and attach *before* the registry swap ever exposes the new
+            # estimator — the first post-swap request must already run the
+            # compiled path.  Shadow builds
             # (shared=False) stay on the reference path: a rejected candidate
             # should not pay for a compile.
             compile_and_attach(
                 crn,
-                tolerance=incumbent_plan.tolerance,
                 recorder=self.service.recorder,
                 estimator_name=self.estimator_name,
                 # replace() bumps the generation; this plan serves the

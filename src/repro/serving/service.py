@@ -24,6 +24,7 @@ request.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -98,8 +99,9 @@ class RequestOptions:
         estimator: the registry entry to serve from (the service default when
             None).  Takes precedence over the positional ``estimator``
             argument of the legacy ``submit`` / ``submit_batch`` surface.
-        timeout_seconds: the caller's deadline.  Honored on the
-            dispatcher-backed paths (:meth:`repro.serving.ServingClient.estimate`,
+        timeout_seconds: the caller's deadline, positive and finite.  Honored
+            on the dispatcher-backed paths
+            (:meth:`repro.serving.ServingClient.estimate`,
             :meth:`repro.serving.ServingDispatcher.estimate`): when it expires
             the caller gets :class:`repro.serving.DeadlineExceededError`, the
             abandoned request is cancelled at batch pickup when possible, and
@@ -130,9 +132,11 @@ class RequestOptions:
                 f"fallback_policy must be one of {FALLBACK_POLICIES}, "
                 f"got {self.fallback_policy!r}"
             )
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
+        # NaN and inf fail too: a NaN deadline expires at once, and an
+        # infinite one overflows the timed waits it reaches.
+        if self.timeout_seconds is not None and not 0 < self.timeout_seconds < math.inf:
             raise ValueError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds!r}"
+                f"timeout_seconds must be positive and finite, got {self.timeout_seconds!r}"
             )
         items = (
             self.tags.items() if isinstance(self.tags, Mapping) else self.tags

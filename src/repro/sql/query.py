@@ -137,9 +137,10 @@ class Predicate(NamedTuple("Predicate", [("alias", str), ("column", str),
     """A column predicate ``alias.column <op> value``.
 
     Values are stored as floats; integer columns simply use integral floats.
-    String-valued predicates are supported through the extension in
-    :mod:`repro.extensions.strings`, which hashes strings into the integer
-    domain before constructing the predicate.
+    NaN is rejected (no row satisfies a comparison with it); ``±inf`` is a
+    valid open bound.  String-valued predicates are supported through the
+    extension in :mod:`repro.extensions.strings`, which hashes strings into
+    the integer domain before constructing the predicate.
     """
 
     __slots__ = ()
@@ -151,6 +152,8 @@ class Predicate(NamedTuple("Predicate", [("alias", str), ("column", str),
             raise ValueError("predicate alias and column must be non-empty")
         if type(value) is not float:
             value = float(value)
+        if value != value:
+            raise ValueError(f"predicate value of {alias}.{column} must not be NaN")
         return tuple.__new__(cls, (alias, column, operator, value))
 
     @property

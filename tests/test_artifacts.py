@@ -186,6 +186,7 @@ class TestManifestSchema:
             {"tables": [["title", "t"]], "predicates": [["t", "year", ">=", 1]]},
             {"tables": [["title", "t"]], "predicates": [["t", "year", ">", "x"]]},
             {"tables": [["title", "t"]], "predicates": [["t", "year", ">", None]]},
+            {"tables": [["title", "t"]], "predicates": [["t", "year", ">", float("nan")]]},
             {"tables": [["title", "t"]], "predicates": [["", "year", ">", 1]]},
             {"tables": [["title", "t"]], "predicates": [["mc", "id", "=", 1]]},
             {"tables": [["title", "t"]], "predicates": [["t", "year", ">"]]},
@@ -275,6 +276,18 @@ class TestCorruption:
         with pytest.raises(ArtifactChecksumError, match="missing"):
             saved.load(1)
 
+    @pytest.mark.parametrize("cardinality", ["NaN", "Infinity", "-1", "1e400"])
+    def test_non_finite_pool_cardinality_is_a_schema_error(self, saved, cardinality):
+        # A hand-edited (then rehashed) pool.json: Python's json reads NaN
+        # and Infinity, and a bucket holding them served a NaN or inf estimate.
+        path = saved.path(1) / "pool.json"
+        payload = json.loads(path.read_text())
+        payload["entries"][0]["cardinality"] = "@"
+        path.write_text(json.dumps(payload).replace('"@"', cardinality))
+        rehash(saved.path(1), "pool.json")
+        with pytest.raises(ArtifactSchemaError, match="invalid pool entry record"):
+            saved.load(1)
+
     def test_torn_save_has_no_manifest_and_never_validates(self, saved):
         (saved.path(1) / MANIFEST_FILENAME).unlink()
         with pytest.raises(ArtifactNotFoundError):
@@ -325,7 +338,7 @@ class TestConfigRoundTrip:
             ),
             observability=ObservabilityConfig(enabled=True, capacity=4096, source="rt"),
             tracing=TracingConfig(enabled=True, sample_every=4),
-            inference=InferenceConfig(mode="compiled", slab_dtype="float32", tolerance=2e-3),
+            inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
             artifacts=ArtifactConfig(root=str(tmp_path), save_on_build=False),
         )
         store = ArtifactStore(tmp_path)
@@ -428,6 +441,31 @@ class TestColdBoot:
             "enabled": True,
             "max_batch": 64,
         }
+        booted.shutdown()
+
+    def test_bundle_from_before_tolerance_was_retired_still_boots(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        inference = InferenceConfig(mode="compiled", slab_dtype="float32")
+        config = make_config(model, imdb_small, imdb_featurizer, pool, inference=inference)
+        client = ServingClient(config)
+        expected = [client.estimate(item.query).estimate for item in workload]
+        client.shutdown()
+        save_generation(store, model, pool, config, promote=True)
+        # Earlier builds always wrote inference.tolerance, which no
+        # computation read, into config.json.
+        config_path = store.path(1) / "config.json"
+        parent_format = json.loads(config_path.read_text())
+        parent_format["inference"]["tolerance"] = 2e-3
+        config_path.write_text(json.dumps(parent_format))
+        rehash(store.path(1), "config.json")
+        booted = ServingClient.from_artifact(root, database=imdb_small)
+        assert [booted.estimate(item.query).estimate for item in workload] == expected
+        assert booted.config.inference == inference
+        assert booted.stack.inference_plan is not None
+        assert "tolerance" not in booted.config.to_mapping()["inference"]
         booted.shutdown()
 
     def test_bundle_from_before_compiled_float64_was_retired_boots_as_reference(

@@ -102,6 +102,12 @@ class TestQueryPayloads:
         with pytest.raises(ClusterProtocolError, match="invalid wire query"):
             protocol.decode_query({"tables": "nonsense"})
 
+    def test_nan_predicate_value_is_a_protocol_error(self):
+        payload = query_to_mapping(sample_query())
+        payload["predicates"] = [["m", "year", ">", float("nan")]]
+        with pytest.raises(ClusterProtocolError, match="NaN"):
+            protocol.decode_query(payload)
+
 
 class TestOptionsPayloads:
     def test_none_stays_none(self):
@@ -120,8 +126,9 @@ class TestOptionsPayloads:
         assert rebuilt.tags == options.tags  # sorted-tuple normalization held
 
     def test_invalid_options_are_a_protocol_error(self):
-        with pytest.raises(ClusterProtocolError, match="invalid request options"):
-            protocol.options_from_payload({"timeout_seconds": -3.0})
+        for timeout in (-3.0, float("nan"), float("inf")):
+            with pytest.raises(ClusterProtocolError, match="invalid request options"):
+                protocol.options_from_payload({"timeout_seconds": timeout})
 
 
 class TestResultPayloads:

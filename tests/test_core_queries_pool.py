@@ -50,6 +50,16 @@ class TestPoolBasics:
         with pytest.raises(ValueError):
             PoolEntry(_title_query(1990), -1)
 
+    @pytest.mark.parametrize("cardinality", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cardinality_rejected(self, cardinality):
+        # A bucket holding an infinite cardinality used to serve inf.
+        with pytest.raises(ValueError, match="finite"):
+            PoolEntry(_title_query(1990), cardinality)
+        pool = QueriesPool()
+        with pytest.raises(ValueError, match="finite"):
+            pool.add(_title_query(1990), cardinality)
+        assert len(pool) == 0
+
     def test_iteration_and_signatures(self):
         pool = QueriesPool([PoolEntry(_title_query(1990), 10), PoolEntry(_join_query(), 20)])
         assert {entry.cardinality for entry in pool} == {10, 20}

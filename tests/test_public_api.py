@@ -163,7 +163,7 @@ EXPECTED_CONFIG_FIELDS = {
         "tail_quantile",
         "min_tail_observations",
     ],
-    InferenceConfig: ["mode", "slab_dtype", "tolerance"],
+    InferenceConfig: ["mode", "slab_dtype"],
     ArtifactConfig: ["root", "save_on_build", "save_on_promote", "promote_on_save"],
     ClusterConfig: [
         "mode",

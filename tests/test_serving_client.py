@@ -97,7 +97,6 @@ class TestConfigValidation:
         [
             (EstimatorConfig, "epsilon"),
             (FeedbackConfig, "epsilon"),
-            (InferenceConfig, "tolerance"),
             (AdaptationConfig, "poll_interval_seconds"),
             (AdaptationConfig, "accept_ratio"),
             (ClusterConfig, "request_timeout_seconds"),
@@ -187,11 +186,33 @@ class TestConfigValidation:
         assert set(service.names()) == {"crn", "fallback"}
         assert service.fallback is None  # an extra entry, not fallback routing
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (ClusterConfig, "request_timeout_seconds"),
+            (ClusterConfig, "connect_timeout_seconds"),
+            (ClusterConfig, "boot_timeout_seconds"),
+            (ClusterConfig, "drain_timeout_seconds"),
+            (ClusterConfig, "poll_interval_seconds"),
+            (ClusterConfig, "retry_backoff_seconds"),
+            (ClusterConfig, "deadline_grace_seconds"),
+            (AdaptationConfig, "poll_interval_seconds"),
+        ],
+    )
+    def test_infinite_durations_are_rejected(self, section, field):
+        # An infinite duration reaches socket.settimeout, Event.wait or
+        # Future.result, which raise OverflowError instead of waiting.
+        with pytest.raises(ValueError, match=field):
+            section(**{field: float("inf")})
+
     def test_request_options_validation_and_tag_normalization(self):
         with pytest.raises(ValueError, match="fallback_policy"):
             RequestOptions(fallback_policy="maybe")
-        with pytest.raises(ValueError, match="timeout_seconds"):
-            RequestOptions(timeout_seconds=0.0)
+        # A NaN deadline failed every request at once; an infinite one
+        # raised OverflowError, outside the ServingError taxonomy.
+        for timeout in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout_seconds"):
+                RequestOptions(timeout_seconds=timeout)
         from_mapping = RequestOptions(tags={"tenant": "a", "app": "b"})
         from_pairs = RequestOptions(tags=(("tenant", "a"), ("app", "b")))
         assert from_mapping.tags == (("app", "b"), ("tenant", "a"))

@@ -378,14 +378,13 @@ class TestAdaptationManager:
 
     def test_promote_recompiles_the_inference_plan(self, trained, imdb_small, pool):
         # A compiled-mode deployment must come out of a hot swap still
-        # compiled: the candidate gets its own freshly compiled plan (same
-        # tolerance) before the registry swap, and the
-        # plan lifecycle lands in the event store as plan_compile+plan_swap.
+        # compiled: the candidate gets its own freshly compiled plan before
+        # the registry swap, and the plan lifecycle lands in the event store as plan_compile+plan_swap.
         service, _, _, manager = self.build(trained, imdb_small, pool)
         store = EventStore()
         service.recorder = EventRecorder(store=store)
         incumbent = service.get("crn").containment_estimator
-        plan = compile_plan(trained.model, tolerance=5e-4)
+        plan = compile_plan(trained.model)
         incumbent.attach_plan(plan)
         outcome = manager.trigger()
         assert outcome.swapped
@@ -394,7 +393,6 @@ class TestAdaptationManager:
         assert recompiled is not None and recompiled is not plan
         assert recompiled.model is swapped.model
         assert recompiled.dtype == plan.dtype
-        assert recompiled.tolerance == plan.tolerance
         # The incumbent keeps its own plan (rollback never needs a re-attach).
         assert incumbent.inference_plan is plan
         service.recorder.flush()

@@ -88,6 +88,17 @@ class TestPredicate:
         with pytest.raises(ValueError):
             Predicate("", "year", ComparisonOperator.EQ, 1)
 
+    def test_nan_value_rejected(self):
+        # No row satisfies a comparison with NaN; a NaN predicate used to be
+        # served as a NaN estimate.
+        with pytest.raises(ValueError, match="NaN"):
+            Predicate("t", "year", ComparisonOperator.GT, float("nan"))
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("-inf")])
+    def test_infinite_value_is_an_open_bound(self, bound):
+        predicate = Predicate("t", "year", ComparisonOperator.LT, bound)
+        assert predicate.value == bound
+
 
 class TestQuery:
     def make_query(self) -> Query:
