@@ -57,6 +57,7 @@ from typing import Any, Mapping, Sequence
 from repro.artifacts.bundle import query_to_mapping
 from repro.cluster import protocol
 from repro.cluster.worker import stable_shard
+from repro.observability.counters import Counters
 from repro.serving.config import ServingConfig
 from repro.serving.errors import (
     ClusterProtocolError,
@@ -79,15 +80,13 @@ class ClusterRouter:
         self._assignment = dict(supervisor.assignment)
         self._num_workers = config.cluster.num_workers
         self._ids = itertools.count(1)
-        #: Guards the idle pools, the executor slot and the counters.
+        #: Guards the idle pools and the executor slot.
         self._lock = threading.Lock()
         self._idle: dict[int, list[protocol.Connection]] = {
             shard: [] for shard in range(self._num_workers)
         }
         self._executor: ThreadPoolExecutor | None = None
-        self._routed = 0
-        self._retries = 0
-        self._unavailable = 0
+        self.stats = Counters(routed=0, retries=0, unavailable=0)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -142,8 +141,7 @@ class ClusterRouter:
         )[shard]
         if isinstance(reply, BaseException):
             raise reply
-        with self._lock:
-            self._routed += 1
+        self.stats.add("routed")
         if reply["type"] == "error":
             raise protocol.error_from_payload(reply["error"])
         return protocol.result_from_payload(reply["result"], query)
@@ -176,8 +174,7 @@ class ClusterRouter:
                 raise protocol.error_from_payload(reply["error"])
             for item, index in zip(reply["results"], by_shard[shard], strict=True):
                 results[index] = protocol.result_from_payload(item, queries[index])
-        with self._lock:
-            self._routed += len(queries)
+        self.stats.add("routed", len(queries))
         return results  # type: ignore[return-value]
 
     def estimate_future(
@@ -198,12 +195,12 @@ class ClusterRouter:
         return executor
 
     def stats_snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "cluster_requests_routed": float(self._routed),
-                "cluster_retries": float(self._retries),
-                "cluster_unavailable": float(self._unavailable),
-            }
+        values = self.stats.snapshot()
+        return {
+            "cluster_requests_routed": float(values["routed"]),
+            "cluster_retries": float(values["retries"]),
+            "cluster_unavailable": float(values["unavailable"]),
+        }
 
     # ------------------------------------------------------------------ #
     # the exchange (on the caller's thread)
@@ -231,8 +228,7 @@ class ClusterRouter:
                 return
             self._drop_idle(shard)
             if attempt + 1 == attempts:
-                with self._lock:
-                    self._unavailable += 1
+                self.stats.add("unavailable")
                 if not isinstance(error, WorkerUnavailableError):
                     error = WorkerUnavailableError(
                         f"shard {shard} unavailable after {attempts} "
@@ -245,8 +241,7 @@ class ClusterRouter:
             if not pending:
                 break
             if attempt:
-                with self._lock:
-                    self._retries += len(pending)
+                self.stats.add("retries", len(pending))
                 pause = self._cluster.retry_backoff_seconds * attempt
                 time.sleep(max(0.0, min(pause, deadline - time.monotonic())))
             sent: dict[int, tuple[protocol.Connection, int]] = {}

@@ -138,10 +138,10 @@ def format_convergence(history: Sequence[Mapping[str, float]], title: str = "") 
 
 #: ``stats_snapshot`` keys rendered by :func:`format_service_stats`, with label
 #: and formatting (rates as percentages, latency in ms, counters as integers).
-#: The tail rows cover :meth:`repro.serving.DispatcherStats.snapshot` and
-#: :meth:`repro.serving.LifecycleStats.snapshot`, so one merged
-#: ``{**service.stats_snapshot(), **dispatcher.stats.snapshot(),
-#: **manager.stats.snapshot()}`` dict renders as a single coherent report.
+#: The tail rows cover :meth:`repro.serving.ServingDispatcher.stats_snapshot`
+#: and :meth:`repro.serving.AdaptationManager.stats_snapshot`, so one merged
+#: ``{**service.stats_snapshot(), **dispatcher.stats_snapshot(),
+#: **manager.stats_snapshot()}`` dict renders as a single coherent report.
 _SERVICE_STAT_ROWS: tuple[tuple[str, str, str], ...] = (
     ("requests", "requests served", "{:.0f}"),
     ("batches", "batches executed", "{:.0f}"),
@@ -219,7 +219,7 @@ def format_service_stats(snapshot: Mapping[str, float], title: str = "") -> str:
     :meth:`repro.serving.EstimationService.stats_snapshot` (keys absent from
     the snapshot — e.g. cache rows when the service has no caches — are
     skipped), optionally merged with
-    :meth:`repro.serving.DispatcherStats.snapshot` for the dispatcher's
+    :meth:`repro.serving.ServingDispatcher.stats_snapshot` for the dispatcher's
     concurrency counters.
 
     NaN values render as ``—`` ("no reading yet"): gauges like the lifecycle's

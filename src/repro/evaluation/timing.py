@@ -227,9 +227,10 @@ def evaluate_adaptation(
     The caller captures :meth:`repro.serving.FeedbackCollector.summary` at
     the three phase boundaries (the collector is cleared on swap, so the
     phases cannot be reconstructed after the fact); the manager's
-    :class:`repro.serving.LifecycleStats` supplies the swap/retrain counters.
+    :meth:`repro.serving.AdaptationManager.stats_snapshot` supplies the
+    swap/retrain counters.
     """
-    snapshot = manager.stats.snapshot()
+    snapshot = manager.stats_snapshot()
     return AdaptationEvaluation(
         name=name if name is not None else manager.estimator_name,
         swaps=int(snapshot["swaps"]),

@@ -26,6 +26,9 @@ durable:
 * :mod:`repro.observability.histogram` — :class:`LatencyHistogram`,
   fixed-memory log-bucketed latency distributions with mergeable snapshots
   and a one-bucket-width quantile error bound;
+* :mod:`repro.observability.counters` — :class:`Counters`, named numbers
+  under one lock: every serving component keeps its counts in one (its
+  ``stats``) and reports them through ``stats_snapshot()``;
 * :mod:`repro.observability.bench` — the machine-readable benchmark result
   schema and the ``BENCH_serving.json`` / ``BENCH_repro.json`` trajectory
   files that ``scripts/bench_report.py`` diffs and gates in CI.
@@ -48,6 +51,7 @@ from repro.observability.bench import (
     write_rows,
 )
 from repro.observability.buffer import BufferedEvent, EventBuffer
+from repro.observability.counters import Counters
 from repro.observability.events import (
     EVENT_KINDS,
     AcceptGateDecision,
@@ -84,6 +88,7 @@ __all__ = [
     "BatchServed",
     "BenchRun",
     "BufferedEvent",
+    "Counters",
     "DispatcherBatch",
     "DriftTrip",
     "EVENT_KINDS",

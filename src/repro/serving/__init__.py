@@ -92,7 +92,7 @@ one caller or coalesced across threads by the dispatcher.  See
 ``docs/architecture.md`` and ``examples/serving_workflow.py``.
 """
 
-from repro.serving.cache import CacheStats, EncodingCache, FeaturizationCache
+from repro.serving.cache import EncodingCache, FeaturizationCache
 from repro.serving.client import ServiceStack, ServingClient, build_service_stack
 from repro.serving.config import (
     AdaptationConfig,
@@ -109,7 +109,7 @@ from repro.serving.config import (
     TracingConfig,
 )
 from repro.serving.inference_plan import InferencePlan, compile_plan
-from repro.serving.dispatcher import DispatcherStats, ServingDispatcher
+from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import (
     ArtifactChecksumError,
     ArtifactError,
@@ -136,16 +136,14 @@ from repro.serving.lifecycle import (
     DriftMonitor,
     DriftPolicy,
     DriftVerdict,
-    LifecycleStats,
 )
 from repro.serving.planner import BatchPlan, BatchPlanner, RequestPlan
-from repro.serving.pool_index import PoolEncodingIndex, PoolIndexStats
+from repro.serving.pool_index import PoolEncodingIndex
 from repro.serving.service import (
     EstimateResult,
     EstimationService,
     RequestOptions,
     ServedEstimate,
-    ServiceStats,
 )
 
 __all__ = [
@@ -161,14 +159,12 @@ __all__ = [
     "BatchPlanner",
     "CRNRetrainer",
     "CacheConfig",
-    "CacheStats",
     "ClusterConfig",
     "ClusterError",
     "ClusterProtocolError",
     "DeadlineExceededError",
     "DispatcherConfig",
     "DispatcherShutdownError",
-    "DispatcherStats",
     "DriftMonitor",
     "DriftPolicy",
     "DriftVerdict",
@@ -183,17 +179,14 @@ __all__ = [
     "FeedbackSummary",
     "InferenceConfig",
     "InferencePlan",
-    "LifecycleStats",
     "NoMatchingPoolQueryError",
     "ObservabilityConfig",
     "PoolConfig",
     "PoolEncodingIndex",
-    "PoolIndexStats",
     "RequestOptions",
     "RequestPlan",
     "ServedEstimate",
     "ServiceStack",
-    "ServiceStats",
     "ServingClient",
     "ServingConfig",
     "ServingDispatcher",

@@ -19,8 +19,9 @@ database update (:mod:`repro.extensions.updates`) can never serve stale
 encodings.  Both caches keep LRU order and support a ``max_entries`` bound
 for long-running services.
 
-Thread safety: both caches are safe under concurrent access.  Counter updates
-in :class:`CacheStats` are atomic (guarded by a per-stats lock) and every
+Thread safety: both caches are safe under concurrent access.  Each cache
+counts its hits, misses and evictions in one
+:class:`repro.observability.Counters` (its ``stats``) and every
 :class:`_LRUStore` operation holds a fine-grained per-store lock, so many
 serving threads — or the :class:`repro.serving.ServingDispatcher` thread plus
 direct callers — can share one cache.  Value computation happens *outside*
@@ -33,78 +34,29 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.featurization import QueryFeaturizer
+from repro.observability.counters import Counters
 from repro.sql.query import Query
 
 _MISSING = object()  # what _LRUStore.get reads for an absent key
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting of one cache (counter updates are atomic)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def record_hit(self) -> None:
-        """Atomically count one cache hit."""
-        with self._lock:
-            self.hits += 1
-
-    def record_miss(self) -> None:
-        """Atomically count one cache miss."""
-        with self._lock:
-            self.misses += 1
-
-    def record_eviction(self) -> None:
-        """Atomically count one LRU eviction."""
-        with self._lock:
-            self.evictions += 1
-
-    @property
-    def lookups(self) -> int:
-        """Total number of cache lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when never used)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict view for reports (:func:`repro.evaluation.format_service_stats`)."""
-        with self._lock:
-            hits, misses, evictions = self.hits, self.misses, self.evictions
-        lookups = hits + misses
-        return {
-            "hits": float(hits),
-            "misses": float(misses),
-            "evictions": float(evictions),
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
+def _stats_snapshot(stats: Counters) -> dict[str, float]:
+    """A cache's counters plus its hit rate, from one locked read."""
+    values = stats.snapshot()
+    lookups = values["hits"] + values["misses"]
+    snapshot = {name: float(value) for name, value in values.items()}
+    snapshot["hit_rate"] = values["hits"] / lookups if lookups else 0.0
+    return snapshot
 
 
 class _LRUStore:
     """A tiny LRU map with shared stats accounting and a per-store lock."""
 
-    def __init__(self, max_entries: int | None, stats: CacheStats) -> None:
+    def __init__(self, max_entries: int | None, stats: Counters) -> None:
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive (or None for unbounded)")
         self._store: OrderedDict = OrderedDict()
@@ -116,10 +68,10 @@ class _LRUStore:
         with self._lock:
             value = self._store.get(key, _MISSING)
             if value is not _MISSING:
-                self._stats.record_hit()
+                self._stats.add("hits")
                 self._store.move_to_end(key)
                 return value
-        self._stats.record_miss()
+        self._stats.add("misses")
         return None
 
     def put(self, key, value) -> None:
@@ -128,7 +80,7 @@ class _LRUStore:
             self._store.move_to_end(key)
             if self._max_entries is not None and len(self._store) > self._max_entries:
                 self._store.popitem(last=False)
-                self._stats.record_eviction()
+                self._stats.add("evictions")
 
     def __len__(self) -> int:
         with self._lock:
@@ -156,7 +108,7 @@ class FeaturizationCache:
 
     def __init__(self, featurizer: QueryFeaturizer, max_entries: int | None = None) -> None:
         self.featurizer = featurizer
-        self.stats = CacheStats()
+        self.stats = Counters(hits=0, misses=0, evictions=0)
         self._store = _LRUStore(max_entries, self.stats)
 
     # ------------------------------------------------------------------ #
@@ -187,6 +139,10 @@ class FeaturizationCache:
     def clear(self) -> None:
         """Drop all cached featurizations (keeps the stats)."""
         self._store.clear()
+
+    def stats_snapshot(self) -> dict[str, float]:
+        """Hits, misses, evictions and the hit rate."""
+        return _stats_snapshot(self.stats)
 
     # ------------------------------------------------------------------ #
     # featurizer passthrough
@@ -259,7 +215,7 @@ class EncodingCache:
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
-        self.stats = CacheStats()
+        self.stats = Counters(hits=0, misses=0, evictions=0)
         self._store = _LRUStore(max_entries, self.stats)
         self._owner: object | None = None
         self._bind_lock = threading.Lock()
@@ -309,7 +265,7 @@ class EncodingCache:
             return self._store.get((scope, query, position))
         with self._bind_lock:
             if owner is not self._owner:
-                self.stats.record_miss()
+                self.stats.add("misses")
                 return None
             return self._store.get((scope, query, position))
 
@@ -339,3 +295,7 @@ class EncodingCache:
     def clear(self) -> None:
         """Drop all cached encodings (keeps the stats)."""
         self._store.clear()
+
+    def stats_snapshot(self) -> dict[str, float]:
+        """Hits, misses, evictions and the hit rate."""
+        return _stats_snapshot(self.stats)

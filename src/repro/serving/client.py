@@ -405,10 +405,11 @@ class ServingClient:
         Raises:
             ArtifactNotFoundError / ArtifactChecksumError /
             ArtifactSchemaError: the store, the bundle, or its contents are
-                missing, corrupt, or inconsistent (including a ``database``
-                whose schema does not featurize to the saved vector size,
-                and a rebuilt index that does not match the bundle's
-                recorded slab metadata).
+                missing, corrupt, or inconsistent (including a saved config
+                section that fails validation, a ``database`` whose schema
+                does not featurize to the saved vector size, and a rebuilt
+                index that does not match the bundle's recorded slab
+                metadata).
         """
         from repro.artifacts.store import ArtifactStore
 
@@ -481,17 +482,23 @@ class ServingClient:
                 section = dict(observability_section)
                 section["source"] = source + suffix
                 mapping["observability"] = section
-        config = ServingConfig.from_mapping(
-            mapping,
-            model=bundle.model,
-            featurizer=featurizer,
-            pool=pool,
-            fallback_estimator=fallback_estimator,
-            extra_estimators=extra_estimators or {},
-            training_result=training_result,
-            database=database,
-            oracle=oracle,
-        )
+        try:
+            config = ServingConfig.from_mapping(
+                mapping,
+                model=bundle.model,
+                featurizer=featurizer,
+                pool=pool,
+                fallback_estimator=fallback_estimator,
+                extra_estimators=extra_estimators or {},
+                training_result=training_result,
+                database=database,
+                oracle=oracle,
+            )
+        except ValueError as error:
+            raise ArtifactSchemaError(
+                f"generation {bundle.manifest.generation}'s saved config does not "
+                f"validate: {error}"
+            ) from error
         client = cls(config, _restored_generation=bundle.manifest.generation)
         if (
             client.stack is not None
@@ -776,9 +783,9 @@ class ServingClient:
             return merged
         merged = self.service.stats_snapshot()
         if self.dispatcher is not None:
-            merged.update(self.dispatcher.stats.snapshot())
+            merged.update(self.dispatcher.stats_snapshot())
         if self.manager is not None:
-            merged.update(self.manager.stats.snapshot())
+            merged.update(self.manager.stats_snapshot())
         if self.collector is not None:
             summary = self.collector.summary()
             merged["feedback_observations"] = float(summary.count)

@@ -92,16 +92,23 @@ def _seconds(name: str, value: float, *, allow_zero: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
+def _integer(name: str, value: int, minimum: int | None = 1) -> None:
+    """Validate an integer field: an ``int`` (not a ``bool``), at least ``minimum``.
+
+    A float would pass a range check and fail later, deep inside serving
+    (``range``, array shapes); ``True`` would pass as 1.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        bound = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 def _bound(name: str, value: int | None) -> None:
     """Validate an optional LRU bound: positive, or None for unbounded."""
-    if value is None:
-        return
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int or None, got {value!r}")
-    if value <= 0:
-        raise ValueError(
-            f"{name} must be positive (or None for unbounded), got {value}"
-        )
+    if value is not None:
+        _integer(name, value)
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ class EstimatorConfig:
                 f"available: {sorted(FINAL_FUNCTIONS)}"
             )
         _positive("epsilon", self.epsilon)
-        _positive("batch_size", self.batch_size)
+        _integer("batch_size", self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,7 @@ class DispatcherConfig:
     max_batch: int = 64
 
     def __post_init__(self) -> None:
-        _positive("max_batch", self.max_batch)
+        _integer("max_batch", self.max_batch)
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,7 @@ class FeedbackConfig:
     epsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        _positive("max_observations", self.max_observations)
+        _integer("max_observations", self.max_observations)
         _positive("epsilon", self.epsilon)
 
 
@@ -263,7 +270,7 @@ class ObservabilityConfig:
     source: str = "serving"
 
     def __post_init__(self) -> None:
-        _positive("capacity", self.capacity)
+        _integer("capacity", self.capacity)
         if not self.source:
             raise ValueError("observability source must be non-empty")
 
@@ -300,19 +307,12 @@ class TracingConfig:
     min_tail_observations: int = 32
 
     def __post_init__(self) -> None:
-        if self.sample_every < 0:
-            raise ValueError(
-                f"sample_every must be non-negative, got {self.sample_every!r}"
-            )
+        _integer("sample_every", self.sample_every, minimum=0)
         if not 0.0 < self.tail_quantile <= 1.0:
             raise ValueError(
                 f"tail_quantile must lie in (0, 1], got {self.tail_quantile!r}"
             )
-        if self.min_tail_observations < 0:
-            raise ValueError(
-                f"min_tail_observations must be non-negative, "
-                f"got {self.min_tail_observations!r}"
-            )
+        _integer("min_tail_observations", self.min_tail_observations, minimum=0)
 
 
 #: Inference execution modes.
@@ -399,18 +399,16 @@ class AdaptationConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        self.drift_policy()  # DriftPolicy validates the drift fields
+        _integer("min_observations", self.min_observations)
+        self.drift_policy()  # DriftPolicy validates the other drift fields
         _seconds("poll_interval_seconds", self.poll_interval_seconds)
-        _positive("holdout_size", self.holdout_size)
+        _integer("holdout_size", self.holdout_size)
         _positive("accept_ratio", self.accept_ratio)
-        if self.max_incremental_failures < 0:
-            raise ValueError(
-                f"max_incremental_failures must be non-negative, "
-                f"got {self.max_incremental_failures!r}"
-            )
-        _positive("training_pairs", self.training_pairs)
-        _positive("incremental_epochs", self.incremental_epochs)
-        _positive("full_epochs", self.full_epochs)
+        _integer("max_incremental_failures", self.max_incremental_failures, minimum=0)
+        _integer("training_pairs", self.training_pairs)
+        _integer("incremental_epochs", self.incremental_epochs)
+        _integer("full_epochs", self.full_epochs)
+        _integer("seed", self.seed, minimum=None)
 
     def drift_policy(self):
         """The :class:`repro.serving.DriftPolicy` these fields describe."""
@@ -543,23 +541,17 @@ class ClusterConfig:
             )
         if not self.host:
             raise ValueError("cluster host must be non-empty")
-        _positive("num_workers", self.num_workers)
-        _positive("worker_threads", self.worker_threads)
+        _integer("num_workers", self.num_workers)
+        _integer("worker_threads", self.worker_threads)
         _seconds("request_timeout_seconds", self.request_timeout_seconds)
         _seconds("connect_timeout_seconds", self.connect_timeout_seconds)
         _seconds("boot_timeout_seconds", self.boot_timeout_seconds)
         _seconds("poll_interval_seconds", self.poll_interval_seconds)
         _seconds("drain_timeout_seconds", self.drain_timeout_seconds)
-        if self.retry_attempts < 0:
-            raise ValueError(
-                f"retry_attempts must be non-negative, got {self.retry_attempts!r}"
-            )
+        _integer("retry_attempts", self.retry_attempts, minimum=0)
         _seconds("retry_backoff_seconds", self.retry_backoff_seconds, allow_zero=True)
         _seconds("deadline_grace_seconds", self.deadline_grace_seconds, allow_zero=True)
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be non-negative, got {self.max_restarts!r}"
-            )
+        _integer("max_restarts", self.max_restarts, minimum=0)
         if self.runtime_dir is not None and not str(self.runtime_dir):
             raise ValueError("cluster runtime_dir must be a non-empty path or None")
 

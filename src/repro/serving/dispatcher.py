@@ -63,6 +63,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.observability.counters import Counters
 from repro.observability.histogram import LatencyHistogram
 from repro.serving.errors import DeadlineExceededError, DispatcherShutdownError
 from repro.serving.service import EstimateResult, EstimationService, RequestOptions
@@ -70,7 +71,6 @@ from repro.sql.query import Query
 
 __all__ = [
     "DispatcherShutdownError",
-    "DispatcherStats",
     "ServingDispatcher",
 ]
 
@@ -95,121 +95,6 @@ class _PendingRequest:
     trace: object | None = None
 
 
-class DispatcherStats:
-    """Thread-safe counters describing the dispatcher's coalescing behaviour.
-
-    Attributes (all monotonic unless :meth:`reset`):
-        submitted: requests accepted (queued by ``submit``, or served inline).
-        completed: futures resolved with an :class:`EstimateResult`.
-        failed: futures resolved with an exception.
-        timed_out: requests abandoned by their caller — the deadline of
-            :meth:`ServingDispatcher.estimate` expired and the future was
-            cancelled.  A request cancelled before batch pickup is skipped
-            (never executed, not counted as completed); one already running
-            finishes but its caller is gone either way.
-        batches: batches served (an inline request is a batch of one).
-        coalesced_requests: requests that shared a batch with at least one
-            other request (the work the dispatcher amortized).
-        max_queue_depth: deepest the request queue ever got.
-        queue_wait: a fixed-memory
-            :class:`repro.observability.LatencyHistogram` of enqueue→pickup
-            times — the dispatcher's share of end-to-end latency, previously
-            folded invisibly into wall time.  Rendered as the
-            ``queue_wait_p*_ms`` gauges in :meth:`snapshot`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.timed_out = 0
-        self.batches = 0
-        self.coalesced_requests = 0
-        self.max_queue_depth = 0
-        self._occupancy_total = 0
-        self.queue_wait = LatencyHistogram()
-
-    def record_submit(self, queue_depth: int) -> None:
-        """Count one accepted request and track the observed queue depth."""
-        with self._lock:
-            self.submitted += 1
-            if queue_depth > self.max_queue_depth:
-                self.max_queue_depth = queue_depth
-
-    def record_batch(self, size: int) -> None:
-        """Count one drained batch of ``size`` coalesced requests."""
-        with self._lock:
-            self.batches += 1
-            self._occupancy_total += size
-            if size > 1:
-                self.coalesced_requests += size
-
-    def record_completed(self, count: int = 1) -> None:
-        """Count ``count`` futures resolved with an estimate."""
-        with self._lock:
-            self.completed += count
-
-    def record_failed(self, count: int = 1) -> None:
-        """Count ``count`` futures resolved with an exception."""
-        with self._lock:
-            self.failed += count
-
-    def record_timed_out(self, count: int = 1) -> None:
-        """Count ``count`` requests whose caller abandoned them on a deadline."""
-        with self._lock:
-            self.timed_out += count
-
-    def record_queue_wait(self, seconds: float) -> None:
-        """Record one request's enqueue→pickup wait (histogram has its own lock)."""
-        self.queue_wait.record(seconds)
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average number of requests per coalesced batch."""
-        if not self.batches:
-            return 0.0
-        return self._occupancy_total / self.batches
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        with self._lock:
-            self.submitted = 0
-            self.completed = 0
-            self.failed = 0
-            self.timed_out = 0
-            self.batches = 0
-            self.coalesced_requests = 0
-            self.max_queue_depth = 0
-            self._occupancy_total = 0
-        self.queue_wait.reset()
-
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict view, renderable by
-        :func:`repro.evaluation.format_service_stats` (merge it with the
-        service's own :meth:`~EstimationService.stats_snapshot`)."""
-        with self._lock:
-            batches = self.batches
-            snapshot = {
-                "submitted": float(self.submitted),
-                "completed": float(self.completed),
-                "failed": float(self.failed),
-                "timed_out": float(self.timed_out),
-                "coalesced_batches": float(batches),
-                "coalesced_requests": float(self.coalesced_requests),
-                "mean_batch_size": (
-                    self._occupancy_total / batches if batches else 0.0
-                ),
-                "max_queue_depth": float(self.max_queue_depth),
-            }
-        waits = self.queue_wait.snapshot()
-        if waits.count:
-            snapshot["queue_wait_p50_ms"] = waits.quantile(0.5) * 1000.0
-            snapshot["queue_wait_p99_ms"] = waits.quantile(0.99) * 1000.0
-            snapshot["queue_wait_max_ms"] = waits.max_seen * 1000.0
-        return snapshot
-
-
 class ServingDispatcher:
     """A thread-safe micro-batching front-end for an :class:`EstimationService`.
 
@@ -230,7 +115,26 @@ class ServingDispatcher:
             raise ValueError("max_batch must be positive")
         self.service = service
         self.max_batch = max_batch
-        self.stats = DispatcherStats()
+        #: ``submitted``: requests accepted (queued, or served inline);
+        #: ``completed`` / ``failed``: futures resolved with an estimate / an
+        #: exception; ``timed_out``: requests abandoned on a deadline;
+        #: ``batches``: batches served (an inline request is a batch of one);
+        #: ``coalesced_requests``: requests that shared a batch;
+        #: ``batched_requests``: the sum of batch sizes; ``max_queue_depth``:
+        #: the deepest the queue ever got.
+        self.stats = Counters(
+            submitted=0,
+            completed=0,
+            failed=0,
+            timed_out=0,
+            batches=0,
+            coalesced_requests=0,
+            batched_requests=0,
+            max_queue_depth=0,
+            maxima=("max_queue_depth",),
+        )
+        #: Enqueue→pickup waits: the dispatcher's share of end-to-end latency.
+        self.queue_wait = LatencyHistogram()
         #: The exception that killed the dispatcher thread, if one ever did
         #: (a dispatcher bug outside the per-batch isolation).  The thread
         #: fails every pending future and refuses new submissions before
@@ -333,7 +237,7 @@ class ServingDispatcher:
                 )
             self._queue.put(request)
             self._backlog += 1
-        self.stats.record_submit(self._queue.qsize())
+        self.stats.update(submitted=1, max_queue_depth=self._queue.qsize())
         return future
 
     def estimate(
@@ -372,7 +276,7 @@ class ServingDispatcher:
             if future.done() and not future.cancelled() and future.exception() is error:
                 raise
             future.cancel()
-            self.stats.record_timed_out()
+            self.stats.add("timed_out")
             raise DeadlineExceededError(
                 f"request was not served within {timeout}s; it has been "
                 f"abandoned (cancelled before execution when possible)"
@@ -389,7 +293,7 @@ class ServingDispatcher:
         tracer = self.service.tracer
         trace = tracer.start_request() if tracer is not None else None
         request = _PendingRequest(query, estimator, Future(), options, trace=trace)
-        self.stats.record_submit(0)
+        self.stats.add("submitted")
         try:
             self._serve([request])
         finally:
@@ -401,6 +305,29 @@ class ServingDispatcher:
     def queue_depth(self) -> int:
         """Requests currently waiting to be coalesced (approximate)."""
         return self._queue.qsize()
+
+    def stats_snapshot(self) -> dict[str, float]:
+        """The coalescing counters and queue-wait gauges, renderable by
+        :func:`repro.evaluation.format_service_stats` (merge it with the
+        service's own :meth:`~EstimationService.stats_snapshot`)."""
+        values = self.stats.snapshot()
+        batches = values["batches"]
+        snapshot = {
+            "submitted": float(values["submitted"]),
+            "completed": float(values["completed"]),
+            "failed": float(values["failed"]),
+            "timed_out": float(values["timed_out"]),
+            "coalesced_batches": float(batches),
+            "coalesced_requests": float(values["coalesced_requests"]),
+            "mean_batch_size": values["batched_requests"] / batches if batches else 0.0,
+            "max_queue_depth": float(values["max_queue_depth"]),
+        }
+        waits = self.queue_wait.snapshot()
+        if waits.count:
+            snapshot["queue_wait_p50_ms"] = waits.quantile(0.5) * 1000.0
+            snapshot["queue_wait_p99_ms"] = waits.quantile(0.99) * 1000.0
+            snapshot["queue_wait_max_ms"] = waits.max_seen * 1000.0
+        return snapshot
 
     # ------------------------------------------------------------------ #
     # dispatcher thread
@@ -433,7 +360,7 @@ class ServingDispatcher:
                     for request in batch:
                         if not request.future.done():
                             request.future.set_exception(serve_error)
-                    self.stats.record_failed(len(batch))
+                    self.stats.add("failed", len(batch))
                 with self._state_lock:
                     self._backlog -= len(batch)
                 batch = []
@@ -484,7 +411,7 @@ class ServingDispatcher:
                 )
                 failed += 1
         if failed:
-            self.stats.record_failed(failed)
+            self.stats.add("failed", failed)
 
     def _coalesce(self, batch: list[_PendingRequest]) -> bool:
         """Sweep the backlog already queued behind the head, up to ``max_batch``.
@@ -546,7 +473,11 @@ class ServingDispatcher:
             )
 
     def _serve(self, batch: list[_PendingRequest]) -> None:
-        self.stats.record_batch(len(batch))
+        self.stats.update(
+            batches=1,
+            batched_requests=len(batch),
+            coalesced_requests=len(batch) if len(batch) > 1 else 0,
+        )
         groups: dict[tuple[str | None, str], list[_PendingRequest]] = {}
         cancelled = 0
         for request in batch:
@@ -595,7 +526,7 @@ class ServingDispatcher:
                         continue
                     wait = max(pickup - (request.enqueued_at or pickup), 0.0)
                     request.queue_wait_seconds = wait
-                    self.stats.record_queue_wait(wait)
+                    self.queue_wait.record(wait)
                     if request.trace is not None:
                         # queue_wait is request-owned time (nobody shares
                         # it), so it is a span under the request's root —
@@ -622,7 +553,7 @@ class ServingDispatcher:
                 else:
                     for request, item in zip(runnable, served):
                         self._resolve(request, item)
-                    self.stats.record_completed(len(runnable))
+                    self.stats.add("completed", len(runnable))
         finally:
             if batch_span is not None:
                 tracer.end(
@@ -653,9 +584,9 @@ class ServingDispatcher:
                 )[0]
             except Exception as error:
                 request.future.set_exception(error)
-                self.stats.record_failed()
+                self.stats.add("failed")
                 if request.trace is not None:
                     request.trace.fail(error)
             else:
                 self._resolve(request, served)
-                self.stats.record_completed()
+                self.stats.add("completed")

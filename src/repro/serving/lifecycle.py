@@ -59,6 +59,7 @@ from repro.extensions.updates import (
     RetrainSession,
     refresh_queries_pool,
 )
+from repro.observability.counters import Counters
 from repro.observability.events import (
     AcceptGateDecision,
     DriftTrip,
@@ -288,144 +289,6 @@ class DriftMonitor:
             observations=count,
             row_delta=row_delta,
         )
-
-
-class LifecycleStats:
-    """Thread-safe counters describing the adaptation subsystem's activity.
-
-    Counters are monotonic; the ``last_*`` / ``pre_swap`` / ``post_swap``
-    fields are gauges describing the most recent event.  ``snapshot()``
-    merges cleanly with :meth:`EstimationService.stats_snapshot` and
-    :meth:`repro.serving.DispatcherStats.snapshot` for one coherent
-    :func:`repro.evaluation.format_service_stats` report.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.evaluations = 0
-        self.drift_triggers = 0
-        self.manual_triggers = 0
-        self.retrains = 0
-        self.incremental_retrains = 0
-        self.full_retrains = 0
-        self.retrain_failures = 0
-        self.promote_failures = 0
-        self.escalations = 0
-        self.candidates_rejected = 0
-        self.swaps = 0
-        self.total_retrain_seconds = 0.0
-        self.last_retrain_seconds = 0.0
-        self.pre_swap_q_error = float("nan")
-        self.post_swap_q_error = float("nan")
-        self.requests_between_swaps = 0
-        self.model_generation = 0
-        self.artifact_saves = 0
-        self.artifact_save_failures = 0
-
-    def record_evaluation(self, triggered: bool) -> None:
-        """Count one drift evaluation (and whether the policy fired)."""
-        with self._lock:
-            self.evaluations += 1
-            if triggered:
-                self.drift_triggers += 1
-
-    def record_manual_trigger(self) -> None:
-        """Count one operator-forced adaptation cycle."""
-        with self._lock:
-            self.manual_triggers += 1
-
-    def record_retrain(self, mode: str, seconds: float, failed: bool) -> None:
-        """Count one retrain attempt of ``mode`` taking ``seconds``."""
-        with self._lock:
-            self.retrains += 1
-            if mode == "full":
-                self.full_retrains += 1
-            else:
-                self.incremental_retrains += 1
-            self.total_retrain_seconds += seconds
-            self.last_retrain_seconds = seconds
-            if failed:
-                self.retrain_failures += 1
-
-    def record_promote_failure(self) -> None:
-        """Count one swap that failed *after* a successful retrain."""
-        with self._lock:
-            self.promote_failures += 1
-
-    def record_escalation(self) -> None:
-        """Count one incremental→full escalation after repeated failures."""
-        with self._lock:
-            self.escalations += 1
-
-    def record_rejection(self) -> None:
-        """Count one candidate the accept gate turned away."""
-        with self._lock:
-            self.candidates_rejected += 1
-
-    def record_artifact_save(self, failed: bool) -> None:
-        """Count one post-swap artifact persistence attempt."""
-        with self._lock:
-            self.artifact_saves += 1
-            if failed:
-                self.artifact_save_failures += 1
-
-    def record_swap(
-        self,
-        incumbent_q_error: float,
-        candidate_q_error: float,
-        requests: int,
-        generation: int = 0,
-    ) -> None:
-        """Count one accepted hot swap with its gate readings.
-
-        ``generation`` is the registry's post-swap model generation for the
-        adapted entry (:meth:`repro.serving.EstimationService.generation`) —
-        the same number stamped into every subsequent
-        :attr:`repro.serving.EstimateResult.model_generation`, so serving
-        metrics and responses attribute to the same model.
-        """
-        with self._lock:
-            self.swaps += 1
-            self.pre_swap_q_error = incumbent_q_error
-            self.post_swap_q_error = candidate_q_error
-            self.requests_between_swaps = requests
-            self.model_generation = generation
-
-    @property
-    def mean_retrain_seconds(self) -> float:
-        """Average duration of a retrain attempt."""
-        with self._lock:
-            if not self.retrains:
-                return 0.0
-            return self.total_retrain_seconds / self.retrains
-
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict view for :func:`repro.evaluation.format_service_stats`."""
-        with self._lock:
-            retrains = self.retrains
-            return {
-                "evaluations": float(self.evaluations),
-                "drift_triggers": float(self.drift_triggers),
-                "manual_triggers": float(self.manual_triggers),
-                "retrains": float(retrains),
-                "incremental_retrains": float(self.incremental_retrains),
-                "full_retrains": float(self.full_retrains),
-                "retrain_failures": float(self.retrain_failures),
-                "promote_failures": float(self.promote_failures),
-                "escalations": float(self.escalations),
-                "candidates_rejected": float(self.candidates_rejected),
-                "swaps": float(self.swaps),
-                "mean_retrain_seconds": (
-                    self.total_retrain_seconds / retrains if retrains else 0.0
-                ),
-                "last_retrain_seconds": self.last_retrain_seconds,
-                "pre_swap_q_error": self.pre_swap_q_error,
-                "post_swap_q_error": self.post_swap_q_error,
-                "requests_between_swaps": float(self.requests_between_swaps),
-                "model_generation": float(self.model_generation),
-                "artifact_saves": float(self.artifact_saves),
-                "artifact_save_failures": float(self.artifact_save_failures),
-            }
 
 
 class CRNRetrainer:
@@ -665,11 +528,37 @@ class AdaptationManager:
         self.accept_ratio = accept_ratio
         self.max_incremental_failures = max_incremental_failures
         self.warm_on_swap = warm_on_swap
-        self.stats = LifecycleStats()
-        # Seed the generation gauge from the live registry so pre-swap
-        # snapshots agree with the generation stamped on every response
-        # (it would otherwise read 0 until the first swap).
-        self.stats.model_generation = self.service.generation(self.estimator_name)
+        # Counters, plus gauges describing the most recent retrain and swap.
+        # The generation gauge starts from the live registry, so pre-swap
+        # snapshots agree with the generation stamped on every response.
+        self.stats = Counters(
+            evaluations=0,
+            drift_triggers=0,
+            manual_triggers=0,
+            retrains=0,
+            incremental_retrains=0,
+            full_retrains=0,
+            retrain_failures=0,
+            promote_failures=0,
+            escalations=0,
+            candidates_rejected=0,
+            swaps=0,
+            total_retrain_seconds=0.0,
+            last_retrain_seconds=0.0,
+            pre_swap_q_error=float("nan"),
+            post_swap_q_error=float("nan"),
+            requests_between_swaps=0,
+            model_generation=self.service.generation(self.estimator_name),
+            artifact_saves=0,
+            artifact_save_failures=0,
+            gauges=(
+                "last_retrain_seconds",
+                "pre_swap_q_error",
+                "post_swap_q_error",
+                "requests_between_swaps",
+                "model_generation",
+            ),
+        )
         self.last_outcome: AdaptationOutcome | None = None
         self.last_error: BaseException | None = None
         self.artifact_store = None
@@ -774,7 +663,7 @@ class AdaptationManager:
         Raises:
             TimeoutError: when ``wait`` expires before the cycle completes.
         """
-        self.stats.record_manual_trigger()
+        self.stats.add("manual_triggers")
         with self._state_lock:
             running = self._thread is not None and self._thread.is_alive() and not self._stopped
             if running:
@@ -788,6 +677,19 @@ class AdaptationManager:
         if not pending.event.wait(timeout):
             raise TimeoutError("adaptation cycle did not complete within the timeout")
         return pending.outcome
+
+    def stats_snapshot(self) -> dict[str, float]:
+        """The adaptation counters and gauges, for
+        :func:`repro.evaluation.format_service_stats`."""
+        values = self.stats.snapshot()
+        retrains = values["retrains"]
+        snapshot = {}
+        for name, value in values.items():
+            if name == "total_retrain_seconds":
+                snapshot["mean_retrain_seconds"] = value / retrains if retrains else 0.0
+            else:
+                snapshot[name] = float(value)
+        return snapshot
 
     # ------------------------------------------------------------------ #
     # the adaptation cycle
@@ -818,7 +720,7 @@ class AdaptationManager:
             current_rows=self.retrainer.database.total_rows,
             rows_at_refresh=self._rows_at_refresh,
         )
-        self.stats.record_evaluation(verdict.triggered)
+        self.stats.update(evaluations=1, drift_triggers=int(verdict.triggered))
         recorder = self.service.recorder
         if recorder is not None and verdict.triggered:
             recorder.emit(
@@ -845,7 +747,7 @@ class AdaptationManager:
         escalate = self._consecutive_failures >= self.max_incremental_failures
         mode = "full" if escalate else "incremental"
         if escalate:
-            self.stats.record_escalation()
+            self.stats.add("escalations")
         started = time.perf_counter()
         try:
             candidate = self.retrainer.full() if escalate else self.retrainer.incremental()
@@ -856,11 +758,11 @@ class AdaptationManager:
             self.last_error = error
             seconds = time.perf_counter() - started
             self._consecutive_failures += 1
-            self.stats.record_retrain(mode, seconds, failed=True)
+            self._count_retrain(mode, seconds, failed=True)
             self._cooldown_until = time.monotonic() + policy.cooldown_seconds
             return AdaptationOutcome("retrain-failed", mode, verdict, retrain_seconds=seconds)
         seconds = time.perf_counter() - started
-        self.stats.record_retrain(mode, seconds, failed=False)
+        self._count_retrain(mode, seconds, failed=False)
 
         incumbent_q, candidate_q, accepted, holdout_count = self._validate(shadow)
         recorder = self.service.recorder
@@ -879,7 +781,7 @@ class AdaptationManager:
             )
         if not accepted:
             self._consecutive_failures += 1
-            self.stats.record_rejection()
+            self.stats.add("candidates_rejected")
             self._cooldown_until = time.monotonic() + policy.cooldown_seconds
             return AdaptationOutcome(
                 "rejected", mode, verdict, incumbent_q, candidate_q, seconds
@@ -923,7 +825,7 @@ class AdaptationManager:
                         )
                     )
             self._consecutive_failures += 1
-            self.stats.record_promote_failure()
+            self.stats.add("promote_failures")
             self._cooldown_until = time.monotonic() + policy.cooldown_seconds
             return AdaptationOutcome(
                 "promote-failed", mode, verdict, incumbent_q, candidate_q, seconds
@@ -934,11 +836,12 @@ class AdaptationManager:
         # traffic to the outgoing generation.
         generation = self.service.generation(self.estimator_name)
         requests_between = max(int(drained["requests"]) - holdout_count, 0)
-        self.stats.record_swap(
-            incumbent_q,
-            candidate_q,
-            requests_between,
-            generation=generation,
+        self.stats.update(
+            swaps=1,
+            pre_swap_q_error=incumbent_q,
+            post_swap_q_error=candidate_q,
+            requests_between_swaps=requests_between,
+            model_generation=generation,
         )
         if recorder is not None:
             recorder.emit(
@@ -981,9 +884,9 @@ class AdaptationManager:
                 )
             except Exception as error:
                 self.last_error = error
-                self.stats.record_artifact_save(failed=True)
+                self.stats.update(artifact_saves=1, artifact_save_failures=1)
             else:
-                self.stats.record_artifact_save(failed=False)
+                self.stats.add("artifact_saves")
         self._consecutive_failures = 0
         self._rows_at_refresh = self.retrainer.database.total_rows
         self._cooldown_until = time.monotonic() + policy.cooldown_seconds
@@ -992,6 +895,18 @@ class AdaptationManager:
         self.monitor.rebaseline()
         return AdaptationOutcome(
             "swapped", mode, verdict, incumbent_q, candidate_q, seconds
+        )
+
+    def _count_retrain(self, mode: str, seconds: float, failed: bool) -> None:
+        """Count one retrain attempt of ``mode`` taking ``seconds``."""
+        full = mode == "full"
+        self.stats.update(
+            retrains=1,
+            full_retrains=int(full),
+            incremental_retrains=int(not full),
+            retrain_failures=int(failed),
+            total_retrain_seconds=seconds,
+            last_retrain_seconds=seconds,
         )
 
     def _validate(self, shadow: Cnt2CrdEstimator) -> tuple[float, float, bool, int]:

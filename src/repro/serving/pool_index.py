@@ -62,6 +62,7 @@ import numpy as np
 
 from repro.core.crn import CRNEstimator
 from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
+from repro.observability.counters import Counters
 from repro.sql.query import Query
 
 
@@ -128,52 +129,6 @@ class _Slab:
         self.cardinalities = grown(self.cardinalities)
 
 
-class PoolIndexStats:
-    """Thread-safe counters describing the index's maintenance and use."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.served = 0
-        self.fallbacks = 0
-        self.builds = 0
-        self.rebuilds = 0
-        self.appended_rows = 0
-
-    def record_served(self) -> None:
-        """Count one request resolved from the index."""
-        with self._lock:
-            self.served += 1
-
-    def record_fallback(self) -> None:
-        """Count one resolve the fence (or estimator shape) turned away."""
-        with self._lock:
-            self.fallbacks += 1
-
-    def record_build(self, rebuild: bool) -> None:
-        """Count one slab build, or rebuild."""
-        with self._lock:
-            if rebuild:
-                self.rebuilds += 1
-            else:
-                self.builds += 1
-
-    def record_appended(self, rows: int) -> None:
-        """Count ``rows`` incrementally appended slab rows."""
-        with self._lock:
-            self.appended_rows += rows
-
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict counter view (gauges are added by the index)."""
-        with self._lock:
-            return {
-                "pool_index_served": float(self.served),
-                "pool_index_fallbacks": float(self.fallbacks),
-                "pool_index_builds": float(self.builds),
-                "pool_index_rebuilds": float(self.rebuilds),
-                "pool_index_appended_rows": float(self.appended_rows),
-            }
-
-
 class PoolEncodingIndex:
     """Per-FROM-signature pool encoding matrices for whole-pool Cnt2Crd scoring.
 
@@ -188,7 +143,10 @@ class PoolEncodingIndex:
         if initial_capacity <= 0:
             raise ValueError("initial_capacity must be positive")
         self.pool = pool
-        self.stats = PoolIndexStats()
+        #: ``served`` / ``fallbacks``: resolves answered from a slab / turned
+        #: away by the fence; ``builds``, ``rebuilds`` and ``appended_rows``:
+        #: slab maintenance.
+        self.stats = Counters(served=0, fallbacks=0, builds=0, rebuilds=0, appended_rows=0)
         # Optional observability hook (repro.observability.EventRecorder):
         # when set, every slab build / rebuild / append emits an IndexBuild
         # event.  Emission is a single deque append, safe under the index
@@ -264,9 +222,9 @@ class PoolEncodingIndex:
         if isinstance(containment, CRNEstimator) and estimator.pool is self.pool:
             view = self._sync(containment, containment._encoding_scope(), signature)
         if view is None:
-            self.stats.record_fallback()
+            self.stats.add("fallbacks")
             return estimator.pool.bucket_slab(signature)
-        self.stats.record_served()
+        self.stats.add("served")
         return view
 
     def warm(self, estimator) -> None:
@@ -352,9 +310,9 @@ class PoolEncodingIndex:
                     slab.fill(eligible, first, second)
                     slab.version = version
                     if append:
-                        self.stats.record_appended(len(fresh))
+                        self.stats.add("appended_rows", len(fresh))
                     else:
-                        self.stats.record_build(rebuild=mode == "rebuild")
+                        self.stats.add("rebuilds" if mode == "rebuild" else "builds")
                     if self.recorder is not None and work:
                         from repro.observability.events import IndexBuild
 
@@ -375,7 +333,9 @@ class PoolEncodingIndex:
             signatures = len(self._slabs)
             rows = sum(slab.count for slab in self._slabs.values())
             float32 = any(key[-1] is np.float32 for key in self._slabs)
-        snapshot = self.stats.snapshot()
+        snapshot = {
+            f"pool_index_{name}": float(value) for name, value in self.stats.snapshot().items()
+        }
         snapshot["pool_index_signatures"] = float(signatures)
         snapshot["pool_index_rows"] = float(rows)
         # "Slabs are float32"; the name stays for saved bundles' index.json.

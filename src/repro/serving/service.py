@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
 from repro.core.crn import CRNEstimator
 from repro.core.estimators import CardinalityEstimator
+from repro.observability.counters import Counters
 from repro.observability.events import BatchServed, RequestServed, StatsDrained
 from repro.observability.histogram import LatencyHistogram
 from repro.serving.cache import EncodingCache, FeaturizationCache
@@ -213,52 +214,19 @@ class _Answer(NamedTuple):
     pairs_scored: int = 0
 
 
-@dataclass
-class ServiceStats:
-    """Cumulative service-level counters.
-
-    The owning :class:`EstimationService` guards every mutation with its
-    stats lock, so the counters stay consistent under concurrent
-    submissions; plain reads of individual fields are safe from any thread.
-    To reset, go through :meth:`EstimationService.reset_stats` (or
-    :meth:`EstimationService.drain_stats` for an atomic snapshot-and-reset) —
-    calling :meth:`reset` directly from another thread bypasses that lock.
-    """
-
-    requests: int = 0
-    batches: int = 0
-    planned_pairs: int = 0
-    scored_pairs: int = 0
-    fallbacks: int = 0
-    total_seconds: float = 0.0
-
-    @property
-    def deduplicated_pairs(self) -> int:
-        """Pair computations avoided by cross-request planning."""
-        return self.planned_pairs - self.scored_pairs
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        """Average attributed per-request latency."""
-        if not self.requests:
-            return 0.0
-        return self.total_seconds / self.requests
-
-    @property
-    def throughput_qps(self) -> float:
-        """Requests served per second of service time."""
-        if self.total_seconds <= 0.0:
-            return 0.0
-        return self.requests / self.total_seconds
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.requests = 0
-        self.batches = 0
-        self.planned_pairs = 0
-        self.scored_pairs = 0
-        self.fallbacks = 0
-        self.total_seconds = 0.0
+def _counter_block(values: Mapping[str, float]) -> dict[str, float]:
+    """The counter block of :meth:`EstimationService.stats_snapshot`."""
+    requests, seconds = values["requests"], values["total_seconds"]
+    return {
+        "requests": float(requests),
+        "batches": float(values["batches"]),
+        "planned_pairs": float(values["planned_pairs"]),
+        "scored_pairs": float(values["scored_pairs"]),
+        "deduplicated_pairs": float(values["planned_pairs"] - values["scored_pairs"]),
+        "fallbacks": float(values["fallbacks"]),
+        "mean_latency_ms": seconds / requests * 1000.0 if requests else 0.0,
+        "throughput_qps": requests / seconds if seconds > 0.0 else 0.0,
+    }
 
 
 class EstimationService:
@@ -321,13 +289,20 @@ class EstimationService:
         self.pool_index = pool_index
         self.recorder = recorder
         self.tracer = tracer
-        self.stats = ServiceStats()
+        #: Cumulative counters; ``total_seconds`` is attributed service time.
+        self.stats = Counters(
+            requests=0,
+            batches=0,
+            planned_pairs=0,
+            scored_pairs=0,
+            fallbacks=0,
+            total_seconds=0.0,
+        )
         #: Fixed-memory distribution of attributed per-request latencies —
         #: the ``latency_p*_ms`` gauges in :meth:`stats_snapshot` come from
         #: here instead of an unbounded scan over recorded events.
         self.latency_histogram = LatencyHistogram()
         self._registry_lock = threading.RLock()
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # registry
@@ -701,13 +676,14 @@ class EstimationService:
             else:
                 for trace in traces:
                     trace.link(batch_span, latency)
-        with self._stats_lock:
-            self.stats.requests += len(queries)
-            self.stats.batches += 1
-            self.stats.planned_pairs += planned_pairs
-            self.stats.scored_pairs += scored_pairs
-            self.stats.total_seconds += elapsed
-            self.stats.fallbacks += sum(1 for item in served if item.used_fallback)
+        self.stats.update(
+            requests=len(queries),
+            batches=1,
+            planned_pairs=planned_pairs,
+            scored_pairs=scored_pairs,
+            fallbacks=sum(1 for item in served if item.used_fallback),
+            total_seconds=elapsed,
+        )
         if recorder is not None:
             recorder.emit(
                 BatchServed(
@@ -768,11 +744,10 @@ class EstimationService:
     def stats_snapshot(self) -> dict[str, float]:
         """Service counters plus cache hit rates, ready for reporting.
 
-        The counter block is read under the stats lock, so the snapshot is
-        internally consistent even while other threads are submitting.
+        The counter block is one locked read, so the snapshot is internally
+        consistent even while other threads are submitting.
         """
-        with self._stats_lock:
-            snapshot = self._counters_locked()
+        snapshot = _counter_block(self.stats.snapshot())
         histogram = self.latency_histogram.snapshot()
         if histogram.count:
             # Bucketed, not exact: within one bucket width (~±9%) of the true
@@ -780,12 +755,13 @@ class EstimationService:
             snapshot["latency_p50_ms"] = histogram.quantile(0.5) * 1000.0
             snapshot["latency_p90_ms"] = histogram.quantile(0.9) * 1000.0
             snapshot["latency_p99_ms"] = histogram.quantile(0.99) * 1000.0
-        if self.featurization_cache is not None:
-            snapshot["featurization_hit_rate"] = self.featurization_cache.stats.hit_rate
-            snapshot["featurization_entries"] = float(len(self.featurization_cache))
-        if self.encoding_cache is not None:
-            snapshot["encoding_hit_rate"] = self.encoding_cache.stats.hit_rate
-            snapshot["encoding_entries"] = float(len(self.encoding_cache))
+        for name, cache in (
+            ("featurization", self.featurization_cache),
+            ("encoding", self.encoding_cache),
+        ):
+            if cache is not None:
+                snapshot[f"{name}_hit_rate"] = cache.stats_snapshot()["hit_rate"]
+                snapshot[f"{name}_entries"] = float(len(cache))
         if self.pool_index is not None:
             snapshot.update(self.pool_index.stats_snapshot())
         return snapshot
@@ -793,14 +769,14 @@ class EstimationService:
     def drain_stats(self) -> dict[str, float]:
         """Atomically snapshot **and reset** the service counter block.
 
-        ``stats_snapshot()`` followed by ``stats.reset()`` is not atomic:
+        A ``stats_snapshot()`` followed by a separate reset is not atomic:
         submissions landing between the two calls are counted by neither the
         drained interval nor the next one, and a reset racing a snapshot can
         yield a torn view (requests from before the reset, seconds from
-        after).  Draining does both under the stats lock, so periodic
-        consumers — the lifecycle metrics path attributes serving counters to
-        the model generation that produced them this way — see every request
-        exactly once.
+        after).  Draining does both in one lock window of the counters, so
+        periodic consumers — the lifecycle metrics path attributes serving
+        counters to the model generation that produced them this way — see
+        every request exactly once.
 
         Returns only the counter block (no cache rows: cache hit rates are
         cumulative gauges owned by the caches, not per-interval counters).
@@ -812,49 +788,21 @@ class EstimationService:
         the store can never disagree (pinned by the consistency test in
         ``tests/test_observability_serving.py``).
         """
-        with self._stats_lock:
-            snapshot = self._counters_locked()
-            drained = StatsDrained(
-                requests=self.stats.requests,
-                batches=self.stats.batches,
-                planned_pairs=self.stats.planned_pairs,
-                scored_pairs=self.stats.scored_pairs,
-                fallbacks=self.stats.fallbacks,
-                total_seconds=self.stats.total_seconds,
-            )
-            self.stats.reset()
-            # Emit under the stats lock: two racing drains must land their
-            # events in the same order they drained, or the store's interval
-            # history would interleave inconsistently with the resets.
-            if self.recorder is not None:
-                self.recorder.emit(drained)
-        return snapshot
+        recorder = self.recorder
+        # Emitted inside the drain's lock window: two racing drains must land
+        # their events in the same order they drained, or the store's
+        # interval history would interleave inconsistently with the resets.
+        emit = (
+            None if recorder is None else lambda values: recorder.emit(StatsDrained(**values))
+        )
+        return _counter_block(self.stats.drain(emit))
 
     def reset_stats(self) -> None:
-        """Zero the service counters under the stats lock.
-
-        Prefer this over calling ``stats.reset()`` directly: the plain
-        dataclass method does not take the service's stats lock, so a direct
-        call can interleave with a concurrent submission's counter updates.
-        """
-        with self._stats_lock:
-            self.stats.reset()
+        """Zero the service counters (a drain whose interval is discarded)."""
+        self.stats.drain()
 
     # ------------------------------------------------------------------ #
     # internals
-
-    def _counters_locked(self) -> dict[str, float]:
-        """The counter block of :meth:`stats_snapshot`; caller holds the stats lock."""
-        return {
-            "requests": float(self.stats.requests),
-            "batches": float(self.stats.batches),
-            "planned_pairs": float(self.stats.planned_pairs),
-            "scored_pairs": float(self.stats.scored_pairs),
-            "deduplicated_pairs": float(self.stats.deduplicated_pairs),
-            "fallbacks": float(self.stats.fallbacks),
-            "mean_latency_ms": self.stats.mean_latency_seconds * 1000.0,
-            "throughput_qps": self.stats.throughput_qps,
-        }
 
     def _submit_cnt2crd(
         self,

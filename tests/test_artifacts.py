@@ -381,6 +381,23 @@ class TestConfigRoundTrip:
             ServingClient.from_artifact(root, database=imdb_small)
 
 
+    def test_saved_float_batch_size_is_a_schema_error(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool
+    ):
+        # A bundle saved before integer fields were type-checked can carry a
+        # float; booting it used to succeed and fail every estimate.
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        mapping = make_config(model, imdb_small, imdb_featurizer, pool).to_mapping()
+        mapping["estimator"]["batch_size"] = 2.5
+        store.save(
+            model=model, pool=pool, config_mapping=mapping, generation=1,
+            source="build", promote=True,
+        )
+        with pytest.raises(ArtifactSchemaError, match="batch_size"):
+            ServingClient.from_artifact(root, database=imdb_small)
+
+
 class TestColdBoot:
     def test_bit_identical_estimates_and_continuous_provenance(
         self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
@@ -564,7 +581,7 @@ class TestPromotePipeline:
         outcome = client.trigger_adaptation()
         assert outcome.action == "swapped", outcome
         promoted = [client.estimate(item.query).estimate for item in workload]
-        stats = client.manager.stats.snapshot()
+        stats = client.manager.stats_snapshot()
         client.shutdown()
         return {
             "root": root,

@@ -41,14 +41,12 @@ EXPECTED_SERVING_ALL = [
     "BatchPlanner",
     "CRNRetrainer",
     "CacheConfig",
-    "CacheStats",
     "ClusterConfig",
     "ClusterError",
     "ClusterProtocolError",
     "DeadlineExceededError",
     "DispatcherConfig",
     "DispatcherShutdownError",
-    "DispatcherStats",
     "DriftMonitor",
     "DriftPolicy",
     "DriftVerdict",
@@ -63,17 +61,14 @@ EXPECTED_SERVING_ALL = [
     "FeedbackSummary",
     "InferenceConfig",
     "InferencePlan",
-    "LifecycleStats",
     "NoMatchingPoolQueryError",
     "ObservabilityConfig",
     "PoolConfig",
     "PoolEncodingIndex",
-    "PoolIndexStats",
     "RequestOptions",
     "RequestPlan",
     "ServedEstimate",
     "ServiceStack",
-    "ServiceStats",
     "ServingClient",
     "ServingConfig",
     "ServingDispatcher",

@@ -20,12 +20,14 @@ from repro.serving import (
     FeedbackConfig,
     InferenceConfig,
     NoMatchingPoolQueryError,
+    ObservabilityConfig,
     PoolConfig,
     RequestOptions,
     ServedEstimate,
     ServingClient,
     ServingConfig,
     ServingError,
+    TracingConfig,
     UnknownEstimatorError,
 )
 from repro.serving.config import AdaptationConfig, ClusterConfig
@@ -110,6 +112,36 @@ class TestConfigValidation:
         # off the Cnt2Crd zero-rate guard (~(y <= nan) keeps every entry).
         with pytest.raises(ValueError, match=field):
             section(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (EstimatorConfig, "batch_size"),
+            (DispatcherConfig, "max_batch"),
+            (FeedbackConfig, "max_observations"),
+            (ObservabilityConfig, "capacity"),
+            (TracingConfig, "sample_every"),
+            (TracingConfig, "min_tail_observations"),
+            (AdaptationConfig, "min_observations"),
+            (AdaptationConfig, "holdout_size"),
+            (AdaptationConfig, "max_incremental_failures"),
+            (AdaptationConfig, "training_pairs"),
+            (AdaptationConfig, "incremental_epochs"),
+            (AdaptationConfig, "full_epochs"),
+            (AdaptationConfig, "seed"),
+            (ClusterConfig, "num_workers"),
+            (ClusterConfig, "worker_threads"),
+            (ClusterConfig, "retry_attempts"),
+            (ClusterConfig, "max_restarts"),
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, section, field, value):
+        # A float passed the range check and failed on the first request
+        # (``batch_size=2.5``), or changed behaviour silently
+        # (``sample_every=1.5`` kept every trace); ``True`` passed as 1.
+        with pytest.raises(ValueError, match=field):
+            section(**{field: value})
 
     def test_dispatcher_section_bounds(self):
         with pytest.raises(ValueError, match="max_batch"):
@@ -593,7 +625,7 @@ class TestEveryResultField:
         assert dispatcher.stats.batches == 1
         waits = [item.queue_wait_seconds for item in results] + [plain.queue_wait_seconds]
         assert all(wait >= 0.01 for wait in waits)
-        assert max(waits) == dispatcher.stats.queue_wait.snapshot().max_seen
+        assert max(waits) == dispatcher.queue_wait.snapshot().max_seen
         assert waits == sorted(waits, reverse=True)  # one pickup instant, FIFO enqueue
         for query, item in zip(matched, results):
             assert item == self.expected(

@@ -145,7 +145,7 @@ class TestConcurrentServing:
                 thread.start()
             for thread in threads:
                 thread.join()
-            snapshot = {**service.stats_snapshot(), **dispatcher.stats.snapshot()}
+            snapshot = {**service.stats_snapshot(), **dispatcher.stats_snapshot()}
 
         total = THREADS * len(workload)
         assert snapshot["submitted"] == total
@@ -157,7 +157,9 @@ class TestConcurrentServing:
         # The dispatcher thread is the single cache writer, so hit/miss
         # accounting is exact: only first-sight queries miss.
         feat_stats = service.featurization_cache.stats
-        assert feat_stats.lookups == feat_stats.hits + feat_stats.misses
+        feat_snapshot = service.featurization_cache.stats_snapshot()
+        lookups = feat_snapshot["hits"] + feat_snapshot["misses"]
+        assert feat_snapshot["hit_rate"] == feat_snapshot["hits"] / lookups
         pool_queries = {entry.query for entry in pool}
         fresh = {query for query in workload if query not in pool_queries}
         assert feat_stats.misses <= len(pool_queries) + len(fresh)
@@ -179,7 +181,7 @@ class TestConcurrentServing:
         ]
         # Everything was already queued when the thread woke up: one batch.
         assert dispatcher.stats.batches == 1
-        assert dispatcher.stats.mean_batch_size == len(workload)
+        assert dispatcher.stats_snapshot()["mean_batch_size"] == len(workload)
         assert dispatcher.stats.coalesced_requests == len(workload)
         assert dispatcher.stats.max_queue_depth == len(workload)
 
@@ -194,7 +196,7 @@ class TestConcurrentServing:
             future.result(timeout=30)
         dispatcher.shutdown()
         assert dispatcher.stats.batches >= len(workload) // 10
-        assert dispatcher.stats.mean_batch_size <= 10
+        assert dispatcher.stats_snapshot()["mean_batch_size"] <= 10
 
 
 class TestBacklogCoalescing:
@@ -313,7 +315,7 @@ class TestInlineServing:
         threads = record_submit_batch_threads(service)
         with ServingDispatcher(service) as dispatcher:
             results = [dispatcher.estimate(query) for query in workload]
-            snapshot = dispatcher.stats.snapshot()
+            snapshot = dispatcher.stats_snapshot()
         assert threads == [threading.get_ident()] * len(workload)
         assert [r.estimate for r in results] == [sequential_estimates[q] for q in workload]
         assert all(r.queue_wait_seconds == 0.0 for r in results)
@@ -519,7 +521,7 @@ class TestConcurrencyMetrics:
         with ServingDispatcher(service, max_batch=16) as dispatcher:
             for future in [dispatcher.submit(query) for query in workload]:
                 future.result()
-            merged = {**service.stats_snapshot(), **dispatcher.stats.snapshot()}
+            merged = {**service.stats_snapshot(), **dispatcher.stats_snapshot()}
         assert merged["coalesced_batches"] >= 1
         text = format_service_stats(merged, title="stats")
         assert "coalesced batches" in text and "max queue depth" in text
@@ -718,7 +720,7 @@ class TestDeadlines:
         assert dispatcher.stats.timed_out == 1
         assert dispatcher.stats.completed == 1
         assert dispatcher.stats.failed == 0
-        assert dispatcher.stats.snapshot()["timed_out"] == 1.0
+        assert dispatcher.stats_snapshot()["timed_out"] == 1.0
 
     def test_deadline_error_is_a_timeout_error(self, workload):
         # Pre-taxonomy callers caught TimeoutError from future.result(); the

@@ -311,7 +311,7 @@ class TestAdaptationManager:
         assert service.generation("crn") == 1
         # Pre-swap, the gauge already agrees with the generation stamped on
         # every response (not a 0 placeholder).
-        assert manager.stats.snapshot()["model_generation"] == 1.0
+        assert manager.stats_snapshot()["model_generation"] == 1.0
         outcome = manager.trigger()  # not started: runs synchronously
         assert outcome.swapped and outcome.mode == "incremental"
         assert service.get("crn") is not before
@@ -322,7 +322,7 @@ class TestAdaptationManager:
         # The promote went through replace(): the registry generation bumped
         # and the lifecycle gauge records the same number.
         assert service.generation("crn") == 2
-        assert manager.stats.snapshot()["model_generation"] == 2.0
+        assert manager.stats_snapshot()["model_generation"] == 2.0
 
     def test_post_swap_results_carry_the_new_generation(
         self, trained, imdb_small, pool, workload
@@ -504,7 +504,7 @@ class TestAdaptationManager:
         monkeypatch.setattr(service, "replace", refuse)
         outcome = manager.trigger()
         assert outcome.action == "promote-failed"
-        assert manager.stats.snapshot()["promote_failures"] == 1.0
+        assert manager.stats_snapshot()["promote_failures"] == 1.0
         assert manager._consecutive_failures == 1
         assert isinstance(manager.last_error, RuntimeError)
         # The recovery handler re-bound the shared cache to the incumbent,

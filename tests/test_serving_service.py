@@ -65,7 +65,7 @@ class TestFeaturizationCache:
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert again is first  # memoized, not recomputed
         np.testing.assert_array_equal(first, imdb_featurizer.featurize(workload[0]))
-        assert cache.stats.hit_rate == 0.5
+        assert cache.stats_snapshot()["hit_rate"] == 0.5
 
     def test_lru_eviction(self, imdb_featurizer, workload):
         cache = FeaturizationCache(imdb_featurizer, max_entries=2)
@@ -209,7 +209,7 @@ class TestBatchPlanner:
         service.submit_batch([workload[0], workload[0]])
         assert service.stats.planned_pairs == doubled.planned_pairs
         assert service.stats.scored_pairs == single.planned_pairs
-        assert service.stats.deduplicated_pairs == single.planned_pairs
+        assert service.stats_snapshot()["deduplicated_pairs"] == single.planned_pairs
 
     def test_every_matched_request_resolves_to_a_slab(
         self, model, imdb_featurizer, pool, workload
