@@ -113,7 +113,7 @@ class QueryGenerator:
             table.alias: tuple(column.name for column in table.non_key_columns)
             for table in database.schema.tables
         }
-        self._join_subsets = _enumerate_join_subsets(database, self.config.max_joins)
+        self._join_subsets = enumerate_join_subsets(database, self.config.max_joins)
         if not self._join_subsets:
             raise ValueError("the database schema exposes no joinable table subsets")
 
@@ -359,7 +359,7 @@ class QueryGenerator:
         return Predicate(predicate.alias, predicate.column, new_operator, predicate.value)
 
 
-def _enumerate_join_subsets(
+def enumerate_join_subsets(
     database: Database, max_joins: int
 ) -> dict[int, list[tuple[tuple[str, ...], tuple[JoinClause, ...]]]]:
     """Enumerate connected alias subsets reachable with ``0..max_joins`` join edges.

@@ -14,13 +14,13 @@ count), mimicking how the MSCN workload generator differs from the paper's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datasets.generator import enumerate_join_subsets
 from repro.db.database import Database
-from repro.sql.query import ComparisonOperator, JoinClause, Predicate, Query, TableRef
+from repro.sql.query import ComparisonOperator, Predicate, Query, TableRef
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class ScaleWorkloadGenerator:
         self.database = database
         self.config = config or ScaleGeneratorConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self._join_subsets = _join_subsets_by_count(database, self.config.max_joins)
+        self._join_subsets = enumerate_join_subsets(database, self.config.max_joins)
 
     def generate_query(self, num_joins: int | None = None) -> Query:
         """Generate a single query, optionally with a fixed number of joins."""
@@ -113,45 +113,3 @@ class ScaleWorkloadGenerator:
         else:
             operator = ComparisonOperator.EQ
         return Predicate(alias, column, operator, anchor)
-
-
-def _join_subsets_by_count(
-    database: Database, max_joins: int
-) -> dict[int, list[tuple[tuple[str, ...], tuple[JoinClause, ...]]]]:
-    """Connected alias subsets grouped by join count (same shape as the training generator's)."""
-    edges = database.schema.join_edges()
-    subsets: dict[int, list[tuple[tuple[str, ...], tuple[JoinClause, ...]]]] = {
-        0: [((schema.alias,), ()) for schema in database.schema.tables]
-    }
-    for num_joins in range(1, max_joins + 1):
-        combos: list[tuple[tuple[str, ...], tuple[JoinClause, ...]]] = []
-        for edge_combo in itertools.combinations(edges, num_joins):
-            aliases: set[str] = set()
-            joins: list[JoinClause] = []
-            for left_alias, left_column, right_alias, right_column in edge_combo:
-                aliases.update((left_alias, right_alias))
-                joins.append(JoinClause(left_alias, left_column, right_alias, right_column))
-            if _connected(aliases, joins):
-                combos.append((tuple(sorted(aliases)), tuple(sorted(joins))))
-        if combos:
-            subsets[num_joins] = combos
-    return subsets
-
-
-def _connected(aliases: set[str], joins: list[JoinClause]) -> bool:
-    if len(aliases) <= 1:
-        return True
-    adjacency: dict[str, set[str]] = {alias: set() for alias in aliases}
-    for join in joins:
-        adjacency[join.left_alias].add(join.right_alias)
-        adjacency[join.right_alias].add(join.left_alias)
-    start = next(iter(aliases))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in adjacency[current]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return seen == aliases

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.estimators import CardinalityEstimator
 from repro.core.metrics import ErrorSummary, q_errors
 from repro.datasets.pairs import LabeledQuery
+from repro.serving.service import RequestOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.feedback import FeedbackSummary
@@ -144,10 +145,11 @@ def time_service(
         if cache is not None
     ]
     before = [(stats.hits, stats.misses) for stats in cache_stats]
+    options = RequestOptions(estimator=estimator)
     served = []
     start = time.perf_counter()
     for begin in range(0, len(queries), step):
-        served.extend(service.submit_batch(queries[begin : begin + step], estimator=estimator))
+        served.extend(service.submit_batch(queries[begin : begin + step], options))
     elapsed = time.perf_counter() - start
     rates = []
     for stats, (hits, misses) in zip(cache_stats, before):

@@ -37,6 +37,9 @@ forward passes.  This package amortizes that work across requests:
   on frozen float32 copies of the head weights, over the float32 slabs
   :class:`PoolEncodingIndex` keeps for it, under a documented q-error
   bound — enabled through :class:`InferenceConfig` (``mode: compiled``).
+* :mod:`repro.serving.stack` -- :func:`build_service_stack`, which wires a
+  :class:`ServingConfig` into a :class:`ServiceStack` through the one
+  estimator-wiring routine that boot and every adaptation candidate share.
 * :mod:`repro.serving.client` -- :class:`ServingClient`, the one-handle
   façade: builds everything a :class:`ServingConfig` enables, owns start and
   shutdown ordering, and exposes ``estimate`` / ``estimate_many`` /
@@ -56,11 +59,11 @@ forward passes.  This package amortizes that work across requests:
   rolling window of ``(query, estimate, true cardinality)`` observations
   with per-estimator q-error quantiles — the signal the adaptation
   subsystem watches.
-* :mod:`repro.serving.lifecycle` -- the adaptation subsystem:
-  :class:`DriftMonitor` / :class:`DriftPolicy` decide when the serving model
-  has gone stale (rolling q-error threshold, degradation vs. a baseline
-  window, row-count delta), and :class:`AdaptationManager` retrains in the
-  background (:class:`CRNRetrainer` over
+* :mod:`repro.serving.lifecycle` -- the adaptation subsystem, configured
+  by one :class:`AdaptationConfig`: :class:`DriftMonitor` decides when the
+  serving model has gone stale (rolling q-error threshold, degradation vs. a
+  baseline window, row-count delta), and :class:`AdaptationManager` retrains
+  in the background (:class:`CRNRetrainer` over
   :mod:`repro.extensions.updates`, incremental escalating to full), gates
   the candidate on a held-out feedback slice, and hot-swaps it with
   ``replace()`` / ``rebind()`` while the dispatcher keeps serving.
@@ -93,7 +96,7 @@ one caller or coalesced across threads by the dispatcher.  See
 """
 
 from repro.serving.cache import EncodingCache, FeaturizationCache
-from repro.serving.client import ServiceStack, ServingClient, build_service_stack
+from repro.serving.client import ServingClient
 from repro.serving.config import (
     AdaptationConfig,
     ArtifactConfig,
@@ -134,7 +137,6 @@ from repro.serving.lifecycle import (
     AdaptationOutcome,
     CRNRetrainer,
     DriftMonitor,
-    DriftPolicy,
     DriftVerdict,
 )
 from repro.serving.planner import BatchPlan, BatchPlanner, RequestPlan
@@ -145,6 +147,7 @@ from repro.serving.service import (
     RequestOptions,
     ServedEstimate,
 )
+from repro.serving.stack import ServiceStack, build_service_stack
 
 __all__ = [
     "AdaptationConfig",
@@ -166,7 +169,6 @@ __all__ = [
     "DispatcherConfig",
     "DispatcherShutdownError",
     "DriftMonitor",
-    "DriftPolicy",
     "DriftVerdict",
     "EncodingCache",
     "EstimateResult",

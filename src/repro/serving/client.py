@@ -40,32 +40,27 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.cnt2crd import Cnt2CrdEstimator
-from repro.core.crn import CRNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.observability.events import ArtifactLoaded
 from repro.observability.recorder import EventRecorder
 from repro.observability.store import EventStore
 from repro.observability.tracing import Tracer
-from repro.serving.cache import EncodingCache, FeaturizationCache
 from repro.serving.config import ServingConfig
 from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import ArtifactSchemaError, ServingError
 from repro.serving.feedback import FeedbackCollector, FeedbackObservation
-from repro.serving.inference_plan import InferencePlan, compile_and_attach
 from repro.serving.lifecycle import AdaptationManager, AdaptationOutcome, CRNRetrainer
-from repro.serving.pool_index import PoolEncodingIndex
 from repro.serving.service import (
     EstimateResult,
     EstimationService,
     RequestOptions,
 )
+from repro.serving.stack import ServiceStack, build_service_stack
 from repro.sql.query import Query
 
-__all__ = ["ServiceStack", "ServingClient", "build_service_stack"]
+__all__ = ["ServingClient"]
 
 #: ``(section, key)`` config fields that no longer exist but that bundles
 #: saved before their retirement still carry.  ``from_artifact`` drops them
@@ -78,100 +73,6 @@ _RETIRED_CONFIG_KEYS = (
     ("dispatcher", "max_wait_ms"),
     ("inference", "tolerance"),
 )
-
-
-@dataclass(frozen=True)
-class ServiceStack:
-    """The wired (but unstarted) core of a deployment.
-
-    What :func:`build_service_stack` hands back: the service plus the shared
-    components it was wired from, for callers that need the pieces (the
-    client keeps them).
-    """
-
-    service: EstimationService
-    estimator: Cnt2CrdEstimator
-    featurization_cache: FeaturizationCache
-    encoding_cache: EncodingCache
-    pool_index: PoolEncodingIndex
-    inference_plan: InferencePlan | None = None
-
-
-def build_service_stack(
-    config: ServingConfig,
-    recorder: EventRecorder | None = None,
-    tracer: Tracer | None = None,
-) -> ServiceStack:
-    """Wire an :class:`EstimationService` exactly as ``config`` describes.
-
-    This is the **single** wiring routine of the stack: the caches, the
-    cache-aware :class:`repro.core.crn.CRNEstimator`, the pool encoding
-    index, the :class:`repro.core.cnt2crd.Cnt2CrdEstimator`, the registry
-    entries, and the warm-up all come from here.  ``recorder`` attaches
-    *before* the warm-up, so the initial pool-index slab builds are on the
-    record too (and ``tracer``, when given, captures them as ``index_build``
-    spans).
-    """
-    estimator_config = config.estimator
-    featurization_cache = FeaturizationCache(
-        config.featurizer, max_entries=config.caches.max_featurization_entries
-    )
-    encoding_cache = EncodingCache(
-        max_entries=config.caches.resolved_encoding_entries()
-    )
-    crn = CRNEstimator(
-        config.model,
-        featurization_cache,
-        batch_size=estimator_config.batch_size,
-        encoding_cache=encoding_cache,
-    )
-    pool_index = PoolEncodingIndex(config.pool)
-    cnt2crd = Cnt2CrdEstimator(
-        crn,
-        config.pool,
-        final_function=estimator_config.final_function,
-        epsilon=estimator_config.epsilon,
-        pool_index=pool_index,
-    )
-    service = EstimationService(
-        fallback=(
-            estimator_config.fallback_name
-            if config.fallback_estimator is not None
-            else None
-        ),
-        featurization_cache=featurization_cache,
-        encoding_cache=encoding_cache,
-        pool_index=pool_index,
-        recorder=recorder,
-        tracer=tracer,
-    )
-    pool_index.recorder = recorder
-    pool_index.tracer = tracer
-    service.register(estimator_config.name, cnt2crd, default=True)
-    if config.fallback_estimator is not None:
-        service.register(estimator_config.fallback_name, config.fallback_estimator)
-    for name, estimator in config.extra_estimators.items():
-        service.register(name, estimator)
-    plan: InferencePlan | None = None
-    if config.inference.mode == "compiled":
-        # Compile before warming: the index builds the float32 slabs the
-        # plan reads at warm time instead of on the first request.
-        plan = compile_and_attach(
-            crn,
-            recorder=recorder,
-            estimator_name=estimator_config.name,
-            generation=service.generation(estimator_config.name),
-        )
-    if config.pool_options.warm:
-        pool_index.warm(cnt2crd)  # fills the caches and the slabs in one pass
-    return ServiceStack(
-        service=service,
-        estimator=cnt2crd,
-        featurization_cache=featurization_cache,
-        encoding_cache=encoding_cache,
-        pool_index=pool_index,
-        inference_plan=plan,
-    )
 
 
 class ServingClient:
@@ -189,10 +90,9 @@ class ServingClient:
     Args:
         config: the frozen deployment description.
         _restored_generation: internal — set by :meth:`from_artifact` to
-            stamp the snapshot's model generation back into the registry
-            before anything else observes it, so provenance is continuous
-            across a restart (and ``save_on_build`` does not re-save the
-            bundle the client just booted from).
+            build the stack at the snapshot's model generation, so
+            provenance is continuous across a restart (and ``save_on_build``
+            does not re-save the bundle the client just booted from).
     """
 
     def __init__(
@@ -235,13 +135,14 @@ class ServingClient:
                 tail_quantile=tracing.tail_quantile,
                 min_tail_observations=tracing.min_tail_observations,
             )
-        stack = build_service_stack(config, recorder=self.recorder, tracer=self.tracer)
+        stack = build_service_stack(
+            config,
+            recorder=self.recorder,
+            tracer=self.tracer,
+            generation=_restored_generation or 1,
+        )
         self.stack = stack
         self.service = stack.service
-        if _restored_generation is not None:
-            # Before the adaptation manager (which seeds its generation gauge
-            # from the registry) or any request can observe generation 1.
-            self.service.set_generation(config.estimator.name, _restored_generation)
         if config.feedback.enabled:
             self.collector = FeedbackCollector(
                 max_observations=config.feedback.max_observations,
@@ -250,28 +151,13 @@ class ServingClient:
                 recorder=self.recorder,
             )
         if config.adaptation.enabled:
-            adaptation = config.adaptation
             self.retrainer = CRNRetrainer(
                 config.training_result,
                 config.database,
                 config.pool,
-                training_pairs=adaptation.training_pairs,
-                incremental_epochs=adaptation.incremental_epochs,
-                full_epochs=adaptation.full_epochs,
-                seed=adaptation.seed,
+                config.adaptation,
             )
-            self.manager = AdaptationManager(
-                self.service,
-                self.collector,
-                self.retrainer,
-                policy=adaptation.drift_policy(),
-                estimator_name=config.estimator.name,
-                poll_interval_seconds=adaptation.poll_interval_seconds,
-                holdout_size=adaptation.holdout_size,
-                accept_ratio=adaptation.accept_ratio,
-                max_incremental_failures=adaptation.max_incremental_failures,
-                warm_on_swap=adaptation.warm_on_swap,
-            )
+            self.manager = AdaptationManager(stack, self.collector, self.retrainer)
         if config.dispatcher.enabled:
             self.dispatcher = ServingDispatcher(
                 self.service, max_batch=config.dispatcher.max_batch
@@ -284,13 +170,9 @@ class ServingClient:
             self.artifact_store = ArtifactStore(
                 config.artifacts.root, recorder=self.recorder
             )
-            mapping = config.to_mapping()
+            mapping = config.to_mapping()  # a bare-callable final function fails here
             if self.manager is not None and config.artifacts.save_on_promote:
-                self.manager.attach_artifact_store(
-                    self.artifact_store,
-                    mapping,
-                    promote_on_save=config.artifacts.promote_on_save,
-                )
+                self.manager.attach_artifact_store(self.artifact_store)
             if config.artifacts.save_on_build and _restored_generation is None:
                 self.artifact_store.save(
                     model=config.model,
@@ -723,7 +605,9 @@ class ServingClient:
         if queries is not None:
             self.service.warm(queries)
         else:
-            self.stack.pool_index.warm(self.stack.estimator)
+            # The served estimator, not the booted one: after an adaptation
+            # promote the index belongs to the promoted model.
+            self.stack.pool_index.warm(self.service.get(self.config.estimator.name))
 
     # ------------------------------------------------------------------ #
     # feedback and adaptation

@@ -12,7 +12,7 @@ one frozen object of nested sections:
   encoding cache's two-entries-per-query sizing rule made **explicit**;
 * :class:`DispatcherConfig` — the request-coalescing front-end;
 * :class:`FeedbackConfig` — the rolling feedback window;
-* :class:`AdaptationConfig` — drift policy + background retraining;
+* :class:`AdaptationConfig` — drift conditions + background retraining;
 * :class:`ObservabilityConfig` — the structured event log and its optional
   SQLite persistence (:mod:`repro.observability`);
 * :class:`TracingConfig` — per-request span trees with coalescing-aware
@@ -103,6 +103,22 @@ def _integer(name: str, value: int, minimum: int | None = 1) -> None:
     if minimum is not None and value < minimum:
         bound = "positive" if minimum == 1 else "non-negative"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _threshold(
+    name: str, value: float | None, low: float, *, inclusive: bool = False
+) -> None:
+    """Validate an optional threshold: None, or finite and above ``low``.
+
+    NaN and ``inf`` would silently disable the condition they configure
+    (every comparison with NaN is False), which only ``None`` may do.
+    """
+    if value is None:
+        return
+    above = value >= low if inclusive else value > low
+    if not (above and value < math.inf):  # NaN fails too
+        bound = "at least" if inclusive else "above"
+        raise ValueError(f"{name} must be finite and {bound} {low}, or None; got {value!r}")
 
 
 def _bound(name: str, value: int | None) -> None:
@@ -370,37 +386,74 @@ class InferenceConfig:
 class AdaptationConfig:
     """Drift monitoring and background retraining.
 
-    The drift fields mirror :class:`repro.serving.DriftPolicy`, the retrain
-    fields mirror :class:`repro.serving.CRNRetrainer`, and the gate fields
-    mirror :class:`repro.serving.AdaptationManager` — see those classes for
-    semantics.  Enabling adaptation requires the owning
+    The one declaration of the lifecycle's knobs: :class:`~repro.serving.DriftMonitor`,
+    :class:`~repro.serving.CRNRetrainer` and :class:`~repro.serving.AdaptationManager`
+    read this section.  Enabling adaptation requires the owning
     :class:`ServingConfig` to carry ``training_result`` and ``database`` and
     to enable feedback.
+
+    Any enabled drift condition firing marks the model as drifted; ``None``
+    is the only way to disable one.  The q-error conditions arm once the
+    feedback window holds ``min_observations``; the row-count condition needs
+    no feedback, it reacts to the data changing under the model.
+
+    Attributes:
+        quantile: the rolling q-error quantile the q-error conditions watch
+            (0.9 = the p90 the paper's tables report).
+        max_q_error: absolute threshold on the watched quantile.
+        degradation_ratio: fires when the watched quantile reaches this
+            multiple of the baseline's.  The baseline freezes from the first
+            full window and again after every accepted swap, so the model is
+            compared against its own healthy self, not a hand-tuned constant.
+        max_row_delta: fires when the database's total row count has changed
+            by more than this fraction since the last refresh.
+        min_observations: observations that arm the q-error conditions (also
+            the baseline's size).
+        cooldown_seconds: minimum time between policy-driven attempts (manual
+            triggers bypass it).
+        poll_interval_seconds: how often the worker evaluates the conditions.
+        holdout_size: most-recent observations the accept gate scores.
+        accept_ratio: the candidate ships when its median holdout q-error is
+            at most this multiple of the incumbent's (1.0 = no worse).
+        max_incremental_failures: consecutive failed or rejected incremental
+            attempts before a full retrain.
+        warm_on_swap: rebuild the pool index's slabs with the candidate model
+            before the swap, so the first post-swap requests hit warm slabs.
+        training_pairs / incremental_epochs / full_epochs: pairs generated and
+            epoch budgets of one retrain.
+        seed: base pair-generation seed, varied per attempt so a rejected
+            candidate is not retried on the same pairs.
     """
 
     enabled: bool = False
-    # DriftPolicy
+    # drift conditions (DriftMonitor)
     quantile: float = 0.9
     max_q_error: float | None = 10.0
     degradation_ratio: float | None = 2.0
     max_row_delta: float | None = None
     min_observations: int = 20
     cooldown_seconds: float = 60.0
-    # AdaptationManager
+    # worker and accept gate (AdaptationManager)
     poll_interval_seconds: float = 1.0
     holdout_size: int = 16
     accept_ratio: float = 1.0
     max_incremental_failures: int = 2
     warm_on_swap: bool = True
-    # CRNRetrainer
+    # retraining (CRNRetrainer)
     training_pairs: int = 120
     incremental_epochs: int = 4
     full_epochs: int = 8
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.quantile <= 1.0:  # NaN fails too
+            raise ValueError(f"quantile must lie in (0, 1], got {self.quantile!r}")
+        # q-errors never fall below 1; a ratio of 1 would fire on a healthy window.
+        _threshold("max_q_error", self.max_q_error, 1.0, inclusive=True)
+        _threshold("degradation_ratio", self.degradation_ratio, 1.0)
+        _threshold("max_row_delta", self.max_row_delta, 0.0)
         _integer("min_observations", self.min_observations)
-        self.drift_policy()  # DriftPolicy validates the other drift fields
+        _seconds("cooldown_seconds", self.cooldown_seconds, allow_zero=True)
         _seconds("poll_interval_seconds", self.poll_interval_seconds)
         _integer("holdout_size", self.holdout_size)
         _positive("accept_ratio", self.accept_ratio)
@@ -409,19 +462,6 @@ class AdaptationConfig:
         _integer("incremental_epochs", self.incremental_epochs)
         _integer("full_epochs", self.full_epochs)
         _integer("seed", self.seed, minimum=None)
-
-    def drift_policy(self):
-        """The :class:`repro.serving.DriftPolicy` these fields describe."""
-        from repro.serving.lifecycle import DriftPolicy
-
-        return DriftPolicy(
-            quantile=self.quantile,
-            max_q_error=self.max_q_error,
-            degradation_ratio=self.degradation_ratio,
-            max_row_delta=self.max_row_delta,
-            min_observations=self.min_observations,
-            cooldown_seconds=self.cooldown_seconds,
-        )
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,6 @@ class _PendingRequest:
     """One caller's request travelling through the dispatch queue."""
 
     query: Query
-    estimator: str | None
     future: Future
     options: RequestOptions | None = None
     #: ``time.perf_counter()`` at enqueue (None: served inline, never queued).
@@ -202,10 +201,7 @@ class ServingDispatcher:
     # submission
 
     def submit(
-        self,
-        query: Query,
-        estimator: str | None = None,
-        options: RequestOptions | None = None,
+        self, query: Query, options: RequestOptions | None = None
     ) -> Future:
         """Enqueue one request; returns a future of an :class:`EstimateResult`.
 
@@ -221,12 +217,7 @@ class ServingDispatcher:
         tracer = self.service.tracer
         trace = tracer.start_request() if tracer is not None else None
         request = _PendingRequest(
-            query,
-            estimator,
-            future,
-            options,
-            enqueued_at=time.perf_counter(),
-            trace=trace,
+            query, future, options, enqueued_at=time.perf_counter(), trace=trace
         )
         with self._state_lock:
             if self._closed:
@@ -243,7 +234,6 @@ class ServingDispatcher:
     def estimate(
         self,
         query: Query,
-        estimator: str | None = None,
         timeout: float | None = None,
         options: RequestOptions | None = None,
     ) -> EstimateResult:
@@ -262,9 +252,9 @@ class ServingDispatcher:
         """
         if timeout is None and options is not None:
             timeout = options.timeout_seconds
-        if timeout is None and (served := self._serve_inline(query, estimator, options)):
+        if timeout is None and (served := self._serve_inline(query, options)):
             return served
-        future = self.submit(query, estimator=estimator, options=options)
+        future = self.submit(query, options=options)
         try:
             return future.result(timeout)
         except TimeoutError as error:
@@ -283,7 +273,7 @@ class ServingDispatcher:
             ) from None
 
     def _serve_inline(
-        self, query: Query, estimator: str | None, options: RequestOptions | None
+        self, query: Query, options: RequestOptions | None
     ) -> EstimateResult | None:
         """The request served on the calling thread, or None if busy or closed."""
         with self._state_lock:
@@ -292,7 +282,7 @@ class ServingDispatcher:
             self._inline = True
         tracer = self.service.tracer
         trace = tracer.start_request() if tracer is not None else None
-        request = _PendingRequest(query, estimator, Future(), options, trace=trace)
+        request = _PendingRequest(query, Future(), options, trace=trace)
         self.stats.add("submitted")
         try:
             self._serve([request])
@@ -442,13 +432,9 @@ class ServingDispatcher:
         a group — they are stamped per request after serving.
         """
         options = request.options
-        name = request.estimator
-        policy = "registry"
-        if options is not None:
-            if options.estimator is not None:
-                name = options.estimator
-            policy = options.fallback_policy
-        return name, policy
+        if options is None:
+            return None, "registry"
+        return options.estimator, options.fallback_policy
 
     @staticmethod
     def _stamp(request: _PendingRequest) -> tuple[tuple[tuple[str, str], ...], float]:

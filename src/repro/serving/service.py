@@ -471,18 +471,14 @@ class EstimationService:
     # serving
 
     def submit(
-        self,
-        query: Query,
-        estimator: str | None = None,
-        options: RequestOptions | None = None,
+        self, query: Query, options: RequestOptions | None = None
     ) -> EstimateResult:
         """Estimate one query (a batch of one)."""
-        return self.submit_batch([query], estimator=estimator, options=options)[0]
+        return self.submit_batch([query], options=options)[0]
 
     def submit_batch(
         self,
         queries: Sequence[Query],
-        estimator: str | None = None,
         options: RequestOptions | None = None,
         traces: Sequence | None = None,
         stamps: Sequence[tuple[tuple[tuple[str, str], ...], float]] | None = None,
@@ -497,9 +493,9 @@ class EstimationService:
         request's :attr:`RequestOptions.fallback_policy` forbids it.
 
         ``options`` applies to the whole batch (the dispatcher groups
-        requests by estimator and fallback policy before submitting);
-        ``options.estimator`` takes precedence over the legacy ``estimator``
-        argument.  Every result is an :class:`EstimateResult` carrying its
+        requests by estimator and fallback policy before submitting), and
+        ``options.estimator`` picks the registry entry (the default when
+        None).  Every result is an :class:`EstimateResult` carrying its
         resolution path, the answering entry's model generation, the batch's
         cache-hit deltas, and the caller's tags.
 
@@ -528,12 +524,11 @@ class EstimationService:
         # fail the request, instead of letting it finish on the resolved
         # estimator (stamped with the generation it resolved).
         with self._registry_lock:
-            if options.estimator is not None:
-                name = options.estimator
-            elif estimator is not None:
-                name = estimator
-            else:
-                name = self.default_estimator
+            name = (
+                options.estimator
+                if options.estimator is not None
+                else self.default_estimator
+            )
             chosen = self.get(name)
             generation = self._generations.get(name, 0)
         recorder = self.recorder

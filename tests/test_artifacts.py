@@ -432,6 +432,35 @@ class TestColdBoot:
         assert booted.artifact_store.root == root
         booted.shutdown()
 
+    def test_boot_compiles_the_plan_under_the_restored_generation(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        # The plan is compiled while the stack is built, so the build must
+        # already serve the restored generation: stamping it afterwards
+        # filed the boot's plan_compile under generation 1.
+        root = tmp_path / "store"
+        config = make_config(
+            model,
+            imdb_small,
+            imdb_featurizer,
+            pool,
+            inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
+            observability=ObservabilityConfig(enabled=True),
+        )
+        save_generation(ArtifactStore(root), model, pool, config, generation=3, promote=True)
+        booted = ServingClient.from_artifact(root, database=imdb_small)
+        query = next(item.query for item in workload if pool.has_match(item.query))
+        assert booted.estimate(query).model_generation == 3
+        (compiled,) = [
+            item.event
+            for item in booted.recorder.flush()
+            if item.event.kind == "plan_compile"
+        ]
+        assert compiled.generation == 3
+        (row,) = booted.event_store.plan_history()
+        assert (row["kind"], row["model_generation"]) == ("plan_compile", 3)
+        booted.shutdown()
+
     @pytest.mark.parametrize("use_index", [True, False])
     def test_bundle_from_before_use_index_was_retired_still_boots(
         self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload, use_index

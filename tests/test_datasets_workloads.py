@@ -187,3 +187,30 @@ class TestWorkloadIdentity:
             fields += [field for predicate in query.predicates for field in predicate[:2]]
             assert all(type(field) is str for field in fields), repr(query)
             assert all(type(predicate.value) is float for predicate in query.predicates)
+
+
+#: sha256 over ``repr`` of 120 queries drawn by ``ScaleWorkloadGenerator`` at
+#: ``ScaleGeneratorConfig(seed=...)``, then ``repr`` and cardinality of every
+#: query of ``build_scale_workload(scale=0.1, seed=...)``.  Computed at commit
+#: 387fe6f, while ``datasets/scale.py`` kept its own copy of the join-subset
+#: enumeration.
+PINNED_SCALE_DIGESTS = {
+    5: "9ad352731cd1302a0de71def63b7d8a2f822d517dc6b53af1a6dff71080ce13d",
+    41: "654dd0c3f3a0dc5a15b809e5dcecdea177f59e5fb6658f51f5105f73f0fa6e9a",
+}
+
+
+class TestScaleWorkloadIdentity:
+    @pytest.mark.parametrize("seed", sorted(PINNED_SCALE_DIGESTS))
+    def test_scale_queries_and_labels_match_the_pinned_digest(
+        self, seed, imdb_small, imdb_oracle
+    ):
+        from repro.datasets.scale import ScaleGeneratorConfig, ScaleWorkloadGenerator
+
+        generator = ScaleWorkloadGenerator(imdb_small, ScaleGeneratorConfig(seed=seed))
+        queries = generator.generate_queries(120)
+        workload = build_scale_workload(imdb_small, scale=0.1, seed=seed, oracle=imdb_oracle)
+        lines = [repr(query) for query in queries]
+        lines += [f"{item.query!r} {item.cardinality}" for item in workload.queries]
+        assert len(lines) == 172
+        assert _sha256(lines) == PINNED_SCALE_DIGESTS[seed]

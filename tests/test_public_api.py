@@ -48,7 +48,6 @@ EXPECTED_SERVING_ALL = [
     "DispatcherConfig",
     "DispatcherShutdownError",
     "DriftMonitor",
-    "DriftPolicy",
     "DriftVerdict",
     "EncodingCache",
     "EstimateResult",

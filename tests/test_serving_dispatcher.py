@@ -29,6 +29,7 @@ from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     DispatcherShutdownError,
     EstimationService,
+    RequestOptions,
     ServingDispatcher,
 )
 from repro.sql.builder import QueryBuilder
@@ -228,7 +229,7 @@ class TestBacklogCoalescing:
         dispatcher._serve = recording_serve
         dispatcher.start()
         try:
-            held = dispatcher.submit(workload[0], estimator="gated")
+            held = dispatcher.submit(workload[0], RequestOptions(estimator="gated"))
             assert gated.entered.wait(30)  # the dispatcher is inside batch 1
             queries = workload[:backlog]
             futures = [dispatcher.submit(query) for query in queries]
@@ -344,7 +345,9 @@ class TestInlineServing:
         answers: dict[int, object] = {}
 
         def call(position, estimator=None):
-            answers[position] = dispatcher.estimate(workload[position], estimator)
+            answers[position] = dispatcher.estimate(
+                workload[position], options=RequestOptions(estimator=estimator)
+            )
 
         held = threading.Thread(target=call, args=(0, "gated"))
         behind = [threading.Thread(target=call, args=(k,)) for k in (1, 2, 3)]
@@ -429,8 +432,6 @@ class TestInlineServing:
     def test_a_deadline_always_takes_the_queue(
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates, deadline
     ):
-        from repro.serving import RequestOptions
-
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         threads = record_submit_batch_threads(service)
         with ServingDispatcher(service) as dispatcher:
@@ -781,8 +782,8 @@ class TestDeadlines:
         service.register("blocking", blocking)
         service.register("fast", FastEstimator())
         dispatcher = ServingDispatcher(service, max_batch=4)
-        blocked = dispatcher.submit(workload[0], estimator="blocking")
-        fast = dispatcher.submit(workload[1], estimator="fast")
+        blocked = dispatcher.submit(workload[0], RequestOptions(estimator="blocking"))
+        fast = dispatcher.submit(workload[1], RequestOptions(estimator="fast"))
         dispatcher.start()  # both coalesce into one batch of two groups
         assert blocking.entered.wait(30)  # now inside the blocking group
         assert fast.cancel()  # not yet RUNNING: still cancellable

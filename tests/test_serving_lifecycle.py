@@ -22,16 +22,17 @@ from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db import TrueCardinalityOracle
 from repro.observability import EventRecorder, EventStore
 from repro.serving import (
+    AdaptationConfig,
     AdaptationManager,
     CRNRetrainer,
     DriftMonitor,
-    DriftPolicy,
-    EncodingCache,
-    EstimationService,
-    FeaturizationCache,
     FeedbackCollector,
+    FeedbackConfig,
+    InferenceConfig,
+    ServingClient,
+    ServingConfig,
     ServingDispatcher,
-    compile_plan,
+    build_service_stack,
 )
 from tests.conftest import build_service
 
@@ -67,6 +68,20 @@ def make_service(trained, imdb_small, pool):
         trained.featurizer,
         pool,
         fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+    )
+
+
+def make_stack(trained, imdb_small, pool, inference=None, **adaptation):
+    """A config-wired stack whose adaptation section carries ``adaptation``."""
+    return build_service_stack(
+        ServingConfig(
+            model=trained.model,
+            featurizer=trained.featurizer,
+            pool=pool,
+            fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+            adaptation=AdaptationConfig(**adaptation),
+            inference=inference or InferenceConfig(),
+        )
     )
 
 
@@ -146,7 +161,7 @@ class TestDriftMonitor:
     def test_conditions_armed_only_after_min_observations(self, workload):
         collector = FeedbackCollector()
         monitor = DriftMonitor(
-            collector, DriftPolicy(max_q_error=2.0, min_observations=5)
+            collector, AdaptationConfig(max_q_error=2.0, min_observations=5)
         )
         self.record_errors(collector, workload, [10.0] * 4)
         assert not monitor.evaluate().triggered
@@ -158,7 +173,7 @@ class TestDriftMonitor:
 
     def test_baseline_freezes_and_degradation_fires(self, workload):
         collector = FeedbackCollector(max_observations=8)
-        policy = DriftPolicy(
+        policy = AdaptationConfig(
             max_q_error=None, degradation_ratio=2.0, min_observations=4
         )
         monitor = DriftMonitor(collector, policy)
@@ -176,7 +191,7 @@ class TestDriftMonitor:
 
     def test_row_delta_fires_without_feedback(self, workload):
         collector = FeedbackCollector()
-        monitor = DriftMonitor(collector, DriftPolicy(max_row_delta=0.25))
+        monitor = DriftMonitor(collector, AdaptationConfig(max_row_delta=0.25))
         quiet = monitor.evaluate(current_rows=110, rows_at_refresh=100)
         assert not quiet.triggered and quiet.row_delta == pytest.approx(0.1)
         verdict = monitor.evaluate(current_rows=200, rows_at_refresh=100)
@@ -189,7 +204,7 @@ class TestDriftMonitor:
         # reasons — not as something NaN comparison semantics happen to hide.
         collector = FeedbackCollector()
         monitor = DriftMonitor(
-            collector, DriftPolicy(max_q_error=1.5, min_observations=1)
+            collector, AdaptationConfig(max_q_error=1.5, min_observations=1)
         )
         verdict = monitor.evaluate()
         assert not verdict.triggered
@@ -202,7 +217,7 @@ class TestDriftMonitor:
         # explicitly quiet instead of relying on `NaN > threshold` being
         # False, and the degradation condition must not divide by the NaN.
         collector = FeedbackCollector()
-        policy = DriftPolicy(max_q_error=1.5, degradation_ratio=2.0, min_observations=2)
+        policy = AdaptationConfig(max_q_error=1.5, degradation_ratio=2.0, min_observations=2)
         monitor = DriftMonitor(collector, policy)
         self.record_errors(collector, workload, [1.0] * 4)  # healthy baseline
         assert not monitor.evaluate().triggered
@@ -219,7 +234,7 @@ class TestDriftMonitor:
         # condition could then never arm again, even after the window
         # recovered and later genuinely degraded.
         collector = FeedbackCollector(max_observations=4)
-        policy = DriftPolicy(
+        policy = AdaptationConfig(
             max_q_error=None, degradation_ratio=2.0, min_observations=4
         )
         monitor = DriftMonitor(collector, policy)
@@ -236,7 +251,7 @@ class TestDriftMonitor:
 
     def test_unknown_row_counts_are_no_signal(self):
         collector = FeedbackCollector()
-        monitor = DriftMonitor(collector, DriftPolicy(max_row_delta=0.1))
+        monitor = DriftMonitor(collector, AdaptationConfig(max_row_delta=0.1))
         verdict = monitor.evaluate()  # row counts not supplied -> NaN delta
         assert not verdict.triggered
         assert verdict.row_delta != verdict.row_delta  # NaN
@@ -245,7 +260,7 @@ class TestDriftMonitor:
         collector = FeedbackCollector()
         monitor = DriftMonitor(
             collector,
-            DriftPolicy(max_q_error=2.0, min_observations=3),
+            AdaptationConfig(max_q_error=2.0, min_observations=3),
             estimator="crn",
         )
         # A drifted *baseline* estimator sharing the collector must not fire
@@ -262,7 +277,7 @@ class TestDriftMonitor:
         collector = FeedbackCollector()
         monitor = DriftMonitor(
             collector,
-            DriftPolicy(max_q_error=2.0, min_observations=3),
+            AdaptationConfig(max_q_error=2.0, min_observations=3),
             estimator="crn",
         )
         # Caller-supplied feedback without an estimator name must still arm
@@ -275,35 +290,51 @@ class TestDriftMonitor:
     def test_window_bound_must_admit_min_observations(self, workload):
         collector = FeedbackCollector(max_observations=8)
         with pytest.raises(ValueError, match="window bound"):
-            DriftMonitor(collector, DriftPolicy(min_observations=20))
+            DriftMonitor(collector, AdaptationConfig(min_observations=20))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            DriftPolicy(quantile=0.0)
+            AdaptationConfig(quantile=0.0)
         with pytest.raises(ValueError):
-            DriftPolicy(degradation_ratio=1.0)
+            AdaptationConfig(degradation_ratio=1.0)
         with pytest.raises(ValueError):
-            DriftPolicy(min_observations=0)
+            AdaptationConfig(min_observations=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["cooldown_seconds", "max_q_error", "degradation_ratio", "max_row_delta"],
+    )
+    def test_non_finite_drift_fields_are_rejected(self, field, value):
+        # Every comparison with NaN is False: max_q_error=nan silently turned
+        # the threshold off, and cooldown_seconds=nan made the cooldown never
+        # apply.  None is the only way to disable a condition.
+        with pytest.raises(ValueError, match=field):
+            AdaptationConfig(**{field: value})
 
 
 class TestAdaptationManager:
-    def build(self, trained, imdb_small, pool, **kwargs):
-        service = make_service(trained, imdb_small, pool)
+    def build(self, trained, imdb_small, pool, inference=None, **kwargs):
+        adaptation = dict(
+            cooldown_seconds=0.0,
+            holdout_size=8,
+            training_pairs=20,
+            incremental_epochs=1,
+            full_epochs=1,
+            seed=7,
+        )
+        adaptation.update(kwargs)
+        stack = make_stack(trained, imdb_small, pool, inference, **adaptation)
         collector = FeedbackCollector()
         retrainer = CRNRetrainer(
             trained,
             imdb_small,
             pool,
-            training_pairs=20,
-            incremental_epochs=1,
-            full_epochs=1,
+            stack.config.adaptation,
             training_config=TrainingConfig(epochs=1, batch_size=32),
-            seed=7,
         )
-        defaults = dict(policy=DriftPolicy(cooldown_seconds=0.0), holdout_size=8)
-        defaults.update(kwargs)
-        manager = AdaptationManager(service, collector, retrainer, **defaults)
-        return service, collector, retrainer, manager
+        manager = AdaptationManager(stack, collector, retrainer)
+        return stack.service, collector, retrainer, manager
 
     def test_manual_trigger_swaps_without_feedback(self, trained, imdb_small, pool):
         service, _, retrainer, manager = self.build(trained, imdb_small, pool)
@@ -380,12 +411,17 @@ class TestAdaptationManager:
         # A compiled-mode deployment must come out of a hot swap still
         # compiled: the candidate gets its own freshly compiled plan before
         # the registry swap, and the plan lifecycle lands in the event store as plan_compile+plan_swap.
-        service, _, _, manager = self.build(trained, imdb_small, pool)
+        service, _, _, manager = self.build(
+            trained,
+            imdb_small,
+            pool,
+            inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
+        )
         store = EventStore()
         service.recorder = EventRecorder(store=store)
         incumbent = service.get("crn").containment_estimator
-        plan = compile_plan(trained.model)
-        incumbent.attach_plan(plan)
+        plan = incumbent.inference_plan
+        assert plan is not None  # compiled at boot
         outcome = manager.trigger()
         assert outcome.swapped
         swapped = service.get("crn").containment_estimator
@@ -441,62 +477,19 @@ class TestAdaptationManager:
         )
         assert swapped.pool_estimates(query) == reference.pool_estimates(query)
 
-    def build_hand_wired(self, trained, imdb_small, pool):
-        """A service wired by hand around a bare estimator: no pool index."""
-        encoding_cache = EncodingCache()
-        featurization_cache = FeaturizationCache(trained.featurizer)
-        service = EstimationService(
-            featurization_cache=featurization_cache, encoding_cache=encoding_cache
-        )
-        crn = CRNEstimator(
-            trained.model, featurization_cache, encoding_cache=encoding_cache
-        )
-        service.register("crn", Cnt2CrdEstimator(crn, pool))
-        retrainer = CRNRetrainer(
-            trained,
-            imdb_small,
-            pool,
-            training_pairs=20,
-            incremental_epochs=1,
-            full_epochs=1,
-            training_config=TrainingConfig(epochs=1, batch_size=32),
-            seed=7,
-        )
-        manager = AdaptationManager(
-            service,
-            FeedbackCollector(),
-            retrainer,
-            policy=DriftPolicy(cooldown_seconds=0.0),
-            holdout_size=8,
-        )
-        return service, manager
-
-    def test_index_less_service_swaps_and_keeps_serving_row_less_slabs(
-        self, trained, imdb_small, pool, workload
+    @pytest.mark.parametrize("mode", ["reference", "compiled"])
+    def test_promote_failure_is_recovered_and_counted(
+        self, trained, imdb_small, pool, workload, monkeypatch, mode
     ):
-        service, manager = self.build_hand_wired(trained, imdb_small, pool)
-        assert service.pool_index is None
-        outcome = manager.trigger()
-        assert outcome.swapped
-        swapped = service.get("crn")
-        assert swapped.pool_index is None
-        assert service.generation("crn") == 2
-        query = next(l.query for l in workload if swapped.pool.has_match(l.query))
-        (served,) = service.submit_batch([query])
-        assert served.resolution == "pair_batch"
-        reference = Cnt2CrdEstimator(
-            CRNEstimator(
-                manager.retrainer.result.model, manager.retrainer.result.featurizer
-            ),
-            swapped.pool,
+        inference = InferenceConfig(
+            mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
         )
-        assert served.estimate == reference.estimate_cardinality(query)
-
-    def test_index_less_promote_failure_is_recovered_and_counted(
-        self, trained, imdb_small, pool, workload, monkeypatch
-    ):
-        service, manager = self.build_hand_wired(trained, imdb_small, pool)
+        service, _, _, manager = self.build(trained, imdb_small, pool, inference=inference)
+        store = EventStore()
+        service.recorder = EventRecorder(store=store)
         incumbent = service.get("crn")
+        query = next(l.query for l in workload if pool.has_match(l.query))
+        (before,) = service.submit_batch([query])
 
         def refuse(name, estimator):
             raise RuntimeError("registry refused the swap")
@@ -507,12 +500,39 @@ class TestAdaptationManager:
         assert manager.stats_snapshot()["promote_failures"] == 1.0
         assert manager._consecutive_failures == 1
         assert isinstance(manager.last_error, RuntimeError)
-        # The recovery handler re-bound the shared cache to the incumbent,
-        # which is still registered and still answers bit-identically.
+        # The recovery handed the shared cache and index back to the
+        # incumbent, which is still registered and answers bit-identically
+        # from its own fast path.
         assert service.get("crn") is incumbent
+        assert service.pool_index.pool is incumbent.pool
+        (after,) = service.submit_batch([query])
+        assert (after.estimate, after.resolution) == (before.estimate, "indexed_slab")
+        service.recorder.flush()
+        swaps = [row["outcome"] for row in store.plan_history() if row["kind"] == "plan_swap"]
+        assert swaps == (["rollback"] if mode == "compiled" else [])
+
+    def test_client_warm_after_a_swap_warms_the_promoted_model(
+        self, trained, imdb_small, pool, workload
+    ):
+        config = ServingConfig(
+            model=trained.model,
+            featurizer=trained.featurizer,
+            pool=pool,
+            training_result=trained,
+            database=imdb_small,
+            feedback=FeedbackConfig(enabled=True),
+            adaptation=AdaptationConfig(
+                enabled=True, training_pairs=20, incremental_epochs=1, full_epochs=1
+            ),
+        )
+        client = ServingClient(config)
+        assert client.trigger_adaptation().swapped
+        # The index belongs to the promoted model now; warming through the
+        # booted estimator raised "already bound to a different model".
+        client.warm()
         query = next(l.query for l in workload if pool.has_match(l.query))
-        (served,) = service.submit_batch([query])
-        assert served.estimate == incumbent.estimate_cardinality(query)
+        served = client.estimate(query)
+        assert (served.model_generation, served.resolution) == (2, "indexed_slab")
 
     def test_escalates_to_full_after_repeated_failures(
         self, trained, imdb_small, pool
@@ -527,10 +547,7 @@ class TestAdaptationManager:
 
     def test_paused_policy_cycle_does_nothing(self, trained, imdb_small, pool, workload):
         _, collector, _, manager = self.build(
-            trained,
-            imdb_small,
-            pool,
-            policy=DriftPolicy(max_q_error=1.5, min_observations=2, cooldown_seconds=0.0),
+            trained, imdb_small, pool, max_q_error=1.5, min_observations=2
         )
         # Simulate a badly drifted incumbent: estimates 100x off the truth.
         for labeled in workload[:2]:
@@ -646,35 +663,34 @@ class TestEndToEndAdaptation:
         q-error recovers to within 1.5x of the healthy pre-update window.
         No request is dropped or failed across the whole episode.
         """
-        service = make_service(trained, imdb_small, pool)
-        collector = FeedbackCollector(max_observations=60)
-        policy = DriftPolicy(
+        stack = make_stack(
+            trained,
+            imdb_small,
+            pool,
             quantile=0.5,  # the rolling median: robust to the near-zero-truth
             # tail, shifts ~3x with the simulated update
             max_q_error=None,
             degradation_ratio=1.5,
             min_observations=15,
             cooldown_seconds=0.0,
+            poll_interval_seconds=0.05,
+            holdout_size=15,
+            accept_ratio=1.0,
+            training_pairs=30,
+            incremental_epochs=2,
+            full_epochs=2,
+            seed=9,
         )
+        service = stack.service
+        collector = FeedbackCollector(max_observations=60)
         retrainer = CRNRetrainer(
             trained,
             imdb_small,
             pool,
-            training_pairs=30,
-            incremental_epochs=2,
-            full_epochs=2,
+            stack.config.adaptation,
             training_config=TrainingConfig(epochs=2, batch_size=32),
-            seed=9,
         )
-        manager = AdaptationManager(
-            service,
-            collector,
-            retrainer,
-            policy=policy,
-            poll_interval_seconds=0.05,
-            holdout_size=15,
-            accept_ratio=1.0,
-        )
+        manager = AdaptationManager(stack, collector, retrainer)
         updated_database = build_synthetic_imdb(
             SyntheticIMDbConfig(num_titles=900, seed=3)
         )

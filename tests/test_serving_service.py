@@ -23,6 +23,7 @@ from repro.serving import (
     EncodingCache,
     EstimationService,
     FeaturizationCache,
+    RequestOptions,
 )
 from repro.sql.builder import QueryBuilder
 from tests import conftest
@@ -385,7 +386,7 @@ class TestEstimationService:
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         postgres = PostgresCardinalityEstimator(imdb_small)
-        served = service.submit_batch(workload[:5], estimator="fallback")
+        served = service.submit_batch(workload[:5], RequestOptions(estimator="fallback"))
         assert [item.estimate for item in served] == [
             postgres.estimate_cardinality(query) for query in workload[:5]
         ]
