@@ -80,7 +80,7 @@ def test_cold_start(results_dir, bench_record, tmp_path):
     root = tmp_path / "artifacts"
 
     # --- the retrain-from-scratch startup a restart would otherwise pay ----
-    # (also the run that produces the snapshot: save_on_build persists the
+    # (also the run that produces the snapshot: the build save persists the
     # trained model as gen-1 and promotes it to `latest`).
     retrain_started = time.perf_counter()
     # A restarting process starts with nothing memoized: labeling the

@@ -100,9 +100,9 @@ def main() -> None:
             fallback_estimator=PostgresCardinalityEstimator(database),
             training_result=trained,
             database=database,
-            # save_on_build publishes generation 1 before any worker forks;
-            # each worker then cold-boots its shard from this store.
-            artifacts=ArtifactConfig(root=artifact_root, save_on_build=True),
+            # The build publishes generation 1 before any worker forks; each
+            # worker then cold-boots its shard from this store.
+            artifacts=ArtifactConfig(root=artifact_root),
             observability=ObservabilityConfig(
                 enabled=True,
                 sqlite_path=os.path.join(scratch, "events.sqlite"),

@@ -12,20 +12,25 @@ is safe to run against a store a live client is serving from.
 Subcommands::
 
     artifact_tool.py inspect  ROOT [--generation N] [--json]
-    artifact_tool.py verify   ROOT [--generation N]     # checksums only
+    artifact_tool.py verify   ROOT [--generation N]     # checksums + config
     artifact_tool.py promote  ROOT GENERATION           # re-point latest
     artifact_tool.py rollback ROOT                      # latest -> previous
 
 ``inspect`` lists every generation (manifest metadata, file sizes, which
 one ``latest`` points at); ``verify`` re-hashes a bundle's files against
-its manifest and fails loudly on a mismatch; ``promote`` re-points
+its manifest and fails loudly on a mismatch, then runs the retired-field
+check a boot runs on the saved config
+(:func:`repro.serving.client.upgrade_saved_config`), so a retired field
+saved at a refused value fails here with the boot's message (the remaining
+fields are validated only by a boot); ``promote`` re-points
 ``latest`` at any verified generation; ``rollback`` swaps ``latest`` back
 to the previous generation (the swap is symmetric, so a second rollback
 undoes the first).  No command deletes a bundle.
 
 Exit codes: 0 ok, 2 usage error (missing store / unknown generation),
-3 verification failure (checksum mismatch, truncated or torn bundle) —
-CI's cold-start smoke treats nonzero as a failure.
+3 verification failure (checksum mismatch, truncated or torn bundle, a
+saved config section that is not an object, a retired field saved at a
+refused value) — CI's cold-start smoke treats nonzero as a failure.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.artifacts import ArtifactStore  # noqa: E402
+from repro.artifacts.bundle import read_config_mapping  # noqa: E402
+from repro.serving.client import upgrade_saved_config  # noqa: E402
 from repro.serving.errors import (  # noqa: E402
     ArtifactChecksumError,
     ArtifactError,
@@ -143,6 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for generation in targets:
         try:
             store.verify(generation)
+            upgrade_saved_config(read_config_mapping(store.path(generation)))
         except ArtifactNotFoundError as error:
             print(f"error: {error}", file=sys.stderr)
             return EXIT_USAGE

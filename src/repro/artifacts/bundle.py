@@ -66,6 +66,7 @@ __all__ = [
     "BUNDLE_FILES",
     "LoadedBundle",
     "load_bundle",
+    "read_config_mapping",
     "query_from_mapping",
     "query_to_mapping",
     "save_bundle",
@@ -227,6 +228,16 @@ def _read_json(path: Path, description: str) -> Any:
         ) from error
 
 
+def read_config_mapping(directory: Path) -> dict[str, Any]:
+    """The raw saved config mapping (``config.json``) of the bundle in ``directory``."""
+    config_mapping = _read_json(Path(directory) / "config.json", "bundle config")
+    if not isinstance(config_mapping, dict):
+        raise ArtifactSchemaError(
+            f"bundle config at {str(directory)!r} must be a JSON object"
+        )
+    return config_mapping
+
+
 def load_bundle(directory: Path) -> LoadedBundle:
     """Read, verify, and deserialize the bundle in ``directory``.
 
@@ -254,11 +265,7 @@ def load_bundle(directory: Path) -> LoadedBundle:
         )
     verify_files(directory, manifest)
 
-    config_mapping = _read_json(directory / "config.json", "bundle config")
-    if not isinstance(config_mapping, dict):
-        raise ArtifactSchemaError(
-            f"bundle config at {str(directory)!r} must be a JSON object"
-        )
+    config_mapping = read_config_mapping(directory)
     index_meta = _read_json(directory / "index.json", "bundle index metadata")
 
     pool_payload = _read_json(directory / "pool.json", "bundle pool")

@@ -30,8 +30,10 @@ forward passes.  This package amortizes that work across requests:
   statistics.
 * :mod:`repro.serving.config` -- :class:`ServingConfig`, the frozen,
   validated, dict/JSON-round-trippable description of a whole deployment
-  (estimator, pool/index, caches, dispatcher, feedback, adaptation
-  sections).
+  (pool/index, caches, dispatcher, feedback, adaptation, observability,
+  tracing, inference, artifact and cluster sections).  The served estimator
+  is not a section: it is Cnt2Crd over CRN with the paper's median final
+  function, registered as ``"crn"``.
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
   :func:`compile_plan`, the float32 slab scorer: a fused pair-head kernel
   on frozen float32 copies of the head weights, over the float32 slabs
@@ -103,7 +105,6 @@ from repro.serving.config import (
     CacheConfig,
     ClusterConfig,
     DispatcherConfig,
-    EstimatorConfig,
     FeedbackConfig,
     InferenceConfig,
     ObservabilityConfig,
@@ -173,7 +174,6 @@ __all__ = [
     "EncodingCache",
     "EstimateResult",
     "EstimationService",
-    "EstimatorConfig",
     "FeaturizationCache",
     "FeedbackCollector",
     "FeedbackConfig",

@@ -37,17 +37,20 @@ before returning.
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 from concurrent.futures import Future
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.core.cnt2crd import Cnt2CrdEstimator
+from repro.core.crn import CRNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.observability.events import ArtifactLoaded
 from repro.observability.recorder import EventRecorder
 from repro.observability.store import EventStore
 from repro.observability.tracing import Tracer
-from repro.serving.config import ServingConfig
+from repro.serving.config import ESTIMATOR_NAME, FALLBACK_NAME, ServingConfig
 from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import ArtifactSchemaError, ServingError
 from repro.serving.feedback import FeedbackCollector, FeedbackObservation
@@ -62,17 +65,86 @@ from repro.sql.query import Query
 
 __all__ = ["ServingClient"]
 
-#: ``(section, key)`` config fields that no longer exist but that bundles
-#: saved before their retirement still carry.  ``from_artifact`` drops them
-#: instead of failing the boot on the unknown-field check; every one was
-#: retired because no value of it changed an estimate (the pool index is
+#: Marks a retired field whose every saved value is dropped.
+_ANY = object()
+
+
+def _default(callee: Any, parameter: str) -> Any:
+    """The default of ``callee``'s ``parameter``: the value it is now served with."""
+    return inspect.signature(callee).parameters[parameter].default
+
+
+#: Config fields that no longer exist but that bundles saved before their
+#: retirement still carry, as ``(section, key) -> the value now always
+#: used``.  A saved value equal to it is dropped.  ``_ANY`` marks a field no
+#: value of which changed an estimate or a registry name — the pool index is
 #: always built; the dispatcher coalesces by backlog, not by a wait window;
-#: no computation read the compiled plan's tolerance).
-_RETIRED_CONFIG_KEYS = (
-    ("pool", "use_index"),
-    ("dispatcher", "max_wait_ms"),
-    ("inference", "tolerance"),
-)
+#: no computation read the compiled plan's tolerance; artifacts are always
+#: saved and promoted; a swap always pre-warms; the tracer's tail rule and
+#: the feedback q-error guard are their classes' defaults — so any saved
+#: value is dropped.  Any other value is refused: the bundle would not serve
+#: the estimates it was saved with.
+_RETIRED_CONFIG_KEYS: dict[tuple[str, str], Any] = {
+    ("pool", "use_index"): _ANY,
+    ("dispatcher", "max_wait_ms"): _ANY,
+    ("inference", "tolerance"): _ANY,
+    ("artifacts", "save_on_build"): _ANY,
+    ("artifacts", "save_on_promote"): _ANY,
+    ("artifacts", "promote_on_save"): _ANY,
+    ("adaptation", "warm_on_swap"): _ANY,
+    ("tracing", "tail_quantile"): _ANY,
+    ("tracing", "min_tail_observations"): _ANY,
+    ("feedback", "epsilon"): _ANY,
+    ("estimator", "name"): ESTIMATOR_NAME,
+    ("estimator", "fallback_name"): FALLBACK_NAME,
+    ("estimator", "final_function"): _default(Cnt2CrdEstimator, "final_function"),
+    ("estimator", "epsilon"): _default(Cnt2CrdEstimator, "epsilon"),
+    ("estimator", "batch_size"): _default(CRNEstimator, "batch_size"),
+}
+
+
+def upgrade_saved_config(mapping: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
+    """A saved bundle's config mapping, rewritten for the current config layer.
+
+    Drops the retired keys :data:`_RETIRED_CONFIG_KEYS` allows (and the
+    sections they leave empty), and boots a retired compiled-float64
+    inference section as the reference path, which has its bits.  This is
+    the one check :meth:`ServingClient.from_artifact` runs on a saved config
+    before :meth:`ServingConfig.from_mapping`; ``scripts/artifact_tool.py
+    verify`` runs it too.
+
+    Raises:
+        ArtifactSchemaError: a section is not a JSON object, or a retired key
+            holds a value that changed the estimates or a registry name; the
+            message names its section and key.
+    """
+    for section, values in mapping.items():
+        if not isinstance(values, Mapping):
+            raise ArtifactSchemaError(
+                f"saved config section {section!r} must be a JSON object, "
+                f"not {type(values).__name__}"
+            )
+    upgraded = {section: dict(values) for section, values in mapping.items()}
+    for (section, key), value in _RETIRED_CONFIG_KEYS.items():
+        values = upgraded.get(section, {})
+        if key not in values:
+            continue
+        saved = values.pop(key)
+        if value is not _ANY and saved != value:
+            raise ArtifactSchemaError(
+                f"saved config sets {section}.{key} = {saved!r}, but the field "
+                f"is retired and serving always uses {value!r}: this bundle "
+                f"would not serve the estimates it was saved with"
+            )
+    inference = upgraded.get("inference", {})
+    if (inference.get("mode"), inference.get("slab_dtype", "float64")) == (
+        "compiled",
+        "float64",
+    ):
+        # The retired compiled-float64 plan was bit-identical to the
+        # reference path, which now serves such a bundle unchanged.
+        inference["mode"] = "reference"
+    return {section: values for section, values in upgraded.items() if values}
 
 
 class ServingClient:
@@ -91,7 +163,7 @@ class ServingClient:
         config: the frozen deployment description.
         _restored_generation: internal — set by :meth:`from_artifact` to
             build the stack at the snapshot's model generation, so
-            provenance is continuous across a restart (and ``save_on_build``
+            provenance is continuous across a restart (and the build save
             does not re-save the bundle the client just booted from).
     """
 
@@ -128,13 +200,7 @@ class ServingClient:
         if config.tracing.enabled:
             # ServingConfig already validated tracing implies observability,
             # so the recorder the tracer sinks through exists here.
-            tracing = config.tracing
-            self.tracer = Tracer(
-                self.recorder,
-                sample_every=tracing.sample_every,
-                tail_quantile=tracing.tail_quantile,
-                min_tail_observations=tracing.min_tail_observations,
-            )
+            self.tracer = Tracer(self.recorder, sample_every=config.tracing.sample_every)
         stack = build_service_stack(
             config,
             recorder=self.recorder,
@@ -146,7 +212,6 @@ class ServingClient:
         if config.feedback.enabled:
             self.collector = FeedbackCollector(
                 max_observations=config.feedback.max_observations,
-                epsilon=config.feedback.epsilon,
                 oracle=config.oracle,
                 recorder=self.recorder,
             )
@@ -170,18 +235,17 @@ class ServingClient:
             self.artifact_store = ArtifactStore(
                 config.artifacts.root, recorder=self.recorder
             )
-            mapping = config.to_mapping()  # a bare-callable final function fails here
-            if self.manager is not None and config.artifacts.save_on_promote:
+            if self.manager is not None:
                 self.manager.attach_artifact_store(self.artifact_store)
-            if config.artifacts.save_on_build and _restored_generation is None:
+            if _restored_generation is None:
                 self.artifact_store.save(
                     model=config.model,
                     pool=config.pool,
-                    config_mapping=mapping,
-                    generation=self.service.generation(config.estimator.name),
+                    config_mapping=config.to_mapping(),
+                    generation=self.service.generation(ESTIMATOR_NAME),
                     source="build",
                     pool_index=stack.pool_index,
-                    promote=config.artifacts.promote_on_save,
+                    promote=True,
                 )
 
     def _init_cluster(
@@ -193,9 +257,9 @@ class ServingClient:
         (the request path), an optional read-side handle on the shared
         event store (each worker runs its *own* recorder and flushes into
         it under a per-lifetime source), and the artifact store the workers
-        cold-boot from.  ``save_on_build`` persists the build bundle before
-        any worker forks, so even a first boot with no promoted generation
-        can serve from artifacts on its next restart.
+        cold-boot from.  The build bundle is persisted before any worker
+        forks (when the store holds none yet), so even a first boot with no
+        promoted generation can serve from artifacts on its next restart.
         """
         # Imported lazily: repro.cluster programs against this module, so a
         # module-level import here would be circular.
@@ -208,18 +272,14 @@ class ServingClient:
             from repro.artifacts.store import ArtifactStore
 
             self.artifact_store = ArtifactStore(config.artifacts.root)
-            if (
-                config.artifacts.save_on_build
-                and _restored_generation is None
-                and self.artifact_store.latest() is None
-            ):
+            if _restored_generation is None and self.artifact_store.latest() is None:
                 self.artifact_store.save(
                     model=config.model,
                     pool=config.pool,
                     config_mapping=config.to_mapping(),
                     generation=1,
                     source="build",
-                    promote=config.artifacts.promote_on_save,
+                    promote=True,
                 )
         self.supervisor = ClusterSupervisor(config)
         self.router = ClusterRouter(self.supervisor, config)
@@ -248,8 +308,8 @@ class ServingClient:
         ``latest`` generation by default — and rebuilds the stack around it:
         the CRN's weights are **restored**, the pool is **replayed**
         entry-for-entry in saved order, and the full config round-trips
-        through :meth:`ServingConfig.from_mapping` (unknown-field rejection
-        intact).  The featurizer, the caches, the encoding index's slabs,
+        through :func:`upgrade_saved_config` and
+        :meth:`ServingConfig.from_mapping` (unknown-field rejection intact).  The featurizer, the caches, the encoding index's slabs,
         and the compiled inference plan are **rebuilt** — each is a pure
         function of (weights, pool, database schema), so the rebuilt stack
         serves estimates bit-identical to the client that saved the snapshot
@@ -288,7 +348,8 @@ class ServingClient:
             ArtifactNotFoundError / ArtifactChecksumError /
             ArtifactSchemaError: the store, the bundle, or its contents are
                 missing, corrupt, or inconsistent (including a saved config
-                section that fails validation, a ``database`` whose schema
+                section that fails validation, a retired field saved at a
+                value that changed the estimates, a ``database`` whose schema
                 does not featurize to the saved vector size, and a rebuilt
                 index that does not match the bundle's recorded slab
                 metadata).
@@ -304,15 +365,7 @@ class ServingClient:
                 f"{featurizer.vector_size}, but the snapshot's model expects "
                 f"{bundle.model.vector_size} — wrong database for this bundle"
             )
-        mapping = {key: dict(value) for key, value in bundle.config_mapping.items()}
-        for section, key in _RETIRED_CONFIG_KEYS:
-            mapping.get(section, {}).pop(key, None)
-        inference = mapping.get("inference", {})
-        precision = inference.get("mode"), inference.get("slab_dtype", "float64")
-        if precision == ("compiled", "float64"):
-            # The retired compiled-float64 plan was bit-identical to the
-            # reference path, which now serves such a bundle unchanged.
-            inference["mode"] = "reference"
+        mapping = upgrade_saved_config(bundle.config_mapping)
         adaptation_downgraded = False
         if mapping.get("adaptation", {}).get("enabled") and training_result is None:
             # A mapping cannot carry the TrainingResult adaptation fine-tunes
@@ -321,8 +374,7 @@ class ServingClient:
             mapping["adaptation"]["enabled"] = False
             adaptation_downgraded = True
         # The store being booted from is authoritative, wherever the bundle
-        # was saved (a downloaded CI artifact boots against its new path) —
-        # and save_on_build must not re-save the bundle just loaded.
+        # was saved (a downloaded CI artifact boots against its new path).
         artifacts_section = dict(mapping.get("artifacts", {}))
         artifacts_section["root"] = os.fspath(root)
         mapping["artifacts"] = artifacts_section
@@ -607,7 +659,7 @@ class ServingClient:
         else:
             # The served estimator, not the booted one: after an adaptation
             # promote the index belongs to the promoted model.
-            self.stack.pool_index.warm(self.service.get(self.config.estimator.name))
+            self.stack.pool_index.warm(self.service.get(ESTIMATOR_NAME))
 
     # ------------------------------------------------------------------ #
     # feedback and adaptation

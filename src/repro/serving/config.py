@@ -5,8 +5,6 @@
 the hand-wiring of service + dispatcher + feedback + adaptation manager with
 one frozen object of nested sections:
 
-* :class:`EstimatorConfig` — the Cnt2Crd estimator itself (final function,
-  epsilon guard, slab batch size, registry names);
 * :class:`PoolConfig` — pool (and pool encoding index) warming;
 * :class:`CacheConfig` — the featurization / encoding LRU bounds, with the
   encoding cache's two-entries-per-query sizing rule made **explicit**;
@@ -21,13 +19,18 @@ one frozen object of nested sections:
 * :class:`InferenceConfig` — reference ``Tensor`` inference vs a compiled
   :class:`repro.serving.InferencePlan`, and the compiled plan's slab dtype;
 * :class:`ArtifactConfig` — durable snapshot bundles (:mod:`repro.artifacts`):
-  where the generational store lives, and whether builds and adaptation
-  promotes persist their model/pool/config state for cold-start boots;
+  where the generational store lives (builds and adaptation promotes persist
+  their model/pool/config state there for cold-start boots);
 * :class:`ClusterConfig` — the sharded multi-process serving cluster
   (:mod:`repro.cluster`): ``mode="cluster"`` makes the same
   :class:`~repro.serving.ServingClient` spawn worker processes (one pool
   slice per FROM-signature shard) behind a blocking router — one socket
   exchange on the caller's thread — instead of building the in-process stack.
+
+The served estimator has no section: it is the paper's Cnt2Crd over CRN,
+with :class:`repro.core.cnt2crd.Cnt2CrdEstimator`'s own defaults (the median
+final function, the ``1e-3`` rate guard), registered as ``"crn"``
+(:mod:`repro.serving.stack`).
 
 Every section validates its bounds at construction (``max_batch=0``,
 ``max_cache_entries=-1`` and friends raise a ``ValueError`` here, not
@@ -45,23 +48,23 @@ alongside the mapping, since they have no serial form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.core.crn import PASS_ROWS, CRNModel
+from repro.core.crn import CRNModel
 from repro.core.featurization import QueryFeaturizer
-from repro.core.final_functions import FINAL_FUNCTIONS, FinalFunction
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingResult
 from repro.db.database import Database
 
 __all__ = [
+    "ESTIMATOR_NAME",
+    "FALLBACK_NAME",
     "AdaptationConfig",
     "ArtifactConfig",
     "CacheConfig",
     "ClusterConfig",
     "DispatcherConfig",
-    "EstimatorConfig",
     "FeedbackConfig",
     "InferenceConfig",
     "ObservabilityConfig",
@@ -69,6 +72,11 @@ __all__ = [
     "ServingConfig",
     "TracingConfig",
 ]
+
+#: Registry name of the stack's Cnt2Crd estimator (the default entry).
+ESTIMATOR_NAME = "crn"
+#: Registry name of :attr:`ServingConfig.fallback_estimator`, when one is given.
+FALLBACK_NAME = "fallback"
 
 #: Mapping keys of the declarative sections, in rendering order (populated
 #: from ``_SECTION_SPECS`` below, the single source of truth).
@@ -125,49 +133,6 @@ def _bound(name: str, value: int | None) -> None:
     """Validate an optional LRU bound: positive, or None for unbounded."""
     if value is not None:
         _integer(name, value)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """The Cnt2Crd-over-CRN serving estimator.
-
-    Attributes:
-        name: registry name of the default estimator.
-        fallback_name: registry name the fallback estimator (when one is
-            supplied to :class:`ServingConfig`) is registered under.
-        final_function: the Cnt2Crd final function ``F`` — a name from
-            :mod:`repro.core.final_functions` (``median`` / ``mean`` /
-            ``trimmed_mean``).  A bare callable is accepted (serving hands
-            it a non-empty 1-D float64 array) but cannot be serialized by
-            :meth:`ServingConfig.to_mapping`.
-        epsilon: the Cnt2Crd ``y_rate`` guard threshold.
-        batch_size: rows per fixed-shape pair-head pass (a rate's bits depend
-            on it alone; a saved ``256`` keeps serving the bits it was saved with).
-    """
-
-    name: str = "crn"
-    fallback_name: str = "fallback"
-    final_function: str | FinalFunction = "median"
-    epsilon: float = 1e-3
-    batch_size: int = PASS_ROWS
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("estimator name must be non-empty")
-        if not self.fallback_name:
-            raise ValueError("fallback_name must be non-empty")
-        if self.name == self.fallback_name:
-            raise ValueError(
-                f"estimator name and fallback_name are both {self.name!r}; "
-                f"registry entries need distinct names"
-            )
-        if isinstance(self.final_function, str) and self.final_function not in FINAL_FUNCTIONS:
-            raise ValueError(
-                f"unknown final function {self.final_function!r}; "
-                f"available: {sorted(FINAL_FUNCTIONS)}"
-            )
-        _positive("epsilon", self.epsilon)
-        _integer("batch_size", self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -250,16 +215,13 @@ class FeedbackConfig:
         enabled: attach a :class:`repro.serving.FeedbackCollector` to the
             client (required by adaptation).
         max_observations: window bound.
-        epsilon: q-error zero-guard.
     """
 
     enabled: bool = False
     max_observations: int = 1024
-    epsilon: float = 1.0
 
     def __post_init__(self) -> None:
         _integer("max_observations", self.max_observations)
-        _positive("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -306,29 +268,16 @@ class TracingConfig:
             one ``tracer is None`` test per instrumentation point.
         sample_every: keep every N-th finished request trace (head
             sampling); 1 keeps every trace, 0 keeps only tail exemplars.
-            Shared batch/kernel spans are always recorded regardless.
-        tail_quantile: requests at least one histogram bucket slower than
-            this quantile of the tracer's live latency histogram are kept in
-            full regardless of head sampling, so the slowest requests always
-            have a trace.  Ties with the bulk (a coalesced batch stamps one
-            latency on all members) are left to head sampling.
-        min_tail_observations: finished requests required before the tail
-            threshold is trusted (a request strictly slower than everything
-            before it is kept unconditionally even before that).
+            Shared batch/kernel spans are always recorded regardless, and
+            so are tail exemplars: requests slower than the tracer's p95
+            (:class:`repro.observability.Tracer`).
     """
 
     enabled: bool = False
     sample_every: int = 1
-    tail_quantile: float = 0.95
-    min_tail_observations: int = 32
 
     def __post_init__(self) -> None:
         _integer("sample_every", self.sample_every, minimum=0)
-        if not 0.0 < self.tail_quantile <= 1.0:
-            raise ValueError(
-                f"tail_quantile must lie in (0, 1], got {self.tail_quantile!r}"
-            )
-        _integer("min_tail_observations", self.min_tail_observations, minimum=0)
 
 
 #: Inference execution modes.
@@ -417,8 +366,6 @@ class AdaptationConfig:
             at most this multiple of the incumbent's (1.0 = no worse).
         max_incremental_failures: consecutive failed or rejected incremental
             attempts before a full retrain.
-        warm_on_swap: rebuild the pool index's slabs with the candidate model
-            before the swap, so the first post-swap requests hit warm slabs.
         training_pairs / incremental_epochs / full_epochs: pairs generated and
             epoch budgets of one retrain.
         seed: base pair-generation seed, varied per attempt so a rejected
@@ -438,7 +385,6 @@ class AdaptationConfig:
     holdout_size: int = 16
     accept_ratio: float = 1.0
     max_incremental_failures: int = 2
-    warm_on_swap: bool = True
     # retraining (CRNRetrainer)
     training_pairs: int = 120
     incremental_epochs: int = 4
@@ -469,33 +415,27 @@ class ArtifactConfig:
     """Durable snapshot bundles and the generational artifact store.
 
     When :attr:`root` is set, the client owns an
-    :class:`repro.artifacts.ArtifactStore` there: builds and adaptation
-    promotes can persist complete snapshot bundles (weights, pool, config,
-    index metadata) that a later process boots from via
-    :meth:`repro.serving.ServingClient.from_artifact` — no retraining.
+    :class:`repro.artifacts.ArtifactStore` there and persists complete
+    snapshot bundles (weights, pool, config, index metadata) that a later
+    process boots from via :meth:`repro.serving.ServingClient.from_artifact`
+    — no retraining:
+
+    * the freshly built stack, under its registry generation, as soon as
+      :class:`ServingClient` finishes wiring it, so even a never-adapted
+      deployment has a cold-start snapshot;
+    * every adaptation-accepted candidate, under the generation its swap
+      produced (a failed promote persists nothing: the save runs strictly
+      after the registry swap commits).
+
+    Every save re-points the store's ``latest`` pointer, so "boot from
+    latest" always means the newest accepted model.
 
     Attributes:
         root: the store's directory (created when missing).  ``None`` — the
-            default — disables artifact persistence entirely; the rest of
-            the section is inert.
-        save_on_build: persist the freshly built stack as a bundle under its
-            registry generation as soon as :class:`ServingClient` finishes
-            wiring it, so even a never-adapted deployment has a cold-start
-            snapshot.
-        save_on_promote: persist every adaptation-accepted candidate as a
-            new bundle keyed by the generation its swap produced.  A failed
-            promote persists nothing (the save runs strictly after the
-            registry swap commits).
-        promote_on_save: saved bundles also re-point the store's ``latest``
-            pointer, so "boot from latest" always means the newest accepted
-            model.  Disable to stage bundles for an explicit
-            ``artifact_tool.py promote``.
+            default — disables artifact persistence entirely.
     """
 
     root: str | None = None
-    save_on_build: bool = True
-    save_on_promote: bool = True
-    promote_on_save: bool = True
 
     def __post_init__(self) -> None:
         if self.root is not None and not str(self.root):
@@ -607,7 +547,6 @@ class ClusterConfig:
 #: :meth:`ServingConfig.from_mapping` all derive from this table, so adding a
 #: section is one entry plus the field — not three hand-synced lists.
 _SECTION_SPECS: tuple[tuple[str, type, str], ...] = (
-    ("estimator", EstimatorConfig, "estimator"),
     ("pool", PoolConfig, "pool_options"),
     ("caches", CacheConfig, "caches"),
     ("dispatcher", DispatcherConfig, "dispatcher"),
@@ -637,7 +576,7 @@ class ServingConfig:
         featurizer: the featurizer bound to the serving database snapshot.
         pool: the queries pool backing the Cnt2Crd technique.
         fallback_estimator: answers requests with no matching pool query
-            (registered under ``estimator.fallback_name``).
+            (registered as ``"fallback"``).
         extra_estimators: additional registry entries, name → estimator.
         training_result: the training run that produced ``model`` — required
             when adaptation is enabled (the retrainer fine-tunes from it).
@@ -655,7 +594,6 @@ class ServingConfig:
     training_result: TrainingResult | None = None
     database: Database | None = None
     oracle: Any | None = None
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     pool_options: PoolConfig = field(default_factory=PoolConfig)
     caches: CacheConfig = field(default_factory=CacheConfig)
     dispatcher: DispatcherConfig = field(default_factory=DispatcherConfig)
@@ -669,12 +607,12 @@ class ServingConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extra_estimators", dict(self.extra_estimators))
-        # fallback_name is only reserved when something will actually be
+        # The fallback name is only reserved when something will actually be
         # registered under it: an extra estimator may be named "fallback"
         # when no fallback estimator is supplied.
-        reserved = {self.estimator.name}
+        reserved = {ESTIMATOR_NAME}
         if self.fallback_estimator is not None:
-            reserved.add(self.estimator.fallback_name)
+            reserved.add(FALLBACK_NAME)
         for name in self.extra_estimators:
             if not name:
                 raise ValueError("extra estimator names must be non-empty")
@@ -732,34 +670,11 @@ class ServingConfig:
     # dict/JSON round-trip
 
     def to_mapping(self) -> dict[str, dict[str, Any]]:
-        """The declarative sections as a nested plain dict (JSON-ready).
-
-        Raises:
-            ValueError: when ``estimator.final_function`` is a bare callable
-                — name it (``median`` / ``mean`` / ``trimmed_mean``) to make
-                the config serializable.
-        """
-        mapping: dict[str, dict[str, Any]] = {}
-        for key, _, attribute in _SECTION_SPECS:
-            section = getattr(self, attribute)
-            if key == "estimator" and not isinstance(section.final_function, str):
-                named = next(
-                    (
-                        name
-                        for name, function in FINAL_FUNCTIONS.items()
-                        if function is section.final_function
-                    ),
-                    None,
-                )
-                if named is None:
-                    raise ValueError(
-                        "cannot serialize a config whose final_function is a "
-                        "bare callable; use a registered name from "
-                        "repro.core.final_functions"
-                    )
-                section = replace(section, final_function=named)
-            mapping[key] = asdict(section)
-        return mapping
+        """The declarative sections as a nested plain dict (JSON-ready)."""
+        return {
+            key: asdict(getattr(self, attribute))
+            for key, _, attribute in _SECTION_SPECS
+        }
 
     @classmethod
     def from_mapping(

@@ -66,7 +66,7 @@ from repro.observability.events import (
     ModelSwap,
     PlanSwap,
 )
-from repro.serving.config import AdaptationConfig
+from repro.serving.config import ESTIMATOR_NAME, AdaptationConfig
 from repro.serving.feedback import FeedbackCollector
 from repro.serving.service import RequestOptions
 from repro.serving.stack import ServiceStack, wire_estimator
@@ -389,7 +389,7 @@ class AdaptationManager:
     every ``poll_interval_seconds``; at most one adaptation cycle runs at any
     time (worker and manual triggers serialize on the cycle lock).  The
     knobs are the stack config's ``adaptation`` section, and the refreshed
-    entry is its ``estimator.name``.
+    entry is the stack's Cnt2Crd estimator (``"crn"``).
 
     Candidate validation is a *shadow deployment*: the candidate is
     registered under ``"<name>-candidate"``, served the most recent feedback
@@ -423,7 +423,7 @@ class AdaptationManager:
         self.stack = stack
         self.service = stack.service
         self.config = stack.config.adaptation
-        self.estimator_name = stack.config.estimator.name
+        self.estimator_name = ESTIMATOR_NAME
         self.collector = collector
         self.retrainer = retrainer
         # The monitor watches only the adapted estimator's feedback: with
@@ -518,10 +518,9 @@ class AdaptationManager:
         generation number, so the adapted model survives a client shutdown
         — a restart via :meth:`repro.serving.ServingClient.from_artifact`
         serves the promoted generation, not the originally-trained one.
-        The bundle embeds the stack's config; with its
-        ``artifacts.promote_on_save`` the store's ``latest`` pointer advances
-        to each saved generation (leaving the prior one as the rollback
-        target).
+        The bundle embeds the stack's config, and the store's ``latest``
+        pointer advances to each saved generation (leaving the prior one as
+        the rollback target).
 
         A persistence failure is recorded (``artifact_save_failures``,
         :attr:`last_error`) but never fails the already-completed swap —
@@ -764,7 +763,7 @@ class AdaptationManager:
                     generation=generation,
                     source="promote",
                     pool_index=self.stack.pool_index,
-                    promote=self.stack.config.artifacts.promote_on_save,
+                    promote=True,
                 )
             except Exception as error:
                 self.last_error = error
@@ -856,13 +855,13 @@ class AdaptationManager:
         (cleared + fenced against the outgoing model's in-flight requests,
         the index retargeted to the refreshed pool) *before* the new
         estimator is wired on them, its plan (in a compiled deployment) is
-        compiled and the refreshed pool pre-warmed, and only then does
+        compiled and the refreshed pool pre-warmed — so the first post-swap
+        request scores against warm slabs — and only then does
         :meth:`EstimationService.replace` make the candidate visible —
         in-flight batches finish on the incumbent object, every later
         submission resolves the candidate.  Returns the promoted estimator.
         """
         stack = self.stack
-        warm = self.config.warm_on_swap
         tracer = self.service.tracer
         span = (
             tracer.begin("model_swap", estimator_name=self.estimator_name)
@@ -884,19 +883,18 @@ class AdaptationManager:
                 # candidate's generation, not the incumbent's.
                 generation=self.service.generation(self.estimator_name) + 1,
             )
-            if warm:
-                # Rebuild the whole-pool encoding matrices (and the caches)
-                # with the candidate model *before* the registry swap: the
-                # first post-swap request then scores against warm slabs
-                # instead of paying a full per-signature re-encoding stall.
-                stack.pool_index.warm(estimator)
+            # Rebuild the whole-pool encoding matrices (and the caches) with
+            # the candidate model *before* the registry swap: the first
+            # post-swap request then scores against warm slabs instead of
+            # paying a full per-signature re-encoding stall.
+            stack.pool_index.warm(estimator)
             self.service.replace(self.estimator_name, estimator)
         finally:
             if span is not None:
                 tracer.end(
                     span,
                     generation=self.service.generation(self.estimator_name),
-                    warmed=warm,
+                    warmed=True,
                 )
         # Point the service's reporting handle at the candidate's
         # featurization cache (wired by wire_estimator).

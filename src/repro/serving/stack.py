@@ -17,7 +17,7 @@ from repro.core.queries_pool import QueriesPool
 from repro.observability.recorder import EventRecorder
 from repro.observability.tracing import Tracer
 from repro.serving.cache import EncodingCache, FeaturizationCache
-from repro.serving.config import ServingConfig
+from repro.serving.config import ESTIMATOR_NAME, FALLBACK_NAME, ServingConfig
 from repro.serving.inference_plan import InferencePlan, compile_and_attach
 from repro.serving.pool_index import PoolEncodingIndex
 from repro.serving.service import EstimationService
@@ -59,9 +59,10 @@ def wire_estimator(
 ) -> Cnt2CrdEstimator:
     """The serving estimator ``config`` describes, over ``model`` and ``pool``.
 
-    A featurization cache under the config's LRU bound, a CRN estimator with
-    its slab batch size, a compiled plan when the config is compiled, and a
-    Cnt2Crd estimator with its final function and epsilon guard.
+    A featurization cache under the config's LRU bound, a CRN estimator, a
+    compiled plan when the config is compiled, and a Cnt2Crd estimator.  The
+    CRN's slab batch size and Cnt2Crd's final function and epsilon guard are
+    the estimators' own defaults (``PASS_ROWS``, the median, ``1e-3``).
 
     Args:
         encoding_cache / pool_index: the stack's shared components, already
@@ -72,24 +73,16 @@ def wire_estimator(
             the adaptation shadow serves only the accept gate's holdout, and
             a rejected candidate should not pay for a compile.
     """
-    estimator_config = config.estimator
     crn = CRNEstimator(
         model,
         FeaturizationCache(featurizer, max_entries=config.caches.max_featurization_entries),
-        batch_size=estimator_config.batch_size,
         encoding_cache=encoding_cache,
     )
     if generation is not None and config.inference.mode == "compiled":
         compile_and_attach(
-            crn, recorder=recorder, estimator_name=estimator_config.name, generation=generation
+            crn, recorder=recorder, estimator_name=ESTIMATOR_NAME, generation=generation
         )
-    return Cnt2CrdEstimator(
-        crn,
-        pool,
-        final_function=estimator_config.final_function,
-        epsilon=estimator_config.epsilon,
-        pool_index=pool_index,
-    )
+    return Cnt2CrdEstimator(crn, pool, pool_index=pool_index)
 
 
 def build_service_stack(
@@ -108,7 +101,7 @@ def build_service_stack(
     initial slab builds are on the record (as ``index_build`` spans) and
     build the float32 slabs a plan reads.
     """
-    estimator_config, fallback = config.estimator, config.fallback_estimator
+    fallback = config.fallback_estimator
     encoding_cache = EncodingCache(max_entries=config.caches.resolved_encoding_entries())
     pool_index = PoolEncodingIndex(config.pool)
     pool_index.recorder = recorder
@@ -125,17 +118,17 @@ def build_service_stack(
     )
     crn = estimator.containment_estimator
     service = EstimationService(
-        fallback=estimator_config.fallback_name if fallback is not None else None,
+        fallback=FALLBACK_NAME if fallback is not None else None,
         featurization_cache=crn.featurizer,
         encoding_cache=encoding_cache,
         pool_index=pool_index,
         recorder=recorder,
         tracer=tracer,
     )
-    service.register(estimator_config.name, estimator, default=True)
-    service.set_generation(estimator_config.name, generation)
+    service.register(ESTIMATOR_NAME, estimator, default=True)
+    service.set_generation(ESTIMATOR_NAME, generation)
     if fallback is not None:
-        service.register(estimator_config.fallback_name, fallback)
+        service.register(FALLBACK_NAME, fallback)
     for name, extra in config.extra_estimators.items():
         service.register(name, extra)
     if config.pool_options.warm:

@@ -48,7 +48,6 @@ from repro.serving import (
     ArtifactSchemaError,
     CacheConfig,
     DispatcherConfig,
-    EstimatorConfig,
     FeedbackConfig,
     InferenceConfig,
     ObservabilityConfig,
@@ -58,6 +57,7 @@ from repro.serving import (
     ServingError,
     TracingConfig,
 )
+from repro.serving.client import upgrade_saved_config
 from repro.serving.config import _SECTION_SPECS
 
 TOOL_PATH = Path(__file__).parent.parent / "scripts" / "artifact_tool.py"
@@ -328,7 +328,6 @@ class TestConfigRoundTrip:
             training_result=trained,
             database=imdb_small,
             oracle=imdb_oracle,
-            estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
             pool_options=PoolConfig(warm=True),
             caches=CacheConfig(max_featurization_entries=64),
             dispatcher=DispatcherConfig(enabled=False, max_batch=8),
@@ -339,7 +338,7 @@ class TestConfigRoundTrip:
             observability=ObservabilityConfig(enabled=True, capacity=4096, source="rt"),
             tracing=TracingConfig(enabled=True, sample_every=4),
             inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
-            artifacts=ArtifactConfig(root=str(tmp_path), save_on_build=False),
+            artifacts=ArtifactConfig(root=str(tmp_path)),
         )
         store = ArtifactStore(tmp_path)
         save_generation(store, trained.model, pool, config, promote=True)
@@ -373,7 +372,7 @@ class TestConfigRoundTrip:
         # passes): the *schema* layer must still reject the unknown field.
         config_path = store.path(1) / "config.json"
         doctored = json.loads(config_path.read_text())
-        doctored["estimator"]["batch_sizes"] = 512
+        doctored["caches"]["max_featurization_entry"] = 512
         config_path.write_text(json.dumps(doctored))
         rehash(store.path(1), "config.json")
         store.verify(1)  # checksums pass...
@@ -381,7 +380,7 @@ class TestConfigRoundTrip:
             ServingClient.from_artifact(root, database=imdb_small)
 
 
-    def test_saved_float_batch_size_is_a_schema_error(
+    def test_saved_float_max_batch_is_a_schema_error(
         self, tmp_path, model, imdb_small, imdb_featurizer, pool
     ):
         # A bundle saved before integer fields were type-checked can carry a
@@ -389,13 +388,73 @@ class TestConfigRoundTrip:
         root = tmp_path / "store"
         store = ArtifactStore(root)
         mapping = make_config(model, imdb_small, imdb_featurizer, pool).to_mapping()
-        mapping["estimator"]["batch_size"] = 2.5
+        mapping["dispatcher"]["max_batch"] = 2.5
         store.save(
             model=model, pool=pool, config_mapping=mapping, generation=1,
             source="build", promote=True,
         )
-        with pytest.raises(ArtifactSchemaError, match="batch_size"):
+        with pytest.raises(ArtifactSchemaError, match="max_batch"):
             ServingClient.from_artifact(root, database=imdb_small)
+
+    def test_saved_section_that_is_not_an_object_is_a_schema_error(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, capsys
+    ):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        mapping = make_config(model, imdb_small, imdb_featurizer, pool).to_mapping()
+        mapping["caches"] = [64]
+        store.save(
+            model=model, pool=pool, config_mapping=mapping, generation=1,
+            source="build", promote=True,
+        )
+        with pytest.raises(ArtifactSchemaError, match="'caches' must be a JSON object") as refused:
+            ServingClient.from_artifact(root, database=imdb_small)
+        capsys.readouterr()
+        assert artifact_tool.main(["verify", str(root)]) == artifact_tool.EXIT_CORRUPT
+        assert capsys.readouterr().err == f"error: gen-1: {refused.value}\n"
+
+
+class TestRetiredConfigKeys:
+    """What a boot does with each field a saved config.json may still carry."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pool", "use_index", False),
+            ("dispatcher", "max_wait_ms", 5.0),
+            ("inference", "tolerance", 1e-2),
+            ("artifacts", "save_on_build", False),
+            ("artifacts", "save_on_promote", False),
+            ("artifacts", "promote_on_save", False),
+            ("adaptation", "warm_on_swap", False),
+            ("tracing", "tail_quantile", 0.5),
+            ("tracing", "min_tail_observations", 4),
+            ("feedback", "epsilon", 0.5),
+        ],
+    )
+    def test_field_that_changed_no_estimate_is_dropped_at_any_value(
+        self, section, key, value
+    ):
+        saved = {section: {key: value}, "caches": {"max_featurization_entries": 8}}
+        upgraded = upgrade_saved_config(saved)
+        assert key not in upgraded.get(section, {})
+        assert upgraded["caches"] == {"max_featurization_entries": 8}
+        assert saved[section] == {key: value}  # the saved mapping is not edited
+
+    @pytest.mark.parametrize(
+        "key, served, other",
+        [
+            ("name", "crn", "crn-v2"),
+            ("fallback_name", "fallback", "postgres"),
+            ("final_function", "median", "trimmed_mean"),
+            ("epsilon", 1e-3, 1e-2),
+            ("batch_size", 16, 256),
+        ],
+    )
+    def test_estimator_field_is_dropped_only_at_its_served_value(self, key, served, other):
+        assert upgrade_saved_config({"estimator": {key: served}}) == {}
+        with pytest.raises(ArtifactSchemaError, match=rf"estimator\.{key} = "):
+            upgrade_saved_config({"estimator": {key: other}})
 
 
 class TestColdBoot:
@@ -487,6 +546,93 @@ class TestColdBoot:
             "enabled": True,
             "max_batch": 64,
         }
+        booted.shutdown()
+
+    def test_bundle_from_before_the_estimator_section_was_retired_still_boots(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        root = tmp_path / "store"
+        config = make_config(
+            model, imdb_small, imdb_featurizer, pool,
+            artifacts=ArtifactConfig(root=str(root)),
+        )
+        client = ServingClient(config)  # saves generation 1 at build
+        expected = [client.estimate(item.query).estimate for item in workload]
+        client.shutdown()
+        # Earlier builds wrote these twelve fields, at these defaults, into
+        # every config.json.
+        config_path = root / "gen-1" / "config.json"
+        parent_format = json.loads(config_path.read_text())
+        parent_format["estimator"] = {
+            "name": "crn",
+            "fallback_name": "fallback",
+            "final_function": "median",
+            "epsilon": 1e-3,
+            "batch_size": 16,
+        }
+        parent_format["artifacts"].update(
+            save_on_build=True, save_on_promote=True, promote_on_save=True
+        )
+        parent_format["tracing"].update(tail_quantile=0.95, min_tail_observations=32)
+        parent_format["feedback"]["epsilon"] = 1.0
+        parent_format["adaptation"]["warm_on_swap"] = True
+        config_path.write_text(json.dumps(parent_format))
+        rehash(root / "gen-1", "config.json")
+        assert artifact_tool.main(["verify", str(root)]) == 0
+        booted = ServingClient.from_artifact(
+            root,
+            database=imdb_small,
+            fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+        )
+        assert [booted.estimate(item.query).estimate for item in workload] == expected
+        assert booted.config.to_mapping() == {
+            **config.to_mapping(),
+            "artifacts": {"root": str(root)},
+        }
+        assert booted.service.names() == ["crn", "fallback"]
+        booted.shutdown()
+
+    @pytest.mark.parametrize(
+        "key, value", [("final_function", "mean"), ("batch_size", 256)]
+    )
+    def test_retired_estimator_value_that_changes_estimates_is_refused(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, key, value, capsys
+    ):
+        # A mean-collapsed bundle, or one saved when pair-head passes were
+        # 256 rows, would not serve the estimates it was saved with.
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        mapping = make_config(model, imdb_small, imdb_featurizer, pool).to_mapping()
+        mapping["estimator"] = {key: value}
+        store.save(
+            model=model, pool=pool, config_mapping=mapping, generation=1,
+            source="build", promote=True,
+        )
+        with pytest.raises(ArtifactSchemaError, match=rf"estimator\.{key}") as refused:
+            ServingClient.from_artifact(root, database=imdb_small)
+        capsys.readouterr()
+        assert artifact_tool.main(["verify", str(root)]) == artifact_tool.EXIT_CORRUPT
+        assert capsys.readouterr().err == f"error: gen-1: {refused.value}\n"
+
+    def test_bundle_that_staged_saves_without_promoting_still_boots(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        config = make_config(model, imdb_small, imdb_featurizer, pool)
+        client = ServingClient(config)
+        expected = [client.estimate(item.query).estimate for item in workload]
+        client.shutdown()
+        mapping = config.to_mapping()
+        # A switch that changed no estimate: its saved value is dropped.
+        mapping["artifacts"]["promote_on_save"] = False
+        store.save(
+            model=model, pool=pool, config_mapping=mapping, generation=1,
+            source="build", promote=True,
+        )
+        booted = ServingClient.from_artifact(root, database=imdb_small)
+        assert [booted.estimate(item.query).estimate for item in workload] == expected
+        assert booted.config.to_mapping()["artifacts"] == {"root": str(root)}
         booted.shutdown()
 
     def test_bundle_from_before_tolerance_was_retired_still_boots(

@@ -85,7 +85,7 @@ def recovery_cluster(model, imdb_small, imdb_featurizer, pool, tmp_path_factory)
         fallback_estimator=PostgresCardinalityEstimator(imdb_small),
         extra_estimators={"sleepy": SleepyEstimator()},
         database=imdb_small,
-        artifacts=ArtifactConfig(root=str(root), save_on_build=False),
+        artifacts=ArtifactConfig(root=str(root)),
         observability=ObservabilityConfig(
             enabled=True, sqlite_path=str(events), source="front-end"
         ),

@@ -36,7 +36,8 @@ from repro.serving import (
     ServingConfig,
     compile_plan,
 )
-from repro.serving.config import EstimatorConfig, ObservabilityConfig
+from repro.serving.client import _RETIRED_CONFIG_KEYS
+from repro.serving.config import ObservabilityConfig
 from repro.serving.pool_index import PoolEncodingIndex
 
 
@@ -144,7 +145,7 @@ class TestCompilePlan:
 
     def test_one_constant_sets_every_default_pass_height(self, imdb_featurizer):
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
-        assert EstimatorConfig().batch_size == PASS_ROWS
+        assert _RETIRED_CONFIG_KEYS["estimator", "batch_size"] == PASS_ROWS
         assert CRNEstimator(crn, imdb_featurizer).batch_size == PASS_ROWS
         assert TrainingResult(crn, imdb_featurizer).estimator().batch_size == PASS_ROWS
         first, second = encodings(16, 3 * PASS_ROWS + 1)

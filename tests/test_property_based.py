@@ -126,6 +126,18 @@ class TestExecutionProperties:
 
     @_COMMON_SETTINGS
     @given(pair=toy_query_pairs())
+    def test_intersection_executes_to_the_operands_common_rows(self, pair):
+        # Differential: Q1 ∩ Q2 as one query selects exactly the row-id
+        # tuples that executing Q1 and Q2 separately have in common.
+        first, second = pair
+        both = TOY_EXECUTOR.execute(intersect_queries(first, second))
+        left, right = TOY_EXECUTOR.execute(first), TOY_EXECUTOR.execute(second)
+        assert both.aliases == left.aliases == right.aliases
+        assert both.tuple_set() == left.tuple_set() & right.tuple_set()
+        assert both.cardinality == len(both.tuple_set())
+
+    @_COMMON_SETTINGS
+    @given(pair=toy_query_pairs())
     def test_containment_rate_is_a_probability(self, pair):
         first, second = pair
         rate = TOY_ORACLE.containment_rate(first, second)

@@ -19,7 +19,6 @@ from repro.serving.config import (
     CacheConfig,
     ClusterConfig,
     DispatcherConfig,
-    EstimatorConfig,
     FeedbackConfig,
     InferenceConfig,
     ObservabilityConfig,
@@ -52,7 +51,6 @@ EXPECTED_SERVING_ALL = [
     "EncodingCache",
     "EstimateResult",
     "EstimationService",
-    "EstimatorConfig",
     "FeaturizationCache",
     "FeedbackCollector",
     "FeedbackConfig",
@@ -115,7 +113,6 @@ EXPECTED_CONFIG_FIELDS = {
         "training_result",
         "database",
         "oracle",
-        "estimator",
         "pool_options",
         "caches",
         "dispatcher",
@@ -127,11 +124,10 @@ EXPECTED_CONFIG_FIELDS = {
         "artifacts",
         "cluster",
     ],
-    EstimatorConfig: ["name", "fallback_name", "final_function", "epsilon", "batch_size"],
     PoolConfig: ["warm"],
     CacheConfig: ["max_featurization_entries", "max_encoding_entries"],
     DispatcherConfig: ["enabled", "max_batch"],
-    FeedbackConfig: ["enabled", "max_observations", "epsilon"],
+    FeedbackConfig: ["enabled", "max_observations"],
     AdaptationConfig: [
         "enabled",
         "quantile",
@@ -144,21 +140,15 @@ EXPECTED_CONFIG_FIELDS = {
         "holdout_size",
         "accept_ratio",
         "max_incremental_failures",
-        "warm_on_swap",
         "training_pairs",
         "incremental_epochs",
         "full_epochs",
         "seed",
     ],
     ObservabilityConfig: ["enabled", "capacity", "sqlite_path", "source"],
-    TracingConfig: [
-        "enabled",
-        "sample_every",
-        "tail_quantile",
-        "min_tail_observations",
-    ],
+    TracingConfig: ["enabled", "sample_every"],
     InferenceConfig: ["mode", "slab_dtype"],
-    ArtifactConfig: ["root", "save_on_build", "save_on_promote", "promote_on_save"],
+    ArtifactConfig: ["root"],
     ClusterConfig: [
         "mode",
         "num_workers",

@@ -8,7 +8,6 @@ import pytest
 
 from repro.baselines import PostgresCardinalityEstimator
 from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
-from repro.core.final_functions import FINAL_FUNCTIONS
 from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     CacheConfig,
@@ -16,7 +15,6 @@ from repro.serving import (
     DispatcherConfig,
     DispatcherShutdownError,
     EstimateResult,
-    EstimatorConfig,
     FeedbackConfig,
     InferenceConfig,
     NoMatchingPoolQueryError,
@@ -84,21 +82,9 @@ class TestConfigValidation:
         explicit = CacheConfig(max_featurization_entries=10, max_encoding_entries=5)
         assert explicit.resolved_encoding_entries() == 5
 
-    def test_estimator_section_bounds(self):
-        with pytest.raises(ValueError, match="final function"):
-            EstimatorConfig(final_function="mode")
-        with pytest.raises(ValueError, match="epsilon"):
-            EstimatorConfig(epsilon=0.0)
-        with pytest.raises(ValueError, match="batch_size"):
-            EstimatorConfig(batch_size=0)
-        with pytest.raises(ValueError, match="distinct"):
-            EstimatorConfig(name="crn", fallback_name="crn")
-
     @pytest.mark.parametrize(
         "section, field",
         [
-            (EstimatorConfig, "epsilon"),
-            (FeedbackConfig, "epsilon"),
             (AdaptationConfig, "poll_interval_seconds"),
             (AdaptationConfig, "accept_ratio"),
             (ClusterConfig, "request_timeout_seconds"),
@@ -108,8 +94,8 @@ class TestConfigValidation:
         ],
     )
     def test_nan_float_fields_are_rejected(self, section, field):
-        # NaN compares false both ways: a NaN epsilon would silently turn
-        # off the Cnt2Crd zero-rate guard (~(y <= nan) keeps every entry).
+        # NaN compares false both ways: a NaN accept_ratio would reject
+        # every candidate, a NaN timeout would fail every wait.
         with pytest.raises(ValueError, match=field):
             section(**{field: float("nan")})
 
@@ -117,12 +103,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, field",
         [
-            (EstimatorConfig, "batch_size"),
             (DispatcherConfig, "max_batch"),
             (FeedbackConfig, "max_observations"),
             (ObservabilityConfig, "capacity"),
             (TracingConfig, "sample_every"),
-            (TracingConfig, "min_tail_observations"),
             (AdaptationConfig, "min_observations"),
             (AdaptationConfig, "holdout_size"),
             (AdaptationConfig, "max_incremental_failures"),
@@ -137,8 +121,8 @@ class TestConfigValidation:
         ],
     )
     def test_integer_fields_reject_floats_and_bools(self, section, field, value):
-        # A float passed the range check and failed on the first request
-        # (``batch_size=2.5``), or changed behaviour silently
+        # A float passed the range check and failed deep inside serving
+        # (``range``, array shapes), or changed behaviour silently
         # (``sample_every=1.5`` kept every trace); ``True`` passed as 1.
         with pytest.raises(ValueError, match=field):
             section(**{field: value})
@@ -258,7 +242,6 @@ class TestConfigRoundTrip:
             imdb_small,
             imdb_featurizer,
             pool,
-            estimator=EstimatorConfig(final_function="mean", epsilon=1e-2, batch_size=128),
             caches=CacheConfig(max_featurization_entries=64),
             pool_options=PoolConfig(warm=False),
             dispatcher=DispatcherConfig(enabled=False, max_batch=8),
@@ -287,27 +270,6 @@ class TestConfigRoundTrip:
                 featurizer=imdb_featurizer,
                 pool=pool,
             )
-
-    def test_named_final_function_callable_serializes_by_name(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        config = make_config(
-            model,
-            imdb_small,
-            imdb_featurizer,
-            pool,
-            estimator=EstimatorConfig(final_function=FINAL_FUNCTIONS["median"]),
-        )
-        assert config.to_mapping()["estimator"]["final_function"] == "median"
-        bare = make_config(
-            model,
-            imdb_small,
-            imdb_featurizer,
-            pool,
-            estimator=EstimatorConfig(final_function=lambda values: 0.0),
-        )
-        with pytest.raises(ValueError, match="bare"):
-            bare.to_mapping()
 
 
 class TestClientFacade:

@@ -458,8 +458,8 @@ class TestAdaptationManager:
         swapped = service.get("crn")
         # The shared index now belongs to the candidate: it is wired into the
         # swapped-in estimator, retargeted to the refreshed pool, and its
-        # slabs were rebuilt during the promote (warm_on_swap) so the first
-        # post-swap request resolves without a re-encoding stall.
+        # slabs were rebuilt during the promote (a promote always pre-warms),
+        # so the first post-swap request resolves without a re-encoding stall.
         assert swapped.pool_index is index
         assert index.pool is swapped.pool
         assert len(index) > 0
