@@ -77,7 +77,7 @@ from repro.observability.events import (
 from repro.observability.histogram import HistogramSnapshot, LatencyHistogram
 from repro.observability.recorder import EventRecorder
 from repro.observability.store import EventStore
-from repro.observability.tracing import RequestTrace, SpanHandle, Tracer
+from repro.observability.tracing import SpanHandle, Tracer
 
 __all__ = [
     "AcceptGateDecision",
@@ -104,7 +104,6 @@ __all__ = [
     "PlanCompiled",
     "PlanSwap",
     "RequestServed",
-    "RequestTrace",
     "SCHEMA_VERSION",
     "SpanHandle",
     "SpanLinked",

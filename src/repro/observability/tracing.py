@@ -38,11 +38,17 @@ traces are *sampled*: every ``sample_every``-th request is kept
 slowest seen so far, and any request at least one histogram bucket slower
 than the ``tail_quantile`` of the tracer's own latency histogram — so a p99
 investigation always finds a concrete full trace.  Ties with the bulk are
-deliberately *not* tail keepers (a coalesced batch stamps one latency on
+deliberately *not* tail keepers (a synchronous batch stamps one duration on
 every member; head sampling covers those), and the tail threshold is a
-cached float refreshed every ``_TAIL_REFRESH`` finishes, so a dropped
-trace costs a handful of dataclass constructions, two short lock windows,
-and zero buffer traffic.
+cached float refreshed every ``_TAIL_REFRESH`` finishes.
+
+Request traces have one path.  Whoever finishes a batch of requests — the
+service's ``submit_batch``, for synchronous callers and dispatched requests
+alike — decides all its members in one :meth:`Tracer.sample` lock window
+and writes only the kept ones with :meth:`Tracer.emit_request`, so a dropped
+trace costs its share of that window and no allocation or buffer traffic.
+Nothing is held open per request: the dispatcher stamps each request's
+enqueue instant and queue wait, which is all a root span needs.
 
 Shared spans nest through a thread-local stack: :meth:`Tracer.begin` inside
 an open span parents to it automatically (the dispatcher thread opens
@@ -58,12 +64,12 @@ import math
 import threading
 import time
 import uuid
-from typing import Any, Callable
+from typing import Any, Sequence
 
 from repro.observability.events import SpanLinked, SpanRecorded
 from repro.observability.histogram import LatencyHistogram
 
-__all__ = ["RequestTrace", "SpanHandle", "Tracer"]
+__all__ = ["SpanHandle", "Tracer"]
 
 #: Finishes between tail-threshold recomputations.  Each refresh pays one
 #: histogram snapshot (a bucket-tuple copy plus a quantile walk); in between
@@ -128,129 +134,6 @@ class SpanHandle:
         return self
 
 
-class RequestTrace:
-    """One request's span tree, accumulated on the caller/dispatcher side.
-
-    Owned by a single request at a time (created at submit, finished when the
-    request's result is stamped), so it takes no locks of its own.  Spans and
-    links accumulate locally and are emitted — or dropped — in one decision
-    at :meth:`finish`, which is what makes sampling free for dropped traces.
-    """
-
-    __slots__ = ("tracer", "trace_id", "root", "_spans", "_links", "_done")
-
-    def __init__(self, tracer: "Tracer", trace_id: str, root: SpanHandle) -> None:
-        self.tracer = tracer
-        self.trace_id = trace_id
-        self.root = root
-        self._spans: list[SpanHandle] = []
-        self._links: list[tuple[str, str, float, int, str]] = []
-        self._done = False
-
-    def add_span(
-        self, name: str, duration_seconds: float, start: float | None = None, **attributes: Any
-    ) -> None:
-        """Record a completed request-owned stage (child of the root span)."""
-        handle = SpanHandle(
-            trace_id=self.trace_id,
-            span_id=self.tracer._new_span_id(),
-            parent_id=self.root.span_id,
-            name=name,
-            start_wall=start if start is not None else self.tracer.wall_clock(),
-            start_perf=0.0,
-            estimator_name=self.root.estimator_name,
-        )
-        handle.duration_seconds = float(duration_seconds)
-        handle.attributes.update(attributes)
-        self._spans.append(handle)
-
-    def link(
-        self,
-        shared: SpanHandle,
-        amortized_seconds: float,
-        link_kind: str = "amortized",
-    ) -> None:
-        """Link this trace to a shared span with its amortized time share.
-
-        Stored as a raw tuple; the :class:`repro.observability.SpanLinked`
-        event is materialized at :meth:`finish` only if the trace is kept,
-        so dropped traces never pay dataclass construction.
-        """
-        self._links.append(
-            (
-                shared.span_id,
-                shared.name,
-                float(amortized_seconds),
-                shared.members,
-                link_kind,
-            )
-        )
-
-    def fail(self, error: BaseException | str) -> None:
-        """Finish a trace whose request errored.  Error traces always keep."""
-        self.root.attributes["error"] = (
-            f"{type(error).__name__}: {error}"
-            if isinstance(error, BaseException)
-            else str(error)
-        )
-        self.finish(force_keep=True)
-
-    def abandon(self) -> None:
-        """Discard a trace whose request was cancelled before serving."""
-        if self._done:
-            return
-        self._done = True
-        self.tracer._count_finish(kept=False, tail=False)
-
-    def finish(
-        self,
-        latency_seconds: float = float("nan"),
-        force_keep: bool = False,
-        end_perf: float | None = None,
-        **attributes: Any,
-    ) -> bool:
-        """Close the root span, apply the sampling policy, emit if kept.
-
-        ``latency_seconds`` (the service's attributed per-request latency)
-        is stamped on the root span so a stored trace carries the number its
-        stages must account for.  ``end_perf`` lets a batch owner finish
-        every member against one shared end instant — without it, the
-        member-by-member finish loop itself skews the root durations into a
-        strictly increasing ramp, and the "slowest so far" exemplar rule
-        would keep a slow batch wholesale.  Returns whether the trace was
-        kept.  Idempotent: a second finish is a no-op.
-        """
-        if self._done:
-            return False
-        self._done = True
-        tracer = self.tracer
-        end = tracer.clock() if end_perf is None else end_perf
-        self.root.duration_seconds = end - self.root.start_perf
-        if not math.isnan(latency_seconds):
-            self.root.attributes["latency_seconds"] = float(latency_seconds)
-        if attributes:
-            self.root.attributes.update(attributes)
-        kept, _ = tracer._sample(self.root.duration_seconds, force_keep)
-        if not kept:
-            return False
-        recorder = tracer.recorder
-        recorder.emit(tracer._span_event(self.root))
-        for handle in self._spans:
-            recorder.emit(tracer._span_event(handle))
-        for span_id, span_name, amortized, members, link_kind in self._links:
-            recorder.emit(
-                SpanLinked(
-                    trace_id=self.trace_id,
-                    span_id=span_id,
-                    span_name=span_name,
-                    amortized_seconds=amortized,
-                    members=members,
-                    link_kind=link_kind,
-                )
-            )
-        return True
-
-
 class Tracer:
     """The span factory the serving stack shares.
 
@@ -272,8 +155,9 @@ class Tracer:
             has warmed up.
         min_tail_observations: how many finished requests the histogram
             needs before the tail threshold is trusted.
-        clock: monotonic duration clock (``time.perf_counter``).
-        wall_clock: epoch clock for span start timestamps (``time.time``).
+
+    Durations are ``time.perf_counter()`` differences (the dispatcher stamps
+    enqueue instants with the same clock) and span starts are ``time.time()``.
     """
 
     def __init__(
@@ -282,8 +166,6 @@ class Tracer:
         sample_every: int = 1,
         tail_quantile: float = 0.95,
         min_tail_observations: int = 32,
-        clock: Callable[[], float] = time.perf_counter,
-        wall_clock: Callable[[], float] = time.time,
     ) -> None:
         if recorder is None:
             raise ValueError(
@@ -300,8 +182,6 @@ class Tracer:
         self.sample_every = int(sample_every)
         self.tail_quantile = float(tail_quantile)
         self.min_tail_observations = int(min_tail_observations)
-        self.clock = clock
-        self.wall_clock = wall_clock
         #: Root-request durations; drives the tail-exemplar threshold and
         #: the ``trace_*`` quantile gauges.
         self.histogram = LatencyHistogram()
@@ -330,9 +210,6 @@ class Tracer:
     def _new_id(self) -> str:
         return f"{self._id_prefix}-{next(self._ids):x}"
 
-    def _new_span_id(self) -> str:
-        return self._new_id()
-
     def _stack(self) -> list[SpanHandle]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -355,124 +232,70 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # request traces
 
-    def start_request(self, estimator_name: str = "") -> RequestTrace:
-        """Open a request trace; close it with :meth:`RequestTrace.finish`."""
-        # One counter draw per request: the root span derives its id from
-        # the trace id with a "-r" suffix (counter ids are bare hex, so the
-        # suffixed form cannot collide with any other id).
-        trace_id = self._new_id()
-        root = SpanHandle(
-            trace_id=trace_id,
-            span_id=trace_id + "-r",
-            parent_id="",
-            name="request",
-            start_wall=self.wall_clock(),
-            start_perf=self.clock(),
-            estimator_name=estimator_name,
-        )
-        with self._stats_lock:
-            self._started += 1
-        return RequestTrace(self, trace_id, root)
+    def sample(
+        self,
+        durations: Sequence[float],
+        force_keep: bool = False,
+        abandoned: int = 0,
+    ) -> list[int]:
+        """The keep decision for the requests of one batch, in one lock window.
 
-    def _sample(self, duration: float, force_keep: bool) -> tuple[bool, bool]:
-        """The keep decision for one finished request: ``(kept, is_tail)``.
+        ``durations`` holds each served member's root-span duration; the
+        returned indices are the members to keep, which the caller writes
+        with :meth:`emit_request` (a dropped member costs no allocation).
+        ``force_keep`` keeps every member (error traces).  ``abandoned``
+        counts requests cancelled before they were served: started,
+        finished and dropped, never written and never in the histogram.
 
-        A tail exemplar is a request **strictly** slower than everything
-        before it (trivially so for the first), or one at or above the
-        cached tail threshold — the *upper* edge of the histogram bucket
-        holding ``tail_quantile``, i.e. at least one bucket width (~19%)
-        slower than the quantile itself.  Ties with the bulk never qualify:
-        a coalesced batch stamps the identical latency on every member, and
-        admitting ties would keep whole batches wholesale (head sampling
-        covers them instead).  The threshold is recomputed from a histogram
-        snapshot only every ``_TAIL_REFRESH`` finishes, so it lags by at
-        most that many observations; "slowest so far" does not lag at all.
-
-        Also books the finish counters (one lock window for the whole
-        decision); :meth:`_count_finish` remains for abandoned traces only.
+        A member is kept by head sampling (every ``sample_every``-th finish
+        of the tracer's running count) or as a tail exemplar: a request
+        **strictly** slower than everything before it (trivially so for the
+        first), or one at or above the cached tail threshold — the *upper*
+        edge of the histogram bucket holding ``tail_quantile``, i.e. at
+        least one bucket width (~19%) slower than the quantile itself.  A
+        member that ties the batch-mate before it is never an exemplar: a
+        synchronous batch stamps one duration on every member, and keeping
+        its indistinguishable members would store copies of one trace (head
+        sampling covers them), so such a batch keeps at most one exemplar,
+        member 0.  The threshold is recomputed from a histogram snapshot
+        after a batch that brings ``_TAIL_REFRESH`` finishes since the last
+        refresh, so it lags by at most that many observations plus one
+        batch; "slowest so far" does not lag at all.
         """
-        tail = False
-        refresh = False
-        with self._stats_lock:
-            self._observed += 1
-            observed = self._observed
-            if duration > self._max_observed or observed == 1:
-                tail = True  # strictly the slowest so far: always a keeper
-                self._max_observed = duration
-            elif duration >= self._tail_threshold:
-                tail = True
-            if observed >= self.min_tail_observations and (
-                self._tail_refreshed_at == 0
-                or observed - self._tail_refreshed_at >= _TAIL_REFRESH
-            ):
-                self._tail_refreshed_at = observed
-                refresh = True
-            kept = (
-                force_keep
-                or tail
-                or (
-                    self.sample_every > 0
-                    and self._finished % self.sample_every == 0
-                )
-            )
-            self._finished += 1
-            if kept:
-                self._kept += 1
-            if tail:
-                self._tail_exemplars += 1
-        self.histogram.record(duration)
-        if refresh:
-            threshold = self.histogram.snapshot().quantile_upper_bound(
-                self.tail_quantile
-            )
-            with self._stats_lock:
-                self._tail_threshold = threshold
-        return kept, tail
-
-    def sample_owned_batch(self, members: int, duration: float) -> list[int]:
-        """Bulk keep decision for a service-owned homogeneous batch.
-
-        Synchronous callers (``estimate`` / ``estimate_many``) hand the
-        service a batch whose members all share one root duration, one
-        amortized link, and one latency — so the per-member sampling loop
-        collapses: one lock window counts all ``members`` as started and
-        finished, head sampling reduces to modular arithmetic over the
-        finish counter (bit-identical to ``members`` sequential
-        :meth:`_sample` calls), the histogram takes one bulk record, and a
-        batch in the tail contributes exactly ONE exemplar (member 0) —
-        its members are indistinguishable, so keeping more would spam the
-        store with copies.  Returns the kept member indices; the caller
-        materializes span events only for those (dropped members cost no
-        allocation at all).
-        """
-        refresh = False
         kept: list[int] = []
+        refresh = False
         with self._stats_lock:
-            tail = False
-            observed = self._observed + members
-            self._observed = observed
-            if duration > self._max_observed or observed == members:
-                tail = True
-                self._max_observed = duration
-            elif duration >= self._tail_threshold:
-                tail = True
-            if observed >= self.min_tail_observations and (
+            previous = math.nan
+            for index, duration in enumerate(durations):
+                tail = False
+                if duration != previous:
+                    if duration > self._max_observed:
+                        tail = True  # strictly the slowest so far
+                        self._max_observed = duration
+                    elif duration >= self._tail_threshold:
+                        tail = True
+                    previous = duration
+                if force_keep or tail or (
+                    self.sample_every > 0 and self._finished % self.sample_every == 0
+                ):
+                    kept.append(index)
+                self._finished += 1
+                if tail:
+                    self._tail_exemplars += 1
+            members = len(durations)
+            self._observed += members
+            observed = self._observed
+            if members and observed >= self.min_tail_observations and (
                 self._tail_refreshed_at == 0
                 or observed - self._tail_refreshed_at >= _TAIL_REFRESH
             ):
                 self._tail_refreshed_at = observed
                 refresh = True
-            if self.sample_every > 0:
-                first = (-self._finished) % self.sample_every
-                kept = list(range(first, members, self.sample_every))
-            if tail and (not kept or kept[0] != 0):
-                kept.insert(0, 0)
-            self._started += members
-            self._finished += members
+            self._started += members + abandoned
+            self._finished += abandoned
             self._kept += len(kept)
-            if tail:
-                self._tail_exemplars += 1
-        self.histogram.record(duration, count=members)
+        for duration, run in itertools.groupby(durations):
+            self.histogram.record(duration, count=sum(1 for _ in run))
         if refresh:
             threshold = self.histogram.snapshot().quantile_upper_bound(
                 self.tail_quantile
@@ -481,55 +304,77 @@ class Tracer:
                 self._tail_threshold = threshold
         return kept
 
-    def emit_owned_member(
+    def emit_request(
         self,
-        estimator_name: str,
-        start_wall: float,
         start_perf: float,
         end_perf: float,
-        batch_span: SpanHandle,
-        amortized_seconds: float,
+        estimator_name: str = "",
+        members: int = 1,
+        queue_wait: float | None = None,
+        context: SpanHandle | None = None,
+        batch: SpanHandle | None = None,
+        amortized_seconds: float = 0.0,
         **attributes: Any,
     ) -> str:
-        """Materialize one kept member of an owned batch straight to events.
+        """Write one kept request trace straight to events; returns its id.
 
-        The root ``request`` span plus its amortized link to ``batch_span``
-        — no :class:`RequestTrace` needed, because an owned member has no
-        request-owned child stages.  Sampling and counting already happened
-        in :meth:`sample_owned_batch`.  Returns the new trace id.
+        The root ``request`` span runs from ``start_perf`` to ``end_perf``
+        (``time.perf_counter()`` instants) and carries ``attributes``.
+        ``queue_wait`` adds the request-owned ``queue_wait`` stage under it,
+        starting with the root; ``context`` adds a ``"context"`` link to the
+        enclosing shared span (the dispatcher batch); ``batch`` adds the
+        ``"amortized"`` link that books ``amortized_seconds`` of that shared
+        span to this request.  Sampling and counting happened in
+        :meth:`sample`.
         """
+        # One counter draw per request: the root span derives its id from
+        # the trace id with a "-r" suffix (counter ids are bare hex, so the
+        # suffixed form cannot collide with any other id).
         trace_id = self._new_id()
+        start_wall = time.time() - (time.perf_counter() - start_perf)
         root = SpanHandle(
-            trace_id=trace_id,
-            span_id=trace_id + "-r",
-            parent_id="",
-            name="request",
-            start_wall=start_wall,
-            start_perf=start_perf,
-            estimator_name=estimator_name,
+            trace_id, trace_id + "-r", "", "request", start_wall, start_perf,
+            estimator_name, members,
         )
         root.duration_seconds = end_perf - start_perf
         root.attributes.update(attributes)
-        self.recorder.emit(self._span_event(root))
-        self.recorder.emit(
-            SpanLinked(
-                trace_id=trace_id,
-                span_id=batch_span.span_id,
-                span_name=batch_span.name,
-                amortized_seconds=float(amortized_seconds),
-                members=batch_span.members,
-                link_kind="amortized",
+        emit = self.recorder.emit
+        emit(self._span_event(root))
+        if queue_wait is not None:
+            stage = SpanHandle(
+                trace_id, self._new_id(), root.span_id, "queue_wait", start_wall,
+                start_perf, estimator_name,
             )
-        )
+            stage.duration_seconds = float(queue_wait)
+            emit(self._span_event(stage))
+        for shared, seconds, link_kind in (
+            (context, 0.0, "context"),
+            (batch, amortized_seconds, "amortized"),
+        ):
+            if shared is not None:
+                emit(
+                    SpanLinked(
+                        trace_id=trace_id,
+                        span_id=shared.span_id,
+                        span_name=shared.name,
+                        amortized_seconds=float(seconds),
+                        members=shared.members,
+                        link_kind=link_kind,
+                    )
+                )
         return trace_id
 
-    def _count_finish(self, kept: bool, tail: bool) -> None:
-        with self._stats_lock:
-            self._finished += 1
-            if kept:
-                self._kept += 1
-            if tail:
-                self._tail_exemplars += 1
+    def fail(self, error: BaseException, start_perf: float, **emit: Any) -> str:
+        """Sample and write the trace of a request that errored.
+
+        Error traces are always kept; the root span ends now and carries
+        ``error``.  ``emit`` takes :meth:`emit_request`'s keywords.
+        """
+        end = time.perf_counter()
+        self.sample([end - start_perf], force_keep=True)
+        return self.emit_request(
+            start_perf, end, error=f"{type(error).__name__}: {error}", **emit
+        )
 
     # ------------------------------------------------------------------ #
     # shared / batch spans
@@ -555,11 +400,11 @@ class Tracer:
             trace_id, parent_id = self._new_id(), ""
         handle = SpanHandle(
             trace_id=trace_id,
-            span_id=self._new_span_id(),
+            span_id=self._new_id(),
             parent_id=parent_id,
             name=name,
-            start_wall=self.wall_clock(),
-            start_perf=self.clock(),
+            start_wall=time.time(),
+            start_perf=time.perf_counter(),
             estimator_name=estimator_name,
             members=members,
         )
@@ -574,7 +419,7 @@ class Tracer:
         call site that leaks a nested span via an exception cannot poison
         the parenting of later batches on this thread.
         """
-        handle.duration_seconds = self.clock() - handle.start_perf
+        handle.duration_seconds = time.perf_counter() - handle.start_perf
         handle.attributes.update(attributes)
         stack = self._stack()
         while stack:

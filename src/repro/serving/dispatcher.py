@@ -65,6 +65,7 @@ from typing import Sequence
 
 from repro.observability.counters import Counters
 from repro.observability.histogram import LatencyHistogram
+from repro.observability.tracing import SpanHandle
 from repro.serving.errors import DeadlineExceededError, DispatcherShutdownError
 from repro.serving.service import EstimateResult, EstimationService, RequestOptions
 from repro.sql.query import Query
@@ -85,13 +86,11 @@ class _PendingRequest:
     query: Query
     future: Future
     options: RequestOptions | None = None
-    #: ``time.perf_counter()`` at enqueue (None: served inline, never queued).
+    #: ``time.perf_counter()`` at enqueue; a request served inline (never
+    #: queued) takes its pickup instant, so its queue wait is exactly 0.
     enqueued_at: float | None = None
     #: Measured at batch pickup, stamped onto the result's provenance.
     queue_wait_seconds: float = 0.0
-    #: The request's open :class:`repro.observability.RequestTrace` (None
-    #: when tracing is off).
-    trace: object | None = None
 
 
 class ServingDispatcher:
@@ -214,15 +213,9 @@ class ServingDispatcher:
         its tags are stamped onto the result.
         """
         future: Future = Future()
-        tracer = self.service.tracer
-        trace = tracer.start_request() if tracer is not None else None
-        request = _PendingRequest(
-            query, future, options, enqueued_at=time.perf_counter(), trace=trace
-        )
+        request = _PendingRequest(query, future, options, enqueued_at=time.perf_counter())
         with self._state_lock:
             if self._closed:
-                if trace is not None:
-                    trace.abandon()
                 raise DispatcherShutdownError(
                     "dispatcher has been shut down; no new requests accepted"
                 )
@@ -280,9 +273,7 @@ class ServingDispatcher:
             if self._closed or self._backlog or self._inline:
                 return None
             self._inline = True
-        tracer = self.service.tracer
-        trace = tracer.start_request() if tracer is not None else None
-        request = _PendingRequest(query, Future(), options, trace=trace)
+        request = _PendingRequest(query, Future(), options)
         self.stats.add("submitted")
         try:
             self._serve([request])
@@ -437,26 +428,18 @@ class ServingDispatcher:
         return options.estimator, options.fallback_policy
 
     @staticmethod
-    def _stamp(request: _PendingRequest) -> tuple[tuple[tuple[str, str], ...], float]:
-        """A caller's own tags and measured queue wait, for its result.
+    def _stamp(
+        request: _PendingRequest,
+    ) -> tuple[tuple[tuple[str, str], ...], float, float]:
+        """A caller's own tags, queue wait and enqueue instant, for its result.
 
         The batch-level submission carries the group's (tag-less) options,
         so per-caller provenance — tags, and the enqueue→pickup wait measured
-        at batch pickup — rides beside it as ``submit_batch``'s ``stamps``.
+        at batch pickup — rides beside it as ``submit_batch``'s ``stamps``,
+        with the enqueue instant the service starts the request's trace at.
         """
         tags = request.options.tags if request.options is not None else ()
-        return tags, request.queue_wait_seconds
-
-    def _resolve(self, request: _PendingRequest, item: EstimateResult) -> None:
-        """Resolve one caller's future and finish its trace (if any)."""
-        request.future.set_result(item)
-        if request.trace is not None:
-            request.trace.finish(
-                latency_seconds=item.latency_seconds,
-                estimator=item.estimator_name,
-                resolution=item.resolution,
-                queue_wait_seconds=item.queue_wait_seconds,
-            )
+        return tags, request.queue_wait_seconds, request.enqueued_at
 
     def _serve(self, batch: list[_PendingRequest]) -> None:
         self.stats.update(
@@ -472,8 +455,6 @@ class ServingDispatcher:
                 # explicit cancel) before pickup: skip the work entirely —
                 # it must not occupy a batch slot or be counted as served.
                 cancelled += 1
-                if request.trace is not None:
-                    request.trace.abandon()
                 continue
             groups.setdefault(self._group_key(request), []).append(request)
         recorder = self.service.recorder
@@ -494,6 +475,7 @@ class ServingDispatcher:
             if tracer is not None
             else None
         )
+        abandoned = cancelled
         try:
             for (estimator, policy), requests in groups.items():
                 group_options = RequestOptions(
@@ -507,41 +489,34 @@ class ServingDispatcher:
                 pickup = time.perf_counter()
                 for request in requests:
                     if not request.future.set_running_or_notify_cancel():
-                        if request.trace is not None:
-                            request.trace.abandon()
+                        abandoned += 1
                         continue
-                    wait = max(pickup - (request.enqueued_at or pickup), 0.0)
+                    if request.enqueued_at is None:
+                        request.enqueued_at = pickup
+                    wait = max(pickup - request.enqueued_at, 0.0)
                     request.queue_wait_seconds = wait
                     self.queue_wait.record(wait)
-                    if request.trace is not None:
-                        # queue_wait is request-owned time (nobody shares
-                        # it), so it is a span under the request's root —
-                        # unlike the batch spans, which are linked.
-                        request.trace.add_span("queue_wait", wait)
-                        request.trace.link(batch_span, 0.0, link_kind="context")
                     runnable.append(request)
                 if not runnable:
                     continue
-                traces = (
-                    [request.trace for request in runnable]
-                    if tracer is not None
-                    else None
-                )
                 try:
                     served = self.service.submit_batch(
                         [request.query for request in runnable],
                         options=group_options,
-                        traces=traces,
                         stamps=[self._stamp(request) for request in runnable],
+                        context=batch_span,
                     )
                 except Exception:
-                    self._serve_individually(runnable, group_options)
+                    self._serve_individually(runnable, group_options, batch_span)
                 else:
                     for request, item in zip(runnable, served):
-                        self._resolve(request, item)
+                        request.future.set_result(item)
                     self.stats.add("completed", len(runnable))
         finally:
             if batch_span is not None:
+                if abandoned:
+                    # Cancelled before pickup: counted as dropped traces.
+                    tracer.sample((), abandoned=abandoned)
                 tracer.end(
                     batch_span,
                     size=len(batch),
@@ -550,7 +525,10 @@ class ServingDispatcher:
                 )
 
     def _serve_individually(
-        self, requests: Sequence[_PendingRequest], options: RequestOptions
+        self,
+        requests: Sequence[_PendingRequest],
+        options: RequestOptions,
+        batch_span: SpanHandle | None,
     ) -> None:
         """Fallback when a coalesced batch fails as a whole.
 
@@ -559,20 +537,25 @@ class ServingDispatcher:
         future carries the exception its request would have raised on the
         sequential path.
         """
+        tracer = self.service.tracer
         for request in requests:
-            traces = [request.trace] if request.trace is not None else None
             try:
                 served = self.service.submit_batch(
                     [request.query],
                     options=options,
-                    traces=traces,
                     stamps=[self._stamp(request)],
+                    context=batch_span,
                 )[0]
             except Exception as error:
                 request.future.set_exception(error)
                 self.stats.add("failed")
-                if request.trace is not None:
-                    request.trace.fail(error)
+                if tracer is not None:
+                    tracer.fail(
+                        error,
+                        request.enqueued_at,
+                        queue_wait=request.queue_wait_seconds,
+                        context=batch_span,
+                    )
             else:
-                self._resolve(request, served)
+                request.future.set_result(served)
                 self.stats.add("completed")

@@ -38,6 +38,7 @@ from repro.core.estimators import CardinalityEstimator
 from repro.observability.counters import Counters
 from repro.observability.events import BatchServed, RequestServed, StatsDrained
 from repro.observability.histogram import LatencyHistogram
+from repro.observability.tracing import SpanHandle
 from repro.serving.cache import EncodingCache, FeaturizationCache
 from repro.serving.errors import UnknownEstimatorError
 from repro.serving.planner import (
@@ -480,8 +481,8 @@ class EstimationService:
         self,
         queries: Sequence[Query],
         options: RequestOptions | None = None,
-        traces: Sequence | None = None,
-        stamps: Sequence[tuple[tuple[tuple[str, str], ...], float]] | None = None,
+        stamps: Sequence[tuple[tuple[tuple[str, str], ...], float, float]] | None = None,
+        context: SpanHandle | None = None,
     ) -> list[EstimateResult]:
         """Estimate many concurrent requests with cross-request batching.
 
@@ -499,20 +500,25 @@ class EstimationService:
         resolution path, the answering entry's model generation, the batch's
         cache-hit deltas, and the caller's tags.
 
-        ``traces`` (dispatcher-internal) carries one open
-        :class:`repro.observability.RequestTrace` per query; each is linked
-        to this batch's shared spans with its amortized share
-        (``elapsed / len(queries)`` — the *same* division that produces
-        ``latency_seconds``, so a trace's amortized links sum exactly to the
-        stamped latency) and left open for the dispatcher to finish.  With a
-        tracer attached and no ``traces`` given, the service samples the
-        batch's member traces in bulk (:meth:`Tracer.sample_owned_batch`)
-        and materializes only the kept ones.
-
         ``stamps`` (dispatcher-internal) carries one ``(tags, queue wait
-        seconds)`` per query: what a coalesced request's own caller asked for
-        and waited, which the group's batch-wide ``options`` cannot say.
-        Without it every result takes ``options.tags`` and a wait of 0.0.
+        seconds, enqueue instant)`` per query: what a coalesced request's own
+        caller asked for and waited, which the group's batch-wide ``options``
+        cannot say, and the ``time.perf_counter()`` instant its trace's root
+        span starts at.  Without it every result takes ``options.tags`` and a
+        wait of 0.0, and every root span starts with the batch.  ``context``
+        (dispatcher-internal) is the enclosing ``dispatcher_batch`` span.
+
+        With a tracer attached, the batch's members are sampled in one
+        :meth:`repro.observability.Tracer.sample` window over their root
+        durations (all ending with the batch) and only the kept ones are
+        written.  Each links to this batch's ``service_batch`` span with its
+        amortized share (``elapsed / len(queries)`` — the *same* division
+        that produces ``latency_seconds``, so a trace's amortized links sum
+        exactly to the stamped latency); a dispatched member also gets its
+        ``queue_wait`` stage and a ``context`` link to ``context``.  A
+        synchronous batch that raises leaves one error trace for all its
+        members; a dispatched batch that raises leaves none, because the
+        dispatcher retries its members one by one and fails their traces.
         """
         if not queries:
             return []
@@ -533,20 +539,9 @@ class EstimationService:
             generation = self._generations.get(name, 0)
         recorder = self.recorder
         tracer = self.tracer
-        owns_traces = False
-        owned_start_wall = owned_start_perf = 0.0
         batch_span = None
         if tracer is not None:
-            if traces is None:
-                # Synchronous callers (estimate / estimate_many) get traces
-                # too — but owned members are homogeneous (one shared
-                # duration, link, and latency), so their traces are sampled
-                # in bulk after the batch and materialized only if kept;
-                # the dispatcher passes real per-request traces, already
-                # carrying the queue_wait stage.
-                owns_traces = True
-                owned_start_wall = tracer.wall_clock()
-                owned_start_perf = tracer.clock()
+            started = time.perf_counter()
             batch_span = tracer.begin(
                 "service_batch", members=len(queries), estimator_name=name
             )
@@ -584,22 +579,13 @@ class EstimationService:
         except BaseException as error:
             # Ending the batch span pops every nested stage span off this
             # thread's stack too, so a failed batch cannot poison the
-            # parenting of the next one; owned traces finish as errors
-            # (error traces are always kept).
+            # parenting of the next one.
             if batch_span is not None:
                 tracer.end(batch_span, error=type(error).__name__)
-            if owns_traces:
-                # One representative error trace for the whole owned batch
-                # (its members are indistinguishable); error traces are
-                # always kept.
-                failed = tracer.start_request(name)
-                failed.root.start_wall = owned_start_wall
-                failed.root.start_perf = owned_start_perf
-                failed.root.members = len(queries)
-                failed.fail(error)
-            # Dispatcher-provided traces are NOT failed here: the
-            # dispatcher may retry members individually and owns the
-            # finish/fail decision for its requests.
+                if stamps is None:
+                    # One error trace stands for the whole synchronous batch
+                    # (its members are indistinguishable).
+                    tracer.fail(error, started, estimator_name=name, members=len(queries))
             raise
         elapsed = time.perf_counter() - start
         latency = elapsed / len(queries)
@@ -625,7 +611,7 @@ class EstimationService:
             else 0
         )
         if stamps is None:
-            stamps = [(options.tags, 0.0)] * len(queries)
+            stamps = [(options.tags, 0.0, None)] * len(queries)
         served = [
             EstimateResult(
                 query=query,
@@ -642,35 +628,33 @@ class EstimationService:
                 tags=tags,
                 queue_wait_seconds=queue_wait,
             )
-            for query, answer, (tags, queue_wait) in zip(queries, answers, stamps, strict=True)
+            for query, answer, (tags, queue_wait, _) in zip(queries, answers, stamps, strict=True)
         ]
         if batch_span is not None:
             # The fan-in attribution contract: each member's amortized share
             # is the SAME elapsed/size division that produced ``latency``
             # above, so sum(amortized links) == latency_seconds exactly.
-            if owns_traces:
-                # Owned members are sampled in bulk (one lock window, one
-                # histogram record, at most one tail exemplar for the whole
-                # batch) and materialized straight to events only if kept —
-                # the dominant cost of tracing a dropped member is zero.
-                batch_end = time.perf_counter()
-                root_elapsed = batch_end - owned_start_perf
-                for index in tracer.sample_owned_batch(len(queries), root_elapsed):
-                    item = served[index]
-                    tracer.emit_owned_member(
-                        item.estimator_name,
-                        owned_start_wall,
-                        owned_start_perf,
-                        batch_end,
-                        batch_span,
-                        latency,
-                        latency_seconds=latency,
-                        estimator=item.estimator_name,
-                        resolution=item.resolution,
-                    )
-            else:
-                for trace in traces:
-                    trace.link(batch_span, latency)
+            end = time.perf_counter()
+            starts = [started if enqueued is None else enqueued for _, _, enqueued in stamps]
+            for index in tracer.sample([end - start for start in starts]):
+                item = served[index]
+                wait = item.queue_wait_seconds
+                dispatched = (
+                    {}
+                    if stamps[index][2] is None
+                    else {"queue_wait": wait, "context": context, "queue_wait_seconds": wait}
+                )
+                tracer.emit_request(
+                    starts[index],
+                    end,
+                    item.estimator_name,
+                    batch=batch_span,
+                    amortized_seconds=latency,
+                    latency_seconds=latency,
+                    estimator=item.estimator_name,
+                    resolution=item.resolution,
+                    **dispatched,
+                )
         self.stats.update(
             requests=len(queries),
             batches=1,

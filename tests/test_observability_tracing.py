@@ -4,6 +4,7 @@ head + tail-exemplar sampling policy."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -57,15 +58,27 @@ class TestConstruction:
             Tracer(recorder, tail_quantile=1.5)
 
 
+def keep_one(tracer, duration):
+    """Sample one finished request of ``duration`` seconds; whether it is kept."""
+    return tracer.sample([duration]) == [0]
+
+
 class TestRequestTraces:
     def test_finished_trace_lands_root_stages_and_links(self, recorder, store):
         tracer = make_tracer(recorder)
-        trace = tracer.start_request("crn")
-        trace.add_span("queue_wait", 0.004)
         shared = tracer.begin("service_batch", members=4, estimator_name="crn")
         tracer.end(shared, size=4)
-        trace.link(shared, 0.0025)
-        assert trace.finish(latency_seconds=0.0025, resolution="indexed_slab")
+        assert keep_one(tracer, 0.006)
+        tracer.emit_request(
+            0.0,
+            0.006,
+            "crn",
+            queue_wait=0.004,
+            batch=shared,
+            amortized_seconds=0.0025,
+            latency_seconds=0.0025,
+            resolution="indexed_slab",
+        )
         spans = stored_spans(recorder, store)
         names = {row["name"] for row in spans}
         assert names == {"request", "queue_wait", "service_batch"}
@@ -83,23 +96,19 @@ class TestRequestTraces:
 
     def test_latency_seconds_round_trips_exactly(self, recorder, store):
         tracer = make_tracer(recorder)
-        trace = tracer.start_request()
         latency = 0.0012345678901234567
-        trace.finish(latency_seconds=latency)
+        tracer.emit_request(0.0, 0.01, latency_seconds=latency)
         rows = store_accounting(recorder, store)
         assert rows[0]["latency_seconds"] == latency
 
-    def test_finish_is_idempotent(self, recorder, store):
+    def test_each_sampled_member_finishes_once(self, recorder, store):
         tracer = make_tracer(recorder)
-        trace = tracer.start_request()
-        assert trace.finish() is True
-        assert trace.finish() is False
+        assert tracer.sample([0.01]) == [0]
         assert tracer.stats_snapshot()["traces_finished"] == 1.0
 
     def test_abandon_counts_a_drop_and_emits_nothing(self, recorder, store):
         tracer = make_tracer(recorder)
-        trace = tracer.start_request()
-        trace.abandon()
+        assert tracer.sample((), abandoned=1) == []
         stats = tracer.stats_snapshot()
         assert stats["traces_finished"] == 1.0
         assert stats["traces_kept"] == 0.0
@@ -107,8 +116,7 @@ class TestRequestTraces:
 
     def test_failed_trace_is_always_kept_with_the_error(self, recorder, store):
         tracer = make_tracer(recorder, sample_every=0)
-        trace = tracer.start_request()
-        trace.fail(ValueError("boom"))
+        tracer.fail(ValueError("boom"), time.perf_counter())
         spans = stored_spans(recorder, store)
         assert len(spans) == 1
         root = store.spans_for_trace(spans[0]["trace_id"])[0]
@@ -178,18 +186,25 @@ class TestAccountingIdentity:
     def test_amortized_links_sum_to_latency_exactly(self, recorder, store):
         tracer = make_tracer(recorder)
         members = 7
-        traces = [tracer.start_request("crn") for _ in range(members)]
         batch = tracer.begin("dispatcher_batch", members=members)
         service = tracer.begin("service_batch", members=members)
         tracer.end(service)
         tracer.end(batch)
         elapsed = 0.0123456
         latency = elapsed / members
-        for trace in traces:
-            trace.add_span("queue_wait", 0.001)
-            trace.link(batch, 0.0, link_kind="context")
-            trace.link(service, latency)
-            trace.finish(latency_seconds=latency)
+        kept = tracer.sample([0.02] * members)
+        assert kept == list(range(members))
+        for _ in kept:
+            tracer.emit_request(
+                0.0,
+                0.02,
+                "crn",
+                queue_wait=0.001,
+                context=batch,
+                batch=service,
+                amortized_seconds=latency,
+                latency_seconds=latency,
+            )
         rows = store_accounting(recorder, store)
         assert len(rows) == members
         for row in rows:
@@ -201,11 +216,9 @@ class TestAccountingIdentity:
 
     def test_context_links_carry_no_time(self, recorder, store):
         tracer = make_tracer(recorder)
-        trace = tracer.start_request()
         batch = tracer.begin("dispatcher_batch", members=2)
         tracer.end(batch)
-        trace.link(batch, 0.0, link_kind="context")
-        trace.finish(latency_seconds=0.5)
+        tracer.emit_request(0.0, 0.6, context=batch, latency_seconds=0.5)
         rows = store_accounting(recorder, store)
         assert rows[0]["amortized_seconds"] in (None, 0.0)
 
@@ -213,13 +226,7 @@ class TestAccountingIdentity:
 class TestSampling:
     def test_head_sampling_keeps_every_nth(self, recorder, store):
         tracer = make_tracer(recorder, sample_every=4, min_tail_observations=10**9)
-        durations = iter([0.01] * 100)
-        tracer.clock = lambda: 0.0  # finish() measures 0.0 - start_perf
-        kept = 0
-        for _ in range(20):
-            trace = tracer.start_request()
-            trace.root.start_perf = -next(durations)  # fixed duration
-            kept += trace.finish()
+        kept = sum(keep_one(tracer, 0.01) for _ in range(20))
         stats = tracer.stats_snapshot()
         assert stats["traces_finished"] == 20.0
         # Ties are not "slowest so far" (the comparison is strict), so only
@@ -230,14 +237,9 @@ class TestSampling:
 
     def test_sample_every_zero_disables_head_sampling(self, recorder, store):
         tracer = make_tracer(recorder, sample_every=0, min_tail_observations=10**9)
-        tracer.clock = lambda: 0.0
-        decisions = []
-        for index in range(50):
-            trace = tracer.start_request()
-            # Strictly decreasing durations: nothing after the first is ever
-            # the slowest so far, and the tail threshold never activates.
-            trace.root.start_perf = -(1.0 - index * 0.01)
-            decisions.append(trace.finish())
+        # Strictly decreasing durations: nothing after the first is ever the
+        # slowest so far, and the tail threshold never activates.
+        decisions = [keep_one(tracer, 1.0 - index * 0.01) for index in range(50)]
         assert decisions[0] is True  # slowest-so-far exemplar
         assert sum(decisions[1:]) == 0
         stats = tracer.stats_snapshot()
@@ -248,14 +250,9 @@ class TestSampling:
         tracer = make_tracer(
             recorder, sample_every=0, tail_quantile=0.9, min_tail_observations=20
         )
-        tracer.clock = lambda: 0.0
         for _ in range(40):
-            trace = tracer.start_request()
-            trace.root.start_perf = -0.001
-            trace.finish()
-        slow = tracer.start_request()
-        slow.root.start_perf = -0.5
-        assert slow.finish() is True
+            keep_one(tracer, 0.001)
+        assert keep_one(tracer, 0.5) is True
         assert tracer.stats_snapshot()["trace_tail_exemplars"] >= 1.0
 
     def test_warm_tail_threshold_is_the_quantile_buckets_upper_edge(
@@ -264,12 +261,9 @@ class TestSampling:
         tracer = make_tracer(
             recorder, sample_every=0, tail_quantile=0.9, min_tail_observations=40
         )
-        tracer.clock = lambda: 0.0
 
         def finish_one(duration):
-            trace = tracer.start_request()
-            trace.root.start_perf = -duration
-            return trace.finish()
+            return keep_one(tracer, duration)
 
         # Warm the histogram: a bulk at 1ms, one early maximum at 200ms
         # (kept as slowest-so-far), and a p90 shoulder at 100ms.  The 40th
@@ -296,18 +290,37 @@ class TestSampling:
         # First batch: 10 members, finish counter starts at 0 -> head keeps
         # 0, 4, 8; the batch is trivially the slowest so far, so member 0
         # doubles as the single tail exemplar.
-        assert tracer.sample_owned_batch(10, 0.030) == [0, 4, 8]
+        assert tracer.sample([0.030] * 10) == [0, 4, 8]
         # Second batch: counter at 10 -> first head index is (-10) % 4 = 2;
         # a strictly slower batch still contributes only ONE exemplar.
-        assert tracer.sample_owned_batch(10, 0.050) == [0, 2, 6]
+        assert tracer.sample([0.050] * 10) == [0, 2, 6]
         # Third batch ties the maximum: no exemplar, head pattern only
         # (counter at 20 -> (-20) % 4 = 0, and member 0 is a head keep, not
         # a tail keep).
-        assert tracer.sample_owned_batch(10, 0.050) == [0, 4, 8]
+        assert tracer.sample([0.050] * 10) == [0, 4, 8]
         stats = tracer.stats_snapshot()
         assert stats["traces_started"] == stats["traces_finished"] == 30.0
         assert stats["traces_kept"] == 9.0
         assert stats["trace_tail_exemplars"] == 2.0
+
+    def test_dispatched_members_are_judged_one_by_one(self, recorder, store):
+        tracer = make_tracer(
+            recorder, sample_every=0, tail_quantile=0.9, min_tail_observations=10**9
+        )
+        # Dispatched members differ by their queue waits: each new maximum
+        # is an exemplar, wherever it sits in the batch.
+        assert tracer.sample([0.05, 0.04, 0.06, 0.01]) == [0, 2]
+        # The same durations one request at a time keep the same members.
+        sequential = make_tracer(
+            recorder, sample_every=0, tail_quantile=0.9, min_tail_observations=10**9
+        )
+        assert [keep_one(sequential, d) for d in (0.05, 0.04, 0.06, 0.01)] == [
+            True,
+            False,
+            True,
+            False,
+        ]
+        assert tracer.stats_snapshot() == sequential.stats_snapshot()
 
     def test_owned_member_round_trips_the_accounting_identity(
         self, recorder, store
@@ -315,13 +328,12 @@ class TestSampling:
         tracer = make_tracer(recorder)
         batch = tracer.begin("service_batch", members=4, estimator_name="crn")
         tracer.end(batch)
-        trace_id = tracer.emit_owned_member(
-            "crn",
-            1000.0,
+        trace_id = tracer.emit_request(
             5.0,
             5.2,
-            batch,
-            0.05,
+            "crn",
+            batch=batch,
+            amortized_seconds=0.05,
             latency_seconds=0.05,
             resolution="pool",
         )
@@ -336,24 +348,18 @@ class TestSampling:
         tracer = make_tracer(
             recorder, sample_every=0, tail_quantile=0.9, min_tail_observations=20
         )
-        tracer.clock = lambda: 0.0
-        decisions = []
-        for _ in range(80):  # > _TAIL_REFRESH so the warm threshold engages
-            trace = tracer.start_request()
-            trace.root.start_perf = -0.01
-            decisions.append(trace.finish())
+        # > _TAIL_REFRESH finishes, so the warm threshold engages.
+        decisions = [keep_one(tracer, 0.01) for _ in range(80)]
         assert decisions[0] is True  # trivially the slowest so far
         assert sum(decisions[1:]) == 0
         assert tracer.stats_snapshot()["trace_tail_exemplars"] == 1.0
 
     def test_dropped_traces_emit_nothing(self, recorder, store):
         tracer = make_tracer(recorder, sample_every=0, min_tail_observations=10**9)
-        tracer.clock = lambda: 0.0
         for index in range(10):
-            trace = tracer.start_request()
-            trace.root.start_perf = -(1.0 - index * 0.05)
-            trace.add_span("queue_wait", 0.001)
-            trace.finish()
+            duration = 1.0 - index * 0.05
+            for _ in tracer.sample([duration]):
+                tracer.emit_request(0.0, duration, queue_wait=0.001)
         spans = stored_spans(recorder, store)
         # Only the first (slowest-so-far) trace kept its spans.
         assert {row["name"] for row in spans} == {"request", "queue_wait"}
@@ -363,18 +369,19 @@ class TestSampling:
 class TestIdentity:
     def test_ids_are_unique_across_tracer_instances(self, store):
         recorders = [
-            EventRecorder(store=store, capacity=64, source=f"source-{i}")
+            EventRecorder(store=store, capacity=256, source=f"source-{i}")
             for i in range(2)
         ]
         tracers = [make_tracer(recorder) for recorder in recorders]
-        ids = set()
         for tracer in tracers:
             for _ in range(50):
-                trace = tracer.start_request()
-                ids.add(trace.trace_id)
-                ids.add(trace.root.span_id)
-                trace.abandon()
-        assert len(ids) == 2 * 2 * 50
+                tracer.emit_request(0.0, 0.01, queue_wait=0.001)
+        for recorder in recorders:
+            recorder.flush()
+        rows = store.query("SELECT trace_id, span_id FROM spans")
+        assert len(rows) == 2 * 2 * 50
+        assert len({row["trace_id"] for row in rows}) == 2 * 50
+        assert len({row["span_id"] for row in rows}) == 2 * 2 * 50
 
     def test_span_events_round_trip_through_the_event_taxonomy(self, recorder, store):
         tracer = make_tracer(recorder)

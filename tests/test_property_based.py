@@ -6,14 +6,14 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import q_error, q_errors
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
 from repro.nn.tensor import Tensor
-from repro.sql.containment import analytically_contained
+from repro.sql.containment import analytically_contained, analytically_equivalent
 from repro.sql.intersection import intersect_queries
 from repro.sql.parser import format_query, parse_query
 from repro.sql.query import ComparisonOperator, JoinClause, Predicate, Query, TableRef
@@ -63,16 +63,40 @@ def toy_queries(draw) -> Query:
     return Query.create(tables, joins, predicates)
 
 
+def _predicates_over(query: Query, min_size: int = 0, max_size: int = 2):
+    """Lists of predicates valid over ``query``'s FROM clause."""
+    if query.num_joins:
+        predicates = st.one_of(_MOVIE_PREDICATES, _RATING_PREDICATES)
+    else:
+        predicates = _MOVIE_PREDICATES
+    return st.lists(predicates, min_size=min_size, max_size=max_size)
+
+
 @st.composite
 def toy_query_pairs(draw) -> tuple[Query, Query]:
     """Pairs of queries over the same FROM clause."""
     first = draw(toy_queries())
-    if first.num_joins:
-        extra = draw(st.lists(st.one_of(_MOVIE_PREDICATES, _RATING_PREDICATES), max_size=2))
-    else:
-        extra = draw(st.lists(_MOVIE_PREDICATES, max_size=2))
+    extra = draw(_predicates_over(first))
     second = Query(first.tables, first.joins, tuple(extra))
     return first, second
+
+
+@st.composite
+def toy_query_triples(draw) -> tuple[Query, Query, Query]:
+    """Triples over one FROM clause, often a chain of narrowings.
+
+    Each query either adds predicates to the next one (so it is contained
+    in it) or takes fresh ones, so containment chains are common without
+    being the only case.
+    """
+    third = draw(toy_queries())
+    chain = [third]
+    for _ in range(2):
+        wider = chain[0]
+        extra = tuple(draw(_predicates_over(wider)))
+        base = wider.predicates if draw(st.booleans()) else ()
+        chain.insert(0, Query(wider.tables, wider.joins, base + extra))
+    return chain[0], chain[1], chain[2]
 
 
 _COMMON_SETTINGS = settings(
@@ -158,6 +182,41 @@ class TestExecutionProperties:
         assert TOY_EXECUTOR.cardinality(restricted, use_cache=False) <= TOY_EXECUTOR.cardinality(
             query, use_cache=False
         )
+
+
+class TestContainmentProperties:
+    @_COMMON_SETTINGS
+    @given(pair=st.one_of(toy_query_pairs(), st.tuples(toy_queries(), toy_queries())))
+    def test_equivalence_is_containment_both_ways(self, pair):
+        first, second = pair
+        assert analytically_equivalent(first, second) == (
+            analytically_contained(first, second) and analytically_contained(second, first)
+        )
+
+    @_COMMON_SETTINGS
+    @given(query=toy_queries())
+    def test_containment_is_reflexive(self, query: Query):
+        assert analytically_contained(query, query)
+
+    @_COMMON_SETTINGS
+    @given(triple=toy_query_triples())
+    def test_containment_is_transitive(self, triple):
+        first, second, third = triple
+        assume(analytically_contained(first, second))
+        assume(analytically_contained(second, third))
+        assert analytically_contained(first, third)
+
+    @_COMMON_SETTINGS
+    @given(query=toy_queries(), data=st.data())
+    def test_adding_a_predicate_gives_a_contained_query(self, query: Query, data):
+        (extra,) = data.draw(_predicates_over(query, min_size=1, max_size=1))
+        if query.predicates and data.draw(st.booleans()):
+            # Re-bound a column the query already bounds, the case where the
+            # interval fold has to keep the tighter of two bounds.
+            bounded = data.draw(st.sampled_from(query.predicates))
+            shift = data.draw(st.integers(min_value=-5, max_value=5))
+            extra = Predicate(bounded.alias, bounded.column, bounded.operator, bounded.value + shift)
+        assert analytically_contained(query.add_predicates([extra]), query)
 
 
 # --------------------------------------------------------------------------- #

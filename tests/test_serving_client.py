@@ -602,7 +602,7 @@ class TestEveryResultField:
         client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         matched = [q for q in workload if pool.has_match(q)][:2]
         with pytest.raises(ValueError):
-            client.service.submit_batch(matched, stamps=[((), 0.0)])
+            client.service.submit_batch(matched, stamps=[((), 0.0, 0.0)])
 
 
 class TestErrorTaxonomy:

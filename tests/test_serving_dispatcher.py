@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.estimators import CardinalityEstimator
 from repro.datasets import build_queries_pool_queries
+from repro.observability import EventRecorder, EventStore, Tracer
 from repro.serving import (
     DispatcherShutdownError,
     EstimationService,
@@ -696,6 +697,137 @@ def gated_dispatcher(max_batch: int = 1):
     service = EstimationService()
     service.register("gated", gated)
     return gated, ServingDispatcher(service, max_batch=max_batch).start()
+
+
+def traced_service(sample_every: int = 1):
+    """A bare service whose tracer writes into an in-memory event store."""
+    store = EventStore(":memory:")
+    recorder = EventRecorder(store=store, capacity=4096, source="test")
+    tracer = Tracer(recorder, sample_every=sample_every)
+    return EstimationService(recorder=recorder, tracer=tracer), store
+
+
+def stored_request_traces(service, store) -> list[dict]:
+    """Every stored request trace: its root, child stages and links."""
+    service.recorder.flush()
+    traces = []
+    for root in store.query("SELECT * FROM spans WHERE name = 'request'"):
+        spans = store.spans_for_trace(root["trace_id"])
+        traces.append(
+            {
+                "root": next(span for span in spans if span["span_id"] == root["span_id"]),
+                "children": [span for span in spans if span["parent_id"] == root["span_id"]],
+                "links": store.links_for_trace(root["trace_id"]),
+            }
+        )
+    return traces
+
+
+def poisoned_batch(service, model, imdb_featurizer, pool, workload):
+    """Serve three good requests, a poison one and three more as one batch.
+
+    The service has no fallback, so the coalesced batch fails as a whole
+    and the dispatcher retries its members one by one.
+    """
+    service.register("crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
+    dispatcher = ServingDispatcher(service, max_batch=16)
+    good = [dispatcher.submit(query) for query in workload[:3]]
+    poison = dispatcher.submit(unmatched_query())
+    good += [dispatcher.submit(query) for query in workload[3:6]]
+    dispatcher.start()
+    dispatcher.shutdown()
+    with pytest.raises(NoMatchingPoolQueryError):
+        poison.result()
+    return [future.result() for future in good]
+
+
+class TestDispatcherTraces:
+    """Request traces of dispatched requests, read back from the event store."""
+
+    def test_poison_request_leaves_one_error_trace_and_batch_mates_keep_theirs(
+        self, model, imdb_featurizer, pool, workload
+    ):
+        service, store = traced_service()
+        served = poisoned_batch(service, model, imdb_featurizer, pool, workload)
+        traces = stored_request_traces(service, store)
+        failed = [t for t in traces if "error" in t["root"]["attributes"]]
+        kept = [t for t in traces if "error" not in t["root"]["attributes"]]
+        assert len(failed) == 1 and len(kept) == len(served) == 6
+        (poison,) = failed
+        assert poison["root"]["attributes"]["error"].startswith("NoMatchingPoolQueryError: ")
+        assert [span["name"] for span in poison["children"]] == ["queue_wait"]
+        assert [(link["span_name"], link["link_kind"]) for link in poison["links"]] == [
+            ("dispatcher_batch", "context")
+        ]
+        for trace in kept:
+            attributes = trace["root"]["attributes"]
+            assert set(attributes) == {
+                "estimator",
+                "latency_seconds",
+                "queue_wait_seconds",
+                "resolution",
+            }
+            assert [span["name"] for span in trace["children"]] == ["queue_wait"]
+            assert [(link["span_name"], link["link_kind"]) for link in trace["links"]] == [
+                ("dispatcher_batch", "context"),
+                ("service_batch", "amortized"),
+            ]
+            assert trace["links"][1]["amortized_seconds"] == float(
+                attributes["latency_seconds"]
+            )
+        assert sorted(float(t["root"]["attributes"]["latency_seconds"]) for t in kept) == sorted(
+            item.latency_seconds for item in served
+        )
+        stats = service.tracer.stats_snapshot()
+        assert stats["traces_started"] == stats["traces_finished"] == 7.0
+        assert stats["traces_kept"] == 7.0
+        store.close()
+
+    def test_failed_trace_is_always_kept_with_the_error(
+        self, model, imdb_featurizer, pool, workload
+    ):
+        # No head sampling: a batch-mate is kept only as a tail exemplar,
+        # but the poison request's error trace is kept regardless.
+        service, store = traced_service(sample_every=0)
+        poisoned_batch(service, model, imdb_featurizer, pool, workload)
+        failed = [
+            trace
+            for trace in stored_request_traces(service, store)
+            if "error" in trace["root"]["attributes"]
+        ]
+        assert len(failed) == 1
+        assert failed[0]["root"]["attributes"]["error"].startswith(
+            "NoMatchingPoolQueryError: "
+        )
+        store.close()
+
+    def test_abandon_counts_a_drop_and_emits_nothing(self, workload):
+        service, store = traced_service()
+        gated = GatedEstimator()
+        service.register("gated", gated)
+        dispatcher = ServingDispatcher(service, max_batch=1).start()
+        try:
+            first = dispatcher.submit(workload[0])
+            assert gated.entered.wait(30)  # the dispatcher is inside batch 1
+            abandoned = dispatcher.submit(workload[1])
+            assert abandoned.cancel()  # cancelled before pickup
+            gated.release.set()
+            assert first.result(timeout=30).estimate == 7.0
+        finally:
+            gated.release.set()
+            dispatcher.shutdown()
+        assert gated.calls == [workload[0]]
+        stats = service.tracer.stats_snapshot()
+        assert stats["traces_started"] == stats["traces_finished"] == 2.0
+        assert stats["traces_kept"] == 1.0
+        assert stats["traces_dropped"] == 1.0
+        # Only the served request wrote a trace.
+        traces = stored_request_traces(service, store)
+        assert len(traces) == 1
+        assert float(traces[0]["root"]["attributes"]["latency_seconds"]) == (
+            first.result().latency_seconds
+        )
+        store.close()
 
 
 class TestDeadlines:
