@@ -30,9 +30,10 @@ from repro.sql.query import Query
 #: sets"; sum pooling is kept for the ablation benchmark.
 POOLING_STRATEGIES = ("average", "sum")
 
-#: Rows per fixed-shape pair-head pass: the one default behind every
-#: ``batch_size`` / ``slab_size``.  A rate's bits depend on this height alone,
-#: so a request pays for its own rows rounded up to it, not for a 256-row slab.
+#: Rows per fixed-shape pair-head pass: what :class:`CRNEstimator` always runs
+#: and every ``slab_size`` defaults to.  A rate's bits depend on this height
+#: alone, so a request pays for its own rows rounded up to it, not for a
+#: 256-row slab.
 PASS_ROWS = 16
 #: Most rows one stacked :func:`pair_head` pass covers: its buffers stay
 #: cache-resident however many rows a batch brings.
@@ -417,7 +418,6 @@ class CRNEstimator(ContainmentEstimator):
         featurizer: the featurizer bound to the evaluation database.  Any
             object with ``featurize`` / ``vector_size`` works, so a
             :class:`repro.serving.FeaturizationCache` can be dropped in.
-        batch_size: rows per fixed-shape pair-head pass.
         encoding_cache: optional cross-call ``(query, position) -> Qvec``
             cache (:class:`repro.serving.EncodingCache`); when omitted,
             encodings are still deduplicated within each call.
@@ -429,7 +429,6 @@ class CRNEstimator(ContainmentEstimator):
         self,
         model: CRNModel,
         featurizer: QueryFeaturizer,
-        batch_size: int = PASS_ROWS,
         encoding_cache=None,
     ) -> None:
         if model.vector_size != featurizer.vector_size:
@@ -437,11 +436,8 @@ class CRNEstimator(ContainmentEstimator):
                 f"model expects vectors of size {model.vector_size}, "
                 f"featurizer produces {featurizer.vector_size}"
             )
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.model = model
         self.featurizer = featurizer
-        self.batch_size = batch_size
         self.encoding_cache = encoding_cache
         #: Optional compiled inference plan
         #: (:class:`repro.serving.InferencePlan`).  When attached, resident
@@ -490,7 +486,7 @@ class CRNEstimator(ContainmentEstimator):
         encodings = self._encode_unique(pairs)
         first_reprs = np.stack([encodings[(first, 1)] for first, _ in pairs])
         second_reprs = np.stack([encodings[(second, 2)] for _, second in pairs])
-        rates = self.model.rates_from_encodings(first_reprs, second_reprs, self.batch_size)
+        rates = self.model.rates_from_encodings(first_reprs, second_reprs)
         return [float(rate) for rate in rates]
 
     def encode_query(self, query: Query, position: int) -> np.ndarray:
@@ -573,9 +569,7 @@ class CRNEstimator(ContainmentEstimator):
         else:
             stacked_first = np.concatenate([first for first, _ in blocks], axis=0)
             stacked_second = np.concatenate([second for _, second in blocks], axis=0)
-        rates = self.model.rates_from_encodings(
-            stacked_first, stacked_second, slab_size=self.batch_size
-        )
+        rates = self.model.rates_from_encodings(stacked_first, stacked_second)
         offset = 0
         for index, (first, _) in zip(resident, blocks):
             count = first.shape[0]

@@ -172,10 +172,6 @@ class QueryFeaturizer:
             matrix[row, value_offset] = self.normalize_value(qualified, predicate.value)
         return matrix
 
-    def featurize_pair(self, first: Query, second: Query) -> tuple[np.ndarray, np.ndarray]:
-        """Featurize an ordered query pair into two vector sets."""
-        return self.featurize(first), self.featurize(second)
-
     def normalize_value(self, qualified_column: str, value: float) -> float:
         """Min-max normalize a predicate value using the column's value range."""
         low, high = self._value_ranges[qualified_column]

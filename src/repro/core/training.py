@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel, sigmoid_into
+from repro.core.crn import CRNConfig, CRNEstimator, CRNModel, sigmoid_into
 from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import QueryPair
@@ -90,9 +90,9 @@ class TrainingResult:
     best_validation_q_error: float = float("inf")
     stopped_early: bool = False
 
-    def estimator(self, batch_size: int = PASS_ROWS) -> CRNEstimator:
+    def estimator(self) -> CRNEstimator:
         """Wrap the trained model as a :class:`~repro.core.estimators.ContainmentEstimator`."""
-        return CRNEstimator(self.model, self.featurizer, batch_size=batch_size)
+        return CRNEstimator(self.model, self.featurizer)
 
     @property
     def epochs_run(self) -> int:

@@ -79,21 +79,25 @@ from typing import Any, ClassVar
 class Event:
     """Base class of every serving event.
 
-    Subclasses set ``kind`` (the store's discriminator column) and may
-    override :meth:`value`, :attr:`estimator_field`, or
-    :attr:`generation_field` to surface their primary scalar / grouping
-    columns to the store.
+    Subclasses set ``kind`` (the store's discriminator column) and
+    ``value_field`` (the field :meth:`value` surfaces to the store's
+    ``value`` column); an ``estimator_name`` / ``generation`` field is the
+    event's grouping column.
     """
 
     kind: ClassVar[str] = "event"
+    #: The field holding the event's primary scalar (None: it has none).
+    value_field: ClassVar[str | None] = None
 
     def payload(self) -> dict[str, Any]:
         """Every field as a plain dict (JSON-ready)."""
         return asdict(self)
 
     def value(self) -> float | None:
-        """The event's primary scalar, or None when it has no single one."""
-        return None
+        """The :attr:`value_field` as a float, or None when there is none."""
+        if self.value_field is None:
+            return None
+        return float(getattr(self, self.value_field))
 
     def estimator(self) -> str | None:
         """The registry name this event attributes to, when any."""
@@ -110,6 +114,7 @@ class RequestServed(Event):
     """One answered estimation request."""
 
     kind: ClassVar[str] = "request_served"
+    value_field: ClassVar[str] = "latency_seconds"
 
     estimator_name: str
     resolution: str
@@ -120,15 +125,13 @@ class RequestServed(Event):
     pairs_scored: int
     used_fallback: bool
 
-    def value(self) -> float:
-        return self.latency_seconds
-
 
 @dataclass(frozen=True)
 class BatchServed(Event):
     """One planned service batch, with its cache hit/miss deltas."""
 
     kind: ClassVar[str] = "batch_served"
+    value_field: ClassVar[str] = "elapsed_seconds"
 
     estimator_name: str
     size: int
@@ -140,23 +143,18 @@ class BatchServed(Event):
     encoding_hits: int
     encoding_misses: int
 
-    def value(self) -> float:
-        return self.elapsed_seconds
-
 
 @dataclass(frozen=True)
 class DispatcherBatch(Event):
     """One batch the dispatcher coalesced and handed to the service."""
 
     kind: ClassVar[str] = "dispatcher_batch"
+    value_field: ClassVar[str] = "size"
 
     size: int
     groups: int
     cancelled: int
     queue_depth: int
-
-    def value(self) -> float:
-        return float(self.size)
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,11 @@ class IndexBuild(Event):
     """One pool-index slab build, rebuild, or incremental append."""
 
     kind: ClassVar[str] = "index_build"
+    value_field: ClassVar[str] = "rows"
 
     signature: str
     rows: int
     mode: str  # "build" | "rebuild" | "append"
-
-    def value(self) -> float:
-        return float(self.rows)
 
 
 @dataclass(frozen=True)
@@ -178,6 +174,7 @@ class FeedbackRecorded(Event):
     """One ground-truth observation landing in the feedback window."""
 
     kind: ClassVar[str] = "feedback"
+    value_field: ClassVar[str] = "q_error"
 
     estimator_name: str
     estimate: float
@@ -185,15 +182,13 @@ class FeedbackRecorded(Event):
     q_error: float
     sequence: int
 
-    def value(self) -> float:
-        return self.q_error
-
 
 @dataclass(frozen=True)
 class DriftTrip(Event):
     """One drift evaluation whose policy fired."""
 
     kind: ClassVar[str] = "drift_trip"
+    value_field: ClassVar[str] = "q_error"
 
     estimator_name: str
     q_error: float
@@ -202,15 +197,13 @@ class DriftTrip(Event):
     row_delta: float
     reasons: tuple[str, ...]
 
-    def value(self) -> float:
-        return self.q_error
-
 
 @dataclass(frozen=True)
 class AcceptGateDecision(Event):
     """One candidate validation verdict (shadow deployment gate)."""
 
     kind: ClassVar[str] = "accept_gate"
+    value_field: ClassVar[str] = "candidate_q_error"
 
     estimator_name: str
     accepted: bool
@@ -219,15 +212,13 @@ class AcceptGateDecision(Event):
     holdout_size: int
     mode: str  # "incremental" | "full"
 
-    def value(self) -> float:
-        return self.candidate_q_error
-
 
 @dataclass(frozen=True)
 class ModelSwap(Event):
     """One promoted zero-downtime hot swap, keyed by model generation."""
 
     kind: ClassVar[str] = "model_swap"
+    value_field: ClassVar[str] = "post_swap_q_error"
 
     estimator_name: str
     generation: int
@@ -237,23 +228,18 @@ class ModelSwap(Event):
     mode: str
     retrain_seconds: float
 
-    def value(self) -> float:
-        return self.post_swap_q_error
-
 
 @dataclass(frozen=True)
 class PlanCompiled(Event):
     """One compiled inference plan (build-time or pre-swap recompile)."""
 
     kind: ClassVar[str] = "plan_compile"
+    value_field: ClassVar[str] = "compile_seconds"
 
     estimator_name: str
     generation: int
     dtype: str
     compile_seconds: float
-
-    def value(self) -> float:
-        return self.compile_seconds
 
 
 @dataclass(frozen=True)
@@ -268,14 +254,12 @@ class PlanSwap(Event):
     """
 
     kind: ClassVar[str] = "plan_swap"
+    value_field: ClassVar[str] = "generation"
 
     estimator_name: str
     generation: int
     dtype: str
     outcome: str  # "promoted" | "rollback"
-
-    def value(self) -> float:
-        return float(self.generation)
 
 
 @dataclass(frozen=True)
@@ -293,6 +277,7 @@ class SpanRecorded(Event):
     """
 
     kind: ClassVar[str] = "span"
+    value_field: ClassVar[str] = "duration_seconds"
 
     trace_id: str
     span_id: str
@@ -303,9 +288,6 @@ class SpanRecorded(Event):
     estimator_name: str = ""
     members: int = 1
     attributes: tuple[tuple[str, str], ...] = ()
-
-    def value(self) -> float:
-        return self.duration_seconds
 
 
 @dataclass(frozen=True)
@@ -324,6 +306,7 @@ class SpanLinked(Event):
     """
 
     kind: ClassVar[str] = "span_link"
+    value_field: ClassVar[str] = "amortized_seconds"
 
     trace_id: str
     span_id: str
@@ -331,9 +314,6 @@ class SpanLinked(Event):
     amortized_seconds: float
     members: int = 1
     link_kind: str = "amortized"
-
-    def value(self) -> float:
-        return self.amortized_seconds
 
 
 @dataclass(frozen=True)
@@ -347,13 +327,11 @@ class ArtifactSaved(Event):
     """
 
     kind: ClassVar[str] = "artifact_saved"
+    value_field: ClassVar[str] = "size_bytes"
 
     generation: int
     source: str  # "build" | "promote" | "manual"
     size_bytes: int
-
-    def value(self) -> float:
-        return float(self.size_bytes)
 
 
 @dataclass(frozen=True)
@@ -361,13 +339,11 @@ class ArtifactLoaded(Event):
     """One checksum-verified bundle deserialized for a cold-start boot."""
 
     kind: ClassVar[str] = "artifact_loaded"
+    value_field: ClassVar[str] = "generation"
 
     generation: int
     source: str  # the loaded bundle's recorded save source
     adaptation_downgraded: bool = False
-
-    def value(self) -> float:
-        return float(self.generation)
 
 
 @dataclass(frozen=True)
@@ -375,12 +351,10 @@ class ArtifactPromoted(Event):
     """One atomic advance of the store's ``latest`` pointer."""
 
     kind: ClassVar[str] = "artifact_promoted"
+    value_field: ClassVar[str] = "generation"
 
     generation: int
     previous: int | None
-
-    def value(self) -> float:
-        return float(self.generation)
 
 
 @dataclass(frozen=True)
@@ -388,12 +362,10 @@ class ArtifactRolledBack(Event):
     """One ``latest``-pointer rollback to the previous generation."""
 
     kind: ClassVar[str] = "artifact_rolled_back"
+    value_field: ClassVar[str] = "generation"
 
     generation: int  # now serving again
     rolled_back_from: int | None
-
-    def value(self) -> float:
-        return float(self.generation)
 
 
 @dataclass(frozen=True)
@@ -407,6 +379,7 @@ class StatsDrained(Event):
     """
 
     kind: ClassVar[str] = "stats_drained"
+    value_field: ClassVar[str] = "requests"
 
     requests: int
     batches: int
@@ -414,9 +387,6 @@ class StatsDrained(Event):
     scored_pairs: int
     fallbacks: int
     total_seconds: float
-
-    def value(self) -> float:
-        return float(self.requests)
 
 
 #: Every event class, keyed by its ``kind`` discriminator.

@@ -17,9 +17,7 @@ Three shapes live here:
   serving components hold (``record()`` is a bucket-index computation plus
   one locked increment);
 * :class:`HistogramSnapshot` — a frozen copy with the same read surface,
-  safe to hand across threads and to **merge** (shards, per-worker
-  histograms, before/after intervals) — merging is exact because bucket
-  boundaries are construction parameters, not data-dependent;
+  safe to hand across threads;
 * the quantile contract — ``quantile(q)`` returns the geometric midpoint of
   the bucket holding rank ``round(q * (count - 1))``, the same rank
   convention as :meth:`repro.observability.EventStore.latency_quantile`, so
@@ -53,7 +51,7 @@ def _bucket_count(min_value: float, max_value: float, growth: float) -> int:
 
 @dataclass(frozen=True)
 class HistogramSnapshot:
-    """A frozen, mergeable view of a :class:`LatencyHistogram`.
+    """A frozen view of a :class:`LatencyHistogram`.
 
     ``counts`` has ``len == interior buckets + 2``: index 0 is the underflow
     bucket (< ``min_value``), the last index is the overflow bucket
@@ -127,26 +125,11 @@ class HistogramSnapshot:
         low, high = self.bucket_bounds(index)
         return min(max(math.sqrt(low * high), self.min_seen), self.max_seen)
 
-    def quantile_lower_bound(self, q: float) -> float:
-        """The lower edge of the bucket holding the ``q`` quantile.
-
-        Comparing a new value to the *lower* edge (instead of the bucket
-        midpoint) guarantees every value at or above the true quantile
-        clears the bar — bucket rounding can only admit extra values, never
-        reject one genuinely above the quantile.  NaN when empty.
-        """
-        if not self.count:
-            return float("nan")
-        index = self._quantile_bucket(q)
-        low, _ = self.bucket_bounds(index)
-        return low
-
     def quantile_upper_bound(self, q: float) -> float:
         """The exclusive upper edge of the bucket holding the ``q`` quantile.
 
         A value at or above this edge is strictly slower than anything the
-        quantile bucket can hold — one bucket width above
-        :meth:`quantile_lower_bound`.  This is the tracer's tail-exemplar
+        quantile bucket can hold.  This is the tracer's tail-exemplar
         threshold: requiring a keeper to clear the whole quantile bucket
         means a degenerate distribution (every observation landing in one
         bucket, e.g. a single coalesced batch stamping the identical
@@ -158,33 +141,6 @@ class HistogramSnapshot:
             return math.inf
         _, high = self.bucket_bounds(self._quantile_bucket(q))
         return high
-
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        """Exact union of two snapshots with identical bucket layouts.
-
-        Raises:
-            ValueError: when the layouts differ — merging across layouts
-                would silently misattribute counts.
-        """
-        if (
-            self.min_value != other.min_value
-            or self.max_value != other.max_value
-            or self.growth != other.growth
-        ):
-            raise ValueError(
-                "cannot merge histograms with different bucket layouts: "
-                f"({self.min_value}, {self.max_value}, {self.growth}) vs "
-                f"({other.min_value}, {other.max_value}, {other.growth})"
-            )
-        return HistogramSnapshot(
-            min_value=self.min_value,
-            max_value=self.max_value,
-            growth=self.growth,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            total_sum=self.total_sum + other.total_sum,
-            min_seen=min(self.min_seen, other.min_seen),
-            max_seen=max(self.max_seen, other.max_seen),
-        )
 
 
 class LatencyHistogram:
@@ -265,7 +221,7 @@ class LatencyHistogram:
                 self._max_seen = value
 
     def snapshot(self) -> HistogramSnapshot:
-        """A frozen, mergeable copy of the current state."""
+        """A frozen copy of the current state."""
         with self._lock:
             return HistogramSnapshot(
                 min_value=self.min_value,
@@ -277,41 +233,12 @@ class LatencyHistogram:
                 max_seen=self._max_seen,
             )
 
-    def merge_snapshot(self, other: HistogramSnapshot) -> None:
-        """Fold a snapshot (same layout) into this live histogram."""
-        if (
-            self.min_value != other.min_value
-            or self.max_value != other.max_value
-            or self.growth != other.growth
-        ):
-            raise ValueError(
-                "cannot merge a snapshot with a different bucket layout"
-            )
-        with self._lock:
-            for index, bucket in enumerate(other.counts):
-                self._counts[index] += bucket
-            self._total_sum += other.total_sum
-            self._min_seen = min(self._min_seen, other.min_seen)
-            self._max_seen = max(self._max_seen, other.max_seen)
-
-    def reset(self) -> None:
-        """Zero every bucket and the exact min/max/sum."""
-        with self._lock:
-            self._counts = [0] * (self._interior + 2)
-            self._total_sum = 0.0
-            self._min_seen = float("inf")
-            self._max_seen = float("-inf")
-
     # Read-side conveniences delegate to a snapshot: one lock acquisition,
     # then lock-free math.
 
     def quantile(self, q: float) -> float:
         """See :meth:`HistogramSnapshot.quantile`."""
         return self.snapshot().quantile(q)
-
-    def quantile_lower_bound(self, q: float) -> float:
-        """See :meth:`HistogramSnapshot.quantile_lower_bound`."""
-        return self.snapshot().quantile_lower_bound(q)
 
     @property
     def mean(self) -> float:

@@ -128,11 +128,6 @@ class SpanHandle:
         self.attributes: dict[str, Any] = {}
         self.duration_seconds = 0.0
 
-    def set(self, **attributes: Any) -> "SpanHandle":
-        """Attach attributes (merged; later keys win)."""
-        self.attributes.update(attributes)
-        return self
-
 
 class Tracer:
     """The span factory the serving stack shares.
@@ -430,32 +425,6 @@ class Tracer:
         with self._stats_lock:
             self._shared_spans += 1
         return handle
-
-    class _SpanContext:
-        __slots__ = ("_tracer", "_name", "_kwargs", "handle")
-
-        def __init__(self, tracer: "Tracer", name: str, kwargs: dict[str, Any]) -> None:
-            self._tracer = tracer
-            self._name = name
-            self._kwargs = kwargs
-            self.handle: SpanHandle | None = None
-
-        def __enter__(self) -> SpanHandle:
-            self.handle = self._tracer.begin(self._name, **self._kwargs)
-            return self.handle
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            self._tracer.end(self.handle)
-
-    def span(
-        self, name: str, members: int = 1, estimator_name: str = "", **attributes: Any
-    ) -> "_SpanContext":
-        """``with tracer.span("index_build") as handle: ...`` convenience."""
-        return self._SpanContext(
-            self,
-            name,
-            {"members": members, "estimator_name": estimator_name, **attributes},
-        )
 
     # ------------------------------------------------------------------ #
     # reporting

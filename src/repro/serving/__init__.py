@@ -90,7 +90,7 @@ estimator registry (with :meth:`EstimationService.replace` for zero-downtime
 hot swaps) and the queries pool all take fine-grained locks.
 
 Batched serving is exact: the CRN inference path encodes each query in
-isolation and runs the pair head in fixed-shape ``batch_size``-row tiles
+isolation and runs the pair head in fixed-shape ``PASS_ROWS``-row tiles
 (:meth:`repro.core.crn.CRNModel.rates_from_encodings`), so served estimates
 are bit-for-bit identical to the naive per-request loop — whether batched by
 one caller or coalesced across threads by the dispatcher.  See

@@ -44,7 +44,7 @@ from concurrent.futures import Future
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.cnt2crd import Cnt2CrdEstimator
-from repro.core.crn import CRNEstimator
+from repro.core.crn import PASS_ROWS
 from repro.core.featurization import QueryFeaturizer
 from repro.observability.events import ArtifactLoaded
 from repro.observability.recorder import EventRecorder
@@ -99,7 +99,7 @@ _RETIRED_CONFIG_KEYS: dict[tuple[str, str], Any] = {
     ("estimator", "fallback_name"): FALLBACK_NAME,
     ("estimator", "final_function"): _default(Cnt2CrdEstimator, "final_function"),
     ("estimator", "epsilon"): _default(Cnt2CrdEstimator, "epsilon"),
-    ("estimator", "batch_size"): _default(CRNEstimator, "batch_size"),
+    ("estimator", "batch_size"): PASS_ROWS,
 }
 
 

@@ -7,8 +7,8 @@ raises what.  Each member also keeps its legacy base class
 (``KeyError`` / ``TimeoutError`` / ``RuntimeError``), so pre-redesign callers
 catching the old types keep working unchanged:
 
-* :class:`UnknownEstimatorError` — a request (or ``replace`` / ``unregister``)
-  named a registry entry that does not exist.  Also a ``KeyError``.
+* :class:`UnknownEstimatorError` — a request (or ``replace``) named a
+  registry entry that does not exist.  Also a ``KeyError``.
 * :class:`DeadlineExceededError` — a caller's per-request deadline
   (:attr:`repro.serving.RequestOptions.timeout_seconds`, or the ``timeout``
   of :meth:`repro.serving.ServingDispatcher.estimate`) expired before the
@@ -70,8 +70,7 @@ class UnknownEstimatorError(ServingError, KeyError):
 
     Subclasses ``KeyError`` for backward compatibility with pre-taxonomy
     callers of :meth:`repro.serving.EstimationService.get` /
-    :meth:`~repro.serving.EstimationService.replace` /
-    :meth:`~repro.serving.EstimationService.unregister`.
+    :meth:`~repro.serving.EstimationService.replace`.
     """
 
     def __str__(self) -> str:

@@ -20,11 +20,11 @@ The adaptation cycle, end to end::
     retrain (RetrainSession: incremental, escalating to full after
              repeated failures) + refresh_queries_pool
         ▼
-    shadow-register candidate ──▶ validate on the most recent feedback
-        │                          slice (post-update ground truth)
+    shadow candidate (off the registry) ──▶ score the most recent feedback
+        │                                    slice (post-update ground truth)
         ▼
     accept gate: candidate q-error ≤ accept_ratio × incumbent q-error
-        ├── reject ──▶ unregister candidate, count it, cool down
+        ├── reject ──▶ count it, cool down
         └── accept ──▶ rebind the shared cache and pool index, wire
                        the candidate as boot does, pre-warm, replace()
                        atomically, clear the feedback window, re-baseline
@@ -68,7 +68,6 @@ from repro.observability.events import (
 )
 from repro.serving.config import ESTIMATOR_NAME, AdaptationConfig
 from repro.serving.feedback import FeedbackCollector
-from repro.serving.service import RequestOptions
 from repro.serving.stack import ServiceStack, wire_estimator
 
 
@@ -391,11 +390,15 @@ class AdaptationManager:
     knobs are the stack config's ``adaptation`` section, and the refreshed
     entry is the stack's Cnt2Crd estimator (``"crn"``).
 
-    Candidate validation is a *shadow deployment*: the candidate is
-    registered under ``"<name>-candidate"``, served the most recent feedback
-    slice through the ordinary batched path, compared against the incumbent's
-    recorded errors on exactly those queries, then unregistered — promoted
-    via :meth:`EstimationService.replace` only if it passes the gate.  With
+    Candidate validation is a *shadow deployment* that never touches the
+    registry: the candidate estimator scores the most recent feedback slice
+    itself (``estimate_cardinalities``, the bits the batched path would
+    serve, with the deployment's fallback estimator answering what the
+    registry fallback would), and its q-errors are compared against the
+    incumbent's recorded errors on exactly those queries — it is promoted
+    via :meth:`EstimationService.replace` only if it passes the gate.  No
+    request can name it and none of its work lands in the service's
+    counters, latency histogram or events.  With
     an empty window (e.g. a manual trigger before any feedback) the gate is
     skipped and the candidate promotes unconditionally.  Both the shadow and
     the promoted estimator are wired from the stack's config by
@@ -648,11 +651,12 @@ class AdaptationManager:
             candidate = self.retrainer.full() if escalate else self.retrainer.incremental()
             refreshed_pool = self.retrainer.refresh_pool()
             incumbent = self.service.get(self.estimator_name)
-            # Private caches, no pool index and no plan: the shadow serves
+            # Private caches, no pool index and no plan: the shadow scores
             # only the holdout and must not touch the incumbent's fast path.
             shadow = wire_estimator(
                 self.stack.config, candidate.model, candidate.featurizer, refreshed_pool
             )
+            shadow.fallback = self.stack.config.fallback_estimator
         except Exception as error:
             self.last_error = error
             seconds = time.perf_counter() - started
@@ -691,7 +695,7 @@ class AdaptationManager:
         except Exception as error:
             # The promote rebinds the shared encoding cache and pool index
             # *before* the registry swap; a failure in between (e.g. the
-            # estimator was unregistered mid-cycle) must not leave the
+            # registry refused the replace) must not leave the
             # still-serving incumbent fenced out of its own cache and slabs.
             # Hand both back (slabs rebuild lazily), count, keep adapting.
             self.last_error = error
@@ -716,12 +720,8 @@ class AdaptationManager:
             return AdaptationOutcome(
                 "promote-failed", mode, verdict, incumbent_q, candidate_q, seconds
             )
-        drained = self.service.drain_stats()
-        # The drained interval includes the shadow validation's own
-        # submissions; subtract them so the gauge attributes only real
-        # traffic to the outgoing generation.
+        requests_between = int(self.service.drain_stats()["requests"])
         generation = self.service.generation(self.estimator_name)
-        requests_between = max(int(drained["requests"]) - holdout_count, 0)
         self.stats.update(
             swaps=1,
             pre_swap_q_error=incumbent_q,
@@ -793,7 +793,7 @@ class AdaptationManager:
         )
 
     def _validate(self, shadow: Cnt2CrdEstimator) -> tuple[float, float, bool, int]:
-        """Shadow-deploy the candidate over the freshest feedback slice.
+        """Score the candidate over the freshest feedback slice.
 
         Returns ``(incumbent q-error, candidate q-error, accepted, holdout
         size)``; both q-errors are NaN (and the gate is skipped) on an empty
@@ -811,28 +811,16 @@ class AdaptationManager:
         )
         if not holdout:
             return float("nan"), float("nan"), True, 0
-        shadow_name = f"{self.estimator_name}-candidate"
-        self.service.register(shadow_name, shadow)
         try:
-            served = self.service.submit_batch(
-                [item.query for item in holdout], RequestOptions(estimator=shadow_name)
-            )
+            estimates = shadow.estimate_cardinalities([item.query for item in holdout])
         except Exception as error:
-            # A candidate that cannot even serve the holdout is rejected;
+            # A candidate that cannot even score the holdout is rejected;
             # the exception is kept for the operator (last_error contract).
             self.last_error = error
             return float("nan"), float("nan"), False, len(holdout)
-        finally:
-            self.service.unregister(shadow_name)
         truths = [item.true_cardinality for item in holdout]
         candidate_q = float(
-            np.median(
-                q_errors(
-                    [item.estimate for item in served],
-                    truths,
-                    epsilon=self.collector.epsilon,
-                )
-            )
+            np.median(q_errors(estimates, truths, epsilon=self.collector.epsilon))
         )
         incumbent_q = float(np.median([item.q_error for item in holdout]))
         if np.isnan(candidate_q) or np.isnan(incumbent_q):

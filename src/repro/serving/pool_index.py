@@ -65,6 +65,9 @@ from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
 from repro.observability.counters import Counters
 from repro.sql.query import Query
 
+#: Starting row capacity of a fresh slab (it grows geometrically).
+INITIAL_CAPACITY = 8
+
 
 class _Slab:
     """Mutable per-(scope, signature, dtype) storage with geometric growth.
@@ -135,13 +138,9 @@ class PoolEncodingIndex:
     Args:
         pool: the queries pool whose buckets the index mirrors.  A lifecycle
             promote retargets it with :meth:`rebind`.
-        initial_capacity: starting row capacity of a fresh slab (grows
-            geometrically).
     """
 
-    def __init__(self, pool: QueriesPool, initial_capacity: int = 8) -> None:
-        if initial_capacity <= 0:
-            raise ValueError("initial_capacity must be positive")
+    def __init__(self, pool: QueriesPool) -> None:
         self.pool = pool
         #: ``served`` / ``fallbacks``: resolves answered from a slab / turned
         #: away by the fence; ``builds``, ``rebuilds`` and ``appended_rows``:
@@ -157,7 +156,6 @@ class PoolEncodingIndex:
         # span — nested under the in-flight request's ``plan`` span when one
         # is open on this thread, standalone during warm-up.
         self.tracer = None
-        self._initial_capacity = initial_capacity
         self._slabs: dict[tuple, _Slab] = {}
         # One lock guards the owner fence AND the slab store: the fence
         # check and the slab install must be a single unit, or a reader
@@ -304,7 +302,7 @@ class PoolEncodingIndex:
                     if self._slabs.get(key) is not slab or getattr(slab, "entries", None) is not held:
                         continue  # another writer synced this slab meanwhile
                     if not append:
-                        capacity = max(self._initial_capacity, len(eligible))
+                        capacity = max(INITIAL_CAPACITY, len(eligible))
                         slab = _Slab(first.shape[1], capacity, dtype)
                         self._slabs[key] = slab
                     slab.fill(eligible, first, second)

@@ -87,11 +87,6 @@ class ServedEstimate:
     pairs_scored: int
     used_fallback: bool
 
-    @property
-    def latency_milliseconds(self) -> float:
-        """Attributed latency in milliseconds."""
-        return self.latency_seconds * 1000.0
-
 
 @dataclass(frozen=True)
 class RequestOptions:
@@ -371,40 +366,6 @@ class EstimationService:
             self._generations[name] = self._generations.get(name, 0) + 1
             return previous
 
-    def unregister(self, name: str) -> CardinalityEstimator:
-        """Remove the estimator registered under ``name`` and return it.
-
-        This is how the lifecycle retires a rejected candidate (see
-        :mod:`repro.serving.lifecycle`).  Reassignment rules:
-
-        * if ``name`` was the default, the earliest remaining registration
-          becomes the new default (none when the registry empties — the next
-          :meth:`register` call becomes the default again);
-        * if ``name`` was the registry :attr:`fallback`, the fallback is
-          cleared (unmatched requests raise again rather than routing to a
-          retired estimator).
-
-        In-flight batches that already resolved the estimator object finish
-        on it, exactly as with :meth:`replace`.
-
-        Raises:
-            UnknownEstimatorError: when ``name`` is not registered.  Also a
-                ``KeyError``.
-        """
-        with self._registry_lock:
-            if name not in self._registry:
-                raise UnknownEstimatorError(
-                    f"cannot unregister unknown estimator {name!r}; "
-                    f"registered: {sorted(self._registry)}"
-                )
-            estimator = self._registry.pop(name)
-            self._generations.pop(name, None)
-            if self._default == name:
-                self._default = next(iter(self._registry), None)
-            if self.fallback == name:
-                self.fallback = None
-            return estimator
-
     def names(self) -> list[str]:
         """All registered estimator names, in registration order."""
         with self._registry_lock:
@@ -438,7 +399,7 @@ class EstimationService:
         """The model generation of the entry registered under ``name``.
 
         1 on first registration, bumped by every :meth:`replace`; 0 for a
-        name that is not currently registered.
+        name that was never registered.
         """
         with self._registry_lock:
             return self._generations.get(name, 0)
@@ -524,11 +485,9 @@ class EstimationService:
             return []
         if options is None:
             options = _DEFAULT_OPTIONS
-        # Name, estimator, and generation resolve under ONE registry-lock
-        # acquisition: resolving the default and then looking it up separately
-        # would let a concurrent unregister() of that name land in between and
-        # fail the request, instead of letting it finish on the resolved
-        # estimator (stamped with the generation it resolved).
+        # Estimator and generation resolve under one registry-lock
+        # acquisition, so a concurrent replace() cannot stamp the new
+        # generation on an answer from the old estimator.
         with self._registry_lock:
             name = (
                 options.estimator
@@ -776,10 +735,6 @@ class EstimationService:
         )
         return _counter_block(self.stats.drain(emit))
 
-    def reset_stats(self) -> None:
-        """Zero the service counters (a drain whose interval is discarded)."""
-        self.stats.drain()
-
     # ------------------------------------------------------------------ #
     # internals
 
@@ -953,12 +908,8 @@ class EstimationService:
     ) -> _Answer:
         """Route a request the primary could not answer to the registry fallback.
 
-        The answer carries the fallback's name and generation.  Name,
-        estimator, and generation resolve under one registry-lock acquisition
-        (and travel with the result): a concurrent :meth:`unregister` of the
-        fallback entry must make this request raise cleanly or finish on the
-        resolved object — never crash on a half-removed entry or stamp a
-        vanished name (or another generation's number).
+        The answer carries the fallback's name and generation, resolved
+        under one registry-lock acquisition.
         """
         with self._registry_lock:
             fallback = self.fallback

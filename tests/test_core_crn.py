@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
+from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel
 from repro.core.featurization import QueryFeaturizer
 from repro.nn.tensor import Tensor
 from repro.sql.builder import QueryBuilder
@@ -97,13 +97,14 @@ class TestModel:
 class TestEstimator:
     def test_single_and_batch_estimates_agree(self, imdb_small, imdb_featurizer):
         model = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=6))
-        estimator = CRNEstimator(model, imdb_featurizer, batch_size=4)
+        estimator = CRNEstimator(model, imdb_featurizer)
         first = (
             QueryBuilder().table("title", "t").where("t.production_year", ">", 2000).build()
         )
         second = QueryBuilder().table("title", "t").build()
         single = estimator.estimate_containment(first, second)
-        batch = estimator.estimate_containments([(first, second)] * 5)
+        # More pairs than one PASS_ROWS tile, so the batch crosses a tile.
+        batch = estimator.estimate_containments([(first, second)] * (PASS_ROWS + 1))
         assert all(value == pytest.approx(single) for value in batch)
         assert 0.0 <= single <= 1.0
 

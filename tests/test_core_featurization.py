@@ -140,11 +140,6 @@ class TestFeaturize:
         with pytest.raises(KeyError):
             featurizer.featurize(query)
 
-    def test_featurize_pair_returns_both_sets(self, featurizer):
-        query = _example_query()
-        first, second = featurizer.featurize_pair(query, query.without_predicates())
-        assert first.shape[0] > second.shape[0]
-
 
 class TestPadding:
     def test_pad_sets_shapes_and_mask(self, featurizer):

@@ -25,7 +25,7 @@ from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, Quer
 from repro.core.crn import PASS_ROWS
 from repro.core.estimators import containment_pairs
 from repro.artifacts import ArtifactStore
-from repro.core.training import TrainingConfig, TrainingResult, train_crn
+from repro.core.training import TrainingConfig, train_crn
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.extensions.updates import incremental_update
 from repro.nn.tensor import Tensor, no_grad
@@ -38,6 +38,7 @@ from repro.serving import (
 )
 from repro.serving.client import _RETIRED_CONFIG_KEYS
 from repro.serving.config import ObservabilityConfig
+import repro.serving.pool_index as pool_index_module
 from repro.serving.pool_index import PoolEncodingIndex
 
 
@@ -146,8 +147,6 @@ class TestCompilePlan:
     def test_one_constant_sets_every_default_pass_height(self, imdb_featurizer):
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
         assert _RETIRED_CONFIG_KEYS["estimator", "batch_size"] == PASS_ROWS
-        assert CRNEstimator(crn, imdb_featurizer).batch_size == PASS_ROWS
-        assert TrainingResult(crn, imdb_featurizer).estimator().batch_size == PASS_ROWS
         first, second = encodings(16, 3 * PASS_ROWS + 1)
         np.testing.assert_array_equal(
             crn.rates_from_encodings(first, second),
@@ -251,15 +250,10 @@ class TestTileInvariance:
     def test_golden_batch_size_256_serves_the_bits_of_the_old_slab_path(
         self, rows, imdb_featurizer
     ):
-        # An artifact saved with batch_size=256 in its config must boot to
-        # the numbers it was saved with: the 256-row Tensor slab algorithm.
         crn = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=64, seed=5))
         first, second = encodings(64, rows, seed=rows)
         golden = tensor_head_by_passes(crn, first, second, 256)
-        estimator = CRNEstimator(crn, imdb_featurizer, batch_size=256)
-        served = estimator.model.rates_from_encodings(
-            first, second, slab_size=estimator.batch_size
-        )
+        served = crn.rates_from_encodings(first, second, slab_size=256)
         assert served.tobytes() == golden.tobytes()
 
     def test_threads_score_through_their_own_scratch(self):
@@ -429,7 +423,7 @@ class TestFusedSlabKernel:
             plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T[:, :4])
 
     def test_a_resolved_slab_scores_identically_after_appends_and_growth(
-        self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle
+        self, model, imdb_featurizer, pool, workload, imdb_small, imdb_oracle, monkeypatch
     ):
         # The snapshot contract for column appends: what a request resolved
         # keeps its bytes and stays what it scores, whether a later add
@@ -438,7 +432,9 @@ class TestFusedSlabKernel:
         own_pool = QueriesPool(pool)
         containment = CRNEstimator(model, imdb_featurizer)
         containment.attach_plan(compile_plan(model))
-        index = PoolEncodingIndex(own_pool, initial_capacity=1)
+        # A fresh slab is exactly full, so the first append must grow it.
+        monkeypatch.setattr(pool_index_module, "INITIAL_CAPACITY", 1)
+        index = PoolEncodingIndex(own_pool)
         estimator = Cnt2CrdEstimator(containment, own_pool, pool_index=index)
         # Unseen queries over one FROM signature the pool knows: one to
         # score, two to add.
@@ -552,7 +548,7 @@ class TestFusedSlabKernel:
 
 class TestEstimatorPlanAttachment:
     def test_attach_validates_model(self, model, imdb_featurizer):
-        estimator = CRNEstimator(model, imdb_featurizer, batch_size=128)
+        estimator = CRNEstimator(model, imdb_featurizer)
         other = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
         with pytest.raises(ValueError, match="different model"):
             estimator.attach_plan(compile_plan(other))
@@ -561,7 +557,7 @@ class TestEstimatorPlanAttachment:
         assert estimator.inference_plan is plan
         # Attaching is per estimator: a second one over the same model stays
         # on the reference path.
-        assert CRNEstimator(model, imdb_featurizer, batch_size=128).inference_plan is None
+        assert CRNEstimator(model, imdb_featurizer).inference_plan is None
 
 
 # --------------------------------------------------------------------------- #

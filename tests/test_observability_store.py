@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -82,6 +83,70 @@ def test_events_round_trip_through_payload_json():
         assert restored == [swap, trip]
         # reasons survived as a tuple, not the JSON list it rode through.
         assert restored[1].reasons == ("q_error_degraded", "rows_changed")
+
+
+def sample_event(cls):
+    """An instance of ``cls`` whose numeric fields all hold distinct values."""
+    values = {}
+    for index, spec in enumerate(fields(cls), start=1):
+        annotation = str(spec.type)
+        if annotation == "bool":
+            values[spec.name] = True
+        elif annotation == "str":
+            values[spec.name] = f"v{index}"
+        elif annotation.startswith("int"):
+            values[spec.name] = index
+        elif annotation == "float":
+            values[spec.name] = index + 0.25
+        elif annotation == "tuple[str, ...]":
+            values[spec.name] = ("reason",)
+        else:
+            assert annotation == "tuple[tuple[str, str], ...]", annotation
+            values[spec.name] = (("key", "value"),)
+    return cls(**values)
+
+
+#: Where the store keeps each kind's primary scalar: the tracing kinds are
+#: routed to their own tables, every other kind to ``events.value``.
+STORED_VALUE_SQL = {
+    "span": "SELECT duration_seconds AS value FROM spans",
+    "span_link": "SELECT amortized_seconds AS value FROM span_links",
+}
+
+
+#: Each kind's primary scalar: the field its ``value`` column aggregates.
+VALUE_FIELDS = {
+    "request_served": "latency_seconds",
+    "batch_served": "elapsed_seconds",
+    "dispatcher_batch": "size",
+    "index_build": "rows",
+    "feedback": "q_error",
+    "drift_trip": "q_error",
+    "accept_gate": "candidate_q_error",
+    "model_swap": "post_swap_q_error",
+    "plan_compile": "compile_seconds",
+    "plan_swap": "generation",
+    "span": "duration_seconds",
+    "span_link": "amortized_seconds",
+    "artifact_saved": "size_bytes",
+    "artifact_loaded": "generation",
+    "artifact_promoted": "generation",
+    "artifact_rolled_back": "generation",
+    "stats_drained": "requests",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+def test_value_is_the_declared_field_on_the_event_and_in_the_store(kind):
+    cls = EVENT_KINDS[kind]
+    assert cls.value_field == VALUE_FIELDS[kind]
+    event = sample_event(cls)
+    expected = float(getattr(event, VALUE_FIELDS[kind]))
+    assert type(event.value()) is float and event.value() == expected
+    with EventStore() as store:
+        store.insert("serving", [buffered(event, 0)])
+        (row,) = store.query(STORED_VALUE_SQL.get(kind, "SELECT value FROM events"))
+    assert row["value"] == expected
 
 
 def test_event_from_payload_ignores_unknown_fields():

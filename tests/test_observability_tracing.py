@@ -148,15 +148,6 @@ class TestSharedSpans:
         assert fresh.parent_id == ""  # the stack healed
         tracer.end(fresh)
 
-    def test_span_context_manager(self, recorder, store):
-        tracer = make_tracer(recorder)
-        with tracer.span("index_build", rows=7) as handle:
-            handle.set(mode="append")
-        spans = stored_spans(recorder, store)
-        assert len(spans) == 1
-        parsed = store.spans_for_trace(spans[0]["trace_id"])[0]
-        assert parsed["attributes"] == {"mode": "append", "rows": "7"}
-
     def test_standalone_begin_starts_its_own_trace(self, recorder, store):
         tracer = make_tracer(recorder)
         first = tracer.begin("index_build")

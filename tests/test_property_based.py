@@ -9,6 +9,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import (
+    Cnt2CrdEstimator,
+    Crd2CntEstimator,
+    OracleContainmentEstimator,
+    QueriesPool,
+)
 from repro.core.metrics import q_error, q_errors
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
@@ -217,6 +223,65 @@ class TestContainmentProperties:
             shift = data.draw(st.integers(min_value=-5, max_value=5))
             extra = Predicate(bounded.alias, bounded.column, bounded.operator, bounded.value + shift)
         assert analytically_contained(query.add_predicates([extra]), query)
+
+
+# --------------------------------------------------------------------------- #
+# the paper's transformations over exact rates
+
+
+def oracle_cnt2crd(query: Query, others: list[Query]) -> Cnt2CrdEstimator:
+    """Cnt2Crd over exact containment rates, pooling ``query``'s frame and ``others``.
+
+    Every pool member is labelled by the oracle; with the frame present, a
+    non-empty query always has an entry whose ``Qnew ⊂% Qold`` rate is 1.
+    """
+    pool = QueriesPool()
+    for member in (query.without_predicates(), *others):
+        pool.add(member, TOY_ORACLE.cardinality(member))
+    return Cnt2CrdEstimator(OracleContainmentEstimator(TOY_DATABASE, oracle=TOY_ORACLE), pool)
+
+
+@st.composite
+def queries_with_pool_members(draw) -> tuple[Query, list[Query]]:
+    """A toy query and up to three further pool queries over its FROM clause."""
+    query = draw(toy_queries())
+    others = [
+        Query(query.tables, query.joins, tuple(draw(_predicates_over(query))))
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    return query, others
+
+
+class TestTransformationProperties:
+    @_COMMON_SETTINGS
+    @given(drawn=queries_with_pool_members())
+    def test_cnt2crd_over_exact_rates_is_the_true_cardinality(self, drawn):
+        # Each surviving entry estimates (Qold ⊂% Qnew) / (Qnew ⊂% Qold) ·
+        # |Qold| = |Qnew| exactly; an empty Qnew has rate 0 against every
+        # entry, so all are filtered and the estimate collapses to 0.
+        query, others = drawn
+        truth = TOY_EXECUTOR.cardinality(query, use_cache=False)
+        estimate = oracle_cnt2crd(query, others).estimate_cardinality(query)
+        if truth == 0:
+            assert estimate == 0.0
+        else:
+            assert estimate == pytest.approx(truth, rel=1e-9)
+
+    @_COMMON_SETTINGS
+    @given(pair=toy_query_pairs(), data=st.data())
+    def test_crd2cnt_over_exact_cnt2crd_is_the_true_containment_rate(self, pair, data):
+        # Crd2Cnt(M) rates Q1 ⊂% Q2 as M(Q1 ∩ Q2) / M(Q1); Q1 ∩ Q2 shares
+        # Q1's FROM clause, so one frame serves both estimates.
+        first, second = pair
+        others = [
+            Query(first.tables, first.joins, tuple(data.draw(_predicates_over(first))))
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2)))
+        ]
+        estimator = Crd2CntEstimator(oracle_cnt2crd(first, others))
+        expected = TOY_ORACLE.containment_rate(first, second)
+        assert estimator.estimate_containment(first, second) == pytest.approx(
+            expected, rel=1e-9, abs=0.0
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -556,7 +556,7 @@ class TestEveryResultField:
         )
         assert served == self.expected(client, matched[0], served, batch_size=1)
 
-        client.service.reset_stats()
+        client.service.drain_stats()
         before = self.cache_hits(client)
         batch = client.estimate_many(matched, options)
         after = self.cache_hits(client)

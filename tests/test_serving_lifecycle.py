@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.baselines import PostgresCardinalityEstimator
@@ -17,6 +19,7 @@ from repro.core import (
     TrainingConfig,
     train_crn,
 )
+from repro.core.metrics import q_errors
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db import TrueCardinalityOracle
@@ -29,11 +32,14 @@ from repro.serving import (
     FeedbackCollector,
     FeedbackConfig,
     InferenceConfig,
+    RequestOptions,
     ServingClient,
     ServingConfig,
     ServingDispatcher,
+    UnknownEstimatorError,
     build_service_stack,
 )
+from repro.sql.builder import QueryBuilder
 from tests.conftest import build_service
 
 
@@ -348,7 +354,7 @@ class TestAdaptationManager:
         assert service.get("crn") is not before
         assert manager.stats.swaps == 1
         assert retrainer.result is not trained  # accepted state advanced
-        # The shadow candidate was retired: the registry is back to normal.
+        # The shadow candidate never entered the registry.
         assert set(service.names()) == {"crn", "fallback"}
         # The promote went through replace(): the registry generation bumped
         # and the lifecycle gauge records the same number.
@@ -373,7 +379,7 @@ class TestAdaptationManager:
         # served from the fast path too.
         assert post_swap.resolution == "indexed_slab"
 
-    def test_gate_rejects_and_unregisters_candidate(
+    def test_gate_rejects_candidate_and_leaves_the_registry_alone(
         self, trained, imdb_small, imdb_oracle, pool, workload
     ):
         service, collector, _, manager = self.build(
@@ -389,6 +395,119 @@ class TestAdaptationManager:
         assert service.get("crn") is before
         assert manager.stats.candidates_rejected == 1
         assert set(service.names()) == {"crn", "fallback"}
+
+    def test_validation_books_no_traffic_and_exposes_no_candidate(
+        self, trained, imdb_small, pool, workload
+    ):
+        # The candidate scores its holdout off the registry: a rejected cycle
+        # leaves the request count at the real traffic, the next swap
+        # attributes only real requests to the outgoing generation, and no
+        # request can address the candidate before, during or after a cycle.
+        service, collector, _, manager = self.build(
+            trained, imdb_small, pool, accept_ratio=1e-9
+        )
+        assert manager.config.holdout_size == 8
+        matched = [l for l in workload if pool.has_match(l.query)][:10]
+        assert len(matched) == 10
+        candidate = RequestOptions(estimator="crn-candidate")
+        probes: list[str] = []
+        validate = manager._validate
+
+        def probe_candidate():
+            try:
+                service.submit(matched[0].query, candidate)
+            except UnknownEstimatorError:
+                return "unknown"
+            return "served"
+
+        def probing_validate(shadow):
+            containment = shadow.containment_estimator
+            score = containment.rates_against_pools
+
+            def probing(items):
+                if not probes:
+                    probes.append("pending")  # a served probe re-enters here
+                    probes[0] = probe_candidate()
+                return score(items)
+
+            containment.rates_against_pools = probing
+            return validate(shadow)
+
+        manager._validate = probing_validate
+
+        def serve_real_traffic():
+            for labeled in matched:
+                collector.record_served(
+                    service.submit(labeled.query), true_cardinality=labeled.cardinality
+                )
+
+        assert probe_candidate() == "unknown"
+        serve_real_traffic()
+        assert manager.trigger().action == "rejected"
+        assert probes == ["unknown"]
+        assert service.stats.requests == 10
+        assert probe_candidate() == "unknown"
+        serve_real_traffic()
+        manager.config = replace(manager.config, accept_ratio=1e9)
+        assert manager.trigger().swapped
+        assert manager.stats.requests_between_swaps == 20
+        assert probe_candidate() == "unknown"
+        assert service.names() == ["crn", "fallback"]
+
+    def test_gate_reads_the_candidates_own_estimates_with_the_fallback(
+        self, trained, imdb_small, imdb_oracle, pool, workload
+    ):
+        service, collector, _, manager = self.build(
+            trained, imdb_small, pool, accept_ratio=1e-9
+        )
+        for labeled in [l for l in workload if pool.has_match(l.query)][:7]:
+            collector.record_served(
+                service.submit(labeled.query), true_cardinality=labeled.cardinality
+            )
+        # Two fact tables without `title`: no pool query shares this FROM
+        # clause, so only a fallback can answer it.
+        unmatched = (
+            QueryBuilder()
+            .table("movie_companies", "mc")
+            .table("movie_keyword", "mk")
+            .join("mc.movie_id", "mk.movie_id")
+            .build()
+        )
+        served = service.submit(unmatched)
+        assert served.used_fallback
+        collector.record(
+            unmatched,
+            served.estimate,
+            imdb_oracle.cardinality(unmatched),
+            estimator_name="crn",
+        )
+        shadows = []
+        validate = manager._validate
+
+        def capture(shadow):
+            shadows.append(shadow)
+            return validate(shadow)
+
+        manager._validate = capture
+        outcome = manager.trigger()
+        assert outcome.action == "rejected"
+        (shadow,) = shadows
+        holdout = collector.holdout(8, estimator="crn")
+        assert len(holdout) == 8
+        assert not shadow.pool.has_match(holdout[-1].query)
+        fallback = service.get("fallback")
+        assert shadow.fallback is fallback
+        assert shadow.estimate_cardinality(unmatched) == fallback.estimate_cardinality(
+            unmatched
+        )
+        expected = np.median(
+            q_errors(
+                [shadow.estimate_cardinality(item.query) for item in holdout],
+                [item.true_cardinality for item in holdout],
+                epsilon=collector.epsilon,
+            )
+        )
+        assert outcome.candidate_q_error == float(expected)
 
     def test_nan_holdout_signal_rejects_the_candidate(
         self, trained, imdb_small, pool, workload

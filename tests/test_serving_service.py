@@ -421,51 +421,6 @@ class TestEstimationService:
         assert new_misses <= len({q for q in workload if q not in pool_queries})
 
 
-class TestRegistryUnregister:
-    def test_unregister_returns_estimator_and_reassigns_default(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.register("extra", PostgresCardinalityEstimator(imdb_small))
-        crn = service.get("crn")
-        removed = service.unregister("crn")
-        assert removed is crn
-        # The earliest remaining registration becomes the default.
-        assert service.default_estimator == "fallback"
-        assert set(service.names()) == {"fallback", "extra"}
-
-    def test_unregister_fallback_clears_fallback_routing(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.unregister("fallback")
-        assert service.fallback is None
-        with pytest.raises(NoMatchingPoolQueryError):
-            service.submit(unmatched)
-
-    def test_unregister_unknown_raises(self, model, imdb_small, imdb_featurizer, pool):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        with pytest.raises(KeyError, match="cannot unregister"):
-            service.unregister("nope")
-
-    def test_unregister_last_entry_empties_registry(self, imdb_small):
-        service = EstimationService()
-        service.register("only", PostgresCardinalityEstimator(imdb_small))
-        service.unregister("only")
-        assert service.names() == []
-        with pytest.raises(LookupError):
-            service.default_estimator
-        # The next registration becomes the default again.
-        service.register("fresh", PostgresCardinalityEstimator(imdb_small))
-        assert service.default_estimator == "fresh"
-
-
 class TestRegistryEdgeCases:
     def test_register_duplicate_name_raises(self, imdb_small):
         service = EstimationService()
@@ -475,18 +430,6 @@ class TestRegistryEdgeCases:
         # The original entry and its generation are untouched.
         assert service.names() == ["only"]
         assert service.generation("only") == 1
-
-    def test_unregister_entry_that_is_both_default_and_fallback(self, imdb_small):
-        # Both reassignment rules must fire for one unregister: the earliest
-        # remaining registration becomes the default AND the fallback routing
-        # is cleared (never left pointing at a retired estimator).
-        service = EstimationService(fallback="both")
-        service.register("both", PostgresCardinalityEstimator(imdb_small), default=True)
-        service.register("other", PostgresCardinalityEstimator(imdb_small))
-        service.unregister("both")
-        assert service.default_estimator == "other"
-        assert service.fallback is None
-        assert service.generation("both") == 0  # generation retired with it
 
     def test_replace_bumps_generation_stamped_into_results(
         self, model, imdb_small, imdb_featurizer, pool, workload
@@ -499,10 +442,6 @@ class TestRegistryEdgeCases:
         served = service.submit(matched)
         assert served.model_generation == 3
         assert service.generation("crn") == 3
-        # Re-registration after an unregister starts a fresh lineage.
-        service.unregister("crn")
-        service.register("crn", PostgresCardinalityEstimator(imdb_small))
-        assert service.generation("crn") == 1
 
     def test_registry_fallback_result_carries_fallback_generation(
         self, model, imdb_small, imdb_featurizer, pool
@@ -534,12 +473,12 @@ class TestStatsDraining:
         assert service.stats.requests == 0
         assert service.stats_snapshot()["requests"] == 0.0
 
-    def test_reset_stats_zeroes_under_lock(
+    def test_drain_zeroes_under_lock(
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         service.submit_batch(workload[:3])
-        service.reset_stats()
+        service.drain_stats()
         assert service.stats.requests == 0
 
     def test_concurrent_drains_count_every_request_exactly_once(
