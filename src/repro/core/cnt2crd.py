@@ -236,8 +236,8 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         """Resolve ``query`` to its slab and score it.
 
         Shared by the observability path (:meth:`pool_estimates`) and the
-        value-level hot path (:meth:`_estimate_values`) so they cannot drift
-        apart.  Rates are empty when the bucket has no eligible entries.
+        value-level hot path (:meth:`estimate_cardinality`) so they cannot
+        drift apart.  Rates are empty when the bucket has no eligible entries.
         """
         slab = self.resolve(query)
         if not slab.entries:
@@ -291,21 +291,19 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             f"no pool query shares the FROM clause {query.from_signature()}"
         )
 
-    def _estimate_values(self, query: Query) -> np.ndarray:
-        """The surviving per-entry estimate values for ``query`` (fast inner loop).
+    def cardinality_from_rates(
+        self, query: Query, slab: PoolSlab, rates: np.ndarray
+    ) -> float:
+        """:meth:`estimate_cardinality` of a matched ``query``, given its slab's rates.
 
-        Value-level twin of :meth:`pool_estimates` (vectorized guard),
-        producing exactly the values :meth:`pool_estimates` would carry.
+        ``slab`` is what :meth:`resolve` handed back for ``query`` and
+        ``rates`` its :meth:`~repro.core.estimators.ContainmentEstimator.rates_against_pools`
+        block, so a caller can score many queries in one call and finish
+        each one here.
         """
-        slab, rates = self._slab_rates(query)
-        return self.estimate_values_from_rates(
+        values = self.estimate_values_from_rates(
             slab.entries, rates, cardinalities=slab.cardinalities
         )
-
-    def estimate_cardinality(self, query: Query) -> float:
-        if not self.pool.has_match(query):
-            return self.fallback_estimate(query)
-        values = self._estimate_values(query)
         if values.size == 0 and self.fallback is not None:
             # Matched, but every eligible entry was filtered by the epsilon
             # guard (or every match had an empty result).  A learned rate
@@ -317,6 +315,11 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             # rates and frame-seeded pools, and there is no better answer.
             return self.fallback.estimate_cardinality(query)
         return self.collapse_values(values)
+
+    def estimate_cardinality(self, query: Query) -> float:
+        if not self.pool.has_match(query):
+            return self.fallback_estimate(query)
+        return self.cardinality_from_rates(query, *self._slab_rates(query))
 
 
 def cnt2crd(

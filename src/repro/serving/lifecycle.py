@@ -392,9 +392,9 @@ class AdaptationManager:
 
     Candidate validation is a *shadow deployment* that never touches the
     registry: the candidate estimator scores the most recent feedback slice
-    itself (``estimate_cardinalities``, the bits the batched path would
-    serve, with the deployment's fallback estimator answering what the
-    registry fallback would), and its q-errors are compared against the
+    itself (in one batched scoring pass, the bits ``estimate_cardinality``
+    gives, with the registry's current fallback entry answering what the
+    pool cannot), and its q-errors are compared against the
     incumbent's recorded errors on exactly those queries — it is promoted
     via :meth:`EstimationService.replace` only if it passes the gate.  No
     request can name it and none of its work lands in the service's
@@ -656,7 +656,6 @@ class AdaptationManager:
             shadow = wire_estimator(
                 self.stack.config, candidate.model, candidate.featurizer, refreshed_pool
             )
-            shadow.fallback = self.stack.config.fallback_estimator
         except Exception as error:
             self.last_error = error
             seconds = time.perf_counter() - started
@@ -812,7 +811,29 @@ class AdaptationManager:
         if not holdout:
             return float("nan"), float("nan"), True, 0
         try:
-            estimates = shadow.estimate_cardinalities([item.query for item in holdout])
+            # The registry fallback as it stands now (``replace`` may have
+            # swapped it since boot) answers what the refreshed pool cannot.
+            fallback = self.service.fallback
+            shadow.fallback = None if fallback is None else self.service.get(fallback)
+            # Every distinct matched query is scored in one rates_against_pools
+            # call, as the service scores a batch: each pool entry is encoded
+            # once per slot and the pair head pads one last tile.  Rates do
+            # not depend on the batch, so each estimate has the bits of
+            # shadow.estimate_cardinality.
+            queries = [item.query for item in holdout]
+            slabs = {
+                query: shadow.resolve(query)
+                for query in queries
+                if shadow.pool.has_match(query)
+            }
+            scored = shadow.containment_estimator.rates_against_pools(list(slabs.items()))
+            rates = dict(zip(slabs, scored))
+            estimates = [
+                shadow.cardinality_from_rates(query, slabs[query], rates[query])
+                if query in slabs
+                else shadow.fallback_estimate(query)
+                for query in queries
+            ]
         except Exception as error:
             # A candidate that cannot even score the holdout is rejected;
             # the exception is kept for the operator (last_error contract).

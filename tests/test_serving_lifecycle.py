@@ -20,6 +20,7 @@ from repro.core import (
     train_crn,
 )
 from repro.core.metrics import q_errors
+from repro.core.oracle import OracleCardinalityEstimator
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db import TrueCardinalityOracle
@@ -481,25 +482,42 @@ class TestAdaptationManager:
             imdb_oracle.cardinality(unmatched),
             estimator_name="crn",
         )
+        # The gate asks the registry's fallback entry as it stands at
+        # validation time, not the one the deployment booted with.
+        booted = service.get("fallback")
+        service.replace("fallback", OracleCardinalityEstimator(imdb_small, imdb_oracle))
         shadows = []
+        scoring_calls = []
         validate = manager._validate
 
         def capture(shadow):
             shadows.append(shadow)
-            return validate(shadow)
+            containment = shadow.containment_estimator
+            score = containment.rates_against_pools
+
+            def counting(items):
+                scoring_calls.append(len(items))
+                return score(items)
+
+            containment.rates_against_pools = counting
+            result = validate(shadow)
+            containment.rates_against_pools = score
+            return result
 
         manager._validate = capture
         outcome = manager.trigger()
         assert outcome.action == "rejected"
         (shadow,) = shadows
+        # The matched holdout queries are scored together, in one call.
+        assert scoring_calls == [7]
         holdout = collector.holdout(8, estimator="crn")
         assert len(holdout) == 8
         assert not shadow.pool.has_match(holdout[-1].query)
         fallback = service.get("fallback")
-        assert shadow.fallback is fallback
-        assert shadow.estimate_cardinality(unmatched) == fallback.estimate_cardinality(
-            unmatched
-        )
+        assert shadow.fallback is fallback and fallback is not booted
+        truth = float(imdb_oracle.cardinality(unmatched))
+        assert booted.estimate_cardinality(unmatched) != truth
+        assert shadow.estimate_cardinality(unmatched) == truth
         expected = np.median(
             q_errors(
                 [shadow.estimate_cardinality(item.query) for item in holdout],

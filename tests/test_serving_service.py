@@ -186,9 +186,9 @@ class TestEncodingCache:
 
         estimator = CRNEstimator(model, CountingFeaturizer())
         query, other = workload[0], workload[1]
-        # query appears in both slots of many pairs, spanning several chunks.
+        # query appears in both slots of many pairs, spanning many PASS_ROWS
+        # tiles of the pair head.
         pairs = [(query, other), (other, query), (query, query)] * 200
-        estimator.batch_size = 64
         estimator.estimate_containments(pairs)
         assert len(calls) == 2  # one featurization per unique query, whole call
 
