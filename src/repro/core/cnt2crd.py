@@ -14,11 +14,16 @@ The estimation pipeline is factored into composable steps —
 :meth:`Cnt2CrdEstimator.resolve` (the query's bucket as a
 :class:`repro.core.queries_pool.PoolSlab`) →
 :meth:`repro.core.estimators.ContainmentEstimator.rates_against_pools`
-(batched containment rates) → :meth:`Cnt2CrdEstimator.estimates_from_rates` →
-:meth:`Cnt2CrdEstimator.collapse` — so callers that batch the rate
-computation across *many* concurrent requests (the
-:class:`repro.serving.BatchPlanner`) reuse exactly the per-request logic and
-produce bit-for-bit identical estimates.
+(batched containment rates) → :meth:`Cnt2CrdEstimator.estimate_values_from_rates`
+→ :meth:`Cnt2CrdEstimator.collapse_values`.  One routine runs them over a
+batch: :meth:`Cnt2CrdEstimator.slab_values` resolves every query, scores each
+distinct ``(query, slab token)`` once, in chunks of at most
+:data:`PAIR_BUDGET` pairs per ``rates_against_pools`` call, and
+:meth:`Cnt2CrdEstimator.estimate_cardinalities` finishes each query.  The
+evaluation harness, the serving layer (:class:`repro.serving.EstimationService`)
+and the adaptation gate all score through it, and rates do not depend on how
+pairs are grouped, so every batch gives the bits of
+:meth:`Cnt2CrdEstimator.estimate_cardinality` query by query.
 
 Recovering from :class:`NoMatchingPoolQueryError`
 -------------------------------------------------
@@ -57,6 +62,34 @@ from repro.core.estimators import CardinalityEstimator, ContainmentEstimator
 from repro.core.final_functions import FinalFunction, get_final_function
 from repro.core.queries_pool import PoolEntry, PoolSlab, QueriesPool
 from repro.sql.query import Query
+
+#: The most pairs one ``rates_against_pools`` call of
+#: :meth:`Cnt2CrdEstimator.slab_values` scores: distinct items are packed in
+#: order into chunks under it, and an item whose slab alone is larger is a
+#: chunk of its own (one query's slab is never split).  A scored pair holds
+#: its two ``H``-wide float64 encodings, stacked once more from per-item
+#: blocks on the resident-row path: at the paper profile's H=512 a full chunk
+#: holds 8192 × 2 × 512 × 8 B = 64 MiB of pair-head input, 128 MiB while
+#: being stacked, however many queries the batch has.
+PAIR_BUDGET = 8192
+
+#: The values of a position with nothing to score.
+_NO_VALUES = np.empty(0, dtype=np.float64)
+
+
+def _chunks(items: list[tuple[Query, PoolSlab]]):
+    """``items`` in order, packed into lists of at most :data:`PAIR_BUDGET` pairs."""
+    chunk: list[tuple[Query, PoolSlab]] = []
+    pairs = 0
+    for item in items:
+        size = 2 * len(item[1].entries)
+        if chunk and pairs + size > PAIR_BUDGET:
+            yield chunk
+            chunk, pairs = [], 0
+        chunk.append(item)
+        pairs += size
+    if chunk:
+        yield chunk
 
 
 class NoMatchingPoolQueryError(LookupError):
@@ -232,18 +265,6 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             )
         return x_rates[keep] / y_rates[keep] * cardinalities[keep]
 
-    def _slab_rates(self, query: Query) -> tuple[PoolSlab, np.ndarray]:
-        """Resolve ``query`` to its slab and score it.
-
-        Shared by the observability path (:meth:`pool_estimates`) and the
-        value-level hot path (:meth:`estimate_cardinality`) so they cannot
-        drift apart.  Rates are empty when the bucket has no eligible entries.
-        """
-        slab = self.resolve(query)
-        if not slab.entries:
-            return slab, np.empty(0, dtype=np.float64)
-        return slab, self.containment_estimator.rates_against_pools([(query, slab)])[0]
-
     def pool_estimates(self, query: Query) -> list[PoolEstimate]:
         """The per-pool-query estimates for ``query`` (the technique's inner loop).
 
@@ -251,7 +272,10 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         :meth:`~repro.core.estimators.ContainmentEstimator.rates_against_pools`
         call over the query's slab.
         """
-        slab, rates = self._slab_rates(query)
+        slab = self.resolve(query)
+        if not slab.entries:
+            return []
+        rates = self.containment_estimator.rates_against_pools([(query, slab)])[0]
         return self.estimates_from_rates(query, slab.entries, rates.tolist())
 
     def collapse(self, estimates: Sequence[PoolEstimate]) -> float:
@@ -291,35 +315,69 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             f"no pool query shares the FROM clause {query.from_signature()}"
         )
 
-    def cardinality_from_rates(
-        self, query: Query, slab: PoolSlab, rates: np.ndarray
-    ) -> float:
-        """:meth:`estimate_cardinality` of a matched ``query``, given its slab's rates.
+    def slab_values(
+        self, queries: Sequence[Query]
+    ) -> tuple[list[tuple[PoolSlab | None, np.ndarray]], int]:
+        """Score a batch: each position's slab and surviving estimate values.
 
-        ``slab`` is what :meth:`resolve` handed back for ``query`` and
-        ``rates`` its :meth:`~repro.core.estimators.ContainmentEstimator.rates_against_pools`
-        block, so a caller can score many queries in one call and finish
-        each one here.
+        Every position is resolved once, in order, to its slab (``None`` when
+        no pool query shares its FROM clause).  Each distinct ``(query, slab
+        token)`` is scored once — identical queries of a batch share one set
+        of rates — by one ``rates_against_pools`` call per :data:`PAIR_BUDGET`
+        chunk, and turned into values by :meth:`estimate_values_from_rates`.
+        A matched position whose values are empty had every eligible entry
+        filtered by the epsilon guard (or no eligible entry at all).
+
+        Returns ``([(slab, values), ...], scored pairs)``, the pair count
+        over the distinct items only.
         """
-        values = self.estimate_values_from_rates(
-            slab.entries, rates, cardinalities=slab.cardinalities
-        )
-        if values.size == 0 and self.fallback is not None:
-            # Matched, but every eligible entry was filtered by the epsilon
-            # guard (or every match had an empty result).  A learned rate
-            # model estimating ~0 containment against every matching entry
-            # does not reliably mean "empty result" — collapsing to 0.0 here
-            # would silently bypass the configured fallback and emit a
-            # spurious zero with unbounded q-error.  Without a fallback the
-            # legacy collapse-to-0 stands: it is exactly right for exact
-            # rates and frame-seeded pools, and there is no better answer.
-            return self.fallback.estimate_cardinality(query)
-        return self.collapse_values(values)
+        slabs = [
+            self.resolve(query) if self.pool.has_match(query) else None
+            for query in queries
+        ]
+        distinct: dict[tuple[Query, tuple], tuple[Query, PoolSlab]] = {}
+        for query, slab in zip(queries, slabs):
+            if slab is not None and slab.entries:
+                distinct.setdefault((query, slab.token), (query, slab))
+        values: dict[tuple[Query, tuple], np.ndarray] = {}
+        for chunk in _chunks(list(distinct.values())):
+            blocks = self.containment_estimator.rates_against_pools(chunk)
+            for (query, slab), rates in zip(chunk, blocks):
+                values[(query, slab.token)] = self.estimate_values_from_rates(
+                    slab.entries, rates, cardinalities=slab.cardinalities
+                )
+        results = []
+        for query, slab in zip(queries, slabs):
+            key = None if slab is None else (query, slab.token)
+            results.append((slab, values.get(key, _NO_VALUES)))
+        return results, sum(2 * len(slab.entries) for _, slab in distinct.values())
+
+    def estimate_cardinalities(self, queries: Sequence[Query]) -> list[float]:
+        """Estimate a batch through :meth:`slab_values`, bit for bit the
+        per-query answers.
+
+        An unmatched query goes to :meth:`fallback_estimate`.  A matched one
+        whose values are all filtered goes to the configured :attr:`fallback`
+        when there is one: a learned rate model estimating ~0 containment
+        against every matching entry does not reliably mean "empty result",
+        and collapsing to 0.0 would emit a spurious zero with unbounded
+        q-error.  Without a fallback the collapse to 0 stands: it is exactly
+        right for exact rates and frame-seeded pools.
+        """
+        queries = list(queries)
+        results, _ = self.slab_values(queries)
+        estimates: list[float] = []
+        for query, (slab, values) in zip(queries, results):
+            if slab is None:
+                estimates.append(self.fallback_estimate(query))
+            elif values.size == 0 and self.fallback is not None:
+                estimates.append(self.fallback.estimate_cardinality(query))
+            else:
+                estimates.append(self.collapse_values(values))
+        return estimates
 
     def estimate_cardinality(self, query: Query) -> float:
-        if not self.pool.has_match(query):
-            return self.fallback_estimate(query)
-        return self.cardinality_from_rates(query, *self._slab_rates(query))
+        return self.estimate_cardinalities([query])[0]
 
 
 def cnt2crd(

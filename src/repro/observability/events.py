@@ -270,8 +270,8 @@ class SpanRecorded(Event):
     (one request, or one shared batch).  ``parent_id`` is empty for a trace's
     root span; ``members`` is how many requests a *shared* span served (1 for
     request-owned spans).  ``name`` is the span taxonomy kind (``request``,
-    ``queue_wait``, ``dispatcher_batch``, ``service_batch``, ``plan``,
-    ``slab_kernel``, ``collapse``, ``index_build``, ...);
+    ``queue_wait``, ``dispatcher_batch``, ``service_batch``,
+    ``slab_kernel``, ``index_build``, ...);
     the event-kind discriminator stays ``span`` so every span lands in the
     store's ``spans`` table.
     """

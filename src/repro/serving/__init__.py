@@ -14,14 +14,12 @@ forward passes.  This package amortizes that work across requests:
   maintained incrementally on :meth:`repro.core.queries_pool.QueriesPool.add`
   and owner-fenced like the encoding cache, so a request is scored as one
   vectorized whole-pool slab pass instead of ``2·E`` per-pair lookups.
-* :mod:`repro.serving.planner` -- :class:`BatchPlanner`, which resolves
-  every request of a batch to its bucket's
-  :class:`repro.core.queries_pool.PoolSlab`, so all unique ``(query, slab)``
-  work of the batch is scored in one call — a few large fixed-shape forward
-  passes.
 * :mod:`repro.serving.service` -- :class:`EstimationService`, the engine with
   a named estimator registry (model generations bumped on every
-  :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``,
+  :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``
+  (a batch's Cnt2Crd work goes through the core routine
+  :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`: every unique
+  ``(query, slab)`` once, a few large fixed-shape forward passes),
   registry-level fallback for
   :class:`repro.core.cnt2crd.NoMatchingPoolQueryError`, per-request
   :class:`RequestOptions` (estimator, deadline, fallback policy, tags) and
@@ -140,7 +138,6 @@ from repro.serving.lifecycle import (
     DriftMonitor,
     DriftVerdict,
 )
-from repro.serving.planner import BatchPlan, BatchPlanner, RequestPlan
 from repro.serving.pool_index import PoolEncodingIndex
 from repro.serving.service import (
     EstimateResult,
@@ -159,8 +156,6 @@ __all__ = [
     "ArtifactError",
     "ArtifactNotFoundError",
     "ArtifactSchemaError",
-    "BatchPlan",
-    "BatchPlanner",
     "CRNRetrainer",
     "CacheConfig",
     "ClusterConfig",
@@ -186,7 +181,6 @@ __all__ = [
     "PoolConfig",
     "PoolEncodingIndex",
     "RequestOptions",
-    "RequestPlan",
     "ServedEstimate",
     "ServiceStack",
     "ServingClient",

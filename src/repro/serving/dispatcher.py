@@ -6,8 +6,9 @@ concurrent traffic every caller arrives with a batch of one, and per-request
 inference throws that advantage away.  :class:`ServingDispatcher` closes the
 gap with micro-batching: callers :meth:`~ServingDispatcher.submit` from any
 number of threads and immediately get a future; a single dispatcher thread
-drains the shared request queue, funnels the coalesced queries through the
-service's :class:`repro.serving.BatchPlanner` path, and resolves each
+drains the shared request queue, funnels the coalesced queries through
+:meth:`repro.serving.EstimationService.submit_batch` (one
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values` call), and resolves each
 caller's future with its :class:`repro.serving.EstimateResult`.
 
 Coalescing policy (stated here once; every other doc refers to it): **a

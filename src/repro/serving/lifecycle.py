@@ -815,25 +815,9 @@ class AdaptationManager:
             # swapped it since boot) answers what the refreshed pool cannot.
             fallback = self.service.fallback
             shadow.fallback = None if fallback is None else self.service.get(fallback)
-            # Every distinct matched query is scored in one rates_against_pools
-            # call, as the service scores a batch: each pool entry is encoded
-            # once per slot and the pair head pads one last tile.  Rates do
-            # not depend on the batch, so each estimate has the bits of
-            # shadow.estimate_cardinality.
-            queries = [item.query for item in holdout]
-            slabs = {
-                query: shadow.resolve(query)
-                for query in queries
-                if shadow.pool.has_match(query)
-            }
-            scored = shadow.containment_estimator.rates_against_pools(list(slabs.items()))
-            rates = dict(zip(slabs, scored))
-            estimates = [
-                shadow.cardinality_from_rates(query, slabs[query], rates[query])
-                if query in slabs
-                else shadow.fallback_estimate(query)
-                for query in queries
-            ]
+            # The core batch routine: each distinct matched query is scored
+            # once, each estimate with the bits of shadow.estimate_cardinality.
+            estimates = shadow.estimate_cardinalities([item.query for item in holdout])
         except Exception as error:
             # A candidate that cannot even score the holdout is rejected;
             # the exception is kept for the operator (last_error contract).

@@ -2,20 +2,21 @@
 
 :class:`EstimationService` is the piece that turns the paper's estimators into
 serving infrastructure: it owns a registry of named cardinality estimators
-(Cnt2Crd over CRN, improved baselines, plain baselines, ...), batches the
-Cnt2Crd scoring work of concurrent requests through the
-:class:`repro.serving.BatchPlanner`, shares the featurization / encoding
-caches across requests, and records per-request latency plus service-level
-hit-rate statistics (rendered by
+(Cnt2Crd over CRN, improved baselines, plain baselines, ...), scores the
+Cnt2Crd work of concurrent requests as one batch through
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`, shares the
+featurization / encoding caches across requests, and records per-request
+latency plus service-level hit-rate statistics (rendered by
 :func:`repro.evaluation.reporting.format_service_stats` and timed by
 :func:`repro.evaluation.timing.time_service`).
 
-The batched path is exact, not approximate: planning only resolves each
+The batched path is exact, not approximate: the core routine resolves each
 request to its bucket slab (with resident rows when the
-:class:`repro.serving.PoolEncodingIndex` can serve it) and deduplicates
-identical ``(query, slab)`` work, and the rates flow back through the
+:class:`repro.serving.PoolEncodingIndex` can serve it), scores identical
+``(query, slab)`` work once, and turns the rates into values with the
 estimator's own
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates` and
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates`; the
+service then applies the request's fallback policy and
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values` — the vectorized
 bit-equal twins of ``estimates_from_rates`` / ``collapse`` — so a served
 estimate is bit-for-bit identical to calling ``estimate_cardinality`` per
@@ -35,27 +36,29 @@ import numpy as np
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
 from repro.core.crn import CRNEstimator
 from repro.core.estimators import CardinalityEstimator
+from repro.core.queries_pool import PoolSlab
 from repro.observability.counters import Counters
 from repro.observability.events import BatchServed, RequestServed, StatsDrained
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracing import SpanHandle
 from repro.serving.cache import EncodingCache, FeaturizationCache
 from repro.serving.errors import UnknownEstimatorError
-from repro.serving.planner import (
-    RESOLUTION_PAIR_BATCH,
-    BatchPlanner,
-    RequestPlan,
-)
 from repro.serving.pool_index import PoolEncodingIndex
 from repro.sql.query import Query
 
+#: Resolution stamp: the request was scored from the pool encoding index's
+#: whole-pool slab matrices (a slab with resident rows).
+RESOLUTION_INDEXED_SLAB = "indexed_slab"
+#: Resolution stamp: the request's slab carried no resident rows and was
+#: scored pair by pair.
+RESOLUTION_PAIR_BATCH = "pair_batch"
 #: Resolution stamp: the request's primary had no answer and the estimator's
 #: own built-in fallback produced the estimate.
 RESOLUTION_ESTIMATOR_FALLBACK = "estimator_fallback"
 #: Resolution stamp: the registry-level fallback entry produced the estimate.
 RESOLUTION_REGISTRY_FALLBACK = "registry_fallback"
 #: Resolution stamp: a non-Cnt2Crd estimator answered through its own
-#: per-query interface (no batch planning involved).
+#: per-query interface (no batched slab scoring involved).
 RESOLUTION_DIRECT = "direct"
 
 #: The per-request fallback policies accepted by :class:`RequestOptions`.
@@ -75,7 +78,9 @@ class ServedEstimate:
             for :meth:`EstimationService.submit`; for batched submissions it
             is the batch's elapsed time divided by the batch size.
         pool_matches: eligible pool entries the query was scored against.
-        pairs_scored: containment pairs the request contributed to the plan.
+        pairs_scored: containment pairs scored for the request
+            (``2 * pool_matches``; identical requests of one batch share
+            them).
         used_fallback: True when the registry fallback answered the request.
     """
 
@@ -144,10 +149,6 @@ class RequestOptions:
 
 #: The options applied when a caller passes none.
 _DEFAULT_OPTIONS = RequestOptions()
-
-#: The rates of a request with no eligible entries.
-_NO_RATES = np.empty(0, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class EstimateResult(ServedEstimate):
@@ -234,9 +235,9 @@ class EstimationService:
     queries pool take their own fine-grained locks.  Model forward passes
     themselves only *read* shared state, so concurrent ``submit_batch``
     calls do not serialize on the scoring work — but each call still pays
-    its own planning and featurization.  For high-concurrency traffic,
-    front the service with a :class:`repro.serving.ServingDispatcher`, which
-    coalesces many callers' requests into few shared batches.
+    its own slab resolution and featurization.  For high-concurrency
+    traffic, front the service with a :class:`repro.serving.ServingDispatcher`,
+    which coalesces many callers' requests into few shared batches.
 
     Args:
         fallback: optional registry name answering requests for which the
@@ -258,9 +259,9 @@ class EstimationService:
             and ``None`` (the default) reduces the whole instrumentation to
             one attribute test per batch.
         tracer: an optional :class:`repro.observability.Tracer`.  When set,
-            every batch records a ``service_batch`` span with nested stage
-            spans (``plan`` / ``slab_kernel`` /
-            ``collapse``), and every request's trace links to the shared
+            every batch records a ``service_batch`` span with a nested
+            ``slab_kernel`` stage span around the Cnt2Crd scoring, and
+            every request's trace links to the shared
             spans with its explicit amortized share — the fan-in attribution
             that makes a coalesced request's latency decomposable.  ``None``
             (the default) follows the recorder discipline: one attribute
@@ -447,12 +448,13 @@ class EstimationService:
     ) -> list[EstimateResult]:
         """Estimate many concurrent requests with cross-request batching.
 
-        Cnt2Crd-family estimators are planned and scored as a few large
-        deduplicated forward passes; other estimators fall back to their own
-        per-query interface.  Requests the primary estimator cannot answer
-        (no matching pool query and no built-in fallback) are re-routed to the
-        registry :attr:`fallback` when one is configured — unless the
-        request's :attr:`RequestOptions.fallback_policy` forbids it.
+        Cnt2Crd-family estimators are scored as a few large deduplicated
+        forward passes (:meth:`Cnt2CrdEstimator.slab_values`); other
+        estimators fall back to their own per-query interface.  Requests the
+        primary estimator cannot answer (no matching pool query and no
+        built-in fallback) are re-routed to the registry :attr:`fallback`
+        when one is configured — unless the request's
+        :attr:`RequestOptions.fallback_policy` forbids it.
 
         ``options`` applies to the whole batch (the dispatcher groups
         requests by estimator and fallback policy before submitting), and
@@ -747,105 +749,63 @@ class EstimationService:
         options: RequestOptions,
     ) -> tuple[list[_Answer], int, int]:
         tracer = self.tracer
-        span = (
-            tracer.begin("plan", members=len(queries), estimator_name=name)
-            if tracer is not None
-            else None
-        )
-        plan = BatchPlanner(estimator).plan(queries)
-        if span is not None:
-            tracer.end(
-                span,
-                requests=len(plan.requests),
-                planned_pairs=plan.planned_pairs,
-                indexed_pairs=plan.indexed_pairs,
+        span = None
+        if tracer is not None:
+            attributes = {"mode": "reference"}
+            inference_plan = getattr(estimator.containment_estimator, "inference_plan", None)
+            if inference_plan is not None:
+                attributes.update(inference_plan.kernel_info())
+            span = tracer.begin(
+                "slab_kernel", members=len(queries), estimator_name=name, **attributes
             )
-        # Requests are scored once per unique (query, slab state) —
-        # identical queries in a batch share one set of rates — and all
-        # unique requests run through ONE rates_against_pools call: small
-        # buckets would otherwise each pad out a full slab per request.
-        pending: dict[tuple[Query, tuple], RequestPlan] = {}
-        for request in plan.requests:
-            if request.entries:
-                pending.setdefault((request.query, request.slab.token), request)
-        scored = sum(2 * len(request.entries) for request in pending.values())
-        containment = estimator.containment_estimator
-        rates: dict[tuple[Query, tuple], np.ndarray] = {}
-        if pending:
-            span = None
-            if tracer is not None:
-                attributes = {"requests": len(pending), "mode": "reference"}
-                inference_plan = getattr(containment, "inference_plan", None)
-                if inference_plan is not None:
-                    attributes.update(inference_plan.kernel_info())
-                span = tracer.begin(
-                    "slab_kernel",
-                    members=len(queries),
-                    estimator_name=name,
-                    **attributes,
-                )
-            blocks = containment.rates_against_pools(
-                [(request.query, request.slab) for request in pending.values()]
-            )
-            rates = dict(zip(pending, blocks))
-            if span is not None:
-                tracer.end(span)
-        span = (
-            tracer.begin("collapse", members=len(queries), estimator_name=name)
-            if tracer is not None
-            else None
-        )
-        answers = [
-            self._answer_request(request, name, generation, estimator, rates, options)
-            for request in plan.requests
-        ]
+        results, scored = estimator.slab_values(queries)
         if span is not None:
             tracer.end(span)
+        planned = 0
+        answers = []
+        for query, (slab, values) in zip(queries, results):
+            if slab is not None:
+                planned += 2 * len(slab.entries)
+            answers.append(
+                self._answer_request(query, slab, values, name, generation, estimator, options)
+            )
         # Pair counts are returned (not applied here) so the caller records
         # them atomically with requests/batches — and only for completed
         # batches: when a request with no fallback raises above, no counter
         # moves at all.
-        return answers, plan.planned_pairs, scored
+        return answers, planned, scored
 
     def _answer_request(
         self,
-        request: RequestPlan,
+        query: Query,
+        slab: PoolSlab | None,
+        values: np.ndarray,
         name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
-        rates: Mapping[tuple[Query, tuple], np.ndarray],
         options: RequestOptions,
     ) -> _Answer:
+        """One request's answer from its :meth:`Cnt2CrdEstimator.slab_values` result."""
         allow_builtin = options.fallback_policy != "none"
         allow_registry = options.fallback_policy == "registry"
-        if not request.has_match:
+        if slab is None:
             if allow_builtin:
                 try:
-                    value = estimator.fallback_estimate(request.query)
+                    value = estimator.fallback_estimate(query)
                     return _Answer(
                         value, name, generation, False, RESOLUTION_ESTIMATOR_FALLBACK
                     )
                 except NoMatchingPoolQueryError:
                     pass
             if allow_registry:
-                return self._registry_fallback(request.query, name)
+                return self._registry_fallback(query, name)
             raise NoMatchingPoolQueryError(
                 f"estimator {name!r} has no matching pool query for "
-                f"{request.query.from_signature()} and the request's fallback "
+                f"{query.from_signature()} and the request's fallback "
                 f"policy ({options.fallback_policy!r}) permits no re-route"
             )
-        request_rates = (
-            rates[(request.query, request.slab.token)] if request.entries else _NO_RATES
-        )
-        # The vectorized values path is bit-for-bit equal to
-        # estimates_from_rates + collapse and skips the per-entry Python
-        # loop, which on large buckets costs as much as the forward passes
-        # (the slab's precomputed cardinality vector means nothing iterates
-        # the entries at all).
-        values = estimator.estimate_values_from_rates(
-            request.entries, request_rates, cardinalities=request.slab.cardinalities
-        )
-        pool_matches, pairs_scored = len(request.entries), len(request_rates)
+        pool_matches = len(slab.entries)
+        pairs_scored = 2 * pool_matches
         if values.size == 0:
             # Matched, but every eligible entry was filtered by the epsilon
             # guard (or every match had an empty result): with a learned rate
@@ -857,7 +817,7 @@ class EstimationService:
             # right for exact rates and framed pools).
             if allow_builtin:
                 try:
-                    value = estimator.fallback_estimate(request.query)
+                    value = estimator.fallback_estimate(query)
                     return _Answer(
                         value,
                         name,
@@ -871,9 +831,7 @@ class EstimationService:
                     pass
             if allow_registry:
                 try:
-                    return self._registry_fallback(
-                        request.query, name, pool_matches, pairs_scored
-                    )
+                    return self._registry_fallback(query, name, pool_matches, pairs_scored)
                 except NoMatchingPoolQueryError:
                     pass
         return _Answer(
@@ -881,7 +839,7 @@ class EstimationService:
             name,
             generation,
             False,
-            request.resolution,
+            RESOLUTION_PAIR_BATCH if slab.first is None else RESOLUTION_INDEXED_SLAB,
             pool_matches,
             pairs_scored,
         )

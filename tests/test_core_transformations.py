@@ -5,6 +5,7 @@ feeding either of them *exact* information reproduces exact answers, which is
 verified against the toy and synthetic databases.
 """
 
+import importlib
 import warnings
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import PostgresCardinalityEstimator
 from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, cnt2crd
+from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
 from repro.core.crd2cnt import Crd2CntEstimator, crd2cnt
 from repro.core.final_functions import (
     get_final_function,
@@ -24,8 +27,12 @@ from repro.core.improved import ImprovedEstimator, improve
 from repro.core.oracle import OracleCardinalityEstimator, OracleContainmentEstimator
 from repro.core.queries_pool import QueriesPool
 from repro.datasets.workloads import build_crd_test1, build_queries_pool_queries
+from repro.serving import PoolEncodingIndex
 from repro.sql.builder import QueryBuilder
 from tests.conftest import ZeroRatesContainment
+
+# The module, not the `cnt2crd` function that `repro.core` re-exports under its name.
+cnt2crd_module = importlib.import_module("repro.core.cnt2crd")
 
 
 def _movies(*conditions):
@@ -310,3 +317,106 @@ class TestImprovedModels:
         improved = ImprovedEstimator(base, QueriesPool())
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 2).build()
         assert improved.estimate_cardinality(query) == imdb_oracle.cardinality(query)
+
+
+class TestBatchedCnt2Crd:
+    """``estimate_cardinalities`` scores a batch in pair-budget chunks and
+    keeps the bits of ``estimate_cardinality`` query by query."""
+
+    #: The monkeypatched pair budget: one-entry slabs (2 pairs) pack two to
+    #: a chunk, and a slab of three or more entries exceeds it alone.
+    BUDGET = 4
+
+    @pytest.fixture(scope="class")
+    def pool(self, request):
+        imdb_small = request.getfixturevalue("imdb_small")
+        imdb_oracle = request.getfixturevalue("imdb_oracle")
+        labeled = build_queries_pool_queries(imdb_small, count=60, seed=17, oracle=imdb_oracle)
+        return QueriesPool.from_labeled_queries(labeled)
+
+    @pytest.fixture(scope="class")
+    def batch(self, request, pool):
+        imdb_small = request.getfixturevalue("imdb_small")
+        imdb_oracle = request.getfixturevalue("imdb_oracle")
+        labeled = build_queries_pool_queries(imdb_small, count=24, seed=23, oracle=imdb_oracle)
+
+        def size(query):
+            return len(pool.bucket_slab(query.from_signature()).entries)
+
+        matched = [item.query for item in labeled if pool.has_match(item.query)]
+        small = [query for query in matched if size(query) == 1][:4]
+        big = next(query for query in matched if 2 * size(query) > self.BUDGET)
+        # Two fact tables without `title`: no pool query shares the FROM clause.
+        unmatched = (
+            QueryBuilder()
+            .table("movie_companies", "mc")
+            .table("movie_keyword", "mk")
+            .join("mc.movie_id", "mk.movie_id")
+            .build()
+        )
+        assert len(small) == 4 and not pool.has_match(unmatched)
+        filtered = small[3]
+        queries = [small[0], big, small[1], small[0], unmatched, filtered, small[2], big]
+        return queries, filtered
+
+    @pytest.fixture(
+        params=["crn", "crn_indexed", "improved_postgres"], ids=lambda name: name
+    )
+    def estimator(self, request, pool):
+        imdb_small = request.getfixturevalue("imdb_small")
+        imdb_featurizer = request.getfixturevalue("imdb_featurizer")
+        fallback = PostgresCardinalityEstimator(imdb_small)
+        if request.param == "improved_postgres":
+            return ImprovedEstimator(fallback, pool)
+        model = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+        index = PoolEncodingIndex(pool) if request.param == "crn_indexed" else None
+        return Cnt2CrdEstimator(
+            CRNEstimator(model, imdb_featurizer), pool, fallback=fallback, pool_index=index
+        )
+
+    def test_chunked_batch_matches_per_query_estimates_bit_for_bit(
+        self, monkeypatch, pool, batch, estimator
+    ):
+        queries, filtered = batch
+        monkeypatch.setattr(cnt2crd_module, "PAIR_BUDGET", self.BUDGET)
+        containment = estimator.containment_estimator
+        score = containment.rates_against_pools
+        calls = []
+
+        def scoring(items):
+            # Records every call and zeroes one query's rates, so the epsilon
+            # guard filters all of its entries.
+            items = list(items)
+            calls.append(items)
+            blocks = score(items)
+            return [
+                np.zeros_like(block) if query == filtered else block
+                for (query, _), block in zip(items, blocks)
+            ]
+
+        monkeypatch.setattr(containment, "rates_against_pools", scoring)
+        naive = [estimator.estimate_cardinality(query) for query in queries]
+        assert naive[5] == estimator.fallback.estimate_cardinality(filtered)
+        calls.clear()
+        batched = estimator.estimate_cardinalities(queries)
+        assert np.array(batched).tobytes() == np.array(naive).tobytes()
+
+        indexed = estimator.pool_index is not None
+        distinct = list(dict.fromkeys(query for query in queries if pool.has_match(query)))
+        scored = [query for call in calls for query, _ in call]
+        # Each distinct matched query is scored once, in batch order, with
+        # its whole slab in one call.
+        assert scored == distinct
+        for call in calls:
+            for query, slab in call:
+                assert slab.entries == pool.bucket_slab(query.from_signature()).entries
+                assert (slab.first is not None) == indexed
+        # One call per chunk: a call holds one item or at most the budget,
+        # and the next call's first item would not have fit.
+        pairs = [sum(2 * len(slab.entries) for _, slab in call) for call in calls]
+        for call, count in zip(calls, pairs):
+            assert len(call) == 1 or count <= self.BUDGET
+        for count, following in zip(pairs, calls[1:]):
+            assert count + 2 * len(following[0][1].entries) > self.BUDGET
+        assert len(calls) == 4
+        assert max(pairs) > self.BUDGET and max(len(call) for call in calls) == 2

@@ -36,8 +36,6 @@ EXPECTED_SERVING_ALL = [
     "ArtifactError",
     "ArtifactNotFoundError",
     "ArtifactSchemaError",
-    "BatchPlan",
-    "BatchPlanner",
     "CRNRetrainer",
     "CacheConfig",
     "ClusterConfig",
@@ -63,7 +61,6 @@ EXPECTED_SERVING_ALL = [
     "PoolConfig",
     "PoolEncodingIndex",
     "RequestOptions",
-    "RequestPlan",
     "ServedEstimate",
     "ServiceStack",
     "ServingClient",

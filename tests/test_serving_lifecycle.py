@@ -461,7 +461,9 @@ class TestAdaptationManager:
         service, collector, _, manager = self.build(
             trained, imdb_small, pool, accept_ratio=1e-9
         )
-        for labeled in [l for l in workload if pool.has_match(l.query)][:7]:
+        # Six distinct matched queries, the first one repeated.
+        matched = [l for l in workload if pool.has_match(l.query)][:6]
+        for labeled in matched + matched[:1]:
             collector.record_served(
                 service.submit(labeled.query), true_cardinality=labeled.cardinality
             )
@@ -508,8 +510,9 @@ class TestAdaptationManager:
         outcome = manager.trigger()
         assert outcome.action == "rejected"
         (shadow,) = shadows
-        # The matched holdout queries are scored together, in one call.
-        assert scoring_calls == [7]
+        # The distinct matched holdout queries are scored together, in one
+        # call: the repeat shares its first occurrence's rates.
+        assert scoring_calls == [6]
         holdout = collector.holdout(8, estimator="crn")
         assert len(holdout) == 8
         assert not shadow.pool.has_match(holdout[-1].query)

@@ -1,4 +1,4 @@
-"""Tests for the online estimation service (caches, batch planner, registry)."""
+"""Tests for the online estimation service (caches, batched Cnt2Crd scoring, registry)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.core import (
 )
 from repro.datasets import build_queries_pool_queries
 from repro.serving import (
-    BatchPlanner,
     CacheConfig,
     EncodingCache,
     EstimationService,
@@ -193,24 +192,25 @@ class TestEncodingCache:
         assert len(calls) == 2  # one featurization per unique query, whole call
 
 
-class TestBatchPlanner:
+class TestBatchedScoring:
     def test_identical_requests_share_one_slab_token(
         self, model, imdb_featurizer, pool, workload
     ):
         estimator = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        planner = BatchPlanner(estimator)
-        single = planner.plan([workload[0]])
-        doubled = planner.plan([workload[0], workload[0]])
-        assert doubled.planned_pairs == 2 * single.planned_pairs
-        # The executor deduplicates on (query, slab token).
-        first, second = doubled.requests
-        assert first.slab.token == second.slab.token
+        (single,), single_scored = estimator.slab_values([workload[0]])
+        doubled, doubled_scored = estimator.slab_values([workload[0], workload[0]])
+        assert single_scored == 2 * len(single[0].entries) > 0
+        # The core routine deduplicates on (query, slab token).
+        (first, first_values), (second, second_values) = doubled
+        assert first.token == second.token
+        assert first_values is second_values
+        assert doubled_scored == single_scored
         service = EstimationService()
         service.register("crn", estimator)
         service.submit_batch([workload[0], workload[0]])
-        assert service.stats.planned_pairs == doubled.planned_pairs
-        assert service.stats.scored_pairs == single.planned_pairs
-        assert service.stats_snapshot()["deduplicated_pairs"] == single.planned_pairs
+        assert service.stats.planned_pairs == 2 * single_scored
+        assert service.stats.scored_pairs == single_scored
+        assert service.stats_snapshot()["deduplicated_pairs"] == single_scored
 
     def test_every_matched_request_resolves_to_a_slab(
         self, model, imdb_featurizer, pool, workload
@@ -218,17 +218,24 @@ class TestBatchPlanner:
         # A bare estimator (no index) resolves row-less slabs — never None —
         # covering exactly the eligible entries, with aligned cardinalities.
         estimator = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        plan = BatchPlanner(estimator).plan(workload[:5])
-        for request in plan.requests:
-            assert request.has_match
-            assert request.slab is not None and request.slab.first is None
-            assert request.resolution == "pair_batch"
-            assert request.entries == request.slab.entries
-            assert list(request.entries) == estimator.eligible_entries(request.query)
-            assert request.slab.cardinalities.tolist() == [
-                float(entry.cardinality) for entry in request.entries
+        queries = workload[:5]
+        results, scored = estimator.slab_values(queries)
+        for query, (slab, values) in zip(queries, results):
+            assert pool.has_match(query)
+            assert slab is not None and slab.first is None
+            assert list(slab.entries) == estimator.eligible_entries(query)
+            assert slab.cardinalities.tolist() == [
+                float(entry.cardinality) for entry in slab.entries
             ]
-        assert plan.planned_pairs == sum(2 * len(r.entries) for r in plan.requests)
+            assert 0 < values.size <= len(slab.entries)
+        assert scored == sum(2 * len(slab.entries) for slab, _ in results)
+        service = EstimationService()
+        service.register("crn", estimator)
+        served = service.submit_batch(queries)
+        assert [item.resolution for item in served] == ["pair_batch"] * len(queries)
+        assert [item.pairs_scored for item in served] == [
+            2 * len(slab.entries) for slab, _ in results
+        ]
 
     def test_served_estimates_match_naive_path_bit_for_bit(
         self, model, imdb_small, imdb_featurizer, pool, workload
