@@ -9,7 +9,8 @@ The package is organised around the paper's pipeline:
   exact execution, ANALYZE statistics, materialized samples.
 * :mod:`repro.datasets` -- the synthetic IMDb-like database and the paper's
   query / query-pair / workload generators.
-* :mod:`repro.nn` -- the pure-NumPy autodiff and neural-network substrate.
+* :mod:`repro.nn` -- the pure-NumPy neural-network substrate (parameters,
+  Adam, losses, serialization).
 * :mod:`repro.core` -- the paper's contribution: CRN, the Crd2Cnt / Cnt2Crd
   transformations, the queries pool, and the improved-model construction.
 * :mod:`repro.baselines` -- PostgreSQL-style, MSCN and sampling estimators.

@@ -12,6 +12,10 @@ baseline.  This is a faithful re-implementation on the NumPy substrate:
   output network that predicts the query's cardinality in normalized log
   space.
 
+Training and inference run one plain-array forward pass, :func:`forward`;
+:class:`MSCNTrainer` adds its hand-written backward pass and Adam step, on
+the pattern of :class:`repro.core.training.CRNTrainer`.
+
 The "MSCN with 1000 samples" variant (Section 6.6 of the paper) appends a
 bitmap of sample rows satisfying the query's predicates to each table vector.
 """
@@ -24,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.crn import sigmoid_into
 from repro.core.estimators import CardinalityEstimator
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import LabeledQuery
@@ -31,8 +36,7 @@ from repro.db.database import Database
 from repro.db.sampling import SampleCatalog
 from repro.nn.data import BatchIterator, train_validation_split
 from repro.nn.layers import Linear, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.optim import FlatAdam
 from repro.sql.query import OPERATORS, Query
 
 
@@ -86,11 +90,6 @@ class CardinalityNormalizer:
         """Map normalized predictions back to cardinalities."""
         logs = np.asarray(values, dtype=np.float64) * (self.max_log - self.min_log) + self.min_log
         return np.expm1(logs)
-
-    def denormalize_tensor(self, values: Tensor) -> Tensor:
-        """Differentiable denormalization (used inside the q-error loss)."""
-        logs = values * (self.max_log - self.min_log) + self.min_log
-        return logs.exp() - 1.0
 
 
 class MSCNFeaturizer:
@@ -244,33 +243,114 @@ class MSCNModel(Module):
         """The hidden dimension."""
         return self.config.hidden_size
 
-    def _encode_set(self, vectors: Tensor, mask: Tensor, module: Linear, vector_size: int) -> Tensor:
-        batch_size, max_set, _ = vectors.shape
-        flat = vectors.reshape(batch_size * max_set, vector_size)
-        transformed = module(flat).relu().reshape(batch_size, max_set, self.hidden_size)
-        pooled = (transformed * mask).sum(axis=1)
-        counts = mask.sum(axis=1).clip_min(1.0)
-        return pooled / counts
+    def predict(self, batch: Sequence[np.ndarray]) -> np.ndarray:
+        """Normalized log cardinalities ``(B,)`` of a featurized batch, on the live weights.
 
-    def forward(
-        self,
-        tables: Tensor,
-        table_mask: Tensor,
-        joins: Tensor,
-        join_mask: Tensor,
-        predicates: Tensor,
-        predicate_mask: Tensor,
-    ) -> Tensor:
-        """Predict normalized log cardinalities for a featurized batch."""
-        table_repr = self._encode_set(tables, table_mask, self.table_module, self.table_vector_size)
-        join_repr = self._encode_set(joins, join_mask, self.join_module, self.join_vector_size)
-        predicate_repr = self._encode_set(
-            predicates, predicate_mask, self.predicate_module, self.predicate_vector_size
-        )
-        combined = concatenate([table_repr, join_repr, predicate_repr], axis=1)
-        hidden = self.out_hidden(combined).relu()
-        output = self.out_final(hidden).sigmoid()
-        return output.reshape(output.shape[0])
+        ``batch`` is :meth:`MSCNFeaturizer.featurize_batch` output.
+        """
+        return forward([parameter.data for parameter in self.parameters()], batch)[0][:, 0]
+
+
+def forward(weights: Sequence[np.ndarray], batch: Sequence[np.ndarray]) -> tuple:
+    """MSCN's forward pass on plain arrays.
+
+    ``weights`` are the ten parameter arrays in :meth:`MSCNModel.parameters`
+    order; ``batch`` is the padded, masked layout of
+    :meth:`MSCNFeaturizer.featurize_batch`.  Per set (tables, joins,
+    predicates), every padded row runs through the set module and ReLU, the
+    rows are masked and summed, and the sum is divided by the set size
+    clamped at 1, so an empty set pools to 0.  The three pooled vectors,
+    concatenated, run through ``out_hidden`` + ReLU and ``out_final`` +
+    sigmoid.  These are the autodiff reference's primitives in its order
+    (``tests/autodiff.py``), so a prediction keeps its bits.
+
+    Returns the ``(B, 1)`` predictions and what :class:`MSCNTrainer`'s
+    backward pass reads: per set ``(rows, mask, activations, sizes)``, then
+    the concatenated pooled vectors and the hidden activations.
+    """
+    sets = []
+    for index, (vectors, mask) in enumerate(zip(batch[0::2], batch[1::2])):
+        count, width, size = vectors.shape
+        rows = vectors.reshape(count * width, size)
+        activations = np.maximum(rows @ weights[2 * index] + weights[2 * index + 1], 0.0)
+        sizes = np.maximum(mask.sum(axis=1), 1.0)
+        sets.append((rows, mask, activations.reshape(count, width, -1), sizes))
+    combined = np.concatenate(
+        [(activations * mask).sum(axis=1) / sizes for _, mask, activations, sizes in sets], axis=1
+    )
+    hidden = np.maximum(combined @ weights[6] + weights[7], 0.0)
+    logits = hidden @ weights[8] + weights[9]
+    output = np.empty_like(logits)
+    sigmoid_into(logits, output, *np.empty((3, *logits.shape)), np.empty(logits.shape, bool))
+    return output, (sets, combined, hidden)
+
+
+def log_q_error_and_gradient(
+    normalizer: CardinalityNormalizer, predictions: np.ndarray, cardinalities: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The training loss and its gradient w.r.t. the ``(B,)`` normalized predictions.
+
+    The loss is the mean ``|log max(denormalize(p), 1) - log max(c, 1)|``,
+    where ``denormalize(p)`` is ``exp(p * (max_log - min_log) + min_log) - 1``
+    with the exponent clipped to ``±700``.  An estimate clamped at 1 gets no
+    gradient.
+    """
+    scale = normalizer.max_log - normalizer.min_log
+    exponential = np.exp(np.clip(predictions * scale + normalizer.min_log, -700.0, 700.0))
+    estimates = exponential - 1.0
+    clamped = np.maximum(estimates, 1.0)
+    difference = np.log(clamped) - np.log(np.maximum(cardinalities, 1.0))
+    gradient = np.sign(difference) / len(predictions) / clamped * (estimates > 1.0)
+    return float(np.abs(difference).mean()), gradient * exponential * scale
+
+
+class MSCNTrainer:
+    """Fused forward + backward + Adam step for the fixed MSCN architecture.
+
+    The :class:`repro.core.training.CRNTrainer` pattern: the trainer
+    optimises a private flat copy of the weights (:class:`FlatAdam`) and the
+    model only receives fresh copies (:meth:`publish`).  Not thread-safe.
+    """
+
+    def __init__(
+        self, model: MSCNModel, normalizer: CardinalityNormalizer, learning_rate: float
+    ) -> None:
+        self.model, self.normalizer = model, normalizer
+        # Set modules (tables, joins, predicates), out_hidden, out_final.
+        self._adam = FlatAdam(model.parameters(), learning_rate)
+        self.weights, self.gradients = self._adam.weights, self._adam.gradients
+
+    def loss_and_gradients(self, batch: Sequence[np.ndarray], cardinalities: np.ndarray) -> float:
+        """Forward + backward over one featurized batch: fills ``gradients``, returns the loss."""
+        output, (sets, combined, hidden) = forward(self.weights, batch)
+        loss, gradient = log_q_error_and_gradient(self.normalizer, output[:, 0], cardinalities)
+        weights, gradients = self.weights, self.gradients
+        output_gradient = gradient[:, None] * output * (1.0 - output)  # sigmoid
+        np.matmul(hidden.T, output_gradient, out=gradients[8])
+        np.sum(output_gradient, axis=0, out=gradients[9])
+        hidden_gradient = (output_gradient @ weights[8].T) * (hidden > 0.0)
+        np.matmul(combined.T, hidden_gradient, out=gradients[6])
+        np.sum(hidden_gradient, axis=0, out=gradients[7])
+        combined_gradient = hidden_gradient @ weights[6].T
+        size = self.model.hidden_size
+        for index, (rows, mask, activations, sizes) in enumerate(sets):
+            pooled_gradient = combined_gradient[:, index * size : (index + 1) * size] / sizes
+            # Un-pool to every masked row, then its ReLU mask.
+            row_gradient = pooled_gradient[:, None, :] * mask * (activations > 0.0)
+            row_gradient = row_gradient.reshape(len(rows), size)
+            np.matmul(rows.T, row_gradient, out=gradients[2 * index])
+            np.sum(row_gradient, axis=0, out=gradients[2 * index + 1])
+        return loss
+
+    def step(self, batch: Sequence[np.ndarray], cardinalities: np.ndarray) -> float:
+        """One optimisation step on one featurized batch; returns the batch loss."""
+        loss = self.loss_and_gradients(batch, cardinalities)
+        self._adam.step()
+        return loss
+
+    def publish(self) -> None:
+        """Hand the model fresh copies of the trainer's current weights."""
+        self._adam.publish()
 
 
 class MSCNEstimator(CardinalityEstimator):
@@ -300,10 +380,8 @@ class MSCNEstimator(CardinalityEstimator):
         estimates: list[float] = []
         for start in range(0, len(queries), self.batch_size):
             chunk = list(queries[start : start + self.batch_size])
-            batch = self.featurizer.featurize_batch(chunk)
-            with no_grad():
-                normalized = self.model(*(Tensor(part) for part in batch)).numpy()
-            estimates.extend(float(v) for v in self.normalizer.denormalize(np.atleast_1d(normalized)))
+            normalized = self.model.predict(self.featurizer.featurize_batch(chunk))
+            estimates.extend(float(v) for v in self.normalizer.denormalize(normalized))
         return [max(estimate, 1.0) for estimate in estimates]
 
 
@@ -345,8 +423,8 @@ class _FeaturizedQueries:
     def __len__(self) -> int:
         return len(self.cardinalities)
 
-    def batch(self, indices: np.ndarray) -> tuple[list[Tensor], np.ndarray]:
-        return [Tensor(part[indices]) for part in self.batches], self.cardinalities[indices]
+    def batch(self, indices: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        return [part[indices] for part in self.batches], self.cardinalities[indices]
 
 
 def train_mscn(
@@ -388,7 +466,7 @@ def train_mscn(
     train_data = _FeaturizedQueries(featurizer, train_items)
     validation_data = _FeaturizedQueries(featurizer, validation_items)
 
-    optimizer = Adam(model.parameters(), learning_rate=training_config.learning_rate)
+    trainer = MSCNTrainer(model, normalizer, training_config.learning_rate)
     iterator = BatchIterator(len(train_data), training_config.batch_size, seed=training_config.seed)
     result = MSCNTrainingResult(model=model, featurizer=featurizer, normalizer=normalizer)
     best_state = model.state_dict()
@@ -396,18 +474,8 @@ def train_mscn(
 
     for epoch in range(1, training_config.epochs + 1):
         start = time.perf_counter()
-        epoch_losses: list[float] = []
-        for indices in iterator.epoch():
-            inputs, cardinalities = train_data.batch(indices)
-            predictions = model(*inputs)
-            estimated = normalizer.denormalize_tensor(predictions).clip_min(1.0)
-            targets = Tensor(np.maximum(cardinalities, 1.0))
-            loss = (estimated.log() - targets.log()).abs().mean()
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
-
+        epoch_losses = [trainer.step(*train_data.batch(indices)) for indices in iterator.epoch()]
+        trainer.publish()
         validation_q_error = _validation_q_error(model, normalizer, validation_data)
         result.history.append(
             {
@@ -439,8 +507,6 @@ def train_mscn(
 def _validation_q_error(
     model: MSCNModel, normalizer: CardinalityNormalizer, data: _FeaturizedQueries
 ) -> float:
-    with no_grad():
-        normalized = model(*(Tensor(part) for part in data.batches)).numpy()
-    estimates = np.maximum(normalizer.denormalize(np.atleast_1d(normalized)), 1.0)
+    estimates = np.maximum(normalizer.denormalize(model.predict(data.batches)), 1.0)
     truths = np.maximum(data.cardinalities, 1.0)
     return float(q_errors(estimates, truths).mean())

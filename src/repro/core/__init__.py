@@ -20,8 +20,8 @@
   references in tests.
 """
 
-from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, PoolEstimate, cnt2crd
-from repro.core.crd2cnt import Crd2CntEstimator, crd2cnt
+from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, PoolEstimate
+from repro.core.crd2cnt import Crd2CntEstimator
 from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
 from repro.core.estimators import CardinalityEstimator, ContainmentEstimator
 from repro.core.featurization import FeatureLayout, QueryFeaturizer
@@ -67,8 +67,6 @@ __all__ = [
     "QueryFeaturizer",
     "TrainingConfig",
     "TrainingResult",
-    "cnt2crd",
-    "crd2cnt",
     "evaluate_pairs_q_error",
     "get_final_function",
     "improve",

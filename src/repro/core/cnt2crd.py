@@ -378,22 +378,3 @@ class Cnt2CrdEstimator(CardinalityEstimator):
 
     def estimate_cardinality(self, query: Query) -> float:
         return self.estimate_cardinalities([query])[0]
-
-
-def cnt2crd(
-    containment_estimator: ContainmentEstimator,
-    pool: QueriesPool,
-    final_function: str | FinalFunction = "median",
-    epsilon: float = 1e-3,
-    fallback: CardinalityEstimator | None = None,
-    pool_index=None,
-) -> Cnt2CrdEstimator:
-    """Functional alias for :class:`Cnt2CrdEstimator` (matches the paper's notation)."""
-    return Cnt2CrdEstimator(
-        containment_estimator,
-        pool,
-        final_function=final_function,
-        epsilon=epsilon,
-        fallback=fallback,
-        pool_index=pool_index,
-    )

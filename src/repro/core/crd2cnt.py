@@ -44,8 +44,3 @@ class Crd2CntEstimator(ContainmentEstimator):
         if self.clip:
             rate = min(max(rate, 0.0), 1.0)
         return float(rate)
-
-
-def crd2cnt(cardinality_estimator: CardinalityEstimator, clip: bool = True) -> Crd2CntEstimator:
-    """Functional alias for :class:`Crd2CntEstimator` (matches the paper's notation)."""
-    return Crd2CntEstimator(cardinality_estimator, clip=clip)

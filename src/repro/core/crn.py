@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.estimators import ContainmentEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor, concatenate
 from repro.sql.query import Query
 
 #: Pooling strategies supported by the set encoders.  The paper uses the
@@ -114,9 +113,10 @@ _CHUNK_SETS = 256
 
 
 def sigmoid_into(a, out, t0, t1, t2, mask) -> None:
-    """``Tensor.sigmoid`` bit for bit, allocation-free: both branches over the
-    full array, then selected by the sign mask — the values ``np.where``
-    would pick, without its output allocation."""
+    """The numerically stable logistic sigmoid, allocation-free: both branches
+    over the full array, then selected by the sign mask — the values
+    ``np.where`` would pick, without its output allocation (the bits of the
+    autodiff reference's ``sigmoid`` in ``tests/autodiff.py``)."""
     np.clip(a, -60.0, 60.0, out=t0)  # c
     np.negative(t0, out=t1)
     np.exp(t1, out=t1)  # exp(-c)
@@ -133,9 +133,11 @@ def sigmoid_into(a, out, t0, t1, t2, mask) -> None:
 def pair_head(first, second, w_hidden, b_hidden, w_out, b_out, rows: int, scratch) -> np.ndarray:
     """``MLPout`` over ``(n, H)`` encoded pairs in fixed ``rows``-row tiles.
 
-    The arithmetic behind :meth:`CRNModel.rates_from_encodings`: the
-    primitives of :meth:`CRNModel.head` in its order (its ``a + (-b)`` as the
-    bit-equal ``a - b``, Expand written straight into the pair buffer) through
+    The arithmetic behind :meth:`CRNModel.rates_from_encodings`: Expand
+    ``[v1, v2, |v1 - v2|, v1 ⊙ v2]`` (Section 3.2.3) written straight into the
+    pair buffer, then matmul, bias, ReLU, matmul, bias, sigmoid — the autodiff
+    reference head's primitives in its order (its ``a + (-b)`` as the
+    bit-equal ``a - b``; ``tests/autodiff.py``) — through
     ``out=`` ufuncs into ``scratch``, a per-thread attribute bag.  Rows are
     zero-padded to the next multiple of ``rows``; the buffers are then viewed
     as ``(tiles, rows, width)``, on which ``np.matmul`` runs one
@@ -218,71 +220,6 @@ class CRNModel(Module):
         return self.config.hidden_size
 
     # ------------------------------------------------------------------ #
-    # forward
-
-    def encode_query(self, vectors: Tensor, mask: Tensor, encoder: Linear) -> Tensor:
-        """Encode a padded batch of vector sets into one vector per query.
-
-        Args:
-            vectors: ``(batch, max set size, L)`` padded feature vectors.
-            mask: ``(batch, max set size, 1)`` validity mask.
-            encoder: the per-query set encoder (``MLP1`` or ``MLP2``).
-
-        Returns:
-            A ``(batch, H)`` tensor of query representations ``Qvec``.
-        """
-        batch_size, max_set, _ = vectors.shape
-        flat = vectors.reshape(batch_size * max_set, self.vector_size)
-        transformed = encoder(flat).relu()
-        transformed = transformed.reshape(batch_size, max_set, self.hidden_size)
-        masked = transformed * mask
-        pooled = masked.sum(axis=1)
-        if self.config.pooling == "average":
-            counts = mask.sum(axis=1).clip_min(1.0)
-            pooled = pooled / counts
-        return pooled
-
-    def expand(self, first: Tensor, second: Tensor) -> Tensor:
-        """The Expand feature map ``[v1, v2, |v1 - v2|, v1 ⊙ v2]`` (Section 3.2.3)."""
-        return concatenate(
-            [first, second, (first - second).abs(), first * second], axis=1
-        )
-
-    def head(self, first_repr: Tensor, second_repr: Tensor) -> Tensor:
-        """``MLPout`` over a batch of already-encoded query representations.
-
-        Args:
-            first_repr: ``(batch, H)`` representations of the first queries.
-            second_repr: ``(batch, H)`` representations of the second queries.
-
-        Returns:
-            A ``(batch,)`` tensor of rates in ``[0, 1]``.
-        """
-        if self.config.use_expand:
-            pair = self.expand(first_repr, second_repr)
-        else:
-            pair = concatenate([first_repr, second_repr], axis=1)
-        hidden = self.out_hidden(pair).relu()
-        output = self.out_final(hidden).sigmoid()
-        return output.reshape(output.shape[0])
-
-    def forward(
-        self,
-        first_vectors: Tensor,
-        first_mask: Tensor,
-        second_vectors: Tensor,
-        second_mask: Tensor,
-    ) -> Tensor:
-        """Estimate containment rates for a batch of featurized query pairs.
-
-        Returns:
-            A ``(batch,)`` tensor of rates in ``[0, 1]``.
-        """
-        first_repr = self.encode_query(first_vectors, first_mask, self.set_encoder1)
-        second_repr = self.encode_query(second_vectors, second_mask, self.set_encoder2)
-        return self.head(first_repr, second_repr)
-
-    # ------------------------------------------------------------------ #
     # deterministic inference path
 
     def encode_set(self, vectors: np.ndarray, position: int) -> np.ndarray:
@@ -316,8 +253,7 @@ class CRNModel(Module):
         :func:`pair_head` on the live weights: every GEMM sees exactly
         ``slab_size`` rows, so each pair's rate is bit-for-bit independent of
         how pairs were grouped into batches — the invariant the serving
-        layer's cross-request batching relies on.  No autodiff graph is
-        built; the Tensor :meth:`head` is the autodiff reference.
+        layer's cross-request batching relies on.
 
         Args:
             first_reprs: ``(n, H)`` encodings from :meth:`encode_set` (pos 1).

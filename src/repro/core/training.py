@@ -7,8 +7,8 @@ recipe on the NumPy substrate and records the per-epoch convergence history
 used by the Figure 3 / Figure 4 benchmarks.
 
 The architecture is fixed, so the step is hand-written, not taped
-(:class:`CRNTrainer`); ``repro.nn`` autodiff through :meth:`CRNModel.forward`
-stays as the gradient oracle of ``tests/test_core_training.py``.
+(:class:`CRNTrainer`); the autodiff CRN of ``tests/autodiff.py`` is its
+gradient oracle in ``tests/test_core_training.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.datasets.pairs import QueryPair
 from repro.nn.data import BatchIterator, train_validation_split
-from repro.nn.loss import LOSS_FUNCTIONS, loss_and_gradient
-from repro.nn.optim import adam_update
+from repro.nn.loss import LOSSES, loss_and_gradient
+from repro.nn.optim import FlatAdam
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class TrainingConfig:
             raise ValueError("batch_size must be positive")
         if not 0.0 < self.learning_rate < float("inf"):  # also rejects NaN
             raise ValueError("learning_rate must be positive and finite")
-        if self.loss not in LOSS_FUNCTIONS:
-            raise ValueError(f"unknown loss {self.loss!r}; available: {sorted(LOSS_FUNCTIONS)}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}; available: {sorted(LOSSES)}")
         if self.loss_epsilon <= 0:
             raise ValueError("loss_epsilon must be positive")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -201,17 +201,8 @@ class CRNTrainer:
     def __init__(self, model: CRNModel, config: TrainingConfig) -> None:
         self.model, self.config = model, config
         # MLP1, MLP2, MLPout hidden, MLPout final: a (weight, bias) pair each.
-        self._parameters = model.parameters()
-        shapes = [parameter.data.shape for parameter in self._parameters]
-        bounds = np.concatenate(([0], np.cumsum([int(np.prod(shape)) for shape in shapes])))
-        # Rows: weights, gradients, Adam's two moments, its two temporaries.
-        self._flat = np.zeros((6, bounds[-1]))
-        self._flat[0] = np.concatenate([parameter.data.ravel() for parameter in self._parameters])
-        self.weights, self.gradients = (
-            [row[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-            for row in self._flat[:2]
-        )
-        self._adam_steps = 0
+        self._adam = FlatAdam(model.parameters(), config.learning_rate)
+        self.weights, self.gradients = self._adam.weights, self._adam.gradients
         self._capacity = 0
 
     def _reserve(self, pairs: int) -> None:
@@ -299,17 +290,12 @@ class CRNTrainer:
     def step(self, data: RaggedPairs, start: int, stop: int) -> float:
         """One optimisation step on pairs ``start:stop``; returns the batch loss."""
         loss = self.loss_and_gradients(data, start, stop)
-        weights, gradient, first, second, update, scratch = self._flat
-        self._adam_steps += 1
-        weights -= adam_update(
-            gradient, first, second, self._adam_steps, self.config.learning_rate, update, scratch
-        )
+        self._adam.step()
         return loss
 
     def publish(self) -> None:
         """Hand the model fresh copies of the trainer's current weights."""
-        for parameter, weight in zip(self._parameters, self.weights):
-            parameter.data = weight.copy()
+        self._adam.publish()
 
     def mean_q_error(self, data: RaggedPairs) -> float:
         """Geometric-mean q-error of the trainer's current weights over ``data``.
@@ -349,7 +335,8 @@ class CRNTrainer:
         config = self.config
         validation = train if validation is None else validation
         iterator = BatchIterator(len(train), config.batch_size, seed=config.seed)
-        best_weights = self._flat[0].copy()
+        weights = self._adam.flat[0]
+        best_weights = weights.copy()
         epochs_without_improvement = 0
         first_epoch = result.epochs_run + 1
         for epoch in range(first_epoch, first_epoch + config.epochs):
@@ -376,7 +363,7 @@ class CRNTrainer:
                 result.best_validation_q_error = stats.validation_mean_q_error
                 result.best_epoch = epoch
                 epochs_without_improvement = 0
-                np.copyto(best_weights, self._flat[0])
+                np.copyto(best_weights, weights)
             else:
                 epochs_without_improvement += 1
             if on_epoch is not None:
@@ -387,7 +374,7 @@ class CRNTrainer:
             if should_stop is not None and should_stop():
                 break
         if restore_best:
-            np.copyto(self._flat[0], best_weights)
+            np.copyto(weights, best_weights)
             self.publish()
         return result
 

@@ -1,34 +1,39 @@
-"""Neural-network modules: parameter containers with a functional forward pass."""
+"""Parameter containers: named float64 arrays the fused kernels read and train."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.nn.init import he_init
-from repro.nn.tensor import Tensor
+
+
+class Parameter:
+    """One learned array, held as ``data``.
+
+    Trainers and checkpoints replace ``data`` instead of writing into it, so
+    an array a reader took from a parameter never changes under it.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
 
 
 class Module:
-    """Base class for all modules.
+    """Base class for models: a tree of named parameters.
 
-    A module owns named parameters (and possibly sub-modules) and implements
-    :meth:`forward`.  Parameter discovery walks instance attributes, so nested
-    modules and lists of modules are registered automatically.
+    Parameter discovery walks instance attributes, so nested modules and
+    lists of modules are registered automatically, in attribute order.
     """
 
-    def forward(self, *inputs: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __call__(self, *inputs: Tensor) -> Tensor:
-        return self.forward(*inputs)
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         """Yield ``(name, parameter)`` pairs for this module and all sub-modules."""
         for attr_name, attr_value in vars(self).items():
             full_name = f"{prefix}{attr_name}"
-            if isinstance(attr_value, Tensor) and attr_value.requires_grad:
+            if isinstance(attr_value, Parameter):
                 yield full_name, attr_value
             elif isinstance(attr_value, Module):
                 yield from attr_value.named_parameters(prefix=f"{full_name}.")
@@ -36,17 +41,12 @@ class Module:
                 for index, item in enumerate(attr_value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(prefix=f"{full_name}.{index}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
+                    elif isinstance(item, Parameter):
                         yield f"{full_name}.{index}", item
 
-    def parameters(self) -> list[Tensor]:
-        """All trainable parameters of this module."""
+    def parameters(self) -> list[Parameter]:
+        """All learned parameters of this module."""
         return [parameter for _, parameter in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        """Clear the gradients of all parameters."""
-        for parameter in self.parameters():
-            parameter.zero_grad()
 
     def num_parameters(self) -> int:
         """Total number of scalar learned parameters."""
@@ -76,7 +76,7 @@ class Module:
 
 
 class Linear(Module):
-    """A fully connected layer ``y = x @ W + b``."""
+    """The parameters of a fully connected layer ``y = x @ weight + bias``."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None) -> None:
         if in_features <= 0 or out_features <= 0:
@@ -84,40 +84,5 @@ class Linear(Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(he_init(rng, in_features, out_features), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs @ self.weight + self.bias
-
-
-class ReLU(Module):
-    """Rectified linear unit activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.relu()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Sequential(Module):
-    """A chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        self.modules = list(modules)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = inputs
-        for module in self.modules:
-            output = module(output)
-        return output
-
-    def append(self, module: Module) -> "Sequential":
-        """Append another module and return self."""
-        self.modules.append(module)
-        return self
+        self.weight = Parameter(he_init(rng, in_features, out_features))
+        self.bias = Parameter(np.zeros(out_features))

@@ -16,8 +16,8 @@ one frozen object of nested sections:
 * :class:`TracingConfig` — per-request span trees with coalescing-aware
   attribution and tail-exemplar sampling (:mod:`repro.observability.tracing`;
   requires observability);
-* :class:`InferenceConfig` — reference ``Tensor`` inference vs a compiled
-  :class:`repro.serving.InferencePlan`, and the compiled plan's slab dtype;
+* :class:`InferenceConfig` — the float64 reference pair head vs a compiled
+  float32 :class:`repro.serving.InferencePlan`, and the slab dtype that follows;
 * :class:`ArtifactConfig` — durable snapshot bundles (:mod:`repro.artifacts`):
   where the generational store lives (builds and adaptation promotes persist
   their model/pool/config state there for cold-start boots);

@@ -8,10 +8,10 @@ has one job: score one query against a float32 pool-index slab through a
 constant **copies** of the head weights.  Rates differ from the reference by
 float32 rounding, ~1e-5..1e-4 relative per rate (see
 ``docs/architecture.md``), which the property tests check end to end as a
-q-error bound on final estimates.  The kernel's contract is the op order of
-:meth:`repro.core.crn.CRNModel.head`, and :func:`compile_plan` checks it
-against a ``model.head`` forward pass: a model whose head computes something
-else does not compile.
+q-error bound on final estimates.  The kernel's contract is the float64 pair
+head, :func:`repro.core.crn.pair_head`, and :func:`compile_plan` checks it
+against :meth:`~repro.core.crn.CRNModel.rates_from_encodings`: a model whose
+pair head computes something else does not compile.
 
 In the Cnt2Crd access pattern every pair couples one query vector ``q`` with
 one pool row.  Instead of materializing the ``(2E, H)`` interleaved pair
@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.crn import PASS_ROWS, CRNEstimator, CRNModel, sigmoid_into
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.layers import Parameter
 from repro.observability.events import PlanCompiled
 
 __all__ = ["InferencePlan", "compile_plan"]
@@ -70,7 +70,7 @@ class InferencePlan:
         self.hidden_size = hidden = model.hidden_size
         self.compile_seconds = 0.0
 
-        def frozen(parameter: Tensor) -> np.ndarray:
+        def frozen(parameter: Parameter) -> np.ndarray:
             # Freeze: an explicit copy, cast to the plan dtype.
             return np.array(parameter.data, dtype=self.dtype, order="C", copy=True)
 
@@ -221,9 +221,9 @@ def compile_plan(model: CRNModel) -> InferencePlan:
 
     Returns:
         A ready-to-run plan.  Compilation self-checks the fused slab kernel
-        against a ``model.head`` forward pass, and raises ``RuntimeError``
-        when they disagree beyond float32 rounding (a subclass that
-        overrides ``head``, say).
+        against the model's float64 pair head (``rates_from_encodings``), and
+        raises ``RuntimeError`` when they disagree beyond float32 rounding (a
+        subclass that overrides ``rates_from_encodings``, say).
     """
     started = time.perf_counter()
     if not isinstance(model, CRNModel):
@@ -232,15 +232,13 @@ def compile_plan(model: CRNModel) -> InferencePlan:
 
     # Self-check: the fused slab kernel (what float32 serving scores slabs
     # through) on random probe rows as the pool side, with the first of them
-    # as the query.  13 rows keep the Tensor head's GEMMs under OpenBLAS's
+    # as the query.  13 rows keep the probe's GEMMs under OpenBLAS's
     # threading cutoff: at 32 fused pairs a woken BLAS thread cost ~16 ms per
     # compile on a busy 2-core box.
     rng = np.random.default_rng(7)
     first, second = rng.standard_normal((2, PASS_ROWS - 3, model.hidden_size))
     query = first[0], second[0]
-    pairs = model.assemble_pool_pairs(*query, first, second)
-    with no_grad():
-        expected = model.head(Tensor(pairs[0]), Tensor(pairs[1])).numpy()
+    expected = model.rates_from_encodings(*model.assemble_pool_pairs(*query, first, second))
     fused = plan.rates_against_slab(*query, first.T, second.T)
     if not np.allclose(fused, expected, rtol=1e-3, atol=1e-5):
         raise RuntimeError("compiled float32 plan diverged beyond float32 rounding")

@@ -1,33 +1,41 @@
-"""A small reverse-mode automatic-differentiation engine over NumPy arrays.
+"""The autodiff reference the fused kernels of ``src/`` are checked against.
 
-Only the operations needed by the paper's models are implemented, but each is
-implemented with full broadcasting support so the engine is reusable:
+``src/`` computes every forward and backward pass on plain arrays
+(:class:`repro.core.training.CRNTrainer`,
+:class:`repro.baselines.mscn.MSCNTrainer`, :func:`repro.core.crn.pair_head`).
+This module is the independent oracle those kernels are held to: a small
+reverse-mode automatic-differentiation engine over NumPy arrays, the modules,
+optimizers and losses built on it, and the CRN and MSCN forward passes
+written on it, primitive by primitive.
 
 * elementwise: ``+ - * /``, ``abs``, ``maximum``, ``exp``, ``log``, ``clip``
 * matrix multiply (2-D)
 * activations: ``relu``, ``sigmoid``
-* shape: ``reshape``, ``concatenate``, basic indexing is intentionally omitted
+* shape: ``reshape``, ``concatenate``; basic indexing is intentionally omitted
 * reductions: ``sum`` / ``mean`` over an axis or all elements
 
 Gradients are accumulated into ``Tensor.grad`` by :meth:`Tensor.backward`,
-which runs a topological sort over the recorded computation graph.
+which runs a topological sort over the recorded computation graph.  A model
+of ``src/`` takes part once :func:`track` has made its parameters leaves.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.nn import layers
+from repro.nn.layers import Parameter
+from repro.nn.optim import adam_update
+
 #: Graph-construction mode is **per thread**.  A process-wide flag would race
-#: under concurrent inference (the serving dispatcher thread plus client
-#: threads all enter/exit ``no_grad``): interleaved save/restore pairs can
-#: restore a stale ``previous`` and leave gradient tracking off for every
-#: thread — after which newly built models silently have no trainable
-#: parameters.  Thread-local state makes each thread's ``no_grad`` blocks
-#: independent, matching how PyTorch scopes its grad mode.
+#: when threads enter and exit ``no_grad`` concurrently: interleaved
+#: save/restore pairs can restore a stale ``previous`` and leave gradient
+#: tracking off for every thread.  Thread-local state makes each thread's
+#: ``no_grad`` blocks independent, matching how PyTorch scopes its grad mode.
 _GRAD_STATE = threading.local()
 
 
@@ -40,8 +48,8 @@ def _grad_enabled() -> bool:
 def no_grad() -> Iterator[None]:
     """Context manager disabling graph construction (inference mode).
 
-    Scoped to the calling thread: concurrent serving threads can run
-    inference inside ``no_grad`` while another thread trains.
+    Scoped to the calling thread: one thread can run inside ``no_grad``
+    while another builds graphs.
     """
     previous = _grad_enabled()
     _GRAD_STATE.enabled = False
@@ -65,10 +73,15 @@ def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return gradient.reshape(shape)
 
 
-class Tensor:
-    """A NumPy-backed tensor participating in reverse-mode autodiff."""
+class Tensor(Parameter):
+    """A NumPy-backed tensor participating in reverse-mode autodiff.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A :class:`repro.nn.layers.Parameter`, so a tracked model (:func:`track`)
+    holds its leaves where it held its parameters: ``Module`` walks, state
+    dicts and the fused trainers read them through ``data`` as before.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward")
 
     def __init__(
         self,
@@ -383,9 +396,300 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor(out_data, requires_grad=requires_grad, parents=tuple(tensors), backward=backward)
 
 
-def stack_rows(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Stack 1-D arrays into a 2-D matrix (plain NumPy helper, no gradient)."""
-    rows = list(rows)
-    if not rows:
-        return np.empty((0, 0))
-    return np.stack(rows, axis=0)
+def track(module: layers.Module) -> layers.Module:
+    """Make every parameter of ``module`` a gradient-tracking leaf, in place.
+
+    Each leaf shares its parameter's array; returns ``module``.
+    """
+    for name, parameter in list(module.named_parameters()):
+        *path, attribute = name.split(".")
+        owner = module
+        for part in path:
+            owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
+        setattr(owner, attribute, Tensor(parameter.data, requires_grad=True))
+    return module
+
+
+# --------------------------------------------------------------------------- #
+# modules
+
+
+class Module(layers.Module):
+    """A :class:`repro.nn.layers.Module` with an autodiff forward pass."""
+
+    def forward(self, *inputs: Tensor) -> Tensor:
+        raise NotImplementedError
+
+    def __call__(self, *inputs: Tensor) -> Tensor:
+        return self.forward(*inputs)
+
+    def zero_grad(self) -> None:
+        """Clear the gradients of all parameters."""
+        zero_grad(self)
+
+
+class Linear(Module, layers.Linear):
+    """A fully connected layer ``y = x @ W + b`` with tracked parameters."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        layers.Linear.__init__(self, *args, **kwargs)
+        track(self)
+
+    def forward(self, inputs: Tensor) -> Tensor:
+        return linear(self, inputs)
+
+
+class ReLU(Module):
+    """Rectified linear unit activation."""
+
+    def forward(self, inputs: Tensor) -> Tensor:
+        return inputs.relu()
+
+
+class Sigmoid(Module):
+    """Logistic sigmoid activation."""
+
+    def forward(self, inputs: Tensor) -> Tensor:
+        return inputs.sigmoid()
+
+
+class Sequential(Module):
+    """A chain of modules applied in order."""
+
+    def __init__(self, *modules: Module) -> None:
+        self.modules = list(modules)
+
+    def forward(self, inputs: Tensor) -> Tensor:
+        output = inputs
+        for module in self.modules:
+            output = module(output)
+        return output
+
+    def append(self, module: Module) -> "Sequential":
+        """Append another module and return self."""
+        self.modules.append(module)
+        return self
+
+
+def linear(layer: layers.Linear, inputs: Tensor) -> Tensor:
+    """``inputs @ weight + bias`` of a tracked :class:`repro.nn.layers.Linear`."""
+    return inputs @ layer.weight + layer.bias
+
+
+def zero_grad(module: layers.Module) -> None:
+    """Clear the gradients of a tracked module's parameters."""
+    for parameter in module.parameters():
+        parameter.zero_grad()
+
+
+# --------------------------------------------------------------------------- #
+# optimizers
+
+
+class Optimizer:
+    """Base optimizer holding a parameter list."""
+
+    def __init__(self, parameters: list[Tensor]) -> None:
+        if not parameters:
+            raise ValueError("optimizer needs at least one parameter")
+        self.parameters = parameters
+
+    def zero_grad(self) -> None:
+        """Clear gradients of all managed parameters."""
+        for parameter in self.parameters:
+            parameter.zero_grad()
+
+    def step(self) -> None:
+        raise NotImplementedError
+
+
+class SGD(Optimizer):
+    """Stochastic gradient descent with optional momentum."""
+
+    def __init__(self, parameters: list[Tensor], learning_rate: float = 0.01, momentum: float = 0.0) -> None:
+        super().__init__(parameters)
+        if learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self._velocity = [np.zeros_like(parameter.data) for parameter in parameters]
+
+    def step(self) -> None:
+        """Apply one SGD update using the accumulated gradients."""
+        for parameter, velocity in zip(self.parameters, self._velocity):
+            if parameter.grad is None:
+                continue
+            velocity *= self.momentum
+            velocity -= self.learning_rate * parameter.grad
+            parameter.data = parameter.data + velocity
+
+
+class Adam(Optimizer):
+    """The Adam optimizer (Kingma & Ba, 2015), one :func:`adam_update` per parameter."""
+
+    def __init__(
+        self,
+        parameters: list[Tensor],
+        learning_rate: float = 0.001,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+    ) -> None:
+        super().__init__(parameters)
+        if learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError("betas must lie in [0, 1)")
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._step_count = 0
+        self._first_moment = [np.zeros_like(parameter.data) for parameter in parameters]
+        self._second_moment = [np.zeros_like(parameter.data) for parameter in parameters]
+
+    def step(self) -> None:
+        """Apply one Adam update using the accumulated gradients."""
+        self._step_count += 1
+        for parameter, first, second in zip(self.parameters, self._first_moment, self._second_moment):
+            if parameter.grad is None:
+                continue
+            update = adam_update(
+                parameter.grad,
+                first,
+                second,
+                self._step_count,
+                self.learning_rate,
+                np.empty_like(first),
+                np.empty_like(first),
+                self.beta1,
+                self.beta2,
+                self.epsilon,
+            )
+            parameter.data = parameter.data - update
+
+
+# --------------------------------------------------------------------------- #
+# losses (repro.nn.loss.loss_and_gradient is their closed form)
+
+
+def q_error_loss(predictions: Tensor, targets: Tensor, epsilon: float = 1e-6) -> Tensor:
+    """Mean q-error between ``predictions`` and ``targets``, both clamped at ``epsilon``."""
+    safe_predictions = predictions.clip_min(epsilon)
+    safe_targets = targets.clip_min(epsilon)
+    ratio = safe_predictions / safe_targets
+    inverse_ratio = safe_targets / safe_predictions
+    return ratio.maximum(inverse_ratio).mean()
+
+
+def log_q_error_loss(predictions: Tensor, targets: Tensor, epsilon: float = 1e-6) -> Tensor:
+    """Mean ``|log(prediction) - log(target)|`` (the log of the q-error)."""
+    safe_predictions = predictions.clip_min(epsilon)
+    safe_targets = targets.clip_min(epsilon)
+    return (safe_predictions.log() - safe_targets.log()).abs().mean()
+
+
+def mse_loss(predictions: Tensor, targets: Tensor) -> Tensor:
+    """Mean squared error."""
+    difference = predictions - targets
+    return (difference * difference).mean()
+
+
+def mae_loss(predictions: Tensor, targets: Tensor) -> Tensor:
+    """Mean absolute error."""
+    return (predictions - targets).abs().mean()
+
+
+LOSS_FUNCTIONS = {
+    "q_error": q_error_loss,
+    "log_q_error": log_q_error_loss,
+    "mse": mse_loss,
+    "mae": mae_loss,
+}
+
+
+def get_loss(name: str):
+    """Look up a loss function by name (``q_error``, ``log_q_error``, ``mse`` or ``mae``)."""
+    if name not in LOSS_FUNCTIONS:
+        raise KeyError(f"unknown loss {name!r}; available: {sorted(LOSS_FUNCTIONS)}")
+    return LOSS_FUNCTIONS[name]
+
+
+# --------------------------------------------------------------------------- #
+# the CRN (Section 3.2) on a tracked repro.core.crn.CRNModel
+
+
+def crn_encode_query(model, vectors: Tensor, mask: Tensor, encoder: layers.Linear) -> Tensor:
+    """Encode a padded ``(batch, max set size, L)`` batch of vector sets with
+    its ``(batch, max set size, 1)`` validity mask into ``(batch, H)`` ``Qvec``s."""
+    batch_size, max_set, _ = vectors.shape
+    flat = vectors.reshape(batch_size * max_set, model.vector_size)
+    transformed = linear(encoder, flat).relu()
+    transformed = transformed.reshape(batch_size, max_set, model.hidden_size)
+    masked = transformed * mask
+    pooled = masked.sum(axis=1)
+    if model.config.pooling == "average":
+        counts = mask.sum(axis=1).clip_min(1.0)
+        pooled = pooled / counts
+    return pooled
+
+
+def crn_expand(first: Tensor, second: Tensor) -> Tensor:
+    """The Expand feature map ``[v1, v2, |v1 - v2|, v1 ⊙ v2]`` (Section 3.2.3)."""
+    return concatenate([first, second, (first - second).abs(), first * second], axis=1)
+
+
+def crn_head(model, first_repr: Tensor, second_repr: Tensor) -> Tensor:
+    """``MLPout`` over ``(batch, H)`` encodings: ``(batch,)`` rates in ``[0, 1]``."""
+    if model.config.use_expand:
+        pair = crn_expand(first_repr, second_repr)
+    else:
+        pair = concatenate([first_repr, second_repr], axis=1)
+    hidden = linear(model.out_hidden, pair).relu()
+    output = linear(model.out_final, hidden).sigmoid()
+    return output.reshape(output.shape[0])
+
+
+def crn_forward(model, first_vectors, first_mask, second_vectors, second_mask) -> Tensor:
+    """Containment rates ``(batch,)`` of a batch of padded, masked query pairs."""
+    first_repr = crn_encode_query(model, first_vectors, first_mask, model.set_encoder1)
+    second_repr = crn_encode_query(model, second_vectors, second_mask, model.set_encoder2)
+    return crn_head(model, first_repr, second_repr)
+
+
+# --------------------------------------------------------------------------- #
+# MSCN on a tracked repro.baselines.mscn.MSCNModel
+
+
+def _mscn_encode_set(model, vectors: Tensor, mask: Tensor, module: layers.Linear) -> Tensor:
+    batch_size, max_set, size = vectors.shape
+    flat = vectors.reshape(batch_size * max_set, size)
+    transformed = linear(module, flat).relu().reshape(batch_size, max_set, model.hidden_size)
+    pooled = (transformed * mask).sum(axis=1)
+    counts = mask.sum(axis=1).clip_min(1.0)
+    return pooled / counts
+
+
+def mscn_forward(model, tables, table_mask, joins, join_mask, predicates, predicate_mask) -> Tensor:
+    """Normalized log cardinalities ``(batch,)`` of a featurized MSCN batch."""
+    table_repr = _mscn_encode_set(model, tables, table_mask, model.table_module)
+    join_repr = _mscn_encode_set(model, joins, join_mask, model.join_module)
+    predicate_repr = _mscn_encode_set(model, predicates, predicate_mask, model.predicate_module)
+    combined = concatenate([table_repr, join_repr, predicate_repr], axis=1)
+    hidden = linear(model.out_hidden, combined).relu()
+    output = linear(model.out_final, hidden).sigmoid()
+    return output.reshape(output.shape[0])
+
+
+def denormalize(normalizer, values: Tensor) -> Tensor:
+    """``CardinalityNormalizer.denormalize``, differentiable: ``exp(logs) - 1``."""
+    logs = values * (normalizer.max_log - normalizer.min_log) + normalizer.min_log
+    return logs.exp() - 1.0
+
+
+def mscn_loss(model, normalizer, batch, cardinalities) -> Tensor:
+    """MSCN's training loss: mean ``|log max(estimate, 1) - log max(truth, 1)|``."""
+    predictions = mscn_forward(model, *(Tensor(part) for part in batch))
+    estimated = denormalize(normalizer, predictions).clip_min(1.0)
+    targets = Tensor(np.maximum(cardinalities, 1.0))
+    return (estimated.log() - targets.log()).abs().mean()

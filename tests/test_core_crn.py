@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.crn import PASS_ROWS, CRNConfig, CRNEstimator, CRNModel
 from repro.core.featurization import QueryFeaturizer
-from repro.nn.tensor import Tensor
 from repro.sql.builder import QueryBuilder
+from tests.autodiff import Tensor, crn_expand, crn_forward, track
 
 
 def _random_batch(vector_size: int, batch: int = 4, set_size: int = 5, seed: int = 0):
@@ -29,10 +29,10 @@ class TestConfig:
 
 class TestModel:
     def test_output_shape_and_range(self):
-        model = CRNModel(vector_size=20, config=CRNConfig(hidden_size=16, seed=1))
+        model = track(CRNModel(vector_size=20, config=CRNConfig(hidden_size=16, seed=1)))
         first, first_mask = _random_batch(20, seed=1)
         second, second_mask = _random_batch(20, seed=2)
-        output = model(first, first_mask, second, second_mask).numpy()
+        output = crn_forward(model, first, first_mask, second, second_mask).numpy()
         assert output.shape == (4,)
         assert np.all((output >= 0.0) & (output <= 1.0))
 
@@ -48,34 +48,37 @@ class TestModel:
 
     def test_padding_does_not_change_output(self):
         """Averaging must ignore padded rows entirely."""
-        model = CRNModel(vector_size=10, config=CRNConfig(hidden_size=8, seed=3))
+        model = track(CRNModel(vector_size=10, config=CRNConfig(hidden_size=8, seed=3)))
         rng = np.random.default_rng(5)
         vectors = rng.random((1, 3, 10))
         mask = np.ones((1, 3, 1))
         padded_vectors = np.concatenate([vectors, rng.random((1, 2, 10))], axis=1)
         padded_mask = np.concatenate([mask, np.zeros((1, 2, 1))], axis=1)
-        plain = model(
-            Tensor(vectors), Tensor(mask), Tensor(vectors), Tensor(mask)
+        plain = crn_forward(
+            model, Tensor(vectors), Tensor(mask), Tensor(vectors), Tensor(mask)
         ).numpy()
-        padded = model(
-            Tensor(padded_vectors), Tensor(padded_mask), Tensor(padded_vectors), Tensor(padded_mask)
+        padded = crn_forward(
+            model,
+            Tensor(padded_vectors),
+            Tensor(padded_mask),
+            Tensor(padded_vectors),
+            Tensor(padded_mask),
         ).numpy()
         np.testing.assert_allclose(plain, padded, atol=1e-12)
 
     def test_sum_pooling_differs_from_average(self):
         first, first_mask = _random_batch(12, seed=7)
         second, second_mask = _random_batch(12, seed=8)
-        average_model = CRNModel(12, CRNConfig(hidden_size=8, pooling="average", seed=2))
-        sum_model = CRNModel(12, CRNConfig(hidden_size=8, pooling="sum", seed=2))
-        average_out = average_model(first, first_mask, second, second_mask).numpy()
-        sum_out = sum_model(first, first_mask, second, second_mask).numpy()
+        average_model = track(CRNModel(12, CRNConfig(hidden_size=8, pooling="average", seed=2)))
+        sum_model = track(CRNModel(12, CRNConfig(hidden_size=8, pooling="sum", seed=2)))
+        average_out = crn_forward(average_model, first, first_mask, second, second_mask).numpy()
+        sum_out = crn_forward(sum_model, first, first_mask, second, second_mask).numpy()
         assert not np.allclose(average_out, sum_out)
 
     def test_expand_feature_map(self):
-        model = CRNModel(vector_size=6, config=CRNConfig(hidden_size=4))
         first = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
         second = Tensor(np.array([[2.0, 2.0, 2.0, 2.0]]))
-        expanded = model.expand(first, second).numpy()
+        expanded = crn_expand(first, second).numpy()
         np.testing.assert_allclose(
             expanded[0],
             [1, 2, 3, 4, 2, 2, 2, 2, 1, 0, 1, 2, 2, 4, 6, 8],
@@ -86,10 +89,10 @@ class TestModel:
             CRNModel(vector_size=0)
 
     def test_gradients_flow_to_all_parameters(self):
-        model = CRNModel(vector_size=10, config=CRNConfig(hidden_size=8, seed=4))
+        model = track(CRNModel(vector_size=10, config=CRNConfig(hidden_size=8, seed=4)))
         first, first_mask = _random_batch(10, seed=9)
         second, second_mask = _random_batch(10, seed=10)
-        output = model(first, first_mask, second, second_mask).sum()
+        output = crn_forward(model, first, first_mask, second, second_mask).sum()
         output.backward()
         assert all(parameter.grad is not None for parameter in model.parameters())
 

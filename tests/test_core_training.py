@@ -16,9 +16,7 @@ from repro.core.training import (
 )
 from repro.datasets.workloads import build_training_pairs
 from repro.nn.data import BatchIterator, train_validation_split
-from repro.nn.loss import LOSS_FUNCTIONS
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
+from tests.autodiff import LOSS_FUNCTIONS, Adam, Tensor, crn_forward, no_grad, track, zero_grad
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +153,8 @@ def _pad(sets):
 
 
 def _reference_loss(model, config, first_sets, second_sets, targets) -> Tensor:
-    """The training loss through ``CRNModel.forward`` and ``repro.nn`` autodiff."""
-    predictions = model(*_pad(first_sets), *_pad(second_sets))
+    """The training loss through the autodiff CRN of a tracked ``model``."""
+    predictions = crn_forward(model, *_pad(first_sets), *_pad(second_sets))
     loss = LOSS_FUNCTIONS[config.loss]
     if config.loss in ("q_error", "log_q_error"):
         return loss(predictions, Tensor(targets), epsilon=config.loss_epsilon)
@@ -201,11 +199,13 @@ def ragged_batch(
         sides[0][index] = shared
     if repeat_row:
         sides[1][0] = np.concatenate((sides[1][0], sides[1][0][:1]))
-    model = CRNModel(
-        vector_size,
-        CRNConfig(
-            hidden_size=hidden_size, pooling=pooling, use_expand=use_expand, seed=model_seed
-        ),
+    model = track(
+        CRNModel(
+            vector_size,
+            CRNConfig(
+                hidden_size=hidden_size, pooling=pooling, use_expand=use_expand, seed=model_seed
+            ),
+        )
     )
     for parameter in model.parameters():  # zero-initialised biases would hide their paths
         parameter.data = parameter.data + rng.normal(scale=0.3, size=parameter.data.shape)
@@ -284,7 +284,6 @@ class TestFusedStepAgainstAutodiff:
         loss = trainer.loss_and_gradients(data, 0, count)
 
         reference = _reference_loss(model, config, first_sets, second_sets, targets)
-        model.zero_grad()
         reference.backward()
         assert loss == pytest.approx(reference.item(), rel=1e-12, abs=1e-15)
         gradients = zip(model.named_parameters(), trainer.gradients, magnitude)
@@ -369,8 +368,8 @@ class TestFusedStepAgainstAutodiff:
     def test_three_epoch_trajectory_matches_a_reference_loop(
         self, imdb_small, imdb_featurizer, imdb_oracle
     ):
-        """``train_crn`` against the loop it replaced, rebuilt here from
-        ``CRNModel.forward`` + ``nn.optim.Adam`` with the same seeds."""
+        """``train_crn`` against the loop it replaced, rebuilt here from the
+        autodiff CRN + per-parameter ``Adam`` with the same seeds."""
         pairs = build_training_pairs(imdb_small, count=90, seed=9, oracle=imdb_oracle)
         crn_config = CRNConfig(hidden_size=8, seed=3)
         config = TrainingConfig(epochs=3, batch_size=16, seed=5)
@@ -387,7 +386,7 @@ class TestFusedStepAgainstAutodiff:
             list(pairs), config.validation_fraction, seed=config.seed
         )
         train, validation = featurized(train_pairs), featurized(validation_pairs)
-        model = CRNModel(imdb_featurizer.vector_size, crn_config)
+        model = track(CRNModel(imdb_featurizer.vector_size, crn_config))
         optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
         iterator = BatchIterator(len(train_pairs), config.batch_size, seed=config.seed)
         for stats in result.history:
@@ -400,12 +399,12 @@ class TestFusedStepAgainstAutodiff:
                     [train[1][i] for i in indices],
                     train[2][indices],
                 )
-                model.zero_grad()
+                zero_grad(model)
                 loss.backward()
                 optimizer.step()
                 losses.append(loss.item())
             with no_grad():
-                predictions = model(*_pad(validation[0]), *_pad(validation[1])).numpy()
+                predictions = crn_forward(model, *_pad(validation[0]), *_pad(validation[1])).numpy()
             errors = q_errors(predictions, validation[2], epsilon=config.loss_epsilon)
             assert stats.train_loss == pytest.approx(float(np.mean(losses)), rel=1e-9)
             assert stats.validation_mean_q_error == pytest.approx(

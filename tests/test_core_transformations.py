@@ -5,7 +5,6 @@ feeding either of them *exact* information reproduces exact answers, which is
 verified against the toy and synthetic databases.
 """
 
-import importlib
 import warnings
 
 import numpy as np
@@ -14,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import PostgresCardinalityEstimator
-from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, cnt2crd
+import repro.core.cnt2crd as cnt2crd_module
+from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
 from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
-from repro.core.crd2cnt import Crd2CntEstimator, crd2cnt
+from repro.core.crd2cnt import Crd2CntEstimator
 from repro.core.final_functions import (
     get_final_function,
     mean_final,
@@ -30,10 +30,6 @@ from repro.datasets.workloads import build_crd_test1, build_queries_pool_queries
 from repro.serving import PoolEncodingIndex
 from repro.sql.builder import QueryBuilder
 from tests.conftest import ZeroRatesContainment
-
-# The module, not the `cnt2crd` function that `repro.core` re-exports under its name.
-cnt2crd_module = importlib.import_module("repro.core.cnt2crd")
-
 
 def _movies(*conditions):
     builder = QueryBuilder().table("movies", "m")
@@ -130,7 +126,7 @@ class TestCrd2Cnt:
         assert estimator.estimate_containment(first, second) == pytest.approx(expected)
 
     def test_empty_first_query_gives_zero(self, toy_database):
-        estimator = crd2cnt(OracleCardinalityEstimator(toy_database))
+        estimator = Crd2CntEstimator(OracleCardinalityEstimator(toy_database))
         assert estimator.estimate_containment(_movies(("m.year", ">", 2050)), _movies()) == 0.0
 
     def test_rate_clipped_to_unit_interval(self, toy_database):
@@ -146,7 +142,7 @@ class TestCrd2Cnt:
         assert rate == 1.0
 
     def test_requires_same_from_clause(self, toy_database):
-        estimator = crd2cnt(OracleCardinalityEstimator(toy_database))
+        estimator = Crd2CntEstimator(OracleCardinalityEstimator(toy_database))
         join = (
             QueryBuilder().table("movies", "m").table("ratings", "r").join("m.id", "r.movie_id").build()
         )
@@ -154,7 +150,7 @@ class TestCrd2Cnt:
             estimator.estimate_containment(_movies(), join)
 
     def test_name_mentions_base_model(self, toy_database):
-        estimator = crd2cnt(OracleCardinalityEstimator(toy_database))
+        estimator = Crd2CntEstimator(OracleCardinalityEstimator(toy_database))
         assert "Oracle" in estimator.name
 
 
@@ -200,7 +196,7 @@ class TestCnt2Crd:
         assert estimator.estimate_cardinality(empty) == 0.0
 
     def test_pool_estimates_expose_rates(self, imdb_small, imdb_oracle, oracle_pool):
-        estimator = cnt2crd(OracleContainmentEstimator(imdb_small), oracle_pool)
+        estimator = Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), oracle_pool)
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
         estimates = estimator.pool_estimates(query)
         assert estimates
@@ -378,6 +374,7 @@ class TestBatchedCnt2Crd:
         self, monkeypatch, pool, batch, estimator
     ):
         queries, filtered = batch
+        assert cnt2crd_module.PAIR_BUDGET > self.BUDGET  # the module, bound by a plain import
         monkeypatch.setattr(cnt2crd_module, "PAIR_BUDGET", self.BUDGET)
         containment = estimator.containment_estimator
         score = containment.rates_against_pools

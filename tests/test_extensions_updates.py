@@ -167,7 +167,7 @@ class TestRetrainSession:
         trainer = trainers[0]  # the cancelled session's; the second is the reference run's
         for parameter in model.parameters():
             assert parameter.data.flags.owndata
-            assert not np.shares_memory(parameter.data, trainer._flat)
+            assert not np.shares_memory(parameter.data, trainer._adam.flat)
 
     def test_cancel_between_runs_skips_exactly_one_run(
         self, base_training, updated_database

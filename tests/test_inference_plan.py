@@ -1,9 +1,9 @@
 """Tests for the frozen-model inference engine (plans, serving).
 
 Covers the whole compiled-inference stack: plan compilation, its head
-freeze and its self-check against ``CRNModel.head``, tile invariance of the
-one pair-head kernel on the live weights (per-tile ``Tensor`` head and the
-256-row golden included), the float32 fused slab kernel and its bound, the
+freeze and its self-check against the float64 pair head, tile invariance of
+the one pair-head kernel on the live weights (the per-tile autodiff head of
+``tests/autodiff.py`` and the 256-row golden included), the float32 fused slab kernel and its bound, the
 live-model identity of everything else a plan-attached estimator computes,
 the pool index's per-dtype slabs, the ``InferenceConfig`` section, the
 client end-to-end paths (including mid-serving pool adds), the lifecycle's
@@ -28,7 +28,6 @@ from repro.artifacts import ArtifactStore
 from repro.core.training import TrainingConfig, train_crn
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.extensions.updates import incremental_update
-from repro.nn.tensor import Tensor, no_grad
 from repro.serving import (
     InferenceConfig,
     InferencePlan,
@@ -40,6 +39,7 @@ from repro.serving.client import _RETIRED_CONFIG_KEYS
 from repro.serving.config import ObservabilityConfig
 import repro.serving.pool_index as pool_index_module
 from repro.serving.pool_index import PoolEncodingIndex
+from tests.autodiff import Tensor, crn_head, no_grad, track
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +78,9 @@ def encodings(hidden: int, rows: int, seed: int = 0) -> tuple[np.ndarray, np.nda
 
 def tensor_head_by_passes(crn: CRNModel, first, second, rows: int) -> np.ndarray:
     """The algorithm serving ran before the array kernel, written out: the
-    Tensor ``head`` under ``no_grad`` on freshly zero-padded ``rows``-row
+    autodiff head under ``no_grad`` on freshly zero-padded ``rows``-row
     passes, one pass at a time."""
+    track(crn)
     total = first.shape[0]
     rates = np.empty(total)
     for start in range(0, total, rows):
@@ -88,7 +89,7 @@ def tensor_head_by_passes(crn: CRNModel, first, second, rows: int) -> np.ndarray
         padded[0, :count] = first[start : start + count]
         padded[1, :count] = second[start : start + count]
         with no_grad():
-            out = crn.head(Tensor(padded[0]), Tensor(padded[1])).numpy()
+            out = crn_head(crn, Tensor(padded[0]), Tensor(padded[1])).numpy()
         rates[start : start + count] = out[:count]
     return rates
 
@@ -104,8 +105,8 @@ class TestCompilePlan:
 
     def test_compile_rejects_a_model_whose_head_is_not_the_kernel(self):
         class HalvedHead(CRNModel):
-            def head(self, first_repr, second_repr):
-                return super().head(first_repr, second_repr) * 0.5
+            def rates_from_encodings(self, first_reprs, second_reprs, slab_size=PASS_ROWS):
+                return super().rates_from_encodings(first_reprs, second_reprs, slab_size) * 0.5
 
         crn = HalvedHead(8, CRNConfig(hidden_size=16, seed=5))
         with pytest.raises(RuntimeError, match="diverged"):
@@ -129,7 +130,7 @@ class TestCompilePlan:
 
     def test_float32_compile_probes_the_fused_slab_kernel(self, monkeypatch):
         # The generic pass is not what float32 serving runs: a fused kernel
-        # that disagrees with model.head must fail compilation too.
+        # that disagrees with the model's pair head must fail compilation too.
         real = InferencePlan.rates_against_slab
         probed: list[int] = []
 

@@ -1,16 +1,16 @@
-"""Unit tests for neural-network modules and serialization."""
+"""Unit tests for parameter containers, their autodiff modules and serialization."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, Module, ReLU, Sequential, Sigmoid
+from repro.nn import layers
 from repro.nn.serialization import (
     ParameterMismatchError,
     load_parameters,
     read_parameter_metadata,
     save_parameters,
 )
-from repro.nn.tensor import Tensor
+from tests.autodiff import Linear, Module, ReLU, Sequential, Sigmoid, Tensor
 
 
 class TestLinear:
@@ -20,14 +20,22 @@ class TestLinear:
         assert output.shape == (5, 3)
 
     def test_parameters_registered(self):
-        layer = Linear(4, 3, rng=np.random.default_rng(0))
+        layer = layers.Linear(4, 3, rng=np.random.default_rng(0))
         names = dict(layer.named_parameters())
         assert set(names) == {"weight", "bias"}
+        assert all(type(parameter) is layers.Parameter for parameter in names.values())
         assert layer.num_parameters() == 4 * 3 + 3
+
+    def test_tracked_layer_keeps_the_plain_layers_weights(self):
+        plain = layers.Linear(4, 3, rng=np.random.default_rng(0))
+        tracked = Linear(4, 3, rng=np.random.default_rng(0))
+        assert list(plain.state_dict()) == list(tracked.state_dict())
+        for value, expected in zip(tracked.state_dict().values(), plain.state_dict().values()):
+            assert value.tobytes() == expected.tobytes()
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            Linear(0, 3)
+            layers.Linear(0, 3)
 
 
 class TestSequentialAndNesting:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.nn.data import BatchIterator, train_validation_split
 from repro.nn.init import he_init, xavier_init
-from repro.nn.loss import get_loss, mae_loss, mse_loss, q_error_loss
-from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Parameter
+from repro.nn.loss import loss_and_gradient
+from repro.nn.optim import FlatAdam
+from tests.autodiff import SGD, Adam, Tensor, get_loss, mae_loss, mse_loss, q_error_loss
 
 
 class TestOptimizers:
@@ -48,6 +49,24 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([])
 
+    def test_flat_adam_steps_with_the_bits_of_per_parameter_adam(self):
+        rng = np.random.default_rng(6)
+        shapes = [(3, 4), (4,), (4, 1), (1,)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        tensors = [Tensor(value.copy(), requires_grad=True) for value in values]
+        parameters = [Parameter(value.copy()) for value in values]
+        reference, flat = Adam(tensors, learning_rate=0.01), FlatAdam(parameters, 0.01)
+        for _ in range(5):
+            for tensor, gradient in zip(tensors, flat.gradients):
+                tensor.grad = rng.normal(size=tensor.data.shape)
+                gradient[...] = tensor.grad
+            reference.step()
+            flat.step()
+        flat.publish()
+        for tensor, parameter in zip(tensors, parameters):
+            assert parameter.data.tobytes() == tensor.data.tobytes()
+            assert not np.shares_memory(parameter.data, flat.flat)
+
 
 class TestLosses:
     def test_q_error_of_exact_prediction_is_one(self):
@@ -74,6 +93,8 @@ class TestLosses:
         assert get_loss("q_error") is q_error_loss
         with pytest.raises(KeyError):
             get_loss("huber")
+        with pytest.raises(KeyError, match="huber"):
+            loss_and_gradient("huber", np.ones(2), np.ones(2))
 
     def test_losses_are_differentiable(self):
         for loss in (q_error_loss, mse_loss, mae_loss):

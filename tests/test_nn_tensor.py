@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from tests.autodiff import Tensor, concatenate, no_grad
 
 
 def numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:

@@ -18,11 +18,11 @@ from repro.core import (
 from repro.core.metrics import q_error, q_errors
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
-from repro.nn.tensor import Tensor
 from repro.sql.containment import analytically_contained, analytically_equivalent
 from repro.sql.intersection import intersect_queries
 from repro.sql.parser import format_query, parse_query
 from repro.sql.query import ComparisonOperator, JoinClause, Predicate, Query, TableRef
+from tests.autodiff import Tensor
 from tests.conftest import build_toy_database
 
 # --------------------------------------------------------------------------- #
