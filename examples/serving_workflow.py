@@ -14,9 +14,11 @@ pool) and industrializes the last step through the one-handle client API:
    :class:`repro.serving.EstimateResult` carries (resolution path, model
    generation, cache hits), and show the batched path did not change a
    single bit of any estimate;
-4. use per-request :class:`repro.serving.RequestOptions` to pick estimators,
-   restrict fallback, and tag requests;
-5. serve the same traffic from many client *threads* (``estimate_future``),
+4. use per-request :class:`repro.serving.RequestOptions` to pick estimators
+   and tag requests;
+5. compare the registry entries' q-errors on the labelled workload, one
+   ``estimate_many`` burst each;
+6. serve the same traffic from many client *threads* (``estimate_future``),
    hot-swap an estimator mid-traffic — the bumped model generation shows up
    in the responses — and print the one merged ``stats()`` snapshot.
 
@@ -32,6 +34,8 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
+
 from repro.baselines import PostgresCardinalityEstimator
 from repro.core import (
     Cnt2CrdEstimator,
@@ -41,6 +45,7 @@ from repro.core import (
     QueryFeaturizer,
     TrainingConfig,
     improve,
+    q_errors,
     train_crn,
 )
 from repro.datasets import (
@@ -50,7 +55,7 @@ from repro.datasets import (
     build_training_pairs,
 )
 from repro.db import TrueCardinalityOracle
-from repro.evaluation import format_service_stats, format_serving_table, time_service
+from repro.evaluation import format_service_stats
 from repro.serving import RequestOptions, ServingClient, ServingConfig
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -131,7 +136,7 @@ def main() -> None:
             f"cache hits in its batch)"
         )
 
-        # 4. Per-request options: estimator pick, fallback policy, tags.
+        # 4. Per-request options: estimator pick and tags.
         tagged = client.estimate(
             queries[0],
             RequestOptions(estimator="improved-postgres", tags={"tenant": "demo"}),
@@ -141,13 +146,20 @@ def main() -> None:
             f"(resolution {tagged.resolution!r}) tags={dict(tagged.tags)}"
         )
 
-        # 5. Serving metrics: accuracy + latency/hit rates per registry entry.
-        print()
-        timings = {
-            name: time_service(client.service, workload, estimator=name, batch_size=25)
-            for name in ("crn", "improved-postgres")
-        }
-        print(format_serving_table(timings, title="serving paths (batches of 25)"))
+        # 5. Accuracy per registry entry on the workload's queries with
+        #    predicates (a predicate-free frame query is a pool entry itself).
+        scored = [labeled for labeled in workload if labeled.query.predicates]
+        truths = [labeled.cardinality for labeled in scored]
+        for name in ("crn", "improved-postgres"):
+            burst = client.estimate_many(
+                [labeled.query for labeled in scored], RequestOptions(estimator=name)
+            )
+            errors = q_errors([item.estimate for item in burst], truths, epsilon=1.0)
+            fallbacks = sum(item.used_fallback for item in burst)
+            print(
+                f"{name}: median q-error {np.median(errors):.2f} over {len(scored)} "
+                f"queries, {fallbacks} registry fallbacks"
+            )
 
         # 6. Concurrent clients: many threads submit dispatcher-backed
         #    futures; a hot swap mid-traffic re-routes new requests without

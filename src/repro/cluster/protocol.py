@@ -331,7 +331,6 @@ def options_to_payload(options: RequestOptions | None) -> dict[str, Any] | None:
     return {
         "estimator": options.estimator,
         "timeout_seconds": options.timeout_seconds,
-        "fallback_policy": options.fallback_policy,
         "tags": [list(pair) for pair in options.tags],
     }
 
@@ -344,7 +343,6 @@ def options_from_payload(payload: Mapping[str, Any] | None) -> RequestOptions | 
         return RequestOptions(
             estimator=payload.get("estimator"),
             timeout_seconds=payload.get("timeout_seconds"),
-            fallback_policy=payload.get("fallback_policy", "registry"),
             tags=tuple(
                 (str(key), str(value)) for key, value in payload.get("tags", ())
             ),

@@ -20,7 +20,7 @@
   references in tests.
 """
 
-from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError, PoolEstimate
+from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
 from repro.core.crd2cnt import Crd2CntEstimator
 from repro.core.crn import CRNConfig, CRNEstimator, CRNModel
 from repro.core.estimators import CardinalityEstimator, ContainmentEstimator
@@ -61,7 +61,6 @@ __all__ = [
     "OracleCardinalityEstimator",
     "OracleContainmentEstimator",
     "PoolEntry",
-    "PoolEstimate",
     "PoolSlab",
     "QueriesPool",
     "QueryFeaturizer",

@@ -53,7 +53,6 @@ order of fidelity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -102,16 +101,6 @@ class NoMatchingPoolQueryError(LookupError):
     to the configured fallback when one exists and collapses to 0 otherwise
     (see :meth:`Cnt2CrdEstimator.estimate_cardinality`).
     """
-
-
-@dataclass(frozen=True)
-class PoolEstimate:
-    """One per-pool-query estimate produced by the Cnt2Crd technique."""
-
-    pool_entry: PoolEntry
-    x_rate: float
-    y_rate: float
-    estimate: float
 
 
 class Cnt2CrdEstimator(CardinalityEstimator):
@@ -181,47 +170,6 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             return self.pool_index.resolve(self, query)
         return self.pool.bucket_slab(query.from_signature())
 
-    def eligible_entries(self, query: Query) -> list[PoolEntry]:
-        """Matching pool entries that can contribute an estimate for ``query``
-        (positive cardinality; see :meth:`QueriesPool.bucket_slab`)."""
-        return list(self.pool.bucket_slab(query.from_signature()).entries)
-
-    def estimates_from_rates(
-        self, query: Query, entries: Sequence[PoolEntry], rates: Sequence[float]
-    ) -> list[PoolEstimate]:
-        """Turn pre-computed containment rates back into per-pool-query estimates.
-
-        This is the observability-friendly form (each surviving entry's rates
-        travel with its estimate); hot paths that only need the estimate
-        *values* use the vectorized :meth:`estimate_values_from_rates`, which
-        is bit-for-bit equivalent.
-
-        Args:
-            query: the incoming query.
-            entries: the eligible entries the rates were computed for.
-            rates: the rates of :func:`~repro.core.estimators.containment_pairs`'s
-                pairs, in order.
-        """
-        if len(rates) != 2 * len(entries):
-            raise ValueError(
-                f"expected {2 * len(entries)} rates for {len(entries)} entries, got {len(rates)}"
-            )
-        estimates: list[PoolEstimate] = []
-        for index, entry in enumerate(entries):
-            x_rate = rates[2 * index]
-            y_rate = rates[2 * index + 1]
-            if y_rate <= self.epsilon:
-                continue
-            estimates.append(
-                PoolEstimate(
-                    pool_entry=entry,
-                    x_rate=x_rate,
-                    y_rate=y_rate,
-                    estimate=x_rate / y_rate * entry.cardinality,
-                )
-            )
-        return estimates
-
     def estimate_values_from_rates(
         self,
         entries: Sequence[PoolEntry],
@@ -230,14 +178,11 @@ class Cnt2CrdEstimator(CardinalityEstimator):
     ) -> np.ndarray:
         """The per-entry estimate *values* surviving the epsilon guard, vectorized.
 
-        Bit-for-bit equal to ``[e.estimate for e in estimates_from_rates(...)]``:
-        ``x / y * cardinality`` runs elementwise in float64 (identical IEEE
-        operations to the scalar loop), and the guard keeps exactly the
-        entries the scalar ``y_rate <= epsilon`` test would keep — including
-        its NaN behaviour (a NaN rate is *kept*, both ways).  On a
-        2000-entry bucket this replaces thousands of Python loop iterations
-        and :class:`PoolEstimate` allocations per request with four array
-        operations.
+        Bit-for-bit equal to the scalar loop that skips an entry when
+        ``y_rate <= epsilon`` and otherwise keeps ``x_rate / y_rate *
+        cardinality``: the arithmetic runs elementwise in float64 (the same
+        IEEE operations), and the guard keeps exactly the entries the scalar
+        test would keep — including its NaN behaviour (a NaN rate is *kept*).
 
         Args:
             entries: the eligible entries the rates were computed for.
@@ -265,40 +210,14 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             )
         return x_rates[keep] / y_rates[keep] * cardinalities[keep]
 
-    def pool_estimates(self, query: Query) -> list[PoolEstimate]:
-        """The per-pool-query estimates for ``query`` (the technique's inner loop).
-
-        Containment rates for all matching pool queries come from one
-        :meth:`~repro.core.estimators.ContainmentEstimator.rates_against_pools`
-        call over the query's slab.
-        """
-        slab = self.resolve(query)
-        if not slab.entries:
-            return []
-        rates = self.containment_estimator.rates_against_pools([(query, slab)])[0]
-        return self.estimates_from_rates(query, slab.entries, rates.tolist())
-
-    def collapse(self, estimates: Sequence[PoolEstimate]) -> float:
-        """Collapse per-pool-query estimates with the final function ``F``.
-
-        An empty list collapses to 0: with *exact* rates (or frame queries
-        in the pool) matched-but-all-filtered only happens when the new
-        query's result really is empty.  With learned rates that zero can be
-        spurious, which is why :meth:`estimate_cardinality` routes the empty
-        case to the configured :attr:`fallback` first and only collapses to
-        0 when no fallback exists.
-        """
-        if not estimates:
-            return 0.0
-        return float(self.final_function([estimate.estimate for estimate in estimates]))
-
     def collapse_values(self, values: np.ndarray) -> float:
-        """:meth:`collapse` over plain estimate values (the vectorized path).
+        """Collapse per-entry estimate values with the final function ``F``.
 
-        Bit-for-bit equal to ``collapse(estimates_from_rates(...))`` for the
-        matching values: the final function sees the same float64 values
-        either way, here as the array itself (every built-in final function
-        starts with ``np.asarray``, so a list round trip only cost time).
+        No values collapse to 0: with *exact* rates (or frame queries in the
+        pool) matched-but-all-filtered only happens when the new query's
+        result really is empty.  With learned rates that zero can be
+        spurious, which is why :meth:`estimate_cardinalities` routes the
+        empty case to the configured :attr:`fallback` first.
         """
         if values.size == 0:
             return 0.0

@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 #: Signature of a final function: a non-empty 1-D float64 array or sequence of
-#: estimates -> one estimate.  :meth:`Cnt2CrdEstimator.collapse` passes a list,
-#: :meth:`Cnt2CrdEstimator.collapse_values` (the serving path) the array.
+#: estimates -> one estimate.  :meth:`Cnt2CrdEstimator.collapse_values` passes
+#: the array.
 FinalFunction = Callable[[Sequence[float] | np.ndarray], float]
 
 

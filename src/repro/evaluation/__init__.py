@@ -28,16 +28,13 @@ from repro.evaluation.reporting import (
 )
 from repro.evaluation.timing import (
     AdaptationEvaluation,
-    ServingTimedEvaluation,
     TimedEvaluation,
     evaluate_adaptation,
     format_adaptation_table,
     format_pool_size_table,
-    format_serving_table,
     format_timing_table,
     time_estimator,
     time_estimators,
-    time_service,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "PAPER_PROFILE",
     "PROFILES",
     "SMOKE_PROFILE",
-    "ServingTimedEvaluation",
     "TimedEvaluation",
     "boxplot_series",
     "evaluate_adaptation",
@@ -64,12 +60,10 @@ __all__ = [
     "format_per_join_table",
     "format_pool_size_table",
     "format_service_stats",
-    "format_serving_table",
     "format_timing_table",
     "get_harness",
     "list_experiments",
     "run_experiment",
     "time_estimator",
     "time_estimators",
-    "time_service",
 ]

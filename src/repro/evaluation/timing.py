@@ -1,14 +1,12 @@
-"""Prediction-time measurement (Tables 14 and 15 of the paper) and serving metrics.
+"""Prediction-time measurement (Tables 14 and 15 of the paper) and adaptation metrics.
 
 Table 14 sweeps the queries-pool size and reports accuracy together with the
 average per-query prediction time; Table 15 reports the average prediction
 time of every model.  Both need wall-clock measurement of single-query
-estimation calls, which this module provides.
-
-On top of the paper's single-query timings, :func:`time_service` measures the
-online serving path (:class:`repro.serving.EstimationService`): accuracy plus
-per-request latency, throughput, and cache hit rates under cross-request
-batching, rendered by :func:`format_serving_table`.
+estimation calls, which this module provides.  :func:`evaluate_adaptation`
+grades an adaptation episode of the serving lifecycle
+(:class:`repro.serving.AdaptationManager`), rendered by
+:func:`format_adaptation_table`.
 """
 
 from __future__ import annotations
@@ -20,12 +18,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.estimators import CardinalityEstimator
 from repro.core.metrics import ErrorSummary, q_errors
 from repro.datasets.pairs import LabeledQuery
-from repro.serving.service import RequestOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.feedback import FeedbackSummary
     from repro.serving.lifecycle import AdaptationManager
-    from repro.serving.service import EstimationService
 
 
 @dataclass(frozen=True)
@@ -79,97 +75,6 @@ def time_estimators(
         name: time_estimator(estimator, labeled_queries, epsilon=epsilon)
         for name, estimator in estimators.items()
     }
-
-
-@dataclass(frozen=True)
-class ServingTimedEvaluation:
-    """Accuracy plus serving metrics of one service run over one workload.
-
-    Attributes:
-        name: the estimator registry name that served the workload.
-        summary: the q-error summary of the served estimates.
-        mean_latency_seconds: average attributed per-request latency.
-        throughput_qps: requests served per second of wall-clock time.
-        featurization_hit_rate: featurization-cache hit rate over the run
-            (0.0 when the service has no featurization cache).
-        encoding_hit_rate: encoding-cache hit rate over the run (0.0 when the
-            service has no encoding cache).
-        fallbacks: requests answered by the registry fallback estimator.
-    """
-
-    name: str
-    summary: ErrorSummary
-    mean_latency_seconds: float
-    throughput_qps: float
-    featurization_hit_rate: float
-    encoding_hit_rate: float
-    fallbacks: int
-
-    @property
-    def mean_latency_milliseconds(self) -> float:
-        """Average attributed per-request latency in milliseconds."""
-        return self.mean_latency_seconds * 1000.0
-
-
-def time_service(
-    service: "EstimationService",
-    labeled_queries: Sequence[LabeledQuery],
-    estimator: str | None = None,
-    epsilon: float = 1.0,
-    batch_size: int | None = None,
-) -> ServingTimedEvaluation:
-    """Serve a labelled workload through an estimation service and measure it.
-
-    Unlike :func:`time_estimator` — which deliberately estimates one query at
-    a time to reproduce the paper's single-query latency — this submits the
-    workload the way an online deployment would: in concurrent batches that
-    the service plans into large deduplicated forward passes.
-
-    Args:
-        service: the estimation service under measurement.
-        labeled_queries: the workload with true cardinalities.
-        estimator: registry name to serve with (service default when None).
-        epsilon: the q-error zero-guard.
-        batch_size: requests per submitted batch (the whole workload when
-            None), modelling how many requests arrive concurrently.
-    """
-    if not labeled_queries:
-        raise ValueError("cannot time a service on an empty workload")
-    queries = [labeled.query for labeled in labeled_queries]
-    step = batch_size if batch_size is not None else len(queries)
-    if step <= 0:
-        raise ValueError("batch_size must be positive")
-    cache_stats = [
-        cache.stats
-        for cache in (service.featurization_cache, service.encoding_cache)
-        if cache is not None
-    ]
-    before = [(stats.hits, stats.misses) for stats in cache_stats]
-    options = RequestOptions(estimator=estimator)
-    served = []
-    start = time.perf_counter()
-    for begin in range(0, len(queries), step):
-        served.extend(service.submit_batch(queries[begin : begin + step], options))
-    elapsed = time.perf_counter() - start
-    rates = []
-    for stats, (hits, misses) in zip(cache_stats, before):
-        lookups = (stats.hits - hits) + (stats.misses - misses)
-        rates.append((stats.hits - hits) / lookups if lookups else 0.0)
-    featurization_rate = rates[0] if service.featurization_cache is not None else 0.0
-    encoding_rate = rates[-1] if service.encoding_cache is not None else 0.0
-    estimates = [item.estimate for item in served]
-    truths = [labeled.cardinality for labeled in labeled_queries]
-    name = estimator if estimator is not None else service.default_estimator
-    errors = q_errors(estimates, truths, epsilon=epsilon)
-    return ServingTimedEvaluation(
-        name=name,
-        summary=ErrorSummary.from_errors(name, errors),
-        mean_latency_seconds=elapsed / len(queries),
-        throughput_qps=len(queries) / elapsed if elapsed > 0 else 0.0,
-        featurization_hit_rate=featurization_rate,
-        encoding_hit_rate=encoding_rate,
-        fallbacks=sum(1 for item in served if item.used_fallback),
-    )
 
 
 @dataclass(frozen=True)
@@ -263,28 +168,6 @@ def format_adaptation_table(
             f"{evaluation.degraded_q_error:.2f}",
             f"{evaluation.recovered_q_error:.2f}",
             f"{evaluation.recovery_ratio:.2f}x",
-        ]
-        lines.append(name.ljust(name_width) + "".join(cell.rjust(12) for cell in cells))
-    return "\n".join(lines)
-
-
-def format_serving_table(
-    evaluations: Mapping[str, ServingTimedEvaluation], title: str = ""
-) -> str:
-    """Render serving measurements as a fixed-width text table."""
-    name_width = max([len(name) for name in evaluations] + [len("serving path")]) + 2
-    headers = ["latency", "qps", "feat hit", "enc hit", "fallbacks"]
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    lines.append("serving path".ljust(name_width) + "".join(h.rjust(12) for h in headers))
-    for name, evaluation in evaluations.items():
-        cells = [
-            f"{evaluation.mean_latency_milliseconds:.2f}ms",
-            f"{evaluation.throughput_qps:.0f}",
-            f"{evaluation.featurization_hit_rate:.1%}",
-            f"{evaluation.encoding_hit_rate:.1%}",
-            str(evaluation.fallbacks),
         ]
         lines.append(name.ljust(name_width) + "".join(cell.rjust(12) for cell in cells))
     return "\n".join(lines)

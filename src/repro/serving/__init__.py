@@ -22,7 +22,7 @@ forward passes.  This package amortizes that work across requests:
   ``(query, slab)`` once, a few large fixed-shape forward passes),
   registry-level fallback for
   :class:`repro.core.cnt2crd.NoMatchingPoolQueryError`, per-request
-  :class:`RequestOptions` (estimator, deadline, fallback policy, tags) and
+  :class:`RequestOptions` (estimator, deadline, tags) and
   provenance-carrying :class:`EstimateResult` responses (resolution path,
   model generation, cache hits), and per-request latency / cache hit-rate
   statistics.

@@ -17,7 +17,7 @@ the :class:`repro.serving.EstimationService`, the request-coalescing
         print(client.stats())                             # merged snapshot
 
 Per-request behaviour rides in :class:`repro.serving.RequestOptions`
-(estimator name, deadline, fallback policy, caller tags), and every answer
+(estimator name, deadline, caller tags), and every answer
 is an :class:`repro.serving.EstimateResult` carrying provenance — the
 resolution path, the answering model generation (bumped on every hot swap),
 and cache-hit counts.
@@ -595,9 +595,9 @@ class ServingClient:
         it is already a batch, so there is nothing for the dispatcher to
         coalesce.  Deadlines are not supported here (the batch runs on the
         calling thread); submit through :meth:`estimate_future` to bound
-        individual waits.  A request-level failure (e.g.
-        ``fallback_policy="none"`` meeting an unmatched query) fails the
-        whole batch, like any no-fallback ``submit_batch``; use
+        individual waits.  A request-level failure (e.g. an unmatched query
+        on a deployment with no fallback) fails the whole batch, like any
+        ``submit_batch``; use
         :meth:`estimate` / :meth:`estimate_future` for per-request isolation.
         """
         self._ensure_open()

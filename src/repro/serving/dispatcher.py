@@ -23,7 +23,7 @@ the caller's own thread: a lone request (a closed-loop caller, a cluster
 worker serving one routed request) costs no thread hand-off.
 
 Per-request :class:`repro.serving.RequestOptions` ride along (estimator,
-fallback policy, deadline, tags); a caller whose deadline expires abandons
+deadline, tags); a caller whose deadline expires abandons
 its request — cancelled before execution when possible and counted under the
 ``timed_out`` stat.
 
@@ -210,7 +210,7 @@ class ServingDispatcher:
         the sequential path (e.g.
         :class:`repro.core.cnt2crd.NoMatchingPoolQueryError` when the service
         has no fallback).  ``options`` rides with the request: its estimator
-        name and fallback policy decide which coalesced group serves it, and
+        name decides which coalesced group serves it, and
         its tags are stamped onto the result.
         """
         future: Future = Future()
@@ -415,18 +415,14 @@ class ServingDispatcher:
         return False
 
     @staticmethod
-    def _group_key(request: _PendingRequest) -> tuple[str | None, str]:
-        """The coalescing group a request belongs to.
+    def _group_key(request: _PendingRequest) -> str | None:
+        """The coalescing group a request belongs to: its registry entry.
 
         Requests picking different registry entries cannot share a forward
-        pass, and requests with different fallback policies cannot share a
-        service submission (the policy applies batch-wide); tags never split
-        a group — they are stamped per request after serving.
+        pass; tags never split a group — they are stamped per request after
+        serving.
         """
-        options = request.options
-        if options is None:
-            return None, "registry"
-        return options.estimator, options.fallback_policy
+        return None if request.options is None else request.options.estimator
 
     @staticmethod
     def _stamp(
@@ -448,7 +444,7 @@ class ServingDispatcher:
             batched_requests=len(batch),
             coalesced_requests=len(batch) if len(batch) > 1 else 0,
         )
-        groups: dict[tuple[str | None, str], list[_PendingRequest]] = {}
+        groups: dict[str | None, list[_PendingRequest]] = {}
         cancelled = 0
         for request in batch:
             if request.future.cancelled():
@@ -478,10 +474,8 @@ class ServingDispatcher:
         )
         abandoned = cancelled
         try:
-            for (estimator, policy), requests in groups.items():
-                group_options = RequestOptions(
-                    estimator=estimator, fallback_policy=policy
-                )
+            for estimator, requests in groups.items():
+                group_options = RequestOptions(estimator=estimator)
                 # Promote to RUNNING only now, immediately before this group
                 # executes: a deadline expiring while an *earlier* group of
                 # the same batch is still running can then still cancel the

@@ -7,8 +7,7 @@ Cnt2Crd work of concurrent requests as one batch through
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`, shares the
 featurization / encoding caches across requests, and records per-request
 latency plus service-level hit-rate statistics (rendered by
-:func:`repro.evaluation.reporting.format_service_stats` and timed by
-:func:`repro.evaluation.timing.time_service`).
+:func:`repro.evaluation.reporting.format_service_stats`).
 
 The batched path is exact, not approximate: the core routine resolves each
 request to its bucket slab (with resident rows when the
@@ -16,9 +15,8 @@ request to its bucket slab (with resident rows when the
 ``(query, slab)`` work once, and turns the rates into values with the
 estimator's own
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates`; the
-service then applies the request's fallback policy and
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values` — the vectorized
-bit-equal twins of ``estimates_from_rates`` / ``collapse`` — so a served
+service then runs the fallback chain a request without values needs and
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values`, so a served
 estimate is bit-for-bit identical to calling ``estimate_cardinality`` per
 request.
 """
@@ -61,9 +59,6 @@ RESOLUTION_REGISTRY_FALLBACK = "registry_fallback"
 #: per-query interface (no batched slab scoring involved).
 RESOLUTION_DIRECT = "direct"
 
-#: The per-request fallback policies accepted by :class:`RequestOptions`.
-FALLBACK_POLICIES = ("registry", "estimator", "none")
-
 
 @dataclass(frozen=True)
 class ServedEstimate:
@@ -99,25 +94,15 @@ class RequestOptions:
 
     Attributes:
         estimator: the registry entry to serve from (the service default when
-            None).  Takes precedence over the positional ``estimator``
-            argument of the legacy ``submit`` / ``submit_batch`` surface.
-        timeout_seconds: the caller's deadline, positive and finite.  Honored
+            None).
+        timeout_seconds: the caller's deadline, positive and finite (a bool
+            is not a number of seconds and fails too).  Honored
             on the dispatcher-backed paths
             (:meth:`repro.serving.ServingClient.estimate`,
             :meth:`repro.serving.ServingDispatcher.estimate`): when it expires
             the caller gets :class:`repro.serving.DeadlineExceededError`, the
             abandoned request is cancelled at batch pickup when possible, and
             the dispatcher counts it under ``timed_out``.
-        fallback_policy: what may answer when the chosen estimator cannot —
-            ``"registry"`` (the default, today's behaviour: the estimator's
-            built-in fallback first, then the registry fallback entry),
-            ``"estimator"`` (built-in only), or ``"none"`` (neither; the
-            request raises
-            :class:`repro.core.cnt2crd.NoMatchingPoolQueryError`).  On the
-            synchronous batch surface (``submit_batch`` / ``estimate_many``)
-            that raise fails the whole batch — the long-standing semantics of
-            a no-fallback batch — while the dispatcher isolates it to the
-            poison request's future.
         tags: caller-supplied key/value labels, stamped verbatim onto the
             request's :class:`EstimateResult` (accepted as a mapping or an
             iterable of pairs; normalized to a sorted tuple of pairs).
@@ -125,20 +110,15 @@ class RequestOptions:
 
     estimator: str | None = None
     timeout_seconds: float | None = None
-    fallback_policy: str = "registry"
     tags: Mapping[str, str] | tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.fallback_policy not in FALLBACK_POLICIES:
-            raise ValueError(
-                f"fallback_policy must be one of {FALLBACK_POLICIES}, "
-                f"got {self.fallback_policy!r}"
-            )
         # NaN and inf fail too: a NaN deadline expires at once, and an
         # infinite one overflows the timed waits it reaches.
-        if self.timeout_seconds is not None and not 0 < self.timeout_seconds < math.inf:
+        timeout = self.timeout_seconds
+        if timeout is not None and (isinstance(timeout, bool) or not 0 < timeout < math.inf):
             raise ValueError(
-                f"timeout_seconds must be positive and finite, got {self.timeout_seconds!r}"
+                f"timeout_seconds must be positive and finite, got {timeout!r}"
             )
         items = (
             self.tags.items() if isinstance(self.tags, Mapping) else self.tags
@@ -453,11 +433,10 @@ class EstimationService:
         estimators fall back to their own per-query interface.  Requests the
         primary estimator cannot answer (no matching pool query and no
         built-in fallback) are re-routed to the registry :attr:`fallback`
-        when one is configured — unless the request's
-        :attr:`RequestOptions.fallback_policy` forbids it.
+        when one is configured.
 
         ``options`` applies to the whole batch (the dispatcher groups
-        requests by estimator and fallback policy before submitting), and
+        requests by estimator before submitting), and
         ``options.estimator`` picks the registry entry (the default when
         None).  Every result is an :class:`EstimateResult` carrying its
         resolution path, the answering entry's model generation, the batch's
@@ -529,12 +508,12 @@ class EstimationService:
         try:
             if isinstance(chosen, Cnt2CrdEstimator):
                 answers, planned_pairs, scored_pairs = self._submit_cnt2crd(
-                    queries, name, generation, chosen, options
+                    queries, name, generation, chosen
                 )
             else:
                 planned_pairs = scored_pairs = 0
                 answers = [
-                    self._guarded_estimate(query, name, generation, chosen, options)
+                    self._guarded_estimate(query, name, generation, chosen)
                     for query in queries
                 ]
         except BaseException as error:
@@ -746,7 +725,6 @@ class EstimationService:
         name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
-        options: RequestOptions,
     ) -> tuple[list[_Answer], int, int]:
         tracer = self.tracer
         span = None
@@ -767,7 +745,7 @@ class EstimationService:
             if slab is not None:
                 planned += 2 * len(slab.entries)
             answers.append(
-                self._answer_request(query, slab, values, name, generation, estimator, options)
+                self._answer_request(query, slab, values, name, generation, estimator)
             )
         # Pair counts are returned (not applied here) so the caller records
         # them atomically with requests/batches — and only for completed
@@ -783,63 +761,48 @@ class EstimationService:
         name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
-        options: RequestOptions,
     ) -> _Answer:
-        """One request's answer from its :meth:`Cnt2CrdEstimator.slab_values` result."""
-        allow_builtin = options.fallback_policy != "none"
-        allow_registry = options.fallback_policy == "registry"
+        """One request's answer from its :meth:`Cnt2CrdEstimator.slab_values` result.
+
+        A request without values — unmatched (``slab is None``), or matched
+        with every eligible entry filtered by the epsilon guard — goes to
+        the estimator's own fallback, then to the flagged registry re-route.
+        With a learned rate model a matched request's collapse to 0.0 could
+        be a spurious zero, so it stands only when neither fallback exists
+        (exactly right for exact rates and framed pools); an unmatched one
+        then raises :class:`NoMatchingPoolQueryError`.
+        """
         if slab is None:
-            if allow_builtin:
-                try:
-                    value = estimator.fallback_estimate(query)
-                    return _Answer(
-                        value, name, generation, False, RESOLUTION_ESTIMATOR_FALLBACK
-                    )
-                except NoMatchingPoolQueryError:
-                    pass
-            if allow_registry:
-                return self._registry_fallback(query, name)
-            raise NoMatchingPoolQueryError(
-                f"estimator {name!r} has no matching pool query for "
-                f"{query.from_signature()} and the request's fallback "
-                f"policy ({options.fallback_policy!r}) permits no re-route"
-            )
-        pool_matches = len(slab.entries)
+            pool_matches, resolution = 0, None
+        else:
+            pool_matches = len(slab.entries)
+            resolution = RESOLUTION_PAIR_BATCH if slab.first is None else RESOLUTION_INDEXED_SLAB
         pairs_scored = 2 * pool_matches
         if values.size == 0:
-            # Matched, but every eligible entry was filtered by the epsilon
-            # guard (or every match had an empty result): with a learned rate
-            # model, collapsing to 0.0 would bypass the fallbacks with a
-            # spurious zero.  Recovery chain mirrors the FROM-miss route —
-            # the estimator's own fallback first, then the flagged registry
-            # re-route; only when neither exists (or the request's policy
-            # forbids them) does the legacy collapse-to-0 stand (exactly
-            # right for exact rates and framed pools).
-            if allow_builtin:
-                try:
-                    value = estimator.fallback_estimate(query)
-                    return _Answer(
-                        value,
-                        name,
-                        generation,
-                        False,
-                        RESOLUTION_ESTIMATOR_FALLBACK,
-                        pool_matches,
-                        pairs_scored,
-                    )
-                except NoMatchingPoolQueryError:
-                    pass
-            if allow_registry:
-                try:
-                    return self._registry_fallback(query, name, pool_matches, pairs_scored)
-                except NoMatchingPoolQueryError:
-                    pass
+            try:
+                value = estimator.fallback_estimate(query)
+                return _Answer(
+                    value,
+                    name,
+                    generation,
+                    False,
+                    RESOLUTION_ESTIMATOR_FALLBACK,
+                    pool_matches,
+                    pairs_scored,
+                )
+            except NoMatchingPoolQueryError:
+                pass
+            try:
+                return self._registry_fallback(query, name, pool_matches, pairs_scored)
+            except NoMatchingPoolQueryError:
+                if slab is None:
+                    raise
         return _Answer(
             estimator.collapse_values(values),
             name,
             generation,
             False,
-            RESOLUTION_PAIR_BATCH if slab.first is None else RESOLUTION_INDEXED_SLAB,
+            resolution,
             pool_matches,
             pairs_scored,
         )
@@ -850,14 +813,11 @@ class EstimationService:
         name: str,
         generation: int,
         estimator: CardinalityEstimator,
-        options: RequestOptions,
     ) -> _Answer:
         """One non-Cnt2Crd estimate."""
         try:
             value = estimator.estimate_cardinality(query)
         except NoMatchingPoolQueryError:
-            if options.fallback_policy != "registry":
-                raise
             return self._registry_fallback(query, name)
         return _Answer(value, name, generation, False, RESOLUTION_DIRECT)
 

@@ -670,15 +670,23 @@ def _mscn_encode_set(model, vectors: Tensor, mask: Tensor, module: layers.Linear
     return pooled / counts
 
 
-def mscn_forward(model, tables, table_mask, joins, join_mask, predicates, predicate_mask) -> Tensor:
-    """Normalized log cardinalities ``(batch,)`` of a featurized MSCN batch."""
+def mscn_layers(
+    model, tables, table_mask, joins, join_mask, predicates, predicate_mask
+) -> tuple[Tensor, Tensor, Tensor]:
+    """A featurized MSCN batch's pooled ``combined`` vectors, ``hidden``
+    activations and ``(batch,)`` normalized log cardinalities."""
     table_repr = _mscn_encode_set(model, tables, table_mask, model.table_module)
     join_repr = _mscn_encode_set(model, joins, join_mask, model.join_module)
     predicate_repr = _mscn_encode_set(model, predicates, predicate_mask, model.predicate_module)
     combined = concatenate([table_repr, join_repr, predicate_repr], axis=1)
     hidden = linear(model.out_hidden, combined).relu()
     output = linear(model.out_final, hidden).sigmoid()
-    return output.reshape(output.shape[0])
+    return combined, hidden, output.reshape(output.shape[0])
+
+
+def mscn_forward(model, *batch: Tensor) -> Tensor:
+    """Normalized log cardinalities ``(batch,)`` of a featurized MSCN batch."""
+    return mscn_layers(model, *batch)[2]
 
 
 def denormalize(normalizer, values: Tensor) -> Tensor:

@@ -81,6 +81,22 @@ class ZeroRatesContainment(ContainmentEstimator):
         return 0.0
 
 
+def scored_bits(estimator, query) -> tuple[bytes, bytes]:
+    """``query``'s rates against its bucket and its per-entry estimate values.
+
+    The rates come from one ``rates_against_pools`` call over
+    ``estimator.resolve(query)``, the values from ``estimator.slab_values``;
+    both as raw float64 bytes, so two estimators compare bit for bit (NaN
+    included).
+    """
+    slab = estimator.resolve(query)
+    rates = np.empty(0)
+    if slab.entries:
+        rates = estimator.containment_estimator.rates_against_pools([(query, slab)])[0]
+    [(_, values)], _ = estimator.slab_values([query])
+    return np.asarray(rates, dtype=np.float64).tobytes(), values.tobytes()
+
+
 def build_service(
     model, featurizer, pool, fallback_estimator=None, **sections
 ) -> EstimationService:

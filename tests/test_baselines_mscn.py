@@ -13,6 +13,7 @@ from repro.baselines.mscn import (
     MSCNModel,
     MSCNTrainer,
     MSCNTrainingConfig,
+    forward,
     train_mscn,
 )
 from repro.core.metrics import q_errors
@@ -25,6 +26,7 @@ from tests.autodiff import (
     Tensor,
     denormalize,
     mscn_forward,
+    mscn_layers,
     mscn_loss,
     no_grad,
     track,
@@ -315,12 +317,22 @@ class TestMSCNFusedStepAgainstAutodiff:
         queries += [three_predicates] * 3
         estimator = MSCNEstimator(model, featurizer, normalizer, batch_size=4)
         reference = track(MSCNModel(*sizes, config))
+        weights = [parameter.data for parameter in model.parameters()]
         expected = []
         for start in range(0, len(queries), 4):
             batch = featurizer.featurize_batch(queries[start : start + 4])
             with no_grad():
-                normalized = mscn_forward(reference, *(Tensor(part) for part in batch)).numpy()
-            expected.extend(max(float(value), 1.0) for value in normalizer.denormalize(normalized))
+                combined, hidden, normalized = mscn_layers(
+                    reference, *(Tensor(part) for part in batch)
+                )
+            expected.extend(
+                max(float(value), 1.0) for value in normalizer.denormalize(normalized.numpy())
+            )
+            # The sigmoid can map a 1-ulp change in a pooled vector to the same
+            # double, so the layers before it are held to the graph's bits too.
+            _, (_, fused_combined, fused_hidden) = forward(weights, batch)
+            assert fused_combined.tobytes() == combined.numpy().tobytes()
+            assert fused_hidden.tobytes() == hidden.numpy().tobytes()
         assert estimator.estimate_cardinalities(queries) == expected
 
     @pytest.mark.parametrize("use_samples", [False, True])

@@ -10,6 +10,7 @@ round-trip without loss.
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -118,7 +119,6 @@ class TestOptionsPayloads:
         options = RequestOptions(
             estimator="crn",
             timeout_seconds=2.5,
-            fallback_policy="none",
             tags={"trace": "t-17", "tenant": "a"},
         )
         rebuilt = protocol.options_from_payload(protocol.options_to_payload(options))
@@ -129,6 +129,13 @@ class TestOptionsPayloads:
         for timeout in (-3.0, float("nan"), float("inf")):
             with pytest.raises(ClusterProtocolError, match="invalid request options"):
                 protocol.options_from_payload({"timeout_seconds": timeout})
+
+    def test_a_json_true_timeout_is_a_protocol_error(self):
+        # JSON true decodes to a Python bool, which is an int: it used to be
+        # accepted as a 1-second deadline.
+        payload = json.loads('{"estimator": "crn", "timeout_seconds": true}')
+        with pytest.raises(ClusterProtocolError, match="timeout_seconds"):
+            protocol.options_from_payload(payload)
 
 
 class TestResultPayloads:

@@ -153,6 +153,22 @@ def cluster_client(model, imdb_small, imdb_featurizer, pool):
     assert_cluster_drained_cleanly(client)
 
 
+@pytest.fixture(scope="module")
+def bare_cluster_client(model, imdb_small, imdb_featurizer, pool):
+    """A 2-worker cluster with no registry fallback: an unmatched query raises."""
+    config = make_config(
+        model,
+        imdb_small,
+        imdb_featurizer,
+        pool,
+        fallback_estimator=None,
+        cluster=ClusterConfig(mode="cluster", num_workers=2),
+    )
+    with ServingClient(config) as client:
+        yield client
+    assert_cluster_drained_cleanly(client)
+
+
 class TestClusterConfigValidation:
     def test_mode_and_bounds_are_validated(self):
         with pytest.raises(ValueError, match="mode"):
@@ -303,12 +319,10 @@ class TestFanOut:
         results = [future.result(timeout=30) for future in futures]
         assert [r.query for r in results] == workload[:6]
 
-    def test_one_bad_query_fails_the_whole_batch(self, cluster_client, workload):
+    def test_one_bad_query_fails_the_whole_batch(self, bare_cluster_client, workload):
         batch = [workload[0], unmatched_query(), workload[1]]
         with pytest.raises(NoMatchingPoolQueryError):
-            cluster_client.estimate_many(
-                batch, options=RequestOptions(fallback_policy="none")
-            )
+            bare_cluster_client.estimate_many(batch)
 
 
 class TestProvenance:
@@ -361,16 +375,20 @@ class TestErrorFidelity:
         assert str(excinfo.value) == "worker-side deadline expired after 0.007s"
 
     def test_no_matching_pool_query_keeps_local_path_fidelity(
-        self, cluster_client, local_client
+        self, bare_cluster_client, model, imdb_small, imdb_featurizer, pool
     ):
         query = unmatched_query()
+        local_client = ServingClient(
+            make_config(model, imdb_small, imdb_featurizer, pool, fallback_estimator=None)
+        )
         with pytest.raises(NoMatchingPoolQueryError) as clustered:
-            cluster_client.estimate(query, RequestOptions(fallback_policy="none"))
+            bare_cluster_client.estimate(query)
         with pytest.raises(NoMatchingPoolQueryError) as local:
-            local_client.estimate(query, RequestOptions(fallback_policy="none"))
+            local_client.estimate(query)
         assert str(clustered.value) == str(local.value)
+        assert "has no fallback estimator" in str(local.value)
 
-    def test_default_policy_reroutes_inside_the_worker(
+    def test_registry_fallback_reroutes_inside_the_worker(
         self, cluster_client, local_client
     ):
         query = unmatched_query()

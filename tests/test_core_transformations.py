@@ -38,6 +38,17 @@ def _movies(*conditions):
     return builder.build()
 
 
+def scalar_values(entries, rates, epsilon):
+    """The per-entry loop ``estimate_values_from_rates`` is held to."""
+    values = []
+    for index, entry in enumerate(entries):
+        x_rate, y_rate = rates[2 * index], rates[2 * index + 1]
+        if y_rate <= epsilon:
+            continue
+        values.append(x_rate / y_rate * entry.cardinality)
+    return values
+
+
 class TestFinalFunctions:
     def test_median(self):
         assert median_final([1.0, 100.0, 3.0]) == 3.0
@@ -195,15 +206,15 @@ class TestCnt2Crd:
         )
         assert estimator.estimate_cardinality(empty) == 0.0
 
-    def test_pool_estimates_expose_rates(self, imdb_small, imdb_oracle, oracle_pool):
+    def test_rates_and_values_of_a_bucket(self, imdb_small, oracle_pool):
         estimator = Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), oracle_pool)
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
-        estimates = estimator.pool_estimates(query)
-        assert estimates
-        for pool_estimate in estimates:
-            assert 0.0 <= pool_estimate.x_rate <= 1.0
-            assert 0.0 < pool_estimate.y_rate <= 1.0
-            assert pool_estimate.estimate >= 0.0
+        slab = estimator.resolve(query)
+        rates = estimator.containment_estimator.rates_against_pools([(query, slab)])[0]
+        assert rates.shape == (2 * len(slab.entries),)
+        assert ((0.0 <= rates) & (rates <= 1.0)).all()
+        [(_, values)], _ = estimator.slab_values([query])
+        assert values.size and (values >= 0.0).all()
 
     def test_all_filtered_routes_to_configured_fallback(self, imdb_small, imdb_oracle, oracle_pool):
         # Regression: a matched query whose every y_rate fell under the
@@ -217,7 +228,8 @@ class TestCnt2Crd:
         estimator = Cnt2CrdEstimator(ZeroRatesContainment(), oracle_pool, fallback=fallback)
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
         assert oracle_pool.has_match(query)
-        assert estimator.pool_estimates(query) == []  # everything filtered
+        [(slab, values)], _ = estimator.slab_values([query])
+        assert slab.entries and values.size == 0  # everything filtered
         assert estimator.estimate_cardinality(query) == imdb_oracle.cardinality(query)
 
     def test_all_filtered_without_fallback_keeps_the_zero_collapse(self, oracle_pool):
@@ -246,7 +258,7 @@ class TestCnt2Crd:
         )
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
         assert pool.has_match(query)
-        assert estimator.eligible_entries(query) == []
+        assert estimator.resolve(query).entries == ()
         assert estimator.estimate_cardinality(query) == imdb_oracle.cardinality(query)
 
     def test_final_function_changes_estimate(self, imdb_small, oracle_pool):
@@ -265,12 +277,13 @@ class TestCnt2Crd:
         ["median", "mean", "trimmed_mean", lambda values: sorted(values)[len(values) // 2]],
         ids=["median", "mean", "trimmed_mean", "plain_callable"],
     )
-    def test_collapse_values_equals_collapse_bit_for_bit(
+    def test_values_and_collapse_equal_the_scalar_loop_bit_for_bit(
         self, imdb_small, oracle_pool, final_function
     ):
-        # The serving path hands the final function the float64 array, the
-        # observability path a list of the same floats: one answer, and a
-        # plain-Python callable works on both.
+        # The vectorized guard keeps exactly the entries the scalar loop
+        # keeps, NaN rates included, with the same float64 values; the final
+        # function gives one answer on the array and on a list of them, and
+        # a plain-Python callable works on both.
         estimator = Cnt2CrdEstimator(
             OracleContainmentEstimator(imdb_small), oracle_pool, final_function=final_function
         )
@@ -282,14 +295,22 @@ class TestCnt2Crd:
         assert len(entries) >= 4
         rates = np.random.default_rng(5).uniform(0.01, 1.0, size=2 * len(entries))
         rates[1] = 0.0  # the epsilon guard drops entry 0 on both routes
+        rates[3] = estimator.epsilon  # and entry 1: the guard is `<=`
         values = estimator.estimate_values_from_rates(entries, rates)
-        assert isinstance(values, np.ndarray) and values.shape == (len(entries) - 1,)
+        reference = scalar_values(entries, rates.tolist(), estimator.epsilon)
+        assert isinstance(values, np.ndarray) and values.shape == (len(entries) - 2,)
+        assert values.tobytes() == np.array(reference, dtype=np.float64).tobytes()
         by_values = estimator.collapse_values(values)
-        by_estimates = estimator.collapse(
-            estimator.estimates_from_rates(entries[0].query, entries, rates.tolist())
-        )
-        assert isinstance(by_values, float) and isinstance(by_estimates, float)
-        assert np.float64(by_values).tobytes() == np.float64(by_estimates).tobytes()
+        by_list = float(estimator.final_function(reference))
+        assert isinstance(by_values, float)
+        assert np.float64(by_values).tobytes() == np.float64(by_list).tobytes()
+        # A NaN rate fails `y <= epsilon`, so the scalar loop keeps its entry.
+        rates[5] = np.nan
+        rates[6] = np.nan
+        values = estimator.estimate_values_from_rates(entries, rates)
+        reference = scalar_values(entries, rates.tolist(), estimator.epsilon)
+        assert values.shape == (len(entries) - 2,) and np.isnan(values[:2]).all()
+        assert values.tobytes() == np.array(reference, dtype=np.float64).tobytes()
 
 
 class TestImprovedModels:

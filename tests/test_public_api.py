@@ -96,7 +96,6 @@ EXPECTED_ESTIMATE_RESULT_FIELDS = EXPECTED_SERVED_ESTIMATE_FIELDS + [
 EXPECTED_REQUEST_OPTIONS_FIELDS = [
     "estimator",
     "timeout_seconds",
-    "fallback_policy",
     "tags",
 ]
 

@@ -222,8 +222,6 @@ class TestConfigValidation:
             section(**{field: float("inf")})
 
     def test_request_options_validation_and_tag_normalization(self):
-        with pytest.raises(ValueError, match="fallback_policy"):
-            RequestOptions(fallback_policy="maybe")
         # A NaN deadline failed every request at once; an infinite one
         # raised OverflowError, outside the ServingError taxonomy.
         for timeout in (0.0, float("nan"), float("inf")):
@@ -233,6 +231,11 @@ class TestConfigValidation:
         from_pairs = RequestOptions(tags=(("tenant", "a"), ("app", "b")))
         assert from_mapping.tags == (("app", "b"), ("tenant", "a"))
         assert from_mapping.tags == from_pairs.tags
+
+    def test_a_bool_timeout_is_rejected(self):
+        # bool is an int subclass: True used to pass as a 1-second deadline.
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            RequestOptions(timeout_seconds=True)
 
 
 class TestConfigRoundTrip:
@@ -424,20 +427,6 @@ class TestProvenance:
         assert not direct.used_fallback
         assert direct.estimate == rerouted.estimate
 
-    def test_fallback_policy_none_and_estimator(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
-        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        query = unmatched_query()
-        with pytest.raises(NoMatchingPoolQueryError, match="permits no re-route"):
-            client.estimate(query, RequestOptions(fallback_policy="none"))
-        # "estimator": the Cnt2Crd entry has no built-in fallback, so the
-        # registry entry must NOT be consulted either.
-        with pytest.raises(NoMatchingPoolQueryError):
-            client.estimate(query, RequestOptions(fallback_policy="estimator"))
-        # The default policy still re-routes.
-        assert client.estimate(query).used_fallback
-
     @pytest.mark.parametrize(
         "inference",
         [InferenceConfig(), InferenceConfig(mode="compiled", slab_dtype="float32")],
@@ -468,8 +457,9 @@ class TestProvenance:
         assert rerouted.resolution == "registry_fallback"
         assert rerouted.used_fallback and rerouted.estimator_name == "fallback"
         assert rerouted.estimate == postgres.estimate_cardinality(query)
-        # 3. With neither permitted, the zero collapse stands.
-        collapsed = client.estimate(query, RequestOptions(fallback_policy="none"))
+        # 3. With neither, the zero collapse stands.
+        client.service.fallback = None
+        collapsed = client.estimate(query)
         assert collapsed.resolution == "indexed_slab"
         assert collapsed.estimate == 0.0 and not collapsed.used_fallback
         for served in (builtin, rerouted, collapsed):

@@ -963,28 +963,31 @@ class TestPerRequestOptions:
         # Tags never split a coalesced batch.
         assert dispatcher.stats.batches == 1
 
-    def test_fallback_policies_split_groups_but_not_answers(
+    def test_estimator_groups_split_and_a_poison_request_fails_alone(
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         from repro.serving import NoMatchingPoolQueryError, RequestOptions
 
         service = build_service(model, imdb_small, imdb_featurizer, pool)
+        service.fallback = None  # an unmatched request to "crn" now raises
         matched = next(q for q in workload if pool.has_match(q))
+        reference = service.submit(matched).estimate
         dispatcher = ServingDispatcher(service, max_batch=16)
         default = dispatcher.submit(matched)
-        strict = dispatcher.submit(matched, options=RequestOptions(fallback_policy="none"))
-        poison = dispatcher.submit(
-            unmatched_query(), options=RequestOptions(fallback_policy="none")
+        direct = dispatcher.submit(matched, options=RequestOptions(estimator="fallback"))
+        poison = dispatcher.submit(unmatched_query())
+        answered = dispatcher.submit(
+            unmatched_query(), options=RequestOptions(estimator="fallback")
         )
-        rerouted = dispatcher.submit(unmatched_query())
         dispatcher.start()
         dispatcher.shutdown()
-        # A matched query is identical under every policy.
-        assert default.result().estimate == strict.result().estimate
-        # The strict unmatched request raises; the default one re-routes.
+        assert dispatcher.stats.batches == 1
+        # The poison fails alone: its group-mate and the other group are served.
         with pytest.raises(NoMatchingPoolQueryError):
             poison.result()
-        assert rerouted.result().used_fallback
+        assert default.result().estimate == reference
+        assert direct.result().resolution == answered.result().resolution == "direct"
+        assert dispatcher.stats.failed == 1 and dispatcher.stats.completed == 3
 
 
 class TestHotSwap:

@@ -41,7 +41,7 @@ from repro.serving import (
     build_service_stack,
 )
 from repro.sql.builder import QueryBuilder
-from tests.conftest import build_service
+from tests.conftest import build_service, scored_bits
 
 
 @pytest.fixture(scope="module")
@@ -615,7 +615,7 @@ class TestAdaptationManager:
             ),
             swapped.pool,
         )
-        assert swapped.pool_estimates(query) == reference.pool_estimates(query)
+        assert scored_bits(swapped, query) == scored_bits(reference, query)
 
     @pytest.mark.parametrize("mode", ["reference", "compiled"])
     def test_promote_failure_is_recovered_and_counted(

@@ -1,7 +1,7 @@
 """Tests for the pool-resident encoding index (whole-pool Cnt2Crd scoring).
 
 The load-bearing guarantee is bit-for-bit identity: the indexed path must
-produce exactly the estimates the per-request ``pool_estimates`` path
+produce exactly the rates and per-entry values an index-less estimator
 produces — across random pools, incremental ``add``s mid-serving, cardinality
 updates, and a model hot swap.  The hypothesis property test at the bottom
 covers all three axes in one run.
@@ -36,7 +36,7 @@ from repro.serving import (
     build_service_stack,
 )
 from repro.sql.builder import QueryBuilder
-from tests.conftest import build_service
+from tests.conftest import build_service, scored_bits
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ class TestPoolEncodingIndex:
         query = next(q for q in workload if pool.has_match(q))
         slab = index.resolve(estimator, query)
         assert slab.first is not None
-        assert slab.entries == tuple(estimator.eligible_entries(query))
+        assert slab.entries == estimator.pool.bucket_slab(query.from_signature()).entries
         for offset, entry in enumerate(slab.entries):
             vectors = imdb_featurizer.featurize(entry.query)
             np.testing.assert_array_equal(slab.first[:, offset], model.encode_set(vectors, 1))
@@ -155,7 +155,7 @@ class TestPoolEncodingIndex:
         for item in labeled:
             slab = index.resolve(estimator, item.query)
             assert slab.first is not None
-            assert slab.entries == tuple(estimator.eligible_entries(item.query))
+            assert slab.entries == estimator.pool.bucket_slab(item.query.from_signature()).entries
         assert len(index) > rows_before
         assert index.stats.appended_rows > 0
         # Growth into existing signatures appends; only never-seen
@@ -188,7 +188,7 @@ class TestPoolEncodingIndex:
         estimator = Cnt2CrdEstimator(
             CRNEstimator(model, imdb_featurizer), pool, pool_index=index
         )
-        # Every resolved slab mirrors eligible_entries (cardinality > 0).
+        # Every resolved slab holds only eligible entries (cardinality > 0).
         for item in labeled[:2]:
             if not pool.has_match(item.query):
                 continue
@@ -213,12 +213,12 @@ class TestPoolEncodingIndex:
             fenced = old.resolve(query)
             assert fenced is not None
             assert fenced.first is None and fenced.second is None
-            assert fenced.entries == tuple(old.eligible_entries(query))
+            assert fenced.entries == old.pool.bucket_slab(query.from_signature()).entries
         assert index.stats.fallbacks == fallbacks_before + 3
         assert len(index) == 0
         # Its estimates stay bit-identical to a naive old-model estimator.
         plain = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        assert old.pool_estimates(query) == plain.pool_estimates(query)
+        assert scored_bits(old, query) == scored_bits(plain, query)
         assert old.estimate_cardinality(query) == plain.estimate_cardinality(query)
         # The new model resolves resident rows (and its estimates are its own).
         fresh = Cnt2CrdEstimator(
@@ -249,13 +249,13 @@ class TestPoolEncodingIndex:
         # A foreign estimator is scored against its OWN pool's entries.
         slab = index.resolve(foreign, query)
         assert slab.first is None
-        assert slab.entries == tuple(foreign.eligible_entries(query))
+        assert slab.entries == foreign.pool.bucket_slab(query.from_signature()).entries
         from repro.core.oracle import OracleContainmentEstimator
 
         non_crn = Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), pool)
         slab = index.resolve(non_crn, query)
         assert slab.first is None
-        assert slab.entries == tuple(non_crn.eligible_entries(query))
+        assert slab.entries == non_crn.pool.bucket_slab(query.from_signature()).entries
         assert index.stats.fallbacks == 2 and index.stats.served == 0
 
     def test_warm_builds_every_signature(self, model, imdb_featurizer, pool):
@@ -483,7 +483,7 @@ def test_warmed_slab_rows_match_the_pinned_digest(seed, model, imdb_small, imdb_
 def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     data, model, other_model, imdb_featurizer, labeled, workload
 ):
-    """The indexed pool path equals per-request ``pool_estimates`` bit for bit.
+    """The indexed pool path scores the rates and values of a plain one, bit for bit.
 
     Covers random initial pools, incremental ``add``s mid-serving (appends
     and cardinality updates), and a model hot swap through ``rebind`` — the
@@ -514,7 +514,7 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     plain = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
 
     for query in queries:
-        assert indexed.pool_estimates(query) == plain.pool_estimates(query)
+        assert scored_bits(indexed, query) == scored_bits(plain, query)
 
     # Incremental adds mid-serving: appends plus one cardinality update.
     for i in order[initial_size : initial_size + added_count]:
@@ -522,7 +522,7 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     bumped = labeled[order[0]]
     pool.add(bumped.query, bumped.cardinality + 1)
     for query in queries:
-        assert indexed.pool_estimates(query) == plain.pool_estimates(query)
+        assert scored_bits(indexed, query) == scored_bits(plain, query)
 
     # Hot swap: rebind the index to a retrained model and compare again.
     index.rebind(other_model)
@@ -533,7 +533,7 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     )
     plain_swapped = Cnt2CrdEstimator(CRNEstimator(other_model, imdb_featurizer), pool)
     for query in queries:
-        assert swapped.pool_estimates(query) == plain_swapped.pool_estimates(query)
+        assert scored_bits(swapped, query) == scored_bits(plain_swapped, query)
 
     # The index genuinely served the indexed estimators (identity would be
     # vacuous if every resolve silently handed back row-less slabs).
