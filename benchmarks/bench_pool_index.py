@@ -8,10 +8,11 @@ pool size) and serves the same single-request workload two ways:
 
 * **legacy** -- an :class:`repro.serving.EstimationService` around a bare
   :class:`repro.core.Cnt2CrdEstimator` (no pool index, so every slab is
-  row-less) on the indexed client's warmed featurization/encoding caches:
-  every request still materializes ``2·E`` Python pair tuples, performs
-  ``2·E`` dict-keyed cache lookups, and stacks ``2·E`` encoding rows before
-  the pair head runs;
+  row-less) on the indexed client's featurization/encoding caches, warmed
+  with every pool query by ``client.warm(pool queries)`` (the index warm
+  fills only the slabs): every request still materializes ``2·E`` Python
+  pair tuples, performs ``2·E`` dict-keyed cache lookups, and stacks ``2·E``
+  encoding rows before the pair head runs;
 * **indexed** -- the client's stack: per-signature contiguous encoding
   matrices (:class:`repro.serving.PoolEncodingIndex`), so a request is
   *encode Qnew once → two strided writes → the fixed-shape slab path*.
@@ -133,7 +134,9 @@ def build_client(model, featurizer, pool) -> ServingClient:
 
 
 def build_baseline(client: ServingClient) -> EstimationService:
-    """A service around a bare estimator sharing ``client``'s warmed caches."""
+    """A service around a bare estimator sharing ``client``'s caches, warmed
+    with every pool query so its per-pair lookups all hit."""
+    client.warm([entry.query for entry in client.config.pool])
     stack = client.stack
     crn = CRNEstimator(
         client.config.model,

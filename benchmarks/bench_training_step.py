@@ -61,7 +61,16 @@ from repro.datasets import (
 )
 from repro.datasets.pairs import mscn_training_set
 from repro.db import TrueCardinalityOracle
-from tests.autodiff import Adam, Tensor, crn_forward, log_q_error_loss, mscn_loss, track, zero_grad
+from tests.autodiff import (
+    Adam,
+    Tensor,
+    crn_forward,
+    log_q_error_loss,
+    mscn_loss,
+    pad_sets,
+    track,
+    zero_grad,
+)
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 SEED = 11  # bench/world.py's default seed
@@ -110,8 +119,8 @@ def test_training_step_and_setup_costs(results_dir, bench_record):
     batch = pairs[:BATCH]
     targets = Tensor(np.asarray([pair.containment_rate for pair in batch]))
     padded = (
-        *map(Tensor, featurizer.pad_sets([featurizer.featurize(pair.first) for pair in batch])),
-        *map(Tensor, featurizer.pad_sets([featurizer.featurize(pair.second) for pair in batch])),
+        *pad_sets([featurizer.featurize(pair.first) for pair in batch]),
+        *pad_sets([featurizer.featurize(pair.second) for pair in batch]),
     )
     reference_model = track(CRNModel(featurizer.vector_size, crn_config))
     optimizer = Adam(reference_model.parameters(), learning_rate=config.learning_rate)

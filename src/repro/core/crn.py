@@ -338,10 +338,12 @@ class CRNEstimator(ContainmentEstimator):
 
     Inference is split into two cache-friendly stages:
 
-    1. every *unique* query in the batch is featurized once and encoded once
-       per pair slot with :meth:`CRNModel.encode_set` (a query appearing in
-       hundreds of pairs — e.g. a pool query scored against many incoming
-       queries — costs one featurization and at most two encodings per call);
+    1. every *unique* query in the batch is featurized once, all of them in
+       one :meth:`QueryFeaturizer.featurize_many` pass, and encoded once per
+       pair slot by one :meth:`CRNModel.encode_sets` call per slot (a query
+       appearing in hundreds of pairs — e.g. a pool query scored against
+       many incoming queries — costs one featurization and at most two
+       encodings per call);
     2. the pair head runs over the gathered encodings in fixed-shape tiles
        (:meth:`CRNModel.rates_from_encodings`), so estimates are bit-for-bit
        identical no matter how pairs are batched together.
@@ -352,8 +354,9 @@ class CRNEstimator(ContainmentEstimator):
     Args:
         model: the (trained) CRN network.
         featurizer: the featurizer bound to the evaluation database.  Any
-            object with ``featurize`` / ``vector_size`` works, so a
-            :class:`repro.serving.FeaturizationCache` can be dropped in.
+            object with ``featurize`` / ``featurize_many`` / ``vector_size``
+            works, so a :class:`repro.serving.FeaturizationCache` can be
+            dropped in.
         encoding_cache: optional cross-call ``(query, position) -> Qvec``
             cache (:class:`repro.serving.EncodingCache`); when omitted,
             encodings are still deduplicated within each call.
@@ -419,24 +422,23 @@ class CRNEstimator(ContainmentEstimator):
     def estimate_containments(self, pairs) -> list[float]:
         if not pairs:
             return []
-        encodings = self._encode_unique(pairs)
+        encodings = self._encode_keys(
+            key for first, second in pairs for key in ((first, 1), (second, 2))
+        )
         first_reprs = np.stack([encodings[(first, 1)] for first, _ in pairs])
         second_reprs = np.stack([encodings[(second, 2)] for _, second in pairs])
         rates = self.model.rates_from_encodings(first_reprs, second_reprs)
         return [float(rate) for rate in rates]
 
     def encode_query(self, query: Query, position: int) -> np.ndarray:
-        """The ``Qvec`` of ``query`` in pair slot ``position`` (cached if possible)."""
-        return self._encode(query, position, self.featurizer.featurize)
-
-    def _encode(self, query: Query, position: int, featurize) -> np.ndarray:
-        """The one encode step: cache get, ``featurize`` (on a miss), encode, cache put."""
+        """The ``Qvec`` of ``query`` in pair slot ``position``: cache get,
+        featurize (on a miss), encode, cache put."""
         scope = self._encoding_scope()
         if self.encoding_cache is not None:
             cached = self.encoding_cache.get(query, position, scope=scope, owner=self.model)
             if cached is not None:
                 return cached
-        encoding = self.model.encode_set(featurize(query), position)
+        encoding = self.model.encode_set(self.featurizer.featurize(query), position)
         if self.encoding_cache is not None:
             self.encoding_cache.put(query, position, encoding, scope=scope, owner=self.model)
         return encoding
@@ -516,49 +518,55 @@ class CRNEstimator(ContainmentEstimator):
     def encode_queries(self, queries, position: int) -> np.ndarray:
         """``(n, H)`` encodings of ``queries`` in pair slot ``position``, in order.
 
-        The bulk :meth:`encode_query`: cache hits are read back, the misses
-        are featurized once each and encoded by one ``encode_sets`` call (bit
-        for bit what :meth:`encode_query` computes alone), then cached.  The
+        The bulk :meth:`encode_query`, through :meth:`_encode_keys`.  The
         result is a fresh array, never one the cache holds rows of.
         """
         queries = list(queries)
-        scope, cache, owner = self._encoding_scope(), self.encoding_cache, self.model
-        rows = [
-            None if cache is None else cache.get(query, position, scope=scope, owner=owner)
-            for query in queries
-        ]
-        missing = [index for index, row in enumerate(rows) if row is None]
-        if missing:
-            sets = [self.featurizer.featurize(queries[index]) for index in missing]
-            fresh = self.model.encode_sets(np.concatenate(sets), [len(s) for s in sets], position)
-            for index, encoding in zip(missing, fresh):
-                rows[index] = encoding
-                if cache is not None:
-                    cache.put(queries[index], position, encoding, scope=scope, owner=owner)
+        encodings = self._encode_keys((query, position) for query in queries)
+        rows = [encodings[(query, position)] for query in queries]
         return np.array(rows).reshape(len(queries), self.model.hidden_size)
 
     def warm(self, queries) -> None:
-        """Pre-featurize and pre-encode ``queries`` for both pair slots (into the cache)."""
-        queries = list(queries)
-        self.encode_queries(queries, 1)
-        self.encode_queries(queries, 2)
+        """Pre-encode request ``queries`` for both pair slots into the
+        encoding cache, featurizing them in one pass.  A pool's entries are
+        encoded by its :class:`repro.serving.PoolEncodingIndex` instead,
+        straight into the index slabs."""
+        self._encode_keys((query, position) for query in queries for position in (1, 2))
 
-    def _encode_unique(self, pairs) -> dict[tuple[Query, int], np.ndarray]:
-        """Encode every unique (query, slot) of ``pairs`` exactly once.
+    def _encode_keys(self, keys) -> dict[tuple[Query, int], np.ndarray]:
+        """The encoding of every distinct ``(query, slot)`` of ``keys``.
 
-        Featurization is also deduplicated *across* the two slots: a query
-        appearing in both pair positions is featurized once and encoded twice.
+        Encoding-cache hits are read back.  The queries missing a slot are
+        featurized once each — across both slots — by one
+        :meth:`QueryFeaturizer.featurize_many` pass, and each slot's misses
+        are encoded by one ``encode_sets`` call (bit for bit what
+        :meth:`encode_query` computes alone), then cached.
         """
+        scope, cache, owner = self._encoding_scope(), self.encoding_cache, self.model
         encodings: dict[tuple[Query, int], np.ndarray] = {}
-        features: dict[Query, np.ndarray] = {}
-
-        def featurize(query: Query) -> np.ndarray:
-            if query not in features:
-                features[query] = self.featurizer.featurize(query)
-            return features[query]
-
-        for first, second in pairs:
-            for key in ((first, 1), (second, 2)):
-                if key not in encodings:
-                    encodings[key] = self._encode(*key, featurize)
+        missing: dict[int, list[Query]] = {1: [], 2: []}
+        for key in dict.fromkeys(keys):
+            cached = None if cache is None else cache.get(*key, scope=scope, owner=owner)
+            if cached is None:
+                missing[key[1]].append(key[0])
+            else:
+                encodings[key] = cached
+        queries = list(dict.fromkeys(missing[1] + missing[2]))
+        if not queries:
+            return encodings
+        rows, counts = self.featurizer.featurize_many(queries)
+        starts = np.cumsum(counts) - counts
+        index = {query: number for number, query in enumerate(queries)}
+        for position, wanted in missing.items():
+            if not wanted:
+                continue
+            taken = np.array([index[query] for query in wanted], dtype=np.intp)
+            sizes = counts[taken]
+            # Set j's rows, moved from its start in ``rows`` to its start in the gather.
+            shift = np.repeat(starts[taken] - (np.cumsum(sizes) - sizes), sizes)
+            fresh = self.model.encode_sets(rows[np.arange(sizes.sum()) + shift], sizes, position)
+            for query, encoding in zip(wanted, fresh):
+                encodings[(query, position)] = encoding
+                if cache is not None:
+                    cache.put(query, position, encoding, scope=scope, owner=owner)
         return encodings

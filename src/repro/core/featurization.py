@@ -22,6 +22,7 @@ giving a total dimension ``L = #T + 3 * #C + #O + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +107,15 @@ class QueryFeaturizer:
             qualified: database.column_range(*qualified.split(".", 1))
             for qualified in self._column_index
         }
+        # The bulk lookups of featurize_many: columns by (alias, column),
+        # operators by identity, and the value ranges as arrays by column index.
+        self._column_by_pair = {
+            tuple(qualified.split(".", 1)): index for qualified, index in self._column_index.items()
+        }
+        self._operator_by_id = {id(op): index for op, index in self._operator_index.items()}
+        low, high = np.array(list(self._value_ranges.values()), dtype=np.float64).reshape(-1, 2).T
+        self._value_low, self._value_constant = low, high == low
+        self._value_span = np.where(self._value_constant, 1.0, high - low)
         # Everything featurization depends on besides the query itself: the
         # one-hot layouts and the normalization ranges.  Hashing it into the
         # cache key lets caches be shared (or at least collide safely) across
@@ -151,26 +161,55 @@ class QueryFeaturizer:
 
         The set always contains at least one vector (every query references at
         least one table), so the average pooling of the set encoder is well
-        defined.
+        defined.  The one-query case of :meth:`featurize_many`.
         """
-        layout = self.layout
-        tables, joins, predicates = query.tables, query.joins, query.predicates
-        matrix = np.zeros((len(tables) + len(joins) + len(predicates), layout.vector_size))
-        table_offset = layout.table_offset
-        for row, table in enumerate(tables):
-            matrix[row, table_offset + self._table_of(table.alias)] = 1.0
-        left_offset, right_offset = layout.join_left_offset, layout.join_right_offset
-        for row, join in enumerate(joins, start=len(tables)):
-            matrix[row, left_offset + self._column_of(join.left)] = 1.0
-            matrix[row, right_offset + self._column_of(join.right)] = 1.0
-        column_offset, operator_offset = layout.predicate_column_offset, layout.operator_offset
-        value_offset = layout.value_offset
-        for row, predicate in enumerate(predicates, start=len(tables) + len(joins)):
-            qualified = predicate.qualified_column
-            matrix[row, column_offset + self._column_of(qualified)] = 1.0
-            matrix[row, operator_offset + self._operator_index[predicate.operator]] = 1.0
-            matrix[row, value_offset] = self.normalize_value(qualified, predicate.value)
-        return matrix
+        return self.featurize_many((query,))[0]
+
+    def featurize_many(self, queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
+        """Every query's set of feature vectors in one array pass: ``(rows, counts)``.
+
+        ``rows`` stacks the sets in order, query ``i``'s ``counts[i]`` rows
+        being its tables, then its joins, then its predicates; it is bit for
+        bit the concatenation of :meth:`featurize` over ``queries``, and an
+        unknown alias or column raises the ``KeyError`` :meth:`featurize`
+        raises for the first query that has one.  Table and join rows depend
+        on the FROM clause and join set alone, so their cells are resolved
+        once per distinct ``(tables, joins)`` — once for a whole pool bucket
+        — and the matrix is written by four scatters, however many queries.
+        """
+        layout, width = self.layout, self.layout.vector_size
+        groups: dict = {}
+        group_of = [
+            groups.setdefault((query.tables, query.joins), len(groups)) for query in queries
+        ]
+        clauses = [query.predicates for query in queries]
+        try:
+            headers = [self._header_cells(*key) for key in groups]
+            columns, operators, values = self._predicate_cells(
+                [predicate for clause in clauses for predicate in clause]
+            )
+        except KeyError:
+            for query in queries if len(queries) > 1 else ():
+                self.featurize_many((query,))  # raises the first query's own error
+            raise
+        head_rows, predicate_counts = np.array(
+            [[headers[group][0] for group in group_of], list(map(len, clauses))], dtype=np.intp
+        ).reshape(2, len(clauses))
+        counts = head_rows + predicate_counts
+        starts = (np.cumsum(counts) - counts) * width
+        matrix = np.zeros((int(counts.sum()), width))
+        flat = matrix.reshape(-1)
+        group_of = np.array(group_of, dtype=np.intp)
+        for group, (_, cells) in enumerate(headers):
+            members = starts if len(headers) == 1 else starts[group_of == group]
+            flat[np.add.outer(members, cells).reshape(-1)] = 1.0
+        # A query's predicate rows follow its header rows: the p-th predicate
+        # overall sits p rows past the header rows of its query and all before.
+        rows = (np.arange(len(columns)) + np.repeat(np.cumsum(head_rows), predicate_counts)) * width
+        flat[rows + (layout.predicate_column_offset + columns)] = 1.0
+        flat[rows + (layout.operator_offset + operators)] = 1.0
+        flat[rows + layout.value_offset] = values
+        return matrix, counts
 
     def normalize_value(self, qualified_column: str, value: float) -> float:
         """Min-max normalize a predicate value using the column's value range."""
@@ -180,32 +219,51 @@ class QueryFeaturizer:
         return min(max((value - low) / (high - low), 0.0), 1.0)
 
     # ------------------------------------------------------------------ #
-    # batching
-
-    def pad_sets(self, sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Pad variable-size vector sets into a dense batch.
-
-        Returns:
-            A ``(batch, max set size, L)`` array of padded vectors and a
-            ``(batch, max set size, 1)`` mask that is 1 for real vectors and 0
-            for padding, ready for masked average pooling.
-        """
-        if not sets:
-            raise ValueError("cannot pad an empty batch")
-        max_size = max(matrix.shape[0] for matrix in sets)
-        batch = np.zeros((len(sets), max_size, self.vector_size))
-        mask = np.zeros((len(sets), max_size, 1))
-        for index, matrix in enumerate(sets):
-            batch[index, : matrix.shape[0], :] = matrix
-            mask[index, : matrix.shape[0], 0] = 1.0
-        return batch, mask
-
-    def featurize_batch(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray]:
-        """Featurize and pad a batch of queries in one call."""
-        return self.pad_sets([self.featurize(query) for query in queries])
-
-    # ------------------------------------------------------------------ #
     # internals
+
+    def _header_cells(self, tables, joins) -> tuple[int, list[int]]:
+        """``(rows, flat offsets)`` of the one-hot cells of a query's table and
+        join rows, within its own block of the stacked matrix."""
+        layout, width = self.layout, self.layout.vector_size
+        cells = [
+            row * width + layout.table_offset + self._table_of(table.alias)
+            for row, table in enumerate(tables)
+        ]
+        for row, join in enumerate(joins, start=len(tables)):
+            cells.append(row * width + layout.join_left_offset + self._column_of(join.left))
+            cells.append(row * width + layout.join_right_offset + self._column_of(join.right))
+        return len(tables) + len(joins), cells
+
+    def _predicate_cells(self, predicates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """C-seg column, O-seg operator and V-seg value of every predicate.
+
+        The value is :meth:`normalize_value`'s arithmetic on arrays: the same
+        IEEE operations, its ``max(x, 0.0)`` as the select it is (a ``-0.0``
+        stays ``-0.0``), then ``0.5`` for a constant column.
+        """
+        if not predicates:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, np.empty(0)
+        aliases, names, operators, values = zip(*predicates)
+        columns = list(map(self._column_by_pair.get, zip(aliases, names)))
+        # Enum members are singletons: keying them by id skips their Python-level __hash__.
+        operators = list(map(self._operator_by_id.get, map(id, operators)))
+        if None in columns or None in operators:
+            # In featurize's order: raises its error, or resolves what the keys above miss.
+            columns, operators = zip(
+                *(
+                    (
+                        self._column_of(predicate.qualified_column),
+                        self._operator_index[predicate.operator],
+                    )
+                    for predicate in predicates
+                )
+            )
+        columns = np.array(columns, dtype=np.intp)
+        scaled = (np.array(values) - self._value_low[columns]) / self._value_span[columns]
+        scaled = np.minimum(np.where(scaled < 0.0, 0.0, scaled), 1.0)
+        scaled[self._value_constant[columns]] = 0.5
+        return columns, np.array(operators, dtype=np.intp), scaled
 
     def _table_of(self, alias: str) -> int:
         if alias not in self._table_index:

@@ -159,8 +159,8 @@ class RaggedPairs:
         the vocabulary both sides share."""
         queries = dict.fromkeys(query for pair in pairs for query in (pair.first, pair.second))
         position = {query: index for index, query in enumerate(queries)}
-        sets = [featurizer.featurize(query) for query in queries]
-        distinct = (*_vocabulary(np.concatenate(sets)), np.cumsum([0, *map(len, sets)]))
+        rows, counts = featurizer.featurize_many(list(queries))
+        distinct = (*_vocabulary(rows), np.concatenate(([0], np.cumsum(counts))))
         order = np.array([(position[pair.first], position[pair.second]) for pair in pairs])
         targets = [pair.containment_rate for pair in pairs]
         return cls(_take(*distinct, order[:, 0]), _take(*distinct, order[:, 1]), targets)

@@ -1,15 +1,19 @@
 """Cross-request caches for the estimation service's featurization hot path.
 
-The Cnt2Crd technique scores one incoming query against *every* matching pool
-query in both containment directions, so under sustained traffic the same
-pool queries are featurized and encoded over and over.  Both stages are pure
-functions of the query (see :meth:`repro.core.crn.CRNModel.encode_set`), which
-makes them safely memoizable:
+Under sustained traffic the same request queries arrive over and over, and
+each is featurized and encoded once per pair slot before it is scored.  Both
+stages are pure functions of the query (see
+:meth:`repro.core.crn.CRNModel.encode_set`), which makes them safely
+memoizable:
 
 * :class:`FeaturizationCache` memoizes the query → set-of-feature-vectors
   step (:meth:`repro.core.featurization.QueryFeaturizer.featurize`);
 * :class:`EncodingCache` memoizes the featurized query → ``Qvec`` step of the
   CRN set encoders, keyed by ``(snapshot scope, query, pair slot)``.
+
+Both hold request queries only: a pool entry's encodings live in its
+:class:`repro.serving.PoolEncodingIndex` slab, which encodes them without
+passing through either cache.
 
 Queries are immutable and hash structurally (:mod:`repro.sql.query`), so the
 query itself is the cache key; :meth:`QueryFeaturizer.cache_key` additionally
@@ -95,9 +99,9 @@ class FeaturizationCache:
     """A memoizing drop-in replacement for :class:`QueryFeaturizer`.
 
     Wraps a featurizer and caches :meth:`featurize` results per query, so a
-    pool query scored by thousands of requests is featurized once, ever.  The
-    read-side surface of the featurizer (``vector_size``, ``layout``,
-    ``pad_sets``, ``featurize_batch``, ``normalize_value``, ``fingerprint``)
+    query asked thousands of times is featurized once.  The read-side
+    surface of the featurizer (``vector_size``, ``layout``,
+    ``featurize_many`` — uncached —, ``normalize_value``, ``fingerprint``)
     is forwarded, so the cache can be passed anywhere a featurizer is
     expected — in particular to :class:`repro.core.crn.CRNEstimator`.
 
@@ -124,9 +128,12 @@ class FeaturizationCache:
         self._store.put(key, features)
         return features
 
-    def featurize_batch(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray]:
-        """Featurize (through the cache) and pad a batch of queries."""
-        return self.pad_sets([self.featurize(query) for query in queries])
+    def featurize_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`QueryFeaturizer.featurize_many`, uncached: bulk featurization
+        (a pool bucket's entries, a batch's encoding-cache misses) feeds
+        encodings that are stored elsewhere, and this cache keeps what
+        :meth:`featurize` memoizes for single request queries."""
+        return self.featurizer.featurize_many(queries)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -166,10 +173,6 @@ class FeaturizationCache:
     def fingerprint(self) -> int:
         """The wrapped featurizer's snapshot fingerprint (scopes cache keys)."""
         return self.featurizer.fingerprint
-
-    def pad_sets(self, sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Forwarded to :meth:`QueryFeaturizer.pad_sets`."""
-        return self.featurizer.pad_sets(sets)
 
     def normalize_value(self, qualified_column: str, value: float) -> float:
         """Forwarded to :meth:`QueryFeaturizer.normalize_value`."""

@@ -647,7 +647,12 @@ class ServingClient:
         return self.dispatcher.submit(query, options=options)
 
     def warm(self, queries: Iterable[Query] | None = None) -> None:
-        """Pre-featurize/encode ``queries`` (the whole pool when omitted).
+        """Warm the request caches with ``queries``, or the pool's slabs when omitted.
+
+        ``client.warm(queries)`` encodes request queries into the encoding
+        cache, both pair slots; ``client.warm()`` builds or
+        refreshes every pool bucket's index slab, the only place a pool
+        entry's encodings are stored (the caches are left as they are).
 
         A no-op in cluster mode: each worker warms its own shard at boot
         (the warm flag rides in the config the workers build from).

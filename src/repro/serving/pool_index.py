@@ -21,11 +21,21 @@ read each other's slabs.
 * a :meth:`repro.core.queries_pool.QueriesPool.add` bumps the bucket's
   version; the next request appends only the new tail columns (the
   matrices grow geometrically, so appends are amortized O(1));
-* a cardinality *update* (re-adding an existing query) rebuilds the bucket's
-  slab — cheap, because the per-query encodings come straight back out of
-  the shared :class:`repro.serving.EncodingCache`;
+* a cardinality *update* (re-adding an existing query), or an entry whose
+  cardinality drops to 0, rebuilds the bucket's slab — cheap, because the
+  entries the old slab held keep their columns, copied across by query, and
+  only entries it never held are encoded;
 * a featurizer rebind changes the scope, so stale-snapshot slabs simply stop
-  matching (exactly the :class:`~repro.serving.EncodingCache` keying rule).
+  matching (exactly the :class:`~repro.serving.EncodingCache` keying rule)
+  and the bucket is encoded afresh.
+
+A slab is the only place a pool entry's encodings are stored: maintenance
+featurizes the entries a slab lacks in one
+:meth:`~repro.core.featurization.QueryFeaturizer.featurize_many` pass and
+encodes them with one :meth:`~repro.core.crn.CRNModel.encode_sets` call per
+slot, never through the request caches
+(:class:`~repro.serving.FeaturizationCache`,
+:class:`~repro.serving.EncodingCache`), which hold request queries only.
 
 A request is then served as *encode Qnew once → the slab kernel*
 (:meth:`repro.core.crn.CRNEstimator.rates_against_pools`): no per-pair
@@ -90,11 +100,26 @@ class _Slab:
     def count(self) -> int:
         return len(self.entries)
 
-    def fill(self, entries: tuple[PoolEntry, ...], first: np.ndarray, second: np.ndarray) -> None:
-        """Extend to ``entries``: columns ``count:`` from ``(n, H)`` float64 blocks."""
+    def fill(
+        self, entries: tuple[PoolEntry, ...], first: np.ndarray, second: np.ndarray, kept=None
+    ) -> None:
+        """Extend to ``entries``, columns ``count:`` in order.
+
+        Each column comes from the next row of the ``(n, H)`` float64 blocks,
+        except, with ``kept = (view, sources)``, where ``sources`` names a
+        column of ``view`` (another slab's snapshot of the same model and
+        scope), which is copied instead; ``-1`` takes the next block row.
+        """
         start, stop = self.count, len(entries)
         self.ensure_capacity(stop)
-        self.first[:, start:stop], self.second[:, start:stop] = first.T, second.T
+        columns = slice(start, stop)
+        if kept is not None:
+            view, sources = kept
+            reused = np.flatnonzero(sources >= 0)
+            self.first[:, start + reused] = view.first[:, sources[reused]]
+            self.second[:, start + reused] = view.second[:, sources[reused]]
+            columns = start + np.flatnonzero(sources < 0)
+        self.first[:, columns], self.second[:, columns] = first.T, second.T
         self.cardinalities[start:stop] = [entry.cardinality for entry in entries[start:]]
         self.entries = entries
 
@@ -261,14 +286,19 @@ class PoolEncodingIndex:
     def _sync(self, containment: CRNEstimator, scope, signature) -> PoolSlab | None:
         """One signature's up-to-date slab view, or None when the fence turns it away.
 
-        A stale slab gets one bulk pass per slot over the rows it lacks — the
-        appended tail on pure growth, every eligible entry for a new slab or
-        after an in-place cardinality update — through
-        :meth:`CRNEstimator.encode_queries`, so a rebuild re-encodes only
-        encoding-cache misses.  Encoding runs outside the index lock; the
-        array writes run under it after the owner fence is re-checked, and a
-        sync that finds the slab changed by another writer meanwhile starts
-        over.  Reading the bucket version outside the lock is safe: a
+        A stale slab encodes only the entries it lacks: the appended tail on
+        pure growth; on a rebuild (an in-place cardinality update, an entry
+        whose cardinality dropped to 0) the entries of a snapshot view taken
+        under the lock keep their columns, matched by query, and only the
+        rest are encoded; a new slab (a new signature, scope, dtype or owner)
+        encodes every eligible entry.  Encoding is one
+        :meth:`QueryFeaturizer.featurize_many` array pass on the uncached
+        featurizer and one :meth:`CRNModel.encode_sets` call per slot — the
+        slab is the only place a pool entry's encodings are stored; the
+        request caches never see them.  Encoding runs outside the index lock;
+        the array writes run under it after the owner fence is re-checked,
+        and a sync that finds the slab changed by another writer meanwhile
+        starts over.  Reading the bucket version outside the lock is safe: a
         concurrent add is either reflected by it (and the slab syncs) or
         lands after — the either-in-or-out snapshot ``bucket_slab`` gives.
         """
@@ -284,28 +314,38 @@ class PoolEncodingIndex:
                 slab = self._slabs.get(key)
                 if slab is not None and slab.version == version:
                     return slab.view(key)
-                held = None if slab is None else slab.entries
+                held = None if slab is None else slab.view(key)
             entries, version = self.pool.bucket_snapshot(signature)
             eligible = tuple(entry for entry in entries if entry.cardinality > 0)
-            append = held is not None and eligible[: len(held)] == held
-            fresh = eligible[len(held) :] if append else eligible
+            append = held is not None and eligible[: len(held.entries)] == held.entries
+            fresh, kept = eligible[len(held.entries) :] if append else eligible, None
+            if held is not None and not append:
+                # A rebuild: entries the held snapshot has keep their columns.
+                columns = {entry.query: index for index, entry in enumerate(held.entries)}
+                sources = np.fromiter(
+                    (columns.get(entry.query, -1) for entry in eligible), np.intp, len(eligible)
+                )
+                fresh = tuple(entry for entry, source in zip(eligible, sources) if source < 0)
+                kept = (held, sources)
             mode = "append" if append else "rebuild" if slab is not None else "build"
             work = bool(fresh) or not append
             span = self.tracer.begin("index_build") if self.tracer is not None and work else None
             try:
-                queries = [entry.query for entry in fresh]
-                first = containment.encode_queries(queries, 1)
-                second = containment.encode_queries(queries, 2)
+                rows, counts = containment.featurizer.featurize_many([e.query for e in fresh])
+                first = containment.model.encode_sets(rows, counts, 1)
+                second = containment.model.encode_sets(rows, counts, 2)
                 with self._lock:
                     if self._owner is not containment.model:
                         return None
-                    if self._slabs.get(key) is not slab or getattr(slab, "entries", None) is not held:
+                    if self._slabs.get(key) is not slab or (
+                        slab is not None and slab.entries is not held.entries
+                    ):
                         continue  # another writer synced this slab meanwhile
                     if not append:
                         capacity = max(INITIAL_CAPACITY, len(eligible))
                         slab = _Slab(first.shape[1], capacity, dtype)
                         self._slabs[key] = slab
-                    slab.fill(eligible, first, second)
+                    slab.fill(eligible, first, second, kept)
                     slab.version = version
                     if append:
                         self.stats.add("appended_rows", len(fresh))

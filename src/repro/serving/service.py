@@ -641,12 +641,13 @@ class EstimationService:
         return served
 
     def warm(self, queries: Iterable[Query]) -> None:
-        """Pre-featurize and pre-encode ``queries`` ahead of their requests.
+        """Pre-encode request ``queries`` into the encoding cache.
 
         Runs through the registered Cnt2Crd estimators' CRN containment
-        models (:meth:`CRNEstimator.warm`: one bulk pass per slot).  The
-        pool itself is warmed by :meth:`PoolEncodingIndex.warm`, which fills
-        the caches and the slabs in the same pass.
+        models (:meth:`CRNEstimator.warm`: one featurization pass, one
+        encoding pass per slot).  The caches hold request queries only: the pool is warmed by
+        :meth:`PoolEncodingIndex.warm`, whose slabs are the only home of a
+        pool entry's encodings.
         """
         queries = list(queries)
         warmed: set[int] = set()

@@ -132,7 +132,7 @@ def build_service_stack(
     for name, extra in config.extra_estimators.items():
         service.register(name, extra)
     if config.pool_options.warm:
-        pool_index.warm(estimator)  # fills the caches and the slabs in one pass
+        pool_index.warm(estimator)  # fills the slabs; the request caches stay empty
     return ServiceStack(
         config=config,
         service=service,

@@ -650,6 +650,18 @@ def crn_head(model, first_repr: Tensor, second_repr: Tensor) -> Tensor:
     return output.reshape(output.shape[0])
 
 
+def pad_sets(sets: Sequence[np.ndarray]) -> tuple[Tensor, Tensor]:
+    """``(set size, L)`` vector sets as :func:`crn_forward`'s input: the
+    zero-padded ``(batch, max set size, L)`` batch and its validity mask."""
+    longest = max(len(vectors) for vectors in sets)
+    batch = np.zeros((len(sets), longest, sets[0].shape[1]))
+    mask = np.zeros((len(sets), longest, 1))
+    for index, vectors in enumerate(sets):
+        batch[index, : len(vectors)] = vectors
+        mask[index, : len(vectors), 0] = 1.0
+    return Tensor(batch), Tensor(mask)
+
+
 def crn_forward(model, first_vectors, first_mask, second_vectors, second_mask) -> Tensor:
     """Containment rates ``(batch,)`` of a batch of padded, masked query pairs."""
     first_repr = crn_encode_query(model, first_vectors, first_mask, model.set_encoder1)

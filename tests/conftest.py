@@ -40,12 +40,15 @@ TOY_SCHEMA = DatabaseSchema(
 )
 
 
-def build_toy_database() -> Database:
-    """Five movies, seven ratings; every cardinality below is easy to check by hand."""
+def build_toy_database(kinds=(1, 1, 2, 2, 3)) -> Database:
+    """Five movies, seven ratings; every cardinality below is easy to check by hand.
+
+    ``kinds`` are the movies' ``kind`` values (equal ones make it a constant column).
+    """
     movies = {
         "id": np.array([0, 1, 2, 3, 4]),
         "year": np.array([1990, 1995, 2000, 2005, 2010]),
-        "kind": np.array([1, 1, 2, 2, 3]),
+        "kind": np.array(kinds),
     }
     ratings = {
         "id": np.arange(7),

@@ -141,27 +141,18 @@ class TestFeaturize:
             featurizer.featurize(query)
 
 
-class TestPadding:
-    def test_pad_sets_shapes_and_mask(self, featurizer):
-        small = featurizer.featurize(QueryBuilder().table("title", "t").build())
-        large = featurizer.featurize(_example_query())
-        batch, mask = featurizer.pad_sets([small, large])
-        assert batch.shape == (2, large.shape[0], featurizer.vector_size)
-        assert mask.shape == (2, large.shape[0], 1)
-        assert mask[0].sum() == small.shape[0]
-        assert mask[1].sum() == large.shape[0]
-        # Padded rows are zero.
-        assert np.all(batch[0, small.shape[0] :] == 0.0)
+class TestFeaturizeMany:
+    def test_stacks_each_querys_featurize_bit_for_bit(self, featurizer, imdb_small):
+        from repro.datasets.generator import GeneratorConfig, QueryGenerator
 
-    def test_pad_empty_batch_rejected(self, featurizer):
-        with pytest.raises(ValueError):
-            featurizer.pad_sets([])
+        generator = QueryGenerator(imdb_small, GeneratorConfig(max_joins=4, seed=7))
+        queries = generator.generate_queries(150)
+        rows, counts = featurizer.featurize_many(queries)
+        sets = [featurizer.featurize(query) for query in queries]
+        assert counts.tolist() == [len(vectors) for vectors in sets]
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.tobytes() == np.concatenate(sets).tobytes()
 
-    def test_featurize_batch_equals_manual_padding(self, featurizer):
-        queries = [_example_query(), _example_query().without_predicates()]
-        batch, mask = featurizer.featurize_batch(queries)
-        manual_batch, manual_mask = featurizer.pad_sets(
-            [featurizer.featurize(query) for query in queries]
-        )
-        np.testing.assert_allclose(batch, manual_batch)
-        np.testing.assert_allclose(mask, manual_mask)
+    def test_empty_input_gives_no_rows(self, featurizer):
+        rows, counts = featurizer.featurize_many([])
+        assert rows.shape == (0, featurizer.vector_size) and counts.shape == (0,)

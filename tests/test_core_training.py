@@ -16,7 +16,16 @@ from repro.core.training import (
 )
 from repro.datasets.workloads import build_training_pairs
 from repro.nn.data import BatchIterator, train_validation_split
-from tests.autodiff import LOSS_FUNCTIONS, Adam, Tensor, crn_forward, no_grad, track, zero_grad
+from tests.autodiff import (
+    LOSS_FUNCTIONS,
+    Adam,
+    Tensor,
+    crn_forward,
+    no_grad,
+    pad_sets,
+    track,
+    zero_grad,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,20 +150,9 @@ class TestTrainCRN:
 # the fused step against the autodiff oracle
 
 
-def _pad(sets):
-    """``QueryFeaturizer.pad_sets`` for raw matrices: padded batch + validity mask."""
-    longest = max(len(vectors) for vectors in sets)
-    batch = np.zeros((len(sets), longest, sets[0].shape[1]))
-    mask = np.zeros((len(sets), longest, 1))
-    for index, vectors in enumerate(sets):
-        batch[index, : len(vectors)] = vectors
-        mask[index, : len(vectors), 0] = 1.0
-    return Tensor(batch), Tensor(mask)
-
-
 def _reference_loss(model, config, first_sets, second_sets, targets) -> Tensor:
     """The training loss through the autodiff CRN of a tracked ``model``."""
-    predictions = crn_forward(model, *_pad(first_sets), *_pad(second_sets))
+    predictions = crn_forward(model, *pad_sets(first_sets), *pad_sets(second_sets))
     loss = LOSS_FUNCTIONS[config.loss]
     if config.loss in ("q_error", "log_q_error"):
         return loss(predictions, Tensor(targets), epsilon=config.loss_epsilon)
@@ -404,7 +402,7 @@ class TestFusedStepAgainstAutodiff:
                 optimizer.step()
                 losses.append(loss.item())
             with no_grad():
-                predictions = crn_forward(model, *_pad(validation[0]), *_pad(validation[1])).numpy()
+                predictions = crn_forward(model, *pad_sets(validation[0]), *pad_sets(validation[1])).numpy()
             errors = q_errors(predictions, validation[2], epsilon=config.loss_epsilon)
             assert stats.train_loss == pytest.approx(float(np.mean(losses)), rel=1e-9)
             assert stats.validation_mean_q_error == pytest.approx(

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -15,13 +15,15 @@ from repro.core import (
     OracleContainmentEstimator,
     QueriesPool,
 )
+from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_error, q_errors
+from repro.datasets.generator import GeneratorConfig, QueryGenerator
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
 from repro.sql.containment import analytically_contained, analytically_equivalent
 from repro.sql.intersection import intersect_queries
 from repro.sql.parser import format_query, parse_query
-from repro.sql.query import ComparisonOperator, JoinClause, Predicate, Query, TableRef
+from repro.sql.query import OPERATORS, ComparisonOperator, JoinClause, Predicate, Query, TableRef
 from tests.autodiff import Tensor
 from tests.conftest import build_toy_database
 
@@ -223,6 +225,117 @@ class TestContainmentProperties:
             shift = data.draw(st.integers(min_value=-5, max_value=5))
             extra = Predicate(bounded.alias, bounded.column, bounded.operator, bounded.value + shift)
         assert analytically_contained(query.add_predicates([extra]), query)
+
+
+# --------------------------------------------------------------------------- #
+# bulk featurization
+
+TOY_FEATURIZERS = {
+    "toy": QueryFeaturizer(TOY_DATABASE),
+    # Every movie of one kind: m.kind is a constant column, normalized to 0.5.
+    "constant kind": QueryFeaturizer(build_toy_database(kinds=(2, 2, 2, 2, 2))),
+}
+
+#: Movie predicates at any value: inside and outside the column range
+#: (clamped to 0 or 1), ``-0.0``, ``±inf``.
+_ANY_VALUE_PREDICATES = st.builds(
+    Predicate,
+    alias=st.just("m"),
+    column=st.sampled_from(["year", "kind"]),
+    operator=_OPERATORS,
+    value=st.one_of(st.floats(allow_nan=False), st.sampled_from([-0.0, 0.0, 2.0, 1e9])),
+)
+
+#: A query naming an alias, and one naming a column, the schema lacks.
+_UNKNOWN_ALIAS = Query.create([TableRef("movies", "x")])
+_UNKNOWN_COLUMN = Query.create(
+    [TableRef("movies", "m")], [], [Predicate("m", "rating", ComparisonOperator.EQ, 1.0)]
+)
+
+
+@st.composite
+def bulk_queries(draw) -> Query:
+    """A toy query with up to two more movie predicates at any value."""
+    query = draw(toy_queries())
+    extra = tuple(draw(st.lists(_ANY_VALUE_PREDICATES, max_size=2)))
+    return Query(query.tables, query.joins, query.predicates + extra)
+
+
+def written_out(featurizer: QueryFeaturizer, query: Query) -> np.ndarray:
+    """The Table 1 vectors of ``query``, one row and one scalar write at a time."""
+    layout = featurizer.layout
+    rows = []
+    for table in query.tables:
+        rows.append(np.zeros(layout.vector_size))
+        rows[-1][layout.table_offset + featurizer._table_of(table.alias)] = 1.0
+    for join in query.joins:
+        rows.append(np.zeros(layout.vector_size))
+        rows[-1][layout.join_left_offset + featurizer._column_of(join.left)] = 1.0
+        rows[-1][layout.join_right_offset + featurizer._column_of(join.right)] = 1.0
+    for predicate in query.predicates:
+        rows.append(np.zeros(layout.vector_size))
+        column = predicate.qualified_column
+        rows[-1][layout.predicate_column_offset + featurizer._column_of(column)] = 1.0
+        rows[-1][layout.operator_offset + OPERATORS.index(predicate.operator)] = 1.0
+        rows[-1][layout.value_offset] = featurizer.normalize_value(column, predicate.value)
+    return np.stack(rows)
+
+
+def assert_bulk_is_featurize(featurizer: QueryFeaturizer, queries: list[Query]) -> None:
+    """``featurize_many`` is ``featurize`` concatenated, bit for bit, and both
+    are the written-out vectors."""
+    rows, counts = featurizer.featurize_many(queries)
+    sets = [featurizer.featurize(query) for query in queries]
+    sizes = [len(query.tables) + len(query.joins) + len(query.predicates) for query in queries]
+    assert counts.tolist() == sizes
+    assert counts.tolist() == [len(vectors) for vectors in sets]
+    assert rows.shape == (sum(counts), featurizer.vector_size)
+    assert rows.tobytes() == b"".join(vectors.tobytes() for vectors in sets)
+    assert rows.tobytes() == b"".join(written_out(featurizer, query).tobytes() for query in queries)
+
+
+class TestBulkFeaturizationProperties:
+    @_COMMON_SETTINGS
+    @given(
+        queries=st.lists(bulk_queries(), max_size=8),
+        name=st.sampled_from(sorted(TOY_FEATURIZERS)),
+    )
+    def test_featurize_many_is_featurize_concatenated(self, queries, name):
+        assert_bulk_is_featurize(TOY_FEATURIZERS[name], queries)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16), data=st.data())
+    def test_five_join_and_single_table_queries(self, imdb_small, imdb_featurizer, seed, data):
+        drawn = [
+            query
+            for joins in (5, 0)
+            for query in QueryGenerator(
+                imdb_small, GeneratorConfig(min_joins=joins, max_joins=joins, seed=seed)
+            ).generate_queries(6)
+        ]
+        assert {query.num_joins for query in drawn} == {0, 5}
+        queries = data.draw(st.permutations(drawn))
+        assert_bulk_is_featurize(imdb_featurizer, queries)
+
+    @_COMMON_SETTINGS
+    @example(queries=[], bad=[_UNKNOWN_COLUMN, _UNKNOWN_ALIAS], position=0)
+    @given(
+        queries=st.lists(bulk_queries(), max_size=4),
+        bad=st.lists(st.sampled_from([_UNKNOWN_ALIAS, _UNKNOWN_COLUMN]), min_size=1, max_size=2),
+        position=st.integers(min_value=0, max_value=4),
+    )
+    def test_unknown_alias_or_column_raises_featurizes_error(self, queries, bad, position):
+        # The bulk pass resolves every header before any predicate; the error
+        # must still be the first failing query's own (the pinned example: a
+        # bad column before a bad alias).
+        featurizer = TOY_FEATURIZERS["toy"]
+        mixed = queries[:position] + bad[:1] + queries[position:] + bad[1:]
+        with pytest.raises(KeyError) as alone:
+            featurizer.featurize(bad[0])
+        with pytest.raises(KeyError) as bulk:
+            featurizer.featurize_many(mixed)
+        assert str(bulk.value) == str(alone.value)
+        assert "is not part of the database schema" in str(alone.value)
 
 
 # --------------------------------------------------------------------------- #

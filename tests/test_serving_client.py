@@ -387,11 +387,20 @@ class TestClientFacade:
             pool_options=PoolConfig(warm=False),
         )
         client = ServingClient(config)
-        assert len(client.stack.featurization_cache) == 0
+        assert len(client.stack.pool_index) == 0
         client.warm()
-        # Every scored pool query (cardinality > 0) is featurized and indexed.
+        # Every scored pool query (cardinality > 0) is indexed, and its
+        # encodings live in the slabs only: the request caches stay empty.
         eligible = sum(1 for entry in pool if entry.cardinality > 0)
-        assert len(client.stack.featurization_cache) == eligible
+        assert len(client.stack.pool_index) == eligible
+        assert len(client.stack.featurization_cache) == 0
+        assert len(client.stack.encoding_cache) == 0
+        # Given queries, warm encodes them into the encoding cache instead,
+        # both slots, featurized in one bulk pass outside the featurization cache.
+        queries = [entry.query for entry in pool][:5]
+        client.warm(queries)
+        assert len(client.stack.encoding_cache) == 2 * len(queries)
+        assert len(client.stack.featurization_cache) == 0
         assert len(client.stack.pool_index) == eligible
 
 
@@ -478,10 +487,12 @@ class TestProvenance:
             options = RequestOptions(tags={"tenant": "acme", "tier": "gold"})
             served = client.estimate(matched, options)
             assert served.tags == (("tenant", "acme"), ("tier", "gold"))
-            # The pool is warmed at build time, so pool-side encodings hit.
-            assert served.encoding_cache_hits > 0
+            # The caches hold request queries only: a first request misses
+            # both pair slots' encodings, its repeat hits both.
+            assert served.encoding_cache_hits == 0
             untagged = client.estimate(matched)
             assert untagged.tags == ()
+            assert untagged.encoding_cache_hits == 2
 
     def test_replace_bumps_generation_stamped_into_results(
         self, model, imdb_small, imdb_featurizer, pool, workload

@@ -366,6 +366,14 @@ def resolved_slabs(stack) -> list[PoolSlab]:
     ]
 
 
+def slab_bytes(stack) -> list[tuple]:
+    """Every signature's slab as comparable bytes: entries, cardinalities, rows."""
+    return [
+        (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(), slab.second.tobytes())
+        for slab in resolved_slabs(stack)
+    ]
+
+
 def formula_encoding(model, featurizer, query, position) -> np.ndarray:
     """The per-query set-encoder arithmetic, written out."""
     encoder = model.set_encoder1 if position == 1 else model.set_encoder2
@@ -409,13 +417,6 @@ class TestWarmedSlabRows:
     def test_append_and_rebuild_rows_equal_a_fresh_warm(
         self, model, imdb_featurizer, labeled, inference
     ):
-        def rows(stack):
-            return [
-                (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(),
-                 slab.second.tobytes())
-                for slab in resolved_slabs(stack)
-            ]
-
         def stack_over(pool):
             return build_service_stack(
                 ServingConfig(model=model, featurizer=imdb_featurizer, pool=pool, inference=inference)
@@ -425,21 +426,108 @@ class TestWarmedSlabRows:
         stack = stack_over(growing)
         for item in labeled[40:]:
             growing.add(item.query, item.cardinality)
-        appended = rows(stack)
+        appended = slab_bytes(stack)
         assert stack.pool_index.stats.appended_rows > 0 and stack.pool_index.stats.rebuilds == 0
-        assert appended == rows(stack_over(QueriesPool.from_labeled_queries(labeled)))
+        assert appended == slab_bytes(stack_over(QueriesPool.from_labeled_queries(labeled)))
 
         bumped = next(item for item in labeled if item.cardinality > 0)
         growing.add(bumped.query, bumped.cardinality + 1)
-        misses = stack.encoding_cache.stats.misses
-        rebuilt = rows(stack)
+        rebuilt = slab_bytes(stack)
         assert stack.pool_index.stats.rebuilds == 1
-        # The rebuild read every encoding back out of the cache.
-        assert stack.encoding_cache.stats.misses == misses
+        # Slab maintenance never goes through the request caches.
+        assert stack.encoding_cache.stats.snapshot() == {"hits": 0, "misses": 0, "evictions": 0}
         fresh = QueriesPool.from_labeled_queries(labeled)
         fresh.add(bumped.query, bumped.cardinality + 1)
-        assert rebuilt == rows(stack_over(fresh))
+        assert rebuilt == slab_bytes(stack_over(fresh))
         assert rebuilt != appended  # the bumped cardinality is in it
+
+
+@pytest.fixture()
+def encoded_sets(model, monkeypatch):
+    """``(position, set count)`` of every ``encode_sets`` call on ``model``."""
+    calls = []
+    original = model.encode_sets
+
+    def spy(rows, counts, position):
+        calls.append((position, len(counts)))
+        return original(rows, counts, position)
+
+    monkeypatch.setattr(model, "encode_sets", spy)
+    return calls
+
+
+class TestSlabMaintenance:
+    """A slab is the only home of a pool entry's encodings, and it encodes
+    only the entries it lacks."""
+
+    def stack_over(self, model, featurizer, pool, inference=InferenceConfig()):
+        return build_service_stack(
+            ServingConfig(model=model, featurizer=featurizer, pool=pool, inference=inference)
+        )
+
+    def test_warm_leaves_both_request_caches_empty(self, model, imdb_featurizer, labeled):
+        stack = self.stack_over(model, imdb_featurizer, QueriesPool.from_labeled_queries(labeled))
+        assert len(stack.pool_index) == sum(1 for item in labeled if item.cardinality > 0)
+        for cache in (stack.featurization_cache, stack.encoding_cache):
+            assert len(cache) == 0
+            assert cache.stats.snapshot() == {"hits": 0, "misses": 0, "evictions": 0}
+
+    @pytest.mark.parametrize("inference", [InferenceConfig(), FLOAT32], ids=["f64", "f32"])
+    def test_rebuild_encodes_nothing_and_matches_a_fresh_build(
+        self, model, imdb_featurizer, labeled, encoded_sets, inference
+    ):
+        pool = QueriesPool.from_labeled_queries(labeled)
+        stack = self.stack_over(model, imdb_featurizer, pool, inference)
+        bumped, dropped = [item for item in labeled if item.cardinality > 0][:2]
+        # An in-place cardinality update, then an entry dropping to 0.
+        for query, cardinality in ((bumped.query, bumped.cardinality + 1), (dropped.query, 0)):
+            pool.add(query, cardinality)
+            encoded_sets.clear()
+            rebuilt = slab_bytes(stack)
+            assert sum(sets for _, sets in encoded_sets) == 0
+            fresh = QueriesPool.from_labeled_queries(labeled)
+            fresh.add(bumped.query, bumped.cardinality + 1)
+            if cardinality == 0:
+                fresh.add(dropped.query, 0)
+            assert rebuilt == slab_bytes(self.stack_over(model, imdb_featurizer, fresh, inference))
+        assert stack.pool_index.stats.rebuilds == 2
+
+    def test_add_encodes_one_row_per_slot(self, model, imdb_featurizer, labeled, encoded_sets):
+        pool = QueriesPool.from_labeled_queries(labeled[:40])
+        stack = self.stack_over(model, imdb_featurizer, pool)
+        added = next(
+            item for item in labeled[40:]
+            if item.cardinality > 0 and pool.has_match(item.query)
+            and item.query not in {entry.query for entry in pool}
+        )
+        pool.add(added.query, added.cardinality)
+        encoded_sets.clear()
+        slab = stack.pool_index.resolve(stack.estimator, added.query)
+        assert encoded_sets == [(1, 1), (2, 1)]
+        assert slab.entries[-1].query == added.query
+        assert stack.pool_index.stats.appended_rows == 1
+
+    def test_featurizer_rebind_reencodes_the_bucket(
+        self, model, imdb_featurizer, pool, encoded_sets
+    ):
+        from repro.core.featurization import QueryFeaturizer
+        from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
+
+        stack = self.stack_over(model, imdb_featurizer, pool)
+        query = next(entry.query for entry in pool if entry.cardinality > 0)
+        before = stack.pool_index.resolve(stack.estimator, query)
+        database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=350, seed=99))
+        updated = QueryFeaturizer(database)
+        assert updated.fingerprint != imdb_featurizer.fingerprint
+        encoded_sets.clear()
+        stack.estimator.containment_estimator.featurizer = updated  # rebound after a db update
+        after = stack.pool_index.resolve(stack.estimator, query)
+        assert encoded_sets == [(1, len(after.entries)), (2, len(after.entries))]
+        assert after.token != before.token
+        for offset, entry in enumerate(after.entries):
+            vectors = updated.featurize(entry.query)
+            assert after.first[:, offset].tobytes() == model.encode_set(vectors, 1).tobytes()
+            assert after.second[:, offset].tobytes() == model.encode_set(vectors, 2).tobytes()
 
 
 #: sha256 over the bytes of every warmed slab row -- slot 1 then slot 2 per

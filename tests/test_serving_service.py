@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,10 +82,12 @@ class TestFeaturizationCache:
         cache = FeaturizationCache(imdb_featurizer)
         assert cache.vector_size == imdb_featurizer.vector_size
         assert cache.layout is imdb_featurizer.layout
-        batch, mask = cache.featurize_batch(workload[:3])
-        expected_batch, expected_mask = imdb_featurizer.featurize_batch(workload[:3])
-        np.testing.assert_array_equal(batch, expected_batch)
-        np.testing.assert_array_equal(mask, expected_mask)
+        rows, counts = cache.featurize_many(workload[:3])
+        expected_rows, expected_counts = imdb_featurizer.featurize_many(workload[:3])
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert counts.tolist() == expected_counts.tolist()
+        # Bulk featurization bypasses the cache: it holds request queries only.
+        assert len(cache) == 0 and cache.stats.misses == cache.stats.hits == 0
 
     def test_cache_key_scopes_to_featurizer_fingerprint(self, imdb_featurizer, workload):
         key = imdb_featurizer.cache_key(workload[0])
@@ -174,22 +177,24 @@ class TestEncodingCache:
         self, model, imdb_featurizer, workload
     ):
         calls = []
-        original = imdb_featurizer.featurize
+        original = imdb_featurizer.featurize_many
 
         class CountingFeaturizer:
             vector_size = imdb_featurizer.vector_size
 
-            def featurize(self, query):
-                calls.append(query)
-                return original(query)
+            def featurize_many(self, queries):
+                calls.append(list(queries))
+                return original(queries)
 
         estimator = CRNEstimator(model, CountingFeaturizer())
         query, other = workload[0], workload[1]
         # query appears in both slots of many pairs, spanning many PASS_ROWS
         # tiles of the pair head.
         pairs = [(query, other), (other, query), (query, query)] * 200
-        estimator.estimate_containments(pairs)
-        assert len(calls) == 2  # one featurization per unique query, whole call
+        rates = estimator.estimate_containments(pairs)
+        # One bulk pass over the unique queries, whole call, both slots.
+        assert calls == [[query, other]]
+        assert rates == CRNEstimator(model, imdb_featurizer).estimate_containments(pairs)
 
 
 class TestBatchedScoring:
@@ -382,12 +387,14 @@ class TestEstimationService:
         service = build_service(
             model, imdb_small, imdb_featurizer, pool, max_cache_entries=len(pool)
         )
-        # Warming inserts one encoding per pair slot per scored (non-empty)
-        # pool query; a bound sized to the pool must not evict half of what
-        # it just warmed.
-        eligible = sum(1 for entry in pool if entry.cardinality > 0)
-        assert 0 < eligible < len(pool)
-        assert len(service.encoding_cache) == 2 * eligible
+        # The pool warm at build time filled the index slabs, not the caches.
+        assert len(service.featurization_cache) == len(service.encoding_cache) == 0
+        # Warming request queries inserts one encoding per pair slot per
+        # query; the encoding bound (twice the featurization bound) must not
+        # evict half of what it just warmed.
+        queries = [entry.query for entry in pool]
+        service.warm(queries)
+        assert len(service.encoding_cache) == 2 * len(queries)
         assert service.encoding_cache.stats.evictions == 0
 
     def test_non_cnt2crd_estimators_are_served_per_query(
@@ -409,25 +416,50 @@ class TestEstimationService:
         assert snapshot["requests"] == len(workload)
         assert snapshot["batches"] == 1
         assert snapshot["scored_pairs"] <= snapshot["planned_pairs"]
-        # The pool was warmed at build time, so every pool-side encoding hits.
-        assert snapshot["encoding_hit_rate"] > 0.0
-        # The warm featurized every scored pool query (cardinality > 0).
-        assert snapshot["featurization_entries"] >= sum(1 for e in pool if e.cardinality > 0)
+        # The caches hold request queries only: each distinct request query
+        # scored against a slab was featurized once and encoded once per
+        # slot, every encoding lookup of the first batch missing.
+        scored = scored_requests(service, pool, workload)
+        assert 0 < len(scored) <= len(workload)
+        assert snapshot["featurization_entries"] == len(scored)
+        assert snapshot["encoding_entries"] == 2 * len(scored)
+        assert snapshot["encoding_hit_rate"] == 0.0
         served_again = service.submit_batch(workload)
         assert service.stats.batches == 2
         assert served_again[0].latency_seconds > 0.0
+        # The repeat batch hit every one of them.
+        assert service.stats_snapshot()["encoding_hit_rate"] == 0.5
 
     def test_warm_pool_featurizes_pool_once_ever(
-        self, model, imdb_small, imdb_featurizer, pool, workload
+        self, model, imdb_small, imdb_featurizer, pool, workload, monkeypatch
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        misses_after_warm = service.featurization_cache.stats.misses
+        # The warm featurized the pool in bulk, outside the cache.
+        assert service.featurization_cache.stats.misses == 0
+        featurized = []
+        original = imdb_featurizer.featurize_many
+
+        def spy(queries):
+            featurized.extend(queries)
+            return original(queries)
+
+        monkeypatch.setattr(imdb_featurizer, "featurize_many", spy)
         service.submit_batch(workload)
         service.submit_batch(workload)
-        pool_queries = {entry.query for entry in pool}
-        new_misses = service.featurization_cache.stats.misses - misses_after_warm
-        # Only never-seen incoming queries miss; pool queries never miss again.
-        assert new_misses <= len({q for q in workload if q not in pool_queries})
+        # Serving never featurizes a pool query again (its encodings live in
+        # the slabs); each scored request query is featurized once, ever.
+        scored = scored_requests(service, pool, workload)
+        assert Counter(featurized) == Counter(scored)
+        assert service.featurization_cache.stats.misses == len(scored)
+        assert len(service.featurization_cache) == len(scored)
+
+
+def scored_requests(service, pool, workload) -> set:
+    """The distinct queries of ``workload`` the service scores against a slab."""
+    estimator = service.get("crn")
+    return {
+        query for query in workload if pool.has_match(query) and estimator.resolve(query).entries
+    }
 
 
 class TestRegistryEdgeCases:
