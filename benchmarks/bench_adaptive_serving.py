@@ -10,9 +10,10 @@ driven entirely through the unified :class:`repro.serving.ServingClient`:
    the stale model and the rolling q-error degrades;
 3. the drift policy fires, the adaptation worker retrains incrementally
    (Section 9) against the new snapshot, refreshes the queries pool,
-   validates the candidate on the freshest feedback slice, and hot-swaps it
-   via ``rebind()`` + ``replace()`` — while client threads keep submitting
-   the whole time;
+   validates the candidate on the freshest feedback slice, wires it its own
+   caches and pool index, warms them and hot-swaps it via ``replace()`` —
+   while client threads keep submitting the whole time, the incumbent
+   serving them from its own slabs until the swap;
 4. post-swap, the adapted model's q-error on the workload's queries
    (against the updated data) recovers to within ``1.5x`` of the pre-update
    model's on the same queries (against the original data), not a single

@@ -8,7 +8,7 @@ pool size) and serves the same single-request workload two ways:
 
 * **legacy** -- an :class:`repro.serving.EstimationService` around a bare
   :class:`repro.core.Cnt2CrdEstimator` (no pool index, so every slab is
-  row-less) on the indexed client's featurization/encoding caches, warmed
+  row-less) on the served estimator's featurization/encoding caches, warmed
   with every pool query by ``client.warm(pool queries)`` (the index warm
   fills only the slabs): every request still materializes ``2·E`` Python
   pair tuples, performs ``2·E`` dict-keyed cache lookups, and stacks ``2·E``
@@ -20,7 +20,10 @@ pool size) and serves the same single-request workload two ways:
 Both paths run the identical slab matmuls, so the estimates must be
 **bit-for-bit identical** — asserted per request — and the win is the
 removed per-pair Python/bookkeeping work, asserted as a ≥3× single-request
-p50 speedup at pool sizes ≥ 2048.  A last column times the indexed client's
+p50 speedup at pool sizes ≥ 2048.  Each pool size is timed in
+:data:`REPETITIONS` alternating legacy/indexed rounds, and the gate reads the
+median of the per-round ratios: one round's p50 ratio reads a box's noise
+as often as the code.  A last column times the indexed client's
 build at each size: what the pool costs at set-up, almost all of it the
 warm that fills every bucket's slab (``warm_ms_pool_<largest>``, not gated).
 
@@ -52,6 +55,7 @@ from repro.sql.builder import QueryBuilder
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 POOL_SIZES = (64, 256) if SMOKE else (256, 1024, 2048, 4096)
 REQUESTS = 10 if SMOKE else 25
+REPETITIONS = 5  # alternating legacy/indexed rounds per pool size
 REQUIRED_SPEEDUP = 3.0
 SPEEDUP_AT_OR_ABOVE = 2048  # the acceptance bar applies to big pools
 
@@ -134,14 +138,15 @@ def build_client(model, featurizer, pool) -> ServingClient:
 
 
 def build_baseline(client: ServingClient) -> EstimationService:
-    """A service around a bare estimator sharing ``client``'s caches, warmed
-    with every pool query so its per-pair lookups all hit."""
+    """A service around a bare estimator sharing the caches of ``client``'s
+    served estimator, warmed with every pool query so its per-pair lookups
+    all hit."""
     client.warm([entry.query for entry in client.config.pool])
-    stack = client.stack
+    served = client.stack.estimator.containment_estimator
     crn = CRNEstimator(
         client.config.model,
-        stack.featurization_cache,
-        encoding_cache=stack.encoding_cache,
+        served.featurizer,
+        encoding_cache=served.encoding_cache,
     )
     service = EstimationService()
     service.register("crn", Cnt2CrdEstimator(crn, client.config.pool))
@@ -164,27 +169,36 @@ def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):
         legacy = build_baseline(indexed)
         last_indexed_client = indexed
 
-        legacy_estimates, legacy_p50 = serve_timed(legacy.submit, requests)
-        indexed_estimates, indexed_p50 = serve_timed(indexed.estimate, requests)
-        assert indexed_estimates == legacy_estimates, (
-            f"indexed estimates diverged from the per-pair path at pool size {size}"
-        )
+        legacy_p50s, indexed_p50s = [], []
+        for _ in range(REPETITIONS):
+            legacy_estimates, legacy_p50 = serve_timed(legacy.submit, requests)
+            indexed_estimates, indexed_p50 = serve_timed(indexed.estimate, requests)
+            assert indexed_estimates == legacy_estimates, (
+                f"indexed estimates diverged from the per-pair path at pool size {size}"
+            )
+            legacy_p50s.append(legacy_p50)
+            indexed_p50s.append(indexed_p50)
+        ratios = [
+            legacy / indexed if indexed > 0 else float("inf")
+            for legacy, indexed in zip(legacy_p50s, indexed_p50s)
+        ]
         resolutions = {item.resolution for item in indexed.estimate_many(requests)}
         assert resolutions == {"indexed_slab"}, (
             f"indexed requests must resolve from the slab path, got {resolutions}"
         )
         index_stats = indexed.stats()
         assert index_stats["pool_index_served"] >= len(requests), (
-            "the indexed service silently fell back to row-less slabs"
+            "the indexed client did not resolve its requests from its index"
         )
 
-        speedup = legacy_p50 / indexed_p50 if indexed_p50 > 0 else float("inf")
+        speedup = float(np.median(ratios))
+        legacy_p50, indexed_p50 = float(np.median(legacy_p50s)), float(np.median(indexed_p50s))
         rows.append((size, legacy_p50, indexed_p50, speedup, warm))
         if not SMOKE and size >= SPEEDUP_AT_OR_ABOVE:
             assert speedup >= REQUIRED_SPEEDUP, (
                 f"expected the indexed path to be >= {REQUIRED_SPEEDUP:.0f}x faster "
-                f"at pool size {size}, measured {speedup:.1f}x "
-                f"({legacy_p50 * 1000:.2f}ms vs {indexed_p50 * 1000:.2f}ms)"
+                f"at pool size {size}, measured a median of {speedup:.1f}x over "
+                f"{REPETITIONS} rounds ({', '.join(f'{r:.1f}x' for r in ratios)})"
             )
 
     # The largest sweep point is the headline row: that is the regime the
@@ -238,8 +252,10 @@ def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):
     ]
     report = "\n".join(
         [
-            f"pool encoding index, single-request p50 over {REQUESTS} requests, "
-            "and the client build that warms the index" + (" (smoke)" if SMOKE else ""),
+            f"pool encoding index, single-request p50 over {REQUESTS} requests "
+            f"(median of {REPETITIONS} alternating rounds; speedup: median "
+            "per-round ratio), and the client build that warms the index"
+            + (" (smoke)" if SMOKE else ""),
             "",
             *table,
             "",

@@ -314,9 +314,6 @@ class ClusterSupervisor:
                 + (f" ({handle.last_error})" if handle.last_error else "")
             )
 
-    def num_shards(self) -> int:
-        return self.cluster.num_workers
-
     # ------------------------------------------------------------------ #
     # operator surface
 

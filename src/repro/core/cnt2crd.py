@@ -120,12 +120,12 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             can contribute an estimate — the FROM clause matches nothing, or
             every matching entry was filtered by the epsilon guard; when
             omitted, :class:`NoMatchingPoolQueryError` is raised.
-        pool_index: optional :class:`repro.serving.PoolEncodingIndex`.  When
-            it can serve a query (CRN containment model, bound owner,
-            matching pool), :meth:`resolve` hands back slabs carrying
-            pre-built encoding matrices, which a CRN scores without per-pair
-            dict lookups — bit-for-bit identical, much faster on large
-            pools; otherwise the slab is row-less and scored pair by pair.
+        pool_index: optional :class:`repro.serving.PoolEncodingIndex` built
+            over ``pool`` for ``containment_estimator``: :meth:`resolve`
+            then hands back slabs carrying pre-built encoding matrices,
+            which a CRN scores without per-pair dict lookups — bit-for-bit
+            identical, much faster on large pools.  An index over another
+            pool or another containment estimator raises ``ValueError``.
     """
 
     def __init__(
@@ -144,15 +144,14 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         )
         self.epsilon = epsilon
         self.fallback = fallback
+        if pool_index is not None and (
+            pool_index.pool is not pool or pool_index.crn is not containment_estimator
+        ):
+            raise ValueError(
+                "the pool index was built over another pool or containment "
+                "estimator; build one per estimator"
+            )
         self.pool_index = pool_index
-        if pool_index is not None:
-            # Index rows are a function of the containment model's weights;
-            # binding on attach mirrors the EncodingCache contract (the
-            # attribute is duck-typed so core never imports the serving layer).
-            model = getattr(containment_estimator, "model", None)
-            bind = getattr(pool_index, "bind", None)
-            if model is not None and bind is not None:
-                bind(model)
         self.name = f"Cnt2Crd({containment_estimator.name})"
 
     # ------------------------------------------------------------------ #
@@ -161,13 +160,12 @@ class Cnt2CrdEstimator(CardinalityEstimator):
     def resolve(self, query: Query) -> PoolSlab:
         """The scoring slab of ``query``'s FROM-signature bucket — never ``None``.
 
-        From the :attr:`pool_index` when there is one (which itself hands
-        back a row-less slab when it cannot serve this estimator), otherwise
-        a row-less snapshot of the pool bucket.  An unmatched query resolves
-        to a slab without entries.
+        From the :attr:`pool_index` when there is one, with resident rows,
+        otherwise a row-less snapshot of the pool bucket.  An unmatched query
+        resolves to a slab without entries.
         """
         if self.pool_index is not None:
-            return self.pool_index.resolve(self, query)
+            return self.pool_index.resolve(query)
         return self.pool.bucket_slab(query.from_signature())
 
     def estimate_values_from_rates(

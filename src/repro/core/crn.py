@@ -385,10 +385,7 @@ class CRNEstimator(ContainmentEstimator):
         #: never imports the serving layer.
         self.inference_plan = None
         if encoding_cache is not None:
-            # Cached encodings are only valid for this model's weights.
-            bind = getattr(encoding_cache, "bind", None)
-            if bind is not None:
-                bind(model)
+            encoding_cache.bind(model)  # cached encodings are this model's alone
 
     def estimate_containment(self, first: Query, second: Query) -> float:
         return self.estimate_containments([(first, second)])[0]
@@ -435,12 +432,12 @@ class CRNEstimator(ContainmentEstimator):
         featurize (on a miss), encode, cache put."""
         scope = self._encoding_scope()
         if self.encoding_cache is not None:
-            cached = self.encoding_cache.get(query, position, scope=scope, owner=self.model)
+            cached = self.encoding_cache.get(query, position, scope=scope)
             if cached is not None:
                 return cached
         encoding = self.model.encode_set(self.featurizer.featurize(query), position)
         if self.encoding_cache is not None:
-            self.encoding_cache.put(query, position, encoding, scope=scope, owner=self.model)
+            self.encoding_cache.put(query, position, encoding, scope=scope)
         return encoding
 
     def rates_against_pools(self, items) -> list[np.ndarray]:
@@ -542,11 +539,11 @@ class CRNEstimator(ContainmentEstimator):
         are encoded by one ``encode_sets`` call (bit for bit what
         :meth:`encode_query` computes alone), then cached.
         """
-        scope, cache, owner = self._encoding_scope(), self.encoding_cache, self.model
+        scope, cache = self._encoding_scope(), self.encoding_cache
         encodings: dict[tuple[Query, int], np.ndarray] = {}
         missing: dict[int, list[Query]] = {1: [], 2: []}
         for key in dict.fromkeys(keys):
-            cached = None if cache is None else cache.get(*key, scope=scope, owner=owner)
+            cached = None if cache is None else cache.get(*key, scope=scope)
             if cached is None:
                 missing[key[1]].append(key[0])
             else:
@@ -568,5 +565,5 @@ class CRNEstimator(ContainmentEstimator):
             for query, encoding in zip(wanted, fresh):
                 encodings[(query, position)] = encoding
                 if cache is not None:
-                    cache.put(query, position, encoding, scope=scope, owner=owner)
+                    cache.put(query, position, encoding, scope=scope)
         return encodings

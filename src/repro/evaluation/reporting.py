@@ -161,7 +161,6 @@ _SERVICE_STAT_ROWS: tuple[tuple[str, str, str], ...] = (
     ("pool_index_signatures", "pool index signatures", "{:.0f}"),
     ("pool_index_rows", "pool index rows", "{:.0f}"),
     ("pool_index_served", "pool index served", "{:.0f}"),
-    ("pool_index_fallbacks", "pool index fallbacks", "{:.0f}"),
     ("pool_index_builds", "pool index builds", "{:.0f}"),
     ("pool_index_rebuilds", "pool index rebuilds", "{:.0f}"),
     ("pool_index_appended_rows", "pool index rows appended", "{:.0f}"),

@@ -248,9 +248,9 @@ class PlanSwap(Event):
 
     ``outcome`` is ``"promoted"`` when the candidate's recompiled plan went
     live with the model swap, ``"rollback"`` when the promote failed and the
-    incumbent kept serving on its own plan (mirroring the index rebind
-    discipline — the incumbent's plan was never replaced, so rollback is a
-    statement of fact, not a re-attach).
+    incumbent kept serving on its own plan.  A model's plan, caches and index
+    slabs live and die with its estimator, so the incumbent's were never
+    touched: rollback is a statement of fact, not a re-attach.
     """
 
     kind: ClassVar[str] = "plan_swap"

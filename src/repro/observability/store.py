@@ -499,24 +499,6 @@ class EventStore:
             "SELECT * FROM view_trace_accounting ORDER BY root_seconds DESC"
         )
 
-    def span_duration_quantile(self, name: str, q: float) -> float:
-        """An exact per-stage duration quantile in seconds (NaN with no data)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must lie in [0, 1], got {q!r}")
-        rows = self.query(
-            "SELECT COUNT(*) AS n FROM spans WHERE name = ?", [name]
-        )
-        count = int(rows[0]["n"])
-        if not count:
-            return float("nan")
-        offset = min(count - 1, max(0, round(q * (count - 1))))
-        rows = self.query(
-            "SELECT duration_seconds FROM spans WHERE name = ? "
-            "ORDER BY duration_seconds LIMIT 1 OFFSET ?",
-            [name, offset],
-        )
-        return float(rows[0]["duration_seconds"])
-
     def drained_totals(self) -> dict[str, float]:
         """The summed ``stats_drained`` counters across every drained interval.
 

@@ -6,14 +6,13 @@ serving heavy traffic is dominated by redundant featurization and many small
 forward passes.  This package amortizes that work across requests:
 
 * :mod:`repro.serving.cache` -- :class:`FeaturizationCache` (query → feature
-  vectors, memoized once per pool query, ever) and :class:`EncodingCache`
-  (query → CRN ``Qvec`` per pair slot), both with LRU bounds and hit/miss
-  accounting.
+  vectors) and :class:`EncodingCache` (query → CRN ``Qvec`` per pair slot)
+  for request queries, both with LRU bounds and hit/miss accounting.
 * :mod:`repro.serving.pool_index` -- :class:`PoolEncodingIndex`, per-FROM-
   signature contiguous pool-query encoding matrices (one per pair slot),
   maintained incrementally on :meth:`repro.core.queries_pool.QueriesPool.add`
-  and owner-fenced like the encoding cache, so a request is scored as one
-  vectorized whole-pool slab pass instead of ``2·E`` per-pair lookups.
+  for one CRN estimator, so a request is scored as one vectorized
+  whole-pool slab pass instead of ``2·E`` per-pair lookups.
 * :mod:`repro.serving.service` -- :class:`EstimationService`, the engine with
   a named estimator registry (model generations bumped on every
   :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``
@@ -66,7 +65,9 @@ forward passes.  This package amortizes that work across requests:
   in the background (:class:`CRNRetrainer` over
   :mod:`repro.extensions.updates`, incremental escalating to full), gates
   the candidate on a held-out feedback slice, and hot-swaps it with
-  ``replace()`` / ``rebind()`` while the dispatcher keeps serving.
+  ``replace()`` while the dispatcher keeps serving.  A model's caches and
+  index slabs live and die with its estimator, so a swap shares nothing
+  between the outgoing and the incoming model.
 * :mod:`repro.artifacts` (sibling package) -- the versioned artifact store
   wired in through :class:`ArtifactConfig`: every build and every accepted
   adaptation candidate persists as a checksummed snapshot generation, and
@@ -143,7 +144,6 @@ from repro.serving.service import (
     EstimateResult,
     EstimationService,
     RequestOptions,
-    ServedEstimate,
 )
 from repro.serving.stack import ServiceStack, build_service_stack
 
@@ -181,7 +181,6 @@ __all__ = [
     "PoolConfig",
     "PoolEncodingIndex",
     "RequestOptions",
-    "ServedEstimate",
     "ServiceStack",
     "ServingClient",
     "ServingConfig",

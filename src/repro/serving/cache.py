@@ -205,11 +205,11 @@ class EncodingCache:
 
     Encodings are a function of the model's weights, so a cache is tied to
     exactly one model: :class:`repro.core.crn.CRNEstimator` calls
-    :meth:`bind` on attach, and binding the same cache to a second model
-    raises instead of silently serving the first model's encodings.  To hot
-    swap a *retrained* model into a running service without downtime, call
-    :meth:`rebind` first: it drops every cached encoding and ties the cache
-    to the new model in one atomic step.  Note that binding tracks object
+    :meth:`bind` at construction, and binding the same cache to a second
+    model raises instead of silently serving the first model's encodings.
+    A retrained model gets a cache of its own
+    (:func:`repro.serving.stack.wire_estimator` builds one per estimator), so
+    a hot swap never clears or re-ties a live cache.  Binding tracks object
     identity only — retraining the bound model *in place* invalidates the
     cached encodings, so call :meth:`clear` after updating weights.
 
@@ -221,76 +221,24 @@ class EncodingCache:
         self.stats = Counters(hits=0, misses=0, evictions=0)
         self._store = _LRUStore(max_entries, self.stats)
         self._owner: object | None = None
-        self._bind_lock = threading.Lock()
 
     def bind(self, owner: object) -> None:
         """Tie this cache to the model producing its encodings."""
-        with self._bind_lock:
-            if self._owner is None:
-                self._owner = owner
-            elif self._owner is not owner:
-                raise ValueError(
-                    "EncodingCache is already bound to a different model; encodings "
-                    "are model-specific, use one cache per model (or rebind() to "
-                    "hot-swap a retrained model)"
-                )
-
-    def rebind(self, owner: object) -> None:
-        """Atomically clear the cache and tie it to a new (retrained) model.
-
-        This is the hot-swap path: build the replacement estimator against
-        the same cache by calling ``cache.rebind(new_model)`` first, then
-        register it with :meth:`repro.serving.EstimationService.replace`.
-        Writers that identify themselves (the ``owner=`` argument of
-        :meth:`put`) are fenced by the rebind: an in-flight request still
-        running on the *old* model cannot re-poison the cleared cache, so the
-        swap can happen mid-traffic without ever serving the new model an old
-        model's encoding.
-        """
-        with self._bind_lock:
-            self._store.clear()
+        if self._owner is None:
             self._owner = owner
+        elif self._owner is not owner:
+            raise ValueError(
+                "EncodingCache is already bound to a different model; encodings "
+                "are model-specific, use one cache per model"
+            )
 
-    def get(self, query: Query, position: int, scope=None, owner=None) -> np.ndarray | None:
-        """The cached encoding for ``(scope, query, position)``, or None on a miss.
+    def get(self, query: Query, position: int, scope=None) -> np.ndarray | None:
+        """The cached encoding for ``(scope, query, position)``, or None on a miss."""
+        return self._store.get((scope, query, position))
 
-        ``owner`` (the calling estimator's model) turns the lookup into a
-        guaranteed miss when it no longer matches the bound model — a reader
-        racing a :meth:`rebind` simply recomputes instead of observing the
-        swap partially.  The check and the store read happen under the bind
-        lock as one unit: checked-then-read without it, a reader could pass
-        the fence, lose the CPU to a rebind-plus-warm, and then *hit* on the
-        new model's encoding under the same key (two models over the same
-        snapshot share the scope fingerprint) — handing the old model's pair
-        head the new model's encoding.
-        """
-        if owner is None:
-            return self._store.get((scope, query, position))
-        with self._bind_lock:
-            if owner is not self._owner:
-                self.stats.add("misses")
-                return None
-            return self._store.get((scope, query, position))
-
-    def put(self, query: Query, position: int, encoding: np.ndarray, scope=None, owner=None) -> None:
-        """Record an encoding (evicting the least recently used if bounded).
-
-        ``owner`` makes the write conditional on still being the bound model,
-        atomically with respect to :meth:`rebind`.  Without it, a request
-        in flight on the old model during a same-featurizer hot swap could
-        insert an old-weights encoding *after* the rebind cleared the store —
-        under a key the new model would then read (the snapshot scope alone
-        cannot distinguish two models trained on the same database).  Callers
-        that identify themselves can never serve the swapped-in model a torn
-        mix of old and new encodings.
-        """
-        if owner is None:
-            self._store.put((scope, query, position), encoding)
-            return
-        with self._bind_lock:
-            if owner is not self._owner:
-                return  # stale writer: the model was swapped away mid-request
-            self._store.put((scope, query, position), encoding)
+    def put(self, query: Query, position: int, encoding: np.ndarray, scope=None) -> None:
+        """Record an encoding (evicting the least recently used if bounded)."""
+        self._store.put((scope, query, position), encoding)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -244,7 +244,7 @@ class ServingClient:
                     config_mapping=config.to_mapping(),
                     generation=self.service.generation(ESTIMATOR_NAME),
                     source="build",
-                    pool_index=stack.pool_index,
+                    pool_index=stack.estimator.pool_index,
                     promote=True,
                 )
 
@@ -445,7 +445,7 @@ class ServingClient:
                 if assigned is None
                 or tuple(tuple(pair) for pair in entry["signature"]) in assigned
             )
-            actual = len(client.stack.pool_index)
+            actual = len(client.stack.estimator.pool_index)
             if actual != expected:
                 raise ArtifactSchemaError(
                     f"rebuilt pool encoding index holds {actual} slab rows, "
@@ -662,9 +662,9 @@ class ServingClient:
         if queries is not None:
             self.service.warm(queries)
         else:
-            # The served estimator, not the booted one: after an adaptation
-            # promote the index belongs to the promoted model.
-            self.stack.pool_index.warm(self.service.get(ESTIMATOR_NAME))
+            # The live estimator's index: after an adaptation promote, the
+            # promoted model's.
+            self.stack.estimator.pool_index.warm()
 
     # ------------------------------------------------------------------ #
     # feedback and adaptation

@@ -144,9 +144,9 @@ class PoolConfig:
     vectorized whole-pool slab pass.
 
     Attributes:
-        warm: pre-featurize/encode all pool queries at build time (and
-            pre-build the index's slabs), so steady state is reached before
-            the first request.
+        warm: build every bucket's index slab at build time, so steady
+            state is reached before the first request (the request caches
+            stay empty: pool entries are encoded straight into the slabs).
     """
 
     warm: bool = True
@@ -154,12 +154,14 @@ class PoolConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """LRU bounds of the shared featurization / encoding caches.
+    """LRU bounds of the featurization / encoding caches each served
+    estimator gets.
 
-    The encoding cache holds **two** entries per query (one per pair slot),
-    so a deployment bounding both caches for ``N`` queries needs ``2·N``
-    encoding entries or warming the pool would immediately evict half of it.
-    That ``2×`` is the documented default — an unset ``max_encoding_entries``
+    The caches hold request queries.  The encoding cache holds **two**
+    entries per query (one per pair slot), so a deployment bounding both
+    caches for ``N`` queries needs ``2·N`` encoding entries, or warming
+    ``N`` request queries (``client.warm(queries)``) would evict half of
+    what it just encoded.  That ``2×`` is the documented default — an unset ``max_encoding_entries``
     resolves to ``2 × max_featurization_entries`` — and an explicit value is
     taken as given.
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.metrics import q_errors
-from repro.serving.service import ServedEstimate
+from repro.serving.service import EstimateResult
 from repro.sql.query import Query
 
 
@@ -148,9 +148,9 @@ class FeedbackCollector:
         return observation
 
     def record_served(
-        self, served: ServedEstimate, true_cardinality: float | None = None
+        self, served: EstimateResult, true_cardinality: float | None = None
     ) -> FeedbackObservation:
-        """Record a :class:`~repro.serving.ServedEstimate` against the truth.
+        """Record a :class:`~repro.serving.EstimateResult` against the truth.
 
         When ``true_cardinality`` is omitted the collector's ``oracle``
         executes the query for the exact count; supplying the actual keeps

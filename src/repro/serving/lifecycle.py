@@ -7,9 +7,8 @@ implements both as offline functions.  This module closes the loop for a
 (:class:`repro.serving.FeedbackCollector`), decides when the serving model
 has drifted (:class:`DriftMonitor`), retrains in the background while the
 dispatcher keeps serving, gates the candidate on a held-out feedback slice,
-and promotes it with the zero-downtime swap primitives
-(:meth:`repro.serving.EstimationService.replace`,
-:meth:`repro.serving.EncodingCache.rebind`).  One
+and promotes it with the zero-downtime swap primitive
+:meth:`repro.serving.EstimationService.replace`.  One
 :class:`repro.serving.AdaptationConfig` holds every knob of the loop.
 
 The adaptation cycle, end to end::
@@ -25,8 +24,8 @@ The adaptation cycle, end to end::
         ▼
     accept gate: candidate q-error ≤ accept_ratio × incumbent q-error
         ├── reject ──▶ count it, cool down
-        └── accept ──▶ rebind the shared cache and pool index, wire
-                       the candidate as boot does, pre-warm, replace()
+        └── accept ──▶ wire the candidate as boot does (its own caches,
+                       plan and pool index), warm its index, replace()
                        atomically, clear the feedback window, re-baseline
 
 Everything runs on one worker thread owned by :class:`AdaptationManager`
@@ -34,10 +33,11 @@ Everything runs on one worker thread owned by :class:`AdaptationManager`
 flight at any time, policy-driven triggers respect a cooldown, and
 :meth:`~AdaptationManager.trigger` / :meth:`~AdaptationManager.pause` give
 operators manual control.  The swap itself never drops or corrupts an
-in-flight request: in-flight batches finish on the estimator object they
-resolved, and the encoding cache fences stale writers
-(:meth:`repro.serving.EncodingCache.put` with ``owner=``), so the new model
-can never be served an old model's encoding.
+in-flight request: a model's caches and index slabs live and die with its
+estimator, so in-flight batches finish on the estimator object they
+resolved, on its own encodings, and the new model never sees one of the old
+model's.  Until the outgoing estimator is released, both models' slabs are
+in memory: up to twice the slab memory, for the promote window only.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ class AdaptationOutcome:
     ``action`` is one of ``"idle"`` (policy quiet), ``"paused"``,
     ``"cooldown"``, ``"retrain-failed"``, ``"rejected"`` (the gate turned the
     candidate away), ``"promote-failed"`` (the swap itself failed; the
-    incumbent keeps serving with its cache restored), ``"swapped"``, or
+    incumbent, untouched, keeps serving), ``"swapped"``, or
     ``"stopped"`` (the manager was stopped before a pending manual trigger's
     cycle could run).
     """
@@ -408,8 +408,8 @@ class AdaptationManager:
     Failures never kill the worker: retrain, validation, and promote errors
     are counted in :attr:`stats`, the most recent exception is kept on
     :attr:`last_error`, and the incumbent keeps serving (a failure *during*
-    the promote re-binds the shared encoding cache and pool index to the
-    incumbent model so it is not left fenced out of its own fast path).
+    the promote leaves it untouched: the candidate was wired on caches and
+    an index of its own).
 
     Args:
         stack: the wired deployment whose default estimator is kept fresh.
@@ -651,8 +651,8 @@ class AdaptationManager:
             candidate = self.retrainer.full() if escalate else self.retrainer.incremental()
             refreshed_pool = self.retrainer.refresh_pool()
             incumbent = self.service.get(self.estimator_name)
-            # Private caches, no pool index and no plan: the shadow scores
-            # only the holdout and must not touch the incumbent's fast path.
+            # Its own caches and index, no plan, no recorder or tracer: the
+            # shadow scores only the holdout and stays invisible.
             shadow = wire_estimator(
                 self.stack.config, candidate.model, candidate.featurizer, refreshed_pool
             )
@@ -667,6 +667,7 @@ class AdaptationManager:
         self._count_retrain(mode, seconds, failed=False)
 
         incumbent_q, candidate_q, accepted, holdout_count = self._validate(shadow)
+        del shadow  # its slabs need not outlive the gate
         recorder = self.service.recorder
         # holdout_count == 0 means the gate was skipped (empty window):
         # an unconditional promotion is not a gate decision, so no event.
@@ -692,15 +693,9 @@ class AdaptationManager:
         try:
             promoted = self._promote(candidate, refreshed_pool)
         except Exception as error:
-            # The promote rebinds the shared encoding cache and pool index
-            # *before* the registry swap; a failure in between (e.g. the
-            # registry refused the replace) must not leave the
-            # still-serving incumbent fenced out of its own cache and slabs.
-            # Hand both back (slabs rebuild lazily), count, keep adapting.
+            # The incumbent was never touched: count, keep adapting.
             self.last_error = error
             crn = incumbent.containment_estimator
-            self.stack.encoding_cache.rebind(crn.model)
-            self.stack.pool_index.rebind(crn.model, pool=incumbent.pool)
             if recorder is not None and crn.inference_plan is not None:
                 # The incumbent's plan was never detached, so there is
                 # nothing to re-attach — the event records that the
@@ -761,7 +756,7 @@ class AdaptationManager:
                     config_mapping=self.stack.config.to_mapping(),
                     generation=generation,
                     source="promote",
-                    pool_index=self.stack.pool_index,
+                    pool_index=promoted.pool_index,
                     promote=True,
                 )
             except Exception as error:
@@ -844,17 +839,15 @@ class AdaptationManager:
     ) -> Cnt2CrdEstimator:
         """Atomically swap the candidate in; the dispatcher keeps serving.
 
-        Order matters: the shared encoding cache and pool index are rebound
-        (cleared + fenced against the outgoing model's in-flight requests,
-        the index retargeted to the refreshed pool) *before* the new
-        estimator is wired on them, its plan (in a compiled deployment) is
-        compiled and the refreshed pool pre-warmed — so the first post-swap
-        request scores against warm slabs — and only then does
-        :meth:`EstimationService.replace` make the candidate visible —
-        in-flight batches finish on the incumbent object, every later
-        submission resolves the candidate.  Returns the promoted estimator.
+        The candidate is wired as boot wires an estimator — its own caches,
+        its plan (in a compiled deployment) and a pool index over the
+        refreshed pool — and its index is warmed, so the first post-swap
+        request scores against warm slabs.  Only then does
+        :meth:`EstimationService.replace` make the candidate visible:
+        in-flight batches finish on the incumbent object and its own slabs,
+        every later submission resolves the candidate.  Returns the promoted
+        estimator.
         """
-        stack = self.stack
         tracer = self.service.tracer
         span = (
             tracer.begin("model_swap", estimator_name=self.estimator_name)
@@ -862,25 +855,18 @@ class AdaptationManager:
             else None
         )
         try:
-            stack.encoding_cache.rebind(candidate.model)
-            stack.pool_index.rebind(candidate.model, pool=pool)
             estimator = wire_estimator(
-                stack.config,
+                self.stack.config,
                 candidate.model,
                 candidate.featurizer,
                 pool,
-                encoding_cache=stack.encoding_cache,
-                pool_index=stack.pool_index,
                 recorder=self.service.recorder,
+                tracer=tracer,
                 # replace() bumps the generation; the plan serves the
                 # candidate's generation, not the incumbent's.
                 generation=self.service.generation(self.estimator_name) + 1,
             )
-            # Rebuild the whole-pool encoding matrices (and the caches) with
-            # the candidate model *before* the registry swap: the first
-            # post-swap request then scores against warm slabs instead of
-            # paying a full per-signature re-encoding stall.
-            stack.pool_index.warm(estimator)
+            estimator.pool_index.warm()
             self.service.replace(self.estimator_name, estimator)
         finally:
             if span is not None:
@@ -889,9 +875,6 @@ class AdaptationManager:
                     generation=self.service.generation(self.estimator_name),
                     warmed=True,
                 )
-        # Point the service's reporting handle at the candidate's
-        # featurization cache (wired by wire_estimator).
-        self.service.featurization_cache = estimator.containment_estimator.featurizer
         self.retrainer.accept(candidate, pool)
         return estimator
 

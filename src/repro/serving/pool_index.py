@@ -12,11 +12,10 @@ signature.
 path.  Per ``(featurizer-snapshot scope, FROM signature, dtype)`` it keeps
 two feature-major ``(H, E)`` matrices of pool-query encodings — one per pair
 slot, column ``i`` belonging to eligible entry ``i`` — maintained
-incrementally.  The dtype is the resolving estimator's: float32 when it has
-a compiled inference plan (whose fused slab kernel reads the slab in place),
-float64 otherwise, so each bucket is stored once, in the precision its
-scorer reads, and a plan-less and a compiled estimator over one index never
-read each other's slabs.
+incrementally.  The dtype is the index's CRN's: float32 when it has a
+compiled inference plan (whose fused slab kernel reads the slab in place),
+float64 otherwise, so each bucket is stored in the precision its scorer
+reads.
 
 * a :meth:`repro.core.queries_pool.QueriesPool.add` bumps the bucket's
   version; the next request appends only the new tail columns (the
@@ -25,9 +24,10 @@ read each other's slabs.
   cardinality drops to 0, rebuilds the bucket's slab — cheap, because the
   entries the old slab held keep their columns, copied across by query, and
   only entries it never held are encoded;
-* a featurizer rebind changes the scope, so stale-snapshot slabs simply stop
-  matching (exactly the :class:`~repro.serving.EncodingCache` keying rule)
-  and the bucket is encoded afresh.
+* a featurizer rebound after a database update changes the scope, so
+  stale-snapshot slabs simply stop matching (exactly the
+  :class:`~repro.serving.EncodingCache` keying rule) and the bucket is
+  encoded afresh.
 
 A slab is the only place a pool entry's encodings are stored: maintenance
 featurizes the entries a slab lacks in one
@@ -44,20 +44,14 @@ the transposed slab and the fixed-shape pair head, and — because the
 assembled rows are exactly the rows the per-pair route would have stacked,
 in the same order — estimates are **bit-for-bit identical**.
 
-Owner fencing mirrors :class:`~repro.serving.EncodingCache`: the index is
-bound to the model whose weights produced its rows, :meth:`rebind`
-atomically drops every slab and re-ties it (optionally retargeting a
-refreshed pool), and :meth:`resolve` returns a row-less slab — never stale
-rows — for an estimator whose model is not the bound owner.  A row-less slab
-is scored per pair, so a lifecycle hot swap mid-traffic degrades in-flight
-old-model requests to the slow route instead of ever mixing two models'
-encodings.  The :class:`repro.serving.AdaptationManager`
-rebinds and re-warms the index with the candidate model *before* the
-registry swap, so the first post-swap request pays no re-encoding stall.
+An index belongs to one CRN estimator and one pool, both fixed at
+construction: a model's slabs live and die with the estimator
+:func:`repro.serving.stack.wire_estimator` builds for it.  A hot swap wires
+the retrained model a fresh index and warms it before the registry swap;
+requests still in flight on the outgoing estimator finish on its own slabs.
 
-Thread safety: one index lock guards the owner fence *and* the slab store as
-a unit (see the constructor comment for why they cannot be split), and long
-holders release it between signatures.  Returned
+Thread safety: one index lock guards the slab store, and long holders
+release it between signatures.  Returned
 :class:`repro.core.queries_pool.PoolSlab` views are snapshots — appends
 write columns past the snapshot's entry count and growth or a rebuild
 allocates fresh matrices, so what an in-flight request was handed is never
@@ -161,20 +155,26 @@ class PoolEncodingIndex:
     """Per-FROM-signature pool encoding matrices for whole-pool Cnt2Crd scoring.
 
     Args:
-        pool: the queries pool whose buckets the index mirrors.  A lifecycle
-            promote retargets it with :meth:`rebind`.
+        pool: the queries pool whose buckets the index mirrors.
+        crn: the CRN estimator whose model, featurizer and (optional) plan
+            the slabs are built for and scored by.
     """
 
-    def __init__(self, pool: QueriesPool) -> None:
+    def __init__(self, pool: QueriesPool, crn: CRNEstimator) -> None:
+        if not isinstance(crn, CRNEstimator):
+            raise TypeError(
+                "PoolEncodingIndex needs a CRN containment estimator, "
+                f"got {type(crn).__name__}"
+            )
         self.pool = pool
-        #: ``served`` / ``fallbacks``: resolves answered from a slab / turned
-        #: away by the fence; ``builds``, ``rebuilds`` and ``appended_rows``:
-        #: slab maintenance.
-        self.stats = Counters(served=0, fallbacks=0, builds=0, rebuilds=0, appended_rows=0)
+        self.crn = crn
+        #: ``served``: resolves answered from a slab; ``builds``, ``rebuilds``
+        #: and ``appended_rows``: slab maintenance.
+        self.stats = Counters(served=0, builds=0, rebuilds=0, appended_rows=0)
         # Optional observability hook (repro.observability.EventRecorder):
         # when set, every slab build / rebuild / append emits an IndexBuild
         # event.  Emission is a single deque append, safe under the index
-        # lock.  The client wires this; None costs one attribute test.
+        # lock.  None costs one attribute test.
         self.recorder = None
         # Optional tracing hook (repro.observability.Tracer): when set, slab
         # builds that do real work additionally record an ``index_build``
@@ -182,98 +182,28 @@ class PoolEncodingIndex:
         # is open on this thread, standalone during warm-up.
         self.tracer = None
         self._slabs: dict[tuple, _Slab] = {}
-        # One lock guards the owner fence AND the slab store: the fence
-        # check and the slab install must be a single unit, or a reader
-        # could pass the fence, lose the CPU to a rebind, and then install a
-        # slab with the *old* model's rows under a key the new model would
-        # read (two models over the same snapshot share the scope).  Encoding
-        # runs outside it (see _sync), so the lock is only ever held for
-        # array writes and dict reads.
-        self._owner: object | None = None
+        # Guards the slab store.  Encoding runs outside it (see _sync), so the
+        # lock is only ever held for array writes and dict reads.
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # owner fence (mirrors EncodingCache)
+    def resolve(self, query: Query) -> PoolSlab:
+        """The scoring slab, with resident rows, of ``query``'s FROM signature.
 
-    def bind(self, owner: object) -> None:
-        """Tie this index to the model whose weights produce its rows."""
-        with self._lock:
-            if self._owner is None:
-                self._owner = owner
-            elif self._owner is not owner:
-                raise ValueError(
-                    "PoolEncodingIndex is already bound to a different model; "
-                    "encodings are model-specific, use one index per model (or "
-                    "rebind() to hot-swap a retrained model)"
-                )
-
-    def rebind(self, owner: object, pool: QueriesPool | None = None) -> None:
-        """Atomically drop every slab and tie the index to a new model.
-
-        This is the hot-swap path: the lifecycle calls it with the candidate
-        model (and the refreshed pool) *before* building the replacement
-        estimator, then re-warms, so the swapped-in model never sees the
-        outgoing model's rows and the first post-swap request hits warm
-        slabs.  Stale readers are fenced exactly like
-        :meth:`repro.serving.EncodingCache.rebind` fences writers: an
-        in-flight request on the old model resolves a row-less slab and is
-        scored per pair instead of observing the swap partially.
+        A snapshot: concurrent pool adds never mutate the returned entries
+        or rows.
         """
-        with self._lock:
-            self._slabs.clear()
-            if pool is not None:
-                self.pool = pool
-            self._owner = owner
-
-    # ------------------------------------------------------------------ #
-    # resolution
-
-    def resolve(self, estimator, query: Query) -> PoolSlab:
-        """The scoring slab for ``query``'s FROM signature — never ``None``.
-
-        A slab with resident rows when the index can serve the request; a
-        row-less snapshot of the estimator's own pool bucket (counted as a
-        fallback, never stored) when it cannot — the estimator's containment
-        model is not the bound owner (a hot swap is in flight), its pool is
-        not the indexed pool, or it is not a CRN at all.  Either is a
-        snapshot: concurrent pool adds or rebinds never mutate the returned
-        entries or rows.
-        """
-        containment = estimator.containment_estimator
-        signature = query.from_signature()
-        view = None
-        if isinstance(containment, CRNEstimator) and estimator.pool is self.pool:
-            view = self._sync(containment, containment._encoding_scope(), signature)
-        if view is None:
-            self.stats.add("fallbacks")
-            return estimator.pool.bucket_slab(signature)
+        view = self._sync(query.from_signature())
         self.stats.add("served")
         return view
 
-    def warm(self, estimator) -> None:
+    def warm(self) -> None:
         """Build (or refresh) the slabs of every signature in the pool.
 
-        The promote path calls this with the candidate estimator after
-        :meth:`rebind`, so steady state is reached before the swap is
-        visible.  Raises when the estimator cannot be served by this index
-        at all — warming would otherwise silently do nothing.
+        A promote calls this on the candidate's fresh index before the
+        registry swap, so steady state is reached before the swap is visible.
         """
-        containment = getattr(estimator, "containment_estimator", None)
-        if not isinstance(containment, CRNEstimator):
-            raise TypeError(
-                "PoolEncodingIndex.warm needs a Cnt2Crd estimator over a CRN "
-                f"containment model, got {type(estimator).__name__}"
-            )
-        self.bind(containment.model)
-        scope = containment._encoding_scope()
         for signature in self.pool.from_signatures():
-            if self._sync(containment, scope, signature) is None:
-                return  # rebound mid-warm; the new owner re-warms
-
-    def clear(self) -> None:
-        """Drop every slab (keeps the binding and the stats)."""
-        with self._lock:
-            self._slabs.clear()
+            self._sync(signature)
 
     def __len__(self) -> int:
         """Total indexed rows across all slabs."""
@@ -283,34 +213,33 @@ class PoolEncodingIndex:
     # ------------------------------------------------------------------ #
     # maintenance
 
-    def _sync(self, containment: CRNEstimator, scope, signature) -> PoolSlab | None:
-        """One signature's up-to-date slab view, or None when the fence turns it away.
+    def _sync(self, signature) -> PoolSlab:
+        """One signature's up-to-date slab view.
 
         A stale slab encodes only the entries it lacks: the appended tail on
         pure growth; on a rebuild (an in-place cardinality update, an entry
         whose cardinality dropped to 0) the entries of a snapshot view taken
         under the lock keep their columns, matched by query, and only the
-        rest are encoded; a new slab (a new signature, scope, dtype or owner)
+        rest are encoded; a new slab (a new signature, scope or dtype)
         encodes every eligible entry.  Encoding is one
         :meth:`QueryFeaturizer.featurize_many` array pass on the uncached
         featurizer and one :meth:`CRNModel.encode_sets` call per slot — the
         slab is the only place a pool entry's encodings are stored; the
         request caches never see them.  Encoding runs outside the index lock;
-        the array writes run under it after the owner fence is re-checked,
-        and a sync that finds the slab changed by another writer meanwhile
-        starts over.  Reading the bucket version outside the lock is safe: a
-        concurrent add is either reflected by it (and the slab syncs) or
-        lands after — the either-in-or-out snapshot ``bucket_slab`` gives.
+        the array writes run under it, and a sync that finds the slab changed
+        by another writer meanwhile starts over.  Reading the bucket version
+        outside the lock is safe: a concurrent add is either reflected by it
+        (and the slab syncs) or lands after — the either-in-or-out snapshot
+        ``bucket_slab`` gives.
         """
+        crn = self.crn
         # The slab's dtype is its scorer's: float32 for the fused kernel of a
         # compiled plan, float64 for the live pair head.
-        dtype = np.float64 if containment.inference_plan is None else np.float32
-        key = (scope, signature, dtype)
+        dtype = np.float64 if crn.inference_plan is None else np.float32
+        key = (crn._encoding_scope(), signature, dtype)
         while True:
             version = self.pool.bucket_version(signature)
             with self._lock:
-                if self._owner is not containment.model:
-                    return None  # a hot swap rebound the index to another model
                 slab = self._slabs.get(key)
                 if slab is not None and slab.version == version:
                     return slab.view(key)
@@ -331,12 +260,10 @@ class PoolEncodingIndex:
             work = bool(fresh) or not append
             span = self.tracer.begin("index_build") if self.tracer is not None and work else None
             try:
-                rows, counts = containment.featurizer.featurize_many([e.query for e in fresh])
-                first = containment.model.encode_sets(rows, counts, 1)
-                second = containment.model.encode_sets(rows, counts, 2)
+                rows, counts = crn.featurizer.featurize_many([e.query for e in fresh])
+                first = crn.model.encode_sets(rows, counts, 1)
+                second = crn.model.encode_sets(rows, counts, 2)
                 with self._lock:
-                    if self._owner is not containment.model:
-                        return None
                     if self._slabs.get(key) is not slab or (
                         slab is not None and slab.entries is not held.entries
                     ):

@@ -4,14 +4,14 @@
 serving infrastructure: it owns a registry of named cardinality estimators
 (Cnt2Crd over CRN, improved baselines, plain baselines, ...), scores the
 Cnt2Crd work of concurrent requests as one batch through
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`, shares the
-featurization / encoding caches across requests, and records per-request
-latency plus service-level hit-rate statistics (rendered by
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`, and records
+per-request latency plus service-level hit-rate statistics read from the
+default estimator's own caches (rendered by
 :func:`repro.evaluation.reporting.format_service_stats`).
 
 The batched path is exact, not approximate: the core routine resolves each
-request to its bucket slab (with resident rows when the
-:class:`repro.serving.PoolEncodingIndex` can serve it), scores identical
+request to its bucket slab (with resident rows when the estimator has a
+:class:`repro.serving.PoolEncodingIndex`), scores identical
 ``(query, slab)`` work once, and turns the rates into values with the
 estimator's own
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates`; the
@@ -41,7 +41,6 @@ from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracing import SpanHandle
 from repro.serving.cache import EncodingCache, FeaturizationCache
 from repro.serving.errors import UnknownEstimatorError
-from repro.serving.pool_index import PoolEncodingIndex
 from repro.sql.query import Query
 
 #: Resolution stamp: the request was scored from the pool encoding index's
@@ -58,34 +57,6 @@ RESOLUTION_REGISTRY_FALLBACK = "registry_fallback"
 #: Resolution stamp: a non-Cnt2Crd estimator answered through its own
 #: per-query interface (no batched slab scoring involved).
 RESOLUTION_DIRECT = "direct"
-
-
-@dataclass(frozen=True)
-class ServedEstimate:
-    """One answered estimation request.
-
-    Attributes:
-        query: the estimated query.
-        estimate: the estimated cardinality.
-        estimator_name: the registry name that produced the estimate (the
-            fallback's name when the primary had no matching pool query).
-        latency_seconds: wall-clock time attributed to this request.  Exact
-            for :meth:`EstimationService.submit`; for batched submissions it
-            is the batch's elapsed time divided by the batch size.
-        pool_matches: eligible pool entries the query was scored against.
-        pairs_scored: containment pairs scored for the request
-            (``2 * pool_matches``; identical requests of one batch share
-            them).
-        used_fallback: True when the registry fallback answered the request.
-    """
-
-    query: Query
-    estimate: float
-    estimator_name: str
-    latency_seconds: float
-    pool_matches: int
-    pairs_scored: int
-    used_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -131,17 +102,30 @@ class RequestOptions:
 _DEFAULT_OPTIONS = RequestOptions()
 
 @dataclass(frozen=True)
-class EstimateResult(ServedEstimate):
-    """A :class:`ServedEstimate` enriched with provenance.
+class EstimateResult:
+    """One answered estimation request, with its provenance.
 
     Every serving path (``submit`` / ``submit_batch``, the dispatcher, the
-    client) now returns these, so a response says *how* it was produced —
-    which resolution path ran, which model generation answered (bumped by
-    every :meth:`EstimationService.replace` hot swap, so a post-swap response
-    is attributable to the exact model that produced it), and how much of the
-    work came out of the shared caches.
+    client, the cluster router) returns these, so a response says *how* it
+    was produced — which resolution path ran, which model generation
+    answered (bumped by every :meth:`EstimationService.replace` hot swap, so
+    a post-swap response is attributable to the exact model that produced
+    it), and how much of the work came out of the answering estimator's
+    caches.
 
     Attributes:
+        query: the estimated query.
+        estimate: the estimated cardinality.
+        estimator_name: the registry name that produced the estimate (the
+            fallback's name when the primary had no matching pool query).
+        latency_seconds: wall-clock time attributed to this request.  Exact
+            for :meth:`EstimationService.submit`; for batched submissions it
+            is the batch's elapsed time divided by the batch size.
+        pool_matches: eligible pool entries the query was scored against.
+        pairs_scored: containment pairs scored for the request
+            (``2 * pool_matches``; identical requests of one batch share
+            them).
+        used_fallback: True when the registry fallback answered the request.
         resolution: ``"indexed_slab"`` (whole-pool slab scoring through the
             :class:`repro.serving.PoolEncodingIndex`), ``"pair_batch"`` (a
             slab without resident rows, scored pair by pair),
@@ -155,17 +139,23 @@ class EstimateResult(ServedEstimate):
             surface).
         featurization_cache_hits: featurization-cache hits recorded during
             the batch that served this request (batch-attributed, like
-            ``latency_seconds``; 0 without a cache).
+            ``latency_seconds``; 0 for an estimator without a cache).
         encoding_cache_hits: encoding-cache hits recorded during the batch
             that served this request (batch-attributed; 0 without a cache).
         tags: the caller's :attr:`RequestOptions.tags`, echoed back.
         queue_wait_seconds: time the request spent in the dispatcher queue
-            between enqueue and batch pickup — previously folded invisibly
-            into end-to-end wall time, now stamped separately (0.0 on the
-            synchronous paths, which have no queue).  **Not** part of
-            ``latency_seconds``, which remains pure service time.
+            between enqueue and batch pickup (0.0 on the synchronous paths,
+            which have no queue).  **Not** part of ``latency_seconds``,
+            which remains pure service time.
     """
 
+    query: Query
+    estimate: float
+    estimator_name: str
+    latency_seconds: float
+    pool_matches: int
+    pairs_scored: int
+    used_fallback: bool
     resolution: str = RESOLUTION_PAIR_BATCH
     model_generation: int = 0
     featurization_cache_hits: int = 0
@@ -206,6 +196,20 @@ def _counter_block(values: Mapping[str, float]) -> dict[str, float]:
     }
 
 
+def _caches(estimator: CardinalityEstimator) -> dict[str, FeaturizationCache | EncodingCache]:
+    """The request caches ``estimator`` serves with, by report name (none for
+    an estimator without a CRN or without caches)."""
+    containment = getattr(estimator, "containment_estimator", None)
+    if not isinstance(containment, CRNEstimator):
+        return {}
+    caches = {"featurization": containment.featurizer, "encoding": containment.encoding_cache}
+    return {
+        name: cache
+        for name, cache in caches.items()
+        if isinstance(cache, (FeaturizationCache, EncodingCache))
+    }
+
+
 class EstimationService:
     """An online, batching, caching front-end over the paper's estimators.
 
@@ -223,14 +227,6 @@ class EstimationService:
         fallback: optional registry name answering requests for which the
             primary estimator raises :class:`NoMatchingPoolQueryError` (see
             the recovery strategies in :mod:`repro.core.cnt2crd`).
-        featurization_cache: the cache shared by the registered estimators'
-            featurizers, reported in :meth:`stats_snapshot` (optional).
-        encoding_cache: the CRN encoding cache shared across requests,
-            reported in :meth:`stats_snapshot` (optional).
-        pool_index: the shared :class:`repro.serving.PoolEncodingIndex`
-            backing the registered Cnt2Crd estimators, reported in
-            :meth:`stats_snapshot` and rebuilt by the adaptation lifecycle
-            on a model hot swap (optional).
         recorder: an :class:`repro.observability.EventRecorder` receiving
             the typed serving events (one ``request_served`` per answered
             request, one ``batch_served`` with the cache hit/miss deltas per
@@ -251,9 +247,6 @@ class EstimationService:
     def __init__(
         self,
         fallback: str | None = None,
-        featurization_cache: FeaturizationCache | None = None,
-        encoding_cache: EncodingCache | None = None,
-        pool_index: PoolEncodingIndex | None = None,
         recorder=None,
         tracer=None,
     ) -> None:
@@ -261,9 +254,6 @@ class EstimationService:
         self._generations: dict[str, int] = {}
         self._default: str | None = None
         self.fallback = fallback
-        self.featurization_cache = featurization_cache
-        self.encoding_cache = encoding_cache
-        self.pool_index = pool_index
         self.recorder = recorder
         self.tracer = tracer
         #: Cumulative counters; ``total_seconds`` is attributed service time.
@@ -317,11 +307,9 @@ class EstimationService:
         """Atomically hot-swap the estimator registered under ``name``.
 
         This is the zero-downtime update path: in-flight batches finish on
-        the estimator object they already resolved, and every submission
-        that resolves after this call is served by the replacement.  To swap
-        a retrained CRN that shares the service's encoding cache, call
-        :meth:`repro.serving.EncodingCache.rebind` with the new model before
-        building the replacement estimator.
+        the estimator object they already resolved — on its own caches and
+        pool index slabs, which live and die with it — and every submission
+        that resolves after this call is served by the replacement.
 
         Every replace bumps the entry's model generation
         (:meth:`generation`), which the serving paths stamp into
@@ -485,25 +473,8 @@ class EstimationService:
             batch_span = tracer.begin(
                 "service_batch", members=len(queries), estimator_name=name
             )
-        feat_hits_before = (
-            self.featurization_cache.stats.hits
-            if self.featurization_cache is not None
-            else 0
-        )
-        enc_hits_before = (
-            self.encoding_cache.stats.hits if self.encoding_cache is not None else 0
-        )
-        if recorder is not None:
-            feat_misses_before = (
-                self.featurization_cache.stats.misses
-                if self.featurization_cache is not None
-                else 0
-            )
-            enc_misses_before = (
-                self.encoding_cache.stats.misses
-                if self.encoding_cache is not None
-                else 0
-            )
+        caches = _caches(chosen)
+        before = {name: (cache.stats.hits, cache.stats.misses) for name, cache in caches.items()}
         start = time.perf_counter()
         try:
             if isinstance(chosen, Cnt2CrdEstimator):
@@ -538,18 +509,14 @@ class EstimationService:
             )
         self.latency_histogram.record(latency, count=len(queries))
         # Cache hits are batch-attributed, like latency: concurrent batches
-        # sharing the caches may bleed hits into each other's window, so the
+        # on one estimator may bleed hits into each other's window, so the
         # counts are provenance hints, not an exact per-request ledger.
-        feat_hits = (
-            self.featurization_cache.stats.hits - feat_hits_before
-            if self.featurization_cache is not None
-            else 0
-        )
-        enc_hits = (
-            self.encoding_cache.stats.hits - enc_hits_before
-            if self.encoding_cache is not None
-            else 0
-        )
+        deltas = {
+            name: (cache.stats.hits - before[name][0], cache.stats.misses - before[name][1])
+            for name, cache in caches.items()
+        }
+        feat_hits, feat_misses = deltas.get("featurization", (0, 0))
+        enc_hits, enc_misses = deltas.get("encoding", (0, 0))
         if stamps is None:
             stamps = [(options.tags, 0.0, None)] * len(queries)
         served = [
@@ -612,17 +579,9 @@ class EstimationService:
                     planned_pairs=planned_pairs,
                     scored_pairs=scored_pairs,
                     featurization_hits=feat_hits,
-                    featurization_misses=(
-                        self.featurization_cache.stats.misses - feat_misses_before
-                        if self.featurization_cache is not None
-                        else 0
-                    ),
+                    featurization_misses=feat_misses,
                     encoding_hits=enc_hits,
-                    encoding_misses=(
-                        self.encoding_cache.stats.misses - enc_misses_before
-                        if self.encoding_cache is not None
-                        else 0
-                    ),
+                    encoding_misses=enc_misses,
                 )
             )
             for item in served:
@@ -662,7 +621,8 @@ class EstimationService:
                 warmed.add(id(containment))
 
     def stats_snapshot(self) -> dict[str, float]:
-        """Service counters plus cache hit rates, ready for reporting.
+        """Service counters plus the default estimator's cache hit rates and
+        pool index gauges, ready for reporting.
 
         The counter block is one locked read, so the snapshot is internally
         consistent even while other threads are submitting.
@@ -675,15 +635,13 @@ class EstimationService:
             snapshot["latency_p50_ms"] = histogram.quantile(0.5) * 1000.0
             snapshot["latency_p90_ms"] = histogram.quantile(0.9) * 1000.0
             snapshot["latency_p99_ms"] = histogram.quantile(0.99) * 1000.0
-        for name, cache in (
-            ("featurization", self.featurization_cache),
-            ("encoding", self.encoding_cache),
-        ):
-            if cache is not None:
-                snapshot[f"{name}_hit_rate"] = cache.stats_snapshot()["hit_rate"]
-                snapshot[f"{name}_entries"] = float(len(cache))
-        if self.pool_index is not None:
-            snapshot.update(self.pool_index.stats_snapshot())
+        with self._registry_lock:
+            estimator = self._registry.get(self._default)
+        for name, cache in _caches(estimator).items():
+            snapshot[f"{name}_hit_rate"] = cache.stats_snapshot()["hit_rate"]
+            snapshot[f"{name}_entries"] = float(len(cache))
+        if getattr(estimator, "pool_index", None) is not None:
+            snapshot.update(estimator.pool_index.stats_snapshot())
         return snapshot
 
     def drain_stats(self) -> dict[str, float]:

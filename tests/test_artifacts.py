@@ -486,7 +486,8 @@ class TestColdBoot:
             e.model_generation for e in expected
         ]
         assert [r.resolution for r in restored] == [e.resolution for e in expected]
-        assert booted.stack.inference_plan is not None  # recompiled on boot
+        # Recompiled on boot.
+        assert booted.stack.estimator.containment_estimator.inference_plan is not None
         assert booted.artifact_store is not None  # the booted store is wired
         assert booted.artifact_store.root == root
         booted.shutdown()
@@ -656,7 +657,7 @@ class TestColdBoot:
         booted = ServingClient.from_artifact(root, database=imdb_small)
         assert [booted.estimate(item.query).estimate for item in workload] == expected
         assert booted.config.inference == inference
-        assert booted.stack.inference_plan is not None
+        assert booted.stack.estimator.containment_estimator.inference_plan is not None
         assert "tolerance" not in booted.config.to_mapping()["inference"]
         booted.shutdown()
 
@@ -680,7 +681,7 @@ class TestColdBoot:
         booted = ServingClient.from_artifact(root, database=imdb_small)
         assert [booted.estimate(item.query).estimate for item in workload] == expected
         assert booted.config.inference == InferenceConfig()
-        assert booted.stack.inference_plan is None
+        assert booted.stack.estimator.containment_estimator.inference_plan is None
         booted.shutdown()
 
     def test_wrong_database_is_rejected(self, tmp_path, model, toy_database,

@@ -386,10 +386,9 @@ class TestBatchedCnt2Crd:
         if request.param == "improved_postgres":
             return ImprovedEstimator(fallback, pool)
         model = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
-        index = PoolEncodingIndex(pool) if request.param == "crn_indexed" else None
-        return Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, fallback=fallback, pool_index=index
-        )
+        crn = CRNEstimator(model, imdb_featurizer)
+        index = PoolEncodingIndex(pool, crn) if request.param == "crn_indexed" else None
+        return Cnt2CrdEstimator(crn, pool, fallback=fallback, pool_index=index)
 
     def test_chunked_batch_matches_per_query_estimates_bit_for_bit(
         self, monkeypatch, pool, batch, estimator

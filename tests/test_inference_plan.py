@@ -435,8 +435,9 @@ class TestFusedSlabKernel:
         containment.attach_plan(compile_plan(model))
         # A fresh slab is exactly full, so the first append must grow it.
         monkeypatch.setattr(pool_index_module, "INITIAL_CAPACITY", 1)
-        index = PoolEncodingIndex(own_pool)
-        estimator = Cnt2CrdEstimator(containment, own_pool, pool_index=index)
+        estimator = Cnt2CrdEstimator(
+            containment, own_pool, pool_index=PoolEncodingIndex(own_pool, containment)
+        )
         # Unseen queries over one FROM signature the pool knows: one to
         # score, two to add.
         known = {entry.query for entry in own_pool}
@@ -454,7 +455,7 @@ class TestFusedSlabKernel:
         query = scored_item.query
 
         def resolve():
-            slab = index.resolve(estimator, query)
+            slab = estimator.resolve(query)
             rates = containment.rates_against_pools([(query, slab)])[0].tobytes()
             return slab, slab.first.tobytes() + slab.second.tobytes(), rates
 
@@ -641,14 +642,12 @@ class TestIndexSlabDtype:
     def test_plan_less_and_compiled_estimators_resolve_their_own_slabs(
         self, model, imdb_featurizer, pool, workload
     ):
-        index = PoolEncodingIndex(pool)
         live = CRNEstimator(model, imdb_featurizer)
         compiled = CRNEstimator(model, imdb_featurizer)
         compiled.attach_plan(compile_plan(model))
-        reference = Cnt2CrdEstimator(live, pool, pool_index=index)
-        fast = Cnt2CrdEstimator(compiled, pool, pool_index=index)
         query = next(q for q in workload if pool.has_match(q))
-        wide, narrow = index.resolve(reference, query), index.resolve(fast, query)
+        wide = PoolEncodingIndex(pool, live).resolve(query)
+        narrow = PoolEncodingIndex(pool, compiled).resolve(query)
         shape = (model.hidden_size, len(wide.entries))
         assert wide.first.shape == wide.second.shape == narrow.first.shape == shape
         assert wide.first.dtype == wide.second.dtype == np.float64
@@ -662,28 +661,32 @@ class TestIndexSlabDtype:
         close = compiled.rates_against_pools([(query, narrow)])[0]
         np.testing.assert_allclose(close, compiled.estimate_containments(pairs), rtol=1e-3)
 
-    def test_rebind_and_rewarm_with_a_recompiled_candidate_builds_float32_slabs(
+    def test_a_recompiled_candidate_warms_float32_slabs_of_its_own(
         self, model, imdb_featurizer, pool, workload
     ):
-        # The lifecycle's promote order: rebind to the candidate model, then
-        # re-warm through the candidate's freshly compiled plan.
-        index = PoolEncodingIndex(pool)
+        # The lifecycle's promote order: wire the candidate a fresh index,
+        # then warm it through the candidate's freshly compiled plan.
         incumbent_crn = CRNEstimator(model, imdb_featurizer)
         incumbent_crn.attach_plan(compile_plan(model))
-        incumbent = Cnt2CrdEstimator(incumbent_crn, pool, pool_index=index)
-        index.warm(incumbent)
+        incumbent = PoolEncodingIndex(pool, incumbent_crn)
+        incumbent.warm()
+        query = next(q for q in workload if pool.has_match(q))
+        before = incumbent.resolve(query)
         replacement = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=77))
-        index.rebind(replacement, pool=pool)
-        assert len(index) == 0
         candidate_crn = CRNEstimator(replacement, imdb_featurizer)
         candidate_crn.attach_plan(compile_plan(replacement))
-        candidate = Cnt2CrdEstimator(candidate_crn, pool, pool_index=index)
-        index.warm(candidate)
-        assert index.stats_snapshot()["pool_index_f32_mirrors"] == 1.0
-        query = next(q for q in workload if pool.has_match(q))
-        slab = index.resolve(candidate, query)
+        candidate = PoolEncodingIndex(pool, candidate_crn)
+        candidate.warm()
+        assert candidate.stats_snapshot()["pool_index_f32_mirrors"] == 1.0
+        assert len(candidate) == len(incumbent)
+        slab = candidate.resolve(query)
         assert slab.first.dtype == slab.second.dtype == np.float32
-        assert index.resolve(incumbent, query).first is None  # fenced
+        assert slab.first.tobytes() != before.first.tobytes()  # the candidate's rows
+        # The incumbent's slabs are untouched by the candidate's warm.
+        after = incumbent.resolve(query)
+        assert after.first.tobytes() + after.second.tobytes() == (
+            before.first.tobytes() + before.second.tobytes()
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -747,7 +750,7 @@ class TestCompiledServing:
         reference = self.start_client(model, imdb_featurizer, pool, "reference")
         compiled = self.start_client(model, imdb_featurizer, pool, "compiled")
         try:
-            plan = compiled.stack.inference_plan
+            plan = compiled.stack.estimator.containment_estimator.inference_plan
             assert plan is not None and plan.dtype == np.float32
             extra = build_queries_pool_queries(imdb_small, count=8, seed=41, oracle=imdb_oracle)
 

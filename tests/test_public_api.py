@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 
 import repro.serving as serving
-from repro.serving import EstimateResult, RequestOptions, ServedEstimate, ServingClient
+from repro.serving import EstimateResult, RequestOptions, ServingClient
 from repro.serving.config import (
     AdaptationConfig,
     ArtifactConfig,
@@ -61,7 +61,6 @@ EXPECTED_SERVING_ALL = [
     "PoolConfig",
     "PoolEncodingIndex",
     "RequestOptions",
-    "ServedEstimate",
     "ServiceStack",
     "ServingClient",
     "ServingConfig",
@@ -74,7 +73,7 @@ EXPECTED_SERVING_ALL = [
     "compile_plan",
 ]
 
-EXPECTED_SERVED_ESTIMATE_FIELDS = [
+EXPECTED_ESTIMATE_RESULT_FIELDS = [
     "query",
     "estimate",
     "estimator_name",
@@ -82,9 +81,6 @@ EXPECTED_SERVED_ESTIMATE_FIELDS = [
     "pool_matches",
     "pairs_scored",
     "used_fallback",
-]
-
-EXPECTED_ESTIMATE_RESULT_FIELDS = EXPECTED_SERVED_ESTIMATE_FIELDS + [
     "resolution",
     "model_generation",
     "featurization_cache_hits",
@@ -190,10 +186,8 @@ def test_every_exported_name_is_importable():
         assert getattr(serving, name) is not None
 
 
-def test_served_estimate_and_result_field_layout():
-    assert dataclass_field_names(ServedEstimate) == EXPECTED_SERVED_ESTIMATE_FIELDS
+def test_estimate_result_field_layout():
     assert dataclass_field_names(EstimateResult) == EXPECTED_ESTIMATE_RESULT_FIELDS
-    assert issubclass(EstimateResult, ServedEstimate)
 
 
 def test_request_options_field_layout():

@@ -21,7 +21,6 @@ from repro.serving import (
     ObservabilityConfig,
     PoolConfig,
     RequestOptions,
-    ServedEstimate,
     ServingClient,
     ServingConfig,
     ServingError,
@@ -295,7 +294,6 @@ class TestClientFacade:
         assert [item.estimate for item in singles] == legacy_estimates
         assert [item.estimate for item in dispatched] == legacy_estimates
         assert all(isinstance(item, EstimateResult) for item in batched)
-        assert all(isinstance(item, ServedEstimate) for item in batched)  # extends
 
     def test_start_classmethod_and_shutdown_idempotence(
         self, model, imdb_small, imdb_featurizer, pool, workload
@@ -387,21 +385,21 @@ class TestClientFacade:
             pool_options=PoolConfig(warm=False),
         )
         client = ServingClient(config)
-        assert len(client.stack.pool_index) == 0
+        assert len(client.stack.estimator.pool_index) == 0
         client.warm()
         # Every scored pool query (cardinality > 0) is indexed, and its
         # encodings live in the slabs only: the request caches stay empty.
         eligible = sum(1 for entry in pool if entry.cardinality > 0)
-        assert len(client.stack.pool_index) == eligible
-        assert len(client.stack.featurization_cache) == 0
-        assert len(client.stack.encoding_cache) == 0
+        assert len(client.stack.estimator.pool_index) == eligible
+        assert len(client.stack.estimator.containment_estimator.featurizer) == 0
+        assert len(client.stack.estimator.containment_estimator.encoding_cache) == 0
         # Given queries, warm encodes them into the encoding cache instead,
         # both slots, featurized in one bulk pass outside the featurization cache.
         queries = [entry.query for entry in pool][:5]
         client.warm(queries)
-        assert len(client.stack.encoding_cache) == 2 * len(queries)
-        assert len(client.stack.featurization_cache) == 0
-        assert len(client.stack.pool_index) == eligible
+        assert len(client.stack.estimator.containment_estimator.encoding_cache) == 2 * len(queries)
+        assert len(client.stack.estimator.containment_estimator.featurizer) == 0
+        assert len(client.stack.estimator.pool_index) == eligible
 
 
 class TestProvenance:
@@ -476,7 +474,6 @@ class TestProvenance:
             assert served.pairs_scored == 2 * served.pool_matches
         stats = client.stats()
         assert stats["pool_index_served"] == 3.0
-        assert stats["pool_index_fallbacks"] == 0.0
         assert stats["fallbacks"] == 1.0
 
     def test_tags_and_cache_hit_counts_are_stamped(
@@ -536,8 +533,8 @@ class TestEveryResultField:
 
     def cache_hits(self, client):
         return (
-            client.service.featurization_cache.stats.hits,
-            client.service.encoding_cache.stats.hits,
+            client.service.get("crn").containment_estimator.featurizer.stats.hits,
+            client.service.get("crn").containment_estimator.encoding_cache.stats.hits,
         )
 
     def test_synchronous_estimate_and_estimate_many(

@@ -126,7 +126,7 @@ class TestConcurrentServing:
                 assert served.query == query
                 assert served.estimate == sequential_estimates[query]
                 served_objects.add(id(served))
-        # Every future resolved with its own ServedEstimate (no duplication).
+        # Every future resolved with its own EstimateResult (no duplication).
         assert len(served_objects) == THREADS * len(workload)
         assert dispatcher.stats.submitted == THREADS * len(workload)
         assert dispatcher.stats.completed == THREADS * len(workload)
@@ -158,14 +158,14 @@ class TestConcurrentServing:
         assert snapshot["scored_pairs"] <= snapshot["planned_pairs"]
         # The dispatcher thread is the single cache writer, so hit/miss
         # accounting is exact: only first-sight queries miss.
-        feat_stats = service.featurization_cache.stats
-        feat_snapshot = service.featurization_cache.stats_snapshot()
+        feat_stats = service.get("crn").containment_estimator.featurizer.stats
+        feat_snapshot = service.get("crn").containment_estimator.featurizer.stats_snapshot()
         lookups = feat_snapshot["hits"] + feat_snapshot["misses"]
         assert feat_snapshot["hit_rate"] == feat_snapshot["hits"] / lookups
         pool_queries = {entry.query for entry in pool}
         fresh = {query for query in workload if query not in pool_queries}
         assert feat_stats.misses <= len(pool_queries) + len(fresh)
-        enc_stats = service.encoding_cache.stats
+        enc_stats = service.get("crn").containment_estimator.encoding_cache.stats
         assert enc_stats.misses <= 2 * (len(pool_queries) + len(fresh))
 
     def test_requests_enqueued_before_start_coalesce_into_one_batch(

@@ -30,9 +30,11 @@ from repro.serving import (
     AdaptationManager,
     CRNRetrainer,
     DriftMonitor,
+    EstimationService,
     FeedbackCollector,
     FeedbackConfig,
     InferenceConfig,
+    PoolEncodingIndex,
     RequestOptions,
     ServingClient,
     ServingConfig,
@@ -40,6 +42,7 @@ from repro.serving import (
     UnknownEstimatorError,
     build_service_stack,
 )
+from repro.serving.stack import wire_estimator
 from repro.sql.builder import QueryBuilder
 from tests.conftest import build_service, scored_bits
 
@@ -587,25 +590,25 @@ class TestAdaptationManager:
         assert manager.trigger().swapped
         assert service.get("crn").containment_estimator.inference_plan is None
 
-    def test_promote_rebuilds_the_pool_index_before_the_swap(
+    def test_promote_warms_the_candidates_own_index_before_the_swap(
         self, trained, imdb_small, pool, workload
     ):
         service, _, _, manager = self.build(trained, imdb_small, pool)
-        index = service.pool_index
-        assert index is not None
+        incumbent = service.get("crn")
         outcome = manager.trigger()
         assert outcome.swapped
         swapped = service.get("crn")
-        # The shared index now belongs to the candidate: it is wired into the
-        # swapped-in estimator, retargeted to the refreshed pool, and its
-        # slabs were rebuilt during the promote (a promote always pre-warms),
+        # The candidate was wired an index of its own, over the refreshed
+        # pool, and warmed during the promote (a promote always pre-warms),
         # so the first post-swap request resolves without a re-encoding stall.
-        assert swapped.pool_index is index
+        index = swapped.pool_index
+        assert index is not incumbent.pool_index
+        assert index.crn is swapped.containment_estimator
         assert index.pool is swapped.pool
         assert len(index) > 0
         builds_before = index.stats.builds + index.stats.rebuilds
         query = next(l.query for l in workload if swapped.pool.has_match(l.query))
-        assert index.resolve(swapped, query) is not None
+        assert index.resolve(query).first is not None
         assert index.stats.builds + index.stats.rebuilds == builds_before
         # Serving through the swapped estimator matches a fresh index-less
         # estimator on the same model/pool, bit for bit.
@@ -616,6 +619,43 @@ class TestAdaptationManager:
             swapped.pool,
         )
         assert scored_bits(swapped, query) == scored_bits(reference, query)
+
+    @pytest.mark.parametrize("mode", ["reference", "compiled"])
+    def test_the_incumbent_serves_its_own_slabs_through_and_after_a_promote(
+        self, trained, imdb_small, pool, workload, monkeypatch, mode
+    ):
+        inference = InferenceConfig(
+            mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
+        )
+        service, _, _, manager = self.build(trained, imdb_small, pool, inference=inference)
+        incumbent = service.get("crn")
+        query = next(l.query for l in workload if pool.has_match(l.query))
+        (before,) = service.submit_batch([query])
+        assert before.resolution == "indexed_slab"
+        bits = scored_bits(incumbent, query)
+        during = []
+        warm = PoolEncodingIndex.warm
+
+        def serve_then_warm(index, *args):
+            # The candidate's warm: the incumbent is still the registered
+            # estimator, and its requests keep their fast path and bits.
+            during.append(service.submit(query))
+            return warm(index, *args)
+
+        monkeypatch.setattr(PoolEncodingIndex, "warm", serve_then_warm)
+        assert manager.trigger().swapped
+        (served,) = during
+        assert (served.resolution, served.model_generation) == ("indexed_slab", 1)
+        assert served.estimate == before.estimate
+        # After the replace, the outgoing estimator object still scores its
+        # own slabs: an in-flight batch finishes on them.
+        assert service.get("crn") is not incumbent
+        assert incumbent.resolve(query).first is not None
+        assert scored_bits(incumbent, query) == bits
+        outgoing = EstimationService()
+        outgoing.register("crn", incumbent)
+        (late,) = outgoing.submit_batch([query])
+        assert (late.resolution, late.estimate) == ("indexed_slab", before.estimate)
 
     @pytest.mark.parametrize("mode", ["reference", "compiled"])
     def test_promote_failure_is_recovered_and_counted(
@@ -640,11 +680,11 @@ class TestAdaptationManager:
         assert manager.stats_snapshot()["promote_failures"] == 1.0
         assert manager._consecutive_failures == 1
         assert isinstance(manager.last_error, RuntimeError)
-        # The recovery handed the shared cache and index back to the
-        # incumbent, which is still registered and answers bit-identically
-        # from its own fast path.
+        # The candidate was wired on caches and an index of its own, so the
+        # incumbent was never touched: still registered, it answers
+        # bit-identically from its own fast path.
         assert service.get("crn") is incumbent
-        assert service.pool_index.pool is incumbent.pool
+        assert incumbent.pool_index.crn is incumbent.containment_estimator
         (after,) = service.submit_batch([query])
         assert (after.estimate, after.resolution) == (before.estimate, "indexed_slab")
         service.recorder.flush()
@@ -667,8 +707,7 @@ class TestAdaptationManager:
         )
         client = ServingClient(config)
         assert client.trigger_adaptation().swapped
-        # The index belongs to the promoted model now; warming through the
-        # booted estimator raised "already bound to a different model".
+        # client.warm() warms the live estimator's index: the promoted model's.
         client.warm()
         query = next(l.query for l in workload if pool.has_match(l.query))
         served = client.estimate(query)
@@ -710,18 +749,17 @@ class TestAdaptationManager:
 
 
 class TestHotSwapUnderTraffic:
-    def test_replace_rebind_mid_flight_never_tears_a_request(
+    def test_replace_mid_flight_never_tears_a_request(
         self, imdb_small, imdb_featurizer, pool, workload
     ):
-        """Stress the swap primitives: every estimate comes wholly from one model.
+        """Stress the swap primitive: every estimate comes wholly from one model.
 
         Client threads hammer the dispatcher while the main thread hot-swaps
-        between two models (rebind + replace) repeatedly.  No request may be
-        dropped, fail, or observe a *mix* of the two models — each served
-        estimate must be bit-identical to one model's reference answer.
-        Before encoding-cache writes were owner-fenced, an in-flight request
-        on the outgoing model could re-poison the rebound cache and serve the
-        incoming model a torn estimate.
+        between two models repeatedly, each swap a freshly wired estimator
+        (its own caches and pool index, warmed) handed to ``replace``, as a
+        promote does.  No request may be dropped, fail, or observe a *mix* of
+        the two models — each served estimate must be bit-identical to one
+        model's reference answer.
         """
         queries = [labeled.query for labeled in workload]
         fallback = PostgresCardinalityEstimator(imdb_small)
@@ -737,11 +775,10 @@ class TestHotSwapUnderTraffic:
                 for query, item in zip(queries, reference_service.submit_batch(queries))
             }
 
-        service = build_service(
-            model_a, imdb_featurizer, pool, fallback_estimator=fallback
+        config = ServingConfig(
+            model=model_a, featurizer=imdb_featurizer, pool=pool, fallback_estimator=fallback
         )
-        encoding_cache = service.encoding_cache
-        featurization_cache = service.featurization_cache
+        service = build_service_stack(config).service
         stop = threading.Event()
         results: list[list[tuple]] = [[] for _ in range(4)]
         errors: list[BaseException] = []
@@ -765,11 +802,9 @@ class TestHotSwapUnderTraffic:
             current = model_b
             for _ in range(6):  # several swaps while requests are in flight
                 time.sleep(0.03)
-                encoding_cache.rebind(current)
-                crn = CRNEstimator(
-                    current, featurization_cache, encoding_cache=encoding_cache
-                )
-                service.replace("crn", Cnt2CrdEstimator(crn, pool))
+                estimator = wire_estimator(config, current, imdb_featurizer, pool)
+                estimator.pool_index.warm()
+                service.replace("crn", estimator)
                 current = model_a if current is model_b else model_b
             time.sleep(0.03)
             stop.set()

@@ -123,16 +123,19 @@ class TestResidentSlabScoring:
             )
 
 
+def indexed_estimator(model, featurizer, pool, **crn_options) -> Cnt2CrdEstimator:
+    """A Cnt2Crd estimator over ``pool`` with a pool index of its own."""
+    crn = CRNEstimator(model, featurizer, **crn_options)
+    return Cnt2CrdEstimator(crn, pool, pool_index=PoolEncodingIndex(pool, crn))
+
+
 class TestPoolEncodingIndex:
     def test_slab_rows_are_the_per_query_encodings(
         self, model, imdb_featurizer, pool, workload
     ):
-        index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
+        estimator = indexed_estimator(model, imdb_featurizer, pool)
         query = next(q for q in workload if pool.has_match(q))
-        slab = index.resolve(estimator, query)
+        slab = estimator.pool_index.resolve(query)
         assert slab.first is not None
         assert slab.entries == estimator.pool.bucket_slab(query.from_signature()).entries
         for offset, entry in enumerate(slab.entries):
@@ -142,18 +145,16 @@ class TestPoolEncodingIndex:
 
     def test_incremental_add_appends_rows(self, model, imdb_featurizer, labeled):
         pool = QueriesPool.from_labeled_queries(labeled[:40])
-        index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
+        estimator = indexed_estimator(model, imdb_featurizer, pool)
+        index = estimator.pool_index
         for item in labeled[:40]:
-            index.resolve(estimator, item.query)
+            index.resolve(item.query)
         rows_before = len(index)
         builds_before = index.stats.builds
         for item in labeled[40:]:
             pool.add(item.query, item.cardinality)
         for item in labeled:
-            slab = index.resolve(estimator, item.query)
+            slab = index.resolve(item.query)
             assert slab.first is not None
             assert slab.entries == estimator.pool.bucket_slab(item.query.from_signature()).entries
         assert len(index) > rows_before
@@ -167,14 +168,11 @@ class TestPoolEncodingIndex:
         self, model, imdb_featurizer, labeled
     ):
         pool = QueriesPool.from_labeled_queries(labeled[:40])
-        index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
+        index = indexed_estimator(model, imdb_featurizer, pool).pool_index
         target = labeled[0]
-        assert index.resolve(estimator, target.query).first is not None
+        assert index.resolve(target.query).first is not None
         pool.add(target.query, target.cardinality + 1)  # in-place update
-        slab = index.resolve(estimator, target.query)
+        slab = index.resolve(target.query)
         assert slab.first is not None
         assert index.stats.rebuilds >= 1
         updated = {e.query: e for e in slab.entries}[target.query]
@@ -184,96 +182,45 @@ class TestPoolEncodingIndex:
         pool = QueriesPool()
         pool.add(labeled[0].query, 0)
         pool.add(labeled[1].query, max(labeled[1].cardinality, 1))
-        index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
+        index = indexed_estimator(model, imdb_featurizer, pool).pool_index
         # Every resolved slab holds only eligible entries (cardinality > 0).
         for item in labeled[:2]:
             if not pool.has_match(item.query):
                 continue
-            slab = index.resolve(estimator, item.query)
+            slab = index.resolve(item.query)
             assert slab.first is not None
             assert all(entry.cardinality > 0 for entry in slab.entries)
 
-    def test_rebind_fences_the_old_model_to_row_less_slabs(
-        self, model, other_model, imdb_featurizer, pool, workload
+    def test_an_estimator_refuses_an_index_built_for_another(
+        self, model, other_model, imdb_featurizer, pool, labeled
     ):
-        index = PoolEncodingIndex(pool)
-        old = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
-        query = next(q for q in workload if pool.has_match(q))
-        assert index.resolve(old, query).first is not None
-        index.rebind(other_model)
-        # The old model's in-flight requests get a row-less slab: never None,
-        # never stored, never the new owner's rows — and each is counted.
-        fallbacks_before = index.stats.fallbacks
-        for _ in range(3):
-            fenced = old.resolve(query)
-            assert fenced is not None
-            assert fenced.first is None and fenced.second is None
-            assert fenced.entries == old.pool.bucket_slab(query.from_signature()).entries
-        assert index.stats.fallbacks == fallbacks_before + 3
-        assert len(index) == 0
-        # Its estimates stay bit-identical to a naive old-model estimator.
-        plain = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        assert scored_bits(old, query) == scored_bits(plain, query)
-        assert old.estimate_cardinality(query) == plain.estimate_cardinality(query)
-        # The new model resolves resident rows (and its estimates are its own).
-        fresh = Cnt2CrdEstimator(
-            CRNEstimator(other_model, imdb_featurizer), pool, pool_index=index
-        )
-        owned = index.resolve(fresh, query)
-        assert owned.first is not None
-        assert old.resolve(query).token != owned.token
-        assert len(index) == len(owned.entries)
-
-    def test_bind_rejects_a_second_model(self, model, other_model, imdb_featurizer, pool):
-        index = PoolEncodingIndex(pool)
-        Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool, pool_index=index)
-        with pytest.raises(ValueError, match="already bound"):
-            Cnt2CrdEstimator(
-                CRNEstimator(other_model, imdb_featurizer), pool, pool_index=index
-            )
-
-    def test_foreign_pool_and_non_crn_estimators_fall_back(
-        self, model, imdb_small, imdb_featurizer, pool, labeled, workload
-    ):
-        index = PoolEncodingIndex(pool)
+        crn = CRNEstimator(model, imdb_featurizer)
+        index = PoolEncodingIndex(pool, crn)
+        Cnt2CrdEstimator(crn, pool, pool_index=index)  # its own: accepted
+        other_crn = CRNEstimator(other_model, imdb_featurizer)
         other_pool = QueriesPool.from_labeled_queries(labeled[:10])
-        foreign = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), other_pool, pool_index=index
-        )
-        query = workload[0]
-        # A foreign estimator is scored against its OWN pool's entries.
-        slab = index.resolve(foreign, query)
-        assert slab.first is None
-        assert slab.entries == foreign.pool.bucket_slab(query.from_signature()).entries
-        from repro.core.oracle import OracleContainmentEstimator
-
-        non_crn = Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), pool)
-        slab = index.resolve(non_crn, query)
-        assert slab.first is None
-        assert slab.entries == non_crn.pool.bucket_slab(query.from_signature()).entries
-        assert index.stats.fallbacks == 2 and index.stats.served == 0
+        # Another CRN (even over the same weights) or another pool would be
+        # scored against slabs that are not its own: refused at construction.
+        for containment, served in (
+            (other_crn, pool),
+            (CRNEstimator(model, imdb_featurizer), pool),
+            (crn, other_pool),
+        ):
+            with pytest.raises(ValueError, match="another pool or containment"):
+                Cnt2CrdEstimator(containment, served, pool_index=index)
 
     def test_warm_builds_every_signature(self, model, imdb_featurizer, pool):
-        index = PoolEncodingIndex(pool)
-        estimator = Cnt2CrdEstimator(
-            CRNEstimator(model, imdb_featurizer), pool, pool_index=index
-        )
-        index.warm(estimator)
+        index = indexed_estimator(model, imdb_featurizer, pool).pool_index
+        index.warm()
         snapshot = index.stats_snapshot()
         assert snapshot["pool_index_signatures"] == len(pool.from_signatures())
         assert len(index) == sum(1 for entry in pool if entry.cardinality > 0)
 
-    def test_warm_rejects_non_crn_estimators(self, imdb_small, pool):
+    def test_the_index_refuses_a_non_crn_estimator(self, imdb_small, pool):
         from repro.core.oracle import OracleContainmentEstimator
 
-        index = PoolEncodingIndex(pool)
         with pytest.raises(TypeError, match="CRN"):
-            index.warm(Cnt2CrdEstimator(OracleContainmentEstimator(imdb_small), pool))
+            PoolEncodingIndex(pool, OracleContainmentEstimator(imdb_small))
 
 
 class TestServiceIntegration:
@@ -359,9 +306,9 @@ def bucket_pool(size: int) -> QueriesPool:
 
 def resolved_slabs(stack) -> list[PoolSlab]:
     """Every signature's slab, in ``repr`` order of the signatures."""
-    pool = stack.pool_index.pool
+    pool = stack.estimator.pool_index.pool
     return [
-        stack.pool_index.resolve(stack.estimator, pool.bucket_snapshot(signature)[0][0].query)
+        stack.estimator.pool_index.resolve(pool.bucket_snapshot(signature)[0][0].query)
         for signature in sorted(pool.from_signatures(), key=repr)
     ]
 
@@ -427,15 +374,15 @@ class TestWarmedSlabRows:
         for item in labeled[40:]:
             growing.add(item.query, item.cardinality)
         appended = slab_bytes(stack)
-        assert stack.pool_index.stats.appended_rows > 0 and stack.pool_index.stats.rebuilds == 0
+        assert stack.estimator.pool_index.stats.appended_rows > 0 and stack.estimator.pool_index.stats.rebuilds == 0
         assert appended == slab_bytes(stack_over(QueriesPool.from_labeled_queries(labeled)))
 
         bumped = next(item for item in labeled if item.cardinality > 0)
         growing.add(bumped.query, bumped.cardinality + 1)
         rebuilt = slab_bytes(stack)
-        assert stack.pool_index.stats.rebuilds == 1
+        assert stack.estimator.pool_index.stats.rebuilds == 1
         # Slab maintenance never goes through the request caches.
-        assert stack.encoding_cache.stats.snapshot() == {"hits": 0, "misses": 0, "evictions": 0}
+        assert stack.estimator.containment_estimator.encoding_cache.stats.snapshot() == {"hits": 0, "misses": 0, "evictions": 0}
         fresh = QueriesPool.from_labeled_queries(labeled)
         fresh.add(bumped.query, bumped.cardinality + 1)
         assert rebuilt == slab_bytes(stack_over(fresh))
@@ -467,8 +414,8 @@ class TestSlabMaintenance:
 
     def test_warm_leaves_both_request_caches_empty(self, model, imdb_featurizer, labeled):
         stack = self.stack_over(model, imdb_featurizer, QueriesPool.from_labeled_queries(labeled))
-        assert len(stack.pool_index) == sum(1 for item in labeled if item.cardinality > 0)
-        for cache in (stack.featurization_cache, stack.encoding_cache):
+        assert len(stack.estimator.pool_index) == sum(1 for item in labeled if item.cardinality > 0)
+        for cache in (stack.estimator.containment_estimator.featurizer, stack.estimator.containment_estimator.encoding_cache):
             assert len(cache) == 0
             assert cache.stats.snapshot() == {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -490,7 +437,7 @@ class TestSlabMaintenance:
             if cardinality == 0:
                 fresh.add(dropped.query, 0)
             assert rebuilt == slab_bytes(self.stack_over(model, imdb_featurizer, fresh, inference))
-        assert stack.pool_index.stats.rebuilds == 2
+        assert stack.estimator.pool_index.stats.rebuilds == 2
 
     def test_add_encodes_one_row_per_slot(self, model, imdb_featurizer, labeled, encoded_sets):
         pool = QueriesPool.from_labeled_queries(labeled[:40])
@@ -502,10 +449,10 @@ class TestSlabMaintenance:
         )
         pool.add(added.query, added.cardinality)
         encoded_sets.clear()
-        slab = stack.pool_index.resolve(stack.estimator, added.query)
+        slab = stack.estimator.pool_index.resolve(added.query)
         assert encoded_sets == [(1, 1), (2, 1)]
         assert slab.entries[-1].query == added.query
-        assert stack.pool_index.stats.appended_rows == 1
+        assert stack.estimator.pool_index.stats.appended_rows == 1
 
     def test_featurizer_rebind_reencodes_the_bucket(
         self, model, imdb_featurizer, pool, encoded_sets
@@ -515,13 +462,13 @@ class TestSlabMaintenance:
 
         stack = self.stack_over(model, imdb_featurizer, pool)
         query = next(entry.query for entry in pool if entry.cardinality > 0)
-        before = stack.pool_index.resolve(stack.estimator, query)
+        before = stack.estimator.pool_index.resolve(query)
         database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=350, seed=99))
         updated = QueryFeaturizer(database)
         assert updated.fingerprint != imdb_featurizer.fingerprint
         encoded_sets.clear()
         stack.estimator.containment_estimator.featurizer = updated  # rebound after a db update
-        after = stack.pool_index.resolve(stack.estimator, query)
+        after = stack.estimator.pool_index.resolve(query)
         assert encoded_sets == [(1, len(after.entries)), (2, len(after.entries))]
         assert after.token != before.token
         for offset, entry in enumerate(after.entries):
@@ -574,8 +521,9 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     """The indexed pool path scores the rates and values of a plain one, bit for bit.
 
     Covers random initial pools, incremental ``add``s mid-serving (appends
-    and cardinality updates), and a model hot swap through ``rebind`` — the
-    three ways slab state evolves in production.
+    and cardinality updates), and a model hot swap, which serves the
+    retrained model from a fresh index of its own — the three ways slab
+    state evolves in production.
     """
     order = data.draw(st.permutations(range(len(labeled))), label="pool order")
     initial_size = data.draw(
@@ -593,12 +541,7 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
         PoolEntry(labeled[i].query, labeled[i].cardinality)
         for i in order[:initial_size]
     )
-    index = PoolEncodingIndex(pool)
-    indexed = Cnt2CrdEstimator(
-        CRNEstimator(model, imdb_featurizer, encoding_cache=EncodingCache()),
-        pool,
-        pool_index=index,
-    )
+    indexed = indexed_estimator(model, imdb_featurizer, pool, encoding_cache=EncodingCache())
     plain = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
 
     for query in queries:
@@ -612,17 +555,16 @@ def test_indexed_path_bit_identical_across_pools_adds_and_swaps(
     for query in queries:
         assert scored_bits(indexed, query) == scored_bits(plain, query)
 
-    # Hot swap: rebind the index to a retrained model and compare again.
-    index.rebind(other_model)
-    swapped = Cnt2CrdEstimator(
-        CRNEstimator(other_model, imdb_featurizer, encoding_cache=EncodingCache()),
-        pool,
-        pool_index=index,
+    # Hot swap: the retrained model is served from a fresh index, and the
+    # outgoing estimator keeps scoring its own slabs.
+    swapped = indexed_estimator(
+        other_model, imdb_featurizer, pool, encoding_cache=EncodingCache()
     )
     plain_swapped = Cnt2CrdEstimator(CRNEstimator(other_model, imdb_featurizer), pool)
     for query in queries:
         assert scored_bits(swapped, query) == scored_bits(plain_swapped, query)
+        assert scored_bits(indexed, query) == scored_bits(plain, query)
 
-    # The index genuinely served the indexed estimators (identity would be
-    # vacuous if every resolve silently handed back row-less slabs).
-    assert index.stats.served > 0
+    # Both indexes genuinely served (identity would be vacuous if every
+    # resolve handed back row-less slabs).
+    assert indexed.pool_index.stats.served > 0 and swapped.pool_index.stats.served > 0

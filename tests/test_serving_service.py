@@ -114,38 +114,6 @@ class TestEncodingCache:
         with pytest.raises(ValueError, match="already bound"):
             CRNEstimator(other, imdb_featurizer, encoding_cache=cache)
 
-    def test_rebind_clears_and_accepts_a_retrained_model(self, model, imdb_featurizer, workload):
-        cache = EncodingCache()
-        estimator = CRNEstimator(model, imdb_featurizer, encoding_cache=cache)
-        estimator.encode_query(workload[0], 1)
-        assert len(cache) == 1
-        retrained = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
-        cache.rebind(retrained)
-        assert len(cache) == 0  # the old model's encodings are gone
-        CRNEstimator(retrained, imdb_featurizer, encoding_cache=cache)  # no raise
-
-    def test_rebind_fences_stale_writers_and_readers(self, model, imdb_featurizer, workload):
-        # The torn-swap race: during a same-featurizer hot swap, a request
-        # still in flight on the old model must not re-poison the rebound
-        # cache (its write lands after rebind cleared the store, under a key
-        # the new model would read).  Owner-identified writes are fenced.
-        cache = EncodingCache()
-        estimator = CRNEstimator(model, imdb_featurizer, encoding_cache=cache)
-        scope = imdb_featurizer.fingerprint
-        old_encoding = estimator.encode_query(workload[0], 1)
-        retrained = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
-        cache.rebind(retrained)
-        # The old model's in-flight write is dropped, not stored.
-        cache.put(workload[0], 1, old_encoding, scope=scope, owner=model)
-        assert len(cache) == 0
-        assert cache.get(workload[0], 1, scope=scope, owner=retrained) is None
-        # The old model's in-flight reads miss instead of observing the swap.
-        assert cache.get(workload[0], 1, scope=scope, owner=model) is None
-        # The new model's writes land normally.
-        fresh = CRNEstimator(retrained, imdb_featurizer, encoding_cache=cache)
-        new_encoding = fresh.encode_query(workload[0], 1)
-        assert cache.get(workload[0], 1, scope=scope, owner=retrained) is new_encoding
-
     def test_encodings_scoped_to_featurizer_snapshot(self, model, imdb_featurizer, workload):
         # Regression: the cache used to key by (query, position) only, so a
         # featurizer rebound to an updated database snapshot (see
@@ -388,14 +356,14 @@ class TestEstimationService:
             model, imdb_small, imdb_featurizer, pool, max_cache_entries=len(pool)
         )
         # The pool warm at build time filled the index slabs, not the caches.
-        assert len(service.featurization_cache) == len(service.encoding_cache) == 0
+        assert len(service.get("crn").containment_estimator.featurizer) == len(service.get("crn").containment_estimator.encoding_cache) == 0
         # Warming request queries inserts one encoding per pair slot per
         # query; the encoding bound (twice the featurization bound) must not
         # evict half of what it just warmed.
         queries = [entry.query for entry in pool]
         service.warm(queries)
-        assert len(service.encoding_cache) == 2 * len(queries)
-        assert service.encoding_cache.stats.evictions == 0
+        assert len(service.get("crn").containment_estimator.encoding_cache) == 2 * len(queries)
+        assert service.get("crn").containment_estimator.encoding_cache.stats.evictions == 0
 
     def test_non_cnt2crd_estimators_are_served_per_query(
         self, model, imdb_small, imdb_featurizer, pool, workload
@@ -435,7 +403,7 @@ class TestEstimationService:
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         # The warm featurized the pool in bulk, outside the cache.
-        assert service.featurization_cache.stats.misses == 0
+        assert service.get("crn").containment_estimator.featurizer.stats.misses == 0
         featurized = []
         original = imdb_featurizer.featurize_many
 
@@ -450,8 +418,8 @@ class TestEstimationService:
         # the slabs); each scored request query is featurized once, ever.
         scored = scored_requests(service, pool, workload)
         assert Counter(featurized) == Counter(scored)
-        assert service.featurization_cache.stats.misses == len(scored)
-        assert len(service.featurization_cache) == len(scored)
+        assert service.get("crn").containment_estimator.featurizer.stats.misses == len(scored)
+        assert len(service.get("crn").containment_estimator.featurizer) == len(scored)
 
 
 def scored_requests(service, pool, workload) -> set:

@@ -2,7 +2,7 @@
 
 Every counter the serving stack keeps surfaces through ``client.stats()``,
 and the repo benchmark derives its per-layer metrics (dedup share, pool-index
-fallbacks / appends / rebuilds, cache hit rates) from those numbers.  These
+appends / rebuilds, cache hit rates) from those numbers.  These
 tests pin the key set and the counts of a fixed, single-threaded request
 sequence, so a change to *how* the counts are kept can never change *what*
 they report.
@@ -49,7 +49,6 @@ SERVICE_KEYS = {
 }
 POOL_INDEX_KEYS = {
     "pool_index_served",
-    "pool_index_fallbacks",
     "pool_index_builds",
     "pool_index_rebuilds",
     "pool_index_appended_rows",
@@ -139,7 +138,6 @@ EXPECTED_COUNTS = {
     "encoding_hit_rate": 14 / 38,
     "encoding_entries": 24.0,
     "pool_index_served": 22.0,
-    "pool_index_fallbacks": 0.0,
     "pool_index_builds": 37.0,
     "pool_index_rebuilds": 1.0,
     "pool_index_appended_rows": 1.0,
