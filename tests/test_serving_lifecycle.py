@@ -749,6 +749,34 @@ class TestAdaptationManager:
 
 
 class TestHotSwapUnderTraffic:
+    def test_wire_estimator_shares_no_model_state_between_estimators(
+        self, imdb_small, imdb_featurizer, pool
+    ):
+        model_a = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+        model_b = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
+        config = ServingConfig(
+            model=model_a,
+            featurizer=imdb_featurizer,
+            pool=pool,
+            fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+            inference=InferenceConfig(mode="compiled", slab_dtype="float32"),
+        )
+        first = wire_estimator(config, model_a, imdb_featurizer, pool, generation=1)
+        second = wire_estimator(config, model_b, imdb_featurizer, pool, generation=2)
+        crns = [estimator.containment_estimator for estimator in (first, second)]
+        assert [crn.model for crn in crns] == [model_a, model_b]
+        assert crns[0].featurizer is not crns[1].featurizer
+        assert crns[0].encoding_cache is not crns[1].encoding_cache
+        assert crns[0].inference_plan is not crns[1].inference_plan
+        assert all(crn.inference_plan is not None for crn in crns)
+        for estimator, crn in zip((first, second), crns):
+            assert estimator.pool is pool
+            assert estimator.pool_index.pool is pool and estimator.pool_index.crn is crn
+            assert len(estimator.pool_index) == 0  # no slab is built at wiring
+        # Without a generation no plan is compiled (the adaptation shadow).
+        shadow = wire_estimator(config, model_b, imdb_featurizer, pool)
+        assert shadow.containment_estimator.inference_plan is None
+
     def test_replace_mid_flight_never_tears_a_request(
         self, imdb_small, imdb_featurizer, pool, workload
     ):

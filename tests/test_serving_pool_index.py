@@ -209,6 +209,22 @@ class TestPoolEncodingIndex:
             with pytest.raises(ValueError, match="another pool or containment"):
                 Cnt2CrdEstimator(containment, served, pool_index=index)
 
+    def test_unindexed_estimators_score_row_less_slabs_of_their_own_pool(
+        self, model, imdb_small, imdb_featurizer, labeled, workload
+    ):
+        from repro.core.oracle import OracleContainmentEstimator
+
+        own_pool = QueriesPool.from_labeled_queries(labeled[:10])
+        query = next(q for q in workload if own_pool.has_match(q))
+        for containment in (
+            CRNEstimator(model, imdb_featurizer),
+            OracleContainmentEstimator(imdb_small),
+        ):
+            estimator = Cnt2CrdEstimator(containment, own_pool)
+            slab = estimator.resolve(query)
+            assert slab.first is None and slab.second is None
+            assert slab.entries == own_pool.bucket_slab(query.from_signature()).entries
+
     def test_warm_builds_every_signature(self, model, imdb_featurizer, pool):
         index = indexed_estimator(model, imdb_featurizer, pool).pool_index
         index.warm()

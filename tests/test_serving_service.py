@@ -114,6 +114,26 @@ class TestEncodingCache:
         with pytest.raises(ValueError, match="already bound"):
             CRNEstimator(other, imdb_featurizer, encoding_cache=cache)
 
+    def test_a_retrained_model_encodes_into_a_cache_of_its_own(
+        self, model, imdb_featurizer, workload
+    ):
+        # A hot swap wires the retrained model a fresh cache: the outgoing
+        # model's in-flight requests keep hitting their own encodings, and
+        # neither model ever reads or writes the other's.
+        old_cache, new_cache = EncodingCache(), EncodingCache()
+        old = CRNEstimator(model, imdb_featurizer, encoding_cache=old_cache)
+        old_encoding = old.encode_query(workload[0], 1)
+        retrained = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=99))
+        fresh = CRNEstimator(retrained, imdb_featurizer, encoding_cache=new_cache)
+        new_encoding = fresh.encode_query(workload[0], 1)
+        assert not np.array_equal(old_encoding, new_encoding)
+        assert new_cache.stats.misses == 1 and new_cache.stats.hits == 0
+        assert old.encode_query(workload[0], 1) is old_encoding
+        assert old.encode_query(workload[1], 2) is not None  # a late old-model write
+        assert len(old_cache) == 2 and len(new_cache) == 1
+        assert fresh.encode_query(workload[0], 1) is new_encoding
+        assert new_cache.stats.hits == 1
+
     def test_encodings_scoped_to_featurizer_snapshot(self, model, imdb_featurizer, workload):
         # Regression: the cache used to key by (query, position) only, so a
         # featurizer rebound to an updated database snapshot (see
