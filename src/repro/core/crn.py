@@ -351,6 +351,12 @@ class CRNEstimator(ContainmentEstimator):
     Both stages run on the live model in every mode: an attached compiled
     plan (:meth:`attach_plan`) only scores resident float32 index slabs.
 
+    The model and the featurizer are fixed at construction, so an encoding
+    is a function of the query and its pair slot alone, and the caches and
+    index slabs key by nothing else.  A database update is served by a newly
+    wired estimator over the retrained model and a new featurizer
+    (:func:`repro.serving.stack.wire_estimator`), never by rebinding this one.
+
     Args:
         model: the (trained) CRN network.
         featurizer: the featurizer bound to the evaluation database.  Any
@@ -405,17 +411,6 @@ class CRNEstimator(ContainmentEstimator):
             )
         self.inference_plan = plan
 
-    def _encoding_scope(self):
-        """The database-snapshot scope baked into encoding-cache keys.
-
-        Encodings are a function of the *featurized* query, and featurization
-        depends on the snapshot the featurizer is bound to (one-hot layout,
-        normalization ranges).  Reading the fingerprint at call time means a
-        featurizer rebound after a database update immediately stops matching
-        the old snapshot's cached encodings instead of serving them stale.
-        """
-        return getattr(self.featurizer, "fingerprint", None)
-
     def estimate_containments(self, pairs) -> list[float]:
         if not pairs:
             return []
@@ -430,14 +425,13 @@ class CRNEstimator(ContainmentEstimator):
     def encode_query(self, query: Query, position: int) -> np.ndarray:
         """The ``Qvec`` of ``query`` in pair slot ``position``: cache get,
         featurize (on a miss), encode, cache put."""
-        scope = self._encoding_scope()
         if self.encoding_cache is not None:
-            cached = self.encoding_cache.get(query, position, scope=scope)
+            cached = self.encoding_cache.get(query, position)
             if cached is not None:
                 return cached
         encoding = self.model.encode_set(self.featurizer.featurize(query), position)
         if self.encoding_cache is not None:
-            self.encoding_cache.put(query, position, encoding, scope=scope)
+            self.encoding_cache.put(query, position, encoding)
         return encoding
 
     def rates_against_pools(self, items) -> list[np.ndarray]:
@@ -539,11 +533,11 @@ class CRNEstimator(ContainmentEstimator):
         are encoded by one ``encode_sets`` call (bit for bit what
         :meth:`encode_query` computes alone), then cached.
         """
-        scope, cache = self._encoding_scope(), self.encoding_cache
+        cache = self.encoding_cache
         encodings: dict[tuple[Query, int], np.ndarray] = {}
         missing: dict[int, list[Query]] = {1: [], 2: []}
         for key in dict.fromkeys(keys):
-            cached = None if cache is None else cache.get(*key, scope=scope)
+            cached = None if cache is None else cache.get(*key)
             if cached is None:
                 missing[key[1]].append(key[0])
             else:
@@ -565,5 +559,5 @@ class CRNEstimator(ContainmentEstimator):
             for query, encoding in zip(wanted, fresh):
                 encodings[(query, position)] = encoding
                 if cache is not None:
-                    cache.put(query, position, encoding, scope=scope)
+                    cache.put(query, position, encoding)
         return encodings

@@ -116,42 +116,11 @@ class QueryFeaturizer:
         low, high = np.array(list(self._value_ranges.values()), dtype=np.float64).reshape(-1, 2).T
         self._value_low, self._value_constant = low, high == low
         self._value_span = np.where(self._value_constant, 1.0, high - low)
-        # Everything featurization depends on besides the query itself: the
-        # one-hot layouts and the normalization ranges.  Hashing it into the
-        # cache key lets caches be shared (or at least collide safely) across
-        # featurizers bound to different database snapshots.
-        self._fingerprint = hash(
-            (
-                tuple(self._table_index),
-                tuple(self._column_index),
-                tuple(self._operator_index),
-                tuple(sorted(self._value_ranges.items())),
-            )
-        )
 
     @property
     def vector_size(self) -> int:
         """The featurized vector dimension ``L``."""
         return self.layout.vector_size
-
-    @property
-    def fingerprint(self) -> int:
-        """A hash of the featurizer's layout and normalization ranges.
-
-        Two featurizers with equal fingerprints featurize every query
-        identically, so cached featurizations keyed by :meth:`cache_key`
-        remain valid across featurizer instances over the same snapshot.
-        """
-        return self._fingerprint
-
-    def cache_key(self, query: Query) -> tuple[int, Query]:
-        """A hashable memoization key for :meth:`featurize`.
-
-        Queries are immutable and hash structurally, so ``(fingerprint,
-        query)`` uniquely identifies the featurization result; see
-        :class:`repro.serving.FeaturizationCache`.
-        """
-        return (self._fingerprint, query)
 
     # ------------------------------------------------------------------ #
     # featurization

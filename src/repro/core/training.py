@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,19 +183,21 @@ class CRNTrainer:
     **Ownership.**  The trainer optimises a private flat copy of the weights
     and owns every buffer a step touches, so trainers on different threads
     (the lifecycle retrains beside serving) share nothing; one trainer is not
-    thread-safe.  The model only ever receives fresh copies (:meth:`publish`,
-    after every epoch): its ``parameter.data`` never aliases trainer memory.
+    thread-safe.  The model receives a fresh copy once, when :meth:`fit`
+    returns (:meth:`publish`): its ``parameter.data`` never aliases trainer
+    memory, and no one reads it while the loop runs.
 
     **What the callers of** :meth:`fit` **switch off.**  :func:`train_crn`:
     nothing — validation split, early stopping and best-state restore are on.
-    :func:`repro.extensions.updates.incremental_update` and
-    :class:`~repro.extensions.updates.RetrainSession`: all three.  They pass
-    no validation set (the reported q-error is measured on the few fresh
-    training pairs; whether the candidate ships is the lifecycle accept gate's
-    call, on feedback the model never trained on), set patience 0 (the epoch
-    budget is the caller's, and small) and ``restore_best=False``: a best
-    epoch picked on training data is no generalisation signal, and a cancelled
-    or resumed session must hold its last completed epoch's weights.
+    :func:`repro.extensions.updates.incremental_update` and the lifecycle's
+    full retrain (:meth:`repro.serving.CRNRetrainer.full`), both through
+    ``_fit_more_epochs``: all three.  They pass no validation set (the
+    reported q-error is measured on the few fresh training pairs; whether the
+    candidate ships is the lifecycle accept gate's call, on feedback the
+    model never trained on), set patience 0 (the epoch budget is the
+    caller's, and small) and ``restore_best=False``: a best epoch picked on
+    training data is no generalisation signal, so the candidate keeps its
+    last epoch's weights.
     """
 
     def __init__(self, model: CRNModel, config: TrainingConfig) -> None:
@@ -321,16 +323,13 @@ class CRNTrainer:
         validation: RaggedPairs | None = None,
         *,
         restore_best: bool,
-        on_epoch: Callable[[EpochStats], None] | None = None,
-        should_stop: Callable[[], bool] | None = None,
         verbose: bool = False,
     ) -> TrainingResult:
         """Run ``config.epochs`` more epochs, appending to ``result.history``.
 
-        ``validation`` defaults to ``train``.  After every epoch the model
-        holds that epoch's weights, ``on_epoch`` receives its stats and
-        ``should_stop`` is polled; with ``restore_best`` the model ends at the
-        weights of this call's best validation epoch.
+        ``validation`` defaults to ``train``.  The model receives the
+        weights once, at the end: the last epoch's, or with ``restore_best``
+        those of this call's best validation epoch.
         """
         config = self.config
         validation = train if validation is None else validation
@@ -346,7 +345,6 @@ class CRNTrainer:
                 self.step(shuffled, low, min(low + config.batch_size, len(shuffled)))
                 for low in range(0, len(shuffled), config.batch_size)
             ]
-            self.publish()
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),
@@ -366,16 +364,12 @@ class CRNTrainer:
                 np.copyto(best_weights, weights)
             else:
                 epochs_without_improvement += 1
-            if on_epoch is not None:
-                on_epoch(stats)
             if 0 < config.early_stopping_patience <= epochs_without_improvement:
                 result.stopped_early = True
                 break
-            if should_stop is not None and should_stop():
-                break
         if restore_best:
             np.copyto(weights, best_weights)
-            self.publish()
+        self.publish()
         return result
 
 

@@ -16,8 +16,6 @@ from repro.extensions.strings import (
     string_equality_predicate,
 )
 from repro.extensions.updates import (
-    RetrainProgress,
-    RetrainSession,
     incremental_update,
     refresh_queries_pool,
     retrain_from_scratch,
@@ -30,8 +28,6 @@ __all__ = [
     "ExceptQuery",
     "HASH_SPACE",
     "OrQuery",
-    "RetrainProgress",
-    "RetrainSession",
     "StringDictionary",
     "UnionQuery",
     "hash_string",

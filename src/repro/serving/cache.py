@@ -9,19 +9,19 @@ memoizable:
 * :class:`FeaturizationCache` memoizes the query → set-of-feature-vectors
   step (:meth:`repro.core.featurization.QueryFeaturizer.featurize`);
 * :class:`EncodingCache` memoizes the featurized query → ``Qvec`` step of the
-  CRN set encoders, keyed by ``(snapshot scope, query, pair slot)``.
+  CRN set encoders, keyed by ``(query, pair slot)``.
 
 Both hold request queries only: a pool entry's encodings live in its
 :class:`repro.serving.PoolEncodingIndex` slab, which encodes them without
 passing through either cache.
 
 Queries are immutable and hash structurally (:mod:`repro.sql.query`), so the
-query itself is the cache key; :meth:`QueryFeaturizer.cache_key` additionally
-scopes keys to the database snapshot the featurizer is bound to, and the
-encoding cache carries the same scope so a featurizer rebound after a
-database update (:mod:`repro.extensions.updates`) can never serve stale
-encodings.  Both caches keep LRU order and support a ``max_entries`` bound
-for long-running services.
+query itself is the cache key.  Nothing else needs to be in it: the two
+caches serve one :class:`repro.core.crn.CRNEstimator`, whose model and
+featurizer are fixed at construction, and a database update is served by a
+newly wired estimator with caches of its own
+(:func:`repro.serving.stack.wire_estimator`).  Both caches keep LRU order and
+take an optional ``max_entries`` bound for long-running services.
 
 Thread safety: both caches are safe under concurrent access.  Each cache
 counts its hits, misses and evictions in one
@@ -90,20 +90,16 @@ class _LRUStore:
         with self._lock:
             return len(self._store)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
 
 class FeaturizationCache:
-    """A memoizing drop-in replacement for :class:`QueryFeaturizer`.
+    """A memoizing stand-in for a :class:`QueryFeaturizer`.
 
     Wraps a featurizer and caches :meth:`featurize` results per query, so a
-    query asked thousands of times is featurized once.  The read-side
-    surface of the featurizer (``vector_size``, ``layout``,
-    ``featurize_many`` — uncached —, ``normalize_value``, ``fingerprint``)
-    is forwarded, so the cache can be passed anywhere a featurizer is
-    expected — in particular to :class:`repro.core.crn.CRNEstimator`.
+    query asked thousands of times is featurized once.  What
+    :class:`repro.core.crn.CRNEstimator` and
+    :class:`repro.serving.PoolEncodingIndex` read of a featurizer besides
+    :meth:`featurize` — ``vector_size`` and ``featurize_many``, uncached — is
+    forwarded, so the cache can stand in for the featurizer there.
 
     Args:
         featurizer: the wrapped featurizer.
@@ -115,17 +111,13 @@ class FeaturizationCache:
         self.stats = Counters(hits=0, misses=0, evictions=0)
         self._store = _LRUStore(max_entries, self.stats)
 
-    # ------------------------------------------------------------------ #
-    # cached featurization
-
     def featurize(self, query: Query) -> np.ndarray:
         """Memoized :meth:`QueryFeaturizer.featurize`."""
-        key = self.featurizer.cache_key(query)
-        cached = self._store.get(key)
+        cached = self._store.get(query)
         if cached is not None:
             return cached
         features = self.featurizer.featurize(query)
-        self._store.put(key, features)
+        self._store.put(query, features)
         return features
 
     def featurize_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -135,73 +127,27 @@ class FeaturizationCache:
         :meth:`featurize` memoizes for single request queries."""
         return self.featurizer.featurize_many(queries)
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def max_entries(self) -> int | None:
-        """The LRU bound this cache was built with (None = unbounded)."""
-        return self._store._max_entries
-
-    def clear(self) -> None:
-        """Drop all cached featurizations (keeps the stats)."""
-        self._store.clear()
-
-    def stats_snapshot(self) -> dict[str, float]:
-        """Hits, misses, evictions and the hit rate."""
-        return _stats_snapshot(self.stats)
-
-    # ------------------------------------------------------------------ #
-    # featurizer passthrough
-
     @property
     def vector_size(self) -> int:
         """The wrapped featurizer's vector dimension ``L``."""
         return self.featurizer.vector_size
 
-    @property
-    def layout(self):
-        """The wrapped featurizer's segment layout."""
-        return self.featurizer.layout
+    def __len__(self) -> int:
+        return len(self._store)
 
-    @property
-    def database(self):
-        """The database snapshot the wrapped featurizer is bound to."""
-        return self.featurizer.database
-
-    @property
-    def fingerprint(self) -> int:
-        """The wrapped featurizer's snapshot fingerprint (scopes cache keys)."""
-        return self.featurizer.fingerprint
-
-    def normalize_value(self, qualified_column: str, value: float) -> float:
-        """Forwarded to :meth:`QueryFeaturizer.normalize_value`."""
-        return self.featurizer.normalize_value(qualified_column, value)
-
-    def cache_key(self, query: Query):
-        """Forwarded to :meth:`QueryFeaturizer.cache_key`."""
-        return self.featurizer.cache_key(query)
+    def stats_snapshot(self) -> dict[str, float]:
+        """Hits, misses, evictions and the hit rate."""
+        return _stats_snapshot(self.stats)
 
 
 class EncodingCache:
-    """A ``(scope, query, pair slot) -> Qvec`` cache for the CRN set encoders.
+    """A ``(query, pair slot) -> Qvec`` cache for the CRN set encoders.
 
     The CRN uses a different encoder per pair position (``MLP1`` / ``MLP2``),
-    so the slot is part of the key: a pool query serving as containment
-    source *and* target caches two encodings.  The ``scope`` component is the
-    featurizer's database-snapshot fingerprint
-    (:attr:`repro.core.featurization.QueryFeaturizer.fingerprint`): an
-    encoding is a function of the *featurized* query, so when the database is
-    mutated and the estimator's featurizer is rebound to the new snapshot
-    (:mod:`repro.extensions.updates`), the old snapshot's encodings must not
-    be served for the new one.  Keying by scope makes correctness automatic:
-    stale entries simply stop matching.  They are *reclaimed* by the LRU
-    bound (old-scope entries stop being touched, so they are the first
-    evicted) — an unbounded cache keeps them until :meth:`clear`, so
-    long-running services whose database updates should either set
-    ``max_entries`` or clear after a snapshot change.  Entries are ``(H,)``
-    float64 arrays — a few hundred bytes each — so even a million cached
-    queries fit comfortably in memory.
+    so the slot is part of the key: a query serving as containment source
+    *and* target caches two encodings.  Entries are ``(H,)`` float64 arrays —
+    a few hundred bytes each — so even a million cached queries fit
+    comfortably in memory.
 
     Encodings are a function of the model's weights, so a cache is tied to
     exactly one model: :class:`repro.core.crn.CRNEstimator` calls
@@ -209,9 +155,7 @@ class EncodingCache:
     model raises instead of silently serving the first model's encodings.
     A retrained model gets a cache of its own
     (:func:`repro.serving.stack.wire_estimator` builds one per estimator), so
-    a hot swap never clears or re-ties a live cache.  Binding tracks object
-    identity only — retraining the bound model *in place* invalidates the
-    cached encodings, so call :meth:`clear` after updating weights.
+    a hot swap never clears or re-ties a live cache.
 
     Args:
         max_entries: optional LRU bound on cached encodings (None = unbounded).
@@ -232,20 +176,16 @@ class EncodingCache:
                 "are model-specific, use one cache per model"
             )
 
-    def get(self, query: Query, position: int, scope=None) -> np.ndarray | None:
-        """The cached encoding for ``(scope, query, position)``, or None on a miss."""
-        return self._store.get((scope, query, position))
+    def get(self, query: Query, position: int) -> np.ndarray | None:
+        """The cached encoding for ``(query, position)``, or None on a miss."""
+        return self._store.get((query, position))
 
-    def put(self, query: Query, position: int, encoding: np.ndarray, scope=None) -> None:
+    def put(self, query: Query, position: int, encoding: np.ndarray) -> None:
         """Record an encoding (evicting the least recently used if bounded)."""
-        self._store.put((scope, query, position), encoding)
+        self._store.put((query, position), encoding)
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def clear(self) -> None:
-        """Drop all cached encodings (keeps the stats)."""
-        self._store.clear()
 
     def stats_snapshot(self) -> dict[str, float]:
         """Hits, misses, evictions and the hit rate."""

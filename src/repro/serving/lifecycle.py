@@ -16,7 +16,7 @@ The adaptation cycle, end to end::
     feedback window ──drift conditions──▶ trigger
         │ (rolling p90 q-error / degradation vs baseline / row-count delta)
         ▼
-    retrain (RetrainSession: incremental, escalating to full after
+    retrain (incremental_update, escalating to full after
              repeated failures) + refresh_queries_pool
         ▼
     shadow candidate (off the registry) ──▶ score the most recent feedback
@@ -45,18 +45,20 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.core.cnt2crd import Cnt2CrdEstimator
+from repro.core.crn import CRNModel
+from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.core.queries_pool import QueriesPool
-from repro.core.training import TrainingConfig, TrainingResult
+from repro.core.training import RaggedPairs, TrainingConfig, TrainingResult
+from repro.datasets.workloads import build_training_pairs
 from repro.db.database import Database
 from repro.extensions.updates import (
-    RetrainProgress,
-    RetrainSession,
+    _fit_more_epochs,
+    incremental_update,
     refresh_queries_pool,
 )
 from repro.observability.counters import Counters
@@ -248,8 +250,10 @@ class CRNRetrainer:
     retrainer at the new snapshot; the drift conditions then notice the model
     degrading (or the row count jumping) and the manager asks for candidates.
 
-    Both retrain modes go through :class:`repro.extensions.RetrainSession`,
-    so long retrains report per-epoch progress through ``on_progress``.
+    Each candidate trains on ``config.training_pairs`` pairs generated from
+    the current snapshot at seed ``config.seed + attempt`` (the attempt
+    counts both modes, from 1), in one call that runs to completion; the
+    accept gate, not the retrainer, decides whether it ships.
 
     Args:
         result: the currently-serving training result.
@@ -258,8 +262,6 @@ class CRNRetrainer:
         config: the pair count, epoch budgets and base seed of a retrain
             (defaults apply when omitted).
         training_config: optimisation settings shared by both modes.
-        on_progress: per-epoch :class:`~repro.extensions.RetrainProgress`
-            callback.
     """
 
     def __init__(
@@ -270,11 +272,9 @@ class CRNRetrainer:
         config: AdaptationConfig | None = None,
         *,
         training_config: TrainingConfig | None = None,
-        on_progress: Callable[[RetrainProgress], None] | None = None,
     ) -> None:
         self.config = config or AdaptationConfig()
         self.training_config = training_config
-        self.on_progress = on_progress
         self._attempts = 0
         self._result = result
         self._database = database
@@ -317,32 +317,44 @@ class CRNRetrainer:
     # candidate construction
 
     def incremental(self) -> TrainingResult:
-        """Fine-tune the accepted weights on pairs from the current snapshot."""
-        session = self._session(base_result=self.result)
-        return session.run(self.config.incremental_epochs)
+        """Fine-tune the accepted weights on pairs from the current snapshot
+        (the paper's approach 2, :func:`~repro.extensions.incremental_update`)."""
+        database, pairs = self._pairs()
+        return incremental_update(
+            self.result,
+            database,
+            pairs,
+            self.training_config,
+            epochs=self.config.incremental_epochs,
+        )
 
     def full(self) -> TrainingResult:
-        """Train fresh weights (same architecture) on the current snapshot."""
-        session = self._session(base_result=None)
-        return session.run(self.config.full_epochs)
+        """Train fresh weights of the accepted architecture on pairs from the
+        current snapshot (the paper's approach 1), for ``full_epochs`` epochs
+        with no validation split, early stopping or best-epoch restore."""
+        database, pairs = self._pairs()
+        featurizer = QueryFeaturizer(database)
+        model = CRNModel(featurizer.vector_size, self.result.model.config)
+        return _fit_more_epochs(
+            TrainingResult(model=model, featurizer=featurizer),
+            RaggedPairs.featurize(featurizer, pairs),
+            self.training_config or TrainingConfig(),
+            self.config.full_epochs,
+        )
 
     def refresh_pool(self) -> QueriesPool:
         """Re-execute the accepted pool's queries on the current snapshot."""
         return refresh_queries_pool(self.pool, self.database)
 
-    def _session(self, base_result: TrainingResult | None) -> RetrainSession:
+    def _pairs(self) -> tuple[Database, list]:
+        """The current snapshot and the next attempt's labelled pairs on it."""
         with self._lock:
             self._attempts += 1
-            attempt = self._attempts
-        return RetrainSession(
-            self.database,
-            base_result=base_result,
-            training_pairs=self.config.training_pairs,
-            crn_config=self.result.model.config,
-            training_config=self.training_config,
-            seed=self.config.seed + attempt,
-            on_progress=self.on_progress,
+            attempt, database = self._attempts, self._database
+        pairs = build_training_pairs(
+            database, count=self.config.training_pairs, seed=self.config.seed + attempt
         )
+        return database, pairs
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ side of every pair is *identical* across all requests sharing a FROM
 signature.
 
 :class:`PoolEncodingIndex` hoists that invariant work out of the request
-path.  Per ``(featurizer-snapshot scope, FROM signature, dtype)`` it keeps
-two feature-major ``(H, E)`` matrices of pool-query encodings — one per pair
-slot, column ``i`` belonging to eligible entry ``i`` — maintained
-incrementally.  The dtype is the index's CRN's: float32 when it has a
-compiled inference plan (whose fused slab kernel reads the slab in place),
-float64 otherwise, so each bucket is stored in the precision its scorer
-reads.
+path.  Per ``(FROM signature, dtype)`` it keeps two feature-major ``(H, E)``
+matrices of pool-query encodings — one per pair slot, column ``i``
+belonging to eligible entry ``i`` — maintained incrementally.  The dtype is
+the index's CRN's: float32 when it has a compiled inference plan (whose
+fused slab kernel reads the slab in place), float64 otherwise, so each
+bucket is stored in the precision its scorer reads.
 
 * a :meth:`repro.core.queries_pool.QueriesPool.add` bumps the bucket's
   version; the next request appends only the new tail columns (the
@@ -23,11 +22,7 @@ reads.
 * a cardinality *update* (re-adding an existing query), or an entry whose
   cardinality drops to 0, rebuilds the bucket's slab — cheap, because the
   entries the old slab held keep their columns, copied across by query, and
-  only entries it never held are encoded;
-* a featurizer rebound after a database update changes the scope, so
-  stale-snapshot slabs simply stop matching (exactly the
-  :class:`~repro.serving.EncodingCache` keying rule) and the bucket is
-  encoded afresh.
+  only entries it never held are encoded.
 
 A slab is the only place a pool entry's encodings are stored: maintenance
 featurizes the entries a slab lacks in one
@@ -45,10 +40,13 @@ assembled rows are exactly the rows the per-pair route would have stacked,
 in the same order — estimates are **bit-for-bit identical**.
 
 An index belongs to one CRN estimator and one pool, both fixed at
-construction: a model's slabs live and die with the estimator
-:func:`repro.serving.stack.wire_estimator` builds for it.  A hot swap wires
-the retrained model a fresh index and warms it before the registry swap;
-requests still in flight on the outgoing estimator finish on its own slabs.
+construction, and the estimator's model and featurizer are fixed too: a
+model's slabs live and die with the estimator
+:func:`repro.serving.stack.wire_estimator` builds for it.  A database update
+is served by a retrained model, which is wired a fresh index over the
+refreshed pool and warmed before the registry swap; requests still in
+flight on the outgoing estimator finish on its own slabs.  The dtype stays
+in the slab key because a plan may be attached after the index exists.
 
 Thread safety: one index lock guards the slab store, and long holders
 release it between signatures.  Returned
@@ -74,7 +72,7 @@ INITIAL_CAPACITY = 8
 
 
 class _Slab:
-    """Mutable per-(scope, signature, dtype) storage with geometric growth.
+    """Mutable per-(signature, dtype) storage with geometric growth.
 
     Two ``(H, capacity)`` matrices in the slab's dtype, entry ``i`` in
     column ``i`` — the feature-major layout
@@ -101,8 +99,8 @@ class _Slab:
 
         Each column comes from the next row of the ``(n, H)`` float64 blocks,
         except, with ``kept = (view, sources)``, where ``sources`` names a
-        column of ``view`` (another slab's snapshot of the same model and
-        scope), which is copied instead; ``-1`` takes the next block row.
+        column of ``view`` (a snapshot of the slab this one replaces), which
+        is copied instead; ``-1`` takes the next block row.
         """
         start, stop = self.count, len(entries)
         self.ensure_capacity(stop)
@@ -220,7 +218,7 @@ class PoolEncodingIndex:
         pure growth; on a rebuild (an in-place cardinality update, an entry
         whose cardinality dropped to 0) the entries of a snapshot view taken
         under the lock keep their columns, matched by query, and only the
-        rest are encoded; a new slab (a new signature, scope or dtype)
+        rest are encoded; a new slab (a new signature or dtype)
         encodes every eligible entry.  Encoding is one
         :meth:`QueryFeaturizer.featurize_many` array pass on the uncached
         featurizer and one :meth:`CRNModel.encode_sets` call per slot — the
@@ -236,7 +234,7 @@ class PoolEncodingIndex:
         # The slab's dtype is its scorer's: float32 for the fused kernel of a
         # compiled plan, float64 for the live pair head.
         dtype = np.float64 if crn.inference_plan is None else np.float32
-        key = (crn._encoding_scope(), signature, dtype)
+        key = (signature, dtype)
         while True:
             version = self.pool.bucket_version(signature)
             with self._lock:

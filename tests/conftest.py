@@ -100,6 +100,23 @@ def scored_bits(estimator, query) -> tuple[bytes, bytes]:
     return np.asarray(rates, dtype=np.float64).tobytes(), values.tobytes()
 
 
+def resolved_slabs(stack) -> list:
+    """Every signature's slab, in ``repr`` order of the signatures."""
+    pool = stack.estimator.pool_index.pool
+    return [
+        stack.estimator.pool_index.resolve(pool.bucket_snapshot(signature)[0][0].query)
+        for signature in sorted(pool.from_signatures(), key=repr)
+    ]
+
+
+def slab_bytes(stack) -> list[tuple]:
+    """Every signature's slab as comparable bytes: entries, cardinalities, rows."""
+    return [
+        (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(), slab.second.tobytes())
+        for slab in resolved_slabs(stack)
+    ]
+
+
 def build_service(
     model, featurizer, pool, fallback_estimator=None, **sections
 ) -> EstimationService:

@@ -1,9 +1,7 @@
 """Unit tests for the database-update extension."""
 
-import numpy as np
 import pytest
 
-import repro.extensions.updates as updates
 from repro.core.crn import CRNConfig
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingConfig, train_crn
@@ -11,7 +9,6 @@ from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.datasets.workloads import build_queries_pool_queries, build_training_pairs
 from repro.db.intersection import TrueCardinalityOracle
 from repro.extensions.updates import (
-    RetrainSession,
     incremental_update,
     refresh_queries_pool,
     retrain_from_scratch,
@@ -77,136 +74,6 @@ class TestRetrainFromScratch:
         )
         assert result.epochs_run <= 2
         assert result.featurizer.database is updated_database
-
-
-class TestRetrainSession:
-    def test_incremental_session_reports_progress_per_epoch(
-        self, base_training, updated_database
-    ):
-        reports = []
-        session = RetrainSession(
-            updated_database,
-            base_result=base_training,
-            training_pairs=20,
-            seed=21,
-            on_progress=reports.append,
-        )
-        assert session.mode == "incremental"
-        result = session.run(epochs=2)
-        assert session.epochs_completed == 2
-        assert [r.epochs_completed for r in reports] == [1, 2]
-        assert all(r.mode == "incremental" and r.target_epochs == 2 for r in reports)
-        assert reports[-1].fraction == 1.0
-        # Same architecture, weights continued from the base result.
-        assert result.model.config == base_training.model.config
-
-    def test_session_resumes_across_runs(self, base_training, updated_database):
-        session = RetrainSession(
-            updated_database, base_result=base_training, training_pairs=20, seed=22
-        )
-        first = session.run(epochs=2)
-        second = session.run(epochs=3)
-        assert second is first  # one continuously trained result
-        assert session.epochs_completed == 5
-        assert [stats.epoch for stats in second.history] == [1, 2, 3, 4, 5]
-
-    def test_cancel_stops_after_current_epoch_and_resumes(
-        self, base_training, updated_database
-    ):
-        session = RetrainSession(
-            updated_database, base_result=base_training, training_pairs=20, seed=23
-        )
-        session.on_progress = lambda progress: session.cancel()
-        session.run(epochs=5)
-        assert session.epochs_completed == 1  # stopped after the first epoch
-        assert session.cancelled
-        session.on_progress = None
-        session.run(epochs=2)  # resumes from the completed weights
-        assert session.epochs_completed == 3
-        assert not session.cancelled
-
-    def test_cancelled_session_holds_the_last_completed_epoch_in_its_own_memory(
-        self, base_training, updated_database, monkeypatch
-    ):
-        trainers = []
-
-        class RecordingTrainer(updates.CRNTrainer):
-            def __init__(self, *args):
-                super().__init__(*args)
-                trainers.append(self)
-
-        monkeypatch.setattr(updates, "CRNTrainer", RecordingTrainer)
-        session = RetrainSession(
-            updated_database, base_result=base_training, training_pairs=20, seed=26
-        )
-        after_epoch = {}
-
-        def cancel_after_second_epoch(progress):
-            after_epoch[progress.epochs_completed] = session.result.model.state_dict()
-            if progress.epochs_completed == 2:
-                session.cancel()
-
-        session.on_progress = cancel_after_second_epoch
-        model = session.run(epochs=5).model
-        assert session.cancelled and session.epochs_completed == 2
-        # No best-state restore on this path: the weights are epoch 2's, not
-        # epoch 1's even where epoch 1 validated better ...
-        state = model.state_dict()
-        assert state.keys() == after_epoch[2].keys()
-        assert all(np.array_equal(state[name], after_epoch[2][name]) for name in state)
-        assert any(not np.array_equal(state[name], after_epoch[1][name]) for name in state)
-        # ... exactly what an uninterrupted two-epoch run ends with ...
-        uninterrupted = RetrainSession(
-            updated_database, base_result=base_training, training_pairs=20, seed=26
-        ).run(epochs=2)
-        assert all(
-            np.array_equal(state[name], value)
-            for name, value in uninterrupted.model.state_dict().items()
-        )
-        # ... and held in arrays the model owns, apart from all trainer scratch.
-        trainer = trainers[0]  # the cancelled session's; the second is the reference run's
-        for parameter in model.parameters():
-            assert parameter.data.flags.owndata
-            assert not np.shares_memory(parameter.data, trainer._adam.flat)
-
-    def test_cancel_between_runs_skips_exactly_one_run(
-        self, base_training, updated_database
-    ):
-        session = RetrainSession(
-            updated_database, base_result=base_training, training_pairs=20, seed=25
-        )
-        session.run(epochs=1)
-        session.cancel()  # issued while no run is in progress
-        session.run(epochs=3)  # consumed: returns immediately, no new epochs
-        assert session.epochs_completed == 1
-        assert session.cancelled
-        session.run(epochs=1)  # the run after that resumes normally
-        assert session.epochs_completed == 2
-        assert not session.cancelled
-
-    def test_full_session_trains_fresh_weights(self, base_training, updated_database):
-        from repro.core.crn import CRNConfig
-
-        session = RetrainSession(
-            updated_database,
-            crn_config=CRNConfig(hidden_size=8, seed=4),
-            training_pairs=20,
-            seed=24,
-        )
-        assert session.mode == "full"
-        result = session.run(epochs=1)
-        assert result.model.config.hidden_size == 8
-        assert result.featurizer.database is updated_database
-        assert session.epochs_completed == 1
-
-    def test_session_validates_inputs(self, base_training, updated_database):
-        with pytest.raises(ValueError):
-            RetrainSession(updated_database, training_pairs=0)
-        session = RetrainSession(updated_database, training_pairs=10)
-        with pytest.raises(ValueError):
-            session.run(epochs=0)
-        with pytest.raises(ValueError):
-            RetrainSession(updated_database, pairs=[]).run(epochs=1)
 
 
 class TestQueriesPoolRefresh:

@@ -16,11 +16,14 @@ from repro.core import (
     CRNEstimator,
     CRNModel,
     QueriesPool,
+    QueryFeaturizer,
     TrainingConfig,
+    TrainingResult,
     train_crn,
 )
 from repro.core.metrics import q_errors
 from repro.core.oracle import OracleCardinalityEstimator
+from repro.core.training import CRNTrainer, RaggedPairs
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db import TrueCardinalityOracle
@@ -44,7 +47,7 @@ from repro.serving import (
 )
 from repro.serving.stack import wire_estimator
 from repro.sql.builder import QueryBuilder
-from tests.conftest import build_service, scored_bits
+from tests.conftest import build_service, scored_bits, slab_bytes
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,12 @@ def pool(imdb_small, imdb_oracle):
 @pytest.fixture(scope="module")
 def workload(imdb_small, imdb_oracle):
     return build_queries_pool_queries(imdb_small, count=25, seed=23, oracle=imdb_oracle)
+
+
+@pytest.fixture(scope="module")
+def updated_database():
+    """An updated snapshot: the same schema over different data."""
+    return build_synthetic_imdb(SyntheticIMDbConfig(num_titles=350, seed=99))
 
 
 def make_service(trained, imdb_small, pool):
@@ -746,6 +755,104 @@ class TestAdaptationManager:
     def test_accept_ratio_validation(self, trained, imdb_small, pool):
         with pytest.raises(ValueError):
             self.build(trained, imdb_small, pool, accept_ratio=0.0)
+
+
+class TestDatabaseUpdate:
+    """An update is followed one way: the retrainer trains a new model over a
+    new featurizer, and the promote wires them a new estimator."""
+
+    @pytest.mark.parametrize("mode", ["reference", "compiled"])
+    def test_the_promoted_estimator_serves_the_candidates_own_state(
+        self, trained, imdb_small, pool, workload, updated_database, mode
+    ):
+        inference = InferenceConfig(
+            mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
+        )
+        stack = make_stack(
+            trained, imdb_small, pool, inference,
+            cooldown_seconds=0.0, training_pairs=20, incremental_epochs=1, seed=7,
+        )
+        retrainer = CRNRetrainer(
+            trained,
+            imdb_small,
+            pool,
+            stack.config.adaptation,
+            training_config=TrainingConfig(epochs=1, batch_size=32),
+        )
+        manager = AdaptationManager(stack, FeedbackCollector(), retrainer)
+        queries = [labeled.query for labeled in workload if pool.has_match(labeled.query)]
+        stack.service.submit_batch(queries)
+        incumbent = stack.estimator.containment_estimator
+        assert len(incumbent.featurizer) > 0 and len(incumbent.encoding_cache) > 0
+        retrainer.set_database(updated_database)
+        assert manager.trigger().swapped  # forced: the empty window skips the gate
+        candidate = retrainer.result
+        served = stack.estimator.containment_estimator
+        assert candidate.featurizer.database is updated_database
+        assert served.model is candidate.model
+        assert served.featurizer.featurizer is candidate.featurizer
+        # The slabs are the bytes a fresh stack builds over the candidate
+        # model, its featurizer and the refreshed pool.
+        refreshed = stack.estimator.pool
+        assert refreshed is retrainer.pool and refreshed is not pool
+        fresh = build_service_stack(
+            ServingConfig(
+                model=candidate.model,
+                featurizer=candidate.featurizer,
+                pool=refreshed,
+                inference=inference,
+            )
+        )
+        assert slab_bytes(stack) == slab_bytes(fresh)
+        # The caches start empty and fill with the candidate's encodings only.
+        assert len(served.featurizer) == 0 and len(served.encoding_cache) == 0
+        stack.service.submit_batch(queries)
+        assert len(served.encoding_cache) > 0
+        for query in queries:
+            vectors = candidate.featurizer.featurize(query)
+            for position in (1, 2):
+                expected = candidate.model.encode_set(vectors, position)
+                assert served.encoding_cache.get(query, position).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def written_out(base, database, training_config, seed, epochs, warm):
+        """One retrain, written out: a featurizer, pairs and a model of its
+        own, fitted with no validation split, patience or best-epoch restore."""
+        featurizer = QueryFeaturizer(database)
+        pairs = build_training_pairs(database, count=20, seed=seed)
+        model = CRNModel(featurizer.vector_size, base.model.config)
+        if warm:
+            model.load_state_dict(base.model.state_dict())
+        config = replace(training_config, epochs=epochs, early_stopping_patience=0)
+        CRNTrainer(model, config).fit(
+            TrainingResult(model=model, featurizer=featurizer),
+            RaggedPairs.featurize(featurizer, pairs),
+            restore_best=False,
+        )
+        return model.state_dict()
+
+    def test_each_retrain_is_a_written_out_fit(self, trained, imdb_small, pool, updated_database):
+        # A step size at which neither mode ends on its best epoch, so a
+        # best-epoch restore would show in the bytes.
+        training_config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.2)
+        retrainer = CRNRetrainer(
+            trained,
+            imdb_small,
+            pool,
+            AdaptationConfig(training_pairs=20, incremental_epochs=3, full_epochs=3, seed=7),
+            training_config=training_config,
+        )
+        retrainer.set_database(updated_database)
+        # Attempt n trains on pairs drawn at seed + n, whichever the mode.
+        incremental, full = retrainer.incremental(), retrainer.full()
+        for result, seed, warm in ((incremental, 8, True), (full, 9, False)):
+            assert result.featurizer.database is updated_database
+            assert result.epochs_run == 3 and result.best_epoch < 3
+            assert all(parameter.data.flags.owndata for parameter in result.model.parameters())
+            state = result.model.state_dict()
+            expected = self.written_out(trained, updated_database, training_config, seed, 3, warm)
+            assert state.keys() == expected.keys()
+            assert all(state[name].tobytes() == expected[name].tobytes() for name in state)
 
 
 class TestHotSwapUnderTraffic:

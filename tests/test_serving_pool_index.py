@@ -36,7 +36,7 @@ from repro.serving import (
     build_service_stack,
 )
 from repro.sql.builder import QueryBuilder
-from tests.conftest import build_service, scored_bits
+from tests.conftest import build_service, resolved_slabs, scored_bits, slab_bytes
 
 
 @pytest.fixture(scope="module")
@@ -320,23 +320,6 @@ def bucket_pool(size: int) -> QueriesPool:
     return pool
 
 
-def resolved_slabs(stack) -> list[PoolSlab]:
-    """Every signature's slab, in ``repr`` order of the signatures."""
-    pool = stack.estimator.pool_index.pool
-    return [
-        stack.estimator.pool_index.resolve(pool.bucket_snapshot(signature)[0][0].query)
-        for signature in sorted(pool.from_signatures(), key=repr)
-    ]
-
-
-def slab_bytes(stack) -> list[tuple]:
-    """Every signature's slab as comparable bytes: entries, cardinalities, rows."""
-    return [
-        (slab.entries, slab.cardinalities.tobytes(), slab.first.tobytes(), slab.second.tobytes())
-        for slab in resolved_slabs(stack)
-    ]
-
-
 def formula_encoding(model, featurizer, query, position) -> np.ndarray:
     """The per-query set-encoder arithmetic, written out."""
     encoder = model.set_encoder1 if position == 1 else model.set_encoder2
@@ -469,28 +452,6 @@ class TestSlabMaintenance:
         assert encoded_sets == [(1, 1), (2, 1)]
         assert slab.entries[-1].query == added.query
         assert stack.estimator.pool_index.stats.appended_rows == 1
-
-    def test_featurizer_rebind_reencodes_the_bucket(
-        self, model, imdb_featurizer, pool, encoded_sets
-    ):
-        from repro.core.featurization import QueryFeaturizer
-        from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
-
-        stack = self.stack_over(model, imdb_featurizer, pool)
-        query = next(entry.query for entry in pool if entry.cardinality > 0)
-        before = stack.estimator.pool_index.resolve(query)
-        database = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=350, seed=99))
-        updated = QueryFeaturizer(database)
-        assert updated.fingerprint != imdb_featurizer.fingerprint
-        encoded_sets.clear()
-        stack.estimator.containment_estimator.featurizer = updated  # rebound after a db update
-        after = stack.estimator.pool_index.resolve(query)
-        assert encoded_sets == [(1, len(after.entries)), (2, len(after.entries))]
-        assert after.token != before.token
-        for offset, entry in enumerate(after.entries):
-            vectors = updated.featurize(entry.query)
-            assert after.first[:, offset].tobytes() == model.encode_set(vectors, 1).tobytes()
-            assert after.second[:, offset].tobytes() == model.encode_set(vectors, 2).tobytes()
 
 
 #: sha256 over the bytes of every warmed slab row -- slot 1 then slot 2 per

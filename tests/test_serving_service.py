@@ -81,18 +81,12 @@ class TestFeaturizationCache:
     def test_passthrough_surface(self, imdb_featurizer, workload):
         cache = FeaturizationCache(imdb_featurizer)
         assert cache.vector_size == imdb_featurizer.vector_size
-        assert cache.layout is imdb_featurizer.layout
         rows, counts = cache.featurize_many(workload[:3])
         expected_rows, expected_counts = imdb_featurizer.featurize_many(workload[:3])
         assert rows.tobytes() == expected_rows.tobytes()
         assert counts.tolist() == expected_counts.tolist()
         # Bulk featurization bypasses the cache: it holds request queries only.
         assert len(cache) == 0 and cache.stats.misses == cache.stats.hits == 0
-
-    def test_cache_key_scopes_to_featurizer_fingerprint(self, imdb_featurizer, workload):
-        key = imdb_featurizer.cache_key(workload[0])
-        assert key == (imdb_featurizer.fingerprint, workload[0])
-        assert hash(key)  # usable as a dict key
 
 
 class TestEncodingCache:
@@ -133,33 +127,6 @@ class TestEncodingCache:
         assert len(old_cache) == 2 and len(new_cache) == 1
         assert fresh.encode_query(workload[0], 1) is new_encoding
         assert new_cache.stats.hits == 1
-
-    def test_encodings_scoped_to_featurizer_snapshot(self, model, imdb_featurizer, workload):
-        # Regression: the cache used to key by (query, position) only, so a
-        # featurizer rebound to an updated database snapshot (see
-        # repro.extensions.updates) silently served the old snapshot's
-        # encodings.  The snapshot fingerprint is now part of the key.
-        from repro.core.featurization import QueryFeaturizer
-        from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
-
-        cache = EncodingCache()
-        estimator = CRNEstimator(model, imdb_featurizer, encoding_cache=cache)
-        estimator.encode_query(workload[0], 1)
-        updated = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=350, seed=99))
-        updated_featurizer = QueryFeaturizer(updated)
-        assert updated_featurizer.fingerprint != imdb_featurizer.fingerprint
-        estimator.featurizer = updated_featurizer  # rebound after a db update
-        misses_before = cache.stats.misses
-        fresh = estimator.encode_query(workload[0], 1)
-        assert cache.stats.misses == misses_before + 1  # not served stale
-        np.testing.assert_array_equal(
-            fresh, model.encode_set(updated_featurizer.featurize(workload[0]), 1)
-        )
-        # Flipping back to the original snapshot hits its still-cached entry.
-        estimator.featurizer = imdb_featurizer
-        hits_before = cache.stats.hits
-        estimator.encode_query(workload[0], 1)
-        assert cache.stats.hits == hits_before + 1
 
     def test_featurization_deduplicated_within_call_without_cache(
         self, model, imdb_featurizer, workload
