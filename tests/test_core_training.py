@@ -11,6 +11,7 @@ from repro.core.training import (
     CRNTrainer,
     RaggedPairs,
     TrainingConfig,
+    TrainingResult,
     evaluate_pairs_q_error,
     train_crn,
 )
@@ -134,6 +135,39 @@ class TestTrainCRN:
         assert result.epochs_run < 200
         # The restored weights correspond to the best validation epoch.
         assert result.best_epoch <= result.epochs_run
+
+    @pytest.mark.parametrize("restore_best", [False, True], ids=["last", "best"])
+    def test_fit_publishes_once_after_its_loop(
+        self, imdb_small, imdb_featurizer, imdb_oracle, restore_best
+    ):
+        pairs = build_training_pairs(imdb_small, count=40, seed=6, oracle=imdb_oracle)
+        model = CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=8, seed=1))
+        initial = {name: value.tobytes() for name, value in model.state_dict().items()}
+        trainer = CRNTrainer(model, TrainingConfig(epochs=3, batch_size=16))
+        step, publish = trainer.step, trainer.publish
+        # Per step: whether the model still holds its initial weights.
+        untouched, published = [], []
+
+        def watched_step(*args):
+            state = model.state_dict()
+            untouched.append(all(state[name].tobytes() == initial[name] for name in initial))
+            return step(*args)
+
+        def watched_publish():
+            published.append(len(untouched))
+            publish()
+
+        trainer.step, trainer.publish = watched_step, watched_publish
+        result = trainer.fit(
+            TrainingResult(model=model, featurizer=imdb_featurizer),
+            RaggedPairs.featurize(imdb_featurizer, pairs),
+            restore_best=restore_best,
+        )
+        assert result.epochs_run == 3
+        assert len(untouched) > 3 and all(untouched)
+        assert published == [len(untouched)]
+        state = model.state_dict()
+        assert any(state[name].tobytes() != initial[name] for name in initial)
 
     def test_mse_loss_option_trains(self, imdb_small, imdb_featurizer, imdb_oracle):
         pairs = build_training_pairs(imdb_small, count=60, seed=7, oracle=imdb_oracle)

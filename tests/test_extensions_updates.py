@@ -5,7 +5,9 @@ import pytest
 from repro.core.crn import CRNConfig
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingConfig, train_crn
+from repro.datasets.generator import GeneratorConfig, QueryGenerator
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
+from repro.datasets.pairs import label_pairs
 from repro.datasets.workloads import build_queries_pool_queries, build_training_pairs
 from repro.db.intersection import TrueCardinalityOracle
 from repro.extensions.updates import (
@@ -46,8 +48,6 @@ class TestIncrementalUpdate:
         assert updated.featurizer is not base_training.featurizer
 
     def test_accepts_unlabelled_pairs(self, base_training, updated_database):
-        from repro.datasets.generator import GeneratorConfig, QueryGenerator
-
         raw_pairs = QueryGenerator(updated_database, GeneratorConfig(seed=5)).generate_pairs(20)
         updated = incremental_update(base_training, updated_database, raw_pairs, epochs=1)
         assert updated.epochs_run == 1
@@ -62,6 +62,54 @@ class TestIncrementalUpdate:
         estimator = updated.estimator()
         pair = new_pairs[0]
         assert 0.0 <= estimator.estimate_containment(pair.first, pair.second) <= 1.0
+
+
+    def test_rejects_a_changed_schema_layout(self, base_training, updated_database, toy_database):
+        new_pairs = build_training_pairs(updated_database, count=5, seed=15)
+        with pytest.raises(ValueError, match="schema layout"):
+            incremental_update(base_training, toy_database, new_pairs, epochs=1)
+
+    def test_trains_a_model_of_its_own(self, base_training, updated_database):
+        before = {name: value.tobytes() for name, value in base_training.model.state_dict().items()}
+        new_pairs = build_training_pairs(updated_database, count=30, seed=16)
+        updated = incremental_update(base_training, updated_database, new_pairs, epochs=1)
+        # The base result is left as it was; the update's weights are new.
+        base_state = base_training.model.state_dict()
+        assert all(base_state[name].tobytes() == before[name] for name in before)
+        assert updated.model is not base_training.model
+        assert updated.featurizer.database is updated_database
+        state = updated.model.state_dict()
+        assert any(state[name].tobytes() != before[name] for name in before)
+        assert all(parameter.data.flags.owndata for parameter in updated.model.parameters())
+
+    def test_runs_every_epoch_whatever_the_patience(self, base_training, updated_database):
+        # A step size at which an epoch before the last fails to improve, so
+        # train_crn's patience of 1 would have stopped there.
+        new_pairs = build_training_pairs(updated_database, count=30, seed=17)
+        config = TrainingConfig(batch_size=8, learning_rate=0.2, early_stopping_patience=1)
+        updated = incremental_update(base_training, updated_database, new_pairs, config, epochs=4)
+        errors = [stats.validation_mean_q_error for stats in updated.history]
+        assert any(errors[index] >= min(errors[:index]) for index in range(1, 3))
+        assert updated.epochs_run == 4 and not updated.stopped_early
+
+    def test_labels_raw_pairs_against_the_updated_snapshot(
+        self, base_training, imdb_small, imdb_oracle, updated_database
+    ):
+        raw_pairs = QueryGenerator(updated_database, GeneratorConfig(seed=6)).generate_pairs(15)
+        labelled = label_pairs(
+            updated_database, raw_pairs, oracle=TrueCardinalityOracle(updated_database)
+        )
+        stale = label_pairs(imdb_small, raw_pairs, oracle=imdb_oracle)
+        assert [pair.containment_rate for pair in stale] != [
+            pair.containment_rate for pair in labelled
+        ]
+        config = TrainingConfig(batch_size=8)
+        from_raw = incremental_update(base_training, updated_database, raw_pairs, config, epochs=1)
+        from_labelled = incremental_update(
+            base_training, updated_database, labelled, config, epochs=1
+        )
+        state, expected = from_raw.model.state_dict(), from_labelled.model.state_dict()
+        assert all(state[name].tobytes() == expected[name].tobytes() for name in expected)
 
 
 class TestRetrainFromScratch:

@@ -34,6 +34,7 @@ from repro.serving import (
     PoolEncodingIndex,
     ServingConfig,
     build_service_stack,
+    compile_plan,
 )
 from repro.sql.builder import QueryBuilder
 from tests.conftest import build_service, resolved_slabs, scored_bits, slab_bytes
@@ -437,6 +438,24 @@ class TestSlabMaintenance:
                 fresh.add(dropped.query, 0)
             assert rebuilt == slab_bytes(self.stack_over(model, imdb_featurizer, fresh, inference))
         assert stack.estimator.pool_index.stats.rebuilds == 2
+
+    def test_a_plan_attached_after_warm_builds_slabs_of_its_own_dtype(
+        self, model, imdb_featurizer, labeled
+    ):
+        pool = QueriesPool.from_labeled_queries(labeled)
+        stack = self.stack_over(model, imdb_featurizer, pool)
+        index = stack.estimator.pool_index
+        rows, builds = len(index), index.stats.builds
+        assert all(slab.first.dtype == np.float64 for slab in resolved_slabs(stack))
+        stack.estimator.containment_estimator.attach_plan(compile_plan(model))
+        # Slabs key by (signature, dtype): the plan's scorer gets float32
+        # slabs equal to a stack compiled from the start, beside the float64.
+        assert all(slab.first.dtype == np.float32 for slab in resolved_slabs(stack))
+        assert slab_bytes(stack) == slab_bytes(
+            self.stack_over(model, imdb_featurizer, pool, FLOAT32)
+        )
+        assert index.stats.builds == 2 * builds and len(index) == 2 * rows
+        assert index.stats_snapshot()["pool_index_f32_mirrors"] == 1.0
 
     def test_add_encodes_one_row_per_slot(self, model, imdb_featurizer, labeled, encoded_sets):
         pool = QueriesPool.from_labeled_queries(labeled[:40])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import Counter
 
@@ -78,6 +79,15 @@ class TestFeaturizationCache:
         cache.featurize(workload[0])
         assert cache.stats.misses == 4  # re-featurized after eviction
 
+    def test_equal_queries_share_one_entry(self, imdb_featurizer, workload):
+        cache = FeaturizationCache(imdb_featurizer)
+        first = cache.featurize(workload[0])
+        twin = copy.deepcopy(workload[0])
+        assert twin == workload[0] and twin is not workload[0]
+        assert cache.featurize(twin) is first
+        assert len(cache) == 1
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
+
     def test_passthrough_surface(self, imdb_featurizer, workload):
         cache = FeaturizationCache(imdb_featurizer)
         assert cache.vector_size == imdb_featurizer.vector_size
@@ -100,6 +110,16 @@ class TestEncodingCache:
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         assert estimator.encode_query(workload[0], 1) is first
         assert cache.stats.hits == 1
+
+    def test_equal_queries_share_one_encoding(self, model, imdb_featurizer, workload):
+        cache = EncodingCache()
+        estimator = CRNEstimator(model, imdb_featurizer, encoding_cache=cache)
+        first = estimator.encode_query(workload[0], 1)
+        twin = copy.deepcopy(workload[0])
+        assert twin == workload[0] and twin is not workload[0]
+        assert estimator.encode_query(twin, 1) is first
+        assert cache.get(twin, 1) is first and cache.get(twin, 2) is None
+        assert len(cache) == 1
 
     def test_cache_rejects_a_second_model(self, model, imdb_featurizer):
         cache = EncodingCache()
