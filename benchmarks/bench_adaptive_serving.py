@@ -202,7 +202,7 @@ def test_adaptive_serving(results_dir, bench_record):
 
         # Phase 2 — the update lands: ground truth moves under the model.
         update_started = time.perf_counter()
-        client.retrainer.set_database(updated_database)
+        client.manager.set_database(updated_database)
         with truth_lock:
             truths.update(updated_truths)
         clients = [threading.Thread(target=traffic) for _ in range(CLIENTS)]

@@ -136,7 +136,7 @@ def main() -> None:
         print(f"\nApplying the database update ({TITLES} -> {UPDATED_TITLES} titles) ...")
         updated = build_synthetic_imdb(SyntheticIMDbConfig(num_titles=UPDATED_TITLES))
         updated_oracle = TrueCardinalityOracle(updated)
-        client.retrainer.set_database(updated)
+        client.manager.set_database(updated)
 
         # 5. Stale traffic degrades; the worker retrains and hot-swaps while
         #    the dispatcher keeps serving.

@@ -189,9 +189,9 @@ class CRNTrainer:
 
     **What the callers of** :meth:`fit` **switch off.**  :func:`train_crn`:
     nothing — validation split, early stopping and best-state restore are on.
-    :func:`repro.extensions.updates.incremental_update` and the lifecycle's
-    full retrain (:meth:`repro.serving.CRNRetrainer.full`), both through
-    ``_fit_more_epochs``: all three.  They pass no validation set (the
+    :func:`repro.extensions.updates.incremental_update` and
+    :func:`repro.extensions.updates.retrain_from_scratch`, the two retrains
+    the lifecycle runs: all three.  They pass no validation set (the
     reported q-error is measured on the few fresh training pairs; whether the
     candidate ships is the lifecycle accept gate's call, on feedback the
     model never trained on), set patience 0 (the epoch budget is the

@@ -2,17 +2,19 @@
 
 The paper sketches two approaches for keeping CRN usable when the database
 changes: (1) fully re-train on a freshly generated training set, and (2)
-incrementally train the existing model on new samples.  Both are implemented
-here on top of the standard training loop; the incremental path reuses the
-trained weights and continues optimisation on pairs labelled against the
-updated snapshot.
+incrementally train the existing model on new samples.  One function does
+each: :func:`retrain_from_scratch` fits a fresh model, and
+:func:`incremental_update` continues from the trained weights.  Both take
+pairs labelled against the updated snapshot (or raw pairs they label there),
+run the standard epoch loop for every epoch they are given, with no
+validation split or early stopping, and keep the last epoch's weights.
 
 Each call runs to completion and returns a new :class:`TrainingResult` with
 a model and a featurizer of its own; nothing is retrained in place.  A
 serving deployment follows an update the same way: the lifecycle
-(:class:`repro.serving.CRNRetrainer`) retrains through these functions, and
-the candidate is served by a newly wired estimator over the new model, the
-new featurizer and :func:`refresh_queries_pool`'s refreshed pool.
+(:class:`repro.serving.AdaptationManager`) retrains through these functions,
+and the candidate is served by a newly wired estimator over the new model,
+the new featurizer and :func:`refresh_queries_pool`'s refreshed pool.
 """
 
 from __future__ import annotations
@@ -23,34 +25,41 @@ from typing import Sequence
 from repro.core.crn import CRNConfig, CRNModel
 from repro.core.featurization import QueryFeaturizer
 from repro.core.queries_pool import QueriesPool
-from repro.core.training import (
-    CRNTrainer,
-    RaggedPairs,
-    TrainingConfig,
-    TrainingResult,
-    train_crn,
-)
+from repro.core.training import CRNTrainer, RaggedPairs, TrainingConfig, TrainingResult
 from repro.datasets.pairs import QueryPair, label_pairs
-from repro.datasets.workloads import build_training_pairs
 from repro.db.database import Database
 from repro.db.intersection import TrueCardinalityOracle
 
 
 def retrain_from_scratch(
-    database: Database,
-    training_pairs: int = 2000,
-    crn_config: CRNConfig | None = None,
+    updated_database: Database,
+    new_pairs: Sequence[QueryPair] | Sequence[tuple],
+    crn_config: CRNConfig,
     training_config: TrainingConfig | None = None,
-    seed: int = 1,
+    epochs: int = 8,
 ) -> TrainingResult:
-    """Approach (1): regenerate the training set on the new snapshot and re-train.
+    """Approach (1): train a fresh model of ``crn_config`` on pairs from the new snapshot.
 
     This is the safe path after schema changes, because the featurizer layout
-    is rebuilt from the updated schema.
+    is rebuilt from the updated schema.  Like :func:`incremental_update`, it
+    runs every epoch and keeps the last epoch's weights.
+
+    Args:
+        updated_database: the updated snapshot.
+        new_pairs: :class:`QueryPair` objects labelled against the updated
+            snapshot, or raw ``(Q1, Q2)`` tuples to be labelled here.
+        crn_config: the architecture (and initialisation seed) of the new model.
+        training_config: optimisation settings; defaults are used when omitted.
+        epochs: number of training epochs.
     """
-    featurizer = QueryFeaturizer(database)
-    pairs = build_training_pairs(database, count=training_pairs, seed=seed)
-    return train_crn(featurizer, pairs, crn_config=crn_config, training_config=training_config)
+    featurizer = QueryFeaturizer(updated_database)
+    pairs = _labelled(updated_database, new_pairs)
+    return _fit_more_epochs(
+        TrainingResult(model=CRNModel(featurizer.vector_size, crn_config), featurizer=featurizer),
+        RaggedPairs.featurize(featurizer, pairs),
+        training_config or TrainingConfig(),
+        epochs,
+    )
 
 
 def incremental_update(
@@ -77,26 +86,32 @@ def incremental_update(
         A new :class:`TrainingResult` whose model starts from the previous
         weights and has been fine-tuned on the new pairs.
     """
-    if not new_pairs:
-        raise ValueError("incremental training needs at least one new pair")
     new_featurizer = QueryFeaturizer(updated_database)
     if new_featurizer.vector_size != result.featurizer.vector_size:
         raise ValueError(
             "the updated database has a different schema layout; incremental training "
             "cannot re-map learned weights -- use retrain_from_scratch instead"
         )
-    if not isinstance(new_pairs[0], QueryPair):
-        oracle = TrueCardinalityOracle(updated_database)
-        new_pairs = label_pairs(updated_database, list(new_pairs), oracle=oracle)
-
+    pairs = _labelled(updated_database, new_pairs)
     model = CRNModel(new_featurizer.vector_size, result.model.config)
     model.load_state_dict(result.model.state_dict())
     return _fit_more_epochs(
         TrainingResult(model=model, featurizer=new_featurizer),
-        RaggedPairs.featurize(new_featurizer, list(new_pairs)),
+        RaggedPairs.featurize(new_featurizer, pairs),
         training_config or TrainingConfig(),
         epochs,
     )
+
+
+def _labelled(
+    database: Database, pairs: Sequence[QueryPair] | Sequence[tuple]
+) -> list[QueryPair]:
+    """``pairs`` as :class:`QueryPair` objects, raw tuples labelled against ``database``."""
+    if not pairs:
+        raise ValueError("retraining needs at least one new pair")
+    if isinstance(pairs[0], QueryPair):
+        return list(pairs)
+    return label_pairs(database, list(pairs), oracle=TrueCardinalityOracle(database))
 
 
 def _fit_more_epochs(

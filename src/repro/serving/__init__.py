@@ -61,11 +61,12 @@ forward passes.  This package amortizes that work across requests:
 * :mod:`repro.serving.lifecycle` -- the adaptation subsystem, configured
   by one :class:`AdaptationConfig`: :class:`DriftMonitor` decides when the
   serving model has gone stale (rolling q-error threshold, degradation vs. a
-  baseline window, row-count delta), and :class:`AdaptationManager` retrains
-  in the background (:class:`CRNRetrainer` over
-  :mod:`repro.extensions.updates`, incremental escalating to full), gates
-  the candidate on a held-out feedback slice, and hot-swaps it with
-  ``replace()`` while the dispatcher keeps serving.  A model's caches and
+  baseline window, row-count delta), and :class:`AdaptationManager` owns
+  the accepted model, pool and database snapshot, retrains in the
+  background through :mod:`repro.extensions.updates` (incremental,
+  escalating to a retrain from scratch), gates the candidate on a held-out
+  feedback slice, and hot-swaps it with ``replace()`` while the dispatcher
+  keeps serving; a manual trigger runs a cycle on the caller's thread.  A model's caches and
   index slabs live and die with its estimator, so a swap shares nothing
   between the outgoing and the incoming model.
 * :mod:`repro.artifacts` (sibling package) -- the versioned artifact store
@@ -135,7 +136,6 @@ from repro.serving.feedback import (
 from repro.serving.lifecycle import (
     AdaptationManager,
     AdaptationOutcome,
-    CRNRetrainer,
     DriftMonitor,
     DriftVerdict,
 )
@@ -156,7 +156,6 @@ __all__ = [
     "ArtifactError",
     "ArtifactNotFoundError",
     "ArtifactSchemaError",
-    "CRNRetrainer",
     "CacheConfig",
     "ClusterConfig",
     "ClusterError",

@@ -54,7 +54,7 @@ from repro.serving.config import ESTIMATOR_NAME, FALLBACK_NAME, ServingConfig
 from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import ArtifactSchemaError, ServingError
 from repro.serving.feedback import FeedbackCollector, FeedbackObservation
-from repro.serving.lifecycle import AdaptationManager, AdaptationOutcome, CRNRetrainer
+from repro.serving.lifecycle import AdaptationManager, AdaptationOutcome
 from repro.serving.service import (
     EstimateResult,
     EstimationService,
@@ -156,8 +156,8 @@ class ServingClient:
     background threads.  All request traffic flows through
     :meth:`estimate` / :meth:`estimate_many` / :meth:`estimate_future`; the
     wired components stay reachable as attributes (:attr:`service`,
-    :attr:`dispatcher`, :attr:`collector`, :attr:`manager`,
-    :attr:`retrainer`) for operators that need the lower layers.
+    :attr:`dispatcher`, :attr:`collector`, :attr:`manager`) for operators
+    that need the lower layers.
 
     Args:
         config: the frozen deployment description.
@@ -177,7 +177,6 @@ class ServingClient:
         self.stack: ServiceStack | None = None
         self.service: EstimationService | None = None
         self.collector: FeedbackCollector | None = None
-        self.retrainer: CRNRetrainer | None = None
         self.manager: AdaptationManager | None = None
         self.dispatcher: ServingDispatcher | None = None
         self.artifact_store = None
@@ -215,14 +214,6 @@ class ServingClient:
                 oracle=config.oracle,
                 recorder=self.recorder,
             )
-        if config.adaptation.enabled:
-            self.retrainer = CRNRetrainer(
-                config.training_result,
-                config.database,
-                config.pool,
-                config.adaptation,
-            )
-            self.manager = AdaptationManager(stack, self.collector, self.retrainer)
         if config.dispatcher.enabled:
             self.dispatcher = ServingDispatcher(
                 self.service, max_batch=config.dispatcher.max_batch
@@ -235,8 +226,6 @@ class ServingClient:
             self.artifact_store = ArtifactStore(
                 config.artifacts.root, recorder=self.recorder
             )
-            if self.manager is not None:
-                self.manager.attach_artifact_store(self.artifact_store)
             if _restored_generation is None:
                 self.artifact_store.save(
                     model=config.model,
@@ -247,6 +236,10 @@ class ServingClient:
                     pool_index=stack.estimator.pool_index,
                     promote=True,
                 )
+        if config.adaptation.enabled:
+            self.manager = AdaptationManager(
+                stack, self.collector, artifact_store=self.artifact_store
+            )
 
     def _init_cluster(
         self, config: ServingConfig, _restored_generation: int | None
@@ -684,10 +677,9 @@ class ServingClient:
             )
         return self.collector.record_served(result, true_cardinality)
 
-    def trigger_adaptation(
-        self, wait: bool = True, timeout: float | None = None
-    ) -> AdaptationOutcome | None:
-        """Force one adaptation cycle (bypassing policy, cooldown, pause).
+    def trigger_adaptation(self) -> AdaptationOutcome:
+        """Run one adaptation cycle on the calling thread (bypassing policy,
+        cooldown, pause) and return its outcome.
 
         Requires ``adaptation.enabled``; see
         :meth:`repro.serving.AdaptationManager.trigger` for semantics.
@@ -697,7 +689,7 @@ class ServingClient:
                 "adaptation is not enabled; set ServingConfig.adaptation.enabled "
                 "(plus feedback, training_result, and database)"
             )
-        return self.manager.trigger(wait=wait, timeout=timeout)
+        return self.manager.trigger()
 
     # ------------------------------------------------------------------ #
     # observability

@@ -48,6 +48,7 @@ alongside the mapping, since they have no serial form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
@@ -83,7 +84,23 @@ FALLBACK_NAME = "fallback"
 _SECTIONS: tuple[str, ...] = ()
 
 
+def _flag(name: str, value: bool) -> None:
+    """Validate an on/off switch: a ``bool``, so a saved ``"false"`` cannot
+    switch its section on."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _real(name: str, value: float) -> None:
+    """Validate a number field: a real number, not a ``bool`` (``True``
+    would pass as 1) nor a string (which fails the range check with a
+    ``TypeError``, outside what a saved bundle's check reports)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _positive(name: str, value: float) -> None:
+    _real(name, value)
     if not value > 0:  # NaN fails too
         raise ValueError(f"{name} must be positive, got {value!r}")
 
@@ -94,6 +111,7 @@ def _seconds(name: str, value: float, *, allow_zero: bool = False) -> None:
     ``inf`` is refused because it reaches ``socket.settimeout``,
     ``Event.wait`` and ``Future.result``, which raise ``OverflowError``.
     """
+    _real(name, value)
     above = value >= 0 if allow_zero else value > 0
     if not (above and value < math.inf):  # NaN fails too
         sign = "non-negative" if allow_zero else "positive"
@@ -123,6 +141,7 @@ def _threshold(
     """
     if value is None:
         return
+    _real(name, value)
     above = value >= low if inclusive else value > low
     if not (above and value < math.inf):  # NaN fails too
         bound = "at least" if inclusive else "above"
@@ -150,6 +169,9 @@ class PoolConfig:
     """
 
     warm: bool = True
+
+    def __post_init__(self) -> None:
+        _flag("pool.warm", self.warm)
 
 
 @dataclass(frozen=True)
@@ -206,6 +228,7 @@ class DispatcherConfig:
     max_batch: int = 64
 
     def __post_init__(self) -> None:
+        _flag("dispatcher.enabled", self.enabled)
         _integer("max_batch", self.max_batch)
 
 
@@ -223,6 +246,7 @@ class FeedbackConfig:
     max_observations: int = 1024
 
     def __post_init__(self) -> None:
+        _flag("feedback.enabled", self.enabled)
         _integer("max_observations", self.max_observations)
 
 
@@ -250,6 +274,7 @@ class ObservabilityConfig:
     source: str = "serving"
 
     def __post_init__(self) -> None:
+        _flag("observability.enabled", self.enabled)
         _integer("capacity", self.capacity)
         if not self.source:
             raise ValueError("observability source must be non-empty")
@@ -279,6 +304,7 @@ class TracingConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
+        _flag("tracing.enabled", self.enabled)
         _integer("sample_every", self.sample_every, minimum=0)
 
 
@@ -337,9 +363,8 @@ class InferenceConfig:
 class AdaptationConfig:
     """Drift monitoring and background retraining.
 
-    The one declaration of the lifecycle's knobs: :class:`~repro.serving.DriftMonitor`,
-    :class:`~repro.serving.CRNRetrainer` and :class:`~repro.serving.AdaptationManager`
-    read this section.  Enabling adaptation requires the owning
+    The one declaration of the lifecycle's knobs: :class:`~repro.serving.DriftMonitor`
+    and :class:`~repro.serving.AdaptationManager` read this section.  Enabling adaptation requires the owning
     :class:`ServingConfig` to carry ``training_result`` and ``database`` and
     to enable feedback.
 
@@ -387,13 +412,15 @@ class AdaptationConfig:
     holdout_size: int = 16
     accept_ratio: float = 1.0
     max_incremental_failures: int = 2
-    # retraining (CRNRetrainer)
+    # retraining (AdaptationManager)
     training_pairs: int = 120
     incremental_epochs: int = 4
     full_epochs: int = 8
     seed: int = 1
 
     def __post_init__(self) -> None:
+        _flag("adaptation.enabled", self.enabled)
+        _real("quantile", self.quantile)
         if not 0.0 < self.quantile <= 1.0:  # NaN fails too
             raise ValueError(f"quantile must lie in (0, 1], got {self.quantile!r}")
         # q-errors never fall below 1; a ratio of 1 would fire on a healthy window.

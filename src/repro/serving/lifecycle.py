@@ -16,8 +16,8 @@ The adaptation cycle, end to end::
     feedback window ──drift conditions──▶ trigger
         │ (rolling p90 q-error / degradation vs baseline / row-count delta)
         ▼
-    retrain (incremental_update, escalating to full after
-             repeated failures) + refresh_queries_pool
+    retrain (incremental_update, escalating to retrain_from_scratch
+             after repeated failures) + refresh_queries_pool
         ▼
     shadow candidate (off the registry) ──▶ score the most recent feedback
         │                                    slice (post-update ground truth)
@@ -28,13 +28,15 @@ The adaptation cycle, end to end::
                        plan and pool index), warm its index, replace()
                        atomically, clear the feedback window, re-baseline
 
-Everything runs on one worker thread owned by :class:`AdaptationManager`
-(started with :meth:`~AdaptationManager.start`); at most one retrain is in
-flight at any time, policy-driven triggers respect a cooldown, and
-:meth:`~AdaptationManager.trigger` / :meth:`~AdaptationManager.pause` give
-operators manual control.  The swap itself never drops or corrupts an
-in-flight request: a model's caches and index slabs live and die with its
-estimator, so in-flight batches finish on the estimator object they
+One object owns the loop, :class:`AdaptationManager`: the accepted model,
+pool and database snapshot, the retrain attempts, and the worker thread
+(started with :meth:`~AdaptationManager.start`) that runs policy-driven
+cycles under a cooldown.  :meth:`~AdaptationManager.trigger` runs a forced
+cycle on the caller's thread and :meth:`~AdaptationManager.pause` suspends
+the policy; the worker's cycles and triggers serialize on one lock, so at
+most one retrain is in flight at any time.  The swap itself never drops or
+corrupts an in-flight request: a model's caches and index slabs live and die
+with its estimator, so in-flight batches finish on the estimator object they
 resolved, on its own encodings, and the new model never sees one of the old
 model's.  Until the outgoing estimator is released, both models' slabs are
 in memory: up to twice the slab memory, for the promote window only.
@@ -49,17 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cnt2crd import Cnt2CrdEstimator
-from repro.core.crn import CRNModel
-from repro.core.featurization import QueryFeaturizer
 from repro.core.metrics import q_errors
 from repro.core.queries_pool import QueriesPool
-from repro.core.training import RaggedPairs, TrainingConfig, TrainingResult
+from repro.core.training import TrainingResult
 from repro.datasets.workloads import build_training_pairs
 from repro.db.database import Database
 from repro.extensions.updates import (
-    _fit_more_epochs,
     incremental_update,
     refresh_queries_pool,
+    retrain_from_scratch,
 )
 from repro.observability.counters import Counters
 from repro.observability.events import (
@@ -240,123 +240,6 @@ class DriftMonitor:
         )
 
 
-class CRNRetrainer:
-    """Builds retrained CRN candidates against the current database snapshot.
-
-    The retrainer owns the mutable training state the lifecycle adapts:
-    the last *accepted* :class:`TrainingResult`, the queries pool backing the
-    serving estimator, and the database snapshot to label against.  When the
-    operator applies a database update, :meth:`set_database` points the
-    retrainer at the new snapshot; the drift conditions then notice the model
-    degrading (or the row count jumping) and the manager asks for candidates.
-
-    Each candidate trains on ``config.training_pairs`` pairs generated from
-    the current snapshot at seed ``config.seed + attempt`` (the attempt
-    counts both modes, from 1), in one call that runs to completion; the
-    accept gate, not the retrainer, decides whether it ships.
-
-    Args:
-        result: the currently-serving training result.
-        database: the snapshot the serving model was trained against.
-        pool: the queries pool backing the serving estimator.
-        config: the pair count, epoch budgets and base seed of a retrain
-            (defaults apply when omitted).
-        training_config: optimisation settings shared by both modes.
-    """
-
-    def __init__(
-        self,
-        result: TrainingResult,
-        database: Database,
-        pool: QueriesPool,
-        config: AdaptationConfig | None = None,
-        *,
-        training_config: TrainingConfig | None = None,
-    ) -> None:
-        self.config = config or AdaptationConfig()
-        self.training_config = training_config
-        self._attempts = 0
-        self._result = result
-        self._database = database
-        self._pool = pool
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # accepted state
-
-    @property
-    def result(self) -> TrainingResult:
-        """The currently-accepted training result."""
-        with self._lock:
-            return self._result
-
-    @property
-    def database(self) -> Database:
-        """The current snapshot candidates are labelled against."""
-        with self._lock:
-            return self._database
-
-    @property
-    def pool(self) -> QueriesPool:
-        """The currently-accepted queries pool."""
-        with self._lock:
-            return self._pool
-
-    def set_database(self, database: Database) -> None:
-        """Point the retrainer at an updated snapshot (the operator's hook)."""
-        with self._lock:
-            self._database = database
-
-    def accept(self, result: TrainingResult, pool: QueriesPool) -> None:
-        """Record a promoted candidate as the new accepted state."""
-        with self._lock:
-            self._result = result
-            self._pool = pool
-
-    # ------------------------------------------------------------------ #
-    # candidate construction
-
-    def incremental(self) -> TrainingResult:
-        """Fine-tune the accepted weights on pairs from the current snapshot
-        (the paper's approach 2, :func:`~repro.extensions.incremental_update`)."""
-        database, pairs = self._pairs()
-        return incremental_update(
-            self.result,
-            database,
-            pairs,
-            self.training_config,
-            epochs=self.config.incremental_epochs,
-        )
-
-    def full(self) -> TrainingResult:
-        """Train fresh weights of the accepted architecture on pairs from the
-        current snapshot (the paper's approach 1), for ``full_epochs`` epochs
-        with no validation split, early stopping or best-epoch restore."""
-        database, pairs = self._pairs()
-        featurizer = QueryFeaturizer(database)
-        model = CRNModel(featurizer.vector_size, self.result.model.config)
-        return _fit_more_epochs(
-            TrainingResult(model=model, featurizer=featurizer),
-            RaggedPairs.featurize(featurizer, pairs),
-            self.training_config or TrainingConfig(),
-            self.config.full_epochs,
-        )
-
-    def refresh_pool(self) -> QueriesPool:
-        """Re-execute the accepted pool's queries on the current snapshot."""
-        return refresh_queries_pool(self.pool, self.database)
-
-    def _pairs(self) -> tuple[Database, list]:
-        """The current snapshot and the next attempt's labelled pairs on it."""
-        with self._lock:
-            self._attempts += 1
-            attempt, database = self._attempts, self._database
-        pairs = build_training_pairs(
-            database, count=self.config.training_pairs, seed=self.config.seed + attempt
-        )
-        return database, pairs
-
-
 @dataclass(frozen=True)
 class AdaptationOutcome:
     """What one adaptation cycle did.
@@ -364,9 +247,7 @@ class AdaptationOutcome:
     ``action`` is one of ``"idle"`` (policy quiet), ``"paused"``,
     ``"cooldown"``, ``"retrain-failed"``, ``"rejected"`` (the gate turned the
     candidate away), ``"promote-failed"`` (the swap itself failed; the
-    incumbent, untouched, keeps serving), ``"swapped"``, or
-    ``"stopped"`` (the manager was stopped before a pending manual trigger's
-    cycle could run).
+    incumbent, untouched, keeps serving) or ``"swapped"``.
     """
 
     action: str
@@ -382,25 +263,31 @@ class AdaptationOutcome:
         return self.action == "swapped"
 
 
-class _ManualTrigger:
-    """A pending operator trigger travelling to the worker thread."""
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.outcome: AdaptationOutcome | None = None
-
-
 class AdaptationManager:
     """The background worker that keeps a serving CRN estimator fresh.
 
-    Wires a :class:`DriftMonitor` (over a :class:`FeedbackCollector`), a
-    :class:`CRNRetrainer`, and a wired :class:`~repro.serving.ServiceStack`
-    into the self-correcting loop described in the module docstring.
-    ``start()`` spawns one worker thread that evaluates the drift conditions
-    every ``poll_interval_seconds``; at most one adaptation cycle runs at any
-    time (worker and manual triggers serialize on the cycle lock).  The
-    knobs are the stack config's ``adaptation`` section, and the refreshed
-    entry is the stack's Cnt2Crd estimator (``"crn"``).
+    Wires a :class:`DriftMonitor` (over a :class:`FeedbackCollector`) and a
+    wired :class:`~repro.serving.ServiceStack` into the self-correcting loop
+    described in the module docstring.  ``start()`` spawns one worker thread
+    that evaluates the drift conditions every ``poll_interval_seconds``; at
+    most one adaptation cycle runs at any time (the worker's cycles and
+    manual triggers serialize on the cycle lock).  The knobs are the stack
+    config's ``adaptation`` section, and the refreshed entry is the stack's
+    Cnt2Crd estimator (``"crn"``).
+
+    The manager owns the state it adapts: the last *accepted*
+    :class:`TrainingResult`, the queries pool behind the served estimator
+    and the database snapshot to label against, all read from the stack
+    config at construction.  When the operator applies a database update,
+    :meth:`set_database` points the manager at the new snapshot; the drift
+    conditions then notice the model degrading (or the row count jumping).
+    Attempt ``n`` (counted from 1, across both modes) trains on
+    ``training_pairs`` pairs drawn from the current snapshot at seed
+    ``seed + n``: :func:`~repro.extensions.incremental_update` from the
+    accepted weights, or, after ``max_incremental_failures`` consecutive
+    failures, :func:`~repro.extensions.retrain_from_scratch` of the accepted
+    architecture.  Both run with the default
+    :class:`~repro.core.TrainingConfig` for the section's epoch budget.
 
     Candidate validation is a *shadow deployment* that never touches the
     registry: the candidate estimator scores the most recent feedback slice
@@ -424,23 +311,37 @@ class AdaptationManager:
     an index of its own).
 
     Args:
-        stack: the wired deployment whose default estimator is kept fresh.
+        stack: the wired deployment whose default estimator is kept fresh;
+            its config must carry ``training_result`` and ``database``.
         collector: the feedback window ground truth flows into.
-        retrainer: builds candidates (and owns the accepted state).
+        artifact_store: an :class:`repro.artifacts.ArtifactStore` that every
+            promoted candidate is saved to, under the swap's registry
+            generation, so a restart through
+            :meth:`repro.serving.ServingClient.from_artifact` serves the
+            adapted model.  A failed save is counted
+            (``artifact_save_failures``, :attr:`last_error`) but never fails
+            the swap, which already completed.
     """
 
     def __init__(
         self,
         stack: ServiceStack,
         collector: FeedbackCollector,
-        retrainer: CRNRetrainer,
+        *,
+        artifact_store=None,
     ) -> None:
+        config = stack.config
+        if config.training_result is None or config.database is None:
+            raise ValueError(
+                "adaptation needs the stack config's training_result and database: "
+                "retrains fine-tune the accepted weights against the current snapshot"
+            )
         self.stack = stack
         self.service = stack.service
-        self.config = stack.config.adaptation
+        self.config = config.adaptation
         self.estimator_name = ESTIMATOR_NAME
         self.collector = collector
-        self.retrainer = retrainer
+        self.artifact_store = artifact_store
         # The monitor watches only the adapted estimator's feedback: with
         # several registry entries sharing one collector, another
         # estimator's errors must not fire (or mask) this estimator's drift.
@@ -478,8 +379,11 @@ class AdaptationManager:
         )
         self.last_outcome: AdaptationOutcome | None = None
         self.last_error: BaseException | None = None
-        self.artifact_store = None
-        self._rows_at_refresh = retrainer.database.total_rows
+        self._result: TrainingResult = config.training_result
+        self._database: Database = config.database
+        self._pool: QueriesPool = config.pool
+        self._attempts = 0
+        self._rows_at_refresh = config.database.total_rows
         self._consecutive_failures = 0
         self._cooldown_until = 0.0
         self._clear_pending = False
@@ -488,7 +392,6 @@ class AdaptationManager:
         self._wake = threading.Event()
         self._stopped = False
         self._paused = False
-        self._pending: list[_ManualTrigger] = []
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ #
@@ -507,13 +410,21 @@ class AdaptationManager:
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Stop the worker after its current cycle completes.  Idempotent."""
+        """Stop the worker.  Idempotent.
+
+        With ``wait`` it returns once the worker has exited and no cycle is
+        running on any thread (a :meth:`trigger` on another thread included).
+        """
         with self._state_lock:
             self._stopped = True
             self._wake.set()
             thread = self._thread
-        if wait and thread is not None:
+        if not wait:
+            return
+        if thread is not None:
             thread.join()
+        with self._cycle_lock:
+            pass
 
     def __enter__(self) -> "AdaptationManager":
         return self.start()
@@ -524,24 +435,14 @@ class AdaptationManager:
     # ------------------------------------------------------------------ #
     # operator controls
 
-    def attach_artifact_store(self, store) -> None:
-        """Persist every accepted candidate as a new artifact generation.
+    def set_database(self, database: Database) -> None:
+        """Point retrains at an updated snapshot (the operator's hook).
 
-        After each successful hot swap the manager writes the promoted
-        model + refreshed pool to ``store`` (an
-        :class:`repro.artifacts.ArtifactStore`) under the swap's registry
-        generation number, so the adapted model survives a client shutdown
-        — a restart via :meth:`repro.serving.ServingClient.from_artifact`
-        serves the promoted generation, not the originally-trained one.
-        The bundle embeds the stack's config, and the store's ``latest``
-        pointer advances to each saved generation (leaving the prior one as
-        the rollback target).
-
-        A persistence failure is recorded (``artifact_save_failures``,
-        :attr:`last_error`) but never fails the already-completed swap —
-        the in-memory promote is authoritative; the snapshot is durability.
+        The next cycle's row-count condition compares against it, and every
+        later candidate is labelled against it.
         """
-        self.artifact_store = store
+        with self._state_lock:
+            self._database = database
 
     def pause(self) -> None:
         """Suspend policy-driven adaptation (manual triggers still run)."""
@@ -559,34 +460,15 @@ class AdaptationManager:
         with self._state_lock:
             return self._paused
 
-    def trigger(
-        self, wait: bool = True, timeout: float | None = None
-    ) -> AdaptationOutcome | None:
-        """Force one adaptation cycle, bypassing drift conditions, cooldown, and pause.
+    def trigger(self) -> AdaptationOutcome:
+        """Run one adaptation cycle on the calling thread, bypassing the drift
+        conditions, the cooldown and the pause flag.
 
-        With a running worker the cycle executes on the worker thread
-        (``wait=True`` blocks until it finishes and returns its outcome;
-        ``wait=False`` returns None immediately).  Without one — the manager
-        was never started, or already stopped — the cycle runs synchronously
-        on the calling thread.
-
-        Raises:
-            TimeoutError: when ``wait`` expires before the cycle completes.
+        It waits for a cycle already running (the worker's, or another
+        trigger's) and returns the outcome of its own.
         """
         self.stats.add("manual_triggers")
-        with self._state_lock:
-            running = self._thread is not None and self._thread.is_alive() and not self._stopped
-            if running:
-                pending = _ManualTrigger()
-                self._pending.append(pending)
-                self._wake.set()
-        if not running:
-            return self.run_cycle(force=True)
-        if not wait:
-            return None
-        if not pending.event.wait(timeout):
-            raise TimeoutError("adaptation cycle did not complete within the timeout")
-        return pending.outcome
+        return self.run_cycle(force=True)
 
     def stats_snapshot(self) -> dict[str, float]:
         """The adaptation counters and gauges, for
@@ -626,9 +508,10 @@ class AdaptationManager:
             # baseline.
             self.collector.clear()
             self._clear_pending = False
+        with self._state_lock:
+            database = self._database
         verdict = self.monitor.evaluate(
-            current_rows=self.retrainer.database.total_rows,
-            rows_at_refresh=self._rows_at_refresh,
+            current_rows=database.total_rows, rows_at_refresh=self._rows_at_refresh
         )
         self.stats.update(evaluations=1, drift_triggers=int(verdict.triggered))
         recorder = self.service.recorder
@@ -658,10 +541,24 @@ class AdaptationManager:
         mode = "full" if escalate else "incremental"
         if escalate:
             self.stats.add("escalations")
+        with self._state_lock:
+            self._attempts += 1
+            attempt, accepted = self._attempts, self._result
+            database, pool = self._database, self._pool
         started = time.perf_counter()
         try:
-            candidate = self.retrainer.full() if escalate else self.retrainer.incremental()
-            refreshed_pool = self.retrainer.refresh_pool()
+            pairs = build_training_pairs(
+                database, count=self.config.training_pairs, seed=self.config.seed + attempt
+            )
+            if escalate:
+                candidate = retrain_from_scratch(
+                    database, pairs, accepted.model.config, epochs=self.config.full_epochs
+                )
+            else:
+                candidate = incremental_update(
+                    accepted, database, pairs, epochs=self.config.incremental_epochs
+                )
+            refreshed_pool = refresh_queries_pool(pool, database)
             incumbent = self.service.get(self.estimator_name)
             # Its own caches and index, no plan, no recorder or tracer: the
             # shadow scores only the holdout and stays invisible.
@@ -777,7 +674,7 @@ class AdaptationManager:
             else:
                 self.stats.add("artifact_saves")
         self._consecutive_failures = 0
-        self._rows_at_refresh = self.retrainer.database.total_rows
+        self._rows_at_refresh = database.total_rows
         self._cooldown_until = time.monotonic() + cooldown
         self.collector.clear()
         self._clear_pending = True
@@ -887,7 +784,8 @@ class AdaptationManager:
                     generation=self.service.generation(self.estimator_name),
                     warmed=True,
                 )
-        self.retrainer.accept(candidate, pool)
+        with self._state_lock:
+            self._result, self._pool = candidate, pool
         return estimator
 
     # ------------------------------------------------------------------ #
@@ -898,29 +796,10 @@ class AdaptationManager:
             self._wake.wait(self.config.poll_interval_seconds)
             self._wake.clear()
             with self._state_lock:
-                stopped = self._stopped
-                pending, self._pending = self._pending, []
+                stopped, paused = self._stopped, self._paused
             if stopped:
-                # Never leave a waiting trigger() hanging across stop() —
-                # and keep its documented always-an-outcome contract.
-                for item in pending:
-                    item.outcome = AdaptationOutcome("stopped", None, None)
-                    item.event.set()
                 return
-            if pending:
-                try:
-                    outcome = self.run_cycle(force=True)
-                    for item in pending:
-                        item.outcome = outcome
-                except Exception as error:  # pragma: no cover - defensive
-                    self.last_error = error
-                finally:
-                    # A cycle bug must neither strand trigger(wait=True)
-                    # callers nor kill the worker.
-                    for item in pending:
-                        item.event.set()
-                continue
-            if not self.paused:
+            if not paused:
                 try:
                     self.run_cycle(force=False)
                 except Exception as error:  # pragma: no cover - defensive

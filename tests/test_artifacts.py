@@ -396,6 +396,31 @@ class TestConfigRoundTrip:
         with pytest.raises(ArtifactSchemaError, match="max_batch"):
             ServingClient.from_artifact(root, database=imdb_small)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("adaptation", "cooldown_seconds", "5"),
+            ("adaptation", "quantile", True),
+            ("dispatcher", "enabled", "false"),
+        ],
+    )
+    def test_saved_mistyped_value_is_a_schema_error(
+        self, tmp_path, model, imdb_small, imdb_featurizer, pool, section, key, value
+    ):
+        # A string number failed the range check with a TypeError that
+        # escaped the schema check, True passed as 1, and a saved "false"
+        # switched its section on.
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        mapping = make_config(model, imdb_small, imdb_featurizer, pool).to_mapping()
+        mapping[section][key] = value
+        store.save(
+            model=model, pool=pool, config_mapping=mapping, generation=1,
+            source="build", promote=True,
+        )
+        with pytest.raises(ArtifactSchemaError, match=key):
+            ServingClient.from_artifact(root, database=imdb_small)
+
     def test_saved_section_that_is_not_an_object_is_a_schema_error(
         self, tmp_path, model, imdb_small, imdb_featurizer, pool, capsys
     ):

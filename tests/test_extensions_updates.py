@@ -113,15 +113,35 @@ class TestIncrementalUpdate:
 
 
 class TestRetrainFromScratch:
-    def test_produces_fresh_model(self, updated_database):
-        result = retrain_from_scratch(
-            updated_database,
-            training_pairs=60,
-            crn_config=CRNConfig(hidden_size=8, seed=1),
-            training_config=TrainingConfig(epochs=2, batch_size=32),
-        )
-        assert result.epochs_run <= 2
+    def test_trains_a_fresh_model_for_every_epoch(self, base_training, updated_database):
+        new_pairs = build_training_pairs(updated_database, count=30, seed=18)
+        crn_config = CRNConfig(hidden_size=8, seed=1)
+        config = TrainingConfig(batch_size=8, early_stopping_patience=1)
+        result = retrain_from_scratch(updated_database, new_pairs, crn_config, config, epochs=3)
+        # Patience and the epoch count of the config do not apply: every
+        # requested epoch runs, on the given architecture.
+        assert result.epochs_run == 3 and not result.stopped_early
+        assert result.model.config == crn_config
         assert result.featurizer.database is updated_database
+        assert all(parameter.data.flags.owndata for parameter in result.model.parameters())
+
+    def test_labels_raw_pairs_against_the_updated_snapshot(self, updated_database):
+        raw_pairs = QueryGenerator(updated_database, GeneratorConfig(seed=7)).generate_pairs(15)
+        labelled = label_pairs(
+            updated_database, raw_pairs, oracle=TrueCardinalityOracle(updated_database)
+        )
+        crn_config = CRNConfig(hidden_size=8, seed=1)
+        config = TrainingConfig(batch_size=8)
+        from_raw = retrain_from_scratch(updated_database, raw_pairs, crn_config, config, epochs=1)
+        from_labelled = retrain_from_scratch(
+            updated_database, labelled, crn_config, config, epochs=1
+        )
+        state, expected = from_raw.model.state_dict(), from_labelled.model.state_dict()
+        assert all(state[name].tobytes() == expected[name].tobytes() for name in expected)
+
+    def test_rejects_empty_pairs(self, updated_database):
+        with pytest.raises(ValueError, match="at least one new pair"):
+            retrain_from_scratch(updated_database, [], CRNConfig(hidden_size=8), epochs=1)
 
 
 class TestQueriesPoolRefresh:

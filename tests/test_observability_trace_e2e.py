@@ -121,7 +121,7 @@ def traced_episode(trained, imdb_small, pool, workload, tmp_path_factory):
             thread.start()
         # A live hot swap while the coalesced load is in flight.
         try:
-            outcome = client.trigger_adaptation(wait=True, timeout=120.0)
+            outcome = client.trigger_adaptation()
         finally:
             swapped.set()
         for thread in threads:

@@ -36,7 +36,6 @@ EXPECTED_SERVING_ALL = [
     "ArtifactError",
     "ArtifactNotFoundError",
     "ArtifactSchemaError",
-    "CRNRetrainer",
     "CacheConfig",
     "ClusterConfig",
     "ClusterError",

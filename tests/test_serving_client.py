@@ -82,23 +82,54 @@ class TestConfigValidation:
         assert explicit.resolved_encoding_entries() == 5
 
     @pytest.mark.parametrize(
+        "value", [float("nan"), True, "5"], ids=["nan", "bool", "str"]
+    )
+    @pytest.mark.parametrize(
         "section, field",
         [
+            (AdaptationConfig, "quantile"),
+            (AdaptationConfig, "max_q_error"),
+            (AdaptationConfig, "degradation_ratio"),
+            (AdaptationConfig, "max_row_delta"),
+            (AdaptationConfig, "cooldown_seconds"),
             (AdaptationConfig, "poll_interval_seconds"),
             (AdaptationConfig, "accept_ratio"),
             (ClusterConfig, "request_timeout_seconds"),
             (ClusterConfig, "connect_timeout_seconds"),
             (ClusterConfig, "retry_backoff_seconds"),
             (ClusterConfig, "deadline_grace_seconds"),
+            (ClusterConfig, "boot_timeout_seconds"),
+            (ClusterConfig, "poll_interval_seconds"),
+            (ClusterConfig, "drain_timeout_seconds"),
         ],
     )
-    def test_nan_float_fields_are_rejected(self, section, field):
+    def test_float_fields_reject_nan_bools_and_strings(self, section, field, value):
         # NaN compares false both ways: a NaN accept_ratio would reject
-        # every candidate, a NaN timeout would fail every wait.
+        # every candidate, a NaN timeout would fail every wait.  ``True``
+        # passed as 1, and a string raised TypeError from the range check,
+        # which a saved bundle's boot does not report as a schema error.
         with pytest.raises(ValueError, match=field):
-            section(**{field: float("nan")})
+            section(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("value", [1, "false", None], ids=["int", "str", "none"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (PoolConfig, "warm"),
+            (DispatcherConfig, "enabled"),
+            (FeedbackConfig, "enabled"),
+            (ObservabilityConfig, "enabled"),
+            (TracingConfig, "enabled"),
+            (AdaptationConfig, "enabled"),
+        ],
+    )
+    def test_switches_must_be_bools(self, section, field, value):
+        # A saved "enabled": "false" is truthy and used to switch its
+        # section on.
+        with pytest.raises(ValueError, match=field):
+            section(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "5"], ids=["float", "bool", "str"])
     @pytest.mark.parametrize(
         "section, field",
         [

@@ -27,11 +27,12 @@ from repro.core.training import CRNTrainer, RaggedPairs
 from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db import TrueCardinalityOracle
+from repro.extensions import incremental_update, retrain_from_scratch
 from repro.observability import EventRecorder, EventStore
+import repro.serving.lifecycle as lifecycle_module
 from repro.serving import (
     AdaptationConfig,
     AdaptationManager,
-    CRNRetrainer,
     DriftMonitor,
     EstimationService,
     FeedbackCollector,
@@ -91,13 +92,16 @@ def make_service(trained, imdb_small, pool):
 
 
 def make_stack(trained, imdb_small, pool, inference=None, **adaptation):
-    """A config-wired stack whose adaptation section carries ``adaptation``."""
+    """A config-wired stack whose adaptation section carries ``adaptation``,
+    with the training state an :class:`AdaptationManager` reads."""
     return build_service_stack(
         ServingConfig(
             model=trained.model,
             featurizer=trained.featurizer,
             pool=pool,
             fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+            training_result=trained,
+            database=imdb_small,
             adaptation=AdaptationConfig(**adaptation),
             inference=inference or InferenceConfig(),
         )
@@ -345,18 +349,10 @@ class TestAdaptationManager:
         adaptation.update(kwargs)
         stack = make_stack(trained, imdb_small, pool, inference, **adaptation)
         collector = FeedbackCollector()
-        retrainer = CRNRetrainer(
-            trained,
-            imdb_small,
-            pool,
-            stack.config.adaptation,
-            training_config=TrainingConfig(epochs=1, batch_size=32),
-        )
-        manager = AdaptationManager(stack, collector, retrainer)
-        return stack.service, collector, retrainer, manager
+        return stack.service, collector, AdaptationManager(stack, collector)
 
     def test_manual_trigger_swaps_without_feedback(self, trained, imdb_small, pool):
-        service, _, retrainer, manager = self.build(trained, imdb_small, pool)
+        service, _, manager = self.build(trained, imdb_small, pool)
         before = service.get("crn")
         assert service.generation("crn") == 1
         # Pre-swap, the gauge already agrees with the generation stamped on
@@ -366,7 +362,8 @@ class TestAdaptationManager:
         assert outcome.swapped and outcome.mode == "incremental"
         assert service.get("crn") is not before
         assert manager.stats.swaps == 1
-        assert retrainer.result is not trained  # accepted state advanced
+        # The candidate is a model of its own, not the booted one.
+        assert service.get("crn").containment_estimator.model is not trained.model
         # The shadow candidate never entered the registry.
         assert set(service.names()) == {"crn", "fallback"}
         # The promote went through replace(): the registry generation bumped
@@ -380,7 +377,7 @@ class TestAdaptationManager:
         # The acceptance contract: across a live hot swap, every response is
         # attributable to the exact model that produced it — the generation
         # stamped into EstimateResult flips from 1 to 2 at the swap.
-        service, _, _, manager = self.build(trained, imdb_small, pool)
+        service, _, manager = self.build(trained, imdb_small, pool)
         query = next(l.query for l in workload if pool.has_match(l.query))
         pre_swap = service.submit(query)
         assert pre_swap.model_generation == 1
@@ -395,7 +392,7 @@ class TestAdaptationManager:
     def test_gate_rejects_candidate_and_leaves_the_registry_alone(
         self, trained, imdb_small, imdb_oracle, pool, workload
     ):
-        service, collector, _, manager = self.build(
+        service, collector, manager = self.build(
             trained, imdb_small, pool, accept_ratio=1e-9  # nothing can pass the gate
         )
         for labeled in workload[:10]:
@@ -416,7 +413,7 @@ class TestAdaptationManager:
         # leaves the request count at the real traffic, the next swap
         # attributes only real requests to the outgoing generation, and no
         # request can address the candidate before, during or after a cycle.
-        service, collector, _, manager = self.build(
+        service, collector, manager = self.build(
             trained, imdb_small, pool, accept_ratio=1e-9
         )
         assert manager.config.holdout_size == 8
@@ -470,7 +467,7 @@ class TestAdaptationManager:
     def test_gate_reads_the_candidates_own_estimates_with_the_fallback(
         self, trained, imdb_small, imdb_oracle, pool, workload
     ):
-        service, collector, _, manager = self.build(
+        service, collector, manager = self.build(
             trained, imdb_small, pool, accept_ratio=1e-9
         )
         # Six distinct matched queries, the first one repeated.
@@ -548,7 +545,7 @@ class TestAdaptationManager:
         # NaN feedback (a diverged incumbent recording NaN estimates) gives
         # the accept gate a NaN incumbent median.  That is "no signal": the
         # gate must reject explicitly rather than let NaN comparisons decide.
-        service, collector, _, manager = self.build(trained, imdb_small, pool)
+        service, collector, manager = self.build(trained, imdb_small, pool)
         for labeled in workload[:10]:
             collector.record(
                 labeled.query, float("nan"), labeled.cardinality, estimator_name="crn"
@@ -563,7 +560,7 @@ class TestAdaptationManager:
         # A compiled-mode deployment must come out of a hot swap still
         # compiled: the candidate gets its own freshly compiled plan before
         # the registry swap, and the plan lifecycle lands in the event store as plan_compile+plan_swap.
-        service, _, _, manager = self.build(
+        service, _, manager = self.build(
             trained,
             imdb_small,
             pool,
@@ -594,7 +591,7 @@ class TestAdaptationManager:
         assert all(row["dtype"] == "float32" for row in history)
 
     def test_reference_mode_swap_compiles_nothing(self, trained, imdb_small, pool):
-        service, _, _, manager = self.build(trained, imdb_small, pool)
+        service, _, manager = self.build(trained, imdb_small, pool)
         assert service.get("crn").containment_estimator.inference_plan is None
         assert manager.trigger().swapped
         assert service.get("crn").containment_estimator.inference_plan is None
@@ -602,7 +599,7 @@ class TestAdaptationManager:
     def test_promote_warms_the_candidates_own_index_before_the_swap(
         self, trained, imdb_small, pool, workload
     ):
-        service, _, _, manager = self.build(trained, imdb_small, pool)
+        service, _, manager = self.build(trained, imdb_small, pool)
         incumbent = service.get("crn")
         outcome = manager.trigger()
         assert outcome.swapped
@@ -621,11 +618,9 @@ class TestAdaptationManager:
         assert index.stats.builds + index.stats.rebuilds == builds_before
         # Serving through the swapped estimator matches a fresh index-less
         # estimator on the same model/pool, bit for bit.
+        served = swapped.containment_estimator
         reference = Cnt2CrdEstimator(
-            CRNEstimator(
-                manager.retrainer.result.model, manager.retrainer.result.featurizer
-            ),
-            swapped.pool,
+            CRNEstimator(served.model, served.featurizer.featurizer), swapped.pool
         )
         assert scored_bits(swapped, query) == scored_bits(reference, query)
 
@@ -636,7 +631,7 @@ class TestAdaptationManager:
         inference = InferenceConfig(
             mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
         )
-        service, _, _, manager = self.build(trained, imdb_small, pool, inference=inference)
+        service, _, manager = self.build(trained, imdb_small, pool, inference=inference)
         incumbent = service.get("crn")
         query = next(l.query for l in workload if pool.has_match(l.query))
         (before,) = service.submit_batch([query])
@@ -673,7 +668,7 @@ class TestAdaptationManager:
         inference = InferenceConfig(
             mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
         )
-        service, _, _, manager = self.build(trained, imdb_small, pool, inference=inference)
+        service, _, manager = self.build(trained, imdb_small, pool, inference=inference)
         store = EventStore()
         service.recorder = EventRecorder(store=store)
         incumbent = service.get("crn")
@@ -725,7 +720,7 @@ class TestAdaptationManager:
     def test_escalates_to_full_after_repeated_failures(
         self, trained, imdb_small, pool
     ):
-        service, _, _, manager = self.build(
+        service, _, manager = self.build(
             trained, imdb_small, pool, max_incremental_failures=0
         )
         outcome = manager.trigger()
@@ -734,7 +729,7 @@ class TestAdaptationManager:
         assert manager.stats.escalations == 1
 
     def test_paused_policy_cycle_does_nothing(self, trained, imdb_small, pool, workload):
-        _, collector, _, manager = self.build(
+        _, collector, manager = self.build(
             trained, imdb_small, pool, max_q_error=1.5, min_observations=2
         )
         # Simulate a badly drifted incumbent: estimates 100x off the truth.
@@ -752,13 +747,160 @@ class TestAdaptationManager:
         outcome = manager.run_cycle()
         assert outcome.swapped
 
+    def test_needs_the_training_state_in_the_stack_config(self, trained, imdb_small, pool):
+        stack = build_service_stack(
+            ServingConfig(model=trained.model, featurizer=trained.featurizer, pool=pool)
+        )
+        with pytest.raises(ValueError, match="training_result and database"):
+            AdaptationManager(stack, FeedbackCollector())
+
     def test_accept_ratio_validation(self, trained, imdb_small, pool):
         with pytest.raises(ValueError):
             self.build(trained, imdb_small, pool, accept_ratio=0.0)
 
 
+class WatchedLock:
+    """A lock that records when an acquirer found it held, then waits for it."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if not self.lock.acquire(blocking=False):
+            self.contended.set()
+            self.lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+class GatedRetrain:
+    """Stands in for ``incremental_update``: records the thread of every call
+    and the most retrains ever in flight, holds the first call until
+    :attr:`release` is set, then trains for real."""
+
+    def __init__(self, monkeypatch):
+        self.train = lifecycle_module.incremental_update
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.threads: list[threading.Thread] = []
+        self.events: list[str] = []
+        self.in_flight = self.most_in_flight = 0
+        self.lock = threading.Lock()
+        monkeypatch.setattr(lifecycle_module, "incremental_update", self)
+
+    def __call__(self, *args, **kwargs):
+        with self.lock:
+            self.threads.append(threading.current_thread())
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            first = len(self.threads) == 1
+        self.entered.set()
+        if first:
+            assert self.release.wait(60), "the test never released the retrain"
+        try:
+            return self.train(*args, **kwargs)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+                self.events.append("retrained")
+
+
+def wait_for(event, what):
+    # A liveness guard: the verdicts below never depend on how long this takes.
+    assert event.wait(60), f"timed out waiting for {what}"
+
+
+class TestManualTrigger:
+    """A manual trigger runs its cycle on the caller's thread; the cycle lock
+    serializes it with the worker's cycles and with stop(wait=True)."""
+
+    def build(self, trained, imdb_small, pool, **adaptation):
+        stack = make_stack(
+            trained, imdb_small, pool,
+            cooldown_seconds=0.0, training_pairs=20, incremental_epochs=1, seed=7,
+            **adaptation,
+        )
+        collector = FeedbackCollector()
+        manager = AdaptationManager(stack, collector)
+        manager._cycle_lock = WatchedLock()
+        return collector, manager
+
+    def test_trigger_on_a_started_manager_runs_on_the_callers_thread(
+        self, trained, imdb_small, pool, monkeypatch
+    ):
+        retrain = GatedRetrain(monkeypatch)
+        retrain.release.set()
+        _, manager = self.build(trained, imdb_small, pool)
+        with manager:
+            assert manager._thread.is_alive()
+            outcome = manager.trigger()
+        assert outcome.swapped
+        assert retrain.threads == [threading.current_thread()]
+        assert manager.last_outcome is outcome
+
+    def test_trigger_waits_for_the_workers_cycle(
+        self, trained, imdb_small, pool, workload, monkeypatch
+    ):
+        retrain = GatedRetrain(monkeypatch)
+        collector, manager = self.build(
+            trained, imdb_small, pool,
+            max_q_error=1.5, min_observations=2, poll_interval_seconds=0.01,
+        )
+        for labeled in workload[:2]:  # a drifted window: the policy fires
+            collector.record(
+                labeled.query,
+                labeled.cardinality * 100.0 + 100.0,
+                labeled.cardinality,
+                estimator_name="crn",
+            )
+        outcomes = []
+        with manager:
+            wait_for(retrain.entered, "the worker's retrain")
+            trigger = threading.Thread(target=lambda: outcomes.append(manager.trigger()))
+            trigger.start()
+            # The worker holds the cycle lock inside its gated retrain, so the
+            # trigger finds the lock held and waits.
+            wait_for(manager._cycle_lock.contended, "the trigger to reach the cycle lock")
+            assert retrain.threads == [manager._thread]
+            retrain.release.set()
+            trigger.join()
+        assert [outcome.swapped for outcome in outcomes] == [True]
+        assert retrain.threads[1] is trigger
+        assert retrain.most_in_flight == 1
+        assert manager.stats.swaps == 2 and manager.stats.manual_triggers == 1
+
+    def test_stop_waits_for_a_cycle_on_another_thread(
+        self, trained, imdb_small, pool, monkeypatch
+    ):
+        retrain = GatedRetrain(monkeypatch)
+        # The worker sleeps until stop() wakes it, so only stop() can find
+        # the cycle lock held.
+        _, manager = self.build(trained, imdb_small, pool, poll_interval_seconds=3600.0)
+        manager.start()
+        trigger = threading.Thread(target=manager.trigger)
+        trigger.start()
+        wait_for(retrain.entered, "the trigger's retrain")
+
+        def stop():
+            manager.stop(wait=True)
+            retrain.events.append("stopped")
+
+        stopper = threading.Thread(target=stop)
+        stopper.start()
+        wait_for(manager._cycle_lock.contended, "stop() to reach the cycle lock")
+        assert retrain.events == []
+        retrain.release.set()
+        stopper.join()
+        trigger.join()
+        assert retrain.events == ["retrained", "stopped"]
+        assert not manager._thread.is_alive()
+        assert manager.last_outcome.swapped
+
+
 class TestDatabaseUpdate:
-    """An update is followed one way: the retrainer trains a new model over a
+    """An update is followed one way: the manager trains a new model over a
     new featurizer, and the promote wires them a new estimator."""
 
     @pytest.mark.parametrize("mode", ["reference", "compiled"])
@@ -772,36 +914,28 @@ class TestDatabaseUpdate:
             trained, imdb_small, pool, inference,
             cooldown_seconds=0.0, training_pairs=20, incremental_epochs=1, seed=7,
         )
-        retrainer = CRNRetrainer(
-            trained,
-            imdb_small,
-            pool,
-            stack.config.adaptation,
-            training_config=TrainingConfig(epochs=1, batch_size=32),
-        )
-        manager = AdaptationManager(stack, FeedbackCollector(), retrainer)
+        manager = AdaptationManager(stack, FeedbackCollector())
         queries = [labeled.query for labeled in workload if pool.has_match(labeled.query)]
         stack.service.submit_batch(queries)
         incumbent = stack.estimator.containment_estimator
         assert len(incumbent.featurizer) > 0 and len(incumbent.encoding_cache) > 0
-        retrainer.set_database(updated_database)
+        manager.set_database(updated_database)
         assert manager.trigger().swapped  # forced: the empty window skips the gate
-        candidate = retrainer.result
         served = stack.estimator.containment_estimator
-        assert candidate.featurizer.database is updated_database
-        assert served.model is candidate.model
-        assert served.featurizer.featurizer is candidate.featurizer
+        model, featurizer = served.model, served.featurizer.featurizer
+        assert model is not incumbent.model
+        assert featurizer is not incumbent.featurizer.featurizer
+        assert featurizer.database is updated_database
         # The slabs are the bytes a fresh stack builds over the candidate
         # model, its featurizer and the refreshed pool.
         refreshed = stack.estimator.pool
-        assert refreshed is retrainer.pool and refreshed is not pool
+        assert refreshed is not pool
+        updated_oracle = TrueCardinalityOracle(updated_database)
+        assert [entry.cardinality for entry in refreshed] == [
+            updated_oracle.cardinality(entry.query) for entry in pool
+        ]
         fresh = build_service_stack(
-            ServingConfig(
-                model=candidate.model,
-                featurizer=candidate.featurizer,
-                pool=refreshed,
-                inference=inference,
-            )
+            ServingConfig(model=model, featurizer=featurizer, pool=refreshed, inference=inference)
         )
         assert slab_bytes(stack) == slab_bytes(fresh)
         # The caches start empty and fill with the candidate's encodings only.
@@ -809,9 +943,9 @@ class TestDatabaseUpdate:
         stack.service.submit_batch(queries)
         assert len(served.encoding_cache) > 0
         for query in queries:
-            vectors = candidate.featurizer.featurize(query)
+            vectors = featurizer.featurize(query)
             for position in (1, 2):
-                expected = candidate.model.encode_set(vectors, position)
+                expected = model.encode_set(vectors, position)
                 assert served.encoding_cache.get(query, position).tobytes() == expected.tobytes()
 
     @staticmethod
@@ -831,28 +965,52 @@ class TestDatabaseUpdate:
         )
         return model.state_dict()
 
-    def test_each_retrain_is_a_written_out_fit(self, trained, imdb_small, pool, updated_database):
+    @staticmethod
+    def same_bytes(state, expected):
+        return state.keys() == expected.keys() and all(
+            state[name].tobytes() == expected[name].tobytes() for name in state
+        )
+
+    def test_each_retrain_is_a_written_out_fit(self, trained, updated_database):
         # A step size at which neither mode ends on its best epoch, so a
         # best-epoch restore would show in the bytes.
         training_config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.2)
-        retrainer = CRNRetrainer(
-            trained,
-            imdb_small,
-            pool,
-            AdaptationConfig(training_pairs=20, incremental_epochs=3, full_epochs=3, seed=7),
-            training_config=training_config,
+        pairs = build_training_pairs(updated_database, count=20, seed=8)
+        incremental = incremental_update(
+            trained, updated_database, pairs, training_config, epochs=3
         )
-        retrainer.set_database(updated_database)
-        # Attempt n trains on pairs drawn at seed + n, whichever the mode.
-        incremental, full = retrainer.incremental(), retrainer.full()
-        for result, seed, warm in ((incremental, 8, True), (full, 9, False)):
+        full = retrain_from_scratch(
+            updated_database, pairs, trained.model.config, training_config, epochs=3
+        )
+        for result, warm in ((incremental, True), (full, False)):
             assert result.featurizer.database is updated_database
             assert result.epochs_run == 3 and result.best_epoch < 3
             assert all(parameter.data.flags.owndata for parameter in result.model.parameters())
-            state = result.model.state_dict()
-            expected = self.written_out(trained, updated_database, training_config, seed, 3, warm)
-            assert state.keys() == expected.keys()
-            assert all(state[name].tobytes() == expected[name].tobytes() for name in state)
+            expected = self.written_out(trained, updated_database, training_config, 8, 3, warm)
+            assert self.same_bytes(result.model.state_dict(), expected)
+
+    def test_attempt_n_trains_on_pairs_drawn_at_seed_plus_n(
+        self, trained, imdb_small, pool, updated_database
+    ):
+        stack = make_stack(
+            trained, imdb_small, pool,
+            cooldown_seconds=0.0, training_pairs=20, incremental_epochs=2, full_epochs=3,
+            seed=7,
+        )
+        manager = AdaptationManager(stack, FeedbackCollector())
+        manager.set_database(updated_database)
+        # Attempt 1 fine-tunes the accepted weights on pairs drawn at seed 8
+        # with the default TrainingConfig; the forced swap accepts it.
+        assert manager.trigger().mode == "incremental"
+        first = stack.estimator.containment_estimator.model.state_dict()
+        expected = self.written_out(trained, updated_database, TrainingConfig(), 8, 2, True)
+        assert self.same_bytes(first, expected)
+        # Attempt 2, escalated, trains fresh weights on pairs drawn at seed 9.
+        manager.config = replace(manager.config, max_incremental_failures=0)
+        assert manager.trigger().mode == "full"
+        second = stack.estimator.containment_estimator.model.state_dict()
+        expected = self.written_out(trained, updated_database, TrainingConfig(), 9, 3, False)
+        assert self.same_bytes(second, expected)
 
 
 class TestHotSwapUnderTraffic:
@@ -993,14 +1151,7 @@ class TestEndToEndAdaptation:
         )
         service = stack.service
         collector = FeedbackCollector(max_observations=60)
-        retrainer = CRNRetrainer(
-            trained,
-            imdb_small,
-            pool,
-            stack.config.adaptation,
-            training_config=TrainingConfig(epochs=2, batch_size=32),
-        )
-        manager = AdaptationManager(stack, collector, retrainer)
+        manager = AdaptationManager(stack, collector)
         updated_database = build_synthetic_imdb(
             SyntheticIMDbConfig(num_titles=900, seed=3)
         )
@@ -1043,7 +1194,7 @@ class TestEndToEndAdaptation:
                 assert manager.stats.swaps == 0
 
                 # Phase 2 — the database update lands; ground truth moves.
-                retrainer.set_database(updated_database)
+                manager.set_database(updated_database)
                 with truth_lock:
                     for labeled in workload:
                         truths[labeled.query] = float(
