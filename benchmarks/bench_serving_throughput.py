@@ -13,7 +13,11 @@ Serves a 200-query workload against a 500-entry queries pool two ways:
 The service time *includes* building and warming the caches, so the measured
 speedup is end-to-end, and the served estimates must equal the naive ones
 bit-for-bit (the CRN inference path is batch-composition invariant, see
-:meth:`repro.core.crn.CRNModel.rates_from_encodings`).
+:meth:`repro.core.crn.CRNModel.rates_from_encodings`).  The two are timed in
+:data:`SPEEDUP_ROUNDS` alternating naive/served rounds, each served round on a
+newly built client, and the gate reads the median of the per-round ratios:
+one pair of timings (a 0.13-0.15 s naive pass against a 0.06-0.09 s served
+one on 2 cores) reads the box's noise as often as the code.
 
 A second comparison measures the **observability overhead**: the identical
 warmed serving path with the structured event log on vs off.  The event
@@ -40,6 +44,8 @@ discipline) and attached.  The attached/detached ratio must stay under
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from repro.baselines import PostgresCardinalityEstimator
 from repro.core import (
@@ -68,6 +74,7 @@ WORKLOAD_SIZE = 200
 # faster (486 -> 824 qps on 2 cores) while the served side is where it was
 # (2738 -> 2747 qps), so the same stack measures 3.1-3.5x.
 REQUIRED_SPEEDUP = 2.5
+SPEEDUP_ROUNDS = 5  # alternating naive/served rounds; the gate reads their median ratio
 MAX_OBSERVABILITY_OVERHEAD = 1.05  # event log must cost < 5% on the hot path
 MAX_TRACING_OVERHEAD = 1.05  # sampled tracing must cost < 5% over observed
 OVERHEAD_ROUNDS = 15  # min-of-N over interleaved rounds; N rides out CI noise
@@ -124,30 +131,38 @@ def test_serving_throughput(results_dir, bench_record):
     ][:WORKLOAD_SIZE]
     assert len(workload) == WORKLOAD_SIZE
 
-    # Naive per-request loop: no caches, one request at a time.
-    naive = Cnt2CrdEstimator(CRNEstimator(model, featurizer), pool, fallback=fallback)
-    naive_start = time.perf_counter()
-    naive_estimates = [naive.estimate_cardinality(query) for query in workload]
-    naive_seconds = time.perf_counter() - naive_start
+    naive_timings: list[float] = []
+    served_timings: list[float] = []
+    for _ in range(SPEEDUP_ROUNDS):
+        # Naive per-request loop: no caches, one request at a time.
+        naive = Cnt2CrdEstimator(CRNEstimator(model, featurizer), pool, fallback=fallback)
+        naive_start = time.perf_counter()
+        naive_estimates = [naive.estimate_cardinality(query) for query in workload]
+        naive_timings.append(time.perf_counter() - naive_start)
 
-    # Batched + cached client, measured end-to-end including cache warming.
-    served_start = time.perf_counter()
-    client = ServingClient(
-        ServingConfig(
-            model=model, featurizer=featurizer, pool=pool, fallback_estimator=fallback
+        # Batched + cached client, measured end-to-end including cache warming.
+        served_start = time.perf_counter()
+        client = ServingClient(
+            ServingConfig(
+                model=model, featurizer=featurizer, pool=pool, fallback_estimator=fallback
+            )
         )
-    )
-    served = client.estimate_many(workload)
-    served_seconds = time.perf_counter() - served_start
+        served = client.estimate_many(workload)
+        served_timings.append(time.perf_counter() - served_start)
 
-    served_estimates = [item.estimate for item in served]
-    assert served_estimates == naive_estimates, (
-        "batched+cached serving must be bit-for-bit identical to the naive loop"
-    )
-    speedup = naive_seconds / served_seconds
+        served_estimates = [item.estimate for item in served]
+        assert served_estimates == naive_estimates, (
+            "batched+cached serving must be bit-for-bit identical to the naive loop"
+        )
+    ratios = [naive / served for naive, served in zip(naive_timings, served_timings)]
+    speedup = float(np.median(ratios))
+    naive_seconds = float(np.median(naive_timings))
+    served_seconds = float(np.median(served_timings))
     assert speedup >= REQUIRED_SPEEDUP, (
         f"expected the service to be >= {REQUIRED_SPEEDUP}x faster than the naive "
-        f"loop, measured {speedup:.1f}x ({naive_seconds:.2f}s vs {served_seconds:.2f}s)"
+        f"loop, measured a median of {speedup:.1f}x over {SPEEDUP_ROUNDS} rounds "
+        f"({', '.join(f'{ratio:.2f}x' for ratio in ratios)}; medians "
+        f"{naive_seconds:.2f}s vs {served_seconds:.2f}s)"
     )
 
     # Observability overhead: the same warmed path with the event log on vs
@@ -274,7 +289,7 @@ def test_serving_throughput(results_dir, bench_record):
         [
             f"serving throughput ({WORKLOAD_SIZE} queries, {POOL_SIZE}-entry pool)",
             "",
-            f"{'path':<22}{'total':>12}{'per query':>14}{'throughput':>14}",
+            f"{'path':<22}{'median':>12}{'per query':>14}{'throughput':>14}",
             f"{'naive loop':<22}{naive_seconds:>11.2f}s"
             f"{naive_seconds / WORKLOAD_SIZE * 1000:>12.2f}ms"
             f"{WORKLOAD_SIZE / naive_seconds:>10.0f} qps",
@@ -282,7 +297,9 @@ def test_serving_throughput(results_dir, bench_record):
             f"{served_seconds / WORKLOAD_SIZE * 1000:>12.2f}ms"
             f"{WORKLOAD_SIZE / served_seconds:>10.0f} qps",
             "",
-            f"speedup: {speedup:.1f}x (required: >= {REQUIRED_SPEEDUP}x), "
+            f"speedup: {speedup:.1f}x, median of {SPEEDUP_ROUNDS} alternating rounds "
+            f"(required: >= {REQUIRED_SPEEDUP}x; per round "
+            f"{', '.join(f'{ratio:.2f}x' for ratio in ratios)}), "
             "served estimates bit-for-bit identical",
             f"observability overhead: {overhead:.3f}x on the warmed served path "
             f"(required < {MAX_OBSERVABILITY_OVERHEAD}x)",

@@ -315,23 +315,6 @@ class CRNModel(Module):
         second[1::2] = pool_second_reprs
         return first, second
 
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-
-    def parameter_count_formula(self) -> int:
-        """The closed-form parameter count the paper quotes (Section 3.5.3).
-
-        With the paper's Expand features the model has
-        ``2 * L * H + 8 * H^2 + 6 * H + 1`` learned parameters; this helper
-        recomputes that expression for the current configuration so tests can
-        check it against :meth:`num_parameters`.
-        """
-        hidden = self.hidden_size
-        vector = self.vector_size
-        if self.config.use_expand:
-            return 2 * vector * hidden + 8 * hidden * hidden + 6 * hidden + 1
-        return 2 * vector * hidden + 4 * hidden * hidden + 6 * hidden + 1
-
 
 class CRNEstimator(ContainmentEstimator):
     """A :class:`ContainmentEstimator` backed by a trained CRN model.
@@ -505,17 +488,6 @@ class CRNEstimator(ContainmentEstimator):
             results[index] = rates[offset : offset + count]
             offset += count
         return results
-
-    def encode_queries(self, queries, position: int) -> np.ndarray:
-        """``(n, H)`` encodings of ``queries`` in pair slot ``position``, in order.
-
-        The bulk :meth:`encode_query`, through :meth:`_encode_keys`.  The
-        result is a fresh array, never one the cache holds rows of.
-        """
-        queries = list(queries)
-        encodings = self._encode_keys((query, position) for query in queries)
-        rows = [encodings[(query, position)] for query in queries]
-        return np.array(rows).reshape(len(queries), self.model.hidden_size)
 
     def warm(self, queries) -> None:
         """Pre-encode request ``queries`` for both pair slots into the

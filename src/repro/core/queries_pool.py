@@ -29,8 +29,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.datasets.pairs import LabeledQuery
-from repro.db.database import Database
-from repro.db.intersection import TrueCardinalityOracle
 from repro.sql.query import Query
 
 
@@ -111,21 +109,6 @@ class QueriesPool:
     def from_labeled_queries(cls, labeled: Sequence[LabeledQuery]) -> "QueriesPool":
         """Build a pool from queries already labelled with true cardinalities."""
         return cls(PoolEntry(item.query, item.cardinality) for item in labeled)
-
-    @classmethod
-    def from_executed_queries(
-        cls,
-        database: Database,
-        queries: Sequence[Query],
-        oracle: TrueCardinalityOracle | None = None,
-    ) -> "QueriesPool":
-        """Execute ``queries`` on ``database`` and record their cardinalities.
-
-        This mirrors the paper's first pool-construction approach: the DBMS
-        executes queries anyway, and the pool simply records them.
-        """
-        oracle = oracle or TrueCardinalityOracle(database)
-        return cls(PoolEntry(query, oracle.cardinality(query)) for query in queries)
 
     def add(self, query: Query, cardinality: int) -> None:
         """Record an executed query with its actual cardinality.

@@ -145,15 +145,6 @@ class RaggedPairs:
             self.sides.append((vocabulary, ids, offsets))
 
     @classmethod
-    def from_sets(cls, first_sets, second_sets, targets) -> "RaggedPairs":
-        """From one ``(set size, L)`` matrix per pair and side."""
-        first, second = (
-            (np.concatenate(sets), [len(vectors) for vectors in sets])
-            for sets in (first_sets, second_sets)
-        )
-        return cls(first, second, targets)
-
-    @classmethod
     def featurize(cls, featurizer: QueryFeaturizer, pairs: Sequence[QueryPair]) -> "RaggedPairs":
         """Featurize every *distinct* query of ``pairs`` once; their rows make
         the vocabulary both sides share."""

@@ -50,11 +50,6 @@ class ExecutionResult:
         """Number of result tuples."""
         return int(self.row_ids.shape[0])
 
-    def tuple_set(self) -> set[tuple[int, ...]]:
-        """The result as a set of row-id tuples (for set-level comparisons)."""
-        return {tuple(int(v) for v in row) for row in self.row_ids}
-
-
 class QueryExecutor:
     """Executes conjunctive queries against a :class:`Database`."""
 
@@ -99,14 +94,6 @@ class QueryExecutor:
         if use_cache:
             self._cardinality_cache[query] = cardinality
         return cardinality
-
-    def clear_cache(self) -> None:
-        """Drop all memoized cardinalities.
-
-        Only the per-query memo: the join-edge index is a function of the
-        database's immutable columns, not of any query, and stays.
-        """
-        self._cardinality_cache.clear()
 
     def _join_edge(
         self, parent_table: str, parent_column: str, child_table: str, child_column: str

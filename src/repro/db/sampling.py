@@ -1,4 +1,4 @@
-"""Materialized base-table samples and per-query sample bitmaps.
+"""Materialized base-table samples and their predicate bitmaps.
 
 The paper's strongest MSCN variant ("MSCN with 1000 samples", Section 6.6)
 augments the table one-hot vectors with a bitmap describing which rows of a
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.db.database import Database
-from repro.sql.query import Predicate, Query
+from repro.sql.query import Predicate
 
 
 @dataclass
@@ -77,14 +77,6 @@ class SampleCatalog:
             mask &= table.evaluate_predicate(predicate, sample.row_ids)
         bitmap[: sample.actual_size] = mask.astype(np.float64)
         return bitmap
-
-    def query_bitmaps(self, query: Query) -> dict[str, np.ndarray]:
-        """Per-alias sample bitmaps for all tables referenced by ``query``."""
-        alias_to_table = query.alias_to_table()
-        return {
-            alias: self.bitmap(alias_to_table[alias], query.predicates_for(alias))
-            for alias in query.aliases
-        }
 
     def selectivity(self, table_name: str, predicates: tuple[Predicate, ...]) -> float:
         """Sample-estimated selectivity of a conjunction of predicates on one table."""

@@ -93,10 +93,6 @@ class TableSchema:
         """Columns eligible for generated predicates (non-key attribute columns)."""
         return tuple(column for column in self.columns if not column.is_key)
 
-    @cached_property
-    def key_columns(self) -> tuple[Column, ...]:
-        """Primary / foreign key columns (used only in join clauses)."""
-        return tuple(column for column in self.columns if column.is_key)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.core.crn import CRNConfig, CRNEstimator
 from repro.core.estimators import CardinalityEstimator, ContainmentEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.core.improved import ImprovedEstimator
-from repro.core.metrics import ErrorSummary, q_errors, summarize_by_group
+from repro.core.metrics import ErrorSummary, summarize_by_group
 from repro.core.queries_pool import QueriesPool
 from repro.core.training import TrainingConfig, TrainingResult, train_crn
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
@@ -74,10 +74,6 @@ class ExperimentProfile:
     workload_scale: float = 0.25
     pool_size: int = 300
     seed: int = 0
-
-    def scaled_workloads(self, scale: float) -> "ExperimentProfile":
-        """Return a copy with a different evaluation workload scale."""
-        return replace(self, workload_scale=scale)
 
 
 #: CI-friendly profile: a small database, few pairs, a tiny CRN.
@@ -337,48 +333,6 @@ class ExperimentHarness:
 
     # ------------------------------------------------------------------ #
     # evaluation
-
-    def evaluate_containment(
-        self,
-        workload_name: str,
-        estimators: Mapping[str, ContainmentEstimator] | None = None,
-    ) -> dict[str, ErrorSummary]:
-        """Evaluate containment estimators on a pair workload (Tables 3-4)."""
-        workload = self.workload(workload_name)
-        if not isinstance(workload, PairWorkload):
-            raise TypeError(f"workload {workload_name!r} is not a pair workload")
-        estimators = estimators or self.crd2cnt_estimators()
-        truths = [pair.containment_rate for pair in workload.pairs]
-        pairs = [(pair.first, pair.second) for pair in workload.pairs]
-        summaries: dict[str, ErrorSummary] = {}
-        for name, estimator in estimators.items():
-            estimates = estimator.estimate_containments(pairs)
-            errors = q_errors(estimates, truths, epsilon=CONTAINMENT_EPSILON)
-            summaries[name] = ErrorSummary.from_errors(name, errors)
-        return summaries
-
-    def evaluate_cardinality(
-        self,
-        workload_name: str,
-        estimators: Mapping[str, CardinalityEstimator] | None = None,
-        min_joins: int | None = None,
-        max_joins: int | None = None,
-    ) -> dict[str, ErrorSummary]:
-        """Evaluate cardinality estimators on a query workload (Tables 6-13)."""
-        workload = self.workload(workload_name)
-        if not isinstance(workload, Workload):
-            raise TypeError(f"workload {workload_name!r} is not a cardinality workload")
-        if min_joins is not None or max_joins is not None:
-            workload = workload.restrict_joins(min_joins or 0, max_joins if max_joins is not None else 99)
-        estimators = estimators or self.cardinality_estimators()
-        queries = [labeled.query for labeled in workload.queries]
-        truths = [labeled.cardinality for labeled in workload.queries]
-        summaries: dict[str, ErrorSummary] = {}
-        for name, estimator in estimators.items():
-            estimates = estimator.estimate_cardinalities(queries)
-            errors = q_errors(estimates, truths, epsilon=CARDINALITY_EPSILON)
-            summaries[name] = ErrorSummary.from_errors(name, errors)
-        return summaries
 
     def evaluate_cardinality_per_join(
         self,

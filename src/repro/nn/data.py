@@ -58,8 +58,3 @@ class BatchIterator:
         order = self.permutation()
         for start in range(0, self.num_items, self.batch_size):
             yield order[start : start + self.batch_size]
-
-    @property
-    def batches_per_epoch(self) -> int:
-        """Number of mini-batches per epoch."""
-        return int(np.ceil(self.num_items / self.batch_size))

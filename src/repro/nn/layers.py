@@ -48,10 +48,6 @@ class Module:
         """All learned parameters of this module."""
         return [parameter for _, parameter in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total number of scalar learned parameters."""
-        return int(sum(parameter.data.size for parameter in self.parameters()))
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy all parameters into a plain dict of arrays."""
         return {name: parameter.data.copy() for name, parameter in self.named_parameters()}

@@ -524,7 +524,8 @@ class ServingClient:
             return self._started and not self._closed
 
     def _ensure_open(self) -> None:
-        """Refuse request traffic after :meth:`shutdown`.
+        """Refuse request traffic, warms, feedback and triggers after
+        :meth:`shutdown`.
 
         Without this, a shut-down client would silently keep serving the
         synchronous path while its dispatcher refuses — an operator stopping
@@ -648,8 +649,11 @@ class ServingClient:
         entry's encodings are stored (the caches are left as they are).
 
         A no-op in cluster mode: each worker warms its own shard at boot
-        (the warm flag rides in the config the workers build from).
+        (the warm flag rides in the config the workers build from).  Refused
+        with :class:`ServingError` after :meth:`shutdown`: a stopped client
+        serves nothing the warm could speed up.
         """
+        self._ensure_open()
         if self.router is not None:
             return
         if queries is not None:
@@ -669,8 +673,12 @@ class ServingClient:
 
         Records ``(query, estimate, truth)`` into the feedback window —
         ``true_cardinality`` when supplied, the config's ``oracle``
-        otherwise.  Requires ``feedback.enabled``.
+        otherwise.  Requires ``feedback.enabled``.  Refused with
+        :class:`ServingError` after :meth:`shutdown`: the window feeds an
+        adaptation manager that has stopped, and its event would land after
+        the final flush.
         """
+        self._ensure_open()
         if self.collector is None:
             raise ServingError(
                 "feedback is not enabled; set ServingConfig.feedback.enabled"
@@ -683,7 +691,10 @@ class ServingClient:
 
         Requires ``adaptation.enabled``; see
         :meth:`repro.serving.AdaptationManager.trigger` for semantics.
+        Refused with :class:`ServingError` after :meth:`shutdown`: a
+        shut-down client never retrains or swaps.
         """
+        self._ensure_open()
         if self.manager is None:
             raise ServingError(
                 "adaptation is not enabled; set ServingConfig.adaptation.enabled "

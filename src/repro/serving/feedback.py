@@ -106,7 +106,6 @@ class FeedbackCollector:
         self._window: deque[FeedbackObservation] = deque(maxlen=max_observations)
         self._lock = threading.Lock()
         self._sequence = 0
-        self._total_recorded = 0
 
     # ------------------------------------------------------------------ #
     # recording
@@ -130,7 +129,6 @@ class FeedbackCollector:
                 sequence=self._sequence,
             )
             self._sequence += 1
-            self._total_recorded += 1
             self._window.append(observation)
         recorder = self.recorder
         if recorder is not None:
@@ -213,12 +211,6 @@ class FeedbackCollector:
         with self._lock:
             return len(self._window)
 
-    @property
-    def total_recorded(self) -> int:
-        """Observations ever recorded (including those evicted by the bound)."""
-        with self._lock:
-            return self._total_recorded
-
     # ------------------------------------------------------------------ #
     # statistics
 
@@ -254,7 +246,7 @@ class FeedbackCollector:
         )
 
     def clear(self) -> None:
-        """Drop the window (sequence numbers and the total keep counting).
+        """Drop the window (sequence numbers keep counting).
 
         The lifecycle clears the window after a hot swap so the old model's
         errors do not keep the drift policy firing against the new model.

@@ -94,14 +94,6 @@ class InferencePlan:
         """
         return {"mode": "compiled", "dtype": self.dtype.name}
 
-    def scratch_stats(self) -> dict[str, int]:
-        """This thread's fused-kernel scratch (capacity entries and realloc count)."""
-        state = self._local
-        return {
-            "capacity_rows": int(getattr(state, "fused_capacity", 0)),
-            "allocations": int(getattr(state, "allocations", 0)),
-        }
-
     # ------------------------------------------------------------------ #
     # fused slab kernel
 

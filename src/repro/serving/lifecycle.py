@@ -69,6 +69,7 @@ from repro.observability.events import (
     PlanSwap,
 )
 from repro.serving.config import ESTIMATOR_NAME, AdaptationConfig
+from repro.serving.errors import ServingError
 from repro.serving.feedback import FeedbackCollector
 from repro.serving.stack import ServiceStack, wire_estimator
 
@@ -400,8 +401,7 @@ class AdaptationManager:
     def start(self) -> "AdaptationManager":
         """Spawn the background worker (idempotent while running)."""
         with self._state_lock:
-            if self._stopped:
-                raise RuntimeError("adaptation manager has been stopped")
+            self._ensure_running()
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name="adaptation-manager", daemon=True
@@ -410,10 +410,13 @@ class AdaptationManager:
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Stop the worker.  Idempotent.
+        """Stop the worker.  Idempotent, and final.
 
         With ``wait`` it returns once the worker has exited and no cycle is
         running on any thread (a :meth:`trigger` on another thread included).
+        From then on every other entry point raises
+        :class:`~repro.serving.ServingError`; only :attr:`paused`,
+        :meth:`stats_snapshot` and ``stop`` itself still answer.
         """
         with self._state_lock:
             self._stopped = True
@@ -425,6 +428,13 @@ class AdaptationManager:
             thread.join()
         with self._cycle_lock:
             pass
+
+    def _ensure_running(self) -> None:
+        """Refuse every entry point but the read-only ones after :meth:`stop`
+        (called with ``_state_lock`` held): a stopped manager never retrains,
+        swaps or changes state again."""
+        if self._stopped:
+            raise ServingError("adaptation manager has been stopped")
 
     def __enter__(self) -> "AdaptationManager":
         return self.start()
@@ -442,16 +452,19 @@ class AdaptationManager:
         later candidate is labelled against it.
         """
         with self._state_lock:
+            self._ensure_running()
             self._database = database
 
     def pause(self) -> None:
         """Suspend policy-driven adaptation (manual triggers still run)."""
         with self._state_lock:
+            self._ensure_running()
             self._paused = True
 
     def resume(self) -> None:
         """Resume policy-driven adaptation."""
         with self._state_lock:
+            self._ensure_running()
             self._paused = False
 
     @property
@@ -465,8 +478,11 @@ class AdaptationManager:
         conditions, the cooldown and the pause flag.
 
         It waits for a cycle already running (the worker's, or another
-        trigger's) and returns the outcome of its own.
+        trigger's) and returns the outcome of its own.  After :meth:`stop` it
+        raises :class:`~repro.serving.ServingError` and runs nothing.
         """
+        with self._state_lock:
+            self._ensure_running()
         self.stats.add("manual_triggers")
         return self.run_cycle(force=True)
 
@@ -491,9 +507,22 @@ class AdaptationManager:
 
         The cycle lock guarantees a single in-flight retrain: concurrent
         callers (worker plus manual) serialize here.  ``force`` skips the
-        drift conditions, the cooldown, and the pause flag.
+        drift conditions, the cooldown, and the pause flag.  After
+        :meth:`stop` it raises :class:`~repro.serving.ServingError`, also
+        when the stop lands while it waits for the cycle lock.
         """
+        outcome = self._cycle(force)
+        if outcome is None:
+            raise ServingError("adaptation manager has been stopped")
+        return outcome
+
+    def _cycle(self, force: bool) -> AdaptationOutcome | None:
+        """One cycle under the cycle lock, or ``None`` (running nothing) once
+        :meth:`stop` was called."""
         with self._cycle_lock:
+            with self._state_lock:
+                if self._stopped:
+                    return None
             outcome = self._cycle_locked(force)
         self.last_outcome = outcome
         return outcome
@@ -801,7 +830,9 @@ class AdaptationManager:
                 return
             if not paused:
                 try:
-                    self.run_cycle(force=False)
+                    # None: stop() landed after the check above; the next
+                    # pass returns.
+                    self._cycle(force=False)
                 except Exception as error:  # pragma: no cover - defensive
                     # _adapt guards its own failure modes; anything reaching
                     # here is a cycle bug.  Record it and keep adapting —

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class ComparisonOperator(enum.Enum):
@@ -259,14 +259,6 @@ class Query:
         """All column predicates on the table bound to ``alias``."""
         return tuple(pred for pred in self.predicates if pred.alias == alias)
 
-    def with_predicates(self, predicates: Iterable[Predicate]) -> "Query":
-        """Return a copy of this query with ``predicates`` as its predicate set."""
-        return Query(self.tables, self.joins, tuple(predicates))
-
-    def add_predicates(self, predicates: Iterable[Predicate]) -> "Query":
-        """Return a copy of this query with ``predicates`` added."""
-        return Query(self.tables, self.joins, self.predicates + tuple(predicates))
-
     def without_predicates(self) -> "Query":
         """Return this query's "frame": same FROM and joins, empty WHERE predicates.
 
@@ -292,11 +284,3 @@ def _canonical(clauses: Iterable) -> tuple:
     if len(clauses) < 2 or all(map(lt, clauses, clauses[1:])):
         return clauses
     return tuple(sorted(set(clauses)))
-
-
-def queries_with_same_from(queries: Sequence[Query]) -> dict[tuple[tuple[str, str], ...], list[Query]]:
-    """Group ``queries`` by their FROM-clause signature."""
-    groups: dict[tuple[tuple[str, str], ...], list[Query]] = {}
-    for query in queries:
-        groups.setdefault(query.from_signature(), []).append(query)
-    return groups

@@ -70,6 +70,12 @@ def toy_executor(toy_database: Database) -> QueryExecutor:
     return QueryExecutor(toy_database)
 
 
+def row_tuples(result) -> set[tuple[int, ...]]:
+    """An :class:`~repro.db.executor.ExecutionResult` as a set of row-id
+    tuples, for set-level comparisons of two results."""
+    return set(map(tuple, result.row_ids.tolist()))
+
+
 class ZeroRatesContainment(ContainmentEstimator):
     """A containment stub whose every rate falls under any epsilon guard.
 

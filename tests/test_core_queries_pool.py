@@ -72,12 +72,6 @@ class TestPoolBasics:
         pool = QueriesPool.from_labeled_queries(labelled)
         assert len(pool) == len({item.query for item in labelled})
 
-    def test_from_executed_queries_matches_oracle(self, imdb_small, imdb_oracle):
-        queries = [_title_query(1990), _title_query(2000)]
-        pool = QueriesPool.from_executed_queries(imdb_small, queries, oracle=imdb_oracle)
-        for entry in pool:
-            assert entry.cardinality == imdb_oracle.cardinality(entry.query)
-
 
 class TestAddScaling:
     def test_add_does_not_linearly_scan_the_bucket(self):

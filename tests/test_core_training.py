@@ -184,6 +184,16 @@ class TestTrainCRN:
 # the fused step against the autodiff oracle
 
 
+def ragged_pairs(first_sets, second_sets, targets) -> RaggedPairs:
+    """From one ``(set size, L)`` matrix per pair and side: each side as
+    ``(rows, counts)``, which the constructor dedups into its vocabulary."""
+    first, second = (
+        (np.concatenate(sets), [len(vectors) for vectors in sets])
+        for sets in (first_sets, second_sets)
+    )
+    return RaggedPairs(first, second, targets)
+
+
 def _reference_loss(model, config, first_sets, second_sets, targets) -> Tensor:
     """The training loss through the autodiff CRN of a tracked ``model``."""
     predictions = crn_forward(model, *pad_sets(first_sets), *pad_sets(second_sets))
@@ -300,7 +310,7 @@ class TestFusedStepAgainstAutodiff:
     def test_gradients_match_tensor_backward(self, case):
         model, config, (first_sets, second_sets), targets = case
         trainer = CRNTrainer(model, config)
-        data = RaggedPairs.from_sets(first_sets, second_sets, targets)
+        data = ragged_pairs(first_sets, second_sets, targets)
         count = len(data)
         # A gradient is the mean of per-pair terms, which the fused step and
         # autodiff sum in different orders.  Two orders of a float64 sum of
@@ -328,7 +338,7 @@ class TestFusedStepAgainstAutodiff:
     def test_empty_set_is_rejected(self):
         vectors = np.ones((2, 3))
         with pytest.raises(ValueError, match="non-empty"):
-            RaggedPairs.from_sets([vectors, np.empty((0, 3))], [vectors, vectors], [0.5, 0.5])
+            ragged_pairs([vectors, np.empty((0, 3))], [vectors, vectors], [0.5, 0.5])
 
     def test_vocabulary_holds_each_given_row_once(self):
         rng = np.random.default_rng(8)
@@ -341,7 +351,7 @@ class TestFusedStepAgainstAutodiff:
             [palette[rng.integers(len(palette), size=size)] for size in rng.integers(1, 6, size=12)]
             for _ in range(2)
         )
-        data = RaggedPairs.from_sets(first, second, rng.random(12))
+        data = ragged_pairs(first, second, rng.random(12))
         for sets, (vocabulary, ids, offsets) in zip((first, second), data.sides):
             assert vocabulary[ids].tobytes() == np.concatenate(sets).tobytes()
             assert len({row.tobytes() for row in vocabulary}) == len(vocabulary) < len(ids)
@@ -369,7 +379,7 @@ class TestFusedStepAgainstAutodiff:
 
     def test_take_lays_pairs_out_in_the_requested_order(self):
         sets = [np.full((size, 2), float(size)) for size in (1, 3, 2)]
-        data = RaggedPairs.from_sets(sets, sets[::-1], [0.1, 0.2, 0.3])
+        data = ragged_pairs(sets, sets[::-1], [0.1, 0.2, 0.3])
         taken = data.take([2, 0])
         vocabulary, ids, offsets = taken.sides[0]
         assert vocabulary is data.sides[0][0]  # ids are gathered, rows are not
@@ -386,8 +396,8 @@ class TestFusedStepAgainstAutodiff:
             for _ in range(2)
         )
         targets, order = rng.random(15), rng.permutation(15)[:11]
-        taken = RaggedPairs.from_sets(first, second, targets).take(order)
-        rebuilt = RaggedPairs.from_sets(
+        taken = ragged_pairs(first, second, targets).take(order)
+        rebuilt = ragged_pairs(
             [first[i] for i in order], [second[i] for i in order], targets[order]
         )
         assert taken.targets.tolist() == rebuilt.targets.tolist()

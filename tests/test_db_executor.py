@@ -9,7 +9,7 @@ from repro.db.database import Database
 from repro.db.executor import DisconnectedJoinGraphError, QueryExecutor
 from repro.db.schema import Column, ColumnRole, ColumnType, DatabaseSchema, ForeignKey, TableSchema
 from repro.sql.builder import QueryBuilder
-from tests.conftest import TOY_SCHEMA
+from tests.conftest import TOY_SCHEMA, row_tuples
 
 
 def _movies(*conditions):
@@ -67,9 +67,9 @@ class TestJoins:
         movie_index = result.aliases.index("m")
         assert set(result.row_ids[:, movie_index].tolist()) == {0, 1}
 
-    def test_tuple_set_matches_cardinality(self, toy_executor):
+    def test_result_rows_are_distinct_tuples(self, toy_executor):
         result = toy_executor.execute(_join())
-        assert len(result.tuple_set()) == result.cardinality
+        assert len(row_tuples(result)) == result.cardinality
 
     def test_movie_without_ratings_is_dropped(self, toy_executor):
         # Movie 4 has no ratings; restricting to it gives an empty join.
@@ -91,9 +91,9 @@ class TestCountFastPath:
         executor = QueryExecutor(toy_database)
         query = _join(("r.score", ">", 60))
         first = executor.cardinality(query)
+        assert executor._cardinality_cache == {query: first}
         assert executor.cardinality(query) == first
-        executor.clear_cache()
-        assert executor.cardinality(query) == first
+        assert executor.cardinality(query, use_cache=False) == first
 
 
 class TestJoinEdgeIndex:
@@ -139,13 +139,14 @@ class TestJoinEdgeIndex:
             assert counted == executor.execute(query).cardinality
         assert executor.cardinality(_join(), use_cache=False) == 3
 
-    def test_edge_index_belongs_to_one_executor_and_survives_clear_cache(self, toy_database):
+    def test_edge_index_belongs_to_one_executor_and_serves_every_query(self, toy_database):
         first = QueryExecutor(toy_database)
         assert first.cardinality(_join()) == 7
         edges = dict(first._join_edges)
         assert edges  # built on first use
-        first.clear_cache()  # the per-query memo only
-        assert first._cardinality_cache == {}
+        # Another query over the same edge reuses it, memo or no memo.
+        filtered = _join(("r.score", ">", 60))
+        assert first.cardinality(filtered, use_cache=False) == first.execute(filtered).cardinality
         assert all(first._join_edges[edge] is built for edge, built in edges.items())
         assert first.cardinality(_join()) == 7
 

@@ -37,7 +37,9 @@ class TestSampleCatalog:
         predicate = Predicate("r", "score", ComparisonOperator.GT, 80)
         assert catalog.selectivity("ratings", (predicate,)) == pytest.approx(3 / 7)
 
-    def test_query_bitmaps_keyed_by_alias(self, toy_database):
+    def test_bitmap_per_table_of_a_query(self, toy_database):
+        # What the MSCN featurizer asks for: one bitmap per FROM table, from
+        # that alias's predicates.
         catalog = SampleCatalog.build(toy_database, sample_size=10, seed=0)
         query = (
             QueryBuilder()
@@ -47,8 +49,10 @@ class TestSampleCatalog:
             .where("m.kind", "=", 2)
             .build()
         )
-        bitmaps = catalog.query_bitmaps(query)
-        assert set(bitmaps) == {"m", "r"}
+        bitmaps = {
+            table.alias: catalog.bitmap(table.name, query.predicates_for(table.alias))
+            for table in query.tables
+        }
         assert bitmaps["m"].sum() == 2
         assert bitmaps["r"].sum() == 7  # no predicate on ratings
 

@@ -15,7 +15,7 @@ class TestTableSchema:
 
     def test_key_vs_non_key_partition(self):
         table = IMDB_SCHEMA.table("movie_companies")
-        key_names = {column.name for column in table.key_columns}
+        key_names = {column.name for column in table.columns if column.is_key}
         non_key_names = {column.name for column in table.non_key_columns}
         assert key_names == {"id", "movie_id"}
         assert non_key_names == {"company_id", "company_type_id"}

@@ -13,6 +13,7 @@ from repro.core.metrics import ErrorSummary
 from repro.core.training import TrainingConfig
 from repro.datasets.imdb import SyntheticIMDbConfig
 from repro.datasets.workloads import PairWorkload, Workload
+from repro.evaluation.experiments import run_experiment
 from repro.evaluation.harness import PROFILES, ExperimentHarness, ExperimentProfile, get_harness
 
 TINY_PROFILE = ExperimentProfile(
@@ -40,11 +41,6 @@ class TestProfiles:
 
     def test_get_harness_caches_instances(self):
         assert get_harness("smoke") is get_harness("smoke")
-
-    def test_scaled_workloads(self):
-        scaled = TINY_PROFILE.scaled_workloads(0.5)
-        assert scaled.workload_scale == 0.5
-        assert scaled.imdb == TINY_PROFILE.imdb
 
 
 class TestHarnessArtifacts:
@@ -79,24 +75,21 @@ class TestHarnessArtifacts:
 
 
 class TestHarnessEvaluation:
-    def test_containment_evaluation_returns_summaries(self, harness):
-        summaries = harness.evaluate_containment("cnt_test1")
+    """Scoring runs through the experiment registry (the tables' own path)."""
+
+    def test_containment_experiment_summarizes_every_pair(self, harness):
+        summaries = run_experiment("table03_cnt_test1", harness).data["summaries"]
         assert set(summaries) == {"Crd2Cnt(PostgreSQL)", "Crd2Cnt(MSCN)", "CRN"}
         assert all(isinstance(summary, ErrorSummary) for summary in summaries.values())
+        assert summaries["CRN"].count == len(harness.workload("cnt_test1").pairs)
 
-    def test_cardinality_evaluation_returns_summaries(self, harness):
-        summaries = harness.evaluate_cardinality(
-            "crd_test1", estimators={"PostgreSQL": harness.postgres_estimator()}
-        )
+    def test_cardinality_experiment_summarizes_every_query(self, harness):
+        summaries = run_experiment("table06_crd_test1", harness).data["summaries"]
+        assert set(summaries) == {"PostgreSQL", "MSCN", "Cnt2Crd(CRN)"}
         assert summaries["PostgreSQL"].count == len(harness.workload("crd_test1"))
 
-    def test_cardinality_evaluation_join_restriction(self, harness):
-        summaries = harness.evaluate_cardinality(
-            "crd_test2",
-            estimators={"PostgreSQL": harness.postgres_estimator()},
-            min_joins=3,
-            max_joins=5,
-        )
+    def test_cardinality_experiment_join_restriction(self, harness):
+        summaries = run_experiment("table08_crd_test2_3to5", harness).data["summaries"]
         workload = harness.workload("crd_test2")
         expected = sum(1 for labeled in workload.queries if 3 <= labeled.num_joins <= 5)
         assert summaries["PostgreSQL"].count == expected
@@ -110,6 +103,4 @@ class TestHarnessEvaluation:
 
     def test_pair_workload_rejected_for_cardinality_evaluation(self, harness):
         with pytest.raises(TypeError):
-            harness.evaluate_cardinality("cnt_test1")
-        with pytest.raises(TypeError):
-            harness.evaluate_containment("crd_test1")
+            harness.evaluate_cardinality_per_join("cnt_test1")

@@ -18,6 +18,7 @@ from repro.extensions.set_queries import (
     leading_query,
 )
 from repro.sql.builder import QueryBuilder
+from tests.conftest import row_tuples
 
 
 def _movies(*conditions):
@@ -40,7 +41,7 @@ def row_sets(request):
     executor = QueryExecutor(toy_database)
 
     def rows(query):
-        return executor.execute(query).tuple_set()
+        return row_tuples(executor.execute(query))
 
     return rows
 

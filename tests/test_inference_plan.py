@@ -68,6 +68,23 @@ def make_model(hidden: int = 16, seed: int = 5, **kwargs) -> CRNModel:
     return CRNModel(8, CRNConfig(hidden_size=hidden, seed=seed, **kwargs))
 
 
+def encode_queries(estimator: CRNEstimator, queries, position: int) -> np.ndarray:
+    """``(n, H)`` encodings of ``queries`` in pair slot ``position``, in order,
+    through the estimator's bulk path (what ``warm`` and a batch's cache
+    misses run)."""
+    encoded = estimator._encode_keys((query, position) for query in queries)
+    return np.stack([encoded[(query, position)] for query in queries])
+
+
+def scratch_stats(plan: InferencePlan) -> dict[str, int]:
+    """This thread's fused-kernel scratch: capacity entries and realloc count."""
+    state = plan._local
+    return {
+        "capacity_rows": getattr(state, "fused_capacity", 0),
+        "allocations": getattr(state, "allocations", 0),
+    }
+
+
 def encodings(hidden: int, rows: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     return (
@@ -166,12 +183,12 @@ class TestPlanExecution:
         hidden = crn.hidden_size
         # The compile-time self-check already allocated this thread's fused
         # scratch (13 probe entries); growth counts start from there.
-        base = plan.scratch_stats()
+        base = scratch_stats(plan)
         assert base["capacity_rows"] == PASS_ROWS - 3
         for entries in (20, 21, 39, 40):
             q_first, q_second, pool_first, pool_second = slab_inputs(hidden, entries)
             plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T)
-        stats = plan.scratch_stats()
+        stats = scratch_stats(plan)
         # 20 doubles 13-entry capacity to 26; 39 doubles it again to 52;
         # 21 and 40 ride the existing high-water mark.
         assert stats["capacity_rows"] == 52
@@ -180,7 +197,7 @@ class TestPlanExecution:
         for entries in (2, 40):
             q_first, q_second, pool_first, pool_second = slab_inputs(hidden, entries)
             plan.rates_against_slab(q_first, q_second, pool_first.T, pool_second.T)
-        assert plan.scratch_stats()["allocations"] == stats["allocations"]
+        assert scratch_stats(plan)["allocations"] == stats["allocations"]
 
     def test_live_scratch_grows_by_whole_tiles_up_to_one_stack(self):
         crn = make_model()
@@ -350,7 +367,7 @@ class TestBulkEncoding:
             if plan is not None:
                 estimator.attach_plan(plan)
             for position in (1, 2):
-                bulk = estimator.encode_queries(queries, position)
+                bulk = encode_queries(estimator, queries, position)
                 alone = np.stack([estimator.encode_query(query, position) for query in queries])
                 assert bulk.tobytes() == alone.tobytes()
 
@@ -605,8 +622,8 @@ class TestLiveModelIdentity:
         plain, compiled = plain_and_compiled(sourced_models[source], imdb_featurizer)
         queries = workload + [entry.query for entry in pool]
         for position in (1, 2):
-            bulk = compiled.encode_queries(queries, position)
-            assert bulk.tobytes() == plain.encode_queries(queries, position).tobytes()
+            bulk = encode_queries(compiled, queries, position)
+            assert bulk.tobytes() == encode_queries(plain, queries, position).tobytes()
             for query in queries[:8]:
                 single = compiled.encode_query(query, position)
                 assert single.tobytes() == plain.encode_query(query, position).tobytes()

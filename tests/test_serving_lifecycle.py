@@ -126,7 +126,7 @@ class TestFeedbackCollector:
         for index in range(10):
             collector.record(workload[0].query, float(index + 1), 1.0)
         assert len(collector) == 4
-        assert collector.total_recorded == 10
+        assert collector.observations()[-1].sequence == 9  # ten recorded
         # Only the four most recent estimates remain (7, 8, 9, 10).
         assert collector.window_errors() == [7.0, 8.0, 9.0, 10.0]
         assert [obs.sequence for obs in collector.observations()] == [6, 7, 8, 9]
@@ -172,8 +172,7 @@ class TestFeedbackCollector:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(collector) == 800
-        assert collector.total_recorded == 800
+        assert sorted(obs.sequence for obs in collector.observations()) == list(range(800))
 
 
 class TestDriftMonitor:

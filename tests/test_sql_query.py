@@ -13,7 +13,6 @@ from repro.sql.query import (
     Predicate,
     Query,
     TableRef,
-    queries_with_same_from,
 )
 
 
@@ -195,12 +194,6 @@ class TestQuery:
         assert len(query.predicates_for("t")) == 1
         assert query.predicates_for("mc") == ()
 
-    def test_with_and_add_predicates(self):
-        query = self.make_query()
-        extra = Predicate("mc", "company_id", ComparisonOperator.EQ, 3)
-        assert query.add_predicates([extra]).num_predicates == 2
-        assert query.with_predicates([extra]).num_predicates == 1
-
     def test_num_joins_and_aliases(self):
         query = self.make_query()
         assert query.num_joins == 1
@@ -292,14 +285,3 @@ class TestClauseTuples:
         assert self.TABLE == ("title", "t")
         assert query.tables == query.from_signature()
 
-
-def test_queries_with_same_from_groups_by_signature():
-    single = Query.create([TableRef("title", "t")])
-    single_other = single.add_predicates([Predicate("t", "year", ComparisonOperator.GT, 1990)])
-    pair = Query.create(
-        [TableRef("title", "t"), TableRef("movie_companies", "mc")],
-        [JoinClause("t", "id", "mc", "movie_id")],
-    )
-    groups = queries_with_same_from([single, single_other, pair])
-    assert len(groups) == 2
-    assert sorted(len(group) for group in groups.values()) == [1, 2]
