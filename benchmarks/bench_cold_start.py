@@ -110,10 +110,8 @@ def test_cold_start(results_dir, bench_record, tmp_path):
     )
     cold_start_seconds = time.perf_counter() - boot_started
     restored = [booted.estimate(query).estimate for query in workload]
-    generation = booted.service.generation("crn")
-    plan = getattr(
-        booted.service.get("crn").containment_estimator, "inference_plan", None
-    )
+    generation = booted.service.generation
+    plan = getattr(booted.service.estimator.containment_estimator, "inference_plan", None)
     booted.shutdown()
 
     assert restored == expected, (

@@ -148,9 +148,7 @@ def build_baseline(client: ServingClient) -> EstimationService:
         served.featurizer,
         encoding_cache=served.encoding_cache,
     )
-    service = EstimationService()
-    service.register("crn", Cnt2CrdEstimator(crn, client.config.pool))
-    return service
+    return EstimationService(Cnt2CrdEstimator(crn, client.config.pool))
 
 
 def test_pool_index_speedup_and_bit_identity(results_dir, bench_record):

@@ -14,13 +14,13 @@ pool) and industrializes the last step through the one-handle client API:
    :class:`repro.serving.EstimateResult` carries (resolution path, model
    generation, cache hits), and show the batched path did not change a
    single bit of any estimate;
-4. use per-request :class:`repro.serving.RequestOptions` to pick estimators
-   and tag requests;
-5. compare the registry entries' q-errors on the labelled workload, one
-   ``estimate_many`` burst each;
+4. use per-request :class:`repro.serving.RequestOptions` to tag requests;
+5. compare the served estimator's q-errors on the labelled workload with
+   Improved PostgreSQL (the paper's Section 8), scored offline;
 6. serve the same traffic from many client *threads* (``estimate_future``),
-   hot-swap an estimator mid-traffic — the bumped model generation shows up
-   in the responses — and print the one merged ``stats()`` snapshot.
+   hot-swap the served estimator mid-traffic — the bumped model generation
+   shows up in the responses — and print the one merged ``stats()``
+   snapshot.
 
 Run with::
 
@@ -57,6 +57,7 @@ from repro.datasets import (
 from repro.db import TrueCardinalityOracle
 from repro.evaluation import format_service_stats
 from repro.serving import RequestOptions, ServingClient, ServingConfig
+from repro.serving.stack import wire_estimator
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 TITLES = 300 if SMOKE else 1000
@@ -91,7 +92,6 @@ def main() -> None:
         featurizer=featurizer,
         pool=pool,
         fallback_estimator=postgres,
-        extra_estimators={"improved-postgres": improve(postgres, pool)},
     )
     # Configs are data: the declarative sections round-trip through a plain
     # dict (JSON-ready) and re-attach the runtime objects on the way back.
@@ -101,7 +101,6 @@ def main() -> None:
         featurizer=featurizer,
         pool=pool,
         fallback_estimator=postgres,
-        extra_estimators=config.extra_estimators,
     )
     assert rebuilt == config
     print(f"config sections: {sorted(config.to_mapping())}")
@@ -111,8 +110,6 @@ def main() -> None:
 
     # 3. One client handle over the whole stack.
     with ServingClient(config) as client:
-        print(f"registered estimators: {client.service.names()}")
-
         served = client.estimate_many(queries)
 
         # The batched path is exact: compare against a cache-less loop.
@@ -136,30 +133,29 @@ def main() -> None:
             f"cache hits in its batch)"
         )
 
-        # 4. Per-request options: estimator pick and tags.
-        tagged = client.estimate(
-            queries[0],
-            RequestOptions(estimator="improved-postgres", tags={"tenant": "demo"}),
-        )
+        # 4. Per-request options: caller tags, echoed on the result.
+        tagged = client.estimate(queries[0], RequestOptions(tags={"tenant": "demo"}))
         print(
             f"per-request options: served by {tagged.estimator_name!r} "
             f"(resolution {tagged.resolution!r}) tags={dict(tagged.tags)}"
         )
 
-        # 5. Accuracy per registry entry on the workload's queries with
-        #    predicates (a predicate-free frame query is a pool entry itself).
+        # 5. Accuracy on the workload's queries with predicates (a
+        #    predicate-free frame query is a pool entry itself): the served
+        #    estimator, and Improved PostgreSQL scored offline.
         scored = [labeled for labeled in workload if labeled.query.predicates]
+        scored_queries = [labeled.query for labeled in scored]
         truths = [labeled.cardinality for labeled in scored]
-        for name in ("crn", "improved-postgres"):
-            burst = client.estimate_many(
-                [labeled.query for labeled in scored], RequestOptions(estimator=name)
-            )
-            errors = q_errors([item.estimate for item in burst], truths, epsilon=1.0)
-            fallbacks = sum(item.used_fallback for item in burst)
-            print(
-                f"{name}: median q-error {np.median(errors):.2f} over {len(scored)} "
-                f"queries, {fallbacks} registry fallbacks"
-            )
+        burst = client.estimate_many(scored_queries)
+        improved = improve(postgres, pool)
+        rows = {
+            "crn (served)": [item.estimate for item in burst],
+            "improved-postgres (offline)": improved.estimate_cardinalities(scored_queries),
+        }
+        for name, estimates in rows.items():
+            errors = q_errors(estimates, truths, epsilon=1.0)
+            print(f"{name}: median q-error {np.median(errors):.2f} over {len(scored)} queries")
+        print(f"served fallbacks: {sum(item.used_fallback for item in burst)}")
 
         # 6. Concurrent clients: many threads submit dispatcher-backed
         #    futures; a hot swap mid-traffic re-routes new requests without
@@ -179,14 +175,19 @@ def main() -> None:
             thread.start()
         # Zero-downtime update while the clients are submitting: in-flight
         # requests finish on the old estimator object, new ones see the
-        # replacement (and its bumped generation).
-        client.service.replace("improved-postgres", improve(postgres, pool))
+        # replacement (and its bumped generation).  A retrained model is
+        # wired and warmed the same way; this one rewires the same weights,
+        # so its estimates keep their bits.
+        replacement = wire_estimator(config, result.model, featurizer, pool)
+        replacement.pool_index.warm()
+        client.service.replace(replacement)
         for thread in threads:
             thread.join()
-        swapped = client.estimate(queries[0], RequestOptions(estimator="improved-postgres"))
+        swapped = client.estimate(queries[0])
         print(
             f"post-swap request: estimate {swapped.estimate:,.0f}, model generation "
-            f"{swapped.model_generation} (was {tagged.model_generation})"
+            f"{swapped.model_generation} (was {tagged.model_generation}), "
+            f"identical to the pre-swap estimate: {swapped.estimate == served[0].estimate}"
         )
         coalesced = client.estimate(queries[0])
         print(

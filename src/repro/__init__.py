@@ -17,7 +17,7 @@ The package is organised around the paper's pipeline:
 * :mod:`repro.evaluation` -- the experiment harness, the per-table/figure
   experiment registry, and timing/serving metrics.
 * :mod:`repro.serving` -- the online estimation service: cross-request batch
-  planning, featurization/encoding caches, estimator registry with fallback.
+  planning, featurization/encoding caches, one served estimator with a fallback.
 * :mod:`repro.extensions` -- Section 9 future-work features (set queries,
   string predicates, database updates).
 

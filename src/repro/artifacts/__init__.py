@@ -11,7 +11,7 @@ A restart then boots from the promoted snapshot
 (:meth:`repro.serving.ServingClient.from_artifact`) instead of retraining:
 weights are restored, the pool is replayed entry-for-entry, the index is
 re-warmed, the inference plan is recompiled, and the restored model
-generation is stamped back into the registry — so
+generation is stamped back onto the service — so
 :attr:`repro.serving.EstimateResult.model_generation` provenance is
 continuous across process restarts, and the booted client's estimates are
 bit-identical to the client that produced the snapshot

@@ -87,7 +87,7 @@ class ArtifactManifest:
     Attributes:
         format_version: the manifest layout version
             (:data:`MANIFEST_FORMAT_VERSION`).
-        generation: the registry model generation this snapshot serves — the
+        generation: the served model generation this snapshot serves — the
             same number stamped into every
             :attr:`repro.serving.EstimateResult.model_generation`, so a
             response, its swap record, and its on-disk snapshot all key on

@@ -16,8 +16,8 @@ swap: re-point ``latest`` at ``previous`` and remember where it came from,
 without deleting any bundle.  Promote and rollback are therefore symmetric
 and both reversible.
 
-Generation numbers are the registry's model generations
-(:meth:`repro.serving.EstimationService.generation`): the adaptation loop
+Generation numbers are the service's model generations
+(:attr:`repro.serving.EstimationService.generation`): the adaptation loop
 persists each accepted candidate under the generation the swap produced, so
 a served :class:`repro.serving.EstimateResult`, its swap record in the
 :class:`repro.observability.EventStore`, and its on-disk snapshot all join

@@ -64,7 +64,6 @@ from repro.serving.errors import (
     DispatcherShutdownError,
     NoMatchingPoolQueryError,
     ServingError,
-    UnknownEstimatorError,
     WorkerUnavailableError,
 )
 from repro.serving.service import EstimateResult, RequestOptions
@@ -97,13 +96,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: The taxonomy classes that round-trip by name.  Every member keeps its
-#: stdlib bases (``TimeoutError``, ``KeyError``, ...), so rebuilt errors
+#: stdlib bases (``TimeoutError``, ``ConnectionError``, ...), so rebuilt errors
 #: satisfy the same ``except`` clauses as the originals.
 ERROR_KINDS: dict[str, type[BaseException]] = {
     cls.__name__: cls
     for cls in (
         ServingError,
-        UnknownEstimatorError,
         DeadlineExceededError,
         DispatcherShutdownError,
         ArtifactError,
@@ -329,7 +327,6 @@ def options_to_payload(options: RequestOptions | None) -> dict[str, Any] | None:
     if options is None:
         return None
     return {
-        "estimator": options.estimator,
         "timeout_seconds": options.timeout_seconds,
         "tags": [list(pair) for pair in options.tags],
     }
@@ -341,7 +338,6 @@ def options_from_payload(payload: Mapping[str, Any] | None) -> RequestOptions | 
         return None
     try:
         return RequestOptions(
-            estimator=payload.get("estimator"),
             timeout_seconds=payload.get("timeout_seconds"),
             tags=tuple(
                 (str(key), str(value)) for key, value in payload.get("tags", ())

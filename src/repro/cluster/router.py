@@ -26,7 +26,7 @@ whichever shard failed first on the clock.
 Guarantees, per call:
 
 * **One deadline.**  The budget — the caller's ``timeout_seconds`` plus
-  ``deadline_grace_seconds`` (so the worker's own
+  :data:`DEADLINE_GRACE_SECONDS` (so the worker's own
   :class:`repro.serving.DeadlineExceededError` usually wins the race and
   carries its message), else ``request_timeout_seconds`` — is one monotonic
   deadline covering the connect, every attempt and every backoff sleep; each
@@ -35,7 +35,8 @@ Guarantees, per call:
   instead of hanging.
 * **Bounded retries.**  A lost connection (``OSError``, EOF at or inside a
   frame, a reply carrying another request's id) is retried up to
-  ``retry_attempts`` times with linear backoff — estimates are pure reads,
+  ``retry_attempts`` times with a linear :data:`RETRY_BACKOFF_SECONDS`
+  backoff — estimates are pure reads,
   so a retry can never double-apply anything — re-resolving the worker's
   address from the supervisor each time (a restarted worker listens on a new
   port), then surfaces :class:`repro.serving.WorkerUnavailableError`.
@@ -56,6 +57,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.artifacts.bundle import query_to_mapping
 from repro.cluster import protocol
+from repro.cluster.supervisor import CONNECT_TIMEOUT_SECONDS
 from repro.cluster.worker import stable_shard
 from repro.observability.counters import Counters
 from repro.serving.config import ServingConfig
@@ -69,6 +71,13 @@ from repro.serving.service import EstimateResult, RequestOptions
 from repro.sql.query import Query
 
 __all__ = ["ClusterRouter"]
+
+#: Pause before retry ``n`` of a lost round trip: ``n`` times this.
+RETRY_BACKOFF_SECONDS = 0.05
+#: Added to a caller's ``timeout_seconds`` for the router-side guard, so the
+#: worker's own :class:`repro.serving.DeadlineExceededError` (which carries
+#: the authoritative message) usually wins the race.
+DEADLINE_GRACE_SECONDS = 0.5
 
 
 class ClusterRouter:
@@ -132,7 +141,7 @@ class ClusterRouter:
         self._require_running()
         shard = self.shard_for(query)
         budget = (
-            options.timeout_seconds + self._cluster.deadline_grace_seconds
+            options.timeout_seconds + DEADLINE_GRACE_SECONDS
             if options is not None and options.timeout_seconds is not None
             else self._cluster.request_timeout_seconds
         )
@@ -242,7 +251,7 @@ class ClusterRouter:
                 break
             if attempt:
                 self.stats.add("retries", len(pending))
-                pause = self._cluster.retry_backoff_seconds * attempt
+                pause = RETRY_BACKOFF_SECONDS * attempt
                 time.sleep(max(0.0, min(pause, deadline - time.monotonic())))
             sent: dict[int, tuple[protocol.Connection, int]] = {}
             for shard in pending:
@@ -319,7 +328,7 @@ class ClusterRouter:
             raise TimeoutError("deadline passed before the connect")
         try:
             return protocol.Connection(
-                address, min(self._cluster.connect_timeout_seconds, remaining)
+                address, min(CONNECT_TIMEOUT_SECONDS, remaining)
             )
         except OSError as error:
             if isinstance(error, TimeoutError) and time.monotonic() >= deadline:

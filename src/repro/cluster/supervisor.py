@@ -52,6 +52,10 @@ __all__ = ["ClusterSupervisor", "RUNTIME_FILENAME"]
 #: The runtime file the supervisor maintains under ``cluster.runtime_dir``.
 RUNTIME_FILENAME = "cluster.json"
 
+#: Cap on one TCP connect to a worker: a health probe's, and each of the
+#: router's (within what is left of the request's deadline).
+CONNECT_TIMEOUT_SECONDS = 5.0
+
 #: Shard lifecycle states, as reported by :meth:`ClusterSupervisor.status`.
 STATE_BOOTING = "booting"
 STATE_READY = "ready"
@@ -346,7 +350,7 @@ class ClusterSupervisor:
                     reply = protocol.roundtrip(
                         address,
                         protocol.health_request(0),
-                        timeout=self.cluster.connect_timeout_seconds,
+                        timeout=CONNECT_TIMEOUT_SECONDS,
                     )
                     entry["healthy"] = reply.get("type") == "health_result"
                     entry.update(

@@ -50,7 +50,7 @@ from typing import Any, Sequence
 from repro.cluster import protocol
 from repro.core.queries_pool import QueriesPool
 from repro.serving.client import ServingClient
-from repro.serving.config import ESTIMATOR_NAME, ArtifactConfig, ServingConfig
+from repro.serving.config import ArtifactConfig, ServingConfig
 from repro.serving.errors import ClusterError, ClusterProtocolError
 
 __all__ = [
@@ -195,12 +195,11 @@ def boot_worker_client(spec: WorkerSpec) -> tuple[ServingClient, int]:
                 signatures=spec.signatures,
                 observability_source=base,
                 fallback_estimator=config.fallback_estimator,
-                extra_estimators=config.extra_estimators,
                 oracle=config.oracle,
             )
             return client, generation
     client = ServingClient(_built_worker_config(spec))
-    return client, client.service.generation(ESTIMATOR_NAME)
+    return client, client.service.generation
 
 
 class WorkerServer:

@@ -45,9 +45,8 @@ order of fidelity:
    ``Improved M``) and the estimator silently delegates unmatched queries
    instead of raising.
 3. **Catch and route at the service layer**: :class:`repro.serving.EstimationService`
-   registers several estimators and, when the primary raises this error,
-   re-routes the request to a configured fallback entry and flags the served
-   result, which keeps the error out of request handlers while still making
+   serves one estimator and, when it raises this error, re-routes the
+   request to a configured fallback estimator and flags the served result, which keeps the error out of request handlers while still making
    the degraded path observable.
 """
 

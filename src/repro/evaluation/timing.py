@@ -93,7 +93,7 @@ class AdaptationEvaluation:
     reacting to; this evaluation grades the reaction).
 
     Attributes:
-        name: the adapted estimator's registry name.
+        name: the adapted estimator's stamped name.
         swaps: accepted hot swaps during the episode.
         retrains: retrain attempts (including failed/rejected ones).
         mean_retrain_seconds: average retrain duration.

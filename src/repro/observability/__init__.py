@@ -2,14 +2,12 @@
 perf trajectory.
 
 Until now every perf claim this repo makes (serving speedups, pool-index
-scoring wins, Table 15 prediction latency) was printed to stdout and lost,
-and ``stats()`` snapshots vanished on drain.  This package makes both
-durable:
+scoring wins, Table 15 prediction latency) was printed to stdout and lost.
+This package makes serving history and perf numbers durable:
 
 * :mod:`repro.observability.events` — the typed event taxonomy (requests
   served, cache hit/miss deltas, dispatcher batches, pool-index builds,
-  feedback observations, drift trips, accept-gate decisions, model swaps,
-  drained stats snapshots);
+  feedback observations, drift trips, accept-gate decisions, model swaps);
 * :mod:`repro.observability.buffer` — :class:`EventBuffer`, the bounded
   lock-free-on-the-hot-path buffer instrumentation emits into (its ordering
   contract is pinned by a hypothesis property test);

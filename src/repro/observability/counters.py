@@ -10,8 +10,6 @@ means, throughput) in its own ``stats_snapshot()`` from one
 from __future__ import annotations
 
 import threading
-from typing import Callable
-
 __all__ = ["Counters"]
 
 _COUNTER, _GAUGE, _MAXIMUM = 0, 1, 2
@@ -23,8 +21,7 @@ class Counters:
     Each keyword names one number and gives its starting value, an ``int``
     or a ``float``.  Names listed in ``gauges`` are set rather than summed,
     names listed in ``maxima`` keep a running maximum, and every other name
-    is a counter.  A drain puts the counters back to their starting values
-    and leaves the gauges and the maxima as they are.
+    is a counter.  Counters count from construction: nothing resets them.
 
     Usage::
 
@@ -34,7 +31,7 @@ class Counters:
         stats.hits                         # a plain read
     """
 
-    __slots__ = ("_lock", "_values", "_kinds", "_zeros", "__dict__")
+    __slots__ = ("_lock", "_values", "_kinds", "__dict__")
 
     def __init__(
         self, *, gauges: tuple[str, ...] = (), maxima: tuple[str, ...] = (), **initial: float
@@ -48,11 +45,6 @@ class Counters:
         setter = object.__setattr__
         setter(self, "_lock", threading.Lock())
         setter(self, "_kinds", kinds)
-        setter(
-            self,
-            "_zeros",
-            {name: value for name, value in initial.items() if kinds[name] == _COUNTER},
-        )
         self.__dict__.update(initial)
         setter(self, "_values", self.__dict__)
 
@@ -84,17 +76,3 @@ class Counters:
         """Every number, read in one lock window, in declaration order."""
         with self._lock:
             return self._values.copy()
-
-    def drain(self, then: Callable[[dict[str, float]], None] | None = None) -> dict[str, float]:
-        """Snapshot, then reset the counters, in one lock window.
-
-        ``then``, when given, is called with the drained snapshot before the
-        lock is released, so racing drains hand their intervals on in the
-        order they drained.
-        """
-        with self._lock:
-            drained = self._values.copy()
-            self._values.update(self._zeros)
-            if then is not None:
-                then(drained)
-        return drained

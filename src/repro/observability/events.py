@@ -50,9 +50,10 @@ The taxonomy (``kind`` → emitted by):
                           advance (with the previous generation on record).
 ``artifact_rolled_back``  the same store, one per pointer rollback to the
                           previous generation.
-``stats_drained``         :meth:`repro.serving.EstimationService.drain_stats`
-                          — the drained counter snapshot, so draining moves
-                          history into the store instead of discarding it.
+``stats_drained``         no longer emitted: service counters count from
+                          boot and are never drained.  The kind stays
+                          readable, since a persistent store written by an
+                          older build may hold such events.
 ``span``                  :class:`repro.observability.tracing.Tracer`, one per
                           completed (and kept) tracing span — request roots,
                           per-request stages, and shared batch/kernel spans.
@@ -100,7 +101,7 @@ class Event:
         return float(getattr(self, self.value_field))
 
     def estimator(self) -> str | None:
-        """The registry name this event attributes to, when any."""
+        """The estimator name this event attributes to, when any."""
         return getattr(self, "estimator_name", None)
 
     def model_generation(self) -> int | None:
@@ -152,6 +153,8 @@ class DispatcherBatch(Event):
     value_field: ClassVar[str] = "size"
 
     size: int
+    #: 1 when the batch served anything, 0 when every member was cancelled
+    #: (one estimator serves every request, so a batch is one group).
     groups: int
     cancelled: int
     queue_depth: int
@@ -320,7 +323,7 @@ class SpanLinked(Event):
 class ArtifactSaved(Event):
     """One snapshot bundle persisted to the generational artifact store.
 
-    ``generation`` is the registry model generation the bundle serves — the
+    ``generation`` is the served model generation the bundle serves — the
     same number on :class:`ModelSwap` and every
     :class:`repro.serving.EstimateResult`, so the store's views can join
     "which snapshot" against "which swap" and "which answers".
@@ -370,12 +373,12 @@ class ArtifactRolledBack(Event):
 
 @dataclass(frozen=True)
 class StatsDrained(Event):
-    """One drained service-counter snapshot.
+    """One drained service-counter snapshot, as older builds emitted it.
 
-    :meth:`repro.serving.EstimationService.drain_stats` used to *discard*
-    the drained interval; emitting it here is what keeps the event store
-    and live ``stats()`` consistent — the all-time totals are always
-    ``sum(stats_drained events) + the live counters``.
+    Nothing emits it now: the service's counters count from boot and are
+    never reset.  The class stays in :data:`EVENT_KINDS` because
+    :meth:`repro.observability.EventStore.events` raises ``KeyError`` on an
+    unknown kind, and a persistent store is reused across restarts.
     """
 
     kind: ClassVar[str] = "stats_drained"

@@ -9,9 +9,9 @@ scalar (:meth:`repro.observability.Event.value`) and its attribution columns
 (estimator, model generation) are hoisted out of the JSON payload into real
 columns, so the aggregate views are plain SQL over indexed data:
 
-* ``view_per_estimator_q_error`` — feedback q-error aggregates per registry
+* ``view_per_estimator_q_error`` — feedback q-error aggregates per estimator
   name (count / mean / max);
-* ``view_tail_latency`` — request-latency aggregates per registry name (the
+* ``view_tail_latency`` — request-latency aggregates per estimator name (the
   exact quantiles come from :meth:`EventStore.latency_quantile`, since
   SQLite has no percentile aggregate);
 * ``view_swap_history`` — every promoted hot swap, keyed by
@@ -498,27 +498,6 @@ class EventStore:
         return self.query(
             "SELECT * FROM view_trace_accounting ORDER BY root_seconds DESC"
         )
-
-    def drained_totals(self) -> dict[str, float]:
-        """The summed ``stats_drained`` counters across every drained interval.
-
-        This is the other half of the drain-consistency contract: the
-        service's all-time totals are always *these sums plus the live
-        counters*, so :meth:`repro.serving.ServingClient.stats` and the
-        store can never disagree about how much traffic was served (see
-        ``tests/test_observability_serving.py``).
-        """
-        rows = self.query(
-            "SELECT "
-            "COALESCE(SUM(json_extract(payload, '$.requests')), 0)      AS requests, "
-            "COALESCE(SUM(json_extract(payload, '$.batches')), 0)       AS batches, "
-            "COALESCE(SUM(json_extract(payload, '$.planned_pairs')), 0) AS planned_pairs, "
-            "COALESCE(SUM(json_extract(payload, '$.scored_pairs')), 0)  AS scored_pairs, "
-            "COALESCE(SUM(json_extract(payload, '$.fallbacks')), 0)     AS fallbacks, "
-            "COALESCE(SUM(json_extract(payload, '$.total_seconds')), 0) AS total_seconds "
-            "FROM events WHERE kind = 'stats_drained'"
-        )
-        return {key: float(value) for key, value in rows[0].items()}
 
     def stats_snapshot(self) -> dict[str, float]:
         """Store-level gauges, mergeable into ``format_service_stats``."""

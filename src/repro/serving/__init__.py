@@ -13,15 +13,15 @@ forward passes.  This package amortizes that work across requests:
   maintained incrementally on :meth:`repro.core.queries_pool.QueriesPool.add`
   for one CRN estimator, so a request is scored as one vectorized
   whole-pool slab pass instead of ``2·E`` per-pair lookups.
-* :mod:`repro.serving.service` -- :class:`EstimationService`, the engine with
-  a named estimator registry (model generations bumped on every
+* :mod:`repro.serving.service` -- :class:`EstimationService`, the engine
+  serving one estimator (its model generation bumped on every
   :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``
   (a batch's Cnt2Crd work goes through the core routine
   :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`: every unique
-  ``(query, slab)`` once, a few large fixed-shape forward passes),
-  registry-level fallback for
+  ``(query, slab)`` once, a few large fixed-shape forward passes), a
+  fallback estimator for
   :class:`repro.core.cnt2crd.NoMatchingPoolQueryError`, per-request
-  :class:`RequestOptions` (estimator, deadline, tags) and
+  :class:`RequestOptions` (deadline, tags) and
   provenance-carrying :class:`EstimateResult` responses (resolution path,
   model generation, cache hits), and per-request latency / cache hit-rate
   statistics.
@@ -30,7 +30,7 @@ forward passes.  This package amortizes that work across requests:
   (pool/index, caches, dispatcher, feedback, adaptation, observability,
   tracing, inference, artifact and cluster sections).  The served estimator
   is not a section: it is Cnt2Crd over CRN with the paper's median final
-  function, registered as ``"crn"``.
+  function, stamped ``"crn"``.
 * :mod:`repro.serving.inference_plan` -- :class:`InferencePlan` /
   :func:`compile_plan`, the float32 slab scorer: a fused pair-head kernel
   on frozen float32 copies of the head weights, over the float32 slabs
@@ -45,10 +45,9 @@ forward passes.  This package amortizes that work across requests:
   ``estimate_future`` / ``warm`` / ``record_feedback`` /
   ``trigger_adaptation`` plus one merged ``stats()`` snapshot.
 * :mod:`repro.serving.errors` -- the :class:`ServingError` taxonomy
-  (:class:`UnknownEstimatorError`, :class:`DeadlineExceededError`,
-  :class:`DispatcherShutdownError`, with
-  :class:`~repro.core.cnt2crd.NoMatchingPoolQueryError` re-exported as the
-  fourth member).
+  (:class:`DeadlineExceededError`, :class:`DispatcherShutdownError`, the
+  artifact and cluster subtrees, with
+  :class:`~repro.core.cnt2crd.NoMatchingPoolQueryError` re-exported).
 * :mod:`repro.serving.dispatcher` -- :class:`ServingDispatcher`, the
   thread-safe micro-batching front-end: concurrent callers submit from many
   threads and get futures; one dispatcher thread coalesces their requests
@@ -86,7 +85,7 @@ forward passes.  This package amortizes that work across requests:
   between the local and cluster paths.
 
 The whole layer is safe under concurrent access: caches, stats, the
-estimator registry (with :meth:`EstimationService.replace` for zero-downtime
+served estimator (with :meth:`EstimationService.replace` for zero-downtime
 hot swaps) and the queries pool all take fine-grained locks.
 
 Batched serving is exact: the CRN inference path encodes each query in
@@ -125,7 +124,6 @@ from repro.serving.errors import (
     DispatcherShutdownError,
     NoMatchingPoolQueryError,
     ServingError,
-    UnknownEstimatorError,
     WorkerUnavailableError,
 )
 from repro.serving.feedback import (
@@ -186,7 +184,6 @@ __all__ = [
     "ServingDispatcher",
     "ServingError",
     "TracingConfig",
-    "UnknownEstimatorError",
     "WorkerUnavailableError",
     "build_service_stack",
     "compile_plan",

@@ -17,7 +17,7 @@ the :class:`repro.serving.EstimationService`, the request-coalescing
         print(client.stats())                             # merged snapshot
 
 Per-request behaviour rides in :class:`repro.serving.RequestOptions`
-(estimator name, deadline, caller tags), and every answer
+(deadline, caller tags), and every answer
 is an :class:`repro.serving.EstimateResult` carrying provenance — the
 resolution path, the answering model generation (bumped on every hot swap),
 and cache-hit counts.
@@ -50,12 +50,14 @@ from repro.observability.events import ArtifactLoaded
 from repro.observability.recorder import EventRecorder
 from repro.observability.store import EventStore
 from repro.observability.tracing import Tracer
-from repro.serving.config import ESTIMATOR_NAME, FALLBACK_NAME, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.dispatcher import ServingDispatcher
 from repro.serving.errors import ArtifactSchemaError, ServingError
 from repro.serving.feedback import FeedbackCollector, FeedbackObservation
 from repro.serving.lifecycle import AdaptationManager, AdaptationOutcome
 from repro.serving.service import (
+    ESTIMATOR_NAME,
+    FALLBACK_NAME,
     EstimateResult,
     EstimationService,
     RequestOptions,
@@ -77,13 +79,15 @@ def _default(callee: Any, parameter: str) -> Any:
 #: Config fields that no longer exist but that bundles saved before their
 #: retirement still carry, as ``(section, key) -> the value now always
 #: used``.  A saved value equal to it is dropped.  ``_ANY`` marks a field no
-#: value of which changed an estimate or a registry name — the pool index is
+#: value of which changed an estimate or a stamped name — the pool index is
 #: always built; the dispatcher coalesces by backlog, not by a wait window;
 #: no computation read the compiled plan's tolerance; artifacts are always
 #: saved and promoted; a swap always pre-warms; the tracer's tail rule and
-#: the feedback q-error guard are their classes' defaults — so any saved
-#: value is dropped.  Any other value is refused: the bundle would not serve
-#: the estimates it was saved with.
+#: the feedback q-error guard are their classes' defaults; the cluster's
+#: connect timeout, retry backoff and deadline grace are module constants
+#: of :mod:`repro.cluster.router` and :mod:`repro.cluster.supervisor` — so
+#: any saved value is dropped.  Any other value is refused: the bundle would
+#: not serve the estimates it was saved with.
 _RETIRED_CONFIG_KEYS: dict[tuple[str, str], Any] = {
     ("pool", "use_index"): _ANY,
     ("dispatcher", "max_wait_ms"): _ANY,
@@ -95,6 +99,9 @@ _RETIRED_CONFIG_KEYS: dict[tuple[str, str], Any] = {
     ("tracing", "tail_quantile"): _ANY,
     ("tracing", "min_tail_observations"): _ANY,
     ("feedback", "epsilon"): _ANY,
+    ("cluster", "connect_timeout_seconds"): _ANY,
+    ("cluster", "retry_backoff_seconds"): _ANY,
+    ("cluster", "deadline_grace_seconds"): _ANY,
     ("estimator", "name"): ESTIMATOR_NAME,
     ("estimator", "fallback_name"): FALLBACK_NAME,
     ("estimator", "final_function"): _default(Cnt2CrdEstimator, "final_function"),
@@ -115,7 +122,7 @@ def upgrade_saved_config(mapping: Mapping[str, Any]) -> dict[str, dict[str, Any]
 
     Raises:
         ArtifactSchemaError: a section is not a JSON object, or a retired key
-            holds a value that changed the estimates or a registry name; the
+            holds a value that changed the estimates or a stamped name; the
             message names its section and key.
     """
     for section, values in mapping.items():
@@ -231,7 +238,7 @@ class ServingClient:
                     model=config.model,
                     pool=config.pool,
                     config_mapping=config.to_mapping(),
-                    generation=self.service.generation(ESTIMATOR_NAME),
+                    generation=self.service.generation,
                     source="build",
                     pool_index=stack.estimator.pool_index,
                     promote=True,
@@ -288,7 +295,6 @@ class ServingClient:
         database,
         generation: int | None = None,
         fallback_estimator: Any | None = None,
-        extra_estimators: Mapping[str, Any] | None = None,
         training_result: Any | None = None,
         oracle: Any | None = None,
         signatures: Sequence[tuple[tuple[str, str], ...]] | None = None,
@@ -307,7 +313,7 @@ class ServingClient:
         function of (weights, pool, database schema), so the rebuilt stack
         serves estimates bit-identical to the client that saved the snapshot
         (pinned by ``benchmarks/bench_cold_start.py``).  The snapshot's
-        model generation is stamped back into the registry, so
+        model generation is stamped back onto the service, so
         :attr:`EstimateResult.model_generation` provenance is continuous
         across the restart and the next adaptation promote advances from it.
 
@@ -318,7 +324,7 @@ class ServingClient:
             database: the serving snapshot (the featurizer is rebuilt from
                 its schema; must be the database the saved model serves).
             generation: boot a specific generation instead of ``latest``.
-            fallback_estimator / extra_estimators / oracle: as on
+            fallback_estimator / oracle: as on
                 :class:`ServingConfig`.
             training_result: required to keep a saved
                 ``adaptation.enabled=True`` config adapting after the boot
@@ -416,7 +422,6 @@ class ServingClient:
                 featurizer=featurizer,
                 pool=pool,
                 fallback_estimator=fallback_estimator,
-                extra_estimators=extra_estimators or {},
                 training_result=training_result,
                 database=database,
                 oracle=oracle,

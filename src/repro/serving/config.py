@@ -29,7 +29,7 @@ one frozen object of nested sections:
 
 The served estimator has no section: it is the paper's Cnt2Crd over CRN,
 with :class:`repro.core.cnt2crd.Cnt2CrdEstimator`'s own defaults (the median
-final function, the ``1e-3`` rate guard), registered as ``"crn"``
+final function, the ``1e-3`` rate guard), stamped ``"crn"``
 (:mod:`repro.serving.stack`).
 
 Every section validates its bounds at construction (``max_batch=0``,
@@ -41,7 +41,7 @@ snapshot).
 The scalar sections round-trip through plain dicts/JSON:
 ``ServingConfig.from_mapping(config.to_mapping(), model=..., featurizer=...,
 pool=...)`` reconstructs an equal config — runtime objects (the model, the
-featurizer, the pool, estimator instances, training state) are passed
+featurizer, the pool, the fallback estimator, training state) are passed
 alongside the mapping, since they have no serial form.
 """
 
@@ -59,8 +59,6 @@ from repro.core.training import TrainingResult
 from repro.db.database import Database
 
 __all__ = [
-    "ESTIMATOR_NAME",
-    "FALLBACK_NAME",
     "AdaptationConfig",
     "ArtifactConfig",
     "CacheConfig",
@@ -73,11 +71,6 @@ __all__ = [
     "ServingConfig",
     "TracingConfig",
 ]
-
-#: Registry name of the stack's Cnt2Crd estimator (the default entry).
-ESTIMATOR_NAME = "crn"
-#: Registry name of :attr:`ServingConfig.fallback_estimator`, when one is given.
-FALLBACK_NAME = "fallback"
 
 #: Mapping keys of the declarative sections, in rendering order (populated
 #: from ``_SECTION_SPECS`` below, the single source of truth).
@@ -449,12 +442,12 @@ class ArtifactConfig:
     process boots from via :meth:`repro.serving.ServingClient.from_artifact`
     — no retraining:
 
-    * the freshly built stack, under its registry generation, as soon as
+    * the freshly built stack, under its served generation, as soon as
       :class:`ServingClient` finishes wiring it, so even a never-adapted
       deployment has a cold-start snapshot;
     * every adaptation-accepted candidate, under the generation its swap
       produced (a failed promote persists nothing: the save runs strictly
-      after the registry swap commits).
+      after the hot swap commits).
 
     Every save re-points the store's ``latest`` pointer, so "boot from
     latest" always means the newest accepted model.
@@ -506,16 +499,10 @@ class ClusterConfig:
         request_timeout_seconds: router-side cap on any single roundtrip
             that carries no caller deadline (a dead cluster must fail
             typed, never hang).
-        connect_timeout_seconds: cap on one TCP connect to a worker.
         retry_attempts: times the router re-tries a roundtrip after a lost
             connection before raising
             :class:`repro.serving.WorkerUnavailableError`.  Estimates are
             pure reads, so a retry can never double-apply anything.
-        retry_backoff_seconds: linear backoff between those attempts.
-        deadline_grace_seconds: added to a caller's ``timeout_seconds`` for
-            the router-side guard, so the worker's own
-            :class:`repro.serving.DeadlineExceededError` (which carries the
-            authoritative message) usually wins the race.
         boot_timeout_seconds: how long the supervisor waits for a spawned
             worker's ready handshake.
         poll_interval_seconds: supervisor liveness-poll cadence.
@@ -533,10 +520,7 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     worker_threads: int = 4
     request_timeout_seconds: float = 30.0
-    connect_timeout_seconds: float = 5.0
     retry_attempts: int = 2
-    retry_backoff_seconds: float = 0.05
-    deadline_grace_seconds: float = 0.5
     boot_timeout_seconds: float = 60.0
     poll_interval_seconds: float = 0.25
     max_restarts: int = 5
@@ -553,13 +537,10 @@ class ClusterConfig:
         _integer("num_workers", self.num_workers)
         _integer("worker_threads", self.worker_threads)
         _seconds("request_timeout_seconds", self.request_timeout_seconds)
-        _seconds("connect_timeout_seconds", self.connect_timeout_seconds)
         _seconds("boot_timeout_seconds", self.boot_timeout_seconds)
         _seconds("poll_interval_seconds", self.poll_interval_seconds)
         _seconds("drain_timeout_seconds", self.drain_timeout_seconds)
         _integer("retry_attempts", self.retry_attempts, minimum=0)
-        _seconds("retry_backoff_seconds", self.retry_backoff_seconds, allow_zero=True)
-        _seconds("deadline_grace_seconds", self.deadline_grace_seconds, allow_zero=True)
         _integer("max_restarts", self.max_restarts, minimum=0)
         if self.runtime_dir is not None and not str(self.runtime_dir):
             raise ValueError("cluster runtime_dir must be a non-empty path or None")
@@ -595,7 +576,7 @@ class ServingConfig:
     """One frozen description of a serving deployment.
 
     The required runtime objects (model, featurizer, pool) and the optional
-    ones (fallback / extra estimators, training state for adaptation, a
+    ones (a fallback estimator, training state for adaptation, a
     ground-truth oracle for feedback) live alongside the declarative
     sections; :meth:`to_mapping` serializes only the sections, and
     :meth:`from_mapping` re-attaches the runtime objects.
@@ -605,8 +586,7 @@ class ServingConfig:
         featurizer: the featurizer bound to the serving database snapshot.
         pool: the queries pool backing the Cnt2Crd technique.
         fallback_estimator: answers requests with no matching pool query
-            (registered as ``"fallback"``).
-        extra_estimators: additional registry entries, name → estimator.
+            (stamped ``"fallback"``).
         training_result: the training run that produced ``model`` — required
             when adaptation is enabled (the retrainer fine-tunes from it).
         database: the snapshot ``model`` was trained against — required when
@@ -619,7 +599,6 @@ class ServingConfig:
     featurizer: QueryFeaturizer
     pool: QueriesPool
     fallback_estimator: Any | None = None
-    extra_estimators: Mapping[str, Any] = field(default_factory=dict)
     training_result: TrainingResult | None = None
     database: Database | None = None
     oracle: Any | None = None
@@ -635,21 +614,6 @@ class ServingConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "extra_estimators", dict(self.extra_estimators))
-        # The fallback name is only reserved when something will actually be
-        # registered under it: an extra estimator may be named "fallback"
-        # when no fallback estimator is supplied.
-        reserved = {ESTIMATOR_NAME}
-        if self.fallback_estimator is not None:
-            reserved.add(FALLBACK_NAME)
-        for name in self.extra_estimators:
-            if not name:
-                raise ValueError("extra estimator names must be non-empty")
-            if name in reserved:
-                raise ValueError(
-                    f"extra estimator name {name!r} collides with a reserved "
-                    f"registry name ({sorted(reserved)})"
-                )
         if self.tracing.enabled and not self.observability.enabled:
             raise ValueError(
                 "tracing.enabled requires observability.enabled: spans sink "
@@ -714,7 +678,6 @@ class ServingConfig:
         featurizer: QueryFeaturizer,
         pool: QueriesPool,
         fallback_estimator: Any | None = None,
-        extra_estimators: Mapping[str, Any] | None = None,
         training_result: TrainingResult | None = None,
         database: Database | None = None,
         oracle: Any | None = None,
@@ -747,7 +710,6 @@ class ServingConfig:
             featurizer=featurizer,
             pool=pool,
             fallback_estimator=fallback_estimator,
-            extra_estimators=extra_estimators or {},
             training_result=training_result,
             database=database,
             oracle=oracle,

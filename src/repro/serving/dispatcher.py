@@ -22,8 +22,8 @@ with no deadline that finds the dispatcher idle is that batch, served on
 the caller's own thread: a lone request (a closed-loop caller, a cluster
 worker serving one routed request) costs no thread hand-off.
 
-Per-request :class:`repro.serving.RequestOptions` ride along (estimator,
-deadline, tags); a caller whose deadline expires abandons
+Per-request :class:`repro.serving.RequestOptions` ride along (deadline,
+tags); a caller whose deadline expires abandons
 its request — cancelled before execution when possible and counted under the
 ``timed_out`` stat.
 
@@ -209,9 +209,8 @@ class ServingDispatcher:
         the estimate, or with the exception the request would have raised on
         the sequential path (e.g.
         :class:`repro.core.cnt2crd.NoMatchingPoolQueryError` when the service
-        has no fallback).  ``options`` rides with the request: its estimator
-        name decides which coalesced group serves it, and
-        its tags are stamped onto the result.
+        has no fallback).  ``options`` rides with the request: its tags are
+        stamped onto the result.
         """
         future: Future = Future()
         request = _PendingRequest(query, future, options, enqueued_at=time.perf_counter())
@@ -415,25 +414,15 @@ class ServingDispatcher:
         return False
 
     @staticmethod
-    def _group_key(request: _PendingRequest) -> str | None:
-        """The coalescing group a request belongs to: its registry entry.
-
-        Requests picking different registry entries cannot share a forward
-        pass; tags never split a group — they are stamped per request after
-        serving.
-        """
-        return None if request.options is None else request.options.estimator
-
-    @staticmethod
     def _stamp(
         request: _PendingRequest,
     ) -> tuple[tuple[tuple[str, str], ...], float, float]:
         """A caller's own tags, queue wait and enqueue instant, for its result.
 
-        The batch-level submission carries the group's (tag-less) options,
-        so per-caller provenance — tags, and the enqueue→pickup wait measured
-        at batch pickup — rides beside it as ``submit_batch``'s ``stamps``,
-        with the enqueue instant the service starts the request's trace at.
+        Per-caller provenance — tags, and the enqueue→pickup wait measured at
+        batch pickup — rides beside the batch as ``submit_batch``'s
+        ``stamps``, with the enqueue instant the service starts the request's
+        trace at.
         """
         tags = request.options.tags if request.options is not None else ()
         return tags, request.queue_wait_seconds, request.enqueued_at
@@ -444,16 +433,11 @@ class ServingDispatcher:
             batched_requests=len(batch),
             coalesced_requests=len(batch) if len(batch) > 1 else 0,
         )
-        groups: dict[str | None, list[_PendingRequest]] = {}
-        cancelled = 0
-        for request in batch:
-            if request.future.cancelled():
-                # The caller abandoned the request (a deadline expired, or an
-                # explicit cancel) before pickup: skip the work entirely —
-                # it must not occupy a batch slot or be counted as served.
-                cancelled += 1
-                continue
-            groups.setdefault(self._group_key(request), []).append(request)
+        # The caller abandoned a cancelled request (a deadline expired, or an
+        # explicit cancel) before pickup: skip the work entirely — it must
+        # not occupy a batch slot or be counted as served.
+        live = [request for request in batch if not request.future.cancelled()]
+        cancelled = len(batch) - len(live)
         recorder = self.service.recorder
         if recorder is not None:
             from repro.observability.events import DispatcherBatch
@@ -461,7 +445,7 @@ class ServingDispatcher:
             recorder.emit(
                 DispatcherBatch(
                     size=len(batch),
-                    groups=len(groups),
+                    groups=int(bool(live)),
                     cancelled=cancelled,
                     queue_depth=self._queue.qsize(),
                 )
@@ -474,35 +458,30 @@ class ServingDispatcher:
         )
         abandoned = cancelled
         try:
-            for estimator, requests in groups.items():
-                group_options = RequestOptions(estimator=estimator)
-                # Promote to RUNNING only now, immediately before this group
-                # executes: a deadline expiring while an *earlier* group of
-                # the same batch is still running can then still cancel the
-                # request instead of merely being noted after the fact.
-                runnable = []
-                pickup = time.perf_counter()
-                for request in requests:
-                    if not request.future.set_running_or_notify_cancel():
-                        abandoned += 1
-                        continue
-                    if request.enqueued_at is None:
-                        request.enqueued_at = pickup
-                    wait = max(pickup - request.enqueued_at, 0.0)
-                    request.queue_wait_seconds = wait
-                    self.queue_wait.record(wait)
-                    runnable.append(request)
-                if not runnable:
+            # Promote to RUNNING only now, immediately before the batch
+            # executes: a deadline expiring until here still cancels the
+            # request instead of merely being noted after the fact.
+            runnable = []
+            pickup = time.perf_counter()
+            for request in live:
+                if not request.future.set_running_or_notify_cancel():
+                    abandoned += 1
                     continue
+                if request.enqueued_at is None:
+                    request.enqueued_at = pickup
+                wait = max(pickup - request.enqueued_at, 0.0)
+                request.queue_wait_seconds = wait
+                self.queue_wait.record(wait)
+                runnable.append(request)
+            if runnable:
                 try:
                     served = self.service.submit_batch(
                         [request.query for request in runnable],
-                        options=group_options,
                         stamps=[self._stamp(request) for request in runnable],
                         context=batch_span,
                     )
                 except Exception:
-                    self._serve_individually(runnable, group_options, batch_span)
+                    self._serve_individually(runnable, batch_span)
                 else:
                     for request, item in zip(runnable, served):
                         request.future.set_result(item)
@@ -515,14 +494,13 @@ class ServingDispatcher:
                 tracer.end(
                     batch_span,
                     size=len(batch),
-                    groups=len(groups),
+                    groups=int(bool(live)),
                     cancelled=cancelled,
                 )
 
     def _serve_individually(
         self,
         requests: Sequence[_PendingRequest],
-        options: RequestOptions,
         batch_span: SpanHandle | None,
     ) -> None:
         """Fallback when a coalesced batch fails as a whole.
@@ -537,7 +515,6 @@ class ServingDispatcher:
             try:
                 served = self.service.submit_batch(
                     [request.query],
-                    options=options,
                     stamps=[self._stamp(request)],
                     context=batch_span,
                 )[0]

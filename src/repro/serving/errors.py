@@ -4,11 +4,9 @@ Every failure the serving layer raises on a request path derives from
 :class:`ServingError`, so a caller can wrap any client/service/dispatcher
 interaction in one ``except ServingError`` instead of memorizing which layer
 raises what.  Each member also keeps its legacy base class
-(``KeyError`` / ``TimeoutError`` / ``RuntimeError``), so pre-redesign callers
+(``TimeoutError`` / ``RuntimeError``), so pre-redesign callers
 catching the old types keep working unchanged:
 
-* :class:`UnknownEstimatorError` — a request (or ``replace``) named a
-  registry entry that does not exist.  Also a ``KeyError``.
 * :class:`DeadlineExceededError` — a caller's per-request deadline
   (:attr:`repro.serving.RequestOptions.timeout_seconds`, or the ``timeout``
   of :meth:`repro.serving.ServingDispatcher.estimate`) expired before the
@@ -56,27 +54,12 @@ __all__ = [
     "DispatcherShutdownError",
     "NoMatchingPoolQueryError",
     "ServingError",
-    "UnknownEstimatorError",
     "WorkerUnavailableError",
 ]
 
 
 class ServingError(Exception):
     """Base class of every error the serving layer itself raises."""
-
-
-class UnknownEstimatorError(ServingError, KeyError):
-    """A request named an estimator the registry does not hold.
-
-    Subclasses ``KeyError`` for backward compatibility with pre-taxonomy
-    callers of :meth:`repro.serving.EstimationService.get` /
-    :meth:`~repro.serving.EstimationService.replace`.
-    """
-
-    def __str__(self) -> str:
-        # KeyError.__str__ is repr(args[0]), which wraps the message in
-        # quotes; a taxonomy member should read like an error, not a key.
-        return str(self.args[0]) if self.args else ""
 
 
 class DeadlineExceededError(ServingError, TimeoutError):

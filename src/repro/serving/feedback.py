@@ -45,8 +45,8 @@ class FeedbackObservation:
         query: the estimated query.
         estimate: the cardinality the service answered with.
         true_cardinality: the actual cardinality (executed or reported).
-        estimator_name: the registry name that produced the estimate
-            (empty when recorded outside the service).
+        estimator_name: the name stamped on the answer (``"crn"`` or
+            ``"fallback"``; empty when recorded outside the service).
         q_error: ``max(estimate, truth) / min(estimate, truth)`` with the
             collector's zero-guard epsilon.
         sequence: monotonically increasing arrival index (survives window

@@ -19,8 +19,8 @@ The adaptation cycle, end to end::
     retrain (incremental_update, escalating to retrain_from_scratch
              after repeated failures) + refresh_queries_pool
         ▼
-    shadow candidate (off the registry) ──▶ score the most recent feedback
-        │                                    slice (post-update ground truth)
+    shadow candidate (never served) ──▶ score the most recent feedback
+        │                                slice (post-update ground truth)
         ▼
     accept gate: candidate q-error ≤ accept_ratio × incumbent q-error
         ├── reject ──▶ count it, cool down
@@ -68,9 +68,10 @@ from repro.observability.events import (
     ModelSwap,
     PlanSwap,
 )
-from repro.serving.config import ESTIMATOR_NAME, AdaptationConfig
+from repro.serving.config import AdaptationConfig
 from repro.serving.errors import ServingError
 from repro.serving.feedback import FeedbackCollector
+from repro.serving.service import ESTIMATOR_NAME
 from repro.serving.stack import ServiceStack, wire_estimator
 
 
@@ -113,8 +114,8 @@ class DriftMonitor:
     Args:
         collector: the feedback window to watch.
         config: the drift conditions (defaults apply when omitted).
-        estimator: restrict the watch to one registry name's observations
-            (None watches everything).
+        estimator: restrict the watch to observations stamped with this
+            estimator name (None watches everything).
     """
 
     def __init__(
@@ -291,13 +292,13 @@ class AdaptationManager:
     :class:`~repro.core.TrainingConfig` for the section's epoch budget.
 
     Candidate validation is a *shadow deployment* that never touches the
-    registry: the candidate estimator scores the most recent feedback slice
+    service: the candidate estimator scores the most recent feedback slice
     itself (in one batched scoring pass, the bits ``estimate_cardinality``
-    gives, with the registry's current fallback entry answering what the
-    pool cannot), and its q-errors are compared against the
-    incumbent's recorded errors on exactly those queries — it is promoted
-    via :meth:`EstimationService.replace` only if it passes the gate.  No
-    request can name it and none of its work lands in the service's
+    gives, with the service's fallback answering what the pool cannot), and
+    its q-errors are compared against the incumbent's recorded errors on
+    exactly those queries — it is promoted via
+    :meth:`EstimationService.replace` only if it passes the gate.  No
+    request reaches it and none of its work lands in the service's
     counters, latency histogram or events.  With
     an empty window (e.g. a manual trigger before any feedback) the gate is
     skipped and the candidate promotes unconditionally.  Both the shadow and
@@ -312,12 +313,12 @@ class AdaptationManager:
     an index of its own).
 
     Args:
-        stack: the wired deployment whose default estimator is kept fresh;
+        stack: the wired deployment whose served estimator is kept fresh;
             its config must carry ``training_result`` and ``database``.
         collector: the feedback window ground truth flows into.
         artifact_store: an :class:`repro.artifacts.ArtifactStore` that every
-            promoted candidate is saved to, under the swap's registry
-            generation, so a restart through
+            promoted candidate is saved to, under the generation
+            its swap produced, so a restart through
             :meth:`repro.serving.ServingClient.from_artifact` serves the
             adapted model.  A failed save is counted
             (``artifact_save_failures``, :attr:`last_error`) but never fails
@@ -343,12 +344,12 @@ class AdaptationManager:
         self.estimator_name = ESTIMATOR_NAME
         self.collector = collector
         self.artifact_store = artifact_store
-        # The monitor watches only the adapted estimator's feedback: with
-        # several registry entries sharing one collector, another
-        # estimator's errors must not fire (or mask) this estimator's drift.
+        # The monitor watches only the adapted estimator's feedback: the
+        # fallback's answers share the collector, and their errors must not
+        # fire (or mask) this estimator's drift.
         self.monitor = DriftMonitor(collector, self.config, estimator=self.estimator_name)
         # Counters, plus gauges describing the most recent retrain and swap.
-        # The generation gauge starts from the live registry, so pre-swap
+        # The generation gauge starts from the live service, so pre-swap
         # snapshots agree with the generation stamped on every response.
         self.stats = Counters(
             evaluations=0,
@@ -367,7 +368,7 @@ class AdaptationManager:
             pre_swap_q_error=float("nan"),
             post_swap_q_error=float("nan"),
             requests_between_swaps=0,
-            model_generation=self.service.generation(self.estimator_name),
+            model_generation=self.service.generation,
             artifact_saves=0,
             artifact_save_failures=0,
             gauges=(
@@ -384,6 +385,10 @@ class AdaptationManager:
         self._database: Database = config.database
         self._pool: QueriesPool = config.pool
         self._attempts = 0
+        #: The service's cumulative request count at the last swap (at
+        #: construction before the first): ``requests_between_swaps`` is the
+        #: difference of two such reads.  Cycle-lock state.
+        self._requests_at_swap = self.service.stats.requests
         self._rows_at_refresh = config.database.total_rows
         self._consecutive_failures = 0
         self._cooldown_until = 0.0
@@ -588,7 +593,7 @@ class AdaptationManager:
                     accepted, database, pairs, epochs=self.config.incremental_epochs
                 )
             refreshed_pool = refresh_queries_pool(pool, database)
-            incumbent = self.service.get(self.estimator_name)
+            incumbent = self.service.estimator
             # Its own caches and index, no plan, no recorder or tracer: the
             # shadow scores only the holdout and stays invisible.
             shadow = wire_estimator(
@@ -641,7 +646,7 @@ class AdaptationManager:
                 recorder.emit(
                     PlanSwap(
                         estimator_name=self.estimator_name,
-                        generation=self.service.generation(self.estimator_name),
+                        generation=self.service.generation,
                         dtype=crn.inference_plan.dtype.name,
                         outcome="rollback",
                     )
@@ -652,8 +657,10 @@ class AdaptationManager:
             return AdaptationOutcome(
                 "promote-failed", mode, verdict, incumbent_q, candidate_q, seconds
             )
-        requests_between = int(self.service.drain_stats()["requests"])
-        generation = self.service.generation(self.estimator_name)
+        requests = self.service.stats.requests
+        requests_between = int(requests - self._requests_at_swap)
+        self._requests_at_swap = requests
+        generation = self.service.generation
         self.stats.update(
             swaps=1,
             pre_swap_q_error=incumbent_q,
@@ -735,19 +742,17 @@ class AdaptationManager:
         noise — the median compares how the two models serve the typical
         query.
         """
-        # Only the adapted estimator's own observations grade the pair:
-        # another registry entry's errors in the slice would corrupt the
-        # incumbent's score (and could wave through a worse candidate).
+        # Only the adapted estimator's own observations grade the pair: the
+        # fallback's errors in the slice would corrupt the incumbent's score
+        # (and could wave through a worse candidate).
         holdout = self.collector.holdout(
             self.config.holdout_size, estimator=self.estimator_name
         )
         if not holdout:
             return float("nan"), float("nan"), True, 0
         try:
-            # The registry fallback as it stands now (``replace`` may have
-            # swapped it since boot) answers what the refreshed pool cannot.
-            fallback = self.service.fallback
-            shadow.fallback = None if fallback is None else self.service.get(fallback)
+            # The service's fallback answers what the refreshed pool cannot.
+            shadow.fallback = self.service.fallback
             # The core batch routine: each distinct matched query is scored
             # once, each estimate with the bits of shadow.estimate_cardinality.
             estimates = shadow.estimate_cardinalities([item.query for item in holdout])
@@ -802,15 +807,15 @@ class AdaptationManager:
                 tracer=tracer,
                 # replace() bumps the generation; the plan serves the
                 # candidate's generation, not the incumbent's.
-                generation=self.service.generation(self.estimator_name) + 1,
+                generation=self.service.generation + 1,
             )
             estimator.pool_index.warm()
-            self.service.replace(self.estimator_name, estimator)
+            self.service.replace(estimator)
         finally:
             if span is not None:
                 tracer.end(
                     span,
-                    generation=self.service.generation(self.estimator_name),
+                    generation=self.service.generation,
                     warmed=True,
                 )
         with self._state_lock:

@@ -44,7 +44,7 @@ construction, and the estimator's model and featurizer are fixed too: a
 model's slabs live and die with the estimator
 :func:`repro.serving.stack.wire_estimator` builds for it.  A database update
 is served by a retrained model, which is wired a fresh index over the
-refreshed pool and warmed before the registry swap; requests still in
+refreshed pool and warmed before the hot swap; requests still in
 flight on the outgoing estimator finish on its own slabs.  The dtype stays
 in the slab key because a plan may be attached after the index exists.
 
@@ -198,7 +198,7 @@ class PoolEncodingIndex:
         """Build (or refresh) the slabs of every signature in the pool.
 
         A promote calls this on the candidate's fresh index before the
-        registry swap, so steady state is reached before the swap is visible.
+        hot swap, so steady state is reached before the swap is visible.
         """
         for signature in self.pool.from_signatures():
             self._sync(signature)

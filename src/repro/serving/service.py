@@ -1,12 +1,13 @@
 """The online cardinality-estimation service façade.
 
 :class:`EstimationService` is the piece that turns the paper's estimators into
-serving infrastructure: it owns a registry of named cardinality estimators
-(Cnt2Crd over CRN, improved baselines, plain baselines, ...), scores the
-Cnt2Crd work of concurrent requests as one batch through
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`, and records
+serving infrastructure: it serves one estimator (Cnt2Crd over the CRN),
+hot-swapped by :meth:`EstimationService.replace`, with an optional fallback
+for what the pool cannot match; scores the Cnt2Crd work of concurrent
+requests as one batch through
+:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`; and records
 per-request latency plus service-level hit-rate statistics read from the
-default estimator's own caches (rendered by
+served estimator's own caches (rendered by
 :func:`repro.evaluation.reporting.format_service_stats`).
 
 The batched path is exact, not approximate: the core routine resolves each
@@ -36,12 +37,16 @@ from repro.core.crn import CRNEstimator
 from repro.core.estimators import CardinalityEstimator
 from repro.core.queries_pool import PoolSlab
 from repro.observability.counters import Counters
-from repro.observability.events import BatchServed, RequestServed, StatsDrained
+from repro.observability.events import BatchServed, RequestServed
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracing import SpanHandle
 from repro.serving.cache import EncodingCache, FeaturizationCache
-from repro.serving.errors import UnknownEstimatorError
 from repro.sql.query import Query
+
+#: :attr:`EstimateResult.estimator_name` of an answer from the served estimator.
+ESTIMATOR_NAME = "crn"
+#: :attr:`EstimateResult.estimator_name` of an answer from the service's fallback.
+FALLBACK_NAME = "fallback"
 
 #: Resolution stamp: the request was scored from the pool encoding index's
 #: whole-pool slab matrices (a slab with resident rows).
@@ -52,7 +57,7 @@ RESOLUTION_PAIR_BATCH = "pair_batch"
 #: Resolution stamp: the request's primary had no answer and the estimator's
 #: own built-in fallback produced the estimate.
 RESOLUTION_ESTIMATOR_FALLBACK = "estimator_fallback"
-#: Resolution stamp: the registry-level fallback entry produced the estimate.
+#: Resolution stamp: the service's fallback estimator produced the estimate.
 RESOLUTION_REGISTRY_FALLBACK = "registry_fallback"
 #: Resolution stamp: a non-Cnt2Crd estimator answered through its own
 #: per-query interface (no batched slab scoring involved).
@@ -64,8 +69,6 @@ class RequestOptions:
     """Per-request knobs, threaded from the client through dispatcher and service.
 
     Attributes:
-        estimator: the registry entry to serve from (the service default when
-            None).
         timeout_seconds: the caller's deadline, positive and finite (a bool
             is not a number of seconds and fails too).  Honored
             on the dispatcher-backed paths
@@ -79,7 +82,6 @@ class RequestOptions:
             iterable of pairs; normalized to a sorted tuple of pairs).
     """
 
-    estimator: str | None = None
     timeout_seconds: float | None = None
     tags: Mapping[str, str] | tuple[tuple[str, str], ...] = ()
 
@@ -116,8 +118,9 @@ class EstimateResult:
     Attributes:
         query: the estimated query.
         estimate: the estimated cardinality.
-        estimator_name: the registry name that produced the estimate (the
-            fallback's name when the primary had no matching pool query).
+        estimator_name: :data:`ESTIMATOR_NAME` when the served estimator
+            produced the estimate, :data:`FALLBACK_NAME` when the service's
+            fallback did.
         latency_seconds: wall-clock time attributed to this request.  Exact
             for :meth:`EstimationService.submit`; for batched submissions it
             is the batch's elapsed time divided by the batch size.
@@ -125,18 +128,17 @@ class EstimateResult:
         pairs_scored: containment pairs scored for the request
             (``2 * pool_matches``; identical requests of one batch share
             them).
-        used_fallback: True when the registry fallback answered the request.
+        used_fallback: True when the service's fallback answered the request.
         resolution: ``"indexed_slab"`` (whole-pool slab scoring through the
             :class:`repro.serving.PoolEncodingIndex`), ``"pair_batch"`` (a
             slab without resident rows, scored pair by pair),
             ``"estimator_fallback"`` (the
             estimator's built-in fallback), ``"registry_fallback"`` (the
-            registry fallback entry), or ``"direct"`` (a non-Cnt2Crd
+            service's fallback), or ``"direct"`` (a non-Cnt2Crd
             estimator's own per-query interface).
-        model_generation: the registry generation of the estimator that
-            answered (1 on first registration, +1 per ``replace()``; 0 when
-            the name was never registered through the generation-tracking
-            surface).
+        model_generation: the generation of the estimator that answered
+            (:attr:`EstimationService.generation` for the served estimator,
+            1 for the fallback).
         featurization_cache_hits: featurization-cache hits recorded during
             the batch that served this request (batch-attributed, like
             ``latency_seconds``; 0 for an estimator without a cache).
@@ -211,29 +213,38 @@ def _caches(estimator: CardinalityEstimator) -> dict[str, FeaturizationCache | E
 
 
 class EstimationService:
-    """An online, batching, caching front-end over the paper's estimators.
+    """An online, batching, caching front-end over one served estimator.
 
-    The service is thread-safe: the registry is guarded by a lock (so
-    :meth:`register` / :meth:`replace` can hot-swap estimators while other
-    threads submit), stats updates are atomic, and the caches and the
-    queries pool take their own fine-grained locks.  Model forward passes
-    themselves only *read* shared state, so concurrent ``submit_batch``
-    calls do not serialize on the scoring work — but each call still pays
-    its own slab resolution and featurization.  For high-concurrency
-    traffic, front the service with a :class:`repro.serving.ServingDispatcher`,
-    which coalesces many callers' requests into few shared batches.
+    The service serves one estimator, hot-swapped by :meth:`replace`, and
+    re-routes what it cannot answer to an optional fallback fixed at
+    construction.  It is thread-safe: the estimator and its generation are
+    read under one lock (so :meth:`replace` can hot-swap while other threads
+    submit), stats updates are atomic, and the caches and the queries pool
+    take their own fine-grained locks.  Model forward passes themselves only
+    *read* shared state, so concurrent ``submit_batch`` calls do not
+    serialize on the scoring work — but each call still pays its own slab
+    resolution and featurization.  For high-concurrency traffic, front the
+    service with a :class:`repro.serving.ServingDispatcher`, which coalesces
+    many callers' requests into few shared batches.
 
     Args:
-        fallback: optional registry name answering requests for which the
-            primary estimator raises :class:`NoMatchingPoolQueryError` (see
-            the recovery strategies in :mod:`repro.core.cnt2crd`).
+        estimator: the served estimator, stamped :data:`ESTIMATOR_NAME`.  A
+            :class:`Cnt2CrdEstimator` is scored in batches; any other
+            estimator answers one query at a time (``"direct"``).
+        fallback: optional estimator answering requests for which the served
+            one raises :class:`NoMatchingPoolQueryError` (see the recovery
+            strategies in :mod:`repro.core.cnt2crd`), stamped
+            :data:`FALLBACK_NAME` at generation 1.
+        generation: the served estimator's model generation — 1, or the
+            generation an artifact was saved at, so
+            :attr:`EstimateResult.model_generation` stays continuous across
+            a restart.  Every :meth:`replace` bumps it.
         recorder: an :class:`repro.observability.EventRecorder` receiving
             the typed serving events (one ``request_served`` per answered
             request, one ``batch_served`` with the cache hit/miss deltas per
-            batch, one ``stats_drained`` per :meth:`drain_stats`).  Emission
-            is a bounded-buffer append — no I/O, no locks on the hot path —
-            and ``None`` (the default) reduces the whole instrumentation to
-            one attribute test per batch.
+            batch).  Emission is a bounded-buffer append — no I/O, no locks
+            on the hot path — and ``None`` (the default) reduces the whole
+            instrumentation to one attribute test per batch.
         tracer: an optional :class:`repro.observability.Tracer`.  When set,
             every batch records a ``service_batch`` span with a nested
             ``slab_kernel`` stage span around the Cnt2Crd scoring, and
@@ -246,17 +257,21 @@ class EstimationService:
 
     def __init__(
         self,
-        fallback: str | None = None,
+        estimator: CardinalityEstimator,
+        fallback: CardinalityEstimator | None = None,
+        *,
+        generation: int = 1,
         recorder=None,
         tracer=None,
     ) -> None:
-        self._registry: dict[str, CardinalityEstimator] = {}
-        self._generations: dict[str, int] = {}
-        self._default: str | None = None
+        if not isinstance(generation, int) or isinstance(generation, bool) or generation <= 0:
+            raise ValueError(f"generation must be a positive int, got {generation!r}")
+        self._estimator = estimator
+        self._generation = generation
         self.fallback = fallback
         self.recorder = recorder
         self.tracer = tracer
-        #: Cumulative counters; ``total_seconds`` is attributed service time.
+        #: Counters since boot; ``total_seconds`` is attributed service time.
         self.stats = Counters(
             requests=0,
             batches=0,
@@ -269,134 +284,36 @@ class EstimationService:
         #: the ``latency_p*_ms`` gauges in :meth:`stats_snapshot` come from
         #: here instead of an unbounded scan over recorded events.
         self.latency_histogram = LatencyHistogram()
-        self._registry_lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # registry
+    # the served estimator
 
-    def register(
-        self, name: str, estimator: CardinalityEstimator, default: bool = False
-    ) -> None:
-        """Register ``estimator`` under a **new** ``name``.
+    @property
+    def estimator(self) -> CardinalityEstimator:
+        """The served estimator: the booted one until a :meth:`replace`."""
+        with self._lock:
+            return self._estimator
 
-        The first registration becomes the default (or pass ``default=True``).
-        The entry starts at model generation 1; every subsequent
-        :meth:`replace` of the name bumps it, and the serving paths stamp the
-        answering entry's generation into :attr:`EstimateResult.model_generation`.
+    @property
+    def generation(self) -> int:
+        """The served estimator's model generation, bumped by every :meth:`replace`."""
+        with self._lock:
+            return self._generation
 
-        Raises:
-            ValueError: when ``name`` is empty, or already registered —
-                silently overwriting a live entry would reset nothing and
-                confuse generation attribution; hot swaps go through
-                :meth:`replace`.
-        """
-        if not name:
-            raise ValueError("estimator name must be non-empty")
-        with self._registry_lock:
-            if name in self._registry:
-                raise ValueError(
-                    f"estimator {name!r} is already registered; use replace() "
-                    f"to hot-swap a live entry"
-                )
-            self._registry[name] = estimator
-            self._generations[name] = 1
-            if default or self._default is None:
-                self._default = name
-
-    def replace(self, name: str, estimator: CardinalityEstimator) -> CardinalityEstimator:
-        """Atomically hot-swap the estimator registered under ``name``.
+    def replace(self, estimator: CardinalityEstimator) -> CardinalityEstimator:
+        """Atomically hot-swap the served estimator; returns the previous one.
 
         This is the zero-downtime update path: in-flight batches finish on
         the estimator object they already resolved — on its own caches and
         pool index slabs, which live and die with it — and every submission
-        that resolves after this call is served by the replacement.
-
-        Every replace bumps the entry's model generation
-        (:meth:`generation`), which the serving paths stamp into
-        :attr:`EstimateResult.model_generation` — so a response served after
-        the swap is attributable to the exact model that produced it.
-
-        Returns:
-            The estimator previously registered under ``name``.
-
-        Raises:
-            UnknownEstimatorError: when ``name`` was never registered (use
-                :meth:`register` for new entries — replacing an unknown name
-                is almost always a typo).  Also a ``KeyError``.
+        that resolves after this call is served by the replacement, stamped
+        with the bumped :attr:`generation`.
         """
-        with self._registry_lock:
-            if name not in self._registry:
-                raise UnknownEstimatorError(
-                    f"cannot replace unregistered estimator {name!r}; "
-                    f"registered: {sorted(self._registry)}"
-                )
-            previous = self._registry[name]
-            self._registry[name] = estimator
-            self._generations[name] = self._generations.get(name, 0) + 1
-            return previous
-
-    def names(self) -> list[str]:
-        """All registered estimator names, in registration order."""
-        with self._registry_lock:
-            return list(self._registry)
-
-    @property
-    def default_estimator(self) -> str:
-        """The name served when a request does not pick an estimator."""
-        with self._registry_lock:
-            if self._default is None:
-                raise LookupError("no estimator registered")
-            return self._default
-
-    def get(self, name: str | None = None) -> CardinalityEstimator:
-        """The estimator registered under ``name`` (default when None).
-
-        Raises:
-            UnknownEstimatorError: when ``name`` is not registered (also a
-                ``KeyError``, for pre-taxonomy callers).
-        """
-        with self._registry_lock:
-            chosen = name if name is not None else self.default_estimator
-            try:
-                return self._registry[chosen]
-            except KeyError:
-                raise UnknownEstimatorError(
-                    f"unknown estimator {chosen!r}; registered: {sorted(self._registry)}"
-                ) from None
-
-    def generation(self, name: str) -> int:
-        """The model generation of the entry registered under ``name``.
-
-        1 on first registration, bumped by every :meth:`replace`; 0 for a
-        name that was never registered.
-        """
-        with self._registry_lock:
-            return self._generations.get(name, 0)
-
-    def set_generation(self, name: str, generation: int) -> None:
-        """Stamp the registered entry's model generation to ``generation``.
-
-        This is the cold-boot provenance hook: a stack restored from an
-        artifact snapshot (:mod:`repro.artifacts`) re-registers its estimator
-        — which would start the count back at 1 — and then stamps the
-        *saved* generation here, so
-        :attr:`EstimateResult.model_generation` stays continuous across a
-        restart and the next adaptation promote advances from the restored
-        number, not from 1.
-
-        Raises:
-            UnknownEstimatorError: when ``name`` is not registered.
-            ValueError: when ``generation`` is not a positive int.
-        """
-        if not isinstance(generation, int) or isinstance(generation, bool) or generation <= 0:
-            raise ValueError(f"generation must be a positive int, got {generation!r}")
-        with self._registry_lock:
-            if name not in self._registry:
-                raise UnknownEstimatorError(
-                    f"cannot set generation of unregistered estimator {name!r}; "
-                    f"registered: {sorted(self._registry)}"
-                )
-            self._generations[name] = generation
+        with self._lock:
+            previous, self._estimator = self._estimator, estimator
+            self._generation += 1
+        return previous
 
     # ------------------------------------------------------------------ #
     # serving
@@ -416,24 +333,22 @@ class EstimationService:
     ) -> list[EstimateResult]:
         """Estimate many concurrent requests with cross-request batching.
 
-        Cnt2Crd-family estimators are scored as a few large deduplicated
-        forward passes (:meth:`Cnt2CrdEstimator.slab_values`); other
-        estimators fall back to their own per-query interface.  Requests the
-        primary estimator cannot answer (no matching pool query and no
-        built-in fallback) are re-routed to the registry :attr:`fallback`
+        A served Cnt2Crd estimator is scored as a few large deduplicated
+        forward passes (:meth:`Cnt2CrdEstimator.slab_values`); any other
+        estimator answers through its own per-query interface.  Requests the
+        served estimator cannot answer (no matching pool query and no
+        built-in fallback) are re-routed to the service's :attr:`fallback`
         when one is configured.
 
-        ``options`` applies to the whole batch (the dispatcher groups
-        requests by estimator before submitting), and
-        ``options.estimator`` picks the registry entry (the default when
-        None).  Every result is an :class:`EstimateResult` carrying its
-        resolution path, the answering entry's model generation, the batch's
-        cache-hit deltas, and the caller's tags.
+        ``options`` applies to the whole batch.  Every result is an
+        :class:`EstimateResult` carrying its resolution path, the answering
+        estimator's model generation, the batch's cache-hit deltas, and the
+        caller's tags.
 
         ``stamps`` (dispatcher-internal) carries one ``(tags, queue wait
         seconds, enqueue instant)`` per query: what a coalesced request's own
-        caller asked for and waited, which the group's batch-wide ``options``
-        cannot say, and the ``time.perf_counter()`` instant its trace's root
+        caller asked for and waited, which one batch-wide ``options`` cannot
+        say, and the ``time.perf_counter()`` instant its trace's root
         span starts at.  Without it every result takes ``options.tags`` and a
         wait of 0.0, and every root span starts with the batch.  ``context``
         (dispatcher-internal) is the enclosing ``dispatcher_batch`` span.
@@ -454,24 +369,18 @@ class EstimationService:
             return []
         if options is None:
             options = _DEFAULT_OPTIONS
-        # Estimator and generation resolve under one registry-lock
-        # acquisition, so a concurrent replace() cannot stamp the new
-        # generation on an answer from the old estimator.
-        with self._registry_lock:
-            name = (
-                options.estimator
-                if options.estimator is not None
-                else self.default_estimator
-            )
-            chosen = self.get(name)
-            generation = self._generations.get(name, 0)
+        # Estimator and generation resolve under one lock acquisition, so a
+        # concurrent replace() cannot stamp the new generation on an answer
+        # from the old estimator.
+        with self._lock:
+            chosen, generation = self._estimator, self._generation
         recorder = self.recorder
         tracer = self.tracer
         batch_span = None
         if tracer is not None:
             started = time.perf_counter()
             batch_span = tracer.begin(
-                "service_batch", members=len(queries), estimator_name=name
+                "service_batch", members=len(queries), estimator_name=ESTIMATOR_NAME
             )
         caches = _caches(chosen)
         before = {name: (cache.stats.hits, cache.stats.misses) for name, cache in caches.items()}
@@ -479,13 +388,12 @@ class EstimationService:
         try:
             if isinstance(chosen, Cnt2CrdEstimator):
                 answers, planned_pairs, scored_pairs = self._submit_cnt2crd(
-                    queries, name, generation, chosen
+                    queries, generation, chosen
                 )
             else:
                 planned_pairs = scored_pairs = 0
                 answers = [
-                    self._guarded_estimate(query, name, generation, chosen)
-                    for query in queries
+                    self._guarded_estimate(query, generation, chosen) for query in queries
                 ]
         except BaseException as error:
             # Ending the batch span pops every nested stage span off this
@@ -496,7 +404,9 @@ class EstimationService:
                 if stamps is None:
                     # One error trace stands for the whole synchronous batch
                     # (its members are indistinguishable).
-                    tracer.fail(error, started, estimator_name=name, members=len(queries))
+                    tracer.fail(
+                        error, started, estimator_name=ESTIMATOR_NAME, members=len(queries)
+                    )
             raise
         elapsed = time.perf_counter() - start
         latency = elapsed / len(queries)
@@ -573,7 +483,7 @@ class EstimationService:
         if recorder is not None:
             recorder.emit(
                 BatchServed(
-                    estimator_name=name,
+                    estimator_name=ESTIMATOR_NAME,
                     size=len(queries),
                     elapsed_seconds=elapsed,
                     planned_pairs=planned_pairs,
@@ -602,27 +512,19 @@ class EstimationService:
     def warm(self, queries: Iterable[Query]) -> None:
         """Pre-encode request ``queries`` into the encoding cache.
 
-        Runs through the registered Cnt2Crd estimators' CRN containment
-        models (:meth:`CRNEstimator.warm`: one featurization pass, one
-        encoding pass per slot).  The caches hold request queries only: the pool is warmed by
-        :meth:`PoolEncodingIndex.warm`, whose slabs are the only home of a
-        pool entry's encodings.
+        Runs through the served Cnt2Crd estimator's CRN containment model
+        (:meth:`CRNEstimator.warm`: one featurization pass, one encoding
+        pass per slot).  The caches hold request queries only: the pool is
+        warmed by :meth:`PoolEncodingIndex.warm`, whose slabs are the only
+        home of a pool entry's encodings.
         """
-        queries = list(queries)
-        warmed: set[int] = set()
-        with self._registry_lock:
-            estimators = list(self._registry.values())
-        for estimator in estimators:
-            if not isinstance(estimator, Cnt2CrdEstimator):
-                continue
-            containment = estimator.containment_estimator
-            if isinstance(containment, CRNEstimator) and id(containment) not in warmed:
-                containment.warm(queries)
-                warmed.add(id(containment))
+        containment = getattr(self.estimator, "containment_estimator", None)
+        if isinstance(containment, CRNEstimator):
+            containment.warm(list(queries))
 
     def stats_snapshot(self) -> dict[str, float]:
-        """Service counters plus the default estimator's cache hit rates and
-        pool index gauges, ready for reporting.
+        """Service counters since boot plus the served estimator's cache hit
+        rates and pool index gauges, ready for reporting.
 
         The counter block is one locked read, so the snapshot is internally
         consistent even while other threads are submitting.
@@ -635,8 +537,7 @@ class EstimationService:
             snapshot["latency_p50_ms"] = histogram.quantile(0.5) * 1000.0
             snapshot["latency_p90_ms"] = histogram.quantile(0.9) * 1000.0
             snapshot["latency_p99_ms"] = histogram.quantile(0.99) * 1000.0
-        with self._registry_lock:
-            estimator = self._registry.get(self._default)
+        estimator = self.estimator
         for name, cache in _caches(estimator).items():
             snapshot[f"{name}_hit_rate"] = cache.stats_snapshot()["hit_rate"]
             snapshot[f"{name}_entries"] = float(len(cache))
@@ -644,44 +545,12 @@ class EstimationService:
             snapshot.update(estimator.pool_index.stats_snapshot())
         return snapshot
 
-    def drain_stats(self) -> dict[str, float]:
-        """Atomically snapshot **and reset** the service counter block.
-
-        A ``stats_snapshot()`` followed by a separate reset is not atomic:
-        submissions landing between the two calls are counted by neither the
-        drained interval nor the next one, and a reset racing a snapshot can
-        yield a torn view (requests from before the reset, seconds from
-        after).  Draining does both in one lock window of the counters, so
-        periodic consumers — the lifecycle metrics path attributes serving
-        counters to the model generation that produced them this way — see
-        every request exactly once.
-
-        Returns only the counter block (no cache rows: cache hit rates are
-        cumulative gauges owned by the caches, not per-interval counters).
-
-        Draining no longer *discards* history: with a recorder attached, the
-        drained interval is emitted as a ``stats_drained`` event, so the
-        event store's summed intervals plus the live counters always equal
-        the all-time totals — :meth:`repro.serving.ServingClient.stats` and
-        the store can never disagree (pinned by the consistency test in
-        ``tests/test_observability_serving.py``).
-        """
-        recorder = self.recorder
-        # Emitted inside the drain's lock window: two racing drains must land
-        # their events in the same order they drained, or the store's
-        # interval history would interleave inconsistently with the resets.
-        emit = (
-            None if recorder is None else lambda values: recorder.emit(StatsDrained(**values))
-        )
-        return _counter_block(self.stats.drain(emit))
-
     # ------------------------------------------------------------------ #
     # internals
 
     def _submit_cnt2crd(
         self,
         queries: Sequence[Query],
-        name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
     ) -> tuple[list[_Answer], int, int]:
@@ -693,7 +562,7 @@ class EstimationService:
             if inference_plan is not None:
                 attributes.update(inference_plan.kernel_info())
             span = tracer.begin(
-                "slab_kernel", members=len(queries), estimator_name=name, **attributes
+                "slab_kernel", members=len(queries), estimator_name=ESTIMATOR_NAME, **attributes
             )
         results, scored = estimator.slab_values(queries)
         if span is not None:
@@ -704,7 +573,7 @@ class EstimationService:
             if slab is not None:
                 planned += 2 * len(slab.entries)
             answers.append(
-                self._answer_request(query, slab, values, name, generation, estimator)
+                self._answer_request(query, slab, values, generation, estimator)
             )
         # Pair counts are returned (not applied here) so the caller records
         # them atomically with requests/batches — and only for completed
@@ -717,7 +586,6 @@ class EstimationService:
         query: Query,
         slab: PoolSlab | None,
         values: np.ndarray,
-        name: str,
         generation: int,
         estimator: Cnt2CrdEstimator,
     ) -> _Answer:
@@ -725,7 +593,7 @@ class EstimationService:
 
         A request without values — unmatched (``slab is None``), or matched
         with every eligible entry filtered by the epsilon guard — goes to
-        the estimator's own fallback, then to the flagged registry re-route.
+        the estimator's own fallback, then to the flagged service fallback.
         With a learned rate model a matched request's collapse to 0.0 could
         be a spurious zero, so it stands only when neither fallback exists
         (exactly right for exact rates and framed pools); an unmatched one
@@ -742,7 +610,7 @@ class EstimationService:
                 value = estimator.fallback_estimate(query)
                 return _Answer(
                     value,
-                    name,
+                    ESTIMATOR_NAME,
                     generation,
                     False,
                     RESOLUTION_ESTIMATOR_FALLBACK,
@@ -752,13 +620,13 @@ class EstimationService:
             except NoMatchingPoolQueryError:
                 pass
             try:
-                return self._registry_fallback(query, name, pool_matches, pairs_scored)
+                return self._fallback(query, pool_matches, pairs_scored)
             except NoMatchingPoolQueryError:
                 if slab is None:
                     raise
         return _Answer(
             estimator.collapse_values(values),
-            name,
+            ESTIMATOR_NAME,
             generation,
             False,
             resolution,
@@ -767,44 +635,29 @@ class EstimationService:
         )
 
     def _guarded_estimate(
-        self,
-        query: Query,
-        name: str,
-        generation: int,
-        estimator: CardinalityEstimator,
+        self, query: Query, generation: int, estimator: CardinalityEstimator
     ) -> _Answer:
         """One non-Cnt2Crd estimate."""
         try:
             value = estimator.estimate_cardinality(query)
         except NoMatchingPoolQueryError:
-            return self._registry_fallback(query, name)
-        return _Answer(value, name, generation, False, RESOLUTION_DIRECT)
+            return self._fallback(query)
+        return _Answer(value, ESTIMATOR_NAME, generation, False, RESOLUTION_DIRECT)
 
-    def _registry_fallback(
-        self, query: Query, failed: str, pool_matches: int = 0, pairs_scored: int = 0
-    ) -> _Answer:
-        """Route a request the primary could not answer to the registry fallback.
+    def _fallback(self, query: Query, pool_matches: int = 0, pairs_scored: int = 0) -> _Answer:
+        """Route a request the served estimator could not answer to the fallback.
 
-        The answer carries the fallback's name and generation, resolved
-        under one registry-lock acquisition.
+        The fallback is never replaced, so its answers carry generation 1.
         """
-        with self._registry_lock:
-            fallback = self.fallback
-            estimator = (
-                self._registry.get(fallback)
-                if fallback is not None and fallback != failed
-                else None
-            )
-            generation = self._generations.get(fallback, 0) if fallback else 0
-        if estimator is None:
+        if self.fallback is None:
             raise NoMatchingPoolQueryError(
-                f"estimator {failed!r} has no matching pool query for "
+                f"estimator {ESTIMATOR_NAME!r} has no matching pool query for "
                 f"{query.from_signature()} and the service has no fallback estimator"
             )
         return _Answer(
-            estimator.estimate_cardinality(query),
-            fallback,
-            generation,
+            self.fallback.estimate_cardinality(query),
+            FALLBACK_NAME,
+            1,
             True,
             RESOLUTION_REGISTRY_FALLBACK,
             pool_matches,

@@ -17,10 +17,10 @@ from repro.core.queries_pool import QueriesPool
 from repro.observability.recorder import EventRecorder
 from repro.observability.tracing import Tracer
 from repro.serving.cache import EncodingCache, FeaturizationCache
-from repro.serving.config import ESTIMATOR_NAME, FALLBACK_NAME, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.inference_plan import compile_and_attach
 from repro.serving.pool_index import PoolEncodingIndex
-from repro.serving.service import EstimationService
+from repro.serving.service import ESTIMATOR_NAME, EstimationService
 
 __all__ = ["ServiceStack", "build_service_stack", "wire_estimator"]
 
@@ -31,7 +31,7 @@ class ServiceStack:
 
     What :func:`build_service_stack` hands back: the config it was wired
     from and the service.  :attr:`estimator` is the served Cnt2Crd estimator
-    as the registry holds it now — the booted one until an adaptation
+    as the service holds it now — the booted one until an adaptation
     promote replaces it — and carries everything derived from its model:
     the request caches, the plan and the pool index.
     """
@@ -41,8 +41,8 @@ class ServiceStack:
 
     @property
     def estimator(self) -> Cnt2CrdEstimator:
-        """The live estimator registered under :data:`ESTIMATOR_NAME`."""
-        return self.service.get(ESTIMATOR_NAME)
+        """The live served estimator."""
+        return self.service.estimator
 
 
 def wire_estimator(
@@ -71,7 +71,7 @@ def wire_estimator(
         recorder: receives the ``plan_compile`` event and the index's
             ``index_build`` events.
         tracer: records the index's ``index_build`` spans.
-        generation: the registry generation the estimator will serve under,
+        generation: the model generation the estimator will serve under,
             which a compiled plan is compiled for.  ``None`` compiles no plan:
             the adaptation shadow serves only the accept gate's holdout, and
             a rejected candidate should not pay for a compile.
@@ -99,15 +99,14 @@ def build_service_stack(
 ) -> ServiceStack:
     """Wire an :class:`EstimationService` exactly as ``config`` describes.
 
-    The estimator (through :func:`wire_estimator`), the registry entries and
-    the warm-up all come from here.  ``generation`` is the model generation
-    served (1, or the one an artifact was saved at): the plan is compiled
-    for it and the registry stamps it.  ``recorder`` and ``tracer`` attach,
+    The estimator (through :func:`wire_estimator`), the service around it
+    and its fallback, and the warm-up all come from here.  ``generation`` is
+    the model generation served (1, or the one an artifact was saved at):
+    the plan is compiled for it and the service stamps it.  ``recorder`` and ``tracer`` attach,
     and the plan compiles, *before* the warm-up, so the initial slab builds
     are on the record (as ``index_build`` spans) and build the float32 slabs
     a plan reads.
     """
-    fallback = config.fallback_estimator
     estimator = wire_estimator(
         config,
         config.model,
@@ -118,16 +117,12 @@ def build_service_stack(
         generation=generation,
     )
     service = EstimationService(
-        fallback=FALLBACK_NAME if fallback is not None else None,
+        estimator,
+        config.fallback_estimator,
+        generation=generation,
         recorder=recorder,
         tracer=tracer,
     )
-    service.register(ESTIMATOR_NAME, estimator, default=True)
-    service.set_generation(ESTIMATOR_NAME, generation)
-    if fallback is not None:
-        service.register(FALLBACK_NAME, fallback)
-    for name, extra in config.extra_estimators.items():
-        service.register(name, extra)
     if config.pool_options.warm:
         estimator.pool_index.warm()  # fills the slabs; the request caches stay empty
     return ServiceStack(config=config, service=service)

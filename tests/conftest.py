@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from repro.db.database import Database
 from repro.db.executor import QueryExecutor
 from repro.db.intersection import TrueCardinalityOracle
 from repro.db.schema import Column, ColumnRole, ColumnType, DatabaseSchema, ForeignKey, TableSchema
+from repro.cluster.worker import stable_shard
 from repro.serving import EstimationService, ServingConfig, build_service_stack
+from repro.sql.builder import QueryBuilder
 
 #: A two-table schema small enough to verify every number by hand.
 TOY_SCHEMA = DatabaseSchema(
@@ -135,6 +139,34 @@ def build_service(
         **sections,
     )
     return build_service_stack(config).service
+
+
+#: The synthetic IMDb's fact tables: the generator joins them only through
+#: ``title``, so no pool holds a FROM clause of two of them without it.
+FACT_TABLES = (
+    ("movie_companies", "mc"),
+    ("cast_info", "ci"),
+    ("movie_info", "mi"),
+    ("movie_info_idx", "mi_idx"),
+    ("movie_keyword", "mk"),
+)
+
+
+def unpooled_queries(pool, shard, count=1, num_workers=2):
+    """``count`` queries of two fact tables whose FROM-signatures no bucket of
+    ``pool`` holds and that a cluster of ``num_workers`` routes to ``shard``
+    (by content hash, as it routes every unpooled signature): only the
+    fallback answers them.  Aliases vary when the pairs run out."""
+    found = []
+    for round_ in itertools.count():
+        tag = str(round_) if round_ else ""
+        for (first, a), (second, b) in itertools.combinations(FACT_TABLES, 2):
+            query = QueryBuilder().table(first, a + tag).table(second, b + tag).build()
+            signature = query.from_signature()
+            if not pool.has_match(query) and stable_shard(signature, num_workers) == shard:
+                found.append(query)
+                if len(found) == count:
+                    return found
 
 
 def assert_cluster_drained_cleanly(client, crashed_shards=()) -> None:

@@ -455,6 +455,9 @@ class TestRetiredConfigKeys:
             ("tracing", "tail_quantile", 0.5),
             ("tracing", "min_tail_observations", 4),
             ("feedback", "epsilon", 0.5),
+            ("cluster", "connect_timeout_seconds", 1.0),
+            ("cluster", "retry_backoff_seconds", 0.0),
+            ("cluster", "deadline_grace_seconds", 2.0),
         ],
     )
     def test_field_that_changed_no_estimate_is_dropped_at_any_value(
@@ -585,7 +588,7 @@ class TestColdBoot:
         client = ServingClient(config)  # saves generation 1 at build
         expected = [client.estimate(item.query).estimate for item in workload]
         client.shutdown()
-        # Earlier builds wrote these twelve fields, at these defaults, into
+        # Earlier builds wrote these fifteen fields, at these defaults, into
         # every config.json.
         config_path = root / "gen-1" / "config.json"
         parent_format = json.loads(config_path.read_text())
@@ -602,20 +605,20 @@ class TestColdBoot:
         parent_format["tracing"].update(tail_quantile=0.95, min_tail_observations=32)
         parent_format["feedback"]["epsilon"] = 1.0
         parent_format["adaptation"]["warm_on_swap"] = True
+        parent_format["cluster"].update(
+            connect_timeout_seconds=5.0, retry_backoff_seconds=0.05, deadline_grace_seconds=0.5
+        )
         config_path.write_text(json.dumps(parent_format))
         rehash(root / "gen-1", "config.json")
         assert artifact_tool.main(["verify", str(root)]) == 0
-        booted = ServingClient.from_artifact(
-            root,
-            database=imdb_small,
-            fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-        )
+        fallback = PostgresCardinalityEstimator(imdb_small)
+        booted = ServingClient.from_artifact(root, database=imdb_small, fallback_estimator=fallback)
         assert [booted.estimate(item.query).estimate for item in workload] == expected
         assert booted.config.to_mapping() == {
             **config.to_mapping(),
             "artifacts": {"root": str(root)},
         }
-        assert booted.service.names() == ["crn", "fallback"]
+        assert booted.service.fallback is fallback
         booted.shutdown()
 
     @pytest.mark.parametrize(
@@ -803,7 +806,7 @@ class TestPromotePipeline:
         self, episode, imdb_small, workload
     ):
         booted = ServingClient.from_artifact(episode["root"], database=imdb_small)
-        assert booted.service.generation("crn") == 2
+        assert booted.service.generation == 2
         restored = [booted.estimate(item.query).estimate for item in workload]
         assert restored == episode["promoted"]
         assert restored != episode["baseline"]  # really the adapted model
@@ -816,7 +819,7 @@ class TestPromotePipeline:
         assert artifact_tool.main(["rollback", str(episode["root"])]) == 0
         try:
             booted = ServingClient.from_artifact(episode["root"], database=imdb_small)
-            assert booted.service.generation("crn") == 1
+            assert booted.service.generation == 1
             restored = [booted.estimate(item.query).estimate for item in workload]
             assert restored == episode["baseline"]
             booted.shutdown()

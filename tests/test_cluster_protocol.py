@@ -22,7 +22,6 @@ from repro.serving.errors import (
     ClusterProtocolError,
     DeadlineExceededError,
     NoMatchingPoolQueryError,
-    UnknownEstimatorError,
     WorkerUnavailableError,
 )
 from repro.serving.service import EstimateResult, RequestOptions
@@ -111,19 +110,22 @@ class TestQueryPayloads:
 
 
 class TestOptionsPayloads:
+    def test_payload_carries_the_deadline_and_the_tags_only(self):
+        payload = protocol.options_to_payload(RequestOptions(timeout_seconds=1.0, tags={"a": "b"}))
+        assert payload == {"timeout_seconds": 1.0, "tags": [["a", "b"]]}
+
     def test_none_stays_none(self):
         assert protocol.options_to_payload(None) is None
         assert protocol.options_from_payload(None) is None
 
     def test_full_options_round_trip(self):
-        options = RequestOptions(
-            estimator="crn",
-            timeout_seconds=2.5,
-            tags={"trace": "t-17", "tenant": "a"},
-        )
+        options = RequestOptions(timeout_seconds=2.5, tags={"trace": "t-17", "tenant": "a"})
         rebuilt = protocol.options_from_payload(protocol.options_to_payload(options))
         assert rebuilt == options
         assert rebuilt.tags == options.tags  # sorted-tuple normalization held
+        # An older peer's estimator key names the one served estimator.
+        older = {"estimator": "crn", **protocol.options_to_payload(options)}
+        assert protocol.options_from_payload(older) == options
 
     def test_invalid_options_are_a_protocol_error(self):
         for timeout in (-3.0, float("nan"), float("inf")):
@@ -195,7 +197,6 @@ class TestErrorFidelity:
     def test_stdlib_bases_survive_the_round_trip(self):
         cases = [
             (DeadlineExceededError("late"), TimeoutError),
-            (UnknownEstimatorError("nope"), KeyError),
             (WorkerUnavailableError("gone"), ConnectionError),
             (ClusterProtocolError("torn"), ValueError),
             (NoMatchingPoolQueryError("empty bucket"), LookupError),

@@ -33,13 +33,12 @@ from repro.datasets import build_queries_pool_queries
 from repro.serving import (
     ClusterConfig,
     DeadlineExceededError,
-    RequestOptions,
     ServingClient,
     ServingConfig,
     WorkerUnavailableError,
 )
 from repro.serving.config import ArtifactConfig, ObservabilityConfig
-from tests.conftest import assert_cluster_drained_cleanly
+from tests.conftest import assert_cluster_drained_cleanly, unpooled_queries
 
 #: Generous bound for one worker to cold-boot from the artifact store on a
 #: loaded single-core CI box.
@@ -82,8 +81,7 @@ def recovery_cluster(model, imdb_small, imdb_featurizer, pool, tmp_path_factory)
         model=model,
         featurizer=imdb_featurizer,
         pool=pool,
-        fallback_estimator=PostgresCardinalityEstimator(imdb_small),
-        extra_estimators={"sleepy": SleepyEstimator()},
+        fallback_estimator=SleepyEstimator(),
         database=imdb_small,
         artifacts=ArtifactConfig(root=str(root)),
         observability=ObservabilityConfig(
@@ -127,7 +125,7 @@ def wait_for_restart(client, shard, old_pid):
     )
 
 
-def test_kill_dash_nine_recovery_end_to_end(recovery_cluster, workload):
+def test_kill_dash_nine_recovery_end_to_end(recovery_cluster, pool, workload):
     client = recovery_cluster
     victim_shard = 0
     victim_query = next(
@@ -147,9 +145,9 @@ def test_kill_dash_nine_recovery_end_to_end(recovery_cluster, workload):
     client.supervisor.status(probe=True)
 
     # -- kill: SIGKILL with a request in flight on the victim shard.
-    in_flight = client.estimate_future(
-        victim_query, options=RequestOptions(estimator="sleepy")
-    )
+    # Its FROM clause has no pool bucket, so the sleepy fallback holds it.
+    (sleepy_query,) = unpooled_queries(pool, victim_shard)
+    in_flight = client.estimate_future(sleepy_query)
     time.sleep(0.5)  # let the frame reach the worker's handler
     os.kill(worker_before["pid"], signal.SIGKILL)
 

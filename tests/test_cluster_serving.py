@@ -46,13 +46,12 @@ from repro.serving import (
     ServingClient,
     ServingConfig,
     ServingError,
-    UnknownEstimatorError,
     WorkerUnavailableError,
 )
 from repro.serving.config import AdaptationConfig, DispatcherConfig, FeedbackConfig
 from repro.serving.errors import ArtifactChecksumError
 from repro.sql.builder import QueryBuilder
-from tests.conftest import assert_cluster_drained_cleanly
+from tests.conftest import assert_cluster_drained_cleanly, unpooled_queries
 
 
 class ChecksumRaisingEstimator(CardinalityEstimator):
@@ -127,6 +126,38 @@ def unmatched_query():
     )
 
 
+def fact_pair(first, second):
+    """A FROM clause of two fact tables, as an unfiltered query."""
+    return QueryBuilder().table(*first).table(*second).build()
+
+
+#: Unpooled FROM clauses the shared cluster's fallback answers with a stub.
+POISONED = fact_pair(("movie_companies", "mc"), ("movie_info", "mi"))
+STRICT = fact_pair(("cast_info", "ci"), ("movie_info_idx", "mi_idx"))
+SLEEPY = fact_pair(("movie_info", "mi"), ("movie_keyword", "mk"))
+
+
+class ScriptedFallback(CardinalityEstimator):
+    """The shared cluster's fallback: PostgreSQL's estimate, except for the
+    FROM clauses :data:`POISONED`, :data:`STRICT` and :data:`SLEEPY`, which
+    its stubs answer.  Forked with the config into every worker."""
+
+    name = "scripted"
+
+    def __init__(self, postgres: CardinalityEstimator) -> None:
+        self.postgres = postgres
+        self.sleepy = SleepyEstimator()
+        self.stubs = {
+            POISONED.from_signature(): ChecksumRaisingEstimator(),
+            STRICT.from_signature(): DeadlineRaisingEstimator(),
+            SLEEPY.from_signature(): self.sleepy,
+        }
+
+    def estimate_cardinality(self, query) -> float:
+        stub = self.stubs.get(query.from_signature(), self.postgres)
+        return stub.estimate_cardinality(query)
+
+
 @pytest.fixture(scope="module")
 def local_client(model, imdb_small, imdb_featurizer, pool):
     """The single-process reference every cluster answer is compared against."""
@@ -136,16 +167,13 @@ def local_client(model, imdb_small, imdb_featurizer, pool):
 @pytest.fixture(scope="module")
 def cluster_client(model, imdb_small, imdb_featurizer, pool):
     """One live 2-worker cluster shared by the read-only serving tests."""
+    assert not any(pool.has_match(query) for query in (POISONED, STRICT, SLEEPY))
     config = make_config(
         model,
         imdb_small,
         imdb_featurizer,
         pool,
-        extra_estimators={
-            "poisoned": ChecksumRaisingEstimator(),
-            "strict": DeadlineRaisingEstimator(),
-            "sleepy": SleepyEstimator(),
-        },
+        fallback_estimator=ScriptedFallback(PostgresCardinalityEstimator(imdb_small)),
         cluster=ClusterConfig(mode="cluster", num_workers=2),
     )
     with ServingClient(config) as client:
@@ -155,7 +183,7 @@ def cluster_client(model, imdb_small, imdb_featurizer, pool):
 
 @pytest.fixture(scope="module")
 def bare_cluster_client(model, imdb_small, imdb_featurizer, pool):
-    """A 2-worker cluster with no registry fallback: an unmatched query raises."""
+    """A 2-worker cluster with no fallback: an unmatched query raises."""
     config = make_config(
         model,
         imdb_small,
@@ -167,6 +195,32 @@ def bare_cluster_client(model, imdb_small, imdb_featurizer, pool):
     with ServingClient(config) as client:
         yield client
     assert_cluster_drained_cleanly(client)
+
+
+class TestClusterTimings:
+    def test_fixed_timings_are_module_constants_at_their_old_defaults(self):
+        from repro.cluster import router, supervisor
+
+        assert supervisor.CONNECT_TIMEOUT_SECONDS == 5.0
+        assert router.CONNECT_TIMEOUT_SECONDS is supervisor.CONNECT_TIMEOUT_SECONDS
+        assert router.RETRY_BACKOFF_SECONDS == 0.05
+        assert router.DEADLINE_GRACE_SECONDS == 0.5
+
+    @pytest.mark.parametrize(
+        "key", ["connect_timeout_seconds", "retry_backoff_seconds", "deadline_grace_seconds"]
+    )
+    def test_a_config_mapping_naming_a_retired_timing_is_refused(
+        self, model, imdb_small, imdb_featurizer, pool, key
+    ):
+        # A live mapping is not upgraded: only a saved bundle's config goes
+        # through upgrade_saved_config, which drops these keys.
+        with pytest.raises(ValueError, match=key):
+            ServingConfig.from_mapping(
+                {"cluster": {key: 1.0}},
+                model=model,
+                featurizer=imdb_featurizer,
+                pool=pool,
+            )
 
 
 class TestClusterConfigValidation:
@@ -346,31 +400,18 @@ class TestProvenance:
 class TestErrorFidelity:
     """Worker-side exceptions surface as the same class, message preserved."""
 
-    def test_unknown_estimator_crosses_as_itself(self, cluster_client, workload):
-        with pytest.raises(UnknownEstimatorError) as excinfo:
-            cluster_client.estimate(
-                workload[0], options=RequestOptions(estimator="nope")
-            )
-        assert isinstance(excinfo.value, KeyError)
-        assert "unknown estimator" in str(excinfo.value)
-        assert "nope" in str(excinfo.value)
-
     def test_artifact_checksum_error_crosses_as_itself(
         self, cluster_client, workload
     ):
         with pytest.raises(ArtifactChecksumError) as excinfo:
-            cluster_client.estimate(
-                workload[0], options=RequestOptions(estimator="poisoned")
-            )
+            cluster_client.estimate(POISONED)
         assert str(excinfo.value) == "slab digest mismatch inside the shard worker"
 
     def test_deadline_error_crosses_as_itself_with_worker_message(
         self, cluster_client, workload
     ):
         with pytest.raises(DeadlineExceededError) as excinfo:
-            cluster_client.estimate(
-                workload[0], options=RequestOptions(estimator="strict")
-            )
+            cluster_client.estimate(STRICT)
         assert isinstance(excinfo.value, TimeoutError)
         assert str(excinfo.value) == "worker-side deadline expired after 0.007s"
 
@@ -388,7 +429,7 @@ class TestErrorFidelity:
         assert str(clustered.value) == str(local.value)
         assert "has no fallback estimator" in str(local.value)
 
-    def test_registry_fallback_reroutes_inside_the_worker(
+    def test_fallback_reroutes_inside_the_worker(
         self, cluster_client, local_client
     ):
         query = unmatched_query()
@@ -400,14 +441,11 @@ class TestErrorFidelity:
     def test_slow_worker_fails_typed_within_the_deadline_budget(
         self, cluster_client, workload
     ):
-        sleepy = cluster_client.config.extra_estimators["sleepy"]
+        sleepy = cluster_client.config.fallback_estimator.sleepy
         started = time.monotonic()
         try:
             with pytest.raises(DeadlineExceededError):
-                cluster_client.estimate(
-                    workload[0],
-                    options=RequestOptions(estimator="sleepy", timeout_seconds=0.2),
-                )
+                cluster_client.estimate(SLEEPY, options=RequestOptions(timeout_seconds=0.2))
             # 0.2s deadline + grace while the worker still holds the request:
             # the budget answered, not the stub (and never a hang).
             assert time.monotonic() - started < 4.0
@@ -596,10 +634,10 @@ class TestBlockingRouter:
         """Boot clusters on demand; shut each down and check its drain."""
         clients = []
 
-        def start(*, extra_estimators, dispatcher=True, **cluster):
+        def start(*, fallback, dispatcher=True, **cluster):
             config = make_config(
                 model, imdb_small, imdb_featurizer, pool,
-                extra_estimators=extra_estimators,
+                fallback_estimator=fallback,
                 dispatcher=DispatcherConfig(enabled=dispatcher),
                 cluster=ClusterConfig(mode="cluster", num_workers=2, **cluster),
             )
@@ -608,9 +646,9 @@ class TestBlockingRouter:
 
         yield start
         for client in clients:
-            for estimator in client.config.extra_estimators.values():
-                if hasattr(estimator, "release"):
-                    estimator.release.set()  # a drain waits on held requests
+            fallback = client.config.fallback_estimator
+            if hasattr(fallback, "release"):
+                fallback.release.set()  # a drain waits on held requests
             client.shutdown()
             assert_cluster_drained_cleanly(client)
 
@@ -635,18 +673,16 @@ class TestBlockingRouter:
         return opened
 
     def test_timed_out_connection_is_closed_not_pooled(
-        self, start_cluster, connections, local_client, workload
+        self, start_cluster, connections, local_client, pool, workload
     ):
         # A late reply left on a pooled connection would answer the next
         # caller.  The first request runs out of the *router's* budget (it
         # carries no caller deadline for the worker to enforce) while the
         # worker still holds it; the worker then finishes and replies late.
         sleepy = SleepyEstimator()
-        client = start_cluster(
-            extra_estimators={"sleepy": sleepy}, request_timeout_seconds=0.3
-        )
-        held, other = queries_on_shard(client, workload, 0)[:2]
-        assert held != other
+        client = start_cluster(fallback=sleepy, request_timeout_seconds=0.3)
+        (held,) = unpooled_queries(pool, 0)
+        other = queries_on_shard(client, workload, 0)[0]
 
         def served(shard=0):
             status = client.supervisor.status(probe=True)
@@ -655,7 +691,7 @@ class TestBlockingRouter:
         before = served()
         connections.clear()  # the health probes connect too
         with pytest.raises(DeadlineExceededError, match="not answered within 0.300s"):
-            client.estimate(held, RequestOptions(estimator="sleepy"))
+            client.estimate(held)
         (timed_out,) = connections
         assert timed_out.closed
         sleepy.release.set()
@@ -669,19 +705,14 @@ class TestBlockingRouter:
         assert not fresh.closed
 
     def test_lost_connection_drops_every_idle_connection_of_its_shard(
-        self, start_cluster, connections, imdb_small, workload
+        self, start_cluster, connections, imdb_small, pool
     ):
         # Three stale sockets to a restarted worker must cost one retry, not
         # the whole retry budget one socket at a time.
         gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
-        client = start_cluster(
-            extra_estimators={"gated": gated}, dispatcher=False, worker_threads=4
-        )
-        query = queries_on_shard(client, workload, 1)[0]
-        futures = [
-            client.estimate_future(query, RequestOptions(estimator="gated"))
-            for _ in range(3)
-        ]
+        client = start_cluster(fallback=gated, dispatcher=False, worker_threads=4)
+        (query,) = unpooled_queries(pool, 1)
+        futures = [client.estimate_future(query) for _ in range(3)]
         wait_until(lambda: gated.inside.value == 3, "three requests in flight")
         gated.release.set()
         assert len({future.result(timeout=30).estimate for future in futures}) == 1
@@ -696,38 +727,29 @@ class TestBlockingRouter:
         assert all(connection.closed for connection in connections[:3])
         assert not connections[-1].closed  # the retry's fresh connection, pooled
 
-    def test_estimate_many_raises_the_lowest_failing_shards_error(
-        self, start_cluster, pool, workload
-    ):
-        assignment = assign_shards(pool.from_signatures(), 2)
-        failing = OrderedFailureEstimator(
-            signature for signature, shard in assignment.items() if shard == 0
-        )
-        client = start_cluster(extra_estimators={"ordered-failure": failing})
-        batch = [
-            queries_on_shard(client, workload, 1)[0],
-            queries_on_shard(client, workload, 0)[0],
-        ]
+    def test_estimate_many_raises_the_lowest_failing_shards_error(self, start_cluster, pool):
+        (lower,) = unpooled_queries(pool, 0)
+        (higher,) = unpooled_queries(pool, 1)
+        failing = OrderedFailureEstimator([lower.from_signature()])
+        client = start_cluster(fallback=failing)
+        batch = [higher, lower]
         started = time.monotonic()
         with pytest.raises(ServingError, match="the lower shard failed last"):
-            client.estimate_many(
-                batch, options=RequestOptions(estimator="ordered-failure")
-            )
+            client.estimate_many(batch)
         # Both frames were written before either reply was read: shard 0 saw
         # shard 1 fail instead of sitting out its 10 s bound.
         assert failing.higher_failed.is_set()
         assert time.monotonic() - started < 5.0
 
     def test_stop_resolves_an_in_flight_future_and_closes_every_socket(
-        self, start_cluster, connections, imdb_small, workload
+        self, start_cluster, connections, imdb_small, pool, workload
     ):
         gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
-        client = start_cluster(extra_estimators={"gated": gated})
+        client = start_cluster(fallback=gated)
         warm = client.estimate(workload[0])  # leaves one idle pooled connection
         assert warm is not None
-        future = client.estimate_future(
-            workload[1], RequestOptions(estimator="gated", timeout_seconds=0.3)
-        )
+        (held,) = unpooled_queries(pool, 0)
+        future = client.estimate_future(held, RequestOptions(timeout_seconds=0.3))
         wait_until(lambda: gated.inside.value == 1, "the request to be in flight")
         started = time.monotonic()
         client.router.stop()
@@ -740,7 +762,7 @@ class TestBlockingRouter:
             client.router.estimate(workload[0])
 
     def test_worker_serves_a_lone_request_on_its_connection_thread(
-        self, start_cluster, monkeypatch, imdb_small, local_client, workload
+        self, start_cluster, monkeypatch, imdb_small, local_client, pool, workload
     ):
         # An idle worker dispatcher serves a routed estimate inline: a batch
         # of one on the connection thread, so its queue wait is exactly 0.
@@ -760,18 +782,17 @@ class TestBlockingRouter:
 
         monkeypatch.setattr(ServingDispatcher, "submit", counting_submit)
         gated = GateEstimator(PostgresCardinalityEstimator(imdb_small))
-        client = start_cluster(extra_estimators={"gated": gated})
-        first, second = queries_on_shard(client, workload, 0)[:2]
-        for query in (first, second):
+        client = start_cluster(fallback=gated)
+        for query in queries_on_shard(client, workload, 0)[:2]:
             answer = client.estimate(query)
             assert answer.queue_wait_seconds == 0.0
             assert answer.estimate.hex() == local_client.estimate(query).estimate.hex()
         assert enqueued.value == 0
 
-        options = RequestOptions(estimator="gated")
-        held = client.estimate_future(first, options)
+        first, second = unpooled_queries(pool, 0, count=2)
+        held = client.estimate_future(first)
         wait_until(lambda: gated.inside.value == 1, "the held request to be in flight")
-        behind = client.estimate_future(second, options)
+        behind = client.estimate_future(second)
         wait_until(lambda: enqueued.value == 1, "the second request to enqueue")
         gated.release.set()
         assert held.result(timeout=30).queue_wait_seconds == 0.0
@@ -783,25 +804,23 @@ class TestBlockingRouter:
     ):
         delegate = PostgresCardinalityEstimator(imdb_small)
         gated = GateEstimator(delegate)
-        client = start_cluster(
-            extra_estimators={"gated": gated}, dispatcher=False, worker_threads=2
-        )
+        client = start_cluster(fallback=gated, dispatcher=False, worker_threads=2)
         reference = ServingClient(
             make_config(
                 model, imdb_small, imdb_featurizer, pool,
-                extra_estimators={"gated": GateEstimator(delegate, hold=False)},
+                fallback_estimator=GateEstimator(delegate, hold=False),
             )
         )
-        options = RequestOptions(estimator="gated")
+        gated_queries = unpooled_queries(pool, 0, count=4)
+        queries = [gated_queries[k % len(gated_queries)] for k in range(8)]
         shard_queries = queries_on_shard(client, workload, 0)
-        queries = [shard_queries[k % len(shard_queries)] for k in range(8)]
         answers: list = [None] * len(queries)
         follow_ups = 5
 
         def call(position):
-            answers[position] = client.estimate(queries[position], options)
+            answers[position] = client.estimate(queries[position])
             for _ in range(follow_ups):  # plain requests, through the pool
-                client.estimate(queries[position])
+                client.estimate(shard_queries[position % len(shard_queries)])
 
         routed = client.stats()["cluster_requests_routed"]
         threads = [
@@ -823,7 +842,7 @@ class TestBlockingRouter:
         assert not any(thread.is_alive() for thread in threads)
         assert gated.peak.value == 2  # worker_threads, never more
         for query, answer in zip(queries, answers, strict=True):
-            expected = reference.estimate(query, options)
+            expected = reference.estimate(query)
             assert answer.estimate.hex() == expected.estimate.hex()
         # A lost counter update would show here.
         served = len(queries) * (1 + follow_ups)

@@ -46,20 +46,6 @@ class TestCounters:
         assert (stats.hits, stats.seconds, stats.level) == (3, 0.25, 7)
         assert list(stats.snapshot()) == ["hits", "seconds", "level"]
 
-    def test_drain_resets_counters_to_their_starting_type(self):
-        stats = Counters(requests=0, seconds=0.0)
-        stats.update(requests=2, seconds=1.5)
-        assert stats.drain() == {"requests": 2, "seconds": 1.5}
-        assert stats.snapshot() == {"requests": 0, "seconds": 0.0}
-        assert isinstance(stats.requests, int) and isinstance(stats.seconds, float)
-
-    def test_drain_calls_then_inside_its_lock_window(self):
-        stats = Counters(requests=0)
-        stats.add("requests", 4)
-        seen = []
-        stats.drain(lambda values: seen.append((values, stats._lock.locked())))
-        assert seen == [({"requests": 4}, True)]
-
     def test_assignment_and_unknown_names_raise(self):
         stats = Counters(hits=0, level=float("nan"), gauges=("level",))
         with pytest.raises(AttributeError, match="hits"):
@@ -91,47 +77,39 @@ class TestCountersUnderThreads:
             "seconds": 0.5 * THREADS * ADDS,
         }
 
-    def test_drain_racing_adds_neither_loses_nor_double_counts(self, fast_switching):
+    def test_snapshots_racing_updates_are_never_torn(self, fast_switching):
         stats = Counters(requests=0, pairs=0)
-        drained: list[dict] = []
+        seen: list[dict] = []
         stop = threading.Event()
 
-        def drainer():
+        def reader():
             while not stop.is_set():
-                drained.append(stats.drain())
+                seen.append(stats.snapshot())
 
-        thread = threading.Thread(target=drainer)
+        thread = threading.Thread(target=reader)
         thread.start()
         try:
             run_threads(lambda index: [stats.update(requests=1, pairs=3) for _ in range(ADDS)])
         finally:
             stop.set()
             join(thread)
-        final = stats.snapshot()
-        assert len(drained) > 1
-        for name, per_add in (("requests", 1), ("pairs", 3)):
-            assert sum(interval[name] for interval in drained) + final[name] == (
-                per_add * THREADS * ADDS
-            )
-        # One lock window per update and per drain: no interval is torn.
-        assert all(interval["pairs"] == 3 * interval["requests"] for interval in drained)
+        assert len(seen) > 1
+        assert stats.snapshot() == {"requests": THREADS * ADDS, "pairs": 3 * THREADS * ADDS}
+        # One lock window per update and per snapshot: no snapshot is torn.
+        assert all(values["pairs"] == 3 * values["requests"] for values in seen)
 
-    def test_gauges_and_maxima_survive_drains(self, fast_switching):
+    def test_gauges_and_maxima_under_concurrent_updates(self, fast_switching):
         stats = Counters(calls=0, depth=0, level=-1, maxima=("depth",), gauges=("level",))
-        drained_calls: list[int] = []
 
         def worker(index):
             for step in range(ADDS):
                 stats.update(calls=1, depth=step, level=index)
-                if step % 100 == 0:
-                    drained_calls.append(stats.drain()["calls"])
 
         run_threads(worker)
-        final = stats.drain()
-        assert sum(drained_calls) + final["calls"] == THREADS * ADDS
+        final = stats.snapshot()
+        assert final["calls"] == THREADS * ADDS
         assert final["depth"] == ADDS - 1
         assert final["level"] in range(THREADS)
-        assert stats.snapshot() == {"calls": 0, "depth": ADDS - 1, "level": final["level"]}
 
     def test_the_maximum_never_decreases_between_snapshots(self, fast_switching):
         stats = Counters(depth=0, maxima=("depth",))
@@ -140,8 +118,7 @@ class TestCountersUnderThreads:
 
         def reader():
             while not stop.is_set():
-                seen.append(stats.depth)
-                stats.drain()
+                seen.append(stats.snapshot()["depth"])
 
         thread = threading.Thread(target=reader)
         thread.start()

@@ -1,15 +1,16 @@
-"""End-to-end observability: client wiring, the drain-consistency contract,
-and every instrumented component landing its events in the store."""
+"""End-to-end observability: client wiring, and service counters that count
+from boot across hot swaps, as the store does."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.baselines import PostgresCardinalityEstimator
-from repro.core import CRNConfig, CRNModel, QueriesPool
-from repro.datasets import build_queries_pool_queries
+from repro.core import CRNConfig, CRNModel, QueriesPool, TrainingConfig, train_crn
+from repro.datasets import build_queries_pool_queries, build_training_pairs
 from repro.observability import EventStore
 from repro.serving import (
+    AdaptationConfig,
     DispatcherConfig,
     FeedbackConfig,
     ObservabilityConfig,
@@ -33,6 +34,17 @@ def workload(imdb_small, imdb_oracle):
 @pytest.fixture(scope="module")
 def model(imdb_featurizer):
     return CRNModel(imdb_featurizer.vector_size, CRNConfig(hidden_size=16, seed=5))
+
+
+@pytest.fixture(scope="module")
+def trained(imdb_small, imdb_featurizer, imdb_oracle):
+    pairs = build_training_pairs(imdb_small, count=80, seed=12, oracle=imdb_oracle)
+    return train_crn(
+        imdb_featurizer,
+        pairs,
+        crn_config=CRNConfig(hidden_size=16, seed=2),
+        training_config=TrainingConfig(epochs=4, batch_size=32),
+    )
 
 
 def make_config(model, imdb_small, imdb_featurizer, pool, **overrides):
@@ -144,67 +156,43 @@ class TestClientWiring:
             assert reopened.counts()["request_served"] == 1
 
 
-class TestDrainConsistency:
-    def test_drained_snapshots_land_in_the_store(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        client.estimate_many(workload[:10])
-        first = client.service.drain_stats()
-        assert first["requests"] == 10.0
-        client.estimate_many(workload[10:16])
-        second = client.service.drain_stats()
-        assert second["requests"] == 6.0
-        client.recorder.flush()
-        totals = client.event_store.drained_totals()
-        assert totals["requests"] == 16.0
-        assert totals["batches"] == 2.0
-        assert totals["planned_pairs"] == first["planned_pairs"] + second["planned_pairs"]
-
-    def test_store_intervals_plus_live_counters_equal_all_time_totals(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        """The consistency contract: draining moves history into the store
-        instead of discarding it, so for every counter
-
-            sum(stats_drained intervals) + live counter == all-time total
-
-        holds at any point — ``stats()`` and the store can never disagree
-        about how much traffic was served.
-        """
-        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        keys = ("requests", "batches", "planned_pairs", "scored_pairs", "fallbacks")
-        all_time = dict.fromkeys(keys, 0.0)
-
-        def checkpoint():
-            live = client.stats()  # flushes buffered events into the store
-            stored = client.event_store.drained_totals()
-            for key in keys:
-                assert stored[key] + live[key] == all_time[key], key
-
-        for start, stop, drain in ((0, 8, True), (8, 14, False), (14, 20, True)):
-            # All-time totals tracked independently via live deltas measured
-            # around each submission (no drain happens inside the bracket).
-            before = client.service.stats_snapshot()
+class TestCountsFromBoot:
+    def test_service_counters_span_every_swap(self, trained, imdb_small, pool, workload):
+        """A promote resets no service counter: after every swap ``stats()``
+        counts each request served since boot, as the store's
+        ``request_served`` events do, and ``requests_between_swaps`` is the
+        traffic served since the swap before."""
+        config = make_config(
+            trained.model,
+            imdb_small,
+            trained.featurizer,
+            pool,
+            training_result=trained,
+            database=imdb_small,
+            feedback=FeedbackConfig(enabled=True),
+            adaptation=AdaptationConfig(
+                enabled=True,
+                poll_interval_seconds=3600.0,
+                training_pairs=20,
+                incremental_epochs=1,
+                full_epochs=1,
+            ),
+        )
+        client = ServingClient(config)
+        served, between = 0, []
+        for start, stop in ((0, 10), (10, 16), (16, 24)):
             client.estimate_many(workload[start:stop])
-            after = client.service.stats_snapshot()
-            for key in keys:
-                all_time[key] += after[key] - before[key]
-            if drain:
-                client.service.drain_stats()
-            checkpoint()
-
-    def test_checkpoint_pairs_and_fallbacks_are_consistent_too(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        client.estimate_many(workload[:12])
-        before = client.service.stats_snapshot()
-        client.service.drain_stats()
-        client.estimate_many(workload[12:18])
-        after = client.service.stats_snapshot()
-        client.recorder.flush()
-        stored = client.event_store.drained_totals()
-        for key in ("requests", "batches", "planned_pairs", "scored_pairs", "fallbacks"):
-            assert stored[key] + after[key] == pytest.approx(before[key] + after[key])
-            assert stored[key] == pytest.approx(before[key])
+            served += stop - start
+            between.append(stop - start)
+            # An empty feedback window skips the gate: the candidate promotes.
+            assert client.trigger_adaptation().swapped
+            stats = client.stats()  # flushes buffered events into the store
+            assert stats["requests"] == served
+            assert stats["batches"] == len(between)
+            assert stats["requests_between_swaps"] == between[-1]
+            assert client.event_store.counts()["request_served"] == served
+        assert stats["swaps"] == 3.0
+        swaps = client.event_store.events(kind="model_swap")
+        assert [event.requests_between_swaps for event in swaps] == between
+        assert "stats_drained" not in client.event_store.counts()
+        client.shutdown()

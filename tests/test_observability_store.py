@@ -239,24 +239,21 @@ def test_swap_history_is_keyed_by_model_generation():
         assert history[0]["requests_between_swaps"] == 40
 
 
-def test_drained_totals_sum_across_intervals():
-    def drained(requests, batches):
-        return StatsDrained(
-            requests=requests,
-            batches=batches,
-            planned_pairs=10 * requests,
-            scored_pairs=8 * requests,
-            fallbacks=0,
-            total_seconds=0.25,
-        )
-
+def test_stats_drained_events_of_an_older_build_stay_readable():
+    # Nothing emits stats_drained any more, but a persistent store written
+    # by an older build may hold such events, and events() must read them.
+    drained = StatsDrained(
+        requests=10,
+        batches=2,
+        planned_pairs=100,
+        scored_pairs=80,
+        fallbacks=0,
+        total_seconds=0.25,
+    )
     with EventStore() as store:
-        store.insert("serving", [buffered(drained(10, 2), 0), buffered(drained(5, 1), 1)])
-        totals = store.drained_totals()
-        assert totals["requests"] == 15.0
-        assert totals["batches"] == 3.0
-        assert totals["planned_pairs"] == 150.0
-        assert totals["total_seconds"] == pytest.approx(0.5)
+        store.insert("serving", [buffered(drained, 0), buffered(served(), 1)])
+        assert store.events(kind="stats_drained") == [drained]
+        assert [event.kind for event in store.events()] == ["stats_drained", "request_served"]
 
 
 def test_file_backed_store_survives_reopen(tmp_path):

@@ -66,7 +66,6 @@ EXPECTED_SERVING_ALL = [
     "ServingDispatcher",
     "ServingError",
     "TracingConfig",
-    "UnknownEstimatorError",
     "WorkerUnavailableError",
     "build_service_stack",
     "compile_plan",
@@ -89,7 +88,6 @@ EXPECTED_ESTIMATE_RESULT_FIELDS = [
 ]
 
 EXPECTED_REQUEST_OPTIONS_FIELDS = [
-    "estimator",
     "timeout_seconds",
     "tags",
 ]
@@ -100,7 +98,6 @@ EXPECTED_CONFIG_FIELDS = {
         "featurizer",
         "pool",
         "fallback_estimator",
-        "extra_estimators",
         "training_result",
         "database",
         "oracle",
@@ -146,10 +143,7 @@ EXPECTED_CONFIG_FIELDS = {
         "host",
         "worker_threads",
         "request_timeout_seconds",
-        "connect_timeout_seconds",
         "retry_attempts",
-        "retry_backoff_seconds",
-        "deadline_grace_seconds",
         "boot_timeout_seconds",
         "poll_interval_seconds",
         "max_restarts",
@@ -198,6 +192,30 @@ def test_config_section_field_layout():
         assert dataclass_field_names(cls) == expected, cls.__name__
 
 
+def test_estimation_service_surface():
+    # One served estimator: a swap, two reads, and the request path.
+    public = sorted(
+        name
+        for name, member in inspect.getmembers(serving.EstimationService)
+        if not name.startswith("_")
+    )
+    assert public == [
+        "estimator",
+        "generation",
+        "replace",
+        "stats_snapshot",
+        "submit",
+        "submit_batch",
+        "warm",
+    ]
+    parameters = inspect.signature(serving.EstimationService).parameters
+    assert list(parameters) == ["estimator", "fallback", "generation", "recorder", "tracer"]
+    assert all(
+        parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+        for name in ("generation", "recorder", "tracer")
+    )
+
+
 def test_client_public_surface():
     methods = sorted(
         name
@@ -209,7 +227,6 @@ def test_client_public_surface():
 
 
 def test_error_taxonomy_shape():
-    assert issubclass(serving.UnknownEstimatorError, serving.ServingError)
     assert issubclass(serving.DeadlineExceededError, serving.ServingError)
     assert issubclass(serving.DispatcherShutdownError, serving.ServingError)
     # The Cnt2Crd-native member is re-exported, not re-based.

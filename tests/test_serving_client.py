@@ -15,6 +15,7 @@ from repro.serving import (
     DispatcherConfig,
     DispatcherShutdownError,
     EstimateResult,
+    EstimationService,
     FeedbackConfig,
     InferenceConfig,
     NoMatchingPoolQueryError,
@@ -25,7 +26,6 @@ from repro.serving import (
     ServingConfig,
     ServingError,
     TracingConfig,
-    UnknownEstimatorError,
 )
 from repro.serving.config import AdaptationConfig, ClusterConfig
 from repro.sql.builder import QueryBuilder
@@ -95,9 +95,6 @@ class TestConfigValidation:
             (AdaptationConfig, "poll_interval_seconds"),
             (AdaptationConfig, "accept_ratio"),
             (ClusterConfig, "request_timeout_seconds"),
-            (ClusterConfig, "connect_timeout_seconds"),
-            (ClusterConfig, "retry_backoff_seconds"),
-            (ClusterConfig, "deadline_grace_seconds"),
             (ClusterConfig, "boot_timeout_seconds"),
             (ClusterConfig, "poll_interval_seconds"),
             (ClusterConfig, "drain_timeout_seconds"),
@@ -201,47 +198,13 @@ class TestConfigValidation:
                 adaptation=AdaptationConfig(enabled=True, min_observations=20),
             )
 
-    def test_extra_estimator_name_collision(self, model, imdb_small, imdb_featurizer, pool):
-        with pytest.raises(ValueError, match="collides"):
-            make_config(
-                model,
-                imdb_small,
-                imdb_featurizer,
-                pool,
-                extra_estimators={"crn": PostgresCardinalityEstimator(imdb_small)},
-            )
-        with pytest.raises(ValueError, match="collides"):
-            make_config(
-                model,
-                imdb_small,
-                imdb_featurizer,
-                pool,
-                extra_estimators={"fallback": PostgresCardinalityEstimator(imdb_small)},
-            )
-        # Legacy compatibility: "fallback" is only reserved when a fallback
-        # estimator will actually be registered under it.
-        config = make_config(
-            model,
-            imdb_small,
-            imdb_featurizer,
-            pool,
-            fallback_estimator=None,
-            extra_estimators={"fallback": PostgresCardinalityEstimator(imdb_small)},
-        )
-        service = ServingClient(config).service
-        assert set(service.names()) == {"crn", "fallback"}
-        assert service.fallback is None  # an extra entry, not fallback routing
-
     @pytest.mark.parametrize(
         "section, field",
         [
             (ClusterConfig, "request_timeout_seconds"),
-            (ClusterConfig, "connect_timeout_seconds"),
             (ClusterConfig, "boot_timeout_seconds"),
             (ClusterConfig, "drain_timeout_seconds"),
             (ClusterConfig, "poll_interval_seconds"),
-            (ClusterConfig, "retry_backoff_seconds"),
-            (ClusterConfig, "deadline_grace_seconds"),
             (AdaptationConfig, "poll_interval_seconds"),
         ],
     )
@@ -266,6 +229,41 @@ class TestConfigValidation:
         # bool is an int subclass: True used to pass as a 1-second deadline.
         with pytest.raises(ValueError, match="timeout_seconds"):
             RequestOptions(timeout_seconds=True)
+
+
+class TestServiceStack:
+    @pytest.mark.parametrize(
+        "inference",
+        [InferenceConfig(), InferenceConfig(mode="compiled", slab_dtype="float32")],
+        ids=["reference", "compiled-f32"],
+    )
+    def test_stack_serves_at_the_generation_it_was_built_for(
+        self, inference, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        from repro.observability import EventRecorder, EventStore
+        from repro.serving import build_service_stack
+
+        store = EventStore()
+        config = make_config(model, imdb_small, imdb_featurizer, pool, inference=inference)
+        stack = build_service_stack(config, recorder=EventRecorder(store=store), generation=5)
+        matched = next(q for q in workload if pool.has_match(q))
+        assert stack.service.generation == 5
+        assert stack.service.submit(matched).model_generation == 5
+        assert stack.service.submit(unmatched_query()).model_generation == 1
+        # A compiled plan is compiled for the generation it serves.
+        stack.service.recorder.flush()
+        compiles = [row["model_generation"] for row in store.plan_history()]
+        assert compiles == ([] if inference.mode == "reference" else [5])
+        store.close()
+
+    def test_stack_estimator_follows_a_replace(self, model, imdb_small, imdb_featurizer, pool):
+        from repro.serving import build_service_stack
+
+        stack = build_service_stack(make_config(model, imdb_small, imdb_featurizer, pool))
+        assert stack.estimator is stack.service.estimator
+        replacement = PostgresCardinalityEstimator(imdb_small)
+        stack.service.replace(replacement)
+        assert stack.estimator is replacement
 
 
 class TestConfigRoundTrip:
@@ -440,15 +438,11 @@ class TestProvenance:
         matched = next(q for q in workload if pool.has_match(q))
         # A bare estimator (no pool index) resolves row-less slabs.
         bare = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        client = ServingClient(
-            make_config(
-                model, imdb_small, imdb_featurizer, pool, extra_estimators={"bare": bare}
-            )
-        )
+        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         served = client.estimate(matched)
         assert served.resolution == "indexed_slab"
         assert served.model_generation == 1
-        pair_served = client.estimate(matched, RequestOptions(estimator="bare"))
+        pair_served = EstimationService(bare, client.service.fallback).submit(matched)
         assert pair_served.resolution == "pair_batch"
         assert pair_served.estimate == served.estimate  # identical bits either way
 
@@ -459,8 +453,9 @@ class TestProvenance:
         rerouted = client.estimate(unmatched_query())
         assert rerouted.resolution == "registry_fallback"
         assert rerouted.used_fallback and rerouted.estimator_name == "fallback"
-        assert rerouted.model_generation == 1  # the fallback entry's generation
-        direct = client.estimate(unmatched_query(), RequestOptions(estimator="fallback"))
+        assert rerouted.model_generation == 1  # the fallback's generation
+        # The same estimator served as the primary answers directly.
+        direct = EstimationService(client.service.fallback).submit(unmatched_query())
         assert direct.resolution == "direct"
         assert not direct.used_fallback
         assert direct.estimate == rerouted.estimate
@@ -489,7 +484,7 @@ class TestProvenance:
         assert builtin.resolution == "estimator_fallback"
         assert not builtin.used_fallback and builtin.estimator_name == "crn"
         assert builtin.estimate == postgres.estimate_cardinality(query)
-        # 2. Without one, the registry fallback answers, flagged.
+        # 2. Without one, the service's fallback answers, flagged.
         client.stack.estimator.fallback = None
         rerouted = client.estimate(query)
         assert rerouted.resolution == "registry_fallback"
@@ -529,10 +524,10 @@ class TestProvenance:
         client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         before = client.estimate(matched)
         assert before.model_generation == 1
-        client.service.replace("crn", client.service.get("crn"))
+        client.service.replace(client.service.estimator)
         after = client.estimate(matched)
         assert after.model_generation == 2
-        assert client.service.generation("crn") == 2
+        assert client.service.generation == 2
         assert after.estimate == before.estimate  # same model object, same bits
 
 
@@ -549,7 +544,7 @@ class TestEveryResultField:
             query=query,
             estimate=estimator.estimate_cardinality(query),
             estimator_name="crn",
-            # One batch since the counters were reset: its elapsed time is the total.
+            # One batch since boot: its elapsed time is the total.
             latency_seconds=client.service.stats.total_seconds / batch_size,
             pool_matches=len(entries),
             pairs_scored=2 * len(entries),
@@ -564,8 +559,8 @@ class TestEveryResultField:
 
     def cache_hits(self, client):
         return (
-            client.service.get("crn").containment_estimator.featurizer.stats.hits,
-            client.service.get("crn").containment_estimator.encoding_cache.stats.hits,
+            client.service.estimator.containment_estimator.featurizer.stats.hits,
+            client.service.estimator.containment_estimator.encoding_cache.stats.hits,
         )
 
     def test_synchronous_estimate_and_estimate_many(
@@ -585,7 +580,8 @@ class TestEveryResultField:
         )
         assert served == self.expected(client, matched[0], served, batch_size=1)
 
-        client.service.drain_stats()
+        # A client of its own, whose counters hold this one batch.
+        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         before = self.cache_hits(client)
         batch = client.estimate_many(matched, options)
         after = self.cache_hits(client)
@@ -635,31 +631,22 @@ class TestEveryResultField:
 
 
 class TestErrorTaxonomy:
-    def test_unknown_estimator_is_serving_error_and_key_error(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
-        with pytest.raises(UnknownEstimatorError) as excinfo:
-            client.estimate(workload[0], RequestOptions(estimator="mscn"))
-        assert isinstance(excinfo.value, ServingError)
-        assert isinstance(excinfo.value, KeyError)
-        assert "unknown estimator" in str(excinfo.value)
-
     def test_taxonomy_members_keep_legacy_bases(self):
         assert issubclass(DeadlineExceededError, ServingError)
         assert issubclass(DeadlineExceededError, TimeoutError)
         assert issubclass(DispatcherShutdownError, ServingError)
         assert issubclass(DispatcherShutdownError, RuntimeError)
-        assert issubclass(UnknownEstimatorError, KeyError)
 
     def test_one_except_clause_covers_the_surface(
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         caught = []
-        for options in (RequestOptions(estimator="nope"), None):
+        for shut_down in (False, True):
+            if shut_down:
+                client.shutdown()
             try:
-                client.estimate(workload[0], options)
+                client.estimate(workload[0])
             except ServingError as error:
                 caught.append(error)
-        assert len(caught) == 1  # the default-path estimate succeeded
+        assert len(caught) == 1  # the open client's estimate succeeded

@@ -158,14 +158,14 @@ class TestConcurrentServing:
         assert snapshot["scored_pairs"] <= snapshot["planned_pairs"]
         # The dispatcher thread is the single cache writer, so hit/miss
         # accounting is exact: only first-sight queries miss.
-        feat_stats = service.get("crn").containment_estimator.featurizer.stats
-        feat_snapshot = service.get("crn").containment_estimator.featurizer.stats_snapshot()
+        feat_stats = service.estimator.containment_estimator.featurizer.stats
+        feat_snapshot = service.estimator.containment_estimator.featurizer.stats_snapshot()
         lookups = feat_snapshot["hits"] + feat_snapshot["misses"]
         assert feat_snapshot["hit_rate"] == feat_snapshot["hits"] / lookups
         pool_queries = {entry.query for entry in pool}
         fresh = {query for query in workload if query not in pool_queries}
         assert feat_stats.misses <= len(pool_queries) + len(fresh)
-        enc_stats = service.get("crn").containment_estimator.encoding_cache.stats
+        enc_stats = service.estimator.containment_estimator.encoding_cache.stats
         assert enc_stats.misses <= 2 * (len(pool_queries) + len(fresh))
 
     def test_requests_enqueued_before_start_coalesce_into_one_batch(
@@ -216,9 +216,7 @@ class TestBacklogCoalescing:
         backlog,
     ):
         max_batch = 8
-        gated = GatedEstimator()
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.register("gated", gated)
+        gated, service = gated_service(model, imdb_small, imdb_featurizer, pool)
         dispatcher = ServingDispatcher(service, max_batch=max_batch)
         sizes: list[int] = []
         serve = dispatcher._serve
@@ -230,7 +228,7 @@ class TestBacklogCoalescing:
         dispatcher._serve = recording_serve
         dispatcher.start()
         try:
-            held = dispatcher.submit(workload[0], RequestOptions(estimator="gated"))
+            held = dispatcher.submit(workload[0])
             assert gated.entered.wait(30)  # the dispatcher is inside batch 1
             queries = workload[:backlog]
             futures = [dispatcher.submit(query) for query in queries]
@@ -330,9 +328,7 @@ class TestInlineServing:
     def test_estimate_behind_an_inline_request_queues_and_coalesces(
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
-        gated = GatedEstimator()
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.register("gated", gated)
+        gated, service = gated_service(model, imdb_small, imdb_featurizer, pool)
         threads = record_submit_batch_threads(service)
         dispatcher = ServingDispatcher(service, max_batch=8).start()
         sizes: list[int] = []
@@ -345,12 +341,10 @@ class TestInlineServing:
         dispatcher._serve = recording_serve
         answers: dict[int, object] = {}
 
-        def call(position, estimator=None):
-            answers[position] = dispatcher.estimate(
-                workload[position], options=RequestOptions(estimator=estimator)
-            )
+        def call(position):
+            answers[position] = dispatcher.estimate(workload[position])
 
-        held = threading.Thread(target=call, args=(0, "gated"))
+        held = threading.Thread(target=call, args=(0,))
         behind = [threading.Thread(target=call, args=(k,)) for k in (1, 2, 3)]
         try:
             held.start()
@@ -649,10 +643,7 @@ class TestFailureIsolation:
     ):
         # No fallback: the unmatched query raises on the sequential path, and
         # a naive dispatcher would fail its whole coalesced batch with it.
-        service = EstimationService()
-        service.register(
-            "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        )
+        service = EstimationService(Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
         reference = {query: service.submit(query).estimate for query in workload[:6]}
         dispatcher = ServingDispatcher(service, max_batch=16)
         good = [dispatcher.submit(query) for query in workload[:3]]
@@ -669,22 +660,28 @@ class TestFailureIsolation:
 
 
 class GatedEstimator(CardinalityEstimator):
-    """An estimator the test holds shut: every call blocks until ``release``.
+    """An estimator the test holds shut: a gated call blocks until
+    ``release`` and answers 7.0.
 
-    ``entered`` is set on the first call, so a test knows — without
-    sleeping — that the dispatcher thread is inside a batch and will stay
-    there until the gate opens.  (The 30 s bound only turns a test bug into
-    a failure instead of a hang.)
+    Every call is gated, or with ``inner`` only the first: later calls are
+    answered by ``inner``, the real estimator whose bits a test compares.
+    ``calls`` lists the gated calls.  ``entered`` is set on the first call,
+    so a test knows — without sleeping — that the dispatcher thread is
+    inside a batch and will stay there until the gate opens.  (The 30 s
+    bound only turns a test bug into a failure instead of a hang.)
     """
 
     name = "gated"
 
-    def __init__(self) -> None:
+    def __init__(self, inner: CardinalityEstimator | None = None) -> None:
+        self.inner = inner
         self.entered = threading.Event()
         self.release = threading.Event()
         self.calls: list = []  # GIL-safe appends
 
     def estimate_cardinality(self, query) -> float:
+        if self.inner is not None and self.entered.is_set():
+            return self.inner.estimate_cardinality(query)
         self.calls.append(query)
         self.entered.set()
         assert self.release.wait(30), "the test never opened the gate"
@@ -692,19 +689,26 @@ class GatedEstimator(CardinalityEstimator):
 
 
 def gated_dispatcher(max_batch: int = 1):
-    """A started dispatcher whose only estimator is a shut :class:`GatedEstimator`."""
+    """A started dispatcher whose estimator is a shut :class:`GatedEstimator`."""
     gated = GatedEstimator()
-    service = EstimationService()
-    service.register("gated", gated)
-    return gated, ServingDispatcher(service, max_batch=max_batch).start()
+    return gated, ServingDispatcher(EstimationService(gated), max_batch=max_batch).start()
 
 
-def traced_service(sample_every: int = 1):
-    """A bare service whose tracer writes into an in-memory event store."""
+def gated_service(model, imdb_small, imdb_featurizer, pool):
+    """A service whose first request is held by a :class:`GatedEstimator` and
+    whose later ones get the bits of the real stack's estimator and fallback."""
+    real = build_service(model, imdb_small, imdb_featurizer, pool)
+    gated = GatedEstimator(inner=real.estimator)
+    return gated, EstimationService(gated, real.fallback)
+
+
+def traced_service(estimator, sample_every: int = 1):
+    """A bare service around ``estimator`` whose tracer writes into an
+    in-memory event store."""
     store = EventStore(":memory:")
     recorder = EventRecorder(store=store, capacity=4096, source="test")
     tracer = Tracer(recorder, sample_every=sample_every)
-    return EstimationService(recorder=recorder, tracer=tracer), store
+    return EstimationService(estimator, recorder=recorder, tracer=tracer), store
 
 
 def stored_request_traces(service, store) -> list[dict]:
@@ -723,13 +727,12 @@ def stored_request_traces(service, store) -> list[dict]:
     return traces
 
 
-def poisoned_batch(service, model, imdb_featurizer, pool, workload):
+def poisoned_batch(service, workload):
     """Serve three good requests, a poison one and three more as one batch.
 
     The service has no fallback, so the coalesced batch fails as a whole
     and the dispatcher retries its members one by one.
     """
-    service.register("crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
     dispatcher = ServingDispatcher(service, max_batch=16)
     good = [dispatcher.submit(query) for query in workload[:3]]
     poison = dispatcher.submit(unmatched_query())
@@ -747,8 +750,10 @@ class TestDispatcherTraces:
     def test_poison_request_leaves_one_error_trace_and_batch_mates_keep_theirs(
         self, model, imdb_featurizer, pool, workload
     ):
-        service, store = traced_service()
-        served = poisoned_batch(service, model, imdb_featurizer, pool, workload)
+        service, store = traced_service(
+            Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
+        )
+        served = poisoned_batch(service, workload)
         traces = stored_request_traces(service, store)
         failed = [t for t in traces if "error" in t["root"]["attributes"]]
         kept = [t for t in traces if "error" not in t["root"]["attributes"]]
@@ -788,8 +793,10 @@ class TestDispatcherTraces:
     ):
         # No head sampling: a batch-mate is kept only as a tail exemplar,
         # but the poison request's error trace is kept regardless.
-        service, store = traced_service(sample_every=0)
-        poisoned_batch(service, model, imdb_featurizer, pool, workload)
+        service, store = traced_service(
+            Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool), sample_every=0
+        )
+        poisoned_batch(service, workload)
         failed = [
             trace
             for trace in stored_request_traces(service, store)
@@ -802,9 +809,8 @@ class TestDispatcherTraces:
         store.close()
 
     def test_abandon_counts_a_drop_and_emits_nothing(self, workload):
-        service, store = traced_service()
         gated = GatedEstimator()
-        service.register("gated", gated)
+        service, store = traced_service(gated)
         dispatcher = ServingDispatcher(service, max_batch=1).start()
         try:
             first = dispatcher.submit(workload[0])
@@ -883,8 +889,7 @@ class TestDeadlines:
             def estimate_cardinality(self, query) -> float:
                 raise TimeoutError("statement timeout inside the estimator")
 
-        service = EstimationService()
-        service.register("timeouting", TimeoutingEstimator())
+        service = EstimationService(TimeoutingEstimator())
         dispatcher = ServingDispatcher(service).start()
         try:
             with pytest.raises(TimeoutError, match="statement timeout") as excinfo:
@@ -894,35 +899,6 @@ class TestDeadlines:
             dispatcher.shutdown()
         assert dispatcher.stats.timed_out == 0
         assert dispatcher.stats.failed == 1
-
-    def test_cancellation_window_extends_until_group_execution(self, workload):
-        # Within one coalesced batch, a request is promoted to RUNNING only
-        # when ITS (estimator, policy) group executes — so a deadline
-        # expiring while an earlier group is still running can still cancel
-        # the request instead of letting it execute anyway.
-        blocking = GatedEstimator()
-        fast_calls: list = []
-
-        class FastEstimator(CardinalityEstimator):
-            name = "fast"
-
-            def estimate_cardinality(self, query) -> float:
-                fast_calls.append(query)
-                return 2.0
-
-        service = EstimationService()
-        service.register("blocking", blocking)
-        service.register("fast", FastEstimator())
-        dispatcher = ServingDispatcher(service, max_batch=4)
-        blocked = dispatcher.submit(workload[0], RequestOptions(estimator="blocking"))
-        fast = dispatcher.submit(workload[1], RequestOptions(estimator="fast"))
-        dispatcher.start()  # both coalesce into one batch of two groups
-        assert blocking.entered.wait(30)  # now inside the blocking group
-        assert fast.cancel()  # not yet RUNNING: still cancellable
-        blocking.release.set()
-        dispatcher.shutdown()
-        assert blocked.result().estimate == 7.0
-        assert fast_calls == []  # the cancelled request never executed
 
     def test_options_timeout_is_the_default_deadline(self, workload):
         from repro.serving import DeadlineExceededError, RequestOptions
@@ -963,34 +939,67 @@ class TestPerRequestOptions:
         # Tags never split a coalesced batch.
         assert dispatcher.stats.batches == 1
 
-    def test_estimator_groups_split_and_a_poison_request_fails_alone(
-        self, model, imdb_small, imdb_featurizer, pool, workload
+
+    def test_a_coalesced_batch_is_one_service_batch_whatever_its_options(
+        self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
-        from repro.serving import NoMatchingPoolQueryError, RequestOptions
+        # One estimator serves every request: tags and deadlines never split
+        # a coalesced batch into several service batches.
+        from repro.serving import RequestOptions
 
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.fallback = None  # an unmatched request to "crn" now raises
-        matched = next(q for q in workload if pool.has_match(q))
-        reference = service.submit(matched).estimate
+        calls = record_submit_batch_threads(service)
         dispatcher = ServingDispatcher(service, max_batch=16)
-        default = dispatcher.submit(matched)
-        direct = dispatcher.submit(matched, options=RequestOptions(estimator="fallback"))
-        poison = dispatcher.submit(unmatched_query())
-        answered = dispatcher.submit(
-            unmatched_query(), options=RequestOptions(estimator="fallback")
-        )
+        options = [
+            None,
+            RequestOptions(tags={"caller": "a"}),
+            RequestOptions(timeout_seconds=30.0),
+            RequestOptions(timeout_seconds=20.0, tags={"caller": "b"}),
+        ]
+        futures = [
+            dispatcher.submit(query, options=option)
+            for query, option in zip(workload, options)
+        ]
         dispatcher.start()
         dispatcher.shutdown()
-        assert dispatcher.stats.batches == 1
-        # The poison fails alone: its group-mate and the other group are served.
-        with pytest.raises(NoMatchingPoolQueryError):
-            poison.result()
-        assert default.result().estimate == reference
-        assert direct.result().resolution == answered.result().resolution == "direct"
-        assert dispatcher.stats.failed == 1 and dispatcher.stats.completed == 3
+        assert len(calls) == 1 and dispatcher.stats.batches == 1
+        assert [future.result().estimate for future in futures] == [
+            sequential_estimates[query] for query in workload[: len(options)]
+        ]
+
+    @pytest.mark.parametrize("cancel", ["none", "all"])
+    def test_dispatcher_batch_event_counts_one_group_unless_all_cancelled(
+        self, workload, cancel
+    ):
+        store = EventStore(":memory:")
+        service = EstimationService(
+            ConstantEstimator(3.0), recorder=EventRecorder(store=store, source="test")
+        )
+        dispatcher = ServingDispatcher(service, max_batch=4)
+        futures = [dispatcher.submit(query) for query in workload[:3]]
+        if cancel == "all":
+            assert all(future.cancel() for future in futures)
+        dispatcher.start()
+        dispatcher.shutdown()
+        service.recorder.flush()
+        (event,) = store.events(kind="dispatcher_batch")
+        assert (event.size, event.cancelled) == (3, 3 if cancel == "all" else 0)
+        assert event.groups == (0 if cancel == "all" else 1)
+        store.close()
 
 
 class TestHotSwap:
+    def test_a_request_after_replace_carries_the_new_generation(self, workload):
+        service = EstimationService(ConstantEstimator(1.0))
+        with ServingDispatcher(service) as dispatcher:
+            before = dispatcher.estimate(workload[0], timeout=30)
+            service.replace(ConstantEstimator(2.0))
+            queued = dispatcher.submit(workload[0]).result(timeout=30)
+            inline = dispatcher.estimate(workload[0])
+        assert (before.estimate, before.model_generation) == (1.0, 1)
+        assert (queued.estimate, queued.model_generation) == (2.0, 2)
+        assert (inline.estimate, inline.model_generation) == (2.0, 2)
+
     def test_replace_estimator_mid_traffic(
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
@@ -1023,7 +1032,7 @@ class TestHotSwap:
             for thread in clients:
                 thread.start()
             time.sleep(0.1)
-            previous = service.replace("crn", replacement)
+            previous = service.replace(replacement)
             time.sleep(0.1)
             stop.set()
             for thread in clients:
@@ -1032,8 +1041,6 @@ class TestHotSwap:
             # New traffic is answered by the replacement, without downtime.
             assert dispatcher.estimate(workload[0], timeout=30).estimate == 42.0
         assert isinstance(previous, Cnt2CrdEstimator)
-        with pytest.raises(KeyError, match="cannot replace"):
-            service.replace("never-registered", replacement)
 
     def test_pool_add_while_serving(
         self, model, imdb_small, imdb_featurizer, imdb_oracle, workload

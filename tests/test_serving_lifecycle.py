@@ -39,11 +39,9 @@ from repro.serving import (
     FeedbackConfig,
     InferenceConfig,
     PoolEncodingIndex,
-    RequestOptions,
     ServingClient,
     ServingConfig,
     ServingDispatcher,
-    UnknownEstimatorError,
     build_service_stack,
 )
 from repro.serving.stack import wire_estimator
@@ -91,15 +89,16 @@ def make_service(trained, imdb_small, pool):
     )
 
 
-def make_stack(trained, imdb_small, pool, inference=None, **adaptation):
+def make_stack(trained, imdb_small, pool, inference=None, fallback=None, **adaptation):
     """A config-wired stack whose adaptation section carries ``adaptation``,
-    with the training state an :class:`AdaptationManager` reads."""
+    with the training state an :class:`AdaptationManager` reads, and
+    ``fallback`` (PostgreSQL's estimate when None) as its fallback."""
     return build_service_stack(
         ServingConfig(
             model=trained.model,
             featurizer=trained.featurizer,
             pool=pool,
-            fallback_estimator=PostgresCardinalityEstimator(imdb_small),
+            fallback_estimator=fallback or PostgresCardinalityEstimator(imdb_small),
             training_result=trained,
             database=imdb_small,
             adaptation=AdaptationConfig(**adaptation),
@@ -336,7 +335,7 @@ class TestDriftMonitor:
 
 
 class TestAdaptationManager:
-    def build(self, trained, imdb_small, pool, inference=None, **kwargs):
+    def build(self, trained, imdb_small, pool, inference=None, fallback=None, **kwargs):
         adaptation = dict(
             cooldown_seconds=0.0,
             holdout_size=8,
@@ -346,28 +345,26 @@ class TestAdaptationManager:
             seed=7,
         )
         adaptation.update(kwargs)
-        stack = make_stack(trained, imdb_small, pool, inference, **adaptation)
+        stack = make_stack(trained, imdb_small, pool, inference, fallback, **adaptation)
         collector = FeedbackCollector()
         return stack.service, collector, AdaptationManager(stack, collector)
 
     def test_manual_trigger_swaps_without_feedback(self, trained, imdb_small, pool):
         service, _, manager = self.build(trained, imdb_small, pool)
-        before = service.get("crn")
-        assert service.generation("crn") == 1
+        before = service.estimator
+        assert service.generation == 1
         # Pre-swap, the gauge already agrees with the generation stamped on
         # every response (not a 0 placeholder).
         assert manager.stats_snapshot()["model_generation"] == 1.0
         outcome = manager.trigger()  # not started: runs synchronously
         assert outcome.swapped and outcome.mode == "incremental"
-        assert service.get("crn") is not before
+        assert service.estimator is not before
         assert manager.stats.swaps == 1
         # The candidate is a model of its own, not the booted one.
-        assert service.get("crn").containment_estimator.model is not trained.model
-        # The shadow candidate never entered the registry.
-        assert set(service.names()) == {"crn", "fallback"}
-        # The promote went through replace(): the registry generation bumped
+        assert service.estimator.containment_estimator.model is not trained.model
+        # The promote went through replace(): the served generation bumped
         # and the lifecycle gauge records the same number.
-        assert service.generation("crn") == 2
+        assert service.generation == 2
         assert manager.stats_snapshot()["model_generation"] == 2.0
 
     def test_post_swap_results_carry_the_new_generation(
@@ -388,7 +385,7 @@ class TestAdaptationManager:
         # served from the fast path too.
         assert post_swap.resolution == "indexed_slab"
 
-    def test_gate_rejects_candidate_and_leaves_the_registry_alone(
+    def test_gate_rejects_candidate_and_leaves_the_service_alone(
         self, trained, imdb_small, imdb_oracle, pool, workload
     ):
         service, collector, manager = self.build(
@@ -398,38 +395,36 @@ class TestAdaptationManager:
             collector.record_served(
                 service.submit(labeled.query), true_cardinality=labeled.cardinality
             )
-        before = service.get("crn")
+        before = service.estimator
         outcome = manager.trigger()
         assert outcome.action == "rejected"
-        assert service.get("crn") is before
+        assert service.estimator is before
         assert manager.stats.candidates_rejected == 1
-        assert set(service.names()) == {"crn", "fallback"}
+        assert service.generation == 1
 
     def test_validation_books_no_traffic_and_exposes_no_candidate(
         self, trained, imdb_small, pool, workload
     ):
-        # The candidate scores its holdout off the registry: a rejected cycle
+        # The candidate scores its holdout off the service: a rejected cycle
         # leaves the request count at the real traffic, the next swap
-        # attributes only real requests to the outgoing generation, and no
-        # request can address the candidate before, during or after a cycle.
+        # attributes only real requests to the outgoing generation, and the
+        # service never serves the candidate before, during or after a cycle.
         service, collector, manager = self.build(
             trained, imdb_small, pool, accept_ratio=1e-9
         )
         assert manager.config.holdout_size == 8
         matched = [l for l in workload if pool.has_match(l.query)][:10]
         assert len(matched) == 10
-        candidate = RequestOptions(estimator="crn-candidate")
+        shadows: list = []
         probes: list[str] = []
         validate = manager._validate
 
         def probe_candidate():
-            try:
-                service.submit(matched[0].query, candidate)
-            except UnknownEstimatorError:
-                return "unknown"
-            return "served"
+            served = service.estimator
+            return "served" if any(served is shadow for shadow in shadows) else "unknown"
 
         def probing_validate(shadow):
+            shadows.append(shadow)
             containment = shadow.containment_estimator
             score = containment.rates_against_pools
 
@@ -461,13 +456,14 @@ class TestAdaptationManager:
         assert manager.trigger().swapped
         assert manager.stats.requests_between_swaps == 20
         assert probe_candidate() == "unknown"
-        assert service.names() == ["crn", "fallback"]
+        assert len(shadows) == 2
 
     def test_gate_reads_the_candidates_own_estimates_with_the_fallback(
         self, trained, imdb_small, imdb_oracle, pool, workload
     ):
+        oracle_fallback = OracleCardinalityEstimator(imdb_small, imdb_oracle)
         service, collector, manager = self.build(
-            trained, imdb_small, pool, accept_ratio=1e-9
+            trained, imdb_small, pool, fallback=oracle_fallback, accept_ratio=1e-9
         )
         # Six distinct matched queries, the first one repeated.
         matched = [l for l in workload if pool.has_match(l.query)][:6]
@@ -492,10 +488,6 @@ class TestAdaptationManager:
             imdb_oracle.cardinality(unmatched),
             estimator_name="crn",
         )
-        # The gate asks the registry's fallback entry as it stands at
-        # validation time, not the one the deployment booted with.
-        booted = service.get("fallback")
-        service.replace("fallback", OracleCardinalityEstimator(imdb_small, imdb_oracle))
         shadows = []
         scoring_calls = []
         validate = manager._validate
@@ -524,10 +516,10 @@ class TestAdaptationManager:
         holdout = collector.holdout(8, estimator="crn")
         assert len(holdout) == 8
         assert not shadow.pool.has_match(holdout[-1].query)
-        fallback = service.get("fallback")
-        assert shadow.fallback is fallback and fallback is not booted
+        # The gate asks the service's fallback what the pool cannot answer.
+        assert shadow.fallback is service.fallback is oracle_fallback
         truth = float(imdb_oracle.cardinality(unmatched))
-        assert booted.estimate_cardinality(unmatched) != truth
+        assert PostgresCardinalityEstimator(imdb_small).estimate_cardinality(unmatched) != truth
         assert shadow.estimate_cardinality(unmatched) == truth
         expected = np.median(
             q_errors(
@@ -537,6 +529,76 @@ class TestAdaptationManager:
             )
         )
         assert outcome.candidate_q_error == float(expected)
+
+    def test_requests_between_swaps_counts_from_the_managers_construction(
+        self, trained, imdb_small, pool, workload
+    ):
+        stack = make_stack(
+            trained, imdb_small, pool, training_pairs=20, incremental_epochs=1, seed=7
+        )
+        queries = [labeled.query for labeled in workload]
+        stack.service.submit_batch(queries[:5])  # before the manager watches
+        manager = AdaptationManager(stack, FeedbackCollector())
+        stack.service.submit_batch(queries[5:8])
+        assert manager.trigger().swapped
+        assert manager.stats.requests_between_swaps == 3
+        assert stack.service.stats.requests == 8
+
+    def test_a_failed_promote_leaves_its_requests_to_the_next_swap(
+        self, trained, imdb_small, pool, workload, monkeypatch
+    ):
+        service, _, manager = self.build(trained, imdb_small, pool)
+        queries = [labeled.query for labeled in workload]
+        service.submit_batch(queries[:4])
+        assert manager.trigger().swapped
+        assert manager.stats.requests_between_swaps == 4
+
+        def refuse(estimator):
+            raise RuntimeError("the service refused the swap")
+
+        service.submit_batch(queries[4:6])
+        monkeypatch.setattr(service, "replace", refuse)
+        assert manager.trigger().action == "promote-failed"
+        assert manager.stats.requests_between_swaps == 4  # the gauge holds
+        monkeypatch.undo()
+        service.submit_batch(queries[6:13])
+        assert manager.trigger().swapped
+        assert manager.stats.requests_between_swaps == 9
+        assert service.stats.requests == 13
+
+    def test_without_a_service_fallback_the_shadow_has_none(
+        self, trained, imdb_small, pool, workload
+    ):
+        stack = build_service_stack(
+            ServingConfig(
+                model=trained.model,
+                featurizer=trained.featurizer,
+                pool=pool,
+                training_result=trained,
+                database=imdb_small,
+                adaptation=AdaptationConfig(
+                    holdout_size=8, training_pairs=20, incremental_epochs=1, seed=7
+                ),
+            )
+        )
+        collector = FeedbackCollector()
+        manager = AdaptationManager(stack, collector)
+        assert stack.service.fallback is None
+        for labeled in [l for l in workload if pool.has_match(l.query)][:8]:
+            collector.record_served(
+                stack.service.submit(labeled.query), true_cardinality=labeled.cardinality
+            )
+        shadows = []
+        validate = manager._validate
+
+        def capture(shadow):
+            shadows.append(shadow)
+            return validate(shadow)
+
+        manager._validate = capture
+        assert manager.trigger().action in ("swapped", "rejected")
+        (shadow,) = shadows
+        assert shadow.fallback is None
 
     def test_nan_holdout_signal_rejects_the_candidate(
         self, trained, imdb_small, pool, workload
@@ -549,16 +611,16 @@ class TestAdaptationManager:
             collector.record(
                 labeled.query, float("nan"), labeled.cardinality, estimator_name="crn"
             )
-        before = service.get("crn")
+        before = service.estimator
         outcome = manager.trigger()
         assert outcome.action == "rejected"
-        assert service.get("crn") is before
+        assert service.estimator is before
         assert outcome.incumbent_q_error != outcome.incumbent_q_error  # NaN
 
     def test_promote_recompiles_the_inference_plan(self, trained, imdb_small, pool):
         # A compiled-mode deployment must come out of a hot swap still
         # compiled: the candidate gets its own freshly compiled plan before
-        # the registry swap, and the plan lifecycle lands in the event store as plan_compile+plan_swap.
+        # the hot swap, and the plan lifecycle lands in the event store as plan_compile+plan_swap.
         service, _, manager = self.build(
             trained,
             imdb_small,
@@ -567,12 +629,12 @@ class TestAdaptationManager:
         )
         store = EventStore()
         service.recorder = EventRecorder(store=store)
-        incumbent = service.get("crn").containment_estimator
+        incumbent = service.estimator.containment_estimator
         plan = incumbent.inference_plan
         assert plan is not None  # compiled at boot
         outcome = manager.trigger()
         assert outcome.swapped
-        swapped = service.get("crn").containment_estimator
+        swapped = service.estimator.containment_estimator
         recompiled = swapped.inference_plan
         assert recompiled is not None and recompiled is not plan
         assert recompiled.model is swapped.model
@@ -585,24 +647,24 @@ class TestAdaptationManager:
             ("plan_compile", None),
             ("plan_swap", "promoted"),
         ]
-        generation = service.generation("crn")
+        generation = service.generation
         assert all(row["model_generation"] == generation for row in history)
         assert all(row["dtype"] == "float32" for row in history)
 
     def test_reference_mode_swap_compiles_nothing(self, trained, imdb_small, pool):
         service, _, manager = self.build(trained, imdb_small, pool)
-        assert service.get("crn").containment_estimator.inference_plan is None
+        assert service.estimator.containment_estimator.inference_plan is None
         assert manager.trigger().swapped
-        assert service.get("crn").containment_estimator.inference_plan is None
+        assert service.estimator.containment_estimator.inference_plan is None
 
     def test_promote_warms_the_candidates_own_index_before_the_swap(
         self, trained, imdb_small, pool, workload
     ):
         service, _, manager = self.build(trained, imdb_small, pool)
-        incumbent = service.get("crn")
+        incumbent = service.estimator
         outcome = manager.trigger()
         assert outcome.swapped
-        swapped = service.get("crn")
+        swapped = service.estimator
         # The candidate was wired an index of its own, over the refreshed
         # pool, and warmed during the promote (a promote always pre-warms),
         # so the first post-swap request resolves without a re-encoding stall.
@@ -631,7 +693,7 @@ class TestAdaptationManager:
             mode=mode, slab_dtype="float32" if mode == "compiled" else "float64"
         )
         service, _, manager = self.build(trained, imdb_small, pool, inference=inference)
-        incumbent = service.get("crn")
+        incumbent = service.estimator
         query = next(l.query for l in workload if pool.has_match(l.query))
         (before,) = service.submit_batch([query])
         assert before.resolution == "indexed_slab"
@@ -640,7 +702,7 @@ class TestAdaptationManager:
         warm = PoolEncodingIndex.warm
 
         def serve_then_warm(index, *args):
-            # The candidate's warm: the incumbent is still the registered
+            # The candidate's warm: the incumbent is still the served
             # estimator, and its requests keep their fast path and bits.
             during.append(service.submit(query))
             return warm(index, *args)
@@ -652,11 +714,10 @@ class TestAdaptationManager:
         assert served.estimate == before.estimate
         # After the replace, the outgoing estimator object still scores its
         # own slabs: an in-flight batch finishes on them.
-        assert service.get("crn") is not incumbent
+        assert service.estimator is not incumbent
         assert incumbent.resolve(query).first is not None
         assert scored_bits(incumbent, query) == bits
-        outgoing = EstimationService()
-        outgoing.register("crn", incumbent)
+        outgoing = EstimationService(incumbent)
         (late,) = outgoing.submit_batch([query])
         assert (late.resolution, late.estimate) == ("indexed_slab", before.estimate)
 
@@ -670,12 +731,12 @@ class TestAdaptationManager:
         service, _, manager = self.build(trained, imdb_small, pool, inference=inference)
         store = EventStore()
         service.recorder = EventRecorder(store=store)
-        incumbent = service.get("crn")
+        incumbent = service.estimator
         query = next(l.query for l in workload if pool.has_match(l.query))
         (before,) = service.submit_batch([query])
 
-        def refuse(name, estimator):
-            raise RuntimeError("registry refused the swap")
+        def refuse(estimator):
+            raise RuntimeError("the service refused the swap")
 
         monkeypatch.setattr(service, "replace", refuse)
         outcome = manager.trigger()
@@ -684,9 +745,9 @@ class TestAdaptationManager:
         assert manager._consecutive_failures == 1
         assert isinstance(manager.last_error, RuntimeError)
         # The candidate was wired on caches and an index of its own, so the
-        # incumbent was never touched: still registered, it answers
+        # incumbent was never touched: still served, it answers
         # bit-identically from its own fast path.
-        assert service.get("crn") is incumbent
+        assert service.estimator is incumbent
         assert incumbent.pool_index.crn is incumbent.containment_estimator
         (after,) = service.submit_batch([query])
         assert (after.estimate, after.resolution) == (before.estimate, "indexed_slab")
@@ -1096,7 +1157,7 @@ class TestHotSwapUnderTraffic:
                 time.sleep(0.03)
                 estimator = wire_estimator(config, current, imdb_featurizer, pool)
                 estimator.pool_index.warm()
-                service.replace("crn", estimator)
+                service.replace(estimator)
                 current = model_a if current is model_b else model_b
             time.sleep(0.03)
             stop.set()

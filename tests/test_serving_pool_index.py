@@ -245,11 +245,9 @@ class TestServiceIntegration:
         self, model, imdb_small, imdb_featurizer, pool, workload
     ):
         fallback = PostgresCardinalityEstimator(imdb_small)
-        legacy = EstimationService(fallback="fallback")
-        legacy.register(
-            "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
+        legacy = EstimationService(
+            Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool), fallback
         )
-        legacy.register("fallback", fallback)
         indexed = build_service(
             model, imdb_featurizer, pool, fallback_estimator=fallback,
         )

@@ -1,8 +1,9 @@
-"""Tests for the online estimation service (caches, batched Cnt2Crd scoring, registry)."""
+"""Tests for the online estimation service (caches, batched Cnt2Crd scoring, hot swap)."""
 
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 from collections import Counter
 
@@ -24,8 +25,8 @@ from repro.serving import (
     EncodingCache,
     EstimationService,
     FeaturizationCache,
-    RequestOptions,
 )
+from repro.core.estimators import CardinalityEstimator
 from repro.sql.builder import QueryBuilder
 from tests import conftest
 from tests.conftest import ZeroRatesContainment
@@ -185,8 +186,7 @@ class TestBatchedScoring:
         assert first.token == second.token
         assert first_values is second_values
         assert doubled_scored == single_scored
-        service = EstimationService()
-        service.register("crn", estimator)
+        service = EstimationService(estimator)
         service.submit_batch([workload[0], workload[0]])
         assert service.stats.planned_pairs == 2 * single_scored
         assert service.stats.scored_pairs == single_scored
@@ -211,8 +211,7 @@ class TestBatchedScoring:
             ]
             assert 0 < values.size <= len(slab.entries)
         assert scored == sum(2 * len(slab.entries) for slab, _ in results)
-        service = EstimationService()
-        service.register("crn", estimator)
+        service = EstimationService(estimator)
         served = service.submit_batch(queries)
         assert [item.resolution for item in served] == ["pair_batch"] * len(queries)
         assert [item.pairs_scored for item in served] == [
@@ -244,14 +243,7 @@ class TestBatchedScoring:
 
 
 class TestEstimationService:
-    def test_registry_default_and_unknown_name(self, model, imdb_small, imdb_featurizer, pool):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        assert service.default_estimator == "crn"
-        assert set(service.names()) == {"crn", "fallback"}
-        with pytest.raises(KeyError, match="unknown estimator"):
-            service.get("mscn")
-
-    def test_registry_fallback_on_no_matching_pool_query(
+    def test_fallback_on_no_matching_pool_query(
         self, model, imdb_small, imdb_featurizer, pool
     ):
         # The generator only joins fact tables through title, so a FROM
@@ -275,14 +267,12 @@ class TestEstimationService:
         self, imdb_small, imdb_featurizer, pool, workload
     ):
         # Regression: a matched request whose every y_rate fell under the
-        # epsilon guard used to be served a flat 0.0, bypassing the registry
+        # epsilon guard used to be served a flat 0.0, bypassing the service's
         # fallback entirely.  It must re-route exactly like the no-match
-        # case — flagged, attributed to the fallback entry, counted.
+        # case — flagged, attributed to the fallback, counted.
 
         postgres = PostgresCardinalityEstimator(imdb_small)
-        service = EstimationService(fallback="fallback")
-        service.register("crn", Cnt2CrdEstimator(ZeroRatesContainment(), pool), default=True)
-        service.register("fallback", postgres)
+        service = EstimationService(Cnt2CrdEstimator(ZeroRatesContainment(), pool), postgres)
         query = next(q for q in workload if pool.has_match(q))
         served = service.submit(query)
         assert served.used_fallback
@@ -300,9 +290,8 @@ class TestEstimationService:
         from repro.core.oracle import OracleCardinalityEstimator
 
         oracle_fallback = OracleCardinalityEstimator(imdb_small, oracle=imdb_oracle)
-        service = EstimationService()
-        service.register(
-            "crn", Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=oracle_fallback)
+        service = EstimationService(
+            Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=oracle_fallback)
         )
         query = next(q for q in workload if pool.has_match(q))
         served = service.submit(query)
@@ -313,11 +302,10 @@ class TestEstimationService:
     def test_all_filtered_without_any_fallback_serves_the_zero_collapse(
         self, pool, workload
     ):
-        # No built-in fallback, no registry fallback: the legacy collapse
+        # No built-in fallback, no service fallback: the legacy collapse
         # to 0.0 stands (and the batch must not raise).
 
-        service = EstimationService()
-        service.register("crn", Cnt2CrdEstimator(ZeroRatesContainment(), pool))
+        service = EstimationService(Cnt2CrdEstimator(ZeroRatesContainment(), pool))
         query = next(q for q in workload if pool.has_match(q))
         served = service.submit(query)
         assert served.estimate == 0.0
@@ -330,10 +318,7 @@ class TestEstimationService:
             .table("movie_keyword", "mk")
             .build()
         )
-        service = EstimationService()
-        service.register(
-            "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        )
+        service = EstimationService(Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
         with pytest.raises(NoMatchingPoolQueryError, match="has no fallback estimator"):
             service.submit(unmatched)
 
@@ -344,10 +329,7 @@ class TestEstimationService:
             .table("movie_keyword", "mk")
             .build()
         )
-        service = EstimationService()
-        service.register(
-            "crn", Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
-        )
+        service = EstimationService(Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
         with pytest.raises(NoMatchingPoolQueryError):
             service.submit_batch([workload[0], unmatched])
         # The aborted batch must not leave pair work attributed to zero requests.
@@ -363,25 +345,62 @@ class TestEstimationService:
             model, imdb_small, imdb_featurizer, pool, max_cache_entries=len(pool)
         )
         # The pool warm at build time filled the index slabs, not the caches.
-        assert len(service.get("crn").containment_estimator.featurizer) == len(service.get("crn").containment_estimator.encoding_cache) == 0
+        crn = service.estimator.containment_estimator
+        assert len(crn.featurizer) == len(crn.encoding_cache) == 0
         # Warming request queries inserts one encoding per pair slot per
         # query; the encoding bound (twice the featurization bound) must not
         # evict half of what it just warmed.
         queries = [entry.query for entry in pool]
         service.warm(queries)
-        assert len(service.get("crn").containment_estimator.encoding_cache) == 2 * len(queries)
-        assert service.get("crn").containment_estimator.encoding_cache.stats.evictions == 0
+        assert len(crn.encoding_cache) == 2 * len(queries)
+        assert crn.encoding_cache.stats.evictions == 0
 
-    def test_non_cnt2crd_estimators_are_served_per_query(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
+    def test_direct_primary_without_a_match_goes_to_the_fallback(self, imdb_small, workload):
         postgres = PostgresCardinalityEstimator(imdb_small)
-        served = service.submit_batch(workload[:5], RequestOptions(estimator="fallback"))
+        service = EstimationService(Unanswering(), postgres, generation=4)
+        (served,) = service.submit_batch([workload[0]])
+        assert (served.estimator_name, served.resolution) == ("fallback", "registry_fallback")
+        assert served.used_fallback and served.model_generation == 1
+        assert served.estimate == postgres.estimate_cardinality(workload[0])
+        assert service.stats.fallbacks == 1
+
+    def test_without_any_answer_the_request_raises(self, imdb_small, workload):
+        # No fallback, or a fallback that has no answer either: the error
+        # reaches the caller and no counter moves.
+        for fallback in (None, Unanswering()):
+            service = EstimationService(Unanswering(), fallback)
+            with pytest.raises(NoMatchingPoolQueryError):
+                service.submit(workload[0])
+            assert service.stats.requests == 0
+        with pytest.raises(NoMatchingPoolQueryError, match="'crn' has no matching pool query"):
+            EstimationService(Unanswering()).submit(workload[0])
+
+    def test_mixed_batch_counts_each_fallback(self, model, imdb_small, imdb_featurizer, pool, workload):
+        unmatched = (
+            QueryBuilder()
+            .table("movie_companies", "mc")
+            .table("movie_keyword", "mk")
+            .build()
+        )
+        matched = [q for q in workload if pool.has_match(q)][:3]
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        served = service.submit_batch([matched[0], unmatched, *matched[1:], unmatched])
+        assert [item.estimator_name for item in served] == [
+            "crn", "fallback", "crn", "crn", "fallback"
+        ]
+        assert [item.model_generation for item in served] == [1] * 5
+        assert service.stats.fallbacks == 2
+        assert service.stats.planned_pairs == sum(item.pairs_scored for item in served)
+
+    def test_non_cnt2crd_estimators_are_served_per_query(self, imdb_small, workload):
+        postgres = PostgresCardinalityEstimator(imdb_small)
+        service = EstimationService(PostgresCardinalityEstimator(imdb_small))
+        served = service.submit_batch(workload[:5])
         assert [item.estimate for item in served] == [
             postgres.estimate_cardinality(query) for query in workload[:5]
         ]
-        assert all(item.estimator_name == "fallback" for item in served)
+        assert all(item.estimator_name == "crn" for item in served)
+        assert all(item.resolution == "direct" for item in served)
         assert not any(item.used_fallback for item in served)
 
     def test_stats_and_snapshot_accounting(self, model, imdb_small, imdb_featurizer, pool, workload):
@@ -410,7 +429,7 @@ class TestEstimationService:
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         # The warm featurized the pool in bulk, outside the cache.
-        assert service.get("crn").containment_estimator.featurizer.stats.misses == 0
+        assert service.estimator.containment_estimator.featurizer.stats.misses == 0
         featurized = []
         original = imdb_featurizer.featurize_many
 
@@ -425,27 +444,93 @@ class TestEstimationService:
         # the slabs); each scored request query is featurized once, ever.
         scored = scored_requests(service, pool, workload)
         assert Counter(featurized) == Counter(scored)
-        assert service.get("crn").containment_estimator.featurizer.stats.misses == len(scored)
-        assert len(service.get("crn").containment_estimator.featurizer) == len(scored)
+        assert service.estimator.containment_estimator.featurizer.stats.misses == len(scored)
+        assert len(service.estimator.containment_estimator.featurizer) == len(scored)
 
 
 def scored_requests(service, pool, workload) -> set:
     """The distinct queries of ``workload`` the service scores against a slab."""
-    estimator = service.get("crn")
+    estimator = service.estimator
     return {
         query for query in workload if pool.has_match(query) and estimator.resolve(query).entries
     }
 
 
-class TestRegistryEdgeCases:
-    def test_register_duplicate_name_raises(self, imdb_small):
-        service = EstimationService()
-        service.register("only", PostgresCardinalityEstimator(imdb_small))
-        with pytest.raises(ValueError, match="already registered"):
-            service.register("only", PostgresCardinalityEstimator(imdb_small))
-        # The original entry and its generation are untouched.
-        assert service.names() == ["only"]
-        assert service.generation("only") == 1
+class Unanswering(CardinalityEstimator):
+    """An estimator with no answer for any query."""
+
+    name = "unanswering"
+
+    def estimate_cardinality(self, query) -> float:
+        raise NoMatchingPoolQueryError(f"no answer for {query.from_signature()}")
+
+
+class Generation(CardinalityEstimator):
+    """Answers with the generation it is swapped in at."""
+
+    name = "generation"
+
+    def __init__(self, generation: int) -> None:
+        self.generation = generation
+
+    def estimate_cardinality(self, query) -> float:
+        return float(self.generation)
+
+
+class TestHotSwap:
+    def test_a_stamped_generation_always_belongs_to_the_answering_estimator(self, workload):
+        # Submitters race replace() with a short switch interval: every
+        # answer must carry the generation of the estimator that produced
+        # it, which a generation read apart from the estimator would break.
+        service = EstimationService(Generation(1))
+        stop = threading.Event()
+        torn: list = []
+
+        def submitter():
+            while not stop.is_set():
+                for item in service.submit_batch(workload[:4]):
+                    if item.estimate != item.model_generation:
+                        torn.append(item)
+
+        threads = [threading.Thread(target=submitter) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for generation in range(2, 20_002):
+                service.replace(Generation(generation))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not torn
+        assert service.generation == 20_001
+        assert service.submit(workload[0]).estimate == 20_001.0
+
+    def test_stats_snapshot_reports_the_served_estimators_caches(
+        self, model, imdb_small, imdb_featurizer, pool, workload
+    ):
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        service.submit_batch(workload)
+        assert service.stats_snapshot()["encoding_entries"] > 0
+        # The replacement brings caches of its own, empty; the service's
+        # counters keep counting from boot.
+        fresh = build_service(model, imdb_small, imdb_featurizer, pool).estimator
+        service.replace(fresh)
+        snapshot = service.stats_snapshot()
+        assert snapshot["encoding_entries"] == snapshot["featurization_entries"] == 0.0
+        assert snapshot["requests"] == len(workload)
+        # A served estimator without caches reports none.
+        service.replace(PostgresCardinalityEstimator(imdb_small))
+        assert "encoding_hit_rate" not in service.stats_snapshot()
+
+    def test_warm_without_a_crn_is_a_no_op(self, imdb_small, workload):
+        service = EstimationService(PostgresCardinalityEstimator(imdb_small))
+        service.warm(workload)
+        assert service.stats.requests == 0
 
     def test_replace_bumps_generation_stamped_into_results(
         self, model, imdb_small, imdb_featurizer, pool, workload
@@ -453,13 +538,34 @@ class TestRegistryEdgeCases:
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         matched = next(q for q in workload if pool.has_match(q))
         assert service.submit(matched).model_generation == 1
-        service.replace("crn", service.get("crn"))
-        service.replace("crn", service.get("crn"))
+        booted = service.estimator
+        assert service.replace(booted) is booted
+        service.replace(booted)
         served = service.submit(matched)
         assert served.model_generation == 3
-        assert service.generation("crn") == 3
+        assert service.generation == 3
 
-    def test_registry_fallback_result_carries_fallback_generation(
+    def test_replace_serves_the_replacement(self, model, imdb_small, imdb_featurizer, pool, workload):
+        service = build_service(model, imdb_small, imdb_featurizer, pool)
+        postgres = PostgresCardinalityEstimator(imdb_small)
+        booted = service.replace(postgres)
+        assert service.estimator is postgres
+        served = service.submit(workload[0])
+        assert (served.estimate, served.resolution) == (
+            postgres.estimate_cardinality(workload[0]),
+            "direct",
+        )
+        service.replace(booted)
+        assert service.estimator is booted and service.generation == 3
+
+    def test_generation_starts_where_the_constructor_says(self, imdb_small, workload):
+        service = EstimationService(PostgresCardinalityEstimator(imdb_small), generation=7)
+        assert service.submit(workload[0]).model_generation == 7
+        for bad in (0, -1, True, 1.5):
+            with pytest.raises(ValueError, match="positive int"):
+                EstimationService(PostgresCardinalityEstimator(imdb_small), generation=bad)
+
+    def test_fallback_result_carries_generation_one_across_swaps(
         self, model, imdb_small, imdb_featurizer, pool
     ):
         unmatched = (
@@ -469,64 +575,13 @@ class TestRegistryEdgeCases:
             .build()
         )
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.replace("fallback", PostgresCardinalityEstimator(imdb_small))
+        service.replace(service.estimator)
         served = service.submit(unmatched)
         assert served.used_fallback and served.estimator_name == "fallback"
-        # The stamped generation is the ANSWERING entry's, not the primary's.
-        assert served.model_generation == 2
-
-
-class TestStatsDraining:
-    def test_drain_returns_counters_and_zeroes_them(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.submit_batch(workload[:5])
-        drained = service.drain_stats()
-        assert drained["requests"] == 5.0
-        assert drained["batches"] == 1.0
-        assert "featurization_hit_rate" not in drained  # counters only
-        assert service.stats.requests == 0
-        assert service.stats_snapshot()["requests"] == 0.0
-
-    def test_drain_zeroes_under_lock(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        service.submit_batch(workload[:3])
-        service.drain_stats()
-        assert service.stats.requests == 0
-
-    def test_concurrent_drains_count_every_request_exactly_once(
-        self, model, imdb_small, imdb_featurizer, pool, workload
-    ):
-        # The race drain_stats closes: with separate snapshot + reset calls,
-        # requests landing between the two are lost (or double-counted by
-        # the next interval).  Drained intervals must partition the traffic.
-        service = build_service(model, imdb_small, imdb_featurizer, pool)
-        rounds, submitters = 20, 4
-        drained: list[float] = []
-        stop = threading.Event()
-
-        def submit_worker():
-            for _ in range(rounds):
-                service.submit_batch(workload[:3])
-
-        def drain_worker():
-            while not stop.is_set():
-                drained.append(service.drain_stats()["requests"])
-
-        drainer = threading.Thread(target=drain_worker)
-        workers = [threading.Thread(target=submit_worker) for _ in range(submitters)]
-        drainer.start()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        stop.set()
-        drainer.join()
-        drained.append(service.drain_stats()["requests"])
-        assert sum(drained) == rounds * submitters * 3
+        # The stamped generation is the ANSWERING estimator's: the fallback,
+        # never replaced, answers at 1 while the served one is at 2.
+        assert served.model_generation == 1
+        assert service.generation == 2
 
 
 class TestServingMetrics:

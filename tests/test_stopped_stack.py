@@ -114,14 +114,14 @@ def test_a_shut_down_client_refuses_every_entry_point(trained, imdb_small, pool)
         call(client, query, served)  # the arguments are valid on an open client
     client.shutdown()
     manager = client.manager
-    before = (client.service.generation("crn"), manager.stats.swaps, len(client.collector))
+    before = (client.service.generation, manager.stats.swaps, len(client.collector))
     triggers = manager.stats.manual_triggers
     assert before[0] >= 2 and triggers == 1  # the live trigger swapped
 
     for name, call in CLIENT_CALLS.items():
         with pytest.raises(ServingError, match="shut down"):
             call(client, query, served)
-    after = (client.service.generation("crn"), manager.stats.swaps, len(client.collector))
+    after = (client.service.generation, manager.stats.swaps, len(client.collector))
     assert after == before and manager.stats.manual_triggers == triggers
 
     assert not client.started
@@ -137,13 +137,13 @@ def test_a_stopped_manager_refuses_every_entry_point(trained, imdb_small, pool):
         call(manager, imdb_small)
     manager.stop()
     evaluations = manager.stats.evaluations
-    generation = stack.service.generation("crn")
+    generation = stack.service.generation
 
     for name, call in MANAGER_CALLS.items():
         with pytest.raises(ServingError, match="stopped"):
             call(manager, imdb_small)
     assert manager.stats.evaluations == evaluations
-    assert stack.service.generation("crn") == generation
+    assert stack.service.generation == generation
 
     assert manager.paused is False
     assert manager.stats_snapshot()["evaluations"] == evaluations
@@ -174,4 +174,4 @@ def test_a_trigger_queued_behind_a_cycle_refuses_once_stopped(trained, imdb_smal
     manager.stop()
     assert len(errors) == 1 and isinstance(errors[0], ServingError)
     assert manager.stats.evaluations == 0 and manager.last_outcome is None
-    assert stack.service.generation("crn") == 1
+    assert stack.service.generation == 1
