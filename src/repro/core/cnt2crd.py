@@ -19,9 +19,10 @@ The estimation pipeline is factored into composable steps —
 batch: :meth:`Cnt2CrdEstimator.slab_values` resolves every query, scores each
 distinct ``(query, slab token)`` once, in chunks of at most
 :data:`PAIR_BUDGET` pairs per ``rates_against_pools`` call, and
-:meth:`Cnt2CrdEstimator.estimate_cardinalities` finishes each query.  The
-evaluation harness, the serving layer (:class:`repro.serving.EstimationService`)
-and the adaptation gate all score through it, and rates do not depend on how
+:meth:`Cnt2CrdEstimator.answer` finishes each query, falling back when it has
+no values.  The evaluation harness, the serving layer
+(:class:`repro.serving.EstimationService`) and the adaptation gate all score
+and answer through them, and rates do not depend on how
 pairs are grouped, so every batch gives the bits of
 :meth:`Cnt2CrdEstimator.estimate_cardinality` query by query.
 
@@ -31,7 +32,7 @@ Recovering from :class:`NoMatchingPoolQueryError`
 The technique can only score a new query against pool queries that share its
 FROM clause, so a query over a never-seen table combination has no anchor and
 :meth:`Cnt2CrdEstimator.estimate_cardinality` raises
-:class:`NoMatchingPoolQueryError`.  Three recovery strategies, in decreasing
+:class:`NoMatchingPoolQueryError`.  Two recovery strategies, in decreasing
 order of fidelity:
 
 1. **Seed the pool with frame queries** (Section 5.2): add the predicate-free
@@ -43,11 +44,11 @@ order of fidelity:
 2. **Configure a fallback estimator**: pass ``fallback=`` (e.g. the
    PostgreSQL-style baseline, or the base model ``M`` when building
    ``Improved M``) and the estimator silently delegates unmatched queries
-   instead of raising.
-3. **Catch and route at the service layer**: :class:`repro.serving.EstimationService`
-   serves one estimator and, when it raises this error, re-routes the
-   request to a configured fallback estimator and flags the served result, which keeps the error out of request handlers while still making
-   the degraded path observable.
+   instead of raising.  A serving deployment sets it once, as
+   :attr:`repro.serving.ServingConfig.fallback_estimator`: every estimator
+   the stack wires carries it, and :class:`repro.serving.EstimationService`
+   flags each answer it gave (``used_fallback``), which keeps the error out
+   of request handlers while still making the degraded path observable.
 """
 
 from __future__ import annotations
@@ -213,23 +214,12 @@ class Cnt2CrdEstimator(CardinalityEstimator):
         No values collapse to 0: with *exact* rates (or frame queries in the
         pool) matched-but-all-filtered only happens when the new query's
         result really is empty.  With learned rates that zero can be
-        spurious, which is why :meth:`estimate_cardinalities` routes the
-        empty case to the configured :attr:`fallback` first.
+        spurious, which is why :meth:`answer` routes the empty case to the
+        configured :attr:`fallback` first.
         """
         if values.size == 0:
             return 0.0
         return float(self.final_function(values))
-
-    def fallback_estimate(self, query: Query) -> float:
-        """Estimate a query with no matching pool entry (or raise).
-
-        See the module docstring for the available recovery strategies.
-        """
-        if self.fallback is not None:
-            return self.fallback.estimate_cardinality(query)
-        raise NoMatchingPoolQueryError(
-            f"no pool query shares the FROM clause {query.from_signature()}"
-        )
 
     def slab_values(
         self, queries: Sequence[Query]
@@ -268,29 +258,41 @@ class Cnt2CrdEstimator(CardinalityEstimator):
             results.append((slab, values.get(key, _NO_VALUES)))
         return results, sum(2 * len(slab.entries) for _, slab in distinct.values())
 
-    def estimate_cardinalities(self, queries: Sequence[Query]) -> list[float]:
-        """Estimate a batch through :meth:`slab_values`, bit for bit the
-        per-query answers.
+    def answer(
+        self, query: Query, slab: PoolSlab | None, values: np.ndarray
+    ) -> tuple[float, bool]:
+        """Finish one position of :meth:`slab_values`: ``(estimate, used_fallback)``.
 
-        An unmatched query goes to :meth:`fallback_estimate`.  A matched one
-        whose values are all filtered goes to the configured :attr:`fallback`
-        when there is one: a learned rate model estimating ~0 containment
-        against every matching entry does not reliably mean "empty result",
-        and collapsing to 0.0 would emit a spurious zero with unbounded
-        q-error.  Without a fallback the collapse to 0 stands: it is exactly
-        right for exact rates and frame-seeded pools.
+        A position with values collapses through :meth:`collapse_values`.
+        One without goes to the configured :attr:`fallback` when there is
+        one: an unmatched query (``slab is None``) has no anchor, and a
+        learned rate model estimating ~0 containment against every matching
+        entry does not reliably mean "empty result", so collapsing to 0.0
+        would emit a spurious zero with unbounded q-error.  Without a
+        fallback an unmatched query raises :class:`NoMatchingPoolQueryError`
+        (see the module docstring for the recovery strategies), and a matched
+        one collapses to 0, which is exactly right for exact rates and
+        frame-seeded pools.
         """
+        if values.size == 0:
+            if self.fallback is not None:
+                return self.fallback.estimate_cardinality(query), True
+            if slab is None:
+                raise NoMatchingPoolQueryError(
+                    f"no pool query shares the FROM clause {query.from_signature()} "
+                    "and the estimator has no fallback estimator"
+                )
+        return self.collapse_values(values), False
+
+    def estimate_cardinalities(self, queries: Sequence[Query]) -> list[float]:
+        """Estimate a batch through :meth:`slab_values` and :meth:`answer`,
+        bit for bit the per-query answers."""
         queries = list(queries)
         results, _ = self.slab_values(queries)
-        estimates: list[float] = []
-        for query, (slab, values) in zip(queries, results):
-            if slab is None:
-                estimates.append(self.fallback_estimate(query))
-            elif values.size == 0 and self.fallback is not None:
-                estimates.append(self.fallback.estimate_cardinality(query))
-            else:
-                estimates.append(self.collapse_values(values))
-        return estimates
+        return [
+            self.answer(query, slab, values)[0]
+            for query, (slab, values) in zip(queries, results)
+        ]
 
     def estimate_cardinality(self, query: Query) -> float:
         return self.estimate_cardinalities([query])[0]

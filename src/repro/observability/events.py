@@ -153,9 +153,6 @@ class DispatcherBatch(Event):
     value_field: ClassVar[str] = "size"
 
     size: int
-    #: 1 when the batch served anything, 0 when every member was cancelled
-    #: (one estimator serves every request, so a batch is one group).
-    groups: int
     cancelled: int
     queue_depth: int
 

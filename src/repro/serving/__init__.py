@@ -14,13 +14,13 @@ forward passes.  This package amortizes that work across requests:
   for one CRN estimator, so a request is scored as one vectorized
   whole-pool slab pass instead of ``2·E`` per-pair lookups.
 * :mod:`repro.serving.service` -- :class:`EstimationService`, the engine
-  serving one estimator (its model generation bumped on every
+  serving one Cnt2Crd estimator (its model generation bumped on every
   :meth:`~EstimationService.replace` hot swap), ``submit`` / ``submit_batch``
-  (a batch's Cnt2Crd work goes through the core routine
+  (a batch goes through the core routines
   :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`: every unique
-  ``(query, slab)`` once, a few large fixed-shape forward passes), a
-  fallback estimator for
-  :class:`repro.core.cnt2crd.NoMatchingPoolQueryError`, per-request
+  ``(query, slab)`` once, a few large fixed-shape forward passes, and
+  :meth:`~repro.core.cnt2crd.Cnt2CrdEstimator.answer`, whose fallback takes
+  what :class:`repro.core.cnt2crd.NoMatchingPoolQueryError` would), per-request
   :class:`RequestOptions` (deadline, tags) and
   provenance-carrying :class:`EstimateResult` responses (resolution path,
   model generation, cache hits), and per-request latency / cache hit-rate

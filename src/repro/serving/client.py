@@ -528,19 +528,28 @@ class ServingClient:
         with self._state_lock:
             return self._started and not self._closed
 
-    def _ensure_open(self) -> None:
+    def _ensure_open(self, estimate: bool = False) -> bool:
         """Refuse request traffic, warms, feedback and triggers after
-        :meth:`shutdown`.
+        :meth:`shutdown`, and an ``estimate`` on a cluster client whose
+        workers have not spawned; returns whether the client is started.
 
         Without this, a shut-down client would silently keep serving the
         synchronous path while its dispatcher refuses — an operator stopping
-        traffic must stop *all* of it.
+        traffic must stop *all* of it.  The checks and the returned read are
+        one lock acquisition.
         """
         with self._state_lock:
             if self._closed:
                 raise ServingError(
                     "serving client has been shut down; no new requests accepted"
                 )
+            if estimate and self.router is not None and not self._started:
+                raise ServingError(
+                    "cluster mode serves only from a started client (use the "
+                    "context manager or ServingClient.start): the workers "
+                    "spawn on start"
+                )
+            return self._started
 
     # ------------------------------------------------------------------ #
     # requests
@@ -562,21 +571,10 @@ class ServingClient:
         # a shutdown() racing in between must yield a refusal (here, or from
         # the dispatcher's own closed state), never a silent downgrade onto
         # the synchronous path of a closed client.
-        with self._state_lock:
-            if self._closed:
-                raise ServingError(
-                    "serving client has been shut down; no new requests accepted"
-                )
-            if self.router is not None and not self._started:
-                raise ServingError(
-                    "cluster mode serves only from a started client (use the "
-                    "context manager or ServingClient.start): the workers "
-                    "spawn on start"
-                )
-            use_dispatcher = self._started and self.dispatcher is not None
+        started = self._ensure_open(estimate=True)
         if self.router is not None:
             return self.router.estimate(query, options=options)
-        if use_dispatcher:
+        if started and self.dispatcher is not None:
             return self.dispatcher.estimate(query, options=options)
         if options is not None and options.timeout_seconds is not None:
             raise ServingError(
@@ -599,19 +597,13 @@ class ServingClient:
         ``submit_batch``; use
         :meth:`estimate` / :meth:`estimate_future` for per-request isolation.
         """
-        self._ensure_open()
+        self._ensure_open(estimate=True)
         if options is not None and options.timeout_seconds is not None:
             raise ServingError(
                 "estimate_many serves synchronously and cannot honor "
                 "timeout_seconds; use estimate()/estimate_future() per query"
             )
         if self.router is not None:
-            if not self.started:
-                raise ServingError(
-                    "cluster mode serves only from a started client (use the "
-                    "context manager or ServingClient.start): the workers "
-                    "spawn on start"
-                )
             return self.router.estimate_many(list(queries), options=options)
         return self.service.submit_batch(list(queries), options=options)
 
@@ -624,21 +616,15 @@ class ServingClient:
         :class:`repro.serving.EstimateResult` (or its per-request error).
         Requires a started client with the dispatcher enabled.
         """
-        self._ensure_open()
+        started = self._ensure_open(estimate=True)
         if self.router is not None:
-            if not self.started:
-                raise ServingError(
-                    "cluster mode serves only from a started client (use the "
-                    "context manager or ServingClient.start): the workers "
-                    "spawn on start"
-                )
             return self.router.estimate_future(query, options=options)
         if self.dispatcher is None:
             raise ServingError(
                 "estimate_future needs the dispatcher: enable "
                 "ServingConfig.dispatcher"
             )
-        if not self.started:
+        if not started:
             raise ServingError(
                 "estimate_future needs a started client (use the context "
                 "manager or ServingClient.start)"

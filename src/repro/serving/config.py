@@ -585,8 +585,10 @@ class ServingConfig:
         model: a (trained) CRN network.
         featurizer: the featurizer bound to the serving database snapshot.
         pool: the queries pool backing the Cnt2Crd technique.
-        fallback_estimator: answers requests with no matching pool query
-            (stamped ``"fallback"``).
+        fallback_estimator: the ``fallback`` of every estimator the stack
+            wires; answers requests with no matching pool query, or whose
+            every pool estimate the epsilon guard filtered (stamped
+            ``"fallback"``).
         training_result: the training run that produced ``model`` — required
             when adaptation is enabled (the retrainer fine-tunes from it).
         database: the snapshot ``model`` was trained against — required when

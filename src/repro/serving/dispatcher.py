@@ -36,7 +36,7 @@ batch, or coalesced with strangers' requests from other threads (asserted by
 ``benchmarks/bench_concurrent_serving.py``).
 
 Failure isolation: when a coalesced batch fails as a whole (for example one
-request has no matching pool query and the service has no fallback), the
+request has no matching pool query and the deployment has no fallback), the
 dispatcher retries the batch's requests one by one, so exactly the poison
 request's future receives the exception and every other caller still gets
 its estimate.
@@ -208,8 +208,8 @@ class ServingDispatcher:
         Safe to call from any number of threads.  The future resolves with
         the estimate, or with the exception the request would have raised on
         the sequential path (e.g.
-        :class:`repro.core.cnt2crd.NoMatchingPoolQueryError` when the service
-        has no fallback).  ``options`` rides with the request: its tags are
+        :class:`repro.core.cnt2crd.NoMatchingPoolQueryError` when the
+        deployment has no fallback).  ``options`` rides with the request: its tags are
         stamped onto the result.
         """
         future: Future = Future()
@@ -445,7 +445,6 @@ class ServingDispatcher:
             recorder.emit(
                 DispatcherBatch(
                     size=len(batch),
-                    groups=int(bool(live)),
                     cancelled=cancelled,
                     queue_depth=self._queue.qsize(),
                 )
@@ -494,7 +493,6 @@ class ServingDispatcher:
                 tracer.end(
                     batch_span,
                     size=len(batch),
-                    groups=int(bool(live)),
                     cancelled=cancelled,
                 )
 

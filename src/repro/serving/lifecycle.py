@@ -294,7 +294,7 @@ class AdaptationManager:
     Candidate validation is a *shadow deployment* that never touches the
     service: the candidate estimator scores the most recent feedback slice
     itself (in one batched scoring pass, the bits ``estimate_cardinality``
-    gives, with the service's fallback answering what the pool cannot), and
+    gives, with the deployment's fallback answering what the pool cannot), and
     its q-errors are compared against the incumbent's recorded errors on
     exactly those queries — it is promoted via
     :meth:`EstimationService.replace` only if it passes the gate.  No
@@ -751,8 +751,6 @@ class AdaptationManager:
         if not holdout:
             return float("nan"), float("nan"), True, 0
         try:
-            # The service's fallback answers what the refreshed pool cannot.
-            shadow.fallback = self.service.fallback
             # The core batch routine: each distinct matched query is scored
             # once, each estimate with the bits of shadow.estimate_cardinality.
             estimates = shadow.estimate_cardinalities([item.query for item in holdout])

@@ -1,10 +1,9 @@
 """The online cardinality-estimation service façade.
 
 :class:`EstimationService` is the piece that turns the paper's estimators into
-serving infrastructure: it serves one estimator (Cnt2Crd over the CRN),
-hot-swapped by :meth:`EstimationService.replace`, with an optional fallback
-for what the pool cannot match; scores the Cnt2Crd work of concurrent
-requests as one batch through
+serving infrastructure: it serves one Cnt2Crd estimator over the CRN,
+hot-swapped by :meth:`EstimationService.replace`; scores the work of
+concurrent requests as one batch through
 :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.slab_values`; and records
 per-request latency plus service-level hit-rate statistics read from the
 served estimator's own caches (rendered by
@@ -13,13 +12,12 @@ served estimator's own caches (rendered by
 The batched path is exact, not approximate: the core routine resolves each
 request to its bucket slab (with resident rows when the estimator has a
 :class:`repro.serving.PoolEncodingIndex`), scores identical
-``(query, slab)`` work once, and turns the rates into values with the
-estimator's own
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.estimate_values_from_rates`; the
-service then runs the fallback chain a request without values needs and
-:meth:`repro.core.cnt2crd.Cnt2CrdEstimator.collapse_values`, so a served
-estimate is bit-for-bit identical to calling ``estimate_cardinality`` per
-request.
+``(query, slab)`` work once, and turns the rates into values; the
+estimator's own :meth:`repro.core.cnt2crd.Cnt2CrdEstimator.answer` then
+finishes each request, through the estimator's fallback when it has no
+values.  A served estimate is therefore bit-for-bit identical to calling
+``estimate_cardinality`` per request, and the service only stamps where it
+came from.
 """
 
 from __future__ import annotations
@@ -30,12 +28,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from repro.core.cnt2crd import Cnt2CrdEstimator, NoMatchingPoolQueryError
+from repro.core.cnt2crd import Cnt2CrdEstimator
 from repro.core.crn import CRNEstimator
-from repro.core.estimators import CardinalityEstimator
-from repro.core.queries_pool import PoolSlab
 from repro.observability.counters import Counters
 from repro.observability.events import BatchServed, RequestServed
 from repro.observability.histogram import LatencyHistogram
@@ -45,7 +39,8 @@ from repro.sql.query import Query
 
 #: :attr:`EstimateResult.estimator_name` of an answer from the served estimator.
 ESTIMATOR_NAME = "crn"
-#: :attr:`EstimateResult.estimator_name` of an answer from the service's fallback.
+#: :attr:`EstimateResult.estimator_name` of an answer from the served
+#: estimator's fallback.
 FALLBACK_NAME = "fallback"
 
 #: Resolution stamp: the request was scored from the pool encoding index's
@@ -54,14 +49,10 @@ RESOLUTION_INDEXED_SLAB = "indexed_slab"
 #: Resolution stamp: the request's slab carried no resident rows and was
 #: scored pair by pair.
 RESOLUTION_PAIR_BATCH = "pair_batch"
-#: Resolution stamp: the request's primary had no answer and the estimator's
-#: own built-in fallback produced the estimate.
-RESOLUTION_ESTIMATOR_FALLBACK = "estimator_fallback"
-#: Resolution stamp: the service's fallback estimator produced the estimate.
+#: Resolution stamp: the served estimator's fallback produced the estimate.
+#: The name predates the estimator carrying the fallback; it stays because
+#: the wire protocol and stored events carry it.
 RESOLUTION_REGISTRY_FALLBACK = "registry_fallback"
-#: Resolution stamp: a non-Cnt2Crd estimator answered through its own
-#: per-query interface (no batched slab scoring involved).
-RESOLUTION_DIRECT = "direct"
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,8 @@ class EstimateResult:
         query: the estimated query.
         estimate: the estimated cardinality.
         estimator_name: :data:`ESTIMATOR_NAME` when the served estimator
-            produced the estimate, :data:`FALLBACK_NAME` when the service's
-            fallback did.
+            collapsed pool estimates, :data:`FALLBACK_NAME` when its
+            fallback answered.
         latency_seconds: wall-clock time attributed to this request.  Exact
             for :meth:`EstimationService.submit`; for batched submissions it
             is the batch's elapsed time divided by the batch size.
@@ -128,14 +119,12 @@ class EstimateResult:
         pairs_scored: containment pairs scored for the request
             (``2 * pool_matches``; identical requests of one batch share
             them).
-        used_fallback: True when the service's fallback answered the request.
+        used_fallback: True when the served estimator's fallback answered
+            the request.
         resolution: ``"indexed_slab"`` (whole-pool slab scoring through the
             :class:`repro.serving.PoolEncodingIndex`), ``"pair_batch"`` (a
-            slab without resident rows, scored pair by pair),
-            ``"estimator_fallback"`` (the
-            estimator's built-in fallback), ``"registry_fallback"`` (the
-            service's fallback), or ``"direct"`` (a non-Cnt2Crd
-            estimator's own per-query interface).
+            slab without resident rows, scored pair by pair), or
+            ``"registry_fallback"`` (the fallback answered).
         model_generation: the generation of the estimator that answered
             (:attr:`EstimationService.generation` for the served estimator,
             1 for the fallback).
@@ -179,8 +168,8 @@ class _Answer(NamedTuple):
     model_generation: int
     used_fallback: bool
     resolution: str
-    pool_matches: int = 0
-    pairs_scored: int = 0
+    pool_matches: int
+    pairs_scored: int
 
 
 def _counter_block(values: Mapping[str, float]) -> dict[str, float]:
@@ -198,10 +187,20 @@ def _counter_block(values: Mapping[str, float]) -> dict[str, float]:
     }
 
 
-def _caches(estimator: CardinalityEstimator) -> dict[str, FeaturizationCache | EncodingCache]:
+def _served(estimator: Cnt2CrdEstimator) -> Cnt2CrdEstimator:
+    """``estimator``, refused with ``TypeError`` unless it is Cnt2Crd: the
+    service answers every request through its slab scoring."""
+    if not isinstance(estimator, Cnt2CrdEstimator):
+        raise TypeError(
+            f"the service serves a Cnt2CrdEstimator, got {type(estimator).__name__}"
+        )
+    return estimator
+
+
+def _caches(estimator: Cnt2CrdEstimator) -> dict[str, FeaturizationCache | EncodingCache]:
     """The request caches ``estimator`` serves with, by report name (none for
-    an estimator without a CRN or without caches)."""
-    containment = getattr(estimator, "containment_estimator", None)
+    a containment model that is not a CRN, or a CRN without caches)."""
+    containment = estimator.containment_estimator
     if not isinstance(containment, CRNEstimator):
         return {}
     caches = {"featurization": containment.featurizer, "encoding": containment.encoding_cache}
@@ -215,9 +214,10 @@ def _caches(estimator: CardinalityEstimator) -> dict[str, FeaturizationCache | E
 class EstimationService:
     """An online, batching, caching front-end over one served estimator.
 
-    The service serves one estimator, hot-swapped by :meth:`replace`, and
-    re-routes what it cannot answer to an optional fallback fixed at
-    construction.  It is thread-safe: the estimator and its generation are
+    The service serves one Cnt2Crd estimator, hot-swapped by
+    :meth:`replace`; what the pool cannot answer goes to that estimator's
+    own :attr:`~repro.core.cnt2crd.Cnt2CrdEstimator.fallback`.  It is
+    thread-safe: the estimator and its generation are
     read under one lock (so :meth:`replace` can hot-swap while other threads
     submit), stats updates are atomic, and the caches and the queries pool
     take their own fine-grained locks.  Model forward passes themselves only
@@ -228,13 +228,12 @@ class EstimationService:
     many callers' requests into few shared batches.
 
     Args:
-        estimator: the served estimator, stamped :data:`ESTIMATOR_NAME`.  A
-            :class:`Cnt2CrdEstimator` is scored in batches; any other
-            estimator answers one query at a time (``"direct"``).
-        fallback: optional estimator answering requests for which the served
-            one raises :class:`NoMatchingPoolQueryError` (see the recovery
-            strategies in :mod:`repro.core.cnt2crd`), stamped
-            :data:`FALLBACK_NAME` at generation 1.
+        estimator: the served :class:`Cnt2CrdEstimator`, stamped
+            :data:`ESTIMATOR_NAME`; anything else raises ``TypeError``.  An
+            answer from its fallback (see the recovery strategies in
+            :mod:`repro.core.cnt2crd`) is stamped :data:`FALLBACK_NAME` at
+            generation 1, since the fallback is the deployment's and every
+            promote wires the same one.
         generation: the served estimator's model generation — 1, or the
             generation an artifact was saved at, so
             :attr:`EstimateResult.model_generation` stays continuous across
@@ -257,8 +256,7 @@ class EstimationService:
 
     def __init__(
         self,
-        estimator: CardinalityEstimator,
-        fallback: CardinalityEstimator | None = None,
+        estimator: Cnt2CrdEstimator,
         *,
         generation: int = 1,
         recorder=None,
@@ -266,9 +264,8 @@ class EstimationService:
     ) -> None:
         if not isinstance(generation, int) or isinstance(generation, bool) or generation <= 0:
             raise ValueError(f"generation must be a positive int, got {generation!r}")
-        self._estimator = estimator
+        self._estimator = _served(estimator)
         self._generation = generation
-        self.fallback = fallback
         self.recorder = recorder
         self.tracer = tracer
         #: Counters since boot; ``total_seconds`` is attributed service time.
@@ -290,7 +287,7 @@ class EstimationService:
     # the served estimator
 
     @property
-    def estimator(self) -> CardinalityEstimator:
+    def estimator(self) -> Cnt2CrdEstimator:
         """The served estimator: the booted one until a :meth:`replace`."""
         with self._lock:
             return self._estimator
@@ -301,15 +298,17 @@ class EstimationService:
         with self._lock:
             return self._generation
 
-    def replace(self, estimator: CardinalityEstimator) -> CardinalityEstimator:
+    def replace(self, estimator: Cnt2CrdEstimator) -> Cnt2CrdEstimator:
         """Atomically hot-swap the served estimator; returns the previous one.
 
         This is the zero-downtime update path: in-flight batches finish on
         the estimator object they already resolved — on its own caches and
         pool index slabs, which live and die with it — and every submission
         that resolves after this call is served by the replacement, stamped
-        with the bumped :attr:`generation`.
+        with the bumped :attr:`generation`.  A non-Cnt2Crd ``estimator``
+        raises ``TypeError`` and leaves the served one in place.
         """
+        _served(estimator)
         with self._lock:
             previous, self._estimator = self._estimator, estimator
             self._generation += 1
@@ -333,12 +332,12 @@ class EstimationService:
     ) -> list[EstimateResult]:
         """Estimate many concurrent requests with cross-request batching.
 
-        A served Cnt2Crd estimator is scored as a few large deduplicated
-        forward passes (:meth:`Cnt2CrdEstimator.slab_values`); any other
-        estimator answers through its own per-query interface.  Requests the
-        served estimator cannot answer (no matching pool query and no
-        built-in fallback) are re-routed to the service's :attr:`fallback`
-        when one is configured.
+        The batch is scored as a few large deduplicated forward passes
+        (:meth:`Cnt2CrdEstimator.slab_values`) and each request finished by
+        :meth:`Cnt2CrdEstimator.answer`, which sends what the pool cannot
+        answer to the estimator's fallback (or raises
+        :class:`repro.core.NoMatchingPoolQueryError` when it has none,
+        failing the batch).
 
         ``options`` applies to the whole batch.  Every result is an
         :class:`EstimateResult` carrying its resolution path, the answering
@@ -373,7 +372,7 @@ class EstimationService:
         # concurrent replace() cannot stamp the new generation on an answer
         # from the old estimator.
         with self._lock:
-            chosen, generation = self._estimator, self._generation
+            estimator, generation = self._estimator, self._generation
         recorder = self.recorder
         tracer = self.tracer
         batch_span = None
@@ -382,19 +381,11 @@ class EstimationService:
             batch_span = tracer.begin(
                 "service_batch", members=len(queries), estimator_name=ESTIMATOR_NAME
             )
-        caches = _caches(chosen)
+        caches = _caches(estimator)
         before = {name: (cache.stats.hits, cache.stats.misses) for name, cache in caches.items()}
         start = time.perf_counter()
         try:
-            if isinstance(chosen, Cnt2CrdEstimator):
-                answers, planned_pairs, scored_pairs = self._submit_cnt2crd(
-                    queries, generation, chosen
-                )
-            else:
-                planned_pairs = scored_pairs = 0
-                answers = [
-                    self._guarded_estimate(query, generation, chosen) for query in queries
-                ]
+            answers, planned_pairs, scored_pairs = self._answer(queries, generation, estimator)
         except BaseException as error:
             # Ending the batch span pops every nested stage span off this
             # thread's stack too, so a failed batch cannot poison the
@@ -518,7 +509,7 @@ class EstimationService:
         warmed by :meth:`PoolEncodingIndex.warm`, whose slabs are the only
         home of a pool entry's encodings.
         """
-        containment = getattr(self.estimator, "containment_estimator", None)
+        containment = self.estimator.containment_estimator
         if isinstance(containment, CRNEstimator):
             containment.warm(list(queries))
 
@@ -526,8 +517,13 @@ class EstimationService:
         """Service counters since boot plus the served estimator's cache hit
         rates and pool index gauges, ready for reporting.
 
-        The counter block is one locked read, so the snapshot is internally
-        consistent even while other threads are submitting.
+        The two blocks cover different intervals.  The counters and latency
+        quantiles run from boot.  The ``*_hit_rate``, ``*_entries`` and
+        ``pool_index_*`` rows describe the served estimator's own caches and
+        index, which every promote wires fresh, so they run from the last
+        swap (from boot before the first).  The counter block is one locked
+        read, so it is internally consistent even while other threads are
+        submitting.
         """
         snapshot = _counter_block(self.stats.snapshot())
         histogram = self.latency_histogram.snapshot()
@@ -541,19 +537,20 @@ class EstimationService:
         for name, cache in _caches(estimator).items():
             snapshot[f"{name}_hit_rate"] = cache.stats_snapshot()["hit_rate"]
             snapshot[f"{name}_entries"] = float(len(cache))
-        if getattr(estimator, "pool_index", None) is not None:
+        if estimator.pool_index is not None:
             snapshot.update(estimator.pool_index.stats_snapshot())
         return snapshot
 
     # ------------------------------------------------------------------ #
     # internals
 
-    def _submit_cnt2crd(
+    def _answer(
         self,
         queries: Sequence[Query],
         generation: int,
         estimator: Cnt2CrdEstimator,
     ) -> tuple[list[_Answer], int, int]:
+        """Every request's answer, with the batch's planned and scored pairs."""
         tracer = self.tracer
         span = None
         if tracer is not None:
@@ -570,96 +567,19 @@ class EstimationService:
         planned = 0
         answers = []
         for query, (slab, values) in zip(queries, results):
-            if slab is not None:
-                planned += 2 * len(slab.entries)
-            answers.append(
-                self._answer_request(query, slab, values, generation, estimator)
-            )
+            matches = 0 if slab is None else len(slab.entries)
+            planned += 2 * matches
+            estimate, used_fallback = estimator.answer(query, slab, values)
+            if used_fallback:
+                # The fallback is the deployment's, never replaced: generation 1.
+                stamp = (FALLBACK_NAME, 1, True, RESOLUTION_REGISTRY_FALLBACK)
+            elif slab.first is None:
+                stamp = (ESTIMATOR_NAME, generation, False, RESOLUTION_PAIR_BATCH)
+            else:
+                stamp = (ESTIMATOR_NAME, generation, False, RESOLUTION_INDEXED_SLAB)
+            answers.append(_Answer(estimate, *stamp, matches, 2 * matches))
         # Pair counts are returned (not applied here) so the caller records
         # them atomically with requests/batches — and only for completed
         # batches: when a request with no fallback raises above, no counter
         # moves at all.
         return answers, planned, scored
-
-    def _answer_request(
-        self,
-        query: Query,
-        slab: PoolSlab | None,
-        values: np.ndarray,
-        generation: int,
-        estimator: Cnt2CrdEstimator,
-    ) -> _Answer:
-        """One request's answer from its :meth:`Cnt2CrdEstimator.slab_values` result.
-
-        A request without values — unmatched (``slab is None``), or matched
-        with every eligible entry filtered by the epsilon guard — goes to
-        the estimator's own fallback, then to the flagged service fallback.
-        With a learned rate model a matched request's collapse to 0.0 could
-        be a spurious zero, so it stands only when neither fallback exists
-        (exactly right for exact rates and framed pools); an unmatched one
-        then raises :class:`NoMatchingPoolQueryError`.
-        """
-        if slab is None:
-            pool_matches, resolution = 0, None
-        else:
-            pool_matches = len(slab.entries)
-            resolution = RESOLUTION_PAIR_BATCH if slab.first is None else RESOLUTION_INDEXED_SLAB
-        pairs_scored = 2 * pool_matches
-        if values.size == 0:
-            try:
-                value = estimator.fallback_estimate(query)
-                return _Answer(
-                    value,
-                    ESTIMATOR_NAME,
-                    generation,
-                    False,
-                    RESOLUTION_ESTIMATOR_FALLBACK,
-                    pool_matches,
-                    pairs_scored,
-                )
-            except NoMatchingPoolQueryError:
-                pass
-            try:
-                return self._fallback(query, pool_matches, pairs_scored)
-            except NoMatchingPoolQueryError:
-                if slab is None:
-                    raise
-        return _Answer(
-            estimator.collapse_values(values),
-            ESTIMATOR_NAME,
-            generation,
-            False,
-            resolution,
-            pool_matches,
-            pairs_scored,
-        )
-
-    def _guarded_estimate(
-        self, query: Query, generation: int, estimator: CardinalityEstimator
-    ) -> _Answer:
-        """One non-Cnt2Crd estimate."""
-        try:
-            value = estimator.estimate_cardinality(query)
-        except NoMatchingPoolQueryError:
-            return self._fallback(query)
-        return _Answer(value, ESTIMATOR_NAME, generation, False, RESOLUTION_DIRECT)
-
-    def _fallback(self, query: Query, pool_matches: int = 0, pairs_scored: int = 0) -> _Answer:
-        """Route a request the served estimator could not answer to the fallback.
-
-        The fallback is never replaced, so its answers carry generation 1.
-        """
-        if self.fallback is None:
-            raise NoMatchingPoolQueryError(
-                f"estimator {ESTIMATOR_NAME!r} has no matching pool query for "
-                f"{query.from_signature()} and the service has no fallback estimator"
-            )
-        return _Answer(
-            self.fallback.estimate_cardinality(query),
-            FALLBACK_NAME,
-            1,
-            True,
-            RESOLUTION_REGISTRY_FALLBACK,
-            pool_matches,
-            pairs_scored,
-        )

@@ -61,8 +61,10 @@ def wire_estimator(
     cache and an encoding cache under the config's LRU bounds, a CRN
     estimator, a compiled plan when the config is compiled, a
     :class:`PoolEncodingIndex` over ``pool`` for that CRN, and the Cnt2Crd
-    estimator.  Nothing is shared with another model's estimator, so a hot
-    swap replaces all of it at once.  The CRN's slab batch size and
+    estimator with the config's ``fallback_estimator``.  Nothing
+    model-derived is shared with another model's estimator, so a hot swap
+    replaces all of it at once; the fallback is the deployment's, the same
+    object in every estimator.  The CRN's slab batch size and
     Cnt2Crd's final function and epsilon guard are the estimators' own
     defaults (``PASS_ROWS``, the median, ``1e-3``).  No slab is built here:
     the caller warms the index or lets requests build it.
@@ -88,7 +90,9 @@ def wire_estimator(
     pool_index = PoolEncodingIndex(pool, crn)
     pool_index.recorder = recorder
     pool_index.tracer = tracer
-    return Cnt2CrdEstimator(crn, pool, pool_index=pool_index)
+    return Cnt2CrdEstimator(
+        crn, pool, fallback=config.fallback_estimator, pool_index=pool_index
+    )
 
 
 def build_service_stack(
@@ -99,8 +103,8 @@ def build_service_stack(
 ) -> ServiceStack:
     """Wire an :class:`EstimationService` exactly as ``config`` describes.
 
-    The estimator (through :func:`wire_estimator`), the service around it
-    and its fallback, and the warm-up all come from here.  ``generation`` is
+    The estimator and its fallback (through :func:`wire_estimator`), the
+    service around it, and the warm-up all come from here.  ``generation`` is
     the model generation served (1, or the one an artifact was saved at):
     the plan is compiled for it and the service stamps it.  ``recorder`` and ``tracer`` attach,
     and the plan compiles, *before* the warm-up, so the initial slab builds
@@ -117,11 +121,7 @@ def build_service_stack(
         generation=generation,
     )
     service = EstimationService(
-        estimator,
-        config.fallback_estimator,
-        generation=generation,
-        recorder=recorder,
-        tracer=tracer,
+        estimator, generation=generation, recorder=recorder, tracer=tracer
     )
     if config.pool_options.warm:
         estimator.pool_index.warm()  # fills the slabs; the request caches stay empty

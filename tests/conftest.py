@@ -7,8 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.cnt2crd import Cnt2CrdEstimator
 from repro.core.estimators import ContainmentEstimator
 from repro.core.featurization import QueryFeaturizer
+from repro.core.queries_pool import PoolEntry, QueriesPool
 from repro.datasets.imdb import SyntheticIMDbConfig, build_synthetic_imdb
 from repro.db.database import Database
 from repro.db.executor import QueryExecutor
@@ -92,6 +94,29 @@ class ZeroRatesContainment(ContainmentEstimator):
 
     def estimate_containment(self, first, second) -> float:
         return 0.0
+
+
+class OneRatesContainment(ContainmentEstimator):
+    """A containment stub rating every pair 1: a Cnt2Crd estimator over it
+    answers the median cardinality of the query's bucket."""
+
+    name = "one-rates"
+
+    def estimate_containment(self, first, second) -> float:
+        return 1.0
+
+
+def constant_estimator(value, queries, containment=None) -> Cnt2CrdEstimator:
+    """A Cnt2Crd estimator answering ``value`` for each query that shares a
+    FROM clause with one of ``queries``.
+
+    The service serves only Cnt2Crd estimators, so this is how a test serves
+    a recognizable answer: the pool holds ``queries``, each labelled
+    ``value``, and ``containment`` (a :class:`OneRatesContainment` unless
+    given) rates every pair 1, so every pool estimate is ``1 / 1 * value``.
+    """
+    pool = QueriesPool(PoolEntry(query, value) for query in queries)
+    return Cnt2CrdEstimator(containment or OneRatesContainment(), pool)
 
 
 def scored_bits(estimator, query) -> tuple[bytes, bytes]:

@@ -618,7 +618,7 @@ class TestColdBoot:
             **config.to_mapping(),
             "artifacts": {"root": str(root)},
         }
-        assert booted.service.fallback is fallback
+        assert booted.stack.estimator.fallback is fallback
         booted.shutdown()
 
     @pytest.mark.parametrize(

@@ -241,6 +241,41 @@ class TestCnt2Crd:
         query = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
         assert estimator.estimate_cardinality(query) == 0.0
 
+    def test_answer_flags_exactly_what_the_fallback_answered(
+        self, imdb_small, imdb_oracle, oracle_pool
+    ):
+        fallback = OracleCardinalityEstimator(imdb_small, oracle=imdb_oracle)
+        matched = QueryBuilder().table("title", "t").where("t.kind_id", "=", 1).build()
+        # Two fact tables joined without `title`: no pool query has this FROM.
+        unmatched = (
+            QueryBuilder()
+            .table("movie_companies", "mc")
+            .table("movie_keyword", "mk")
+            .join("mc.movie_id", "mk.movie_id")
+            .build()
+        )
+
+        def answers(estimator, queries):
+            results, _ = estimator.slab_values(queries)
+            return [
+                estimator.answer(query, slab, values)
+                for query, (slab, values) in zip(queries, results)
+            ]
+
+        exact = Cnt2CrdEstimator(
+            OracleContainmentEstimator(imdb_small), oracle_pool, fallback=fallback
+        )
+        assert answers(exact, [matched, unmatched]) == [
+            (exact.estimate_cardinality(matched), False),
+            (fallback.estimate_cardinality(unmatched), True),
+        ]
+        filtered = Cnt2CrdEstimator(ZeroRatesContainment(), oracle_pool, fallback=fallback)
+        assert answers(filtered, [matched]) == [(fallback.estimate_cardinality(matched), True)]
+        bare = Cnt2CrdEstimator(ZeroRatesContainment(), oracle_pool)
+        assert answers(bare, [matched]) == [(0.0, False)]
+        with pytest.raises(NoMatchingPoolQueryError, match="has no fallback estimator"):
+            answers(bare, [unmatched])
+
     def test_all_matches_empty_result_routes_to_fallback_too(
         self, imdb_small, imdb_oracle
     ):

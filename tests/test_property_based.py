@@ -428,8 +428,8 @@ class TestMetricProperties:
 # serving identity properties
 
 
-@functools.lru_cache(maxsize=1)
-def serving_identity_stack():
+@functools.lru_cache(maxsize=2)
+def serving_identity_stack(joined_shape: bool = True):
     """One shared deployment over the toy database, plus its reference.
 
     Returns ``(client, naive estimator)``: the
@@ -437,7 +437,8 @@ def serving_identity_stack():
     :class:`repro.core.Cnt2CrdEstimator` (no caches, no index, one request at
     a time), wired from the same model, featurizer, pool, and fallback.  The
     pool carries the frame queries of both toy FROM shapes, so every
-    generated query has a match.
+    generated query has a match; without ``joined_shape`` it holds no join
+    query, so every join query goes to the fallback.
     """
     from repro.baselines import PostgresCardinalityEstimator
     from repro.core import Cnt2CrdEstimator, CRNConfig, CRNEstimator, CRNModel, QueriesPool
@@ -463,7 +464,8 @@ def serving_identity_stack():
     ]
     pool = QueriesPool()
     for query in pool_queries:
-        pool.add(query, int(TOY_ORACLE.cardinality(query)))
+        if joined_shape or not query.num_joins:
+            pool.add(query, int(TOY_ORACLE.cardinality(query)))
     fallback = PostgresCardinalityEstimator(TOY_DATABASE)
     client = ServingClient.start(
         ServingConfig(
@@ -493,22 +495,36 @@ class TestServingIdentityProperties:
         assert dispatched == legacy_batched
 
     @_COMMON_SETTINGS
+    @given(queries=st.lists(toy_queries(), min_size=1, max_size=6))
+    def test_batches_mixing_matched_and_unmatched_queries_match_naive(self, queries):
+        client, naive = serving_identity_stack(joined_shape=False)
+        expected = naive.estimate_cardinalities(queries)
+        # The fallback answers exactly the positions without pool estimates:
+        # the unmatched ones and any whose every estimate the guard filtered.
+        results, _ = naive.slab_values(queries)
+        fallback_answered = [slab is None or values.size == 0 for slab, values in results]
+        futures = [client.estimate_future(query) for query in queries]
+        for served in (
+            client.estimate_many(queries),
+            [client.estimate(query) for query in queries],
+            [future.result(timeout=30) for future in futures],
+        ):
+            assert [item.estimate for item in served] == expected
+            assert [item.used_fallback for item in served] == fallback_answered
+
+    @_COMMON_SETTINGS
     @given(queries=st.lists(toy_queries(), min_size=1, max_size=4))
     def test_provenance_is_stamped_on_every_result(self, queries):
-        client, _ = serving_identity_stack()
-        for item in client.estimate_many(queries):
-            assert item.resolution in {
-                "indexed_slab",
-                "pair_batch",
-                "estimator_fallback",
-                "registry_fallback",
-                "direct",
-            }
-            # Both registry entries are first-generation; whichever answered
-            # must say so.
-            assert item.model_generation == 1
-            assert item.estimator_name in {"crn", "fallback"}
-            assert item.used_fallback == (item.estimator_name == "fallback")
+        for joined_shape in (True, False):
+            client, _ = serving_identity_stack(joined_shape)
+            for item in client.estimate_many(queries):
+                assert item.resolution in {"indexed_slab", "pair_batch", "registry_fallback"}
+                # The served model is unswapped and the fallback is never
+                # replaced: whichever answered is first-generation.
+                assert item.model_generation == 1
+                assert item.estimator_name in {"crn", "fallback"}
+                assert item.used_fallback == (item.estimator_name == "fallback")
+                assert item.used_fallback == (item.resolution == "registry_fallback")
 
 
 # --------------------------------------------------------------------------- #

@@ -209,7 +209,7 @@ def test_estimation_service_surface():
         "warm",
     ]
     parameters = inspect.signature(serving.EstimationService).parameters
-    assert list(parameters) == ["estimator", "fallback", "generation", "recorder", "tracer"]
+    assert list(parameters) == ["estimator", "generation", "recorder", "tracer"]
     assert all(
         parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
         for name in ("generation", "recorder", "tracer")

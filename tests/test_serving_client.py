@@ -261,7 +261,8 @@ class TestServiceStack:
 
         stack = build_service_stack(make_config(model, imdb_small, imdb_featurizer, pool))
         assert stack.estimator is stack.service.estimator
-        replacement = PostgresCardinalityEstimator(imdb_small)
+        assert stack.estimator.fallback is stack.config.fallback_estimator
+        replacement = Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool)
         stack.service.replace(replacement)
         assert stack.estimator is replacement
 
@@ -442,23 +443,19 @@ class TestProvenance:
         served = client.estimate(matched)
         assert served.resolution == "indexed_slab"
         assert served.model_generation == 1
-        pair_served = EstimationService(bare, client.service.fallback).submit(matched)
+        pair_served = EstimationService(bare).submit(matched)
         assert pair_served.resolution == "pair_batch"
         assert pair_served.estimate == served.estimate  # identical bits either way
 
-    def test_registry_fallback_and_direct_resolutions(
-        self, model, imdb_small, imdb_featurizer, pool
-    ):
+    def test_registry_fallback_resolution(self, model, imdb_small, imdb_featurizer, pool):
         client = ServingClient(make_config(model, imdb_small, imdb_featurizer, pool))
         rerouted = client.estimate(unmatched_query())
         assert rerouted.resolution == "registry_fallback"
         assert rerouted.used_fallback and rerouted.estimator_name == "fallback"
         assert rerouted.model_generation == 1  # the fallback's generation
-        # The same estimator served as the primary answers directly.
-        direct = EstimationService(client.service.fallback).submit(unmatched_query())
-        assert direct.resolution == "direct"
-        assert not direct.used_fallback
-        assert direct.estimate == rerouted.estimate
+        assert (rerouted.pool_matches, rerouted.pairs_scored) == (0, 0)
+        fallback = client.config.fallback_estimator
+        assert rerouted.estimate == fallback.estimate_cardinality(unmatched_query())
 
     @pytest.mark.parametrize(
         "inference",
@@ -478,28 +475,21 @@ class TestProvenance:
             make_config(saturated, imdb_small, imdb_featurizer, pool, inference=inference)
         )
         query = next(q for q in workload if pool.has_match(q))
-        # 1. The estimator's own fallback answers first, unflagged.
-        client.stack.estimator.fallback = postgres
-        builtin = client.estimate(query)
-        assert builtin.resolution == "estimator_fallback"
-        assert not builtin.used_fallback and builtin.estimator_name == "crn"
-        assert builtin.estimate == postgres.estimate_cardinality(query)
-        # 2. Without one, the service's fallback answers, flagged.
-        client.stack.estimator.fallback = None
+        # 1. The deployment's fallback answers, flagged.
         rerouted = client.estimate(query)
         assert rerouted.resolution == "registry_fallback"
         assert rerouted.used_fallback and rerouted.estimator_name == "fallback"
         assert rerouted.estimate == postgres.estimate_cardinality(query)
-        # 3. With neither, the zero collapse stands.
-        client.service.fallback = None
+        # 2. Without one, the zero collapse stands.
+        client.stack.estimator.fallback = None
         collapsed = client.estimate(query)
         assert collapsed.resolution == "indexed_slab"
         assert collapsed.estimate == 0.0 and not collapsed.used_fallback
-        for served in (builtin, rerouted, collapsed):
+        for served in (rerouted, collapsed):
             assert served.pool_matches > 0  # the pool DID match; scoring happened
             assert served.pairs_scored == 2 * served.pool_matches
         stats = client.stats()
-        assert stats["pool_index_served"] == 3.0
+        assert stats["pool_index_served"] == 2.0
         assert stats["fallbacks"] == 1.0
 
     def test_tags_and_cache_hit_counts_are_stamped(

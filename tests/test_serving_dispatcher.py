@@ -24,7 +24,6 @@ from repro.core import (
     NoMatchingPoolQueryError,
     QueriesPool,
 )
-from repro.core.estimators import CardinalityEstimator
 from repro.datasets import build_queries_pool_queries
 from repro.observability import EventRecorder, EventStore, Tracer
 from repro.serving import (
@@ -81,18 +80,6 @@ def unmatched_query():
         .table("movie_keyword", "mk")
         .build()
     )
-
-
-class ConstantEstimator(CardinalityEstimator):
-    """A stand-in replacement estimator with a recognizable answer."""
-
-    name = "constant"
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def estimate_cardinality(self, query) -> float:
-        return self.value
 
 
 class TestConcurrentServing:
@@ -234,7 +221,7 @@ class TestBacklogCoalescing:
             futures = [dispatcher.submit(query) for query in queries]
             gated.release.set()
             estimates = [future.result(timeout=30).estimate for future in futures]
-            assert held.result(timeout=30).estimate == 7.0
+            assert held.result(timeout=30).estimate == sequential_estimates[workload[0]]
         finally:
             gated.release.set()
             dispatcher.shutdown()
@@ -370,7 +357,8 @@ class TestInlineServing:
         assert threads[0] == held.ident
         assert threads[1] == dispatcher._thread.ident
         assert gated.calls == [workload[0]]
-        assert answers[0].estimate == 7.0 and answers[0].queue_wait_seconds == 0.0
+        assert answers[0].estimate == sequential_estimates[workload[0]]
+        assert answers[0].queue_wait_seconds == 0.0
         for position in (1, 2, 3):
             assert answers[position].estimate == sequential_estimates[workload[position]]
             assert answers[position].queue_wait_seconds > 0.0
@@ -443,7 +431,7 @@ class TestInlineServing:
         assert result.queue_wait_seconds > 0.0
 
     def test_shutdown_waits_for_an_inline_request(self, workload):
-        gated, dispatcher = gated_dispatcher()
+        gated, dispatcher = gated_dispatcher(workload)
         answers: list = []
         completed_at_return: list[int] = []
 
@@ -659,47 +647,51 @@ class TestFailureIsolation:
         assert dispatcher.stats.completed == 6
 
 
-class GatedEstimator(CardinalityEstimator):
-    """An estimator the test holds shut: a gated call blocks until
-    ``release`` and answers 7.0.
+class GatedContainment(conftest.OneRatesContainment):
+    """A containment model the test holds shut: a gated scoring call blocks
+    until ``release``.
 
-    Every call is gated, or with ``inner`` only the first: later calls are
-    answered by ``inner``, the real estimator whose bits a test compares.
-    ``calls`` lists the gated calls.  ``entered`` is set on the first call,
-    so a test knows — without sleeping — that the dispatcher thread is
+    Every call is gated, or with ``inner`` only the first.  Rates are 1, or
+    with ``inner`` that model's, whose bits a test compares.  ``calls``
+    lists the queries of the gated calls.  ``entered`` is set on the first
+    call, so a test knows — without sleeping — that the dispatcher thread is
     inside a batch and will stay there until the gate opens.  (The 30 s
     bound only turns a test bug into a failure instead of a hang.)
     """
 
     name = "gated"
 
-    def __init__(self, inner: CardinalityEstimator | None = None) -> None:
+    def __init__(self, inner=None) -> None:
         self.inner = inner
         self.entered = threading.Event()
         self.release = threading.Event()
         self.calls: list = []  # GIL-safe appends
 
-    def estimate_cardinality(self, query) -> float:
-        if self.inner is not None and self.entered.is_set():
-            return self.inner.estimate_cardinality(query)
-        self.calls.append(query)
-        self.entered.set()
-        assert self.release.wait(30), "the test never opened the gate"
-        return 7.0
+    def rates_against_pools(self, items):
+        if self.inner is None or not self.entered.is_set():
+            self.calls.extend(query for query, _ in items)
+            self.entered.set()
+            assert self.release.wait(30), "the test never opened the gate"
+        if self.inner is None:
+            return super().rates_against_pools(items)
+        return self.inner.rates_against_pools(items)
 
 
-def gated_dispatcher(max_batch: int = 1):
-    """A started dispatcher whose estimator is a shut :class:`GatedEstimator`."""
-    gated = GatedEstimator()
-    return gated, ServingDispatcher(EstimationService(gated), max_batch=max_batch).start()
+def gated_dispatcher(workload, max_batch: int = 1):
+    """A started dispatcher whose estimator answers 7.0 for ``workload``
+    through a shut :class:`GatedContainment`."""
+    gated = GatedContainment()
+    service = EstimationService(conftest.constant_estimator(7.0, workload, containment=gated))
+    return gated, ServingDispatcher(service, max_batch=max_batch).start()
 
 
 def gated_service(model, imdb_small, imdb_featurizer, pool):
-    """A service whose first request is held by a :class:`GatedEstimator` and
-    whose later ones get the bits of the real stack's estimator and fallback."""
-    real = build_service(model, imdb_small, imdb_featurizer, pool)
-    gated = GatedEstimator(inner=real.estimator)
-    return gated, EstimationService(gated, real.fallback)
+    """A service whose first request is held by a :class:`GatedContainment`
+    and whose every answer has the bits of the real stack's estimator and
+    fallback."""
+    real = build_service(model, imdb_small, imdb_featurizer, pool).estimator
+    gated = GatedContainment(inner=real.containment_estimator)
+    return gated, EstimationService(Cnt2CrdEstimator(gated, pool, fallback=real.fallback))
 
 
 def traced_service(estimator, sample_every: int = 1):
@@ -809,8 +801,10 @@ class TestDispatcherTraces:
         store.close()
 
     def test_abandon_counts_a_drop_and_emits_nothing(self, workload):
-        gated = GatedEstimator()
-        service, store = traced_service(gated)
+        gated = GatedContainment()
+        service, store = traced_service(
+            conftest.constant_estimator(7.0, workload, containment=gated)
+        )
         dispatcher = ServingDispatcher(service, max_batch=1).start()
         try:
             first = dispatcher.submit(workload[0])
@@ -843,7 +837,7 @@ class TestDeadlines:
         # served.  Now the deadline cancels the future; pickup skips it.
         from repro.serving import DeadlineExceededError
 
-        gated, dispatcher = gated_dispatcher()
+        gated, dispatcher = gated_dispatcher(workload)
         try:
             first = dispatcher.submit(workload[0])
             assert gated.entered.wait(30)  # the dispatcher is inside batch 1
@@ -866,7 +860,7 @@ class TestDeadlines:
         # typed deadline error must still satisfy them.
         from repro.serving import DeadlineExceededError
 
-        gated, dispatcher = gated_dispatcher()
+        gated, dispatcher = gated_dispatcher(workload)
         try:
             dispatcher.submit(workload[0])
             assert gated.entered.wait(30)
@@ -883,13 +877,15 @@ class TestDeadlines:
         # not be rebranded DeadlineExceededError nor counted as timed_out.
         from repro.serving import DeadlineExceededError
 
-        class TimeoutingEstimator(CardinalityEstimator):
+        class TimeoutingContainment(conftest.OneRatesContainment):
             name = "timeouting"
 
-            def estimate_cardinality(self, query) -> float:
+            def estimate_containment(self, first, second) -> float:
                 raise TimeoutError("statement timeout inside the estimator")
 
-        service = EstimationService(TimeoutingEstimator())
+        service = EstimationService(
+            conftest.constant_estimator(1.0, workload, containment=TimeoutingContainment())
+        )
         dispatcher = ServingDispatcher(service).start()
         try:
             with pytest.raises(TimeoutError, match="statement timeout") as excinfo:
@@ -903,7 +899,7 @@ class TestDeadlines:
     def test_options_timeout_is_the_default_deadline(self, workload):
         from repro.serving import DeadlineExceededError, RequestOptions
 
-        gated, dispatcher = gated_dispatcher()
+        gated, dispatcher = gated_dispatcher(workload)
         try:
             dispatcher.submit(workload[0])
             assert gated.entered.wait(30)
@@ -968,12 +964,11 @@ class TestPerRequestOptions:
         ]
 
     @pytest.mark.parametrize("cancel", ["none", "all"])
-    def test_dispatcher_batch_event_counts_one_group_unless_all_cancelled(
-        self, workload, cancel
-    ):
+    def test_dispatcher_batch_event_counts_size_and_cancelled(self, workload, cancel):
         store = EventStore(":memory:")
         service = EstimationService(
-            ConstantEstimator(3.0), recorder=EventRecorder(store=store, source="test")
+            conftest.constant_estimator(3.0, workload),
+            recorder=EventRecorder(store=store, source="test"),
         )
         dispatcher = ServingDispatcher(service, max_batch=4)
         futures = [dispatcher.submit(query) for query in workload[:3]]
@@ -984,16 +979,33 @@ class TestPerRequestOptions:
         service.recorder.flush()
         (event,) = store.events(kind="dispatcher_batch")
         assert (event.size, event.cancelled) == (3, 3 if cancel == "all" else 0)
-        assert event.groups == (0 if cancel == "all" else 1)
+        store.close()
+
+    def test_a_dispatcher_batch_stored_with_groups_still_reads_back(self):
+        # Rows stored before the event dropped its ``groups`` field (it read
+        # 1, or 0 when every member was cancelled) still carry it.
+        import json
+
+        from repro.observability import DispatcherBatch
+
+        store = EventStore(":memory:")
+        payload = {"size": 3, "groups": 1, "cancelled": 0, "queue_depth": 2}
+        store.query(
+            "INSERT INTO events (source, sequence, ts, kind, value, payload) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            ("test", 1, 0.0, "dispatcher_batch", 3.0, json.dumps(payload)),
+        )
+        (event,) = store.events(kind="dispatcher_batch")
+        assert event == DispatcherBatch(size=3, cancelled=0, queue_depth=2)
         store.close()
 
 
 class TestHotSwap:
     def test_a_request_after_replace_carries_the_new_generation(self, workload):
-        service = EstimationService(ConstantEstimator(1.0))
+        service = EstimationService(conftest.constant_estimator(1.0, workload))
         with ServingDispatcher(service) as dispatcher:
             before = dispatcher.estimate(workload[0], timeout=30)
-            service.replace(ConstantEstimator(2.0))
+            service.replace(conftest.constant_estimator(2.0, workload))
             queued = dispatcher.submit(workload[0]).result(timeout=30)
             inline = dispatcher.estimate(workload[0])
         assert (before.estimate, before.model_generation) == (1.0, 1)
@@ -1004,7 +1016,7 @@ class TestHotSwap:
         self, model, imdb_small, imdb_featurizer, pool, workload, sequential_estimates
     ):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        replacement = ConstantEstimator(42.0)
+        replacement = conftest.constant_estimator(42.0, workload)
         stop = threading.Event()
         failures: list[BaseException] = []
 

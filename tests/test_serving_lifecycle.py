@@ -15,6 +15,7 @@ from repro.core import (
     CRNConfig,
     CRNEstimator,
     CRNModel,
+    NoMatchingPoolQueryError,
     QueriesPool,
     QueryFeaturizer,
     TrainingConfig,
@@ -516,8 +517,8 @@ class TestAdaptationManager:
         holdout = collector.holdout(8, estimator="crn")
         assert len(holdout) == 8
         assert not shadow.pool.has_match(holdout[-1].query)
-        # The gate asks the service's fallback what the pool cannot answer.
-        assert shadow.fallback is service.fallback is oracle_fallback
+        # The gate asks the deployment's fallback what the pool cannot answer.
+        assert shadow.fallback is oracle_fallback
         truth = float(imdb_oracle.cardinality(unmatched))
         assert PostgresCardinalityEstimator(imdb_small).estimate_cardinality(unmatched) != truth
         assert shadow.estimate_cardinality(unmatched) == truth
@@ -566,27 +567,38 @@ class TestAdaptationManager:
         assert manager.stats.requests_between_swaps == 9
         assert service.stats.requests == 13
 
-    def test_without_a_service_fallback_the_shadow_has_none(
-        self, trained, imdb_small, pool, workload
+    @pytest.mark.parametrize("with_fallback", [True, False], ids=["fallback", "none"])
+    def test_the_deployments_fallback_answers_after_a_promote(
+        self, trained, imdb_small, imdb_oracle, pool, workload, with_fallback
     ):
+        # Boot, the shadow and the promoted estimator are all wired with the
+        # config's fallback: after a promote an unmatched query is still
+        # answered by it and flagged, and without one it still raises.
+        fallback = OracleCardinalityEstimator(imdb_small, imdb_oracle) if with_fallback else None
         stack = build_service_stack(
             ServingConfig(
                 model=trained.model,
                 featurizer=trained.featurizer,
                 pool=pool,
+                fallback_estimator=fallback,
                 training_result=trained,
                 database=imdb_small,
                 adaptation=AdaptationConfig(
-                    holdout_size=8, training_pairs=20, incremental_epochs=1, seed=7
+                    holdout_size=8,
+                    training_pairs=20,
+                    incremental_epochs=1,
+                    accept_ratio=1e9,
+                    seed=7,
                 ),
             )
         )
+        service = stack.service
         collector = FeedbackCollector()
         manager = AdaptationManager(stack, collector)
-        assert stack.service.fallback is None
+        booted = service.estimator
         for labeled in [l for l in workload if pool.has_match(l.query)][:8]:
             collector.record_served(
-                stack.service.submit(labeled.query), true_cardinality=labeled.cardinality
+                service.submit(labeled.query), true_cardinality=labeled.cardinality
             )
         shadows = []
         validate = manager._validate
@@ -596,9 +608,30 @@ class TestAdaptationManager:
             return validate(shadow)
 
         manager._validate = capture
-        assert manager.trigger().action in ("swapped", "rejected")
+        assert manager.trigger().swapped
         (shadow,) = shadows
-        assert shadow.fallback is None
+        assert service.estimator is not booted and service.generation == 2
+        for estimator in (booted, shadow, service.estimator):
+            assert estimator.fallback is fallback
+        unmatched = (
+            QueryBuilder()
+            .table("movie_companies", "mc")
+            .table("movie_keyword", "mk")
+            .join("mc.movie_id", "mk.movie_id")
+            .build()
+        )
+        if fallback is None:
+            with pytest.raises(NoMatchingPoolQueryError, match="has no fallback estimator"):
+                service.submit(unmatched)
+            return
+        served = service.submit(unmatched)
+        assert served.used_fallback
+        assert (served.estimator_name, served.resolution, served.model_generation) == (
+            "fallback",
+            "registry_fallback",
+            1,
+        )
+        assert served.estimate == float(imdb_oracle.cardinality(unmatched))
 
     def test_nan_holdout_signal_rejects_the_candidate(
         self, trained, imdb_small, pool, workload

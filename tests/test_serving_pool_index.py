@@ -246,7 +246,7 @@ class TestServiceIntegration:
     ):
         fallback = PostgresCardinalityEstimator(imdb_small)
         legacy = EstimationService(
-            Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool), fallback
+            Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool, fallback=fallback)
         )
         indexed = build_service(
             model, imdb_featurizer, pool, fallback_estimator=fallback,

@@ -248,12 +248,7 @@ class TestEstimationService:
     ):
         # The generator only joins fact tables through title, so a FROM
         # clause of two fact tables without title never appears in the pool.
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
+        unmatched = unmatched_query()
         assert not pool.has_match(unmatched)
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         served = service.submit(unmatched)
@@ -267,12 +262,14 @@ class TestEstimationService:
         self, imdb_small, imdb_featurizer, pool, workload
     ):
         # Regression: a matched request whose every y_rate fell under the
-        # epsilon guard used to be served a flat 0.0, bypassing the service's
+        # epsilon guard used to be served a flat 0.0, bypassing the
         # fallback entirely.  It must re-route exactly like the no-match
         # case — flagged, attributed to the fallback, counted.
 
         postgres = PostgresCardinalityEstimator(imdb_small)
-        service = EstimationService(Cnt2CrdEstimator(ZeroRatesContainment(), pool), postgres)
+        service = EstimationService(
+            Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=postgres)
+        )
         query = next(q for q in workload if pool.has_match(q))
         served = service.submit(query)
         assert served.used_fallback
@@ -281,29 +278,11 @@ class TestEstimationService:
         assert served.pool_matches > 0  # the pool DID match; scoring happened
         assert service.stats.fallbacks == 1
 
-    def test_all_filtered_prefers_the_estimator_builtin_fallback(
-        self, imdb_small, imdb_oracle, pool, workload
-    ):
-        # With a built-in fallback on the estimator itself, the re-route
-        # stays inside the estimator (unflagged), mirroring the no-match path.
-
-        from repro.core.oracle import OracleCardinalityEstimator
-
-        oracle_fallback = OracleCardinalityEstimator(imdb_small, oracle=imdb_oracle)
-        service = EstimationService(
-            Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=oracle_fallback)
-        )
-        query = next(q for q in workload if pool.has_match(q))
-        served = service.submit(query)
-        assert not served.used_fallback
-        assert served.estimator_name == "crn"
-        assert served.estimate == imdb_oracle.cardinality(query)
-
     def test_all_filtered_without_any_fallback_serves_the_zero_collapse(
         self, pool, workload
     ):
-        # No built-in fallback, no service fallback: the legacy collapse
-        # to 0.0 stands (and the batch must not raise).
+        # No fallback: the legacy collapse to 0.0 stands (and the batch must
+        # not raise).
 
         service = EstimationService(Cnt2CrdEstimator(ZeroRatesContainment(), pool))
         query = next(q for q in workload if pool.has_match(q))
@@ -312,23 +291,13 @@ class TestEstimationService:
         assert not served.used_fallback
 
     def test_no_fallback_raises(self, model, imdb_featurizer, pool):
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
+        unmatched = unmatched_query()
         service = EstimationService(Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
         with pytest.raises(NoMatchingPoolQueryError, match="has no fallback estimator"):
             service.submit(unmatched)
 
     def test_failed_batch_leaves_stats_consistent(self, model, imdb_featurizer, pool, workload):
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
+        unmatched = unmatched_query()
         service = EstimationService(Cnt2CrdEstimator(CRNEstimator(model, imdb_featurizer), pool))
         with pytest.raises(NoMatchingPoolQueryError):
             service.submit_batch([workload[0], unmatched])
@@ -355,33 +324,33 @@ class TestEstimationService:
         assert len(crn.encoding_cache) == 2 * len(queries)
         assert crn.encoding_cache.stats.evictions == 0
 
-    def test_direct_primary_without_a_match_goes_to_the_fallback(self, imdb_small, workload):
+    def test_unmatched_request_goes_to_the_fallback_at_generation_one(
+        self, imdb_small, pool
+    ):
         postgres = PostgresCardinalityEstimator(imdb_small)
-        service = EstimationService(Unanswering(), postgres, generation=4)
-        (served,) = service.submit_batch([workload[0]])
+        service = EstimationService(
+            Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=postgres), generation=4
+        )
+        (served,) = service.submit_batch([unmatched_query()])
         assert (served.estimator_name, served.resolution) == ("fallback", "registry_fallback")
         assert served.used_fallback and served.model_generation == 1
-        assert served.estimate == postgres.estimate_cardinality(workload[0])
+        assert (served.pool_matches, served.pairs_scored) == (0, 0)
+        assert served.estimate == postgres.estimate_cardinality(unmatched_query())
         assert service.stats.fallbacks == 1
 
-    def test_without_any_answer_the_request_raises(self, imdb_small, workload):
+    def test_without_any_answer_the_request_raises(self, pool):
         # No fallback, or a fallback that has no answer either: the error
         # reaches the caller and no counter moves.
         for fallback in (None, Unanswering()):
-            service = EstimationService(Unanswering(), fallback)
+            service = EstimationService(
+                Cnt2CrdEstimator(ZeroRatesContainment(), pool, fallback=fallback)
+            )
             with pytest.raises(NoMatchingPoolQueryError):
-                service.submit(workload[0])
+                service.submit(unmatched_query())
             assert service.stats.requests == 0
-        with pytest.raises(NoMatchingPoolQueryError, match="'crn' has no matching pool query"):
-            EstimationService(Unanswering()).submit(workload[0])
 
     def test_mixed_batch_counts_each_fallback(self, model, imdb_small, imdb_featurizer, pool, workload):
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
+        unmatched = unmatched_query()
         matched = [q for q in workload if pool.has_match(q)][:3]
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         served = service.submit_batch([matched[0], unmatched, *matched[1:], unmatched])
@@ -392,16 +361,17 @@ class TestEstimationService:
         assert service.stats.fallbacks == 2
         assert service.stats.planned_pairs == sum(item.pairs_scored for item in served)
 
-    def test_non_cnt2crd_estimators_are_served_per_query(self, imdb_small, workload):
+    def test_an_estimator_that_is_not_cnt2crd_is_refused(self, imdb_small, pool):
+        # Refused where it is handed over, not at the first request on the
+        # dispatcher thread.
         postgres = PostgresCardinalityEstimator(imdb_small)
-        service = EstimationService(PostgresCardinalityEstimator(imdb_small))
-        served = service.submit_batch(workload[:5])
-        assert [item.estimate for item in served] == [
-            postgres.estimate_cardinality(query) for query in workload[:5]
-        ]
-        assert all(item.estimator_name == "crn" for item in served)
-        assert all(item.resolution == "direct" for item in served)
-        assert not any(item.used_fallback for item in served)
+        with pytest.raises(TypeError, match="Cnt2CrdEstimator"):
+            EstimationService(postgres)
+        served = Cnt2CrdEstimator(ZeroRatesContainment(), pool)
+        service = EstimationService(served)
+        with pytest.raises(TypeError, match="Cnt2CrdEstimator"):
+            service.replace(postgres)
+        assert service.estimator is served and service.generation == 1
 
     def test_stats_and_snapshot_accounting(self, model, imdb_small, imdb_featurizer, pool, workload):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
@@ -456,8 +426,14 @@ def scored_requests(service, pool, workload) -> set:
     }
 
 
+def unmatched_query():
+    # Two fact tables without `title`: no generated pool query has this
+    # FROM clause.
+    return QueryBuilder().table("movie_companies", "mc").table("movie_keyword", "mk").build()
+
+
 class Unanswering(CardinalityEstimator):
-    """An estimator with no answer for any query."""
+    """A fallback with no answer for any query."""
 
     name = "unanswering"
 
@@ -465,24 +441,13 @@ class Unanswering(CardinalityEstimator):
         raise NoMatchingPoolQueryError(f"no answer for {query.from_signature()}")
 
 
-class Generation(CardinalityEstimator):
-    """Answers with the generation it is swapped in at."""
-
-    name = "generation"
-
-    def __init__(self, generation: int) -> None:
-        self.generation = generation
-
-    def estimate_cardinality(self, query) -> float:
-        return float(self.generation)
-
-
 class TestHotSwap:
     def test_a_stamped_generation_always_belongs_to_the_answering_estimator(self, workload):
         # Submitters race replace() with a short switch interval: every
         # answer must carry the generation of the estimator that produced
         # it, which a generation read apart from the estimator would break.
-        service = EstimationService(Generation(1))
+        # Each estimator answers with the generation it is swapped in at.
+        service = EstimationService(conftest.constant_estimator(1.0, workload[:4]))
         stop = threading.Event()
         torn: list = []
 
@@ -499,7 +464,7 @@ class TestHotSwap:
             for thread in threads:
                 thread.start()
             for generation in range(2, 20_002):
-                service.replace(Generation(generation))
+                service.replace(conftest.constant_estimator(float(generation), workload[:4]))
         finally:
             stop.set()
             for thread in threads:
@@ -523,12 +488,13 @@ class TestHotSwap:
         snapshot = service.stats_snapshot()
         assert snapshot["encoding_entries"] == snapshot["featurization_entries"] == 0.0
         assert snapshot["requests"] == len(workload)
-        # A served estimator without caches reports none.
-        service.replace(PostgresCardinalityEstimator(imdb_small))
+        # A served estimator over a rate model that is not a CRN has no
+        # caches and reports none.
+        service.replace(Cnt2CrdEstimator(ZeroRatesContainment(), pool))
         assert "encoding_hit_rate" not in service.stats_snapshot()
 
-    def test_warm_without_a_crn_is_a_no_op(self, imdb_small, workload):
-        service = EstimationService(PostgresCardinalityEstimator(imdb_small))
+    def test_warm_without_a_crn_is_a_no_op(self, pool, workload):
+        service = EstimationService(Cnt2CrdEstimator(ZeroRatesContainment(), pool))
         service.warm(workload)
         assert service.stats.requests == 0
 
@@ -547,33 +513,26 @@ class TestHotSwap:
 
     def test_replace_serves_the_replacement(self, model, imdb_small, imdb_featurizer, pool, workload):
         service = build_service(model, imdb_small, imdb_featurizer, pool)
-        postgres = PostgresCardinalityEstimator(imdb_small)
-        booted = service.replace(postgres)
-        assert service.estimator is postgres
+        replacement = conftest.constant_estimator(5.0, workload[:1])
+        booted = service.replace(replacement)
+        assert service.estimator is replacement
         served = service.submit(workload[0])
-        assert (served.estimate, served.resolution) == (
-            postgres.estimate_cardinality(workload[0]),
-            "direct",
-        )
+        assert (served.estimate, served.resolution) == (5.0, "pair_batch")
         service.replace(booted)
         assert service.estimator is booted and service.generation == 3
 
-    def test_generation_starts_where_the_constructor_says(self, imdb_small, workload):
-        service = EstimationService(PostgresCardinalityEstimator(imdb_small), generation=7)
+    def test_generation_starts_where_the_constructor_says(self, workload):
+        estimator = conftest.constant_estimator(1.0, workload[:1])
+        service = EstimationService(estimator, generation=7)
         assert service.submit(workload[0]).model_generation == 7
         for bad in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="positive int"):
-                EstimationService(PostgresCardinalityEstimator(imdb_small), generation=bad)
+                EstimationService(estimator, generation=bad)
 
     def test_fallback_result_carries_generation_one_across_swaps(
         self, model, imdb_small, imdb_featurizer, pool
     ):
-        unmatched = (
-            QueryBuilder()
-            .table("movie_companies", "mc")
-            .table("movie_keyword", "mk")
-            .build()
-        )
+        unmatched = unmatched_query()
         service = build_service(model, imdb_small, imdb_featurizer, pool)
         service.replace(service.estimator)
         served = service.submit(unmatched)
